@@ -81,15 +81,9 @@ func BenchmarkHeadline_TPS_Stacks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := noftl.Headline(noftl.HeadlineConfig{
 			Workload: "tpcc",
-			Dies:     4,
-			DriveMB:  96,
-			Workers:  12,
-			Writers:  4,
-			Frames:   256,
-			Warm:     500 * sim.Millisecond,
-			Measure:  3 * sim.Second,
-			TPCC:     workload.TPCCConfig{Warehouses: 1},
-			Seed:     int64(i),
+			Params: noftl.ExperimentParams{Dies: 4, DriveMB: 96, Workers: 12, Writers: 4, Frames: 256,
+				Warm: 500 * sim.Millisecond, Measure: 3 * sim.Second, Seed: int64(i)},
+			TPCC: workload.TPCCConfig{Warehouses: 1},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -115,8 +109,8 @@ func BenchmarkLatency_RandomWrite(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			f := res.HistOf(bench.StackFaster)
-			n := res.HistOf(bench.StackNoFTL)
+			f := res.HistOf(noftl.StackFaster)
+			n := res.HistOf(noftl.StackNoFTL)
 			b.ReportMetric(f.Mean().Seconds()*1e3, "faster_mean_ms")
 			b.ReportMetric(f.Max().Seconds()*1e3, "faster_max_ms")
 			b.ReportMetric(n.Mean().Seconds()*1e3, "noftl_mean_ms")

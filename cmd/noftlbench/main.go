@@ -20,632 +20,472 @@
 //	noftlbench -exp ablations # design-choice sweeps (A1-A4)
 //	noftlbench -exp all
 //
-// Scale flags let the experiments approach the paper's full parameters
-// (they default to simulation-friendly sizes). -json <path> additionally
-// writes machine-readable results (name, TPS, WA, erases, bytes/tx) for
-// the TPS experiments, so perf trajectories can accumulate as
-// BENCH_*.json files.
+// One flag set serves every experiment: -dies, -drive-mb, -workers and
+// -frames scale whichever experiment is selected (unset: that
+// experiment's own default, simulation-friendly sizes). -json <path>
+// writes machine-readable results for the TPS experiments, so perf
+// trajectories can accumulate as BENCH_*.json files; -obs-dir <dir>
+// turns the observability stack on and writes its artifacts under fixed
+// names (see README).
+//
+// Exit status: 0 success, 1 an experiment failed, 2 usage error.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 
 	"noftl"
 )
 
-func main() {
-	var (
-		exp     = flag.String("exp", "all", "experiment: fig3|fig4a|fig4b|headline|latency|validate|delta|regions|sched|htap|qos|serve|ablations|all")
-		jsonOut = flag.String("json", "", "write machine-readable results (TPS, WA, erases, bytes/tx) to this path")
-		seed    = flag.Int64("seed", 42, "deterministic seed")
-		txs     = flag.Int("txs", 4000, "transactions per workload (fig3)")
-		tpccWH  = flag.Int("tpcc-warehouses", 2, "TPC-C scale factor")
-		tpcbSF  = flag.Int("tpcb-branches", 24, "TPC-B scale factor")
-		tpceCu  = flag.Int("tpce-customers", 100, "TPC-E customers")
-		dies    = flag.String("dies", "", "comma list for fig4 (default 1,2,4,8,16,32)")
-		workers = flag.Int("workers", 16, "transaction processes")
-		driveMB = flag.Int("drive-mb", 192, "drive capacity for TPS runs")
-		measure = flag.Int("measure-s", 8, "measurement window, simulated seconds")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		schedDies  = flag.Int("sched-dies", 0, "dies for the sched ablation (0: default 8)")
-		schedMB    = flag.Int("sched-mb", 0, "drive MB for the sched ablation (0: default 64)")
-		schedTrace = flag.Bool("sched-trace", false, "collect a command log and print per-class waits")
-		tagged     = flag.Bool("tagged", true, "include the per-request-tagging column in the sched ablation")
+// app is one invocation: the parsed flags, where tables go, and the
+// machine-readable report the experiments append to.
+type app struct {
+	out    io.Writer
+	report *noftl.JSONReport
 
-		traceOut   = flag.String("trace-out", "", "write a Perfetto-loadable trace-event JSON file for the sched/htap experiment's last mode or the qos run")
-		metricsOut = flag.String("metrics-out", "", "write the telemetry metrics time series + flight recorder (JSON) for the sched/htap experiment's last mode or the qos run")
-		slowestK   = flag.Int("slowest", 16, "flight-recorder / blame retention: slowest K transactions (with -trace-out/-metrics-out/-blame-out)")
+	exp, jsonOut, diesArg  string
+	cpuProfile, memProfile string
 
-		blameOut      = flag.String("blame-out", "", "write the latency root-cause report (interference matrix, per-victim shares, slowest spans; JSON) for the sched/htap experiment's last mode or the qos run")
-		foldedOut     = flag.String("folded-out", "", "write blame-attributed request time as folded stacks (flamegraph.pl / speedscope-loadable) for the same run as -blame-out")
-		speedscopeOut = flag.String("speedscope-out", "", "write blame-attributed request time as a speedscope sampled profile for the same run as -blame-out")
+	seed         int64
+	dies         []int // parsed diesArg
+	workers      int
+	driveMB      int
+	measureS     int
+	frames       int
+	obsDir       string
+	slowest      int
+	qosLowDLms   int
+	monitorAddr  string
+	serveClients int
+	serveRows    int
+}
 
-		qosDies  = flag.Int("qos-dies", 0, "dies for the qos demo (0: default 8)")
-		qosMB    = flag.Int("qos-mb", 0, "drive MB for the qos demo (0: default 64)")
-		qosLowDL = flag.Int("qos-low-deadline-ms", 0, "stamp the qos demo's low tenant with this completion deadline (ms; 0: off) so its SLO misses are measured and blame-attributed")
+// experiments lists every -exp name in the order -exp all runs them.
+var experiments = []struct {
+	name string
+	run  func(*app) error
+}{
+	{"fig3", (*app).fig3},
+	{"fig4a", func(a *app) error { return a.fig4("tpcc") }},
+	{"fig4b", func(a *app) error { return a.fig4("tpcb") }},
+	{"headline", (*app).headline},
+	{"latency", (*app).latency},
+	{"validate", (*app).validate},
+	{"delta", (*app).delta},
+	{"regions", (*app).regions},
+	{"sched", (*app).sched},
+	{"htap", (*app).htap},
+	{"qos", (*app).qos},
+	{"serve", (*app).serve},
+	{"ablations", (*app).ablations},
+}
 
-		healthOut   = flag.String("health-out", "", "write the device-health snapshot (wear heatmaps, GC efficiency, alert log; JSON) for the sched experiment's last mode")
-		promOut     = flag.String("prom-out", "", "write a Prometheus text-format metrics dump for the sched experiment's last mode")
-		monitorAddr = flag.String("monitor-addr", "", "serve live /metrics, /health and /alerts on this address during sched runs (e.g. 127.0.0.1:9464)")
+// flagSet registers the one flag set every experiment shares.
+func (a *app) flagSet() *flag.FlagSet {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	fs := flag.NewFlagSet("noftlbench", flag.ContinueOnError)
+	fs.StringVar(&a.exp, "exp", "all", "experiment: "+strings.Join(names, "|")+"|all")
+	fs.StringVar(&a.jsonOut, "json", "", "write machine-readable results (TPS, WA, erases, bytes/tx, latency tails) to this path")
+	fs.Int64Var(&a.seed, "seed", 42, "deterministic seed")
+	fs.StringVar(&a.diesArg, "dies", "", "die count (empty: the experiment's own default); fig4a/fig4b sweep a comma list (default 1,2,4,8,16,32), which every other experiment ignores")
+	fs.IntVar(&a.workers, "workers", 0, "client processes: OLTP terminals (0: the experiment's own default — 16, htap 12)")
+	fs.IntVar(&a.driveMB, "drive-mb", 0, "drive capacity in MB (0: the experiment's own default — 192 for fig4/headline/delta, 64 elsewhere)")
+	fs.IntVar(&a.measureS, "measure-s", 8, "measurement window, simulated seconds")
+	fs.IntVar(&a.frames, "frames", 0, "buffer-pool frames (0: the experiment's own default)")
+	fs.StringVar(&a.obsDir, "obs-dir", "", "turn the observability stack on for the sched/htap/qos/serve experiment and write the last mode's artifacts into this directory: trace.json metrics.json metrics.prom, plus blame.json blame.folded blame.speedscope.json (sched/htap/qos) and health.json (sched)")
+	fs.IntVar(&a.slowest, "slowest", 16, "flight-recorder / blame retention: slowest K transactions (with -obs-dir)")
+	fs.IntVar(&a.qosLowDLms, "qos-low-deadline-ms", 0, "stamp the qos demo's low tenant with this completion deadline (ms; 0: off) so its SLO misses are measured and blame-attributed")
+	fs.StringVar(&a.monitorAddr, "monitor-addr", "", "serve live /metrics, /health and /alerts on this address during sched runs (e.g. 127.0.0.1:9464)")
+	fs.IntVar(&a.serveClients, "serve-clients", 0, "total sessions for the serve ablation, split 1:3 paying:batch (0: default 800)")
+	fs.IntVar(&a.serveRows, "serve-rows", 0, "per-store record count for the serve ablation (0: default 16384)")
+	fs.StringVar(&a.cpuProfile, "cpuprofile", "", "write a CPU profile to this path")
+	fs.StringVar(&a.memProfile, "memprofile", "", "write a heap profile to this path on exit")
+	return fs
+}
 
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this path on exit")
-
-		serveClients   = flag.Int("serve-clients", 0, "total sessions for the serve ablation, split 1:3 paying:batch (0: default 800)")
-		serveRows      = flag.Int("serve-rows", 0, "per-store record count for the serve ablation (0: default 16384)")
-		serveDies      = flag.Int("serve-dies", 0, "dies for the serve ablation (0: default 8)")
-		serveMB        = flag.Int("serve-mb", 0, "drive MB for the serve ablation (0: default 64)")
-		serveBatchRate = flag.Float64("serve-batch-rate", 0, "batch tenant's contracted admission rate, req/s (0: default 1200)")
-		serveWarmMs    = flag.Int("serve-warm-ms", 0, "serve ablation warm-up, simulated ms (0: default 1000)")
-		serveSettleMs  = flag.Int("serve-settle-ms", 0, "serve ablation guard-settle window, simulated ms (0: default 1000)")
-
-		htapDies    = flag.Int("htap-dies", 0, "dies for the htap ablation (0: default 8)")
-		htapMB      = flag.Int("htap-mb", 0, "drive MB for the htap ablation (0: default 64)")
-		htapTerms   = flag.Int("htap-terminals", 0, "OLTP terminals for htap (0: default 12)")
-		htapReaders = flag.Int("htap-readers", 0, "analytical readers for htap (0: default 2)")
-		htapFrames  = flag.Int("htap-frames", 0, "buffer frames for htap (0: default 256)")
-		htapWindow  = flag.Int("htap-window", 0, "prefetch read-ahead depth for htap (0: default 16)")
-	)
-	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+func run(args []string, stdout, stderr io.Writer) int {
+	a := &app{out: stdout}
+	fs := a.flagSet()
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	known := a.exp == "all"
+	for _, e := range experiments {
+		known = known || e.name == a.exp
+	}
+	if !known || fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "noftlbench: unknown experiment %q or stray arguments %q\n", a.exp, fs.Args())
+		fs.Usage()
+		return 2
+	}
+	for _, f := range strings.Split(a.diesArg, ",") {
+		if f == "" {
+			continue
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+		n, err := strconv.Atoi(f)
+		if err != nil || n <= 0 {
+			fmt.Fprintf(stderr, "noftlbench: -dies %q: want a positive integer or a comma list of them\n", a.diesArg)
+			return 2
+		}
+		a.dies = append(a.dies, n)
+	}
+	if a.obsDir != "" {
+		if err := os.MkdirAll(a.obsDir, 0o755); err != nil {
+			fmt.Fprintln(stderr, "noftlbench:", err)
+			return 1
+		}
+	}
+
+	if a.cpuProfile != "" {
+		f, err := os.Create(a.cpuProfile)
+		if err != nil {
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
 		}
 		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
+		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProfile != "" {
+	if a.memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+			if err := writeFile(a.memProfile, pprof.WriteHeapProfile); err != nil {
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 			}
 		}()
 	}
 
-	report := &noftl.JSONReport{Seed: *seed}
-
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
+	a.report = &noftl.JSONReport{Seed: a.seed}
+	for _, e := range experiments {
+		if a.exp != "all" && a.exp != e.name {
+			continue
 		}
-		fmt.Printf("=== %s ===\n", name)
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+		fmt.Fprintf(stdout, "=== %s ===\n", e.name)
+		if err := e.run(a); err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", e.name, err)
+			return 1
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-
-	// Telemetry and blame exports are shared by the sched, htap and qos
-	// experiments: the same flags select the pipeline, the same helpers
-	// print and write the chosen run's artifacts.
-	telemetryOn := *traceOut != "" || *metricsOut != ""
-	blameOn := *blameOut != "" || *foldedOut != "" || *speedscopeOut != ""
-	newTelemetryCfg := func() *noftl.TelemetryConfig {
-		return &noftl.TelemetryConfig{
-			SlowestK:    *slowestK,
-			RetainSpans: *traceOut != "",
+	if a.jsonOut != "" {
+		if err := a.report.Write(a.jsonOut); err != nil {
+			fmt.Fprintf(stderr, "json: %v\n", err)
+			return 1
 		}
+		fmt.Fprintf(stdout, "wrote %d results to %s\n", len(a.report.Results), a.jsonOut)
 	}
-	exportTelemetry := func(name string, tel *noftl.Telemetry, log *noftl.CmdLog) error {
-		if tel == nil {
-			return nil
-		}
-		fmt.Printf("flight recorder (%s): slowest transactions by layer\n%s",
-			name, tel.SlowestTable())
-		if *traceOut != "" {
-			if err := writeFileWith(*traceOut, func(f *os.File) error {
-				return noftl.WriteTraceEvents(f, log, tel.Spans())
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("wrote Perfetto trace (%s) to %s\n", name, *traceOut)
-		}
-		if *metricsOut != "" {
-			if err := writeFileWith(*metricsOut, func(f *os.File) error {
-				return tel.WriteMetrics(f)
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("wrote metrics series (%s) to %s\n", name, *metricsOut)
-		}
-		return nil
-	}
-	exportBlame := func(name string, rep *noftl.BlameReport) error {
-		if rep == nil {
-			return nil
-		}
-		fmt.Printf("blame matrix (%s): top victim x culprit interference\n%s",
-			name, rep.TopTable(12))
-		fmt.Printf("slowest spans (%s) with blame attribution:\n%s",
-			name, rep.SlowestTable(8))
-		if *blameOut != "" {
-			if err := writeFileWith(*blameOut, func(f *os.File) error {
-				return rep.WriteJSON(f)
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("wrote blame report (%s) to %s\n", name, *blameOut)
-		}
-		if *foldedOut != "" {
-			if err := writeFileWith(*foldedOut, func(f *os.File) error {
-				return rep.WriteFolded(f)
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("wrote folded stacks (%s) to %s\n", name, *foldedOut)
-		}
-		if *speedscopeOut != "" {
-			if err := writeFileWith(*speedscopeOut, func(f *os.File) error {
-				return rep.WriteSpeedscope(f)
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("wrote speedscope profile (%s) to %s\n", name, *speedscopeOut)
-		}
-		return nil
-	}
-
-	run("fig3", func() error {
-		res, err := noftl.Figure3(noftl.Fig3Config{
-			TPCC:         noftl.TPCCConfig{Warehouses: *tpccWH},
-			TPCB:         noftl.TPCBConfig{Branches: *tpcbSF},
-			TPCE:         noftl.TPCEConfig{Customers: *tpceCu},
-			Transactions: *txs,
-			Seed:         *seed,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Println("Figure 3: GC overhead of FASTer vs NoFTL (off-line trace replay)")
-		fmt.Print(res.Table())
-		fmt.Println("\nLongevity (§5): NoFTL lifetime factor = relative erase reduction:")
-		for _, l := range res.Longevity() {
-			fmt.Printf("  %-6s %.2fx\n", l.Workload, l.Factor)
-		}
-		return nil
-	})
-
-	fig4 := func(wl string) func() error {
-		return func() error {
-			cfg := noftl.Fig4Config{
-				Workload: wl,
-				Workers:  *workers,
-				DriveMB:  *driveMB,
-				Measure:  noftl.SimTime(*measure) * noftl.Second,
-				Seed:     *seed,
-			}
-			if *dies != "" {
-				cfg.Dies = parseInts(*dies)
-			}
-			res, err := noftl.Figure4(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("Figure 4 (%s): TPS vs dies, global vs die-wise db-writers\n", wl)
-			fmt.Print(res.Table())
-			fmt.Printf("max die-wise speedup: %.2fx\n", res.Speedup())
-			return nil
-		}
-	}
-	run("fig4a", fig4("tpcc"))
-	run("fig4b", fig4("tpcb"))
-
-	run("headline", func() error {
-		for _, wl := range []string{"tpcc", "tpcb"} {
-			res, err := noftl.Headline(noftl.HeadlineConfig{
-				Workload: wl,
-				Workers:  *workers,
-				DriveMB:  *driveMB,
-				Measure:  noftl.SimTime(*measure) * noftl.Second,
-				Seed:     *seed,
-				TPCC:     noftl.TPCCConfig{Warehouses: *tpccWH},
-				TPCB:     noftl.TPCBConfig{Branches: *tpcbSF},
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("Headline (%s): end-to-end TPS by storage stack\n", wl)
-			fmt.Print(res.Table())
-			for _, row := range res.Rows {
-				report.Add("headline", wl, row.Stack, &row.Result)
-			}
-			fmt.Printf("NoFTL vs FASTer: %.2fx   pagemap vs DFTL: %.2fx\n\n",
-				res.NoFTLSpeedupOverFaster(), res.DFTLSlowdownVsPagemap())
-		}
-		return nil
-	})
-
-	run("latency", func() error {
-		res, err := noftl.Latency(noftl.LatencyConfig{Seed: *seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println("§3: 4KB random-write latency (high utilisation)")
-		fmt.Print(res.Table())
-		return nil
-	})
-
-	run("validate", func() error {
-		res, err := noftl.Validate(noftl.ValidateConfig{Seed: *seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println("Demo 1: emulator timing vs analytic model (queue depth 1)")
-		fmt.Print(res.Table())
-		fmt.Printf("max model error: %.3f%%\n", res.MaxErrorPct())
-		fmt.Println("random-read IOPS scaling with dies:")
-		for _, d := range []int{1, 2, 4, 8} {
-			fmt.Printf("  %2d dies: %.0f IOPS\n", d, res.ScalingIOPS[d])
-		}
-		return nil
-	})
-
-	run("delta", func() error {
-		for _, wl := range []string{"tpcb", "tpcc"} {
-			res, err := noftl.DeltaAblation(noftl.DeltaConfig{
-				Workload: wl,
-				Workers:  *workers,
-				DriveMB:  *driveMB,
-				Measure:  noftl.SimTime(*measure) * noftl.Second,
-				Seed:     *seed,
-				TPCC:     noftl.TPCCConfig{Warehouses: *tpccWH},
-				TPCB:     noftl.TPCBConfig{Branches: *tpcbSF},
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("Ablation A5 (%s): in-place appends (delta writes) vs full-page NoFTL vs FTL\n", wl)
-			fmt.Print(res.Table())
-			fmt.Printf("delta-NoFTL programs %.0f%% of full-page NoFTL's flash bytes per tx\n\n",
-				100*res.BytesPerTxRatio())
-			for _, row := range res.Rows {
-				report.Add("delta", wl, row.Stack, &row.Result)
-			}
-		}
-		return nil
-	})
-
-	run("regions", func() error {
-		for _, wl := range []string{"tpcb", "tpcc"} {
-			// Drive size and scale factors default to the ablation's
-			// own utilization-tuned values (placement policy only
-			// matters under GC pressure).
-			res, err := noftl.RegionsAblation(noftl.RegionsConfig{
-				Workload: wl,
-				Workers:  *workers,
-				Measure:  noftl.SimTime(*measure) * noftl.Second,
-				Seed:     *seed,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("Ablation A6 (%s): single-policy NoFTL vs region-managed placement (WAL on log region)\n", wl)
-			fmt.Print(res.Table())
-			if rt := res.RegionTable(); rt != "" {
-				fmt.Println("per-region breakdown (noftl-regions):")
-				fmt.Print(rt)
-			}
-			fmt.Printf("regions vs single-policy: %.2fx erases, WA %+.3f, %.2fx TPS\n\n",
-				res.EraseRatio(), -res.WADelta(), res.TPSRatio())
-			for _, row := range res.Rows {
-				report.Add("regions", wl, row.Stack, &row.Result)
-			}
-		}
-		return nil
-	})
-
-	run("sched", func() error {
-		cfg := noftl.SchedConfig{
-			Workload:  "tpcb",
-			Dies:      *schedDies,
-			DriveMB:   *schedMB,
-			Workers:   *workers,
-			Measure:   noftl.SimTime(*measure) * noftl.Second,
-			Seed:      *seed,
-			TraceCmds: *schedTrace,
-		}
-		if telemetryOn {
-			cfg.Telemetry = newTelemetryCfg()
-			// The Perfetto export draws its command timelines from the
-			// command log.
-			if *traceOut != "" {
-				cfg.TraceCmds = true
-			}
-		}
-		if blameOn {
-			cfg.Blame = &noftl.BlameConfig{SlowestK: *slowestK}
-		}
-		healthOn := *healthOut != "" || *promOut != "" || *monitorAddr != ""
-		if healthOn {
-			cfg.Health = &noftl.HealthConfig{
-				Rules:       noftl.DefaultSLORules(64, 4, 50_000, 0.05),
-				MonitorAddr: *monitorAddr,
-			}
-			if *monitorAddr != "" {
-				fmt.Printf("live monitor on http://%s (/metrics /health /alerts)\n", *monitorAddr)
-			}
-		}
-		if !*tagged {
-			cfg.Modes = []noftl.SchedMode{noftl.SchedInline, noftl.SchedBackground,
-				noftl.SchedPriorityMode}
-		}
-		res, err := noftl.SchedAblation(cfg)
-		if err != nil {
-			return err
-		}
-		header := "Ablation A7 (tpcb): inline GC vs background GC vs priority scheduling"
-		if *tagged {
-			header += " vs per-request tags"
-		}
-		fmt.Println(header)
-		fmt.Print(res.Table())
-		fmt.Println("\nper-class queue waits:")
-		fmt.Print(res.WaitTable())
-		if *schedTrace {
-			for _, row := range res.Rows {
-				if row.CmdLog != nil {
-					fmt.Printf("command log (%s):\n%s", row.Mode, row.CmdLog.Summary())
-				}
-			}
-		}
-		fmt.Printf("bg-gc+prio vs inline-gc: %.2fx TPS, %.2fx p99 commit, %.2fx p99 read\n",
-			res.TPSRatio(), res.CommitP99Ratio(), res.ReadP99Ratio())
-		if *tagged {
-			fmt.Printf("per-request tags vs static routing: %.2fx p99 commit\n", res.TaggedCommitP99Ratio())
-		}
-		fmt.Println()
-		for i := range res.Rows {
-			report.AddSched(res.Workload, &res.Rows[i])
-		}
-		if (telemetryOn || blameOn) && len(res.Rows) > 0 {
-			// Export the last mode's run — with -tagged (the default)
-			// that is the fully scheduled, descriptor-dispatched regime.
-			last := &res.Rows[len(res.Rows)-1]
-			if err := exportTelemetry(string(last.Mode), last.Tel, last.CmdLog); err != nil {
-				return err
-			}
-			if err := exportBlame(string(last.Mode), last.Blame); err != nil {
-				return err
-			}
-		}
-		if healthOn && len(res.Rows) > 0 {
-			last := &res.Rows[len(res.Rows)-1]
-			fmt.Println("device health:")
-			fmt.Print(res.HealthTable())
-			alerts := 0
-			for _, row := range res.Rows {
-				if row.Health != nil {
-					alerts += len(row.Health.Alerts)
-				}
-			}
-			if alerts > 0 {
-				fmt.Println("SLO alerts:")
-				fmt.Print(res.AlertTable())
-			}
-			if *healthOut != "" && last.Health != nil {
-				if err := writeFileWith(*healthOut, func(f *os.File) error {
-					return noftl.WriteHealthSnapshot(f, last.Health)
-				}); err != nil {
-					return err
-				}
-				fmt.Printf("wrote health snapshot (%s) to %s\n", last.Mode, *healthOut)
-			}
-			if *promOut != "" && last.Tel != nil && last.Health != nil {
-				if err := writeFileWith(*promOut, func(f *os.File) error {
-					return noftl.WritePrometheus(f, last.Tel.Reg, last.Health.TNs)
-				}); err != nil {
-					return err
-				}
-				fmt.Printf("wrote Prometheus dump (%s) to %s\n", last.Mode, *promOut)
-			}
-		}
-		return nil
-	})
-
-	run("htap", func() error {
-		cfg := noftl.HTAPConfig{
-			Dies:      *htapDies,
-			DriveMB:   *htapMB,
-			Terminals: *htapTerms,
-			Readers:   *htapReaders,
-			Frames:    *htapFrames,
-			Window:    *htapWindow,
-			Measure:   noftl.SimTime(*measure) * noftl.Second,
-			Seed:      *seed,
-		}
-		if telemetryOn {
-			cfg.Telemetry = newTelemetryCfg()
-			if *traceOut != "" {
-				cfg.TraceCmds = true
-			}
-		}
-		if blameOn {
-			cfg.Blame = &noftl.BlameConfig{SlowestK: *slowestK}
-		}
-		res, err := noftl.HTAPAblation(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Ablation A8 (tpcb+tpch): naive shared pool vs scan-resistant vs scan-resistant + prefetch")
-		fmt.Print(res.Table())
-		fmt.Printf("scan-resist+prefetch vs naive: %.2fx OLTP TPS, %.2fx p99 commit, %.2fx scan rows/s\n\n",
-			res.TPSRatio(), res.CommitP99Ratio(), res.ScanRatio())
-		for i := range res.Rows {
-			report.AddHTAP(&res.Rows[i])
-		}
-		if (telemetryOn || blameOn) && len(res.Rows) > 0 {
-			last := &res.Rows[len(res.Rows)-1]
-			if err := exportTelemetry(string(last.Mode), last.Tel, last.CmdLog); err != nil {
-				return err
-			}
-			if err := exportBlame(string(last.Mode), last.Blame); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-
-	run("qos", func() error {
-		cfg := noftl.QoSConfig{
-			Dies:        *qosDies,
-			DriveMB:     *qosMB,
-			Workers:     *workers,
-			Measure:     noftl.SimTime(*measure) * noftl.Second,
-			Seed:        *seed,
-			LowDeadline: noftl.SimTime(*qosLowDL) * noftl.Millisecond,
-		}
-		if telemetryOn {
-			cfg.Telemetry = newTelemetryCfg()
-			if *traceOut != "" {
-				cfg.TraceCmds = true
-			}
-		}
-		if blameOn {
-			cfg.Blame = &noftl.BlameConfig{SlowestK: *slowestK}
-		}
-		res, err := noftl.QoS(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Per-request QoS: two TPC-B tenants, one declared low-priority")
-		fmt.Print(res.Table())
-		fmt.Printf("p99 commit split low/high: %.2fx (%d class-overriding dispatches)\n\n",
-			res.P99Ratio(), res.Sched.Retagged)
-		if err := exportTelemetry("qos", res.Tel, res.CmdLog); err != nil {
-			return err
-		}
-		if res.Blame != nil {
-			if cs, ok := res.Blame.DominantMissedCulprit(noftl.TagLowPriority); ok {
-				fmt.Printf("low tenant's dominant latency culprit behind missed deadlines: %s (%.0f%% of blamed wait)\n",
-					cs.Class, 100*cs.Share)
-			}
-		}
-		if err := exportBlame("qos", res.Blame); err != nil {
-			return err
-		}
-		report.AddQoS(res)
-		return nil
-	})
-
-	run("serve", func() error {
-		cfg := noftl.ServeAblationConfig{
-			Dies:      *serveDies,
-			DriveMB:   *serveMB,
-			Clients:   *serveClients,
-			Rows:      int64(*serveRows),
-			Warm:      noftl.SimTime(*serveWarmMs) * noftl.Millisecond,
-			Settle:    noftl.SimTime(*serveSettleMs) * noftl.Millisecond,
-			Measure:   noftl.SimTime(*measure) * noftl.Second,
-			Seed:      *seed,
-			BatchRate: *serveBatchRate,
-		}
-		if telemetryOn {
-			cfg.Telemetry = newTelemetryCfg()
-		}
-		res, err := noftl.ServeAblation(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Serving front: record sessions under admission control")
-		fmt.Println("(uncontended reference, then no-control vs rate-limit vs rate-limit+shed)")
-		fmt.Print(res.Table())
-		fmt.Printf("paying p99 vs uncontended: no-control %.2fx, rate-limit %.2fx, rate-limit+shed %.2fx\n",
-			res.ProtectionRatio(noftl.ControlNone.String()),
-			res.ProtectionRatio(noftl.ControlRateLimit.String()),
-			res.ProtectionRatio(noftl.ControlFull.String()))
-		if full := res.Row(noftl.ControlFull.String()); full != nil {
-			fmt.Printf("full regime: %d admitted, %d deprioritized, %d shed\n",
-				full.Front.Admitted, full.Front.Deprioritized, full.Front.Shed)
-		}
-		fmt.Println()
-		report.AddServe(res)
-		last := res.Row(noftl.ControlFull.String())
-		if telemetryOn && last != nil {
-			if err := exportTelemetry(last.Mode, last.Tel, nil); err != nil {
-				return err
-			}
-		}
-		if *promOut != "" && last != nil && last.Tel != nil {
-			if err := writeFileWith(*promOut, func(f *os.File) error {
-				return noftl.WritePrometheus(f, last.Tel.Reg, 0)
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("wrote Prometheus dump (%s) to %s\n", last.Mode, *promOut)
-		}
-		return nil
-	})
-
-	run("ablations", func() error {
-		for _, f := range []func(int64) (*noftl.AblationResult, error){
-			noftl.AblationGCPolicy, noftl.AblationDFTLCMT,
-			noftl.AblationFasterLog, noftl.AblationOverProvision,
-		} {
-			res, err := f(*seed)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("ablation: %s\n%s\n", res.Name, res.Table())
-		}
-		return nil
-	})
-
-	if *jsonOut != "" {
-		if err := report.Write(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d results to %s\n", len(report.Results), *jsonOut)
-	}
+	return 0
 }
 
-func writeFileWith(path string, fn func(*os.File) error) error {
+func (a *app) printf(format string, args ...any) { fmt.Fprintf(a.out, format, args...) }
+
+// params is the shared flag set as an experiment parameter block. A
+// -dies list belongs to the fig4 sweep; a single value scales every
+// experiment.
+func (a *app) params() noftl.ExperimentParams {
+	p := noftl.ExperimentParams{
+		DriveMB: a.driveMB,
+		Workers: a.workers,
+		Frames:  a.frames,
+		Measure: noftl.SimTime(a.measureS) * noftl.Second,
+		Seed:    a.seed,
+	}
+	if len(a.dies) == 1 {
+		p.Dies = a.dies[0]
+	}
+	return p
+}
+
+// observed is params plus, under -obs-dir, the observability stack: the
+// telemetry pipeline with span retention, the command timeline the
+// Perfetto export draws from, and — where the experiment has request
+// classes to blame — the root-cause engine.
+func (a *app) observed(blame bool) noftl.ExperimentParams {
+	p := a.params()
+	if a.obsDir == "" {
+		return p
+	}
+	p.Telemetry = &noftl.TelemetryConfig{SlowestK: a.slowest, RetainSpans: true}
+	if blame {
+		p.TraceCmds = true
+		p.Blame = &noftl.BlameConfig{SlowestK: a.slowest}
+	}
+	return p
+}
+
+// export prints one run's observability summaries and, under -obs-dir,
+// writes whatever artifacts the run produced under their fixed names.
+func (a *app) export(name string, o *noftl.ObservedRun) error {
+	if o.Tel != nil {
+		a.printf("flight recorder (%s): slowest transactions by layer\n%s", name, o.Tel.SlowestTable())
+	}
+	if o.Blame != nil {
+		a.printf("blame matrix (%s): top victim x culprit interference\n%s", name, o.Blame.TopTable(12))
+		a.printf("slowest spans (%s) with blame attribution:\n%s", name, o.Blame.SlowestTable(8))
+	}
+	if a.obsDir == "" {
+		return nil
+	}
+	var err error
+	write := func(file string, fn func(io.Writer) error) {
+		if err != nil {
+			return
+		}
+		path := filepath.Join(a.obsDir, file)
+		if err = writeFile(path, fn); err == nil {
+			a.printf("wrote %s (%s)\n", path, name)
+		}
+	}
+	if tel := o.Tel; tel != nil {
+		write("trace.json", func(w io.Writer) error { return noftl.WriteTraceEvents(w, o.CmdLog, tel.Spans()) })
+		write("metrics.json", tel.WriteMetrics)
+		var now noftl.SimTime
+		if o.Health != nil {
+			now = o.Health.TNs
+		}
+		write("metrics.prom", func(w io.Writer) error { return noftl.WritePrometheus(w, tel.Reg, now) })
+	}
+	if rep := o.Blame; rep != nil {
+		write("blame.json", rep.WriteJSON)
+		write("blame.folded", rep.WriteFolded)
+		write("blame.speedscope.json", rep.WriteSpeedscope)
+	}
+	if h := o.Health; h != nil {
+		write("health.json", func(w io.Writer) error { return noftl.WriteHealthSnapshot(w, h) })
+	}
+	return err
+}
+
+func (a *app) fig3() error {
+	res, err := noftl.Figure3(noftl.Fig3Config{Seed: a.seed})
+	if err != nil {
+		return err
+	}
+	a.printf("Figure 3: GC overhead of FASTer vs NoFTL (off-line trace replay)\n%s", res.Table())
+	a.printf("\nLongevity (§5): NoFTL lifetime factor = relative erase reduction:\n")
+	for _, l := range res.Longevity() {
+		a.printf("  %-6s %.2fx\n", l.Workload, l.Factor)
+	}
+	return nil
+}
+
+func (a *app) fig4(wl string) error {
+	p := a.params()
+	cfg := noftl.Fig4Config{Workload: wl, Dies: a.dies, Workers: p.Workers,
+		DriveMB: p.DriveMB, Frames: p.Frames, Measure: p.Measure, Seed: p.Seed}
+	res, err := noftl.Figure4(cfg)
+	if err != nil {
+		return err
+	}
+	a.printf("Figure 4 (%s): TPS vs dies, global vs die-wise db-writers\n%s", wl, res.Table())
+	a.printf("max die-wise speedup: %.2fx\n", res.Speedup())
+	return nil
+}
+
+func (a *app) headline() error {
+	for _, wl := range []string{"tpcc", "tpcb"} {
+		res, err := noftl.Headline(noftl.HeadlineConfig{Params: a.params(), Workload: wl})
+		if err != nil {
+			return err
+		}
+		a.printf("Headline (%s): end-to-end TPS by storage stack\n%s", wl, res.Table())
+		res.AddTo(a.report)
+		a.printf("NoFTL vs FASTer: %.2fx   pagemap vs DFTL: %.2fx\n\n",
+			res.NoFTLSpeedupOverFaster(), res.DFTLSlowdownVsPagemap())
+	}
+	return nil
+}
+
+func (a *app) latency() error {
+	res, err := noftl.Latency(noftl.LatencyConfig{Seed: a.seed})
+	if err != nil {
+		return err
+	}
+	a.printf("§3: 4KB random-write latency (high utilisation)\n%s", res.Table())
+	return nil
+}
+
+func (a *app) validate() error {
+	res, err := noftl.Validate(noftl.ValidateConfig{Seed: a.seed})
+	if err != nil {
+		return err
+	}
+	a.printf("Demo 1: emulator timing vs analytic model (queue depth 1)\n%s", res.Table())
+	a.printf("max model error: %.3f%%\n", res.MaxErrorPct())
+	a.printf("random-read IOPS scaling with dies:\n")
+	for _, d := range []int{1, 2, 4, 8} {
+		a.printf("  %2d dies: %.0f IOPS\n", d, res.ScalingIOPS[d])
+	}
+	return nil
+}
+
+func (a *app) delta() error {
+	for _, wl := range []string{"tpcb", "tpcc"} {
+		res, err := noftl.DeltaAblation(noftl.DeltaConfig{Params: a.params(), Workload: wl})
+		if err != nil {
+			return err
+		}
+		a.printf("Ablation A5 (%s): in-place appends (delta writes) vs full-page NoFTL vs FTL\n%s", wl, res.Table())
+		a.printf("delta-NoFTL programs %.0f%% of full-page NoFTL's flash bytes per tx\n\n",
+			100*res.BytesPerTxRatio())
+		res.AddTo(a.report)
+	}
+	return nil
+}
+
+func (a *app) regions() error {
+	for _, wl := range []string{"tpcb", "tpcc"} {
+		res, err := noftl.RegionsAblation(noftl.RegionsConfig{Params: a.params(), Workload: wl})
+		if err != nil {
+			return err
+		}
+		a.printf("Ablation A6 (%s): single-policy NoFTL vs region-managed placement (WAL on log region)\n%s", wl, res.Table())
+		if rt := res.RegionTable(); rt != "" {
+			a.printf("per-region breakdown (noftl-regions):\n%s", rt)
+		}
+		a.printf("regions vs single-policy: %.2fx erases, WA %+.3f, %.2fx TPS\n\n",
+			res.EraseRatio(), -res.WADelta(), res.TPSRatio())
+		res.AddTo(a.report)
+	}
+	return nil
+}
+
+func (a *app) sched() error {
+	cfg := noftl.SchedConfig{Params: a.observed(true), Workload: "tpcb"}
+	healthOn := a.obsDir != "" || a.monitorAddr != ""
+	if healthOn {
+		cfg.Health = &noftl.HealthConfig{
+			Rules:       noftl.DefaultSLORules(64, 4, 50_000, 0.05),
+			MonitorAddr: a.monitorAddr,
+		}
+		if a.monitorAddr != "" {
+			a.printf("live monitor on http://%s (/metrics /health /alerts)\n", a.monitorAddr)
+		}
+	}
+	res, err := noftl.SchedAblation(cfg)
+	if err != nil {
+		return err
+	}
+	a.printf("Ablation A7 (tpcb): inline GC vs background GC vs priority scheduling vs per-request tags\n%s", res.Table())
+	a.printf("\nper-class queue waits:\n%s", res.WaitTable())
+	a.printf("bg-gc+prio vs inline-gc: %.2fx TPS, %.2fx p99 commit, %.2fx p99 read\n",
+		res.TPSRatio(), res.CommitP99Ratio(), res.ReadP99Ratio())
+	a.printf("per-request tags vs static routing: %.2fx p99 commit\n\n", res.TaggedCommitP99Ratio())
+	res.AddTo(a.report)
+	if healthOn {
+		a.printf("device health:\n%s", res.HealthTable())
+		alerts := 0
+		for _, row := range res.Rows {
+			alerts += len(row.Health.Alerts)
+		}
+		if alerts > 0 {
+			a.printf("SLO alerts:\n%s", res.AlertTable())
+		}
+	}
+	// Export the last mode's run: the fully scheduled,
+	// descriptor-dispatched regime.
+	last := &res.Rows[len(res.Rows)-1]
+	return a.export(string(last.Mode), &last.Observed)
+}
+
+func (a *app) htap() error {
+	res, err := noftl.HTAPAblation(noftl.HTAPConfig{Params: a.observed(true)})
+	if err != nil {
+		return err
+	}
+	a.printf("Ablation A8 (tpcb+tpch): naive shared pool vs scan-resistant vs scan-resistant + prefetch\n%s", res.Table())
+	a.printf("scan-resist+prefetch vs naive: %.2fx OLTP TPS, %.2fx p99 commit, %.2fx scan rows/s\n\n",
+		res.TPSRatio(), res.CommitP99Ratio(), res.ScanRatio())
+	res.AddTo(a.report)
+	last := &res.Rows[len(res.Rows)-1]
+	return a.export(string(last.Mode), &last.Observed)
+}
+
+func (a *app) qos() error {
+	res, err := noftl.QoS(noftl.QoSConfig{Params: a.observed(true),
+		LowDeadline: noftl.SimTime(a.qosLowDLms) * noftl.Millisecond})
+	if err != nil {
+		return err
+	}
+	a.printf("Per-request QoS: two TPC-B tenants, one declared low-priority\n%s", res.Table())
+	a.printf("p99 commit split low/high: %.2fx (%d class-overriding dispatches)\n\n",
+		res.P99Ratio(), res.Result.Sched.Retagged)
+	if res.Blame != nil {
+		if cs, ok := res.Blame.DominantMissedCulprit(noftl.TagLowPriority); ok {
+			a.printf("low tenant's dominant latency culprit behind missed deadlines: %s (%.0f%% of blamed wait)\n",
+				cs.Class, 100*cs.Share)
+		}
+	}
+	res.AddTo(a.report)
+	return a.export("qos", &res.Observed)
+}
+
+func (a *app) serve() error {
+	p := a.observed(false)
+	p.Workers = a.serveClients
+	res, err := noftl.ServeAblation(noftl.ServeAblationConfig{Params: p, Rows: int64(a.serveRows)})
+	if err != nil {
+		return err
+	}
+	a.printf("Serving front: record sessions under admission control\n")
+	a.printf("(uncontended reference, then no-control vs rate-limit vs rate-limit+shed)\n%s", res.Table())
+	a.printf("paying p99 vs uncontended: no-control %.2fx, rate-limit %.2fx, rate-limit+shed %.2fx\n",
+		res.ProtectionRatio(noftl.ControlNone.String()),
+		res.ProtectionRatio(noftl.ControlRateLimit.String()),
+		res.ProtectionRatio(noftl.ControlFull.String()))
+	full := res.Row(noftl.ControlFull.String())
+	a.printf("full regime: %d admitted, %d deprioritized, %d shed\n\n",
+		full.Front.Admitted, full.Front.Deprioritized, full.Front.Shed)
+	res.AddTo(a.report)
+	// The serving front always carries telemetry (the burn guard needs
+	// it); its summaries print only when observability was asked for.
+	if a.obsDir == "" {
+		return nil
+	}
+	return a.export(full.Mode, &full.Observed)
+}
+
+func (a *app) ablations() error {
+	for _, f := range []func(int64) (*noftl.AblationResult, error){
+		noftl.AblationGCPolicy, noftl.AblationDFTLCMT,
+		noftl.AblationFasterLog, noftl.AblationOverProvision,
+	} {
+		res, err := f(a.seed)
+		if err != nil {
+			return err
+		}
+		a.printf("ablation: %s\n%s\n", res.Name, res.Table())
+	}
+	return nil
+}
+
+// writeFile creates path and hands it to write; the first error of
+// write and Close wins.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := fn(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
-}
-
-func parseInts(s string) []int {
-	var out []int
-	cur := 0
-	have := false
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if have {
-				out = append(out, cur)
-			}
-			cur, have = 0, false
-			continue
-		}
-		if s[i] >= '0' && s[i] <= '9' {
-			cur = cur*10 + int(s[i]-'0')
-			have = true
-		}
-	}
-	return out
 }

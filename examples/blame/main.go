@@ -17,21 +17,17 @@ import (
 
 func main() {
 	res, err := noftl.QoS(noftl.QoSConfig{
-		Dies:    8,
-		DriveMB: 64,
-		Workers: 16,
-		Writers: 8,
-		Frames:  384,
-		Warm:    1 * noftl.Second,
-		Measure: 4 * noftl.Second,
-		Seed:    42,
+		Params: noftl.ExperimentParams{
+			Dies: 8, DriveMB: 64, Workers: 16, Writers: 8, Frames: 384,
+			Warm: 1 * noftl.Second, Measure: 4 * noftl.Second, Seed: 42,
+			// The blame engine implies telemetry span retention and a
+			// system-owned command log; tag names default to the demo's
+			// tenant names (high, low, writers, ckpt).
+			Blame: &noftl.BlameConfig{SlowestK: 16},
+		},
 		// Stamp the low tenant with a deadline too, so its SLO misses
 		// are measured — and blame-attributable.
 		LowDeadline: 3 * noftl.Millisecond,
-		// The blame engine implies telemetry span retention and a
-		// system-owned command log; tag names default to the demo's
-		// tenant names (high, low, writers, ckpt).
-		Blame: &noftl.BlameConfig{SlowestK: 16},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -16,16 +16,13 @@ import (
 
 func main() {
 	res, err := noftl.HTAPAblation(noftl.HTAPConfig{
-		Dies:      8,
-		DriveMB:   48,
-		Terminals: 8,
-		Readers:   2,
-		Frames:    192,
-		Warm:      1 * noftl.Second,
-		Measure:   4 * noftl.Second,
-		Seed:      42,
-		TPCB:      noftl.TPCBConfig{Branches: 8, AccountsPerBranch: 3000},
-		TPCH:      noftl.TPCHConfig{ScaleFactor: 2},
+		Params: noftl.ExperimentParams{
+			Dies: 8, DriveMB: 48, Workers: 8, Frames: 192,
+			Warm: 1 * noftl.Second, Measure: 4 * noftl.Second, Seed: 42,
+		},
+		Readers: 2,
+		TPCB:    noftl.TPCBConfig{Branches: 8, AccountsPerBranch: 3000},
+		TPCH:    noftl.TPCHConfig{ScaleFactor: 2},
 	})
 	if err != nil {
 		log.Fatal(err)

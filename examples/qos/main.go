@@ -18,14 +18,10 @@ import (
 
 func main() {
 	res, err := noftl.QoS(noftl.QoSConfig{
-		Dies:    8,
-		DriveMB: 64,
-		Workers: 16,
-		Writers: 8,
-		Frames:  384,
-		Warm:    1 * noftl.Second,
-		Measure: 4 * noftl.Second,
-		Seed:    42,
+		Params: noftl.ExperimentParams{
+			Dies: 8, DriveMB: 64, Workers: 16, Writers: 8, Frames: 384,
+			Warm: 1 * noftl.Second, Measure: 4 * noftl.Second, Seed: 42,
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -33,7 +29,7 @@ func main() {
 	fmt.Println("Per-request QoS: two TPC-B tenants, one declared low-priority")
 	fmt.Print(res.Table())
 	fmt.Printf("\np99 commit split low/high: %.2fx\n", res.P99Ratio())
-	fmt.Printf("class-overriding dispatches: %d (sched.Stats.Retagged)\n", res.Sched.Retagged)
+	fmt.Printf("class-overriding dispatches: %d (sched.Stats.Retagged)\n", res.Result.Sched.Retagged)
 	fmt.Println("\nThe split exists because the request descriptor — class, tag,")
 	fmt.Println("deadline — survives every layer: terminal → engine → volume →")
 	fmt.Println("region → per-die queue. A legacy block interface drops it at the")

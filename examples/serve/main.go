@@ -105,12 +105,12 @@ func main() {
 
 	// --- Part 2: the admission ablation, reduced scale ---
 	res, err := noftl.ServeAblation(noftl.ServeAblationConfig{
-		Clients: 200,
-		Rows:    4096,
-		Warm:    500 * noftl.Millisecond,
-		Settle:  700 * noftl.Millisecond,
-		Measure: 2 * noftl.Second,
-		Seed:    42,
+		Params: noftl.ExperimentParams{
+			Workers: 200, // sessions, split 1:3 paying:batch
+			Warm:    500 * noftl.Millisecond, Measure: 2 * noftl.Second, Seed: 42,
+		},
+		Rows:   4096,
+		Settle: 700 * noftl.Millisecond,
 	})
 	if err != nil {
 		log.Fatal(err)

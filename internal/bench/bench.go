@@ -4,278 +4,185 @@
 // stack comparison, the latency study, emulator validation) plus the
 // ablations DESIGN.md calls out.
 //
-// Stack assembly lives in package system (the same builder behind the
-// public noftl.NewSystem facade); the aliases below keep the historical
-// bench.BuildSystem names working for the experiment drivers.
+// Every kernel-driven experiment is built, run and reported one way:
+// Params.build assembles its system through system.New, execute (run.go)
+// owns the load → reset → start → warm/settle/measure → drain lifecycle
+// and returns one RunResult, and JSONReport.Add turns a RunResult into a
+// machine-readable row. The drivers only describe what differs.
 package bench
 
 import (
 	"fmt"
 
 	"noftl/internal/flash"
-	"noftl/internal/ftl"
-	"noftl/internal/ioreq"
-	"noftl/internal/sched"
+	"noftl/internal/nand"
 	"noftl/internal/sim"
-	"noftl/internal/stats"
-	"noftl/internal/storage"
 	"noftl/internal/system"
+	"noftl/internal/telemetry"
+	"noftl/internal/telemetry/blame"
+	"noftl/internal/telemetry/health"
+	"noftl/internal/trace"
 	"noftl/internal/workload"
 )
 
-// Stack names a storage architecture under comparison (see package
-// system for the catalog).
-type Stack = system.Stack
+// Params is the parameter block every kernel-driven experiment config
+// embeds. A zero field takes the experiment's own default (the defaults
+// table below).
+type Params struct {
+	Dies    int
+	DriveMB int
+	// Workers is the number of closed-loop client processes: OLTP
+	// terminals, or sessions for the serving ablation.
+	Workers int
+	Writers int // background db-writers
+	Frames  int // buffer-pool frames
+	Warm    sim.Time
+	Measure sim.Time
+	Seed    int64
 
-// The storage stacks of Figure 6, re-exported from package system.
-const (
-	StackNoFTL        = system.StackNoFTL
-	StackFaster       = system.StackFaster
-	StackDFTL         = system.StackDFTL
-	StackPagemap      = system.StackPagemap
-	StackNoFTLDelta   = system.StackNoFTLDelta
-	StackNoFTLSingle  = system.StackNoFTLSingle
-	StackNoFTLRegions = system.StackNoFTLRegions
-)
+	// Telemetry attaches the cross-layer telemetry pipeline to each
+	// run's system: request spans on every counted transaction, the
+	// metrics sampler and the flight recorder (Observed.Tel).
+	Telemetry *telemetry.Config
+	// Blame attaches the latency root-cause engine (implies telemetry
+	// with span retention and a system-owned command log);
+	// Observed.Blame carries the analyzed report.
+	Blame *blame.Config
+	// Health attaches the device-health monitor (implies telemetry);
+	// Observed.Health carries the end-of-run snapshot. A configured
+	// MonitorAddr serves live pages during each run; the listener closes
+	// between runs so a fixed address can rebind.
+	Health *health.Config
+	// TraceCmds keeps the scheduler's command timeline
+	// (Observed.CmdLog) even without Blame. Memory-heavy; needs a stack
+	// with a scheduler.
+	TraceCmds bool
 
-// System is an engine mounted on one storage stack.
-type System = system.System
-
-// BuildOpts tunes the optional subsystems of a System.
-type BuildOpts = system.BuildOpts
-
-// BuildSystem assembles a full system: NAND device, flash management
-// (host- or device-side), volume adapter, formatted engine.
-func BuildSystem(stack Stack, devCfg flash.Config, frames int) (*System, error) {
-	return system.Build(stack, devCfg, frames)
+	// fault is the tests' injection seam: the run loop asks it once per
+	// background process kind ("maintenance", "prefetcher",
+	// "checkpointer") and treats a non-nil answer as that process's
+	// fatal error.
+	fault func(proc string) error
 }
 
-// BuildSystemOpts is BuildSystem with scheduler/background-GC options.
-func BuildSystemOpts(stack Stack, devCfg flash.Config, frames int, opts BuildOpts) (*System, error) {
-	return system.BuildWithOpts(stack, devCfg, frames, opts)
+// defaults holds each experiment's own geometry, load and phase
+// lengths. The 64 MB drives put the derived TPC-B populations in the
+// GC-pressure regime where scheduling and placement policy matter; the
+// htap pool must be smaller than the scanned table or nothing collides;
+// headline and delta use the 192 MB drive every published run had.
+var defaults = map[string]Params{
+	"headline": {Dies: 8, DriveMB: 192, Workers: 16, Writers: 8, Frames: 384, Warm: 2 * sim.Second, Measure: 8 * sim.Second},
+	"delta":    {Dies: 8, DriveMB: 192, Workers: 16, Writers: 8, Frames: 384, Warm: 2 * sim.Second, Measure: 8 * sim.Second},
+	"regions":  {Dies: 8, DriveMB: 64, Workers: 16, Writers: 8, Frames: 384, Warm: 2 * sim.Second, Measure: 8 * sim.Second},
+	"sched":    {Dies: 8, DriveMB: 64, Workers: 16, Writers: 8, Frames: 384, Warm: 2 * sim.Second, Measure: 8 * sim.Second},
+	"htap":     {Dies: 8, DriveMB: 64, Workers: 12, Writers: 8, Frames: 256, Warm: 2 * sim.Second, Measure: 8 * sim.Second},
+	"qos":      {Dies: 8, DriveMB: 64, Workers: 16, Writers: 8, Frames: 384, Warm: 2 * sim.Second, Measure: 8 * sim.Second},
+	"serve":    {Dies: 8, DriveMB: 64, Workers: 800, Writers: 8, Frames: 384, Warm: 1 * sim.Second, Measure: 6 * sim.Second},
 }
 
-// Well-known stream tags for background machinery (per-tag attribution
-// in command logs; terminal tags are caller-chosen and should avoid
-// them).
-const (
-	tagWriters      = 0xDB0001 // db-writer pool
-	tagCheckpointer = 0xDB0002
-)
-
-// TPSConfig drives a throughput measurement.
-type TPSConfig struct {
-	Workers     int // terminal processes running transactions
-	Writers     int // background db-writers
-	Association storage.WriterAssociation
-	Warm        sim.Time // excluded from the TPS window
-	Measure     sim.Time
-	CkptEvery   sim.Time // checkpoint period (log reclamation). Default 2s.
-	Seed        int64
-	// Think is per-terminal idle time between transactions (0: closed
-	// loop).
-	Think sim.Time
-	// TrackLatency records per-transaction commit latency and buffer
-	// read-miss latency histograms in the result (measure window only).
-	TrackLatency bool
-	// Tagged turns on per-request descriptors for the background
-	// machinery: db-writers declare the program class and the
-	// checkpointer declares itself background, so their WAL flushes stop
-	// outranking commit appends just because they share the log device
-	// view. False reproduces static ClassDevs routing exactly — the
-	// ablation baseline.
-	Tagged bool
-	// ClassOf, when non-nil, assigns terminal i's requests a scheduler
-	// class (per-request QoS tiers).
-	ClassOf func(id int) ioreq.Class
-	// TagOf, when non-nil, assigns terminal i's requests a stream tag;
-	// per-tag commit histograms land in TPSResult.TagCommit.
-	TagOf func(id int) uint32
-	// DeadlineAfter, when non-nil, stamps each of terminal i's
-	// transactions with a completion deadline that far ahead (scheduler
-	// promotion past it).
-	DeadlineAfter func(id int) sim.Time
+// withDefaults fills the block's zero fields from experiment exp's row
+// of the defaults table.
+func (p Params) withDefaults(exp string) Params {
+	d := defaults[exp]
+	p.Dies = orDefault(p.Dies, d.Dies)
+	p.DriveMB = orDefault(p.DriveMB, d.DriveMB)
+	p.Workers = orDefault(p.Workers, d.Workers)
+	p.Writers = orDefault(p.Writers, d.Writers)
+	p.Frames = orDefault(p.Frames, d.Frames)
+	p.Warm = orDefault(p.Warm, d.Warm)
+	p.Measure = orDefault(p.Measure, d.Measure)
+	return p
 }
 
-// TPSResult is one throughput measurement.
-type TPSResult struct {
-	TPS       float64
-	Committed int64
-	Retries   int64 // lock-timeout restarts
-	Buffer    storage.BufferStats
-	FTL       ftl.Stats
-	Device    flash.Stats
-	// Latency histograms (TrackLatency): per-transaction commit latency
-	// and buffer-pool read-miss latency over the measure window.
-	CommitHist stats.Histogram
-	ReadHist   stats.Histogram
-	// TagCommit holds per-tag commit-latency histograms (TPSConfig.TagOf
-	// runs; nil otherwise) and TagCommitted the per-tag commit counts.
-	TagCommit    map[uint32]*stats.Histogram
-	TagCommitted map[uint32]int64
-	// DeadlineMisses counts counted commits that finished past their
-	// deadline; TagDeadlineMisses breaks them down per stream tag (TagOf
-	// runs; nil otherwise).
-	DeadlineMisses    int64
-	TagDeadlineMisses map[uint32]int64
-	// Scheduler accounting (zero without an attached scheduler).
-	Sched sched.Stats
-	// Background maintenance counters (zero without BackgroundGC).
-	GCSteps   int64
-	WearMoves int64
+func orDefault[T int | int64 | sim.Time | float64](v, def T) T {
+	if v <= 0 {
+		return def
+	}
+	return v
 }
 
-// startCheckpointer launches the periodic checkpoint process every
-// TPS-style runner shares: checkpoint on schedule, or earlier when the
-// log is halfway to wrapping into the anchored checkpoint.
-func startCheckpointer(k *sim.Kernel, e *storage.Engine, mkCtx func(*sim.Proc) *storage.IOCtx,
-	every sim.Time, stopped *bool, fail func(error)) {
-	k.Go("checkpointer", func(p *sim.Proc) {
-		ctx := mkCtx(p)
-		wal := e.Log()
-		last := p.Now()
-		for !*stopped {
-			p.Sleep(100 * sim.Millisecond)
-			if *stopped {
-				return
-			}
-			if p.Now()-last < every && wal.SinceAnchor()*2 < wal.Capacity() {
-				continue
-			}
-			if err := e.Checkpoint(ctx); err != nil {
-				fail(err)
-				return
-			}
-			last = p.Now()
-		}
-	})
+// build assembles one run's system through the one builder entry:
+// geometry and pool size from the block, the driver's stack options,
+// then the observability attachments the block asks for. The returned
+// log is the run's command timeline (nil unless TraceCmds or Blame
+// asked for one).
+func (p Params) build(stack system.Stack, opts ...system.Option) (*system.System, *trace.CmdLog, error) {
+	if p.Telemetry != nil {
+		opts = append(opts, system.WithTelemetry(*p.Telemetry))
+	}
+	if p.Health != nil {
+		opts = append(opts, system.WithHealth(*p.Health))
+	}
+	var log *trace.CmdLog
+	if p.Blame != nil {
+		opts = append(opts, system.WithBlame(*p.Blame))
+	} else if p.TraceCmds {
+		log = &trace.CmdLog{}
+		opts = append(opts, system.WithTrace(log.Record))
+	}
+	dev := flash.EmulatorConfig(p.Dies, p.DriveMB, nand.SLC)
+	sys, err := system.New(system.Config{Stack: stack, Device: &dev, Frames: p.Frames}, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	if sys.CmdLog != nil {
+		log = sys.CmdLog
+	}
+	return sys, log, nil
 }
 
-// RunTPS loads wl on the system (serial phase), then measures
-// transaction throughput under the DES kernel: N terminal processes,
-// background db-writers, a checkpointer, and — on a background-GC
-// system — dedicated flash-maintenance workers.
-func RunTPS(sys *System, wl workload.Workload, cfg TPSConfig) (*TPSResult, error) {
-	if cfg.CkptEvery <= 0 {
-		cfg.CkptEvery = 2 * sim.Second
-	}
-	if err := wl.Load(sys.Ctx, sys.Engine); err != nil {
-		return nil, fmt.Errorf("bench: load %s: %w", wl.Name(), err)
-	}
-	if err := sys.Engine.Checkpoint(sys.Ctx); err != nil {
-		return nil, err
-	}
-	// The load ran on a private serial clock; restart the device
-	// timelines and counters (including any scheduler's queue-wait
-	// accounting, via the reset hooks) for the measured phase.
-	sys.Dev.ResetTime()
-	sys.Dev.ResetStats()
+// Observed is what a run's observability attachments produced; each
+// field is nil unless the experiment's Params asked for it.
+type Observed struct {
+	Tel    *telemetry.Telemetry
+	CmdLog *trace.CmdLog
+	Blame  *blame.Report
+	// Health is the end-of-run device-health snapshot; its Alerts field
+	// is the full SLO transition log of the run.
+	Health *health.Snapshot
+}
 
-	k := sys.K
-	res := &TPSResult{}
-	counting := false
-	stopped := false
-	var fatal error
-	fail := func(err error) {
-		if fatal == nil {
-			fatal = err
+// observe collects a finished run's observability outputs and releases
+// the live monitor listener so the next run can bind its address.
+func observe(sys *system.System, log *trace.CmdLog) (Observed, error) {
+	o := Observed{Tel: sys.Tel, CmdLog: log, Blame: sys.Blame()}
+	if sys.Health != nil {
+		o.Health = sys.Health.Snapshot(sys.K.Now())
+		if err := sys.Health.Close(); err != nil {
+			return o, fmt.Errorf("close monitor: %w", err)
 		}
 	}
+	return o, nil
+}
 
-	writerCfg := storage.WriterConfig{
-		N:           cfg.Writers,
-		Association: cfg.Association,
+// occupancy is the data volume's live fraction (0 on block-device
+// stacks).
+func occupancy(sys *system.System) float64 {
+	if sys.NoFTL == nil || sys.NoFTL.LogicalPages() == 0 {
+		return 0
 	}
-	if cfg.Tagged {
-		// Per-request tagging: flush traffic declares its intent at the
-		// origin instead of inheriting the WAL device view's priority.
-		writerCfg.Class = ioreq.ClassProgram
-		writerCfg.Tag = tagWriters
-	}
-	var maint *sched.Maintenance
-	if sys.NoFTL != nil {
-		if sys.BackgroundGC {
-			// Dedicated maintenance processes own GC and wear leveling;
-			// db-writers only flush.
-			maint = sched.StartMaintenance(k, sys.NoFTL, sched.MaintConfig{OnError: fail})
-		} else {
-			writerCfg.DriveGC = true
-			writerCfg.GC = sys.NoFTL.GCStep
-			writerCfg.NeedsGC = sys.NoFTL.NeedsGC
-		}
-	}
-	stopWriters := sys.Engine.StartWriters(k, writerCfg)
+	return float64(sys.NoFTL.LivePages()) / float64(sys.NoFTL.LogicalPages())
+}
 
-	termCfg := workload.TerminalConfig{
-		N:             cfg.Workers,
-		Seed:          cfg.Seed,
-		Think:         cfg.Think,
-		Counting:      &counting,
-		OnFatal:       fail,
-		ClassOf:       cfg.ClassOf,
-		TagOf:         cfg.TagOf,
-		DeadlineAfter: cfg.DeadlineAfter,
+// deriveTPCB sizes a TPC-B population to fill the given fraction of
+// dataPages at load: about 34 rows (heap row + pk entry) fit a 4 KiB
+// page (measured), and the append-only history table keeps growing
+// through the run, so experiments start below their target occupancy.
+func deriveTPCB(dataPages int64, fill float64) workload.TPCBConfig {
+	const rowsPerPage = 34
+	const accounts = 6000
+	branches := int(int64(float64(dataPages)*fill*rowsPerPage) / accounts)
+	if branches < 2 {
+		branches = 2
 	}
-	if sys.Tel != nil {
-		termCfg.SpanSink = sys.Tel.RecordSpan
-	}
-	terms := workload.StartTerminals(k, sys.Engine, wl, termCfg)
-	startCheckpointer(k, sys.Engine, func(p *sim.Proc) *storage.IOCtx {
-		ctx := storage.NewIOCtx(sim.ProcWaiter{P: p})
-		if cfg.Tagged {
-			// The checkpointer is background work: its page flushes AND
-			// its log writes yield to commit-path appends.
-			ctx = ctx.WithClass(ioreq.ClassProgram).WithTag(tagCheckpointer)
-		}
-		return ctx
-	}, cfg.CkptEvery, &stopped, fail)
+	return workload.TPCBConfig{Branches: branches, AccountsPerBranch: accounts}
+}
 
-	k.RunFor(cfg.Warm)
-	counting = true
-	if cfg.TrackLatency {
-		sys.Engine.Buffer().TrackReadLatency(&res.ReadHist)
+// oltpWorkload picks the named transactional workload ("tpcb", else
+// TPC-C).
+func oltpWorkload(name string, tpcb workload.TPCBConfig, tpcc workload.TPCCConfig) workload.Workload {
+	if name == "tpcb" {
+		return workload.NewTPCB(tpcb)
 	}
-	k.RunFor(cfg.Measure)
-	counting = false
-	sys.Engine.Buffer().TrackReadLatency(nil)
-	stopped = true
-	terms.Stop()
-	stopWriters()
-	if maint != nil {
-		maint.Stop()
-	}
-	k.RunFor(10 * sim.Millisecond) // let loops observe the stop flag
-	k.Shutdown()
-	if fatal != nil {
-		return nil, fmt.Errorf("bench: %s on %s: %w", wl.Name(), sys.Stack, fatal)
-	}
-	res.Committed = terms.Committed()
-	res.Retries = terms.Retries()
-	if cfg.TrackLatency {
-		res.CommitHist = terms.CommitHist()
-	}
-	res.DeadlineMisses = terms.DeadlineMisses()
-	if cfg.TagOf != nil {
-		res.TagCommit = map[uint32]*stats.Histogram{}
-		res.TagCommitted = map[uint32]int64{}
-		res.TagDeadlineMisses = map[uint32]int64{}
-		for _, tag := range terms.Tags() {
-			h := terms.TagCommitHist(tag)
-			res.TagCommit[tag] = &h
-			res.TagCommitted[tag] = terms.TagCommitted(tag)
-			res.TagDeadlineMisses[tag] = terms.TagDeadlineMisses(tag)
-		}
-	}
-	res.TPS = float64(res.Committed) / cfg.Measure.Seconds()
-	res.Buffer = sys.Engine.Buffer().Stats()
-	res.FTL = sys.FTLStats()
-	res.Device = sys.Dev.Stats()
-	if sys.Sched != nil {
-		res.Sched = sys.Sched.Stats()
-	}
-	if maint != nil {
-		res.GCSteps = maint.GCSteps
-		res.WearMoves = maint.WearMoves
-	}
-	return res, nil
+	return workload.NewTPCC(tpcc)
 }

@@ -9,6 +9,7 @@ import (
 	"noftl/internal/region"
 	"noftl/internal/sim"
 	"noftl/internal/storage"
+	"noftl/internal/system"
 	"noftl/internal/workload"
 )
 
@@ -24,30 +25,13 @@ func smallTPS(workers, writers int, assoc storage.WriterAssociation) TPSConfig {
 	}
 }
 
-func TestBuildSystemAllStacks(t *testing.T) {
-	for _, stack := range []Stack{StackNoFTL, StackFaster, StackDFTL, StackPagemap,
-		StackNoFTLSingle, StackNoFTLRegions} {
-		devCfg := flash.EmulatorConfig(2, 24, nand.SLC)
-		sys, err := BuildSystem(stack, devCfg, 64)
-		if err != nil {
-			t.Fatalf("%s: %v", stack, err)
-		}
-		if sys.Engine == nil || sys.Vol == nil {
-			t.Fatalf("%s: incomplete system", stack)
-		}
-	}
-	if _, err := BuildSystem(Stack("bogus"), flash.EmulatorConfig(1, 8, nand.SLC), 16); err == nil {
-		t.Error("bogus stack accepted")
-	}
-}
-
 // TestRegionsStacksRunTPS drives both regions-ablation stacks through a
 // short DES measurement: the WAL lives on flash either way (window or
 // native log region) and both must push transactions.
 func TestRegionsStacksRunTPS(t *testing.T) {
-	for _, stack := range []Stack{StackNoFTLSingle, StackNoFTLRegions} {
+	for _, stack := range []system.Stack{system.StackNoFTLSingle, system.StackNoFTLRegions} {
 		devCfg := flash.EmulatorConfig(4, 48, nand.SLC)
-		sys, err := BuildSystem(stack, devCfg, 128)
+		sys, err := system.New(system.Config{Stack: stack, Device: &devCfg, Frames: 128})
 		if err != nil {
 			t.Fatalf("%s: %v", stack, err)
 		}
@@ -59,7 +43,7 @@ func TestRegionsStacksRunTPS(t *testing.T) {
 		if r.TPS <= 0 || r.Committed <= 0 {
 			t.Fatalf("%s: TPS = %v committed = %d", stack, r.TPS, r.Committed)
 		}
-		if stack == StackNoFTLRegions {
+		if stack == system.StackNoFTLRegions {
 			if sys.Regions == nil {
 				t.Fatal("regions stack has no manager")
 			}
@@ -74,7 +58,7 @@ func TestRegionsStacksRunTPS(t *testing.T) {
 
 func TestRunTPSProducesThroughput(t *testing.T) {
 	devCfg := flash.EmulatorConfig(4, 48, nand.SLC)
-	sys, err := BuildSystem(StackNoFTL, devCfg, 128)
+	sys, err := system.New(system.Config{Stack: system.StackNoFTL, Device: &devCfg, Frames: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +165,8 @@ func TestLatencySmokeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fh := res.HistOf(StackFaster)
-	nh := res.HistOf(StackNoFTL)
+	fh := res.HistOf(system.StackFaster)
+	nh := res.HistOf(system.StackNoFTL)
 	if fh == nil || nh == nil {
 		t.Fatal("missing histograms")
 	}
@@ -237,15 +221,9 @@ func TestHeadlineSmokeShape(t *testing.T) {
 	}
 	res, err := Headline(HeadlineConfig{
 		Workload: "tpcb",
-		Dies:     4,
-		DriveMB:  48,
-		Workers:  8,
-		Writers:  4,
-		Frames:   128,
-		Warm:     200 * sim.Millisecond,
-		Measure:  2 * sim.Second,
-		TPCB:     workload.TPCBConfig{Branches: 8, AccountsPerBranch: 1000},
-		Seed:     7,
+		Params: Params{Dies: 4, DriveMB: 48, Workers: 8, Writers: 4, Frames: 128,
+			Warm: 200 * sim.Millisecond, Measure: 2 * sim.Second, Seed: 7},
+		TPCB: workload.TPCBConfig{Branches: 8, AccountsPerBranch: 1000},
 	})
 	if err != nil {
 		t.Fatal(err)

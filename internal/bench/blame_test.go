@@ -21,16 +21,10 @@ var updateGolden = flag.Bool("update", false, "rewrite blame golden files")
 // invalidates the golden files (rerun with -update).
 func blameQoSConfig() QoSConfig {
 	return QoSConfig{
-		Dies:        4,
-		DriveMB:     32,
-		Workers:     12,
-		Writers:     4,
-		Frames:      128,
-		Warm:        1 * sim.Second,
-		Measure:     2 * sim.Second,
-		Seed:        42,
+		Params: Params{Dies: 4, DriveMB: 32, Workers: 12, Writers: 4, Frames: 128,
+			Warm: 1 * sim.Second, Measure: 2 * sim.Second, Seed: 42,
+			Blame: &blame.Config{SlowestK: 8}},
 		LowDeadline: 3 * sim.Millisecond,
-		Blame:       &blame.Config{SlowestK: 8},
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"noftl/internal/nand"
 	"noftl/internal/sim"
 	"noftl/internal/storage"
+	"noftl/internal/system"
 	"noftl/internal/workload"
 )
 
@@ -19,16 +20,16 @@ import (
 // (lost dirty flags, split-brain frames, unlatched splits, lost
 // next_o_id updates).
 func TestTPCCConsistencyOnStacks(t *testing.T) {
-	for _, stack := range []Stack{StackFaster, StackNoFTL} {
+	for _, stack := range []system.Stack{system.StackFaster, system.StackNoFTL} {
 		stack := stack
 		t.Run(string(stack), func(t *testing.T) {
 			devCfg := flash.EmulatorConfig(4, 96, nand.SLC)
-			sys, err := BuildSystem(stack, devCfg, 256)
+			sys, err := system.New(system.Config{Stack: stack, Device: &devCfg, Frames: 256})
 			if err != nil {
 				t.Fatal(err)
 			}
 			assoc := storage.AssocGlobal
-			if stack == StackNoFTL {
+			if stack == system.StackNoFTL {
 				assoc = storage.AssocDieWise
 			}
 			wl := workload.NewTPCC(workload.TPCCConfig{Warehouses: 1})
@@ -51,7 +52,7 @@ func TestTPCCConsistencyOnStacks(t *testing.T) {
 	}
 }
 
-func auditTPCC(t *testing.T, sys *System) {
+func auditTPCC(t *testing.T, sys *system.System) {
 	t.Helper()
 	e := sys.Engine
 	ctx := sys.Ctx

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"noftl/internal/sim"
+	"noftl/internal/system"
 )
 
 // TestDeltaAblationWritesFewerBytes pins the acceptance criterion of
@@ -13,21 +14,15 @@ import (
 func TestDeltaAblationWritesFewerBytes(t *testing.T) {
 	res, err := DeltaAblation(DeltaConfig{
 		Workload: "tpcb",
-		Dies:     4,
-		DriveMB:  64,
-		Workers:  8,
-		Writers:  4,
-		Frames:   256,
-		Warm:     500 * sim.Millisecond,
-		Measure:  2 * sim.Second,
-		Seed:     42,
+		Params: Params{Dies: 4, DriveMB: 64, Workers: 8, Writers: 4, Frames: 256,
+			Warm: 500 * sim.Millisecond, Measure: 2 * sim.Second, Seed: 42},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := res.row(StackNoFTL)
-	dl := res.row(StackNoFTLDelta)
-	faster := res.row(StackFaster)
+	full := res.Row(system.StackNoFTL)
+	dl := res.Row(system.StackNoFTLDelta)
+	faster := res.Row(system.StackFaster)
 	if full == nil || dl == nil || faster == nil {
 		t.Fatalf("missing stacks in %+v", res.Rows)
 	}
@@ -48,9 +43,9 @@ func TestDeltaAblationWritesFewerBytes(t *testing.T) {
 	ratio := res.BytesPerTxRatio()
 	if ratio <= 0 || ratio >= 1 {
 		t.Fatalf("delta path programs %.2fx the flash bytes per tx of full pages (want < 1.0); "+
-			"full %.0f B/tx, delta %.0f B/tx", ratio, full.BytesPerTx(), dl.BytesPerTx())
+			"full %.0f B/tx, delta %.0f B/tx", ratio, full.Result.BytesPerTx(), dl.Result.BytesPerTx())
 	}
 	t.Logf("bytes/tx: full=%.0f delta=%.0f (%.0f%%), faster=%.0f; TPS full=%.0f delta=%.0f",
-		full.BytesPerTx(), dl.BytesPerTx(), 100*ratio, faster.BytesPerTx(),
+		full.Result.BytesPerTx(), dl.Result.BytesPerTx(), 100*ratio, faster.Result.BytesPerTx(),
 		full.Result.TPS, dl.Result.TPS)
 }

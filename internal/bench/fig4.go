@@ -8,6 +8,7 @@ import (
 	"noftl/internal/sim"
 	"noftl/internal/stats"
 	"noftl/internal/storage"
+	"noftl/internal/system"
 	"noftl/internal/workload"
 )
 
@@ -59,13 +60,6 @@ func (c Fig4Config) withDefaults() Fig4Config {
 		c.TPCB = workload.TPCBConfig{Branches: 24}
 	}
 	return c
-}
-
-func (c Fig4Config) newWorkload() workload.Workload {
-	if c.Workload == "tpcb" {
-		return workload.NewTPCB(c.TPCB)
-	}
-	return workload.NewTPCC(c.TPCC)
 }
 
 // Fig4Point is one (dies, association) measurement.
@@ -132,11 +126,11 @@ func Figure4(cfg Fig4Config) (*Fig4Result, error) {
 
 func figure4Point(cfg Fig4Config, dies int, assoc storage.WriterAssociation) (float64, storage.BufferStats, error) {
 	devCfg := flash.EmulatorConfig(dies, cfg.DriveMB, nand.SLC)
-	sys, err := BuildSystem(StackNoFTL, devCfg, cfg.Frames)
+	sys, err := system.New(system.Config{Stack: system.StackNoFTL, Device: &devCfg, Frames: cfg.Frames})
 	if err != nil {
 		return 0, storage.BufferStats{}, err
 	}
-	r, err := RunTPS(sys, cfg.newWorkload(), TPSConfig{
+	r, err := RunTPS(sys, oltpWorkload(cfg.Workload, cfg.TPCB, cfg.TPCC), TPSConfig{
 		Workers:     cfg.Workers,
 		Writers:     dies,
 		Association: assoc,

@@ -11,9 +11,9 @@ import (
 
 	"noftl/internal/flash"
 	"noftl/internal/nand"
-	"noftl/internal/sched"
 	"noftl/internal/sim"
 	"noftl/internal/storage"
+	"noftl/internal/system"
 	"noftl/internal/telemetry"
 	"noftl/internal/telemetry/health"
 	"noftl/internal/workload"
@@ -160,22 +160,20 @@ func TestHealthSnapshotDeterministic(t *testing.T) {
 // a 1% miss budget. Both rules must trip during the run.
 func wearPressureAlerts(t *testing.T, seed int64) []telemetry.Alert {
 	t.Helper()
-	opts := BuildOpts{
-		Sched:        &sched.Config{Policy: sched.Priority},
-		BackgroundGC: true,
-		Telemetry:    &telemetry.Config{SampleEvery: 25 * sim.Millisecond},
-		Health: &health.Config{Rules: []health.Rule{
+	devCfg := flash.EmulatorConfig(4, 24, nand.SLC)
+	sys, err := system.New(system.Config{Device: &devCfg, Frames: 128},
+		system.WithPriorityScheduler(), system.WithBackgroundGC(),
+		system.WithTelemetry(telemetry.Config{SampleEvery: 25 * sim.Millisecond}),
+		system.WithHealth(health.Config{Rules: []health.Rule{
 			{Name: "wear_spread", Kind: health.RuleAbove,
 				Metric: "health.wear_spread", Threshold: 2, For: 2},
 			{Name: "deadline_burn", Kind: health.RuleBurnRate,
 				Budget: 0.01, Severity: "page"},
-		}},
-	}
-	sys, err := BuildSystemOpts(StackNoFTLRegions, flash.EmulatorConfig(4, 24, nand.SLC), 128, opts)
+		}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl := workload.NewTPCB(deriveTPCB(sys.NoFTL.LogicalPages()))
+	wl := workload.NewTPCB(deriveTPCB(sys.NoFTL.LogicalPages(), 0.68))
 	_, err = RunTPS(sys, wl, TPSConfig{
 		Workers:     8,
 		Writers:     4,
@@ -237,16 +235,14 @@ func TestHealthAlertsFireDeterministically(t *testing.T) {
 // /metrics, the snapshot on /health and the alert log on /alerts while
 // the bench harness drives it, and the listener releases on Close.
 func TestLiveMonitorServesMetrics(t *testing.T) {
-	opts := BuildOpts{
-		Sched:        &sched.Config{Policy: sched.Priority},
-		BackgroundGC: true,
-		Telemetry:    &telemetry.Config{SampleEvery: 25 * sim.Millisecond},
-		Health: &health.Config{
+	devCfg := flash.EmulatorConfig(4, 24, nand.SLC)
+	sys, err := system.New(system.Config{Device: &devCfg, Frames: 128},
+		system.WithPriorityScheduler(), system.WithBackgroundGC(),
+		system.WithTelemetry(telemetry.Config{SampleEvery: 25 * sim.Millisecond}),
+		system.WithHealth(health.Config{
 			MonitorAddr: "127.0.0.1:0",
 			Rules:       health.DefaultRules(64, 4, 50_000, 0.05),
-		},
-	}
-	sys, err := BuildSystemOpts(StackNoFTLRegions, flash.EmulatorConfig(4, 24, nand.SLC), 128, opts)
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +251,7 @@ func TestLiveMonitorServesMetrics(t *testing.T) {
 		t.Fatal("monitor not serving despite MonitorAddr")
 	}
 
-	wl := workload.NewTPCB(deriveTPCB(sys.NoFTL.LogicalPages()))
+	wl := workload.NewTPCB(deriveTPCB(sys.NoFTL.LogicalPages(), 0.68))
 	if _, err := RunTPS(sys, wl, TPSConfig{
 		Workers:     8,
 		Writers:     4,

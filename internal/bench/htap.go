@@ -3,15 +3,9 @@ package bench
 import (
 	"fmt"
 
-	"noftl/internal/flash"
-	"noftl/internal/nand"
-	"noftl/internal/sched"
-	"noftl/internal/sim"
 	"noftl/internal/stats"
 	"noftl/internal/storage"
-	"noftl/internal/telemetry"
-	"noftl/internal/telemetry/blame"
-	"noftl/internal/trace"
+	"noftl/internal/system"
 	"noftl/internal/workload"
 )
 
@@ -47,105 +41,34 @@ const (
 	HTAPPrefetch HTAPMode = "scan-resist+prefetch"
 )
 
-// HTAPConfig parameterizes the HTAP ablation.
+// HTAPConfig parameterizes the HTAP ablation. Params.Workers is the
+// OLTP terminal count.
 type HTAPConfig struct {
-	Modes     []HTAPMode // default: all three
-	Dies      int        // default 8
-	DriveMB   int        // default 64
-	Terminals int        // OLTP terminal processes, default 12
-	Readers   int        // analytical reader processes, default 2
-	Writers   int        // db-writers, default 8
-	Frames    int        // buffer pool, default 256
-	Window    int        // prefetch read-ahead depth, default 16
-	Warm      sim.Time
-	Measure   sim.Time
-	Seed      int64
+	Params
+	Modes   []HTAPMode // default: all three
+	Readers int        // analytical reader processes, default 2
+	Window  int        // prefetch read-ahead depth, default 16
 
+	// TPCB is sized per geometry unless set explicitly: ~30% of the data
+	// region, so that with the TPC-H tables and the history table's
+	// growth the run ends near 50% occupancy — moderate GC pressure. The
+	// ablation is about buffer-pool and read-scheduling policy, and a
+	// drive saturated by GC would measure free-block reclamation
+	// instead.
 	TPCB workload.TPCBConfig
+	// TPCH defaults to scale factor 2 (lineitem spans several hundred
+	// pages against the shared pool) and the experiment seed, so -seed
+	// varies the whole run, not just the query streams. A caller-set
+	// Seed or Filler survives.
 	TPCH workload.TPCHConfig
-
-	// Telemetry attaches the cross-layer telemetry pipeline to each
-	// mode's system; OLTP terminals then run under request spans
-	// (HTAPRow.Tel).
-	Telemetry *telemetry.Config
-	// TraceCmds attaches a command log to each mode's scheduler
-	// (HTAPRow.CmdLog) even without Blame.
-	TraceCmds bool
-	// Blame attaches the latency root-cause engine to each mode's
-	// system (implies telemetry with span retention and a system-owned
-	// command log); HTAPRow.Blame carries each policy's report.
-	Blame *blame.Config
 }
 
-func (c HTAPConfig) withDefaults() HTAPConfig {
-	if len(c.Modes) == 0 {
-		c.Modes = []HTAPMode{HTAPNaive, HTAPScanRes, HTAPPrefetch}
-	}
-	if c.Dies <= 0 {
-		c.Dies = 8
-	}
-	if c.DriveMB <= 0 {
-		c.DriveMB = 64
-	}
-	if c.Terminals <= 0 {
-		c.Terminals = 12
-	}
-	if c.Readers <= 0 {
-		c.Readers = 2
-	}
-	if c.Writers <= 0 {
-		c.Writers = 8
-	}
-	// The pool must be smaller than the scanned table or nothing
-	// collides: TPC-H SF2's lineitem spans several hundred pages against
-	// 256 frames shared with the whole TPC-B working set.
-	if c.Frames <= 0 {
-		c.Frames = 256
-	}
-	if c.Window <= 0 {
-		c.Window = 16
-	}
-	if c.Warm <= 0 {
-		c.Warm = 2 * sim.Second
-	}
-	if c.Measure <= 0 {
-		c.Measure = 8 * sim.Second
-	}
-	// TPCB is sized per geometry (deriveHTAPTPCB) unless set explicitly.
-	// Only the scale factor is defaulted here — a caller-set Seed or
-	// Filler must survive.
-	if c.TPCH.ScaleFactor == 0 {
-		c.TPCH.ScaleFactor = 2
-	}
-	return c
-}
-
-// deriveHTAPTPCB sizes the TPC-B population at ~30% of the data region;
-// with the TPC-H tables and the history table's growth the run ends
-// near 50% occupancy — moderate GC pressure. The HTAP ablation is about
-// buffer-pool and read-scheduling policy, and a drive saturated by GC
-// would measure free-block reclamation instead.
-func deriveHTAPTPCB(dataPages int64) workload.TPCBConfig {
-	const rowsPerPage = 34 // heap rows + pk entries per 4 KiB page, measured
-	const accounts = 6000
-	rows := int64(float64(dataPages) * 0.30 * rowsPerPage)
-	branches := int(rows / accounts)
-	if branches < 2 {
-		branches = 2
-	}
-	return workload.TPCBConfig{Branches: branches, AccountsPerBranch: accounts}
-}
-
-// HTAPRow is one policy's measurement.
+// HTAPRow is one policy's measurement: the OLTP stream and the pool and
+// device accounting in Result (Result.Window is the pool over the
+// measure window), the analytical stream beside it.
 type HTAPRow struct {
-	Mode HTAPMode
-
-	// OLTP stream.
-	TPS        float64
-	Committed  int64
-	Retries    int64
-	CommitHist stats.Histogram
-	ReadHist   stats.Histogram // buffer read-miss latency (both streams)
+	Mode   HTAPMode
+	Result RunResult
 
 	// Analytical stream.
 	QPS       float64 // analytical queries per second
@@ -153,18 +76,8 @@ type HTAPRow struct {
 	RowsPerS  float64 // rows visited per second
 	QueryHist stats.Histogram
 
-	// Pool and device accounting over the measure window.
-	Buffer    storage.BufferStats
-	Device    flash.Stats
-	Sched     sched.Stats
 	Occupancy float64
-
-	// Tel is the policy's telemetry pipeline (HTAPConfig.Telemetry or
-	// Blame runs; nil otherwise); CmdLog its command timeline (TraceCmds
-	// or Blame); Blame the analyzed root-cause report (Blame runs).
-	Tel    *telemetry.Telemetry
-	CmdLog *trace.CmdLog
-	Blame  *blame.Report
+	Observed
 }
 
 // HTAPResult is the ablation outcome.
@@ -192,7 +105,7 @@ func (r *HTAPResult) ratio(f func(*HTAPRow) float64) float64 {
 // TPSRatio is the full stack's OLTP TPS over the naive pool's (>= 1
 // means scan resistance + prefetch held the OLTP stream).
 func (r *HTAPResult) TPSRatio() float64 {
-	return r.ratio(func(row *HTAPRow) float64 { return row.TPS })
+	return r.ratio(func(row *HTAPRow) float64 { return row.Result.TPS })
 }
 
 // ScanRatio is the full stack's analytical rows/s over the naive
@@ -205,7 +118,7 @@ func (r *HTAPResult) ScanRatio() float64 {
 // pool's (< 1 means a shorter commit tail under the same scan load).
 func (r *HTAPResult) CommitP99Ratio() float64 {
 	return r.ratio(func(row *HTAPRow) float64 {
-		return float64(row.CommitHist.Percentile(99))
+		return float64(row.Result.CommitHist.Percentile(99))
 	})
 }
 
@@ -215,209 +128,104 @@ func (r *HTAPResult) Table() string {
 		"scan q/s", "rows/s", "query p50", "p99", "hit%", "ghost", "prefetch", "occ")
 	for i := range r.Rows {
 		row := &r.Rows[i]
-		c, q := &row.CommitHist, &row.QueryHist
-		t.Row(string(row.Mode), row.TPS,
+		c, q, pool := &row.Result.CommitHist, &row.QueryHist, &row.Result.Window
+		t.Row(string(row.Mode), row.Result.TPS,
 			c.Percentile(50).String(), c.Percentile(99).String(),
 			fmt.Sprintf("%.2f", row.QPS), fmt.Sprintf("%.0f", row.RowsPerS),
 			q.Percentile(50).String(), q.Percentile(99).String(),
-			fmt.Sprintf("%.1f", 100*row.Buffer.HitRate()),
-			row.Buffer.GhostHits, row.Buffer.Prefetches,
+			fmt.Sprintf("%.1f", 100*pool.HitRate()),
+			pool.GhostHits, pool.Prefetches,
 			fmt.Sprintf("%.0f%%", 100*row.Occupancy))
 	}
 	return t.String()
 }
 
+// AddTo appends the ablation's rows to a machine-readable report: the
+// OLTP stream under the common fields, the analytical stream and pool
+// policy accounting under the scan/buffer fields.
+func (r *HTAPResult) AddTo(rep *JSONReport) {
+	for i := range r.Rows {
+		row, pool := &r.Rows[i], &r.Rows[i].Result.Window
+		jr := JSONResult{Experiment: "htap", Workload: "tpcb+tpch",
+			Stack: string(system.StackNoFTLRegions), Mode: string(row.Mode),
+			ScanQPS:      row.QPS,
+			ScanRowsPerS: row.RowsPerS,
+			ScanP50us:    us(row.QueryHist.Percentile(50)),
+			ScanP99us:    us(row.QueryHist.Percentile(99)),
+			BufferHit:    pool.HitRate(),
+			GhostHits:    pool.GhostHits,
+			Prefetches:   pool.Prefetches,
+			PrefetchHits: pool.PrefetchHits,
+		}
+		jr.setObserved(&row.Observed)
+		rep.Add(jr, &row.Result)
+	}
+}
+
 // HTAPAblation runs the sweep: one freshly built region-managed,
-// priority-scheduled system per pool policy, same seed, same workloads.
+// priority-scheduled system per pool policy, same seed, same workloads:
+// OLTP terminals and analytical readers run concurrently next to
+// db-writers, the checkpointer, flash maintenance workers and — when
+// the engine has a prefetch window — the read-ahead prefetchers.
 func HTAPAblation(cfg HTAPConfig) (*HTAPResult, error) {
-	cfg = cfg.withDefaults()
+	cfg.Params = cfg.Params.withDefaults("htap")
+	if len(cfg.Modes) == 0 {
+		cfg.Modes = []HTAPMode{HTAPNaive, HTAPScanRes, HTAPPrefetch}
+	}
+	cfg.Readers = orDefault(cfg.Readers, 2)
+	cfg.Window = orDefault(cfg.Window, 16)
+	if cfg.TPCH.ScaleFactor == 0 {
+		cfg.TPCH.ScaleFactor = 2
+	}
+	if cfg.TPCH.Seed == 0 {
+		cfg.TPCH.Seed = cfg.Seed
+	}
 	res := &HTAPResult{}
 	for _, mode := range cfg.Modes {
-		opts := BuildOpts{
-			Sched:        &sched.Config{Policy: sched.Priority},
-			BackgroundGC: true,
-		}
+		opts := []system.Option{system.WithPriorityScheduler(), system.WithBackgroundGC()}
 		switch mode {
 		case HTAPScanRes:
-			opts.ScanResistant = true
+			opts = append(opts, system.WithScanResistance())
 		case HTAPPrefetch:
-			opts.ScanResistant = true
-			opts.PrefetchWindow = cfg.Window
+			opts = append(opts, system.WithScanResistance(), system.WithPrefetch(cfg.Window))
 		}
-		opts.Telemetry = cfg.Telemetry
-		opts.Blame = cfg.Blame
-		var log *trace.CmdLog
-		if cfg.TraceCmds && opts.Blame == nil {
-			log = &trace.CmdLog{}
-			opts.Sched.Trace = log.Record
-		}
-		devCfg := flash.EmulatorConfig(cfg.Dies, cfg.DriveMB, nand.SLC)
-		sys, err := BuildSystemOpts(StackNoFTLRegions, devCfg, cfg.Frames, opts)
+		sys, log, err := cfg.build(system.StackNoFTLRegions, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("htap ablation %s: %w", mode, err)
 		}
 		tpcb := cfg.TPCB
 		if tpcb.Branches == 0 {
-			tpcb = deriveHTAPTPCB(sys.NoFTL.LogicalPages())
+			tpcb = deriveTPCB(sys.NoFTL.LogicalPages(), 0.30)
 		}
-		tpch := cfg.TPCH
-		if tpch.Seed == 0 {
-			// The experiment seed drives the analytical population too,
-			// so -seed varies the whole run, not just the query streams.
-			tpch.Seed = cfg.Seed
-		}
-		row, err := RunHTAP(sys, workload.NewTPCB(tpcb), workload.NewTPCH(tpch), HTAPRunConfig{
-			Terminals: cfg.Terminals,
-			Readers:   cfg.Readers,
-			Writers:   cfg.Writers,
-			Warm:      cfg.Warm,
-			Measure:   cfg.Measure,
-			Seed:      cfg.Seed,
+		oltp, scan := workload.NewTPCB(tpcb), workload.NewTPCH(cfg.TPCH)
+		r, err := execute(sys, run{
+			name: fmt.Sprintf("htap %s+%s on %s", oltp.Name(), scan.Name(), sys.Stack),
+			load: func(sys *system.System) error {
+				if err := oltp.Load(sys.Ctx, sys.Engine); err != nil {
+					return err
+				}
+				return scan.Load(sys.Ctx, sys.Engine)
+			},
+			start: append(background(storage.WriterConfig{N: cfg.Writers, Association: storage.AssocDieWise}),
+				terminals("oltp", oltp, workload.TerminalConfig{N: cfg.Workers, Seed: cfg.Seed}),
+				readers("scan", scan, cfg.Readers, cfg.Seed),
+				stdCheckpointer(false)),
+			warm:       cfg.Warm,
+			measure:    cfg.Measure,
+			trackReads: true,
+			fault:      cfg.fault,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("htap ablation %s: %w", mode, err)
 		}
-		row.Mode = mode
-		if sys.NoFTL != nil && sys.NoFTL.LogicalPages() > 0 {
-			row.Occupancy = float64(sys.NoFTL.LivePages()) / float64(sys.NoFTL.LogicalPages())
+		g, secs := r.Group("scan"), cfg.Measure.Seconds()
+		row := HTAPRow{Mode: mode, Result: *r, Occupancy: occupancy(sys),
+			Queries: g.Queries, QPS: float64(g.Queries) / secs,
+			RowsPerS: float64(g.Rows) / secs, QueryHist: g.QueryHist}
+		if row.Observed, err = observe(sys, log); err != nil {
+			return nil, fmt.Errorf("htap ablation %s: %w", mode, err)
 		}
-		row.Tel = sys.Tel
-		row.CmdLog = log
-		if row.CmdLog == nil {
-			row.CmdLog = sys.CmdLog
-		}
-		if cfg.Blame != nil {
-			row.Blame = sys.Blame()
-		}
-		res.Rows = append(res.Rows, *row)
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// HTAPRunConfig drives one mixed-workload measurement.
-type HTAPRunConfig struct {
-	Terminals int // OLTP terminal processes
-	Readers   int // analytical reader processes
-	Writers   int // background db-writers
-	Warm      sim.Time
-	Measure   sim.Time
-	CkptEvery sim.Time // checkpoint period. Default 2s.
-	Seed      int64
-}
-
-// rowCounter is the optional analytical-workload capability reporting
-// rows visited (workload.TPCH implements it).
-type rowCounter interface{ RowsScanned() int64 }
-
-// RunHTAP loads both workloads on the system (serial phase), then
-// measures the mixed regime under the DES kernel: OLTP terminals and
-// analytical readers run concurrently next to db-writers, the
-// checkpointer, flash maintenance workers and — when the engine has a
-// prefetch window — the read-ahead prefetchers.
-func RunHTAP(sys *System, oltp, analytical workload.Workload, cfg HTAPRunConfig) (*HTAPRow, error) {
-	if cfg.CkptEvery <= 0 {
-		cfg.CkptEvery = 2 * sim.Second
-	}
-	if err := oltp.Load(sys.Ctx, sys.Engine); err != nil {
-		return nil, fmt.Errorf("bench: load %s: %w", oltp.Name(), err)
-	}
-	if err := analytical.Load(sys.Ctx, sys.Engine); err != nil {
-		return nil, fmt.Errorf("bench: load %s: %w", analytical.Name(), err)
-	}
-	if err := sys.Engine.Checkpoint(sys.Ctx); err != nil {
-		return nil, err
-	}
-	sys.Dev.ResetTime()
-	sys.Dev.ResetStats()
-
-	k := sys.K
-	row := &HTAPRow{}
-	counting := false
-	stopped := false
-	var fatal error
-	fail := func(err error) {
-		if fatal == nil {
-			fatal = err
-		}
-	}
-
-	var maint *sched.Maintenance
-	writerCfg := storage.WriterConfig{N: cfg.Writers, Association: storage.AssocDieWise}
-	if sys.NoFTL != nil {
-		if sys.BackgroundGC {
-			maint = sched.StartMaintenance(k, sys.NoFTL, sched.MaintConfig{OnError: fail})
-		} else {
-			writerCfg.DriveGC = true
-			writerCfg.GC = sys.NoFTL.GCStep
-			writerCfg.NeedsGC = sys.NoFTL.NeedsGC
-		}
-	}
-	stopWriters := sys.Engine.StartWriters(k, writerCfg)
-	stopPrefetchers := func() {}
-	if sys.Engine.PrefetchWindow() > 0 {
-		stopPrefetchers = sys.Engine.StartPrefetchers(k, storage.PrefetcherConfig{
-			N: sys.Vol.Regions(), OnError: fail,
-		})
-	}
-
-	termCfg := workload.TerminalConfig{
-		N:        cfg.Terminals,
-		Seed:     cfg.Seed,
-		Counting: &counting,
-		OnFatal:  fail,
-	}
-	if sys.Tel != nil {
-		termCfg.SpanSink = sys.Tel.RecordSpan
-	}
-	terms := workload.StartTerminals(k, sys.Engine, oltp, termCfg)
-	readers := workload.StartReaders(k, sys.Engine, analytical, workload.ReaderConfig{
-		N:        cfg.Readers,
-		Seed:     cfg.Seed,
-		Counting: &counting,
-		OnFatal:  fail,
-	})
-	startCheckpointer(k, sys.Engine, func(p *sim.Proc) *storage.IOCtx {
-		return storage.NewIOCtx(sim.ProcWaiter{P: p})
-	}, cfg.CkptEvery, &stopped, fail)
-
-	k.RunFor(cfg.Warm)
-	counting = true
-	bufBase := sys.Engine.Buffer().Stats()
-	var rowsBase int64
-	if rc, ok := analytical.(rowCounter); ok {
-		rowsBase = rc.RowsScanned()
-	}
-	sys.Engine.Buffer().TrackReadLatency(&row.ReadHist)
-	k.RunFor(cfg.Measure)
-	counting = false
-	sys.Engine.Buffer().TrackReadLatency(nil)
-	row.Buffer = sys.Engine.Buffer().Stats().Sub(bufBase)
-	if rc, ok := analytical.(rowCounter); ok {
-		row.RowsPerS = float64(rc.RowsScanned()-rowsBase) / cfg.Measure.Seconds()
-	}
-	stopped = true
-	terms.Stop()
-	readers.Stop()
-	stopWriters()
-	stopPrefetchers()
-	if maint != nil {
-		maint.Stop()
-	}
-	k.RunFor(10 * sim.Millisecond)
-	k.Shutdown()
-	if fatal != nil {
-		return nil, fmt.Errorf("bench: htap %s+%s on %s: %w", oltp.Name(), analytical.Name(), sys.Stack, fatal)
-	}
-	row.Committed = terms.Committed()
-	row.Retries = terms.Retries()
-	row.CommitHist = terms.CommitHist()
-	row.TPS = float64(row.Committed) / cfg.Measure.Seconds()
-	row.Queries = readers.Queries()
-	row.QueryHist = readers.QueryHist()
-	row.QPS = float64(row.Queries) / cfg.Measure.Seconds()
-	row.Device = sys.Dev.Stats()
-	if sys.Sched != nil {
-		row.Sched = sys.Sched.Stats()
-	}
-	return row, nil
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"noftl/internal/sim"
@@ -11,17 +9,11 @@ import (
 
 func tinyHTAPConfig(seed int64) HTAPConfig {
 	return HTAPConfig{
-		Dies:      4,
-		DriveMB:   24,
-		Terminals: 6,
-		Readers:   2,
-		Writers:   4,
-		Frames:    128,
-		Warm:      300 * sim.Millisecond,
-		Measure:   1 * sim.Second,
-		Seed:      seed,
-		TPCB:      workload.TPCBConfig{Branches: 4, AccountsPerBranch: 2000},
-		TPCH:      workload.TPCHConfig{ScaleFactor: 1},
+		Params: Params{Dies: 4, DriveMB: 24, Workers: 6, Writers: 4, Frames: 128,
+			Warm: 300 * sim.Millisecond, Measure: 1 * sim.Second, Seed: seed},
+		Readers: 2,
+		TPCB:    workload.TPCBConfig{Branches: 4, AccountsPerBranch: 2000},
+		TPCH:    workload.TPCHConfig{ScaleFactor: 1},
 	}
 }
 
@@ -39,65 +31,41 @@ func TestHTAPAblationSmoke(t *testing.T) {
 	}
 	for i := range res.Rows {
 		row := &res.Rows[i]
-		if row.Committed == 0 {
+		if row.Result.Committed == 0 {
 			t.Fatalf("%s: OLTP stream committed nothing", row.Mode)
 		}
 		if row.Queries == 0 || row.RowsPerS == 0 {
 			t.Fatalf("%s: analytical stream idle (q=%d rows/s=%.0f)", row.Mode, row.Queries, row.RowsPerS)
 		}
-		if row.CommitHist.Empty() || row.QueryHist.Empty() {
+		if row.Result.CommitHist.Empty() || row.QueryHist.Empty() {
 			t.Fatalf("%s: empty latency histograms", row.Mode)
 		}
-		if row.Sched.TotalScheduled() == 0 {
+		if row.Result.Sched.TotalScheduled() == 0 {
 			t.Fatalf("%s: no commands scheduled", row.Mode)
 		}
 	}
 	naive := res.row(HTAPNaive)
-	if naive.Buffer.Promotions != 0 || naive.Buffer.GhostHits != 0 || naive.Buffer.Prefetches != 0 {
-		t.Fatalf("naive mode ran scan-resist/prefetch machinery: %+v", naive.Buffer)
+	if w := naive.Result.Window; w.Promotions != 0 || w.GhostHits != 0 || w.Prefetches != 0 {
+		t.Fatalf("naive mode ran scan-resist/prefetch machinery: %+v", w)
 	}
 	for _, m := range []HTAPMode{HTAPScanRes, HTAPPrefetch} {
-		if res.row(m).Buffer.Promotions == 0 {
+		if res.row(m).Result.Window.Promotions == 0 {
 			t.Fatalf("%s: segmented clock never promoted", m)
 		}
 	}
-	if res.row(HTAPScanRes).Buffer.Prefetches != 0 {
+	if res.row(HTAPScanRes).Result.Window.Prefetches != 0 {
 		t.Fatal("scan-resist mode issued prefetches")
 	}
 	pf := res.row(HTAPPrefetch)
-	if pf.Buffer.Prefetches == 0 || pf.Buffer.PrefetchHits == 0 {
-		t.Fatalf("prefetch mode: prefetches=%d hits=%d", pf.Buffer.Prefetches, pf.Buffer.PrefetchHits)
+	if w := pf.Result.Window; w.Prefetches == 0 || w.PrefetchHits == 0 {
+		t.Fatalf("prefetch mode: prefetches=%d hits=%d", w.Prefetches, w.PrefetchHits)
 	}
 	// The whole point: read-ahead must raise analytical throughput over
 	// the naive pool without costing OLTP throughput.
 	if pf.RowsPerS <= naive.RowsPerS {
 		t.Fatalf("prefetch scan throughput %.0f rows/s <= naive %.0f", pf.RowsPerS, naive.RowsPerS)
 	}
-	if pf.TPS < 0.95*naive.TPS {
-		t.Fatalf("prefetch OLTP TPS %.0f dropped below naive %.0f", pf.TPS, naive.TPS)
-	}
-}
-
-// TestHTAPDeterministicJSON is the satellite regression: two identical
-// htap runs must produce byte-identical machine-readable output.
-func TestHTAPDeterministicJSON(t *testing.T) {
-	render := func() []byte {
-		res, err := HTAPAblation(tinyHTAPConfig(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		report := &JSONReport{Seed: 7}
-		for i := range res.Rows {
-			report.AddHTAP(&res.Rows[i])
-		}
-		out, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	a, b := render(), render()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("two identical htap runs diverged:\n%s\n---\n%s", a, b)
+	if pf.Result.TPS < 0.95*naive.Result.TPS {
+		t.Fatalf("prefetch OLTP TPS %.0f dropped below naive %.0f", pf.Result.TPS, naive.Result.TPS)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 
 	"noftl/internal/sim"
-	"noftl/internal/stats"
 )
 
 // Machine-readable experiment results: noftlbench -json <path> collects
@@ -22,17 +21,13 @@ type JSONResult struct {
 	TPS        float64 `json:"tps"`
 	WA         float64 `json:"wa"`
 	Erases     int64   `json:"erases"`
-	// BytesPerTx divides the device's program bytes over warm-up AND
-	// measure by the commits of the measure window alone (device
-	// counters reset after load, commit counting starts after warm-up) —
-	// an upper bound whose bias shrinks with the measure/warm ratio. It
-	// is comparable across stacks/modes of one run, which is what the
-	// trajectory files diff; every TPS experiment (headline, delta,
-	// regions, sched, htap) shares this convention.
+	// BytesPerTx is RunResult.BytesPerTx (see there for its window
+	// convention); WA, Erases and BytesPerTx are zero on per-tenant rows
+	// (qos), which carry no device counters.
 	BytesPerTx float64 `json:"bytes_per_tx"`
 	Committed  int64   `json:"committed"`
-	// Latency tails in microseconds (experiments run with latency
-	// tracking; zero elsewhere).
+	// Latency tails in microseconds (read tails only where the run
+	// tracks buffer read misses).
 	CommitP50us float64 `json:"commit_p50_us,omitempty"`
 	CommitP95us float64 `json:"commit_p95_us,omitempty"`
 	CommitP99us float64 `json:"commit_p99_us,omitempty"`
@@ -84,62 +79,50 @@ type JSONReport struct {
 	Results []JSONResult `json:"results"`
 }
 
-// Add appends one measurement derived from a TPS run.
-func (r *JSONReport) Add(experiment, workload string, stack Stack, res *TPSResult) {
-	var bytesPerTx float64
-	if res.Committed > 0 {
-		bytesPerTx = float64(res.Device.ProgramBytes) / float64(res.Committed)
-	}
-	r.Results = append(r.Results, JSONResult{
-		Experiment: experiment,
-		Workload:   workload,
-		Stack:      string(stack),
-		TPS:        res.TPS,
-		WA:         res.FTL.WriteAmplification(),
-		Erases:     res.Device.Erases,
-		BytesPerTx: bytesPerTx,
-		Committed:  res.Committed,
-	})
+// Add appends one row: base carries the row's identity (experiment,
+// workload, stack, mode) and whatever experiment-specific extras its
+// driver attached (scan_*, tenant maps, blame shares, health, scheduler
+// accounting); every measured field common to all experiments is
+// derived here from the run's result. A whole-system result fills the
+// device fields (wa, erases, bytes_per_tx) from its counter snapshot; a
+// per-tenant view (RunResult.tenant) carries none, and its rows report
+// them as zero.
+func (r *JSONReport) Add(base JSONResult, res *RunResult) {
+	base.TPS = res.TPS
+	base.WA = res.FTL.WriteAmplification()
+	base.Erases = res.Device.Erases
+	base.BytesPerTx = res.BytesPerTx()
+	base.Committed = res.Committed
+	base.CommitP50us = us(res.CommitHist.Percentile(50))
+	base.CommitP95us = us(res.CommitHist.Percentile(95))
+	base.CommitP99us = us(res.CommitHist.Percentile(99))
+	base.ReadP50us = us(res.ReadHist.Percentile(50))
+	base.ReadP95us = us(res.ReadHist.Percentile(95))
+	base.ReadP99us = us(res.ReadHist.Percentile(99))
+	base.DeadlineMisses = res.DeadlineMisses
+	r.Results = append(r.Results, base)
 }
 
-// AddSched appends one scheduling-ablation row, including the latency
-// tails and queue-wait accounting the sched experiment is about.
-func (r *JSONReport) AddSched(workload string, row *SchedRow) {
-	res := &row.Result
-	var bytesPerTx float64
-	if res.Committed > 0 {
-		bytesPerTx = float64(res.Device.ProgramBytes) / float64(res.Committed)
-	}
-	var waitMean float64
+// setSchedAccounting fills the scheduler columns — mean queue wait over
+// every dispatched command, erase suspensions, deadline promotions.
+// They are extras rather than common fields because only the sched
+// experiment's rows have ever carried them.
+func (jr *JSONResult) setSchedAccounting(res *RunResult) {
 	if n := res.Sched.TotalScheduled(); n > 0 {
 		var total sim.Time
 		for _, w := range res.Sched.QueueWait {
 			total += w
 		}
-		waitMean = us(total / sim.Time(n))
+		jr.QueueWaitMeanUs = us(total / sim.Time(n))
 	}
-	jr := JSONResult{
-		Experiment:         "sched",
-		Workload:           workload,
-		Stack:              string(StackNoFTLRegions),
-		Mode:               string(row.Mode),
-		TPS:                res.TPS,
-		WA:                 res.FTL.WriteAmplification(),
-		Erases:             res.Device.Erases,
-		BytesPerTx:         bytesPerTx,
-		Committed:          res.Committed,
-		CommitP50us:        us(res.CommitHist.Percentile(50)),
-		CommitP95us:        us(res.CommitHist.Percentile(95)),
-		CommitP99us:        us(res.CommitHist.Percentile(99)),
-		ReadP50us:          us(res.ReadHist.Percentile(50)),
-		ReadP95us:          us(res.ReadHist.Percentile(95)),
-		ReadP99us:          us(res.ReadHist.Percentile(99)),
-		QueueWaitMeanUs:    waitMean,
-		EraseSuspends:      res.Device.EraseSuspends,
-		DeadlineMisses:     res.DeadlineMisses,
-		DeadlinePromotions: res.Sched.DeadlinePromotions,
-	}
-	if h := row.Health; h != nil {
+	jr.EraseSuspends = res.Device.EraseSuspends
+	jr.DeadlinePromotions = res.Sched.DeadlinePromotions
+}
+
+// setObserved fills the columns a run's observability attachments
+// feed: device health, and the blame decomposition over every victim.
+func (jr *JSONResult) setObserved(o *Observed) {
+	if h := o.Health; h != nil {
 		jr.WearSpread = h.Wear.Spread
 		jr.AlertsFired = len(h.Alerts)
 		for _, reg := range h.Regions {
@@ -148,117 +131,8 @@ func (r *JSONReport) AddSched(workload string, row *SchedRow) {
 			}
 		}
 	}
-	if row.Blame != nil {
-		jr.BlameShares = row.Blame.ShareMapAll()
-	}
-	r.Results = append(r.Results, jr)
-}
-
-// AddHTAP appends one HTAP-ablation row: the OLTP stream under the TPS
-// fields, the analytical stream and pool policy accounting under the
-// scan/buffer fields.
-func (r *JSONReport) AddHTAP(row *HTAPRow) {
-	var bytesPerTx float64
-	if row.Committed > 0 {
-		bytesPerTx = float64(row.Device.ProgramBytes) / float64(row.Committed)
-	}
-	jr := JSONResult{
-		Experiment:   "htap",
-		Workload:     "tpcb+tpch",
-		Stack:        string(StackNoFTLRegions),
-		Mode:         string(row.Mode),
-		TPS:          row.TPS,
-		Erases:       row.Device.Erases,
-		BytesPerTx:   bytesPerTx,
-		Committed:    row.Committed,
-		CommitP50us:  us(row.CommitHist.Percentile(50)),
-		CommitP95us:  us(row.CommitHist.Percentile(95)),
-		CommitP99us:  us(row.CommitHist.Percentile(99)),
-		ReadP50us:    us(row.ReadHist.Percentile(50)),
-		ReadP95us:    us(row.ReadHist.Percentile(95)),
-		ReadP99us:    us(row.ReadHist.Percentile(99)),
-		ScanQPS:      row.QPS,
-		ScanRowsPerS: row.RowsPerS,
-		ScanP50us:    us(row.QueryHist.Percentile(50)),
-		ScanP99us:    us(row.QueryHist.Percentile(99)),
-		BufferHit:    row.Buffer.HitRate(),
-		GhostHits:    row.Buffer.GhostHits,
-		Prefetches:   row.Buffer.Prefetches,
-		PrefetchHits: row.Buffer.PrefetchHits,
-	}
-	if row.Blame != nil {
-		jr.BlameShares = row.Blame.ShareMapAll()
-	}
-	r.Results = append(r.Results, jr)
-}
-
-// AddQoS appends the QoS demo's per-tenant rows: one row per group
-// with its tag, throughput and commit tails.
-func (r *JSONReport) AddQoS(res *QoSResult) {
-	for _, row := range []*QoSRow{&res.High, &res.Low} {
-		mode := "high"
-		if row.Tag == TagLowPriority {
-			mode = "low"
-		}
-		jr := JSONResult{
-			Experiment:         "qos",
-			Workload:           "tpcb-2tenant",
-			Stack:              string(StackNoFTLRegions),
-			Mode:               mode,
-			TPS:                row.TPS,
-			Committed:          row.Committed,
-			CommitP50us:        us(row.Commit.Percentile(50)),
-			CommitP95us:        us(row.Commit.Percentile(95)),
-			CommitP99us:        us(row.Commit.Percentile(99)),
-			DeadlineMisses:     row.DeadlineMisses,
-			DeadlinePromotions: res.Sched.DeadlinePromotions,
-		}
-		if res.Blame != nil {
-			jr.BlameShares = res.Blame.ShareMap(row.Tag)
-		}
-		r.Results = append(r.Results, jr)
-	}
-}
-
-// AddServe appends the serving-front ablation's rows: one per regime
-// (uncontended reference included), headline fields over both tenants
-// and the per-tenant split in the tenant maps.
-func (r *JSONReport) AddServe(res *ServeResult) {
-	rows := append([]ServeRow{res.Uncontended}, res.Rows...)
-	for i := range rows {
-		row := &rows[i]
-		jr := JSONResult{
-			Experiment:    "serve",
-			Workload:      "kv",
-			Stack:         string(StackNoFTLRegions),
-			Mode:          row.Mode,
-			Admitted:      row.Front.Admitted,
-			Deprioritized: row.Front.Deprioritized,
-			Shed:          row.Front.Shed,
-			TenantTPS:     map[string]float64{},
-			TenantP99us:   map[string]float64{},
-		}
-		var committed int64
-		var hist stats.Histogram
-		var misses int64
-		for _, tr := range row.Tenants {
-			committed += tr.Committed
-			hist.AddHist(&tr.Commit)
-			misses += tr.DeadlineMisses
-			jr.TenantTPS[tr.Name] = tr.TPS
-			jr.TenantP99us[tr.Name] = us(tr.Commit.Percentile(99))
-		}
-		jr.Committed = committed
-		// The tenant rows carry TPS over the measure window; the
-		// headline TPS is their sum.
-		for _, tr := range row.Tenants {
-			jr.TPS += tr.TPS
-		}
-		jr.CommitP50us = us(hist.Percentile(50))
-		jr.CommitP95us = us(hist.Percentile(95))
-		jr.CommitP99us = us(hist.Percentile(99))
-		jr.DeadlineMisses = misses
-		r.Results = append(r.Results, jr)
+	if o.Blame != nil {
+		jr.BlameShares = o.Blame.ShareMapAll()
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"noftl/internal/noftl"
 	"noftl/internal/sim"
 	"noftl/internal/stats"
+	"noftl/internal/system"
 )
 
 // LatencyConfig parameterizes the §3 motivation experiment: 4 KB random
@@ -43,7 +44,7 @@ func (c LatencyConfig) withDefaults() LatencyConfig {
 
 // LatencyRow is one stack's latency distribution.
 type LatencyRow struct {
-	Stack Stack
+	Stack system.Stack
 	Hist  stats.Histogram
 }
 
@@ -53,7 +54,7 @@ type LatencyResult struct {
 }
 
 // HistOf returns a stack's histogram.
-func (r *LatencyResult) HistOf(s Stack) *stats.Histogram {
+func (r *LatencyResult) HistOf(s system.Stack) *stats.Histogram {
 	for i := range r.Rows {
 		if r.Rows[i].Stack == s {
 			return &r.Rows[i].Hist
@@ -93,7 +94,7 @@ func Latency(cfg LatencyConfig) (*LatencyResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("latency faster: %w", err)
 	}
-	res.Rows = append(res.Rows, LatencyRow{Stack: StackFaster, Hist: *fh})
+	res.Rows = append(res.Rows, LatencyRow{Stack: system.StackFaster, Hist: *fh})
 
 	// NoFTL: a background DES process keeps regions clean.
 	ndev := flash.New(mlcConfig(cfg))
@@ -107,7 +108,7 @@ func Latency(cfg LatencyConfig) (*LatencyResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("latency noftl: %w", err)
 	}
-	res.Rows = append(res.Rows, LatencyRow{Stack: StackNoFTL, Hist: *nh})
+	res.Rows = append(res.Rows, LatencyRow{Stack: system.StackNoFTL, Hist: *nh})
 	return res, nil
 }
 

@@ -3,16 +3,10 @@ package bench
 import (
 	"fmt"
 
-	"noftl/internal/flash"
 	"noftl/internal/ioreq"
-	"noftl/internal/nand"
-	"noftl/internal/sched"
 	"noftl/internal/sim"
 	"noftl/internal/stats"
-	"noftl/internal/storage"
-	"noftl/internal/telemetry"
-	"noftl/internal/telemetry/blame"
-	"noftl/internal/trace"
+	"noftl/internal/system"
 	"noftl/internal/workload"
 )
 
@@ -35,16 +29,12 @@ const (
 	TagLowPriority  uint32 = 2
 )
 
-// QoSConfig parameterizes the QoS demo.
+// QoSConfig parameterizes the QoS demo. Params.Workers is the total
+// terminal count, split evenly between the tenants; an attached Blame
+// config with empty TagNames gets the demo's tenant names
+// (QoSTagNames).
 type QoSConfig struct {
-	Dies    int // default 8
-	DriveMB int // default 64
-	Workers int // total terminals, split evenly; default 16
-	Writers int // default 8
-	Frames  int // default 384
-	Warm    sim.Time
-	Measure sim.Time
-	Seed    int64
+	Params
 	// Deadline stamps each high-priority transaction with a completion
 	// deadline this far ahead; past it, the scheduler promotes its
 	// still-queued commands ahead of every class. Default 4ms; negative
@@ -56,75 +46,19 @@ type QoSConfig struct {
 	// deadline-free, the original demo behavior.
 	LowDeadline sim.Time
 
+	// TPCB sizes each tenant's tables; default: per geometry, each
+	// tenant ~68% of half the data region.
 	TPCB workload.TPCBConfig
-
-	// Telemetry attaches the cross-layer telemetry pipeline; terminals
-	// then run under request spans (QoSResult.Tel).
-	Telemetry *telemetry.Config
-	// TraceCmds attaches a command log on the scheduler's trace hook
-	// (QoSResult.CmdLog) even without Blame.
-	TraceCmds bool
-	// Blame attaches the latency root-cause engine (implies telemetry
-	// with span retention and a system-owned command log);
-	// QoSResult.Blame then carries the analyzed report. Empty TagNames
-	// default to the demo's tenant names (QoSTagNames).
-	Blame *blame.Config
 }
 
-func (c QoSConfig) withDefaults() QoSConfig {
-	if c.Dies <= 0 {
-		c.Dies = 8
-	}
-	if c.DriveMB <= 0 {
-		c.DriveMB = 64
-	}
-	if c.Workers <= 0 {
-		c.Workers = 16
-	}
-	if c.Writers <= 0 {
-		c.Writers = 8
-	}
-	if c.Frames <= 0 {
-		c.Frames = 384
-	}
-	if c.Warm <= 0 {
-		c.Warm = 2 * sim.Second
-	}
-	if c.Measure <= 0 {
-		c.Measure = 8 * sim.Second
-	}
-	if c.Deadline == 0 {
-		c.Deadline = 4 * sim.Millisecond
-	}
-	return c
-}
-
-// QoSRow is one terminal group's measurement.
-type QoSRow struct {
-	Tag       uint32
-	Terminals int
-	Committed int64
-	TPS       float64
-	Commit    stats.Histogram
-	// DeadlineMisses counts counted commits that finished past their
-	// deadline (0 for the low group unless LowDeadline stamps one).
-	DeadlineMisses int64
-}
-
-// QoSResult is the QoS demo outcome.
+// QoSResult is the QoS demo outcome. Result.Sched is the scheduler
+// accounting of the run (Retagged counts the low group's descriptor
+// overrides reaching the die queues).
 type QoSResult struct {
-	High QoSRow
-	Low  QoSRow
-	// Sched is the scheduler accounting of the run (Retagged counts the
-	// low group's descriptor overrides reaching the die queues).
-	Sched sched.Stats
-	// Tel is the telemetry pipeline (nil without QoSConfig.Telemetry or
-	// Blame); CmdLog the command timeline (nil without TraceCmds or
-	// Blame); Blame the analyzed root-cause report (nil without
-	// QoSConfig.Blame).
-	Tel    *telemetry.Telemetry
-	CmdLog *trace.CmdLog
-	Blame  *blame.Report
+	Result RunResult
+	// High and Low are the two tenants' rows of Result.Groups.
+	High, Low *GroupResult
+	Observed
 }
 
 // QoSTagNames names the demo's stream tags for blame tables and flame
@@ -153,18 +87,29 @@ func (r *QoSResult) P99Ratio() float64 {
 // Table renders the per-group comparison.
 func (r *QoSResult) Table() string {
 	t := stats.NewTable("group", "terminals", "TPS", "commit p50", "p95", "p99", "misses")
-	for _, row := range []*QoSRow{&r.High, &r.Low} {
-		name := "high"
-		if row.Tag == TagLowPriority {
-			name = "low"
-		}
-		t.Row(name, row.Terminals, row.TPS,
-			row.Commit.Percentile(50).String(),
-			row.Commit.Percentile(95).String(),
-			row.Commit.Percentile(99).String(),
-			row.DeadlineMisses)
+	for _, g := range []*GroupResult{r.High, r.Low} {
+		t.Row(g.Name, g.Clients, g.TPS,
+			g.Commit.Percentile(50).String(),
+			g.Commit.Percentile(95).String(),
+			g.Commit.Percentile(99).String(),
+			g.DeadlineMisses)
 	}
 	return t.String()
+}
+
+// AddTo appends the demo's per-tenant rows to a machine-readable
+// report: one row per group with its throughput, commit tails and
+// deadline accounting; the blame shares are the tenant's own.
+func (r *QoSResult) AddTo(rep *JSONReport) {
+	for _, g := range []*GroupResult{r.High, r.Low} {
+		jr := JSONResult{Experiment: "qos", Workload: "tpcb-2tenant",
+			Stack: string(system.StackNoFTLRegions), Mode: g.Name,
+			DeadlinePromotions: r.Result.Sched.DeadlinePromotions}
+		if r.Blame != nil {
+			jr.BlameShares = r.Blame.ShareMap(g.Tag)
+		}
+		rep.Add(jr, r.Result.tenant(g))
+	}
 }
 
 // QoS runs the demo: one freshly built region-managed system, priority
@@ -172,129 +117,64 @@ func (r *QoSResult) Table() string {
 // table sets (a lock conflict between tenants would smear the split
 // with priority inversion the I/O scheduler cannot see).
 func QoS(cfg QoSConfig) (*QoSResult, error) {
-	cfg = cfg.withDefaults()
-	opts := BuildOpts{
-		Sched:        &sched.Config{Policy: sched.Priority},
-		BackgroundGC: true,
-		Telemetry:    cfg.Telemetry,
+	cfg.Params = cfg.Params.withDefaults("qos")
+	if cfg.Deadline == 0 {
+		cfg.Deadline = 4 * sim.Millisecond
 	}
-	if cfg.Blame != nil {
+	if cfg.Blame != nil && cfg.Blame.TagNames == nil {
 		bl := *cfg.Blame
-		if bl.TagNames == nil {
-			bl.TagNames = QoSTagNames()
-		}
-		opts.Blame = &bl
+		bl.TagNames = QoSTagNames()
+		cfg.Blame = &bl
 	}
-	var log *trace.CmdLog
-	if cfg.TraceCmds && opts.Blame == nil {
-		log = &trace.CmdLog{}
-		opts.Sched.Trace = log.Record
-	}
-	devCfg := flash.EmulatorConfig(cfg.Dies, cfg.DriveMB, nand.SLC)
-	sys, err := BuildSystemOpts(StackNoFTLRegions, devCfg, cfg.Frames, opts)
+	sys, log, err := cfg.build(system.StackNoFTLRegions,
+		system.WithPriorityScheduler(), system.WithBackgroundGC())
 	if err != nil {
 		return nil, fmt.Errorf("qos: %w", err)
 	}
 	tpcb := cfg.TPCB
 	if tpcb.Branches == 0 {
-		tpcb = deriveTPCB(sys.NoFTL.LogicalPages() / 2)
+		tpcb = deriveTPCB(sys.NoFTL.LogicalPages()/2, 0.68)
 	}
-	wlHigh := workload.NewTPCB(tpcb)
-	wlLow := workload.NewTPCBNamed("tpcb2", tpcb)
-	for _, wl := range []workload.Workload{wlHigh, wlLow} {
-		if err := wl.Load(sys.Ctx, sys.Engine); err != nil {
-			return nil, fmt.Errorf("qos: load %s: %w", wl.Name(), err)
-		}
-	}
-	if err := sys.Engine.Checkpoint(sys.Ctx); err != nil {
-		return nil, err
-	}
-	sys.Dev.ResetTime()
-	sys.Dev.ResetStats()
-
-	k := sys.K
-	counting := false
-	stopped := false
-	var fatal error
-	fail := func(err error) {
-		if fatal == nil {
-			fatal = err
-		}
-	}
-	maint := sched.StartMaintenance(k, sys.NoFTL, sched.MaintConfig{OnError: fail})
-	stopWriters := sys.Engine.StartWriters(k, storage.WriterConfig{
-		N:           cfg.Writers,
-		Association: storage.AssocDieWise,
-		Class:       ioreq.ClassProgram,
-		Tag:         tagWriters,
-	})
-	var spanSink func(*ioreq.Span)
-	if sys.Tel != nil {
-		spanSink = sys.Tel.RecordSpan
+	wlHigh, wlLow := workload.NewTPCB(tpcb), workload.NewTPCBNamed("tpcb2", tpcb)
+	deadline := func(d sim.Time) func(int) sim.Time {
+		return func(int) sim.Time { return max(d, 0) }
 	}
 	highN := cfg.Workers / 2
-	high := workload.StartTerminals(k, sys.Engine, wlHigh, workload.TerminalConfig{
-		N: highN, Seed: cfg.Seed, Counting: &counting, OnFatal: fail,
-		SpanSink: spanSink,
-		TagOf:    func(int) uint32 { return TagHighPriority },
-		DeadlineAfter: func(int) sim.Time {
-			if cfg.Deadline > 0 {
-				return cfg.Deadline
+	r, err := execute(sys, run{
+		name: "qos",
+		load: func(sys *system.System) error {
+			if err := wlHigh.Load(sys.Ctx, sys.Engine); err != nil {
+				return err
 			}
-			return 0
+			return wlLow.Load(sys.Ctx, sys.Engine)
 		},
+		start: append(background(taggedWriters(cfg.Writers)),
+			terminals("high", wlHigh, workload.TerminalConfig{
+				N: highN, Seed: cfg.Seed,
+				TagOf:         func(int) uint32 { return TagHighPriority },
+				DeadlineAfter: deadline(cfg.Deadline),
+			}),
+			// FirstID keeps the two groups' terminal IDs — and so their
+			// span IDs — disjoint; colliding IDs would cross-wire the
+			// blame join.
+			terminals("low", wlLow, workload.TerminalConfig{
+				N: cfg.Workers - highN, FirstID: highN, Seed: cfg.Seed + 1_000_003,
+				TagOf:         func(int) uint32 { return TagLowPriority },
+				ClassOf:       func(int) ioreq.Class { return ioreq.ClassPrefetch },
+				DeadlineAfter: deadline(cfg.LowDeadline),
+			}),
+			stdCheckpointer(true)),
+		warm:    cfg.Warm,
+		measure: cfg.Measure,
+		fault:   cfg.fault,
 	})
-	// FirstID keeps the two groups' terminal IDs — and so their span
-	// IDs — disjoint; colliding IDs would cross-wire the blame join.
-	low := workload.StartTerminals(k, sys.Engine, wlLow, workload.TerminalConfig{
-		N: cfg.Workers - highN, FirstID: highN,
-		Seed: cfg.Seed + 1_000_003, Counting: &counting, OnFatal: fail,
-		SpanSink: spanSink,
-		TagOf:    func(int) uint32 { return TagLowPriority },
-		ClassOf:  func(int) ioreq.Class { return ioreq.ClassPrefetch },
-		DeadlineAfter: func(int) sim.Time {
-			if cfg.LowDeadline > 0 {
-				return cfg.LowDeadline
-			}
-			return 0
-		},
-	})
-	startCheckpointer(k, sys.Engine, func(p *sim.Proc) *storage.IOCtx {
-		return (&storage.IOCtx{W: sim.ProcWaiter{P: p}}).
-			WithClass(ioreq.ClassProgram).WithTag(tagCheckpointer)
-	}, 2*sim.Second, &stopped, fail)
-
-	k.RunFor(cfg.Warm)
-	counting = true
-	k.RunFor(cfg.Measure)
-	counting = false
-	stopped = true
-	high.Stop()
-	low.Stop()
-	stopWriters()
-	maint.Stop()
-	k.RunFor(10 * sim.Millisecond)
-	k.Shutdown()
-	if fatal != nil {
-		return nil, fmt.Errorf("qos: %w", fatal)
+	if err != nil {
+		return nil, err
 	}
-
-	out := &QoSResult{Sched: sys.Sched.Stats(), Tel: sys.Tel, CmdLog: log}
-	if sys.CmdLog != nil {
-		out.CmdLog = sys.CmdLog
+	out := &QoSResult{Result: *r}
+	out.High, out.Low = out.Result.Group("high"), out.Result.Group("low")
+	if out.Observed, err = observe(sys, log); err != nil {
+		return nil, fmt.Errorf("qos: %w", err)
 	}
-	if cfg.Blame != nil {
-		out.Blame = sys.Blame()
-	}
-	fill := func(row *QoSRow, ts *workload.Terminals, tag uint32, n int) {
-		row.Tag = tag
-		row.Terminals = n
-		row.Committed = ts.Committed()
-		row.TPS = float64(row.Committed) / cfg.Measure.Seconds()
-		row.Commit = ts.CommitHist()
-		row.DeadlineMisses = ts.DeadlineMisses()
-	}
-	fill(&out.High, high, TagHighPriority, highN)
-	fill(&out.Low, low, TagLowPriority, cfg.Workers-highN)
 	return out, nil
 }

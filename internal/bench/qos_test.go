@@ -14,15 +14,9 @@ import (
 // queues (Retagged > 0).
 func TestQoSTagSplit(t *testing.T) {
 	res, err := QoS(QoSConfig{
-		Dies:    4,
-		DriveMB: 32,
-		Workers: 12,
-		Writers: 4,
-		Frames:  128,
-		Warm:    sim.Second,
-		Measure: 2 * sim.Second,
-		Seed:    42,
-		TPCB:    workload.TPCBConfig{Branches: 48, AccountsPerBranch: 400},
+		Params: Params{Dies: 4, DriveMB: 32, Workers: 12, Writers: 4, Frames: 128,
+			Warm: sim.Second, Measure: 2 * sim.Second, Seed: 42},
+		TPCB: workload.TPCBConfig{Branches: 48, AccountsPerBranch: 400},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +24,7 @@ func TestQoSTagSplit(t *testing.T) {
 	if res.High.Committed == 0 || res.Low.Committed == 0 {
 		t.Fatalf("both groups must commit: high=%d low=%d", res.High.Committed, res.Low.Committed)
 	}
-	if res.Sched.Retagged == 0 {
+	if res.Result.Sched.Retagged == 0 {
 		t.Fatal("low-priority descriptors never reached the die queues (Retagged = 0)")
 	}
 	ratio := res.P99Ratio()

@@ -3,16 +3,10 @@ package bench
 import (
 	"fmt"
 
-	"noftl/internal/flash"
-	"noftl/internal/nand"
 	"noftl/internal/sched"
-	"noftl/internal/sim"
 	"noftl/internal/stats"
 	"noftl/internal/storage"
-	"noftl/internal/telemetry"
-	"noftl/internal/telemetry/blame"
-	"noftl/internal/telemetry/health"
-	"noftl/internal/trace"
+	"noftl/internal/system"
 	"noftl/internal/workload"
 )
 
@@ -53,111 +47,27 @@ const (
 	SchedTagged SchedMode = "bg-gc+prio+tagged"
 )
 
-// SchedConfig parameterizes the scheduling ablation.
+// SchedConfig parameterizes the scheduling ablation. The default 64 MB
+// drive lands the derived TPC-B data around 80% occupancy of the data
+// region — the regime where GC runs constantly and scheduling decides
+// who waits for it.
 type SchedConfig struct {
+	Params
 	Workload string      // "tpcb" (default) or "tpcc"
-	Modes    []SchedMode // default: all three
-	Dies     int         // default 8
-	DriveMB  int         // default 64
-	Workers  int         // default 16 terminals
-	Writers  int         // default 8
-	Frames   int         // default 384
-	Warm     sim.Time
-	Measure  sim.Time
-	Seed     int64
-	// TraceCmds attaches a trace.CmdLog to each mode's scheduler and
-	// keeps its per-class summary in the row (memory-heavy; off by
-	// default).
-	TraceCmds bool
-	// Telemetry attaches the cross-layer telemetry pipeline to each
-	// mode's system: request spans on every counted transaction, the
-	// metrics sampler, and the flight recorder (SchedRow.Tel).
-	Telemetry *telemetry.Config
-	// Blame attaches the latency root-cause engine to each mode's
-	// system (implies telemetry with span retention and a system-owned
-	// command log); SchedRow.Blame carries each regime's report.
-	Blame *blame.Config
-	// Health attaches the device-health monitor to each mode's system
-	// (implies telemetry): SchedRow.Health carries the end-of-run
-	// snapshot (wear heatmaps, GC efficiency, alert log). A configured
-	// MonitorAddr serves live pages during each mode's run; the
-	// listener closes between modes so a fixed address can rebind.
-	Health *health.Config
+	Modes    []SchedMode // default: all four
 
-	TPCC workload.TPCCConfig
+	TPCC workload.TPCCConfig // default 4 warehouses
+	// TPCB is sized per geometry (~68% of the data region at load)
+	// unless set explicitly.
 	TPCB workload.TPCBConfig
-}
-
-func (c SchedConfig) withDefaults() SchedConfig {
-	if c.Workload == "" {
-		c.Workload = "tpcb"
-	}
-	if len(c.Modes) == 0 {
-		c.Modes = []SchedMode{SchedInline, SchedBackground, SchedPriority, SchedTagged}
-	}
-	if c.Dies <= 0 {
-		c.Dies = 8
-	}
-	// Sized so the TPC-B data below lands around 80% occupancy of the
-	// data region — the regime where GC runs constantly and scheduling
-	// decides who waits for it.
-	if c.DriveMB <= 0 {
-		c.DriveMB = 64
-	}
-	if c.Workers <= 0 {
-		c.Workers = 16
-	}
-	if c.Writers <= 0 {
-		c.Writers = 8
-	}
-	if c.Frames <= 0 {
-		c.Frames = 384
-	}
-	if c.Warm <= 0 {
-		c.Warm = 2 * sim.Second
-	}
-	if c.Measure <= 0 {
-		c.Measure = 8 * sim.Second
-	}
-	if c.TPCC.Warehouses == 0 {
-		c.TPCC = workload.TPCCConfig{Warehouses: 4}
-	}
-	// TPCB is sized per geometry (deriveTPCB) unless set explicitly.
-	return c
-}
-
-// deriveTPCB sizes the TPC-B population for roughly 80% end-of-run
-// occupancy of the data region: about 40 rows (heap row + pk entry) fit
-// a 4 KiB page, and the append-only history table keeps growing through
-// the run, so the load starts a bit lower.
-func deriveTPCB(dataPages int64) workload.TPCBConfig {
-	const rowsPerPage = 34 // heap rows + pk entries per 4 KiB page, measured
-	const accounts = 6000
-	rows := int64(float64(dataPages) * 0.68 * rowsPerPage)
-	branches := int(rows / accounts)
-	if branches < 2 {
-		branches = 2
-	}
-	return workload.TPCBConfig{Branches: branches, AccountsPerBranch: accounts}
 }
 
 // SchedRow is one regime's measurement.
 type SchedRow struct {
 	Mode      SchedMode
-	Result    TPSResult
+	Result    RunResult
 	Occupancy float64 // data-region live fraction at the end of the run
-	CmdLog    *trace.CmdLog
-	// Tel is the regime's telemetry pipeline (SchedConfig.Telemetry
-	// runs; nil otherwise): metrics series, retained spans, flight
-	// recorder.
-	Tel *telemetry.Telemetry
-	// Health is the regime's end-of-run device-health snapshot
-	// (SchedConfig.Health runs; nil otherwise) — its Alerts field is
-	// the full SLO transition log of the run.
-	Health *health.Snapshot
-	// Blame is the regime's root-cause report (SchedConfig.Blame runs;
-	// nil otherwise).
-	Blame *blame.Report
+	Observed
 }
 
 // SchedResult is the ablation outcome.
@@ -284,73 +194,65 @@ func (r *SchedResult) AlertTable() string {
 	return t.String()
 }
 
+// AddTo appends the ablation's rows to a machine-readable report,
+// including the scheduler accounting the experiment is about.
+func (r *SchedResult) AddTo(rep *JSONReport) {
+	for i := range r.Rows {
+		row := &r.Rows[i]
+		jr := JSONResult{Experiment: "sched", Workload: r.Workload,
+			Stack: string(system.StackNoFTLRegions), Mode: string(row.Mode)}
+		jr.setSchedAccounting(&row.Result)
+		jr.setObserved(&row.Observed)
+		rep.Add(jr, &row.Result)
+	}
+}
+
 // SchedAblation runs the sweep: one freshly built region-managed system
 // per regime, same seed, same workload.
 func SchedAblation(cfg SchedConfig) (*SchedResult, error) {
-	cfg = cfg.withDefaults()
+	cfg.Params = cfg.Params.withDefaults("sched")
+	if cfg.Workload == "" {
+		cfg.Workload = "tpcb"
+	}
+	if len(cfg.Modes) == 0 {
+		cfg.Modes = []SchedMode{SchedInline, SchedBackground, SchedPriority, SchedTagged}
+	}
+	if cfg.TPCC.Warehouses == 0 {
+		cfg.TPCC = workload.TPCCConfig{Warehouses: 4}
+	}
 	res := &SchedResult{Workload: cfg.Workload}
 	for _, mode := range cfg.Modes {
-		opts := BuildOpts{Sched: &sched.Config{Policy: sched.FCFS}}
+		opts := []system.Option{system.WithScheduler(sched.Config{Policy: sched.FCFS})}
 		switch mode {
 		case SchedBackground:
-			opts.BackgroundGC = true
+			opts = append(opts, system.WithBackgroundGC())
 		case SchedPriority, SchedTagged:
-			opts.BackgroundGC = true
-			opts.Sched.Policy = sched.Priority
+			opts = []system.Option{system.WithPriorityScheduler(), system.WithBackgroundGC()}
 		}
-		var log *trace.CmdLog
-		if cfg.TraceCmds {
-			log = &trace.CmdLog{}
-			opts.Sched.Trace = log.Record
-		}
-		opts.Telemetry = cfg.Telemetry
-		opts.Health = cfg.Health
-		opts.Blame = cfg.Blame
-		devCfg := flash.EmulatorConfig(cfg.Dies, cfg.DriveMB, nand.SLC)
-		sys, err := BuildSystemOpts(StackNoFTLRegions, devCfg, cfg.Frames, opts)
+		sys, log, err := cfg.build(system.StackNoFTLRegions, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("sched ablation %s: %w", mode, err)
 		}
-		var wl workload.Workload
-		if cfg.Workload == "tpcb" {
-			tpcb := cfg.TPCB
-			if tpcb.Branches == 0 {
-				tpcb = deriveTPCB(sys.NoFTL.LogicalPages())
-			}
-			wl = workload.NewTPCB(tpcb)
-		} else {
-			wl = workload.NewTPCC(cfg.TPCC)
+		tpcb := cfg.TPCB
+		if tpcb.Branches == 0 {
+			tpcb = deriveTPCB(sys.NoFTL.LogicalPages(), 0.68)
 		}
-		r, err := RunTPS(sys, wl, TPSConfig{
-			Workers:      cfg.Workers,
-			Writers:      cfg.Writers,
-			Association:  storage.AssocDieWise,
-			Warm:         cfg.Warm,
-			Measure:      cfg.Measure,
-			Seed:         cfg.Seed,
-			TrackLatency: true,
-			Tagged:       mode == SchedTagged,
+		r, err := RunTPS(sys, oltpWorkload(cfg.Workload, tpcb, cfg.TPCC), TPSConfig{
+			Workers:     cfg.Workers,
+			Writers:     cfg.Writers,
+			Association: storage.AssocDieWise,
+			Warm:        cfg.Warm,
+			Measure:     cfg.Measure,
+			Seed:        cfg.Seed,
+			Tagged:      mode == SchedTagged,
+			fault:       cfg.fault,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("sched ablation %s: %w", mode, err)
 		}
-		row := SchedRow{Mode: mode, Result: *r, CmdLog: log, Tel: sys.Tel}
-		if row.CmdLog == nil {
-			row.CmdLog = sys.CmdLog
-		}
-		if cfg.Blame != nil {
-			row.Blame = sys.Blame()
-		}
-		if sys.NoFTL != nil && sys.NoFTL.LogicalPages() > 0 {
-			row.Occupancy = float64(sys.NoFTL.LivePages()) / float64(sys.NoFTL.LogicalPages())
-		}
-		if sys.Health != nil {
-			row.Health = sys.Health.Snapshot(sys.K.Now())
-			// Release the live listener so the next mode (or a rerun on a
-			// fixed address) can bind it.
-			if err := sys.Health.Close(); err != nil {
-				return nil, fmt.Errorf("sched ablation %s: close monitor: %w", mode, err)
-			}
+		row := SchedRow{Mode: mode, Result: *r, Occupancy: occupancy(sys)}
+		if row.Observed, err = observe(sys, log); err != nil {
+			return nil, fmt.Errorf("sched ablation %s: %w", mode, err)
 		}
 		res.Rows = append(res.Rows, row)
 	}

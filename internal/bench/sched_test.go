@@ -7,16 +7,8 @@ import (
 )
 
 func tinySchedConfig(seed int64) SchedConfig {
-	return SchedConfig{
-		Dies:    4,
-		DriveMB: 24,
-		Workers: 8,
-		Writers: 4,
-		Frames:  128,
-		Warm:    300 * sim.Millisecond,
-		Measure: 1 * sim.Second,
-		Seed:    seed,
-	}
+	return SchedConfig{Params: Params{Dies: 4, DriveMB: 24, Workers: 8, Writers: 4, Frames: 128,
+		Warm: 300 * sim.Millisecond, Measure: 1 * sim.Second, Seed: seed}}
 }
 
 // TestSchedAblationSmoke runs the four regimes at tiny geometry and
@@ -118,7 +110,7 @@ func TestSchedJSONRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	report := &JSONReport{Seed: 11}
-	report.AddSched(res.Workload, &res.Rows[0])
+	res.AddTo(report)
 	if len(report.Results) != 1 {
 		t.Fatalf("results = %d, want 1", len(report.Results))
 	}

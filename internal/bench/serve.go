@@ -5,14 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 
-	"noftl/internal/flash"
-	"noftl/internal/ioreq"
-	"noftl/internal/nand"
-	"noftl/internal/sched"
 	"noftl/internal/serve"
 	"noftl/internal/sim"
 	"noftl/internal/stats"
 	"noftl/internal/storage"
+	"noftl/internal/system"
 	"noftl/internal/telemetry"
 	"noftl/internal/workload"
 )
@@ -48,26 +45,20 @@ const (
 	batchTenant  = "batch"
 )
 
-// ServeConfig parameterizes the serving-front ablation.
+// ServeConfig parameterizes the serving-front ablation. Params.Workers
+// is the total session count, split 1:3 between the paying and batch
+// tenants; the telemetry pipeline is always attached (the burn guard
+// needs it) and Params.Telemetry only overrides its config.
 type ServeConfig struct {
-	Dies    int // default 8
-	DriveMB int // default 64
-	Frames  int // default 384
-	Writers int // default 8
-	// Clients is the total session count, split 1:3 between the paying
-	// and batch tenants. Default 800.
-	Clients int
+	Params
 	// Rows is the per-store record count. Default 16384.
 	Rows int64
 	// ValBytes sizes each record. Default 96.
 	ValBytes int
-	Warm     sim.Time // default 1s
 	// Settle runs between warm-up and measure with spans (and so the
 	// burn guard) live but before counters reset, so the guard's
 	// escalation transient stays out of the measured window. Default 1s.
-	Settle  sim.Time
-	Measure sim.Time // default 6s
-	Seed    int64
+	Settle sim.Time
 	// PayingDeadline / BatchDeadline stamp each tenant's transactions
 	// (defaults 6ms / 3ms). PayingBudget / BatchBudget are the allowed
 	// deadline-miss fractions (defaults 0.25 / 0.02: the batch tenant's
@@ -82,64 +73,26 @@ type ServeConfig struct {
 	BatchRate float64
 	// PayingThink is the paying sessions' think time. Default 2ms.
 	PayingThink sim.Time
-	// Telemetry overrides the telemetry config (the pipeline itself is
-	// always attached — the burn guard needs it).
-	Telemetry *telemetry.Config
 }
 
 func (c ServeConfig) withDefaults() ServeConfig {
-	if c.Dies <= 0 {
-		c.Dies = 8
-	}
-	if c.DriveMB <= 0 {
-		c.DriveMB = 64
-	}
-	if c.Frames <= 0 {
-		c.Frames = 384
-	}
-	if c.Writers <= 0 {
-		c.Writers = 8
-	}
-	if c.Clients <= 0 {
-		c.Clients = 800
-	}
-	if c.Rows <= 0 {
-		c.Rows = 16384
-	}
-	if c.ValBytes <= 0 {
-		c.ValBytes = 96
-	}
-	if c.Warm <= 0 {
-		c.Warm = 1 * sim.Second
-	}
-	if c.Settle <= 0 {
-		c.Settle = 1 * sim.Second
-	}
-	if c.Measure <= 0 {
-		c.Measure = 6 * sim.Second
-	}
-	if c.PayingDeadline <= 0 {
-		c.PayingDeadline = 6 * sim.Millisecond
-	}
-	if c.BatchDeadline <= 0 {
-		c.BatchDeadline = 3 * sim.Millisecond
-	}
-	if c.PayingBudget <= 0 {
-		c.PayingBudget = 0.25
-	}
-	if c.BatchBudget <= 0 {
-		c.BatchBudget = 0.02
-	}
-	if c.BatchRate <= 0 {
-		c.BatchRate = 1200
-	}
-	if c.PayingThink <= 0 {
-		c.PayingThink = 2 * sim.Millisecond
+	c.Params = c.Params.withDefaults("serve")
+	c.Rows = orDefault(c.Rows, 16384)
+	c.ValBytes = orDefault(c.ValBytes, 96)
+	c.Settle = orDefault(c.Settle, 1*sim.Second)
+	c.PayingDeadline = orDefault(c.PayingDeadline, 6*sim.Millisecond)
+	c.BatchDeadline = orDefault(c.BatchDeadline, 3*sim.Millisecond)
+	c.PayingBudget = orDefault(c.PayingBudget, 0.25)
+	c.BatchBudget = orDefault(c.BatchBudget, 0.02)
+	c.BatchRate = orDefault(c.BatchRate, 1200)
+	c.PayingThink = orDefault(c.PayingThink, 2*sim.Millisecond)
+	if c.Telemetry == nil {
+		c.Telemetry = &telemetry.Config{}
 	}
 	return c
 }
 
-func (c ServeConfig) payingN() int { return c.Clients / 4 }
+func (c ServeConfig) payingN() int { return c.Workers / 4 }
 
 // ServeTagNames names the ablation's stream tags for blame tables,
 // flame stacks and Prometheus labels.
@@ -152,21 +105,13 @@ func ServeTagNames() map[uint32]string {
 	}
 }
 
-// ServeTenantRow is one tenant's measurement under one admission regime.
+// ServeTenantRow is one tenant's measurement under one admission
+// regime: the measured window's counted transactions (Retries are the
+// shed-and-retried plus lock-timeout attempts) and the controller's
+// whole-run accounting for the tenant (admitted/deprioritized/shed
+// counters, final state, transitions).
 type ServeTenantRow struct {
-	Name     string
-	Tag      uint32
-	Sessions int
-	// Committed, TPS and Commit describe the measured window's counted
-	// transactions; DeadlineMisses those past the tenant's deadline;
-	// Retries the shed-and-retried (plus lock-timeout) attempts.
-	Committed      int64
-	TPS            float64
-	Commit         stats.Histogram
-	DeadlineMisses int64
-	Retries        int64
-	// Admission is the controller's whole-run accounting for the tenant
-	// (admitted/deprioritized/shed counters, final state, transitions).
+	GroupResult
 	Admission serve.TenantStats
 }
 
@@ -175,12 +120,13 @@ type ServeRow struct {
 	// Mode is the regime's name (serve.Control.String(), or
 	// "uncontended" for the paying-only reference run).
 	Mode    string
+	Result  RunResult
 	Tenants []ServeTenantRow
 	// Front is the controller's front-wide accounting.
 	Front serve.Stats
-	// Tel is the run's telemetry pipeline (serve.* metrics included),
-	// kept for Prometheus/flight-recorder export.
-	Tel *telemetry.Telemetry
+	// Observed.Tel is the run's telemetry pipeline (serve.* metrics
+	// included), kept for Prometheus/flight-recorder export.
+	Observed
 }
 
 // Tenant returns the row's measurement for one tenant name.
@@ -236,7 +182,7 @@ func (r *ServeResult) Table() string {
 	rows := append([]ServeRow{r.Uncontended}, r.Rows...)
 	for i := range rows {
 		for _, tr := range rows[i].Tenants {
-			t.Row(rows[i].Mode, tr.Name, tr.Sessions,
+			t.Row(rows[i].Mode, tr.Name, tr.Clients,
 				fmt.Sprintf("%.0f", tr.TPS),
 				tr.Commit.Percentile(50).String(),
 				tr.Commit.Percentile(99).String(),
@@ -308,20 +254,32 @@ func serveTenants(cfg ServeConfig) []serve.TenantSpec {
 	}
 }
 
+// AddTo appends the ablation's rows to a machine-readable report: one
+// per regime (uncontended reference included), the common fields over
+// both tenants and the per-tenant split in the tenant maps.
+func (r *ServeResult) AddTo(rep *JSONReport) {
+	for _, row := range append([]ServeRow{r.Uncontended}, r.Rows...) {
+		jr := JSONResult{Experiment: "serve", Workload: "kv",
+			Stack: string(system.StackNoFTLRegions), Mode: row.Mode,
+			Admitted:      row.Front.Admitted,
+			Deprioritized: row.Front.Deprioritized,
+			Shed:          row.Front.Shed,
+			TenantTPS:     map[string]float64{},
+			TenantP99us:   map[string]float64{},
+		}
+		for _, tr := range row.Tenants {
+			jr.TenantTPS[tr.Name] = tr.TPS
+			jr.TenantP99us[tr.Name] = us(tr.Commit.Percentile(99))
+		}
+		rep.Add(jr, &row.Result)
+	}
+}
+
 // runServeMode runs one admission regime end to end on a freshly built
 // system. withBatch=false is the uncontended reference.
 func runServeMode(cfg ServeConfig, control serve.Control, withBatch bool, mode string) (*ServeRow, error) {
-	opts := BuildOpts{
-		Sched:        &sched.Config{Policy: sched.Priority},
-		BackgroundGC: true,
-		Telemetry:    &telemetry.Config{},
-	}
-	if cfg.Telemetry != nil {
-		tc := *cfg.Telemetry
-		opts.Telemetry = &tc
-	}
-	devCfg := flash.EmulatorConfig(cfg.Dies, cfg.DriveMB, nand.SLC)
-	sys, err := BuildSystemOpts(StackNoFTLRegions, devCfg, cfg.Frames, opts)
+	sys, log, err := cfg.build(system.StackNoFTLRegions,
+		system.WithPriorityScheduler(), system.WithBackgroundGC())
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
@@ -336,168 +294,100 @@ func runServeMode(cfg ServeConfig, control serve.Control, withBatch bool, mode s
 	for i := range val {
 		val[i] = byte('a' + i%26)
 	}
-	for _, store := range []string{payingTenant, batchTenant} {
-		if _, err := front.CreateStore(sys.Ctx, store); err != nil {
-			return nil, err
-		}
-		if err := front.Preload(sys.Ctx, store, cfg.Rows, val); err != nil {
-			return nil, fmt.Errorf("serve: preload %s: %w", store, err)
-		}
-	}
-	if err := sys.Engine.Checkpoint(sys.Ctx); err != nil {
-		return nil, err
-	}
-	sys.Dev.ResetTime()
-	sys.Dev.ResetStats()
-
-	k := sys.K
-	counting := false
-	stopped := false
-	var fatal error
-	fail := func(err error) {
-		if fatal == nil {
-			fatal = err
-		}
-	}
-	maint := sched.StartMaintenance(k, sys.NoFTL, sched.MaintConfig{OnError: fail})
-	stopWriters := sys.Engine.StartWriters(k, storage.WriterConfig{
-		N:           cfg.Writers,
-		Association: storage.AssocDieWise,
-		Class:       ioreq.ClassProgram,
-		Tag:         tagWriters,
-	})
-	// The serve load is write-heavy enough to wrap the log region between
-	// the shared checkpointer's 100ms ticks, so this one ticks tighter
-	// and truncates at quarter capacity.
-	k.Go("checkpointer", func(p *sim.Proc) {
-		ctx := (&storage.IOCtx{W: sim.ProcWaiter{P: p}}).
-			WithClass(ioreq.ClassProgram).WithTag(tagCheckpointer)
-		wal := sys.Engine.Log()
-		for !stopped {
-			p.Sleep(20 * sim.Millisecond)
-			if stopped {
-				return
-			}
-			if wal.SinceAnchor()*4 < wal.Capacity() {
-				continue
-			}
-			if err := sys.Engine.Checkpoint(ctx); err != nil {
-				fail(err)
-				return
-			}
-		}
-	})
-
-	// One session per terminal, opened up front so setup errors surface
-	// here instead of inside a proc.
+	// Both stores exist in every regime; only the tenants in clients
+	// open sessions and run (the uncontended reference: paying alone).
 	payingN := cfg.payingN()
-	batchN := cfg.Clients - payingN
-	openAll := func(tenant, store string, n int) ([]*kvWorkload, error) {
-		out := make([]*kvWorkload, n)
-		for i := range out {
-			s, err := front.OpenSession(tenant, store)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = &kvWorkload{s: s, rows: cfg.Rows, val: val}
-		}
-		return out, nil
+	type tenant struct {
+		name     string
+		tag      uint32
+		firstID  int // keeps the groups' terminal — and so span — IDs disjoint
+		n        int
+		seed     int64
+		think    sim.Time
+		deadline sim.Time
+		sessions []workload.Workload // one per terminal, opened by load
 	}
-	retry := func(err error) bool { return errors.Is(err, serve.ErrShed) }
-	spanSink := sys.Tel.RecordSpan
-	payingWls, err := openAll(payingTenant, payingTenant, payingN)
-	if err != nil {
-		return nil, err
+	tenants := []*tenant{
+		{name: payingTenant, tag: TagPaying, n: payingN, seed: cfg.Seed,
+			think: cfg.PayingThink, deadline: cfg.PayingDeadline},
+		{name: batchTenant, tag: TagBatch, firstID: payingN, n: cfg.Workers - payingN,
+			seed: cfg.Seed + 1_000_003, deadline: cfg.BatchDeadline},
 	}
-	paying := workload.StartTerminals(k, sys.Engine, payingWls[0], workload.TerminalConfig{
-		N: payingN, Seed: cfg.Seed, Think: cfg.PayingThink,
-		Counting: &counting, OnFatal: fail, SpanSink: spanSink, Retry: retry,
-		TagOf:         func(int) uint32 { return TagPaying },
-		DeadlineAfter: func(int) sim.Time { return cfg.PayingDeadline },
-		WorkloadOf:    func(id int) workload.Workload { return payingWls[id] },
-	})
-	var batch *workload.Terminals
-	if withBatch {
-		batchWls, err := openAll(batchTenant, batchTenant, batchN)
-		if err != nil {
-			return nil, err
-		}
-		// FirstID keeps the groups' terminal — and so span — IDs disjoint.
-		batch = workload.StartTerminals(k, sys.Engine, batchWls[0], workload.TerminalConfig{
-			N: batchN, FirstID: payingN, Seed: cfg.Seed + 1_000_003,
-			Counting: &counting, OnFatal: fail, SpanSink: spanSink, Retry: retry,
-			TagOf:         func(int) uint32 { return TagBatch },
-			DeadlineAfter: func(int) sim.Time { return cfg.BatchDeadline },
-			WorkloadOf:    func(id int) workload.Workload { return batchWls[id-payingN] },
+	clients := tenants
+	if !withBatch {
+		clients = tenants[:1]
+	}
+	// The serve load is write-heavy enough to wrap the log region between
+	// the standard checkpointer's 100ms ticks, so this one ticks tighter
+	// and truncates at quarter capacity.
+	start := append(background(taggedWriters(cfg.Writers)),
+		checkpointer{tick: 20 * sim.Millisecond, logFrac: 4, tagged: true}.start)
+	for _, t := range clients {
+		// Deferred to start time: the sessions exist once load ran.
+		start = append(start, func(r *running) {
+			terminals(t.name, t.sessions[0], workload.TerminalConfig{
+				N: t.n, FirstID: t.firstID, Seed: t.seed, Think: t.think,
+				Retry:         func(err error) bool { return errors.Is(err, serve.ErrShed) },
+				TagOf:         func(int) uint32 { return t.tag },
+				DeadlineAfter: func(int) sim.Time { return t.deadline },
+				WorkloadOf:    func(id int) workload.Workload { return t.sessions[id-t.firstID] },
+			})(r)
 		})
 	}
 	// Per-tenant commit tails as live gauges, so the Prometheus export
-	// carries the split the controller acts on. Registered before the
-	// kernel runs — the registry seals at the first sampler tick.
-	sys.Tel.Reg.Gauge("serve.tenant.paying_commit_p99_us", func() float64 {
-		h := paying.TagCommitHist(TagPaying)
-		return us(h.Percentile(99))
-	})
-	if batch != nil {
-		sys.Tel.Reg.Gauge("serve.tenant.batch_commit_p99_us", func() float64 {
-			h := batch.TagCommitHist(TagBatch)
-			return us(h.Percentile(99))
-		})
-	}
-
-	k.RunFor(cfg.Warm)
-	// Settle: spans (and so the burn guard) live, so the guard's
-	// escalation transient finishes before the measured window; the
-	// counters reset below, at a paused-kernel boundary, keep the
-	// settle traffic out of the histograms.
-	counting = true
-	k.RunFor(cfg.Settle)
-	groups := []*workload.Terminals{paying}
-	if batch != nil {
-		groups = append(groups, batch)
-	}
-	for _, g := range groups {
-		for _, term := range g.All {
-			term.Committed = 0
-			term.Retries = 0
-			term.DeadlineMisses = 0
-			term.Hist = stats.Histogram{}
+	// carries the split the controller acts on. Registered after the
+	// clients exist and before the kernel runs — the registry seals at
+	// the first sampler tick.
+	start = append(start, func(r *running) {
+		for _, g := range r.groups {
+			terms, tag := g.terms, g.tag
+			sys.Tel.Reg.Gauge("serve.tenant."+g.name+"_commit_p99_us", func() float64 {
+				h := terms.TagCommitHist(tag)
+				return us(h.Percentile(99))
+			})
 		}
-	}
-	k.RunFor(cfg.Measure)
-	counting = false
-	stopped = true
-	paying.Stop()
-	if batch != nil {
-		batch.Stop()
-	}
-	stopWriters()
-	maint.Stop()
-	k.RunFor(10 * sim.Millisecond)
-	k.Shutdown()
-	if fatal != nil {
-		return nil, fmt.Errorf("serve: %w", fatal)
-	}
+	})
 
-	row := &ServeRow{Mode: mode, Front: front.Stats(), Tel: sys.Tel}
-	fill := func(name string, tag uint32, ts *workload.Terminals, n int) {
-		adm, _ := front.TenantStats(name)
-		committed := ts.TagCommitted(tag)
-		row.Tenants = append(row.Tenants, ServeTenantRow{
-			Name:           name,
-			Tag:            tag,
-			Sessions:       n,
-			Committed:      committed,
-			TPS:            float64(committed) / cfg.Measure.Seconds(),
-			Commit:         ts.TagCommitHist(tag),
-			DeadlineMisses: ts.TagDeadlineMisses(tag),
-			Retries:        ts.Retries(),
-			Admission:      adm,
-		})
+	res, err := execute(sys, run{
+		name: "serve " + mode,
+		load: func(sys *system.System) error {
+			for _, t := range tenants {
+				if _, err := front.CreateStore(sys.Ctx, t.name); err != nil {
+					return err
+				}
+				if err := front.Preload(sys.Ctx, t.name, cfg.Rows, val); err != nil {
+					return fmt.Errorf("preload %s: %w", t.name, err)
+				}
+			}
+			// One session per terminal, opened up front so setup errors
+			// surface here instead of inside a proc.
+			for _, t := range clients {
+				for i := 0; i < t.n; i++ {
+					s, err := front.OpenSession(t.name, t.name)
+					if err != nil {
+						return err
+					}
+					t.sessions = append(t.sessions, &kvWorkload{s: s, rows: cfg.Rows, val: val})
+				}
+			}
+			return nil
+		},
+		start:   start,
+		warm:    cfg.Warm,
+		settle:  cfg.Settle,
+		measure: cfg.Measure,
+		fault:   cfg.fault,
+	})
+	if err != nil {
+		return nil, err
 	}
-	fill(payingTenant, TagPaying, paying, payingN)
-	if batch != nil {
-		fill(batchTenant, TagBatch, batch, batchN)
+	row := &ServeRow{Mode: mode, Result: *res, Front: front.Stats()}
+	for _, g := range res.Groups {
+		adm, _ := front.TenantStats(g.Name)
+		row.Tenants = append(row.Tenants, ServeTenantRow{GroupResult: g, Admission: adm})
+	}
+	if row.Observed, err = observe(sys, log); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	return row, nil
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -13,16 +11,10 @@ import (
 
 func tinyServeConfig(seed int64) ServeConfig {
 	return ServeConfig{
-		Dies:    4,
-		DriveMB: 24,
-		Frames:  192,
-		Writers: 4,
-		Clients: 120,
-		Rows:    2048,
-		Warm:    300 * sim.Millisecond,
-		Settle:  600 * sim.Millisecond,
-		Measure: 1 * sim.Second,
-		Seed:    seed,
+		Params: Params{Dies: 4, DriveMB: 24, Frames: 192, Writers: 4, Workers: 120,
+			Warm: 300 * sim.Millisecond, Measure: 1 * sim.Second, Seed: seed},
+		Rows:   2048,
+		Settle: 600 * sim.Millisecond,
 	}
 }
 
@@ -129,28 +121,5 @@ func TestServeTelemetryExport(t *testing.T) {
 				t.Fatalf("batch shed counter exported as zero: %q", line)
 			}
 		}
-	}
-}
-
-// TestServeDeterministicJSON is the reproducibility regression: two
-// identical serve ablations must produce byte-identical machine-
-// readable output.
-func TestServeDeterministicJSON(t *testing.T) {
-	render := func() []byte {
-		res, err := Serve(tinyServeConfig(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		report := &JSONReport{Seed: 7}
-		report.AddServe(res)
-		out, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	a, b := render(), render()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("two identical serve runs diverged:\n%s\n---\n%s", a, b)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"noftl/internal/sched"
 	"noftl/internal/sim"
 	"noftl/internal/storage"
+	"noftl/internal/system"
 	"noftl/internal/trace"
 )
 
@@ -20,12 +21,12 @@ import (
 // accounting — even though the volume routed it through its foreground
 // device views.
 func TestClassInheritanceEndToEnd(t *testing.T) {
-	for _, stack := range []Stack{StackNoFTL, StackNoFTLRegions} {
+	for _, stack := range []system.Stack{system.StackNoFTL, system.StackNoFTLRegions} {
 		t.Run(string(stack), func(t *testing.T) {
 			log := &trace.CmdLog{}
-			opts := BuildOpts{Sched: &sched.Config{Policy: sched.Priority, Trace: log.Record}}
 			devCfg := flash.EmulatorConfig(2, 16, nand.SLC)
-			sys, err := BuildSystemOpts(stack, devCfg, 64, opts)
+			sys, err := system.New(system.Config{Stack: stack, Device: &devCfg, Frames: 64},
+				system.WithScheduler(sched.Config{Policy: sched.Priority, Trace: log.Record}))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,8 +3,10 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestTimeString(t *testing.T) {
@@ -344,6 +346,34 @@ func TestShutdownUnwindsParkedProcesses(t *testing.T) {
 	k.Run()
 	if !ran {
 		t.Error("kernel unusable after Shutdown")
+	}
+}
+
+// TestShutdownUnwindsNeverStartedProcesses: a proc created by Go whose
+// first resume never ran (a system built and dropped without running
+// the kernel) must still be unwound, or its goroutine and everything
+// its closure pins leak.
+func TestShutdownUnwindsNeverStartedProcesses(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := New()
+	ran := 0
+	for i := 0; i < 64; i++ {
+		k.Go("never-started", func(p *Proc) { ran++ })
+	}
+	k.Shutdown()
+	if k.Alive() != 0 {
+		t.Fatalf("Alive() = %d after Shutdown, want 0", k.Alive())
+	}
+	if ran != 0 {
+		t.Fatalf("%d killed procs ran their body", ran)
+	}
+	// The goroutines exit right after their final yield; give the
+	// runtime a moment to retire them.
+	for i := 0; i < 100 && runtime.NumGoroutine() > base; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("goroutines = %d, want back to baseline %d", n, base)
 	}
 }
 

@@ -33,6 +33,9 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	k.seq++
 	p := &Proc{k: k, id: k.seq, name: name, wake: make(chan struct{})}
 	k.alive++
+	// Parked from birth: a Shutdown before the first resume must still
+	// unwind the goroutine (through the killed check below).
+	k.parked[p] = struct{}{}
 	go func() {
 		defer func() {
 			p.terminated = true

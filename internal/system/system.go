@@ -63,20 +63,20 @@ type System struct {
 	Vol      storage.Volume
 	NoFTL    *noftl.Volume    // nil for block-device stacks
 	Regions  *region.Manager  // set for the region-managed stack
-	Sched    *sched.Scheduler // set when BuildOpts attached a scheduler
+	Sched    *sched.Scheduler // set by a scheduler option
 	FTLStats func() ftl.Stats
 	Ctx      *storage.IOCtx
 	K        *sim.Kernel // DES kernel; block-device queueing binds to it
-	// Tel is the cross-layer telemetry pipeline (nil unless BuildOpts
+	// Tel is the cross-layer telemetry pipeline (nil unless an option
 	// asked for it): a metrics registry over every layer's counters, a
 	// sim-time sampler, and a flight recorder for the slowest spans.
 	Tel *telemetry.Telemetry
-	// Health is the device-health monitor (nil unless BuildOpts asked
+	// Health is the device-health monitor (nil unless an option asked
 	// for it): per-die wear heatmaps, per-region GC efficiency, the SLO
 	// engine and the optional live HTTP monitoring surface.
 	Health *health.Monitor
 	// CmdLog is the system-owned per-die command timeline feeding blame
-	// analysis (nil unless BuildOpts.Blame attached it). A user trace
+	// analysis (nil unless WithBlame attached it). A user trace
 	// hook installed via Sched.Trace/WithTrace still fires: the builder
 	// chains it behind the log's recorder.
 	CmdLog *trace.CmdLog
@@ -94,77 +94,90 @@ type System struct {
 
 	// Log backing chosen by the stack: exactly one of logVol (page
 	// volume; nil selects the default zero-latency memory volume) and
-	// flashLog (native append-only region) is non-nil after Build.
+	// flashLog (native append-only region) is non-nil after New.
 	logVol   storage.Volume
 	flashLog storage.AppendLog
 }
 
-// BuildOpts tunes the optional subsystems of a System. The zero value
-// reproduces the classic build: no command scheduler, GC at the
-// volume's low-water mark (inline plus db-writer-driven).
-type BuildOpts struct {
-	// Sched attaches a native command scheduler to the device and routes
+// options is what the Option functions tune: the optional subsystems
+// of a System. The zero value is the classic build: no command
+// scheduler, GC at the volume's low-water mark (inline plus
+// db-writer-driven).
+type options struct {
+	// sched attaches a native command scheduler to the device and routes
 	// the NoFTL volume's (and log region's) commands through per-class
 	// views. Block-device stacks ignore it — an on-device FTL behind the
 	// legacy interface is exactly the thing the host cannot schedule.
-	Sched *sched.Config
-	// BackgroundGC configures NoFTL volumes for worker-driven GC
-	// (noftl.Config.BackgroundGC) and makes runners start the background
-	// maintenance workers.
-	BackgroundGC bool
-	// ScanResistant segments the engine's buffer-pool clock so scan
-	// traffic cannot evict the OLTP working set (HTAP experiment).
-	ScanResistant bool
-	// PrefetchWindow sets the engine's Scan read-ahead depth in pages
-	// (0: off). Read-ahead also needs prefetcher processes at run time.
-	PrefetchWindow int
-	// Layout overrides the region-managed stack's default layout
-	// (Config.Layout via the facade). Ignored by every other stack.
-	Layout *region.Layout
-	// Telemetry attaches the cross-layer telemetry pipeline: a metrics
-	// registry over every layer's counters, a periodic sim-time sampler,
-	// and a flight recorder for request spans (System.Tel).
-	Telemetry *telemetry.Config
-	// Health attaches the device-health monitor on top of telemetry
-	// (System.Health): snapshot probes over every layer, SLO rules
-	// evaluated at each sampler tick, and the optional live HTTP
-	// surface. Implies a default Telemetry config when none is set.
-	Health *health.Config
-	// Blame attaches the latency root-cause engine: a system-owned
-	// command log on the scheduler's trace hook (System.CmdLog) joined
-	// at System.Blame() time with the flight recorder's retained spans.
-	// Implies a scheduler (default priority) and telemetry with span
-	// retention.
-	Blame *blame.Config
+	sched         *sched.Config
+	backgroundGC  bool
+	scanResistant bool
+	prefetch      int
+	telemetry     *telemetry.Config
+	// health implies a default telemetry config when none is set.
+	health *health.Config
+	// blame implies a scheduler (default priority) and telemetry with
+	// span retention.
+	blame *blame.Config
 }
 
-// Build assembles a full system: NAND device, flash management (host-
-// or device-side), volume adapter, formatted engine. The log lives on a
-// zero-latency memory volume for every stack except the single-volume
-// and region-managed ones, so measured differences come from the data
-// path.
-func Build(stack Stack, devCfg flash.Config, frames int) (*System, error) {
-	return BuildWithOpts(stack, devCfg, frames, BuildOpts{})
-}
+// New assembles a full system from a config plus options — NAND device,
+// flash management (host- or device-side), volume adapter, optional
+// scheduler and observability, formatted engine. It is the one builder
+// entry: the public noftl.NewSystem facade, the experiment drivers and
+// the benchmark all come through here. The log lives on a zero-latency
+// memory volume for every stack except the single-volume and
+// region-managed ones, so measured differences come from the data path.
+func New(cfg Config, optFns ...Option) (_ *System, err error) {
+	var opts options
+	for _, o := range optFns {
+		o(&opts)
+	}
+	stack := cfg.Stack
+	if stack == "" {
+		stack = StackNoFTLRegions
+	}
+	var devCfg flash.Config
+	if cfg.Device != nil {
+		devCfg = *cfg.Device
+	} else {
+		dies := cfg.Dies
+		if dies <= 0 {
+			dies = 8
+		}
+		mb := cfg.CapacityMB
+		if mb <= 0 {
+			mb = 64
+		}
+		devCfg = flash.EmulatorConfig(dies, mb, cfg.Cell)
+	}
+	frames := cfg.Frames
+	if frames <= 0 {
+		frames = 256
+	}
 
-// BuildWithOpts is Build with scheduler/background-GC options.
-func BuildWithOpts(stack Stack, devCfg flash.Config, frames int, opts BuildOpts) (*System, error) {
 	devCfg.Nand.StoreData = true
 	dev := flash.New(devCfg)
 	k := sim.New()
+	// A failed build must not leak the procs already created on k (die
+	// schedulers, the sampler).
+	defer func() {
+		if err != nil {
+			k.Shutdown()
+		}
+	}()
 	s := &System{Stack: stack, Dev: dev, Ctx: storage.NewIOCtx(&sim.ClockWaiter{}), K: k,
-		BackgroundGC: opts.BackgroundGC}
+		BackgroundGC: opts.backgroundGC}
 	pageSize := devCfg.Geometry.PageSize
 
-	if opts.Blame != nil {
+	if opts.blame != nil {
 		// Blame needs the full command timeline and the spans to join it
 		// against: own a CmdLog on the trace hook (chaining any caller
 		// hook behind it) and force span retention. The scheduler and
 		// telemetry configs are copied before mutation so option values
 		// stay caller-owned.
 		sc := sched.Config{Policy: sched.Priority}
-		if opts.Sched != nil {
-			sc = *opts.Sched
+		if opts.sched != nil {
+			sc = *opts.sched
 		}
 		log := &trace.CmdLog{}
 		if prev := sc.Trace; prev != nil {
@@ -175,21 +188,21 @@ func BuildWithOpts(stack Stack, devCfg flash.Config, frames int, opts BuildOpts)
 		} else {
 			sc.Trace = log.Record
 		}
-		opts.Sched = &sc
+		opts.sched = &sc
 		s.CmdLog = log
-		s.blameCfg = opts.Blame
+		s.blameCfg = opts.blame
 
 		tc := telemetry.Config{}
-		if opts.Telemetry != nil {
-			tc = *opts.Telemetry
+		if opts.telemetry != nil {
+			tc = *opts.telemetry
 		}
 		tc.RetainSpans = true
-		opts.Telemetry = &tc
+		opts.telemetry = &tc
 	}
 
 	var devs noftl.ClassDevs
-	if opts.Sched != nil {
-		s.Sched = sched.New(k, dev, *opts.Sched)
+	if opts.sched != nil {
+		s.Sched = sched.New(k, dev, *opts.sched)
 		devs = noftl.ClassDevs{
 			Read:     s.Sched.Bind(sched.ClassRead),
 			WAL:      s.Sched.Bind(sched.ClassWAL),
@@ -201,7 +214,7 @@ func BuildWithOpts(stack Stack, devCfg flash.Config, frames int, opts BuildOpts)
 
 	switch stack {
 	case StackNoFTL, StackNoFTLDelta:
-		v, err := noftl.New(dev, noftl.Config{Devs: devs, BackgroundGC: opts.BackgroundGC})
+		v, err := noftl.New(dev, noftl.Config{Devs: devs, BackgroundGC: opts.backgroundGC})
 		if err != nil {
 			return nil, err
 		}
@@ -238,7 +251,7 @@ func BuildWithOpts(stack Stack, devCfg flash.Config, frames int, opts BuildOpts)
 		// mapping scheme, one write frontier for every stream (hints
 		// ignored); the log is just a window of the page space.
 		v, err := noftl.New(dev, noftl.Config{DisableHints: true, Devs: devs,
-			BackgroundGC: opts.BackgroundGC})
+			BackgroundGC: opts.backgroundGC})
 		if err != nil {
 			return nil, err
 		}
@@ -260,17 +273,17 @@ func BuildWithOpts(stack Stack, devCfg flash.Config, frames int, opts BuildOpts)
 		// Region-managed placement: the engine declares WAL → log region
 		// and heaps/B+-trees → data region through the catalog.
 		lay := region.DefaultDBLayout(regionLogDies(devCfg.Geometry.Dies()))
-		if opts.Layout != nil {
+		if cfg.Layout != nil {
 			// Deep-copy the caller's layout: the builder mutates region
 			// specs (scheduler, BackgroundGC) and must not write through
 			// the shared Regions slice into the caller's value.
-			lay = *opts.Layout
-			lay.Regions = append([]region.Spec(nil), opts.Layout.Regions...)
+			lay = *cfg.Layout
+			lay.Regions = append([]region.Spec(nil), cfg.Layout.Regions...)
 		}
 		lay.Scheduler = s.Sched
 		for i := range lay.Regions {
 			if lay.Regions[i].Mapping == region.PageMapped {
-				lay.Regions[i].BackgroundGC = opts.BackgroundGC
+				lay.Regions[i].BackgroundGC = opts.backgroundGC
 			}
 		}
 		m, err := region.New(dev, lay)
@@ -293,34 +306,24 @@ func BuildWithOpts(stack Stack, devCfg flash.Config, frames int, opts BuildOpts)
 	engCfg := storage.EngineConfig{
 		BufferFrames:   frames,
 		DeltaWrites:    stack == StackNoFTLDelta,
-		ScanResistant:  opts.ScanResistant,
-		PrefetchWindow: opts.PrefetchWindow,
+		ScanResistant:  opts.scanResistant,
+		PrefetchWindow: opts.prefetch,
 	}
 	if s.flashLog != nil {
-		if err := storage.FormatFlashLog(s.Ctx, s.Vol, s.flashLog); err != nil {
-			return nil, err
+		if err = storage.FormatFlashLog(s.Ctx, s.Vol, s.flashLog); err == nil {
+			s.Engine, err = storage.OpenFlashLog(s.Ctx, s.Vol, s.flashLog, engCfg)
 		}
-		e, err := storage.OpenFlashLog(s.Ctx, s.Vol, s.flashLog, engCfg)
-		if err != nil {
-			return nil, err
+	} else {
+		if s.logVol == nil {
+			s.logVol = storage.NewMemVolume(pageSize, 1<<14)
 		}
-		s.Engine = e
-		if err := s.startTelemetry(opts); err != nil {
-			return nil, err
+		if err = storage.Format(s.Ctx, s.Vol, s.logVol); err == nil {
+			s.Engine, err = storage.Open(s.Ctx, s.Vol, s.logVol, engCfg)
 		}
-		return s, nil
 	}
-	if s.logVol == nil {
-		s.logVol = storage.NewMemVolume(pageSize, 1<<14)
-	}
-	if err := storage.Format(s.Ctx, s.Vol, s.logVol); err != nil {
-		return nil, err
-	}
-	e, err := storage.Open(s.Ctx, s.Vol, s.logVol, engCfg)
 	if err != nil {
 		return nil, err
 	}
-	s.Engine = e
 	if err := s.startTelemetry(opts); err != nil {
 		return nil, err
 	}
@@ -332,15 +335,15 @@ func BuildWithOpts(stack Stack, devCfg flash.Config, frames int, opts BuildOpts)
 // column order, so it must stay deterministic: fixed layers first, then
 // optional ones gated on what the stack attached. A health config
 // implies telemetry (the monitor rides the sampler).
-func (s *System) startTelemetry(opts BuildOpts) error {
-	cfg := opts.Telemetry
-	if cfg == nil {
-		if opts.Health == nil {
+func (s *System) startTelemetry(opts options) error {
+	tc := opts.telemetry
+	if tc == nil {
+		if opts.health == nil {
 			return nil
 		}
-		cfg = &telemetry.Config{}
+		tc = &telemetry.Config{}
 	}
-	t := telemetry.New(*cfg)
+	t := telemetry.New(*tc)
 	s.Tel = t
 
 	dev := s.Dev
@@ -421,7 +424,7 @@ func (s *System) startTelemetry(opts BuildOpts) error {
 		})
 	}
 
-	if err := s.startHealth(opts.Health); err != nil {
+	if err := s.startHealth(opts.health); err != nil {
 		return err
 	}
 
@@ -566,7 +569,7 @@ func (s *System) Close() error {
 // queue waits attributed to the commands that occupied the die ahead,
 // aggregated into the victim×culprit interference matrix, per-span
 // blame decompositions and flame-graph exports. It returns nil unless
-// the system was built with BuildOpts.Blame. Call it after the run (it
+// the system was built with WithBlame. Call it after the run (it
 // analyzes whatever the log and recorder hold at that point).
 func (s *System) Blame() *blame.Report {
 	if s.CmdLog == nil || s.blameCfg == nil || s.Tel == nil {
@@ -616,7 +619,7 @@ func (s *System) Snapshot() Snapshot {
 // tenant catalog, the session record API and the admission controller.
 // With telemetry attached it also registers the serve.* metrics and —
 // under serve.ControlFull — hooks the burn-rate SLO guard on the
-// sampler tick; call it after Build and before the kernel runs (the
+// sampler tick; call it after New and before the kernel runs (the
 // registry seals at the first sample).
 func (s *System) StartServe(cfg serve.Config) (*serve.Front, error) {
 	f, err := serve.New(s.Engine, cfg)
@@ -677,18 +680,18 @@ type Config struct {
 	Layout *region.Layout
 }
 
-// Option tunes the optional subsystems a facade-built system attaches.
-type Option func(*BuildOpts)
+// Option tunes the optional subsystems New attaches.
+type Option func(*options)
 
 // WithScheduler attaches a native command scheduler with the given
 // configuration. A trace hook already installed by WithTrace survives
 // (option order must not matter).
 func WithScheduler(cfg sched.Config) Option {
-	return func(o *BuildOpts) {
-		if o.Sched != nil && cfg.Trace == nil {
-			cfg.Trace = o.Sched.Trace
+	return func(o *options) {
+		if o.sched != nil && cfg.Trace == nil {
+			cfg.Trace = o.sched.Trace
 		}
-		o.Sched = &cfg
+		o.sched = &cfg
 	}
 }
 
@@ -700,21 +703,23 @@ func WithPriorityScheduler() Option {
 }
 
 // WithBackgroundGC builds the NoFTL volumes for worker-driven garbage
-// collection (the write path keeps only the emergency free-block floor).
+// collection (the write path keeps only the emergency free-block floor)
+// and makes runners start the background maintenance workers.
 func WithBackgroundGC() Option {
-	return func(o *BuildOpts) { o.BackgroundGC = true }
+	return func(o *options) { o.backgroundGC = true }
 }
 
 // WithScanResistance segments the buffer-pool clock so scan traffic
 // cannot evict the OLTP working set.
 func WithScanResistance() Option {
-	return func(o *BuildOpts) { o.ScanResistant = true }
+	return func(o *options) { o.scanResistant = true }
 }
 
 // WithPrefetch enables sequential read-ahead with the given window (in
-// pages).
+// pages; 0: off). Read-ahead also needs prefetcher processes at run
+// time.
 func WithPrefetch(window int) Option {
-	return func(o *BuildOpts) { o.PrefetchWindow = window }
+	return func(o *options) { o.prefetch = window }
 }
 
 // WithTelemetry attaches the cross-layer telemetry pipeline: request
@@ -723,7 +728,7 @@ func WithPrefetch(window int) Option {
 // sampler, and a flight recorder retaining the slowest spans and all
 // deadline misses.
 func WithTelemetry(cfg telemetry.Config) Option {
-	return func(o *BuildOpts) { o.Telemetry = &cfg }
+	return func(o *options) { o.telemetry = &cfg }
 }
 
 // WithHealth attaches the device-health monitor: per-die wear
@@ -732,7 +737,7 @@ func WithTelemetry(cfg telemetry.Config) Option {
 // a live HTTP surface serving /metrics, /health and /alerts. Implies
 // default telemetry when no WithTelemetry option is given.
 func WithHealth(cfg health.Config) Option {
-	return func(o *BuildOpts) { o.Health = &cfg }
+	return func(o *options) { o.health = &cfg }
 }
 
 // WithBlame attaches the latency root-cause engine: the builder owns a
@@ -742,50 +747,17 @@ func WithHealth(cfg health.Config) Option {
 // scheduler when no scheduler option is given; composes with WithTrace
 // (the user hook chains behind the log's recorder) in either order.
 func WithBlame(cfg blame.Config) Option {
-	return func(o *BuildOpts) { o.Blame = &cfg }
+	return func(o *options) { o.blame = &cfg }
 }
 
 // WithTrace registers a command-trace hook (one event per dispatched
 // flash command) on the scheduler. It requires a scheduler option; with
 // none it attaches a default priority scheduler.
 func WithTrace(fn func(sched.Event)) Option {
-	return func(o *BuildOpts) {
-		if o.Sched == nil {
-			o.Sched = &sched.Config{Policy: sched.Priority}
+	return func(o *options) {
+		if o.sched == nil {
+			o.sched = &sched.Config{Policy: sched.Priority}
 		}
-		o.Sched.Trace = fn
+		o.sched.Trace = fn
 	}
-}
-
-// New builds a system from a facade config plus options — the public
-// noftl.NewSystem entry point.
-func New(cfg Config, opts ...Option) (*System, error) {
-	var bo BuildOpts
-	for _, o := range opts {
-		o(&bo)
-	}
-	bo.Layout = cfg.Layout
-	stack := cfg.Stack
-	if stack == "" {
-		stack = StackNoFTLRegions
-	}
-	devCfg := flash.Config{}
-	if cfg.Device != nil {
-		devCfg = *cfg.Device
-	} else {
-		dies := cfg.Dies
-		if dies <= 0 {
-			dies = 8
-		}
-		mb := cfg.CapacityMB
-		if mb <= 0 {
-			mb = 64
-		}
-		devCfg = flash.EmulatorConfig(dies, mb, cfg.Cell)
-	}
-	frames := cfg.Frames
-	if frames <= 0 {
-		frames = 256
-	}
-	return BuildWithOpts(stack, devCfg, frames, bo)
 }

@@ -327,6 +327,16 @@ func NewTPCH(cfg TPCHConfig) Workload { return workload.NewTPCH(cfg) }
 // --- experiments (the paper's tables and figures) ---
 
 type (
+	// ExperimentParams is the parameter block every kernel-driven
+	// experiment config embeds: geometry, client and db-writer counts,
+	// pool size, warm-up and measure windows, seed, and the
+	// observability attachments (telemetry, blame, health, command
+	// trace). A zero field takes the experiment's own default.
+	ExperimentParams = bench.Params
+	// ObservedRun is what a run's observability attachments produced
+	// (telemetry pipeline, command log, blame report, health snapshot);
+	// experiment rows embed one.
+	ObservedRun = bench.Observed
 	// Fig3Config / Fig3Result: Figure 3, GC overhead FASTer vs NoFTL.
 	Fig3Config = bench.Fig3Config
 	// Fig3Result holds the Figure-3 table.

@@ -166,17 +166,23 @@ func StartTerminals(k *Kernel, e *Engine, wl Workload, cfg TerminalConfig) *Term
 
 type (
 	// TPSConfig drives a throughput measurement (terminals, db-writers,
-	// checkpointing, warm-up and measure windows, tagging).
+	// warm-up and measure windows, tagging, deadlines).
 	TPSConfig = bench.TPSConfig
-	// TPSResult is one throughput measurement with latency histograms
-	// and cross-layer counters.
-	TPSResult = bench.TPSResult
+	// RunResult is what one measured run produced: per-client-group
+	// throughput and latency with their totals, the read-miss latency,
+	// the end-of-run cross-layer counter snapshot (embedded:
+	// Device/FTL/Sched/Buffer/Regions) and maintenance progress. Every
+	// experiment row carries one.
+	RunResult = bench.RunResult
+	// GroupResult is one client group's share of a RunResult (a tenant,
+	// the OLTP stream, the analytical stream).
+	GroupResult = bench.GroupResult
 )
 
 // RunTPS loads wl on the system, then measures transaction throughput
 // under the DES kernel: terminal processes, background db-writers, a
 // checkpointer, and (on background-GC systems) flash-maintenance
 // workers.
-func RunTPS(sys *System, wl Workload, cfg TPSConfig) (*TPSResult, error) {
+func RunTPS(sys *System, wl Workload, cfg TPSConfig) (*RunResult, error) {
 	return bench.RunTPS(sys, wl, cfg)
 }
