@@ -9,7 +9,7 @@ import (
 // Suppression comments.
 //
 // A finding that is deliberate — the wall-clock bridge in sim, a test
-// that exists to exercise the nil-context fallback — is silenced in
+// that exists to prove a zero-value context panics — is silenced in
 // place with
 //
 //	//noftl:ignore <analyzer> <reason>

@@ -14,9 +14,9 @@ import (
 //     volume's fallback routing — exactly the "layered stack loses
 //     request semantics" failure the descriptor exists to prevent. A
 //     deliberately intent-free descriptor is spelled ioreq.Plain(w).
-//   - A zero-value storage.IOCtx{} handed to an API call falls back to
-//     a private serial clock at runtime; the NilCtxFallbacks counter
-//     catches that only on exercised paths. Build contexts with
+//   - A zero-value storage.IOCtx{} handed to an API call has no waiter
+//     and panics at its first I/O — at runtime, and only on exercised
+//     paths; this rule is the static guard. Build contexts with
 //     storage.NewIOCtx instead.
 //   - In serve-layer packages (import path suffix "/serve"), a keyed
 //     ioreq.Req or storage.IOCtx literal must also set Tag: the serving
@@ -139,6 +139,6 @@ func checkZeroIOCtx(pass *Pass, call *ast.CallExpr) {
 			continue
 		}
 		pass.Reportf(arg.Pos(),
-			"zero-value storage.IOCtx passed to a call: it substitutes a private clock at runtime (counted by NilCtxFallbacks); build the context with storage.NewIOCtx")
+			"zero-value storage.IOCtx passed to a call: it has no waiter and panics at its first I/O; build the context with storage.NewIOCtx")
 	}
 }

@@ -115,7 +115,7 @@ func (jr *JSONResult) setSchedAccounting(res *RunResult) {
 		}
 		jr.QueueWaitMeanUs = us(total / sim.Time(n))
 	}
-	jr.EraseSuspends = res.Device.EraseSuspends
+	jr.EraseSuspends = res.Sched.EraseSuspends
 	jr.DeadlinePromotions = res.Sched.DeadlinePromotions
 }
 

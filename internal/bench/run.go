@@ -116,7 +116,7 @@ func background(wc storage.WriterConfig) []starter {
 		},
 		func(r *running) {
 			if v := r.sys.NoFTL; v != nil && !r.sys.BackgroundGC {
-				wc.DriveGC, wc.GC, wc.NeedsGC = true, v.GCStep, v.NeedsGC
+				wc.GC, wc.NeedsGC = v.GCStep, v.NeedsGC
 			}
 			r.stops = append(r.stops, r.sys.Engine.StartWriters(r.sys.K, wc))
 		},

@@ -134,7 +134,7 @@ func (r *SchedResult) Table() string {
 		t.Row(string(row.Mode), row.Result.TPS,
 			c.Percentile(50).String(), c.Percentile(95).String(), c.Percentile(99).String(),
 			rd.Percentile(50).String(), rd.Percentile(95).String(), rd.Percentile(99).String(),
-			row.Result.Device.Erases, row.Result.Device.EraseSuspends,
+			row.Result.Device.Erases, row.Result.Sched.EraseSuspends,
 			row.Result.GCSteps, fmt.Sprintf("%.0f%%", 100*row.Occupancy))
 	}
 	return t.String()

@@ -57,10 +57,10 @@ func TestSchedAblationSmoke(t *testing.T) {
 		t.Fatal("inline mode ran background GC workers")
 	}
 	prio := res.row(SchedPriority)
-	if prio.Result.Device.EraseSuspends == 0 {
+	if prio.Result.Sched.EraseSuspends == 0 {
 		t.Fatal("priority mode never suspended an erase")
 	}
-	if res.row(SchedInline).Result.Device.EraseSuspends != 0 {
+	if res.row(SchedInline).Result.Sched.EraseSuspends != 0 {
 		t.Fatal("FCFS mode suspended an erase")
 	}
 	// Priority scheduling must shorten the read tail versus FCFS inline
@@ -89,7 +89,6 @@ func TestSchedAblationDeterministic(t *testing.T) {
 	for i := range a.Rows {
 		ra, rb := a.Rows[i].Result, b.Rows[i].Result
 		if ra.Committed != rb.Committed || ra.Device.Erases != rb.Device.Erases ||
-			ra.Device.EraseSuspends != rb.Device.EraseSuspends ||
 			ra.Sched != rb.Sched {
 			t.Fatalf("nondeterministic %s ablation:\n%+v\n%+v",
 				a.Rows[i].Mode, ra.Device, rb.Device)

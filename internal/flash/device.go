@@ -97,25 +97,7 @@ type Stats struct {
 	CopybackTime    sim.Time
 	DieBusy         []sim.Time // per-die accumulated service time
 	ChannelBusy     []sim.Time // per-channel accumulated transfer time
-	// Scheduler-reported accounting (zero without a command scheduler):
-	// time commands spent in host-side queues before reaching their die,
-	// how many commands were queued, and how often an in-flight erase was
-	// suspended to let a read through.
-	QueueWait     sim.Time
-	QueuedCmds    int64
-	EraseSuspends int64
-	// Per-class queue accounting (indices follow the scheduler's class
-	// order: read, wal, program, prefetch, gc). With per-request
-	// descriptors (package ioreq) the class here is the one the request
-	// declared, so the attribution is exact per stream class.
-	ClassQueueWait  [NumSchedClasses]sim.Time
-	ClassQueuedCmds [NumSchedClasses]int64
 }
-
-// NumSchedClasses sizes the per-class queue accounting in Stats. It
-// mirrors the command scheduler's class count (package sched) without
-// importing it.
-const NumSchedClasses = 5
 
 // Device is the emulated native-flash device.
 type Device struct {
@@ -228,28 +210,6 @@ func (d *Device) ResetStats() {
 	for _, fn := range hooks {
 		fn()
 	}
-}
-
-// NoteQueueWait records time a command spent queued in a host-side
-// scheduler before reaching its die, attributed to the class the command
-// dispatched at. Package sched calls it at dispatch; the wait surfaces
-// in Stats alongside device service times.
-func (d *Device) NoteQueueWait(class int, wait sim.Time) {
-	d.mu.Lock()
-	d.stats.QueueWait += wait
-	d.stats.QueuedCmds++
-	if class >= 0 && class < NumSchedClasses {
-		d.stats.ClassQueueWait[class] += wait
-		d.stats.ClassQueuedCmds[class]++
-	}
-	d.mu.Unlock()
-}
-
-// NoteEraseSuspend records one erase suspension issued by a scheduler.
-func (d *Device) NoteEraseSuspend() {
-	d.mu.Lock()
-	d.stats.EraseSuspends++
-	d.mu.Unlock()
 }
 
 // ReadPage executes READ PAGE: tR on the die, then the transfer on the

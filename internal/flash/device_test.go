@@ -352,34 +352,6 @@ func TestEraseChunkAccounting(t *testing.T) {
 	}
 }
 
-// TestNoteQueueWaitSurfacesInStats checks the scheduler accounting
-// round-trip and that ResetStats clears it.
-func TestNoteQueueWaitSurfacesInStats(t *testing.T) {
-	dev := New(smallConfig())
-	dev.NoteQueueWait(0, 120*sim.Microsecond)
-	dev.NoteQueueWait(4, 30*sim.Microsecond)
-	dev.NoteEraseSuspend()
-	st := dev.Stats()
-	if st.QueuedCmds != 2 || st.QueueWait != 150*sim.Microsecond || st.EraseSuspends != 1 {
-		t.Fatalf("queue accounting = %+v", st)
-	}
-	if st.ClassQueueWait[0] != 120*sim.Microsecond || st.ClassQueuedCmds[0] != 1 ||
-		st.ClassQueueWait[4] != 30*sim.Microsecond || st.ClassQueuedCmds[4] != 1 {
-		t.Fatalf("per-class queue accounting = %+v", st)
-	}
-	// Out-of-range classes count only in the aggregate.
-	dev.NoteQueueWait(-1, sim.Microsecond)
-	dev.NoteQueueWait(NumSchedClasses, sim.Microsecond)
-	if st = dev.Stats(); st.QueuedCmds != 4 {
-		t.Fatalf("aggregate should still count: %+v", st)
-	}
-	dev.ResetStats()
-	st = dev.Stats()
-	if st.QueuedCmds != 0 || st.QueueWait != 0 || st.EraseSuspends != 0 || st.ClassQueuedCmds[0] != 0 {
-		t.Fatalf("ResetStats left accounting: %+v", st)
-	}
-}
-
 // TestOnResetHooksFire checks hooks run on both reset paths.
 func TestOnResetHooksFire(t *testing.T) {
 	dev := New(smallConfig())

@@ -9,19 +9,22 @@
 // attached to the request itself:
 //
 //   - Class declares the scheduler priority class the request should
-//     dispatch at. ClassDefault means "whatever the volume's per-class
-//     device routing (noftl.ClassDevs) would have picked" — the
-//     pre-descriptor behavior, kept as the fallback.
+//     dispatch at. ClassDefault declares nothing: the command's op type
+//     decides (the per-class device view the volume issued it through,
+//     noftl.ClassDevs).
 //   - Tag names the request's stream (a terminal group, the
 //     checkpointer, a GC worker), so per-stream latency attribution in
 //     the command log is exact even when two streams share a class.
 //   - Deadline is an optional promotion point: a Priority scheduler
 //     serves a past-deadline command ahead of its class.
 //
-// Layers that speak plain sim.Waiter (flash.Dev and below) receive the
-// descriptor riding on a Tagged waiter; the scheduler unwraps it at the
-// die queue. Layers above speak Req (noftl.Volume, ftl.SeqLog) or
-// storage.IOCtx, which embeds the same fields.
+// Req is the only declaration of those fields and this package the only
+// one that knows how a descriptor crosses the layers that speak plain
+// sim.Waiter (flash.Dev and below): a *Req is itself a sim.Waiter, so
+// the descriptor IS the waiter handed down, and the scheduler recovers
+// it at the die queue (From). The engine's storage.IOCtx is this type
+// under its engine-level name; a context-borne request goes down as a
+// pointer to the context itself, with no per-call wrapper.
 package ioreq
 
 import "noftl/internal/sim"
@@ -33,8 +36,8 @@ type Class uint8
 
 // Request classes, highest priority first after the default.
 const (
-	// ClassDefault declares nothing: the volume's per-class device
-	// routing decides (the static-ClassDevs fallback).
+	// ClassDefault declares nothing: the command's op type decides (the
+	// per-class device view it is issued through, noftl.ClassDevs).
 	ClassDefault Class = iota
 	// ClassRead is foreground page reads (query latency).
 	ClassRead
@@ -70,16 +73,16 @@ func (c Class) String() string {
 	}
 }
 
-// Req is the request descriptor handed to host-side flash management
-// (noftl.Volume, ftl.SeqLog, region rebuilds): the waiter that
-// experiences the request's latency plus the intent that should travel
-// with it.
+// Req is the request descriptor: the waiter that experiences the
+// request's latency plus the intent that travels with it. Host-side
+// flash management (noftl.Volume, ftl.SeqLog, region rebuilds) takes it
+// by value; the engine holds one per process as a *storage.IOCtx.
 type Req struct {
-	// W experiences the request's latency. Nil gets a private serial
-	// clock (unit-test convenience, mirrored by storage.IOCtx).
+	// W experiences the request's latency. It is mandatory: a descriptor
+	// without one panics at its first I/O.
 	W sim.Waiter
-	// Class is the declared scheduler class (ClassDefault: volume
-	// routing decides).
+	// Class is the declared scheduler class (ClassDefault: the command's
+	// op type decides).
 	Class Class
 	// Tag is the request's stream/transaction tag (0: untagged).
 	Tag uint32
@@ -113,57 +116,50 @@ func (r Req) WithTag(tag uint32) Req {
 	return r
 }
 
-// Waiter returns the waiter lower layers should be handed: the bare
-// waiter when the descriptor carries no intent, a Tagged wrapper
-// otherwise (never nil — a nil W becomes a private serial clock).
-func (r Req) Waiter() sim.Waiter {
-	w := r.W
-	if w == nil {
-		w = &sim.ClockWaiter{}
-	}
-	if !r.Intent() {
-		return w
-	}
-	return &Tagged{Inner: w, Class: r.Class, Tag: r.Tag, Deadline: r.Deadline, Span: r.Span}
-}
-
-// Tagged is a sim.Waiter carrying the request descriptor across layers
-// that speak plain waiters (flash.Dev and below). The command scheduler
-// unwraps it at the die queue; an unscheduled device just experiences it
-// as the inner waiter.
-type Tagged struct {
-	Inner    sim.Waiter
-	Class    Class
-	Tag      uint32
-	Deadline sim.Time
-	Span     *Span
-}
-
-// Now implements sim.Waiter.
-func (t *Tagged) Now() sim.Time { return t.Inner.Now() }
+// Now implements sim.Waiter: a *Req is the waiter lower layers are
+// handed, experiencing latency on W.
+func (r *Req) Now() sim.Time { return r.W.Now() }
 
 // WaitUntil implements sim.Waiter.
-func (t *Tagged) WaitUntil(ts sim.Time) { t.Inner.WaitUntil(ts) }
+func (r *Req) WaitUntil(ts sim.Time) { r.W.WaitUntil(ts) }
 
-// From recovers the descriptor riding on a waiter: the Tagged wrapper's
-// fields, or an intent-free descriptor around w itself.
+// Waiter returns the waiter lower layers should be handed. An
+// intent-free descriptor hands down W itself — the bare waiter, or the
+// context a request rides on (storage.IOCtx.Req), so neither allocates.
+// A by-value descriptor that declares intent goes down as a copy of
+// itself; its declaration replaces one already riding on W, so a *Req
+// never nests inside a *Req.
+func (r Req) Waiter() sim.Waiter {
+	if !r.Intent() {
+		return r.W
+	}
+	// The copy escapes, not the parameter, so the intent-free path above
+	// stays allocation-free.
+	d := r
+	if in, ok := r.W.(*Req); ok {
+		d.W = in.W
+	}
+	return &d
+}
+
+// From recovers the descriptor riding on a waiter: the *Req's fields, or
+// an intent-free descriptor around w itself.
 func From(w sim.Waiter) Req {
-	if t, ok := w.(*Tagged); ok {
-		return Req{W: t.Inner, Class: t.Class, Tag: t.Tag, Deadline: t.Deadline, Span: t.Span}
+	if r, ok := w.(*Req); ok {
+		return *r
 	}
 	return Req{W: w}
 }
 
-// WithClass returns w re-tagged to class c, preserving any tag and
-// deadline already riding on it. Host-side maintenance uses it to keep
+// WithClass returns w re-tagged to class c, preserving any tag, deadline
+// and span already riding on it. Host-side maintenance uses it to keep
 // induced traffic (GC copies, truncation erases, salvage) in the GC
 // class while still attributing it to the stream that caused it.
 func WithClass(w sim.Waiter, c Class) sim.Waiter {
-	if t, ok := w.(*Tagged); ok {
-		if t.Class == c {
-			return w
-		}
-		return &Tagged{Inner: t.Inner, Class: c, Tag: t.Tag, Deadline: t.Deadline, Span: t.Span}
+	if r, ok := w.(*Req); ok && r.Class == c {
+		return w
 	}
-	return &Tagged{Inner: w, Class: c}
+	r := From(w)
+	r.Class = c
+	return &r
 }

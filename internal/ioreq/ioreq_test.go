@@ -13,55 +13,87 @@ func TestPlainWaiterPassesThrough(t *testing.T) {
 	}
 }
 
-func TestNilWaiterGetsPrivateClock(t *testing.T) {
-	w := Req{}.Waiter()
-	if w == nil {
-		t.Fatal("nil W must yield a usable waiter")
-	}
-	w.WaitUntil(100)
-	if w.Now() != 100 {
-		t.Fatalf("private clock did not advance: %v", w.Now())
-	}
-}
-
-func TestTaggedRoundTrip(t *testing.T) {
+// TestReqIsTheWaiter: a descriptor with intent goes down as a *Req, time
+// flows through to W, and From recovers every field.
+func TestReqIsTheWaiter(t *testing.T) {
 	cw := &sim.ClockWaiter{}
-	rq := Req{W: cw, Class: ClassGC, Tag: 7, Deadline: 42}
+	sp := NewSpan(1, 7, 0)
+	rq := Req{W: cw, Class: ClassGC, Tag: 7, Deadline: 42, Span: sp}
 	w := rq.Waiter()
-	tagged, ok := w.(*Tagged)
-	if !ok {
-		t.Fatalf("descriptor with intent must wrap: %T", w)
+	if _, ok := w.(*Req); !ok {
+		t.Fatalf("descriptor with intent must ride as *Req: %T", w)
 	}
-	if tagged.Inner != sim.Waiter(cw) {
-		t.Fatal("inner waiter lost")
+	if back := From(w); back != rq {
+		t.Fatalf("From lost fields: %+v, want %+v", back, rq)
 	}
-	back := From(w)
-	if back.Class != ClassGC || back.Tag != 7 || back.Deadline != 42 || back.W != sim.Waiter(cw) {
-		t.Fatalf("From lost fields: %+v", back)
-	}
-	// Delegation: time flows through to the inner waiter.
 	w.WaitUntil(9)
 	if cw.T != 9 || w.Now() != 9 {
-		t.Fatalf("tagged waiter must delegate: cw=%v now=%v", cw.T, w.Now())
+		t.Fatalf("*Req must delegate to W: cw=%v now=%v", cw.T, w.Now())
+	}
+	if got := From(cw); got != Plain(cw) {
+		t.Fatalf("From on a bare waiter: %+v", got)
 	}
 }
 
-func TestWithClassPreservesTagAndDeadline(t *testing.T) {
+// TestContextRidesAsWaiter: a long-lived descriptor handed down by
+// pointer (how storage.IOCtx goes down) is the waiter itself, and what a
+// later submit reads is whatever the owner set in between.
+func TestContextRidesAsWaiter(t *testing.T) {
 	cw := &sim.ClockWaiter{}
-	w := (Req{W: cw, Class: ClassWAL, Tag: 3, Deadline: 10}).Waiter()
-	gw := WithClass(w, ClassGC)
-	got := From(gw)
-	if got.Class != ClassGC || got.Tag != 3 || got.Deadline != 10 {
-		t.Fatalf("WithClass lost fields: %+v", got)
+	ctx := &Req{W: cw, Class: ClassRead, Tag: 3}
+	w := Plain(ctx).Waiter()
+	if w != sim.Waiter(ctx) {
+		t.Fatalf("a context-borne request must go down as the context, got %T", w)
 	}
-	// Same class: no new wrapper.
+	if n := testing.AllocsPerRun(100, func() { _ = Plain(ctx).Waiter() }); n != 0 {
+		t.Fatalf("handing a context down allocated %v times", n)
+	}
+	sp := NewSpan(2, 3, 0)
+	ctx.Deadline, ctx.Span = 500, sp
+	if got := From(w); got.Deadline != 500 || got.Span != sp || got.Tag != 3 || got.Class != ClassRead {
+		t.Fatalf("submit would not see the context's current state: %+v", got)
+	}
+}
+
+// nested reports whether a *Req rides inside w's *Req.
+func nested(w sim.Waiter) bool {
+	r, ok := w.(*Req)
+	if !ok {
+		return false
+	}
+	_, in := r.W.(*Req)
+	return in
+}
+
+func TestWithClassPreservesIntentAndNeverNests(t *testing.T) {
+	cw := &sim.ClockWaiter{}
+	sp := NewSpan(3, 3, 0)
+	w := (Req{W: cw, Class: ClassWAL, Tag: 3, Deadline: 10, Span: sp}).Waiter()
+	gw := WithClass(w, ClassGC)
+	want := Req{W: cw, Class: ClassGC, Tag: 3, Deadline: 10, Span: sp}
+	if got := From(gw); got != want {
+		t.Fatalf("WithClass lost fields: %+v, want %+v", got, want)
+	}
+	if nested(gw) {
+		t.Fatal("WithClass nested a *Req inside a *Req")
+	}
+	if From(w).Class != ClassWAL {
+		t.Fatal("WithClass mutated the descriptor it derived from")
+	}
+	// Same class: no new descriptor.
 	if WithClass(gw, ClassGC) != gw {
 		t.Fatal("re-tagging to the same class should be a no-op")
 	}
-	// Untagged waiter: wraps with just the class.
-	got = From(WithClass(cw, ClassGC))
-	if got.Class != ClassGC || got.Tag != 0 || got.Deadline != 0 {
+	// Bare waiter: just the class.
+	if got := From(WithClass(cw, ClassGC)); got != (Req{W: cw, Class: ClassGC}) {
 		t.Fatalf("WithClass on bare waiter: %+v", got)
+	}
+	// A by-value declaration over a context-borne waiter replaces the
+	// context's and stays flat.
+	ctx := &Req{W: cw, Class: ClassRead, Tag: 9}
+	over := Plain(ctx).WithClass(ClassGC).Waiter()
+	if nested(over) || From(over) != (Req{W: cw, Class: ClassGC}) {
+		t.Fatalf("by-value intent over a context: %+v (nested=%v)", From(over), nested(over))
 	}
 }
 

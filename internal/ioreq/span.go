@@ -3,8 +3,7 @@ package ioreq
 import "noftl/internal/sim"
 
 // Request spans: the telemetry side of the cross-layer descriptor. A
-// Span rides on the descriptor (Req.Span, and Tagged.Span across
-// plain-waiter layers) and collects timestamped stage events as the
+// Span rides on the descriptor (Req.Span) and collects timestamped stage events as the
 // request crosses the stack — engine, buffer pool, WAL flush, volume,
 // scheduler queue, die service — so one commit's end-to-end latency
 // decomposes exactly into per-layer durations.

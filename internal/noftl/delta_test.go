@@ -9,6 +9,7 @@ import (
 	"noftl/internal/delta"
 	"noftl/internal/flash"
 	"noftl/internal/nand"
+	"noftl/internal/sched"
 	"noftl/internal/sim"
 )
 
@@ -428,5 +429,81 @@ func TestDeltaBytesBeatFullPages(t *testing.T) {
 	withDelta := run(true)
 	if withDelta*2 >= full {
 		t.Fatalf("delta path programmed %d bytes, full-page %d: want <50%%", withDelta, full)
+	}
+}
+
+// TestChainedReadDispatchesAtDeclaredClass: a read of a page with a
+// delta chain costs several flash reads (base image plus delta pages),
+// and every one of them must dispatch at the class the request declared
+// — a speculative read-ahead of a chained page may not put
+// foreground-class reads on the die queues. A read declaring nothing
+// dispatches them all at the foreground read class.
+func TestChainedReadDispatchesAtDeclaredClass(t *testing.T) {
+	dc := flash.EmulatorConfig(2, 8, nand.SLC)
+	dc.Nand.StoreData = true
+	dev := flash.New(dc)
+	k := sim.New()
+	defer k.Shutdown()
+	var evs []sched.Event
+	s := sched.New(k, dev, sched.Config{Policy: sched.Priority,
+		Trace: func(ev sched.Event) { evs = append(evs, ev) }})
+	v, err := New(dev, Config{MaxDeltaChain: 8, Devs: ClassDevs{
+		Read: s.Bind(sched.ClassRead), WAL: s.Bind(sched.ClassWAL),
+		Data: s.Bind(sched.ClassProgram), GC: s.Bind(sched.ClassGC),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Serial set-up bypasses the queues: a base image and a 3-record chain.
+	rng := rand.New(rand.NewSource(1))
+	want := make([]byte, v.Identify().Geometry.PageSize)
+	rng.Read(want)
+	cw := ioreq.Plain(&sim.ClockWaiter{})
+	if err := v.Write(cw, 3, want); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := v.WriteDelta(cw, 3, mutate(rng, want, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var afterPrefetch sched.Stats
+	var prefetchCmds int
+	k.Go("reader", func(p *sim.Proc) {
+		rq := ioreq.Plain(sim.ProcWaiter{P: p})
+		buf := make([]byte, len(want))
+		for _, r := range []ioreq.Req{rq.WithClass(ioreq.ClassPrefetch), rq} {
+			if err := v.Read(r, 3, buf); err != nil {
+				t.Error(err)
+			}
+			if !bytes.Equal(buf, want) {
+				t.Errorf("class-%v read did not reproduce the folded page", r.Class)
+			}
+			if r.Class == ioreq.ClassPrefetch {
+				afterPrefetch, prefetchCmds = s.Stats(), len(evs)
+			}
+		}
+	})
+	k.Run()
+
+	n := afterPrefetch.Scheduled[sched.ClassPrefetch]
+	if n < 2 || afterPrefetch.TotalScheduled() != n {
+		t.Fatalf("prefetch read of a chained page must dispatch only prefetch commands (base + delta pages): %v",
+			afterPrefetch.Scheduled)
+	}
+	st := s.Stats()
+	if st.Scheduled[sched.ClassRead] != n || st.TotalScheduled() != 2*n {
+		t.Fatalf("default read of the same page must dispatch the same %d commands at the read class only: %v",
+			n, st.Scheduled)
+	}
+	for i, ev := range evs {
+		wantClass := sched.ClassPrefetch
+		if i >= prefetchCmds {
+			wantClass = sched.ClassRead
+		}
+		if ev.Op != "read" || ev.Class != wantClass {
+			t.Fatalf("command %d: %+v, want a %v-class read", i, ev, wantClass)
+		}
 	}
 }

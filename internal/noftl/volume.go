@@ -97,11 +97,10 @@ type Config struct {
 // view, so an attached scheduler can prioritize foreground traffic over
 // maintenance. The zero value routes everything to the raw device.
 type ClassDevs struct {
-	Read     flash.Dev // foreground page reads
-	WAL      flash.Dev // HintLog appends (commit path)
-	Data     flash.Dev // data page programs and delta appends
-	Prefetch flash.Dev // speculative read-ahead (never outranks Read/WAL)
-	GC       flash.Dev // GC copies, folds, erases, wear moves
+	Read flash.Dev // page reads
+	WAL  flash.Dev // HintLog appends (commit path)
+	Data flash.Dev // data page programs and delta appends
+	GC   flash.Dev // GC copies, folds, erases, wear moves
 }
 
 func (c ClassDevs) withDefault(dev flash.Dev) ClassDevs {
@@ -113,10 +112,6 @@ func (c ClassDevs) withDefault(dev flash.Dev) ClassDevs {
 	}
 	if c.Data == nil {
 		c.Data = dev
-	}
-	if c.Prefetch == nil {
-		// An unscheduled volume serves prefetches like any other read.
-		c.Prefetch = c.Read
 	}
 	if c.GC == nil {
 		c.GC = dev
@@ -168,10 +163,9 @@ type dieMgr struct {
 	sp            ftl.DieSpace
 	bt            *ftl.BlockTable
 	cfg           Config
-	devFG         flash.Dev // foreground reads
+	devFG         flash.Dev // reads
 	devWAL        flash.Dev // log appends
 	devData       flash.Dev // data programs, delta appends
-	devPrefetch   flash.Dev // speculative read-ahead
 	devGC         flash.Dev // maintenance traffic
 	idx           int       // position within the volume's stripe
 	stripe        int       // number of dies in the volume
@@ -240,27 +234,26 @@ func newDieMgr(dev *flash.Device, die, idx, stripe int, cfg Config) (*dieMgr, er
 	sp := ftl.NewDieSpace(dev, die)
 	devs := cfg.Devs.withDefault(dev)
 	d := &dieMgr{
-		sp:          sp,
-		bt:          ftl.NewBlockTable(sp),
-		cfg:         cfg,
-		devFG:       devs.Read,
-		devWAL:      devs.WAL,
-		devData:     devs.Data,
-		devPrefetch: devs.Prefetch,
-		devGC:       devs.GC,
-		idx:         idx,
-		stripe:      stripe,
-		hot:         make([]ftl.Frontier, sp.Planes()),
-		cold:        make([]ftl.Frontier, sp.Planes()),
-		gc:          make([]ftl.Frontier, sp.Planes()),
-		deltaFr:     make([]ftl.Frontier, sp.Planes()),
-		logFr:       make([]ftl.Frontier, sp.Planes()),
-		open:        make([]openDeltaPage, sp.Planes()),
-		chains:      map[int64][]chainRef{},
-		deltaPages:  map[nand.PPN]*deltaPageInfo{},
-		nop:         dev.Array().MaxPartialPrograms(),
-		storeData:   dev.Array().StoresData(),
-		gcActive:    make([]bool, sp.Planes()),
+		sp:         sp,
+		bt:         ftl.NewBlockTable(sp),
+		cfg:        cfg,
+		devFG:      devs.Read,
+		devWAL:     devs.WAL,
+		devData:    devs.Data,
+		devGC:      devs.GC,
+		idx:        idx,
+		stripe:     stripe,
+		hot:        make([]ftl.Frontier, sp.Planes()),
+		cold:       make([]ftl.Frontier, sp.Planes()),
+		gc:         make([]ftl.Frontier, sp.Planes()),
+		deltaFr:    make([]ftl.Frontier, sp.Planes()),
+		logFr:      make([]ftl.Frontier, sp.Planes()),
+		open:       make([]openDeltaPage, sp.Planes()),
+		chains:     map[int64][]chainRef{},
+		deltaPages: map[nand.PPN]*deltaPageInfo{},
+		nop:        dev.Array().MaxPartialPrograms(),
+		storeData:  dev.Array().StoresData(),
+		gcActive:   make([]bool, sp.Planes()),
 	}
 	for p := 0; p < sp.Planes(); p++ {
 		d.hot[p] = ftl.NewFrontier()
@@ -353,25 +346,14 @@ func (v *Volume) RegionStats(region int) ftl.Stats { return v.dies[region].stats
 // Read reads a logical page. Unwritten or invalidated pages read as
 // zeros without touching flash. The request descriptor's declared class
 // (if any) overrides the volume's foreground-read routing at an attached
-// scheduler.
+// scheduler — for every flash read the call causes, a delta-chain fold
+// included: a read declaring ioreq.ClassPrefetch queues below foreground
+// reads, WAL appends and data programs.
 func (v *Volume) Read(rq ioreq.Req, lpn int64, buf []byte) error {
 	if err := v.check(lpn); err != nil {
 		return err
 	}
 	return v.dies[v.st.DieOf(lpn)].read(rq.Waiter(), v.st.DieLPN(lpn), buf)
-}
-
-// ReadPrefetch reads a logical page through the prefetch command class:
-// on a scheduled volume the read queues below foreground reads, WAL
-// appends and data programs, so speculative read-ahead can pipeline
-// across dies without ever delaying OLTP traffic. Without a scheduler it
-// is identical to Read.
-func (v *Volume) ReadPrefetch(rq ioreq.Req, lpn int64, buf []byte) error {
-	if err := v.check(lpn); err != nil {
-		return err
-	}
-	d := v.dies[v.st.DieOf(lpn)]
-	return d.readVia(rq.Waiter(), v.st.DieLPN(lpn), buf, d.devPrefetch)
 }
 
 // Write writes a logical page out-of-place with default placement.
@@ -484,14 +466,6 @@ func (v *Volume) check(lpn int64) error {
 }
 
 func (d *dieMgr) read(w sim.Waiter, dlpn int64, buf []byte) error {
-	return d.readVia(w, dlpn, buf, d.devFG)
-}
-
-// readVia reads a die-local page issuing the flash read on dev (the
-// foreground class for queries, the prefetch class for read-ahead).
-// Delta-chain folds always run at foreground priority: a fold touches
-// several pages and its result is needed by whoever triggered it.
-func (d *dieMgr) readVia(w sim.Waiter, dlpn int64, buf []byte, dev flash.Dev) error {
 	ppn := d.l2p[dlpn]
 	chain := d.chains[dlpn]
 	if ppn == nand.InvalidPPN && len(chain) == 0 {
@@ -510,7 +484,7 @@ func (d *dieMgr) readVia(w sim.Waiter, dlpn int64, buf []byte, dev flash.Dev) er
 		return d.readFolded(w, dlpn, ppn, chain, buf, false)
 	}
 	d.stats.HostReads++
-	_, err := dev.ReadPage(w, ppn, buf)
+	_, err := d.devFG.ReadPage(w, ppn, buf)
 	return err
 }
 

@@ -189,24 +189,29 @@ func Rebuild(dev *flash.Device, layout Layout, rq ioreq.Req) (*Manager, error) {
 	return build(dev, layout, &rq)
 }
 
+// ClassDevs builds the per-class device views a volume or log region
+// issues its commands through on a scheduled device — the op-type
+// default class of every command whose request declares none. A nil
+// scheduler gives the zero value: everything on the raw device.
+func ClassDevs(s *sched.Scheduler) noftl.ClassDevs {
+	if s == nil {
+		return noftl.ClassDevs{}
+	}
+	return noftl.ClassDevs{
+		Read: s.Bind(sched.ClassRead),
+		WAL:  s.Bind(sched.ClassWAL),
+		Data: s.Bind(sched.ClassProgram),
+		GC:   s.Bind(sched.ClassGC),
+	}
+}
+
 func build(dev *flash.Device, layout Layout, rebuild *ioreq.Req) (*Manager, error) {
 	assign, err := assignDies(dev, layout)
 	if err != nil {
 		return nil, err
 	}
 	m := &Manager{dev: dev, layout: layout, byName: map[string]*Region{}}
-	var devs noftl.ClassDevs
-	var walDev, gcDev flash.Dev
-	if s := layout.Scheduler; s != nil {
-		devs = noftl.ClassDevs{
-			Read:     s.Bind(sched.ClassRead),
-			WAL:      s.Bind(sched.ClassWAL),
-			Data:     s.Bind(sched.ClassProgram),
-			Prefetch: s.Bind(sched.ClassPrefetch),
-			GC:       s.Bind(sched.ClassGC),
-		}
-		walDev, gcDev = devs.WAL, devs.GC
-	}
+	devs := ClassDevs(layout.Scheduler)
 	for i, spec := range layout.Regions {
 		r := &Region{Name: spec.Name, Spec: spec, Dies: assign[i], mapping: spec.Mapping}
 		switch spec.Mapping {
@@ -232,8 +237,8 @@ func build(dev *flash.Device, layout Layout, rebuild *ioreq.Req) (*Manager, erro
 			cfg := ftl.SeqLogConfig{
 				Dies:          assign[i],
 				ReservePerDie: spec.ReservePerDie,
-				Dev:           walDev,
-				GCDev:         gcDev,
+				Dev:           devs.WAL,
+				GCDev:         devs.GC,
 			}
 			if rebuild != nil {
 				r.Log, err = ftl.RebuildSeqLog(dev, cfg, *rebuild)

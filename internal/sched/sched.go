@@ -20,9 +20,9 @@
 // bounding read tail latency at roughly tSUS+tR instead of tBERS.
 // Suspensions per erase are capped so erases cannot starve.
 //
-// Queue waits are accounted per class and surfaced both here (Stats) and
-// through flash.Device.Stats (NoteQueueWait); the optional Trace hook
-// emits one Event per command for offline analysis (trace.CmdLog).
+// Queue waits and erase suspensions are accounted per class here, and
+// only here (Stats); the optional Trace hook emits one Event per command
+// for offline analysis (trace.CmdLog).
 //
 // Serial callers (sim.ClockWaiter phases: loads, trace replays, rebuild
 // scans) bypass the queues entirely — there is nothing to schedule when
@@ -505,7 +505,6 @@ func (ds *dieSched) account(r *request, now sim.Time) {
 	if r.dlPromoted {
 		st.DeadlinePromotions++
 	}
-	ds.s.dev.NoteQueueWait(int(r.class), wait)
 }
 
 // issue submits the command to the device on w. With a ClockWaiter the
@@ -569,7 +568,6 @@ func (ds *dieSched) serveErase(p *sim.Proc, r *request) {
 		slice := p.Now() - sliceStart
 		suspends++
 		s.stats.EraseSuspends++
-		s.dev.NoteEraseSuspend()
 		p.Sleep(s.id.Timing.EraseSuspend)
 		if err := s.dev.EraseChunk(&sim.ClockWaiter{T: p.Now()}, r.pbn, slice+s.id.Timing.EraseSuspend, false); err != nil {
 			r.err = err

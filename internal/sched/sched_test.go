@@ -138,9 +138,6 @@ func TestEraseSuspension(t *testing.T) {
 	if st.EraseSuspends != 1 {
 		t.Fatalf("EraseSuspends = %d, want 1", st.EraseSuspends)
 	}
-	if dev.Stats().EraseSuspends != 1 {
-		t.Fatalf("device EraseSuspends = %d, want 1", dev.Stats().EraseSuspends)
-	}
 	if dev.Stats().Erases != 1 {
 		t.Fatalf("device Erases = %d, want 1", dev.Stats().Erases)
 	}

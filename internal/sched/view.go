@@ -11,11 +11,12 @@ import (
 // a fixed priority class. Host-side managers hold one view per command
 // class (noftl.ClassDevs) and stay oblivious to the scheduling.
 //
-// The view's class is only the fallback: a request descriptor riding on
-// the waiter (ioreq.Tagged) overrides it, so the die queue dispatches on
-// the class the request declared at its origin — the engine, a workload
-// terminal, a background worker — rather than on whichever device view
-// the volume happened to route the command through.
+// The view's class is the op-type default: a request descriptor handed
+// down as the waiter (*ioreq.Req) that declares a class overrides it, so
+// the die queue dispatches on the class the request declared at its
+// origin — the engine, a workload terminal, a prefetcher, a background
+// worker — rather than on whichever device view the volume happened to
+// route the command through.
 type view struct {
 	s *Scheduler
 	c Class
@@ -45,28 +46,22 @@ func (v view) Array() *nand.Array { return v.s.dev.Array() }
 // time) is transferred to the die stage, splitting queue wait from die
 // service exactly.
 func (v view) submit(w sim.Waiter, r *request, die int) bool {
-	cls, retagged := v.c, false
-	var sp *ioreq.Span
-	if t, ok := w.(*ioreq.Tagged); ok {
-		if c, declared := FromRequest(t.Class); declared {
-			retagged = c != cls
-			cls = c
-		}
-		r.tag = t.Tag
-		r.deadline = t.Deadline
-		sp = t.Span
-		w = t.Inner
-	}
-	pw, ok := w.(sim.ProcWaiter)
+	rq := ioreq.From(w)
+	pw, ok := rq.W.(sim.ProcWaiter)
 	if !ok || pw.P.Kernel() != v.s.k {
 		v.s.stats.Bypassed++
 		return false
 	}
-	if retagged {
-		v.s.stats.Retagged++
+	r.class = v.c
+	if c, declared := FromRequest(rq.Class); declared {
+		if c != v.c {
+			v.s.stats.Retagged++
+		}
+		r.class = c
 	}
-	r.class = cls
+	r.tag, r.deadline = rq.Tag, rq.Deadline
 	r.arrival = pw.P.Now()
+	sp := rq.Span
 	if sp != nil {
 		sp.Cmds++
 		sp.Enter(ioreq.StageSchedQ, r.arrival)

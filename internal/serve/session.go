@@ -39,22 +39,13 @@ func (s *Session) Close() {
 	}
 }
 
-// waiterOf extracts the caller's waiter, substituting a private serial
-// clock for a missing one (unit-test convenience, mirroring IOCtx).
-func waiterOf(ctx *storage.IOCtx) sim.Waiter {
-	if ctx != nil && ctx.W != nil {
-		return ctx.W
-	}
-	return &sim.ClockWaiter{}
-}
-
 // admit runs one request through the admission controller and returns
 // the stamped context it should execute under. Paced requests sleep on
 // the caller's waiter until their token exists; shed requests sleep the
 // client backoff and then surface ErrShed — either way the simulated
 // clock advances, so admission can never livelock the kernel.
 func (s *Session) admit(ctx *storage.IOCtx) (*storage.IOCtx, error) {
-	w := waiterOf(ctx)
+	w := ctx.W
 	for {
 		d := s.f.admit(s.t, w.Now())
 		if d.shed {
@@ -67,23 +58,20 @@ func (s *Session) admit(ctx *storage.IOCtx) (*storage.IOCtx, error) {
 		}
 		now := w.Now()
 		deadline := sim.Time(0)
-		if ctx != nil && ctx.Deadline > 0 {
+		if ctx.Deadline > 0 {
 			// The caller (a terminal stamping per-transaction deadlines)
 			// already set the SLO point; keep it.
 			deadline = ctx.Deadline
 		} else if s.t.spec.Deadline > 0 {
 			deadline = now + s.t.spec.Deadline
 		}
-		out := &storage.IOCtx{
+		return &storage.IOCtx{
 			W:        w,
 			Class:    d.class,
 			Tag:      s.t.spec.Tag,
 			Deadline: deadline,
-		}
-		if ctx != nil {
-			out.Span = ctx.Span
-		}
-		return out, nil
+			Span:     ctx.Span,
+		}, nil
 	}
 }
 

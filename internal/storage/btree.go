@@ -36,7 +36,7 @@ var ErrNoKey = errors.New("storage: key not found")
 // for it to wait because no latch holder ever blocks on a lock (locks
 // are always acquired before latches).
 func (e *Engine) latchIndex(ctx *IOCtx, o *object, patient bool) error {
-	wait := ctx.waiter()
+	wait := ctx.W
 	deadline := wait.Now() + e.lt.timeout
 	for o.latched {
 		if !patient && wait.Now() >= deadline {

@@ -127,7 +127,6 @@ type BufferPool struct {
 	prefetchQ   []PageID
 	prefetchSet map[PageID]struct{}
 	prefetchCap int
-	prefVol     PrefetchVolume // nil: read-ahead uses the foreground path
 
 	// readLat, when set, records the latency of every volume read miss
 	// — the foreground read latency a query experiences when its page is
@@ -158,9 +157,6 @@ func NewBufferPool(vol Volume, wal *WAL, n int) *BufferPool {
 		dirty:       make([]map[PageID]*Frame, vol.Regions()),
 		prefetchSet: map[PageID]struct{}{},
 		prefetchCap: 64,
-	}
-	if pv, ok := vol.(PrefetchVolume); ok {
-		bp.prefVol = pv
 	}
 	for i := range bp.frames {
 		data := make([]byte, vol.PageSize())
@@ -300,11 +296,11 @@ func (bp *BufferPool) TotalDirty() int {
 // must coalesce onto one frame, or updates split across twins and the
 // page is silently corrupted.
 func (bp *BufferPool) Pin(ctx *IOCtx, id PageID, fresh bool) (*Frame, error) {
-	if sp := ctx.span(); sp != nil {
+	if sp := ctx.Span; sp != nil {
 		// Telemetry: the whole pin — hit bookkeeping, victim eviction,
 		// miss read — is the span's buffer stage; the volume read nests
 		// its own stage inside.
-		w := ctx.waiter()
+		w := ctx.W
 		sp.Enter(ioreq.StageBuffer, w.Now())
 		f, err := bp.pin(ctx, id, fresh)
 		sp.Exit(w.Now())
@@ -314,7 +310,7 @@ func (bp *BufferPool) Pin(ctx *IOCtx, id PageID, fresh bool) (*Frame, error) {
 }
 
 func (bp *BufferPool) pin(ctx *IOCtx, id PageID, fresh bool) (*Frame, error) {
-	wait := ctx.waiter()
+	wait := ctx.W
 	for {
 		if f, ok := bp.table[id]; ok {
 			if f.loading {
@@ -454,7 +450,7 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool, lsn uint64) {
 // segment is at its cap does the hand demote protected frames whose ref
 // bit has been cleared, making room for newly promoted pages.
 func (bp *BufferPool) grabVictim(ctx *IOCtx) (*Frame, error) {
-	wait := ctx.waiter()
+	wait := ctx.W
 	laps := 2
 	if bp.scanResist {
 		laps = 4
@@ -676,12 +672,14 @@ func (bp *BufferPool) PopPrefetch() (PageID, bool) {
 	return id, true
 }
 
-// Prefetch loads one page into the pool without pinning it, reading
-// through the volume's prefetch class when it has one (PrefetchVolume)
-// so the flash read never outranks foreground traffic. The page lands
-// probationary with its ref bit clear: if no query touches it before
-// the clock comes around, it is the first thing evicted.
-func (bp *BufferPool) Prefetch(ctx *IOCtx, id PageID) error {
+// Prefetch loads one page into the pool without pinning it. The read
+// goes down on load, the prefetcher's context declaring
+// ioreq.ClassPrefetch, so it never outranks foreground traffic at a
+// scheduler; making room first is ordinary write-back and runs on ctx.
+// The page lands probationary with its ref bit clear: if no query
+// touches it before the clock comes around, it is the first thing
+// evicted.
+func (bp *BufferPool) Prefetch(ctx, load *IOCtx, id PageID) error {
 	if id < 0 || int64(id) >= bp.vol.Pages() {
 		return nil
 	}
@@ -714,11 +712,7 @@ func (bp *BufferPool) Prefetch(ctx *IOCtx, id PageID) error {
 	f.bulk = false
 	f.tracker.Reset()
 	bp.table[id] = f
-	if bp.prefVol != nil {
-		err = bp.prefVol.PrefetchPage(ctx, id, f.Data)
-	} else {
-		err = bp.vol.ReadPage(ctx, id, f.Data)
-	}
+	err = bp.vol.ReadPage(load, id, f.Data)
 	f.loading = false
 	f.stealing = false
 	if err != nil || bp.table[id] != f {
@@ -788,7 +782,7 @@ func (bp *BufferPool) MinRecLSN() uint64 {
 // and skipped if they stay pinned (their recLSN keeps them covered by
 // the checkpoint's redo bound).
 func (bp *BufferPool) FlushSnapshot(ctx *IOCtx) error {
-	wait := ctx.waiter()
+	wait := ctx.W
 	var snapshot []*Frame
 	for _, region := range bp.dirty {
 		snapshot = append(snapshot, sortedFrames(region)...)
@@ -815,7 +809,7 @@ func (bp *BufferPool) FlushSnapshot(ctx *IOCtx) error {
 
 // FlushAll writes back every dirty page (checkpoints, shutdown).
 func (bp *BufferPool) FlushAll(ctx *IOCtx) error {
-	wait := ctx.waiter()
+	wait := ctx.W
 	for _, region := range bp.dirty {
 		for len(region) > 0 {
 			progressed := false

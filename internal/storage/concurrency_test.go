@@ -17,7 +17,7 @@ type DelayVolume struct {
 
 // ReadPage implements Volume.
 func (d *DelayVolume) ReadPage(ctx *IOCtx, id PageID, buf []byte) error {
-	w := ctx.waiter()
+	w := ctx.W
 	if err := d.Volume.ReadPage(ctx, id, buf); err != nil {
 		return err
 	}
@@ -29,7 +29,7 @@ func (d *DelayVolume) ReadPage(ctx *IOCtx, id PageID, buf []byte) error {
 // happens at submit; the latency follows — the same semantics as the
 // flash device.
 func (d *DelayVolume) WritePage(ctx *IOCtx, id PageID, data []byte, h WriteHint) error {
-	w := ctx.waiter()
+	w := ctx.W
 	if err := d.Volume.WritePage(ctx, id, data, h); err != nil {
 		return err
 	}

@@ -56,7 +56,7 @@ func (lt *LockTable) acquire(ctx *IOCtx, tx uint64, key lockKey) error {
 		return nil
 	}
 	e.queue = append(e.queue, tx)
-	wait := ctx.waiter()
+	wait := ctx.W
 	deadline := wait.Now() + lt.timeout
 	for {
 		wait.WaitUntil(wait.Now() + 100*sim.Microsecond)

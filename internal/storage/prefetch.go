@@ -16,18 +16,12 @@ type PrefetcherConfig struct {
 	// OnError receives a prefetcher's fatal error; the process then
 	// stops. Nil ignores errors (read-ahead is best-effort).
 	OnError func(error)
-	// Class, when not ioreq.ClassDefault, is declared on every request
-	// the prefetchers issue (per-request tagging); the default leaves
-	// routing to the volume's prefetch device view.
-	Class ioreq.Class
-	// Tag is the stream tag the prefetchers attach to their requests.
-	Tag uint32
 }
 
 // StartPrefetchers launches background read-ahead processes on the
 // kernel. They drain the buffer pool's prefetch queue (filled by
 // Engine.Scan when it detects a sequential heap scan) and load each
-// requested page through the volume's low-priority prefetch class.
+// requested page on a context declaring ioreq.ClassPrefetch.
 // Several processes keep several reads in flight, which is what
 // pipelines a sequential scan across the dies. The returned stop
 // function halts them at their next poll.
@@ -41,14 +35,17 @@ func (e *Engine) StartPrefetchers(k *sim.Kernel, cfg PrefetcherConfig) (stop fun
 	stopped := false
 	for i := 0; i < cfg.N; i++ {
 		k.Go("prefetcher", func(p *sim.Proc) {
-			ctx := &IOCtx{W: sim.ProcWaiter{P: p}, Class: cfg.Class, Tag: cfg.Tag}
+			// Only the load is speculative: evicting a dirty victim to
+			// make room stays ordinary write-back on ctx.
+			ctx := NewIOCtx(sim.ProcWaiter{P: p})
+			load := ctx.WithClass(ioreq.ClassPrefetch)
 			for !stopped {
 				id, ok := e.bp.PopPrefetch()
 				if !ok {
 					p.Sleep(cfg.Interval)
 					continue
 				}
-				if err := e.bp.Prefetch(ctx, id); err != nil {
+				if err := e.bp.Prefetch(ctx, load, id); err != nil {
 					if cfg.OnError != nil {
 						cfg.OnError(err)
 					}

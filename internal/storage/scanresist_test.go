@@ -3,6 +3,8 @@ package storage
 import (
 	"fmt"
 	"testing"
+
+	"noftl/internal/ioreq"
 )
 
 // buildScanTestEngine creates a memory-backed engine with a small pool,
@@ -235,7 +237,7 @@ func TestPrefetchLoadsProbationary(t *testing.T) {
 	if !ok || id != 7 {
 		t.Fatalf("PopPrefetch = %d,%v", id, ok)
 	}
-	if err := bp.Prefetch(ctx, id); err != nil {
+	if err := bp.Prefetch(ctx, ctx.WithClass(ioreq.ClassPrefetch), id); err != nil {
 		t.Fatal(err)
 	}
 	st := bp.Stats()

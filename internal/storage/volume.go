@@ -3,73 +3,54 @@ package storage
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"noftl/internal/delta"
 	"noftl/internal/ioreq"
+	"noftl/internal/noftl"
 	"noftl/internal/sim"
 )
 
-// IOCtx carries the execution context of an I/O — the cross-layer
-// request descriptor at the engine level: the Waiter that experiences
-// latency, plus the intent (scheduler class, stream tag, deadline) that
-// travels with every command the request causes, all the way to the
-// per-die queues. A nil IOCtx (or nil Waiter) gets a private serial
-// clock, convenient in unit tests; the substitution is counted
-// (NilCtxFallbacks) so missing plumbing cannot hide behind it.
-type IOCtx struct {
-	W sim.Waiter
-	// Class is the scheduler class the request declares for its flash
-	// commands (ioreq.ClassDefault: the volume's per-class routing
-	// decides — the pre-descriptor behavior).
-	Class ioreq.Class
-	// Tag is the request's stream/transaction tag (0: untagged). It
-	// reaches the command log for per-stream latency attribution.
-	Tag uint32
-	// Deadline promotes the request's commands ahead of their class once
-	// the simulated clock passes it (0: none).
-	Deadline sim.Time
-	// Span, when non-nil, is the request's telemetry span: the buffer
-	// pool, the WAL and the volume adapters record their stage timings
-	// on it, and it travels on the descriptor down to the die queues.
-	Span *ioreq.Span
+// IOCtx is the request descriptor (ioreq.Req) under its engine-level
+// name: the Waiter that experiences an I/O's latency plus the intent
+// (scheduler class, stream tag, deadline, telemetry span) that travels
+// with every command the request causes, down to the per-die queues.
+// The engine holds contexts by pointer, one per process; the volume and
+// log adapters hand that pointer down as the waiter (Req), so the
+// context is the descriptor the scheduler reads at submit — a Deadline
+// or Span a terminal sets between transactions is what the next command
+// carries. A context is mandatory on every engine call and W on every
+// context: a nil *IOCtx or a zero-value IOCtx{} panics at its first I/O.
+type IOCtx ioreq.Req
+
+// NewIOCtx wraps a waiter into an intent-free context. A nil waiter
+// gets a private serial clock — the one place a missing waiter is
+// substituted (unit tests with no timeline of their own).
+func NewIOCtx(w sim.Waiter) *IOCtx {
+	if w == nil {
+		w = &sim.ClockWaiter{}
+	}
+	return &IOCtx{W: w}
 }
-
-// NewIOCtx wraps a waiter into an intent-free context.
-func NewIOCtx(w sim.Waiter) *IOCtx { return &IOCtx{W: w} }
-
-// nilCtxFallbacks counts waiter() calls that had to substitute a private
-// serial clock for a nil context or nil waiter. The fallback is
-// convenient in unit tests but in a fully plumbed stack it means a call
-// path dropped its descriptor — tests assert the counter stays flat.
-var nilCtxFallbacks atomic.Int64
-
-// NilCtxFallbacks returns how many I/O calls ran on a substituted
-// private clock because their IOCtx (or its waiter) was nil.
-func NilCtxFallbacks() int64 { return nilCtxFallbacks.Load() }
-
-// ResetNilCtxFallbacks zeroes the fallback counter (test setup).
-func ResetNilCtxFallbacks() { nilCtxFallbacks.Store(0) }
 
 // WithClass returns a derived context declaring the scheduler class.
 func (c *IOCtx) WithClass(cl ioreq.Class) *IOCtx {
-	d := c.clone()
+	d := *c
 	d.Class = cl
-	return d
+	return &d
 }
 
 // WithTag returns a derived context carrying the stream tag.
 func (c *IOCtx) WithTag(tag uint32) *IOCtx {
-	d := c.clone()
+	d := *c
 	d.Tag = tag
-	return d
+	return &d
 }
 
 // WithDeadline returns a derived context carrying the deadline.
 func (c *IOCtx) WithDeadline(t sim.Time) *IOCtx {
-	d := c.clone()
+	d := *c
 	d.Deadline = t
-	return d
+	return &d
 }
 
 // EnsureClass returns the context itself when it already declares a
@@ -77,53 +58,20 @@ func (c *IOCtx) WithDeadline(t sim.Time) *IOCtx {
 // is (the WAL knows it is flushing log records) use it to fill in the
 // default without overriding intent declared closer to the origin.
 func (c *IOCtx) EnsureClass(cl ioreq.Class) *IOCtx {
-	if c != nil && c.Class != ioreq.ClassDefault {
+	if c.Class != ioreq.ClassDefault {
 		return c
 	}
 	return c.WithClass(cl)
 }
 
-func (c *IOCtx) clone() *IOCtx {
-	if c == nil {
-		nilCtxFallbacks.Add(1)
-		return &IOCtx{W: &sim.ClockWaiter{}}
-	}
-	d := *c
-	return &d
-}
+// Req is the descriptor handed to host-side flash management
+// (noftl.Volume, ftl.SeqLog): the context itself riding as the waiter,
+// so handing a request down allocates nothing.
+func (c *IOCtx) Req() ioreq.Req { return ioreq.Plain((*ioreq.Req)(c)) }
 
-// Req converts the context into the descriptor handed to host-side
-// flash management (noftl.Volume, ftl.SeqLog).
-func (c *IOCtx) Req() ioreq.Req {
-	if c == nil || c.W == nil {
-		nilCtxFallbacks.Add(1)
-		if c == nil {
-			return ioreq.Plain(&sim.ClockWaiter{})
-		}
-		return ioreq.Req{W: &sim.ClockWaiter{}, Class: c.Class, Tag: c.Tag, Deadline: c.Deadline, Span: c.Span}
-	}
-	return ioreq.Req{W: c.W, Class: c.Class, Tag: c.Tag, Deadline: c.Deadline, Span: c.Span}
-}
-
-func (c *IOCtx) waiter() sim.Waiter {
-	if c == nil || c.W == nil {
-		nilCtxFallbacks.Add(1)
-		return &sim.ClockWaiter{}
-	}
-	return c.W
-}
-
-// span returns the telemetry span riding on the context (nil without
-// one — the instrumentation points' off switch).
-func (c *IOCtx) span() *ioreq.Span {
-	if c == nil {
-		return nil
-	}
-	return c.Span
-}
-
-// WriteHint mirrors noftl placement hints at the engine level.
-type WriteHint uint8
+// WriteHint is the placement hint of the native volume under the
+// engine's names.
+type WriteHint = noftl.Hint
 
 // Engine-level placement hints. HintHotData marks frequently updated
 // pages (indexes, re-flushed heap pages), HintColdData bulk-created
@@ -131,10 +79,10 @@ type WriteHint uint8
 // log-stream pages — each maps to its own write frontier on volumes
 // that honor placement.
 const (
-	HintNone WriteHint = iota
-	HintHotData
-	HintColdData
-	HintLog
+	HintNone     = noftl.HintDefault
+	HintHotData  = noftl.HintHot
+	HintColdData = noftl.HintCold
+	HintLog      = noftl.HintLog
 )
 
 // Volume is the engine's view of a storage device: a linear space of
@@ -170,17 +118,6 @@ type Volume interface {
 type DeltaVolume interface {
 	Volume
 	WriteDeltaPage(ctx *IOCtx, id PageID, payload []byte) error
-}
-
-// PrefetchVolume is the optional capability of volumes that can serve a
-// read at background priority: PrefetchPage is semantically identical
-// to ReadPage but the flash command is issued in a low-priority
-// scheduler class, so speculative read-ahead never overtakes foreground
-// reads or WAL appends. Volumes without a scheduler implement it as a
-// plain read.
-type PrefetchVolume interface {
-	Volume
-	PrefetchPage(ctx *IOCtx, id PageID, buf []byte) error
 }
 
 // MemVolume is an in-memory volume, used for unit tests and for the
@@ -249,12 +186,6 @@ func (v *MemVolume) WriteDeltaPage(ctx *IOCtx, id PageID, payload []byte) error 
 	return delta.Apply(v.pages[id], payload)
 }
 
-// PrefetchPage implements PrefetchVolume: memory has no command queue
-// to prioritize, so a prefetch is a plain read.
-func (v *MemVolume) PrefetchPage(ctx *IOCtx, id PageID, buf []byte) error {
-	return v.ReadPage(ctx, id, buf)
-}
-
 // Deallocate implements Volume.
 func (v *MemVolume) Deallocate(id PageID) {
 	v.mu.Lock()
@@ -311,18 +242,6 @@ func (s *SubVolume) check(id PageID) error {
 func (s *SubVolume) ReadPage(ctx *IOCtx, id PageID, buf []byte) error {
 	if err := s.check(id); err != nil {
 		return err
-	}
-	return s.inner.ReadPage(ctx, id+PageID(s.off), buf)
-}
-
-// PrefetchPage implements PrefetchVolume, forwarding to the backing
-// volume's prefetch class when it has one.
-func (s *SubVolume) PrefetchPage(ctx *IOCtx, id PageID, buf []byte) error {
-	if err := s.check(id); err != nil {
-		return err
-	}
-	if pv, ok := s.inner.(PrefetchVolume); ok {
-		return pv.PrefetchPage(ctx, id+PageID(s.off), buf)
 	}
 	return s.inner.ReadPage(ctx, id+PageID(s.off), buf)
 }

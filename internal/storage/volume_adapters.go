@@ -15,14 +15,13 @@ import (
 // so the volume stage ends up holding only mapping and device work done
 // outside the die queues.
 func spanVolume(ctx *IOCtx, fn func() error) error {
-	sp := ctx.span()
+	sp := ctx.Span
 	if sp == nil {
 		return fn()
 	}
-	w := ctx.waiter()
-	sp.Enter(ioreq.StageVolume, w.Now())
+	sp.Enter(ioreq.StageVolume, ctx.W.Now())
 	err := fn()
-	sp.Exit(w.Now())
+	sp.Exit(ctx.W.Now())
 	return err
 }
 
@@ -45,31 +44,15 @@ func (n *NoFTLVolume) PageSize() int { return n.pageSize }
 // Pages implements Volume.
 func (n *NoFTLVolume) Pages() int64 { return n.V.LogicalPages() }
 
-// ReadPage implements Volume. The context's request descriptor travels
-// down to the die queues.
+// ReadPage implements Volume. The context itself rides down to the die
+// queues as the waiter (IOCtx.Req).
 func (n *NoFTLVolume) ReadPage(ctx *IOCtx, id PageID, buf []byte) error {
 	return spanVolume(ctx, func() error { return n.V.Read(ctx.Req(), int64(id), buf) })
 }
 
 // WritePage implements Volume.
 func (n *NoFTLVolume) WritePage(ctx *IOCtx, id PageID, data []byte, hint WriteHint) error {
-	h := noftl.HintDefault
-	switch hint {
-	case HintHotData:
-		h = noftl.HintHot
-	case HintColdData:
-		h = noftl.HintCold
-	case HintLog:
-		h = noftl.HintLog
-	}
-	return spanVolume(ctx, func() error { return n.V.WriteHint(ctx.Req(), int64(id), data, h) })
-}
-
-// PrefetchPage implements PrefetchVolume: the read is issued through
-// the volume's prefetch command class, which an attached scheduler
-// serves below foreground reads, WAL appends and data programs.
-func (n *NoFTLVolume) PrefetchPage(ctx *IOCtx, id PageID, buf []byte) error {
-	return spanVolume(ctx, func() error { return n.V.ReadPrefetch(ctx.Req(), int64(id), buf) })
+	return spanVolume(ctx, func() error { return n.V.WriteHint(ctx.Req(), int64(id), data, hint) })
 }
 
 // WriteDeltaPage implements DeltaVolume: the differential is appended
@@ -114,12 +97,12 @@ func (b *BlockVolume) Pages() int64 { return b.D.Pages() }
 // semantic loss the NoFTL architecture removes — so only the waiter
 // crosses it.
 func (b *BlockVolume) ReadPage(ctx *IOCtx, id PageID, buf []byte) error {
-	return spanVolume(ctx, func() error { return b.D.Read(ctx.waiter(), int64(id), buf) })
+	return spanVolume(ctx, func() error { return b.D.Read(ctx.W, int64(id), buf) })
 }
 
 // WritePage implements Volume.
 func (b *BlockVolume) WritePage(ctx *IOCtx, id PageID, data []byte, _ WriteHint) error {
-	return spanVolume(ctx, func() error { return b.D.Write(ctx.waiter(), int64(id), data) })
+	return spanVolume(ctx, func() error { return b.D.Write(ctx.W, int64(id), data) })
 }
 
 // Deallocate implements Volume: silently dropped, as on real SATA-era

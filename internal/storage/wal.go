@@ -185,11 +185,11 @@ func (w *WAL) FlushBg(ctx *IOCtx, upTo uint64) error {
 }
 
 func (w *WAL) flush(ctx *IOCtx, upTo uint64) error {
-	if sp := ctx.span(); sp != nil {
+	if sp := ctx.Span; sp != nil {
 		// Telemetry: the whole flush — group-commit waits behind another
 		// flusher included — is the span's WAL stage; page writes nest
 		// the volume stage inside.
-		wait := ctx.waiter()
+		wait := ctx.W
 		sp.Enter(ioreq.StageWAL, wait.Now())
 		err := w.doFlush(ctx, upTo)
 		sp.Exit(wait.Now())
@@ -202,7 +202,7 @@ func (w *WAL) doFlush(ctx *IOCtx, upTo uint64) error {
 	if upTo > w.nextLSN {
 		upTo = w.nextLSN
 	}
-	wait := ctx.waiter()
+	wait := ctx.W
 	for w.durable < upTo {
 		if w.flushing {
 			// Another process is flushing; it will advance durable.

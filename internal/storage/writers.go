@@ -40,14 +40,13 @@ type WriterConfig struct {
 	// Watermark is the dirty-page count above which writers work
 	// continuously; below it they only trickle. Default: frames/8.
 	Watermark int
-	// DriveGC lets writers run background flash GC on their regions when
-	// the volume wants it (NoFTL integration).
-	DriveGC bool
-	// GC is the region-GC hook (wired to noftl.Volume.GCStep by the
-	// caller); nil disables. The descriptor the writers pass declares the
-	// GC class, so maintenance is tagged at its origin.
-	GC func(rq ioreq.Req, region int) (bool, error)
-	// NeedsGC reports whether a region wants background cleaning.
+	// GC and NeedsGC, set together, let writers run background flash GC
+	// on their regions when the volume wants it — the NoFTL integration
+	// for volumes built without maintenance workers (wired to
+	// noftl.Volume.GCStep/NeedsGC by the caller). The descriptor the
+	// writers pass declares the GC class, so maintenance is tagged at
+	// its origin.
+	GC      func(rq ioreq.Req, region int) (bool, error)
 	NeedsGC func(region int) bool
 	// Class, when not ioreq.ClassDefault, is declared on every request
 	// the writers issue (per-request tagging); the default leaves routing
@@ -83,7 +82,7 @@ func (e *Engine) StartWriters(k *sim.Kernel, cfg WriterConfig) (stop func()) {
 					if err == nil && ok {
 						worked = true
 					}
-					if cfg.DriveGC && cfg.GC != nil && cfg.NeedsGC != nil && cfg.NeedsGC(region) {
+					if cfg.GC != nil && cfg.NeedsGC(region) {
 						if did, err := cfg.GC(gcReq, region); err == nil && did {
 							worked = true
 						}
@@ -93,7 +92,7 @@ func (e *Engine) StartWriters(k *sim.Kernel, cfg WriterConfig) (stop func()) {
 					if err == nil && ok {
 						worked = true
 					}
-					if cfg.DriveGC && cfg.GC != nil && cfg.NeedsGC != nil {
+					if cfg.GC != nil {
 						for r := 0; r < regions; r++ {
 							if cfg.NeedsGC(r) {
 								if did, err := cfg.GC(gcReq, r); err == nil && did {

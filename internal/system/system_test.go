@@ -168,3 +168,47 @@ func TestCallerLayoutNotMutated(t *testing.T) {
 		t.Fatalf("caller's layout mutated:\n got %+v\nwant %+v", lay, before)
 	}
 }
+
+// TestPrefetcherReadsDispatchAtPrefetchClass: on a priority-scheduled
+// region stack, the reads the prefetcher processes issue are counted
+// under sched.ClassPrefetch and never under ClassRead — the class rides
+// on the prefetcher's request, there is no separate prefetch read path.
+func TestPrefetcherReadsDispatchAtPrefetchClass(t *testing.T) {
+	sys, err := New(smallConfig(StackNoFTLRegions), WithPriorityScheduler(), WithPrefetch(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pages on flash but not in the pool: written past the buffer, on the
+	// serial set-up clock (which bypasses the die queues).
+	const first, n = 200, 8
+	buf := make([]byte, sys.Vol.PageSize())
+	bp := sys.Engine.Buffer()
+	for id := storage.PageID(first); id < first+n; id++ {
+		if err := sys.Vol.WritePage(sys.Ctx, id, buf, storage.HintColdData); err != nil {
+			t.Fatal(err)
+		}
+		if !bp.RequestPrefetch(id) {
+			t.Fatalf("prefetch request for page %d rejected", id)
+		}
+	}
+	sys.Dev.ResetTime()
+	sys.Dev.ResetStats()
+	var fatal error
+	stop := sys.Engine.StartPrefetchers(sys.K, storage.PrefetcherConfig{N: 2,
+		OnError: func(err error) { fatal = err }})
+	sys.K.RunFor(50 * sim.Millisecond)
+	stop()
+	if fatal != nil {
+		t.Fatal(fatal)
+	}
+	st := sys.Sched.Stats()
+	if got := bp.Stats().Prefetches; got != n {
+		t.Fatalf("prefetched %d pages, want %d", got, n)
+	}
+	if st.Scheduled[sched.ClassPrefetch] != n || st.Scheduled[sched.ClassRead] != 0 {
+		t.Fatalf("prefetcher reads must dispatch at the prefetch class only: %v", st.Scheduled)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -8,9 +8,8 @@
 //
 // The layers themselves stay telemetry-free: package system registers
 // read-closures over the counters every layer already exposes
-// (flash.Stats, sched.Stats, ftl.Stats, BufferStats, WAL counters,
-// storage.NilCtxFallbacks), and request paths carry an optional
-// ioreq.Span that is nil when telemetry is off — a nil check per
+// (flash.Stats, sched.Stats, ftl.Stats, BufferStats, WAL counters), and
+// request paths carry an optional ioreq.Span that is nil when telemetry is off — a nil check per
 // instrumentation point is the entire disabled-path cost.
 //
 // Metric names follow a "layer.metric" scheme (flash.erases,

@@ -39,17 +39,20 @@ import (
 // --- cross-layer I/O request descriptors ---
 
 type (
-	// Req is the cross-layer I/O request descriptor: the waiter that
-	// experiences a request's latency plus the intent (scheduler class,
-	// stream tag, deadline) that travels with it from the workload layer
-	// down to the per-die command queues.
+	// Req is the cross-layer I/O request descriptor — the one struct
+	// that declares it: the waiter that experiences a request's latency
+	// plus the intent (scheduler class, stream tag, deadline, span) that
+	// travels with it from the workload layer down to the per-die
+	// command queues. A *Req is itself a Waiter: the descriptor is what
+	// goes down the plain-waiter device interface. Volume and log calls
+	// take it by value.
 	Req = ioreq.Req
 	// ReqClass is a request's declared scheduler class.
 	ReqClass = ioreq.Class
 )
 
-// Request classes. ReqDefault declares nothing — the volume's static
-// per-class device routing (the pre-descriptor behavior) decides.
+// Request classes. ReqDefault declares nothing — the command's op type
+// decides (the per-class device view the volume issues it through).
 const (
 	ReqDefault  = ioreq.ClassDefault
 	ReqRead     = ioreq.ClassRead
@@ -233,7 +236,10 @@ type (
 	EngineConfig = storage.EngineConfig
 	// EngineVolume is the engine's view of a storage device.
 	EngineVolume = storage.Volume
-	// IOCtx carries a Waiter through engine calls.
+	// IOCtx is Req under its engine-level name: engine calls take it by
+	// pointer, one per process, and hand that pointer down as the
+	// waiter. Mandatory — a nil *IOCtx or a zero-value IOCtx{} panics at
+	// its first I/O; build one with NewIOCtx.
 	IOCtx = storage.IOCtx
 	// Tx is a transaction handle.
 	Tx = storage.Tx
@@ -253,7 +259,8 @@ const (
 	AssocDieWise = storage.AssocDieWise
 )
 
-// NewIOCtx wraps a Waiter for engine calls.
+// NewIOCtx wraps a Waiter for engine calls (nil: a private serial
+// clock, for callers with no timeline of their own).
 func NewIOCtx(w Waiter) *IOCtx { return storage.NewIOCtx(w) }
 
 // NewNoFTLEngineVolume adapts a NoFTL volume for the engine.
