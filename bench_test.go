@@ -14,6 +14,7 @@ import (
 	"noftl/internal/flash"
 	"noftl/internal/ftl"
 	"noftl/internal/nand"
+	inoftl "noftl/internal/noftl"
 	"noftl/internal/sim"
 	"noftl/internal/storage"
 	"noftl/internal/workload"
@@ -238,7 +239,7 @@ func BenchmarkDevice_ProgramPage(b *testing.B) {
 
 func BenchmarkPageFTL_RandomWrite(b *testing.B) {
 	dev := flash.New(flash.EmulatorConfig(4, 64, nand.SLC))
-	f, err := ftl.NewPageFTL(dev, ftl.PageFTLConfig{})
+	f, err := inoftl.NewPageFTL(dev, ftl.PageFTLConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"noftl/internal/flash"
 	"noftl/internal/ftl"
 	"noftl/internal/nand"
+	"noftl/internal/noftl"
 	"noftl/internal/sim"
 	"noftl/internal/workload"
 )
@@ -53,7 +54,7 @@ func main() {
 		cfg = flash.EmulatorConfig(*dies, *capMB, cell)
 	}
 	dev := flash.New(cfg)
-	f, err := ftl.NewPageFTL(dev, ftl.PageFTLConfig{})
+	f, err := noftl.NewPageFTL(dev, ftl.PageFTLConfig{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -3,6 +3,7 @@ package bench
 import (
 	"noftl/internal/flash"
 	"noftl/internal/ftl"
+	"noftl/internal/noftl"
 	"noftl/internal/sim"
 	"noftl/internal/stats"
 	"noftl/internal/trace"
@@ -67,7 +68,7 @@ func AblationGCPolicy(seed int64) (*AblationResult, error) {
 	res := &AblationResult{Name: "gc-policy"}
 	for _, pol := range []ftl.GCPolicy{ftl.GreedyPolicy, ftl.CostBenefitPolicy, ftl.WearAwarePolicy} {
 		dev := flash.New(sweepDevice(1<<15, 4096))
-		f, err := ftl.NewPageFTL(dev, ftl.PageFTLConfig{Policy: pol, OverProvision: 0.12})
+		f, err := noftl.NewPageFTL(dev, ftl.PageFTLConfig{Policy: pol, OverProvision: 0.12})
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +166,7 @@ func AblationOverProvision(seed int64) (*AblationResult, error) {
 	res := &AblationResult{Name: "over-provisioning"}
 	for _, op := range []float64{0.07, 0.12, 0.20, 0.28} {
 		dev := flash.New(sweepDevice(1<<15, 4096))
-		f, err := ftl.NewPageFTL(dev, ftl.PageFTLConfig{OverProvision: op})
+		f, err := noftl.NewPageFTL(dev, ftl.PageFTLConfig{OverProvision: op})
 		if err != nil {
 			return nil, err
 		}

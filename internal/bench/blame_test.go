@@ -14,7 +14,7 @@ import (
 	"noftl/internal/telemetry/blame"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite blame golden files")
+var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata")
 
 // blameQoSConfig is the fixed scenario every blame test shares: small
 // geometry, a deadline on the low tenant, blame attached. Changing it
@@ -188,20 +188,27 @@ func TestBlameExportsDeterministic(t *testing.T) {
 			if !bytes.Equal(a, b) {
 				t.Fatalf("%s differs between two same-seed runs", exp.name)
 			}
-			golden := filepath.Join("testdata", "blame_"+exp.name)
-			if *updateGolden {
-				if err := os.WriteFile(golden, a, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("%v (rerun with -update to regenerate)", err)
-			}
-			if !bytes.Equal(a, want) {
-				t.Fatalf("%s differs from golden file %s (rerun with -update if intended)", exp.name, golden)
-			}
+			checkGolden(t, "blame_"+exp.name, a)
 		})
+	}
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (rerun with -update to regenerate)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output differs from golden file %s (rerun with -update if intended)", golden)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"noftl/internal/flash"
 	"noftl/internal/ftl"
 	"noftl/internal/nand"
+	"noftl/internal/noftl"
 	"noftl/internal/sim"
 	"noftl/internal/stats"
 	"noftl/internal/workload"
@@ -80,7 +81,7 @@ func Validate(cfg ValidateConfig) (*ValidateResult, error) {
 		for _, dies := range []int{1, 4} {
 			devCfg := flash.EmulatorConfig(dies, 32, cell)
 			dev := flash.New(devCfg)
-			f, err := ftl.NewPageFTL(dev, ftl.PageFTLConfig{})
+			f, err := noftl.NewPageFTL(dev, ftl.PageFTLConfig{})
 			if err != nil {
 				return nil, err
 			}
@@ -141,7 +142,7 @@ func Validate(cfg ValidateConfig) (*ValidateResult, error) {
 func scalingRun(dies int, cfg ValidateConfig) (float64, error) {
 	devCfg := flash.EmulatorConfig(dies, 32, nand.SLC)
 	dev := flash.New(devCfg)
-	f, err := ftl.NewPageFTL(dev, ftl.PageFTLConfig{})
+	f, err := noftl.NewPageFTL(dev, ftl.PageFTLConfig{})
 	if err != nil {
 		return 0, err
 	}

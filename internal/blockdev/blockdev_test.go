@@ -6,6 +6,7 @@ import (
 	"noftl/internal/flash"
 	"noftl/internal/ftl"
 	"noftl/internal/nand"
+	"noftl/internal/noftl"
 	"noftl/internal/sim"
 )
 
@@ -19,7 +20,7 @@ func newTestDevice(t *testing.T, k *sim.Kernel, qd int) *Device {
 		Cell: nand.SLC,
 		Nand: nand.Options{StoreData: true},
 	})
-	f, err := ftl.NewPageFTL(dev, ftl.PageFTLConfig{})
+	f, err := noftl.NewPageFTL(dev, ftl.PageFTLConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

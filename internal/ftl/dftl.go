@@ -50,8 +50,12 @@ type DFTL struct {
 	dies []*dftlDie
 }
 
-// Block kinds used by DFTL (beyond kindData/kindGC).
-const kindTrans uint8 = 10
+// Block kinds used by DFTL.
+const (
+	kindData  uint8 = 0
+	kindGC    uint8 = 1
+	kindTrans uint8 = 10
+)
 
 type dftlDie struct {
 	sp           DieSpace
@@ -506,8 +510,8 @@ func (d *dftlDie) relocateTrans(w sim.Waiter, victim, page int, dvpn int64, plan
 	return d.sp.Dev.ProgramPage(w, dst, nil, oob)
 }
 
-// allocGCTarget mirrors pageDie.allocRelocTarget: same plane first, then
-// borrow from siblings.
+// allocGCTarget mirrors the page-mapping die manager's allocRelocTarget
+// (package noftl): same plane first, then borrow from siblings.
 func (d *dftlDie) allocGCTarget(srcPlane int) (nand.PPN, int, error) {
 	if ppn, err := d.allocPage(srcPlane, &d.gc[srcPlane], kindGC); err == nil {
 		return ppn, srcPlane, nil

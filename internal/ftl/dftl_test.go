@@ -180,50 +180,6 @@ func TestDFTLReadYourWritesProperty(t *testing.T) {
 	}
 }
 
-func TestDFTLSlowerThanPageMapInTime(t *testing.T) {
-	// The headline DFTL result: identical workloads take longer through
-	// DFTL than pure page mapping because of translation I/O.
-	workload := func(f FTL, w *sim.ClockWaiter) sim.Time {
-		n := f.LogicalPages()
-		rng := rand.New(rand.NewSource(6))
-		start := w.Now()
-		for i := 0; i < 2000; i++ {
-			lpn := rng.Int63n(n)
-			if err := f.Write(w, lpn, fillPage(256, lpn, i)); err != nil {
-				t.Fatal(err)
-			}
-			if i%4 == 0 {
-				if err := f.Read(w, rng.Int63n(n), nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		return w.Now() - start
-	}
-	devA := testDevice(nand.Options{})
-	pm, err := NewPageFTL(devA, PageFTLConfig{OverProvision: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wA := &sim.ClockWaiter{}
-	tPage := workload(pm, wA)
-
-	devB := testDevice(nand.Options{})
-	df, err := NewDFTL(devB, DFTLConfig{OverProvision: 0.2, CMTEntries: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wB := &sim.ClockWaiter{}
-	tDFTL := workload(df, wB)
-
-	if tDFTL <= tPage {
-		t.Errorf("DFTL (%v) should be slower than page mapping (%v)", tDFTL, tPage)
-	}
-	if ratio := float64(tDFTL) / float64(tPage); ratio < 1.2 {
-		t.Errorf("DFTL slowdown %.2fx implausibly small under a thrashing CMT", ratio)
-	}
-}
-
 func TestCMTCacheLRUOrder(t *testing.T) {
 	c := newCMTCache(2)
 	c.insert(1, false)

@@ -231,50 +231,3 @@ func TestFasterSecondChanceReducesMergesOnSkew(t *testing.T) {
 			with.FullMerges, without.FullMerges)
 	}
 }
-
-func TestFasterHigherGCThanPageMap(t *testing.T) {
-	// The Figure-3 shape at unit scale: the same random-update stream
-	// costs FASTer about twice the relocations and erases of page-mapped
-	// GC.
-	workload := func(write func(lpn int64, i int) error, n int64) {
-		for lpn := int64(0); lpn < n; lpn++ {
-			if err := write(lpn, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rng := rand.New(rand.NewSource(21))
-		for i := 0; i < int(n)*3; i++ {
-			if err := write(rng.Int63n(n), i); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	devA := testDevice(nand.Options{})
-	fa, err := NewFasterFTL(devA, FasterConfig{SecondChance: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wA := &sim.ClockWaiter{}
-	devB := testDevice(nand.Options{})
-	pm, err := NewPageFTL(devB, PageFTLConfig{OverProvision: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wB := &sim.ClockWaiter{}
-	n := fa.LogicalPages()
-	if pm.LogicalPages() < n {
-		n = pm.LogicalPages()
-	}
-	workload(func(lpn int64, i int) error { return fa.Write(wA, lpn, fillPage(256, lpn, i)) }, n)
-	workload(func(lpn int64, i int) error { return pm.Write(wB, lpn, fillPage(256, lpn, i)) }, n)
-
-	fs, ps := fa.Stats(), pm.Stats()
-	fReloc := fs.GCCopybacks + fs.GCWrites
-	pReloc := ps.GCCopybacks + ps.GCWrites
-	if fReloc <= pReloc {
-		t.Errorf("FASTer relocations (%d) should exceed page-map's (%d)", fReloc, pReloc)
-	}
-	if fs.Erases <= ps.Erases {
-		t.Errorf("FASTer erases (%d) should exceed page-map's (%d)", fs.Erases, ps.Erases)
-	}
-}

@@ -1,8 +1,11 @@
 // Package ftl implements on-device flash translation layers over the
-// native flash device: a pure page-mapping FTL (the baseline "whole table
-// cached" scheme), DFTL (demand-based page mapping with a cached mapping
-// table and translation pages on flash) and FASTer (hybrid log-block
-// mapping with second-chance recycling).
+// native flash device: DFTL (demand-based page mapping with a cached
+// mapping table and translation pages on flash) and FASTer (hybrid
+// log-block mapping with second-chance recycling), plus the die, block
+// and frontier bookkeeping every scheme shares. The pure page-mapping
+// FTL (the baseline "whole table cached" scheme) is configured here
+// (PageFTLConfig) but is the noftl die manager with its DBMS knowledge
+// switched off (noftl.NewPageFTL), run behind blockdev like the others.
 //
 // Following OpenSSD firmware practice, every FTL manages each die (bank)
 // independently; logical pages are striped over dies at page granularity.
@@ -161,3 +164,9 @@ func (st Striping) checkRange(lpn int64) error {
 // out of free blocks because another in-flight operation's GC has not
 // finished; see the package comment on synchronous state commits.
 const retryWait = 50 * sim.Microsecond
+
+func zero(buf []byte) {
+	for i := range buf {
+		buf[i] = 0
+	}
+}

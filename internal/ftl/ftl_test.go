@@ -1,11 +1,39 @@
 package ftl
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 
+	"noftl/internal/flash"
 	"noftl/internal/nand"
 )
+
+// testDevice returns a small 2-die, 2-plane device storing data.
+func testDevice(opts nand.Options) *flash.Device {
+	opts.StoreData = true
+	return flash.New(flash.Config{
+		Geometry: nand.Geometry{
+			Channels:        2,
+			ChipsPerChannel: 1,
+			DiesPerChip:     1,
+			PlanesPerDie:    2,
+			BlocksPerPlane:  24,
+			PagesPerBlock:   16,
+			PageSize:        256,
+			OOBSize:         16,
+		},
+		Cell: nand.SLC,
+		Nand: opts,
+	})
+}
+
+func fillPage(size int, lpn int64, version int) []byte {
+	b := make([]byte, size)
+	binary.LittleEndian.PutUint64(b, uint64(lpn))
+	binary.LittleEndian.PutUint64(b[8:], uint64(version))
+	return b
+}
 
 func TestStatsAddAndWA(t *testing.T) {
 	a := Stats{HostWrites: 100, GCCopybacks: 40, GCWrites: 10, MapWrites: 5, Erases: 3}
@@ -24,6 +52,20 @@ func TestStatsAddAndWA(t *testing.T) {
 	}
 	if !strings.Contains(sum.String(), "WA=") {
 		t.Error("String missing WA")
+	}
+}
+
+func TestStripingMath(t *testing.T) {
+	st := Striping{Dies: 4, PerDie: 100}
+	if st.Total() != 400 {
+		t.Fatal("Total")
+	}
+	for lpn := int64(0); lpn < 400; lpn += 37 {
+		die := st.DieOf(lpn)
+		dlpn := st.DieLPN(lpn)
+		if st.GlobalLPN(die, dlpn) != lpn {
+			t.Fatalf("striping roundtrip failed for %d", lpn)
+		}
 	}
 }
 

@@ -1,15 +1,10 @@
 package ftl
 
-import (
-	"errors"
-	"fmt"
-
-	"noftl/internal/flash"
-	"noftl/internal/nand"
-	"noftl/internal/sim"
-)
-
-// PageFTLConfig tunes the pure page-mapping FTL.
+// PageFTLConfig tunes the pure page-mapping FTL (noftl.NewPageFTL): the
+// complete logical-to-physical table held in RAM, the scheme DFTL
+// approximates with a cache and NoFTL runs host-side. It is the NoFTL
+// die manager with the DBMS knowledge switched off, so it is built in
+// package noftl; only its configuration lives with the other FTLs'.
 type PageFTLConfig struct {
 	// OverProvision is the fraction of usable capacity hidden from the
 	// host for GC headroom. Default 0.10.
@@ -24,555 +19,4 @@ type PageFTLConfig struct {
 	// WearDelta is the max-min erase-count gap that triggers a wear move.
 	// Default 64.
 	WearDelta int
-}
-
-func (c PageFTLConfig) withDefaults() PageFTLConfig {
-	if c.OverProvision <= 0 {
-		c.OverProvision = 0.10
-	}
-	if c.LowWater < 2 {
-		c.LowWater = 2
-	}
-	if c.WearDelta == 0 {
-		c.WearDelta = 64
-	}
-	return c
-}
-
-// PageFTL is the baseline pure page-level mapping FTL: the complete
-// logical-to-physical table is held in RAM (the scheme DFTL approximates
-// with a cache, and the scheme NoFTL runs host-side). Each die is managed
-// independently; logical pages are striped die-wise.
-//
-// Relocations stay in the victim's plane (COPYBACK) whenever possible and
-// fall back to cross-plane read+program when a plane is depleted, e.g.
-// after grown bad blocks.
-type PageFTL struct {
-	dev  *flash.Device
-	st   Striping
-	cfg  PageFTLConfig
-	dies []*pageDie
-}
-
-const (
-	kindData uint8 = iota
-	kindGC
-)
-
-type pageDie struct {
-	sp            DieSpace
-	bt            *BlockTable
-	cfg           PageFTLConfig
-	l2p           []nand.PPN
-	host          []Frontier // per plane
-	gc            []Frontier // per plane
-	rr            int        // round-robin plane for host writes
-	seq           uint64
-	gcActive      []bool
-	erasesSinceWL int
-	stats         Stats
-}
-
-// NewPageFTL builds a page-mapping FTL over dev.
-func NewPageFTL(dev *flash.Device, cfg PageFTLConfig) (*PageFTL, error) {
-	cfg = cfg.withDefaults()
-	geo := dev.Geometry()
-	f := &PageFTL{dev: dev, cfg: cfg}
-	perDie := int64(1<<62 - 1)
-	for die := 0; die < geo.Dies(); die++ {
-		d, err := newPageDie(dev, die, cfg)
-		if err != nil {
-			return nil, err
-		}
-		f.dies = append(f.dies, d)
-		if n := d.logicalPages(); n < perDie {
-			perDie = n
-		}
-	}
-	for _, d := range f.dies {
-		d.l2p = make([]nand.PPN, perDie)
-		for i := range d.l2p {
-			d.l2p[i] = nand.InvalidPPN
-		}
-	}
-	f.st = Striping{Dies: geo.Dies(), PerDie: perDie}
-	return f, nil
-}
-
-func newPageDie(dev *flash.Device, die int, cfg PageFTLConfig) (*pageDie, error) {
-	sp := NewDieSpace(dev, die)
-	d := &pageDie{
-		sp:       sp,
-		bt:       NewBlockTable(sp),
-		cfg:      cfg,
-		host:     make([]Frontier, sp.Planes()),
-		gc:       make([]Frontier, sp.Planes()),
-		gcActive: make([]bool, sp.Planes()),
-	}
-	for p := range d.host {
-		d.host[p] = NewFrontier()
-		d.gc[p] = NewFrontier()
-	}
-	if d.logicalPages() <= 0 {
-		return nil, fmt.Errorf("ftl: die %d has no usable capacity (bad blocks?)", die)
-	}
-	return d, nil
-}
-
-// logicalPages computes the die's exported capacity: usable pages minus
-// over-provisioning, capped so GC always has headroom.
-func (d *pageDie) logicalPages() int64 {
-	ppb := int64(d.sp.PagesPerBlock())
-	usable := int64(d.bt.Usable())
-	reserve := int64(d.sp.Planes()) * int64(2+d.cfg.LowWater) // frontiers + GC pool
-	maxSafe := (usable - reserve) * ppb
-	want := int64(float64(usable*ppb) * (1 - d.cfg.OverProvision))
-	if want > maxSafe {
-		want = maxSafe
-	}
-	return want
-}
-
-// Name implements FTL.
-func (f *PageFTL) Name() string { return "pagemap" }
-
-// LogicalPages implements FTL.
-func (f *PageFTL) LogicalPages() int64 { return f.st.Total() }
-
-// Stats implements FTL.
-func (f *PageFTL) Stats() Stats {
-	var s Stats
-	for _, d := range f.dies {
-		s = s.Add(d.stats)
-	}
-	return s
-}
-
-// Striping exposes the die striping (used by region-aware callers).
-func (f *PageFTL) Striping() Striping { return f.st }
-
-// Read implements FTL.
-func (f *PageFTL) Read(w sim.Waiter, lpn int64, buf []byte) error {
-	if err := f.st.checkRange(lpn); err != nil {
-		return err
-	}
-	return f.dies[f.st.DieOf(lpn)].read(w, f.st.DieLPN(lpn), buf)
-}
-
-// Write implements FTL.
-func (f *PageFTL) Write(w sim.Waiter, lpn int64, data []byte) error {
-	if err := f.st.checkRange(lpn); err != nil {
-		return err
-	}
-	return f.dies[f.st.DieOf(lpn)].write(w, f.st.DieLPN(lpn), lpn, data)
-}
-
-// Trim implements FTL.
-func (f *PageFTL) Trim(w sim.Waiter, lpn int64) error {
-	if err := f.st.checkRange(lpn); err != nil {
-		return err
-	}
-	f.dies[f.st.DieOf(lpn)].trim(f.st.DieLPN(lpn))
-	return nil
-}
-
-func (d *pageDie) read(w sim.Waiter, dlpn int64, buf []byte) error {
-	ppn := d.l2p[dlpn]
-	if ppn == nand.InvalidPPN {
-		zero(buf)
-		return nil
-	}
-	d.stats.HostReads++
-	_, err := d.sp.Dev.ReadPage(w, ppn, buf)
-	return err
-}
-
-func (d *pageDie) trim(dlpn int64) {
-	if ppn := d.l2p[dlpn]; ppn != nand.InvalidPPN {
-		local, page := d.sp.LocalOfPPN(ppn)
-		d.bt.Invalidate(local, page)
-		d.l2p[dlpn] = nand.InvalidPPN
-	}
-	d.stats.Trims++
-}
-
-func (d *pageDie) write(w sim.Waiter, dlpn, globalLPN int64, data []byte) error {
-	for attempt := 0; ; attempt++ {
-		if attempt > d.sp.Blocks() {
-			return fmt.Errorf("%w: die %d cannot place a write", ErrGCStuck, d.sp.Die)
-		}
-		plane, err := d.pickWritePlane(w)
-		if err != nil {
-			return err
-		}
-		ppn, err := d.allocPage(plane, &d.host[plane], kindData)
-		if err != nil {
-			continue // plane raced empty; pick again
-		}
-		d.seq++
-		oob := nand.OOB{LPN: uint64(globalLPN), Seq: d.seq}
-		// Commit the mapping at submission; the program's latency follows.
-		if old := d.l2p[dlpn]; old != nand.InvalidPPN {
-			l, pg := d.sp.LocalOfPPN(old)
-			d.bt.Invalidate(l, pg)
-		}
-		local, page := d.sp.LocalOfPPN(ppn)
-		d.bt.SetOwner(local, page, dlpn)
-		d.l2p[dlpn] = ppn
-		d.stats.HostWrites++
-
-		perr := d.sp.Dev.ProgramPage(w, ppn, data, oob)
-		if perr == nil {
-			return nil
-		}
-		if !errors.Is(perr, nand.ErrBadBlock) {
-			return perr
-		}
-		// Grown bad block: roll back this page's mapping, salvage the
-		// block's other valid pages, and retry on a fresh frontier.
-		d.stats.HostWrites--
-		d.bt.Invalidate(local, page)
-		d.l2p[dlpn] = nand.InvalidPPN
-		if err := d.retireAndSalvage(w, local); err != nil {
-			return err
-		}
-	}
-}
-
-// pickWritePlane chooses the next plane for a host write, running GC as
-// needed. It prefers round-robin striping but skips planes whose space
-// cannot be reclaimed (e.g. depleted by grown bad blocks).
-func (d *pageDie) pickWritePlane(w sim.Waiter) (int, error) {
-	planes := d.sp.Planes()
-	var firstErr error
-	for i := 0; i < planes; i++ {
-		plane := (d.rr + i) % planes
-		err := d.ensureSpace(w, plane)
-		if err == nil {
-			d.rr = (plane + 1) % planes
-			return plane, nil
-		}
-		if !errors.Is(err, ErrGCStuck) {
-			return 0, err
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	// Every plane is at or below reserve; allow draining remaining
-	// frontier room before giving up.
-	for i := 0; i < planes; i++ {
-		plane := (d.rr + i) % planes
-		if !d.host[plane].Full(d.sp.PagesPerBlock()) || d.bt.FreeCount(plane) > 0 {
-			d.rr = (plane + 1) % planes
-			return plane, nil
-		}
-	}
-	return 0, firstErr
-}
-
-// allocPage takes the next page of the given frontier, refilling it from
-// the plane's free pool when full.
-func (d *pageDie) allocPage(plane int, fr *Frontier, kind uint8) (nand.PPN, error) {
-	ppb := d.sp.PagesPerBlock()
-	if fr.Full(ppb) {
-		if fr.Block >= 0 {
-			d.bt.MarkFull(fr.Block)
-		}
-		b, ok := d.bt.AllocFree(plane, kind)
-		if !ok {
-			return 0, fmt.Errorf("%w: plane %d of die %d has no free blocks", ErrGCStuck, plane, d.sp.Die)
-		}
-		fr.Block, fr.Next = b, 0
-	}
-	ppn := d.sp.PPN(fr.Block, fr.Next)
-	fr.Next++
-	return ppn, nil
-}
-
-// ensureSpace runs GC until the plane has LowWater free blocks. When
-// another in-flight operation is already collecting this plane, it backs
-// off and polls.
-func (d *pageDie) ensureSpace(w sim.Waiter, plane int) error {
-	const maxSpins = 1 << 16
-	for spins := 0; d.bt.FreeCount(plane) < d.cfg.LowWater; spins++ {
-		if spins > maxSpins {
-			return fmt.Errorf("%w: plane %d of die %d", ErrGCStuck, plane, d.sp.Die)
-		}
-		if d.gcActive[plane] {
-			if d.bt.FreeCount(plane) > 0 {
-				return nil // enough to proceed; the active GC will refill
-			}
-			w.WaitUntil(w.Now() + retryWait)
-			continue
-		}
-		if err := d.gcOnce(w, plane); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// gcOnce collects one victim block in the plane.
-func (d *pageDie) gcOnce(w sim.Waiter, plane int) error {
-	victim, ok := d.bt.PickVictim(plane, AnyKind, d.cfg.Policy)
-	if !ok {
-		return fmt.Errorf("%w: no victim in plane %d of die %d", ErrGCStuck, plane, d.sp.Die)
-	}
-	if d.bt.Info[victim].Valid >= d.sp.PagesPerBlock() {
-		// A non-greedy policy chose a fully valid block, which frees
-		// nothing; fall back to greedy to guarantee progress.
-		victim, ok = d.bt.PickVictim(plane, AnyKind, GreedyPolicy)
-		if !ok || d.bt.Info[victim].Valid >= d.sp.PagesPerBlock() {
-			return fmt.Errorf("%w: every block in plane %d of die %d is fully valid", ErrGCStuck, plane, d.sp.Die)
-		}
-	}
-	d.gcActive[plane] = true
-	defer func() { d.gcActive[plane] = false }()
-
-	if err := d.collectBlock(w, victim, plane); err != nil {
-		return err
-	}
-	d.maybeWearLevel(w, plane)
-	return nil
-}
-
-// collectBlock evacuates and erases one block. The victim is taken out of
-// circulation while being collected and restored to Used on failure.
-func (d *pageDie) collectBlock(w sim.Waiter, victim, plane int) error {
-	d.bt.Info[victim].State = BlockFrontier
-	if err := d.evacuate(w, victim, plane); err != nil {
-		d.bt.Info[victim].State = BlockUsed
-		return err
-	}
-	return d.eraseAndRelease(w, victim)
-}
-
-// evacuate relocates every valid page of the victim.
-func (d *pageDie) evacuate(w sim.Waiter, victim, plane int) error {
-	ppb := d.sp.PagesPerBlock()
-	for page := 0; page < ppb; page++ {
-		dlpn := d.bt.Info[victim].Owners[page]
-		if dlpn == NoOwner {
-			continue
-		}
-		if err := d.relocate(w, victim, page, dlpn, plane); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// allocRelocTarget finds a destination page for a relocation, preferring
-// the source plane (COPYBACK-eligible): GC frontier, then a free block,
-// then host-frontier room. If the plane is depleted it borrows room from
-// another plane in the die — without eating into that plane's GC
-// reserve — at the cost of a bus-based move.
-func (d *pageDie) allocRelocTarget(srcPlane int) (nand.PPN, int, error) {
-	if ppn, err := d.allocPage(srcPlane, &d.gc[srcPlane], kindGC); err == nil {
-		return ppn, srcPlane, nil
-	}
-	if !d.host[srcPlane].Full(d.sp.PagesPerBlock()) {
-		ppn, err := d.allocPage(srcPlane, &d.host[srcPlane], kindData)
-		if err == nil {
-			return ppn, srcPlane, nil
-		}
-	}
-	for i := 1; i < d.sp.Planes(); i++ {
-		q := (srcPlane + i) % d.sp.Planes()
-		if !d.gc[q].Full(d.sp.PagesPerBlock()) {
-			ppn, err := d.allocPage(q, &d.gc[q], kindGC)
-			if err == nil {
-				return ppn, q, nil
-			}
-		}
-		if d.bt.FreeCount(q) > d.cfg.LowWater {
-			ppn, err := d.allocPage(q, &d.gc[q], kindGC)
-			if err == nil {
-				return ppn, q, nil
-			}
-		}
-		if !d.host[q].Full(d.sp.PagesPerBlock()) {
-			ppn, err := d.allocPage(q, &d.host[q], kindData)
-			if err == nil {
-				return ppn, q, nil
-			}
-		}
-	}
-	return 0, 0, fmt.Errorf("%w: die %d has no relocation room", ErrGCStuck, d.sp.Die)
-}
-
-// relocate moves one valid page: COPYBACK within the plane, read+program
-// across planes, retrying over grown bad blocks.
-func (d *pageDie) relocate(w sim.Waiter, srcLocal, srcPage int, dlpn int64, plane int) error {
-	src := d.sp.PPN(srcLocal, srcPage)
-	for {
-		dst, dstPlane, err := d.allocRelocTarget(plane)
-		if err != nil {
-			return err
-		}
-		d.seq++
-		oob := nand.OOB{LPN: uint64(d.globalLPN(dlpn)), Seq: d.seq}
-		// Commit mapping move at submission.
-		d.bt.Invalidate(srcLocal, srcPage)
-		dl, dp := d.sp.LocalOfPPN(dst)
-		d.bt.SetOwner(dl, dp, dlpn)
-		d.l2p[dlpn] = dst
-
-		var cerr error
-		if dstPlane == plane {
-			d.stats.GCCopybacks++
-			cerr = d.sp.Dev.Copyback(w, src, dst, &oob)
-			if cerr != nil {
-				d.stats.GCCopybacks--
-			}
-		} else {
-			d.stats.GCReads++
-			buf := make([]byte, d.sp.Geo().PageSize)
-			if _, rerr := d.sp.Dev.ReadPage(w, src, buf); rerr != nil && !errors.Is(rerr, nand.ErrPageErased) {
-				cerr = rerr
-			} else {
-				d.stats.GCWrites++
-				cerr = d.sp.Dev.ProgramPage(w, dst, buf, oob)
-				if cerr != nil {
-					d.stats.GCWrites--
-				}
-			}
-		}
-		if cerr == nil {
-			return nil
-		}
-		// Roll back and retry elsewhere.
-		d.bt.Invalidate(dl, dp)
-		d.bt.SetOwner(srcLocal, srcPage, dlpn)
-		d.l2p[dlpn] = src
-		if !errors.Is(cerr, nand.ErrBadBlock) {
-			return cerr
-		}
-		if err := d.retireAndSalvage(w, dl); err != nil {
-			return err
-		}
-	}
-}
-
-// globalLPN reconstructs the device-global LPN of a die-local one (for
-// OOB tagging). The die's stripe position is implied by sp.Die.
-func (d *pageDie) globalLPN(dlpn int64) int64 {
-	return dlpn*int64(d.sp.Geo().Dies()) + int64(d.sp.Die)
-}
-
-func (d *pageDie) eraseAndRelease(w sim.Waiter, local int) error {
-	d.stats.Erases++
-	err := d.sp.Dev.EraseBlock(w, d.sp.PBN(local))
-	switch {
-	case err == nil:
-		d.bt.Release(local)
-		d.erasesSinceWL++
-		return nil
-	case errors.Is(err, nand.ErrBadBlock) || errors.Is(err, nand.ErrWornOut):
-		d.stats.Erases--
-		d.bt.Retire(local)
-		return nil
-	default:
-		return err
-	}
-}
-
-// retireAndSalvage retires a grown-bad block, moving its still-valid
-// pages to healthy blocks via read+program (bad blocks cannot copyback).
-func (d *pageDie) retireAndSalvage(w sim.Waiter, local int) error {
-	d.bt.Retire(local)
-	plane := d.sp.PlaneOf(local)
-	// Detach any frontier pointing at the retired block.
-	if d.host[plane].Block == local {
-		d.host[plane] = NewFrontier()
-	}
-	if d.gc[plane].Block == local {
-		d.gc[plane] = NewFrontier()
-	}
-	info := &d.bt.Info[local]
-	ppb := d.sp.PagesPerBlock()
-	buf := make([]byte, d.sp.Geo().PageSize)
-	for page := 0; page < ppb; page++ {
-		dlpn := info.Owners[page]
-		if dlpn == NoOwner {
-			continue
-		}
-		src := d.sp.PPN(local, page)
-		d.stats.GCReads++
-		if _, err := d.sp.Dev.ReadPage(w, src, buf); err != nil && !errors.Is(err, nand.ErrPageErased) {
-			return err
-		}
-		dst, _, err := d.allocRelocTarget(plane)
-		if err != nil {
-			return err
-		}
-		d.seq++
-		info.Owners[page] = NoOwner
-		info.Valid--
-		dl, dp := d.sp.LocalOfPPN(dst)
-		d.bt.SetOwner(dl, dp, dlpn)
-		d.l2p[dlpn] = dst
-		d.stats.GCWrites++
-		if err := d.sp.Dev.ProgramPage(w, dst, buf, nand.OOB{LPN: uint64(d.globalLPN(dlpn)), Seq: d.seq}); err != nil {
-			if errors.Is(err, nand.ErrBadBlock) {
-				// Extremely unlucky: the salvage target also died.
-				d.stats.GCWrites--
-				d.bt.Invalidate(dl, dp)
-				info.Owners[page] = dlpn
-				info.Valid++
-				if err := d.retireAndSalvage(w, dl); err != nil {
-					return err
-				}
-				page-- // retry this page
-				continue
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// maybeWearLevel runs one static wear-leveling step when the die's wear
-// spread exceeds the configured delta: the least-worn used block (cold
-// data) is evacuated so its block re-enters circulation.
-func (d *pageDie) maybeWearLevel(w sim.Waiter, plane int) {
-	if !d.cfg.WearLevel || d.erasesSinceWL < 16 {
-		return
-	}
-	d.erasesSinceWL = 0
-	arr := d.sp.Dev.Array()
-	minWear, maxWear := int(^uint(0)>>1), -1
-	coldest := -1
-	start := plane * d.sp.Geo().BlocksPerPlane
-	end := start + d.sp.Geo().BlocksPerPlane
-	for b := start; b < end; b++ {
-		if d.bt.Info[b].State == BlockBad {
-			continue
-		}
-		wear := arr.EraseCount(d.sp.PBN(b))
-		if wear > maxWear {
-			maxWear = wear
-		}
-		if wear < minWear {
-			minWear = wear
-			if d.bt.Info[b].State == BlockUsed {
-				coldest = b
-			}
-		}
-	}
-	if coldest < 0 || maxWear-minWear <= d.cfg.WearDelta {
-		return
-	}
-	moves := d.bt.Info[coldest].Valid
-	if err := d.collectBlock(w, coldest, plane); err != nil {
-		return
-	}
-	d.stats.WearMoves += int64(moves)
-}
-
-func zero(buf []byte) {
-	for i := range buf {
-		buf[i] = 0
-	}
 }

@@ -136,7 +136,7 @@ func (d *dieMgr) writeDelta(w sim.Waiter, dlpn, globalLPN int64, payload []byte)
 	}
 	for attempt := 0; ; attempt++ {
 		if attempt > d.sp.Blocks() {
-			return fmt.Errorf("%w: noftl die %d cannot place a delta append", ftl.ErrGCStuck, d.sp.Die)
+			return fmt.Errorf("%w: die %d cannot place a delta append", ftl.ErrGCStuck, d.sp.Die)
 		}
 		plane, ok := d.findOpenDelta(rec)
 		if !ok {

@@ -1,4 +1,4 @@
-package ftl
+package noftl
 
 import (
 	"encoding/binary"
@@ -8,12 +8,13 @@ import (
 	"testing/quick"
 
 	"noftl/internal/flash"
+	"noftl/internal/ftl"
 	"noftl/internal/nand"
 	"noftl/internal/sim"
 )
 
-// testDevice returns a small 2-die, 2-plane device storing data.
-func testDevice(opts nand.Options) *flash.Device {
+// pageFTLTestDevice returns a small 2-die, 2-plane device storing data.
+func pageFTLTestDevice(opts nand.Options) *flash.Device {
 	opts.StoreData = true
 	return flash.New(flash.Config{
 		Geometry: nand.Geometry{
@@ -31,16 +32,9 @@ func testDevice(opts nand.Options) *flash.Device {
 	})
 }
 
-func fillPage(size int, lpn int64, version int) []byte {
-	b := make([]byte, size)
-	binary.LittleEndian.PutUint64(b, uint64(lpn))
-	binary.LittleEndian.PutUint64(b[8:], uint64(version))
-	return b
-}
-
 func TestPageFTLBasicRoundTrip(t *testing.T) {
-	dev := testDevice(nand.Options{})
-	f, err := NewPageFTL(dev, PageFTLConfig{})
+	dev := pageFTLTestDevice(nand.Options{})
+	f, err := NewPageFTL(dev, ftl.PageFTLConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +53,8 @@ func TestPageFTLBasicRoundTrip(t *testing.T) {
 }
 
 func TestPageFTLUnwrittenReadsZero(t *testing.T) {
-	dev := testDevice(nand.Options{})
-	f, _ := NewPageFTL(dev, PageFTLConfig{})
+	dev := pageFTLTestDevice(nand.Options{})
+	f, _ := NewPageFTL(dev, ftl.PageFTLConfig{})
 	w := &sim.ClockWaiter{}
 	buf := fillPage(256, 1, 1) // pre-dirty the buffer
 	if err := f.Read(w, 3, buf); err != nil {
@@ -77,23 +71,23 @@ func TestPageFTLUnwrittenReadsZero(t *testing.T) {
 }
 
 func TestPageFTLOutOfRange(t *testing.T) {
-	dev := testDevice(nand.Options{})
-	f, _ := NewPageFTL(dev, PageFTLConfig{})
+	dev := pageFTLTestDevice(nand.Options{})
+	f, _ := NewPageFTL(dev, ftl.PageFTLConfig{})
 	w := &sim.ClockWaiter{}
-	if err := f.Read(w, f.LogicalPages(), nil); !errors.Is(err, ErrOutOfRange) {
+	if err := f.Read(w, f.LogicalPages(), nil); !errors.Is(err, ftl.ErrOutOfRange) {
 		t.Errorf("read: %v, want ErrOutOfRange", err)
 	}
-	if err := f.Write(w, -1, nil); !errors.Is(err, ErrOutOfRange) {
+	if err := f.Write(w, -1, nil); !errors.Is(err, ftl.ErrOutOfRange) {
 		t.Errorf("write: %v, want ErrOutOfRange", err)
 	}
-	if err := f.Trim(w, f.LogicalPages()+5); !errors.Is(err, ErrOutOfRange) {
+	if err := f.Trim(w, f.LogicalPages()+5); !errors.Is(err, ftl.ErrOutOfRange) {
 		t.Errorf("trim: %v, want ErrOutOfRange", err)
 	}
 }
 
 func TestPageFTLCapacityReservesOverProvision(t *testing.T) {
-	dev := testDevice(nand.Options{})
-	f, _ := NewPageFTL(dev, PageFTLConfig{OverProvision: 0.25})
+	dev := pageFTLTestDevice(nand.Options{})
+	f, _ := NewPageFTL(dev, ftl.PageFTLConfig{OverProvision: 0.25})
 	geo := dev.Geometry()
 	if f.LogicalPages() >= geo.TotalPages() {
 		t.Error("no capacity reserved")
@@ -106,8 +100,8 @@ func TestPageFTLCapacityReservesOverProvision(t *testing.T) {
 // TestPageFTLGCRelocatesAndPreservesData overwrites far more data than a
 // plane holds, forcing many GC cycles, then verifies every logical page.
 func TestPageFTLGCRelocatesAndPreservesData(t *testing.T) {
-	dev := testDevice(nand.Options{})
-	f, err := NewPageFTL(dev, PageFTLConfig{OverProvision: 0.2})
+	dev := pageFTLTestDevice(nand.Options{})
+	f, err := NewPageFTL(dev, ftl.PageFTLConfig{OverProvision: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,31 +139,31 @@ func TestPageFTLReadYourWritesProperty(t *testing.T) {
 		Kind uint8 // 0,1 write; 2 trim
 	}
 	f := func(ops []op, seed int64) bool {
-		dev := testDevice(nand.Options{Seed: seed})
-		ftl, err := NewPageFTL(dev, PageFTLConfig{OverProvision: 0.2})
+		dev := pageFTLTestDevice(nand.Options{Seed: seed})
+		pm, err := NewPageFTL(dev, ftl.PageFTLConfig{OverProvision: 0.2})
 		if err != nil {
 			return false
 		}
 		w := &sim.ClockWaiter{}
 		model := map[int64]int{}
-		n := ftl.LogicalPages()
+		n := pm.LogicalPages()
 		for i, o := range ops {
 			lpn := int64(o.LPN) % n
 			if o.Kind == 2 {
-				if err := ftl.Trim(w, lpn); err != nil {
+				if err := pm.Trim(w, lpn); err != nil {
 					return false
 				}
 				delete(model, lpn)
 				continue
 			}
 			model[lpn] = i + 1
-			if err := ftl.Write(w, lpn, fillPage(256, lpn, i+1)); err != nil {
+			if err := pm.Write(w, lpn, fillPage(256, lpn, i+1)); err != nil {
 				return false
 			}
 		}
 		buf := make([]byte, 256)
 		for lpn := int64(0); lpn < n; lpn++ {
-			if err := ftl.Read(w, lpn, buf); err != nil {
+			if err := pm.Read(w, lpn, buf); err != nil {
 				return false
 			}
 			want := uint64(model[lpn]) // 0 for trimmed/unwritten
@@ -189,8 +183,8 @@ func TestPageFTLReadYourWritesProperty(t *testing.T) {
 
 func TestPageFTLTrimReducesGCWork(t *testing.T) {
 	run := func(trim bool) int64 {
-		dev := testDevice(nand.Options{})
-		f, _ := NewPageFTL(dev, PageFTLConfig{OverProvision: 0.15})
+		dev := pageFTLTestDevice(nand.Options{})
+		f, _ := NewPageFTL(dev, ftl.PageFTLConfig{OverProvision: 0.15})
 		w := &sim.ClockWaiter{}
 		n := f.LogicalPages()
 		rng := rand.New(rand.NewSource(7))
@@ -215,8 +209,8 @@ func TestPageFTLTrimReducesGCWork(t *testing.T) {
 }
 
 func TestPageFTLStripesAcrossDies(t *testing.T) {
-	dev := testDevice(nand.Options{})
-	f, _ := NewPageFTL(dev, PageFTLConfig{})
+	dev := pageFTLTestDevice(nand.Options{})
+	f, _ := NewPageFTL(dev, ftl.PageFTLConfig{})
 	w := &sim.ClockWaiter{}
 	for lpn := int64(0); lpn < 8; lpn++ {
 		if err := f.Write(w, lpn, fillPage(256, lpn, 1)); err != nil {
@@ -230,8 +224,8 @@ func TestPageFTLStripesAcrossDies(t *testing.T) {
 }
 
 func TestPageFTLGCCopybacksStayInPlane(t *testing.T) {
-	dev := testDevice(nand.Options{})
-	f, _ := NewPageFTL(dev, PageFTLConfig{OverProvision: 0.2})
+	dev := pageFTLTestDevice(nand.Options{})
+	f, _ := NewPageFTL(dev, ftl.PageFTLConfig{OverProvision: 0.2})
 	w := &sim.ClockWaiter{}
 	n := f.LogicalPages()
 	rng := rand.New(rand.NewSource(3))
@@ -261,8 +255,8 @@ func TestPageFTLSurvivesGrownBadBlocks(t *testing.T) {
 	// Fail rate chosen so grown-bad capacity loss stays well inside the
 	// over-provisioned margin; losing more than the margin is unrecoverable
 	// for any FTL and correctly surfaces as ErrGCStuck.
-	dev := testDevice(nand.Options{ProgramFailProb: 0.0005, Seed: 11})
-	f, err := NewPageFTL(dev, PageFTLConfig{OverProvision: 0.3})
+	dev := pageFTLTestDevice(nand.Options{ProgramFailProb: 0.0005, Seed: 11})
+	f, err := NewPageFTL(dev, ftl.PageFTLConfig{OverProvision: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,9 +286,9 @@ func TestPageFTLSurvivesGrownBadBlocks(t *testing.T) {
 }
 
 func TestPageFTLWearLeveling(t *testing.T) {
-	dev := testDevice(nand.Options{})
-	f, _ := NewPageFTL(dev, PageFTLConfig{
-		OverProvision: 0.2, WearLevel: true, WearDelta: 4, Policy: WearAwarePolicy,
+	dev := pageFTLTestDevice(nand.Options{})
+	f, _ := NewPageFTL(dev, ftl.PageFTLConfig{
+		OverProvision: 0.2, WearLevel: true, WearDelta: 4, Policy: ftl.WearAwarePolicy,
 	})
 	w := &sim.ClockWaiter{}
 	n := f.LogicalPages()
@@ -320,38 +314,40 @@ func TestPageFTLWearLeveling(t *testing.T) {
 	}
 }
 
-func TestGCPolicies(t *testing.T) {
-	for _, pol := range []GCPolicy{GreedyPolicy, CostBenefitPolicy, WearAwarePolicy} {
-		dev := testDevice(nand.Options{})
-		f, _ := NewPageFTL(dev, PageFTLConfig{OverProvision: 0.2, Policy: pol})
-		w := &sim.ClockWaiter{}
-		n := f.LogicalPages()
-		rng := rand.New(rand.NewSource(2))
-		for i := 0; i < int(n)*4; i++ {
-			if err := f.Write(w, rng.Int63n(n), fillPage(256, 0, i)); err != nil {
-				t.Fatalf("%v: %v", pol, err)
-			}
+// TestPageFTLCapacityPinned pins the exported capacity on the geometries
+// the paper experiments build the FTL on, at the over-provisioning they
+// pass. The FTL opens two frontiers per plane where the full volume
+// opens five; reserving for five would bind before over-provisioning on
+// the headline drive and shrink every pagemap row's working set.
+func TestPageFTLCapacityPinned(t *testing.T) {
+	// bench.sweepDevice(1<<15, 4096): the A1/A4 ablation device.
+	sweep := flash.Config{Geometry: nand.Geometry{
+		Channels: 4, ChipsPerChannel: 2, DiesPerChip: 1, PlanesPerDie: 1,
+		BlocksPerPlane: 66, PagesPerBlock: 64, PageSize: 4096, OOBSize: 128,
+	}, Cell: nand.SLC}
+	for _, c := range []struct {
+		name string
+		dev  flash.Config
+		op   float64 // 0: the FTL's default
+		want int64
+	}{
+		{"headline 8 dies/192 MB", flash.EmulatorConfig(8, 192, nand.SLC), 0, 44232},
+		{"CI headline 8 dies/96 MB", flash.EmulatorConfig(8, 96, nand.SLC), 0, 20480},
+		{"validate 1 die/32 MB", flash.EmulatorConfig(1, 32, nand.SLC), 0, 7372},
+		{"validate 2 dies/32 MB", flash.EmulatorConfig(2, 32, nand.SLC), 0, 7168},
+		{"validate 4 dies/32 MB", flash.EmulatorConfig(4, 32, nand.SLC), 0, 6144},
+		{"validate 8 dies/32 MB", flash.EmulatorConfig(8, 32, nand.SLC), 0, 4096},
+		{"ablation op 0.07", sweep, 0.07, 31424},
+		{"ablation op 0.12", sweep, 0.12, 29736},
+		{"ablation op 0.20", sweep, 0.20, 27032},
+		{"ablation op 0.28", sweep, 0.28, 24328},
+	} {
+		f, err := NewPageFTL(flash.New(c.dev), ftl.PageFTLConfig{OverProvision: c.op})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		if f.Stats().Erases == 0 {
-			t.Errorf("%v: no erases", pol)
-		}
-	}
-	if GreedyPolicy.String() != "greedy" || CostBenefitPolicy.String() != "cost-benefit" ||
-		WearAwarePolicy.String() != "wear-aware" || GCPolicy(9).String() == "" {
-		t.Error("GCPolicy.String broken")
-	}
-}
-
-func TestStripingMath(t *testing.T) {
-	st := Striping{Dies: 4, PerDie: 100}
-	if st.Total() != 400 {
-		t.Fatal("Total")
-	}
-	for lpn := int64(0); lpn < 400; lpn += 37 {
-		die := st.DieOf(lpn)
-		dlpn := st.DieLPN(lpn)
-		if st.GlobalLPN(die, dlpn) != lpn {
-			t.Fatalf("striping roundtrip failed for %d", lpn)
+		if got := f.LogicalPages(); got != c.want {
+			t.Errorf("%s: LogicalPages = %d, want %d", c.name, got, c.want)
 		}
 	}
 }

@@ -180,6 +180,7 @@ type dieMgr struct {
 	deltaPages    map[nand.PPN]*deltaPageInfo
 	nop           int // device partial-program budget per page
 	storeData     bool
+	frontiers     int // per-plane frontiers the configuration can open
 	rr            int
 	seq           uint64
 	gcActive      []bool
@@ -190,6 +191,15 @@ type dieMgr struct {
 // New builds a Volume over a native flash device (or, with cfg.Dies set,
 // over a region of it).
 func New(dev *flash.Device, cfg Config) (*Volume, error) {
+	// Hot, cold, GC, delta and log: every frontier a hint or a delta
+	// append can open.
+	return newVolume(dev, cfg, 5)
+}
+
+// newVolume builds a Volume whose capacity reserve covers the given
+// number of per-plane write frontiers — how many its caller's use of the
+// volume can ever open (see logicalPages).
+func newVolume(dev *flash.Device, cfg Config, frontiers int) (*Volume, error) {
 	cfg = cfg.withDefaults()
 	geo := dev.Geometry()
 	dies := cfg.Dies
@@ -211,7 +221,7 @@ func New(dev *flash.Device, cfg Config) (*Volume, error) {
 	v := &Volume{dev: dev, cfg: cfg, dieIDs: append([]int(nil), dies...)}
 	perDie := int64(1<<62 - 1)
 	for idx, die := range dies {
-		d, err := newDieMgr(dev, die, idx, len(dies), cfg)
+		d, err := newDieMgr(dev, die, idx, len(dies), cfg, frontiers)
 		if err != nil {
 			return nil, err
 		}
@@ -230,7 +240,7 @@ func New(dev *flash.Device, cfg Config) (*Volume, error) {
 	return v, nil
 }
 
-func newDieMgr(dev *flash.Device, die, idx, stripe int, cfg Config) (*dieMgr, error) {
+func newDieMgr(dev *flash.Device, die, idx, stripe int, cfg Config, frontiers int) (*dieMgr, error) {
 	sp := ftl.NewDieSpace(dev, die)
 	devs := cfg.Devs.withDefault(dev)
 	d := &dieMgr{
@@ -253,6 +263,7 @@ func newDieMgr(dev *flash.Device, die, idx, stripe int, cfg Config) (*dieMgr, er
 		deltaPages: map[nand.PPN]*deltaPageInfo{},
 		nop:        dev.Array().MaxPartialPrograms(),
 		storeData:  dev.Array().StoresData(),
+		frontiers:  frontiers,
 		gcActive:   make([]bool, sp.Planes()),
 	}
 	for p := 0; p < sp.Planes(); p++ {
@@ -268,12 +279,14 @@ func newDieMgr(dev *flash.Device, die, idx, stripe int, cfg Config) (*dieMgr, er
 	return d, nil
 }
 
+// logicalPages computes the die's exported capacity: usable pages minus
+// over-provisioning, capped so GC always has headroom.
 func (d *dieMgr) logicalPages() int64 {
 	ppb := int64(d.sp.PagesPerBlock())
 	usable := int64(d.bt.Usable())
-	// Reserve room for the five per-plane frontiers (hot, cold, GC,
-	// delta, log) plus the low-water free pool.
-	reserve := int64(d.sp.Planes()) * int64(5+d.cfg.LowWater)
+	// Reserve room for the open per-plane frontiers plus the low-water
+	// free pool.
+	reserve := int64(d.sp.Planes()) * int64(d.frontiers+d.cfg.LowWater)
 	maxSafe := (usable - reserve) * ppb
 	want := int64(float64(usable*ppb) * (1 - d.cfg.OverProvision))
 	if want > maxSafe {
@@ -527,7 +540,7 @@ func (d *dieMgr) kindFor(h Hint) uint8 {
 func (d *dieMgr) write(w sim.Waiter, dlpn, globalLPN int64, data []byte, h Hint) error {
 	for attempt := 0; ; attempt++ {
 		if attempt > d.sp.Blocks() {
-			return fmt.Errorf("%w: noftl die %d cannot place a write", ftl.ErrGCStuck, d.sp.Die)
+			return fmt.Errorf("%w: die %d cannot place a write", ftl.ErrGCStuck, d.sp.Die)
 		}
 		plane, err := d.pickWritePlane(w)
 		if err != nil {
@@ -571,6 +584,9 @@ func (d *dieMgr) write(w sim.Waiter, dlpn, globalLPN int64, data []byte, h Hint)
 	}
 }
 
+// pickWritePlane chooses the next plane for a host write, running GC as
+// needed. It prefers round-robin striping but skips planes whose space
+// cannot be reclaimed (e.g. depleted by grown bad blocks).
 func (d *dieMgr) pickWritePlane(w sim.Waiter) (int, error) {
 	planes := d.sp.Planes()
 	var firstErr error
@@ -588,6 +604,8 @@ func (d *dieMgr) pickWritePlane(w sim.Waiter) (int, error) {
 			firstErr = err
 		}
 	}
+	// Every plane is at or below reserve; allow draining remaining
+	// frontier room before giving up.
 	for i := 0; i < planes; i++ {
 		plane := (d.rr + i) % planes
 		if !d.hot[plane].Full(d.sp.PagesPerBlock()) || d.bt.FreeCount(plane) > 0 {
@@ -598,6 +616,8 @@ func (d *dieMgr) pickWritePlane(w sim.Waiter) (int, error) {
 	return 0, firstErr
 }
 
+// allocPage takes the next page of the given frontier, refilling it from
+// the plane's free pool when full.
 func (d *dieMgr) allocPage(plane int, fr *ftl.Frontier, kind uint8) (nand.PPN, error) {
 	ppb := d.sp.PagesPerBlock()
 	if fr.Full(ppb) {
@@ -606,7 +626,7 @@ func (d *dieMgr) allocPage(plane int, fr *ftl.Frontier, kind uint8) (nand.PPN, e
 		}
 		b, ok := d.bt.AllocFree(plane, kind)
 		if !ok {
-			return 0, fmt.Errorf("%w: noftl plane %d of die %d has no free blocks",
+			return 0, fmt.Errorf("%w: plane %d of die %d has no free blocks",
 				ftl.ErrGCStuck, plane, d.sp.Die)
 		}
 		fr.Block, fr.Next = b, 0
@@ -627,15 +647,18 @@ func (d *dieMgr) inlineWater() int {
 	return d.cfg.LowWater
 }
 
+// ensureSpace runs GC until the plane has inlineWater free blocks. When
+// another in-flight operation is already collecting this plane, it backs
+// off and polls.
 func (d *dieMgr) ensureSpace(w sim.Waiter, plane int) error {
 	const maxSpins = 1 << 16
 	for spins := 0; d.bt.FreeCount(plane) < d.inlineWater(); spins++ {
 		if spins > maxSpins {
-			return fmt.Errorf("%w: noftl plane %d of die %d", ftl.ErrGCStuck, plane, d.sp.Die)
+			return fmt.Errorf("%w: plane %d of die %d", ftl.ErrGCStuck, plane, d.sp.Die)
 		}
 		if d.gcActive[plane] {
 			if d.bt.FreeCount(plane) > 0 {
-				return nil
+				return nil // enough to proceed; the active GC will refill
 			}
 			w.WaitUntil(w.Now() + 50*sim.Microsecond)
 			continue
@@ -647,18 +670,21 @@ func (d *dieMgr) ensureSpace(w sim.Waiter, plane int) error {
 	return nil
 }
 
+// gcOnce collects one victim block in the plane.
 func (d *dieMgr) gcOnce(w sim.Waiter, plane int) error {
 	// Maintenance traffic always dispatches in the GC class, but keeps
 	// the tag of the request that triggered it (inline collections).
 	w = ioreq.WithClass(w, ioreq.ClassGC)
 	victim, ok := d.bt.PickVictim(plane, ftl.AnyKind, d.cfg.Policy)
 	if !ok {
-		return fmt.Errorf("%w: noftl no victim in plane %d of die %d", ftl.ErrGCStuck, plane, d.sp.Die)
+		return fmt.Errorf("%w: no victim in plane %d of die %d", ftl.ErrGCStuck, plane, d.sp.Die)
 	}
 	if d.bt.Info[victim].Valid >= d.sp.PagesPerBlock() {
+		// A non-greedy policy chose a fully valid block, which frees
+		// nothing; fall back to greedy to guarantee progress.
 		victim, ok = d.bt.PickVictim(plane, ftl.AnyKind, ftl.GreedyPolicy)
 		if !ok || d.bt.Info[victim].Valid >= d.sp.PagesPerBlock() {
-			return fmt.Errorf("%w: noftl plane %d of die %d fully valid", ftl.ErrGCStuck, plane, d.sp.Die)
+			return fmt.Errorf("%w: plane %d of die %d fully valid", ftl.ErrGCStuck, plane, d.sp.Die)
 		}
 	}
 	d.gcActive[plane] = true
@@ -671,6 +697,8 @@ func (d *dieMgr) gcOnce(w sim.Waiter, plane int) error {
 	return nil
 }
 
+// collectBlock evacuates and erases one block. The victim is taken out of
+// circulation while being collected and restored to Used on failure.
 func (d *dieMgr) collectBlock(w sim.Waiter, victim, plane int) error {
 	d.bt.Info[victim].State = ftl.BlockFrontier
 	ppb := d.sp.PagesPerBlock()
@@ -705,6 +733,11 @@ func (d *dieMgr) collectBlock(w sim.Waiter, victim, plane int) error {
 	return d.eraseAndRelease(w, victim)
 }
 
+// allocRelocTarget finds a destination page for a relocation, preferring
+// the source plane (COPYBACK-eligible): GC frontier, then a free block,
+// then host-frontier room. If the plane is depleted it borrows room from
+// another plane in the die — without eating into that plane's GC
+// reserve — at the cost of a bus-based move.
 func (d *dieMgr) allocRelocTarget(srcPlane int) (nand.PPN, int, error) {
 	if ppn, err := d.allocPage(srcPlane, &d.gc[srcPlane], kindGC); err == nil {
 		return ppn, srcPlane, nil
@@ -727,9 +760,12 @@ func (d *dieMgr) allocRelocTarget(srcPlane int) (nand.PPN, int, error) {
 			}
 		}
 	}
-	return 0, 0, fmt.Errorf("%w: noftl die %d has no relocation room", ftl.ErrGCStuck, d.sp.Die)
+	return 0, 0, fmt.Errorf("%w: die %d has no relocation room", ftl.ErrGCStuck, d.sp.Die)
 }
 
+// relocate moves one valid page: COPYBACK within the plane, read+program
+// across planes, retrying over grown bad blocks. The mapping move commits
+// at submission and rolls back if the copy fails.
 func (d *dieMgr) relocate(w sim.Waiter, srcLocal, srcPage int, dlpn int64, plane int) error {
 	src := d.sp.PPN(srcLocal, srcPage)
 	for {
@@ -804,6 +840,8 @@ func (d *dieMgr) eraseAndRelease(w sim.Waiter, local int) error {
 	}
 }
 
+// retireAndSalvage retires a grown-bad block, moving its still-valid
+// pages to healthy blocks via read+program (bad blocks cannot copyback).
 func (d *dieMgr) retireAndSalvage(w sim.Waiter, local int) error {
 	w = ioreq.WithClass(w, ioreq.ClassGC)
 	d.bt.Retire(local)
@@ -884,6 +922,9 @@ func (d *dieMgr) retireAndSalvage(w sim.Waiter, local int) error {
 	return nil
 }
 
+// maybeWearLevel runs one static wear-leveling step every 16 erases: when
+// the plane's wear spread exceeds WearDelta the least-worn used block
+// (cold data) is evacuated so its block re-enters circulation.
 func (d *dieMgr) maybeWearLevel(w sim.Waiter, plane int) {
 	if d.cfg.DisableWearLevel || d.erasesSinceWL < 16 {
 		return

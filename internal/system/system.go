@@ -233,7 +233,7 @@ func New(cfg Config, optFns ...Option) (_ *System, err error) {
 		s.Vol = storage.NewBlockVolume(blockdev.New(f, blockdev.Config{Kernel: k}), pageSize)
 		s.FTLStats = f.Stats
 	case StackPagemap:
-		f, err := ftl.NewPageFTL(dev, ftl.PageFTLConfig{})
+		f, err := noftl.NewPageFTL(dev, ftl.PageFTLConfig{})
 		if err != nil {
 			return nil, err
 		}

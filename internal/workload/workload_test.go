@@ -7,6 +7,7 @@ import (
 	"noftl/internal/flash"
 	"noftl/internal/ftl"
 	"noftl/internal/nand"
+	"noftl/internal/noftl"
 	"noftl/internal/sim"
 	"noftl/internal/storage"
 )
@@ -193,7 +194,7 @@ func TestSyntheticPatterns(t *testing.T) {
 			PlanesPerDie: 1, BlocksPerPlane: 64, PagesPerBlock: 16, PageSize: 512, OOBSize: 16},
 		Cell: nand.SLC,
 	})
-	f, err := ftl.NewPageFTL(dev, ftl.PageFTLConfig{})
+	f, err := noftl.NewPageFTL(dev, ftl.PageFTLConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

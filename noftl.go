@@ -9,8 +9,6 @@
 //     DeviceConfig, EmulatorConfig, OpenSSDConfig),
 //   - host-integrated flash management — the paper's contribution
 //     (NewVolume, VolumeConfig, RebuildVolume),
-//   - conventional on-device FTLs for comparison (NewPageFTL, NewDFTL,
-//     NewFasterFTL) and the legacy block-device wrapper (NewBlockDevice),
 //   - the Shore-MT-class storage engine (Format, Open, EngineConfig),
 //   - the TPC-B/-C/-E/-H workload generators and the FIO-style
 //     synthetic driver,
@@ -24,7 +22,6 @@ package noftl
 
 import (
 	"noftl/internal/bench"
-	"noftl/internal/blockdev"
 	"noftl/internal/flash"
 	"noftl/internal/ftl"
 	"noftl/internal/ioreq"
@@ -200,33 +197,6 @@ func RebuildRegionManager(dev *Device, layout RegionLayout, rq Req) (*RegionMana
 // region for the WAL plus a page-mapped data region for everything else.
 func DefaultDBLayout(logDies int) RegionLayout { return region.DefaultDBLayout(logDies) }
 
-// --- conventional FTLs + legacy block device (the comparison) ---
-
-type (
-	// FTL is a logical block device mapped by an on-device scheme.
-	FTL = ftl.FTL
-	// FTLStats counts FTL-level flash traffic.
-	FTLStats = ftl.Stats
-	// BlockDevice is the legacy READ/WRITE(lba) interface around an FTL.
-	BlockDevice = blockdev.Device
-)
-
-// NewPageFTL creates the pure page-mapping FTL (full table in RAM).
-func NewPageFTL(dev *Device, cfg ftl.PageFTLConfig) (*ftl.PageFTL, error) {
-	return ftl.NewPageFTL(dev, cfg)
-}
-
-// NewDFTL creates the demand-based FTL (cached mapping table).
-func NewDFTL(dev *Device, cfg ftl.DFTLConfig) (*ftl.DFTL, error) { return ftl.NewDFTL(dev, cfg) }
-
-// NewFasterFTL creates the FASTer hybrid log-block FTL.
-func NewFasterFTL(dev *Device, cfg ftl.FasterConfig) (*ftl.FasterFTL, error) {
-	return ftl.NewFasterFTL(dev, cfg)
-}
-
-// NewBlockDevice wraps an FTL behind the legacy block interface.
-func NewBlockDevice(f FTL, cfg blockdev.Config) *BlockDevice { return blockdev.New(f, cfg) }
-
 // --- storage engine ---
 
 type (
@@ -265,11 +235,6 @@ func NewIOCtx(w Waiter) *IOCtx { return storage.NewIOCtx(w) }
 
 // NewNoFTLEngineVolume adapts a NoFTL volume for the engine.
 func NewNoFTLEngineVolume(v *Volume) EngineVolume { return storage.NewNoFTLVolume(v) }
-
-// NewBlockEngineVolume adapts a legacy block device for the engine.
-func NewBlockEngineVolume(d *BlockDevice, pageSize int) EngineVolume {
-	return storage.NewBlockVolume(d, pageSize)
-}
 
 // NewMemEngineVolume creates an in-memory volume (tests, trace capture).
 func NewMemEngineVolume(pageSize int, pages int64) EngineVolume {
