@@ -1,7 +1,6 @@
 package noftl
 
 import (
-	"noftl/internal/sched"
 	"noftl/internal/system"
 	"noftl/internal/telemetry/blame"
 )
@@ -57,15 +56,3 @@ const (
 // per-die command timeline with the retained request spans after a run.
 // Implies a priority scheduler when no scheduler option is given.
 func WithBlame(cfg BlameConfig) SystemOption { return system.WithBlame(cfg) }
-
-// AnalyzeBlame runs the root-cause engine over an explicit command log
-// and span set — for callers that collected a CmdLog themselves
-// (systems built WithBlame expose System.Blame() directly). Spans may
-// be nil: the report then carries the event-level matrix only.
-func AnalyzeBlame(log *CmdLog, spans []*Span, cfg BlameConfig) *BlameReport {
-	var events []sched.Event
-	if log != nil {
-		events = log.Events
-	}
-	return blame.Analyze(events, spans, cfg)
-}

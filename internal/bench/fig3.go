@@ -27,7 +27,6 @@ type Fig3Config struct {
 	TPCB         workload.TPCBConfig
 	TPCE         workload.TPCEConfig
 	Transactions int // per workload. Default 4000.
-	DriveMB      int // replay drive size. Default sized to ~1.4x the DB footprint.
 	Seed         int64
 }
 

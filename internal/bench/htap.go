@@ -41,13 +41,15 @@ const (
 	HTAPPrefetch HTAPMode = "scan-resist+prefetch"
 )
 
+// htapPrefetchWindow is the prefetch mode's read-ahead depth in pages.
+const htapPrefetchWindow = 16
+
 // HTAPConfig parameterizes the HTAP ablation. Params.Workers is the
 // OLTP terminal count.
 type HTAPConfig struct {
 	Params
 	Modes   []HTAPMode // default: all three
 	Readers int        // analytical reader processes, default 2
-	Window  int        // prefetch read-ahead depth, default 16
 
 	// TPCB is sized per geometry unless set explicitly: ~30% of the data
 	// region, so that with the TPC-H tables and the history table's
@@ -173,7 +175,6 @@ func HTAPAblation(cfg HTAPConfig) (*HTAPResult, error) {
 		cfg.Modes = []HTAPMode{HTAPNaive, HTAPScanRes, HTAPPrefetch}
 	}
 	cfg.Readers = orDefault(cfg.Readers, 2)
-	cfg.Window = orDefault(cfg.Window, 16)
 	if cfg.TPCH.ScaleFactor == 0 {
 		cfg.TPCH.ScaleFactor = 2
 	}
@@ -187,7 +188,7 @@ func HTAPAblation(cfg HTAPConfig) (*HTAPResult, error) {
 		case HTAPScanRes:
 			opts = append(opts, system.WithScanResistance())
 		case HTAPPrefetch:
-			opts = append(opts, system.WithScanResistance(), system.WithPrefetch(cfg.Window))
+			opts = append(opts, system.WithScanResistance(), system.WithPrefetch(htapPrefetchWindow))
 		}
 		sys, log, err := cfg.build(system.StackNoFTLRegions, opts...)
 		if err != nil {

@@ -19,12 +19,14 @@ import (
 // of 0.450 ms with FTL-specific outliers reaching ~80 ms under heavy
 // load; NoFTL's background GC keeps the tail flat.
 type LatencyConfig struct {
-	Ops     int     // default 20000
-	DriveMB int     // default 64 (small: GC pressure arrives quickly)
-	Dies    int     // default 4
-	Fill    float64 // utilised fraction before measurement. Default 0.9.
+	Ops     int // default 20000
+	DriveMB int // default 64 (small: GC pressure arrives quickly)
+	Dies    int // default 4
 	Seed    int64
 }
+
+// latencyFill is the utilised fraction before measurement.
+const latencyFill = 0.9
 
 func (c LatencyConfig) withDefaults() LatencyConfig {
 	if c.Ops <= 0 {
@@ -35,9 +37,6 @@ func (c LatencyConfig) withDefaults() LatencyConfig {
 	}
 	if c.Dies <= 0 {
 		c.Dies = 4
-	}
-	if c.Fill <= 0 {
-		c.Fill = 0.9
 	}
 	return c
 }
@@ -126,7 +125,7 @@ func latencyRun(cfg LatencyConfig, write func(sim.Waiter, int64, []byte) error,
 	k := sim.New()
 	rng := newRand(cfg.Seed)
 	buf := make([]byte, 4096)
-	span := int64(float64(pages) * cfg.Fill)
+	span := int64(float64(pages) * latencyFill)
 	if span < 1 {
 		span = 1
 	}

@@ -35,11 +35,6 @@ const (
 // (QoSTagNames).
 type QoSConfig struct {
 	Params
-	// Deadline stamps each high-priority transaction with a completion
-	// deadline this far ahead; past it, the scheduler promotes its
-	// still-queued commands ahead of every class. Default 4ms; negative
-	// disables.
-	Deadline sim.Time
 	// LowDeadline stamps the low tenant's transactions with a completion
 	// deadline this far ahead, so its SLO misses are measured (and
 	// blame-attributable) too. Default 0: off — the low tenant then runs
@@ -50,6 +45,11 @@ type QoSConfig struct {
 	// tenant ~68% of half the data region.
 	TPCB workload.TPCBConfig
 }
+
+// qosHighDeadline stamps each high-priority transaction with a
+// completion deadline this far ahead; past it, the scheduler promotes
+// its still-queued commands ahead of every class.
+const qosHighDeadline = 4 * sim.Millisecond
 
 // QoSResult is the QoS demo outcome. Result.Sched is the scheduler
 // accounting of the run (Retagged counts the low group's descriptor
@@ -118,9 +118,6 @@ func (r *QoSResult) AddTo(rep *JSONReport) {
 // with priority inversion the I/O scheduler cannot see).
 func QoS(cfg QoSConfig) (*QoSResult, error) {
 	cfg.Params = cfg.Params.withDefaults("qos")
-	if cfg.Deadline == 0 {
-		cfg.Deadline = 4 * sim.Millisecond
-	}
 	if cfg.Blame != nil && cfg.Blame.TagNames == nil {
 		bl := *cfg.Blame
 		bl.TagNames = QoSTagNames()
@@ -152,7 +149,7 @@ func QoS(cfg QoSConfig) (*QoSResult, error) {
 			terminals("high", wlHigh, workload.TerminalConfig{
 				N: highN, Seed: cfg.Seed,
 				TagOf:         func(int) uint32 { return TagHighPriority },
-				DeadlineAfter: deadline(cfg.Deadline),
+				DeadlineAfter: deadline(qosHighDeadline),
 			}),
 			// FirstID keeps the two groups' terminal IDs — and so their
 			// span IDs — disjoint; colliding IDs would cross-wire the

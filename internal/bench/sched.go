@@ -53,13 +53,10 @@ const (
 // who waits for it.
 type SchedConfig struct {
 	Params
-	Workload string      // "tpcb" (default) or "tpcc"
+	// Workload is "tpcb" (default; sized per geometry to ~68% of the
+	// data region at load) or "tpcc" (4 warehouses).
+	Workload string
 	Modes    []SchedMode // default: all four
-
-	TPCC workload.TPCCConfig // default 4 warehouses
-	// TPCB is sized per geometry (~68% of the data region at load)
-	// unless set explicitly.
-	TPCB workload.TPCBConfig
 }
 
 // SchedRow is one regime's measurement.
@@ -217,9 +214,6 @@ func SchedAblation(cfg SchedConfig) (*SchedResult, error) {
 	if len(cfg.Modes) == 0 {
 		cfg.Modes = []SchedMode{SchedInline, SchedBackground, SchedPriority, SchedTagged}
 	}
-	if cfg.TPCC.Warehouses == 0 {
-		cfg.TPCC = workload.TPCCConfig{Warehouses: 4}
-	}
 	res := &SchedResult{Workload: cfg.Workload}
 	for _, mode := range cfg.Modes {
 		opts := []system.Option{system.WithScheduler(sched.Config{Policy: sched.FCFS})}
@@ -233,11 +227,9 @@ func SchedAblation(cfg SchedConfig) (*SchedResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sched ablation %s: %w", mode, err)
 		}
-		tpcb := cfg.TPCB
-		if tpcb.Branches == 0 {
-			tpcb = deriveTPCB(sys.NoFTL.LogicalPages(), 0.68)
-		}
-		r, err := RunTPS(sys, oltpWorkload(cfg.Workload, tpcb, cfg.TPCC), TPSConfig{
+		wl := oltpWorkload(cfg.Workload, deriveTPCB(sys.NoFTL.LogicalPages(), 0.68),
+			workload.TPCCConfig{Warehouses: 4})
+		r, err := RunTPS(sys, wl, TPSConfig{
 			Workers:     cfg.Workers,
 			Writers:     cfg.Writers,
 			Association: storage.AssocDieWise,

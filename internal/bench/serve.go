@@ -53,39 +53,34 @@ type ServeConfig struct {
 	Params
 	// Rows is the per-store record count. Default 16384.
 	Rows int64
-	// ValBytes sizes each record. Default 96.
-	ValBytes int
 	// Settle runs between warm-up and measure with spans (and so the
 	// burn guard) live but before counters reset, so the guard's
 	// escalation transient stays out of the measured window. Default 1s.
 	Settle sim.Time
-	// PayingDeadline / BatchDeadline stamp each tenant's transactions
-	// (defaults 6ms / 3ms). PayingBudget / BatchBudget are the allowed
-	// deadline-miss fractions (defaults 0.25 / 0.02: the batch tenant's
-	// contract is strict, the paying tenant's is generous so the guard
-	// never punishes the victim).
-	PayingDeadline sim.Time
-	BatchDeadline  sim.Time
-	PayingBudget   float64
-	BatchBudget    float64
-	// BatchRate is the batch tenant's contracted admission rate in
-	// requests per second, shared by all its sessions. Default 1200.
-	BatchRate float64
-	// PayingThink is the paying sessions' think time. Default 2ms.
-	PayingThink sim.Time
 }
+
+// The ablation's fixed load shape and tenant contracts.
+const (
+	serveValBytes = 96 // record size
+	// payingDeadline / batchDeadline stamp each tenant's transactions;
+	// payingBudget / batchBudget are the allowed deadline-miss fractions
+	// (the batch tenant's contract is strict, the paying tenant's is
+	// generous so the guard never punishes the victim).
+	payingDeadline = 6 * sim.Millisecond
+	batchDeadline  = 3 * sim.Millisecond
+	payingBudget   = 0.25
+	batchBudget    = 0.02
+	// batchRate is the batch tenant's contracted admission rate in
+	// requests per second, shared by all its sessions.
+	batchRate = 1200.0
+	// payingThink is the paying sessions' think time.
+	payingThink = 2 * sim.Millisecond
+)
 
 func (c ServeConfig) withDefaults() ServeConfig {
 	c.Params = c.Params.withDefaults("serve")
 	c.Rows = orDefault(c.Rows, 16384)
-	c.ValBytes = orDefault(c.ValBytes, 96)
 	c.Settle = orDefault(c.Settle, 1*sim.Second)
-	c.PayingDeadline = orDefault(c.PayingDeadline, 6*sim.Millisecond)
-	c.BatchDeadline = orDefault(c.BatchDeadline, 3*sim.Millisecond)
-	c.PayingBudget = orDefault(c.PayingBudget, 0.25)
-	c.BatchBudget = orDefault(c.BatchBudget, 0.02)
-	c.BatchRate = orDefault(c.BatchRate, 1200)
-	c.PayingThink = orDefault(c.PayingThink, 2*sim.Millisecond)
 	if c.Telemetry == nil {
 		c.Telemetry = &telemetry.Config{}
 	}
@@ -233,27 +228,6 @@ func (w *kvWorkload) RunOne(ctx *storage.IOCtx, e *storage.Engine, rng *rand.Ran
 	}
 }
 
-// serveTenants builds the ablation's tenant catalog.
-func serveTenants(cfg ServeConfig) []serve.TenantSpec {
-	return []serve.TenantSpec{
-		{
-			Name:       payingTenant,
-			Tag:        TagPaying,
-			Deadline:   cfg.PayingDeadline,
-			MissBudget: cfg.PayingBudget,
-			// No rate contract: the paying tenant bought headroom.
-		},
-		{
-			Name:       batchTenant,
-			Tag:        TagBatch,
-			Deadline:   cfg.BatchDeadline,
-			MissBudget: cfg.BatchBudget,
-			Rate:       cfg.BatchRate,
-			Burst:      16,
-		},
-	}
-}
-
 // AddTo appends the ablation's rows to a machine-readable report: one
 // per regime (uncontended reference included), the common fields over
 // both tenants and the per-tenant split in the tenant maps.
@@ -284,13 +258,18 @@ func runServeMode(cfg ServeConfig, control serve.Control, withBatch bool, mode s
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	front, err := sys.StartServe(serve.Config{
-		Tenants: serveTenants(cfg),
+		Tenants: []serve.TenantSpec{
+			// No rate contract: the paying tenant bought headroom.
+			{Name: payingTenant, Tag: TagPaying, Deadline: payingDeadline, MissBudget: payingBudget},
+			{Name: batchTenant, Tag: TagBatch, Deadline: batchDeadline, MissBudget: batchBudget,
+				Rate: batchRate, Burst: 16},
+		},
 		Control: control,
 	})
 	if err != nil {
 		return nil, err
 	}
-	val := make([]byte, cfg.ValBytes)
+	val := make([]byte, serveValBytes)
 	for i := range val {
 		val[i] = byte('a' + i%26)
 	}
@@ -309,9 +288,9 @@ func runServeMode(cfg ServeConfig, control serve.Control, withBatch bool, mode s
 	}
 	tenants := []*tenant{
 		{name: payingTenant, tag: TagPaying, n: payingN, seed: cfg.Seed,
-			think: cfg.PayingThink, deadline: cfg.PayingDeadline},
+			think: payingThink, deadline: payingDeadline},
 		{name: batchTenant, tag: TagBatch, firstID: payingN, n: cfg.Workers - payingN,
-			seed: cfg.Seed + 1_000_003, deadline: cfg.BatchDeadline},
+			seed: cfg.Seed + 1_000_003, deadline: batchDeadline},
 	}
 	clients := tenants
 	if !withBatch {

@@ -60,15 +60,14 @@ func TestServeAblationSmoke(t *testing.T) {
 	if none.Front.Deprioritized != 0 || none.Front.Shed != 0 {
 		t.Fatalf("no-control regime controlled something: %+v", none.Front)
 	}
-	cfg := tinyServeConfig(42).withDefaults()
-	if b := none.Tenant(batchTenant); b.TPS < 2*cfg.BatchRate {
+	if b := none.Tenant(batchTenant); b.TPS < 2*batchRate {
 		t.Fatalf("no-control batch TPS %.0f: load too weak to demonstrate anything (rate %.0f)",
-			b.TPS, cfg.BatchRate)
+			b.TPS, batchRate)
 	}
 
 	// Rate limit: batch paced to its contract (±20%), never shed.
-	if b := rate.Tenant(batchTenant); b.TPS > 1.2*cfg.BatchRate {
-		t.Fatalf("rate-limit batch TPS %.0f over contract %.0f", b.TPS, cfg.BatchRate)
+	if b := rate.Tenant(batchTenant); b.TPS > 1.2*batchRate {
+		t.Fatalf("rate-limit batch TPS %.0f over contract %.0f", b.TPS, batchRate)
 	}
 	if rate.Front.Shed != 0 {
 		t.Fatalf("rate-limit regime shed requests: %+v", rate.Front)

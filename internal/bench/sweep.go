@@ -33,10 +33,10 @@ import (
 
 // SweepConfig parameterizes a stack sweep. Zero fields take the
 // experiment's defaults (Params: the defaults table; the rest: sweeps).
+// The stacks under comparison are the experiment's own (sweeps).
 type SweepConfig struct {
 	Params
-	Workload string         // "tpcc" or "tpcb"
-	Stacks   []system.Stack // stacks under comparison
+	Workload string // "tpcc" or "tpcb"
 	TPCC     workload.TPCCConfig
 	TPCB     workload.TPCBConfig
 }
@@ -57,17 +57,22 @@ type (
 	RegionsConfig = SweepConfig
 )
 
-// sweeps holds each sweep's non-Params defaults.
-var sweeps = map[string]SweepConfig{
-	"headline": {Workload: "tpcc",
-		Stacks: []system.Stack{system.StackNoFTL, system.StackPagemap, system.StackFaster, system.StackDFTL},
-		TPCC:   workload.TPCCConfig{Warehouses: 2}, TPCB: workload.TPCBConfig{Branches: 24}},
-	"delta": {Workload: "tpcb",
-		Stacks: []system.Stack{system.StackNoFTL, system.StackNoFTLDelta, system.StackFaster},
-		TPCC:   workload.TPCCConfig{Warehouses: 2}, TPCB: workload.TPCBConfig{Branches: 24}},
-	"regions": {Workload: "tpcb",
-		Stacks: []system.Stack{system.StackNoFTLSingle, system.StackNoFTLRegions},
-		TPCC:   workload.TPCCConfig{Warehouses: 4}, TPCB: workload.TPCBConfig{Branches: 32, AccountsPerBranch: 6000}},
+// sweeps holds each sweep's stack list and non-Params defaults.
+var sweeps = map[string]struct {
+	workload string
+	stacks   []system.Stack
+	tpcc     workload.TPCCConfig
+	tpcb     workload.TPCBConfig
+}{
+	"headline": {"tpcc",
+		[]system.Stack{system.StackNoFTL, system.StackPagemap, system.StackFaster, system.StackDFTL},
+		workload.TPCCConfig{Warehouses: 2}, workload.TPCBConfig{Branches: 24}},
+	"delta": {"tpcb",
+		[]system.Stack{system.StackNoFTL, system.StackNoFTLDelta, system.StackFaster},
+		workload.TPCCConfig{Warehouses: 2}, workload.TPCBConfig{Branches: 24}},
+	"regions": {"tpcb",
+		[]system.Stack{system.StackNoFTLSingle, system.StackNoFTLRegions},
+		workload.TPCCConfig{Warehouses: 4}, workload.TPCBConfig{Branches: 32, AccountsPerBranch: 6000}},
 }
 
 // StackRow is one stack's measurement in a sweep (Result.Regions is
@@ -120,19 +125,16 @@ func sweep(exp string, cfg SweepConfig) (*SweepResult, error) {
 	d := sweeps[exp]
 	cfg.Params = cfg.Params.withDefaults(exp)
 	if cfg.Workload == "" {
-		cfg.Workload = d.Workload
-	}
-	if len(cfg.Stacks) == 0 {
-		cfg.Stacks = d.Stacks
+		cfg.Workload = d.workload
 	}
 	if cfg.TPCC.Warehouses == 0 {
-		cfg.TPCC = d.TPCC
+		cfg.TPCC = d.tpcc
 	}
 	if cfg.TPCB.Branches == 0 {
-		cfg.TPCB = d.TPCB
+		cfg.TPCB = d.tpcb
 	}
 	res := &SweepResult{Experiment: exp, Workload: cfg.Workload}
-	for _, stack := range cfg.Stacks {
+	for _, stack := range d.stacks {
 		sys, _, err := cfg.build(stack)
 		if err != nil {
 			return nil, fmt.Errorf("%s %s: %w", exp, stack, err)
@@ -169,14 +171,6 @@ func Headline(cfg HeadlineConfig) (*HeadlineResult, error) {
 		return nil, err
 	}
 	return &HeadlineResult{*r}, nil
-}
-
-// TPSOf returns a stack's throughput (0 if absent).
-func (r *HeadlineResult) TPSOf(s system.Stack) float64 {
-	if row := r.Row(s); row != nil {
-		return row.Result.TPS
-	}
-	return 0
 }
 
 // NoFTLSpeedupOverFaster is the headline ratio (paper: 2.4x TPC-C,

@@ -19,9 +19,6 @@ import (
 
 // Config tunes the legacy interface model.
 type Config struct {
-	// CmdOverhead is the per-command protocol/driver cost added on top of
-	// device latency. Default 10µs (SATA/AHCI class).
-	CmdOverhead sim.Time
 	// QueueDepth bounds outstanding commands. Default 32 (SATA2 NCQ).
 	// Only enforced for DES callers (sim.ProcWaiter); serial callers
 	// cannot exceed depth 1 anyway.
@@ -30,27 +27,22 @@ type Config struct {
 	Kernel *sim.Kernel
 }
 
-func (c Config) withDefaults() Config {
-	if c.CmdOverhead == 0 {
-		c.CmdOverhead = 10 * sim.Microsecond
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 32
-	}
-	return c
-}
+// cmdOverhead is the per-command protocol/driver cost added on top of
+// device latency (SATA/AHCI class).
+const cmdOverhead = 10 * sim.Microsecond
 
 // Device is a logical block device backed by an FTL.
 type Device struct {
 	ftl   ftl.FTL
-	cfg   Config
 	queue *sim.Resource
 }
 
 // New wraps f behind the legacy interface.
 func New(f ftl.FTL, cfg Config) *Device {
-	cfg = cfg.withDefaults()
-	d := &Device{ftl: f, cfg: cfg}
+	if cfg.QueueDepth <= 0 {
+		cfg.QueueDepth = 32
+	}
+	d := &Device{ftl: f}
 	if cfg.Kernel != nil {
 		d.queue = sim.NewResource(cfg.Kernel, cfg.QueueDepth)
 	}
@@ -71,7 +63,7 @@ func (d *Device) FTLStats() ftl.Stats { return d.ftl.Stats() }
 func (d *Device) Read(w sim.Waiter, lba int64, buf []byte) error {
 	release := d.enter(w)
 	defer release()
-	w.WaitUntil(w.Now() + d.cfg.CmdOverhead)
+	w.WaitUntil(w.Now() + cmdOverhead)
 	return d.ftl.Read(w, lba, buf)
 }
 
@@ -81,7 +73,7 @@ func (d *Device) Read(w sim.Waiter, lba int64, buf []byte) error {
 func (d *Device) Write(w sim.Waiter, lba int64, data []byte) error {
 	release := d.enter(w)
 	defer release()
-	w.WaitUntil(w.Now() + d.cfg.CmdOverhead)
+	w.WaitUntil(w.Now() + cmdOverhead)
 	return d.ftl.Write(w, lba, data)
 }
 

@@ -28,8 +28,6 @@ import (
 type Config struct {
 	Geometry nand.Geometry
 	Cell     nand.CellType
-	// Timing overrides the cell type's latencies when non-zero.
-	Timing nand.Timing
 	// ChannelMBps is the per-channel bus bandwidth. 0 defaults to 200 MB/s
 	// (ONFI 2.x class).
 	ChannelMBps int
@@ -41,9 +39,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Timing == (nand.Timing{}) {
-		c.Timing = c.Cell.Timing()
-	}
 	if c.ChannelMBps == 0 {
 		c.ChannelMBps = 200
 	}
@@ -104,6 +99,7 @@ type Device struct {
 	mu         sync.Mutex
 	cfg        Config
 	arr        *nand.Array
+	timing     nand.Timing // the cell type's latencies
 	xferPage   sim.Time
 	dieBusy    []sim.Time
 	chBusy     []sim.Time
@@ -119,6 +115,7 @@ func New(cfg Config) *Device {
 	d := &Device{
 		cfg:      cfg,
 		arr:      nand.NewArray(geo, cfg.Cell, cfg.Nand),
+		timing:   cfg.Cell.Timing(),
 		xferPage: sim.Time(int64(geo.PageSize+geo.OOBSize) * 1000 / int64(cfg.ChannelMBps)),
 		dieBusy:  make([]sim.Time, geo.Dies()),
 		chBusy:   make([]sim.Time, geo.Channels),
@@ -133,7 +130,7 @@ func (d *Device) Identify() Identity {
 	return Identity{
 		Geometry:     d.cfg.Geometry,
 		Cell:         d.cfg.Cell,
-		Timing:       d.cfg.Timing,
+		Timing:       d.timing,
 		TransferPage: d.xferPage,
 		CmdOverhead:  d.cfg.CmdOverhead,
 		Endurance:    d.arr.Endurance(),
@@ -224,7 +221,7 @@ func (d *Device) ReadPage(w sim.Waiter, p nand.PPN, buf []byte) (nand.OOB, error
 
 	d.mu.Lock()
 	start := maxTime(arrival, d.dieBusy[die])
-	readEnd := start + d.cfg.CmdOverhead + d.cfg.Timing.ReadPage
+	readEnd := start + d.cfg.CmdOverhead + d.timing.ReadPage
 	xferStart := maxTime(readEnd, d.chBusy[ch])
 	end := xferStart + d.xferPage
 	d.dieBusy[die] = end // die holds the page register until transfer ends
@@ -254,7 +251,7 @@ func (d *Device) ProgramPage(w sim.Waiter, p nand.PPN, data []byte, oob nand.OOB
 	xferStart := maxTime(arrival, d.chBusy[ch])
 	xferEnd := xferStart + d.cfg.CmdOverhead + d.xferPage
 	progStart := maxTime(xferEnd, d.dieBusy[die])
-	end := progStart + d.cfg.Timing.ProgramPage
+	end := progStart + d.timing.ProgramPage
 	d.chBusy[ch] = xferEnd
 	d.dieBusy[die] = end
 	err := d.arr.ProgramPage(p, data, oob)
@@ -293,7 +290,7 @@ func (d *Device) ProgramPartial(w sim.Waiter, p nand.PPN, off int, data []byte, 
 	xferStart := maxTime(arrival, d.chBusy[ch])
 	xferEnd := xferStart + d.cfg.CmdOverhead + frac(d.xferPage)
 	progStart := maxTime(xferEnd, d.dieBusy[die])
-	end := progStart + frac(d.cfg.Timing.ProgramPage)
+	end := progStart + frac(d.timing.ProgramPage)
 	d.chBusy[ch] = xferEnd
 	d.dieBusy[die] = end
 	err := d.arr.ProgramPartial(p, off, data, oob)
@@ -318,7 +315,7 @@ func (d *Device) EraseBlock(w sim.Waiter, b nand.PBN) error {
 
 	d.mu.Lock()
 	start := maxTime(arrival, d.dieBusy[die])
-	end := start + d.cfg.CmdOverhead + d.cfg.Timing.EraseBlock
+	end := start + d.cfg.CmdOverhead + d.timing.EraseBlock
 	d.dieBusy[die] = end
 	err := d.arr.EraseBlock(b)
 	d.stats.Erases++
@@ -373,7 +370,7 @@ func (d *Device) Copyback(w sim.Waiter, src, dst nand.PPN, newOOB *nand.OOB) err
 
 	d.mu.Lock()
 	start := maxTime(arrival, d.dieBusy[die])
-	end := start + d.cfg.CmdOverhead + d.cfg.Timing.ReadPage + d.cfg.Timing.ProgramPage
+	end := start + d.cfg.CmdOverhead + d.timing.ReadPage + d.timing.ProgramPage
 	d.dieBusy[die] = end
 	err := d.arr.Copyback(src, dst, newOOB)
 	d.stats.Copybacks++

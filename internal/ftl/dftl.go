@@ -16,21 +16,11 @@ type DFTLConfig struct {
 	// across the device (the scarce on-device RAM DFTL works around).
 	// Default: 1/32 of the logical pages.
 	CMTEntries int
-	// Policy selects GC victims. Default GreedyPolicy.
-	Policy GCPolicy
-	// LowWater per-plane free-block GC trigger. Default 2.
-	LowWater int
 }
 
-func (c DFTLConfig) withDefaults() DFTLConfig {
-	if c.OverProvision <= 0 {
-		c.OverProvision = 0.10
-	}
-	if c.LowWater < 2 {
-		c.LowWater = 2
-	}
-	return c
-}
+// dftlLowWater is the per-plane free-block GC trigger (2 is the minimum
+// that guarantees GC liveness).
+const dftlLowWater = 2
 
 // DFTL implements Gupta/Kim/Urgaonkar's demand-based page-mapping FTL:
 // the full page-level mapping lives in translation pages on flash; only a
@@ -77,7 +67,9 @@ type dftlDie struct {
 
 // NewDFTL builds a DFTL over dev.
 func NewDFTL(dev *flash.Device, cfg DFTLConfig) (*DFTL, error) {
-	cfg = cfg.withDefaults()
+	if cfg.OverProvision <= 0 {
+		cfg.OverProvision = 0.10
+	}
 	geo := dev.Geometry()
 	f := &DFTL{dev: dev, cfg: cfg}
 	perDie := int64(1<<62 - 1)
@@ -143,7 +135,7 @@ func (d *dftlDie) logicalPages() int64 {
 	usable := int64(d.bt.Usable())
 	// Translation pages consume capacity too: one entry per logical page,
 	// entriesPerTP entries per page, plus frontier/GC reserve.
-	reserve := int64(d.sp.Planes()) * int64(3+d.cfg.LowWater)
+	reserve := int64(d.sp.Planes()) * int64(3+dftlLowWater)
 	maxSafe := (usable - reserve) * ppb
 	want := int64(float64(usable*ppb) * (1 - d.cfg.OverProvision))
 	// Subtract the worst-case live translation-page footprint.
@@ -382,7 +374,7 @@ func (d *dftlDie) allocPage(plane int, fr *Frontier, kind uint8) (nand.PPN, erro
 
 func (d *dftlDie) ensureSpace(w sim.Waiter, plane int) error {
 	const maxSpins = 1 << 16
-	for spins := 0; d.bt.FreeCount(plane) < d.cfg.LowWater; spins++ {
+	for spins := 0; d.bt.FreeCount(plane) < dftlLowWater; spins++ {
 		if spins > maxSpins {
 			return fmt.Errorf("%w: dftl plane %d of die %d", ErrGCStuck, plane, d.sp.Die)
 		}
@@ -401,15 +393,12 @@ func (d *dftlDie) ensureSpace(w sim.Waiter, plane int) error {
 }
 
 func (d *dftlDie) gcOnce(w sim.Waiter, plane int) error {
-	victim, ok := d.bt.PickVictim(plane, AnyKind, d.cfg.Policy)
+	victim, ok := d.bt.PickVictim(plane, AnyKind, GreedyPolicy)
 	if !ok {
 		return fmt.Errorf("%w: dftl no victim in plane %d of die %d", ErrGCStuck, plane, d.sp.Die)
 	}
 	if d.bt.Info[victim].Valid >= d.sp.PagesPerBlock() {
-		victim, ok = d.bt.PickVictim(plane, AnyKind, GreedyPolicy)
-		if !ok || d.bt.Info[victim].Valid >= d.sp.PagesPerBlock() {
-			return fmt.Errorf("%w: dftl plane %d of die %d fully valid", ErrGCStuck, plane, d.sp.Die)
-		}
+		return fmt.Errorf("%w: dftl plane %d of die %d fully valid", ErrGCStuck, plane, d.sp.Die)
 	}
 	d.gcActive[plane] = true
 	defer func() { d.gcActive[plane] = false }()
@@ -523,7 +512,7 @@ func (d *dftlDie) allocGCTarget(srcPlane int) (nand.PPN, int, error) {
 	}
 	for i := 1; i < d.sp.Planes(); i++ {
 		q := (srcPlane + i) % d.sp.Planes()
-		if !d.gc[q].Full(d.sp.PagesPerBlock()) || d.bt.FreeCount(q) > d.cfg.LowWater {
+		if !d.gc[q].Full(d.sp.PagesPerBlock()) || d.bt.FreeCount(q) > dftlLowWater {
 			if ppn, err := d.allocPage(q, &d.gc[q], kindGC); err == nil {
 				return ppn, q, nil
 			}

@@ -11,9 +11,6 @@ type PageFTLConfig struct {
 	OverProvision float64
 	// Policy selects GC victims. Default GreedyPolicy.
 	Policy GCPolicy
-	// LowWater is the per-plane free-block threshold that triggers GC.
-	// Default 2 (and the minimum that guarantees GC liveness).
-	LowWater int
 	// WearLevel enables static wear leveling. Default off.
 	WearLevel bool
 	// WearDelta is the max-min erase-count gap that triggers a wear move.

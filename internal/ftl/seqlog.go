@@ -46,14 +46,15 @@ const OOBSeqLogFlag uint32 = 1 << 2
 // kindSeqLog marks log extents in the block tables.
 const kindSeqLog uint8 = 7
 
+// seqLogReservePerDie keeps this many free blocks per die out of the
+// exported capacity as bad-block headroom.
+const seqLogReservePerDie = 1
+
 // SeqLogConfig tunes a SeqLog.
 type SeqLogConfig struct {
 	// Dies lists the device dies the log region owns. Empty means every
 	// die of the device.
 	Dies []int
-	// ReservePerDie keeps this many free blocks per die out of the
-	// exported capacity as bad-block headroom. Default 1.
-	ReservePerDie int
 	// Dev optionally reroutes appends and reads through a command
 	// scheduler view (class WAL). Nil: the raw device.
 	Dev flash.Dev
@@ -67,9 +68,6 @@ func (c SeqLogConfig) withDefaults(dev *flash.Device) SeqLogConfig {
 		for die := 0; die < dev.Geometry().Dies(); die++ {
 			c.Dies = append(c.Dies, die)
 		}
-	}
-	if c.ReservePerDie == 0 {
-		c.ReservePerDie = 1
 	}
 	return c
 }
@@ -85,7 +83,6 @@ type SeqLog struct {
 	dev   *flash.Device
 	io    flash.Dev // append/read path (class WAL when scheduled)
 	gcio  flash.Dev // truncation erases and salvage (class GC)
-	cfg   SeqLogConfig
 	sps   []DieSpace
 	bts   []*BlockTable
 	exts  []seqExt
@@ -99,7 +96,7 @@ type SeqLog struct {
 // NewSeqLog builds an empty sequential log over the configured dies.
 func NewSeqLog(dev *flash.Device, cfg SeqLogConfig) (*SeqLog, error) {
 	cfg = cfg.withDefaults(dev)
-	l := &SeqLog{dev: dev, cfg: cfg}
+	l := &SeqLog{dev: dev}
 	l.io = cfg.Dev
 	if l.io == nil {
 		l.io = dev
@@ -130,9 +127,6 @@ func (l *SeqLog) Name() string { return "seqlog" }
 // never relocates pages to reclaim space.
 func (l *SeqLog) Stats() Stats { return l.stats }
 
-// Dies returns the device dies the region owns.
-func (l *SeqLog) Dies() []int { return append([]int(nil), l.cfg.Dies...) }
-
 // PageSize returns the page size in bytes.
 func (l *SeqLog) PageSize() int { return l.sps[0].Geo().PageSize }
 
@@ -141,7 +135,7 @@ func (l *SeqLog) PageSize() int { return l.sps[0].Geo().PageSize }
 func (l *SeqLog) CapacityPages() int64 {
 	blocks := 0
 	for _, bt := range l.bts {
-		b := bt.Usable() - l.cfg.ReservePerDie
+		b := bt.Usable() - seqLogReservePerDie
 		if b > 0 {
 			blocks += b
 		}

@@ -110,12 +110,6 @@ func (r Req) WithClass(c Class) Req {
 	return r
 }
 
-// WithTag returns the descriptor with its stream tag replaced.
-func (r Req) WithTag(tag uint32) Req {
-	r.Tag = tag
-	return r
-}
-
 // Now implements sim.Waiter: a *Req is the waiter lower layers are
 // handed, experiencing latency on W.
 func (r *Req) Now() sim.Time { return r.W.Now() }

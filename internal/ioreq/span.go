@@ -72,16 +72,6 @@ func (s Stage) String() string {
 	}
 }
 
-// StageNames lists every stage name in stage order (exporters and
-// table headers iterate it).
-func StageNames() [NumStages]string {
-	var out [NumStages]string
-	for s := Stage(0); s < NumStages; s++ {
-		out[s] = s.String()
-	}
-	return out
-}
-
 // SpanSeg is one closed stage interval, recorded on Exit for trace
 // exporters (segments nest: a WAL segment contains the volume segments
 // of the pages it flushed).

@@ -82,7 +82,6 @@ type Options struct {
 // in-order page programming inside a block, and same-plane copyback.
 type Array struct {
 	geo        Geometry
-	cell       CellType
 	opts       Options
 	endurance  int
 	maxPartial int
@@ -108,7 +107,6 @@ func NewArray(geo Geometry, cell CellType, opts Options) *Array {
 	}
 	a := &Array{
 		geo:       geo,
-		cell:      cell,
 		opts:      opts,
 		endurance: opts.Endurance,
 		blocks:    make([]blockState, geo.TotalBlocks()),
@@ -134,9 +132,6 @@ func NewArray(geo Geometry, cell CellType, opts Options) *Array {
 
 // Geometry returns the array's geometry.
 func (a *Array) Geometry() Geometry { return a.geo }
-
-// Cell returns the array's cell technology.
-func (a *Array) Cell() CellType { return a.cell }
 
 // Endurance returns the per-block erase budget in effect.
 func (a *Array) Endurance() int { return a.endurance }

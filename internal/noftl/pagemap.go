@@ -19,15 +19,11 @@ func NewPageFTL(dev *flash.Device, cfg ftl.PageFTLConfig) (*PageFTL, error) {
 	if cfg.OverProvision <= 0 {
 		cfg.OverProvision = 0.10
 	}
-	if cfg.LowWater < 2 {
-		cfg.LowWater = 2
-	}
 	// Two frontiers per plane: with hints off and no delta path only the
 	// host and GC frontiers ever open.
 	v, err := newVolume(dev, Config{
 		OverProvision:    cfg.OverProvision,
 		Policy:           cfg.Policy,
-		LowWater:         cfg.LowWater,
 		DisableWearLevel: !cfg.WearLevel,
 		WearDelta:        cfg.WearDelta,
 		DisableHints:     true,

@@ -143,11 +143,10 @@ func (c Config) withDefaults() Config {
 
 // Volume is a native-flash logical volume managed by the DBMS.
 type Volume struct {
-	dev    *flash.Device
-	st     ftl.Striping
-	cfg    Config
-	dies   []*dieMgr
-	dieIDs []int // device die number per manager (region-scoped volumes)
+	dev  *flash.Device
+	st   ftl.Striping
+	cfg  Config
+	dies []*dieMgr
 }
 
 // Frontier kinds.
@@ -218,7 +217,7 @@ func newVolume(dev *flash.Device, cfg Config, frontiers int) (*Volume, error) {
 		}
 		seen[die] = true
 	}
-	v := &Volume{dev: dev, cfg: cfg, dieIDs: append([]int(nil), dies...)}
+	v := &Volume{dev: dev, cfg: cfg}
 	perDie := int64(1<<62 - 1)
 	for idx, die := range dies {
 		d, err := newDieMgr(dev, die, idx, len(dies), cfg, frontiers)
@@ -299,12 +298,8 @@ func (d *dieMgr) logicalPages() int64 {
 func (v *Volume) LogicalPages() int64 { return v.st.Total() }
 
 // Regions returns the number of physical regions (dies) the volume
-// manages; region i is the volume's i-th die (device die DieIDs()[i]).
+// manages; region i is the volume's i-th die in Config.Dies order.
 func (v *Volume) Regions() int { return v.st.Dies }
-
-// DieIDs returns the device die numbers the volume manages, in stripe
-// order. A full-device volume returns 0..Dies-1.
-func (v *Volume) DieIDs() []int { return append([]int(nil), v.dieIDs...) }
 
 // LivePages counts the logical pages currently holding data (a full
 // image, a delta chain, or both). Region occupancy reporting uses it.
@@ -338,9 +333,6 @@ func (v *Volume) FreeBlocks() int64 {
 // and bind one db-writer per region (§3.2).
 func (v *Volume) RegionOf(lpn int64) int { return v.st.DieOf(lpn) }
 
-// Device exposes the underlying native flash device.
-func (v *Volume) Device() *flash.Device { return v.dev }
-
 // Identify forwards the native IDENTIFY command.
 func (v *Volume) Identify() flash.Identity { return v.dev.Identify() }
 
@@ -352,9 +344,6 @@ func (v *Volume) Stats() ftl.Stats {
 	}
 	return s
 }
-
-// RegionStats returns one region's counters.
-func (v *Volume) RegionStats(region int) ftl.Stats { return v.dies[region].stats }
 
 // Read reads a logical page. Unwritten or invalidated pages read as
 // zeros without touching flash. The request descriptor's declared class

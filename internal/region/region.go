@@ -3,7 +3,9 @@
 // frontier, mapping granularity, GC policy and over-provisioning — plus
 // an object-placement catalog that lets the storage engine declare where
 // each object class lives ("WAL → log region, heaps and B+-trees → data
-// region").
+// region"). A Spec carries exactly those choices — name, dies, mapping,
+// over-provisioning, GC policy, background GC — and nothing else: every
+// other volume or log parameter runs at its package default.
 //
 // This is the step of the NoFTL research line that turns "the DBMS
 // manages flash" into "the DBMS manages each write stream on its own
@@ -90,21 +92,13 @@ type Spec struct {
 	Mapping Mapping
 
 	// Page-mapped knobs (forwarded to noftl.Config).
-	OverProvision    float64
-	Policy           ftl.GCPolicy
-	LowWater         int
-	MaxDeltaChain    int
-	DisableHotCold   bool
-	DisableWearLevel bool
-	WearDelta        int
+	OverProvision float64
+	Policy        ftl.GCPolicy
 
 	// BackgroundGC configures a page-mapped region for worker-driven
 	// cleaning (noftl.Config.BackgroundGC): the write path keeps only the
 	// emergency free-block floor and background GC workers do the rest.
 	BackgroundGC bool
-
-	// Seq-mapped knobs (forwarded to ftl.SeqLogConfig).
-	ReservePerDie int
 }
 
 // Layout is a full region configuration: the regions plus the
@@ -217,16 +211,11 @@ func build(dev *flash.Device, layout Layout, rebuild *ioreq.Req) (*Manager, erro
 		switch spec.Mapping {
 		case PageMapped:
 			cfg := noftl.Config{
-				OverProvision:    spec.OverProvision,
-				Policy:           spec.Policy,
-				LowWater:         spec.LowWater,
-				MaxDeltaChain:    spec.MaxDeltaChain,
-				DisableHotCold:   spec.DisableHotCold,
-				DisableWearLevel: spec.DisableWearLevel,
-				WearDelta:        spec.WearDelta,
-				Dies:             assign[i],
-				Devs:             devs,
-				BackgroundGC:     spec.BackgroundGC,
+				OverProvision: spec.OverProvision,
+				Policy:        spec.Policy,
+				Dies:          assign[i],
+				Devs:          devs,
+				BackgroundGC:  spec.BackgroundGC,
 			}
 			if rebuild != nil {
 				r.Vol, err = noftl.Rebuild(dev, cfg, *rebuild)
@@ -235,10 +224,9 @@ func build(dev *flash.Device, layout Layout, rebuild *ioreq.Req) (*Manager, erro
 			}
 		case SeqMapped:
 			cfg := ftl.SeqLogConfig{
-				Dies:          assign[i],
-				ReservePerDie: spec.ReservePerDie,
-				Dev:           devs.WAL,
-				GCDev:         devs.GC,
+				Dies:  assign[i],
+				Dev:   devs.WAL,
+				GCDev: devs.GC,
 			}
 			if rebuild != nil {
 				r.Log, err = ftl.RebuildSeqLog(dev, cfg, *rebuild)

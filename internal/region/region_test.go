@@ -2,10 +2,12 @@ package region
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"noftl/internal/ioreq"
 	"testing"
 
 	"noftl/internal/flash"
+	"noftl/internal/ftl"
 	"noftl/internal/nand"
 	"noftl/internal/sim"
 )
@@ -179,5 +181,69 @@ func TestRegionIsolationAndRebuild(t *testing.T) {
 		if got := binary.LittleEndian.Uint64(buf); got != uint64(i)^0x7070 {
 			t.Fatalf("log page %d rebuilt as %x", i, got)
 		}
+	}
+}
+
+// TestPerRegionPolicyAndOverProvision pins the claim in the package
+// comment: each region runs its own GC policy and over-provisioning.
+// Two page-mapped regions share one device — greedy victims at 7% OP
+// beside cost-benefit victims at 20% OP — and take the random-overwrite
+// load of the ftl package's TestGCPolicies. The two volumes must export
+// different capacities and do different amounts of GC copy work, and
+// the numbers must follow the spec, not the dies: swapping the two
+// specs swaps them.
+func TestPerRegionPolicyAndOverProvision(t *testing.T) {
+	tight := Spec{Dies: 2, Mapping: PageMapped, Policy: ftl.GreedyPolicy, OverProvision: 0.07}
+	roomy := Spec{Dies: 2, Mapping: PageMapped, Policy: ftl.CostBenefitPolicy, OverProvision: 0.20}
+	type outcome struct{ pagesPerDie, copybacks int64 }
+	run := func(first, second Spec) (a, b outcome) {
+		first.Name, second.Name = "first", "second"
+		// 256 blocks per die: the frontier + low-water block reserve
+		// (14 blocks) stays under 7%, so OverProvision decides capacity.
+		dev := flash.New(flash.Config{
+			Geometry: nand.Geometry{
+				Channels: 2, ChipsPerChannel: 2, DiesPerChip: 1,
+				PlanesPerDie: 2, BlocksPerPlane: 128, PagesPerBlock: 8,
+				PageSize: 256, OOBSize: 16,
+			},
+			Cell: nand.SLC,
+			Nand: nand.Options{StoreData: true},
+		})
+		m, err := New(dev, Layout{Regions: []Spec{first, second}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drive := func(name string) outcome {
+			v := m.Volume(name)
+			w := &sim.ClockWaiter{}
+			n := v.LogicalPages()
+			rng := rand.New(rand.NewSource(2))
+			page := make([]byte, dev.Geometry().PageSize)
+			for i := 0; i < int(n)*4; i++ {
+				binary.LittleEndian.PutUint64(page, uint64(i))
+				if err := v.Write(ioreq.Plain(w), rng.Int63n(n), page); err != nil {
+					t.Fatalf("%s write %d: %v", name, i, err)
+				}
+			}
+			return outcome{n / int64(v.Regions()), v.Stats().GCCopybacks}
+		}
+		return drive("first"), drive("second")
+	}
+	a, b := run(tight, roomy)
+	if a.pagesPerDie <= b.pagesPerDie {
+		t.Errorf("7%% OP exports %d pages/die, 20%% OP %d: over-provisioning is not per region",
+			a.pagesPerDie, b.pagesPerDie)
+	}
+	if a.copybacks == 0 || b.copybacks == 0 || a.copybacks == b.copybacks {
+		t.Errorf("GC copybacks %d vs %d: want both regions collecting, differently", a.copybacks, b.copybacks)
+	}
+	if sb, sa := run(roomy, tight); sa != a || sb != b {
+		t.Errorf("swapped specs: tight %+v roomy %+v, want %+v and %+v", sa, sb, a, b)
+	}
+	// The policy alone, at equal over-provisioning, changes the victims.
+	costBenefit := tight
+	costBenefit.Policy = ftl.CostBenefitPolicy
+	if g, c := run(tight, costBenefit); g.pagesPerDie != c.pagesPerDie || g.copybacks == c.copybacks {
+		t.Errorf("greedy %+v vs cost-benefit %+v at equal OP: GC policy is not per region", g, c)
 	}
 }

@@ -105,29 +105,19 @@ func (p Policy) String() string {
 type Config struct {
 	// Policy selects the queue discipline. Default FCFS.
 	Policy Policy
-	// DisableSuspend turns off erase suspension under Priority.
-	DisableSuspend bool
-	// MaxSuspends bounds suspensions per erase so reads cannot starve an
-	// erase forever. Default 4.
-	MaxSuspends int
-	// GCAgeLimit promotes a GC command that has waited longer than this
-	// to the head of its die's queue (starvation guard for free-block
-	// reclamation under read-heavy load). Default 10ms; negative
-	// disables.
-	GCAgeLimit sim.Time
 	// Trace receives one Event per dispatched command (nil: off).
 	Trace func(Event)
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxSuspends == 0 {
-		c.MaxSuspends = 4
-	}
-	if c.GCAgeLimit == 0 {
-		c.GCAgeLimit = 10 * sim.Millisecond
-	}
-	return c
-}
+const (
+	// maxSuspends bounds suspensions per erase so reads cannot starve an
+	// erase forever.
+	maxSuspends = 4
+	// gcAgeLimit promotes a GC command that has waited longer than this
+	// to the head of its die's queue (starvation guard for free-block
+	// reclamation under read-heavy load).
+	gcAgeLimit = 10 * sim.Millisecond
+)
 
 // Stats is scheduler-level accounting. The per-class rows count the
 // class each command actually dispatched at: a request-declared class
@@ -326,7 +316,6 @@ type Scheduler struct {
 // scheduler registers a device reset hook so ResetTime/ResetStats clear
 // its wait accounting along with the device's.
 func New(k *sim.Kernel, dev *flash.Device, cfg Config) *Scheduler {
-	cfg = cfg.withDefaults()
 	s := &Scheduler{k: k, dev: dev, cfg: cfg, id: dev.Identify(), geo: dev.Geometry()}
 	for die := 0; die < s.geo.Dies(); die++ {
 		ds := &dieSched{s: s, die: die, alarm: sim.NewAlarm(k)}
@@ -336,9 +325,6 @@ func New(k *sim.Kernel, dev *flash.Device, cfg Config) *Scheduler {
 	dev.OnReset(s.Reset)
 	return s
 }
-
-// Device returns the scheduled device.
-func (s *Scheduler) Device() *flash.Device { return s.dev }
 
 // Policy returns the configured queue discipline.
 func (s *Scheduler) Policy() Policy { return s.cfg.Policy }
@@ -362,10 +348,6 @@ func (s *Scheduler) QueueDepths() []int {
 		out[i] = len(d.reqs)
 	}
 	return out
-}
-
-func (s *Scheduler) suspendable() bool {
-	return s.cfg.Policy == Priority && !s.cfg.DisableSuspend
 }
 
 // dieSched is one die's queue plus its dispatcher state.
@@ -421,7 +403,7 @@ func (ds *dieSched) effClass(r *request, now sim.Time) Class {
 	if r.deadline > 0 && now >= r.deadline && r.class > ClassRead {
 		return ClassRead
 	}
-	if r.class == ClassGC && ds.s.cfg.GCAgeLimit > 0 && now-r.arrival > ds.s.cfg.GCAgeLimit {
+	if r.class == ClassGC && now-r.arrival > gcAgeLimit {
 		return ClassRead
 	}
 	return r.class
@@ -481,7 +463,7 @@ func (ds *dieSched) run(p *sim.Proc) {
 			ds.idle = false
 			continue
 		}
-		if r.op == opErase && ds.s.suspendable() {
+		if r.op == opErase && ds.s.cfg.Policy == Priority {
 			ds.serveErase(p, r)
 		} else {
 			ds.serve(p, r)
@@ -552,7 +534,7 @@ func (ds *dieSched) serveErase(p *sim.Proc, r *request) {
 	remaining := total
 	suspends := 0
 	for {
-		ds.erasing = suspends < s.cfg.MaxSuspends
+		ds.erasing = suspends < maxSuspends
 		sliceStart := p.Now()
 		preempted := false
 		if ds.erasing {

@@ -28,8 +28,6 @@ type WearLeveler interface {
 
 // MaintConfig tunes StartMaintenance.
 type MaintConfig struct {
-	// Interval is the GC workers' idle poll period. Default 200µs.
-	Interval sim.Time
 	// SweepEvery is the wear-leveling sweep period. Default 50ms;
 	// negative disables the sweep.
 	SweepEvery sim.Time
@@ -37,15 +35,8 @@ type MaintConfig struct {
 	OnError func(error)
 }
 
-func (c MaintConfig) withDefaults() MaintConfig {
-	if c.Interval <= 0 {
-		c.Interval = 200 * sim.Microsecond
-	}
-	if c.SweepEvery == 0 {
-		c.SweepEvery = 50 * sim.Millisecond
-	}
-	return c
-}
+// gcPollInterval is the GC workers' idle poll period.
+const gcPollInterval = 200 * sim.Microsecond
 
 // Maintenance is the handle over a running worker set.
 type Maintenance struct {
@@ -59,9 +50,6 @@ type Maintenance struct {
 // Stop halts the workers; they drain at their next poll.
 func (m *Maintenance) Stop() { m.stopped = true }
 
-// Stopped reports whether Stop has been called.
-func (m *Maintenance) Stopped() bool { return m.stopped }
-
 // StartMaintenance launches the DBMS's background flash-maintenance
 // processes on kernel k: one GC worker per region driving GCStep while
 // NeedsGC, plus — when gc also implements WearLeveler — a wear-leveling
@@ -70,7 +58,9 @@ func (m *Maintenance) Stopped() bool { return m.stopped }
 // concrete: maintenance runs when the DBMS schedules it, not when
 // firmware decides mid-commit.
 func StartMaintenance(k *sim.Kernel, gc GCDriver, cfg MaintConfig) *Maintenance {
-	cfg = cfg.withDefaults()
+	if cfg.SweepEvery == 0 {
+		cfg.SweepEvery = 50 * sim.Millisecond
+	}
 	mt := &Maintenance{}
 	fail := func(err error) {
 		if cfg.OnError != nil {
@@ -93,7 +83,7 @@ func StartMaintenance(k *sim.Kernel, gc GCDriver, cfg MaintConfig) *Maintenance 
 						continue
 					}
 				}
-				p.Sleep(cfg.Interval)
+				p.Sleep(gcPollInterval)
 			}
 		})
 	}

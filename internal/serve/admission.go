@@ -59,6 +59,31 @@ type tenant struct {
 	relaxations   int64
 }
 
+// The controller's fixed parameters.
+const (
+	// degradedClass is the class deprioritized/shed tenants' admitted
+	// requests dispatch at: below every foreground class, above GC.
+	degradedClass = ioreq.ClassPrefetch
+	// escalateAfter is how many consecutive breached burn windows
+	// (burn > 1) escalate a tenant one level (healthy → deprioritized →
+	// shed).
+	escalateAfter = 2
+	// relaxAfter is how many consecutive clean windows (burn <
+	// relaxBelow) de-escalate a tenant one level — slower than
+	// escalation, so recovery does not flap back into breach.
+	relaxAfter = 4
+	// relaxBelow is the burn factor under which a window counts as
+	// clean: a tenant must burn under half its budget to earn its way
+	// back. Windows between relaxBelow and 1 reset both streaks
+	// (hysteresis dead band).
+	relaxBelow = 0.5
+	// shedBackoff floors the client-side backoff a shed request sleeps
+	// before ErrShed surfaces (the bucket's next-token time is used when
+	// later). It is what keeps a shed retry loop from spinning the
+	// simulation at one instant.
+	shedBackoff = 500 * sim.Microsecond
+)
+
 // decision is one admission outcome: either admit (possibly after
 // sleeping until wait, possibly at the degraded class) or shed (sleep
 // the backoff, then surface ErrShed).
@@ -74,7 +99,7 @@ type decision struct {
 func (f *Front) admit(t *tenant, now sim.Time) decision {
 	cls := t.spec.Class
 	if f.cfg.Control == ControlFull && t.state != Healthy {
-		cls = f.cfg.DegradedClass
+		cls = degradedClass
 	}
 	if f.cfg.Control == ControlNone || !t.bkt.limited() {
 		// An unlimited-rate tenant cannot run out of tokens, so it is
@@ -91,7 +116,7 @@ func (f *Front) admit(t *tenant, now sim.Time) decision {
 		t.shed++
 		f.shed++
 		retry := readyAt
-		if min := now + f.cfg.ShedBackoff; retry < min {
+		if min := now + shedBackoff; retry < min {
 			retry = min
 		}
 		return decision{shed: true, retry: retry}
@@ -116,10 +141,10 @@ func (f *Front) count(t *tenant) {
 // windowed burn — (window deadline misses / window commits) / miss
 // budget, the exact arithmetic of the health engine's RuleBurnRate —
 // from the telemetry tag-commit and flight-recorder miss tallies, and
-// walks the service-level ladder with hysteresis: EscalateAfter
+// walks the service-level ladder with hysteresis: escalateAfter
 // consecutive breached windows move one level down (healthy →
-// deprioritized → shed), RelaxAfter consecutive clean windows move one
-// level back up, and windows in the dead band between RelaxBelow and 1
+// deprioritized → shed), relaxAfter consecutive clean windows move one
+// level back up, and windows in the dead band between relaxBelow and 1
 // reset both streaks.
 func (f *Front) observe(now sim.Time) {
 	if f.tel == nil {
@@ -160,12 +185,12 @@ func (f *Front) observeTenant(t *tenant, commits, misses int64) {
 	case burn > 1:
 		t.breaches++
 		t.cleans = 0
-		if t.breaches >= f.cfg.EscalateAfter && t.state < Shed {
+		if t.breaches >= escalateAfter && t.state < Shed {
 			t.state++
 			t.breaches = 0
 			t.escalations++
 		}
-	case burn < f.cfg.RelaxBelow:
+	case burn < relaxBelow:
 		t.cleans++
 		t.breaches = 0
 		f.maybeRelax(t)
@@ -179,7 +204,7 @@ func (f *Front) observeTenant(t *tenant, commits, misses int64) {
 // maybeRelax de-escalates a tenant one level once its clean streak is
 // long enough.
 func (f *Front) maybeRelax(t *tenant) {
-	if t.cleans >= f.cfg.RelaxAfter && t.state > Healthy {
+	if t.cleans >= relaxAfter && t.state > Healthy {
 		t.state--
 		t.cleans = 0
 		t.relaxations++

@@ -125,47 +125,6 @@ type Config struct {
 	Tenants []TenantSpec
 	// Control selects the admission regime. Default ControlNone.
 	Control Control
-	// DegradedClass is the class deprioritized/shed tenants' admitted
-	// requests dispatch at. Default ioreq.ClassPrefetch — below every
-	// foreground class, above GC.
-	DegradedClass ioreq.Class
-	// EscalateAfter is how many consecutive breached burn windows
-	// (burn > 1) escalate a tenant one level (healthy → deprioritized →
-	// shed). Default 2.
-	EscalateAfter int
-	// RelaxAfter is how many consecutive clean windows (burn <
-	// RelaxBelow) de-escalate a tenant one level. Default 4 — slower
-	// than escalation, so recovery does not flap back into breach.
-	RelaxAfter int
-	// RelaxBelow is the burn factor under which a window counts as
-	// clean. Default 0.5: a tenant must burn under half its budget to
-	// earn its way back. Windows between RelaxBelow and 1 reset both
-	// streaks (hysteresis dead band).
-	RelaxBelow float64
-	// ShedBackoff floors the client-side backoff a shed request sleeps
-	// before ErrShed surfaces (the bucket's next-token time is used when
-	// later). Default 500µs. It is what keeps a shed retry loop from
-	// spinning the simulation at one instant.
-	ShedBackoff sim.Time
-}
-
-func (c Config) withDefaults() Config {
-	if c.DegradedClass == ioreq.ClassDefault {
-		c.DegradedClass = ioreq.ClassPrefetch
-	}
-	if c.EscalateAfter <= 0 {
-		c.EscalateAfter = 2
-	}
-	if c.RelaxAfter <= 0 {
-		c.RelaxAfter = 4
-	}
-	if c.RelaxBelow <= 0 {
-		c.RelaxBelow = 0.5
-	}
-	if c.ShedBackoff <= 0 {
-		c.ShedBackoff = 500 * sim.Microsecond
-	}
-	return c
 }
 
 // Store is one record store served by the front: a heap table plus its
@@ -202,7 +161,6 @@ type Front struct {
 
 // New builds a serving front over the engine from a validated config.
 func New(e *storage.Engine, cfg Config) (*Front, error) {
-	cfg = cfg.withDefaults()
 	f := &Front{
 		e:      e,
 		cfg:    cfg,
@@ -232,28 +190,6 @@ func New(e *storage.Engine, cfg Config) (*Front, error) {
 		f.byName[spec.Name] = t
 	}
 	return f, nil
-}
-
-// Config returns the front's effective (default-filled) configuration.
-func (f *Front) Config() Config { return f.cfg }
-
-// Tenant returns the spec of a cataloged tenant.
-func (f *Front) Tenant(name string) (TenantSpec, bool) {
-	t, ok := f.byName[name]
-	if !ok {
-		return TenantSpec{}, false
-	}
-	return t.spec, true
-}
-
-// TagNames maps every tenant's stream tag to its name — the blame
-// engine's and the flame-graph exporters' labeling input.
-func (f *Front) TagNames() map[uint32]string {
-	out := make(map[uint32]string, len(f.tenants))
-	for _, t := range f.tenants {
-		out[t.spec.Tag] = t.spec.Name
-	}
-	return out
 }
 
 // CreateStore creates a record store: a heap table named name and its

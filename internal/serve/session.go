@@ -25,12 +25,6 @@ type Session struct {
 	closed bool
 }
 
-// Tenant returns the session's tenant name.
-func (s *Session) Tenant() string { return s.t.spec.Name }
-
-// StoreName returns the session's store name.
-func (s *Session) StoreName() string { return s.st.Name }
-
 // Close releases the session (the active-session gauge drops).
 func (s *Session) Close() {
 	if !s.closed {

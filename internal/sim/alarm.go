@@ -57,9 +57,6 @@ func (a *Alarm) Interrupt() {
 	a.p.wakeLater()
 }
 
-// Waiting reports whether a process is currently parked on the alarm.
-func (a *Alarm) Waiting() bool { return a.waiting }
-
 // Signal is a one-shot completion event between processes: Wait parks
 // callers until Fire, which wakes them all. Firing before anyone waits
 // is remembered — later Waits return immediately. The zero value is
@@ -68,9 +65,6 @@ type Signal struct {
 	fired   bool
 	waiters []*Proc
 }
-
-// Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool { return s.fired }
 
 // Fire marks the signal done and wakes every waiter. Firing twice is a
 // no-op.

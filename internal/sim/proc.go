@@ -60,9 +60,6 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// Name returns the process name given to Go.
-func (p *Proc) Name() string { return p.name }
-
 // Kernel returns the owning kernel.
 func (p *Proc) Kernel() *Kernel { return p.k }
 

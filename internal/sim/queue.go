@@ -15,9 +15,6 @@ func NewQueue[T any](k *Kernel) *Queue[T] {
 	return &Queue[T]{k: k}
 }
 
-// Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
-
 // Put appends v and wakes the longest-waiting consumer, if any.
 // Put on a closed queue panics.
 func (q *Queue[T]) Put(v T) {
@@ -41,9 +38,6 @@ func (q *Queue[T]) Close() {
 	}
 	q.waiters = nil
 }
-
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }
 
 // Get removes and returns the head item, parking p while the queue is
 // empty. It returns ok=false if the queue is closed and drained.

@@ -27,9 +27,6 @@ func NewResource(k *Kernel, capacity int) *Resource {
 // InUse reports how many slots are currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// Waiting reports how many processes are queued for a slot.
-func (r *Resource) Waiting() int { return len(r.waiters) }
-
 // Acquire blocks p until a slot is available. Slots are granted in strict
 // arrival order.
 func (r *Resource) Acquire(p *Proc) {

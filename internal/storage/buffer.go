@@ -35,9 +35,6 @@ type Frame struct {
 	tracker delta.Tracker
 }
 
-// Dirty reports whether the frame holds unflushed changes.
-func (f *Frame) Dirty() bool { return f.dirty }
-
 // BufferStats counts buffer-pool events.
 type BufferStats struct {
 	Hits        int64
@@ -230,9 +227,6 @@ func (bp *BufferPool) EnableScanResist(probFraction float64, ghostFrames int) {
 	bp.ghost = make(map[PageID]struct{}, ghostFrames)
 }
 
-// ScanResistant reports whether the segmented clock is on.
-func (bp *BufferPool) ScanResistant() bool { return bp.scanResist }
-
 // promote moves a re-referenced probationary frame into the protected
 // segment, respecting the segment cap (the clock's demotions free cap
 // space as it sweeps).
@@ -275,9 +269,6 @@ func (bp *BufferPool) ghostTake(id PageID) bool {
 
 // Stats returns a snapshot of pool counters.
 func (bp *BufferPool) Stats() BufferStats { return bp.stats }
-
-// DirtyCount returns the number of dirty pages in a region.
-func (bp *BufferPool) DirtyCount(region int) int { return len(bp.dirty[region]) }
 
 // TotalDirty returns the number of dirty pages across regions.
 func (bp *BufferPool) TotalDirty() int {

@@ -5,36 +5,21 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-
-	"noftl/internal/sim"
 )
 
 // EngineConfig tunes the storage engine.
 type EngineConfig struct {
 	// BufferFrames is the buffer-pool size in pages. Default 256.
 	BufferFrames int
-	// LockTimeout bounds lock waits (deadlock escape). Default 50ms.
-	LockTimeout sim.Time
 	// DeltaWrites enables the in-place-append flush path: buffer-pool
 	// flushes whose differential is small go out as delta appends when
 	// the data volume supports them (see BufferPool.EnableDeltaWrites).
 	// Ignored for volumes without the capability.
 	DeltaWrites bool
-	// DeltaMaxFraction caps the differential size (as a fraction of the
-	// page size) above which a flush falls back to a full-page write.
-	// 0 selects the default of 0.25.
-	DeltaMaxFraction float64
 	// ScanResistant segments the buffer-pool clock 2Q/CAR-style so
 	// single-touch scan traffic cannot evict the re-referenced OLTP
 	// working set (see BufferPool.EnableScanResist).
 	ScanResistant bool
-	// ProbationFraction is the share of frames the scan-resistant clock
-	// reserves for probationary (single-touch) pages. 0 selects the
-	// default of 0.25.
-	ProbationFraction float64
-	// GhostFrames bounds the scan-resistant ghost list. 0 selects one
-	// pool's worth.
-	GhostFrames int
 	// PrefetchWindow is the number of pages of sequential read-ahead
 	// Engine.Scan requests once it detects a chain-sequential heap scan.
 	// The requests are served by prefetcher processes
@@ -116,15 +101,15 @@ func openEngine(ctx *IOCtx, e *Engine, cfg EngineConfig) (*Engine, error) {
 	if cfg.BufferFrames <= 0 {
 		cfg.BufferFrames = 256
 	}
-	e.lt = NewLockTable(cfg.LockTimeout)
+	e.lt = NewLockTable()
 	e.alloc = &allocator{limit: e.vol.Pages()}
 	e.active = map[uint64]*Tx{}
 	e.bp = NewBufferPool(e.vol, e.wal, cfg.BufferFrames)
 	if cfg.DeltaWrites {
-		e.bp.EnableDeltaWrites(cfg.DeltaMaxFraction)
+		e.bp.EnableDeltaWrites(0) // default cap: a quarter page
 	}
 	if cfg.ScanResistant {
-		e.bp.EnableScanResist(cfg.ProbationFraction, cfg.GhostFrames)
+		e.bp.EnableScanResist(0, 0) // defaults: a quarter probationary, one pool of ghosts
 	}
 	e.prefetchWindow = cfg.PrefetchWindow
 	if err := e.recover(ctx); err != nil {
@@ -146,9 +131,6 @@ func (e *Engine) PrefetchWindow() int { return e.prefetchWindow }
 
 // Log exposes the WAL (statistics).
 func (e *Engine) Log() *WAL { return e.wal }
-
-// DataVolume returns the data volume.
-func (e *Engine) DataVolume() Volume { return e.vol }
 
 // Checkpoint flushes dirty pages and records a checkpoint, bounding
 // recovery work and letting the log wrap.

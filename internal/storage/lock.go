@@ -34,13 +34,10 @@ type LockTable struct {
 	timeout sim.Time
 }
 
-// NewLockTable creates a lock table. timeout <= 0 defaults to 50ms of
+// NewLockTable creates a lock table whose waits time out after 50ms of
 // simulated time.
-func NewLockTable(timeout sim.Time) *LockTable {
-	if timeout <= 0 {
-		timeout = 50 * sim.Millisecond
-	}
-	return &LockTable{locks: make(map[lockKey]*lockEntry), timeout: timeout}
+func NewLockTable() *LockTable {
+	return &LockTable{locks: make(map[lockKey]*lockEntry), timeout: 50 * sim.Millisecond}
 }
 
 // acquire takes an exclusive lock on key for tx, waiting FIFO. Reentrant

@@ -11,12 +11,13 @@ type PrefetcherConfig struct {
 	// read-ahead reads in flight at once — the source of the cross-die
 	// pipelining a sequential scan wants. Default 4.
 	N int
-	// Interval is the idle poll period. Default 100µs simulated.
-	Interval sim.Time
 	// OnError receives a prefetcher's fatal error; the process then
 	// stops. Nil ignores errors (read-ahead is best-effort).
 	OnError func(error)
 }
+
+// prefetchPollInterval is the prefetchers' idle poll period.
+const prefetchPollInterval = 100 * sim.Microsecond
 
 // StartPrefetchers launches background read-ahead processes on the
 // kernel. They drain the buffer pool's prefetch queue (filled by
@@ -29,9 +30,6 @@ func (e *Engine) StartPrefetchers(k *sim.Kernel, cfg PrefetcherConfig) (stop fun
 	if cfg.N <= 0 {
 		cfg.N = 4
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 100 * sim.Microsecond
-	}
 	stopped := false
 	for i := 0; i < cfg.N; i++ {
 		k.Go("prefetcher", func(p *sim.Proc) {
@@ -42,7 +40,7 @@ func (e *Engine) StartPrefetchers(k *sim.Kernel, cfg PrefetcherConfig) (stop fun
 			for !stopped {
 				id, ok := e.bp.PopPrefetch()
 				if !ok {
-					p.Sleep(cfg.Interval)
+					p.Sleep(prefetchPollInterval)
 					continue
 				}
 				if err := e.bp.Prefetch(ctx, load, id); err != nil {

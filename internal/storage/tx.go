@@ -43,9 +43,6 @@ type Tx struct {
 	deletes  []deferredDelete
 }
 
-// ID returns the transaction id.
-func (t *Tx) ID() uint64 { return t.id }
-
 // owns reports whether the transaction already holds the lock.
 func (t *Tx) owns(k lockKey) bool {
 	_, ok := t.lockSet[k]

@@ -212,17 +212,12 @@ type SubVolume struct {
 	n     int64
 }
 
-// NewSubVolume carves the window [off, off+n) out of v. The returned
-// volume forwards the delta-write capability when v has it.
+// NewSubVolume carves the window [off, off+n) out of v.
 func NewSubVolume(v Volume, off, n int64) (Volume, error) {
 	if off < 0 || n <= 0 || off+n > v.Pages() {
 		return nil, fmt.Errorf("storage: subvolume [%d,%d) outside %d pages", off, off+n, v.Pages())
 	}
-	sv := &SubVolume{inner: v, off: off, n: n}
-	if dv, ok := v.(DeltaVolume); ok {
-		return &deltaSubVolume{SubVolume: sv, dv: dv}, nil
-	}
-	return sv, nil
+	return &SubVolume{inner: v, off: off, n: n}, nil
 }
 
 // PageSize implements Volume.
@@ -266,21 +261,6 @@ func (s *SubVolume) Regions() int { return s.inner.Regions() }
 
 // RegionOf implements Volume.
 func (s *SubVolume) RegionOf(id PageID) int { return s.inner.RegionOf(id + PageID(s.off)) }
-
-// deltaSubVolume adds the delta-write capability to a window whose
-// backing volume has it.
-type deltaSubVolume struct {
-	*SubVolume
-	dv DeltaVolume
-}
-
-// WriteDeltaPage implements DeltaVolume.
-func (s *deltaSubVolume) WriteDeltaPage(ctx *IOCtx, id PageID, payload []byte) error {
-	if err := s.check(id); err != nil {
-		return err
-	}
-	return s.dv.WriteDeltaPage(ctx, id+PageID(s.off), payload)
-}
 
 func (v *MemVolume) check(id PageID, buf []byte) error {
 	if id < 0 || int64(id) >= int64(len(v.pages)) {

@@ -112,9 +112,6 @@ func NewWAL(vol Volume) *WAL {
 // NextLSN returns the LSN the next record will get.
 func (w *WAL) NextLSN() uint64 { return w.nextLSN }
 
-// DurableLSN returns the highest LSN known flushed.
-func (w *WAL) DurableLSN() uint64 { return w.durable }
-
 // Capacity returns the log volume's stream capacity in bytes; once
 // NextLSN outruns the last checkpoint anchor by this much, flushing
 // fails with ErrLogFull.

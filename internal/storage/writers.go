@@ -35,8 +35,6 @@ type WriterConfig struct {
 	N int
 	// Association selects the dirty-page partitioning.
 	Association WriterAssociation
-	// Interval is the idle poll period. Default 200µs simulated.
-	Interval sim.Time
 	// Watermark is the dirty-page count above which writers work
 	// continuously; below it they only trickle. Default: frames/8.
 	Watermark int
@@ -56,12 +54,12 @@ type WriterConfig struct {
 	Tag uint32
 }
 
+// writerPollInterval is the db-writers' idle poll period.
+const writerPollInterval = 200 * sim.Microsecond
+
 // StartWriters launches cfg.N db-writer processes on the kernel. The
 // returned stop function halts them (they drain at the next poll).
 func (e *Engine) StartWriters(k *sim.Kernel, cfg WriterConfig) (stop func()) {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 200 * sim.Microsecond
-	}
 	if cfg.Watermark <= 0 {
 		cfg.Watermark = len(e.bp.frames) / 8
 	}
@@ -104,7 +102,7 @@ func (e *Engine) StartWriters(k *sim.Kernel, cfg WriterConfig) (stop func()) {
 					}
 				}
 				if !worked || e.bp.TotalDirty() < cfg.Watermark {
-					p.Sleep(cfg.Interval)
+					p.Sleep(writerPollInterval)
 				}
 			}
 		})

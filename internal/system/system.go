@@ -148,7 +148,7 @@ func New(cfg Config, optFns ...Option) (_ *System, err error) {
 		if mb <= 0 {
 			mb = 64
 		}
-		devCfg = flash.EmulatorConfig(dies, mb, cfg.Cell)
+		devCfg = flash.EmulatorConfig(dies, mb, nand.SLC)
 	}
 	frames := cfg.Frames
 	if frames <= 0 {
@@ -653,7 +653,7 @@ func (s *System) StartMaintenance(cfg sched.MaintConfig) *sched.Maintenance {
 }
 
 // Config declares a system for the public facade: a stack, a device
-// geometry (either Dies/CapacityMB/Cell or an explicit DeviceConfig)
+// geometry (either Dies/CapacityMB on SLC or an explicit DeviceConfig)
 // and an engine buffer size. Zero values pick the canonical defaults:
 // the region-managed NoFTL stack on 8 SLC dies of ~64 MB with 256
 // buffer frames.
@@ -665,9 +665,6 @@ type Config struct {
 	// CapacityMB approximates the device capacity (ignored with Device
 	// set). Default 64.
 	CapacityMB int
-	// Cell selects the NAND cell technology (ignored with Device set).
-	// Default SLC.
-	Cell nand.CellType
 	// Device overrides the derived geometry with an explicit config.
 	Device *flash.Config
 	// Frames is the engine's buffer-pool size in pages. Default 256.

@@ -35,18 +35,11 @@ type Config struct {
 	// (alert log JSON), refreshed at every sampler tick. Use
 	// "127.0.0.1:0" to let the OS pick a port (Monitor.Addr reports it).
 	MonitorAddr string
-	// HistBuckets are the upper bounds of the per-die erase-count
-	// histogram buckets. Empty derives power-of-two buckets from the
-	// observed maximum (deterministic for a fixed run).
-	HistBuckets []int
-	// Timelines names the registry metrics copied from the sampled
-	// series into Snapshot.Timelines. Empty uses DefaultTimelines.
-	Timelines []string
 }
 
-// DefaultTimelines are the series columns embedded in snapshots when
-// Config.Timelines is empty. Unregistered names are skipped.
-var DefaultTimelines = []string{
+// timelines names the registry metrics copied from the sampled series
+// into Snapshot.Timelines. Unregistered names are skipped.
+var timelines = []string{
 	"noftl.free_blocks", "noftl.live_pages",
 	"commit.tps", "commit.p99_us", "commit.deadline_misses",
 	"health.wear_spread", "health.occupancy",
@@ -81,12 +74,6 @@ func New(cfg Config, tel *telemetry.Telemetry) *Monitor {
 // AddProbe registers a snapshot filler (run in registration order).
 func (m *Monitor) AddProbe(p Probe) { m.probes = append(m.probes, p) }
 
-// Telemetry returns the pipeline the monitor is attached to.
-func (m *Monitor) Telemetry() *telemetry.Telemetry { return m.tel }
-
-// Engine returns the SLO engine (rule states, for tests and tables).
-func (m *Monitor) Engine() *Engine { return m.engine }
-
 // Alerts returns the alert log accumulated so far (sim-time order).
 func (m *Monitor) Alerts() []telemetry.Alert { return m.tel.Recorder().Alerts() }
 
@@ -111,13 +98,11 @@ func (m *Monitor) Snapshot(now sim.Time) *Snapshot {
 	for _, p := range m.probes {
 		p(s)
 	}
-	s.finalize(m.cfg.HistBuckets)
-	names := m.cfg.Timelines
-	if names == nil {
-		names = DefaultTimelines
-	}
+	// Per-die erase histograms get power-of-two buckets derived from the
+	// observed maximum (deterministic for a fixed run).
+	s.finalize(nil)
 	series := m.tel.Series()
-	for _, n := range names {
+	for _, n := range timelines {
 		col := series.Column(n)
 		if col == nil {
 			continue

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"noftl/internal/sim"
-	"noftl/internal/stats"
 	"noftl/internal/telemetry"
 )
 
@@ -94,9 +93,6 @@ func NewEngine(rules []Rule, tel *telemetry.Telemetry) *Engine {
 	}
 	return &Engine{rules: rs, state: make([]ruleState, len(rs)), tel: tel}
 }
-
-// Rules returns the engine's (defaulted) rule set.
-func (e *Engine) Rules() []Rule { return e.rules }
 
 // Active reports whether a rule is currently firing.
 func (e *Engine) Active(name string) bool {
@@ -203,15 +199,4 @@ func DefaultRules(wearSpread float64, freeFloor float64, p99CeilUs float64, miss
 			Budget: missBudget, For: 2, Severity: "page"})
 	}
 	return out
-}
-
-// AlertTable renders an alert log as a fixed-width table (bench
-// output).
-func AlertTable(alerts []telemetry.Alert) string {
-	tab := stats.NewTable("t", "rule", "sev", "state", "value", "threshold")
-	for _, a := range alerts {
-		tab.Row(a.TNs.String(), a.Rule, a.Severity, a.State,
-			fmt.Sprintf("%.3g", a.Value), fmt.Sprintf("%.3g", a.Threshold))
-	}
-	return tab.String()
 }

@@ -10,8 +10,7 @@ import (
 // misses per tenant tag (with an exact total miss count per tag even
 // when the ring wraps).
 type FlightRecorder struct {
-	k        int
-	missRing int
+	k int
 
 	slow      []*ioreq.Span // sorted by latency desc, ties by ID asc
 	misses    map[uint32][]*ioreq.Span
@@ -20,12 +19,15 @@ type FlightRecorder struct {
 	alerts    []Alert  // SLO transitions in sim-time order
 }
 
+// missRing bounds retained deadline-miss spans per tag (the miss counts
+// stay exact past it).
+const missRing = 256
+
 // NewFlightRecorder builds a recorder keeping the slowest k spans and
 // up to missRing deadline-miss spans per tag.
-func NewFlightRecorder(k, missRing int) *FlightRecorder {
+func NewFlightRecorder(k int) *FlightRecorder {
 	return &FlightRecorder{
 		k:         k,
-		missRing:  missRing,
 		misses:    map[uint32][]*ioreq.Span{},
 		missCount: map[uint32]int64{},
 	}
@@ -43,8 +45,8 @@ func (fr *FlightRecorder) Record(sp *ioreq.Span) {
 		}
 		fr.missCount[sp.Tag]++
 		ring := append(fr.misses[sp.Tag], sp)
-		if fr.missRing > 0 && len(ring) > fr.missRing {
-			ring = ring[len(ring)-fr.missRing:] // drop oldest
+		if len(ring) > missRing {
+			ring = ring[len(ring)-missRing:] // drop oldest
 		}
 		fr.misses[sp.Tag] = ring
 	}

@@ -137,12 +137,6 @@ func (r *Registry) Value(name string) (float64, bool) {
 	return r.metrics[i].Read(), true
 }
 
-// Has reports whether a metric name is registered.
-func (r *Registry) Has(name string) bool {
-	_, ok := r.byName[name]
-	return ok
-}
-
 // ReadAll samples every metric in column order.
 func (r *Registry) ReadAll() []float64 {
 	out := make([]float64, len(r.metrics))

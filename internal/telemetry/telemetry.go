@@ -16,9 +16,6 @@ type Config struct {
 	// SlowestK is the flight recorder's slowest-request retention.
 	// Default 16.
 	SlowestK int
-	// MissRing bounds retained deadline-miss spans per tag (the miss
-	// counts stay exact past it). Default 256.
-	MissRing int
 	// RetainSpans keeps every recorded span for trace export
 	// (memory proportional to committed transactions; off by default).
 	RetainSpans bool
@@ -30,9 +27,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SlowestK <= 0 {
 		c.SlowestK = 16
-	}
-	if c.MissRing <= 0 {
-		c.MissRing = 256
 	}
 	return c
 }
@@ -109,7 +103,7 @@ type Telemetry struct {
 func New(cfg Config) *Telemetry {
 	cfg = cfg.withDefaults()
 	t := &Telemetry{cfg: cfg, Reg: NewRegistry(),
-		rec:        NewFlightRecorder(cfg.SlowestK, cfg.MissRing),
+		rec:        NewFlightRecorder(cfg.SlowestK),
 		tagCommits: map[uint32]int64{}}
 	t.Reg.Gauge("commit.tps", func() float64 { return t.winTPS })
 	t.Reg.Gauge("commit.p99_us", func() float64 { return t.winP99us })

@@ -66,20 +66,6 @@ func (l *CmdLog) TagWait(tag uint32) *stats.Histogram {
 	return &h
 }
 
-// Tags returns the distinct stream tags present in the log, in first-
-// appearance order.
-func (l *CmdLog) Tags() []uint32 {
-	var out []uint32
-	seen := map[uint32]bool{}
-	for _, ev := range l.Events {
-		if !seen[ev.Tag] {
-			seen[ev.Tag] = true
-			out = append(out, ev.Tag)
-		}
-	}
-	return out
-}
-
 // Suspends counts erase suspensions recorded in the log.
 func (l *CmdLog) Suspends() int {
 	n := 0

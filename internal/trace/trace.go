@@ -76,23 +76,40 @@ func (t *Trace) Encode(w io.Writer) error {
 	return nil
 }
 
-// Decode reads a trace written by Encode.
+// maxPageSize bounds the page size Decode accepts: the header sizes
+// Replay's page buffer, so a corrupt one must not reach it.
+const maxPageSize = 1 << 20
+
+// Decode reads a trace written by Encode. The input is untrusted (a
+// file handed to cmd/tracereplay): a page size outside (0, 1 MiB], an
+// unknown op kind or a negative LPN is an error naming the record.
 func Decode(r io.Reader) (*Trace, error) {
 	hdr := make([]byte, 24)
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: header: %w", err)
 	}
 	if binary.LittleEndian.Uint64(hdr) != traceMagic {
 		return nil, errors.New("trace: bad magic")
 	}
-	t := &Trace{PageSize: int(binary.LittleEndian.Uint64(hdr[8:]))}
+	pageSize := binary.LittleEndian.Uint64(hdr[8:])
+	if pageSize == 0 || pageSize > maxPageSize {
+		return nil, fmt.Errorf("trace: header: page size %d outside (0, %d]", pageSize, maxPageSize)
+	}
+	t := &Trace{PageSize: int(pageSize)}
 	n := binary.LittleEndian.Uint64(hdr[16:])
 	buf := make([]byte, 9)
 	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("trace: record %d of %d: %w", i, n, err)
 		}
-		t.Ops = append(t.Ops, Op{Kind: OpKind(buf[0]), LPN: int64(binary.LittleEndian.Uint64(buf[1:]))})
+		op := Op{Kind: OpKind(buf[0]), LPN: int64(binary.LittleEndian.Uint64(buf[1:]))}
+		if op.Kind < OpRead || op.Kind > OpTrim {
+			return nil, fmt.Errorf("trace: record %d: unknown op kind %d", i, op.Kind)
+		}
+		if op.LPN < 0 {
+			return nil, fmt.Errorf("trace: record %d: negative LPN %d", i, op.LPN)
+		}
+		t.Ops = append(t.Ops, op)
 	}
 	return t, nil
 }

@@ -31,8 +31,6 @@ type ReaderConfig struct {
 	// the offset stride keeps every reader's source distinct from every
 	// OLTP terminal's (seed + id*7919) under a shared base seed.
 	Seed int64
-	// Think is idle time between queries (0: closed loop).
-	Think sim.Time
 	// Counting gates Queries and Hist so warm-up queries are excluded;
 	// nil counts from the start.
 	Counting *bool
@@ -48,7 +46,8 @@ type Readers struct {
 }
 
 // StartReaders launches cfg.N analytical reader processes running wl
-// against e on kernel k. Readers observe Stop at their next query
+// against e on kernel k, closed-loop (no think time between queries).
+// Readers observe Stop at their next query
 // boundary.
 func StartReaders(k *sim.Kernel, e *storage.Engine, wl Workload, cfg ReaderConfig) *Readers {
 	rs := &Readers{}
@@ -75,9 +74,6 @@ func StartReaders(k *sim.Kernel, e *storage.Engine, wl Workload, cfg ReaderConfi
 						cfg.OnFatal(err)
 					}
 					return
-				}
-				if cfg.Think > 0 {
-					p.Sleep(cfg.Think)
 				}
 			}
 		})

@@ -187,18 +187,6 @@ func (ts *Terminals) DeadlineMisses() int64 {
 	return n
 }
 
-// TagDeadlineMisses sums deadline misses of the terminals carrying one
-// stream tag.
-func (ts *Terminals) TagDeadlineMisses(tag uint32) int64 {
-	var n int64
-	for _, t := range ts.All {
-		if t.Tag == tag {
-			n += t.DeadlineMisses
-		}
-	}
-	return n
-}
-
 // CommitHist merges the terminals' commit-latency histograms.
 func (ts *Terminals) CommitHist() stats.Histogram {
 	var h stats.Histogram
@@ -206,20 +194,6 @@ func (ts *Terminals) CommitHist() stats.Histogram {
 		h.AddHist(&t.Hist)
 	}
 	return h
-}
-
-// Tags returns the distinct stream tags of the terminal set, in first-
-// terminal order.
-func (ts *Terminals) Tags() []uint32 {
-	var out []uint32
-	seen := map[uint32]bool{}
-	for _, t := range ts.All {
-		if !seen[t.Tag] {
-			seen[t.Tag] = true
-			out = append(out, t.Tag)
-		}
-	}
-	return out
 }
 
 // TagCommitHist merges the commit-latency histograms of the terminals
@@ -232,16 +206,4 @@ func (ts *Terminals) TagCommitHist(tag uint32) stats.Histogram {
 		}
 	}
 	return h
-}
-
-// TagCommitted sums committed (counted) transactions of the terminals
-// carrying one stream tag.
-func (ts *Terminals) TagCommitted(tag uint32) int64 {
-	var n int64
-	for _, t := range ts.All {
-		if t.Tag == tag {
-			n += t.Committed
-		}
-	}
-	return n
 }

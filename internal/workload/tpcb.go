@@ -14,26 +14,23 @@ import (
 type TPCBConfig struct {
 	// Branches is the scale factor (sf).
 	Branches int
-	// TellersPerBranch defaults to 10 (spec).
-	TellersPerBranch int
 	// AccountsPerBranch defaults to 1000 (spec: 100,000).
 	AccountsPerBranch int
-	// Filler pads records towards the spec's 100-byte rows. Default 64.
-	Filler int
 }
+
+const (
+	// tpcbTellersPerBranch is the spec's ratio.
+	tpcbTellersPerBranch = 10
+	// tpcbFiller pads records towards the spec's 100-byte rows.
+	tpcbFiller = 64
+)
 
 func (c TPCBConfig) withDefaults() TPCBConfig {
 	if c.Branches <= 0 {
 		c.Branches = 1
 	}
-	if c.TellersPerBranch <= 0 {
-		c.TellersPerBranch = 10
-	}
 	if c.AccountsPerBranch <= 0 {
 		c.AccountsPerBranch = 1000
-	}
-	if c.Filler <= 0 {
-		c.Filler = 64
 	}
 	return c
 }
@@ -60,9 +57,6 @@ func NewTPCBNamed(name string, cfg TPCBConfig) *TPCB {
 
 // Name implements Workload.
 func (t *TPCB) Name() string { return t.name }
-
-// Config returns the effective configuration.
-func (t *TPCB) Config() TPCBConfig { return t.cfg }
 
 // Load implements Workload.
 func (t *TPCB) Load(ctx *storage.IOCtx, e *storage.Engine) error {
@@ -95,15 +89,15 @@ func (t *TPCB) Load(ctx *storage.IOCtx, e *storage.Engine) error {
 	}
 	c := t.cfg
 	if err := loadRows(ctx, e, t.branches, t.branchPK, int64(c.Branches),
-		func(i int64) (int64, []byte) { return i, rec(c.Filler, i, 0) }); err != nil {
+		func(i int64) (int64, []byte) { return i, rec(tpcbFiller, i, 0) }); err != nil {
 		return fmt.Errorf("tpcb: load branches: %w", err)
 	}
-	if err := loadRows(ctx, e, t.tellers, t.tellerPK, int64(c.Branches*c.TellersPerBranch),
-		func(i int64) (int64, []byte) { return i, rec(c.Filler, i, 0) }); err != nil {
+	if err := loadRows(ctx, e, t.tellers, t.tellerPK, int64(c.Branches*tpcbTellersPerBranch),
+		func(i int64) (int64, []byte) { return i, rec(tpcbFiller, i, 0) }); err != nil {
 		return fmt.Errorf("tpcb: load tellers: %w", err)
 	}
 	if err := loadRows(ctx, e, t.accounts, t.accountPK, int64(c.Branches*c.AccountsPerBranch),
-		func(i int64) (int64, []byte) { return i, rec(c.Filler, i, 0) }); err != nil {
+		func(i int64) (int64, []byte) { return i, rec(tpcbFiller, i, 0) }); err != nil {
 		return fmt.Errorf("tpcb: load accounts: %w", err)
 	}
 	return nil
@@ -113,7 +107,7 @@ func (t *TPCB) Load(ctx *storage.IOCtx, e *storage.Engine) error {
 func (t *TPCB) RunOne(ctx *storage.IOCtx, e *storage.Engine, rng *rand.Rand) error {
 	c := t.cfg
 	bid := rng.Int63n(int64(c.Branches))
-	tid := bid*int64(c.TellersPerBranch) + rng.Int63n(int64(c.TellersPerBranch))
+	tid := bid*tpcbTellersPerBranch + rng.Int63n(tpcbTellersPerBranch)
 	// 85% of accounts belong to the teller's branch, 15% are remote
 	// (spec clause 5.3.5); with one branch everything is local.
 	var aid int64

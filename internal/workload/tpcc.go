@@ -25,8 +25,6 @@ type TPCCConfig struct {
 	Items int
 	// InitialOrdersPerDistrict defaults to 30 (spec: 3000).
 	InitialOrdersPerDistrict int
-	// Filler pads rows toward spec widths. Default 80.
-	Filler int
 }
 
 func (c TPCCConfig) withDefaults() TPCCConfig {
@@ -41,9 +39,6 @@ func (c TPCCConfig) withDefaults() TPCCConfig {
 	}
 	if c.InitialOrdersPerDistrict <= 0 {
 		c.InitialOrdersPerDistrict = 30
-	}
-	if c.Filler <= 0 {
-		c.Filler = 80
 	}
 	return c
 }
@@ -70,9 +65,6 @@ func NewTPCC(cfg TPCCConfig) *TPCC { return &TPCC{cfg: cfg.withDefaults()} }
 
 // Name implements Workload.
 func (t *TPCC) Name() string { return "tpcc" }
-
-// Config returns the effective configuration.
-func (t *TPCC) Config() TPCCConfig { return t.cfg }
 
 // Key packing.
 func (t *TPCC) wdOf(wid, did int64) int64 { return wid*districtsPerWH + did }
@@ -123,7 +115,7 @@ func (t *TPCC) Load(ctx *storage.IOCtx, e *storage.Engine) error {
 		return err
 	}
 	c := t.cfg
-	fill := c.Filler
+	const fill = 80 // pads rows toward spec widths
 	nWH := int64(c.Warehouses)
 
 	if err := loadRows(ctx, e, t.warehouse, t.whPK, nWH,

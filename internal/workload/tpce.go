@@ -13,15 +13,8 @@ import (
 type TPCEConfig struct {
 	// Customers is the scale factor (the paper runs 1000 customers).
 	Customers int
-	// AccountsPerCustomer defaults to 2.
-	AccountsPerCustomer int
 	// Securities defaults to 100.
 	Securities int
-	// InitialTradesPerAccount populates the trade history at load time
-	// (TPC-E ships with a large initial TRADE table). Default 10.
-	InitialTradesPerAccount int
-	// Filler pads rows. Default 80.
-	Filler int
 	// Seed drives the load-time population RNG (initial trade history),
 	// keeping the workload deterministic per configured seed instead of
 	// per compiled-in constant. 0 selects the historical default of 17.
@@ -32,17 +25,8 @@ func (c TPCEConfig) withDefaults() TPCEConfig {
 	if c.Customers <= 0 {
 		c.Customers = 100
 	}
-	if c.AccountsPerCustomer <= 0 {
-		c.AccountsPerCustomer = 2
-	}
 	if c.Securities <= 0 {
 		c.Securities = 100
-	}
-	if c.InitialTradesPerAccount <= 0 {
-		c.InitialTradesPerAccount = 10
-	}
-	if c.Filler <= 0 {
-		c.Filler = 80
 	}
 	if c.Seed == 0 {
 		c.Seed = 17
@@ -73,7 +57,14 @@ func (t *TPCE) Name() string { return "tpce" }
 // Config returns the effective configuration.
 func (t *TPCE) Config() TPCEConfig { return t.cfg }
 
-const tradeSpan = int64(1 << 24)
+const (
+	tradeSpan               = int64(1 << 24)
+	tpceAccountsPerCustomer = 2
+	// tpceInitialTradesPerAccount populates the trade history at load
+	// time (TPC-E ships with a large initial TRADE table).
+	tpceInitialTradesPerAccount = 10
+	tpceFiller                  = 80 // pads rows
+)
 
 // Load implements Workload.
 func (t *TPCE) Load(ctx *storage.IOCtx, e *storage.Engine) error {
@@ -104,21 +95,21 @@ func (t *TPCE) Load(ctx *storage.IOCtx, e *storage.Engine) error {
 	}
 	c := t.cfg
 	if err := loadRows(ctx, e, t.customer, t.custPK, int64(c.Customers),
-		func(i int64) (int64, []byte) { return i, rec(c.Filler, i, 0) }); err != nil {
+		func(i int64) (int64, []byte) { return i, rec(tpceFiller, i, 0) }); err != nil {
 		return fmt.Errorf("tpce: customers: %w", err)
 	}
 	// Account row: {aid, balance, holdings}.
-	if err := loadRows(ctx, e, t.account, t.acctPK, int64(c.Customers*c.AccountsPerCustomer),
-		func(i int64) (int64, []byte) { return i, rec(c.Filler, i, 1_000_000, 0) }); err != nil {
+	if err := loadRows(ctx, e, t.account, t.acctPK, int64(c.Customers*tpceAccountsPerCustomer),
+		func(i int64) (int64, []byte) { return i, rec(tpceFiller, i, 1_000_000, 0) }); err != nil {
 		return fmt.Errorf("tpce: accounts: %w", err)
 	}
 	// Security row: {sid, price, volume}.
 	if err := loadRows(ctx, e, t.security, t.secPK, int64(c.Securities),
-		func(i int64) (int64, []byte) { return i, rec(c.Filler, i, 100+i%400, 0) }); err != nil {
+		func(i int64) (int64, []byte) { return i, rec(tpceFiller, i, 100+i%400, 0) }); err != nil {
 		return fmt.Errorf("tpce: securities: %w", err)
 	}
 	// Initial trade history: completed trades spread over accounts.
-	nTrades := t.accounts() * int64(c.InitialTradesPerAccount)
+	nTrades := t.accounts() * tpceInitialTradesPerAccount
 	rng := rand.New(rand.NewSource(c.Seed))
 	for start := int64(0); start < nTrades; start += 500 {
 		end := start + 500
@@ -130,7 +121,7 @@ func (t *TPCE) Load(ctx *storage.IOCtx, e *storage.Engine) error {
 				aid := tid % t.accounts()
 				sid := rng.Int63n(int64(c.Securities))
 				trid, err := e.Insert(ctx, tx, t.tradeTbl,
-					rec(c.Filler, tid, aid, sid, int64(1+rng.Intn(100)), 1))
+					rec(tpceFiller, tid, aid, sid, int64(1+rng.Intn(100)), 1))
 				if err != nil {
 					return err
 				}
@@ -155,7 +146,7 @@ func (t *TPCE) Load(ctx *storage.IOCtx, e *storage.Engine) error {
 }
 
 func (t *TPCE) accounts() int64 {
-	return int64(t.cfg.Customers * t.cfg.AccountsPerCustomer)
+	return int64(t.cfg.Customers * tpceAccountsPerCustomer)
 }
 
 // RunOne implements Workload.
@@ -197,7 +188,7 @@ func (t *TPCE) tradeOrder(ctx *storage.IOCtx, e *storage.Engine, rng *rand.Rand)
 		tid := t.nextTrade
 		t.nextTrade++
 		// Trade row: {tid, aid, sid, qty, status(0=pending)}.
-		trid, err := e.Insert(ctx, tx, t.tradeTbl, rec(t.cfg.Filler, tid, aid, sid, qty, 0))
+		trid, err := e.Insert(ctx, tx, t.tradeTbl, rec(tpceFiller, tid, aid, sid, qty, 0))
 		if err != nil {
 			return err
 		}
@@ -264,8 +255,8 @@ func (t *TPCE) customerPosition(ctx *storage.IOCtx, e *storage.Engine, rng *rand
 		if _, _, err := fetchByKey(ctx, e, tx, t.custPK, cid); err != nil {
 			return err
 		}
-		for a := 0; a < t.cfg.AccountsPerCustomer; a++ {
-			aid := cid*int64(t.cfg.AccountsPerCustomer) + int64(a)
+		for a := int64(0); a < tpceAccountsPerCustomer; a++ {
+			aid := cid*tpceAccountsPerCustomer + a
 			if _, _, err := fetchByKey(ctx, e, tx, t.acctPK, aid); err != nil {
 				return err
 			}

@@ -13,10 +13,6 @@ import (
 type TPCHConfig struct {
 	// ScaleFactor drives the orders population: sf × 1500 orders.
 	ScaleFactor int
-	// LinesPerOrderMax defaults to 7 (spec average ≈ 4).
-	LinesPerOrderMax int
-	// Filler pads rows. Default 96.
-	Filler int
 	// Seed drives the load-time population RNG (lineitem cardinalities),
 	// so "deterministic per seed" holds for the analytical workloads the
 	// same way it does for TPC-B/TPC-C query streams. 0 selects the
@@ -28,17 +24,16 @@ func (c TPCHConfig) withDefaults() TPCHConfig {
 	if c.ScaleFactor <= 0 {
 		c.ScaleFactor = 1
 	}
-	if c.LinesPerOrderMax <= 0 {
-		c.LinesPerOrderMax = 7
-	}
-	if c.Filler <= 0 {
-		c.Filler = 96
-	}
 	if c.Seed == 0 {
 		c.Seed = 7
 	}
 	return c
 }
+
+const (
+	tpchLinesPerOrderMax = 7  // spec average ≈ 4
+	tpchFiller           = 96 // pads rows
+)
 
 // TPCH runs rotating analytical queries: a full-scan aggregation (Q1
 // shape), a filtered-scan revenue sum (Q6 shape) and an index-driven
@@ -94,7 +89,7 @@ func (t *TPCH) Load(ctx *storage.IOCtx, e *storage.Engine) error {
 	// Order row: {oid, custkey, totalprice, orderdate}.
 	if err := loadRows(ctx, e, t.orders, t.orderPK, t.nOrders,
 		func(i int64) (int64, []byte) {
-			return i, rec(t.cfg.Filler, i, i%997, 1000+i%9000, i%2557)
+			return i, rec(tpchFiller, i, i%997, 1000+i%9000, i%2557)
 		}); err != nil {
 		return fmt.Errorf("tpch: orders: %w", err)
 	}
@@ -107,11 +102,11 @@ func (t *TPCH) Load(ctx *storage.IOCtx, e *storage.Engine) error {
 		}
 		err := withTx(ctx, e, func(tx *storage.Tx) error {
 			for oid := o; oid < end; oid++ {
-				n := int64(1 + rng.Intn(t.cfg.LinesPerOrderMax))
+				n := int64(1 + rng.Intn(tpchLinesPerOrderMax))
 				for l := int64(0); l < n; l++ {
 					lkey := oid*16 + l
 					rid, err := e.Insert(ctx, tx, t.lineitem,
-						rec(t.cfg.Filler, lkey, oid, 1+lkey%50, 900+lkey%9100, lkey%2557))
+						rec(tpchFiller, lkey, oid, 1+lkey%50, 900+lkey%9100, lkey%2557))
 					if err != nil {
 						return err
 					}

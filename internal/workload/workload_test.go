@@ -143,7 +143,7 @@ func TestTPCELoadAndRun(t *testing.T) {
 	runN(t, wl, e, ctx, 400, 5)
 	// TPC-E is read-mostly: beyond the initial trade history, growth
 	// must stay a minority of the 400 transactions.
-	initial := int(wl.Config().AccountsPerCustomer) * 50 * wl.Config().InitialTradesPerAccount
+	initial := tpceAccountsPerCustomer * 50 * tpceInitialTradesPerAccount
 	ttbl, _ := e.OpenTable("tpce_trade")
 	trades := 0
 	_ = e.Scan(ctx, ttbl, func(rid storage.RID, rec []byte) bool { trades++; return true })

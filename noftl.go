@@ -115,9 +115,6 @@ type (
 	SimTime = sim.Time
 )
 
-// NewKernel creates a simulation kernel.
-func NewKernel() *Kernel { return sim.New() }
-
 // NewRealWaiter maps simulated time onto the wall clock (the paper's
 // real-time emulator mode); scale > 1 runs faster than real time.
 func NewRealWaiter(scale float64) *sim.RealWaiter { return sim.NewRealWaiter(scale) }
@@ -181,11 +178,6 @@ const (
 	ClassIndex = region.ClassIndex
 	ClassDelta = region.ClassDelta
 )
-
-// NewRegionManager builds the regions of a layout over a device.
-func NewRegionManager(dev *Device, layout RegionLayout) (*RegionManager, error) {
-	return region.New(dev, layout)
-}
 
 // RebuildRegionManager reconstructs every region's mapping from flash
 // after a restart. The scans' page reads are charged to rq.

@@ -21,12 +21,12 @@ type (
 	// tag, scheduler class, per-request completion deadline,
 	// deadline-miss budget (the SLO) and contracted admission rate.
 	TenantSpec = serve.TenantSpec
-	// ServeConfig configures a serving front: the tenant catalog, the
-	// admission-control regime and the controller's tuning knobs.
+	// ServeConfig configures a serving front: the tenant catalog and
+	// the admission-control regime.
 	ServeConfig = serve.Config
 	// ServeFront is the serving front: the tenant catalog, the stores,
 	// the admission controller and the session factory. Build one with
-	// NewServeFront or System.StartServe.
+	// System.StartServe.
 	ServeFront = serve.Front
 	// ServeStore is one named record store (a heap table plus its
 	// primary-key index) served by the front.
@@ -86,13 +86,6 @@ var (
 	// created.
 	ErrUnknownStore = serve.ErrUnknownStore
 )
-
-// NewServeFront builds a serving front over an engine. Most callers use
-// System.StartServe instead, which also attaches the system's telemetry
-// (the burn-rate guard samples deadline misses through it).
-func NewServeFront(e *Engine, cfg ServeConfig) (*ServeFront, error) {
-	return serve.New(e, cfg)
-}
 
 // --- the serving-front admission ablation ---
 
