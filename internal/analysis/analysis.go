@@ -9,8 +9,8 @@
 // each PR established and runtime tests only catch when they happen to
 // exercise the violating path. See the individual analyzer files
 // (determinism.go, ioreqclass.go, walflush.go, nilrecv.go,
-// metricname.go) for the invariant each one enforces, and DESIGN.md
-// "Static invariants" for the PR that introduced each invariant.
+// metricname.go, pollloop.go) for the invariant each one enforces, and
+// DESIGN.md "Static invariants" for the PR that introduced each one.
 package analysis
 
 import (
@@ -41,6 +41,7 @@ func All() []*Analyzer {
 		WALFlush,
 		NilRecv,
 		MetricName,
+		PollLoop,
 	}
 }
 

@@ -80,6 +80,7 @@ func TestAnalyzerGoldens(t *testing.T) {
 		{"walflush", []*Analyzer{WALFlush}},
 		{"nilrecv", []*Analyzer{NilRecv}},
 		{"metricname", []*Analyzer{MetricName}},
+		{"pollloop", []*Analyzer{PollLoop}},
 		// The ignore fixture's violations are determinism ones; the
 		// malformed directives surface under the "ignore" pseudo-analyzer
 		// regardless of which analyzers run.

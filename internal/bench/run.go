@@ -266,6 +266,9 @@ type RunResult struct {
 	// Background maintenance progress (zero without BackgroundGC).
 	GCSteps   int64
 	WearMoves int64
+
+	// Kernel is what the run cost the simulator itself.
+	Kernel sim.Stats
 }
 
 // Group returns the named client group's result (nil if absent).
@@ -398,6 +401,7 @@ func execute(sys *system.System, spec run) (*RunResult, error) {
 		res.CommitHist.AddHist(&gr.Commit)
 	}
 	res.Snapshot = sys.Snapshot()
+	res.Kernel = k.Stats()
 	if r.maint != nil {
 		res.GCSteps, res.WearMoves = r.maint.GCSteps, r.maint.WearMoves
 	}

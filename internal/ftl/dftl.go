@@ -382,7 +382,7 @@ func (d *dftlDie) ensureSpace(w sim.Waiter, plane int) error {
 			if d.bt.FreeCount(plane) > 0 {
 				return nil
 			}
-			w.WaitUntil(w.Now() + retryWait)
+			w.WaitUntil(w.Now() + retryWait) //noftl:ignore pollloop spin budget: ErrGCStuck after maxSpins
 			continue
 		}
 		if err := d.gcOnce(w, plane); err != nil {

@@ -77,8 +77,8 @@ type fasterDie struct {
 // handling the same way — and that serialization is part of why FTL
 // latency outliers hit concurrent requests so hard.
 func (d *fasterDie) lock(w sim.Waiter) {
-	for d.busy {
-		w.WaitUntil(w.Now() + 20*sim.Microsecond)
+	if d.busy {
+		w.Poll(20*sim.Microsecond, func() bool { return !d.busy })
 	}
 	d.busy = true
 }

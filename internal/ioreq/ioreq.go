@@ -117,6 +117,9 @@ func (r *Req) Now() sim.Time { return r.W.Now() }
 // WaitUntil implements sim.Waiter.
 func (r *Req) WaitUntil(ts sim.Time) { r.W.WaitUntil(ts) }
 
+// Poll implements sim.Waiter.
+func (r *Req) Poll(d sim.Time, ready func() bool) { r.W.Poll(d, ready) }
+
 // Waiter returns the waiter lower layers should be handed. An
 // intent-free descriptor hands down W itself — the bare waiter, or the
 // context a request rides on (storage.IOCtx.Req), so neither allocates.

@@ -649,7 +649,7 @@ func (d *dieMgr) ensureSpace(w sim.Waiter, plane int) error {
 			if d.bt.FreeCount(plane) > 0 {
 				return nil // enough to proceed; the active GC will refill
 			}
-			w.WaitUntil(w.Now() + 50*sim.Microsecond)
+			w.WaitUntil(w.Now() + 50*sim.Microsecond) //noftl:ignore pollloop spin budget: ErrGCStuck after maxSpins
 			continue
 		}
 		if err := d.gcOnce(w, plane); err != nil {

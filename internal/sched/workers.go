@@ -71,6 +71,7 @@ func StartMaintenance(k *sim.Kernel, gc GCDriver, cfg MaintConfig) *Maintenance 
 		r := r
 		k.Go(fmt.Sprintf("gc-worker%d", r), func(p *sim.Proc) {
 			rq := ioreq.Req{W: sim.ProcWaiter{P: p}, Class: ioreq.ClassGC}
+			wanted := func() bool { return mt.stopped || gc.NeedsGC(r) }
 			for !mt.stopped {
 				if gc.NeedsGC(r) {
 					did, err := gc.GCStep(rq, r)
@@ -83,7 +84,9 @@ func StartMaintenance(k *sim.Kernel, gc GCDriver, cfg MaintConfig) *Maintenance 
 						continue
 					}
 				}
+				// Look again one period from now, then every period.
 				p.Sleep(gcPollInterval)
+				p.Poll(gcPollInterval, wanted)
 			}
 		})
 	}

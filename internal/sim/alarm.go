@@ -31,7 +31,7 @@ func (a *Alarm) Wait(p *Proc, d Time) bool {
 	a.waiting = true
 	a.preempt = false
 	if d >= 0 {
-		a.k.at(a.k.now+d, func() {
+		a.k.at(a.k.now+d, nil, func() {
 			// A stale deadline (the wait was interrupted, or a newer wait
 			// started) must not wake anyone.
 			if a.gen != gen || !a.waiting {

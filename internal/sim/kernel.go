@@ -1,36 +1,32 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 )
 
-// event is a scheduled callback. Events with equal time fire in insertion
-// order (seq), which makes the simulation deterministic.
+// event is one scheduled occurrence, stored by value in the kernel's
+// heap. Exactly one of p and fn is set: p names a process to resume (or,
+// parked in Poll, to test on its behalf); fn is an After or Alarm
+// callback. Events fire in (at, seq) order; seq is unique, so the order
+// is total and the simulation deterministic.
 type event struct {
 	at  Time
 	seq uint64
+	p   *Proc
 	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// Stats counts what the simulator did, as opposed to what it simulated.
+type Stats struct {
+	Events     uint64 // events fired
+	PollTicks  uint64 // Poll ticks found false and re-armed without leaving the kernel
+	Resumes    uint64 // transfers of control to a process
+	MaxPending int    // deepest the event heap has been
 }
 
 // Kernel is a deterministic discrete-event scheduler. The zero value is
@@ -38,31 +34,29 @@ func (h *eventHeap) Pop() any {
 type Kernel struct {
 	now     Time
 	seq     uint64
-	events  eventHeap
+	events  []event       // 4-ary min-heap on (at, seq)
 	yielded chan struct{} // signalled by a process when it hands control back
-	parked  map[*Proc]struct{}
-	alive   int
+	procs   []*Proc       // started and not yet terminated, in id order
+	stats   Stats
 	panicv  any
 	trapped bool
 }
 
 // New returns an empty kernel at time zero.
-func New() *Kernel {
-	return &Kernel{
-		yielded: make(chan struct{}),
-		parked:  make(map[*Proc]struct{}),
-	}
-}
+func New() *Kernel { return &Kernel{yielded: make(chan struct{})} }
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
 
 // Alive reports the number of processes that have started and not yet
 // terminated.
-func (k *Kernel) Alive() int { return k.alive }
+func (k *Kernel) Alive() int { return len(k.procs) }
 
 // Pending reports the number of scheduled, not yet fired events.
 func (k *Kernel) Pending() int { return len(k.events) }
+
+// Stats returns the kernel's counters since New.
+func (k *Kernel) Stats() Stats { return k.stats }
 
 // After schedules fn to run d after the current time. It may be called
 // from process context or from outside Run. Negative delays fire
@@ -71,12 +65,55 @@ func (k *Kernel) After(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	k.at(k.now+d, fn)
+	k.at(k.now+d, nil, fn)
 }
 
-func (k *Kernel) at(t Time, fn func()) {
+// at schedules p's resumption (or fn) for time t under the next seq.
+func (k *Kernel) at(t Time, p *Proc, fn func()) {
 	k.seq++
-	heap.Push(&k.events, &event{at: t, seq: k.seq, fn: fn})
+	e := event{at: t, seq: k.seq, p: p, fn: fn}
+	h := append(k.events, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+	k.events = h
+	k.stats.MaxPending = max(k.stats.MaxPending, len(h))
+}
+
+// pop removes and returns the earliest event. The vacated slot is
+// zeroed so the backing array pins neither processes nor closures.
+func (k *Kernel) pop() event {
+	h := k.events
+	n := len(h) - 1
+	top, last := h[0], h[n]
+	h[n] = event{}
+	h = h[:n]
+	i := 0
+	for c := 1; c < n; c = 4*i + 1 {
+		m := c // the earliest of i's children
+		for j := c + 1; j < min(c+4, n); j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(&last) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	k.events = h
+	return top
 }
 
 // Run executes events until the queue drains. Processes blocked on a
@@ -103,11 +140,22 @@ func (k *Kernel) RunUntil(t Time) {
 func (k *Kernel) RunFor(d Time) { k.RunUntil(k.now + d) }
 
 func (k *Kernel) step() {
-	e := heap.Pop(&k.events).(*event)
+	e := k.pop()
 	if e.at > k.now {
 		k.now = e.at
 	}
-	e.fn()
+	k.stats.Events++
+	if e.fn != nil {
+		e.fn()
+	} else if p := e.p; p.ready != nil && !p.ready() {
+		// A Poll tick whose condition is still false: re-arm on the
+		// process's behalf, under the seq its own Sleep would have
+		// drawn, and never switch to its goroutine.
+		k.stats.PollTicks++
+		k.at(k.now+p.every, p, nil)
+	} else {
+		k.resume(p)
+	}
 	if k.trapped {
 		v := k.panicv
 		k.trapped = false
@@ -120,14 +168,14 @@ func (k *Kernel) step() {
 // and clears the event queue. The kernel remains usable afterwards.
 func (k *Kernel) Shutdown() {
 	// Killing a process runs its defers, which may park other processes
-	// or schedule events, so iterate until quiescent.
-	for len(k.parked) > 0 {
-		var p *Proc
-		for q := range k.parked {
-			if p == nil || q.id < p.id {
-				p = q
-			}
+	// or schedule events, so rescan until quiescent; lowest id first
+	// keeps the unwind order deterministic.
+	for {
+		i := slices.IndexFunc(k.procs, func(q *Proc) bool { return q.parked })
+		if i < 0 {
+			break
 		}
+		p := k.procs[i]
 		p.killed = true
 		k.resume(p)
 	}
@@ -139,7 +187,8 @@ func (k *Kernel) resume(p *Proc) {
 	if p.terminated {
 		return
 	}
-	delete(k.parked, p)
+	p.parked, p.ready = false, nil // whatever it waited for, it is not polling now
+	k.stats.Resumes++
 	p.wake <- struct{}{}
 	<-k.yielded
 }

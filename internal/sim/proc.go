@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 )
 
 // procKilled is the sentinel panic value used by Shutdown to unwind a
@@ -22,8 +23,12 @@ type Proc struct {
 	id         uint64
 	name       string
 	wake       chan struct{}
+	parked     bool
 	killed     bool
 	terminated bool
+	// Parked in Poll: what the kernel tests on its behalf, and how often.
+	ready func() bool
+	every Time
 }
 
 // Go starts a new process running fn. The process begins executing at the
@@ -31,15 +36,14 @@ type Proc struct {
 // It may be called from process context or from outside Run.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	k.seq++
-	p := &Proc{k: k, id: k.seq, name: name, wake: make(chan struct{})}
-	k.alive++
 	// Parked from birth: a Shutdown before the first resume must still
 	// unwind the goroutine (through the killed check below).
-	k.parked[p] = struct{}{}
+	p := &Proc{k: k, id: k.seq, name: name, wake: make(chan struct{}), parked: true}
+	k.procs = append(k.procs, p)
 	go func() {
 		defer func() {
 			p.terminated = true
-			k.alive--
+			k.procs = slices.DeleteFunc(k.procs, func(q *Proc) bool { return q == p })
 			if r := recover(); r != nil {
 				if _, ok := r.(procKilledError); !ok {
 					// Preserve the process's stack; the kernel re-panics
@@ -56,7 +60,7 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 		}
 		fn(p)
 	}()
-	k.at(k.now, func() { k.resume(p) })
+	k.at(k.now, p, nil)
 	return p
 }
 
@@ -73,7 +77,7 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.k.at(p.k.now+d, func() { p.k.resume(p) })
+	p.k.at(p.k.now+d, p, nil)
 	p.park()
 }
 
@@ -90,11 +94,29 @@ func (p *Proc) SleepUntil(t Time) {
 // Yield lets every other event scheduled for the current instant run.
 func (p *Proc) Yield() { p.Sleep(0) }
 
+// Poll suspends the process until ready reports true, testing it now and
+// then once every d: for !ready() { p.Sleep(d) } at the same simulated
+// instants and in the same event order. Only the first test runs on the
+// process; later ones run inside the kernel, where a false one re-arms
+// the tick without a goroutine switch — so ready must not block and must
+// not change simulated state.
+func (p *Proc) Poll(d Time, ready func() bool) {
+	if ready() {
+		return
+	}
+	if d < 0 {
+		d = 0
+	}
+	p.ready, p.every = ready, d
+	p.k.at(p.k.now+d, p, nil)
+	p.park()
+}
+
 // park hands control back to the kernel without scheduling a wake-up.
 // Something else (an event, Queue.Put, Resource.Release, Shutdown) must
 // later call k.resume(p).
 func (p *Proc) park() {
-	p.k.parked[p] = struct{}{}
+	p.parked = true
 	p.k.yielded <- struct{}{}
 	<-p.wake
 	if p.killed {
@@ -105,5 +127,5 @@ func (p *Proc) park() {
 // wakeLater schedules p to resume at the current instant (FIFO after
 // already-pending events).
 func (p *Proc) wakeLater() {
-	p.k.at(p.k.now, func() { p.k.resume(p) })
+	p.k.at(p.k.now, p, nil)
 }

@@ -1,8 +1,12 @@
 package sim
 
+import "slices"
+
 // Queue is an unbounded FIFO mailbox between simulated processes.
 // Put never blocks; Get parks the caller while the queue is empty.
-// Blocked consumers are served in arrival order.
+// Blocked consumers are served in arrival order. The FIFOs are short, so
+// the head is popped with slices.Delete: unlike s = s[1:], it keeps the
+// backing array's capacity and clears the vacated slot.
 type Queue[T any] struct {
 	k       *Kernel
 	items   []T
@@ -50,7 +54,7 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 		p.park()
 	}
 	v = q.items[0]
-	q.items = q.items[1:]
+	q.items = slices.Delete(q.items, 0, 1)
 	// An item may have arrived for another parked consumer while this one
 	// was scheduled; keep the chain going if items remain.
 	if len(q.items) > 0 {
@@ -65,7 +69,7 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 		return v, false
 	}
 	v = q.items[0]
-	q.items = q.items[1:]
+	q.items = slices.Delete(q.items, 0, 1)
 	return v, true
 }
 
@@ -74,6 +78,6 @@ func (q *Queue[T]) wakeOne() {
 		return
 	}
 	p := q.waiters[0]
-	q.waiters = q.waiters[1:]
+	q.waiters = slices.Delete(q.waiters, 0, 1)
 	p.wakeLater()
 }

@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Resource is a counted FCFS resource (a semaphore with strict arrival
 // ordering). Release hands the slot directly to the longest-waiting
 // process, so later arrivals cannot barge past parked ones.
@@ -52,7 +54,7 @@ func (r *Resource) Release() {
 		return
 	}
 	w := r.waiters[0]
-	r.waiters = r.waiters[1:]
+	r.waiters = slices.Delete(r.waiters, 0, 1) // not [1:], see Queue
 	w.granted = true
 	w.p.wakeLater()
 }

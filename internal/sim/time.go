@@ -4,10 +4,14 @@
 //
 // The kernel executes exactly one process at a time and orders events by
 // (time, insertion sequence), so a simulation with fixed seeds is fully
-// deterministic. This is the offline twin of the paper's real-time flash
-// emulator: the same device model can run either under the kernel
-// (virtual time, used by all experiments) or against the wall clock
-// (sim.RealWaiter, used by live demos).
+// deterministic. A wait that re-tests a condition on a fixed period is
+// Proc.Poll (Waiter.Poll): the re-tests run inside the kernel, at the
+// instants and in the event order of the sleep loop it replaces, and
+// switch to the process only once the condition holds (DESIGN.md
+// "Simulation kernel"). This is the offline twin of the paper's
+// real-time flash emulator: the same device model can run either under
+// the kernel (virtual time, used by all experiments) or against the wall
+// clock (sim.RealWaiter, used by live demos).
 package sim
 
 import "fmt"

@@ -20,6 +20,10 @@ type Waiter interface {
 	// WaitUntil blocks the caller until time t. t earlier than Now is a
 	// no-op.
 	WaitUntil(t Time)
+	// Poll blocks the caller until ready reports true, testing it now and
+	// then every d: for !ready() { WaitUntil(Now() + d) }. Proc.Poll runs
+	// the re-tests in kernel context: ready must not block or change state.
+	Poll(d Time, ready func() bool)
 }
 
 // ProcWaiter adapts a DES process to the Waiter interface.
@@ -30,6 +34,9 @@ func (w ProcWaiter) Now() Time { return w.P.Now() }
 
 // WaitUntil suspends the process until simulated time t.
 func (w ProcWaiter) WaitUntil(t Time) { w.P.SleepUntil(t) }
+
+// Poll suspends the process until ready holds (Proc.Poll).
+func (w ProcWaiter) Poll(d Time, ready func() bool) { w.P.Poll(d, ready) }
 
 // ClockWaiter is a serial virtual clock: each WaitUntil simply advances
 // the clock. It models a single synchronous client and costs nothing,
@@ -44,6 +51,13 @@ func (w *ClockWaiter) Now() Time { return w.T }
 func (w *ClockWaiter) WaitUntil(t Time) {
 	if t > w.T {
 		w.T = t
+	}
+}
+
+// Poll advances the clock by d until ready holds.
+func (w *ClockWaiter) Poll(d Time, ready func() bool) {
+	for !ready() {
+		w.WaitUntil(w.T + d)
 	}
 }
 
@@ -84,5 +98,12 @@ func (w *RealWaiter) WaitUntil(t Time) {
 			return
 		}
 		time.Sleep(time.Duration(float64(t-now) / w.scale))
+	}
+}
+
+// Poll re-tests ready every d of scaled wall-clock time until it holds.
+func (w *RealWaiter) Poll(d Time, ready func() bool) {
+	for !ready() {
+		w.WaitUntil(w.Now() + d)
 	}
 }

@@ -36,13 +36,15 @@ var ErrNoKey = errors.New("storage: key not found")
 // for it to wait because no latch holder ever blocks on a lock (locks
 // are always acquired before latches).
 func (e *Engine) latchIndex(ctx *IOCtx, o *object, patient bool) error {
-	wait := ctx.W
-	deadline := wait.Now() + e.lt.timeout
-	for o.latched {
-		if !patient && wait.Now() >= deadline {
+	if o.latched {
+		wait := ctx.W
+		deadline := wait.Now() + e.lt.timeout
+		wait.Poll(20*sim.Microsecond, func() bool {
+			return !o.latched || (!patient && wait.Now() >= deadline)
+		})
+		if o.latched {
 			return fmt.Errorf("%w: index %s tree latch", ErrLockTimeout, o.name)
 		}
-		wait.WaitUntil(wait.Now() + 20*sim.Microsecond)
 	}
 	o.latched = true
 	return nil

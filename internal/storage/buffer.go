@@ -314,7 +314,10 @@ func (bp *BufferPool) pin(ctx *IOCtx, id PageID, fresh bool) (*Frame, error) {
 					delete(bp.table, id)
 					continue
 				}
-				wait.WaitUntil(wait.Now() + 10*sim.Microsecond)
+				wait.Poll(10*sim.Microsecond, func() bool {
+					f, ok := bp.table[id]
+					return !ok || !f.loading || f.stealing
+				})
 				continue
 			}
 			f.pin++
@@ -504,7 +507,7 @@ func (bp *BufferPool) grabVictim(ctx *IOCtx) (*Frame, error) {
 			f.prefet = false
 			return f, nil
 		}
-		wait.WaitUntil(wait.Now() + 50*sim.Microsecond)
+		wait.WaitUntil(wait.Now() + 50*sim.Microsecond) //noftl:ignore pollloop each retry sweeps the clock hand (ref bits, demotions, write-backs) under a round budget
 	}
 }
 
@@ -783,7 +786,7 @@ func (bp *BufferPool) FlushSnapshot(ctx *IOCtx) error {
 			if spin > 64 {
 				break
 			}
-			wait.WaitUntil(wait.Now() + 20*sim.Microsecond)
+			wait.WaitUntil(wait.Now() + 20*sim.Microsecond) //noftl:ignore pollloop spin budget: a page still pinned after 64 tries is skipped
 		}
 		if !f.dirty || f.pin > 0 || f.loading {
 			continue
@@ -817,7 +820,7 @@ func (bp *BufferPool) FlushAll(ctx *IOCtx) error {
 				progressed = true
 			}
 			if !progressed {
-				wait.WaitUntil(wait.Now() + 50*sim.Microsecond)
+				wait.WaitUntil(wait.Now() + 50*sim.Microsecond) //noftl:ignore pollloop each retry writes back whatever became unpinned
 			}
 		}
 	}

@@ -55,23 +55,25 @@ func (lt *LockTable) acquire(ctx *IOCtx, tx uint64, key lockKey) error {
 	e.queue = append(e.queue, tx)
 	wait := ctx.W
 	deadline := wait.Now() + lt.timeout
-	for {
-		wait.WaitUntil(wait.Now() + 100*sim.Microsecond)
-		e, ok = lt.locks[key]
-		if !ok {
-			// Freed with an empty queue; take it if we are first.
-			lt.locks[key] = &lockEntry{owner: tx, count: 1}
-			return nil
-		}
-		if e.owner == tx {
-			// Hand-off granted the lock to us.
-			return nil
-		}
-		if wait.Now() >= deadline {
-			lt.unqueue(key, tx)
-			return fmt.Errorf("%w: tx %d on %v", ErrLockTimeout, tx, key)
-		}
+	// The first look comes one period after queueing, not at once.
+	const every = 100 * sim.Microsecond
+	wait.WaitUntil(wait.Now() + every)
+	wait.Poll(every, func() bool {
+		e, ok := lt.locks[key]
+		return !ok || e.owner == tx || wait.Now() >= deadline
+	})
+	e, ok = lt.locks[key]
+	if !ok {
+		// Freed with an empty queue; take it if we are first.
+		lt.locks[key] = &lockEntry{owner: tx, count: 1}
+		return nil
 	}
+	if e.owner == tx {
+		// Hand-off granted the lock to us.
+		return nil
+	}
+	lt.unqueue(key, tx)
+	return fmt.Errorf("%w: tx %d on %v", ErrLockTimeout, tx, key)
 }
 
 func (lt *LockTable) unqueue(key lockKey, tx uint64) {

@@ -37,10 +37,12 @@ func (e *Engine) StartPrefetchers(k *sim.Kernel, cfg PrefetcherConfig) (stop fun
 			// make room stays ordinary write-back on ctx.
 			ctx := NewIOCtx(sim.ProcWaiter{P: p})
 			load := ctx.WithClass(ioreq.ClassPrefetch)
+			wanted := func() bool { return stopped || len(e.bp.prefetchQ) > 0 }
 			for !stopped {
 				id, ok := e.bp.PopPrefetch()
 				if !ok {
 					p.Sleep(prefetchPollInterval)
+					p.Poll(prefetchPollInterval, wanted)
 					continue
 				}
 				if err := e.bp.Prefetch(ctx, load, id); err != nil {

@@ -203,7 +203,8 @@ func (w *WAL) doFlush(ctx *IOCtx, upTo uint64) error {
 	for w.durable < upTo {
 		if w.flushing {
 			// Another process is flushing; it will advance durable.
-			wait.WaitUntil(wait.Now() + 20*sim.Microsecond)
+			need := upTo // a copy, so upTo itself does not escape on every call
+			wait.Poll(20*sim.Microsecond, func() bool { return !w.flushing || w.durable >= need })
 			continue
 		}
 		w.flushing = true

@@ -423,6 +423,12 @@ func (s *System) startTelemetry(opts options) error {
 		})
 	}
 
+	// The simulator observing itself, after every simulated column.
+	t.Reg.Counter("sim.events", func() int64 { return int64(s.K.Stats().Events) })
+	t.Reg.Counter("sim.poll_ticks", func() int64 { return int64(s.K.Stats().PollTicks) })
+	t.Reg.Counter("sim.resumes", func() int64 { return int64(s.K.Stats().Resumes) })
+	t.Reg.Gauge("sim.heap_max", func() float64 { return float64(s.K.Stats().MaxPending) })
+
 	if err := s.startHealth(opts.health); err != nil {
 		return err
 	}

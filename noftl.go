@@ -104,7 +104,9 @@ type (
 	Kernel = sim.Kernel
 	// Proc is a simulated process.
 	Proc = sim.Proc
-	// Waiter is how callers experience simulated latency.
+	// Waiter is how callers experience simulated latency: WaitUntil for
+	// a completion time, Poll to re-test a condition on a fixed period
+	// (kernel-resident under a ProcWaiter).
 	Waiter = sim.Waiter
 	// ClockWaiter is a serial virtual clock (single synchronous client).
 	ClockWaiter = sim.ClockWaiter
