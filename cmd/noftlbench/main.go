@@ -45,7 +45,12 @@ import (
 	"noftl"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() {
+	// One simulated process runs at a time; a second P only adds wakep
+	// and futex traffic to every hand-off between their goroutines.
+	runtime.GOMAXPROCS(1)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
 // app is one invocation: the parsed flags, where tables go, and the
 // machine-readable report the experiments append to.

@@ -129,9 +129,12 @@ func TestSchedJSONRow(t *testing.T) {
 // cost model: on the full write path (regions, priority scheduler,
 // background GC, eight TPC-B terminals) most events are "is it my turn
 // yet?" ticks of the latch, group-commit and lock waits, and those must
-// be answered inside Kernel.step. The counts repeat exactly per seed, so
-// the bounds are hard: a process-level poll reintroduced on the hot path
-// pushes Resumes up and PollTicks down past them.
+// be answered inside the event loop without waking the waiter. The counts
+// repeat exactly per seed, so the bounds are hard: a process-level poll
+// reintroduced on the hot path pushes Resumes up and PollTicks down past
+// them. A resume costs at most one goroutine switch — none when the
+// process that parked is the next to run — so Switches may not pass
+// Resumes.
 func TestPollTicksStayInTheKernel(t *testing.T) {
 	cfg := tinySchedConfig(42)
 	cfg.Modes = []SchedMode{SchedPriority}
@@ -140,13 +143,17 @@ func TestPollTicksStayInTheKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := res.Rows[0].Result.Kernel
-	t.Logf("kernel: %+v (ticks %.1f%%, resumes %.1f%% of events)", st,
-		100*float64(st.PollTicks)/float64(st.Events), 100*float64(st.Resumes)/float64(st.Events))
+	t.Logf("kernel: %+v (ticks %.1f%%, resumes %.1f%% of events; %.1f%% of resumes kept the goroutine)", st,
+		100*float64(st.PollTicks)/float64(st.Events), 100*float64(st.Resumes)/float64(st.Events),
+		100*(1-float64(st.Switches)/float64(st.Resumes)))
 	if st.Events == 0 {
 		t.Fatal("kernel fired no events")
 	}
 	if float64(st.Resumes) > 0.35*float64(st.Events) {
 		t.Errorf("%d process resumes for %d events: more than 35%% of events switch to a goroutine", st.Resumes, st.Events)
+	}
+	if st.Switches > st.Resumes {
+		t.Errorf("%d goroutine switches for %d resumes: a wake-up costs more than one hand-off again", st.Switches, st.Resumes)
 	}
 	if float64(st.PollTicks) < 0.5*float64(st.Events) {
 		t.Errorf("%d kernel-resident poll ticks for %d events: under 50%%, so some hot wait polls on its process again", st.PollTicks, st.Events)

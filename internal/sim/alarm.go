@@ -31,7 +31,7 @@ func (a *Alarm) Wait(p *Proc, d Time) bool {
 	a.waiting = true
 	a.preempt = false
 	if d >= 0 {
-		a.k.at(a.k.now+d, nil, func() {
+		a.k.after(d, nil, func() {
 			// A stale deadline (the wait was interrupted, or a newer wait
 			// started) must not wake anyone.
 			if a.gen != gen || !a.waiting {
@@ -58,12 +58,13 @@ func (a *Alarm) Interrupt() {
 }
 
 // Signal is a one-shot completion event between processes: Wait parks
-// callers until Fire, which wakes them all. Firing before anyone waits
-// is remembered — later Waits return immediately. The zero value is
-// ready to use.
+// callers until Fire, which wakes them all in the order they arrived.
+// Firing before anyone waits is remembered — later Waits return
+// immediately. The zero value is ready to use.
 type Signal struct {
-	fired   bool
-	waiters []*Proc
+	fired bool
+	first *Proc   // the first waiter, held inline: a flash command has exactly one
+	rest  []*Proc // any further waiters
 }
 
 // Fire marks the signal done and wakes every waiter. Firing twice is a
@@ -73,16 +74,23 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	for _, p := range s.waiters {
+	if s.first != nil {
+		s.first.wakeLater()
+	}
+	for _, p := range s.rest {
 		p.wakeLater()
 	}
-	s.waiters = nil
+	s.first, s.rest = nil, nil
 }
 
 // Wait parks p until the signal fires (immediately if it already has).
 func (s *Signal) Wait(p *Proc) {
 	for !s.fired {
-		s.waiters = append(s.waiters, p)
+		if s.first == nil {
+			s.first = p
+		} else {
+			s.rest = append(s.rest, p)
+		}
 		p.park()
 	}
 }

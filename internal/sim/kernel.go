@@ -1,15 +1,15 @@
 package sim
 
 import (
-	"fmt"
+	"math"
 	"slices"
 )
 
 // event is one scheduled occurrence, stored by value in the kernel's
-// heap. Exactly one of p and fn is set: p names a process to resume (or,
-// parked in Poll, to test on its behalf); fn is an After or Alarm
-// callback. Events fire in (at, seq) order; seq is unique, so the order
-// is total and the simulation deterministic.
+// heap or in a lane. Exactly one of p and fn is set: p names a process to
+// resume (or, parked in Poll, to test on its behalf); fn is an After or
+// Alarm callback. Events fire in (at, seq) order; seq is unique, so the
+// order is total and the simulation deterministic.
 type event struct {
 	at  Time
 	seq uint64
@@ -21,29 +21,83 @@ func (e *event) before(o *event) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
+// lane is a FIFO of the events that were scheduled one fixed delay after
+// the then-current time. The clock never runs backwards and seq only
+// grows, so a lane is in (at, seq) order as pushed: its events join at
+// the tail and fire from the head without ever being sifted. buf is a
+// ring whose length is a power of two.
+type lane struct {
+	delay Time
+	buf   []event
+	head  int // index of the earliest event
+	n     int // events queued
+}
+
+func (l *lane) push(e event) {
+	if l.n == len(l.buf) {
+		// Full (or new): unroll into a ring twice the size.
+		buf := make([]event, max(8, 2*len(l.buf)))
+		m := copy(buf, l.buf[l.head:])
+		copy(buf[m:], l.buf[:l.head])
+		l.buf, l.head = buf, 0
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = e
+	l.n++
+}
+
+// pop removes and returns the lane's earliest event, zeroing its slot.
+func (l *lane) pop() event {
+	e := l.buf[l.head]
+	l.buf[l.head] = event{}
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	return e
+}
+
 // Stats counts what the simulator did, as opposed to what it simulated.
 type Stats struct {
 	Events     uint64 // events fired
-	PollTicks  uint64 // Poll ticks found false and re-armed without leaving the kernel
+	PollTicks  uint64 // Poll ticks found false and re-armed without resuming the process
 	Resumes    uint64 // transfers of control to a process
-	MaxPending int    // deepest the event heap has been
+	Switches   uint64 // goroutine hand-offs: resumes of another process, returns to the driver
+	MaxPending int    // most events that have been pending at once
 }
+
+// Run limits: Run's admits every event, Shutdown's none.
+const (
+	forever Time = math.MaxInt64
+	never   Time = -1
+)
 
 // Kernel is a deterministic discrete-event scheduler. The zero value is
 // not usable; create kernels with New.
+//
+// There is no kernel goroutine. The event loop (dispatch) runs on
+// whichever goroutine just gave up the processor — a process that parked
+// or terminated, or the driver inside Run — and hands the processor on
+// with one channel send.
 type Kernel struct {
-	now     Time
-	seq     uint64
-	events  []event       // 4-ary min-heap on (at, seq)
-	yielded chan struct{} // signalled by a process when it hands control back
-	procs   []*Proc       // started and not yet terminated, in id order
-	stats   Stats
-	panicv  any
-	trapped bool
+	now      Time
+	seq      uint64
+	limit    Time    // dispatch fires nothing due after it
+	events   []event // 4-ary min-heap on (at, seq): timed sleeps, After, Alarm deadlines
+	lanes    []lane  // delay 0 and one per Poll period, found by linear search
+	pending  int     // events in the heap and the lanes together
+	heapOnly bool    // tests: bypass the lanes, to compare their order with the heap's
+	driver   *Proc   // the seat of whoever calls Run, RunUntil or Shutdown
+	firing   bool    // the event loop is on the stack: callbacks and predicates run now
+	procs    []*Proc // started and not yet terminated, in id order
+	stats    Stats
+	panicv   any
+	trapped  bool
 }
 
 // New returns an empty kernel at time zero.
-func New() *Kernel { return &Kernel{yielded: make(chan struct{})} }
+func New() *Kernel {
+	k := &Kernel{}
+	k.driver = &Proc{k: k, name: "driver", wake: make(chan struct{}, 1)}
+	return k
+}
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
@@ -53,25 +107,49 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Alive() int { return len(k.procs) }
 
 // Pending reports the number of scheduled, not yet fired events.
-func (k *Kernel) Pending() int { return len(k.events) }
+func (k *Kernel) Pending() int { return k.pending }
 
 // Stats returns the kernel's counters since New.
 func (k *Kernel) Stats() Stats { return k.stats }
 
 // After schedules fn to run d after the current time. It may be called
 // from process context or from outside Run. Negative delays fire
-// immediately (at the current time).
-func (k *Kernel) After(d Time, fn func()) {
-	if d < 0 {
-		d = 0
+// immediately (at the current time). fn runs on whichever goroutine
+// holds the event loop, so it must not block; a panic in it surfaces
+// from Run.
+func (k *Kernel) After(d Time, fn func()) { k.after(d, nil, fn) }
+
+// after schedules p's resumption (or fn) d from now under the next seq:
+// without delay in lane 0, otherwise on the heap.
+func (k *Kernel) after(d Time, p *Proc, fn func()) {
+	if d <= 0 {
+		k.enqueue(0, p, fn)
+		return
 	}
-	k.at(k.now+d, nil, fn)
+	k.push(k.draw(k.now+d, p, fn))
 }
 
-// at schedules p's resumption (or fn) for time t under the next seq.
-func (k *Kernel) at(t Time, p *Proc, fn func()) {
-	k.seq++
-	e := event{at: t, seq: k.seq, p: p, fn: fn}
+// enqueue schedules p's resumption (or fn) d from now in the lane of
+// delay d, which it creates on first use. Only delays that recur belong
+// here (zero, a Poll period): every lane costs next a comparison.
+func (k *Kernel) enqueue(d Time, p *Proc, fn func()) {
+	e := k.draw(k.now+d, p, fn)
+	if k.heapOnly {
+		k.push(e)
+		return
+	}
+	for i := range k.lanes {
+		if k.lanes[i].delay == d {
+			k.lanes[i].push(e)
+			return
+		}
+	}
+	k.lanes = append(k.lanes, lane{delay: d})
+	k.lanes[len(k.lanes)-1].push(e)
+}
+
+// push adds e to the heap.
+func (k *Kernel) push(e event) {
 	h := append(k.events, e)
 	i := len(h) - 1
 	for i > 0 {
@@ -84,10 +162,18 @@ func (k *Kernel) at(t Time, p *Proc, fn func()) {
 	}
 	h[i] = e
 	k.events = h
-	k.stats.MaxPending = max(k.stats.MaxPending, len(h))
 }
 
-// pop removes and returns the earliest event. The vacated slot is
+// draw makes the event for time t under the next seq and counts it
+// pending.
+func (k *Kernel) draw(t Time, p *Proc, fn func()) event {
+	k.seq++
+	k.pending++
+	k.stats.MaxPending = max(k.stats.MaxPending, k.pending)
+	return event{at: t, seq: k.seq, p: p, fn: fn}
+}
+
+// pop removes and returns the heap's earliest event. The vacated slot is
 // zeroed so the backing array pins neither processes nor closures.
 func (k *Kernel) pop() event {
 	h := k.events
@@ -116,21 +202,40 @@ func (k *Kernel) pop() event {
 	return top
 }
 
+// next removes and returns the earliest pending event — the least of the
+// heap's top and the lanes' heads — unless none is due by the limit.
+func (k *Kernel) next() (e event, ok bool) {
+	var first *event
+	from := -1 // the lane first heads, or -1 for the heap
+	if len(k.events) > 0 {
+		first = &k.events[0]
+	}
+	for i := range k.lanes {
+		if l := &k.lanes[i]; l.n > 0 {
+			if h := &l.buf[l.head]; first == nil || h.before(first) {
+				first, from = h, i
+			}
+		}
+	}
+	if first == nil || first.at > k.limit {
+		return e, false
+	}
+	k.pending--
+	if from < 0 {
+		return k.pop(), true
+	}
+	return k.lanes[from].pop(), true
+}
+
 // Run executes events until the queue drains. Processes blocked on a
 // queue or resource with no future wake-up are left parked; call
 // Shutdown to unwind them.
-func (k *Kernel) Run() {
-	for len(k.events) > 0 {
-		k.step()
-	}
-}
+func (k *Kernel) Run() { k.run(forever) }
 
 // RunUntil executes all events scheduled at or before t, then advances
 // the clock to t.
 func (k *Kernel) RunUntil(t Time) {
-	for len(k.events) > 0 && k.events[0].at <= t {
-		k.step()
-	}
+	k.run(t)
 	if k.now < t {
 		k.now = t
 	}
@@ -139,34 +244,98 @@ func (k *Kernel) RunUntil(t Time) {
 // RunFor executes events for the next d of simulated time.
 func (k *Kernel) RunFor(d Time) { k.RunUntil(k.now + d) }
 
-func (k *Kernel) step() {
-	e := k.pop()
-	if e.at > k.now {
-		k.now = e.at
-	}
-	k.stats.Events++
-	if e.fn != nil {
-		e.fn()
-	} else if p := e.p; p.ready != nil && !p.ready() {
-		// A Poll tick whose condition is still false: re-arm on the
-		// process's behalf, under the seq its own Sleep would have
-		// drawn, and never switch to its goroutine.
-		k.stats.PollTicks++
-		k.at(k.now+p.every, p, nil)
-	} else {
-		k.resume(p)
-	}
+// run gives the processor away until nothing due by limit is left, then
+// re-raises what a process, callback or predicate panicked with.
+func (k *Kernel) run(limit Time) {
+	k.limit = limit
+	k.dispatch(k.driver)
 	if k.trapped {
 		v := k.panicv
-		k.trapped = false
-		k.panicv = nil
-		panic(fmt.Sprintf("sim: process panic: %v", v))
+		k.trapped, k.panicv = false, nil
+		panic(v)
 	}
+}
+
+// dispatch is the event loop. self has just given up the processor (a
+// process that parked or terminated, or the driver); dispatch returns
+// once self is to run again. If the next process to resume is self it
+// returns without a goroutine switch; otherwise it wakes that process's
+// goroutine and, unless self terminated, blocks until some later
+// dispatch — on whichever goroutine holds the loop then — wakes self.
+func (k *Kernel) dispatch(self *Proc) {
+	if to := k.fire(); to != self {
+		k.handOff(self, to)
+	}
+}
+
+// handOff passes the processor from self's goroutine to to's.
+func (k *Kernel) handOff(self, to *Proc) {
+	k.stats.Switches++
+	exiting := self.terminated
+	to.wake <- struct{}{} // buffered: never blocks, the seat is empty while its owner runs
+	if !exiting {
+		<-self.wake
+	}
+}
+
+// fire runs events in (at, seq) order until one resumes a process, and
+// returns that process. It returns the driver when no event due by the
+// limit is left, or when a panic is pending: a callback or predicate
+// runs on whatever goroutine holds the loop, so its panic is trapped
+// here — it must not unwind that bystander's stack — and re-raised by
+// run on the driver, like a process's own.
+func (k *Kernel) fire() (to *Proc) {
+	k.firing = true
+	defer func() {
+		k.firing = false
+		if r := recover(); r != nil {
+			k.panicv, k.trapped = r, true
+			to = k.driver
+		}
+	}()
+	for !k.trapped {
+		e, ok := k.next()
+		if !ok {
+			break
+		}
+		if e.at > k.now {
+			k.now = e.at
+		}
+		k.stats.Events++
+		if e.fn != nil {
+			e.fn()
+			continue
+		}
+		p := e.p
+		if p.ready != nil && !p.ready() {
+			// A Poll tick whose condition is still false: re-arm on the
+			// process's behalf, under the seq its own Sleep would have
+			// drawn, and leave its goroutine asleep.
+			k.stats.PollTicks++
+			k.enqueue(p.every, p, nil)
+			continue
+		}
+		if !p.terminated {
+			k.resuming(p)
+			return p
+		}
+	}
+	return k.driver
+}
+
+// resuming marks p as about to run: whatever it waited for, it is
+// neither parked nor polling now.
+func (k *Kernel) resuming(p *Proc) {
+	p.parked, p.ready = false, nil
+	k.stats.Resumes++
 }
 
 // Shutdown unwinds every parked process (their deferred functions run)
 // and clears the event queue. The kernel remains usable afterwards.
 func (k *Kernel) Shutdown() {
+	// With nothing due, a process that parks again while it unwinds hands
+	// straight back instead of running events.
+	k.limit = never
 	// Killing a process runs its defers, which may park other processes
 	// or schedule events, so rescan until quiescent; lowest id first
 	// keeps the unwind order deterministic.
@@ -177,18 +346,8 @@ func (k *Kernel) Shutdown() {
 		}
 		p := k.procs[i]
 		p.killed = true
-		k.resume(p)
+		k.resuming(p)
+		k.handOff(k.driver, p)
 	}
-	k.events = nil
-}
-
-// resume transfers control to p and blocks until p parks or terminates.
-func (k *Kernel) resume(p *Proc) {
-	if p.terminated {
-		return
-	}
-	p.parked, p.ready = false, nil // whatever it waited for, it is not polling now
-	k.stats.Resumes++
-	p.wake <- struct{}{}
-	<-k.yielded
+	k.events, k.lanes, k.pending = nil, nil, 0
 }

@@ -26,12 +26,22 @@ func sleepLoop(p *Proc, every Time, ready func() bool) {
 // seq orders them. It returns the (time, process, step) trace, the final sequence
 // number and the kernel's counters.
 func pollScenario(seed int64, wait func(p *Proc, every Time, ready func() bool)) ([]string, uint64, Stats) {
+	k := New()
+	trace := pollMix(k, seed, wait)
+	k.Run()
+	seq, st := k.seq, k.Stats()
+	k.Shutdown()
+	return *trace, seq, st
+}
+
+// pollMix starts pollScenario's processes on k and returns the trace
+// they will write.
+func pollMix(k *Kernel, seed int64, wait func(p *Proc, every Time, ready func() bool)) *[]string {
 	const (
 		procs = 12
 		steps = 400
 		end   = 50 * Millisecond
 	)
-	k := New()
 	var trace []string
 	var flags [4]bool
 	done := false
@@ -92,10 +102,7 @@ func pollScenario(seed int64, wait func(p *Proc, every Time, ready func() bool))
 			}
 		})
 	}
-	k.Run()
-	seq, st := k.seq, k.Stats()
-	k.Shutdown()
-	return trace, seq, st
+	return &trace
 }
 
 func TestPollMatchesSleepLoop(t *testing.T) {
@@ -260,6 +267,7 @@ func TestFIFOsKeepTheirBackingArray(t *testing.T) {
 			ping.Put(rounds)
 			pong.Get(p)
 			rounds++
+			p.Sleep(1) // one round per nanosecond, so RunFor(1) is one round
 		}
 	})
 	k.Go("pong", func(p *Proc) {
@@ -268,11 +276,7 @@ func TestFIFOsKeepTheirBackingArray(t *testing.T) {
 			pong.Put(v)
 		}
 	})
-	round := func() {
-		for target := rounds + 1; rounds < target; {
-			k.step()
-		}
-	}
+	round := func() { k.RunFor(1) }
 	for i := 0; i < 100; i++ {
 		round()
 	}
@@ -280,8 +284,6 @@ func TestFIFOsKeepTheirBackingArray(t *testing.T) {
 		t.Errorf("queue ping-pong: %v allocs per round trip, want 0", n)
 	}
 
-	// The ping-pong never lets time pass, so the resource gets a kernel
-	// of its own.
 	k2 := New()
 	defer k2.Shutdown()
 	r := NewResource(k2, 1)

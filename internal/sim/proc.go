@@ -22,7 +22,7 @@ type Proc struct {
 	k          *Kernel
 	id         uint64
 	name       string
-	wake       chan struct{}
+	wake       chan struct{} // one buffered token: "the processor is yours"
 	parked     bool
 	killed     bool
 	terminated bool
@@ -38,7 +38,7 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	k.seq++
 	// Parked from birth: a Shutdown before the first resume must still
 	// unwind the goroutine (through the killed check below).
-	p := &Proc{k: k, id: k.seq, name: name, wake: make(chan struct{}), parked: true}
+	p := &Proc{k: k, id: k.seq, name: name, wake: make(chan struct{}, 1), parked: true}
 	k.procs = append(k.procs, p)
 	go func() {
 		defer func() {
@@ -46,13 +46,13 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 			k.procs = slices.DeleteFunc(k.procs, func(q *Proc) bool { return q == p })
 			if r := recover(); r != nil {
 				if _, ok := r.(procKilledError); !ok {
-					// Preserve the process's stack; the kernel re-panics
-					// on its own goroutine, which would otherwise lose it.
-					k.panicv = fmt.Sprintf("%v\nprocess %q stack:\n%s", r, p.name, debug.Stack())
+					// Preserve the process's stack; Run re-panics on the
+					// driver's goroutine, which would otherwise lose it.
+					k.panicv = fmt.Sprintf("sim: process panic: %v\nprocess %q stack:\n%s", r, p.name, debug.Stack())
 					k.trapped = true
 				}
 			}
-			k.yielded <- struct{}{}
+			k.dispatch(p) // pass the processor on; this goroutine is done
 		}()
 		<-p.wake
 		if p.killed {
@@ -60,7 +60,7 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 		}
 		fn(p)
 	}()
-	k.at(k.now, p, nil)
+	k.enqueue(0, p, nil)
 	return p
 }
 
@@ -74,22 +74,13 @@ func (p *Proc) Now() Time { return p.k.now }
 // processor: the process resumes at the same instant after other events
 // already scheduled for it.
 func (p *Proc) Sleep(d Time) {
-	if d < 0 {
-		d = 0
-	}
-	p.k.at(p.k.now+d, p, nil)
+	p.k.after(d, p, nil)
 	p.park()
 }
 
-// SleepUntil suspends the process until simulated time t (no-op if t is
-// in the past).
-func (p *Proc) SleepUntil(t Time) {
-	if t <= p.k.now {
-		p.Sleep(0)
-		return
-	}
-	p.Sleep(t - p.k.now)
-}
+// SleepUntil suspends the process until simulated time t (a Yield if t is
+// not in the future).
+func (p *Proc) SleepUntil(t Time) { p.Sleep(t - p.k.now) }
 
 // Yield lets every other event scheduled for the current instant run.
 func (p *Proc) Yield() { p.Sleep(0) }
@@ -97,28 +88,29 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // Poll suspends the process until ready reports true, testing it now and
 // then once every d: for !ready() { p.Sleep(d) } at the same simulated
 // instants and in the same event order. Only the first test runs on the
-// process; later ones run inside the kernel, where a false one re-arms
-// the tick without a goroutine switch — so ready must not block and must
-// not change simulated state.
+// process; later ones run inside the event loop, on whatever goroutine
+// holds it, where a false one re-arms the tick in the lane of period d
+// and wakes nobody — so ready must not block and must not change
+// simulated state.
 func (p *Proc) Poll(d Time, ready func() bool) {
 	if ready() {
 		return
 	}
-	if d < 0 {
-		d = 0
-	}
-	p.ready, p.every = ready, d
-	p.k.at(p.k.now+d, p, nil)
+	p.ready, p.every = ready, max(d, 0)
+	p.k.enqueue(p.every, p, nil)
 	p.park()
 }
 
-// park hands control back to the kernel without scheduling a wake-up.
-// Something else (an event, Queue.Put, Resource.Release, Shutdown) must
-// later call k.resume(p).
+// park gives up the processor without scheduling a wake-up and runs the
+// event loop until an event — one scheduled before the call, or by
+// Queue.Put, Resource.Release and the like since — resumes p, or
+// Shutdown kills it.
 func (p *Proc) park() {
+	if p.k.firing { // reached from a callback or predicate, which has no process to park
+		panic("sim: blocking call from an event callback")
+	}
 	p.parked = true
-	p.k.yielded <- struct{}{}
-	<-p.wake
+	p.k.dispatch(p)
 	if p.killed {
 		panic(errKilled)
 	}
@@ -126,6 +118,4 @@ func (p *Proc) park() {
 
 // wakeLater schedules p to resume at the current instant (FIFO after
 // already-pending events).
-func (p *Proc) wakeLater() {
-	p.k.at(p.k.now, p, nil)
-}
+func (p *Proc) wakeLater() { p.k.enqueue(0, p, nil) }

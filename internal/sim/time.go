@@ -4,11 +4,15 @@
 //
 // The kernel executes exactly one process at a time and orders events by
 // (time, insertion sequence), so a simulation with fixed seeds is fully
-// deterministic. A wait that re-tests a condition on a fixed period is
-// Proc.Poll (Waiter.Poll): the re-tests run inside the kernel, at the
-// instants and in the event order of the sleep loop it replaces, and
-// switch to the process only once the condition holds (DESIGN.md
-// "Simulation kernel"). This is the offline twin of the paper's
+// deterministic. It has no goroutine of its own: the event loop runs on
+// whichever process just parked (or on the caller of Run), so waking a
+// process is one goroutine switch and waking oneself is none; events a
+// constant delay ahead (wake-ups, poll ticks) queue in per-delay FIFO
+// lanes, only timed sleeps in the heap. A wait that re-tests a condition
+// on a fixed period is Proc.Poll (Waiter.Poll): the re-tests run inside
+// the event loop, at the instants and in the event order of the sleep
+// loop it replaces, and wake the process only once the condition holds
+// (DESIGN.md "Simulation kernel"). This is the offline twin of the paper's
 // real-time flash emulator: the same device model can run either under
 // the kernel (virtual time, used by all experiments) or against the wall
 // clock (sim.RealWaiter, used by live demos).
