@@ -72,7 +72,12 @@ type Dev interface {
 	Geometry() nand.Geometry
 	Array() *nand.Array
 	ReadPage(w sim.Waiter, p nand.PPN, buf []byte) (nand.OOB, error)
+	// ProgramPage programs a whole page. data is copied before
+	// ProgramPage returns; the caller may reuse it at once.
 	ProgramPage(w sim.Waiter, p nand.PPN, data []byte, oob nand.OOB) error
+	// ProgramPartial appends data at offset off of the page. data is
+	// copied before ProgramPartial returns; the caller may reuse it at
+	// once.
 	ProgramPartial(w sim.Waiter, p nand.PPN, off int, data []byte, oob nand.OOB) error
 	EraseBlock(w sim.Waiter, b nand.PBN) error
 	Copyback(w sim.Waiter, src, dst nand.PPN, newOOB *nand.OOB) error
@@ -220,9 +225,9 @@ func (d *Device) ReadPage(w sim.Waiter, p nand.PPN, buf []byte) (nand.OOB, error
 	arrival := w.Now()
 
 	d.mu.Lock()
-	start := maxTime(arrival, d.dieBusy[die])
+	start := max(arrival, d.dieBusy[die])
 	readEnd := start + d.cfg.CmdOverhead + d.timing.ReadPage
-	xferStart := maxTime(readEnd, d.chBusy[ch])
+	xferStart := max(readEnd, d.chBusy[ch])
 	end := xferStart + d.xferPage
 	d.dieBusy[die] = end // die holds the page register until transfer ends
 	d.chBusy[ch] = end
@@ -248,9 +253,9 @@ func (d *Device) ProgramPage(w sim.Waiter, p nand.PPN, data []byte, oob nand.OOB
 	arrival := w.Now()
 
 	d.mu.Lock()
-	xferStart := maxTime(arrival, d.chBusy[ch])
+	xferStart := max(arrival, d.chBusy[ch])
 	xferEnd := xferStart + d.cfg.CmdOverhead + d.xferPage
-	progStart := maxTime(xferEnd, d.dieBusy[die])
+	progStart := max(xferEnd, d.dieBusy[die])
 	end := progStart + d.timing.ProgramPage
 	d.chBusy[ch] = xferEnd
 	d.dieBusy[die] = end
@@ -280,16 +285,12 @@ func (d *Device) ProgramPartial(w sim.Waiter, p nand.PPN, off int, data []byte, 
 	arrival := w.Now()
 
 	frac := func(t sim.Time) sim.Time {
-		scaled := sim.Time(int64(t) * int64(len(data)) / int64(d.cfg.Geometry.PageSize))
-		if scaled < 1 {
-			scaled = 1
-		}
-		return scaled
+		return max(1, sim.Time(int64(t)*int64(len(data))/int64(d.cfg.Geometry.PageSize)))
 	}
 	d.mu.Lock()
-	xferStart := maxTime(arrival, d.chBusy[ch])
+	xferStart := max(arrival, d.chBusy[ch])
 	xferEnd := xferStart + d.cfg.CmdOverhead + frac(d.xferPage)
-	progStart := maxTime(xferEnd, d.dieBusy[die])
+	progStart := max(xferEnd, d.dieBusy[die])
 	end := progStart + frac(d.timing.ProgramPage)
 	d.chBusy[ch] = xferEnd
 	d.dieBusy[die] = end
@@ -314,7 +315,7 @@ func (d *Device) EraseBlock(w sim.Waiter, b nand.PBN) error {
 	arrival := w.Now()
 
 	d.mu.Lock()
-	start := maxTime(arrival, d.dieBusy[die])
+	start := max(arrival, d.dieBusy[die])
 	end := start + d.cfg.CmdOverhead + d.timing.EraseBlock
 	d.dieBusy[die] = end
 	err := d.arr.EraseBlock(b)
@@ -369,7 +370,7 @@ func (d *Device) Copyback(w sim.Waiter, src, dst nand.PPN, newOOB *nand.OOB) err
 	arrival := w.Now()
 
 	d.mu.Lock()
-	start := maxTime(arrival, d.dieBusy[die])
+	start := max(arrival, d.dieBusy[die])
 	end := start + d.cfg.CmdOverhead + d.timing.ReadPage + d.timing.ProgramPage
 	d.dieBusy[die] = end
 	err := d.arr.Copyback(src, dst, newOOB)
@@ -404,10 +405,3 @@ func (d *Device) ReadPages(w sim.Waiter, ppns []nand.PPN, bufs [][]byte) ([]nand
 var _ Dev = (*Device)(nil)
 
 func errAddr(p nand.PPN) error { return fmt.Errorf("%w (%d)", nand.ErrBadAddress, p) }
-
-func maxTime(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
-}

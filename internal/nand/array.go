@@ -86,7 +86,13 @@ type Array struct {
 	endurance  int
 	maxPartial int
 	blocks     []blockState
-	rng        *rand.Rand
+	// freePages holds the page buffers of erased blocks for the next
+	// program to reuse. Every buffer on it was a programmed page until its
+	// block was erased, so free plus programmed buffers never exceed the
+	// peak number of simultaneously programmed pages (at most the drive's
+	// capacity) and the list needs no bound of its own.
+	freePages [][]byte
+	rng       *rand.Rand
 
 	totalReads    int64
 	totalPrograms int64
@@ -145,6 +151,17 @@ func (a *Array) StoresData() bool { return a.opts.StoreData }
 
 func (a *Array) block(b PBN) *blockState { return &a.blocks[int(b)] }
 
+// pageBuf returns a page-sized buffer with unspecified contents: the most
+// recently erased page's when one is free, a new one otherwise.
+func (a *Array) pageBuf() []byte {
+	if n := len(a.freePages); n > 0 {
+		d := a.freePages[n-1]
+		a.freePages = a.freePages[:n-1]
+		return d
+	}
+	return make([]byte, a.geo.PageSize)
+}
+
 // ensure allocates the lazy per-page slices of a block.
 func (a *Array) ensure(bs *blockState) {
 	if bs.programmed == nil {
@@ -180,9 +197,7 @@ func (a *Array) ReadPage(p PPN, buf []byte) (OOB, error) {
 		if d := bs.data[idx]; d != nil {
 			copy(buf, d)
 		} else {
-			for i := range buf {
-				buf[i] = 0
-			}
+			clear(buf)
 		}
 	}
 	return bs.oob[idx], nil
@@ -191,6 +206,8 @@ func (a *Array) ReadPage(p PPN, buf []byte) (OOB, error) {
 // ProgramPage writes data and OOB to an erased page. Pages inside a block
 // must be programmed in ascending order. A ProgramFailProb failure retires
 // the block and returns ErrBadBlock; the caller (FTL/BBM) must remap.
+// data is copied before ProgramPage returns; the caller may reuse it at
+// once. A nil data stores no buffer and the page reads back as zeros.
 func (a *Array) ProgramPage(p PPN, data []byte, oob OOB) error {
 	if !a.geo.ValidPPN(p) {
 		return fmt.Errorf("%w: ppn %d", ErrBadAddress, p)
@@ -227,7 +244,7 @@ func (a *Array) ProgramPage(p PPN, data []byte, oob OOB) error {
 	bs.partials[idx] = 1
 	bs.high[idx] = a.geo.PageSize // full program closes the page to appends
 	if a.opts.StoreData && data != nil {
-		d := make([]byte, a.geo.PageSize)
+		d := a.pageBuf()
 		copy(d, data)
 		bs.data[idx] = d
 	}
@@ -288,7 +305,9 @@ func (a *Array) ProgramPartial(p PPN, off int, data []byte, oob OOB) error {
 	bs.high[idx] = off + len(data)
 	if a.opts.StoreData {
 		if bs.data[idx] == nil {
-			bs.data[idx] = make([]byte, a.geo.PageSize)
+			// Unprogrammed bytes of the page read as 0.
+			bs.data[idx] = a.pageBuf()
+			clear(bs.data[idx])
 		}
 		copy(bs.data[idx][off:], data)
 	}
@@ -319,7 +338,8 @@ func (a *Array) EraseBlock(b PBN) error {
 			bs.oob[i] = OOB{}
 			bs.partials[i] = 0
 			bs.high[i] = 0
-			if bs.data != nil {
+			if bs.data != nil && bs.data[i] != nil {
+				a.freePages = append(a.freePages, bs.data[i])
 				bs.data[i] = nil
 			}
 		}
@@ -469,12 +489,8 @@ func (a *Array) Wear() WearStats {
 			continue
 		}
 		ws.TotalBlock++
-		if bs.eraseCount < ws.Min {
-			ws.Min = bs.eraseCount
-		}
-		if bs.eraseCount > ws.Max {
-			ws.Max = bs.eraseCount
-		}
+		ws.Min = min(ws.Min, bs.eraseCount)
+		ws.Max = max(ws.Max, bs.eraseCount)
 		sum += int64(bs.eraseCount)
 	}
 	if ws.TotalBlock == 0 {

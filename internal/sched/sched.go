@@ -186,20 +186,8 @@ const (
 	opCopyback
 )
 
-func opName(op uint8) string {
-	switch op {
-	case opRead:
-		return "read"
-	case opProgram:
-		return "program"
-	case opPartial:
-		return "partial"
-	case opErase:
-		return "erase"
-	default:
-		return "copyback"
-	}
-}
+// opNames is Event.Op for each op kind.
+var opNames = [...]string{opRead: "read", opProgram: "program", opPartial: "partial", opErase: "erase", opCopyback: "copyback"}
 
 // request is one queued command. Queue position (the reqs slice) is the
 // arrival order; there is no separate sequence number.
@@ -237,6 +225,19 @@ func (r *request) touches() (a, b nand.PPN, n int) {
 		return r.ppn, r.dst, 2
 	default:
 		return 0, 0, 0
+	}
+}
+
+// die returns the die a command queues on, and whether its addresses lie
+// inside the geometry.
+func (r *request) die(geo nand.Geometry) (int, bool) {
+	switch r.op {
+	case opErase:
+		return geo.DieOfBlock(r.pbn), geo.ValidPBN(r.pbn)
+	case opCopyback:
+		return geo.DieOf(r.ppn), geo.ValidPPN(r.ppn) && geo.ValidPPN(r.dst)
+	default:
+		return geo.DieOf(r.ppn), geo.ValidPPN(r.ppn)
 	}
 }
 
@@ -309,6 +310,11 @@ type Scheduler struct {
 	geo   nand.Geometry
 	dies  []*dieSched
 	stats Stats
+	// free holds request descriptors between commands: a submitter takes
+	// one, queues it, and returns it once it has read the results. At
+	// most one descriptor per parked submitter is ever out, which bounds
+	// the list.
+	free []*request
 }
 
 // New builds a scheduler over dev with one dispatcher process per die on
@@ -359,6 +365,9 @@ type dieSched struct {
 	idle    bool
 	erasing bool     // an erase is in its suspendable window
 	inErase *request // erase being served (suspension hazard source)
+	// clock is the waiter serve issues on: one command is in service per
+	// die at a time, so one serves them all.
+	clock sim.ClockWaiter
 }
 
 // suspendsErase reports whether a command class is urgent enough to
@@ -492,8 +501,8 @@ func (ds *dieSched) account(r *request, now sim.Time) {
 // issue submits the command to the device on w. With a ClockWaiter the
 // call returns immediately, leaving the completion time in the clock —
 // the device commits state and reserves its timelines synchronously.
-func (ds *dieSched) issue(w sim.Waiter, r *request) {
-	dev := ds.s.dev
+func (s *Scheduler) issue(w sim.Waiter, r *request) {
+	dev := s.dev
 	switch r.op {
 	case opRead:
 		r.oobOut, r.err = dev.ReadPage(w, r.ppn, r.buf)
@@ -514,9 +523,9 @@ func (ds *dieSched) issue(w sim.Waiter, r *request) {
 func (ds *dieSched) serve(p *sim.Proc, r *request) {
 	start := p.Now()
 	ds.account(r, start)
-	cw := &sim.ClockWaiter{T: start}
-	ds.issue(cw, r)
-	p.SleepUntil(cw.T)
+	ds.clock.T = start
+	ds.s.issue(&ds.clock, r)
+	p.SleepUntil(ds.clock.T)
 	ds.finish(r, start, 0)
 }
 
@@ -572,9 +581,11 @@ func (ds *dieSched) serveErase(p *sim.Proc, r *request) {
 	ds.finish(r, start, suspends)
 }
 
-// finish releases the submitter and emits the trace event.
+// finish emits the trace event and releases the submitter. Firing done
+// is the last thing a dispatcher does with r — serve, serveErase and run
+// read no field of it afterwards — because the woken submitter hands the
+// descriptor back to Scheduler.free for the next command to overwrite.
 func (ds *dieSched) finish(r *request, start sim.Time, suspends int) {
-	r.done.Fire()
 	if tr := ds.s.cfg.Trace; tr != nil {
 		block := int64(-1)
 		if r.op == opErase {
@@ -586,7 +597,7 @@ func (ds *dieSched) finish(r *request, start sim.Time, suspends int) {
 			Die:      ds.die,
 			Class:    r.class,
 			Tag:      r.tag,
-			Op:       opName(r.op),
+			Op:       opNames[r.op],
 			Arrival:  r.arrival,
 			Start:    start,
 			End:      ds.s.k.Now(),
@@ -595,4 +606,5 @@ func (ds *dieSched) finish(r *request, start sim.Time, suspends int) {
 			Block:    block,
 		})
 	}
+	r.done.Fire()
 }

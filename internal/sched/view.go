@@ -34,28 +34,45 @@ func (v view) Geometry() nand.Geometry { return v.s.dev.Geometry() }
 // Array exposes the underlying NAND array for state inspection.
 func (v view) Array() *nand.Array { return v.s.dev.Array() }
 
-// submit queues r on the die and parks the caller until the dispatcher
-// completes it. It reports false for serial callers (no DES process on
-// this kernel), who must bypass the queues. A request descriptor riding
-// on the waiter overrides the view's class and attaches its stream tag
-// and deadline to the queued command.
+// submit queues cmd on its die, parks the caller until the dispatcher
+// completes it and returns the command's results. Serial callers (no DES
+// process on this kernel) bypass the queues, and so does an address
+// outside the geometry, which the device rejects. A request descriptor
+// riding on the waiter overrides the view's class and attaches its stream
+// tag and deadline to the queued command.
+//
+// The queued descriptor comes from the scheduler's free list and goes
+// back once the results are read: the dispatcher is done with it when it
+// fires done (dieSched.finish).
 //
 // A telemetry span riding on the descriptor sees the whole parked
 // window as its scheduler-queue stage; after completion, the service
 // part (dispatch to end, known from the request's recorded dispatch
 // time) is transferred to the die stage, splitting queue wait from die
 // service exactly.
-func (v view) submit(w sim.Waiter, r *request, die int) bool {
+func (v view) submit(w sim.Waiter, cmd request) (nand.OOB, error) {
+	s := v.s
+	die, valid := cmd.die(s.geo)
 	rq := ioreq.From(w)
 	pw, ok := rq.W.(sim.ProcWaiter)
-	if !ok || pw.P.Kernel() != v.s.k {
-		v.s.stats.Bypassed++
-		return false
+	if !valid || !ok || pw.P.Kernel() != s.k {
+		if valid {
+			s.stats.Bypassed++
+		}
+		s.issue(w, &cmd)
+		return cmd.oobOut, cmd.err
 	}
+	var r *request
+	if n := len(s.free); n > 0 {
+		r, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		r = new(request)
+	}
+	*r = cmd
 	r.class = v.c
 	if c, declared := FromRequest(rq.Class); declared {
 		if c != v.c {
-			v.s.stats.Retagged++
+			s.stats.Retagged++
 		}
 		r.class = c
 	}
@@ -67,74 +84,46 @@ func (v view) submit(w sim.Waiter, r *request, die int) bool {
 		sp.Enter(ioreq.StageSchedQ, r.arrival)
 		r.span = sp.ID
 	}
-	v.s.dies[die].enqueue(r)
+	s.dies[die].enqueue(r)
 	r.done.Wait(pw.P)
 	if sp != nil {
 		end := pw.P.Now()
 		sp.Exit(end)
 		sp.Transfer(ioreq.StageSchedQ, ioreq.StageDie, end-r.start)
 	}
-	return true
+	oob, err := r.oobOut, r.err
+	*r = request{} // drop the caller's buffers while the descriptor idles
+	s.free = append(s.free, r)
+	return oob, err
 }
 
 // ReadPage implements flash.Dev.
 func (v view) ReadPage(w sim.Waiter, p nand.PPN, buf []byte) (nand.OOB, error) {
-	if !v.s.geo.ValidPPN(p) {
-		return v.s.dev.ReadPage(w, p, buf)
-	}
-	r := &request{op: opRead, ppn: p, buf: buf}
-	if !v.submit(w, r, v.s.geo.DieOf(p)) {
-		return v.s.dev.ReadPage(w, p, buf)
-	}
-	return r.oobOut, r.err
+	return v.submit(w, request{op: opRead, ppn: p, buf: buf})
 }
 
 // ProgramPage implements flash.Dev.
 func (v view) ProgramPage(w sim.Waiter, p nand.PPN, data []byte, oob nand.OOB) error {
-	if !v.s.geo.ValidPPN(p) {
-		return v.s.dev.ProgramPage(w, p, data, oob)
-	}
-	r := &request{op: opProgram, ppn: p, data: data, oob: oob}
-	if !v.submit(w, r, v.s.geo.DieOf(p)) {
-		return v.s.dev.ProgramPage(w, p, data, oob)
-	}
-	return r.err
+	_, err := v.submit(w, request{op: opProgram, ppn: p, data: data, oob: oob})
+	return err
 }
 
 // ProgramPartial implements flash.Dev.
 func (v view) ProgramPartial(w sim.Waiter, p nand.PPN, off int, data []byte, oob nand.OOB) error {
-	if !v.s.geo.ValidPPN(p) {
-		return v.s.dev.ProgramPartial(w, p, off, data, oob)
-	}
-	r := &request{op: opPartial, ppn: p, off: off, data: data, oob: oob}
-	if !v.submit(w, r, v.s.geo.DieOf(p)) {
-		return v.s.dev.ProgramPartial(w, p, off, data, oob)
-	}
-	return r.err
+	_, err := v.submit(w, request{op: opPartial, ppn: p, off: off, data: data, oob: oob})
+	return err
 }
 
 // EraseBlock implements flash.Dev.
 func (v view) EraseBlock(w sim.Waiter, b nand.PBN) error {
-	if !v.s.geo.ValidPBN(b) {
-		return v.s.dev.EraseBlock(w, b)
-	}
-	r := &request{op: opErase, pbn: b}
-	if !v.submit(w, r, v.s.geo.DieOfBlock(b)) {
-		return v.s.dev.EraseBlock(w, b)
-	}
-	return r.err
+	_, err := v.submit(w, request{op: opErase, pbn: b})
+	return err
 }
 
 // Copyback implements flash.Dev.
 func (v view) Copyback(w sim.Waiter, src, dst nand.PPN, newOOB *nand.OOB) error {
-	if !v.s.geo.ValidPPN(src) || !v.s.geo.ValidPPN(dst) {
-		return v.s.dev.Copyback(w, src, dst, newOOB)
-	}
-	r := &request{op: opCopyback, ppn: src, dst: dst, oobPtr: newOOB}
-	if !v.submit(w, r, v.s.geo.DieOf(src)) {
-		return v.s.dev.Copyback(w, src, dst, newOOB)
-	}
-	return r.err
+	_, err := v.submit(w, request{op: opCopyback, ppn: src, dst: dst, oobPtr: newOOB})
+	return err
 }
 
 var _ flash.Dev = view{}

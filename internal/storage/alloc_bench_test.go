@@ -175,3 +175,6 @@ func BenchmarkWALAppendAlloc(b *testing.B) {
 		}
 	}
 }
+
+// encodeRecord encodes r into a fresh slice.
+func encodeRecord(r *LogRecord) []byte { return encodeRecordTo(nil, r) }

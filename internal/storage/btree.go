@@ -217,7 +217,7 @@ func (e *Engine) formatBTPage(ctx *IOCtx, id PageID, t PageType) error {
 		btLeafSetSibling(p, InvalidPageID)
 	}
 	lsn := e.wal.Append(&LogRecord{Type: RecPageImage, Tx: SystemTx, Page: id,
-		After: append([]byte(nil), f.Data...)})
+		After: f.Data})
 	e.bp.Unpin(f, true, lsn)
 	return nil
 }
@@ -270,7 +270,7 @@ func (e *Engine) idxInsertTx(ctx *IOCtx, txid uint64, idx uint32, key int64, rid
 	btInnerSet(p, 0, promoted.key, promoted.right)
 	btSetCount(p, 1)
 	lsn := e.wal.Append(&LogRecord{Type: RecPageImage, Tx: SystemTx, Page: newRoot,
-		After: append([]byte(nil), f.Data...)})
+		After: f.Data})
 	e.bp.Unpin(f, true, lsn)
 	o.first = newRoot
 	return e.saveMeta(ctx)
@@ -345,9 +345,9 @@ func (e *Engine) btLeafInsert(ctx *IOCtx, txid uint64, idx uint32, f *Frame, key
 	sep := btLeafKey(rp, 0)
 	// The split itself: system page images (nested top action).
 	lsnL := e.wal.Append(&LogRecord{Type: RecPageImage, Tx: SystemTx, Page: f.ID,
-		After: append([]byte(nil), f.Data...)})
+		After: f.Data})
 	lsnR := e.wal.Append(&LogRecord{Type: RecPageImage, Tx: SystemTx, Page: rightID,
-		After: append([]byte(nil), rf.Data...)})
+		After: rf.Data})
 	// Now insert the key into the proper side, logged physiologically.
 	if key < sep {
 		ipos, _ := btLeafFind(p, key)
@@ -379,7 +379,7 @@ func (e *Engine) btInnerAdd(ctx *IOCtx, pageID PageID, s *btSplit) (*btSplit, er
 	if n < btInnerCap(len(p.B)) {
 		btInnerInsertAt(p, pos, s.key, s.right)
 		lsn := e.wal.Append(&LogRecord{Type: RecPageImage, Tx: SystemTx, Page: pageID,
-			After: append([]byte(nil), f.Data...)})
+			After: f.Data})
 		e.bp.Unpin(f, true, lsn)
 		return nil, nil
 	}
@@ -420,9 +420,9 @@ func (e *Engine) btInnerAdd(ctx *IOCtx, pageID PageID, s *btSplit) (*btSplit, er
 	}
 	btSetCount(rp, len(ents)-mid-1)
 	lsnL := e.wal.Append(&LogRecord{Type: RecPageImage, Tx: SystemTx, Page: pageID,
-		After: append([]byte(nil), f.Data...)})
+		After: f.Data})
 	lsnR := e.wal.Append(&LogRecord{Type: RecPageImage, Tx: SystemTx, Page: rightID,
-		After: append([]byte(nil), rf.Data...)})
+		After: rf.Data})
 	e.bp.Unpin(f, true, lsnL)
 	e.bp.Unpin(rf, true, lsnR)
 	return &btSplit{key: upKey, right: rightID}, nil

@@ -156,7 +156,7 @@ func (e *Engine) saveMeta(ctx *IOCtx) error {
 		}
 	}
 	lsn := e.wal.Append(&LogRecord{Type: RecPageImage, Tx: SystemTx, Page: metaPageID,
-		After: append([]byte(nil), f.Data...)})
+		After: f.Data})
 	e.bp.Unpin(f, true, lsn)
 	return nil
 }
@@ -231,7 +231,7 @@ func (e *Engine) formatPage(ctx *IOCtx, id PageID, t PageType) error {
 	p := InitPage(f.Data, id, t)
 	p.SetAux(uint64(InvalidPageID + 1)) // next pointer: none (stored +1)
 	lsn := e.wal.Append(&LogRecord{Type: RecPageImage, Tx: SystemTx, Page: id,
-		After: append([]byte(nil), f.Data...)})
+		After: f.Data})
 	e.bp.Unpin(f, true, lsn)
 	return nil
 }
@@ -280,7 +280,7 @@ func (e *Engine) Insert(ctx *IOCtx, tx *Tx, table uint32, rec []byte) (RID, erro
 	}
 	fOld.P.SetAux(uint64(id + 1))
 	lsn := e.wal.Append(&LogRecord{Type: RecPageImage, Tx: SystemTx, Page: o.last,
-		After: append([]byte(nil), fOld.Data...)})
+		After: fOld.Data})
 	e.bp.Unpin(fOld, true, lsn)
 	o.last = id
 	rid, ok3, err := e.tryInsert(ctx, tx, id, rec)
@@ -309,7 +309,7 @@ func (e *Engine) tryInsert(ctx *IOCtx, tx *Tx, id PageID, rec []byte) (RID, bool
 	}
 	rid := RID{Page: id, Slot: uint16(slot)}
 	lsn := e.wal.Append(&LogRecord{Type: RecHeapInsert, Tx: tx.id, Page: id, Slot: slot,
-		After: append([]byte(nil), rec...)})
+		After: rec})
 	e.bp.Unpin(f, true, lsn)
 	// The fresh RID's lock is almost always free; a reused slot may still
 	// be queued on by a transaction that saw the previous incarnation, so
@@ -403,7 +403,7 @@ func (e *Engine) Update(ctx *IOCtx, tx *Tx, rid RID, rec []byte) error {
 		return uerr
 	}
 	lsn := e.wal.Append(&LogRecord{Type: RecHeapUpdate, Tx: tx.id, Page: rid.Page,
-		Slot: int(rid.Slot), Before: before, After: append([]byte(nil), rec...)})
+		Slot: int(rid.Slot), Before: before, After: rec})
 	e.bp.Unpin(f, true, lsn)
 	tx.undo = append(tx.undo, undoRec{kind: RecHeapUpdate, page: rid.Page, slot: int(rid.Slot), before: before})
 	return nil

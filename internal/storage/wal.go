@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 
 	"noftl/internal/ioreq"
@@ -82,6 +83,10 @@ type WAL struct {
 	durable uint64
 
 	flushing bool
+	// flushBuf is the one page every flush formats into. One is enough:
+	// flushing admits a single flusher at a time, and the volume or log
+	// copies the page before its write returns.
+	flushBuf []byte
 	// anchor is the LSN the last checkpoint anchored; the stream page
 	// holding it must never be overwritten by the wrap.
 	anchor uint64
@@ -106,7 +111,7 @@ type WAL struct {
 
 // NewWAL creates a WAL on an empty log volume.
 func NewWAL(vol Volume) *WAL {
-	return &WAL{vol: vol, payload: vol.PageSize() - logPageHeader}
+	return &WAL{vol: vol, payload: vol.PageSize() - logPageHeader, flushBuf: make([]byte, vol.PageSize())}
 }
 
 // NextLSN returns the LSN the next record will get.
@@ -134,7 +139,10 @@ func (w *WAL) SinceAnchor() uint64 {
 }
 
 // Append encodes r, assigns it the next LSN and buffers it. The record
-// is encoded directly into the buffered tail — no intermediate slice.
+// is encoded directly into the buffered tail — no intermediate slice —
+// before Append returns, and the WAL retains neither r nor its
+// Before/After slices: callers log live page images and record buffers
+// without copying them first.
 func (w *WAL) Append(r *LogRecord) uint64 {
 	r.LSN = w.nextLSN
 	before := len(w.tail)
@@ -157,7 +165,10 @@ func (w *WAL) Append(r *LogRecord) uint64 {
 // shared log). Background-induced flushes (write-back, checkpoints) use
 // FlushBg instead, which keeps the caller's declared class.
 func (w *WAL) Flush(ctx *IOCtx, upTo uint64) error {
-	return w.flush(ctx.WithClass(ioreq.ClassWAL), upTo)
+	if ctx.Class != ioreq.ClassWAL {
+		ctx = ctx.WithClass(ioreq.ClassWAL)
+	}
+	return w.flush(ctx, upTo)
 }
 
 // FlushBg is Flush for background callers: a context that already
@@ -238,7 +249,7 @@ func (w *WAL) writePages(ctx *IOCtx, target uint64) error {
 	if lastPage >= w.anchor/uint64(w.payload)+capacityPages {
 		return fmt.Errorf("%w: lsn %d would overwrite checkpoint at %d", ErrLogFull, target, w.anchor)
 	}
-	buf := make([]byte, w.vol.PageSize())
+	buf := w.flushBuf
 	for pg := firstPage; pg <= lastPage; pg++ {
 		start := pg * uint64(w.payload)
 		if start < w.tailLSN {
@@ -249,9 +260,7 @@ func (w *WAL) writePages(ctx *IOCtx, target uint64) error {
 		if start+n > w.nextLSN {
 			n = w.nextLSN - start
 		}
-		for i := range buf {
-			buf[i] = 0
-		}
+		clear(buf)
 		binary.LittleEndian.PutUint64(buf[0:], pg)
 		binary.LittleEndian.PutUint32(buf[8:], uint32(n))
 		copy(buf[logPageHeader:], w.tail[off:off+n])
@@ -266,11 +275,20 @@ func (w *WAL) writePages(ctx *IOCtx, target uint64) error {
 	w.durable = target
 	// Drop tail bytes before the page containing durable.
 	keepFrom := (w.durable / uint64(w.payload)) * uint64(w.payload)
-	if keepFrom > w.tailLSN {
-		w.tail = append([]byte(nil), w.tail[keepFrom-w.tailLSN:]...)
-		w.tailLSN = keepFrom
-	}
+	w.dropTailBelow(keepFrom)
 	return nil
+}
+
+// dropTailBelow discards the tail bytes below lsn, compacting in place so
+// the tail keeps its capacity and Append does not re-grow it after every
+// flush. Processes that appended while the flusher was parked in a page
+// write only extended the tail, so the surviving bytes move as one block.
+func (w *WAL) dropTailBelow(lsn uint64) {
+	if lsn > w.tailLSN {
+		n := copy(w.tail, w.tail[lsn-w.tailLSN:])
+		w.tail = w.tail[:n]
+		w.tailLSN = lsn
+	}
 }
 
 // volPage maps a stream page index to a log-volume page (page 0 is the
@@ -329,13 +347,6 @@ func (w *WAL) ReadAnchor(ctx *IOCtx) (uint64, error) {
 	return w.anchor, nil
 }
 
-// ScanFrom reads the durable stream starting at lsn and decodes records
-// until the stream ends (torn/stale page or truncated record).
-func (w *WAL) ScanFrom(ctx *IOCtx, lsn uint64) ([]*LogRecord, error) {
-	recs, _, err := w.RecoverScan(ctx, lsn)
-	return recs, err
-}
-
 // RecoverScan reads records from lsn, returning them together with the
 // stream end (the LSN right after the last good record). The scanned
 // bytes are retained so Adopt can resume appending seamlessly.
@@ -360,19 +371,26 @@ func (w *WAL) RecoverScan(ctx *IOCtx, lsn uint64) ([]*LogRecord, uint64, error) 
 			break // last, partially filled page
 		}
 	}
+	w.recStream = stream
+	w.recStart = streamStart
+	recs, end := decodeStream(stream, streamStart, lsn)
+	return recs, end, nil
+}
+
+// decodeStream decodes the records of stream (whose first byte is stream
+// offset streamStart) from lsn until the first torn, stale or truncated
+// one, returning them with the LSN right after the last good record.
+func decodeStream(stream []byte, streamStart, lsn uint64) ([]*LogRecord, uint64) {
 	var recs []*LogRecord
 	pos := lsn - streamStart
 	for {
-		r, n := decodeRecord(stream[min64(pos, uint64(len(stream))):], streamStart+pos)
+		r, n := decodeRecord(stream[min(pos, uint64(len(stream))):], streamStart+pos)
 		if r == nil {
-			break
+			return recs, streamStart + pos
 		}
 		recs = append(recs, r)
 		pos += n
 	}
-	w.recStream = stream
-	w.recStart = streamStart
-	return recs, streamStart + pos, nil
 }
 
 // Adopt resumes the log at end (the value RecoverScan returned): new
@@ -395,13 +413,6 @@ func (w *WAL) Adopt(end uint64) {
 		w.tail = append([]byte(nil), w.recStream[boundary-w.recStart:end-w.recStart]...)
 	}
 	w.recStream = nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // --- record encoding ---
@@ -462,7 +473,7 @@ func encodeRecordTo(dst []byte, r *LogRecord) []byte {
 		e.u32(uint32(len(r.Active)))
 		// Deterministic order is unnecessary for correctness but keeps
 		// log bytes reproducible: emit sorted by txid.
-		for _, tx := range sortedKeys(r.Active) {
+		for _, tx := range slices.Sorted(maps.Keys(r.Active)) {
 			e.u64(tx)
 			e.u64(r.Active[tx])
 		}
@@ -470,9 +481,6 @@ func encodeRecordTo(dst []byte, r *LogRecord) []byte {
 	binary.LittleEndian.PutUint32(e.b[start:], uint32(len(e.b)-start))
 	return e.b
 }
-
-// encodeRecord encodes r into a fresh slice.
-func encodeRecord(r *LogRecord) []byte { return encodeRecordTo(nil, r) }
 
 // recDec is the decode cursor mirroring recEnc.
 type recDec struct {
@@ -564,15 +572,6 @@ func decodeRecord(b []byte, lsn uint64) (*LogRecord, uint64) {
 		return nil, 0
 	}
 	return r, n
-}
-
-func sortedKeys(m map[uint64]uint64) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
 }
 
 // ErrLogFull reports log-volume exhaustion between checkpoints.

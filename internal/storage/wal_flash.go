@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // WAL on a native append-only flash log region.
@@ -43,7 +44,8 @@ type AppendLog interface {
 	// Pages returns the region capacity in pages.
 	Pages() int64
 	// Append stores data as the next page, returning its position.
-	// A full region fails with ErrLogFull.
+	// A full region fails with ErrLogFull. data is copied before Append
+	// returns; the caller may reuse it at once.
 	Append(ctx *IOCtx, data []byte) (int64, error)
 	// ReadAt reads the page at pos (must be within Bounds).
 	ReadAt(ctx *IOCtx, pos int64, buf []byte) error
@@ -78,7 +80,7 @@ type flashScanPage struct {
 
 // NewWALOnLog creates a WAL hosted on a native append-only log region.
 func NewWALOnLog(al AppendLog) *WAL {
-	return &WAL{alog: al, payload: al.PageSize() - flashLogHeader}
+	return &WAL{alog: al, payload: al.PageSize() - flashLogHeader, flushBuf: make([]byte, al.PageSize())}
 }
 
 // flashCapacity is the stream byte capacity of the log region.
@@ -103,7 +105,7 @@ func (w *WAL) writeFlashPages(ctx *IOCtx, target uint64) error {
 	if target <= w.durable {
 		return nil
 	}
-	buf := make([]byte, w.alog.PageSize())
+	buf := w.flushBuf
 	for start := w.durable; start < target; {
 		n := uint64(w.payload)
 		if start+n > target {
@@ -113,9 +115,7 @@ func (w *WAL) writeFlashPages(ctx *IOCtx, target uint64) error {
 			return fmt.Errorf("storage: wal tail lost lsn %d (tail starts %d)", start, w.tailLSN)
 		}
 		off := start - w.tailLSN
-		for i := range buf {
-			buf[i] = 0
-		}
+		clear(buf)
 		binary.LittleEndian.PutUint32(buf[0:], flashLogMagic)
 		binary.LittleEndian.PutUint32(buf[4:], 0)
 		binary.LittleEndian.PutUint64(buf[8:], start)
@@ -133,8 +133,7 @@ func (w *WAL) writeFlashPages(ctx *IOCtx, target uint64) error {
 	w.durable = target
 	// Append-only pages are never rewritten, so no tail bytes need to be
 	// retained below durable.
-	w.tail = append([]byte(nil), w.tail[w.durable-w.tailLSN:]...)
-	w.tailLSN = w.durable
+	w.dropTailBelow(w.durable)
 	return nil
 }
 
@@ -163,13 +162,7 @@ func (w *WAL) writeFlashAnchor(ctx *IOCtx, checkpointLSN, keepLSN uint64) error 
 			break
 		}
 	}
-	live := w.pageIdx[:0]
-	for _, ref := range w.pageIdx {
-		if ref.pos >= keep {
-			live = append(live, ref)
-		}
-	}
-	w.pageIdx = live
+	w.pageIdx = slices.DeleteFunc(w.pageIdx, func(ref flashPageRef) bool { return ref.pos < keep })
 	return w.alog.Truncate(ctx, keep)
 }
 
@@ -257,15 +250,6 @@ scan:
 		// lsn is at (or past) the stream end: nothing to replay.
 		return nil, lsn, nil
 	}
-	var recs []*LogRecord
-	pos := lsn - streamStart
-	for {
-		r, n := decodeRecord(stream[min64(pos, uint64(len(stream))):], streamStart+pos)
-		if r == nil {
-			break
-		}
-		recs = append(recs, r)
-		pos += n
-	}
-	return recs, streamStart + pos, nil
+	recs, end := decodeStream(stream, streamStart, lsn)
+	return recs, end, nil
 }

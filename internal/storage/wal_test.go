@@ -12,6 +12,13 @@ func newTestWAL() (*WAL, *IOCtx) {
 	return NewWAL(vol), NewIOCtx(nil)
 }
 
+// ScanFrom reads the durable stream starting at lsn and decodes records
+// until the stream ends (torn/stale page or truncated record).
+func (w *WAL) ScanFrom(ctx *IOCtx, lsn uint64) ([]*LogRecord, error) {
+	recs, _, err := w.RecoverScan(ctx, lsn)
+	return recs, err
+}
+
 func TestWALAppendFlushScan(t *testing.T) {
 	w, ctx := newTestWAL()
 	recs := []*LogRecord{
