@@ -149,8 +149,9 @@ func TestPollTicksStayInTheKernel(t *testing.T) {
 	if st.Events == 0 {
 		t.Fatal("kernel fired no events")
 	}
-	if float64(st.Resumes) > 0.35*float64(st.Events) {
-		t.Errorf("%d process resumes for %d events: more than 35%% of events switch to a goroutine", st.Resumes, st.Events)
+	// 9.6 % with the dies as state machines; a process per die made it 16.8 %.
+	if float64(st.Resumes) > 0.12*float64(st.Events) {
+		t.Errorf("%d process resumes for %d events: more than 12%% of events resume a process", st.Resumes, st.Events)
 	}
 	if st.Switches > st.Resumes {
 		t.Errorf("%d goroutine switches for %d resumes: a wake-up costs more than one hand-off again", st.Switches, st.Resumes)

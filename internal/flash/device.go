@@ -80,7 +80,7 @@ type Dev interface {
 	// once.
 	ProgramPartial(w sim.Waiter, p nand.PPN, off int, data []byte, oob nand.OOB) error
 	EraseBlock(w sim.Waiter, b nand.PBN) error
-	Copyback(w sim.Waiter, src, dst nand.PPN, newOOB *nand.OOB) error
+	Copyback(w sim.Waiter, src, dst nand.PPN, oob nand.OOB) error
 }
 
 // Stats is a snapshot of device operation counters and busy times.
@@ -362,7 +362,7 @@ func (d *Device) EraseChunk(w sim.Waiter, b nand.PBN, dur sim.Time, commit bool)
 // Copyback executes COPYBACK PROGRAM: tR + tPROG entirely inside the die;
 // the data never crosses the channel. Source and target must share a
 // plane (nand.ErrCrossPlane otherwise).
-func (d *Device) Copyback(w sim.Waiter, src, dst nand.PPN, newOOB *nand.OOB) error {
+func (d *Device) Copyback(w sim.Waiter, src, dst nand.PPN, oob nand.OOB) error {
 	if !d.cfg.Geometry.ValidPPN(src) || !d.cfg.Geometry.ValidPPN(dst) {
 		return fmt.Errorf("flash: copyback: %w", errAddr(src))
 	}
@@ -373,7 +373,7 @@ func (d *Device) Copyback(w sim.Waiter, src, dst nand.PPN, newOOB *nand.OOB) err
 	start := max(arrival, d.dieBusy[die])
 	end := start + d.cfg.CmdOverhead + d.timing.ReadPage + d.timing.ProgramPage
 	d.dieBusy[die] = end
-	err := d.arr.Copyback(src, dst, newOOB)
+	err := d.arr.Copyback(src, dst, oob, false)
 	d.stats.Copybacks++
 	d.stats.CopybackTime += end - start
 	d.stats.DieBusy[die] += end - start

@@ -98,7 +98,7 @@ func TestCopybackLatencyNoBus(t *testing.T) {
 	preCh := d.Stats().ChannelBusy[0]
 	start := w.Now()
 	dst := d.Geometry().FirstPage(1)
-	if err := d.Copyback(w, 0, dst, nil); err != nil {
+	if err := d.Copyback(w, 0, dst, nand.OOB{LPN: 3}); err != nil {
 		t.Fatal(err)
 	}
 	want := sim.Microsecond + 25*sim.Microsecond + 200*sim.Microsecond
@@ -247,7 +247,7 @@ func TestBadAddressRejectedWithoutTiming(t *testing.T) {
 	if err := d.EraseBlock(w, -3); !errors.Is(err, nand.ErrBadAddress) {
 		t.Errorf("erase: %v, want ErrBadAddress", err)
 	}
-	if err := d.Copyback(w, -1, 0, nil); !errors.Is(err, nand.ErrBadAddress) {
+	if err := d.Copyback(w, -1, 0, nand.OOB{}); !errors.Is(err, nand.ErrBadAddress) {
 		t.Errorf("copyback: %v, want ErrBadAddress", err)
 	}
 	if w.Now() != 0 {

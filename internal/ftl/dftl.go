@@ -450,7 +450,7 @@ func (d *dftlDie) relocateData(w sim.Waiter, victim, page int, dlpn int64, plane
 	d.l2p[dlpn] = dst
 	if dstPlane == plane {
 		d.stats.GCCopybacks++
-		if err := d.sp.Dev.Copyback(w, src, dst, &oob); err != nil {
+		if err := d.sp.Dev.Copyback(w, src, dst, oob); err != nil {
 			return err
 		}
 	} else {
@@ -489,7 +489,7 @@ func (d *dftlDie) relocateTrans(w sim.Waiter, victim, page int, dvpn int64, plan
 	d.gtd[dvpn] = dst
 	if d.sp.PlaneOf(dl) == plane {
 		d.stats.GCCopybacks++
-		return d.sp.Dev.Copyback(w, src, dst, &oob)
+		return d.sp.Dev.Copyback(w, src, dst, oob)
 	}
 	d.stats.GCReads++
 	d.stats.GCWrites++

@@ -445,7 +445,7 @@ func (d *fasterDie) relocateToLogTail(w sim.Waiter, victim, page int, dlpn int64
 	d.logMap[dlpn] = dst
 	if d.sp.PlaneOf(d.logFrontier.Block) == d.sp.PlaneOf(victim) {
 		d.stats.GCCopybacks++
-		if err := d.sp.Dev.Copyback(w, src, dst, &oob); err != nil {
+		if err := d.sp.Dev.Copyback(w, src, dst, oob); err != nil {
 			d.stats.GCCopybacks--
 			return false
 		}
@@ -525,7 +525,7 @@ func (d *fasterDie) fullMerge(w sim.Waiter, lbn int64) error {
 		d.bt.SetOwner(newB, off, dlpn)
 		if d.sp.PlaneOf(sl) == d.sp.PlaneOf(newB) {
 			d.stats.GCCopybacks++
-			if err := d.sp.Dev.Copyback(w, src, dst, &oob); err != nil {
+			if err := d.sp.Dev.Copyback(w, src, dst, oob); err != nil {
 				return err
 			}
 		} else {
@@ -604,7 +604,7 @@ func (d *fasterDie) finalizeSW(w sim.Waiter) error {
 		d.bt.SetOwner(b, off, dlpn)
 		if d.sp.PlaneOf(sl) == d.sp.PlaneOf(b) {
 			d.stats.GCCopybacks++
-			if err := d.sp.Dev.Copyback(w, src, dst, &oob); err != nil {
+			if err := d.sp.Dev.Copyback(w, src, dst, oob); err != nil {
 				return err
 			}
 		} else {

@@ -353,10 +353,10 @@ func (a *Array) EraseBlock(b PBN) error {
 }
 
 // Copyback moves a programmed page to an erased page in the same plane
-// without the data crossing the channel bus. newOOB, when non-nil,
-// replaces the OOB (controllers may modify the register before program).
-// The target must respect the in-order programming rule.
-func (a *Array) Copyback(src, dst PPN, newOOB *OOB) error {
+// without the data crossing the channel bus. oob replaces the source's
+// OOB (controllers may modify the register before program) unless keep
+// is set. The target must respect the in-order programming rule.
+func (a *Array) Copyback(src, dst PPN, oob OOB, keep bool) error {
 	if !a.geo.ValidPPN(src) || !a.geo.ValidPPN(dst) {
 		return fmt.Errorf("%w: src %d dst %d", ErrBadAddress, src, dst)
 	}
@@ -372,9 +372,8 @@ func (a *Array) Copyback(src, dst PPN, newOOB *OOB) error {
 	if sb.programmed == nil || !sb.programmed[sidx] {
 		return ErrPageErased
 	}
-	oob := sb.oob[sidx]
-	if newOOB != nil {
-		oob = *newOOB
+	if keep {
+		oob = sb.oob[sidx]
 	}
 	var data []byte
 	if a.opts.StoreData && sb.data[sidx] != nil {

@@ -92,7 +92,7 @@ func TestRecycledPageReadsBackClean(t *testing.T) {
 	}
 
 	// (c) copyback of that data-less page stays data-less.
-	if err := a.Copyback(first+1, first+2, nil); err != nil {
+	if err := a.Copyback(first+1, first+2, OOB{}, true); err != nil {
 		t.Fatal(err)
 	}
 	if d := a.block(b).data[2]; d != nil || len(a.freePages) != free {

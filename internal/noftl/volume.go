@@ -772,7 +772,7 @@ func (d *dieMgr) relocate(w sim.Waiter, srcLocal, srcPage int, dlpn int64, plane
 		var cerr error
 		if dstPlane == plane {
 			d.stats.GCCopybacks++
-			cerr = d.devGC.Copyback(w, src, dst, &oob)
+			cerr = d.devGC.Copyback(w, src, dst, oob)
 			if cerr != nil {
 				d.stats.GCCopybacks--
 			}

@@ -3,12 +3,14 @@
 // raw device so the DBMS — not device firmware — decides how commands
 // interleave on every die.
 //
-// Each die gets a command queue and a dispatcher process on the DES
-// kernel. Commands carry a priority class (foreground read > WAL append
-// > data program > prefetch read > GC work) and the dispatcher serves the
-// highest-priority hazard-free command first; under the FCFS policy it
-// degrades to plain arrival order, which is what an on-device FTL behind
-// a legacy interface effectively gives the host. Because reordering must
+// Each die gets a command queue and a dispatcher: a state machine driven
+// by timed events on the DES kernel, as the hardware it models is — it
+// owns no process, so a command costs its submitter's one resume and
+// nothing more. Commands carry a priority class (foreground read > WAL
+// append > data program > prefetch read > GC work) and the dispatcher
+// serves the highest-priority hazard-free command first; under the FCFS
+// policy it degrades to plain arrival order, which is what an on-device
+// FTL behind a legacy interface effectively gives the host. Because reordering must
 // never break flash state dependencies, the dispatcher tracks hazards:
 // a read never overtakes a pending program to the same page, and nothing
 // overtakes a pending erase of its own block.
@@ -105,7 +107,10 @@ func (p Policy) String() string {
 type Config struct {
 	// Policy selects the queue discipline. Default FCFS.
 	Policy Policy
-	// Trace receives one Event per dispatched command (nil: off).
+	// Trace receives one Event per dispatched command (nil: off). It runs
+	// inside the kernel's event loop, on whichever goroutine holds it, so
+	// it must not block: a hook that parks a process panics with "sim:
+	// blocking call from an event callback".
 	Trace func(Event)
 }
 
@@ -200,14 +205,13 @@ type request struct {
 	arrival  sim.Time
 	start    sim.Time // dispatch time (set by account; spans split queue/die on it)
 
-	ppn    nand.PPN // read/program/partial target, copyback source
-	dst    nand.PPN // copyback destination
-	pbn    nand.PBN // erase target
-	off    int
-	data   []byte
-	oob    nand.OOB
-	oobPtr *nand.OOB
-	buf    []byte
+	ppn  nand.PPN // read/program/partial target, copyback source
+	dst  nand.PPN // copyback destination
+	pbn  nand.PBN // erase target
+	off  int
+	data []byte
+	oob  nand.OOB
+	buf  []byte
 
 	oobOut     nand.OOB
 	err        error
@@ -317,16 +321,18 @@ type Scheduler struct {
 	free []*request
 }
 
-// New builds a scheduler over dev with one dispatcher process per die on
-// kernel k. The dispatchers live until the kernel shuts down. The
+// New builds a scheduler over dev on kernel k. It starts no process: each
+// die's dispatcher is a state machine that advances inside kernel events
+// (Kernel.After), on whichever goroutine holds the event loop. The
 // scheduler registers a device reset hook so ResetTime/ResetStats clear
 // its wait accounting along with the device's.
 func New(k *sim.Kernel, dev *flash.Device, cfg Config) *Scheduler {
 	s := &Scheduler{k: k, dev: dev, cfg: cfg, id: dev.Identify(), geo: dev.Geometry()}
 	for die := 0; die < s.geo.Dies(); die++ {
-		ds := &dieSched{s: s, die: die, alarm: sim.NewAlarm(k)}
+		ds := &dieSched{s: s, die: die}
+		ds.wakeFn = ds.wake
+		ds.await()
 		s.dies = append(s.dies, ds)
-		k.Go(fmt.Sprintf("sched-die%d", die), ds.run)
 	}
 	dev.OnReset(s.Reset)
 	return s
@@ -356,18 +362,42 @@ func (s *Scheduler) QueueDepths() []int {
 	return out
 }
 
-// dieSched is one die's queue plus its dispatcher state.
+// dieState says what the event a die has pending (at most one, stale
+// erase deadlines aside) will find when it fires.
+type dieState uint8
+
+const (
+	dieIdle    dieState = iota // nothing to serve; an enqueue schedules the wake
+	dieServing                 // cur holds the die until its completion time
+	dieSlice                   // inErase is running a slice of its remaining time
+	dieSuspend                 // inErase is suspending (tSUS) for urgent commands
+)
+
+// dieSched is one die's queue plus its dispatcher: a state machine that
+// advances only inside kernel events (wake, and deadline for a
+// suspendable erase slice), never on a process of its own.
 type dieSched struct {
-	s       *Scheduler
-	die     int
-	reqs    []*request
-	alarm   *sim.Alarm
-	idle    bool
-	erasing bool     // an erase is in its suspendable window
-	inErase *request // erase being served (suspension hazard source)
-	// clock is the waiter serve issues on: one command is in service per
-	// die at a time, so one serves them all.
-	clock sim.ClockWaiter
+	s     *Scheduler
+	die   int
+	reqs  []*request
+	state dieState
+	// waiting marks a wait that interrupt may cut short (idle, or an
+	// erase slice short of maxSuspends); gen numbers those waits, so the
+	// deadline of a slice that was interrupted finds itself stale.
+	waiting   bool
+	preempted bool // the last such wait ended by interrupt, not by its deadline
+	gen       uint64
+	wakeFn    func()   // ds.wake, bound once
+	cur       *request // the command in service while dieServing
+
+	// The suspendable erase in service, if any (Priority policy only).
+	inErase    *request // also the suspension hazard source
+	remaining  sim.Time // erase time still to run, from sliceStart
+	sliceStart sim.Time
+	slice      sim.Time // length of the slice just interrupted
+	suspends   int
+
+	clock sim.ClockWaiter // what commands issue on: one is in service at a time
 }
 
 // suspendsErase reports whether a command class is urgent enough to
@@ -376,16 +406,33 @@ type dieSched struct {
 // path must never eat whole.
 func suspendsErase(c Class) bool { return c <= ClassWAL }
 
-// enqueue adds a request and pokes the dispatcher: an idle dispatcher
-// wakes to serve it; an erasing dispatcher is interrupted only by a
-// command urgent enough to suspend the erase.
+// enqueue adds a request and pokes the dispatcher: an idle die wakes to
+// serve it; an erasing die is interrupted only by a command urgent enough
+// to suspend the erase. The state is the one the pending wake will find,
+// so until it fires further enqueues find the wait over and draw nothing.
 func (ds *dieSched) enqueue(r *request) {
 	ds.reqs = append(ds.reqs, r)
-	if ds.idle {
-		ds.alarm.Interrupt()
-	} else if ds.erasing && suspendsErase(r.class) {
-		ds.alarm.Interrupt()
+	if ds.state == dieIdle || ds.state == dieSlice && suspendsErase(r.class) {
+		ds.interrupt()
 	}
+}
+
+// await opens an interruptible wait.
+func (ds *dieSched) await() {
+	ds.gen++
+	ds.waiting, ds.preempted = true, false
+}
+
+// interrupt ends an interruptible wait now: the wake runs at this
+// instant, after the events already scheduled for it. Once the wait is
+// over — interrupted already, or its deadline has fired and the wake is
+// on its way — there is nothing to interrupt.
+func (ds *dieSched) interrupt() {
+	if !ds.waiting {
+		return
+	}
+	ds.waiting, ds.preempted = false, true
+	ds.s.k.After(0, ds.wakeFn)
 }
 
 // blocked reports whether reqs[i] has a hazard against an older pending
@@ -462,24 +509,6 @@ func (ds *dieSched) pop(urgentOnly bool) *request {
 	return r
 }
 
-// run is the dispatcher loop: one command in service per die at a time.
-func (ds *dieSched) run(p *sim.Proc) {
-	for {
-		r := ds.pop(false)
-		if r == nil {
-			ds.idle = true
-			ds.alarm.Wait(p, -1)
-			ds.idle = false
-			continue
-		}
-		if r.op == opErase && ds.s.cfg.Policy == Priority {
-			ds.serveErase(p, r)
-		} else {
-			ds.serve(p, r)
-		}
-	}
-}
-
 // account records the queue wait of a command being dispatched.
 func (ds *dieSched) account(r *request, now sim.Time) {
 	r.start = now
@@ -511,81 +540,129 @@ func (s *Scheduler) issue(w sim.Waiter, r *request) {
 	case opPartial:
 		r.err = dev.ProgramPartial(w, r.ppn, r.off, r.data, r.oob)
 	case opCopyback:
-		r.err = dev.Copyback(w, r.ppn, r.dst, r.oobPtr)
+		r.err = dev.Copyback(w, r.ppn, r.dst, r.oob)
 	case opErase:
 		r.err = dev.EraseBlock(w, r.pbn)
 	}
 }
 
-// serve dispatches one non-suspendable command: reserve the device
-// timeline now, hold the die until the completion time, then release the
-// submitter.
-func (ds *dieSched) serve(p *sim.Proc, r *request) {
-	start := p.Now()
-	ds.account(r, start)
-	ds.clock.T = start
-	ds.s.issue(&ds.clock, r)
-	p.SleepUntil(ds.clock.T)
-	ds.finish(r, start, 0)
+// wake is the die's event: the wait its state names is over. It settles
+// that state and dispatches until the die waits again.
+func (ds *dieSched) wake() {
+	s, now := ds.s, ds.s.k.Now()
+	switch ds.state {
+	case dieIdle:
+	case dieServing:
+		ds.finish(ds.cur, 0)
+	case dieSlice:
+		if ds.preempted {
+			// Suspended: the die is free for urgent commands after tSUS.
+			ds.slice = now - ds.sliceStart
+			ds.suspends++
+			s.stats.EraseSuspends++
+			ds.state = dieSuspend
+			s.k.After(s.id.Timing.EraseSuspend, ds.wakeFn)
+			return
+		}
+		ds.clock.T = now
+		ds.finishErase(s.dev.EraseChunk(&ds.clock, ds.inErase.pbn, now-ds.sliceStart, true))
+	case dieSuspend:
+		// Charge the executed chunk to the device; the array state commits
+		// with the final one.
+		ds.clock.T = now
+		if err := s.dev.EraseChunk(&ds.clock, ds.inErase.pbn, ds.slice+s.id.Timing.EraseSuspend, false); err != nil {
+			ds.finishErase(err)
+			break
+		}
+		ds.remaining = max(ds.remaining-ds.slice, sim.Microsecond)
+	}
+	ds.dispatch()
 }
 
-// serveErase dispatches an erase with suspension: the die runs the erase
-// until either it completes or a foreground read arrives; on arrival the
-// erase is suspended (tSUS), its executed chunk is charged to the
-// device, queued reads are served, and the erase resumes (tRES added to
-// the remaining time). The array state commits with the final chunk.
-func (ds *dieSched) serveErase(p *sim.Proc, r *request) {
+// dispatch starts the next command: one in service per die at a time.
+// Inside an erase's suspension window only urgent commands are served,
+// then the erase resumes with tRES added to its remaining time.
+func (ds *dieSched) dispatch() {
 	s := ds.s
-	start := p.Now()
-	ds.account(r, start)
-	ds.inErase = r
-	total := s.id.CmdOverhead + s.id.Timing.EraseBlock
-	remaining := total
-	suspends := 0
-	for {
-		ds.erasing = suspends < maxSuspends
-		sliceStart := p.Now()
-		preempted := false
-		if ds.erasing {
-			preempted = ds.alarm.Wait(p, remaining)
-		} else {
-			p.Sleep(remaining)
+	if ds.inErase != nil {
+		if r := ds.pop(true); r != nil {
+			ds.serve(r)
+			return
 		}
-		ds.erasing = false
-		if !preempted {
-			r.err = s.dev.EraseChunk(&sim.ClockWaiter{T: p.Now()}, r.pbn, p.Now()-sliceStart, true)
-			break
-		}
-		slice := p.Now() - sliceStart
-		suspends++
-		s.stats.EraseSuspends++
-		p.Sleep(s.id.Timing.EraseSuspend)
-		if err := s.dev.EraseChunk(&sim.ClockWaiter{T: p.Now()}, r.pbn, slice+s.id.Timing.EraseSuspend, false); err != nil {
-			r.err = err
-			break
-		}
-		remaining -= slice
-		if remaining < sim.Microsecond {
-			remaining = sim.Microsecond
-		}
-		for {
-			rr := ds.pop(true)
-			if rr == nil {
-				break
-			}
-			ds.serve(p, rr)
-		}
-		remaining += s.id.Timing.EraseResume
+		ds.remaining += s.id.Timing.EraseResume
+		ds.runSlice()
+		return
 	}
+	r := ds.pop(false)
+	if r == nil {
+		ds.state = dieIdle
+		ds.await()
+		return
+	}
+	if r.op != opErase || s.cfg.Policy != Priority {
+		ds.serve(r)
+		return
+	}
+	// An erase with suspension: the die runs it until either it completes
+	// or an urgent command arrives.
+	ds.account(r, s.k.Now())
+	ds.inErase = r
+	ds.remaining = s.id.CmdOverhead + s.id.Timing.EraseBlock
+	ds.suspends = 0
+	ds.runSlice()
+}
+
+// serve dispatches one non-suspendable command: reserve the device
+// timeline now and hold the die until the completion time, when wake
+// releases the submitter. With a ClockWaiter the device call returns at
+// once, leaving the completion time in the clock.
+func (ds *dieSched) serve(r *request) {
+	now := ds.s.k.Now()
+	ds.account(r, now)
+	ds.clock.T = now
+	ds.s.issue(&ds.clock, r)
+	ds.state, ds.cur = dieServing, r
+	ds.s.k.After(ds.clock.T-now, ds.wakeFn)
+}
+
+// runSlice runs the erase for its remaining time, interruptibly unless it
+// has been suspended maxSuspends times already. The deadline draws two
+// events as the dispatcher process's alarm did — the timed one, then the
+// wake at that instant behind whatever else is due then — so every later
+// event keeps its place; the hop goes in the hand-off re-baseline
+// (ROADMAP).
+func (ds *dieSched) runSlice() {
+	k := ds.s.k
+	ds.state = dieSlice
+	ds.sliceStart = k.Now()
+	if ds.suspends >= maxSuspends {
+		ds.preempted = false
+		k.After(ds.remaining, ds.wakeFn)
+		return
+	}
+	ds.await()
+	gen := ds.gen
+	k.After(ds.remaining, func() {
+		if ds.gen == gen && ds.waiting {
+			ds.waiting = false
+			k.After(0, ds.wakeFn)
+		}
+	})
+}
+
+// finishErase completes the erase in service with err.
+func (ds *dieSched) finishErase(err error) {
+	r := ds.inErase
+	r.err = err
 	ds.inErase = nil
-	ds.finish(r, start, suspends)
+	ds.finish(r, ds.suspends)
 }
 
 // finish emits the trace event and releases the submitter. Firing done
-// is the last thing a dispatcher does with r — serve, serveErase and run
-// read no field of it afterwards — because the woken submitter hands the
-// descriptor back to Scheduler.free for the next command to overwrite.
-func (ds *dieSched) finish(r *request, start sim.Time, suspends int) {
+// is the last thing the dispatcher does with r — wake reads no field of
+// it afterwards — because the woken submitter hands the descriptor back
+// to Scheduler.free for the next command to overwrite.
+func (ds *dieSched) finish(r *request, suspends int) {
 	if tr := ds.s.cfg.Trace; tr != nil {
 		block := int64(-1)
 		if r.op == opErase {
@@ -599,7 +676,7 @@ func (ds *dieSched) finish(r *request, start sim.Time, suspends int) {
 			Tag:      r.tag,
 			Op:       opNames[r.op],
 			Arrival:  r.arrival,
-			Start:    start,
+			Start:    r.start,
 			End:      ds.s.k.Now(),
 			Suspends: suspends,
 			Span:     r.span,

@@ -121,8 +121,8 @@ func (v view) EraseBlock(w sim.Waiter, b nand.PBN) error {
 }
 
 // Copyback implements flash.Dev.
-func (v view) Copyback(w sim.Waiter, src, dst nand.PPN, newOOB *nand.OOB) error {
-	_, err := v.submit(w, request{op: opCopyback, ppn: src, dst: dst, oobPtr: newOOB})
+func (v view) Copyback(w sim.Waiter, src, dst nand.PPN, oob nand.OOB) error {
+	_, err := v.submit(w, request{op: opCopyback, ppn: src, dst: dst, oob: oob})
 	return err
 }
 

@@ -2,6 +2,64 @@ package sim
 
 import "testing"
 
+// Alarm parks one process until a deadline that other events may
+// preempt. It was the primitive behind interruptible service while the
+// command scheduler ran a process per die; sched now keeps the same wait
+// as plain state (dieSched.await/interrupt), and Alarm stays here as the
+// reference these tests pin and as one of pollMix's event sources: a
+// timed callback that wakes its process with a second, delay-0 event.
+//
+// At most one process may Wait on an Alarm at a time.
+type Alarm struct {
+	k       *Kernel
+	p       *Proc
+	waiting bool
+	preempt bool
+	gen     uint64
+}
+
+// NewAlarm returns an Alarm bound to kernel k.
+func NewAlarm(k *Kernel) *Alarm { return &Alarm{k: k} }
+
+// Wait parks the calling process until d elapses or Interrupt fires,
+// whichever comes first; d < 0 waits for Interrupt alone. It reports
+// whether the wait was interrupted before the deadline.
+func (a *Alarm) Wait(p *Proc, d Time) bool {
+	if a.waiting {
+		panic("sim: Alarm.Wait while another wait is active")
+	}
+	a.gen++
+	gen := a.gen
+	a.p = p
+	a.waiting = true
+	a.preempt = false
+	if d >= 0 {
+		a.k.after(d, nil, func() {
+			// A stale deadline (the wait was interrupted, or a newer wait
+			// started) must not wake anyone.
+			if a.gen != gen || !a.waiting {
+				return
+			}
+			a.waiting = false
+			p.wakeLater()
+		})
+	}
+	p.park()
+	a.p = nil
+	return a.preempt
+}
+
+// Interrupt preempts an active Wait; without one it is a no-op (the
+// event that would have interrupted is simply not needed).
+func (a *Alarm) Interrupt() {
+	if !a.waiting {
+		return
+	}
+	a.waiting = false
+	a.preempt = true
+	a.p.wakeLater()
+}
+
 func TestAlarmDeadline(t *testing.T) {
 	k := New()
 	a := NewAlarm(k)

@@ -7,9 +7,9 @@ import (
 
 // event is one scheduled occurrence, stored by value in the kernel's
 // heap or in a lane. Exactly one of p and fn is set: p names a process to
-// resume (or, parked in Poll, to test on its behalf); fn is an After or
-// Alarm callback. Events fire in (at, seq) order; seq is unique, so the
-// order is total and the simulation deterministic.
+// resume (or, parked in Poll, to test on its behalf); fn is an After
+// callback. Events fire in (at, seq) order; seq is unique, so the order is
+// total and the simulation deterministic.
 type event struct {
 	at  Time
 	seq uint64
@@ -80,7 +80,7 @@ type Kernel struct {
 	now      Time
 	seq      uint64
 	limit    Time    // dispatch fires nothing due after it
-	events   []event // 4-ary min-heap on (at, seq): timed sleeps, After, Alarm deadlines
+	events   []event // 4-ary min-heap on (at, seq): timed sleeps and After callbacks
 	lanes    []lane  // delay 0 and one per Poll period, found by linear search
 	pending  int     // events in the heap and the lanes together
 	heapOnly bool    // tests: bypass the lanes, to compare their order with the heap's

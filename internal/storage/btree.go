@@ -432,10 +432,11 @@ func (e *Engine) btInnerAdd(ctx *IOCtx, pageID PageID, s *btSplit) (*btSplit, er
 func (e *Engine) IdxLookup(ctx *IOCtx, tx *Tx, idx uint32, key int64) (RID, bool, error) {
 	if tx != nil {
 		k := idxKeyLock(idx, key)
-		if err := e.lt.acquire(ctx, tx.id, k); err != nil {
+		held, err := e.lt.acquire(ctx, tx.id, k)
+		if err != nil {
 			return RID{}, false, err
 		}
-		if !tx.owns(k) {
+		if !held {
 			defer e.lt.release(tx.id, k)
 		}
 	}
@@ -575,5 +576,5 @@ func (e *Engine) idxDeleteTx(ctx *IOCtx, txid uint64, idx uint32, key int64) (RI
 }
 
 func idxKeyLock(idx uint32, key int64) lockKey {
-	return lockKey{space: idx, a: uint64(key)}
+	return lockKey{obj: uint64(idx) << 32, id: uint64(key)}
 }

@@ -325,10 +325,11 @@ func (e *Engine) tryInsert(ctx *IOCtx, tx *Tx, id PageID, rec []byte) (RID, bool
 // instant (read committed), so it blocks on uncommitted writers.
 func (e *Engine) Fetch(ctx *IOCtx, tx *Tx, rid RID) ([]byte, error) {
 	k := ridKey(rid)
-	if err := e.lt.acquire(ctx, tx.id, k); err != nil {
+	held, err := e.lt.acquire(ctx, tx.id, k)
+	if err != nil {
 		return nil, err
 	}
-	if !tx.owns(k) {
+	if !held {
 		defer e.lt.release(tx.id, k)
 	}
 	f, err := e.bp.Pin(ctx, rid.Page, false)
@@ -517,5 +518,5 @@ func (e *Engine) noteFreeSpace(table uint32, id PageID) {
 }
 
 func ridKey(r RID) lockKey {
-	return lockKey{space: 1 << 30, a: uint64(r.Page), b: uint64(r.Slot)}
+	return lockKey{obj: 1<<62 | uint64(r.Slot), id: uint64(r.Page)}
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"noftl/internal/sim"
 )
@@ -12,16 +13,15 @@ import (
 // OLTP drivers).
 var ErrLockTimeout = errors.New("storage: lock wait timeout")
 
-// lockKey identifies a lockable object: a heap RID or an index key.
+// lockKey identifies a lockable object: a heap RID or an index key. Two
+// words without padding, so the lock table hashes it as plain memory.
 type lockKey struct {
-	space uint32 // table or index id
-	a     uint64
-	b     uint64
+	obj uint64 // table or index id << 32 | slot
+	id  uint64 // page number or key value
 }
 
 type lockEntry struct {
 	owner uint64
-	count int
 	queue []uint64 // waiting tx ids, FIFO
 }
 
@@ -29,8 +29,13 @@ type lockEntry struct {
 // timeout-based deadlock resolution. Reads run at read-committed without
 // shared locks (the Shore-MT experiments in the paper are throughput
 // bound on I/O, not on lock conflicts).
+//
+// The table alone knows who holds what: an entry exists while its lock
+// is held, names its owner, and a transaction learns from acquire whether
+// it held the key already. It keeps only the list of keys to release.
 type LockTable struct {
 	locks   map[lockKey]*lockEntry
+	free    []*lockEntry // entries of released locks, for the next acquire
 	timeout sim.Time
 }
 
@@ -40,83 +45,60 @@ func NewLockTable() *LockTable {
 	return &LockTable{locks: make(map[lockKey]*lockEntry), timeout: 50 * sim.Millisecond}
 }
 
-// acquire takes an exclusive lock on key for tx, waiting FIFO. Reentrant
-// for the owning transaction.
-func (lt *LockTable) acquire(ctx *IOCtx, tx uint64, key lockKey) error {
-	e, ok := lt.locks[key]
-	if !ok {
-		lt.locks[key] = &lockEntry{owner: tx, count: 1}
-		return nil
+// acquire takes an exclusive lock on key for tx, waiting FIFO. It reports
+// held when tx owned the lock before the call: there is one hold per
+// transaction and key, so the caller releases only what it newly took.
+func (lt *LockTable) acquire(ctx *IOCtx, tx uint64, key lockKey) (held bool, err error) {
+	e := lt.locks[key]
+	if e == nil {
+		if n := len(lt.free); n > 0 {
+			e, lt.free = lt.free[n-1], lt.free[:n-1]
+		} else {
+			e = new(lockEntry)
+		}
+		e.owner = tx
+		lt.locks[key] = e
+		return false, nil
 	}
 	if e.owner == tx {
-		e.count++
-		return nil
+		return true, nil
 	}
+	// Queued, the entry is ours to watch: release hands a lock with
+	// waiters on and frees only one with none.
 	e.queue = append(e.queue, tx)
 	wait := ctx.W
 	deadline := wait.Now() + lt.timeout
 	// The first look comes one period after queueing, not at once.
 	const every = 100 * sim.Microsecond
 	wait.WaitUntil(wait.Now() + every)
-	wait.Poll(every, func() bool {
-		e, ok := lt.locks[key]
-		return !ok || e.owner == tx || wait.Now() >= deadline
-	})
-	e, ok = lt.locks[key]
-	if !ok {
-		// Freed with an empty queue; take it if we are first.
-		lt.locks[key] = &lockEntry{owner: tx, count: 1}
-		return nil
-	}
+	wait.Poll(every, func() bool { return e.owner == tx || wait.Now() >= deadline })
 	if e.owner == tx {
 		// Hand-off granted the lock to us.
-		return nil
+		return false, nil
 	}
-	lt.unqueue(key, tx)
-	return fmt.Errorf("%w: tx %d on %v", ErrLockTimeout, tx, key)
+	i := slices.Index(e.queue, tx)
+	e.queue = slices.Delete(e.queue, i, i+1)
+	return false, fmt.Errorf("%w: tx %d on %v", ErrLockTimeout, tx, key)
 }
 
-func (lt *LockTable) unqueue(key lockKey, tx uint64) {
-	e, ok := lt.locks[key]
-	if !ok {
-		return
-	}
-	for i, q := range e.queue {
-		if q == tx {
-			e.queue = append(e.queue[:i], e.queue[i+1:]...)
-			return
-		}
-	}
-}
-
-// release frees one hold on key; full release hands the lock to the
-// FIFO head.
+// release frees tx's hold on key, handing the lock to the FIFO head.
 func (lt *LockTable) release(tx uint64, key lockKey) {
-	e, ok := lt.locks[key]
-	if !ok || e.owner != tx {
-		return
-	}
-	e.count--
-	if e.count > 0 {
+	e := lt.locks[key]
+	if e == nil || e.owner != tx {
 		return
 	}
 	if len(e.queue) > 0 {
 		e.owner = e.queue[0]
-		e.count = 1
-		e.queue = e.queue[1:]
+		e.queue = slices.Delete(e.queue, 0, 1) // in place: a reused entry keeps its queue's capacity
 		return
 	}
 	delete(lt.locks, key)
+	lt.free = append(lt.free, e)
 }
 
 // releaseAll frees every lock owned by tx (commit/abort).
 func (lt *LockTable) releaseAll(tx uint64, keys []lockKey) {
 	for _, k := range keys {
-		e, ok := lt.locks[k]
-		if !ok || e.owner != tx {
-			continue
-		}
-		e.count = 1
 		lt.release(tx, k)
 	}
 }

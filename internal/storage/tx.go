@@ -19,10 +19,10 @@ var ErrTxDone = errors.New("storage: transaction already finished")
 
 type undoRec struct {
 	kind   RecType
+	idx    uint32 // beside kind: one word for both keeps Tx in the 512-byte size class
 	page   PageID
 	slot   int
 	before []byte
-	idx    uint32
 	key    int64
 	rid    RID
 }
@@ -38,34 +38,29 @@ type Tx struct {
 	firstLSN uint64
 	status   TxStatus
 	undo     []undoRec
-	locks    []lockKey
-	lockSet  map[lockKey]struct{}
+	locks    []lockKey // held until commit or abort, each key once
 	deletes  []deferredDelete
+	// A short transaction's locks and undo records live in the handle
+	// itself: it allocates once and grows nothing.
+	lockBuf [8]lockKey
+	undoBuf [4]undoRec
 }
 
-// owns reports whether the transaction already holds the lock.
-func (t *Tx) owns(k lockKey) bool {
-	_, ok := t.lockSet[k]
-	return ok
-}
-
-// lockWait acquires k, waiting as needed.
+// lockWait acquires k and holds it to the end of the transaction, waiting
+// as needed.
 func (t *Tx) lockWait(ctx *IOCtx, e *Engine, k lockKey) error {
-	if t.owns(k) {
-		return nil
+	held, err := e.lt.acquire(ctx, t.id, k)
+	if err == nil && !held {
+		t.locks = append(t.locks, k)
 	}
-	if err := e.lt.acquire(ctx, t.id, k); err != nil {
-		return err
-	}
-	t.lockSet[k] = struct{}{}
-	t.locks = append(t.locks, k)
-	return nil
+	return err
 }
 
 // Begin starts a transaction.
 func (e *Engine) Begin() *Tx {
 	e.nextTx++
-	tx := &Tx{id: e.nextTx, lockSet: map[lockKey]struct{}{}}
+	tx := &Tx{id: e.nextTx}
+	tx.locks, tx.undo = tx.lockBuf[:0], tx.undoBuf[:0]
 	tx.firstLSN = e.wal.Append(&LogRecord{Type: RecBegin, Tx: tx.id})
 	e.active[tx.id] = tx
 	return tx
