@@ -7,8 +7,8 @@ package noftl
 // every telemetry sampler tick, and a live monitoring surface — a
 // Prometheus text-format exporter over the metrics registry plus an
 // opt-in HTTP endpoint serving /metrics, /health and /alerts from a
-// running benchmark. Attach it with WithHealth; it implies telemetry
-// when WithTelemetry is not also given.
+// running benchmark. Attach it with WithHealth; it brings default
+// telemetry with it.
 
 import (
 	"encoding/json"
@@ -20,10 +20,6 @@ import (
 )
 
 type (
-	// HealthMonitor owns health snapshots, the SLO engine and the
-	// optional live HTTP monitoring surface of one system
-	// (System.Health).
-	HealthMonitor = health.Monitor
 	// HealthConfig tunes the monitor: SLO rules, the optional live
 	// monitor listen address, histogram buckets and snapshot timelines.
 	HealthConfig = health.Config
@@ -31,50 +27,17 @@ type (
 	// wear heatmaps and histograms, device-wide wear percentiles,
 	// per-region GC efficiency, series timelines and the alert log.
 	HealthSnapshot = health.Snapshot
-	// DieHealth is one die's wear heatmap row, erase histogram and load
-	// view within a snapshot.
-	DieHealth = health.DieHealth
-	// RegionHealth is one region's occupancy and GC-efficiency view
-	// within a snapshot.
-	RegionHealth = health.RegionHealth
-	// GCHealth decomposes a region's garbage-collection efficiency:
-	// valid-page copy ratio plus the byte breakdown behind write
-	// amplification (host/GC/wear/fold).
-	GCHealth = health.GCHealth
-	// WearHealth is the device-wide erase-count distribution (min, max,
-	// mean, spread, percentiles).
-	WearHealth = health.WearHealth
 	// SLORule is one declarative health rule: a metric threshold
 	// (above/below) or a deadline-miss burn-rate budget, evaluated at
 	// every sampler tick with optional consecutive-sample hysteresis.
 	SLORule = health.Rule
-	// SLORuleKind selects how a rule is evaluated (RuleAbove,
-	// RuleBelow, RuleBurnRate).
-	SLORuleKind = health.RuleKind
-	// SLOEngine evaluates the rule set and tracks per-rule firing
-	// state.
-	SLOEngine = health.Engine
-	// Alert is one SLO rule transition (firing or resolved) with its
-	// simulated timestamp, observed value and threshold.
-	Alert = telemetry.Alert
-)
-
-// The SLO rule kinds.
-const (
-	// RuleAbove breaches when the metric exceeds the threshold.
-	RuleAbove = health.RuleAbove
-	// RuleBelow breaches when the metric drops under the threshold.
-	RuleBelow = health.RuleBelow
-	// RuleBurnRate breaches when the deadline-miss budget burn rate
-	// over the sampler window exceeds the threshold factor.
-	RuleBurnRate = health.RuleBurnRate
 )
 
 // WithHealth attaches the device-health monitor to a facade-built
 // system: snapshot probes over every assembled layer, the SLO engine
 // hooked on the telemetry sampler, and (with HealthConfig.MonitorAddr
 // set) a live HTTP endpoint serving /metrics, /health and /alerts.
-// Implies default telemetry when WithTelemetry is not also given.
+// Implies default telemetry.
 func WithHealth(cfg HealthConfig) SystemOption { return system.WithHealth(cfg) }
 
 // DefaultSLORules builds the stock device SLO set: wear-spread
@@ -94,8 +57,8 @@ func WritePrometheus(w io.Writer, reg *MetricsRegistry, now SimTime) error {
 }
 
 // WriteHealthSnapshot renders a health snapshot as indented JSON —
-// the same byte-deterministic encoding the live /health endpoint and
-// HealthMonitor.WriteJSON produce.
+// the same byte-deterministic encoding the live /health endpoint
+// produces.
 func WriteHealthSnapshot(w io.Writer, s *HealthSnapshot) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")

@@ -111,7 +111,7 @@ func AblationDFTLCMT(seed int64) (*AblationResult, error) {
 	res := &AblationResult{Name: "dftl-cmt"}
 	for _, entries := range []int{64, 256, 1024, 4096, 1 << 20} {
 		dev := flash.New(sweepDevice(span*10/7, tr.PageSize))
-		f, err := ftl.NewDFTL(dev, ftl.DFTLConfig{CMTEntries: entries})
+		f, err := noftl.NewDFTL(dev, ftl.DFTLConfig{CMTEntries: entries})
 		if err != nil {
 			return nil, err
 		}

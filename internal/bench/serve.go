@@ -89,17 +89,6 @@ func (c ServeConfig) withDefaults() ServeConfig {
 
 func (c ServeConfig) payingN() int { return c.Workers / 4 }
 
-// ServeTagNames names the ablation's stream tags for blame tables,
-// flame stacks and Prometheus labels.
-func ServeTagNames() map[uint32]string {
-	return map[uint32]string{
-		TagPaying:       payingTenant,
-		TagBatch:        batchTenant,
-		tagWriters:      "writers",
-		tagCheckpointer: "ckpt",
-	}
-}
-
 // ServeTenantRow is one tenant's measurement under one admission
 // regime: the measured window's counted transactions (Retries are the
 // shed-and-retried plus lock-timeout attempts) and the controller's

@@ -1,4 +1,4 @@
-package ftl
+package ftl_test
 
 import (
 	"encoding/binary"
@@ -6,14 +6,20 @@ import (
 	"testing"
 	"testing/quick"
 
+	"noftl/internal/ftl"
 	"noftl/internal/nand"
+	"noftl/internal/noftl"
 	"noftl/internal/sim"
 )
 
-func newTestDFTL(t *testing.T, cmtEntries int) (*DFTL, *sim.ClockWaiter) {
+// DFTL is built in package noftl (the page-mapped die manager plus a
+// mapping cache); its FTL-level tests stay here with the other
+// comparison FTLs', in the external test package like pagemap_ref_test.go.
+
+func newTestDFTL(t *testing.T, cmtEntries int) (*noftl.DFTL, *sim.ClockWaiter) {
 	t.Helper()
 	dev := testDevice(nand.Options{})
-	f, err := NewDFTL(dev, DFTLConfig{OverProvision: 0.2, CMTEntries: cmtEntries})
+	f, err := noftl.NewDFTL(dev, ftl.DFTLConfig{OverProvision: 0.2, CMTEntries: cmtEntries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +84,7 @@ func TestDFTLMissesCauseMapReads(t *testing.T) {
 func TestDFTLLargeCMTBeatsSmallCMT(t *testing.T) {
 	run := func(entries int) int64 {
 		dev := testDevice(nand.Options{})
-		f, err := NewDFTL(dev, DFTLConfig{OverProvision: 0.2, CMTEntries: entries})
+		f, err := noftl.NewDFTL(dev, ftl.DFTLConfig{OverProvision: 0.2, CMTEntries: entries})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,30 +149,30 @@ func TestDFTLReadYourWritesProperty(t *testing.T) {
 	}
 	f := func(ops []op, seed int64) bool {
 		dev := testDevice(nand.Options{Seed: seed})
-		ftl, err := NewDFTL(dev, DFTLConfig{OverProvision: 0.2, CMTEntries: 32})
+		d, err := noftl.NewDFTL(dev, ftl.DFTLConfig{OverProvision: 0.2, CMTEntries: 32})
 		if err != nil {
 			return false
 		}
 		w := &sim.ClockWaiter{}
 		model := map[int64]int{}
-		n := ftl.LogicalPages()
+		n := d.LogicalPages()
 		for i, o := range ops {
 			lpn := int64(o.LPN) % n
 			if o.Kind%3 == 2 {
-				if err := ftl.Trim(w, lpn); err != nil {
+				if err := d.Trim(w, lpn); err != nil {
 					return false
 				}
 				delete(model, lpn)
 				continue
 			}
 			model[lpn] = i + 1
-			if err := ftl.Write(w, lpn, fillPage(256, lpn, i+1)); err != nil {
+			if err := d.Write(w, lpn, fillPage(256, lpn, i+1)); err != nil {
 				return false
 			}
 		}
 		buf := make([]byte, 256)
 		for lpn := int64(0); lpn < n; lpn++ {
-			if err := ftl.Read(w, lpn, buf); err != nil {
+			if err := d.Read(w, lpn, buf); err != nil {
 				return false
 			}
 			if binary.LittleEndian.Uint64(buf[8:]) != uint64(model[lpn]) {
@@ -177,41 +183,5 @@ func TestDFTLReadYourWritesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCMTCacheLRUOrder(t *testing.T) {
-	c := newCMTCache(2)
-	c.insert(1, false)
-	c.insert(2, false)
-	if !c.touch(1) { // 1 becomes MRU; LRU is 2
-		t.Fatal("touch(1) missed")
-	}
-	n, ok := c.lru()
-	if !ok || n.dlpn != 2 {
-		t.Fatalf("lru = %v, want 2", n)
-	}
-	c.remove(2)
-	c.insert(3, true)
-	if c.touch(2) {
-		t.Error("removed entry still cached")
-	}
-	n, _ = c.lru()
-	if n.dlpn != 1 {
-		t.Errorf("lru = %d, want 1", n.dlpn)
-	}
-}
-
-func TestCMTCleanPage(t *testing.T) {
-	c := newCMTCache(8)
-	for i := int64(0); i < 6; i++ {
-		c.insert(i, true)
-	}
-	c.cleanPage(0, 4) // cleans dlpn 0..3
-	for n := c.head.next; n != c.tail; n = n.next {
-		wantDirty := n.dlpn >= 4
-		if n.dirty != wantDirty {
-			t.Errorf("dlpn %d dirty=%v, want %v", n.dlpn, n.dirty, wantDirty)
-		}
 	}
 }

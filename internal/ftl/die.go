@@ -129,15 +129,6 @@ func (t *BlockTable) Usable() int { return t.usable }
 // FreeCount returns the number of free blocks in a plane.
 func (t *BlockTable) FreeCount(plane int) int { return len(t.free[plane]) }
 
-// TotalFree returns the number of free blocks in the die.
-func (t *BlockTable) TotalFree() int {
-	n := 0
-	for _, f := range t.free {
-		n += len(f)
-	}
-	return n
-}
-
 // AllocFree pops a free block from the plane (FIFO), marking it a
 // frontier of the given kind. ok=false when the plane has none.
 func (t *BlockTable) AllocFree(plane int, kind uint8) (local int, ok bool) {

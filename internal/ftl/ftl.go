@@ -1,11 +1,13 @@
-// Package ftl implements on-device flash translation layers over the
-// native flash device: DFTL (demand-based page mapping with a cached
-// mapping table and translation pages on flash) and FASTer (hybrid
-// log-block mapping with second-chance recycling), plus the die, block
-// and frontier bookkeeping every scheme shares. The pure page-mapping
-// FTL (the baseline "whole table cached" scheme) is configured here
-// (PageFTLConfig) but is the noftl die manager with its DBMS knowledge
-// switched off (noftl.NewPageFTL), run behind blockdev like the others.
+// Package ftl holds what the flash-management schemes share — the FTL
+// interface and its counters, die-wise striping, and the die, block and
+// frontier bookkeeping — plus the one comparison FTL with a mapping of
+// its own, FASTer (hybrid log-block mapping with second-chance
+// recycling), and SeqLog, the block-granular sequential mapper of native
+// log regions. The two page-mapped comparison FTLs are configured here
+// (PageFTLConfig, DFTLConfig) but built in package noftl, on its die
+// manager: pure page mapping is that manager with its DBMS knowledge
+// switched off (noftl.NewPageFTL), DFTL is pure page mapping with a
+// bounded mapping cache (noftl.NewDFTL). All three run behind blockdev.
 //
 // Following OpenSSD firmware practice, every FTL manages each die (bank)
 // independently; logical pages are striped over dies at page granularity.
@@ -144,11 +146,6 @@ func (st Striping) DieOf(lpn int64) int { return int(lpn % int64(st.Dies)) }
 // DieLPN converts a global LPN to the die-local LPN.
 func (st Striping) DieLPN(lpn int64) int64 { return lpn / int64(st.Dies) }
 
-// GlobalLPN converts a (die, dieLPN) pair back to the global LPN.
-func (st Striping) GlobalLPN(die int, dlpn int64) int64 {
-	return dlpn*int64(st.Dies) + int64(die)
-}
-
 // Total returns the exported logical capacity.
 func (st Striping) Total() int64 { return st.PerDie * int64(st.Dies) }
 
@@ -159,11 +156,6 @@ func (st Striping) checkRange(lpn int64) error {
 	}
 	return nil
 }
-
-// retryWait is the polling backoff an FTL uses when a plane is briefly
-// out of free blocks because another in-flight operation's GC has not
-// finished; see the package comment on synchronous state commits.
-const retryWait = 50 * sim.Microsecond
 
 func zero(buf []byte) {
 	for i := range buf {

@@ -63,7 +63,7 @@ func TestStripingMath(t *testing.T) {
 	for lpn := int64(0); lpn < 400; lpn += 37 {
 		die := st.DieOf(lpn)
 		dlpn := st.DieLPN(lpn)
-		if st.GlobalLPN(die, dlpn) != lpn {
+		if dlpn*int64(st.Dies)+int64(die) != lpn {
 			t.Fatalf("striping roundtrip failed for %d", lpn)
 		}
 	}
@@ -106,7 +106,8 @@ func TestDieSpaceMapping(t *testing.T) {
 func TestBlockTableLifecycle(t *testing.T) {
 	dev := testDevice(nand.Options{})
 	bt := NewBlockTable(NewDieSpace(dev, 0))
-	total := bt.TotalFree()
+	totalFree := func() int { return bt.FreeCount(0) + bt.FreeCount(1) }
+	total := totalFree()
 	if total != bt.Usable() {
 		t.Fatalf("free %d != usable %d on fresh table", total, bt.Usable())
 	}
@@ -131,7 +132,7 @@ func TestBlockTableLifecycle(t *testing.T) {
 		t.Error("MarkFull")
 	}
 	bt.Release(b)
-	if bt.Info[b].State != BlockFree || bt.TotalFree() != total {
+	if bt.Info[b].State != BlockFree || totalFree() != total {
 		t.Error("Release")
 	}
 	bt.Retire(b)

@@ -93,7 +93,7 @@ func TestDFTLSlowerThanPageMapInTime(t *testing.T) {
 	tPage := workload(pm, wA)
 
 	devB := testDevice(nand.Options{})
-	df, err := ftl.NewDFTL(devB, ftl.DFTLConfig{OverProvision: 0.2, CMTEntries: 32})
+	df, err := noftl.NewDFTL(devB, ftl.DFTLConfig{OverProvision: 0.2, CMTEntries: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,22 +16,28 @@ type PageFTL struct{ v *Volume }
 
 // NewPageFTL builds a page-mapping FTL over dev.
 func NewPageFTL(dev *flash.Device, cfg ftl.PageFTLConfig) (*PageFTL, error) {
+	v, err := newPageMappedVolume(dev, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &PageFTL{v: v}, nil
+}
+
+// newPageMappedVolume builds the volume both page-mapped comparison FTLs
+// run on (moved: see newVolume).
+func newPageMappedVolume(dev *flash.Device, cfg ftl.PageFTLConfig, moved func(sim.Waiter, int64) error) (*Volume, error) {
 	if cfg.OverProvision <= 0 {
 		cfg.OverProvision = 0.10
 	}
 	// Two frontiers per plane: with hints off and no delta path only the
 	// host and GC frontiers ever open.
-	v, err := newVolume(dev, Config{
+	return newVolume(dev, Config{
 		OverProvision:    cfg.OverProvision,
 		Policy:           cfg.Policy,
 		DisableWearLevel: !cfg.WearLevel,
 		WearDelta:        cfg.WearDelta,
 		DisableHints:     true,
-	}, 2)
-	if err != nil {
-		return nil, err
-	}
-	return &PageFTL{v: v}, nil
+	}, 2, moved)
 }
 
 // Name implements ftl.FTL.

@@ -185,6 +185,9 @@ type dieMgr struct {
 	gcActive      []bool
 	erasesSinceWL int
 	stats         ftl.Stats
+	// moved, when set, is told the global LPN of every page relocate has
+	// moved (see newVolume).
+	moved func(sim.Waiter, int64) error
 }
 
 // New builds a Volume over a native flash device (or, with cfg.Dies set,
@@ -192,13 +195,17 @@ type dieMgr struct {
 func New(dev *flash.Device, cfg Config) (*Volume, error) {
 	// Hot, cold, GC, delta and log: every frontier a hint or a delta
 	// append can open.
-	return newVolume(dev, cfg, 5)
+	return newVolume(dev, cfg, 5, nil)
 }
 
 // newVolume builds a Volume whose capacity reserve covers the given
 // number of per-plane write frontiers — how many its caller's use of the
-// volume can ever open (see logicalPages).
-func newVolume(dev *flash.Device, cfg Config, frontiers int) (*Volume, error) {
+// volume can ever open (see logicalPages). moved, when non-nil, is called
+// with the global LPN of each page garbage collection has relocated: the
+// one thing a mapping cache layered on the volume (NewDFTL) cannot see
+// from outside. It runs inside the collection, so it may read through
+// the volume but must not write to it.
+func newVolume(dev *flash.Device, cfg Config, frontiers int, moved func(sim.Waiter, int64) error) (*Volume, error) {
 	cfg = cfg.withDefaults()
 	geo := dev.Geometry()
 	dies := cfg.Dies
@@ -224,6 +231,7 @@ func newVolume(dev *flash.Device, cfg Config, frontiers int) (*Volume, error) {
 		if err != nil {
 			return nil, err
 		}
+		d.moved = moved
 		v.dies = append(v.dies, d)
 		if n := d.logicalPages(); n < perDie {
 			perDie = n
@@ -752,12 +760,39 @@ func (d *dieMgr) allocRelocTarget(srcPlane int) (nand.PPN, int, error) {
 	return 0, 0, fmt.Errorf("%w: die %d has no relocation room", ftl.ErrGCStuck, d.sp.Die)
 }
 
+// roomInPlane reports whether allocRelocTarget would stay in the plane:
+// its GC frontier has room, or it has a free block, or its host frontier
+// has room.
+func (d *dieMgr) roomInPlane(plane int) bool {
+	ppb := d.sp.PagesPerBlock()
+	return !d.gc[plane].Full(ppb) || d.bt.FreeCount(plane) > 0 || !d.hot[plane].Full(ppb)
+}
+
 // relocate moves one valid page: COPYBACK within the plane, read+program
 // across planes, retrying over grown bad blocks. The mapping move commits
 // at submission and rolls back if the copy fails.
+//
+// Nothing waits between taking a frontier page and submitting its
+// program: a frontier is shared — a borrowed plane's by that plane's own
+// collector and the host — and whoever takes the next page may submit
+// first, which NAND forbids (pages program in order within a block), while
+// a reader already sent to the committed target would find it erased. So
+// a move that has to leave the plane reads its source before it
+// allocates.
 func (d *dieMgr) relocate(w sim.Waiter, srcLocal, srcPage int, dlpn int64, plane int) error {
 	src := d.sp.PPN(srcLocal, srcPage)
+	var buf []byte // the source image, once a cross-plane move has read it
 	for {
+		if buf == nil && !d.roomInPlane(plane) {
+			d.stats.GCReads++
+			buf = make([]byte, d.sp.Geo().PageSize)
+			if _, err := d.devGC.ReadPage(w, src, buf); err != nil && !errors.Is(err, nand.ErrPageErased) {
+				return err
+			}
+			if d.bt.Info[srcLocal].Owners[srcPage] != dlpn {
+				return nil // rewritten or invalidated during the read: nothing left to move
+			}
+		}
 		dst, dstPlane, err := d.allocRelocTarget(plane)
 		if err != nil {
 			return err
@@ -777,19 +812,16 @@ func (d *dieMgr) relocate(w sim.Waiter, srcLocal, srcPage int, dlpn int64, plane
 				d.stats.GCCopybacks--
 			}
 		} else {
-			d.stats.GCReads++
-			buf := make([]byte, d.sp.Geo().PageSize)
-			if _, rerr := d.devGC.ReadPage(w, src, buf); rerr != nil && !errors.Is(rerr, nand.ErrPageErased) {
-				cerr = rerr
-			} else {
-				d.stats.GCWrites++
-				cerr = d.devGC.ProgramPage(w, dst, buf, oob)
-				if cerr != nil {
-					d.stats.GCWrites--
-				}
+			d.stats.GCWrites++
+			cerr = d.devGC.ProgramPage(w, dst, buf, oob)
+			if cerr != nil {
+				d.stats.GCWrites--
 			}
 		}
 		if cerr == nil {
+			if d.moved != nil {
+				return d.moved(w, d.globalLPN(dlpn))
+			}
 			return nil
 		}
 		d.bt.Invalidate(dl, dp)

@@ -226,7 +226,7 @@ func New(cfg Config, optFns ...Option) (_ *System, err error) {
 		// capacity ratio of SATA-era controllers, which is what makes
 		// DFTL's translation traffic visible (§3.1).
 		cmt := int(devCfg.Geometry.TotalPages() / 50)
-		f, err := ftl.NewDFTL(dev, ftl.DFTLConfig{CMTEntries: cmt})
+		f, err := noftl.NewDFTL(dev, ftl.DFTLConfig{CMTEntries: cmt})
 		if err != nil {
 			return nil, err
 		}

@@ -2,16 +2,20 @@
 // on native flash storage (Hardock, Petrov, Gottstein, Buchmann — EDBT
 // 2015).
 //
-// The package re-exports the user-facing pieces of the internal
-// implementation:
+// The package re-exports the pieces of the internal implementation
+// that code outside this module's internal/ tree uses — every exported
+// name here is selected by an example, a command or the benchmarks in
+// bench_test.go, or appears in the signature of one that is
+// (TestEveryFacadeNameHasAUser):
 //
+//   - the whole-stack builder (NewSystem, SystemConfig, the Stack
+//     names, WithPriorityScheduler, WithBackgroundGC, WithHealth),
 //   - the flash device emulator and its NAND model (NewDevice,
-//     DeviceConfig, EmulatorConfig, OpenSSDConfig),
+//     DeviceConfig, EmulatorConfig),
 //   - host-integrated flash management — the paper's contribution
 //     (NewVolume, VolumeConfig, RebuildVolume),
 //   - the Shore-MT-class storage engine (Format, Open, EngineConfig),
-//   - the TPC-B/-C/-E/-H workload generators and the FIO-style
-//     synthetic driver,
+//   - the TPC-B/-C/-E/-H workload generators,
 //   - the experiment drivers that regenerate every table and figure of
 //     the paper (Figure3, Figure4, Headline, Latency, Validate) plus
 //     the in-place-appends ablation (DeltaAblation).
@@ -35,28 +39,20 @@ import (
 
 // --- cross-layer I/O request descriptors ---
 
-type (
-	// Req is the cross-layer I/O request descriptor — the one struct
-	// that declares it: the waiter that experiences a request's latency
-	// plus the intent (scheduler class, stream tag, deadline, span) that
-	// travels with it from the workload layer down to the per-die
-	// command queues. A *Req is itself a Waiter: the descriptor is what
-	// goes down the plain-waiter device interface. Volume and log calls
-	// take it by value.
-	Req = ioreq.Req
-	// ReqClass is a request's declared scheduler class.
-	ReqClass = ioreq.Class
-)
+// Req is the cross-layer I/O request descriptor — the one struct that
+// declares it: the waiter that experiences a request's latency plus the
+// intent (scheduler class, stream tag, deadline, span) that travels with
+// it from the workload layer down to the per-die command queues. A *Req
+// is itself a Waiter: the descriptor is what goes down the plain-waiter
+// device interface. Volume and log calls take it by value.
+type Req = ioreq.Req
 
-// Request classes. ReqDefault declares nothing — the command's op type
-// decides (the per-class device view the volume issues it through).
+// Request classes a tenant can declare (TenantSpec.Class). The zero
+// class declares nothing — the command's op type decides (the per-class
+// device view the volume issues it through).
 const (
-	ReqDefault  = ioreq.ClassDefault
-	ReqRead     = ioreq.ClassRead
-	ReqWAL      = ioreq.ClassWAL
-	ReqProgram  = ioreq.ClassProgram
-	ReqPrefetch = ioreq.ClassPrefetch
-	ReqGC       = ioreq.ClassGC
+	ReqRead    = ioreq.ClassRead
+	ReqProgram = ioreq.ClassProgram
 )
 
 // NewReq wraps a bare waiter into an intent-free request descriptor.
@@ -73,16 +69,10 @@ type (
 	DeviceConfig = flash.Config
 	// Device is the native-flash device emulator.
 	Device = flash.Device
-	// DeviceIdentity is what the native IDENTIFY command returns.
-	DeviceIdentity = flash.Identity
 )
 
-// Cell technologies.
-const (
-	SLC = nand.SLC
-	MLC = nand.MLC
-	TLC = nand.TLC
-)
+// SLC is the cell technology of the paper's devices.
+const SLC = nand.SLC
 
 // NewDevice creates an emulated native-flash device.
 func NewDevice(cfg DeviceConfig) *Device { return flash.New(cfg) }
@@ -93,15 +83,9 @@ func EmulatorConfig(dies, capacityMB int, cell CellType) DeviceConfig {
 	return flash.EmulatorConfig(dies, capacityMB, cell)
 }
 
-// OpenSSDConfig approximates the OpenSSD research board the paper ports
-// NoFTL to.
-func OpenSSDConfig() DeviceConfig { return flash.OpenSSDConfig() }
-
 // --- simulation ---
 
 type (
-	// Kernel is the deterministic discrete-event simulation kernel.
-	Kernel = sim.Kernel
 	// Proc is a simulated process.
 	Proc = sim.Proc
 	// Waiter is how callers experience simulated latency: WaitUntil for
@@ -111,15 +95,11 @@ type (
 	// ClockWaiter is a serial virtual clock (single synchronous client).
 	ClockWaiter = sim.ClockWaiter
 	// ProcWaiter adapts a DES process to the Waiter interface
-	// (ProcWaiter{P: p} inside a Kernel.Go body).
+	// (ProcWaiter{P: p} inside a System.K.Go body).
 	ProcWaiter = sim.ProcWaiter
 	// SimTime is simulated time in nanoseconds.
 	SimTime = sim.Time
 )
-
-// NewRealWaiter maps simulated time onto the wall clock (the paper's
-// real-time emulator mode); scale > 1 runs faster than real time.
-func NewRealWaiter(scale float64) *sim.RealWaiter { return sim.NewRealWaiter(scale) }
 
 // --- NoFTL: the paper's contribution ---
 
@@ -129,16 +109,13 @@ type (
 	Volume = noftl.Volume
 	// VolumeConfig tunes a Volume.
 	VolumeConfig = noftl.Config
-	// PlacementHint steers hot/cold physical placement.
-	PlacementHint = noftl.Hint
 )
 
-// Placement hints.
+// Placement hints (Volume.WriteHint): separate write frontiers for
+// frequently and rarely updated pages.
 const (
-	HintDefault = noftl.HintDefault
-	HintHot     = noftl.HintHot
-	HintCold    = noftl.HintCold
-	HintLog     = noftl.HintLog
+	HintHot  = noftl.HintHot
+	HintCold = noftl.HintCold
 )
 
 // NewVolume creates a NoFTL volume over a native flash device.
@@ -163,8 +140,6 @@ type (
 	RegionSpec = region.Spec
 	// RegionClass identifies an object class for placement.
 	RegionClass = region.Class
-	// RegionStats is one region's reporting row (counters + occupancy).
-	RegionStats = region.RegionStats
 	// SeqLog is the block-granular sequential log mapper backing
 	// append-only regions (WAL hosting).
 	SeqLog = ftl.SeqLog
@@ -187,10 +162,6 @@ func RebuildRegionManager(dev *Device, layout RegionLayout, rq Req) (*RegionMana
 	return region.Rebuild(dev, layout, rq)
 }
 
-// DefaultDBLayout is the canonical database layout: a sequential log
-// region for the WAL plus a page-mapped data region for everything else.
-func DefaultDBLayout(logDies int) RegionLayout { return region.DefaultDBLayout(logDies) }
-
 // --- storage engine ---
 
 type (
@@ -205,16 +176,8 @@ type (
 	// waiter. Mandatory — a nil *IOCtx or a zero-value IOCtx{} panics at
 	// its first I/O; build one with NewIOCtx.
 	IOCtx = storage.IOCtx
-	// Tx is a transaction handle.
-	Tx = storage.Tx
-	// RID identifies a heap record.
-	RID = storage.RID
-	// WriterConfig configures background db-writers (§3.2).
-	WriterConfig = storage.WriterConfig
 	// WriterAssociation selects how db-writers divide the dirty pages.
 	WriterAssociation = storage.WriterAssociation
-	// PrefetcherConfig configures the background read-ahead pool.
-	PrefetcherConfig = storage.PrefetcherConfig
 )
 
 // Writer association strategies (§3.2, Figure 4).
@@ -250,12 +213,6 @@ type AppendLog = storage.AppendLog
 
 // NewFlashLog adapts a sequential log region for WAL hosting.
 func NewFlashLog(l *SeqLog) AppendLog { return storage.NewFlashLog(l) }
-
-// FormatFlashLog initializes a fresh database whose WAL lives on a
-// native append-only log region.
-func FormatFlashLog(ctx *IOCtx, dataVol EngineVolume, log AppendLog) error {
-	return storage.FormatFlashLog(ctx, dataVol, log)
-}
 
 // OpenFlashLog mounts a database whose WAL is hosted on a native
 // append-only log region (region-managed placement).
@@ -340,8 +297,6 @@ type (
 	SchedConfig = bench.SchedConfig
 	// SchedResult is the scheduling ablation outcome.
 	SchedResult = bench.SchedResult
-	// SchedMode names one regime of the scheduling ablation.
-	SchedMode = bench.SchedMode
 	// HTAPConfig / HTAPResult: the HTAP ablation (A8) — OLTP terminals
 	// vs analytical scans under buffer-pool and read-ahead policies.
 	HTAPConfig = bench.HTAPConfig
@@ -358,36 +313,11 @@ type (
 	// JSONReport collects machine-readable experiment results
 	// (noftlbench -json).
 	JSONReport = bench.JSONReport
-	// JSONResult is one measurement in a JSONReport.
-	JSONResult = bench.JSONResult
 )
 
-// Stream tags of the QoS demo's two tenants (QoSResult rows and blame
-// tables key on these).
-const (
-	// TagHighPriority marks the QoS demo's foreground tenant.
-	TagHighPriority = bench.TagHighPriority
-	// TagLowPriority marks the QoS demo's declared-low-priority tenant.
-	TagLowPriority = bench.TagLowPriority
-)
-
-// QoSTagNames names the QoS demo's stream tags (the two tenants plus
-// the background db-writer and checkpointer streams) for blame tables
-// and flame stacks.
-func QoSTagNames() map[uint32]string { return bench.QoSTagNames() }
-
-// Scheduling-ablation regimes (A7).
-const (
-	// SchedInline runs GC inline on the allocating path, FCFS dispatch.
-	SchedInline = bench.SchedInline
-	// SchedBackground moves GC to background workers, FCFS dispatch.
-	SchedBackground = bench.SchedBackground
-	// SchedPriorityMode adds the priority scheduler to background GC.
-	SchedPriorityMode = bench.SchedPriority
-	// SchedTagged adds per-request descriptors to the priority regime —
-	// the static-routing-vs-request-tags ablation column.
-	SchedTagged = bench.SchedTagged
-)
+// TagLowPriority is the stream tag of the QoS demo's declared-low-priority
+// tenant (QoSResult rows and blame tables key on it).
+const TagLowPriority = bench.TagLowPriority
 
 // Figure3 regenerates the paper's Figure-3 table.
 func Figure3(cfg Fig3Config) (*Fig3Result, error) { return bench.Figure3(cfg) }

@@ -15,10 +15,6 @@ type (
 	// IOTrace is a recorded page-level operation stream with its page
 	// size; Encode/Decode round-trip the binary trace format.
 	IOTrace = trace.Trace
-	// TraceOp is one traced page operation (kind + LPN).
-	TraceOp = trace.Op
-	// TraceOpKind is the operation type of a TraceOp.
-	TraceOpKind = trace.OpKind
 	// TraceRecorder wraps an engine volume, recording every page
 	// operation into its IOTrace while forwarding to the inner volume.
 	TraceRecorder = trace.Recorder
@@ -29,16 +25,6 @@ type (
 	// VolumeReplayTarget adapts an engine volume (e.g. System.Vol) as a
 	// replay target whose ops carry a full request descriptor.
 	VolumeReplayTarget = trace.VolumeTarget
-)
-
-// Traced operation kinds.
-const (
-	// TraceRead is a page read.
-	TraceRead = trace.OpRead
-	// TraceWrite is a page write.
-	TraceWrite = trace.OpWrite
-	// TraceTrim is a page deallocation hint.
-	TraceTrim = trace.OpTrim
 )
 
 // NewTraceRecorder wraps inner, recording every page operation.

@@ -24,31 +24,9 @@ type (
 	// ServeConfig configures a serving front: the tenant catalog and
 	// the admission-control regime.
 	ServeConfig = serve.Config
-	// ServeFront is the serving front: the tenant catalog, the stores,
-	// the admission controller and the session factory. Build one with
-	// System.StartServe.
-	ServeFront = serve.Front
-	// ServeStore is one named record store (a heap table plus its
-	// primary-key index) served by the front.
-	ServeStore = serve.Store
-	// Session is one tenant's handle on a store: a record/KV API whose
-	// every request passes admission and carries the tenant's request
-	// descriptor.
-	Session = serve.Session
 	// SessionTx is an open multi-operation transaction on a session
 	// (Session.Tx), admitted once as a unit.
 	SessionTx = serve.Txn
-	// AdmissionControl selects the front's admission regime.
-	AdmissionControl = serve.Control
-	// TenantState is the admission controller's per-tenant health
-	// ladder: Healthy, Deprioritized, or Shed.
-	TenantState = serve.TenantState
-	// ServeStats is the front-wide admission accounting (sessions,
-	// admitted, deprioritized, shed).
-	ServeStats = serve.Stats
-	// TenantStats is one tenant's admission accounting: decision
-	// counters, escalation/relaxation transitions and the current state.
-	TenantStats = serve.TenantStats
 )
 
 // Admission-control regimes.
@@ -64,28 +42,9 @@ const (
 	ControlFull = serve.ControlFull
 )
 
-// Tenant health states of the admission ladder.
-const (
-	// TenantHealthy: admitted at the declared class.
-	TenantHealthy = serve.Healthy
-	// TenantDeprioritized: admitted, but at the degraded class.
-	TenantDeprioritized = serve.Deprioritized
-	// TenantShed: over-rate requests are rejected with ErrShed.
-	TenantShed = serve.Shed
-)
-
-// Serving-front errors.
-var (
-	// ErrShed marks a request rejected by admission control; the client
-	// should back off and retry.
-	ErrShed = serve.ErrShed
-	// ErrUnknownTenant marks a session request for a tenant not in the
-	// catalog.
-	ErrUnknownTenant = serve.ErrUnknownTenant
-	// ErrUnknownStore marks a session request for a store that was never
-	// created.
-	ErrUnknownStore = serve.ErrUnknownStore
-)
+// ErrShed marks a request rejected by admission control; the client
+// should back off and retry.
+var ErrShed = serve.ErrShed
 
 // --- the serving-front admission ablation ---
 
@@ -99,21 +58,6 @@ type (
 	// ServeAblationResult is the ablation outcome: the uncontended
 	// reference plus one row per admission regime.
 	ServeAblationResult = bench.ServeResult
-	// ServeAblationRow is one admission regime's measurement.
-	ServeAblationRow = bench.ServeRow
-	// ServeTenantRow is one tenant's measurement under one regime:
-	// throughput, commit tail, deadline misses and the admission
-	// controller's decision counters.
-	ServeTenantRow = bench.ServeTenantRow
-)
-
-// Stream tags of the serving ablation's tenants (blame tables and
-// Prometheus labels key on these).
-const (
-	// TagPaying marks the ablation's compliant, latency-sensitive tenant.
-	TagPaying = bench.TagPaying
-	// TagBatch marks the ablation's aggressive closed-loop tenant.
-	TagBatch = bench.TagBatch
 )
 
 // ServeAblation runs the serving-front admission ablation: the same
@@ -124,8 +68,3 @@ const (
 func ServeAblation(cfg ServeAblationConfig) (*ServeAblationResult, error) {
 	return bench.Serve(cfg)
 }
-
-// ServeTagNames names the serving ablation's stream tags (the two
-// tenants plus the background db-writer and checkpointer streams) for
-// blame tables and flame stacks.
-func ServeTagNames() map[uint32]string { return bench.ServeTagNames() }
