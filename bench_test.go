@@ -90,10 +90,10 @@ func BenchmarkHeadline_TPS_Stacks(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(res.NoFTLSpeedupOverFaster(), "noftl_vs_faster")
-			b.ReportMetric(res.DFTLSlowdownVsPagemap(), "pagemap_vs_dftl")
+			b.ReportMetric(res.Ratio("noftl", "faster", noftl.TPS), "noftl_vs_faster")
+			b.ReportMetric(res.Ratio("pagemap", "dftl", noftl.TPS), "pagemap_vs_dftl")
 			for _, row := range res.Rows {
-				b.ReportMetric(row.Result.TPS, "tps_"+string(row.Stack))
+				b.ReportMetric(row.Result.TPS, "tps_"+row.Name)
 			}
 		}
 	}

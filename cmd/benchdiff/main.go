@@ -1,35 +1,21 @@
-// Command benchdiff compares two noftlbench -json reports and flags
-// per-metric regressions, so perf trajectories (the BENCH_*.json
-// files) gate changes instead of being eyeballed.
+// Command benchdiff explains how two noftlbench -json reports differ,
+// so a BENCH_*.json gate that fails its byte comparison says which rows
+// and fields moved.
 //
-// Rows are matched by (experiment, workload, stack, mode); rows present
-// in only one report are listed but never fail the diff. A matched row
-// breaches when throughput drops, or commit p99 / write amplification
-// rises, by more than the corresponding threshold fraction. Any breach
-// exits nonzero (CI runs it as a soft gate via continue-on-error).
-//
-// Blame-share columns (blame_shares in blame-enabled reports) are
-// compared warn-only: a culprit class whose share of blamed queue wait
-// moved by more than -blame-shift points prints "warn" but never counts
-// as a breach — shifting blame composition is a diagnosis lead, not a
-// regression by itself.
-//
-// Per-tenant commit p99 columns (tenant_p99_us in serve rows) are
-// likewise warn-only: a tenant whose tail drifted by more than the
-// -tenant-p99 fraction prints "warn". The serve ablation's hard gates
-// stay the aggregate tps/p99 thresholds; the per-tenant split tells you
-// *which* tenant moved (the paying tenant drifting is a protection
-// regression lead, the batch tenant drifting usually just reflects
-// admission-control tuning).
+// Rows are matched by (experiment, workload, stack, mode). For each
+// matched row every JSON field that differs is listed with its base and
+// new value and, for numbers, the delta; map fields are compared entry
+// by entry (blame_shares/<class>, tenant_p99_us/<tenant>). Rows present
+// in only one report are listed as added or dropped.
 //
 // Usage:
 //
-//	benchdiff [-tps-drop 0.15] [-p99-rise 0.30] [-wa-rise 0.10] [-blame-shift 0.10] [-tenant-p99 0.25] baseline.json new.json
+//	benchdiff baseline.json new.json
 //
-// Exit status: 0 no regressions, 1 regression(s) past threshold,
-// 2 usage or malformed-input errors, 3 an input file does not exist (a
-// missing baseline is "nothing to compare against yet", not a match
-// failure — CI treats it differently from a breach).
+// Exit status: 0 the reports match, 1 a matched row differs or a row was
+// added or dropped, 2 usage or malformed-input errors, 3 an input file
+// does not exist (a missing baseline is "nothing to compare against
+// yet", not a difference — CI treats it differently).
 package main
 
 import (
@@ -37,20 +23,19 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
+	"strconv"
 
-	"noftl/internal/bench"
 	"noftl/internal/stats"
 )
 
 // Exit codes.
 const (
-	exitOK         = 0
-	exitRegression = 1
-	exitUsage      = 2
-	exitMissing    = 3
+	exitOK      = 0
+	exitDiffer  = 1
+	exitUsage   = 2
+	exitMissing = 3
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -58,19 +43,11 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		tpsDrop    = fs.Float64("tps-drop", 0.15, "max allowed TPS drop (fraction)")
-		p99Rise    = fs.Float64("p99-rise", 0.30, "max allowed commit-p99 rise (fraction)")
-		waRise     = fs.Float64("wa-rise", 0.10, "max allowed write-amplification rise (fraction)")
-		blameShift = fs.Float64("blame-shift", 0.10, "blame-share shift (absolute points) that prints a warn-only note")
-		tenantP99  = fs.Float64("tenant-p99", 0.25, "per-tenant commit-p99 drift (fraction, either direction) that prints a warn-only note")
-	)
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
 	if fs.NArg() != 2 {
-		fmt.Fprintln(stderr, "usage: benchdiff [flags] baseline.json new.json")
-		fs.PrintDefaults()
+		fmt.Fprintln(stderr, "usage: benchdiff baseline.json new.json")
 		return exitUsage
 	}
 
@@ -96,48 +73,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 
-	baseRows := index(base)
-	breaches := 0
-	t := stats.NewTable("row", "metric", "base", "new", "delta", "limit", "verdict")
-	for _, nr := range next.Results {
-		k := key(nr)
+	baseRows := make(map[string]row, len(base))
+	for _, r := range base {
+		baseRows[r.key()] = r
+	}
+	diffs := 0
+	t := stats.NewTable("row", "field", "base", "new", "delta")
+	for _, nr := range next {
+		k := nr.key()
 		br, ok := baseRows[k]
 		if !ok {
-			t.Row(k, "-", "-", "-", "-", "-", "new row")
+			t.Row(k, "new row", "-", "-", "-")
+			diffs++
 			continue
 		}
 		delete(baseRows, k)
-		for _, c := range []struct {
-			metric     string
-			base, next float64
-			// rise is the regression direction: true when bigger is worse.
-			rise  bool
-			limit float64
-		}{
-			{"tps", br.TPS, nr.TPS, false, *tpsDrop},
-			{"commit_p99_us", br.CommitP99us, nr.CommitP99us, true, *p99Rise},
-			{"wa", br.WA, nr.WA, true, *waRise},
-		} {
-			if c.base <= 0 || c.next <= 0 {
-				continue // metric absent in one report: nothing to compare
-			}
-			delta := c.next/c.base - 1
-			worse := delta
-			if !c.rise {
-				worse = -delta
-			}
-			verdict := "ok"
-			if worse > c.limit {
-				verdict = "REGRESSION"
-				breaches++
-			}
-			t.Row(k, c.metric,
-				fmt.Sprintf("%.4g", c.base), fmt.Sprintf("%.4g", c.next),
-				fmt.Sprintf("%+.1f%%", 100*delta), fmt.Sprintf("%.0f%%", 100*c.limit),
-				verdict)
+		names := make([]string, 0, len(br)+len(nr))
+		for f := range br {
+			names = append(names, f)
 		}
-		blameRows(t, k, br.BlameShares, nr.BlameShares, *blameShift)
-		tenantRows(t, k, br.TenantP99us, nr.TenantP99us, *tenantP99)
+		for f := range nr {
+			if _, ok := br[f]; !ok {
+				names = append(names, f)
+			}
+		}
+		sort.Strings(names)
+		for _, f := range names {
+			if b, n := br[f], nr[f]; b != n {
+				t.Row(k, f, show(b), show(n), delta(b, n))
+				diffs++
+			}
+		}
 	}
 	dropped := make([]string, 0, len(baseRows))
 	for k := range baseRows {
@@ -145,104 +111,78 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	sort.Strings(dropped)
 	for _, k := range dropped {
-		t.Row(k, "-", "-", "-", "-", "-", "row dropped")
+		t.Row(k, "row dropped", "-", "-", "-")
+		diffs++
 	}
-	fmt.Fprint(stdout, t.String())
 
-	if breaches > 0 {
-		fmt.Fprintf(stdout, "\n%d regression(s) past threshold\n", breaches)
-		return exitRegression
+	if diffs == 0 {
+		fmt.Fprintln(stdout, "reports match")
+		return exitOK
 	}
-	fmt.Fprintln(stdout, "\nno regressions past thresholds")
-	return exitOK
+	fmt.Fprintf(stdout, "%s\n%d difference(s)\n", t.String(), diffs)
+	return exitDiffer
 }
 
-// blameRows adds one warn-only row per culprit class whose share of the
-// row's blamed queue wait shifted. Shifts never count as breaches: a
-// changed blame composition is where to look, not proof of a regression.
-func blameRows(t *stats.Table, k string, base, next map[string]float64, shift float64) {
-	if len(base) == 0 || len(next) == 0 {
-		return // either side ran without blame: nothing to compare
-	}
-	classes := make([]string, 0, len(base)+len(next))
-	for c := range base {
-		classes = append(classes, c)
-	}
-	for c := range next {
-		if _, ok := base[c]; !ok {
-			classes = append(classes, c)
-		}
-	}
-	sort.Strings(classes)
-	for _, c := range classes {
-		delta := next[c] - base[c]
-		verdict := "ok"
-		if math.Abs(delta) > shift {
-			verdict = "warn"
-		}
-		t.Row(k, "blame_share/"+c,
-			fmt.Sprintf("%.1f%%", 100*base[c]), fmt.Sprintf("%.1f%%", 100*next[c]),
-			fmt.Sprintf("%+.1fpp", 100*delta), fmt.Sprintf("%.0fpp", 100*shift),
-			verdict)
-	}
-}
+// row is one report row's JSON fields, map entries flattened to
+// "field/key"; an omitted field is absent.
+type row map[string]any
 
-// tenantRows adds one warn-only row per tenant whose commit p99 drifted
-// past the threshold in either direction (serve rows carry the
-// per-tenant split). Drifts never count as breaches — the aggregate
-// gates decide; these columns say which tenant to look at.
-func tenantRows(t *stats.Table, k string, base, next map[string]float64, drift float64) {
-	if len(base) == 0 || len(next) == 0 {
-		return // either side has no per-tenant split: nothing to compare
-	}
-	tenants := make([]string, 0, len(base))
-	for name := range base {
-		if _, ok := next[name]; ok {
-			tenants = append(tenants, name)
-		}
-	}
-	sort.Strings(tenants)
-	for _, name := range tenants {
-		b, n := base[name], next[name]
-		if b <= 0 || n <= 0 {
-			continue
-		}
-		delta := n/b - 1
-		verdict := "ok"
-		if math.Abs(delta) > drift {
-			verdict = "warn"
-		}
-		t.Row(k, "tenant_p99_us/"+name,
-			fmt.Sprintf("%.4g", b), fmt.Sprintf("%.4g", n),
-			fmt.Sprintf("%+.1f%%", 100*delta), fmt.Sprintf("%.0f%%", 100*drift),
-			verdict)
-	}
-}
-
-func load(path string) (*bench.JSONReport, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r bench.JSONReport
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, nil
-}
-
-func key(r bench.JSONResult) string {
-	k := r.Experiment + "/" + r.Workload + "/" + r.Stack
-	if r.Mode != "" {
-		k += "/" + r.Mode
+func (r row) key() string {
+	k := r.str("experiment") + "/" + r.str("workload") + "/" + r.str("stack")
+	if m := r.str("mode"); m != "" {
+		k += "/" + m
 	}
 	return k
 }
 
-func index(r *bench.JSONReport) map[string]bench.JSONResult {
-	m := make(map[string]bench.JSONResult, len(r.Results))
-	for _, row := range r.Results {
-		m[key(row)] = row
+func (r row) str(field string) string {
+	s, _ := r[field].(string)
+	return s
+}
+
+func load(path string) ([]row, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	return m
+	var rep struct{ Results []map[string]any }
+	if err := json.Unmarshal(b, &rep); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	rows := make([]row, len(rep.Results))
+	for i, res := range rep.Results {
+		rows[i] = row{}
+		for f, v := range res {
+			m, ok := v.(map[string]any)
+			if !ok {
+				rows[i][f] = v
+				continue
+			}
+			for e, ev := range m {
+				rows[i][f+"/"+e] = ev
+			}
+		}
+	}
+	return rows, nil
+}
+
+// show renders a field value ("-" when absent; numbers exactly).
+func show(v any) string {
+	switch v := v.(type) {
+	case nil:
+		return "-"
+	case float64:
+		return strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	return fmt.Sprint(v)
+}
+
+// delta is new minus base when both are numbers.
+func delta(b, n any) string {
+	bf, ok1 := b.(float64)
+	nf, ok2 := n.(float64)
+	if !ok1 || !ok2 {
+		return "-"
+	}
+	return fmt.Sprintf("%+g", nf-bf)
 }

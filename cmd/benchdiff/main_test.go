@@ -89,84 +89,68 @@ func TestUsageExitCode(t *testing.T) {
 	}
 }
 
-// TestExitCodes: clean diff exits 0; a breach past threshold exits 1.
+// TestExitCodes: identical reports exit 0; a matched row with any field
+// moved exits 1 and lists that field with base, new and delta.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	base := writeReport(t, dir, "base.json", bench.JSONReport{
 		Results: []bench.JSONResult{result("e", "w", "noftl", 100, 50, 1.1)},
 	})
 	same := writeReport(t, dir, "same.json", bench.JSONReport{
-		Results: []bench.JSONResult{result("e", "w", "noftl", 101, 49, 1.1)},
+		Results: []bench.JSONResult{result("e", "w", "noftl", 100, 50, 1.1)},
 	})
 	slow := writeReport(t, dir, "slow.json", bench.JSONReport{
-		Results: []bench.JSONResult{result("e", "w", "noftl", 50, 50, 1.1)},
+		Results: []bench.JSONResult{result("e", "w", "noftl", 99.5, 50, 1.1)},
 	})
 	var out, errBuf strings.Builder
 	if code := run([]string{base, same}, &out, &errBuf); code != exitOK {
 		t.Fatalf("clean diff exit = %d, want %d\n%s", code, exitOK, out.String())
 	}
 	out.Reset()
-	if code := run([]string{base, slow}, &out, &errBuf); code != exitRegression {
-		t.Fatalf("regression exit = %d, want %d\n%s", code, exitRegression, out.String())
+	if code := run([]string{base, slow}, &out, &errBuf); code != exitDiffer {
+		t.Fatalf("changed-row exit = %d, want %d\n%s", code, exitDiffer, out.String())
 	}
-	if !strings.Contains(out.String(), "REGRESSION") {
-		t.Fatalf("breach must be marked in the table:\n%s", out.String())
+	if !strings.Contains(out.String(), "e/w/noftl  tps    100   99.5  -0.5") {
+		t.Fatalf("changed field must be listed with base, new and delta:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "commit_p99_us") {
+		t.Fatalf("unchanged fields listed:\n%s", out.String())
 	}
 }
 
-// TestTenantP99WarnOnly: serve rows carry a per-tenant commit-p99 split;
-// a tenant drifting past -tenant-p99 prints a warn row but never exits
-// nonzero — the aggregate thresholds stay the only hard gates.
-func TestTenantP99WarnOnly(t *testing.T) {
+// TestChangedMapEntryPrinted: map fields compare entry by entry — a
+// serve row whose paying tenant's p99 moved lists tenant_p99_us/paying
+// and nothing for the unchanged batch entry.
+func TestChangedMapEntryPrinted(t *testing.T) {
 	dir := t.TempDir()
-	serveRow := func(paying, batch float64) bench.JSONResult {
+	serveRow := func(paying float64) bench.JSONResult {
 		r := result("serve", "kv", "noftl-regions", 20000, 3000, 0)
 		r.Mode = "rate-limit+shed"
-		r.TenantP99us = map[string]float64{"paying": paying, "batch": batch}
+		r.TenantP99us = map[string]float64{"paying": paying, "batch": 50000}
 		return r
 	}
 	base := writeReport(t, dir, "base.json", bench.JSONReport{
-		Results: []bench.JSONResult{serveRow(3000, 50000)},
+		Results: []bench.JSONResult{serveRow(3000)},
 	})
-	drifted := writeReport(t, dir, "drifted.json", bench.JSONReport{
-		Results: []bench.JSONResult{serveRow(5000, 51000)},
+	moved := writeReport(t, dir, "moved.json", bench.JSONReport{
+		Results: []bench.JSONResult{serveRow(5000)},
 	})
 	var out, errBuf strings.Builder
-	if code := run([]string{base, drifted}, &out, &errBuf); code != exitOK {
-		t.Fatalf("tenant drift must stay warn-only, exit = %d\n%s", code, out.String())
+	if code := run([]string{base, moved}, &out, &errBuf); code != exitDiffer {
+		t.Fatalf("changed map entry exit = %d, want %d\n%s", code, exitDiffer, out.String())
 	}
 	report := out.String()
-	if !strings.Contains(report, "tenant_p99_us/paying") {
-		t.Fatalf("per-tenant rows missing:\n%s", report)
+	if !strings.Contains(report, "serve/kv/noftl-regions/rate-limit+shed  tenant_p99_us/paying  3000  5000  +2000") {
+		t.Fatalf("changed tenant entry missing:\n%s", report)
 	}
-	payingLine := ""
-	batchLine := ""
-	for _, line := range strings.Split(report, "\n") {
-		if strings.Contains(line, "tenant_p99_us/paying") {
-			payingLine = line
-		}
-		if strings.Contains(line, "tenant_p99_us/batch") {
-			batchLine = line
-		}
-	}
-	if !strings.Contains(payingLine, "warn") {
-		t.Fatalf("paying tenant drifted +67%% but was not flagged: %q", payingLine)
-	}
-	if !strings.Contains(batchLine, "ok") || strings.Contains(batchLine, "warn") {
-		t.Fatalf("batch tenant moved +2%% but was flagged: %q", batchLine)
-	}
-	// Tightening the threshold flags both; the exit code still stays 0.
-	out.Reset()
-	if code := run([]string{"-tenant-p99", "0.01", base, drifted}, &out, &errBuf); code != exitOK {
-		t.Fatalf("warn-only rows must never breach, exit = %d", code)
-	}
-	if got := strings.Count(out.String(), "warn"); got < 2 {
-		t.Fatalf("tight threshold should warn on both tenants, got %d warns:\n%s", got, out.String())
+	if strings.Contains(report, "tenant_p99_us/batch") || !strings.Contains(report, "1 difference(s)") {
+		t.Fatalf("only the paying entry moved:\n%s", report)
 	}
 }
 
 // TestDroppedRowsSorted: rows present only in the baseline come from a
-// map; the report must list them in sorted order so reruns diff clean.
+// map; the report must list them in sorted order so reruns diff clean,
+// and a dropped row is a difference.
 func TestDroppedRowsSorted(t *testing.T) {
 	dir := t.TempDir()
 	base := writeReport(t, dir, "base.json", bench.JSONReport{
@@ -178,8 +162,8 @@ func TestDroppedRowsSorted(t *testing.T) {
 	})
 	next := writeReport(t, dir, "next.json", bench.JSONReport{})
 	var first strings.Builder
-	if code := run([]string{base, next}, &first, &strings.Builder{}); code != exitOK {
-		t.Fatalf("dropped-only diff should not breach, exit = %d", code)
+	if code := run([]string{base, next}, &first, &strings.Builder{}); code != exitDiffer {
+		t.Fatalf("dropped rows exit = %d, want %d", code, exitDiffer)
 	}
 	za, zm, zz := strings.Index(first.String(), "alpha"),
 		strings.Index(first.String(), "mid"), strings.Index(first.String(), "zeta")

@@ -313,7 +313,7 @@ func (a *app) headline() error {
 		a.printf("Headline (%s): end-to-end TPS by storage stack\n%s", wl, res.Table())
 		res.AddTo(a.report)
 		a.printf("NoFTL vs FASTer: %.2fx   pagemap vs DFTL: %.2fx\n\n",
-			res.NoFTLSpeedupOverFaster(), res.DFTLSlowdownVsPagemap())
+			res.Ratio("noftl", "faster", noftl.TPS), res.Ratio("pagemap", "dftl", noftl.TPS))
 	}
 	return nil
 }
@@ -349,7 +349,7 @@ func (a *app) delta() error {
 		}
 		a.printf("Ablation A5 (%s): in-place appends (delta writes) vs full-page NoFTL vs FTL\n%s", wl, res.Table())
 		a.printf("delta-NoFTL programs %.0f%% of full-page NoFTL's flash bytes per tx\n\n",
-			100*res.BytesPerTxRatio())
+			100*res.Ratio("noftl-delta", "noftl", noftl.BytesPerTx))
 		res.AddTo(a.report)
 	}
 	return nil
@@ -365,8 +365,11 @@ func (a *app) regions() error {
 		if rt := res.RegionTable(); rt != "" {
 			a.printf("per-region breakdown (noftl-regions):\n%s", rt)
 		}
+		regions, single := res.Row("noftl-regions").Result.FTL, res.Row("noftl-single").Result.FTL
 		a.printf("regions vs single-policy: %.2fx erases, WA %+.3f, %.2fx TPS\n\n",
-			res.EraseRatio(), -res.WADelta(), res.TPSRatio())
+			res.Ratio("noftl-regions", "noftl-single", noftl.ErasesPerKTx),
+			regions.WriteAmplification()-single.WriteAmplification(),
+			res.Ratio("noftl-regions", "noftl-single", noftl.TPS))
 		res.AddTo(a.report)
 	}
 	return nil
@@ -391,8 +394,11 @@ func (a *app) sched() error {
 	a.printf("Ablation A7 (tpcb): inline GC vs background GC vs priority scheduling vs per-request tags\n%s", res.Table())
 	a.printf("\nper-class queue waits:\n%s", res.WaitTable())
 	a.printf("bg-gc+prio vs inline-gc: %.2fx TPS, %.2fx p99 commit, %.2fx p99 read\n",
-		res.TPSRatio(), res.CommitP99Ratio(), res.ReadP99Ratio())
-	a.printf("per-request tags vs static routing: %.2fx p99 commit\n\n", res.TaggedCommitP99Ratio())
+		res.Ratio("bg-gc+prio", "inline-gc", noftl.TPS),
+		res.Ratio("bg-gc+prio", "inline-gc", noftl.CommitP99),
+		res.Ratio("bg-gc+prio", "inline-gc", noftl.ReadP99))
+	a.printf("per-request tags vs static routing: %.2fx p99 commit\n\n",
+		res.Ratio("bg-gc+prio+tagged", "bg-gc+prio", noftl.CommitP99))
 	res.AddTo(a.report)
 	if healthOn {
 		a.printf("device health:\n%s", res.HealthTable())
@@ -407,7 +413,7 @@ func (a *app) sched() error {
 	// Export the last mode's run: the fully scheduled,
 	// descriptor-dispatched regime.
 	last := &res.Rows[len(res.Rows)-1]
-	return a.export(string(last.Mode), &last.Observed)
+	return a.export(last.Name, &last.Observed)
 }
 
 func (a *app) htap() error {
@@ -417,10 +423,12 @@ func (a *app) htap() error {
 	}
 	a.printf("Ablation A8 (tpcb+tpch): naive shared pool vs scan-resistant vs scan-resistant + prefetch\n%s", res.Table())
 	a.printf("scan-resist+prefetch vs naive: %.2fx OLTP TPS, %.2fx p99 commit, %.2fx scan rows/s\n\n",
-		res.TPSRatio(), res.CommitP99Ratio(), res.ScanRatio())
+		res.Ratio("scan-resist+prefetch", "naive", noftl.TPS),
+		res.Ratio("scan-resist+prefetch", "naive", noftl.CommitP99),
+		res.Ratio("scan-resist+prefetch", "naive", noftl.ScanRowsPerS))
 	res.AddTo(a.report)
 	last := &res.Rows[len(res.Rows)-1]
-	return a.export(string(last.Mode), &last.Observed)
+	return a.export(last.Name, &last.Observed)
 }
 
 func (a *app) qos() error {
@@ -451,20 +459,23 @@ func (a *app) serve() error {
 	}
 	a.printf("Serving front: record sessions under admission control\n")
 	a.printf("(uncontended reference, then no-control vs rate-limit vs rate-limit+shed)\n%s", res.Table())
+	protection := func(regime string) float64 {
+		return res.Ratio(regime, "uncontended", noftl.PayingCommitP99)
+	}
 	a.printf("paying p99 vs uncontended: no-control %.2fx, rate-limit %.2fx, rate-limit+shed %.2fx\n",
-		res.ProtectionRatio(noftl.ControlNone.String()),
-		res.ProtectionRatio(noftl.ControlRateLimit.String()),
-		res.ProtectionRatio(noftl.ControlFull.String()))
+		protection(noftl.ControlNone.String()),
+		protection(noftl.ControlRateLimit.String()),
+		protection(noftl.ControlFull.String()))
 	full := res.Row(noftl.ControlFull.String())
-	a.printf("full regime: %d admitted, %d deprioritized, %d shed\n\n",
-		full.Front.Admitted, full.Front.Deprioritized, full.Front.Shed)
+	st := full.Front.Stats()
+	a.printf("full regime: %d admitted, %d deprioritized, %d shed\n\n", st.Admitted, st.Deprioritized, st.Shed)
 	res.AddTo(a.report)
 	// The serving front always carries telemetry (the burn guard needs
 	// it); its summaries print only when observability was asked for.
 	if a.obsDir == "" {
 		return nil
 	}
-	return a.export(full.Mode, &full.Observed)
+	return a.export(full.Name, &full.Observed)
 }
 
 func (a *app) ablations() error {

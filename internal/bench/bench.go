@@ -8,11 +8,14 @@
 // Params.build assembles its system through system.New, execute (run.go)
 // owns the load → reset → start → warm/settle/measure → drain lifecycle
 // and returns one RunResult, and JSONReport.Add turns a RunResult into a
-// machine-readable row. The drivers only describe what differs.
+// machine-readable row. A multi-run experiment is a variant list that
+// Params.runVariants (rows.go) measures into one Rows. The drivers only
+// describe what differs.
 package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"noftl/internal/flash"
 	"noftl/internal/nand"
@@ -107,6 +110,7 @@ func orDefault[T int | int64 | sim.Time | float64](v, def T) T {
 // log is the run's command timeline (nil unless TraceCmds or Blame
 // asked for one).
 func (p Params) build(stack system.Stack, opts ...system.Option) (*system.System, *trace.CmdLog, error) {
+	opts = slices.Clip(opts) // variants share option lists: never append into one
 	if p.Telemetry != nil {
 		opts = append(opts, system.WithTelemetry(*p.Telemetry))
 	}

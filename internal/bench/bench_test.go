@@ -238,10 +238,10 @@ func TestHeadlineSmokeShape(t *testing.T) {
 	}
 	// The paper's ordering: NoFTL beats the hybrid FTL stack; the
 	// thrashing-CMT DFTL trails pure page mapping.
-	if sp := res.NoFTLSpeedupOverFaster(); sp <= 1.0 {
+	if sp := res.Ratio("noftl", "faster", TPS); sp <= 1.0 {
 		t.Errorf("NoFTL/FASTer speedup = %.2f, want > 1\n%s", sp, res.Table())
 	}
-	if sl := res.DFTLSlowdownVsPagemap(); sl <= 1.0 {
+	if sl := res.Ratio("pagemap", "dftl", TPS); sl <= 1.0 {
 		t.Errorf("pagemap/DFTL = %.2f, want > 1\n%s", sl, res.Table())
 	}
 	if !strings.Contains(res.Table(), "noftl") {

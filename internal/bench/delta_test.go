@@ -20,9 +20,9 @@ func TestDeltaAblationWritesFewerBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := res.Row(system.StackNoFTL)
-	dl := res.Row(system.StackNoFTLDelta)
-	faster := res.Row(system.StackFaster)
+	full := res.Row(string(system.StackNoFTL))
+	dl := res.Row(string(system.StackNoFTLDelta))
+	faster := res.Row(string(system.StackFaster))
 	if full == nil || dl == nil || faster == nil {
 		t.Fatalf("missing stacks in %+v", res.Rows)
 	}
@@ -40,7 +40,7 @@ func TestDeltaAblationWritesFewerBytes(t *testing.T) {
 	if full.Result.FTL.DeltaWrites != 0 {
 		t.Fatal("full-page stack performed delta writes")
 	}
-	ratio := res.BytesPerTxRatio()
+	ratio := res.Ratio(string(system.StackNoFTLDelta), string(system.StackNoFTL), (*RunResult).BytesPerTx)
 	if ratio <= 0 || ratio >= 1 {
 		t.Fatalf("delta path programs %.2fx the flash bytes per tx of full pages (want < 1.0); "+
 			"full %.0f B/tx, delta %.0f B/tx", ratio, full.Result.BytesPerTx(), dl.Result.BytesPerTx())

@@ -21,7 +21,7 @@ import (
 
 func tinyHealthConfig(seed int64) SchedConfig {
 	cfg := tinySchedConfig(seed)
-	cfg.Modes = []SchedMode{SchedTagged}
+	cfg.Modes = []string{"bg-gc+prio+tagged"}
 	cfg.Telemetry = &telemetry.Config{SampleEvery: 25 * sim.Millisecond}
 	cfg.Health = &health.Config{Rules: health.DefaultRules(64, 4, 50_000, 0.05)}
 	return cfg

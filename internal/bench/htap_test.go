@@ -31,39 +31,40 @@ func TestHTAPAblationSmoke(t *testing.T) {
 	}
 	for i := range res.Rows {
 		row := &res.Rows[i]
+		scan := row.Result.Group("scan")
 		if row.Result.Committed == 0 {
-			t.Fatalf("%s: OLTP stream committed nothing", row.Mode)
+			t.Fatalf("%s: OLTP stream committed nothing", row.Name)
 		}
-		if row.Queries == 0 || row.RowsPerS == 0 {
-			t.Fatalf("%s: analytical stream idle (q=%d rows/s=%.0f)", row.Mode, row.Queries, row.RowsPerS)
+		if scan.Queries == 0 || ScanRowsPerS(&row.Result) == 0 {
+			t.Fatalf("%s: analytical stream idle (q=%d rows/s=%.0f)", row.Name, scan.Queries, ScanRowsPerS(&row.Result))
 		}
-		if row.Result.CommitHist.Empty() || row.QueryHist.Empty() {
-			t.Fatalf("%s: empty latency histograms", row.Mode)
+		if row.Result.CommitHist.Empty() || scan.QueryHist.Empty() {
+			t.Fatalf("%s: empty latency histograms", row.Name)
 		}
 		if row.Result.Sched.TotalScheduled() == 0 {
-			t.Fatalf("%s: no commands scheduled", row.Mode)
+			t.Fatalf("%s: no commands scheduled", row.Name)
 		}
 	}
-	naive := res.row(HTAPNaive)
+	naive := res.Row("naive")
 	if w := naive.Result.Window; w.Promotions != 0 || w.GhostHits != 0 || w.Prefetches != 0 {
 		t.Fatalf("naive mode ran scan-resist/prefetch machinery: %+v", w)
 	}
-	for _, m := range []HTAPMode{HTAPScanRes, HTAPPrefetch} {
-		if res.row(m).Result.Window.Promotions == 0 {
+	for _, m := range []string{"scan-resist", "scan-resist+prefetch"} {
+		if res.Row(m).Result.Window.Promotions == 0 {
 			t.Fatalf("%s: segmented clock never promoted", m)
 		}
 	}
-	if res.row(HTAPScanRes).Result.Window.Prefetches != 0 {
+	if res.Row("scan-resist").Result.Window.Prefetches != 0 {
 		t.Fatal("scan-resist mode issued prefetches")
 	}
-	pf := res.row(HTAPPrefetch)
+	pf := res.Row("scan-resist+prefetch")
 	if w := pf.Result.Window; w.Prefetches == 0 || w.PrefetchHits == 0 {
 		t.Fatalf("prefetch mode: prefetches=%d hits=%d", w.Prefetches, w.PrefetchHits)
 	}
 	// The whole point: read-ahead must raise analytical throughput over
 	// the naive pool without costing OLTP throughput.
-	if pf.RowsPerS <= naive.RowsPerS {
-		t.Fatalf("prefetch scan throughput %.0f rows/s <= naive %.0f", pf.RowsPerS, naive.RowsPerS)
+	if pfRows, naiveRows := ScanRowsPerS(&pf.Result), ScanRowsPerS(&naive.Result); pfRows <= naiveRows {
+		t.Fatalf("prefetch scan throughput %.0f rows/s <= naive %.0f", pfRows, naiveRows)
 	}
 	if pf.Result.TPS < 0.95*naive.Result.TPS {
 		t.Fatalf("prefetch OLTP TPS %.0f dropped below naive %.0f", pf.Result.TPS, naive.Result.TPS)

@@ -17,7 +17,7 @@ type JSONResult struct {
 	Experiment string  `json:"experiment"`
 	Workload   string  `json:"workload"`
 	Stack      string  `json:"stack"`
-	Mode       string  `json:"mode,omitempty"` // scheduling regime (sched experiment)
+	Mode       string  `json:"mode,omitempty"` // the row's regime, policy or tenant (absent on stack sweeps)
 	TPS        float64 `json:"tps"`
 	WA         float64 `json:"wa"`
 	Erases     int64   `json:"erases"`
@@ -101,22 +101,6 @@ func (r *JSONReport) Add(base JSONResult, res *RunResult) {
 	base.ReadP99us = us(res.ReadHist.Percentile(99))
 	base.DeadlineMisses = res.DeadlineMisses
 	r.Results = append(r.Results, base)
-}
-
-// setSchedAccounting fills the scheduler columns — mean queue wait over
-// every dispatched command, erase suspensions, deadline promotions.
-// They are extras rather than common fields because only the sched
-// experiment's rows have ever carried them.
-func (jr *JSONResult) setSchedAccounting(res *RunResult) {
-	if n := res.Sched.TotalScheduled(); n > 0 {
-		var total sim.Time
-		for _, w := range res.Sched.QueueWait {
-			total += w
-		}
-		jr.QueueWaitMeanUs = us(total / sim.Time(n))
-	}
-	jr.EraseSuspends = res.Sched.EraseSuspends
-	jr.DeadlinePromotions = res.Sched.DeadlinePromotions
 }
 
 // setObserved fills the columns a run's observability attachments

@@ -20,7 +20,7 @@ var loopDrivers = []struct {
 }{
 	{"tps", func(seed int64, brief bool, fault func(string) error) (rowAdder, error) {
 		cfg := tinySchedConfig(seed)
-		cfg.Modes = []SchedMode{SchedInline, SchedTagged}
+		cfg.Modes = []string{"inline-gc", "bg-gc+prio+tagged"}
 		if brief {
 			cfg.Modes = cfg.Modes[1:] // the regime with maintenance workers
 		}
@@ -30,7 +30,7 @@ var loopDrivers = []struct {
 	{"htap", func(seed int64, brief bool, fault func(string) error) (rowAdder, error) {
 		cfg := tinyHTAPConfig(seed)
 		if brief {
-			cfg.Modes = []HTAPMode{HTAPPrefetch} // the policy with prefetchers
+			cfg.Modes = []string{"scan-resist+prefetch"} // the policy with prefetchers
 		}
 		cfg.Params = briefly(cfg.Params, brief, fault)
 		return HTAPAblation(cfg)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"noftl/internal/sched"
+	"noftl/internal/sim"
 	"noftl/internal/stats"
 	"noftl/internal/storage"
 	"noftl/internal/system"
@@ -34,19 +35,6 @@ import (
 // (p50/p95/p99), which is where scheduling shows up: means barely move,
 // tails collapse.
 
-// SchedMode names one regime of the ablation.
-type SchedMode string
-
-// The four regimes.
-const (
-	SchedInline     SchedMode = "inline-gc"
-	SchedBackground SchedMode = "bg-gc"
-	SchedPriority   SchedMode = "bg-gc+prio"
-	// SchedTagged is SchedPriority with per-request descriptors: the
-	// static-ClassDevs-vs-per-request-tags ablation column.
-	SchedTagged SchedMode = "bg-gc+prio+tagged"
-)
-
 // SchedConfig parameterizes the scheduling ablation. The default 64 MB
 // drive lands the derived TPC-B data around 80% occupancy of the data
 // region — the regime where GC runs constantly and scheduling decides
@@ -56,79 +44,53 @@ type SchedConfig struct {
 	// Workload is "tpcb" (default; sized per geometry to ~68% of the
 	// data region at load) or "tpcc" (4 warehouses).
 	Workload string
-	Modes    []SchedMode // default: all four
+	Modes    []string // the regimes to run, by row name (default: all four)
 }
 
-// SchedRow is one regime's measurement.
-type SchedRow struct {
-	Mode      SchedMode
-	Result    RunResult
-	Occupancy float64 // data-region live fraction at the end of the run
-	Observed
-}
-
-// SchedResult is the ablation outcome.
-type SchedResult struct {
-	Workload string
-	Rows     []SchedRow
-}
-
-func (r *SchedResult) row(m SchedMode) *SchedRow {
-	for i := range r.Rows {
-		if r.Rows[i].Mode == m {
-			return &r.Rows[i]
+// SchedAblation runs the regimes: one freshly built region-managed
+// system each, same seed, same workload. Its ratios: bg-gc+prio over
+// inline-gc TPS and p99 commit and read latency (< 1: the scheduled
+// stack has the shorter tail), and bg-gc+prio+tagged over bg-gc+prio p99
+// commit latency — what dispatching on per-request descriptors buys over
+// static per-volume class routing.
+func SchedAblation(cfg SchedConfig) (*Rows, error) {
+	cfg.Params = cfg.Params.withDefaults("sched")
+	if cfg.Workload == "" {
+		cfg.Workload = "tpcb"
+	}
+	run := func(tagged bool) func(*system.System) (*RunResult, error) {
+		return func(sys *system.System) (*RunResult, error) {
+			wl := oltpWorkload(cfg.Workload, deriveTPCB(sys.NoFTL.LogicalPages(), 0.68),
+				workload.TPCCConfig{Warehouses: 4})
+			return RunTPS(sys, wl, TPSConfig{
+				Workers:     cfg.Workers,
+				Writers:     cfg.Writers,
+				Association: storage.AssocDieWise,
+				Warm:        cfg.Warm,
+				Measure:     cfg.Measure,
+				Seed:        cfg.Seed,
+				Tagged:      tagged,
+				fault:       cfg.fault,
+			})
 		}
 	}
-	return nil
+	fcfs := system.WithScheduler(sched.Config{Policy: sched.FCFS})
+	prio := []system.Option{system.WithPriorityScheduler(), system.WithBackgroundGC()}
+	regions := system.StackNoFTLRegions
+	return cfg.runVariants("sched", cfg.Workload, only(cfg.Modes, []variant{
+		{"inline-gc", regions, []system.Option{fcfs}, run(false)},
+		{"bg-gc", regions, []system.Option{fcfs, system.WithBackgroundGC()}, run(false)},
+		{"bg-gc+prio", regions, prio, run(false)},
+		{"bg-gc+prio+tagged", regions, prio, run(true)},
+	}))
 }
 
-func (r *SchedResult) ratio(f func(*SchedRow) float64) float64 {
-	base, prio := r.row(SchedInline), r.row(SchedPriority)
-	if base == nil || prio == nil || f(base) == 0 {
-		return 0
-	}
-	return f(prio) / f(base)
-}
-
-// CommitP99Ratio is bg-gc+prio p99 commit latency over inline-gc's
-// (< 1 means the scheduled stack has a shorter commit tail).
-func (r *SchedResult) CommitP99Ratio() float64 {
-	return r.ratio(func(row *SchedRow) float64 {
-		return float64(row.Result.CommitHist.Percentile(99))
-	})
-}
-
-// ReadP99Ratio is bg-gc+prio p99 read latency over inline-gc's.
-func (r *SchedResult) ReadP99Ratio() float64 {
-	return r.ratio(func(row *SchedRow) float64 {
-		return float64(row.Result.ReadHist.Percentile(99))
-	})
-}
-
-// TPSRatio is bg-gc+prio TPS over inline-gc TPS.
-func (r *SchedResult) TPSRatio() float64 {
-	return r.ratio(func(row *SchedRow) float64 { return row.Result.TPS })
-}
-
-// TaggedCommitP99Ratio is bg-gc+prio+tagged p99 commit latency over
-// plain bg-gc+prio's — what dispatching on per-request descriptors buys
-// over static per-volume class routing (< 1: shorter commit tail).
-func (r *SchedResult) TaggedCommitP99Ratio() float64 {
-	base, tagged := r.row(SchedPriority), r.row(SchedTagged)
-	if base == nil || tagged == nil || base.Result.CommitHist.Percentile(99) == 0 {
-		return 0
-	}
-	return float64(tagged.Result.CommitHist.Percentile(99)) /
-		float64(base.Result.CommitHist.Percentile(99))
-}
-
-// Table renders the regime comparison.
-func (r *SchedResult) Table() string {
+func schedTable(r *Rows) string {
 	t := stats.NewTable("mode", "TPS", "commit p50", "p95", "p99",
 		"read p50", "p95", "p99", "erases", "suspends", "gcSteps", "occ")
 	for _, row := range r.Rows {
 		c, rd := &row.Result.CommitHist, &row.Result.ReadHist
-		t.Row(string(row.Mode), row.Result.TPS,
+		t.Row(row.Name, row.Result.TPS,
 			c.Percentile(50).String(), c.Percentile(95).String(), c.Percentile(99).String(),
 			rd.Percentile(50).String(), rd.Percentile(95).String(), rd.Percentile(99).String(),
 			row.Result.Device.Erases, row.Result.Sched.EraseSuspends,
@@ -137,8 +99,25 @@ func (r *SchedResult) Table() string {
 	return t.String()
 }
 
-// WaitTable renders per-class queue waits of the scheduled regimes.
-func (r *SchedResult) WaitTable() string {
+// schedExtras fills the scheduler columns — mean queue wait over every
+// dispatched command, erase suspensions, deadline promotions. They are
+// extras rather than common fields because only the sched experiment's
+// rows have ever carried them.
+func schedExtras(row *Row, jr *JSONResult) {
+	st := &row.Result.Sched
+	if n := st.TotalScheduled(); n > 0 {
+		var total sim.Time
+		for _, w := range st.QueueWait {
+			total += w
+		}
+		jr.QueueWaitMeanUs = us(total / sim.Time(n))
+	}
+	jr.EraseSuspends = st.EraseSuspends
+	jr.DeadlinePromotions = st.DeadlinePromotions
+}
+
+// WaitTable renders per-class queue waits of the scheduled rows.
+func (r *Rows) WaitTable() string {
 	t := stats.NewTable("mode", "class", "cmds", "mean wait", "max wait")
 	for _, row := range r.Rows {
 		st := row.Result.Sched
@@ -146,16 +125,16 @@ func (r *SchedResult) WaitTable() string {
 			if st.Scheduled[c] == 0 {
 				continue
 			}
-			t.Row(string(row.Mode), c.String(), st.Scheduled[c],
+			t.Row(row.Name, c.String(), st.Scheduled[c],
 				st.MeanWait(c).String(), st.MaxWait[c].String())
 		}
 	}
 	return t.String()
 }
 
-// HealthTable renders the health-enabled regimes' device summary:
-// wear distribution, data-region GC efficiency and alert count.
-func (r *SchedResult) HealthTable() string {
+// HealthTable renders the health-enabled rows' device summary: wear
+// distribution, data-region GC efficiency and alert count.
+func (r *Rows) HealthTable() string {
 	t := stats.NewTable("mode", "wear spread", "wear p99", "bad", "occ",
 		"valid-copy", "WA", "alerts")
 	for _, row := range r.Rows {
@@ -169,84 +148,24 @@ func (r *SchedResult) HealthTable() string {
 				occ, vcr, wa = reg.Occupancy, reg.GC.ValidCopyRatio, reg.GC.WA
 			}
 		}
-		t.Row(string(row.Mode), h.Wear.Spread, h.Wear.P99, h.Wear.BadBlocks,
+		t.Row(row.Name, h.Wear.Spread, h.Wear.P99, h.Wear.BadBlocks,
 			fmt.Sprintf("%.0f%%", 100*occ), fmt.Sprintf("%.2f", vcr),
 			fmt.Sprintf("%.2f", wa), len(h.Alerts))
 	}
 	return t.String()
 }
 
-// AlertTable renders every health-enabled regime's SLO transitions.
-func (r *SchedResult) AlertTable() string {
+// AlertTable renders every health-enabled row's SLO transitions.
+func (r *Rows) AlertTable() string {
 	t := stats.NewTable("mode", "t", "rule", "sev", "state", "value", "threshold")
 	for _, row := range r.Rows {
 		if row.Health == nil {
 			continue
 		}
 		for _, a := range row.Health.Alerts {
-			t.Row(string(row.Mode), a.TNs.String(), a.Rule, a.Severity, a.State,
+			t.Row(row.Name, a.TNs.String(), a.Rule, a.Severity, a.State,
 				fmt.Sprintf("%.3g", a.Value), fmt.Sprintf("%.3g", a.Threshold))
 		}
 	}
 	return t.String()
-}
-
-// AddTo appends the ablation's rows to a machine-readable report,
-// including the scheduler accounting the experiment is about.
-func (r *SchedResult) AddTo(rep *JSONReport) {
-	for i := range r.Rows {
-		row := &r.Rows[i]
-		jr := JSONResult{Experiment: "sched", Workload: r.Workload,
-			Stack: string(system.StackNoFTLRegions), Mode: string(row.Mode)}
-		jr.setSchedAccounting(&row.Result)
-		jr.setObserved(&row.Observed)
-		rep.Add(jr, &row.Result)
-	}
-}
-
-// SchedAblation runs the sweep: one freshly built region-managed system
-// per regime, same seed, same workload.
-func SchedAblation(cfg SchedConfig) (*SchedResult, error) {
-	cfg.Params = cfg.Params.withDefaults("sched")
-	if cfg.Workload == "" {
-		cfg.Workload = "tpcb"
-	}
-	if len(cfg.Modes) == 0 {
-		cfg.Modes = []SchedMode{SchedInline, SchedBackground, SchedPriority, SchedTagged}
-	}
-	res := &SchedResult{Workload: cfg.Workload}
-	for _, mode := range cfg.Modes {
-		opts := []system.Option{system.WithScheduler(sched.Config{Policy: sched.FCFS})}
-		switch mode {
-		case SchedBackground:
-			opts = append(opts, system.WithBackgroundGC())
-		case SchedPriority, SchedTagged:
-			opts = []system.Option{system.WithPriorityScheduler(), system.WithBackgroundGC()}
-		}
-		sys, log, err := cfg.build(system.StackNoFTLRegions, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("sched ablation %s: %w", mode, err)
-		}
-		wl := oltpWorkload(cfg.Workload, deriveTPCB(sys.NoFTL.LogicalPages(), 0.68),
-			workload.TPCCConfig{Warehouses: 4})
-		r, err := RunTPS(sys, wl, TPSConfig{
-			Workers:     cfg.Workers,
-			Writers:     cfg.Writers,
-			Association: storage.AssocDieWise,
-			Warm:        cfg.Warm,
-			Measure:     cfg.Measure,
-			Seed:        cfg.Seed,
-			Tagged:      mode == SchedTagged,
-			fault:       cfg.fault,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("sched ablation %s: %w", mode, err)
-		}
-		row := SchedRow{Mode: mode, Result: *r, Occupancy: occupancy(sys)}
-		if row.Observed, err = observe(sys, log); err != nil {
-			return nil, fmt.Errorf("sched ablation %s: %w", mode, err)
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
 }

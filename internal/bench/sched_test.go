@@ -26,47 +26,47 @@ func TestSchedAblationSmoke(t *testing.T) {
 	}
 	for _, row := range res.Rows {
 		if row.Result.Committed == 0 {
-			t.Fatalf("%s committed nothing", row.Mode)
+			t.Fatalf("%s committed nothing", row.Name)
 		}
 		if row.Result.CommitHist.Count() == 0 || row.Result.ReadHist.Count() == 0 {
-			t.Fatalf("%s has empty latency histograms", row.Mode)
+			t.Fatalf("%s has empty latency histograms", row.Name)
 		}
 		if row.Result.Sched.TotalScheduled() == 0 {
-			t.Fatalf("%s scheduled no commands", row.Mode)
+			t.Fatalf("%s scheduled no commands", row.Name)
 		}
 		if row.Occupancy <= 0.5 || row.Occupancy > 1 {
-			t.Fatalf("%s occupancy = %.2f, want GC-pressure regime", row.Mode, row.Occupancy)
+			t.Fatalf("%s occupancy = %.2f, want GC-pressure regime", row.Name, row.Occupancy)
 		}
 	}
-	for _, mode := range []SchedMode{SchedBackground, SchedPriority, SchedTagged} {
-		if res.row(mode).Result.GCSteps == 0 {
+	for _, mode := range []string{"bg-gc", "bg-gc+prio", "bg-gc+prio+tagged"} {
+		if res.Row(mode).Result.GCSteps == 0 {
 			t.Fatalf("%s background workers made no GC progress", mode)
 		}
 	}
 	// Per-request descriptors only flow in the tagged regime.
-	if res.row(SchedTagged).Result.Sched.Retagged == 0 {
+	if res.Row("bg-gc+prio+tagged").Result.Sched.Retagged == 0 {
 		t.Fatal("tagged mode: no descriptor reached the die queues")
 	}
-	if res.row(SchedPriority).Result.Sched.Retagged != 0 {
+	if res.Row("bg-gc+prio").Result.Sched.Retagged != 0 {
 		t.Fatal("static mode dispatched on request descriptors")
 	}
-	if res.TaggedCommitP99Ratio() <= 0 {
+	if res.Ratio("bg-gc+prio+tagged", "bg-gc+prio", CommitP99) <= 0 {
 		t.Fatal("tagged-vs-static ratio missing")
 	}
-	if res.row(SchedInline).Result.GCSteps != 0 {
+	if res.Row("inline-gc").Result.GCSteps != 0 {
 		t.Fatal("inline mode ran background GC workers")
 	}
-	prio := res.row(SchedPriority)
+	prio := res.Row("bg-gc+prio")
 	if prio.Result.Sched.EraseSuspends == 0 {
 		t.Fatal("priority mode never suspended an erase")
 	}
-	if res.row(SchedInline).Result.Sched.EraseSuspends != 0 {
+	if res.Row("inline-gc").Result.Sched.EraseSuspends != 0 {
 		t.Fatal("FCFS mode suspended an erase")
 	}
 	// Priority scheduling must shorten the read tail versus FCFS inline
 	// GC (the headline claim; commit tails need the full-scale run to
 	// separate cleanly from bucket noise).
-	if r := res.ReadP99Ratio(); r >= 1 {
+	if r := res.Ratio("bg-gc+prio", "inline-gc", ReadP99); r >= 1 {
 		t.Fatalf("read p99 ratio = %.2f, want < 1", r)
 	}
 }
@@ -77,7 +77,7 @@ func TestSchedAblationSmoke(t *testing.T) {
 // scheduling nondeterminism.
 func TestSchedAblationDeterministic(t *testing.T) {
 	cfg := tinySchedConfig(7)
-	cfg.Modes = []SchedMode{SchedPriority, SchedTagged}
+	cfg.Modes = []string{"bg-gc+prio", "bg-gc+prio+tagged"}
 	a, err := SchedAblation(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -91,10 +91,10 @@ func TestSchedAblationDeterministic(t *testing.T) {
 		if ra.Committed != rb.Committed || ra.Device.Erases != rb.Device.Erases ||
 			ra.Sched != rb.Sched {
 			t.Fatalf("nondeterministic %s ablation:\n%+v\n%+v",
-				a.Rows[i].Mode, ra.Device, rb.Device)
+				a.Rows[i].Name, ra.Device, rb.Device)
 		}
 		if ra.CommitHist.Percentile(99) != rb.CommitHist.Percentile(99) {
-			t.Fatalf("%s commit p99 diverged between identical runs", a.Rows[i].Mode)
+			t.Fatalf("%s commit p99 diverged between identical runs", a.Rows[i].Name)
 		}
 	}
 }
@@ -103,7 +103,7 @@ func TestSchedAblationDeterministic(t *testing.T) {
 // latency tails and scheduler accounting.
 func TestSchedJSONRow(t *testing.T) {
 	cfg := tinySchedConfig(11)
-	cfg.Modes = []SchedMode{SchedPriority}
+	cfg.Modes = []string{"bg-gc+prio"}
 	res, err := SchedAblation(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestSchedJSONRow(t *testing.T) {
 		t.Fatalf("results = %d, want 1", len(report.Results))
 	}
 	r := report.Results[0]
-	if r.Experiment != "sched" || r.Mode != string(SchedPriority) {
+	if r.Experiment != "sched" || r.Mode != "bg-gc+prio" {
 		t.Fatalf("bad row identity: %+v", r)
 	}
 	if r.CommitP99us <= 0 || r.ReadP99us <= 0 {
@@ -137,7 +137,7 @@ func TestSchedJSONRow(t *testing.T) {
 // Resumes.
 func TestPollTicksStayInTheKernel(t *testing.T) {
 	cfg := tinySchedConfig(42)
-	cfg.Modes = []SchedMode{SchedPriority}
+	cfg.Modes = []string{"bg-gc+prio"}
 	res, err := SchedAblation(cfg)
 	if err != nil {
 		t.Fatal(err)

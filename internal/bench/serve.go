@@ -89,90 +89,34 @@ func (c ServeConfig) withDefaults() ServeConfig {
 
 func (c ServeConfig) payingN() int { return c.Workers / 4 }
 
-// ServeTenantRow is one tenant's measurement under one admission
-// regime: the measured window's counted transactions (Retries are the
-// shed-and-retried plus lock-timeout attempts) and the controller's
-// whole-run accounting for the tenant (admitted/deprioritized/shed
-// counters, final state, transitions).
-type ServeTenantRow struct {
-	GroupResult
-	Admission serve.TenantStats
-}
-
-// ServeRow is one admission regime's measurement.
-type ServeRow struct {
-	// Mode is the regime's name (serve.Control.String(), or
-	// "uncontended" for the paying-only reference run).
-	Mode    string
-	Result  RunResult
-	Tenants []ServeTenantRow
-	// Front is the controller's front-wide accounting.
-	Front serve.Stats
-	// Observed.Tel is the run's telemetry pipeline (serve.* metrics
-	// included), kept for Prometheus/flight-recorder export.
-	Observed
-}
-
-// Tenant returns the row's measurement for one tenant name.
-func (r *ServeRow) Tenant(name string) *ServeTenantRow {
-	for i := range r.Tenants {
-		if r.Tenants[i].Name == name {
-			return &r.Tenants[i]
-		}
-	}
-	return nil
-}
-
-// ServeResult is the full ablation outcome: the uncontended reference
-// plus one row per admission regime.
-type ServeResult struct {
-	Uncontended ServeRow
-	Rows        []ServeRow
-}
-
-// Row returns the measurement of one admission regime by mode name.
-func (r *ServeResult) Row(mode string) *ServeRow {
-	if r.Uncontended.Mode == mode {
-		return &r.Uncontended
-	}
-	for i := range r.Rows {
-		if r.Rows[i].Mode == mode {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
-// ProtectionRatio is the paying tenant's p99 commit latency under the
-// given regime over its uncontended p99 — the ablation's headline
-// number (1.0: full protection).
-func (r *ServeResult) ProtectionRatio(mode string) float64 {
-	base := r.Uncontended.Tenant(payingTenant)
-	row := r.Row(mode)
-	if base == nil || row == nil {
+// PayingCommitP99 is the paying tenant's p99 commit latency (0 where it
+// did not run). Its ratio over the uncontended row is the ablation's
+// headline number (1.0: full protection).
+func PayingCommitP99(r *RunResult) float64 {
+	g := r.Group(payingTenant)
+	if g == nil {
 		return 0
 	}
-	t := row.Tenant(payingTenant)
-	if t == nil || base.Commit.Percentile(99) == 0 {
-		return 0
-	}
-	return float64(t.Commit.Percentile(99)) / float64(base.Commit.Percentile(99))
+	return float64(g.Commit.Percentile(99))
 }
 
-// Table renders the per-regime, per-tenant comparison.
-func (r *ServeResult) Table() string {
+// serveTable renders the per-regime, per-tenant comparison: each
+// tenant's measured window (retries are the shed-and-retried plus
+// lock-timeout attempts) beside the controller's whole-run accounting
+// for it.
+func serveTable(r *Rows) string {
 	t := stats.NewTable("mode", "tenant", "sessions", "TPS", "p50", "p99",
 		"misses", "admitted", "depri", "shed", "state")
-	rows := append([]ServeRow{r.Uncontended}, r.Rows...)
-	for i := range rows {
-		for _, tr := range rows[i].Tenants {
-			t.Row(rows[i].Mode, tr.Name, tr.Clients,
-				fmt.Sprintf("%.0f", tr.TPS),
-				tr.Commit.Percentile(50).String(),
-				tr.Commit.Percentile(99).String(),
-				tr.DeadlineMisses,
-				tr.Admission.Admitted, tr.Admission.Deprioritized,
-				tr.Admission.Shed, tr.Admission.State.String())
+	for _, row := range r.Rows {
+		for _, g := range row.Result.Groups {
+			adm, _ := row.Front.TenantStats(g.Name)
+			t.Row(row.Name, g.Name, g.Clients,
+				fmt.Sprintf("%.0f", g.TPS),
+				g.Commit.Percentile(50).String(),
+				g.Commit.Percentile(99).String(),
+				g.DeadlineMisses,
+				adm.Admitted, adm.Deprioritized,
+				adm.Shed, adm.State.String())
 		}
 	}
 	return t.String()
@@ -217,35 +161,44 @@ func (w *kvWorkload) RunOne(ctx *storage.IOCtx, e *storage.Engine, rng *rand.Ran
 	}
 }
 
-// AddTo appends the ablation's rows to a machine-readable report: one
-// per regime (uncontended reference included), the common fields over
-// both tenants and the per-tenant split in the tenant maps.
-func (r *ServeResult) AddTo(rep *JSONReport) {
-	for _, row := range append([]ServeRow{r.Uncontended}, r.Rows...) {
-		jr := JSONResult{Experiment: "serve", Workload: "kv",
-			Stack: string(system.StackNoFTLRegions), Mode: row.Mode,
-			Admitted:      row.Front.Admitted,
-			Deprioritized: row.Front.Deprioritized,
-			Shed:          row.Front.Shed,
-			TenantTPS:     map[string]float64{},
-			TenantP99us:   map[string]float64{},
-		}
-		for _, tr := range row.Tenants {
-			jr.TenantTPS[tr.Name] = tr.TPS
-			jr.TenantP99us[tr.Name] = us(tr.Commit.Percentile(99))
-		}
-		rep.Add(jr, &row.Result)
+// serveExtras fills the admission controller's decision counters for
+// the row's regime and the per-tenant split in the tenant maps.
+func serveExtras(row *Row, jr *JSONResult) {
+	front := row.Front.Stats()
+	jr.Admitted, jr.Deprioritized, jr.Shed = front.Admitted, front.Deprioritized, front.Shed
+	jr.TenantTPS, jr.TenantP99us = map[string]float64{}, map[string]float64{}
+	for _, g := range row.Result.Groups {
+		jr.TenantTPS[g.Name] = g.TPS
+		jr.TenantP99us[g.Name] = us(g.Commit.Percentile(99))
 	}
 }
 
-// runServeMode runs one admission regime end to end on a freshly built
-// system. withBatch=false is the uncontended reference.
-func runServeMode(cfg ServeConfig, control serve.Control, withBatch bool, mode string) (*ServeRow, error) {
-	sys, log, err := cfg.build(system.StackNoFTLRegions,
-		system.WithPriorityScheduler(), system.WithBackgroundGC())
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
+// Serve runs the serving-front ablation: the uncontended reference,
+// then the full two-tenant load under each admission regime, each on a
+// freshly built system with the same seed.
+func Serve(cfg ServeConfig) (*Rows, error) {
+	cfg = cfg.withDefaults()
+	return cfg.runVariants("serve", "kv", cfg.variants())
+}
+
+// variants lists the uncontended reference (the paying tenant alone, no
+// control) and the three admission regimes, named after their controls.
+func (cfg ServeConfig) variants() []variant {
+	v := func(name string, control serve.Control, withBatch bool) variant {
+		return variant{name, system.StackNoFTLRegions,
+			[]system.Option{system.WithPriorityScheduler(), system.WithBackgroundGC()},
+			func(sys *system.System) (*RunResult, error) { return cfg.runRegime(sys, control, withBatch, name) }}
 	}
+	vs := []variant{v("uncontended", serve.ControlNone, false)}
+	for _, control := range []serve.Control{serve.ControlNone, serve.ControlRateLimit, serve.ControlFull} {
+		vs = append(vs, v(control.String(), control, true))
+	}
+	return vs
+}
+
+// runRegime drives one admission regime on its freshly built system.
+// withBatch=false is the uncontended reference.
+func (cfg ServeConfig) runRegime(sys *system.System, control serve.Control, withBatch bool, mode string) (*RunResult, error) {
 	front, err := sys.StartServe(serve.Config{
 		Tenants: []serve.TenantSpec{
 			// No rate contract: the paying tenant bought headroom.
@@ -316,7 +269,7 @@ func runServeMode(cfg ServeConfig, control serve.Control, withBatch bool, mode s
 		}
 	})
 
-	res, err := execute(sys, run{
+	return execute(sys, run{
 		name: "serve " + mode,
 		load: func(sys *system.System) error {
 			for _, t := range tenants {
@@ -346,39 +299,4 @@ func runServeMode(cfg ServeConfig, control serve.Control, withBatch bool, mode s
 		measure: cfg.Measure,
 		fault:   cfg.fault,
 	})
-	if err != nil {
-		return nil, err
-	}
-	row := &ServeRow{Mode: mode, Result: *res, Front: front.Stats()}
-	for _, g := range res.Groups {
-		adm, _ := front.TenantStats(g.Name)
-		row.Tenants = append(row.Tenants, ServeTenantRow{GroupResult: g, Admission: adm})
-	}
-	if row.Observed, err = observe(sys, log); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	return row, nil
-}
-
-// Serve runs the serving-front ablation: the uncontended reference,
-// then the full two-tenant load under each admission regime, each on a
-// freshly built system with the same seed.
-func Serve(cfg ServeConfig) (*ServeResult, error) {
-	cfg = cfg.withDefaults()
-	res := &ServeResult{}
-	base, err := runServeMode(cfg, serve.ControlNone, false, "uncontended")
-	if err != nil {
-		return nil, err
-	}
-	res.Uncontended = *base
-	for _, control := range []serve.Control{
-		serve.ControlNone, serve.ControlRateLimit, serve.ControlFull,
-	} {
-		row, err := runServeMode(cfg, control, true, control.String())
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, *row)
-	}
-	return res, nil
 }

@@ -30,24 +30,24 @@ func TestServeAblationSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3 regimes", len(res.Rows))
+	if res.Rows[0].Name != "uncontended" || len(res.Rows[1:]) != 3 {
+		t.Fatalf("rows = %d, want the uncontended reference and 3 regimes", len(res.Rows))
 	}
-	if got := res.Uncontended.Tenant(payingTenant); got == nil || got.Committed == 0 {
+	if got := res.Rows[0].Result.Group(payingTenant); got == nil || got.Committed == 0 {
 		t.Fatal("uncontended reference committed nothing")
 	}
-	for i := range res.Rows {
-		row := &res.Rows[i]
-		for _, tr := range row.Tenants {
+	for i := range res.Rows[1:] {
+		row := &res.Rows[1+i]
+		for _, tr := range row.Result.Groups {
 			if tr.Committed == 0 {
-				t.Fatalf("%s/%s committed nothing", row.Mode, tr.Name)
+				t.Fatalf("%s/%s committed nothing", row.Name, tr.Name)
 			}
-			if tr.Admission.Admitted == 0 {
-				t.Fatalf("%s/%s admitted nothing", row.Mode, tr.Name)
+			if adm := admission(row, tr.Name); adm.Admitted == 0 {
+				t.Fatalf("%s/%s admitted nothing", row.Name, tr.Name)
 			}
 		}
-		if row.Front.Admitted == 0 {
-			t.Fatalf("%s: front admitted nothing", row.Mode)
+		if row.Front.Stats().Admitted == 0 {
+			t.Fatalf("%s: front admitted nothing", row.Name)
 		}
 	}
 
@@ -57,35 +57,35 @@ func TestServeAblationSmoke(t *testing.T) {
 
 	// No control: nothing deprioritized or shed, and the batch tenant
 	// runs way past its contracted rate.
-	if none.Front.Deprioritized != 0 || none.Front.Shed != 0 {
-		t.Fatalf("no-control regime controlled something: %+v", none.Front)
+	if st := none.Front.Stats(); st.Deprioritized != 0 || st.Shed != 0 {
+		t.Fatalf("no-control regime controlled something: %+v", st)
 	}
-	if b := none.Tenant(batchTenant); b.TPS < 2*batchRate {
+	if b := none.Result.Group(batchTenant); b.TPS < 2*batchRate {
 		t.Fatalf("no-control batch TPS %.0f: load too weak to demonstrate anything (rate %.0f)",
 			b.TPS, batchRate)
 	}
 
 	// Rate limit: batch paced to its contract (±20%), never shed.
-	if b := rate.Tenant(batchTenant); b.TPS > 1.2*batchRate {
+	if b := rate.Result.Group(batchTenant); b.TPS > 1.2*batchRate {
 		t.Fatalf("rate-limit batch TPS %.0f over contract %.0f", b.TPS, batchRate)
 	}
-	if rate.Front.Shed != 0 {
-		t.Fatalf("rate-limit regime shed requests: %+v", rate.Front)
+	if st := rate.Front.Stats(); st.Shed != 0 {
+		t.Fatalf("rate-limit regime shed requests: %+v", st)
 	}
 
 	// Full control: the batch tenant burns its budget, gets deprioritized
 	// and shed; the paying tenant's p99 lands within 1.2x of uncontended.
-	fb := full.Tenant(batchTenant)
-	if fb.Admission.Deprioritized == 0 || fb.Admission.Shed == 0 {
-		t.Fatalf("full regime never punished the breaching tenant: %+v", fb.Admission)
+	fb := admission(full, batchTenant)
+	if fb.Deprioritized == 0 || fb.Shed == 0 {
+		t.Fatalf("full regime never punished the breaching tenant: %+v", fb)
 	}
-	if fb.Admission.State == serve.Healthy {
-		t.Fatalf("breaching tenant ended healthy: %+v", fb.Admission)
+	if fb.State == serve.Healthy {
+		t.Fatalf("breaching tenant ended healthy: %+v", fb)
 	}
-	if fp := full.Tenant(payingTenant); fp.Admission.Shed != 0 {
-		t.Fatalf("compliant tenant was shed: %+v", fp.Admission)
+	if fp := admission(full, payingTenant); fp.Shed != 0 {
+		t.Fatalf("compliant tenant was shed: %+v", fp)
 	}
-	if ratio := res.ProtectionRatio(serve.ControlFull.String()); ratio == 0 || ratio > 1.2 {
+	if ratio := res.Ratio(serve.ControlFull.String(), "uncontended", PayingCommitP99); ratio == 0 || ratio > 1.2 {
 		t.Fatalf("paying p99 protection ratio %.2f under full control, want (0, 1.2]", ratio)
 	}
 }
@@ -94,11 +94,12 @@ func TestServeAblationSmoke(t *testing.T) {
 // the Prometheus rendering, with the admission counters nonzero in the
 // full regime.
 func TestServeTelemetryExport(t *testing.T) {
-	cfg := tinyServeConfig(9)
-	row, err := runServeMode(cfg.withDefaults(), serve.ControlFull, true, "rate-limit+shed")
+	cfg := tinyServeConfig(9).withDefaults()
+	res, err := cfg.runVariants("serve", "kv", cfg.variants()[3:]) // rate-limit+shed
 	if err != nil {
 		t.Fatal(err)
 	}
+	row := &res.Rows[0]
 	if row.Tel == nil {
 		t.Fatal("no telemetry attached")
 	}
@@ -121,4 +122,11 @@ func TestServeTelemetryExport(t *testing.T) {
 			}
 		}
 	}
+}
+
+// admission is the serving front's whole-run accounting for one tenant
+// of a row.
+func admission(row *Row, tenant string) serve.TenantStats {
+	adm, _ := row.Front.TenantStats(tenant)
+	return adm
 }

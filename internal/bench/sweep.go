@@ -30,6 +30,8 @@ import (
 //     erases, write amplification, GC copy work, bytes per transaction,
 //     throughput — plus the per-region breakdown only the region-managed
 //     stack can provide.
+//
+// A sweep's rows are named after their stacks.
 
 // SweepConfig parameterizes a stack sweep. Zero fields take the
 // experiment's defaults (Params: the defaults table; the rest: sweeps).
@@ -75,53 +77,9 @@ var sweeps = map[string]struct {
 		workload.TPCCConfig{Warehouses: 4}, workload.TPCBConfig{Branches: 32, AccountsPerBranch: 6000}},
 }
 
-// StackRow is one stack's measurement in a sweep (Result.Regions is
-// the per-region breakdown on the region-managed stack).
-type StackRow struct {
-	Stack  system.Stack
-	Result RunResult
-}
-
-// SweepResult is a sweep's outcome: one row per stack, in config order.
-type SweepResult struct {
-	Experiment string
-	Workload   string
-	Rows       []StackRow
-}
-
-// Row returns a stack's measurement (nil if it did not run).
-func (r *SweepResult) Row(s system.Stack) *StackRow {
-	for i := range r.Rows {
-		if r.Rows[i].Stack == s {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
-// ratio is f(num)/f(den) over two of the sweep's stacks (0 when either
-// is absent or the denominator is zero).
-func (r *SweepResult) ratio(num, den system.Stack, f func(*RunResult) float64) float64 {
-	n, d := r.Row(num), r.Row(den)
-	if n == nil || d == nil || f(&d.Result) == 0 {
-		return 0
-	}
-	return f(&n.Result) / f(&d.Result)
-}
-
-func tpsOf(r *RunResult) float64 { return r.TPS }
-
-// AddTo appends the sweep's rows to a machine-readable report.
-func (r *SweepResult) AddTo(rep *JSONReport) {
-	for i := range r.Rows {
-		rep.Add(JSONResult{Experiment: r.Experiment, Workload: r.Workload,
-			Stack: string(r.Rows[i].Stack)}, &r.Rows[i].Result)
-	}
-}
-
 // sweep measures TPS for every stack of the experiment on identical
 // hardware and workload.
-func sweep(exp string, cfg SweepConfig) (*SweepResult, error) {
+func sweep(exp string, cfg SweepConfig) (*Rows, error) {
 	d := sweeps[exp]
 	cfg.Params = cfg.Params.withDefaults(exp)
 	if cfg.Workload == "" {
@@ -133,17 +91,12 @@ func sweep(exp string, cfg SweepConfig) (*SweepResult, error) {
 	if cfg.TPCB.Branches == 0 {
 		cfg.TPCB = d.tpcb
 	}
-	res := &SweepResult{Experiment: exp, Workload: cfg.Workload}
-	for _, stack := range d.stacks {
-		sys, _, err := cfg.build(stack)
-		if err != nil {
-			return nil, fmt.Errorf("%s %s: %w", exp, stack, err)
-		}
+	run := func(sys *system.System) (*RunResult, error) {
 		assoc := storage.AssocDieWise
 		if sys.NoFTL == nil {
 			assoc = storage.AssocGlobal // the block device hides regions
 		}
-		r, err := RunTPS(sys, oltpWorkload(cfg.Workload, cfg.TPCB, cfg.TPCC), TPSConfig{
+		return RunTPS(sys, oltpWorkload(cfg.Workload, cfg.TPCB, cfg.TPCC), TPSConfig{
 			Workers:     cfg.Workers,
 			Writers:     cfg.Writers,
 			Association: assoc,
@@ -152,45 +105,25 @@ func sweep(exp string, cfg SweepConfig) (*SweepResult, error) {
 			Seed:        cfg.Seed,
 			fault:       cfg.fault,
 		})
-		if err != nil {
-			return nil, fmt.Errorf("%s %s: %w", exp, stack, err)
-		}
-		res.Rows = append(res.Rows, StackRow{Stack: stack, Result: *r})
 	}
-	return res, nil
+	vs := make([]variant, len(d.stacks))
+	for i, stack := range d.stacks {
+		vs[i] = variant{name: string(stack), stack: stack, run: run}
+	}
+	return cfg.runVariants(exp, cfg.Workload, vs)
 }
-
-// HeadlineResult compares the stacks end to end.
-type HeadlineResult struct{ SweepResult }
 
 // Headline measures TPS for every stack on identical hardware and
-// workload.
-func Headline(cfg HeadlineConfig) (*HeadlineResult, error) {
-	r, err := sweep("headline", cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &HeadlineResult{*r}, nil
-}
+// workload. Its ratios: noftl over faster TPS (paper: 2.4x TPC-C, 2.25x
+// TPC-B) and pagemap over dftl TPS, the mapping-cache penalty (paper: up
+// to 3.7x).
+func Headline(cfg HeadlineConfig) (*Rows, error) { return sweep("headline", cfg) }
 
-// NoFTLSpeedupOverFaster is the headline ratio (paper: 2.4x TPC-C,
-// 2.25x TPC-B).
-func (r *HeadlineResult) NoFTLSpeedupOverFaster() float64 {
-	return r.ratio(system.StackNoFTL, system.StackFaster, tpsOf)
-}
-
-// DFTLSlowdownVsPagemap is the mapping-cache penalty (paper: up to
-// 3.7x).
-func (r *HeadlineResult) DFTLSlowdownVsPagemap() float64 {
-	return r.ratio(system.StackPagemap, system.StackDFTL, tpsOf)
-}
-
-// Table renders the comparison.
-func (r *HeadlineResult) Table() string {
+func headlineTable(r *Rows) string {
 	t := stats.NewTable("stack", "TPS", "vs faster", "WA", "copybacks", "erases", "mapIO")
 	for _, row := range r.Rows {
 		res := &row.Result
-		t.Row(string(row.Stack), res.TPS, r.ratio(row.Stack, system.StackFaster, tpsOf),
+		t.Row(row.Name, res.TPS, r.Ratio(row.Name, string(system.StackFaster), TPS),
 			res.FTL.WriteAmplification(),
 			res.Device.Copybacks, res.Device.Erases,
 			res.FTL.MapReads+res.FTL.MapWrites)
@@ -198,31 +131,17 @@ func (r *HeadlineResult) Table() string {
 	return t.String()
 }
 
-// DeltaResult is the delta-write ablation outcome.
-type DeltaResult struct{ SweepResult }
+// DeltaAblation runs the delta-write sweep. Its ratio: noftl-delta over
+// noftl bytes per transaction (< 1 means the delta path writes less
+// flash per transaction).
+func DeltaAblation(cfg DeltaConfig) (*Rows, error) { return sweep("delta", cfg) }
 
-// DeltaAblation runs the delta-write sweep.
-func DeltaAblation(cfg DeltaConfig) (*DeltaResult, error) {
-	r, err := sweep("delta", cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &DeltaResult{*r}, nil
-}
-
-// BytesPerTxRatio returns delta-NoFTL bytes/tx over full-page-NoFTL
-// bytes/tx (< 1 means the delta path writes less flash per transaction).
-func (r *DeltaResult) BytesPerTxRatio() float64 {
-	return r.ratio(system.StackNoFTLDelta, system.StackNoFTL, (*RunResult).BytesPerTx)
-}
-
-// Table renders the ablation.
-func (r *DeltaResult) Table() string {
+func deltaTable(r *Rows) string {
 	t := stats.NewTable("stack", "TPS", "KB/tx", "WA", "deltaW", "folds",
 		"gcCopies", "erases", "progMB")
 	for _, row := range r.Rows {
 		d, f := row.Result.Device, row.Result.FTL
-		t.Row(string(row.Stack), row.Result.TPS,
+		t.Row(row.Name, row.Result.TPS,
 			row.Result.BytesPerTx()/1024,
 			f.WriteAmplification(),
 			f.DeltaWrites, f.Folds,
@@ -232,46 +151,16 @@ func (r *DeltaResult) Table() string {
 	return t.String()
 }
 
-// RegionsResult is the regions ablation outcome.
-type RegionsResult struct{ SweepResult }
+// RegionsAblation runs the regions sweep. Its ratios: noftl-regions over
+// noftl-single erases per transaction (< 1 means region placement
+// erases less for the same work) and TPS.
+func RegionsAblation(cfg RegionsConfig) (*Rows, error) { return sweep("regions", cfg) }
 
-// RegionsAblation runs the regions sweep.
-func RegionsAblation(cfg RegionsConfig) (*RegionsResult, error) {
-	r, err := sweep("regions", cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &RegionsResult{*r}, nil
-}
-
-// EraseRatio is region-managed erases per transaction over
-// single-policy erases per transaction (< 1 means region placement
-// erases less for the same work).
-func (r *RegionsResult) EraseRatio() float64 {
-	return r.ratio(system.StackNoFTLRegions, system.StackNoFTLSingle, (*RunResult).ErasesPerKTx)
-}
-
-// WADelta is single-policy WA minus region-managed WA (> 0 means the
-// region-managed stack amplifies less).
-func (r *RegionsResult) WADelta() float64 {
-	single, regions := r.Row(system.StackNoFTLSingle), r.Row(system.StackNoFTLRegions)
-	if single == nil || regions == nil {
-		return 0
-	}
-	return single.Result.FTL.WriteAmplification() - regions.Result.FTL.WriteAmplification()
-}
-
-// TPSRatio is region-managed TPS over single-policy TPS.
-func (r *RegionsResult) TPSRatio() float64 {
-	return r.ratio(system.StackNoFTLRegions, system.StackNoFTLSingle, tpsOf)
-}
-
-// Table renders the stack comparison.
-func (r *RegionsResult) Table() string {
+func regionsTable(r *Rows) string {
 	t := stats.NewTable("stack", "TPS", "KB/tx", "WA", "gcCopies", "erases", "erases/ktx", "progMB")
 	for _, row := range r.Rows {
 		d, f := row.Result.Device, row.Result.FTL
-		t.Row(string(row.Stack), row.Result.TPS,
+		t.Row(row.Name, row.Result.TPS,
 			row.Result.BytesPerTx()/1024,
 			f.WriteAmplification(),
 			f.GCPages(), d.Erases,
@@ -283,8 +172,8 @@ func (r *RegionsResult) Table() string {
 
 // RegionTable renders the per-region breakdown of the region-managed
 // stack (empty when that stack did not run).
-func (r *RegionsResult) RegionTable() string {
-	row := r.Row(system.StackNoFTLRegions)
+func (r *Rows) RegionTable() string {
+	row := r.Row(string(system.StackNoFTLRegions))
 	if row == nil || len(row.Result.Regions) == 0 {
 		return ""
 	}

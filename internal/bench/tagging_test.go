@@ -90,21 +90,3 @@ func TestClassInheritanceEndToEnd(t *testing.T) {
 		})
 	}
 }
-
-// TestTagWaitHistogram checks per-tag attribution in the command log.
-func TestTagWaitHistogram(t *testing.T) {
-	log := &trace.CmdLog{}
-	log.Record(sched.Event{Tag: 1, Class: sched.ClassRead, Arrival: 0, Start: 10, End: 20})
-	log.Record(sched.Event{Tag: 2, Class: sched.ClassRead, Arrival: 0, Start: 30, End: 40})
-	log.Record(sched.Event{Tag: 1, Class: sched.ClassGC, Arrival: 5, Start: 25, End: 45})
-	h := log.TagWait(1)
-	if h.Count() != 2 || h.Max() != 20 {
-		t.Fatalf("tag-1 wait histogram: count=%d max=%v", h.Count(), h.Max())
-	}
-	if log.TagWait(2).Count() != 1 {
-		t.Fatal("tag-2 wait histogram wrong")
-	}
-	if log.TagWait(9).Count() != 0 {
-		t.Fatal("unknown tag must be empty")
-	}
-}

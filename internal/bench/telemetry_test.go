@@ -12,7 +12,7 @@ import (
 
 func tinyTelemetryConfig(seed int64) SchedConfig {
 	cfg := tinySchedConfig(seed)
-	cfg.Modes = []SchedMode{SchedTagged}
+	cfg.Modes = []string{"bg-gc+prio+tagged"}
 	cfg.TraceCmds = true
 	cfg.Telemetry = &telemetry.Config{
 		SampleEvery: 25 * sim.Millisecond,
@@ -139,7 +139,7 @@ func TestTelemetryDeterministicExports(t *testing.T) {
 // perturb the simulation).
 func TestTelemetryOffNoSpans(t *testing.T) {
 	off := tinySchedConfig(13)
-	off.Modes = []SchedMode{SchedTagged}
+	off.Modes = []string{"bg-gc+prio+tagged"}
 	resOff, err := SchedAblation(off)
 	if err != nil {
 		t.Fatal(err)

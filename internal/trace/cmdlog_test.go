@@ -1,105 +1,33 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 
 	"noftl/internal/sched"
 	"noftl/internal/sim"
 )
 
+// TestCmdLogAggregation: the log keeps every recorded event, unchanged,
+// in dispatch (Record) order.
 func TestCmdLogAggregation(t *testing.T) {
+	events := []sched.Event{
+		{Die: 0, Class: sched.ClassRead, Op: "read",
+			Arrival: 0, Start: 10 * sim.Microsecond, End: 40 * sim.Microsecond},
+		{Die: 1, Class: sched.ClassGC, Op: "erase",
+			Arrival: 0, Start: 0, End: 1500 * sim.Microsecond, Suspends: 2},
+		{Die: 0, Class: sched.ClassRead, Op: "read", Tag: 7,
+			Arrival: 5 * sim.Microsecond, Start: 45 * sim.Microsecond, End: 80 * sim.Microsecond},
+	}
 	var l CmdLog
-	l.Record(sched.Event{Die: 0, Class: sched.ClassRead, Op: "read",
-		Arrival: 0, Start: 10 * sim.Microsecond, End: 40 * sim.Microsecond})
-	l.Record(sched.Event{Die: 0, Class: sched.ClassRead, Op: "read",
-		Arrival: 5 * sim.Microsecond, Start: 45 * sim.Microsecond, End: 80 * sim.Microsecond})
-	l.Record(sched.Event{Die: 1, Class: sched.ClassGC, Op: "erase",
-		Arrival: 0, Start: 0, End: 1500 * sim.Microsecond, Suspends: 2})
-
-	w := l.ClassWait(sched.ClassRead)
-	if w.Count() != 2 {
-		t.Fatalf("read waits = %d, want 2", w.Count())
+	for _, ev := range events {
+		l.Record(ev)
 	}
-	if w.Mean() != 25*sim.Microsecond {
-		t.Fatalf("mean read wait = %v, want 25µs", w.Mean())
+	if len(l.Events) != len(events) {
+		t.Fatalf("logged %d events, recorded %d", len(l.Events), len(events))
 	}
-	s := l.ClassService(sched.ClassGC)
-	if s.Count() != 1 || s.Max() != 1500*sim.Microsecond {
-		t.Fatalf("gc service = %v", s)
-	}
-	if l.Suspends() != 2 {
-		t.Fatalf("suspends = %d, want 2", l.Suspends())
-	}
-	first, last := l.Span()
-	if first != 0 || last != 1500*sim.Microsecond {
-		t.Fatalf("span = [%v, %v]", first, last)
-	}
-	sum := l.Summary()
-	if !strings.Contains(sum, "read") || !strings.Contains(sum, "gc") {
-		t.Fatalf("summary missing classes:\n%s", sum)
-	}
-}
-
-// synthLog builds a deterministic n-event log spread over all classes.
-func synthLog(n int) *CmdLog {
-	l := &CmdLog{Events: make([]sched.Event, 0, n)}
-	for i := 0; i < n; i++ {
-		at := sim.Time(i) * 5 * sim.Microsecond
-		l.Record(sched.Event{
-			Die:     i % 4,
-			Class:   sched.Class(i % int(sched.NumClasses)),
-			Op:      "read",
-			Arrival: at,
-			Start:   at + sim.Time(i%7)*sim.Microsecond,
-			End:     at + sim.Time(i%7+30)*sim.Microsecond,
-		})
-	}
-	return l
-}
-
-func TestByClassMatchesPerClassScans(t *testing.T) {
-	l := synthLog(5000)
-	agg := l.ByClass()
-	var total int64
-	for c := sched.Class(0); c < sched.NumClasses; c++ {
-		a := &agg[c]
-		total += a.Count
-		w, s := l.ClassWait(c), l.ClassService(c)
-		if a.Count != w.Count() || a.Count != s.Count() {
-			t.Fatalf("class %v: count %d, wait %d, service %d", c, a.Count, w.Count(), s.Count())
+	for i := range events {
+		if l.Events[i] != events[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, l.Events[i], events[i])
 		}
-		if a.Wait.Mean() != w.Mean() || a.Wait.Percentile(99) != w.Percentile(99) {
-			t.Fatalf("class %v: wait %v vs %v", c, a.Wait.Mean(), w.Mean())
-		}
-		if a.Service.Mean() != s.Mean() || a.Service.Max() != s.Max() {
-			t.Fatalf("class %v: service %v vs %v", c, a.Service.Mean(), s.Mean())
-		}
-	}
-	if total != int64(len(l.Events)) {
-		t.Fatalf("aggregated %d events, log has %d", total, len(l.Events))
-	}
-}
-
-// BenchmarkClassAggPerCall is the pre-ByClass access pattern: one
-// full-log scan per class per histogram, as Summary used to do.
-func BenchmarkClassAggPerCall(b *testing.B) {
-	l := synthLog(100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for c := sched.Class(0); c < sched.NumClasses; c++ {
-			_ = l.ClassWait(c)
-			_ = l.ClassService(c)
-		}
-	}
-}
-
-// BenchmarkClassAggSinglePass aggregates every class's wait and service
-// in one scan.
-func BenchmarkClassAggSinglePass(b *testing.B) {
-	l := synthLog(100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = l.ByClass()
 	}
 }

@@ -268,10 +268,14 @@ type (
 	Fig4Config = bench.Fig4Config
 	// Fig4Result holds one Figure-4 sub-figure.
 	Fig4Result = bench.Fig4Result
-	// HeadlineConfig / HeadlineResult: the end-to-end stack comparison.
+	// ExperimentRows is a multi-run experiment's outcome (Headline, the
+	// delta, regions, scheduling, HTAP and serving ablations): one row per
+	// variant — a stack, regime or policy on a freshly built system — in
+	// declaration order, looked up by name (Row), compared by Ratio,
+	// rendered by Table and reported by AddTo.
+	ExperimentRows = bench.Rows
+	// HeadlineConfig parameterizes the end-to-end stack comparison.
 	HeadlineConfig = bench.HeadlineConfig
-	// HeadlineResult compares the stacks.
-	HeadlineResult = bench.HeadlineResult
 	// LatencyConfig / LatencyResult: the random-write latency study.
 	LatencyConfig = bench.LatencyConfig
 	// LatencyResult compares latency distributions.
@@ -280,28 +284,20 @@ type (
 	ValidateConfig = bench.ValidateConfig
 	// ValidateResult is the validation table.
 	ValidateResult = bench.ValidateResult
-	// DeltaConfig / DeltaResult: the in-place-appends ablation (A5),
+	// DeltaConfig parameterizes the in-place-appends ablation (A5),
 	// full-page NoFTL vs delta-append NoFTL vs the FTL block device.
 	DeltaConfig = bench.DeltaConfig
-	// DeltaResult is the delta-write ablation table.
-	DeltaResult = bench.DeltaResult
-	// RegionsConfig / RegionsResult: the configurable-regions ablation
+	// RegionsConfig parameterizes the configurable-regions ablation
 	// (A6), single-policy NoFTL vs region-managed placement with the
 	// WAL on a native append-only log region.
 	RegionsConfig = bench.RegionsConfig
-	// RegionsResult is the regions ablation table.
-	RegionsResult = bench.RegionsResult
-	// SchedConfig / SchedResult: the command-scheduling ablation (A7) —
+	// SchedConfig parameterizes the command-scheduling ablation (A7) —
 	// inline GC vs background GC vs priority scheduling vs per-request
 	// tagging.
 	SchedConfig = bench.SchedConfig
-	// SchedResult is the scheduling ablation outcome.
-	SchedResult = bench.SchedResult
-	// HTAPConfig / HTAPResult: the HTAP ablation (A8) — OLTP terminals
+	// HTAPConfig parameterizes the HTAP ablation (A8) — OLTP terminals
 	// vs analytical scans under buffer-pool and read-ahead policies.
 	HTAPConfig = bench.HTAPConfig
-	// HTAPResult is the HTAP ablation outcome.
-	HTAPResult = bench.HTAPResult
 	// QoSConfig / QoSResult: the per-request QoS demo — two terminal
 	// groups on one stack, one declared low-priority, with per-tag
 	// commit-latency attribution.
@@ -315,6 +311,21 @@ type (
 	JSONReport = bench.JSONReport
 )
 
+// Metrics ExperimentRows.Ratio compares: committed transactions per
+// second, p99 commit and buffer read-miss latency, flash bytes
+// programmed per transaction, erases per thousand transactions, the
+// HTAP ablation's scan rows per second and the serving ablation's
+// paying-tenant p99 commit latency.
+var (
+	TPS             = bench.TPS
+	CommitP99       = bench.CommitP99
+	ReadP99         = bench.ReadP99
+	BytesPerTx      = (*RunResult).BytesPerTx
+	ErasesPerKTx    = (*RunResult).ErasesPerKTx
+	ScanRowsPerS    = bench.ScanRowsPerS
+	PayingCommitP99 = bench.PayingCommitP99
+)
+
 // TagLowPriority is the stream tag of the QoS demo's declared-low-priority
 // tenant (QoSResult rows and blame tables key on it).
 const TagLowPriority = bench.TagLowPriority
@@ -326,7 +337,7 @@ func Figure3(cfg Fig3Config) (*Fig3Result, error) { return bench.Figure3(cfg) }
 func Figure4(cfg Fig4Config) (*Fig4Result, error) { return bench.Figure4(cfg) }
 
 // Headline regenerates the end-to-end stack comparison.
-func Headline(cfg HeadlineConfig) (*HeadlineResult, error) { return bench.Headline(cfg) }
+func Headline(cfg HeadlineConfig) (*ExperimentRows, error) { return bench.Headline(cfg) }
 
 // Latency regenerates the write-latency study.
 func Latency(cfg LatencyConfig) (*LatencyResult, error) { return bench.Latency(cfg) }
@@ -336,22 +347,24 @@ func Validate(cfg ValidateConfig) (*ValidateResult, error) { return bench.Valida
 
 // DeltaAblation runs the in-place-appends ablation: what page-
 // differential flushes (Volume.WriteDelta) buy over full-page writes.
-func DeltaAblation(cfg DeltaConfig) (*DeltaResult, error) { return bench.DeltaAblation(cfg) }
+func DeltaAblation(cfg DeltaConfig) (*ExperimentRows, error) { return bench.DeltaAblation(cfg) }
 
 // RegionsAblation runs the configurable-regions ablation: what
 // per-region management policies and object placement buy over a
 // single-policy volume when the WAL also lives on flash.
-func RegionsAblation(cfg RegionsConfig) (*RegionsResult, error) { return bench.RegionsAblation(cfg) }
+func RegionsAblation(cfg RegionsConfig) (*ExperimentRows, error) {
+	return bench.RegionsAblation(cfg)
+}
 
 // SchedAblation runs the command-scheduling ablation (A7): inline GC vs
 // background GC vs priority scheduling vs per-request tagging on the
 // region-managed stack.
-func SchedAblation(cfg SchedConfig) (*SchedResult, error) { return bench.SchedAblation(cfg) }
+func SchedAblation(cfg SchedConfig) (*ExperimentRows, error) { return bench.SchedAblation(cfg) }
 
 // HTAPAblation runs the HTAP ablation (A8): OLTP terminals vs
 // analytical scans under the naive, scan-resistant and
 // scan-resistant+prefetch pool policies.
-func HTAPAblation(cfg HTAPConfig) (*HTAPResult, error) { return bench.HTAPAblation(cfg) }
+func HTAPAblation(cfg HTAPConfig) (*ExperimentRows, error) { return bench.HTAPAblation(cfg) }
 
 // QoS runs the per-request QoS demo: two TPC-B terminal groups on one
 // priority-scheduled stack, one group declared low-priority through the

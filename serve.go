@@ -48,23 +48,19 @@ var ErrShed = serve.ErrShed
 
 // --- the serving-front admission ablation ---
 
-type (
-	// ServeAblationConfig parameterizes the serving-front ablation:
-	// thousands of closed-loop sessions from a compliant "paying" tenant
-	// and an aggressive "batch" tenant, run under no-control, rate-limit
-	// and rate-limit+shed admission regimes plus an uncontended
-	// reference.
-	ServeAblationConfig = bench.ServeConfig
-	// ServeAblationResult is the ablation outcome: the uncontended
-	// reference plus one row per admission regime.
-	ServeAblationResult = bench.ServeResult
-)
+// ServeAblationConfig parameterizes the serving-front ablation:
+// thousands of closed-loop sessions from a compliant "paying" tenant and
+// an aggressive "batch" tenant, run under no-control, rate-limit and
+// rate-limit+shed admission regimes plus an uncontended reference.
+type ServeAblationConfig = bench.ServeConfig
 
 // ServeAblation runs the serving-front admission ablation: the same
 // two-tenant load under no-control, rate-limit and rate-limit+shed
 // regimes, asking whether admission control keeps the compliant
 // tenant's commit tail near its uncontended baseline while the
-// budget-breaching tenant is visibly deprioritized and shed.
-func ServeAblation(cfg ServeAblationConfig) (*ServeAblationResult, error) {
+// budget-breaching tenant is visibly deprioritized and shed. Its rows
+// are the uncontended reference first, then one per regime, named after
+// its control; each row's Front carries the admission accounting.
+func ServeAblation(cfg ServeAblationConfig) (*ExperimentRows, error) {
 	return bench.Serve(cfg)
 }
