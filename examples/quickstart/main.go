@@ -63,8 +63,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_ = e.Commit(ctx, tx)
+	// The row belongs to the transaction: use (or copy) it before Commit.
 	fmt.Printf("user 42 -> %q at %v\n", row, rid)
+	_ = e.Commit(ctx, tx)
 
 	// 4. Clean shutdown (checkpoints, flushing dirty pages to flash),
 	// then one cross-layer snapshot of what the stack did.

@@ -200,7 +200,8 @@ func TestSessionStamping(t *testing.T) {
 	}
 
 	// A caller-set deadline (the terminal's per-transaction stamp) wins.
-	in := storage.NewIOCtx(w).WithDeadline(4 * sim.Millisecond)
+	in := storage.NewIOCtx(w)
+	in.Deadline = 4 * sim.Millisecond
 	sctx, err = s.admit(in)
 	if err != nil {
 		t.Fatal(err)

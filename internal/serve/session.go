@@ -17,12 +17,15 @@ import (
 // therefore see exactly which tenant caused which I/O.
 //
 // Sessions are not goroutine-safe; open one per client process (the
-// closed-loop drivers open one per terminal).
+// closed-loop drivers open one per terminal). It owns the descriptor and
+// Txn of the one request it runs at a time.
 type Session struct {
 	f      *Front
 	t      *tenant
 	st     *Store
 	closed bool
+	ctx    storage.IOCtx
+	txn    Txn
 }
 
 // Close releases the session (the active-session gauge drops).
@@ -34,7 +37,8 @@ func (s *Session) Close() {
 }
 
 // admit runs one request through the admission controller and returns
-// the stamped context it should execute under. Paced requests sleep on
+// the stamped context it should execute under: the session's own
+// descriptor, valid until the next request. Paced requests sleep on
 // the caller's waiter until their token exists; shed requests sleep the
 // client backoff and then surface ErrShed — either way the simulated
 // clock advances, so admission can never livelock the kernel.
@@ -69,13 +73,13 @@ func (s *Session) admit(ctx *storage.IOCtx) (*storage.IOCtx, error) {
 	}
 }
 
-// Get returns the value stored under key (storage.ErrNoKey when
-// absent). One admission-controlled read transaction.
+// Get returns a copy of the value stored under key (storage.ErrNoKey
+// when absent). One admission-controlled read transaction.
 func (s *Session) Get(ctx *storage.IOCtx, key int64) ([]byte, error) {
 	var val []byte
 	err := s.Tx(ctx, func(t *Txn) error {
 		v, err := t.Get(key)
-		val = v
+		val = append([]byte(nil), v...) // the row belongs to the transaction
 		return err
 	})
 	if err != nil {
@@ -98,7 +102,8 @@ func (s *Session) Delete(ctx *storage.IOCtx, key int64) error {
 
 // Scan streams key-ordered records of [lo, hi] to fn until fn returns
 // false. It is one admission decision; the reads run at read-committed
-// outside a transaction (the analytical path).
+// outside a transaction (the analytical path). As with Engine.Scan, val
+// is the page-resident record: valid only during fn.
 func (s *Session) Scan(ctx *storage.IOCtx, lo, hi int64, fn func(key int64, val []byte) bool) error {
 	sctx, err := s.admit(ctx)
 	if err != nil {
@@ -107,12 +112,11 @@ func (s *Session) Scan(ctx *storage.IOCtx, lo, hi int64, fn func(key int64, val 
 	e := s.f.e
 	var ferr error
 	err = e.IdxRange(sctx, s.st.Index, lo, hi, func(key int64, rid storage.RID) bool {
-		row, rerr := e.FetchDirty(sctx, rid)
-		if rerr != nil {
-			ferr = rerr
+		more := false
+		if ferr = e.ViewDirty(sctx, rid, func(val []byte) { more = fn(key, val) }); ferr != nil {
 			return false
 		}
-		return fn(key, row)
+		return more
 	})
 	if err != nil {
 		return err
@@ -130,7 +134,8 @@ func (s *Session) Tx(ctx *storage.IOCtx, fn func(*Txn) error) error {
 	}
 	e := s.f.e
 	tx := e.Begin()
-	if err := fn(&Txn{s: s, ctx: sctx, tx: tx}); err != nil {
+	s.txn = Txn{s: s, ctx: sctx, tx: tx}
+	if err := fn(&s.txn); err != nil {
 		if aerr := e.Abort(sctx, tx); aerr != nil {
 			return fmt.Errorf("serve: abort failed (%v) after: %w", aerr, err)
 		}
@@ -140,7 +145,8 @@ func (s *Session) Tx(ctx *storage.IOCtx, fn func(*Txn) error) error {
 }
 
 // Txn is the record API inside one session transaction. All operations
-// run under the transaction's stamped context.
+// run under the transaction's stamped context. It belongs to the session
+// and is valid only during the Tx callback; so are the rows it returns.
 type Txn struct {
 	s   *Session
 	ctx *storage.IOCtx

@@ -102,6 +102,8 @@ type BufferPool struct {
 	dirty  []map[PageID]*Frame // per region
 	stats  BufferStats
 
+	spare []*Frame // placeholders of finished reservations (reserve)
+
 	// Delta-write path (EnableDeltaWrites): flushes whose differential
 	// fits deltaMax bytes go out as in-place appends instead of full
 	// page programs.
@@ -351,13 +353,10 @@ func (bp *BufferPool) pin(ctx *IOCtx, id PageID, fresh bool) (*Frame, error) {
 			return f, nil
 		}
 		bp.cancelPrefetch(id)
-		placeholder := &Frame{ID: id, loading: true}
-		bp.table[id] = placeholder
+		r := bp.reserve(id, false)
 		f, err := bp.grabVictim(ctx)
+		bp.unreserve(r)
 		if err != nil {
-			if bp.table[id] == placeholder {
-				delete(bp.table, id)
-			}
 			return nil, err
 		}
 		bp.stats.Misses++
@@ -404,6 +403,29 @@ func (bp *BufferPool) pin(ctx *IOCtx, id PageID, fresh bool) (*Frame, error) {
 		f.loading = false
 		return f, nil
 	}
+}
+
+// reserve maps id to a loading placeholder from the free list while its
+// caller hunts a victim. Only that call gives it back (unreserve), once
+// it no longer asks whether bp.table[id] is still its own.
+func (bp *BufferPool) reserve(id PageID, stealing bool) *Frame {
+	var r *Frame
+	if n := len(bp.spare); n > 0 {
+		r, bp.spare = bp.spare[n-1], bp.spare[:n-1]
+	} else {
+		r = new(Frame)
+	}
+	r.ID, r.loading, r.stealing = id, true, stealing
+	bp.table[id] = r
+	return r
+}
+
+// unreserve drops r's mapping if it still holds one and frees r.
+func (bp *BufferPool) unreserve(r *Frame) {
+	if bp.table[r.ID] == r {
+		delete(bp.table, r.ID)
+	}
+	bp.spare = append(bp.spare, r)
 }
 
 // Unpin releases a pin. When dirty, lsn is the log record LSN of the
@@ -680,19 +702,17 @@ func (bp *BufferPool) Prefetch(ctx, load *IOCtx, id PageID) error {
 	if _, ok := bp.table[id]; ok {
 		return nil
 	}
-	// The placeholder is stealable from the start: a foreground miss
+	// The reservation is stealable from the start: a foreground miss
 	// arriving while we are still hunting a victim must not wait behind
 	// this low-priority load either.
-	placeholder := &Frame{ID: id, loading: true, stealing: true}
-	bp.table[id] = placeholder
+	r := bp.reserve(id, true)
 	f, err := bp.grabVictim(ctx)
+	stolen := bp.table[id] != r
+	bp.unreserve(r)
 	if err != nil {
-		if bp.table[id] == placeholder {
-			delete(bp.table, id)
-		}
 		return err
 	}
-	if bp.table[id] != placeholder {
+	if stolen {
 		// Stolen (or re-reserved) during the victim grab: the winner
 		// loads the page at foreground priority; release our claim.
 		f.ID = InvalidPageID

@@ -39,6 +39,8 @@ type Engine struct {
 	alloc  *allocator
 	nextTx uint64
 	active map[uint64]*Tx
+	// spareTx holds finished transaction handles for Begin to reuse.
+	spareTx []*Tx
 
 	// prefetchWindow is the Scan read-ahead depth (EngineConfig).
 	prefetchWindow int
@@ -273,19 +275,15 @@ func (e *Engine) recover(ctx *IOCtx) error {
 	}
 	slices.Sort(loserIDs)
 	for _, id := range loserIDs {
-		undo := make([]undoRec, 0, len(losers[id]))
+		loser := &Tx{}
 		for _, r := range losers[id] {
 			switch r.Type {
-			case RecHeapInsert:
-				undo = append(undo, undoRec{kind: RecHeapInsert, page: r.Page, slot: r.Slot})
-			case RecHeapUpdate:
-				undo = append(undo, undoRec{kind: RecHeapUpdate, page: r.Page, slot: r.Slot, before: r.Before})
-			case RecHeapDelete:
-				undo = append(undo, undoRec{kind: RecHeapDelete, page: r.Page, slot: r.Slot, before: r.Before})
-			case RecIdxInsert:
-				undo = append(undo, undoRec{kind: RecIdxInsert, idx: r.Idx, key: r.Key, rid: r.RID})
-			case RecIdxDelete:
-				undo = append(undo, undoRec{kind: RecIdxDelete, idx: r.Idx, key: r.Key, rid: r.RID})
+			case RecHeapInsert, RecHeapUpdate, RecHeapDelete:
+				off, before := loser.keep(r.Before)
+				loser.undo = append(loser.undo, undoRec{kind: r.Type, page: r.Page, slot: r.Slot,
+					off: off, n: uint32(len(before))})
+			case RecIdxInsert, RecIdxDelete:
+				loser.undo = append(loser.undo, undoRec{kind: r.Type, idx: r.Idx, key: r.Key, rid: r.RID})
 			}
 		}
 		// Index undo needs the catalog; load it now if not yet done.
@@ -294,7 +292,7 @@ func (e *Engine) recover(ctx *IOCtx) error {
 				return err
 			}
 		}
-		if err := e.applyUndo(ctx, undo); err != nil {
+		if err := e.applyUndo(ctx, loser); err != nil {
 			return err
 		}
 		e.wal.Append(&LogRecord{Type: RecAbort, Tx: id})

@@ -321,8 +321,9 @@ func (e *Engine) tryInsert(ctx *IOCtx, tx *Tx, id PageID, rec []byte) (RID, bool
 	return rid, true, nil
 }
 
-// Fetch copies the record at rid. It takes the record lock for an
-// instant (read committed), so it blocks on uncommitted writers.
+// Fetch copies the record at rid into the transaction's arena, valid
+// until Commit or Abort. It takes the record lock for an instant (read
+// committed), so it blocks on uncommitted writers.
 func (e *Engine) Fetch(ctx *IOCtx, tx *Tx, rid RID) ([]byte, error) {
 	k := ridKey(rid)
 	held, err := e.lt.acquire(ctx, tx.id, k)
@@ -332,23 +333,11 @@ func (e *Engine) Fetch(ctx *IOCtx, tx *Tx, rid RID) ([]byte, error) {
 	if !held {
 		defer e.lt.release(tx.id, k)
 	}
-	f, err := e.bp.Pin(ctx, rid.Page, false)
-	if err != nil {
-		return nil, err
-	}
-	defer e.bp.Unpin(f, false, 0)
-	rec, err := f.P.Record(int(rid.Slot))
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), rec...), nil
+	return e.fetchInto(ctx, tx, rid)
 }
 
-// FetchDirty reads the record at rid without any locking. It is meant
-// for analytical range scans whose callbacks run under an index latch,
-// where taking record locks could deadlock against writers (and where
-// read-committed precision is not required).
-func (e *Engine) FetchDirty(ctx *IOCtx, rid RID) ([]byte, error) {
+// fetchInto copies the record at rid into tx's arena.
+func (e *Engine) fetchInto(ctx *IOCtx, tx *Tx, rid RID) ([]byte, error) {
 	f, err := e.bp.Pin(ctx, rid.Page, false)
 	if err != nil {
 		return nil, err
@@ -358,27 +347,46 @@ func (e *Engine) FetchDirty(ctx *IOCtx, rid RID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append([]byte(nil), rec...), nil
+	_, row := tx.keep(rec)
+	return row, nil
+}
+
+// ViewDirty passes the record at rid to fn without any locking. It is
+// meant for analytical range scans whose callbacks run under an index
+// latch, where taking record locks could deadlock against writers (and
+// where read-committed precision is not required). As with Scan, rec is
+// the page-resident record: valid only during fn, read-only.
+func (e *Engine) ViewDirty(ctx *IOCtx, rid RID, fn func(rec []byte)) error {
+	f, err := e.bp.Pin(ctx, rid.Page, false)
+	if err != nil {
+		return err
+	}
+	defer e.bp.Unpin(f, false, 0)
+	rec, err := f.P.Record(int(rid.Slot))
+	if err != nil {
+		return err
+	}
+	fn(rec)
+	return nil
+}
+
+// FetchDirty is ViewDirty returning a copy the caller owns.
+func (e *Engine) FetchDirty(ctx *IOCtx, rid RID) ([]byte, error) {
+	var row []byte
+	err := e.ViewDirty(ctx, rid, func(rec []byte) { row = append([]byte(nil), rec...) })
+	return row, err
 }
 
 // FetchForUpdate reads the record at rid holding its exclusive lock for
 // the rest of the transaction (SELECT ... FOR UPDATE): the only safe way
 // to read a value that the same transaction will write back, since a
-// plain Fetch releases the lock and admits lost updates.
+// plain Fetch releases the lock and admits lost updates. The row lives
+// in the transaction's arena, like Fetch's.
 func (e *Engine) FetchForUpdate(ctx *IOCtx, tx *Tx, rid RID) ([]byte, error) {
 	if err := tx.lockWait(ctx, e, ridKey(rid)); err != nil {
 		return nil, err
 	}
-	f, err := e.bp.Pin(ctx, rid.Page, false)
-	if err != nil {
-		return nil, err
-	}
-	defer e.bp.Unpin(f, false, 0)
-	rec, err := f.P.Record(int(rid.Slot))
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), rec...), nil
+	return e.fetchInto(ctx, tx, rid)
 }
 
 // Update overwrites the record at rid (same size class).
@@ -395,7 +403,7 @@ func (e *Engine) Update(ctx *IOCtx, tx *Tx, rid RID, rec []byte) error {
 		e.bp.Unpin(f, false, 0)
 		return rerr
 	}
-	before := append([]byte(nil), old...)
+	off, before := tx.keep(old)
 	if uerr := f.P.Update(int(rid.Slot), rec); uerr != nil {
 		e.bp.Unpin(f, false, 0)
 		if errors.Is(uerr, ErrPageFull) {
@@ -406,7 +414,8 @@ func (e *Engine) Update(ctx *IOCtx, tx *Tx, rid RID, rec []byte) error {
 	lsn := e.wal.Append(&LogRecord{Type: RecHeapUpdate, Tx: tx.id, Page: rid.Page,
 		Slot: int(rid.Slot), Before: before, After: rec})
 	e.bp.Unpin(f, true, lsn)
-	tx.undo = append(tx.undo, undoRec{kind: RecHeapUpdate, page: rid.Page, slot: int(rid.Slot), before: before})
+	tx.undo = append(tx.undo, undoRec{kind: RecHeapUpdate, page: rid.Page, slot: int(rid.Slot),
+		off: off, n: uint32(len(before))})
 	return nil
 }
 

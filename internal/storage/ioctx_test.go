@@ -26,24 +26,18 @@ func TestNewIOCtxSubstitutesClockOnce(t *testing.T) {
 	}
 }
 
-// TestIOCtxDerivations checks the With*/EnsureClass constructors derive
-// without mutating the parent, and that the context itself is what goes
-// down as the waiter.
+// TestIOCtxDerivations checks the With* constructors derive without
+// mutating the parent, and that the context itself is what goes down as
+// the waiter.
 func TestIOCtxDerivations(t *testing.T) {
 	base := NewIOCtx(&sim.ClockWaiter{})
-	d := base.WithClass(ioreq.ClassGC).WithTag(9).WithDeadline(100)
+	d := base.WithClass(ioreq.ClassGC).WithTag(9)
+	d.Deadline = 100
 	if base.Class != ioreq.ClassDefault || base.Tag != 0 || base.Deadline != 0 {
 		t.Fatalf("parent mutated: %+v", base)
 	}
 	if d.Class != ioreq.ClassGC || d.Tag != 9 || d.Deadline != 100 || d.W != base.W {
 		t.Fatalf("derivation wrong: %+v", d)
-	}
-	// EnsureClass fills only the default.
-	if got := base.EnsureClass(ioreq.ClassWAL); got.Class != ioreq.ClassWAL {
-		t.Fatalf("EnsureClass on default: %v", got.Class)
-	}
-	if got := d.EnsureClass(ioreq.ClassWAL); got != d || got.Class != ioreq.ClassGC {
-		t.Fatal("EnsureClass overrode a declared class")
 	}
 	w := d.Req().Waiter()
 	if w != sim.Waiter((*ioreq.Req)(d)) {

@@ -155,15 +155,13 @@ func (p Page) FreeSpace() int {
 	return free
 }
 
-// LiveRecords counts non-deleted records.
-func (p Page) LiveRecords() int {
-	n := 0
-	for i := 0; i < p.NumSlots(); i++ {
-		if off, _ := p.slot(i); off != deletedOff {
-			n++
-		}
-	}
-	return n
+// sane reports whether the record space and the slot directory the
+// header describes fit the page without overlapping. Every slot access
+// relies on it, and every live record lies in the record space: a page
+// breaking either is corrupt, a torn or foreign image.
+func (p Page) sane() bool {
+	free := p.freeOff()
+	return free >= pageHeaderSize && free <= len(p.B)-p.NumSlots()*slotSize
 }
 
 // Insert stores a record and returns its slot. It reuses deleted slots
@@ -172,6 +170,9 @@ func (p Page) LiveRecords() int {
 func (p Page) Insert(rec []byte) (int, error) {
 	if len(rec)+slotSize > len(p.B)-pageHeaderSize {
 		return 0, fmt.Errorf("%w: %d bytes in %d-byte page", ErrRecordSize, len(rec), len(p.B))
+	}
+	if !p.sane() {
+		return 0, ErrPageCorrupt
 	}
 	slot := -1
 	for i := 0; i < p.NumSlots(); i++ {
@@ -186,7 +187,7 @@ func (p Page) Insert(rec []byte) (int, error) {
 	}
 	if p.FreeSpace() < need {
 		if p.usableSpace() >= need {
-			p.Compact()
+			p.compact()
 		} else {
 			return 0, ErrPageFull
 		}
@@ -210,6 +211,9 @@ func (p Page) InsertAt(slot int, rec []byte) error {
 	if slot < 0 || slot > 4096 {
 		return fmt.Errorf("%w: slot %d", ErrBadSlot, slot)
 	}
+	if !p.sane() {
+		return ErrPageCorrupt
+	}
 	if slot < p.NumSlots() {
 		if off, _ := p.slot(slot); off != deletedOff {
 			return fmt.Errorf("%w: slot %d occupied", ErrBadSlot, slot)
@@ -223,7 +227,7 @@ func (p Page) InsertAt(slot int, rec []byte) error {
 		if p.usableSpace() < len(rec)+grow {
 			return ErrPageFull
 		}
-		p.Compact()
+		p.compact()
 	}
 	for p.NumSlots() <= slot {
 		i := p.NumSlots()
@@ -238,13 +242,21 @@ func (p Page) InsertAt(slot int, rec []byte) error {
 	return nil
 }
 
-// usableSpace is free space plus reclaimable fragmentation.
+// usableSpace is free space plus reclaimable fragmentation. A page whose
+// live records do not fit its record space has none, so compact never
+// runs on one.
 func (p Page) usableSpace() int {
 	used := 0
 	for i := 0; i < p.NumSlots(); i++ {
 		if off, l := p.slot(i); off != deletedOff {
+			if off < pageHeaderSize || off+l > p.freeOff() {
+				return -1
+			}
 			used += l
 		}
+	}
+	if used > p.freeOff()-pageHeaderSize {
+		return -1
 	}
 	return len(p.B) - pageHeaderSize - p.NumSlots()*slotSize - used
 }
@@ -255,9 +267,15 @@ func (p Page) Record(i int) ([]byte, error) {
 	if i < 0 || i >= p.NumSlots() {
 		return nil, fmt.Errorf("%w: slot %d of %d", ErrBadSlot, i, p.NumSlots())
 	}
+	if !p.sane() {
+		return nil, ErrPageCorrupt
+	}
 	off, l := p.slot(i)
 	if off == deletedOff {
 		return nil, fmt.Errorf("%w: slot %d deleted", ErrBadSlot, i)
+	}
+	if off < pageHeaderSize || off+l > p.freeOff() {
+		return nil, ErrPageCorrupt
 	}
 	return p.B[off : off+l], nil
 }
@@ -274,14 +292,10 @@ func (p Page) Delete(i int) error {
 // Update replaces the record in slot i, moving it within the page if the
 // size changed.
 func (p Page) Update(i int, rec []byte) error {
-	off, l := 0, 0
-	if i < 0 || i >= p.NumSlots() {
-		return fmt.Errorf("%w: slot %d", ErrBadSlot, i)
+	if _, err := p.Record(i); err != nil {
+		return err
 	}
-	off, l = p.slot(i)
-	if off == deletedOff {
-		return fmt.Errorf("%w: slot %d deleted", ErrBadSlot, i)
-	}
+	off, l := p.slot(i)
 	if len(rec) <= l {
 		copy(p.B[off:], rec)
 		p.touch(off, len(rec))
@@ -295,7 +309,7 @@ func (p Page) Update(i int, rec []byte) error {
 			p.setSlot(i, off, l) // restore
 			return ErrPageFull
 		}
-		p.Compact()
+		p.compact()
 	}
 	noff := p.freeOff()
 	copy(p.B[noff:], rec)
@@ -305,8 +319,9 @@ func (p Page) Update(i int, rec []byte) error {
 	return nil
 }
 
-// Compact rewrites live records contiguously, reclaiming fragmentation.
-func (p Page) Compact() {
+// compact rewrites live records contiguously, reclaiming fragmentation.
+// Callers first check usableSpace, which rejects corrupt pages.
+func (p Page) compact() {
 	type ent struct {
 		slot, off, l int
 	}

@@ -4,25 +4,16 @@ import (
 	"errors"
 )
 
-// TxStatus is a transaction's lifecycle state.
-type TxStatus uint8
-
-// Transaction states.
-const (
-	TxActive TxStatus = iota
-	TxCommitted
-	TxAborted
-)
-
 // ErrTxDone rejects operations on finished transactions.
 var ErrTxDone = errors.New("storage: transaction already finished")
 
 type undoRec struct {
-	kind   RecType
-	idx    uint32 // beside kind: one word for both keeps Tx in the 512-byte size class
-	page   PageID
-	slot   int
-	before []byte
+	kind RecType
+	idx  uint32 // beside kind: one word for both keeps Tx in the 512-byte size class
+	page PageID
+	slot int
+	// before-image: arena[off : off+n] of the owning transaction
+	off, n uint32
 	key    int64
 	rid    RID
 }
@@ -32,14 +23,19 @@ type deferredDelete struct {
 	rid   RID
 }
 
-// Tx is a transaction handle.
+// Tx is a transaction handle. Commit and Abort hand it back to the
+// engine, whose next Begin reuses it: a Tx must not be used after
+// Commit or Abort returns.
 type Tx struct {
 	id       uint64
 	firstLSN uint64
-	status   TxStatus
+	done     bool // committed or aborted
 	undo     []undoRec
 	locks    []lockKey // held until commit or abort, each key once
 	deletes  []deferredDelete
+	// arena holds the rows Fetch and FetchForUpdate return and the
+	// before-images undo records point into; reuse keeps its capacity.
+	arena []byte
 	// A short transaction's locks and undo records live in the handle
 	// itself: it allocates once and grows nothing.
 	lockBuf [8]lockKey
@@ -56,20 +52,43 @@ func (t *Tx) lockWait(ctx *IOCtx, e *Engine, k lockKey) error {
 	return err
 }
 
-// Begin starts a transaction.
+// keep copies b to the end of the arena, returning its offset and the
+// copy, capacity-clamped so an append to it cannot reach the next.
+func (t *Tx) keep(b []byte) (uint32, []byte) {
+	off := len(t.arena)
+	t.arena = append(t.arena, b...)
+	return uint32(off), t.arena[off:len(t.arena):len(t.arena)]
+}
+
+// Begin starts a transaction, reusing a finished handle when one is free.
 func (e *Engine) Begin() *Tx {
 	e.nextTx++
-	tx := &Tx{id: e.nextTx}
-	tx.locks, tx.undo = tx.lockBuf[:0], tx.undoBuf[:0]
+	var tx *Tx
+	if n := len(e.spareTx); n > 0 {
+		tx, e.spareTx = e.spareTx[n-1], e.spareTx[:n-1]
+	} else {
+		tx = new(Tx)
+		tx.locks, tx.undo = tx.lockBuf[:0], tx.undoBuf[:0]
+	}
+	tx.id, tx.done = e.nextTx, false
+	tx.locks, tx.undo, tx.deletes, tx.arena = tx.locks[:0], tx.undo[:0], tx.deletes[:0], tx.arena[:0]
 	tx.firstLSN = e.wal.Append(&LogRecord{Type: RecBegin, Tx: tx.id})
 	e.active[tx.id] = tx
 	return tx
 }
 
+// finish releases a transaction's locks and frees its handle for Begin.
+func (e *Engine) finish(tx *Tx) {
+	tx.done = true
+	e.lt.releaseAll(tx.id, tx.locks)
+	delete(e.active, tx.id)
+	e.spareTx = append(e.spareTx, tx)
+}
+
 // Commit applies deferred deletes, makes the transaction durable (group
 // commit) and releases its locks.
 func (e *Engine) Commit(ctx *IOCtx, tx *Tx) error {
-	if tx.status != TxActive {
+	if tx.done {
 		return ErrTxDone
 	}
 	for _, d := range tx.deletes {
@@ -81,9 +100,7 @@ func (e *Engine) Commit(ctx *IOCtx, tx *Tx) error {
 	if err := e.wal.Flush(ctx, lsn+1); err != nil {
 		return err
 	}
-	tx.status = TxCommitted
-	e.lt.releaseAll(tx.id, tx.locks)
-	delete(e.active, tx.id)
+	e.finish(tx)
 	e.Commits++
 	return nil
 }
@@ -98,7 +115,7 @@ func (e *Engine) applyDelete(ctx *IOCtx, tx *Tx, d deferredDelete) error {
 		e.bp.Unpin(f, false, 0)
 		return nil // already gone; deletes are idempotent
 	}
-	before := append([]byte(nil), rec...)
+	_, before := tx.keep(rec)
 	if err := f.P.Delete(int(d.rid.Slot)); err != nil {
 		e.bp.Unpin(f, false, 0)
 		return err
@@ -115,24 +132,23 @@ func (e *Engine) applyDelete(ctx *IOCtx, tx *Tx, d deferredDelete) error {
 // so a crash mid-abort is handled by recovery redoing the compensations
 // and re-undoing the remainder.
 func (e *Engine) Abort(ctx *IOCtx, tx *Tx) error {
-	if tx.status != TxActive {
+	if tx.done {
 		return ErrTxDone
 	}
-	if err := e.applyUndo(ctx, tx.undo); err != nil {
+	if err := e.applyUndo(ctx, tx); err != nil {
 		return err
 	}
 	e.wal.Append(&LogRecord{Type: RecAbort, Tx: tx.id})
-	tx.status = TxAborted
-	e.lt.releaseAll(tx.id, tx.locks)
-	delete(e.active, tx.id)
+	e.finish(tx)
 	e.Aborts++
 	return nil
 }
 
 // applyUndo reverses a transaction's actions (newest first).
-func (e *Engine) applyUndo(ctx *IOCtx, undo []undoRec) error {
-	for i := len(undo) - 1; i >= 0; i-- {
-		u := undo[i]
+func (e *Engine) applyUndo(ctx *IOCtx, tx *Tx) error {
+	for i := len(tx.undo) - 1; i >= 0; i-- {
+		u := tx.undo[i]
+		before := tx.arena[u.off : u.off+u.n]
 		switch u.kind {
 		case RecHeapInsert:
 			f, err := e.bp.Pin(ctx, u.page, false)
@@ -147,24 +163,24 @@ func (e *Engine) applyUndo(ctx *IOCtx, undo []undoRec) error {
 			if err != nil {
 				return err
 			}
-			if err := f.P.Update(u.slot, u.before); err != nil && !errors.Is(err, ErrBadSlot) {
+			if err := f.P.Update(u.slot, before); err != nil && !errors.Is(err, ErrBadSlot) {
 				e.bp.Unpin(f, false, 0)
 				return err
 			}
 			lsn := e.wal.Append(&LogRecord{Type: RecHeapUpdate, Tx: SystemTx, Page: u.page,
-				Slot: u.slot, After: u.before})
+				Slot: u.slot, After: before})
 			e.bp.Unpin(f, true, lsn)
 		case RecHeapDelete:
 			f, err := e.bp.Pin(ctx, u.page, false)
 			if err != nil {
 				return err
 			}
-			if err := f.P.InsertAt(u.slot, u.before); err != nil && !errors.Is(err, ErrBadSlot) {
+			if err := f.P.InsertAt(u.slot, before); err != nil && !errors.Is(err, ErrBadSlot) {
 				e.bp.Unpin(f, false, 0)
 				return err
 			}
 			lsn := e.wal.Append(&LogRecord{Type: RecHeapInsert, Tx: SystemTx, Page: u.page,
-				Slot: u.slot, After: u.before})
+				Slot: u.slot, After: before})
 			e.bp.Unpin(f, true, lsn)
 		case RecIdxInsert:
 			// Logical undo: the key may have moved across splits.

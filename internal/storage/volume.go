@@ -46,24 +46,6 @@ func (c *IOCtx) WithTag(tag uint32) *IOCtx {
 	return &d
 }
 
-// WithDeadline returns a derived context carrying the deadline.
-func (c *IOCtx) WithDeadline(t sim.Time) *IOCtx {
-	d := *c
-	d.Deadline = t
-	return &d
-}
-
-// EnsureClass returns the context itself when it already declares a
-// class, or a derived one declaring cl. Layers that know what a request
-// is (the WAL knows it is flushing log records) use it to fill in the
-// default without overriding intent declared closer to the origin.
-func (c *IOCtx) EnsureClass(cl ioreq.Class) *IOCtx {
-	if c.Class != ioreq.ClassDefault {
-		return c
-	}
-	return c.WithClass(cl)
-}
-
 // Req is the descriptor handed to host-side flash management
 // (noftl.Volume, ftl.SeqLog): the context itself riding as the waiter,
 // so handing a request down allocates nothing.

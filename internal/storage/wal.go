@@ -83,6 +83,7 @@ type WAL struct {
 	durable uint64
 
 	flushing bool
+	lead     IOCtx // the leader's descriptor when its class is not the flush's
 	// flushBuf is the one page every flush formats into. One is enough:
 	// flushing admits a single flusher at a time, and the volume or log
 	// copies the page before its write returns.
@@ -165,10 +166,7 @@ func (w *WAL) Append(r *LogRecord) uint64 {
 // shared log). Background-induced flushes (write-back, checkpoints) use
 // FlushBg instead, which keeps the caller's declared class.
 func (w *WAL) Flush(ctx *IOCtx, upTo uint64) error {
-	if ctx.Class != ioreq.ClassWAL {
-		ctx = ctx.WithClass(ioreq.ClassWAL)
-	}
-	return w.flush(ctx, upTo)
+	return w.flush(ctx, upTo, ioreq.ClassWAL)
 }
 
 // FlushBg is Flush for background callers: a context that already
@@ -185,28 +183,29 @@ func (w *WAL) Flush(ctx *IOCtx, upTo uint64) error {
 // bounds the shared-log inversion window at one background-class
 // flush instead of one maintenance-class flush.
 func (w *WAL) FlushBg(ctx *IOCtx, upTo uint64) error {
-	ctx = ctx.EnsureClass(ioreq.ClassWAL)
-	if ctx.Class > ioreq.ClassProgram {
-		ctx = ctx.WithClass(ioreq.ClassProgram)
+	cl := min(ctx.Class, ioreq.ClassProgram)
+	if cl == ioreq.ClassDefault {
+		cl = ioreq.ClassWAL
 	}
-	return w.flush(ctx, upTo)
+	return w.flush(ctx, upTo, cl)
 }
 
-func (w *WAL) flush(ctx *IOCtx, upTo uint64) error {
+// flush makes the log durable to upTo, writing any pages in class cl.
+func (w *WAL) flush(ctx *IOCtx, upTo uint64, cl ioreq.Class) error {
 	if sp := ctx.Span; sp != nil {
 		// Telemetry: the whole flush — group-commit waits behind another
 		// flusher included — is the span's WAL stage; page writes nest
 		// the volume stage inside.
 		wait := ctx.W
 		sp.Enter(ioreq.StageWAL, wait.Now())
-		err := w.doFlush(ctx, upTo)
+		err := w.doFlush(ctx, upTo, cl)
 		sp.Exit(wait.Now())
 		return err
 	}
-	return w.doFlush(ctx, upTo)
+	return w.doFlush(ctx, upTo, cl)
 }
 
-func (w *WAL) doFlush(ctx *IOCtx, upTo uint64) error {
+func (w *WAL) doFlush(ctx *IOCtx, upTo uint64, cl ioreq.Class) error {
 	if upTo > w.nextLSN {
 		upTo = w.nextLSN
 	}
@@ -222,11 +221,18 @@ func (w *WAL) doFlush(ctx *IOCtx, upTo uint64) error {
 		// Snapshot the target: flush everything buffered right now
 		// (group commit: waiters behind us get covered too).
 		target := w.nextLSN
+		lead := ctx
+		if ctx.Class != cl {
+			// flushing admits one leader, so one descriptor serves all.
+			w.lead = *ctx
+			w.lead.Class = cl
+			lead = &w.lead
+		}
 		var err error
 		if w.alog != nil {
-			err = w.writeFlashPages(ctx, target)
+			err = w.writeFlashPages(lead, target)
 		} else {
-			err = w.writePages(ctx, target)
+			err = w.writePages(lead, target)
 		}
 		w.flushing = false
 		if err != nil {
@@ -384,8 +390,9 @@ func decodeStream(stream []byte, streamStart, lsn uint64) ([]*LogRecord, uint64)
 	var recs []*LogRecord
 	pos := lsn - streamStart
 	for {
-		r, n := decodeRecord(stream[min(pos, uint64(len(stream))):], streamStart+pos)
-		if r == nil {
+		r := &LogRecord{}
+		n := decodeRecordInto(r, stream[min(pos, uint64(len(stream))):], streamStart+pos)
+		if n == 0 {
 			return recs, streamStart + pos
 		}
 		recs = append(recs, r)
@@ -482,22 +489,36 @@ func encodeRecordTo(dst []byte, r *LogRecord) []byte {
 	return e.b
 }
 
-// recDec is the decode cursor mirroring recEnc.
+// recDec is the decode cursor mirroring recEnc. A read past the end of
+// the record marks it short instead of running into the next one.
 type recDec struct {
-	b   []byte
-	pos int
+	b     []byte
+	pos   int
+	short bool
 }
 
-func (d *recDec) u16() uint16 { v := binary.LittleEndian.Uint16(d.b[d.pos:]); d.pos += 2; return v }
-func (d *recDec) u32() uint32 { v := binary.LittleEndian.Uint32(d.b[d.pos:]); d.pos += 4; return v }
-func (d *recDec) u64() uint64 { v := binary.LittleEndian.Uint64(d.b[d.pos:]); d.pos += 8; return v }
+func (d *recDec) u16() uint16 { return uint16(d.uint(2)) }
+func (d *recDec) u32() uint32 { return uint32(d.uint(4)) }
+func (d *recDec) u64() uint64 { return d.uint(8) }
+
+// uint reads an n-byte little-endian integer (0 past the end).
+func (d *recDec) uint(n int) (v uint64) {
+	for i, c := range d.raw(n) {
+		v |= uint64(c) << (8 * i)
+	}
+	return v
+}
 
 // raw returns the next n stream bytes as a capacity-clamped subslice —
-// an alias, not a copy. The recovered stream is assembled once and
-// never rewritten, so decoded records may reference it directly; the
-// three-index slice keeps a caller's append from growing into the
-// following record's bytes.
+// an alias, not a copy — or nil past the end of the record. The
+// recovered stream is assembled once and never rewritten, so decoded
+// records may reference it directly; the three-index slice keeps a
+// caller's append from growing into the following record's bytes.
 func (d *recDec) raw(n int) []byte {
+	if n > len(d.b)-d.pos {
+		d.short = true
+		return nil
+	}
 	v := d.b[d.pos : d.pos+n : d.pos+n]
 	d.pos += n
 	return v
@@ -552,6 +573,9 @@ func decodeRecordInto(r *LogRecord, b []byte, lsn uint64) uint64 {
 	case RecCheckpoint:
 		r.Key = int64(d.u64())
 		n := int(d.u32())
+		if n > (len(d.b)-d.pos)/16 {
+			return 0
+		}
 		r.Active = make(map[uint64]uint64, n)
 		for i := 0; i < n; i++ {
 			tx := d.u64()
@@ -560,18 +584,10 @@ func decodeRecordInto(r *LogRecord, b []byte, lsn uint64) uint64 {
 	default:
 		return 0
 	}
-	return uint64(total)
-}
-
-// decodeRecord parses one record at the head of b into a fresh
-// LogRecord. Returns nil if b is empty, truncated or corrupt.
-func decodeRecord(b []byte, lsn uint64) (*LogRecord, uint64) {
-	r := &LogRecord{}
-	n := decodeRecordInto(r, b, lsn)
-	if n == 0 {
-		return nil, 0
+	if d.short {
+		return 0
 	}
-	return r, n
+	return uint64(total)
 }
 
 // ErrLogFull reports log-volume exhaustion between checkpoints.

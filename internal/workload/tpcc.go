@@ -494,10 +494,7 @@ func (t *TPCC) stockLevelTx(ctx *storage.IOCtx, e *storage.Engine, rng *rand.Ran
 		if err := e.IdxRange(ctx, t.olPK,
 			t.olKey(t.orderKey(wd, lo), 0), t.olKey(t.orderKey(wd, nextOid), 0)-1,
 			func(k int64, rid storage.RID) bool {
-				row, err := e.FetchDirty(ctx, rid)
-				if err == nil {
-					items[field(row, 1)] = struct{}{}
-				}
+				_ = e.ViewDirty(ctx, rid, func(row []byte) { items[field(row, 1)] = struct{}{} })
 				return true
 			}); err != nil {
 			return err

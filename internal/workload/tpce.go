@@ -239,7 +239,7 @@ func (t *TPCE) tradeStatus(ctx *storage.IOCtx, e *storage.Engine, rng *rand.Rand
 		n := 0
 		return e.IdxRange(ctx, t.tradeAcct, aid*tradeSpan, (aid+1)*tradeSpan-1,
 			func(k int64, rid storage.RID) bool {
-				if _, err := e.FetchDirty(ctx, rid); err != nil {
+				if err := e.ViewDirty(ctx, rid, func([]byte) {}); err != nil {
 					return false
 				}
 				n++

@@ -186,15 +186,14 @@ func (t *TPCH) q3(ctx *storage.IOCtx, e *storage.Engine, rng *rand.Rand) error {
 	}
 	return withTx(ctx, e, func(tx *storage.Tx) error {
 		return e.IdxRange(ctx, t.orderPK, start, end-1, func(k int64, rid storage.RID) bool {
-			orow, err := e.FetchDirty(ctx, rid)
-			if err != nil {
+			var oid int64
+			if err := e.ViewDirty(ctx, rid, func(orow []byte) { oid = field(orow, 0) }); err != nil {
 				return false
 			}
-			oid := field(orow, 0)
 			t.rows++
 			_ = e.IdxRange(ctx, t.linePK, oid*16, oid*16+15,
 				func(lk int64, lrid storage.RID) bool {
-					_, _ = e.FetchDirty(ctx, lrid)
+					_ = e.ViewDirty(ctx, lrid, func([]byte) {})
 					t.rows++
 					return true
 				})
