@@ -1,10 +1,9 @@
 // Command noftlvet runs the repo's domain-specific static-analysis
-// suite (internal/analysis): six analyzers that enforce the sim's
+// suite (internal/analysis): five analyzers that enforce the sim's
 // cross-layer invariants — byte-determinism of benches and exports, the
-// ioreq class discipline, the WAL-flush priority-inversion guard, the
-// telemetry nil-receiver contract, the layer.metric registry naming
-// scheme, and kernel-resident polling — at compile time, the way go vet
-// catches printf misuse.
+// ioreq class discipline, the telemetry nil-receiver contract, the
+// layer.metric registry naming scheme, and kernel-resident polling — at
+// compile time, the way go vet catches printf misuse.
 //
 // Usage:
 //

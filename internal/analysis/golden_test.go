@@ -77,7 +77,6 @@ func TestAnalyzerGoldens(t *testing.T) {
 		// (scoped by the "/serve" import-path suffix, which the fixture
 		// directory shares with noftl/internal/serve).
 		{"serve", []*Analyzer{IOReqClass}},
-		{"walflush", []*Analyzer{WALFlush}},
 		{"nilrecv", []*Analyzer{NilRecv}},
 		{"metricname", []*Analyzer{MetricName}},
 		{"pollloop", []*Analyzer{PollLoop}},

@@ -81,7 +81,7 @@ func TestSuppressesAdjacency(t *testing.T) {
 	if ig.suppresses(at(12, "determinism")) {
 		t.Error("a directive two lines up must not suppress")
 	}
-	if ig.suppresses(at(10, "walflush")) {
+	if ig.suppresses(at(10, "nilrecv")) {
 		t.Error("a directive must only suppress the named analyzer")
 	}
 }

@@ -213,7 +213,8 @@ func figure3One(wl workload.Workload, cfg Fig3Config) (*Fig3Row, error) {
 	row := &Fig3Row{Workload: wl.Name()}
 	row.TraceReads, row.TraceWrites, _ = txTrace.Counts()
 
-	// FASTer behind the block interface: trims never arrive.
+	// FASTer behind the block interface: trims would never arrive. No
+	// recorded workload frees a page, so the trace holds none anyway.
 	fdev := flash.New(fig3Device(devPages, tr.PageSize))
 	ff, err := ftl.NewFasterFTL(fdev, ftl.FasterConfig{SecondChance: true})
 	if err != nil {
@@ -234,7 +235,9 @@ func figure3One(wl workload.Workload, cfg Fig3Config) (*Fig3Row, error) {
 	row.FasterErases = after.Erases - base.Erases
 	row.FasterWear = fdev.Array().Wear()
 
-	// NoFTL: same trace, with the DBMS's dead-page knowledge.
+	// NoFTL: same trace. The DBMS's dead-page knowledge would reach GC
+	// here, but no recorded workload frees a page, so this row measures
+	// the die manager against FASTer's merges and nothing else.
 	ndev := flash.New(fig3Device(devPages, tr.PageSize))
 	nv, err := noftl.New(ndev, noftl.Config{})
 	if err != nil {

@@ -6,16 +6,15 @@
 // dramatically, while uFLIP shows small sequential appends are exactly
 // the pattern native flash executes well.
 //
-// The package provides three pieces:
+// The package provides two pieces:
 //
 //   - Run / Diff: the byte-range representation of a page differential
-//     and an exact differ between a base image and a modified image;
-//   - Tracker: a coalescing dirty-range tracker the buffer pool keeps per
-//     frame, giving a cheap conservative upper bound on page dirtiness
-//     before any diffing happens;
-//   - Encode / Apply / Fold: a compact binary wire format for a
-//     differential and the fold operation that replays a delta chain
-//     onto a base page image.
+//     and an exact differ between a base image and a modified image —
+//     the buffer pool diffs a frame against its base image at flush
+//     time, and that diff is the only record of what changed;
+//   - Encode / Decode / Apply: a compact binary wire format for a
+//     differential, and its application onto a page image (a delta
+//     chain folds by applying each record, oldest first).
 //
 // Deltas are absolute: each run overwrites [Off, Off+Len) with recorded
 // bytes. That makes application idempotent — replaying a chain onto a
@@ -28,7 +27,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Errors returned by decoding and application.
@@ -83,96 +81,14 @@ func Bytes(runs []Run) int {
 	return n
 }
 
-// --- dirty-range tracker ---
-
-// Tracker accumulates the byte ranges dirtied in a page frame since the
-// last flush. It is advisory: the flush path uses it as a fast upper
-// bound on dirtiness (and for statistics) but derives the authoritative
-// differential from a base-image diff, so a missed Mark can never lose
-// data — it only degrades the estimate.
-type Tracker struct {
-	runs  []Run
-	bytes int
-	whole bool
-}
-
-// trackerCoalesce merges marks separated by fewer than this many bytes;
-// trackerMaxRuns bounds the list (beyond it the tracker degrades to
-// whole-page, which is still a valid upper bound).
-const (
-	trackerCoalesce = 16
-	trackerMaxRuns  = 64
-)
-
-// Mark records that [off, off+n) was modified.
-func (t *Tracker) Mark(off, n int) {
-	if t.whole || n <= 0 {
-		return
-	}
-	// Fast path: extends or overlaps the most recently touched run.
-	for i := range t.runs {
-		r := &t.runs[i]
-		if off >= r.Off-trackerCoalesce && off <= r.End()+trackerCoalesce {
-			start := min(r.Off, off)
-			end := max(r.End(), off+n)
-			t.bytes += (end - start) - r.Len
-			r.Off, r.Len = start, end-start
-			return
-		}
-	}
-	if len(t.runs) >= trackerMaxRuns {
-		t.MarkWhole()
-		return
-	}
-	t.runs = append(t.runs, Run{Off: off, Len: n})
-	t.bytes += n
-}
-
-// MarkWhole records that the entire page may have changed.
-func (t *Tracker) MarkWhole() {
-	t.whole = true
-	t.runs = t.runs[:0]
-	t.bytes = 0
-}
-
-// Whole reports whether the tracker degraded to whole-page dirtiness.
-func (t *Tracker) Whole() bool { return t.whole }
-
-// Bytes returns the tracked dirty byte count. The tracker coalesces
-// overlapping marks but runs may still double count after out-of-order
-// marks merge; treat the value as an estimate. A whole-page tracker
-// reports -1 (unbounded).
-func (t *Tracker) Bytes() int {
-	if t.whole {
-		return -1
-	}
-	return t.bytes
-}
-
-// Runs returns the tracked runs sorted by offset. The slice aliases the
-// tracker; callers must not retain it across Mark/Reset.
-func (t *Tracker) Runs() []Run {
-	sort.Slice(t.runs, func(i, j int) bool { return t.runs[i].Off < t.runs[j].Off })
-	return t.runs
-}
-
-// Reset clears the tracker for the next flush interval.
-func (t *Tracker) Reset() {
-	t.runs = t.runs[:0]
-	t.bytes = 0
-	t.whole = false
-}
-
 // --- wire format ---
 
 // Encoding: u16 runCount, then runCount × {u16 off, u16 len}, then the
 // concatenated run bytes in order. Offsets are u16, so pages up to 64 KiB
 // are supported (NAND pages are 4–16 KiB).
 const (
-	encHeader  = 2
-	encPerRun  = 4
-	maxRunOff  = 1<<16 - 1
-	maxRunSpan = 1 << 16
+	encHeader = 2
+	encPerRun = 4
 )
 
 // EncodedSize returns the wire size of a differential with these runs.
@@ -234,17 +150,6 @@ func Apply(page, enc []byte) error {
 		}
 		copy(page[r.Off:r.End()], payload[pos:pos+r.Len])
 		pos += r.Len
-	}
-	return nil
-}
-
-// Fold replays a delta chain (oldest first) onto a base page image,
-// producing the current logical page contents in place.
-func Fold(base []byte, chain [][]byte) error {
-	for _, enc := range chain {
-		if err := Apply(base, enc); err != nil {
-			return err
-		}
 	}
 	return nil
 }

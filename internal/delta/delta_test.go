@@ -75,8 +75,10 @@ func TestFoldChainOrder(t *testing.T) {
 	d2 := Encode(Diff(v1, v2, 4), v2)
 
 	got := append([]byte(nil), base...)
-	if err := Fold(got, [][]byte{d1, d2}); err != nil {
-		t.Fatal(err)
+	for _, d := range [][]byte{d1, d2} {
+		if err := Apply(got, d); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !bytes.Equal(got, v2) {
 		t.Fatalf("fold = %x, want %x", got, v2)
@@ -95,39 +97,6 @@ func TestDecodeCorrupt(t *testing.T) {
 		if _, _, err := Decode(enc); err == nil {
 			t.Fatalf("corrupt encoding %v decoded", enc)
 		}
-	}
-}
-
-func TestTrackerCoalesceAndReset(t *testing.T) {
-	var tr Tracker
-	tr.Mark(100, 10)
-	tr.Mark(112, 4) // within coalesce distance: merges
-	if got := len(tr.Runs()); got != 1 {
-		t.Fatalf("runs = %d, want 1", got)
-	}
-	if tr.Bytes() != 16 {
-		t.Fatalf("bytes = %d, want 16", tr.Bytes())
-	}
-	tr.Mark(1000, 8)
-	if got := len(tr.Runs()); got != 2 {
-		t.Fatalf("runs = %d, want 2", got)
-	}
-	tr.Reset()
-	if tr.Bytes() != 0 || len(tr.Runs()) != 0 || tr.Whole() {
-		t.Fatal("reset did not clear tracker")
-	}
-}
-
-func TestTrackerDegradesToWhole(t *testing.T) {
-	var tr Tracker
-	for i := 0; i < 10*trackerMaxRuns; i++ {
-		tr.Mark(i*100, 2)
-	}
-	if !tr.Whole() {
-		t.Fatal("tracker did not degrade to whole-page")
-	}
-	if tr.Bytes() != -1 {
-		t.Fatalf("whole tracker bytes = %d, want -1", tr.Bytes())
 	}
 }
 

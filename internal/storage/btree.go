@@ -64,7 +64,6 @@ const (
 func btCount(p Page) int { return int(binary.LittleEndian.Uint16(p.B[btCountOff:])) }
 func btSetCount(p Page, n int) {
 	binary.LittleEndian.PutUint16(p.B[btCountOff:], uint16(n))
-	p.touch(btCountOff, 2)
 }
 
 func btLeafCap(pageSize int) int  { return (pageSize - btLeafEntOff) / btLeafEntSz }
@@ -87,7 +86,6 @@ func btLeafSet(p Page, i int, key int64, rid RID) {
 	binary.LittleEndian.PutUint64(p.B[off:], uint64(key))
 	binary.LittleEndian.PutUint64(p.B[off+8:], uint64(rid.Page))
 	binary.LittleEndian.PutUint16(p.B[off+16:], rid.Slot)
-	p.touch(off, btLeafEntSz)
 }
 
 // btLeafFind returns the position of key (found) or its insertion point.
@@ -116,7 +114,6 @@ func btLeafInsertAt(p Page, pos int, key int64, rid RID) {
 			p.ID(), n, pos, btLeafCap(len(p.B)), p.Type()))
 	}
 	copy(p.B[btLeafEntOff+(pos+1)*btLeafEntSz:], p.B[btLeafEntOff+pos*btLeafEntSz:btLeafEntOff+n*btLeafEntSz])
-	p.touch(btLeafEntOff+pos*btLeafEntSz, (n+1-pos)*btLeafEntSz)
 	btLeafSet(p, pos, key, rid)
 	btSetCount(p, n+1)
 }
@@ -124,7 +121,6 @@ func btLeafInsertAt(p Page, pos int, key int64, rid RID) {
 func btLeafDeleteAt(p Page, pos int) {
 	n := btCount(p)
 	copy(p.B[btLeafEntOff+pos*btLeafEntSz:], p.B[btLeafEntOff+(pos+1)*btLeafEntSz:btLeafEntOff+n*btLeafEntSz])
-	p.touch(btLeafEntOff+pos*btLeafEntSz, (n-pos)*btLeafEntSz)
 	btSetCount(p, n-1)
 }
 
@@ -134,7 +130,6 @@ func btInnerChild0(p Page) PageID {
 
 func btInnerSetChild0(p Page, id PageID) {
 	binary.LittleEndian.PutUint64(p.B[btInnerChild:], uint64(id))
-	p.touch(btInnerChild, 8)
 }
 
 func btInnerKey(p Page, i int) int64 {
@@ -149,7 +144,6 @@ func btInnerSet(p Page, i int, key int64, child PageID) {
 	off := btInnerEnt + i*btInnerEntSz
 	binary.LittleEndian.PutUint64(p.B[off:], uint64(key))
 	binary.LittleEndian.PutUint64(p.B[off+8:], uint64(child))
-	p.touch(off, btInnerEntSz)
 }
 
 // btInnerDescend picks the child for key.
@@ -177,7 +171,6 @@ func btInnerInsertAt(p Page, pos int, key int64, child PageID) {
 			p.ID(), n, pos, btInnerCap(len(p.B)), p.Type()))
 	}
 	copy(p.B[btInnerEnt+(pos+1)*btInnerEntSz:], p.B[btInnerEnt+pos*btInnerEntSz:btInnerEnt+n*btInnerEntSz])
-	p.touch(btInnerEnt+pos*btInnerEntSz, (n+1-pos)*btInnerEntSz)
 	btInnerSet(p, pos, key, child)
 	btSetCount(p, n+1)
 }

@@ -29,10 +29,10 @@ type Frame struct {
 
 	// Delta-write state (allocated only when the pool's volume supports
 	// page-differential writes). base mirrors the page's content as the
-	// volume knows it; tracker accumulates the byte ranges dirtied since.
+	// volume knows it while hasBase holds; the flush diffs the frame
+	// against it, and a frame without one is written whole.
 	base    []byte
 	hasBase bool
-	tracker delta.Tracker
 }
 
 // BufferStats counts buffer-pool events.
@@ -160,7 +160,7 @@ func NewBufferPool(vol Volume, wal *WAL, n int) *BufferPool {
 	for i := range bp.frames {
 		data := make([]byte, vol.PageSize())
 		f := &Frame{ID: InvalidPageID, Data: data}
-		f.P = Page{B: data, Track: &f.tracker}
+		f.P = Page{B: data}
 		bp.frames[i] = f
 	}
 	for i := range bp.dirty {
@@ -172,33 +172,23 @@ func NewBufferPool(vol Volume, wal *WAL, n int) *BufferPool {
 // EnableDeltaWrites switches flushes to the delta-append path when the
 // pool's volume supports it (noftl volumes do; legacy block devices
 // cannot express a partial write). A flush whose differential encodes to
-// at most maxFraction of the page size is shipped as a delta; larger
-// changes — and pages without an established base image — go out as full
-// page writes. maxFraction <= 0 selects the default of 0.25.
+// at most a quarter page is shipped as a delta; larger changes — and
+// pages without an established base image — go out as full page writes.
 //
 // Returns false when the volume has no delta capability.
-func (bp *BufferPool) EnableDeltaWrites(maxFraction float64) bool {
+func (bp *BufferPool) EnableDeltaWrites() bool {
 	dv, ok := bp.vol.(DeltaVolume)
 	if !ok {
 		return false
 	}
-	if maxFraction <= 0 {
-		maxFraction = 0.25
-	}
 	bp.deltaVol = dv
-	bp.deltaMax = int(maxFraction * float64(bp.vol.PageSize()))
-	if bp.deltaMax < 8 {
-		bp.deltaMax = 8
-	}
+	bp.deltaMax = bp.vol.PageSize() / 4
 	for _, f := range bp.frames {
 		f.base = make([]byte, bp.vol.PageSize())
 		f.hasBase = false
 	}
 	return true
 }
-
-// DeltaWritesEnabled reports whether the pool flushes via the delta path.
-func (bp *BufferPool) DeltaWritesEnabled() bool { return bp.deltaVol != nil }
 
 // EnableScanResist segments the eviction clock 2Q/CAR-style. Pages enter
 // the pool probationary; only a re-reference while resident — or a miss
@@ -209,24 +199,14 @@ func (bp *BufferPool) DeltaWritesEnabled() bool { return bp.deltaVol != nil }
 // frames and cannot push a re-referenced OLTP working set out of the
 // pool.
 //
-// probFraction is the share of frames reserved for probation (bounding
-// the protected segment at 1-probFraction); <= 0 selects the default of
-// 0.25. ghostFrames bounds the ghost list; <= 0 selects one pool's
-// worth.
-func (bp *BufferPool) EnableScanResist(probFraction float64, ghostFrames int) {
-	if probFraction <= 0 || probFraction >= 1 {
-		probFraction = 0.25
-	}
-	if ghostFrames <= 0 {
-		ghostFrames = len(bp.frames)
-	}
+// A quarter of the frames are reserved for probation (the protected
+// segment holds at most the other three quarters), and the ghost list
+// remembers one pool's worth of evicted pages.
+func (bp *BufferPool) EnableScanResist() {
 	bp.scanResist = true
-	bp.protCap = len(bp.frames) - int(probFraction*float64(len(bp.frames)))
-	if bp.protCap < 1 {
-		bp.protCap = 1
-	}
-	bp.ghostCap = ghostFrames
-	bp.ghost = make(map[PageID]struct{}, ghostFrames)
+	bp.protCap = max(len(bp.frames)-len(bp.frames)/4, 1)
+	bp.ghostCap = len(bp.frames)
+	bp.ghost = make(map[PageID]struct{}, bp.ghostCap)
 }
 
 // promote moves a re-referenced probationary frame into the protected
@@ -348,7 +328,6 @@ func (bp *BufferPool) pin(ctx *IOCtx, id PageID, fresh bool) (*Frame, error) {
 				// it), so the next flush must be a full write.
 				f.hasBase = false
 				f.bulk = true
-				f.tracker.MarkWhole()
 			}
 			return f, nil
 		}
@@ -363,7 +342,6 @@ func (bp *BufferPool) pin(ctx *IOCtx, id PageID, fresh bool) (*Frame, error) {
 		f.ID = id
 		f.loading = true
 		f.hasBase = false
-		f.tracker.Reset()
 		bp.table[id] = f
 		if fresh {
 			// The caller formats the page; the volume's current content
@@ -371,7 +349,6 @@ func (bp *BufferPool) pin(ctx *IOCtx, id PageID, fresh bool) (*Frame, error) {
 			// first full write establishes one.
 			InitPage(f.Data, id, PageFree)
 			f.bulk = true
-			f.tracker.MarkWhole()
 		} else {
 			f.bulk = false
 			t0 := wait.Now()
@@ -546,9 +523,9 @@ func (bp *BufferPool) writeFrame(ctx *IOCtx, f *Frame) error {
 	}
 	if bp.wal != nil {
 		// WAL-before-data from a write-back is background work: it keeps
-		// the flusher's declared class (FlushBg) instead of jumping to
+		// the flusher's declared class (flushBg) instead of jumping to
 		// the commit path's WAL priority.
-		if err := bp.wal.FlushBg(ctx, f.flushTo); err != nil {
+		if err := bp.wal.flushBg(ctx, f.flushTo); err != nil {
 			return err
 		}
 	}
@@ -566,21 +543,18 @@ func (bp *BufferPool) writeFrame(ctx *IOCtx, f *Frame) error {
 // when the delta path is enabled and the change is small enough, as a
 // full page image otherwise.
 func (bp *BufferPool) writeFrameData(ctx *IOCtx, f *Frame) error {
-	if bp.deltaVol != nil && f.hasBase && !f.tracker.Whole() {
-		// The tracker is a conservative estimate; the authoritative
-		// differential comes from diffing against the base image (so a
-		// mutation that bypassed the tracker can never be lost).
+	if bp.deltaVol != nil && f.hasBase {
+		// The differential is the diff against what the volume holds, so
+		// no mutator needs to report what it changed.
 		runs := delta.Diff(f.base, f.Data, deltaDiffGap)
 		if len(runs) == 0 {
 			// The bytes match what the volume holds (e.g. an update that
 			// was undone in place): nothing to write.
 			bp.stats.CleanSkips++
-			f.tracker.Reset()
 			return nil
 		}
 		if payload := delta.EncodedSize(runs); payload <= bp.deltaMax {
 			enc := delta.Encode(runs, f.Data)
-			f.tracker.Reset()
 			if err := bp.deltaVol.WriteDeltaPage(ctx, f.ID, enc); err == nil {
 				bp.stats.DeltaWrites++
 				bp.stats.DeltaBytes += int64(len(enc))
@@ -596,7 +570,6 @@ func (bp *BufferPool) writeFrameData(ctx *IOCtx, f *Frame) error {
 			// through to the full-page path.
 		}
 	}
-	f.tracker.Reset()
 	if err := bp.vol.WritePage(ctx, f.ID, f.Data, bp.hintFor(f)); err != nil {
 		return err
 	}
@@ -724,7 +697,6 @@ func (bp *BufferPool) Prefetch(ctx, load *IOCtx, id PageID) error {
 	f.stealing = true
 	f.hasBase = false
 	f.bulk = false
-	f.tracker.Reset()
 	bp.table[id] = f
 	err = bp.vol.ReadPage(load, id, f.Data)
 	f.loading = false
@@ -816,32 +788,6 @@ func (bp *BufferPool) FlushSnapshot(ctx *IOCtx) error {
 		f.pin--
 		if err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// FlushAll writes back every dirty page (checkpoints, shutdown).
-func (bp *BufferPool) FlushAll(ctx *IOCtx) error {
-	wait := ctx.W
-	for _, region := range bp.dirty {
-		for len(region) > 0 {
-			progressed := false
-			for _, f := range sortedFrames(region) {
-				if f.pin > 0 || f.loading {
-					continue
-				}
-				f.pin++
-				err := bp.writeFrame(ctx, f)
-				f.pin--
-				if err != nil {
-					return err
-				}
-				progressed = true
-			}
-			if !progressed {
-				wait.WaitUntil(wait.Now() + 50*sim.Microsecond) //noftl:ignore pollloop each retry writes back whatever became unpinned
-			}
 		}
 	}
 	return nil

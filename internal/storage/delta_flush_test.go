@@ -34,7 +34,7 @@ func TestFlushChoosesDeltaForSmallChange(t *testing.T) {
 	// First flush: the freshly allocated heap page has no base image ->
 	// it must go out as a full write. (The meta page was read from the
 	// volume, so it may legitimately flush as a delta already.)
-	if err := e.bp.FlushAll(ctx); err != nil {
+	if err := e.bp.FlushSnapshot(ctx); err != nil {
 		t.Fatal(err)
 	}
 	s := e.bp.Stats()
@@ -50,7 +50,7 @@ func TestFlushChoosesDeltaForSmallChange(t *testing.T) {
 	if err := e.Commit(ctx, tx2); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.bp.FlushAll(ctx); err != nil {
+	if err := e.bp.FlushSnapshot(ctx); err != nil {
 		t.Fatal(err)
 	}
 	s2 := e.bp.Stats()
@@ -87,7 +87,7 @@ func TestFlushFallsBackToFullForLargeChange(t *testing.T) {
 	if err := e.Commit(ctx, tx); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.bp.FlushAll(ctx); err != nil {
+	if err := e.bp.FlushSnapshot(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -104,7 +104,7 @@ func TestFlushFallsBackToFullForLargeChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := e.bp.Stats()
-	if err := e.bp.FlushAll(ctx); err != nil {
+	if err := e.bp.FlushSnapshot(ctx); err != nil {
 		t.Fatal(err)
 	}
 	after := e.bp.Stats()
@@ -126,7 +126,7 @@ func TestFlushFallsBackToFullForLargeChange(t *testing.T) {
 func TestFreshRePinInvalidatesBase(t *testing.T) {
 	data := NewMemVolume(512, 64)
 	bp := NewBufferPool(data, nil, 8)
-	if !bp.EnableDeltaWrites(0) {
+	if !bp.EnableDeltaWrites() {
 		t.Fatal("MemVolume should support deltas")
 	}
 	ctx := NewIOCtx(nil)
@@ -138,12 +138,11 @@ func TestFreshRePinInvalidatesBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	InitPage(f.Data, id, PageHeap)
-	p := Page{B: f.Data, Track: f.P.Track}
-	if _, err := p.Insert([]byte("old-content")); err != nil {
+	if _, err := f.P.Insert([]byte("old-content")); err != nil {
 		t.Fatal(err)
 	}
 	bp.Unpin(f, true, 1)
-	if err := bp.FlushAll(ctx); err != nil {
+	if err := bp.FlushSnapshot(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if !f.hasBase {
@@ -160,13 +159,12 @@ func TestFreshRePinInvalidatesBase(t *testing.T) {
 	if f2 != f {
 		t.Fatal("expected a cache hit on the same frame")
 	}
-	// Reformat through a track-less view, as formatPage-style callers do.
 	InitPage(f2.Data, id, PageHeap)
-	if _, err := (Page{B: f2.Data}).Insert([]byte("new-content")); err != nil {
+	if _, err := f2.P.Insert([]byte("new-content")); err != nil {
 		t.Fatal(err)
 	}
 	bp.Unpin(f2, true, 2)
-	if err := bp.FlushAll(ctx); err != nil {
+	if err := bp.FlushSnapshot(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -182,7 +180,7 @@ func TestFreshRePinInvalidatesBase(t *testing.T) {
 
 func TestDeltaDisabledByDefault(t *testing.T) {
 	e, _, _, _ := newTestEngine(t, 16)
-	if e.bp.DeltaWritesEnabled() {
+	if e.bp.deltaVol != nil {
 		t.Fatal("delta path on without opt-in")
 	}
 }
@@ -192,10 +190,10 @@ func TestEnableDeltaRejectsNonDeltaVolume(t *testing.T) {
 	// express partial writes); a bare stub Volume exercises the same.
 	data := NewMemVolume(512, 64)
 	bp := NewBufferPool(nonDeltaVolume{v: data}, nil, 4)
-	if bp.EnableDeltaWrites(0) {
+	if bp.EnableDeltaWrites() {
 		t.Fatal("EnableDeltaWrites accepted a volume without the capability")
 	}
-	if bp.DeltaWritesEnabled() {
+	if bp.deltaVol != nil {
 		t.Fatal("delta path enabled without capability")
 	}
 }

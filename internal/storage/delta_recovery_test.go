@@ -40,7 +40,7 @@ func newDeltaTestEngine(t *testing.T) (*Engine, *IOCtx, Volume, Volume, *noftl.V
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.Buffer().DeltaWritesEnabled() {
+	if e.Buffer().deltaVol == nil {
 		t.Fatal("delta writes not enabled on a noftl volume")
 	}
 	return e, ctx, data, logv, nv
@@ -89,7 +89,7 @@ func TestRecoveryDeltaPathCommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := e.Buffer().Stats()
-	if err := e.Buffer().FlushAll(ctx); err != nil {
+	if err := e.Buffer().FlushSnapshot(ctx); err != nil {
 		t.Fatal(err)
 	}
 	after := e.Buffer().Stats()
@@ -134,7 +134,7 @@ func TestRecoveryDeltaPathLoser(t *testing.T) {
 	if err := e.wal.Flush(ctx, e.wal.NextLSN()); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.bp.FlushAll(ctx); err != nil {
+	if err := e.bp.FlushSnapshot(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if nv.Stats().DeltaWrites == 0 {
@@ -188,7 +188,7 @@ func TestRecoveryDeltaChainAcrossCrashes(t *testing.T) {
 			}
 			// Flush after every generation so each update becomes its own
 			// delta append and chains grow.
-			if err := cur.Buffer().FlushAll(curCtx); err != nil {
+			if err := cur.Buffer().FlushSnapshot(curCtx); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -236,7 +236,7 @@ func TestRecoveryDeltaGhostInsert(t *testing.T) {
 	loser := e.Begin()
 	ghost, _ := e.Insert(ctx, loser, tbl, []byte("ghost-row-bytes-bbbbbbbb"))
 	_ = e.wal.Flush(ctx, e.wal.NextLSN())
-	if err := e.bp.FlushAll(ctx); err != nil {
+	if err := e.bp.FlushSnapshot(ctx); err != nil {
 		t.Fatal(err)
 	}
 

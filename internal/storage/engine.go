@@ -108,10 +108,10 @@ func openEngine(ctx *IOCtx, e *Engine, cfg EngineConfig) (*Engine, error) {
 	e.active = map[uint64]*Tx{}
 	e.bp = NewBufferPool(e.vol, e.wal, cfg.BufferFrames)
 	if cfg.DeltaWrites {
-		e.bp.EnableDeltaWrites(0) // default cap: a quarter page
+		e.bp.EnableDeltaWrites()
 	}
 	if cfg.ScanResistant {
-		e.bp.EnableScanResist(0, 0) // defaults: a quarter probationary, one pool of ghosts
+		e.bp.EnableScanResist()
 	}
 	e.prefetchWindow = cfg.PrefetchWindow
 	if err := e.recover(ctx); err != nil {
@@ -155,7 +155,7 @@ func (e *Engine) Checkpoint(ctx *IOCtx) error {
 		redoStart = next
 	}
 	lsn := e.wal.Append(&LogRecord{Type: RecCheckpoint, Active: act, Key: int64(redoStart)})
-	if err := e.wal.FlushBg(ctx, e.wal.NextLSN()); err != nil {
+	if err := e.wal.flushBg(ctx, e.wal.NextLSN()); err != nil {
 		return err
 	}
 	// The log may only be reclaimed below the recovery horizon: redo
@@ -323,7 +323,7 @@ func (e *Engine) redo(ctx *IOCtx, r *LogRecord) error {
 	switch r.Type {
 	case RecPageImage:
 		copy(f.Data, r.After)
-		f.tracker.MarkWhole()
+		f.hasBase = false // the whole image changed: flush it whole
 	case RecHeapInsert:
 		if err := f.P.InsertAt(r.Slot, r.After); err != nil && !errors.Is(err, ErrBadSlot) {
 			e.bp.Unpin(f, false, 0)

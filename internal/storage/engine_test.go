@@ -356,7 +356,7 @@ func TestDropTableDeallocatesPages(t *testing.T) {
 		}
 	}
 	_ = e.Commit(ctx, tx)
-	if err := e.bp.FlushAll(ctx); err != nil {
+	if err := e.bp.FlushSnapshot(ctx); err != nil {
 		t.Fatal(err)
 	}
 	before := e.alloc.nextFree

@@ -460,7 +460,7 @@ func TestWALFlushAllocatesNothing(t *testing.T) {
 		want  ioreq.Class
 	}{
 		{"Flush, default class", NewIOCtx(nil), w.Flush, ioreq.ClassWAL},
-		{"FlushBg, GC class", NewIOCtx(nil).WithClass(ioreq.ClassGC), w.FlushBg, ioreq.ClassProgram},
+		{"flushBg, GC class", NewIOCtx(nil).WithClass(ioreq.ClassGC), w.flushBg, ioreq.ClassProgram},
 	} {
 		run := func() {
 			if err := tc.flush(tc.ctx, w.Append(rec)+1); err != nil {

@@ -15,8 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"noftl/internal/delta"
 )
 
 // PageID is a logical page number on a volume.
@@ -66,24 +64,11 @@ var (
 )
 
 // Page is a typed view over a page-sized byte buffer. It performs no
-// allocation; all mutation happens in place.
-//
-// When Track is set (buffer-pool frames), every mutator reports the
-// touched byte range so the flush path can choose between a full-page
-// write and a delta append. The tracker is advisory: the flush derives
-// the authoritative differential from a base-image diff, so pages
-// mutated through a track-less view (e.g. a fresh InitPage copy) are
-// still written correctly.
+// allocation; all mutation happens in place. Mutators record nothing
+// about what they changed: the buffer pool's flush diffs the frame
+// against its base image (BufferPool.writeFrameData).
 type Page struct {
-	B     []byte
-	Track *delta.Tracker
-}
-
-// touch reports an in-place mutation to the frame's dirty-range tracker.
-func (p Page) touch(off, n int) {
-	if p.Track != nil {
-		p.Track.Mark(off, n)
-	}
+	B []byte
 }
 
 // InitPage formats buf as an empty page of the given type.
@@ -102,33 +87,33 @@ func InitPage(buf []byte, id PageID, t PageType) Page {
 func (p Page) LSN() uint64 { return binary.LittleEndian.Uint64(p.B[0:]) }
 
 // SetLSN stores the page LSN.
-func (p Page) SetLSN(l uint64) { binary.LittleEndian.PutUint64(p.B[0:], l); p.touch(0, 8) }
+func (p Page) SetLSN(l uint64) { binary.LittleEndian.PutUint64(p.B[0:], l) }
 
 // ID returns the stored page id.
 func (p Page) ID() PageID { return PageID(binary.LittleEndian.Uint64(p.B[8:])) }
 
 // SetID stores the page id.
-func (p Page) SetID(id PageID) { binary.LittleEndian.PutUint64(p.B[8:], uint64(id)); p.touch(8, 8) }
+func (p Page) SetID(id PageID) { binary.LittleEndian.PutUint64(p.B[8:], uint64(id)) }
 
 // Type returns the page type.
 func (p Page) Type() PageType { return PageType(binary.LittleEndian.Uint16(p.B[16:])) }
 
 // SetType stores the page type.
-func (p Page) SetType(t PageType) { binary.LittleEndian.PutUint16(p.B[16:], uint16(t)); p.touch(16, 2) }
+func (p Page) SetType(t PageType) { binary.LittleEndian.PutUint16(p.B[16:], uint16(t)) }
 
 // NumSlots returns the slot directory size (including deleted slots).
 func (p Page) NumSlots() int { return int(binary.LittleEndian.Uint16(p.B[18:])) }
 
-func (p Page) setNumSlots(n int) { binary.LittleEndian.PutUint16(p.B[18:], uint16(n)); p.touch(18, 2) }
+func (p Page) setNumSlots(n int) { binary.LittleEndian.PutUint16(p.B[18:], uint16(n)) }
 
 func (p Page) freeOff() int     { return int(binary.LittleEndian.Uint16(p.B[20:])) }
-func (p Page) setFreeOff(o int) { binary.LittleEndian.PutUint16(p.B[20:], uint16(o)); p.touch(20, 2) }
+func (p Page) setFreeOff(o int) { binary.LittleEndian.PutUint16(p.B[20:], uint16(o)) }
 
 // Aux returns the per-type auxiliary field (B-tree sibling, FSM hint...).
 func (p Page) Aux() uint64 { return binary.LittleEndian.Uint64(p.B[24:]) }
 
 // SetAux stores the auxiliary field.
-func (p Page) SetAux(v uint64) { binary.LittleEndian.PutUint64(p.B[24:], v); p.touch(24, 8) }
+func (p Page) SetAux(v uint64) { binary.LittleEndian.PutUint64(p.B[24:], v) }
 
 func (p Page) slotPos(i int) int { return len(p.B) - (i+1)*slotSize }
 
@@ -142,7 +127,6 @@ func (p Page) setSlot(i, off, length int) {
 	pos := p.slotPos(i)
 	binary.LittleEndian.PutUint16(p.B[pos:], uint16(off))
 	binary.LittleEndian.PutUint16(p.B[pos+2:], uint16(length))
-	p.touch(pos, slotSize)
 }
 
 // FreeSpace returns the bytes available for a new record (including its
@@ -194,7 +178,6 @@ func (p Page) Insert(rec []byte) (int, error) {
 	}
 	off := p.freeOff()
 	copy(p.B[off:], rec)
-	p.touch(off, len(rec))
 	p.setFreeOff(off + len(rec))
 	if slot == -1 {
 		slot = p.NumSlots()
@@ -236,7 +219,6 @@ func (p Page) InsertAt(slot int, rec []byte) error {
 	}
 	off := p.freeOff()
 	copy(p.B[off:], rec)
-	p.touch(off, len(rec))
 	p.setFreeOff(off + len(rec))
 	p.setSlot(slot, off, len(rec))
 	return nil
@@ -298,7 +280,6 @@ func (p Page) Update(i int, rec []byte) error {
 	off, l := p.slot(i)
 	if len(rec) <= l {
 		copy(p.B[off:], rec)
-		p.touch(off, len(rec))
 		p.setSlot(i, off, len(rec))
 		return nil
 	}
@@ -313,7 +294,6 @@ func (p Page) Update(i int, rec []byte) error {
 	}
 	noff := p.freeOff()
 	copy(p.B[noff:], rec)
-	p.touch(noff, len(rec))
 	p.setFreeOff(noff + len(rec))
 	p.setSlot(i, noff, len(rec))
 	return nil
@@ -343,6 +323,5 @@ func (p Page) compact() {
 		off += e.l
 		cur += e.l
 	}
-	p.touch(pageHeaderSize, off-pageHeaderSize)
 	p.setFreeOff(off)
 }

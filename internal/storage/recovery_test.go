@@ -63,7 +63,7 @@ func TestRecoveryUndoUncommitted(t *testing.T) {
 	if err := e.wal.Flush(ctx, e.wal.NextLSN()); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.bp.FlushAll(ctx); err != nil {
+	if err := e.bp.FlushSnapshot(ctx); err != nil {
 		t.Fatal(err)
 	}
 	// Crash. The loser must be rolled back.

@@ -108,7 +108,7 @@ func TestRegionsRecoveryUndoUncommitted(t *testing.T) {
 	if err := e.wal.Flush(ctx, e.wal.NextLSN()); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.bp.FlushAll(ctx); err != nil {
+	if err := e.bp.FlushSnapshot(ctx); err != nil {
 		t.Fatal(err)
 	}
 	e2, ctx2 := crashAndReopenRegions(t, dev, layout)
@@ -197,7 +197,7 @@ func TestRegionsRecoveryUndoAcrossCheckpointTruncation(t *testing.T) {
 	if err := e.wal.Flush(ctx, e.wal.NextLSN()); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.bp.FlushAll(ctx); err != nil {
+	if err := e.bp.FlushSnapshot(ctx); err != nil {
 		t.Fatal(err)
 	}
 	e2, ctx2 := crashAndReopenRegions(t, dev, layout)
@@ -244,7 +244,7 @@ func TestRegionsRecoveryMatchesLegacyPath(t *testing.T) {
 		if err := e.wal.Flush(ctx, e.wal.NextLSN()); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.bp.FlushAll(ctx); err != nil {
+		if err := e.bp.FlushSnapshot(ctx); err != nil {
 			t.Fatal(err)
 		}
 		return committed, losers

@@ -154,7 +154,7 @@ func TestScanResistWorkingSetSurvivesScan(t *testing.T) {
 func TestProtectedSegmentCapDemotes(t *testing.T) {
 	vol := NewMemVolume(512, 1024)
 	bp := NewBufferPool(vol, nil, 16)
-	bp.EnableScanResist(0.25, 0) // protected cap = 12
+	bp.EnableScanResist() // protected cap = 12
 	ctx := NewIOCtx(nil)
 	touch := func(id PageID) {
 		f, err := bp.Pin(ctx, id, true)
@@ -186,7 +186,8 @@ func TestProtectedSegmentCapDemotes(t *testing.T) {
 func TestGhostPromotion(t *testing.T) {
 	vol := NewMemVolume(512, 256)
 	bp := NewBufferPool(vol, nil, 8)
-	bp.EnableScanResist(0.25, 64) // ghost window wider than the stream
+	bp.EnableScanResist()
+	bp.ghostCap = 64 // ghost window wider than the stream
 	ctx := NewIOCtx(nil)
 	pin := func(id PageID) {
 		f, err := bp.Pin(ctx, id, true)
@@ -224,7 +225,7 @@ func TestGhostPromotion(t *testing.T) {
 func TestPrefetchLoadsProbationary(t *testing.T) {
 	vol := NewMemVolume(512, 256)
 	bp := NewBufferPool(vol, nil, 8)
-	bp.EnableScanResist(0.25, 0)
+	bp.EnableScanResist()
 	ctx := NewIOCtx(nil)
 
 	if !bp.RequestPrefetch(7) {

@@ -164,16 +164,21 @@ func (w *WAL) Append(r *LogRecord) uint64 {
 // low-priority committer's flush queue at its own class would block
 // high-priority commits behind it (priority inversion through the
 // shared log). Background-induced flushes (write-back, checkpoints) use
-// FlushBg instead, which keeps the caller's declared class.
+// flushBg instead, which keeps the caller's declared class.
 func (w *WAL) Flush(ctx *IOCtx, upTo uint64) error {
 	return w.flush(ctx, upTo, ioreq.ClassWAL)
 }
 
-// FlushBg is Flush for background callers: a context that already
+// flushBg is Flush for background callers: a context that already
 // declares a class — a db-writer or the checkpointer flushing the log
 // ahead of a page write — keeps it, so background-induced log traffic
 // does not outrank commit appends just because it shares the log
 // device view. An undeclared context still gets the WAL class.
+//
+// It is unexported so that no other package can flush the shared log
+// below the WAL class. Its only callers are the buffer pool's write-back
+// (BufferPool.writeFrame, WAL-before-data) and the checkpointer
+// (Engine.Checkpoint); TestFlushBgCallSites pins that list.
 //
 // Log writes never run at maintenance priority, though: any flush can
 // end up covering other streams' records (the flushing flag serializes
@@ -182,7 +187,7 @@ func (w *WAL) Flush(ctx *IOCtx, upTo uint64) error {
 // WAL ahead of the victim write) are clamped up to ClassProgram. That
 // bounds the shared-log inversion window at one background-class
 // flush instead of one maintenance-class flush.
-func (w *WAL) FlushBg(ctx *IOCtx, upTo uint64) error {
+func (w *WAL) flushBg(ctx *IOCtx, upTo uint64) error {
 	cl := min(ctx.Class, ioreq.ClassProgram)
 	if cl == ioreq.ClassDefault {
 		cl = ioreq.ClassWAL

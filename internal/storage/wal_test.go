@@ -3,7 +3,13 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -252,5 +258,51 @@ func TestWALRefusesToOverwriteCheckpoint(t *testing.T) {
 	w.Append(&LogRecord{Type: RecCommit, Tx: 1})
 	if err := w.Flush(ctx, w.NextLSN()); err != nil {
 		t.Fatalf("flush after re-anchor: %v", err)
+	}
+}
+
+// TestFlushBgCallSites: WAL.flushBg keeps a background caller's class
+// instead of escalating to the WAL class, so a call on the commit path
+// would queue other transactions' commit records at background priority.
+// Being unexported keeps it out of every other package; inside this one,
+// only the buffer pool's write-back (WAL-before-data) and the
+// checkpointer may call it.
+func TestFlushBgCallSites(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var sites []string
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			site := fd.Name.Name
+			if fd.Recv != nil {
+				if star, ok := fd.Recv.List[0].Type.(*ast.StarExpr); ok {
+					site = "(*" + star.X.(*ast.Ident).Name + ")." + site
+				}
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "flushBg" {
+					sites = append(sites, site)
+				}
+				return true
+			})
+		}
+	}
+	slices.Sort(sites)
+	if want := []string{"(*BufferPool).writeFrame", "(*Engine).Checkpoint"}; !slices.Equal(sites, want) {
+		t.Fatalf("flushBg call sites = %q, want exactly %q", sites, want)
 	}
 }
