@@ -70,7 +70,6 @@ type app struct {
 	obsDir       string
 	slowest      int
 	qosLowDLms   int
-	monitorAddr  string
 	serveClients int
 	serveRows    int
 }
@@ -110,10 +109,9 @@ func (a *app) flagSet() *flag.FlagSet {
 	fs.IntVar(&a.driveMB, "drive-mb", 0, "drive capacity in MB (0: the experiment's own default — 192 for fig4/headline/delta, 64 elsewhere)")
 	fs.IntVar(&a.measureS, "measure-s", 8, "measurement window, simulated seconds")
 	fs.IntVar(&a.frames, "frames", 0, "buffer-pool frames (0: the experiment's own default)")
-	fs.StringVar(&a.obsDir, "obs-dir", "", "turn the observability stack on for the sched/htap/qos/serve experiment and write the last mode's artifacts into this directory: trace.json metrics.json metrics.prom, plus blame.json blame.folded blame.speedscope.json (sched/htap/qos) and health.json (sched)")
+	fs.StringVar(&a.obsDir, "obs-dir", "", "turn the observability stack on for the sched/htap/qos/serve experiment and write the last mode's artifacts into this directory: trace.json metrics.json, plus blame.json blame.folded blame.speedscope.json (sched/htap/qos) and health.json (sched)")
 	fs.IntVar(&a.slowest, "slowest", 16, "flight-recorder / blame retention: slowest K transactions (with -obs-dir)")
 	fs.IntVar(&a.qosLowDLms, "qos-low-deadline-ms", 0, "stamp the qos demo's low tenant with this completion deadline (ms; 0: off) so its SLO misses are measured and blame-attributed")
-	fs.StringVar(&a.monitorAddr, "monitor-addr", "", "serve live /metrics, /health and /alerts on this address during sched runs (e.g. 127.0.0.1:9464)")
 	fs.IntVar(&a.serveClients, "serve-clients", 0, "total sessions for the serve ablation, split 1:3 paying:batch (0: default 800)")
 	fs.IntVar(&a.serveRows, "serve-rows", 0, "per-store record count for the serve ablation (0: default 16384)")
 	fs.StringVar(&a.cpuProfile, "cpuprofile", "", "write a CPU profile to this path")
@@ -261,11 +259,6 @@ func (a *app) export(name string, o *noftl.ObservedRun) error {
 	if tel := o.Tel; tel != nil {
 		write("trace.json", func(w io.Writer) error { return noftl.WriteTraceEvents(w, o.CmdLog, tel.Spans()) })
 		write("metrics.json", tel.WriteMetrics)
-		var now noftl.SimTime
-		if o.Health != nil {
-			now = o.Health.TNs
-		}
-		write("metrics.prom", func(w io.Writer) error { return noftl.WritePrometheus(w, tel.Reg, now) })
 	}
 	if rep := o.Blame; rep != nil {
 		write("blame.json", rep.WriteJSON)
@@ -377,16 +370,7 @@ func (a *app) regions() error {
 
 func (a *app) sched() error {
 	cfg := noftl.SchedConfig{Params: a.observed(true), Workload: "tpcb"}
-	healthOn := a.obsDir != "" || a.monitorAddr != ""
-	if healthOn {
-		cfg.Health = &noftl.HealthConfig{
-			Rules:       noftl.DefaultSLORules(64, 4, 50_000, 0.05),
-			MonitorAddr: a.monitorAddr,
-		}
-		if a.monitorAddr != "" {
-			a.printf("live monitor on http://%s (/metrics /health /alerts)\n", a.monitorAddr)
-		}
-	}
+	cfg.Health = a.obsDir != ""
 	res, err := noftl.SchedAblation(cfg)
 	if err != nil {
 		return err
@@ -400,15 +384,8 @@ func (a *app) sched() error {
 	a.printf("per-request tags vs static routing: %.2fx p99 commit\n\n",
 		res.Ratio("bg-gc+prio+tagged", "bg-gc+prio", noftl.CommitP99))
 	res.AddTo(a.report)
-	if healthOn {
+	if cfg.Health {
 		a.printf("device health:\n%s", res.HealthTable())
-		alerts := 0
-		for _, row := range res.Rows {
-			alerts += len(row.Health.Alerts)
-		}
-		if alerts > 0 {
-			a.printf("SLO alerts:\n%s", res.AlertTable())
-		}
 	}
 	// Export the last mode's run: the fully scheduled,
 	// descriptor-dispatched regime.

@@ -21,22 +21,12 @@ import (
 //     collecting into a slice that is never sorted) — map order is
 //     randomized per run.
 //
-// The HTTP health monitor is allowlisted for wall-clock use: it serves
-// real clients on the real clock by design (PR 7). Other deliberate
-// uses (the sim package's RealWaiter bridge) carry //noftl:ignore
-// comments at the call sites.
+// Deliberate wall-clock uses (the sim package's RealWaiter bridge)
+// carry //noftl:ignore comments at the call sites.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "flags wall-clock reads, unseeded global math/rand, and ordered output from map iteration",
 	Run:  runDeterminism,
-}
-
-// DeterminismWallClockAllow lists package paths whose wall-clock use is
-// sanctioned wholesale (real-time-facing components).
-var DeterminismWallClockAllow = map[string]bool{
-	// The live monitor serves /metrics to real HTTP clients; its
-	// timestamps are wall-clock by design.
-	"noftl/internal/telemetry/health": true,
 }
 
 func runDeterminism(pass *Pass) {
@@ -72,9 +62,6 @@ func checkWallClock(pass *Pass, call *ast.CallExpr) {
 		return
 	}
 	if name := fn.Name(); name == "Now" || name == "Since" {
-		if DeterminismWallClockAllow[pass.BasePath()] {
-			return
-		}
 		pass.Reportf(call.Pos(),
 			"time.%s reads the wall clock; sim and exporter code must use the simulated clock (sim.Time)", name)
 	}

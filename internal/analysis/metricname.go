@@ -11,7 +11,7 @@ import (
 // buffer.hit_rate), and registration order is the column order of every
 // export — so names must be compile-time stable. A dynamic name built
 // from runtime state can differ between runs, silently desyncing series
-// columns, Prometheus exposition and the golden exports.
+// columns and the golden exports.
 //
 // A registration passes when its name argument is a constant matching
 // layer.metric, or a concatenation whose leftmost operand is a constant

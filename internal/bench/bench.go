@@ -14,7 +14,6 @@
 package bench
 
 import (
-	"fmt"
 	"slices"
 
 	"noftl/internal/flash"
@@ -52,10 +51,8 @@ type Params struct {
 	// Observed.Blame carries the analyzed report.
 	Blame *blame.Config
 	// Health attaches the device-health monitor (implies telemetry);
-	// Observed.Health carries the end-of-run snapshot. A configured
-	// MonitorAddr serves live pages during each run; the listener closes
-	// between runs so a fixed address can rebind.
-	Health *health.Config
+	// Observed.Health carries the end-of-run snapshot.
+	Health bool
 	// TraceCmds keeps the scheduler's command timeline
 	// (Observed.CmdLog) even without Blame. Memory-heavy; needs a stack
 	// with a scheduler.
@@ -114,8 +111,8 @@ func (p Params) build(stack system.Stack, opts ...system.Option) (*system.System
 	if p.Telemetry != nil {
 		opts = append(opts, system.WithTelemetry(*p.Telemetry))
 	}
-	if p.Health != nil {
-		opts = append(opts, system.WithHealth(*p.Health))
+	if p.Health {
+		opts = append(opts, system.WithHealth())
 	}
 	var log *trace.CmdLog
 	if p.Blame != nil {
@@ -141,22 +138,17 @@ type Observed struct {
 	Tel    *telemetry.Telemetry
 	CmdLog *trace.CmdLog
 	Blame  *blame.Report
-	// Health is the end-of-run device-health snapshot; its Alerts field
-	// is the full SLO transition log of the run.
+	// Health is the end-of-run device-health snapshot.
 	Health *health.Snapshot
 }
 
-// observe collects a finished run's observability outputs and releases
-// the live monitor listener so the next run can bind its address.
-func observe(sys *system.System, log *trace.CmdLog) (Observed, error) {
+// observe collects a finished run's observability outputs.
+func observe(sys *system.System, log *trace.CmdLog) Observed {
 	o := Observed{Tel: sys.Tel, CmdLog: log, Blame: sys.Blame()}
 	if sys.Health != nil {
 		o.Health = sys.Health.Snapshot(sys.K.Now())
-		if err := sys.Health.Close(); err != nil {
-			return o, fmt.Errorf("close monitor: %w", err)
-		}
 	}
-	return o, nil
+	return o
 }
 
 // occupancy is the data volume's live fraction (0 on block-device

@@ -43,11 +43,10 @@ type JSONResult struct {
 	DeadlineMisses     int64 `json:"deadline_misses,omitempty"`
 	DeadlinePromotions int64 `json:"deadline_promotions,omitempty"`
 	// Device-health accounting (health-enabled sched runs): end-of-run
-	// erase-count spread over non-bad blocks, the data region's
-	// valid-page copy ratio, and SLO transitions fired during the run.
+	// erase-count spread over non-bad blocks and the data region's
+	// valid-page copy ratio.
 	WearSpread     int     `json:"wear_spread,omitempty"`
 	ValidCopyRatio float64 `json:"valid_copy_ratio,omitempty"`
-	AlertsFired    int     `json:"alerts_fired,omitempty"`
 	// Analytical stream + pool accounting (htap experiment).
 	ScanQPS      float64 `json:"scan_qps,omitempty"`
 	ScanRowsPerS float64 `json:"scan_rows_per_s,omitempty"`
@@ -108,7 +107,6 @@ func (r *JSONReport) Add(base JSONResult, res *RunResult) {
 func (jr *JSONResult) setObserved(o *Observed) {
 	if h := o.Health; h != nil {
 		jr.WearSpread = h.Wear.Spread
-		jr.AlertsFired = len(h.Alerts)
 		for _, reg := range h.Regions {
 			if reg.Mapping == "page" {
 				jr.ValidCopyRatio = reg.GC.ValidCopyRatio

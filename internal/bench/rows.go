@@ -76,9 +76,8 @@ func (p Params) runVariant(v variant) (*Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	row := &Row{Name: v.name, Stack: v.stack, Result: *r, Occupancy: occupancy(sys), Front: sys.Serve}
-	row.Observed, err = observe(sys, log)
-	return row, err
+	return &Row{Name: v.name, Stack: v.stack, Result: *r, Occupancy: occupancy(sys), Front: sys.Serve,
+		Observed: observe(sys, log)}, nil
 }
 
 // only keeps the variants named in names (all of them when names is

@@ -133,10 +133,10 @@ func (r *Rows) WaitTable() string {
 }
 
 // HealthTable renders the health-enabled rows' device summary: wear
-// distribution, data-region GC efficiency and alert count.
+// distribution and data-region GC efficiency.
 func (r *Rows) HealthTable() string {
 	t := stats.NewTable("mode", "wear spread", "wear p99", "bad", "occ",
-		"valid-copy", "WA", "alerts")
+		"valid-copy", "WA")
 	for _, row := range r.Rows {
 		h := row.Health
 		if h == nil {
@@ -150,22 +150,7 @@ func (r *Rows) HealthTable() string {
 		}
 		t.Row(row.Name, h.Wear.Spread, h.Wear.P99, h.Wear.BadBlocks,
 			fmt.Sprintf("%.0f%%", 100*occ), fmt.Sprintf("%.2f", vcr),
-			fmt.Sprintf("%.2f", wa), len(h.Alerts))
-	}
-	return t.String()
-}
-
-// AlertTable renders every health-enabled row's SLO transitions.
-func (r *Rows) AlertTable() string {
-	t := stats.NewTable("mode", "t", "rule", "sev", "state", "value", "threshold")
-	for _, row := range r.Rows {
-		if row.Health == nil {
-			continue
-		}
-		for _, a := range row.Health.Alerts {
-			t.Row(row.Name, a.TNs.String(), a.Rule, a.Severity, a.State,
-				fmt.Sprintf("%.3g", a.Value), fmt.Sprintf("%.3g", a.Threshold))
-		}
+			fmt.Sprintf("%.2f", wa))
 	}
 	return t.String()
 }

@@ -255,8 +255,8 @@ func (cfg ServeConfig) runRegime(sys *system.System, control serve.Control, with
 			})(r)
 		})
 	}
-	// Per-tenant commit tails as live gauges, so the Prometheus export
-	// carries the split the controller acts on. Registered after the
+	// Per-tenant commit tails as gauges, so the sampled series carries
+	// the split the controller acts on. Registered after the
 	// clients exist and before the kernel runs — the registry seals at
 	// the first sampler tick.
 	start = append(start, func(r *running) {

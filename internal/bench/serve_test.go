@@ -1,12 +1,11 @@
 package bench
 
 import (
-	"strings"
+	"slices"
 	"testing"
 
 	"noftl/internal/serve"
 	"noftl/internal/sim"
-	"noftl/internal/telemetry"
 )
 
 func tinyServeConfig(seed int64) ServeConfig {
@@ -91,8 +90,8 @@ func TestServeAblationSmoke(t *testing.T) {
 }
 
 // TestServeTelemetryExport: the serve.* metrics reach the registry and
-// the Prometheus rendering, with the admission counters nonzero in the
-// full regime.
+// the sampled series, with the batch tenant's shed counter nonzero in
+// the full regime.
 func TestServeTelemetryExport(t *testing.T) {
 	cfg := tinyServeConfig(9).withDefaults()
 	res, err := cfg.runVariants("serve", "kv", cfg.variants()[3:]) // rate-limit+shed
@@ -103,24 +102,21 @@ func TestServeTelemetryExport(t *testing.T) {
 	if row.Tel == nil {
 		t.Fatal("no telemetry attached")
 	}
-	prom := string(telemetry.PromText(row.Tel.Reg, 0))
+	names := row.Tel.Reg.Names()
 	for _, want := range []string{
-		"serve_admitted", "serve_shed", "serve_deprioritized",
-		"serve_active_sessions", "serve_tenant_batch_shed",
-		"serve_tenant_batch_state", "serve_tenant_paying_admitted",
-		"serve_tenant_paying_commit_p99_us",
+		"serve.admitted", "serve.shed", "serve.deprioritized",
+		"serve.active_sessions", "serve.tenant.batch_shed",
+		"serve.tenant.batch_state", "serve.tenant.paying_admitted",
+		"serve.tenant.paying_commit_p99_us",
 	} {
-		if !strings.Contains(prom, want) {
-			t.Fatalf("prometheus export missing %s:\n%.2000s", want, prom)
+		if !slices.Contains(names, want) {
+			t.Fatalf("registry missing %s: %v", want, names)
 		}
 	}
 	// The breaching tenant's shed counter must be visibly nonzero.
-	for _, line := range strings.Split(prom, "\n") {
-		if strings.HasPrefix(line, "serve_tenant_batch_shed") {
-			if strings.HasSuffix(strings.TrimSpace(line), " 0") {
-				t.Fatalf("batch shed counter exported as zero: %q", line)
-			}
-		}
+	shed := row.Tel.Series().Column("serve.tenant.batch_shed")
+	if len(shed) == 0 || shed[len(shed)-1] <= 0 {
+		t.Fatalf("batch shed counter sampled as %v, want a last value > 0", shed)
 	}
 }
 

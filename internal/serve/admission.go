@@ -137,15 +137,15 @@ func (f *Front) count(t *tenant) {
 }
 
 // observe is the burn-rate guard, run at every telemetry sampler tick
-// (Attach hooks it under ControlFull). Per tenant it computes the
-// windowed burn — (window deadline misses / window commits) / miss
-// budget, the exact arithmetic of the health engine's RuleBurnRate —
-// from the telemetry tag-commit and flight-recorder miss tallies, and
-// walks the service-level ladder with hysteresis: escalateAfter
-// consecutive breached windows move one level down (healthy →
-// deprioritized → shed), relaxAfter consecutive clean windows move one
-// level back up, and windows in the dead band between relaxBelow and 1
-// reset both streaks.
+// (Attach hooks it under ControlFull); it is the repo's one burn-rate
+// implementation. Per tenant it computes the windowed burn — (window
+// deadline misses / window commits) / miss budget — from the telemetry
+// tag-commit and flight-recorder miss tallies, and walks the
+// service-level ladder with hysteresis: escalateAfter consecutive
+// breached windows move one level down (healthy → deprioritized →
+// shed), relaxAfter consecutive clean windows move one level back up,
+// and windows in the dead band between relaxBelow and 1 reset both
+// streaks.
 func (f *Front) observe(now sim.Time) {
 	if f.tel == nil {
 		return

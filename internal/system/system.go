@@ -72,8 +72,7 @@ type System struct {
 	// sim-time sampler, and a flight recorder for the slowest spans.
 	Tel *telemetry.Telemetry
 	// Health is the device-health monitor (nil unless an option asked
-	// for it): per-die wear heatmaps, per-region GC efficiency, the SLO
-	// engine and the optional live HTTP monitoring surface.
+	// for it): per-die wear heatmaps and per-region GC efficiency.
 	Health *health.Monitor
 	// CmdLog is the system-owned per-die command timeline feeding blame
 	// analysis (nil unless WithBlame attached it). A user trace
@@ -114,7 +113,7 @@ type options struct {
 	prefetch      int
 	telemetry     *telemetry.Config
 	// health implies a default telemetry config when none is set.
-	health *health.Config
+	health bool
 	// blame implies a scheduler (default priority) and telemetry with
 	// span retention.
 	blame *blame.Config
@@ -317,22 +316,20 @@ func New(cfg Config, optFns ...Option) (_ *System, err error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.startTelemetry(opts); err != nil {
-		return nil, err
-	}
+	s.startTelemetry(opts)
 	return s, nil
 }
 
 // startTelemetry builds the metrics registry over the assembled layers
 // and starts the sim-time sampler. Registration order fixes the series'
 // column order, so it must stay deterministic: fixed layers first, then
-// optional ones gated on what the stack attached. A health config
-// implies telemetry (the monitor rides the sampler).
-func (s *System) startTelemetry(opts options) error {
+// optional ones gated on what the stack attached. Health implies
+// telemetry (the snapshot timelines are sampled series columns).
+func (s *System) startTelemetry(opts options) {
 	tc := opts.telemetry
 	if tc == nil {
-		if opts.health == nil {
-			return nil
+		if !opts.health {
+			return
 		}
 		tc = &telemetry.Config{}
 	}
@@ -430,23 +427,18 @@ func (s *System) startTelemetry(opts options) error {
 	t.Reg.Counter("sim.switches", func() int64 { return int64(s.K.Stats().Switches) })
 	t.Reg.Gauge("sim.heap_max", func() float64 { return float64(s.K.Stats().MaxPending) })
 
-	if err := s.startHealth(opts.health); err != nil {
-		return err
+	if opts.health {
+		s.startHealth()
 	}
 
 	t.Start(s.K)
-	return nil
 }
 
-// startHealth builds the health monitor over the telemetry pipeline:
-// layer probes filling the snapshot (device wear/load, per-region GC),
-// the SLO engine hooked on the sampler, and the optional live HTTP
-// surface.
-func (s *System) startHealth(cfg *health.Config) error {
-	if cfg == nil {
-		return nil
-	}
-	m := health.New(*cfg, s.Tel)
+// startHealth builds the health monitor over the telemetry pipeline,
+// with layer probes filling the snapshot (device wear/load, per-region
+// GC).
+func (s *System) startHealth() {
+	m := health.New(s.Tel)
 	s.Health = m
 
 	dev, sc := s.Dev, s.Sched
@@ -531,7 +523,6 @@ func (s *System) startHealth(cfg *health.Config) error {
 			}
 		})
 	}
-	return m.Serve()
 }
 
 // regionLogDies sizes the log region: one die, or two on wide arrays.
@@ -562,11 +553,6 @@ func logWindowPages(total int64, dies int) int64 {
 func (s *System) Close() error {
 	err := s.Engine.Close(s.Ctx)
 	s.K.Shutdown()
-	if s.Health != nil {
-		if cerr := s.Health.Close(); err == nil {
-			err = cerr
-		}
-	}
 	return err
 }
 
@@ -735,12 +721,11 @@ func WithTelemetry(cfg telemetry.Config) Option {
 }
 
 // WithHealth attaches the device-health monitor: per-die wear
-// heatmaps and erase histograms, per-region GC efficiency, SLO rules
-// evaluated at every sampler tick, and (with Config.MonitorAddr set)
-// a live HTTP surface serving /metrics, /health and /alerts. Implies
-// default telemetry when no WithTelemetry option is given.
-func WithHealth(cfg health.Config) Option {
-	return func(o *options) { o.health = &cfg }
+// heatmaps and erase histograms, per-region GC efficiency and the
+// sampled timelines. Implies default telemetry when no WithTelemetry
+// option is given.
+func WithHealth() Option {
+	return func(o *options) { o.health = true }
 }
 
 // WithBlame attaches the latency root-cause engine: the builder owns a

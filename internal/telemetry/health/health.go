@@ -2,40 +2,22 @@
 // the telemetry registry: structured health snapshots (per-die wear
 // heatmaps and erase histograms, wear-spread percentiles, per-region
 // GC efficiency and write-amplification decomposition, occupancy and
-// free-block timelines), a declarative SLO/alert engine evaluated at
-// every sampler tick, and a live monitoring surface (Prometheus text
-// exposition plus an opt-in HTTP endpoint serving /metrics, /health
-// and /alerts from a running benchmark).
+// free-block timelines).
 //
 // The layering mirrors the telemetry package: health knows nothing of
 // nand/flash/ftl/region/sched — package system registers probes
 // (cheap closures over each layer's existing counters) that fill the
-// snapshot, and the SLO engine reads the metrics registry plus the
-// flight recorder's per-tag commit/miss counts. Everything is driven
-// by the simulated clock, so a fixed-seed run produces byte-identical
-// snapshot JSON and an identical alert log.
+// snapshot, and the timelines are columns of the sampled series.
+// Everything is driven by the simulated clock, so a fixed-seed run
+// produces byte-identical snapshot JSON.
 package health
 
 import (
-	"encoding/json"
-	"io"
 	"sort"
 
 	"noftl/internal/sim"
 	"noftl/internal/telemetry"
 )
-
-// Config tunes a health Monitor.
-type Config struct {
-	// Rules are the SLO rules evaluated at each sampler tick. Empty
-	// means no alerting (snapshots still work).
-	Rules []Rule
-	// MonitorAddr, when non-empty, binds an HTTP listener serving
-	// /metrics (Prometheus text), /health (snapshot JSON) and /alerts
-	// (alert log JSON), refreshed at every sampler tick. Use
-	// "127.0.0.1:0" to let the OS pick a port (Monitor.Addr reports it).
-	MonitorAddr string
-}
 
 // timelines names the registry metrics copied from the sampled series
 // into Snapshot.Timelines. Unregistered names are skipped.
@@ -50,51 +32,28 @@ var timelines = []string{
 // on the sim thread in registration order.
 type Probe func(*Snapshot)
 
-// Monitor owns health snapshots, the SLO engine and the optional live
-// HTTP surface for one system. Build it with New, which hooks the
-// telemetry sampler; each tick evaluates the rules and (when serving)
-// refreshes the cached monitor pages.
+// Monitor owns the health snapshots of one system. Build it with New
+// over the system's telemetry pipeline, whose sampled series feeds the
+// snapshot timelines.
 type Monitor struct {
-	cfg    Config
 	tel    *telemetry.Telemetry
 	probes []Probe
-	engine *Engine
-	srv    *Server
 }
 
-// New builds a Monitor over a telemetry pipeline and hooks its sampler
-// (rule evaluation plus live-page refresh run at every tick). Register
-// probes before the kernel starts running.
-func New(cfg Config, tel *telemetry.Telemetry) *Monitor {
-	m := &Monitor{cfg: cfg, tel: tel, engine: NewEngine(cfg.Rules, tel)}
-	tel.OnSample(m.Tick)
-	return m
+// New builds a Monitor over a telemetry pipeline. Register probes
+// before taking the first snapshot.
+func New(tel *telemetry.Telemetry) *Monitor {
+	return &Monitor{tel: tel}
 }
 
 // AddProbe registers a snapshot filler (run in registration order).
 func (m *Monitor) AddProbe(p Probe) { m.probes = append(m.probes, p) }
 
-// Alerts returns the alert log accumulated so far (sim-time order).
-func (m *Monitor) Alerts() []telemetry.Alert { return m.tel.Recorder().Alerts() }
-
-// Tick is the sampler hook: evaluates every rule at now (emitting
-// alert transitions into the flight recorder) and refreshes the live
-// monitor pages when serving. It runs on the sim thread.
-func (m *Monitor) Tick(now sim.Time) {
-	m.engine.Eval(now)
-	if m.srv != nil {
-		m.refresh(now)
-	}
-}
-
 // Snapshot builds a full health snapshot at now: probes fill the
 // per-layer sections, then device-wide wear percentiles, histograms
 // and the series timelines are derived.
 func (m *Monitor) Snapshot(now sim.Time) *Snapshot {
-	s := &Snapshot{TNs: now, Alerts: m.Alerts()}
-	if s.Alerts == nil {
-		s.Alerts = []telemetry.Alert{}
-	}
+	s := &Snapshot{TNs: now}
 	for _, p := range m.probes {
 		p(s)
 	}
@@ -112,27 +71,8 @@ func (m *Monitor) Snapshot(now sim.Time) *Snapshot {
 	return s
 }
 
-// WriteJSON renders the snapshot at now as indented JSON
-// (byte-deterministic for a fixed-seed run).
-func (m *Monitor) WriteJSON(w io.Writer, now sim.Time) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(m.Snapshot(now))
-}
-
-// writeAlertsJSON renders an alert log as indented JSON (the /alerts
-// live page).
-func writeAlertsJSON(w io.Writer, alerts []telemetry.Alert) error {
-	if alerts == nil {
-		alerts = []telemetry.Alert{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(alerts)
-}
-
 // Snapshot is the health snapshot schema (see DESIGN.md "Device
-// health & SLOs"). All fields are plain structs and slices so JSON
+// health"). All fields are plain structs and slices so JSON
 // marshalling is deterministic.
 type Snapshot struct {
 	// TNs is the simulated time the snapshot was taken at.
@@ -149,8 +89,6 @@ type Snapshot struct {
 	// Timelines are selected series columns (one value per sampler
 	// tick) for trend views.
 	Timelines []Timeline `json:"timelines,omitempty"`
-	// Alerts is the SLO transition log up to TNs.
-	Alerts []telemetry.Alert `json:"alerts"`
 }
 
 // DeviceInfo pins the geometry a snapshot's heatmaps index into.

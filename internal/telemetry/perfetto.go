@@ -157,8 +157,6 @@ type MetricsDump struct {
 	DeadlineMisses map[uint32]int64 `json:"deadline_misses,omitempty"`
 	// MissSpans holds the retained miss spans per tag (bounded ring).
 	MissSpans map[uint32][]SpanDump `json:"miss_spans,omitempty"`
-	// Alerts is the SLO engine's transition log (sim-time order).
-	Alerts []Alert `json:"alerts,omitempty"`
 }
 
 // WriteMetrics renders the time series and flight-recorder dump as
@@ -184,7 +182,6 @@ func (t *Telemetry) WriteMetrics(w io.Writer) error {
 			d.MissSpans[tag] = dumps
 		}
 	}
-	d.Alerts = t.rec.Alerts()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(&d)

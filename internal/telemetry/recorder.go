@@ -16,7 +16,6 @@ type FlightRecorder struct {
 	misses    map[uint32][]*ioreq.Span
 	missCount map[uint32]int64
 	tagOrder  []uint32 // first-appearance order of miss tags
-	alerts    []Alert  // SLO transitions in sim-time order
 }
 
 // missRing bounds retained deadline-miss spans per tag (the miss counts
@@ -92,45 +91,6 @@ func (fr *FlightRecorder) MissCount(tag uint32) int64 { return fr.missCount[tag]
 // first.
 func (fr *FlightRecorder) Misses(tag uint32) []*ioreq.Span {
 	return append([]*ioreq.Span(nil), fr.misses[tag]...)
-}
-
-// TotalMisses sums deadline misses over all tags.
-func (fr *FlightRecorder) TotalMisses() int64 {
-	var n int64
-	for _, c := range fr.missCount {
-		n += c
-	}
-	return n
-}
-
-// Alert is one SLO rule transition emitted by the health engine
-// (package telemetry/health) at a sampler tick. Alerts carry simulated
-// timestamps, so a fixed-seed run produces an identical alert log.
-type Alert struct {
-	// TNs is the sampler tick (simulated time) the transition fired at.
-	TNs sim.Time `json:"t_ns"`
-	// Rule names the SLO rule ("wear_spread", "deadline_burn:db", ...).
-	Rule string `json:"rule"`
-	// Severity is "warn" or "page".
-	Severity string `json:"severity"`
-	// State is "firing" on the rising edge, "resolved" on the falling.
-	State string `json:"state"`
-	// Value is the observed value at the transition tick.
-	Value float64 `json:"value"`
-	// Threshold is the rule's configured bound.
-	Threshold float64 `json:"threshold"`
-	// Tag scopes per-tenant rules (0 = device-wide).
-	Tag uint32 `json:"tag,omitempty"`
-	// Detail is a one-line human-readable description.
-	Detail string `json:"detail"`
-}
-
-// NoteAlert appends an alert transition to the recorder's alert log.
-func (fr *FlightRecorder) NoteAlert(a Alert) { fr.alerts = append(fr.alerts, a) }
-
-// Alerts returns the alert log in emission (sim-time) order.
-func (fr *FlightRecorder) Alerts() []Alert {
-	return append([]Alert(nil), fr.alerts...)
 }
 
 // SpanDump is a span's machine-readable breakdown (flight-recorder and

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,12 +19,12 @@ func TestRegistryRejectsLateRegistration(t *testing.T) {
 
 	k := sim.New()
 	tel.Start(k)
-	k.RunFor(tel.SampleEvery() * 3)
+	k.RunFor(tel.cfg.SampleEvery * 3)
 
-	if !tel.Reg.Sealed() {
+	if !tel.Reg.sealed {
 		t.Fatalf("registry not sealed after first sample")
 	}
-	wantCols := tel.Reg.Len()
+	wantCols := len(tel.Reg.metrics)
 	for _, s := range tel.Series().Samples {
 		if len(s.Values) != wantCols {
 			t.Fatalf("sample row has %d values, want %d", len(s.Values), wantCols)
@@ -47,19 +48,21 @@ func TestRegistryRejectsLateRegistration(t *testing.T) {
 
 	// Replacing an existing metric's closure stays legal after sealing.
 	tel.Reg.Gauge("layer.early", func() float64 { return 42 })
-	if v, ok := tel.Reg.Value("layer.early"); !ok || v != 42 {
-		t.Fatalf("replaced closure not in effect: %v %v", v, ok)
-	}
 
-	// And the series stays rectangular after more samples.
-	k.RunFor(tel.SampleEvery() * 2)
+	// And the series stays rectangular after more samples, sampling the
+	// replaced closure.
+	k.RunFor(tel.cfg.SampleEvery * 2)
 	for i, s := range tel.Series().Samples {
 		if len(s.Values) != wantCols {
 			t.Fatalf("sample %d has %d values, want %d", i, len(s.Values), wantCols)
 		}
 	}
-	if col := tel.Series().Column("layer.early"); len(col) != len(tel.Series().Samples) {
+	col := tel.Series().Column("layer.early")
+	if len(col) != len(tel.Series().Samples) {
 		t.Fatalf("column truncated: %d values for %d samples", len(col), len(tel.Series().Samples))
+	}
+	if v := col[len(col)-1]; v != 42 {
+		t.Fatalf("replaced closure not in effect: last sample %v", v)
 	}
 }
 
@@ -69,18 +72,12 @@ func TestRegistryValueAndKinds(t *testing.T) {
 	r.Counter("a.count", func() int64 { return n })
 	r.Gauge("a.level", func() float64 { return 0.5 })
 
-	if v, ok := r.Value("a.count"); !ok || v != 7 {
-		t.Fatalf("Value(a.count) = %v, %v", v, ok)
+	// Counters and gauges share one column space, in registration order.
+	if names := r.Names(); !slices.Equal(names, []string{"a.count", "a.level"}) {
+		t.Fatalf("Names() = %v", names)
 	}
-	if _, ok := r.Value("missing"); ok {
-		t.Fatalf("Value(missing) reported ok")
-	}
-	ms := r.Metrics()
-	if ms[0].Kind != KindCounter || ms[1].Kind != KindGauge {
-		t.Fatalf("kinds = %v, %v", ms[0].Kind, ms[1].Kind)
-	}
-	if KindCounter.String() != "counter" || KindGauge.String() != "gauge" {
-		t.Fatalf("kind strings wrong")
+	if vals := r.ReadAll(); !slices.Equal(vals, []float64{7, 0.5}) {
+		t.Fatalf("ReadAll() = %v", vals)
 	}
 }
 
@@ -102,21 +99,17 @@ func TestTelemetryTagCommitsAndHooks(t *testing.T) {
 	if got := tel.TagCommits(9); got != 1 {
 		t.Fatalf("TagCommits(9) = %d, want 1", got)
 	}
-	tags := tel.CommitTags()
-	if len(tags) != 2 || tags[0] != 7 || tags[1] != 9 {
-		t.Fatalf("CommitTags = %v, want [7 9]", tags)
-	}
 
 	var ticks []sim.Time
 	tel.OnSample(func(now sim.Time) { ticks = append(ticks, now) })
 	k := sim.New()
 	tel.Start(k)
-	k.RunFor(tel.SampleEvery() * 3)
+	k.RunFor(tel.cfg.SampleEvery * 3)
 	if len(ticks) != 3 {
 		t.Fatalf("OnSample fired %d times, want 3", len(ticks))
 	}
 	for i, tk := range ticks {
-		if want := tel.SampleEvery() * sim.Time(i+1); tk != want {
+		if want := tel.cfg.SampleEvery * sim.Time(i+1); tk != want {
 			t.Fatalf("tick %d at %v, want %v", i, tk, want)
 		}
 	}

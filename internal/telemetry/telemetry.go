@@ -89,13 +89,11 @@ type Telemetry struct {
 	winTPS, winP99us, winMeanUs float64
 
 	// Per-tag cumulative commit counts (burn-rate denominators for the
-	// SLO engine); tagCommitOrder keeps first-appearance order so
-	// iteration stays deterministic.
-	tagCommits     map[uint32]int64
-	tagCommitOrder []uint32
+	// serving front's admission guard).
+	tagCommits map[uint32]int64
 
-	// onSample hooks run at the end of every sample() tick — the health
-	// monitor registers its rule evaluation and snapshot refresh here.
+	// onSample hooks run at the end of every sample() tick — the serving
+	// front registers its burn-rate guard here.
 	onSample []func(now sim.Time)
 }
 
@@ -123,20 +121,8 @@ func (t *Telemetry) Series() *Series { return &t.series }
 // Spans returns every retained span (RetainSpans runs only).
 func (t *Telemetry) Spans() []*ioreq.Span { return t.spans }
 
-// Commits counts spans recorded so far.
-func (t *Telemetry) Commits() int64 { return t.commits }
-
 // TagCommits counts spans recorded so far for one tenant tag.
 func (t *Telemetry) TagCommits(tag uint32) int64 { return t.tagCommits[tag] }
-
-// CommitTags returns the tags seen on recorded spans, in
-// first-appearance order (deterministic under the DES kernel).
-func (t *Telemetry) CommitTags() []uint32 {
-	return append([]uint32(nil), t.tagCommitOrder...)
-}
-
-// SampleEvery reports the sampler period.
-func (t *Telemetry) SampleEvery() sim.Time { return t.cfg.SampleEvery }
 
 // OnSample registers a hook invoked at the end of every sampler tick,
 // after the sample row is appended. Hooks run in registration order on
@@ -153,9 +139,6 @@ func (t *Telemetry) RecordSpan(sp *ioreq.Span) {
 	}
 	t.commits++
 	t.winCommits++
-	if t.tagCommits[sp.Tag] == 0 {
-		t.tagCommitOrder = append(t.tagCommitOrder, sp.Tag)
-	}
 	t.tagCommits[sp.Tag]++
 	t.spanCmds += sp.Cmds
 	t.winHist.Add(sp.Latency())

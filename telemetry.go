@@ -21,9 +21,6 @@ type (
 	// TelemetryConfig tunes the pipeline (sample period, slowest-K
 	// retention, deadline-miss ring, span retention for trace export).
 	TelemetryConfig = telemetry.Config
-	// MetricsRegistry is the unified registry of named cross-layer
-	// counters and gauges ("layer.metric" naming).
-	MetricsRegistry = telemetry.Registry
 	// Span is a request span: per-layer stage timings of one
 	// transaction, riding the request descriptor from the terminal down
 	// to the die queues.
