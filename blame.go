@@ -7,6 +7,6 @@ import "noftl/internal/telemetry/blame"
 // the slowest spans its reports keep. The engine joins the per-die
 // command timeline with the retained request spans after a run; the
 // report (victim×culprit interference matrix, per-span blame
-// decompositions, table/folded-stack/speedscope/JSON exporters) comes
+// decompositions, table/folded-stack/JSON exporters) comes
 // back on the experiment's result.
 type BlameConfig = blame.Config

@@ -109,7 +109,7 @@ func (a *app) flagSet() *flag.FlagSet {
 	fs.IntVar(&a.driveMB, "drive-mb", 0, "drive capacity in MB (0: the experiment's own default — 192 for fig4/headline/delta, 64 elsewhere)")
 	fs.IntVar(&a.measureS, "measure-s", 8, "measurement window, simulated seconds")
 	fs.IntVar(&a.frames, "frames", 0, "buffer-pool frames (0: the experiment's own default)")
-	fs.StringVar(&a.obsDir, "obs-dir", "", "turn the observability stack on for the sched/htap/qos/serve experiment and write the last mode's artifacts into this directory: trace.json metrics.json, plus blame.json blame.folded blame.speedscope.json (sched/htap/qos) and health.json (sched)")
+	fs.StringVar(&a.obsDir, "obs-dir", "", "turn the observability stack on for the sched/htap/qos/serve experiment and write the last mode's artifacts into this directory: trace.json metrics.json, plus blame.json blame.folded (sched/htap/qos; speedscope.app opens blame.folded) and health.json (sched)")
 	fs.IntVar(&a.slowest, "slowest", 16, "flight-recorder / blame retention: slowest K transactions (with -obs-dir)")
 	fs.IntVar(&a.qosLowDLms, "qos-low-deadline-ms", 0, "stamp the qos demo's low tenant with this completion deadline (ms; 0: off) so its SLO misses are measured and blame-attributed")
 	fs.IntVar(&a.serveClients, "serve-clients", 0, "total sessions for the serve ablation, split 1:3 paying:batch (0: default 800)")
@@ -227,7 +227,6 @@ func (a *app) observed(blame bool) noftl.ExperimentParams {
 	}
 	p.Telemetry = &noftl.TelemetryConfig{SlowestK: a.slowest, RetainSpans: true}
 	if blame {
-		p.TraceCmds = true
 		p.Blame = &noftl.BlameConfig{SlowestK: a.slowest}
 	}
 	return p
@@ -263,7 +262,6 @@ func (a *app) export(name string, o *noftl.ObservedRun) error {
 	if rep := o.Blame; rep != nil {
 		write("blame.json", rep.WriteJSON)
 		write("blame.folded", rep.WriteFolded)
-		write("blame.speedscope.json", rep.WriteSpeedscope)
 	}
 	if h := o.Health; h != nil {
 		write("health.json", func(w io.Writer) error { return noftl.WriteHealthSnapshot(w, h) })

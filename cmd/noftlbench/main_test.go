@@ -66,8 +66,7 @@ func TestQoSObsDirWritesDocumentedFiles(t *testing.T) {
 		}
 		got = append(got, e.Name())
 	}
-	want := []string{"blame.folded", "blame.json", "blame.speedscope.json",
-		"metrics.json", "trace.json"}
+	want := []string{"blame.folded", "blame.json", "metrics.json", "trace.json"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("obs-dir holds %v, want exactly %v", got, want)
 	}

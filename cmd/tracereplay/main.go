@@ -123,13 +123,7 @@ func doReplay(path, target string) error {
 	if err != nil {
 		return err
 	}
-	maxLPN := int64(0)
-	for _, op := range tr.Ops {
-		if op.LPN > maxLPN {
-			maxLPN = op.LPN
-		}
-	}
-	devPages := (maxLPN + 1) * 10 / 7
+	devPages := tr.Span() * 10 / 7
 	targets := []string{target}
 	if target == "all" {
 		targets = []string{"pagemap", "dftl", "faster", "noftl"}

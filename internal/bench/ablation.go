@@ -48,26 +48,12 @@ func tpcbTrace(txs int, seed int64) (*trace.Trace, error) {
 	return tr, err
 }
 
-func sweepDevice(pages int64, pageSize int) flash.Config {
-	return fig3Device(pages, pageSize)
-}
-
-func traceSpan(tr *trace.Trace) int64 {
-	maxLPN := int64(0)
-	for _, op := range tr.Ops {
-		if op.LPN > maxLPN {
-			maxLPN = op.LPN
-		}
-	}
-	return maxLPN + 1
-}
-
 // AblationGCPolicy (A1) compares victim-selection policies on the
 // page-mapping FTL under a skewed synthetic update load.
 func AblationGCPolicy(seed int64) (*AblationResult, error) {
 	res := &AblationResult{Name: "gc-policy"}
 	for _, pol := range []ftl.GCPolicy{ftl.GreedyPolicy, ftl.CostBenefitPolicy, ftl.WearAwarePolicy} {
-		dev := flash.New(sweepDevice(1<<15, 4096))
+		dev := flash.New(fig3Device(1<<15, 4096))
 		f, err := noftl.NewPageFTL(dev, ftl.PageFTLConfig{Policy: pol, OverProvision: 0.12})
 		if err != nil {
 			return nil, err
@@ -107,10 +93,10 @@ func AblationDFTLCMT(seed int64) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	span := traceSpan(tr)
+	span := tr.Span()
 	res := &AblationResult{Name: "dftl-cmt"}
 	for _, entries := range []int{64, 256, 1024, 4096, 1 << 20} {
-		dev := flash.New(sweepDevice(span*10/7, tr.PageSize))
+		dev := flash.New(fig3Device(span*10/7, tr.PageSize))
 		f, err := noftl.NewDFTL(dev, ftl.DFTLConfig{CMTEntries: entries})
 		if err != nil {
 			return nil, err
@@ -135,10 +121,10 @@ func AblationFasterLog(seed int64) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	span := traceSpan(tr)
+	span := tr.Span()
 	res := &AblationResult{Name: "faster-log"}
 	for _, frac := range []float64{0.03, 0.07, 0.15, 0.25} {
-		dev := flash.New(sweepDevice(span*10/6, tr.PageSize))
+		dev := flash.New(fig3Device(span*10/6, tr.PageSize))
 		f, err := ftl.NewFasterFTL(dev, ftl.FasterConfig{LogFraction: frac, SecondChance: true})
 		if err != nil {
 			return nil, err
@@ -165,7 +151,7 @@ func AblationFasterLog(seed int64) (*AblationResult, error) {
 func AblationOverProvision(seed int64) (*AblationResult, error) {
 	res := &AblationResult{Name: "over-provisioning"}
 	for _, op := range []float64{0.07, 0.12, 0.20, 0.28} {
-		dev := flash.New(sweepDevice(1<<15, 4096))
+		dev := flash.New(fig3Device(1<<15, 4096))
 		f, err := noftl.NewPageFTL(dev, ftl.PageFTLConfig{OverProvision: op})
 		if err != nil {
 			return nil, err

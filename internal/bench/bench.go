@@ -53,10 +53,6 @@ type Params struct {
 	// Health attaches the device-health monitor (implies telemetry);
 	// Observed.Health carries the end-of-run snapshot.
 	Health bool
-	// TraceCmds keeps the scheduler's command timeline
-	// (Observed.CmdLog) even without Blame. Memory-heavy; needs a stack
-	// with a scheduler.
-	TraceCmds bool
 
 	// fault is the tests' injection seam: the run loop asks it once per
 	// background process kind ("maintenance", "prefetcher",
@@ -103,10 +99,8 @@ func orDefault[T int | int64 | sim.Time | float64](v, def T) T {
 
 // build assembles one run's system through the one builder entry:
 // geometry and pool size from the block, the driver's stack options,
-// then the observability attachments the block asks for. The returned
-// log is the run's command timeline (nil unless TraceCmds or Blame
-// asked for one).
-func (p Params) build(stack system.Stack, opts ...system.Option) (*system.System, *trace.CmdLog, error) {
+// then the observability attachments the block asks for.
+func (p Params) build(stack system.Stack, opts ...system.Option) (*system.System, error) {
 	opts = slices.Clip(opts) // variants share option lists: never append into one
 	if p.Telemetry != nil {
 		opts = append(opts, system.WithTelemetry(*p.Telemetry))
@@ -114,22 +108,11 @@ func (p Params) build(stack system.Stack, opts ...system.Option) (*system.System
 	if p.Health {
 		opts = append(opts, system.WithHealth())
 	}
-	var log *trace.CmdLog
 	if p.Blame != nil {
 		opts = append(opts, system.WithBlame(*p.Blame))
-	} else if p.TraceCmds {
-		log = &trace.CmdLog{}
-		opts = append(opts, system.WithTrace(log.Record))
 	}
 	dev := flash.EmulatorConfig(p.Dies, p.DriveMB, nand.SLC)
-	sys, err := system.New(system.Config{Stack: stack, Device: &dev, Frames: p.Frames}, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	if sys.CmdLog != nil {
-		log = sys.CmdLog
-	}
-	return sys, log, nil
+	return system.New(system.Config{Stack: stack, Device: &dev, Frames: p.Frames}, opts...)
 }
 
 // Observed is what a run's observability attachments produced; each
@@ -143,8 +126,8 @@ type Observed struct {
 }
 
 // observe collects a finished run's observability outputs.
-func observe(sys *system.System, log *trace.CmdLog) Observed {
-	o := Observed{Tel: sys.Tel, CmdLog: log, Blame: sys.Blame()}
+func observe(sys *system.System) Observed {
+	o := Observed{Tel: sys.Tel, CmdLog: sys.CmdLog, Blame: sys.Blame()}
 	if sys.Health != nil {
 		o.Health = sys.Health.Snapshot(sys.K.Now())
 	}

@@ -147,9 +147,9 @@ func TestBlameIdentifiesBackgroundCulprit(t *testing.T) {
 }
 
 // TestBlameExportsDeterministic reruns the identical scenario and
-// requires every export — matrix table, folded stacks, speedscope
-// profile, JSON report — to be byte-identical across runs, then pins
-// them against committed golden files (refresh with go test -update).
+// requires every export — matrix table, folded stacks, JSON report — to
+// be byte-identical across runs, then pins them against committed golden
+// files (refresh with go test -update).
 func TestBlameExportsDeterministic(t *testing.T) {
 	first := blameQoS(t).Blame
 	again, err := QoS(blameQoSConfig())
@@ -164,13 +164,6 @@ func TestBlameExportsDeterministic(t *testing.T) {
 		{"stacks.folded", func(r *blame.Report) []byte {
 			var b bytes.Buffer
 			if err := r.WriteFolded(&b); err != nil {
-				t.Fatal(err)
-			}
-			return b.Bytes()
-		}},
-		{"profile.speedscope.json", func(r *blame.Report) []byte {
-			var b bytes.Buffer
-			if err := r.WriteSpeedscope(&b); err != nil {
 				t.Fatal(err)
 			}
 			return b.Bytes()

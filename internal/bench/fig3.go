@@ -152,8 +152,9 @@ func recordTrace(wl workload.Workload, txs int, seed int64) (*trace.Trace, int, 
 	return &rec.T, loadEnd, nil
 }
 
-// fig3Device builds the replay device: single-plane dies so every
-// relocation is copyback-eligible, matching firmware-managed banks.
+// fig3Device builds the replay device Figure 3 and the A1–A4 sweeps run
+// on: single-plane dies so every relocation is copyback-eligible,
+// matching firmware-managed banks.
 func fig3Device(pages int64, pageSize int) flash.Config {
 	const pagesPerBlock = 64
 	// Two blocks of slack: the NoFTL volume reserves one block per plane
@@ -200,13 +201,8 @@ func figure3One(wl workload.Workload, cfg Fig3Config) (*Fig3Row, error) {
 	}
 	// Size the replay drive from the trace's page span (~72% utilisation,
 	// a loaded OLTP drive).
-	maxLPN := int64(0)
-	for _, op := range tr.Ops {
-		if op.LPN > maxLPN {
-			maxLPN = op.LPN
-		}
-	}
-	devPages := (maxLPN + 1) * 10 / 7
+	span := tr.Span()
+	devPages := span * 10 / 7
 
 	loadTrace := &trace.Trace{PageSize: tr.PageSize, Ops: tr.Ops[:loadEnd]}
 	txTrace := &trace.Trace{PageSize: tr.PageSize, Ops: tr.Ops[loadEnd:]}
@@ -220,8 +216,8 @@ func figure3One(wl workload.Workload, cfg Fig3Config) (*Fig3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ff.LogicalPages() <= maxLPN {
-		return nil, fmt.Errorf("faster drive too small: %d <= %d", ff.LogicalPages(), maxLPN)
+	if ff.LogicalPages() < span {
+		return nil, fmt.Errorf("faster drive too small: %d < %d pages", ff.LogicalPages(), span)
 	}
 	if err := trace.Replay(loadTrace, ff, trace.ReplayOptions{DropTrims: true}); err != nil {
 		return nil, err
@@ -244,8 +240,8 @@ func figure3One(wl workload.Workload, cfg Fig3Config) (*Fig3Row, error) {
 		return nil, err
 	}
 	nt := trace.NoFTLTarget{V: nv}
-	if nt.LogicalPages() <= maxLPN {
-		return nil, fmt.Errorf("noftl drive too small: %d <= %d", nt.LogicalPages(), maxLPN)
+	if nt.LogicalPages() < span {
+		return nil, fmt.Errorf("noftl drive too small: %d < %d pages", nt.LogicalPages(), span)
 	}
 	if err := trace.Replay(loadTrace, nt, trace.ReplayOptions{}); err != nil {
 		return nil, err

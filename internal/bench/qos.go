@@ -123,7 +123,7 @@ func QoS(cfg QoSConfig) (*QoSResult, error) {
 		bl.TagNames = QoSTagNames()
 		cfg.Blame = &bl
 	}
-	sys, log, err := cfg.build(system.StackNoFTLRegions,
+	sys, err := cfg.build(system.StackNoFTLRegions,
 		system.WithPriorityScheduler(), system.WithBackgroundGC())
 	if err != nil {
 		return nil, fmt.Errorf("qos: %w", err)
@@ -170,6 +170,6 @@ func QoS(cfg QoSConfig) (*QoSResult, error) {
 	}
 	out := &QoSResult{Result: *r}
 	out.High, out.Low = out.Result.Group("high"), out.Result.Group("low")
-	out.Observed = observe(sys, log)
+	out.Observed = observe(sys)
 	return out, nil
 }

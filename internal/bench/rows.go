@@ -68,7 +68,7 @@ func (p Params) runVariants(exp, workload string, vs []variant) (*Rows, error) {
 
 // runVariant is one variant's build → run → occupancy → observe.
 func (p Params) runVariant(v variant) (*Row, error) {
-	sys, log, err := p.build(v.stack, v.opts...)
+	sys, err := p.build(v.stack, v.opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +77,7 @@ func (p Params) runVariant(v variant) (*Row, error) {
 		return nil, err
 	}
 	return &Row{Name: v.name, Stack: v.stack, Result: *r, Occupancy: occupancy(sys), Front: sys.Serve,
-		Observed: observe(sys, log)}, nil
+		Observed: observe(sys)}, nil
 }
 
 // only keeps the variants named in names (all of them when names is

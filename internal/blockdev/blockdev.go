@@ -19,17 +19,18 @@ import (
 
 // Config tunes the legacy interface model.
 type Config struct {
-	// QueueDepth bounds outstanding commands. Default 32 (SATA2 NCQ).
-	// Only enforced for DES callers (sim.ProcWaiter); serial callers
-	// cannot exceed depth 1 anyway.
-	QueueDepth int
 	// Kernel enables queue-depth arbitration for DES runs.
 	Kernel *sim.Kernel
 }
 
 // cmdOverhead is the per-command protocol/driver cost added on top of
-// device latency (SATA/AHCI class).
-const cmdOverhead = 10 * sim.Microsecond
+// device latency (SATA/AHCI class). queueDepth bounds outstanding
+// commands (SATA2 NCQ); it is only enforced for DES callers
+// (sim.ProcWaiter), since serial callers cannot exceed depth 1 anyway.
+const (
+	cmdOverhead = 10 * sim.Microsecond
+	queueDepth  = 32
+)
 
 // Device is a logical block device backed by an FTL.
 type Device struct {
@@ -39,12 +40,9 @@ type Device struct {
 
 // New wraps f behind the legacy interface.
 func New(f ftl.FTL, cfg Config) *Device {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 32
-	}
 	d := &Device{ftl: f}
 	if cfg.Kernel != nil {
-		d.queue = sim.NewResource(cfg.Kernel, cfg.QueueDepth)
+		d.queue = sim.NewResource(cfg.Kernel, queueDepth)
 	}
 	return d
 }

@@ -10,7 +10,7 @@ import (
 	"noftl/internal/sim"
 )
 
-func newTestDevice(t *testing.T, k *sim.Kernel, qd int) *Device {
+func newTestDevice(t *testing.T, k *sim.Kernel) *Device {
 	t.Helper()
 	dev := flash.New(flash.Config{
 		Geometry: nand.Geometry{
@@ -24,11 +24,11 @@ func newTestDevice(t *testing.T, k *sim.Kernel, qd int) *Device {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(f, Config{Kernel: k, QueueDepth: qd})
+	return New(f, Config{Kernel: k})
 }
 
 func TestBlockdevRoundTrip(t *testing.T) {
-	d := newTestDevice(t, nil, 0)
+	d := newTestDevice(t, nil)
 	w := &sim.ClockWaiter{}
 	data := make([]byte, 512)
 	data[0] = 0xEE
@@ -51,7 +51,7 @@ func TestBlockdevRoundTrip(t *testing.T) {
 }
 
 func TestBlockdevAddsProtocolOverhead(t *testing.T) {
-	d := newTestDevice(t, nil, 0)
+	d := newTestDevice(t, nil)
 	w := &sim.ClockWaiter{}
 	start := w.Now()
 	if err := d.Write(w, 0, make([]byte, 512)); err != nil {
@@ -66,35 +66,29 @@ func TestBlockdevAddsProtocolOverhead(t *testing.T) {
 
 func TestBlockdevQueueDepthLimitsConcurrency(t *testing.T) {
 	k := sim.New()
-	d := newTestDevice(t, k, 2)
-	inFlight, maxInFlight := 0, 0
-	for i := 0; i < 8; i++ {
+	d := newTestDevice(t, k)
+	for i := 0; i < queueDepth+8; i++ {
 		lba := int64(i)
 		k.Go("io", func(p *sim.Proc) {
-			w := sim.ProcWaiter{P: p}
-			// Track concurrency inside the queue by sampling around the op.
-			inFlight++
-			if inFlight > maxInFlight {
-				maxInFlight = inFlight
-			}
-			if err := d.Write(w, lba, make([]byte, 512)); err != nil {
+			if err := d.Write(sim.ProcWaiter{P: p}, lba, make([]byte, 512)); err != nil {
 				t.Errorf("write: %v", err)
 			}
-			inFlight--
 		})
 	}
+	// Every writer starts at once; inside the first command overhead the
+	// queue holds exactly its depth and the rest wait for a slot.
+	k.RunFor(cmdOverhead / 2)
+	if got := d.queue.InUse(); got != queueDepth {
+		t.Errorf("in flight %d, want the queue depth %d", got, queueDepth)
+	}
 	k.Run()
-	// All 8 started concurrently before blocking on the queue; what we
-	// can assert deterministically is the queue resource never exceeded
-	// its depth.
 	if d.queue.InUse() != 0 {
 		t.Errorf("queue not drained: %d", d.queue.InUse())
 	}
-	_ = maxInFlight
 }
 
 func TestBlockdevFTLStats(t *testing.T) {
-	d := newTestDevice(t, nil, 0)
+	d := newTestDevice(t, nil)
 	w := &sim.ClockWaiter{}
 	for i := int64(0); i < 10; i++ {
 		if err := d.Write(w, i, make([]byte, 512)); err != nil {

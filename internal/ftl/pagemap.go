@@ -11,9 +11,4 @@ type PageFTLConfig struct {
 	OverProvision float64
 	// Policy selects GC victims. Default GreedyPolicy.
 	Policy GCPolicy
-	// WearLevel enables static wear leveling. Default off.
-	WearLevel bool
-	// WearDelta is the max-min erase-count gap that triggers a wear move.
-	// Default 64.
-	WearDelta int
 }

@@ -3,6 +3,7 @@ package ftl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"noftl/internal/flash"
@@ -436,6 +437,10 @@ func RebuildSeqLog(dev *flash.Device, cfg SeqLogConfig, rq ioreq.Req) (*SeqLog, 
 	pos := l.base
 	maxSeq := uint64(0)
 	for i, f := range dedup {
+		if f.first < 0 || f.first > math.MaxInt64-ppb {
+			// Appends count up from 0; past the top the window would wrap.
+			return nil, fmt.Errorf("ftl: seqlog rebuild: extent at position %d outside the stream", f.first)
+		}
 		if f.first != pos {
 			return nil, fmt.Errorf("ftl: seqlog rebuild: extent gap at position %d (found %d)", pos, f.first)
 		}

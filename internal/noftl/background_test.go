@@ -63,8 +63,7 @@ func runBackgroundStress(t *testing.T, seed int64) (ftl.Stats, int64, int64) {
 	k := sim.New()
 	var fatal error
 	mt := sched.StartMaintenance(k, v, sched.MaintConfig{
-		SweepEvery: 5 * sim.Millisecond,
-		OnError:    func(err error) { fatal = err },
+		OnError: func(err error) { fatal = err },
 	})
 
 	stopped := false
@@ -174,18 +173,18 @@ func TestBackgroundGCDeterminism(t *testing.T) {
 
 // TestInlineWaterHonorsBackgroundGC pins the emergency-floor contract:
 // with BackgroundGC the write path only collects when a plane is dry,
-// without it the LowWater mark applies.
+// without it the lowWater mark applies.
 func TestInlineWaterHonorsBackgroundGC(t *testing.T) {
 	dev, v := backgroundTestVolume(t)
 	_ = dev
 	if got := v.dies[0].inlineWater(); got != 1 {
 		t.Fatalf("BackgroundGC inline water = %d, want 1", got)
 	}
-	v2, err := New(flash.New(flash.EmulatorConfig(1, 8, nand.SLC)), Config{LowWater: 3})
+	v2, err := New(flash.New(flash.EmulatorConfig(1, 8, nand.SLC)), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := v2.dies[0].inlineWater(); got != 3 {
-		t.Fatalf("inline water = %d, want LowWater 3", got)
+	if got := v2.dies[0].inlineWater(); got != lowWater {
+		t.Fatalf("inline water = %d, want lowWater %d", got, lowWater)
 	}
 }

@@ -24,8 +24,8 @@ import (
 // Per logical page the volume keeps a chain of delta locations in host
 // RAM (like the l2p table, it is rebuilt from flash after a restart).
 // Reads fold the chain onto the base image on the fly; the chain is
-// folded into a fresh full page when it reaches Config.MaxDeltaChain,
-// and during GC — so GC relocates one folded page instead of a base
+// folded into a fresh full page when it reaches maxDeltaChain, and
+// during GC — so GC relocates one folded page instead of a base
 // page plus N stale delta versions.
 //
 // Deltas are absolute byte-range overwrites, so folding is idempotent:
@@ -80,6 +80,11 @@ func parseDeltaRecord(b []byte) (lpn int64, seq uint64, payload []byte, n int, e
 	return lpn, seq, b[deltaHeaderSize : deltaHeaderSize+plen], deltaHeaderSize + plen, nil
 }
 
+// maxDeltaChain bounds a page's delta chain before a forced fold
+// rewrites the page in full. Longer chains amortize more appends per fold
+// but cost more reads per fold and per ReadPage.
+const maxDeltaChain = 4
+
 // chainRef locates one delta record on flash.
 type chainRef struct {
 	ppn nand.PPN
@@ -105,8 +110,8 @@ type openDeltaPage struct {
 // WriteDelta appends a page differential (a delta.Encode payload) for
 // lpn instead of programming a full page. The payload must describe the
 // change relative to the page's current logical contents. When the
-// page's chain reaches Config.MaxDeltaChain the volume folds chain and
-// payload into a fresh full-page write instead.
+// page's chain reaches maxDeltaChain the volume folds chain and payload
+// into a fresh full-page write instead.
 func (v *Volume) WriteDelta(rq ioreq.Req, lpn int64, payload []byte) error {
 	if err := v.check(lpn); err != nil {
 		return err
@@ -129,7 +134,7 @@ func (d *dieMgr) writeDelta(w sim.Waiter, dlpn, globalLPN int64, payload []byte)
 	if rec > ps {
 		return fmt.Errorf("%w: %d bytes in %d-byte page", ErrDeltaTooLarge, rec, ps)
 	}
-	if len(d.chains[dlpn]) >= d.cfg.MaxDeltaChain {
+	if len(d.chains[dlpn]) >= maxDeltaChain {
 		// Forced fold absorbs the incoming delta: one full-page write
 		// replaces base + chain + payload.
 		return d.foldChain(w, dlpn, payload, false)

@@ -39,7 +39,7 @@ func mutate(rng *rand.Rand, page []byte, n int) []byte {
 }
 
 func TestWriteDeltaFoldOnRead(t *testing.T) {
-	v, _, w := deltaTestVolume(t, Config{MaxDeltaChain: 8})
+	v, _, w := deltaTestVolume(t, Config{})
 	rng := rand.New(rand.NewSource(1))
 	ps := v.Identify().Geometry.PageSize
 
@@ -74,7 +74,7 @@ func TestWriteDeltaFoldOnRead(t *testing.T) {
 }
 
 func TestWriteDeltaForcedFoldAtMaxChain(t *testing.T) {
-	v, _, w := deltaTestVolume(t, Config{MaxDeltaChain: 2})
+	v, _, w := deltaTestVolume(t, Config{})
 	rng := rand.New(rand.NewSource(2))
 	ps := v.Identify().Geometry.PageSize
 
@@ -83,19 +83,19 @@ func TestWriteDeltaForcedFoldAtMaxChain(t *testing.T) {
 	if err := v.Write(ioreq.Plain(w), 0, want); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 2*maxDeltaChain+1; i++ {
 		if err := v.WriteDelta(ioreq.Plain(w), 0, mutate(rng, want, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// 5 appends with MaxDeltaChain=2: appends at chain 0,1 then a fold
-	// (absorbing the 3rd), appends at 0,1 again.
+	// Appends at chain 0..max-1, a fold absorbing the next, then appends
+	// at 0..max-1 again.
 	s := v.Stats()
 	if s.Folds == 0 {
 		t.Fatal("no forced fold happened")
 	}
-	if got := v.ChainLen(0); got > 2 {
-		t.Fatalf("chain length %d exceeds MaxDeltaChain", got)
+	if got := v.ChainLen(0); got > maxDeltaChain {
+		t.Fatalf("chain length %d exceeds maxDeltaChain", got)
 	}
 	buf := make([]byte, ps)
 	if err := v.Read(ioreq.Plain(w), 0, buf); err != nil {
@@ -193,7 +193,7 @@ func TestInvalidateDropsChain(t *testing.T) {
 // volume that GC must collect blocks containing both delta pages and
 // chained base pages, then verifies every page against a shadow model.
 func TestDeltaChurnWithGC(t *testing.T) {
-	v, _, w := deltaTestVolume(t, Config{MaxDeltaChain: 3, OverProvision: 0.2})
+	v, _, w := deltaTestVolume(t, Config{OverProvision: 0.2})
 	rng := rand.New(rand.NewSource(5))
 	ps := v.Identify().Geometry.PageSize
 	n := v.LogicalPages()
@@ -257,7 +257,7 @@ func TestDeltaSurvivesBadBlocks(t *testing.T) {
 	dc.Nand.EraseFailProb = 0.002
 	dc.Nand.Seed = 99
 	dev := flash.New(dc)
-	v, err := New(dev, Config{MaxDeltaChain: 3, OverProvision: 0.25})
+	v, err := New(dev, Config{OverProvision: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestRebuildRestoresDeltaChains(t *testing.T) {
 	dc := flash.EmulatorConfig(2, 8, nand.SLC)
 	dc.Nand.StoreData = true
 	dev := flash.New(dc)
-	v, err := New(dev, Config{MaxDeltaChain: 6})
+	v, err := New(dev, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestRebuildRestoresDeltaChains(t *testing.T) {
 
 	// Host restart: the volume object (l2p, chains) is dropped; only
 	// flash contents survive.
-	v2, err := Rebuild(dev, Config{MaxDeltaChain: 6}, ioreq.Plain(w))
+	v2, err := Rebuild(dev, Config{}, ioreq.Plain(w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestChainedReadDispatchesAtDeclaredClass(t *testing.T) {
 	var evs []sched.Event
 	s := sched.New(k, dev, sched.Config{Policy: sched.Priority,
 		Trace: func(ev sched.Event) { evs = append(evs, ev) }})
-	v, err := New(dev, Config{MaxDeltaChain: 8, Devs: ClassDevs{
+	v, err := New(dev, Config{Devs: ClassDevs{
 		Read: s.Bind(sched.ClassRead), WAL: s.Bind(sched.ClassWAL),
 		Data: s.Bind(sched.ClassProgram), GC: s.Bind(sched.ClassGC),
 	}})

@@ -194,7 +194,7 @@ func TestDFTLEvictsAfterGCNotInsideIt(t *testing.T) {
 // same over-provisioning, less the top 1/(perTP+1) of it for translation
 // pages (perTP = 512 entries in a 4 KiB page).
 func TestDFTLCapacityPinned(t *testing.T) {
-	// bench.sweepDevice(span*10/7, 4096) for the 281-page span of A2's
+	// bench.fig3Device(span*10/7, 4096) for the 281-page span of A2's
 	// seed-42 TPC-B trace.
 	a2 := flash.Config{Geometry: nand.Geometry{
 		Channels: 1, ChipsPerChannel: 1, DiesPerChip: 1, PlanesPerDie: 1,

@@ -30,12 +30,11 @@ func newPageMappedVolume(dev *flash.Device, cfg ftl.PageFTLConfig, moved func(si
 		cfg.OverProvision = 0.10
 	}
 	// Two frontiers per plane: with hints off and no delta path only the
-	// host and GC frontiers ever open.
+	// host and GC frontiers ever open. No comparison FTL wear-levels.
 	return newVolume(dev, Config{
 		OverProvision:    cfg.OverProvision,
 		Policy:           cfg.Policy,
-		DisableWearLevel: !cfg.WearLevel,
-		WearDelta:        cfg.WearDelta,
+		DisableWearLevel: true,
 		DisableHints:     true,
 	}, 2, moved)
 }

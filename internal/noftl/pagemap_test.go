@@ -285,11 +285,18 @@ func TestPageFTLSurvivesGrownBadBlocks(t *testing.T) {
 	}
 }
 
+// TestPageFTLWearLeveling: the page-mapped volume configuration (hints
+// off, two frontiers) wear-levels like the full volume when asked to;
+// the comparison FTL itself runs with it off.
 func TestPageFTLWearLeveling(t *testing.T) {
 	dev := pageFTLTestDevice(nand.Options{})
-	f, _ := NewPageFTL(dev, ftl.PageFTLConfig{
-		OverProvision: 0.2, WearLevel: true, WearDelta: 4, Policy: ftl.WearAwarePolicy,
-	})
+	v, err := newVolume(dev, Config{
+		OverProvision: 0.2, WearDelta: 4, Policy: ftl.WearAwarePolicy, DisableHints: true,
+	}, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &PageFTL{v: v}
 	w := &sim.ClockWaiter{}
 	n := f.LogicalPages()
 	// Write everything once (cold data), then hammer a small hot set.
@@ -320,7 +327,7 @@ func TestPageFTLWearLeveling(t *testing.T) {
 // opens five; reserving for five would bind before over-provisioning on
 // the headline drive and shrink every pagemap row's working set.
 func TestPageFTLCapacityPinned(t *testing.T) {
-	// bench.sweepDevice(1<<15, 4096): the A1/A4 ablation device.
+	// bench.fig3Device(1<<15, 4096): the A1/A4 ablation device.
 	sweep := flash.Config{Geometry: nand.Geometry{
 		Channels: 4, ChipsPerChannel: 2, DiesPerChip: 1, PlanesPerDie: 1,
 		BlocksPerPlane: 66, PagesPerBlock: 64, PageSize: 4096, OOBSize: 128,

@@ -53,7 +53,13 @@ func Rebuild(dev *flash.Device, cfg Config, rq ioreq.Req) (*Volume, error) {
 	}
 
 	// Region-scoped volumes scan only their own dies; foreign dies (other
-	// regions of the same device) are invisible to this volume.
+	// regions of the same device) are invisible to this volume. A page is
+	// foreign too when its LPN is out of range or stripes to another die:
+	// no write, GC move, wear move or salvage crosses dies, and installing
+	// one would put this die's address into the other die's table.
+	ours := func(d *dieMgr, lpn int64) bool {
+		return lpn >= 0 && lpn < v.st.Total() && v.st.DieOf(lpn) == d.idx
+	}
 	mgrOfDie := make(map[int]*dieMgr, len(v.dies))
 	for _, d := range v.dies {
 		mgrOfDie[d.sp.Die] = d
@@ -96,7 +102,7 @@ func Rebuild(dev *flash.Device, cfg Config, rq ioreq.Req) (*Volume, error) {
 					if perr != nil {
 						break // end of packed records
 					}
-					if lpn >= 0 && lpn < v.st.Total() {
+					if ours(d, lpn) {
 						deltas[lpn] = append(deltas[lpn], deltaRec{seq: seq, ppn: ppn, off: off, n: n})
 						if seq > maxSeq {
 							maxSeq = seq
@@ -107,7 +113,7 @@ func Rebuild(dev *flash.Device, cfg Config, rq ioreq.Req) (*Volume, error) {
 				continue
 			}
 			lpn := int64(oob.LPN)
-			if lpn < 0 || lpn >= v.st.Total() {
+			if !ours(d, lpn) {
 				continue // filler or foreign page
 			}
 			if oob.Seq > maxSeq {

@@ -52,28 +52,16 @@ type Config struct {
 	OverProvision float64
 	// Policy selects GC victims. Default ftl.GreedyPolicy.
 	Policy ftl.GCPolicy
-	// LowWater per-plane free-block threshold triggering inline GC.
-	// 0 selects the default of 2; the minimum honored value is 1 (a
-	// plane must keep at least one free block for GC to make progress).
-	// Background GCStep starts earlier (LowWater+2).
-	LowWater int
-	// WearLevel enables static wear leveling. Default on (set
-	// DisableWearLevel to turn off).
+	// DisableWearLevel turns static wear leveling off (it is on by
+	// default).
 	DisableWearLevel bool
 	// WearDelta is the erase-count spread triggering a wear move.
 	// Default 64.
 	WearDelta int
-	// HotColdSeparation keeps separate frontiers per hint. Default on.
-	DisableHotCold bool
 	// DisableHints ignores every placement hint: all writes share the
 	// hot frontier — the true "single policy for every page" volume the
 	// configurable-regions ablation uses as its baseline.
 	DisableHints bool
-	// MaxDeltaChain bounds a page's delta chain (WriteDelta) before a
-	// forced fold rewrites the page in full. Longer chains amortize more
-	// appends per fold but cost more reads per fold/ReadPage. Default 4;
-	// minimum 1.
-	MaxDeltaChain int
 	// Dies restricts the volume to a subset of the device's dies — the
 	// region-scoped form used by the region manager (package region),
 	// where several independently-managed volumes share one die array.
@@ -123,23 +111,16 @@ func (c Config) withDefaults() Config {
 	if c.OverProvision <= 0 {
 		c.OverProvision = 0.07
 	}
-	// 0 means "unset": pick the default. Explicit low values are honored
-	// down to the minimum of 1 free block per plane.
-	if c.LowWater == 0 {
-		c.LowWater = 2
-	} else if c.LowWater < 1 {
-		c.LowWater = 1
-	}
 	if c.WearDelta == 0 {
 		c.WearDelta = 64
 	}
-	if c.MaxDeltaChain == 0 {
-		c.MaxDeltaChain = 4
-	} else if c.MaxDeltaChain < 1 {
-		c.MaxDeltaChain = 1
-	}
 	return c
 }
+
+// lowWater is the per-plane free-block count below which the write path
+// runs GC inline; background GCStep starts earlier, at lowWater+2. A
+// plane needs at least one free block for GC to make progress.
+const lowWater = 2
 
 // Volume is a native-flash logical volume managed by the DBMS.
 type Volume struct {
@@ -293,7 +274,7 @@ func (d *dieMgr) logicalPages() int64 {
 	usable := int64(d.bt.Usable())
 	// Reserve room for the open per-plane frontiers plus the low-water
 	// free pool.
-	reserve := int64(d.sp.Planes()) * int64(d.frontiers+d.cfg.LowWater)
+	reserve := int64(d.sp.Planes()) * int64(d.frontiers+lowWater)
 	maxSafe := (usable - reserve) * ppb
 	want := int64(float64(usable*ppb) * (1 - d.cfg.OverProvision))
 	if want > maxSafe {
@@ -397,7 +378,7 @@ func (v *Volume) Invalidate(lpn int64) error {
 func (v *Volume) NeedsGC(region int) bool {
 	d := v.dies[region]
 	for plane := 0; plane < d.sp.Planes(); plane++ {
-		if d.bt.FreeCount(plane) < d.cfg.LowWater+2 {
+		if d.bt.FreeCount(plane) < lowWater+2 {
 			return true
 		}
 	}
@@ -410,7 +391,7 @@ func (v *Volume) GCStep(rq ioreq.Req, region int) (bool, error) {
 	w := rq.Waiter()
 	d := v.dies[region]
 	for plane := 0; plane < d.sp.Planes(); plane++ {
-		if d.bt.FreeCount(plane) < d.cfg.LowWater+2 && !d.gcActive[plane] {
+		if d.bt.FreeCount(plane) < lowWater+2 && !d.gcActive[plane] {
 			if err := d.gcOnce(w, plane); err != nil {
 				if errors.Is(err, ftl.ErrGCStuck) {
 					continue // nothing collectable in this plane now
@@ -486,7 +467,7 @@ func (d *dieMgr) read(w sim.Waiter, dlpn int64, buf []byte) error {
 	}
 	if len(chain) > 0 {
 		// Fold-on-read: apply the delta chain onto the base image. The
-		// chain stays in place; only GC and the MaxDeltaChain threshold
+		// chain stays in place; only GC and the maxDeltaChain threshold
 		// rewrite the page.
 		if buf == nil {
 			buf = make([]byte, d.sp.Geo().PageSize)
@@ -512,10 +493,10 @@ func (d *dieMgr) frontierFor(h Hint, plane int) *ftl.Frontier {
 	if d.cfg.DisableHints {
 		return &d.hot[plane]
 	}
-	switch {
-	case h == HintCold && !d.cfg.DisableHotCold:
+	switch h {
+	case HintCold:
 		return &d.cold[plane]
-	case h == HintLog:
+	case HintLog:
 		return &d.logFr[plane]
 	}
 	return &d.hot[plane]
@@ -641,7 +622,7 @@ func (d *dieMgr) inlineWater() int {
 	if d.cfg.BackgroundGC {
 		return 1
 	}
-	return d.cfg.LowWater
+	return lowWater
 }
 
 // ensureSpace runs GC until the plane has inlineWater free blocks. When
@@ -746,7 +727,7 @@ func (d *dieMgr) allocRelocTarget(srcPlane int) (nand.PPN, int, error) {
 	}
 	for i := 1; i < d.sp.Planes(); i++ {
 		q := (srcPlane + i) % d.sp.Planes()
-		if !d.gc[q].Full(d.sp.PagesPerBlock()) || d.bt.FreeCount(q) > d.cfg.LowWater {
+		if !d.gc[q].Full(d.sp.PagesPerBlock()) || d.bt.FreeCount(q) > lowWater {
 			if ppn, err := d.allocPage(q, &d.gc[q], kindGC); err == nil {
 				return ppn, q, nil
 			}

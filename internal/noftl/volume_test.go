@@ -234,7 +234,7 @@ func TestVolumeBackgroundGCStep(t *testing.T) {
 
 func TestVolumeHotColdSeparationReducesCopies(t *testing.T) {
 	run := func(disable bool) ftl.Stats {
-		v, err := New(testDevice(nand.Options{}), Config{DisableHotCold: disable})
+		v, err := New(testDevice(nand.Options{}), Config{DisableHints: disable})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,15 +28,16 @@ type WearLeveler interface {
 
 // MaintConfig tunes StartMaintenance.
 type MaintConfig struct {
-	// SweepEvery is the wear-leveling sweep period. Default 50ms;
-	// negative disables the sweep.
-	SweepEvery sim.Time
 	// OnError receives the first fatal maintenance error (nil: ignored).
 	OnError func(error)
 }
 
-// gcPollInterval is the GC workers' idle poll period.
-const gcPollInterval = 200 * sim.Microsecond
+// gcPollInterval is the GC workers' idle poll period; sweepEvery is the
+// wear-leveling sweep's.
+const (
+	gcPollInterval = 200 * sim.Microsecond
+	sweepEvery     = 50 * sim.Millisecond
+)
 
 // Maintenance is the handle over a running worker set.
 type Maintenance struct {
@@ -58,9 +59,6 @@ func (m *Maintenance) Stop() { m.stopped = true }
 // concrete: maintenance runs when the DBMS schedules it, not when
 // firmware decides mid-commit.
 func StartMaintenance(k *sim.Kernel, gc GCDriver, cfg MaintConfig) *Maintenance {
-	if cfg.SweepEvery == 0 {
-		cfg.SweepEvery = 50 * sim.Millisecond
-	}
 	mt := &Maintenance{}
 	fail := func(err error) {
 		if cfg.OnError != nil {
@@ -91,13 +89,13 @@ func StartMaintenance(k *sim.Kernel, gc GCDriver, cfg MaintConfig) *Maintenance 
 		})
 	}
 	wl, ok := gc.(WearLeveler)
-	if !ok || cfg.SweepEvery < 0 {
+	if !ok {
 		return mt
 	}
 	k.Go("wear-sweep", func(p *sim.Proc) {
 		rq := ioreq.Req{W: sim.ProcWaiter{P: p}, Class: ioreq.ClassGC}
 		for !mt.stopped {
-			p.Sleep(cfg.SweepEvery)
+			p.Sleep(sweepEvery)
 			if mt.stopped {
 				return
 			}

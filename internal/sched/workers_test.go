@@ -54,8 +54,8 @@ func TestMaintenanceDrivesGCAndWearSweep(t *testing.T) {
 		spread:  []int{0, 80, 10},
 		wlSteps: make([]int, 3),
 	}
-	mt := StartMaintenance(k, f, MaintConfig{SweepEvery: 10 * sim.Millisecond})
-	k.RunFor(50 * sim.Millisecond)
+	mt := StartMaintenance(k, f, MaintConfig{})
+	k.RunFor(3 * sweepEvery)
 	mt.Stop()
 	k.RunFor(5 * sim.Millisecond)
 	k.Shutdown()
@@ -79,7 +79,7 @@ func TestMaintenanceReportsErrors(t *testing.T) {
 	k := sim.New()
 	f := &failingDriver{}
 	var got error
-	mt := StartMaintenance(k, f, MaintConfig{SweepEvery: -1, OnError: func(err error) { got = err }})
+	mt := StartMaintenance(k, f, MaintConfig{OnError: func(err error) { got = err }})
 	k.RunFor(5 * sim.Millisecond)
 	mt.Stop()
 	k.Shutdown()

@@ -211,7 +211,7 @@ func TestWritersDrainDirtyPages(t *testing.T) {
 			t.Fatal(err)
 		}
 		tbl, _ := e.CreateTable(ctx, "t")
-		stop := e.StartWriters(k, WriterConfig{N: 2, Association: assoc, Watermark: 1})
+		stop := e.StartWriters(k, WriterConfig{N: 2, Association: assoc})
 		k.Go("client", func(p *sim.Proc) {
 			c := NewIOCtx(sim.ProcWaiter{P: p})
 			for i := 0; i < 200; i++ {

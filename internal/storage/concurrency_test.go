@@ -165,7 +165,7 @@ func TestEngineTPCBStyleConsistencyUnderConcurrency(t *testing.T) {
 	var committedDeltas int64
 	var fatal error
 	const workers = 6
-	stop := e.StartWriters(k, WriterConfig{N: 2, Association: AssocGlobal, Watermark: 1})
+	stop := e.StartWriters(k, WriterConfig{N: 2, Association: AssocGlobal})
 	for wkr := 0; wkr < workers; wkr++ {
 		wkr := wkr
 		k.Go("tx", func(p *sim.Proc) {

@@ -26,7 +26,7 @@ func newDeltaTestEngine(t *testing.T) (*Engine, *IOCtx, Volume, Volume, *noftl.V
 	dc := flash.EmulatorConfig(2, 16, nand.SLC)
 	dc.Nand.StoreData = true
 	dev := flash.New(dc)
-	nv, err := noftl.New(dev, noftl.Config{MaxDeltaChain: 4})
+	nv, err := noftl.New(dev, noftl.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,9 +35,6 @@ type WriterConfig struct {
 	N int
 	// Association selects the dirty-page partitioning.
 	Association WriterAssociation
-	// Watermark is the dirty-page count above which writers work
-	// continuously; below it they only trickle. Default: frames/8.
-	Watermark int
 	// GC and NeedsGC, set together, let writers run background flash GC
 	// on their regions when the volume wants it — the NoFTL integration
 	// for volumes built without maintenance workers (wired to
@@ -60,9 +57,9 @@ const writerPollInterval = 200 * sim.Microsecond
 // StartWriters launches cfg.N db-writer processes on the kernel. The
 // returned stop function halts them (they drain at the next poll).
 func (e *Engine) StartWriters(k *sim.Kernel, cfg WriterConfig) (stop func()) {
-	if cfg.Watermark <= 0 {
-		cfg.Watermark = len(e.bp.frames) / 8
-	}
+	// Above an eighth of the frames dirty the writers work continuously;
+	// below it they only trickle.
+	watermark := len(e.bp.frames) / 8
 	stopped := false
 	regions := e.vol.Regions()
 	for i := 0; i < cfg.N; i++ {
@@ -101,7 +98,7 @@ func (e *Engine) StartWriters(k *sim.Kernel, cfg WriterConfig) (stop func()) {
 						}
 					}
 				}
-				if !worked || e.bp.TotalDirty() < cfg.Watermark {
+				if !worked || e.bp.TotalDirty() < watermark {
 					p.Sleep(writerPollInterval)
 				}
 			}

@@ -75,9 +75,9 @@ type System struct {
 	// for it): per-die wear heatmaps and per-region GC efficiency.
 	Health *health.Monitor
 	// CmdLog is the system-owned per-die command timeline feeding blame
-	// analysis (nil unless WithBlame attached it). A user trace
-	// hook installed via Sched.Trace/WithTrace still fires: the builder
-	// chains it behind the log's recorder.
+	// analysis (nil unless WithBlame attached it). A trace hook passed in
+	// WithScheduler's config still fires: the builder chains it behind the
+	// log's recorder.
 	CmdLog *trace.CmdLog
 	// Serve is the serving front (nil until StartServe): the tenant
 	// catalog, session record API and admission controller over Engine.
@@ -673,15 +673,9 @@ type Config struct {
 type Option func(*options)
 
 // WithScheduler attaches a native command scheduler with the given
-// configuration. A trace hook already installed by WithTrace survives
-// (option order must not matter).
+// configuration.
 func WithScheduler(cfg sched.Config) Option {
-	return func(o *options) {
-		if o.sched != nil && cfg.Trace == nil {
-			cfg.Trace = o.sched.Trace
-		}
-		o.sched = &cfg
-	}
+	return func(o *options) { o.sched = &cfg }
 }
 
 // WithPriorityScheduler attaches the priority command scheduler
@@ -732,20 +726,9 @@ func WithHealth() Option {
 // command log on the scheduler's trace hook and forces telemetry span
 // retention, so System.Blame() can join the per-die command timeline
 // with the retained request spans after a run. Implies a priority
-// scheduler when no scheduler option is given; composes with WithTrace
-// (the user hook chains behind the log's recorder) in either order.
+// scheduler when no scheduler option is given; a trace hook in the
+// scheduler option's config chains behind the log's recorder, in either
+// option order.
 func WithBlame(cfg blame.Config) Option {
 	return func(o *options) { o.blame = &cfg }
-}
-
-// WithTrace registers a command-trace hook (one event per dispatched
-// flash command) on the scheduler. It requires a scheduler option; with
-// none it attaches a default priority scheduler.
-func WithTrace(fn func(sched.Event)) Option {
-	return func(o *options) {
-		if o.sched == nil {
-			o.sched = &sched.Config{Policy: sched.Priority}
-		}
-		o.sched.Trace = fn
-	}
 }

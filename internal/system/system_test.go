@@ -92,10 +92,10 @@ func TestNewAllStacksAllOptionSets(t *testing.T) {
 	}
 }
 
-// TestOptionOrderIndependent: WithTrace, WithScheduler and WithBlame
-// compose to the same system whatever order they are given in — the
-// explicit policy survives, the user's trace hook fires, and with blame
-// the system-owned command log records the same events.
+// TestOptionOrderIndependent: WithScheduler and WithBlame compose to
+// the same system whatever order they are given in — the explicit policy
+// survives, the scheduler config's trace hook fires, and the
+// system-owned command log records the same events.
 func TestOptionOrderIndependent(t *testing.T) {
 	type outcome struct {
 		policy         sched.Policy
@@ -104,8 +104,7 @@ func TestOptionOrderIndependent(t *testing.T) {
 	build := func(order []int) outcome {
 		hooked := 0
 		opts := []Option{
-			WithTrace(func(sched.Event) { hooked++ }),
-			WithScheduler(sched.Config{Policy: sched.FCFS}),
+			WithScheduler(sched.Config{Policy: sched.FCFS, Trace: func(sched.Event) { hooked++ }}),
 			WithBlame(blame.Config{}),
 		}
 		var picked []Option
@@ -134,14 +133,12 @@ func TestOptionOrderIndependent(t *testing.T) {
 		}
 		return out
 	}
-	want := build([]int{0, 1, 2})
+	want := build([]int{0, 1})
 	if want.policy != sched.FCFS || want.hooked == 0 || want.hooked != want.logged {
-		t.Fatalf("trace+scheduler+blame: %+v", want)
+		t.Fatalf("scheduler+blame: %+v", want)
 	}
-	for _, order := range [][]int{{0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
-		if got := build(order); got != want {
-			t.Fatalf("option order %v built %+v, order 0,1,2 built %+v", order, got, want)
-		}
+	if got := build([]int{1, 0}); got != want {
+		t.Fatalf("option order 1,0 built %+v, order 0,1 built %+v", got, want)
 	}
 }
 

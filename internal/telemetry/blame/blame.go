@@ -17,7 +17,7 @@
 // victim×culprit interference matrix (waiter tag/class vs blocker
 // tag/class/die/kind), per-span blame decompositions whose blamed wait
 // sums exactly (in sim-time nanoseconds) to the span's recorded
-// sched-queue stage, and folded-stack/speedscope flame-graph exports.
+// sched-queue stage, and a folded-stack flame-graph export.
 // Every export is byte-deterministic for a fixed seed: accumulation
 // runs over the deterministic event log and all output orders are
 // fully specified.
@@ -451,7 +451,7 @@ func (r *Report) DominantMissedCulprit(tag uint32) (ClassShare, bool) {
 }
 
 // ShareMap renders VictimShares(tag) as a class-name→share map (the
-// benchdiff comparison columns).
+// blame_shares field of a qos row and of blame.json's victims).
 func (r *Report) ShareMap(tag uint32) map[string]float64 {
 	return shareMap(r.VictimShares(tag))
 }

@@ -125,7 +125,6 @@ func TestAnalyzeDeterministic(t *testing.T) {
 	for _, render := range []func(*Report, *bytes.Buffer){
 		func(r *Report, w *bytes.Buffer) { w.WriteString(r.MatrixTable()) },
 		func(r *Report, w *bytes.Buffer) { _ = r.WriteFolded(w) },
-		func(r *Report, w *bytes.Buffer) { _ = r.WriteSpeedscope(w) },
 		func(r *Report, w *bytes.Buffer) { _ = r.WriteJSON(w) },
 		func(r *Report, w *bytes.Buffer) { w.WriteString(r.SlowestTable(4)) },
 	} {

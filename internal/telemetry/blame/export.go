@@ -130,7 +130,8 @@ func (r *Report) folded() []foldedEntry {
 }
 
 // WriteFolded writes the collapsed-stack text export ("stack weight"
-// lines, weights in sim-time nanoseconds) — flamegraph.pl input.
+// lines, weights in sim-time nanoseconds): flamegraph.pl input, and a
+// file https://www.speedscope.app imports as is.
 func (r *Report) WriteFolded(w io.Writer) error {
 	for _, e := range r.folded() {
 		if _, err := fmt.Fprintf(w, "%s %d\n", e.stack, int64(e.weight)); err != nil {
@@ -138,73 +139,6 @@ func (r *Report) WriteFolded(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-type ssFrame struct {
-	Name string `json:"name"`
-}
-
-type ssShared struct {
-	Frames []ssFrame `json:"frames"`
-}
-
-type ssProfile struct {
-	Type       string  `json:"type"`
-	Name       string  `json:"name"`
-	Unit       string  `json:"unit"`
-	StartValue int64   `json:"startValue"`
-	EndValue   int64   `json:"endValue"`
-	Samples    [][]int `json:"samples"`
-	Weights    []int64 `json:"weights"`
-}
-
-type ssFile struct {
-	Schema   string      `json:"$schema"`
-	Name     string      `json:"name"`
-	Exporter string      `json:"exporter"`
-	Shared   ssShared    `json:"shared"`
-	Profiles []ssProfile `json:"profiles"`
-}
-
-// WriteSpeedscope writes the folded stacks as a speedscope
-// (https://www.speedscope.app) sampled profile, weights in sim-time
-// nanoseconds.
-func (r *Report) WriteSpeedscope(w io.Writer) error {
-	entries := r.folded()
-	frameIdx := map[string]int{}
-	var file ssFile
-	file.Schema = "https://www.speedscope.app/file-format-schema.json"
-	file.Name = "noftl blame"
-	file.Exporter = "noftl-blame"
-	prof := ssProfile{
-		Type: "sampled", Name: "critical-path blame", Unit: "nanoseconds",
-		Samples: [][]int{}, Weights: []int64{},
-	}
-	for _, e := range entries {
-		var stack []int
-		start := 0
-		for i := 0; i <= len(e.stack); i++ {
-			if i != len(e.stack) && e.stack[i] != ';' {
-				continue
-			}
-			name := e.stack[start:i]
-			start = i + 1
-			idx, ok := frameIdx[name]
-			if !ok {
-				idx = len(file.Shared.Frames)
-				frameIdx[name] = idx
-				file.Shared.Frames = append(file.Shared.Frames, ssFrame{Name: name})
-			}
-			stack = append(stack, idx)
-		}
-		prof.Samples = append(prof.Samples, stack)
-		prof.Weights = append(prof.Weights, int64(e.weight))
-		prof.EndValue += int64(e.weight)
-	}
-	file.Profiles = []ssProfile{prof}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(&file)
 }
 
 type jsonShare struct {

@@ -57,9 +57,7 @@ func (m *Monitor) Snapshot(now sim.Time) *Snapshot {
 	for _, p := range m.probes {
 		p(s)
 	}
-	// Per-die erase histograms get power-of-two buckets derived from the
-	// observed maximum (deterministic for a fixed run).
-	s.finalize(nil)
+	s.finalize()
 	series := m.tel.Series()
 	for _, n := range timelines {
 		col := series.Column(n)
@@ -184,8 +182,10 @@ type Timeline struct {
 }
 
 // finalize derives the device-wide wear section and the per-die
-// histograms from the per-die heatmap rows the probes filled.
-func (s *Snapshot) finalize(buckets []int) {
+// histograms from the per-die heatmap rows the probes filled. The
+// histograms share power-of-two buckets derived from the observed
+// maximum (deterministic for a fixed run).
+func (s *Snapshot) finalize() {
 	var all []int
 	for i := range s.Dies {
 		d := &s.Dies[i]
@@ -218,9 +218,7 @@ func (s *Snapshot) finalize(buckets []int) {
 	}
 	s.Wear.P50, s.Wear.P90, s.Wear.P99 = pct(50), pct(90), pct(99)
 
-	if buckets == nil {
-		buckets = powerBuckets(s.Wear.Max)
-	}
+	buckets := powerBuckets(s.Wear.Max)
 	for i := range s.Dies {
 		s.Dies[i].Hist = histogram(s.Dies[i].Blocks, buckets)
 	}
@@ -238,7 +236,8 @@ func powerBuckets(max int) []int {
 	}
 }
 
-// histogram buckets the non-bad erase counts of one heatmap row.
+// histogram buckets the non-bad erase counts of one heatmap row; the
+// last bound covers the device-wide maximum.
 func histogram(blocks, bounds []int) []HistBucket {
 	out := make([]HistBucket, len(bounds))
 	for i, le := range bounds {
@@ -248,16 +247,11 @@ func histogram(blocks, bounds []int) []HistBucket {
 		if e < 0 {
 			continue
 		}
-		placed := false
 		for i, le := range bounds {
 			if e <= le {
 				out[i].Count++
-				placed = true
 				break
 			}
-		}
-		if !placed && len(out) > 0 { // overflow of caller-set bounds
-			out[len(out)-1].Count++
 		}
 	}
 	return out

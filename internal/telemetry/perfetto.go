@@ -148,8 +148,8 @@ func itoa(n int) string { return strconv.Itoa(n) }
 // MetricsDump is the machine-readable metrics file: the sampled time
 // series plus the flight recorder's retained breakdowns.
 type MetricsDump struct {
-	SampleEveryNs sim.Time `json:"sample_every_ns"`
-	Series        *Series  `json:"series"`
+	SamplePeriodNs sim.Time `json:"sample_every_ns"`
+	Series         *Series  `json:"series"`
 	// Slowest holds the flight recorder's slowest-K commits, slowest
 	// first, each decomposed by stage.
 	Slowest []SpanDump `json:"slowest"`
@@ -163,9 +163,9 @@ type MetricsDump struct {
 // indented JSON.
 func (t *Telemetry) WriteMetrics(w io.Writer) error {
 	d := MetricsDump{
-		SampleEveryNs: t.cfg.SampleEvery,
-		Series:        t.Series(),
-		Slowest:       []SpanDump{},
+		SamplePeriodNs: sampleEvery,
+		Series:         t.Series(),
+		Slowest:        []SpanDump{},
 	}
 	for _, sp := range t.rec.Slowest() {
 		d.Slowest = append(d.Slowest, DumpSpan(sp))

@@ -19,7 +19,7 @@ func TestRegistryRejectsLateRegistration(t *testing.T) {
 
 	k := sim.New()
 	tel.Start(k)
-	k.RunFor(tel.cfg.SampleEvery * 3)
+	k.RunFor(sampleEvery * 3)
 
 	if !tel.Reg.sealed {
 		t.Fatalf("registry not sealed after first sample")
@@ -51,7 +51,7 @@ func TestRegistryRejectsLateRegistration(t *testing.T) {
 
 	// And the series stays rectangular after more samples, sampling the
 	// replaced closure.
-	k.RunFor(tel.cfg.SampleEvery * 2)
+	k.RunFor(sampleEvery * 2)
 	for i, s := range tel.Series().Samples {
 		if len(s.Values) != wantCols {
 			t.Fatalf("sample %d has %d values, want %d", i, len(s.Values), wantCols)
@@ -104,12 +104,12 @@ func TestTelemetryTagCommitsAndHooks(t *testing.T) {
 	tel.OnSample(func(now sim.Time) { ticks = append(ticks, now) })
 	k := sim.New()
 	tel.Start(k)
-	k.RunFor(tel.cfg.SampleEvery * 3)
+	k.RunFor(sampleEvery * 3)
 	if len(ticks) != 3 {
 		t.Fatalf("OnSample fired %d times, want 3", len(ticks))
 	}
 	for i, tk := range ticks {
-		if want := tel.cfg.SampleEvery * sim.Time(i+1); tk != want {
+		if want := sampleEvery * sim.Time(i+1); tk != want {
 			t.Fatalf("tick %d at %v, want %v", i, tk, want)
 		}
 	}

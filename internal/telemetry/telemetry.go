@@ -10,9 +10,6 @@ import (
 
 // Config tunes a Telemetry instance.
 type Config struct {
-	// SampleEvery is the time-series sampling period on the simulated
-	// clock. Default 100ms.
-	SampleEvery sim.Time
 	// SlowestK is the flight recorder's slowest-request retention.
 	// Default 16.
 	SlowestK int
@@ -22,14 +19,14 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 100 * sim.Millisecond
-	}
 	if c.SlowestK <= 0 {
 		c.SlowestK = 16
 	}
 	return c
 }
+
+// sampleEvery is the time-series sampling period on the simulated clock.
+const sampleEvery = 100 * sim.Millisecond
 
 // Sample is one sampling instant: the simulated time and every
 // registered metric's value, in the registry's column order.
@@ -157,7 +154,7 @@ func (t *Telemetry) RecordSpan(sp *ioreq.Span) {
 func (t *Telemetry) Start(k *sim.Kernel) {
 	k.Go("telemetry-sampler", func(p *sim.Proc) {
 		for {
-			p.Sleep(t.cfg.SampleEvery)
+			p.Sleep(sampleEvery)
 			t.sample(p.Now())
 		}
 	})

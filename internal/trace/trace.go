@@ -54,6 +54,16 @@ func (t *Trace) Counts() (reads, writes, trims int64) {
 	return
 }
 
+// Span returns one past the highest logical page the trace touches (1
+// for an empty trace): the page count a replay target must export.
+func (t *Trace) Span() int64 {
+	maxLPN := int64(0)
+	for _, op := range t.Ops {
+		maxLPN = max(maxLPN, op.LPN)
+	}
+	return maxLPN + 1
+}
+
 const traceMagic = 0x4e6f46544c545243 // "NoFTLTRC"
 
 // Encode writes the trace in the binary format.

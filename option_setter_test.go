@@ -109,6 +109,7 @@ func TestEveryOptionHasASetter(t *testing.T) {
 			"(make each an unexported constant beside its use):\n  %s",
 			len(unset), len(fields), strings.Join(unset, "\n  "))
 	}
+	t.Logf("%d config fields, each set outside its declaring file", len(fields))
 }
 
 // TestEveryFacadeNameHasAUser is the same ratchet for the facade: every
