@@ -46,8 +46,8 @@ import (
 )
 
 func main() {
-	// One simulated process runs at a time; a second P only adds wakep
-	// and futex traffic to every hand-off between their goroutines.
+	// One simulated process runs at a time, as a coroutine this goroutine
+	// resumes; a second P could only run the garbage collector beside it.
 	runtime.GOMAXPROCS(1)
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }

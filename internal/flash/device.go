@@ -18,7 +18,6 @@ package flash
 
 import (
 	"fmt"
-	"sync"
 
 	"noftl/internal/nand"
 	"noftl/internal/sim"
@@ -99,9 +98,9 @@ type Stats struct {
 	ChannelBusy     []sim.Time // per-channel accumulated transfer time
 }
 
-// Device is the emulated native-flash device.
+// Device is the emulated native-flash device. It is not safe for
+// concurrent use: the simulation kernel runs one process at a time.
 type Device struct {
-	mu         sync.Mutex
 	cfg        Config
 	arr        *nand.Array
 	timing     nand.Timing // the cell type's latencies
@@ -153,8 +152,6 @@ func (d *Device) Array() *nand.Array { return d.arr }
 
 // Stats returns a snapshot of operation counters.
 func (d *Device) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	s := d.stats
 	s.DieBusy = append([]sim.Time(nil), d.stats.DieBusy...)
 	s.ChannelBusy = append([]sim.Time(nil), d.stats.ChannelBusy...)
@@ -164,8 +161,6 @@ func (d *Device) Stats() Stats {
 // DieBusy returns one die's accumulated service time without copying
 // the full stats snapshot (health probes call it per die per sample).
 func (d *Device) DieBusy(die int) sim.Time {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if die < 0 || die >= len(d.stats.DieBusy) {
 		return 0
 	}
@@ -177,39 +172,31 @@ func (d *Device) DieBusy(die int) sim.Time {
 // accounting, so back-to-back bench phases spliced with resets cannot
 // inherit stale per-die busy projections or wait counters.
 func (d *Device) OnReset(fn func()) {
-	d.mu.Lock()
 	d.resetHooks = append(d.resetHooks, fn)
-	d.mu.Unlock()
 }
 
 // ResetTime rewinds the die and channel timelines to zero. Experiments
 // use it to splice phases that run on different timelines (e.g. a serial
 // load phase followed by a DES measurement phase starting at time 0).
 func (d *Device) ResetTime() {
-	d.mu.Lock()
 	for i := range d.dieBusy {
 		d.dieBusy[i] = 0
 	}
 	for i := range d.chBusy {
 		d.chBusy[i] = 0
 	}
-	hooks := append([]func(){}, d.resetHooks...)
-	d.mu.Unlock()
-	for _, fn := range hooks {
+	for _, fn := range d.resetHooks {
 		fn()
 	}
 }
 
 // ResetStats zeroes the operation counters (timelines are preserved).
 func (d *Device) ResetStats() {
-	d.mu.Lock()
 	d.stats = Stats{
 		DieBusy:     make([]sim.Time, len(d.dieBusy)),
 		ChannelBusy: make([]sim.Time, len(d.chBusy)),
 	}
-	hooks := append([]func(){}, d.resetHooks...)
-	d.mu.Unlock()
-	for _, fn := range hooks {
+	for _, fn := range d.resetHooks {
 		fn()
 	}
 }
@@ -224,7 +211,6 @@ func (d *Device) ReadPage(w sim.Waiter, p nand.PPN, buf []byte) (nand.OOB, error
 	ch := d.cfg.Geometry.ChannelOfDie(die)
 	arrival := w.Now()
 
-	d.mu.Lock()
 	start := max(arrival, d.dieBusy[die])
 	readEnd := start + d.cfg.CmdOverhead + d.timing.ReadPage
 	xferStart := max(readEnd, d.chBusy[ch])
@@ -236,7 +222,6 @@ func (d *Device) ReadPage(w sim.Waiter, p nand.PPN, buf []byte) (nand.OOB, error
 	d.stats.ReadTime += end - start
 	d.stats.DieBusy[die] += end - start
 	d.stats.ChannelBusy[ch] += end - xferStart
-	d.mu.Unlock()
 
 	w.WaitUntil(end)
 	return oob, err
@@ -252,7 +237,6 @@ func (d *Device) ProgramPage(w sim.Waiter, p nand.PPN, data []byte, oob nand.OOB
 	ch := d.cfg.Geometry.ChannelOfDie(die)
 	arrival := w.Now()
 
-	d.mu.Lock()
 	xferStart := max(arrival, d.chBusy[ch])
 	xferEnd := xferStart + d.cfg.CmdOverhead + d.xferPage
 	progStart := max(xferEnd, d.dieBusy[die])
@@ -265,7 +249,6 @@ func (d *Device) ProgramPage(w sim.Waiter, p nand.PPN, data []byte, oob nand.OOB
 	d.stats.ProgramTime += end - xferStart
 	d.stats.DieBusy[die] += end - progStart
 	d.stats.ChannelBusy[ch] += xferEnd - xferStart
-	d.mu.Unlock()
 
 	w.WaitUntil(end)
 	return err
@@ -287,7 +270,6 @@ func (d *Device) ProgramPartial(w sim.Waiter, p nand.PPN, off int, data []byte, 
 	frac := func(t sim.Time) sim.Time {
 		return max(1, sim.Time(int64(t)*int64(len(data))/int64(d.cfg.Geometry.PageSize)))
 	}
-	d.mu.Lock()
 	xferStart := max(arrival, d.chBusy[ch])
 	xferEnd := xferStart + d.cfg.CmdOverhead + frac(d.xferPage)
 	progStart := max(xferEnd, d.dieBusy[die])
@@ -300,7 +282,6 @@ func (d *Device) ProgramPartial(w sim.Waiter, p nand.PPN, off int, data []byte, 
 	d.stats.ProgramTime += end - xferStart
 	d.stats.DieBusy[die] += end - progStart
 	d.stats.ChannelBusy[ch] += xferEnd - xferStart
-	d.mu.Unlock()
 
 	w.WaitUntil(end)
 	return err
@@ -314,7 +295,6 @@ func (d *Device) EraseBlock(w sim.Waiter, b nand.PBN) error {
 	die := d.cfg.Geometry.DieOfBlock(b)
 	arrival := w.Now()
 
-	d.mu.Lock()
 	start := max(arrival, d.dieBusy[die])
 	end := start + d.cfg.CmdOverhead + d.timing.EraseBlock
 	d.dieBusy[die] = end
@@ -322,7 +302,6 @@ func (d *Device) EraseBlock(w sim.Waiter, b nand.PBN) error {
 	d.stats.Erases++
 	d.stats.EraseTime += end - start
 	d.stats.DieBusy[die] += end - start
-	d.mu.Unlock()
 
 	w.WaitUntil(end)
 	return err
@@ -344,7 +323,6 @@ func (d *Device) EraseChunk(w sim.Waiter, b nand.PBN, dur sim.Time, commit bool)
 	die := d.cfg.Geometry.DieOfBlock(b)
 	now := w.Now()
 
-	d.mu.Lock()
 	if now > d.dieBusy[die] {
 		d.dieBusy[die] = now
 	}
@@ -355,7 +333,6 @@ func (d *Device) EraseChunk(w sim.Waiter, b nand.PBN, dur sim.Time, commit bool)
 	}
 	d.stats.EraseTime += dur
 	d.stats.DieBusy[die] += dur
-	d.mu.Unlock()
 	return err
 }
 
@@ -369,7 +346,6 @@ func (d *Device) Copyback(w sim.Waiter, src, dst nand.PPN, oob nand.OOB) error {
 	die := d.cfg.Geometry.DieOf(src)
 	arrival := w.Now()
 
-	d.mu.Lock()
 	start := max(arrival, d.dieBusy[die])
 	end := start + d.cfg.CmdOverhead + d.timing.ReadPage + d.timing.ProgramPage
 	d.dieBusy[die] = end
@@ -377,7 +353,6 @@ func (d *Device) Copyback(w sim.Waiter, src, dst nand.PPN, oob nand.OOB) error {
 	d.stats.Copybacks++
 	d.stats.CopybackTime += end - start
 	d.stats.DieBusy[die] += end - start
-	d.mu.Unlock()
 
 	w.WaitUntil(end)
 	return err

@@ -150,7 +150,7 @@ func TestLaneRingGrowsAndWraps(t *testing.T) {
 }
 
 // TestSelfResumeSwitchesNothing: a process whose own wake-up is the next
-// event keeps the processor — dispatch returns on the same goroutine.
+// event keeps the processor — dispatch returns on the same stack.
 func TestSelfResumeSwitchesNothing(t *testing.T) {
 	k := New()
 	var during Stats
@@ -174,9 +174,9 @@ func TestSelfResumeSwitchesNothing(t *testing.T) {
 	}
 }
 
-// TestHandOffIsOneSwitch: waking another process costs exactly one
-// goroutine switch, straight from the process that parked to the one
-// that runs next.
+// TestHandOffIsOneSwitch: waking another process is exactly one
+// hand-off between seats, from the process that parked to the one that
+// runs next (through the driver, which Switches does not count again).
 func TestHandOffIsOneSwitch(t *testing.T) {
 	k := New()
 	defer k.Shutdown()
@@ -475,5 +475,49 @@ func TestSignalWakesInArrivalOrder(t *testing.T) {
 	k.Run()
 	if !reflect.DeepEqual(order, []int{0, 1, 2, 3}) {
 		t.Errorf("wake order %v, want arrival order", order)
+	}
+}
+
+// TestDriverSeatMovesBetweenGoroutines: the driver is whoever calls Run,
+// RunUntil or Shutdown, not a fixed goroutine. Starting the processes on
+// one goroutine, running them on a second and unwinding them on a third
+// must give the same trace, final seq and counters as one goroutine doing
+// all three.
+func TestDriverSeatMovesBetweenGoroutines(t *testing.T) {
+	type result struct {
+		trace []string
+		seq   uint64
+		st    Stats
+	}
+	run := func(on func(func())) result {
+		k := New()
+		var trace *[]string
+		on(func() {
+			trace = pollMix(k, 42, (*Proc).Poll)
+			zeroDelayStorm(k, 42, trace)
+			k.RunFor(7 * Millisecond)
+		})
+		on(func() { k.RunFor(20 * Millisecond) })
+		on(k.Shutdown)
+		if k.Alive() != 0 || k.Pending() != 0 {
+			t.Errorf("Alive() = %d, Pending() = %d after Shutdown, want 0 0", k.Alive(), k.Pending())
+		}
+		return result{*trace, k.seq, k.Stats()}
+	}
+	want := run(func(f func()) { f() })
+	got := run(func(f func()) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f()
+		}()
+		<-done
+	})
+	if want.st.Switches == 0 || want.st.PollTicks == 0 {
+		t.Fatalf("counters %+v: the scenario hands off nothing", want.st)
+	}
+	if got.seq != want.seq || got.st != want.st || !reflect.DeepEqual(got.trace, want.trace) {
+		t.Errorf("three goroutines: seq %d, stats %+v, %d trace entries; one goroutine: %d, %+v, %d (or the traces differ)",
+			got.seq, got.st, len(got.trace), want.seq, want.st, len(want.trace))
 	}
 }

@@ -59,7 +59,7 @@ type Stats struct {
 	Events     uint64 // events fired
 	PollTicks  uint64 // Poll ticks found false and re-armed without resuming the process
 	Resumes    uint64 // transfers of control to a process
-	Switches   uint64 // goroutine hand-offs: resumes of another process, returns to the driver
+	Switches   uint64 // hand-offs between seats: resumes of another process, returns to the driver
 	MaxPending int    // most events that have been pending at once
 }
 
@@ -72,10 +72,10 @@ const (
 // Kernel is a deterministic discrete-event scheduler. The zero value is
 // not usable; create kernels with New.
 //
-// There is no kernel goroutine. The event loop (dispatch) runs on
-// whichever goroutine just gave up the processor — a process that parked
-// or terminated, or the driver inside Run — and hands the processor on
-// with one channel send.
+// There is no kernel goroutine. Each process body is a coroutine, and
+// only the driver — whoever called Run, RunUntil or Shutdown — resumes
+// one. The event loop (dispatch) runs on whichever stack just gave up the
+// processor: a process that parked or terminated, or the driver.
 type Kernel struct {
 	now      Time
 	seq      uint64
@@ -85,6 +85,7 @@ type Kernel struct {
 	pending  int     // events in the heap and the lanes together
 	heapOnly bool    // tests: bypass the lanes, to compare their order with the heap's
 	driver   *Proc   // the seat of whoever calls Run, RunUntil or Shutdown
+	handTo   *Proc   // whom the last process to yield to the driver handed the processor
 	firing   bool    // the event loop is on the stack: callbacks and predicates run now
 	procs    []*Proc // started and not yet terminated, in id order
 	stats    Stats
@@ -95,7 +96,7 @@ type Kernel struct {
 // New returns an empty kernel at time zero.
 func New() *Kernel {
 	k := &Kernel{}
-	k.driver = &Proc{k: k, name: "driver", wake: make(chan struct{}, 1)}
+	k.driver = &Proc{k: k, name: "driver"}
 	return k
 }
 
@@ -114,9 +115,8 @@ func (k *Kernel) Stats() Stats { return k.stats }
 
 // After schedules fn to run d after the current time. It may be called
 // from process context or from outside Run. Negative delays fire
-// immediately (at the current time). fn runs on whichever goroutine
-// holds the event loop, so it must not block; a panic in it surfaces
-// from Run.
+// immediately (at the current time). fn runs on whichever stack holds
+// the event loop, so it must not block; a panic in it surfaces from Run.
 func (k *Kernel) After(d Time, fn func()) { k.after(d, nil, fn) }
 
 // after schedules p's resumption (or fn) d from now under the next seq:
@@ -259,31 +259,42 @@ func (k *Kernel) run(limit Time) {
 // dispatch is the event loop. self has just given up the processor (a
 // process that parked or terminated, or the driver); dispatch returns
 // once self is to run again. If the next process to resume is self it
-// returns without a goroutine switch; otherwise it wakes that process's
-// goroutine and, unless self terminated, blocks until some later
-// dispatch — on whichever goroutine holds the loop then — wakes self.
+// returns at once: nothing switched. A process hands any other one to
+// the driver, which resumes it (drive); unless self terminated, its
+// coroutine stays suspended until the driver resumes it in turn.
 func (k *Kernel) dispatch(self *Proc) {
-	if to := k.fire(); to != self {
-		k.handOff(self, to)
+	to := k.fire()
+	if to == self {
+		return
+	}
+	if self == k.driver {
+		k.drive(to)
+		return
+	}
+	k.stats.Switches++
+	k.handTo = to
+	if !self.terminated {
+		self.yield(struct{}{})
 	}
 }
 
-// handOff passes the processor from self's goroutine to to's.
-func (k *Kernel) handOff(self, to *Proc) {
+// drive hands the driver's processor to p and resumes processes on the
+// driver's goroutine, p first, each until it yields or ends, then
+// whichever it handed the processor to, until one hands it back.
+func (k *Kernel) drive(p *Proc) {
 	k.stats.Switches++
-	exiting := self.terminated
-	to.wake <- struct{}{} // buffered: never blocks, the seat is empty while its owner runs
-	if !exiting {
-		<-self.wake
+	for p != k.driver {
+		p.resume()
+		p = k.handTo
 	}
 }
 
 // fire runs events in (at, seq) order until one resumes a process, and
 // returns that process. It returns the driver when no event due by the
 // limit is left, or when a panic is pending: a callback or predicate
-// runs on whatever goroutine holds the loop, so its panic is trapped
-// here — it must not unwind that bystander's stack — and re-raised by
-// run on the driver, like a process's own.
+// runs on whatever stack holds the loop, so its panic is trapped here —
+// it must not unwind that bystander's stack — and re-raised by run on
+// the driver, like a process's own.
 func (k *Kernel) fire() (to *Proc) {
 	k.firing = true
 	defer func() {
@@ -310,7 +321,7 @@ func (k *Kernel) fire() (to *Proc) {
 		if p.ready != nil && !p.ready() {
 			// A Poll tick whose condition is still false: re-arm on the
 			// process's behalf, under the seq its own Sleep would have
-			// drawn, and leave its goroutine asleep.
+			// drawn, and leave it suspended.
 			k.stats.PollTicks++
 			k.enqueue(p.every, p, nil)
 			continue
@@ -347,7 +358,7 @@ func (k *Kernel) Shutdown() {
 		p := k.procs[i]
 		p.killed = true
 		k.resuming(p)
-		k.handOff(k.driver, p)
+		k.drive(p)
 	}
 	k.events, k.lanes, k.pending = nil, nil, 0
 }

@@ -256,7 +256,9 @@ func TestSleepAndTickAllocateNothing(t *testing.T) {
 
 // TestFIFOsKeepTheirBackingArray: popping the head with s = s[1:] gave
 // up one slot of capacity per pop, so a steady one-item exchange
-// reallocated on every Put and every parked Get.
+// reallocated on every Put and every parked Get. The exchange is also
+// the hand-off path — each round trip resumes pong, ping and the driver
+// through coroutine switches — and that allocates nothing either.
 func TestFIFOsKeepTheirBackingArray(t *testing.T) {
 	k := New()
 	defer k.Shutdown()
@@ -280,8 +282,13 @@ func TestFIFOsKeepTheirBackingArray(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		round()
 	}
+	before := k.Stats().Switches
 	if n := testing.AllocsPerRun(1000, round); n != 0 {
 		t.Errorf("queue ping-pong: %v allocs per round trip, want 0", n)
+	}
+	// driver -> ping -> pong -> ping -> driver, 1001 times with the warm-up.
+	if got := k.Stats().Switches - before; got != 4*1001 {
+		t.Errorf("%d switches over 1001 round trips, want %d", got, 4*1001)
 	}
 
 	k2 := New()

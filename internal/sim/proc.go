@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"slices"
 )
@@ -14,7 +15,7 @@ func (procKilledError) Error() string { return "sim: process killed by Shutdown"
 
 var errKilled = procKilledError{}
 
-// Proc is a simulated process: a goroutine scheduled cooperatively by the
+// Proc is a simulated process: a coroutine scheduled cooperatively by the
 // kernel. Only one process executes at any instant, so code between two
 // blocking calls (Sleep, Queue.Get, Resource.Acquire) is atomic with
 // respect to other processes.
@@ -22,7 +23,8 @@ type Proc struct {
 	k          *Kernel
 	id         uint64
 	name       string
-	wake       chan struct{} // one buffered token: "the processor is yours"
+	resume     func() (struct{}, bool) // the driver's side: run the body until it yields or ends
+	yield      func(struct{}) bool     // the body's side: suspend, back to the driver
 	parked     bool
 	killed     bool
 	terminated bool
@@ -37,10 +39,11 @@ type Proc struct {
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	k.seq++
 	// Parked from birth: a Shutdown before the first resume must still
-	// unwind the goroutine (through the killed check below).
-	p := &Proc{k: k, id: k.seq, name: name, wake: make(chan struct{}, 1), parked: true}
+	// unwind the coroutine (through the killed check below).
+	p := &Proc{k: k, id: k.seq, name: name, parked: true}
 	k.procs = append(k.procs, p)
-	go func() {
+	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			p.terminated = true
 			k.procs = slices.DeleteFunc(k.procs, func(q *Proc) bool { return q == p })
@@ -52,14 +55,13 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 					k.trapped = true
 				}
 			}
-			k.dispatch(p) // pass the processor on; this goroutine is done
+			k.dispatch(p) // pass the processor on; this coroutine is done
 		}()
-		<-p.wake
 		if p.killed {
 			panic(errKilled)
 		}
 		fn(p)
-	}()
+	})
 	k.enqueue(0, p, nil)
 	return p
 }
@@ -88,10 +90,10 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // Poll suspends the process until ready reports true, testing it now and
 // then once every d: for !ready() { p.Sleep(d) } at the same simulated
 // instants and in the same event order. Only the first test runs on the
-// process; later ones run inside the event loop, on whatever goroutine
-// holds it, where a false one re-arms the tick in the lane of period d
-// and wakes nobody — so ready must not block and must not change
-// simulated state.
+// process; later ones run inside the event loop, on whatever stack holds
+// it, where a false one re-arms the tick in the lane of period d and
+// wakes nobody — so ready must not block and must not change simulated
+// state.
 func (p *Proc) Poll(d Time, ready func() bool) {
 	if ready() {
 		return

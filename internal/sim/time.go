@@ -4,9 +4,11 @@
 //
 // The kernel executes exactly one process at a time and orders events by
 // (time, insertion sequence), so a simulation with fixed seeds is fully
-// deterministic. It has no goroutine of its own: the event loop runs on
-// whichever process just parked (or on the caller of Run), so waking a
-// process is one goroutine switch and waking oneself is none; events a
+// deterministic. It has no goroutine of its own: processes are
+// coroutines resumed by the caller of Run, and the event loop runs on
+// whichever process just parked (or on that caller), so waking another
+// process is two coroutine switches, through the caller, and waking
+// oneself is none; events a
 // constant delay ahead (wake-ups, poll ticks) queue in per-delay FIFO
 // lanes, only timed sleeps in the heap. A wait that re-tests a condition
 // on a fixed period is Proc.Poll (Waiter.Poll): the re-tests run inside

@@ -26,6 +26,7 @@ type Frame struct {
 	stealing bool   // read-ahead in flight; a foreground miss may steal the id
 	recLSN   uint64 // LSN of first change since last clean
 	flushTo  uint64 // log must be durable to here before the page is written
+	dirtyAt  int    // while dirty: its slot in the pool's dirty set of its region
 
 	// Delta-write state (allocated only when the pool's volume supports
 	// page-differential writes). base mirrors the page's content as the
@@ -93,13 +94,16 @@ func (s BufferStats) Sub(o BufferStats) BufferStats {
 // associated die-wise (§3.2 of the paper); a page whose region writer
 // lags gets written back synchronously by the evicting reader — the
 // contention signal the Figure-4 experiment measures.
+//
+// The page table, the prefetch set and the ghost list are arrays indexed
+// by page id (DESIGN.md "Buffer-pool directory").
 type BufferPool struct {
 	vol    Volume
 	wal    *WAL
 	frames []*Frame
-	table  map[PageID]*Frame
+	table  []*Frame // by page id: the frame holding or loading the page
 	hand   int
-	dirty  []map[PageID]*Frame // per region
+	dirty  [][]*Frame // per region, in no order; Frame.dirtyAt indexes it
 	stats  BufferStats
 
 	spare []*Frame // placeholders of finished reservations (reserve)
@@ -117,14 +121,12 @@ type BufferPool struct {
 	scanResist bool
 	protCap    int // max protected frames
 	protCount  int
-	ghost      map[PageID]struct{}
-	ghostFIFO  []PageID
-	ghostCap   int
+	ghost      ghostList
 
 	// Read-ahead request queue (RequestPrefetch/Prefetch), drained by
 	// prefetcher processes (Engine.StartPrefetchers).
 	prefetchQ   []PageID
-	prefetchSet map[PageID]struct{}
+	queued      []bool // by page id: in prefetchQ
 	prefetchCap int
 
 	// readLat, when set, records the latency of every volume read miss
@@ -152,9 +154,9 @@ func NewBufferPool(vol Volume, wal *WAL, n int) *BufferPool {
 		vol:         vol,
 		wal:         wal,
 		frames:      make([]*Frame, n),
-		table:       make(map[PageID]*Frame, n),
-		dirty:       make([]map[PageID]*Frame, vol.Regions()),
-		prefetchSet: map[PageID]struct{}{},
+		table:       make([]*Frame, vol.Pages()),
+		dirty:       make([][]*Frame, vol.Regions()),
+		queued:      make([]bool, vol.Pages()),
 		prefetchCap: 64,
 	}
 	for i := range bp.frames {
@@ -162,9 +164,6 @@ func NewBufferPool(vol Volume, wal *WAL, n int) *BufferPool {
 		f := &Frame{ID: InvalidPageID, Data: data}
 		f.P = Page{B: data}
 		bp.frames[i] = f
-	}
-	for i := range bp.dirty {
-		bp.dirty[i] = make(map[PageID]*Frame)
 	}
 	return bp
 }
@@ -205,8 +204,7 @@ func (bp *BufferPool) EnableDeltaWrites() bool {
 func (bp *BufferPool) EnableScanResist() {
 	bp.scanResist = true
 	bp.protCap = max(len(bp.frames)-len(bp.frames)/4, 1)
-	bp.ghostCap = len(bp.frames)
-	bp.ghost = make(map[PageID]struct{}, bp.ghostCap)
+	bp.ghost = newGhostList(bp.vol.Pages(), len(bp.frames))
 }
 
 // promote moves a re-referenced probationary frame into the protected
@@ -221,32 +219,54 @@ func (bp *BufferPool) promote(f *Frame) {
 	bp.stats.Promotions++
 }
 
-// ghostAdd remembers an evicted page id, bounded FIFO.
-func (bp *BufferPool) ghostAdd(id PageID) {
-	if _, ok := bp.ghost[id]; ok {
-		return
-	}
-	for len(bp.ghostFIFO) >= bp.ghostCap {
-		delete(bp.ghost, bp.ghostFIFO[0])
-		bp.ghostFIFO = bp.ghostFIFO[1:]
-	}
-	bp.ghost[id] = struct{}{}
-	bp.ghostFIFO = append(bp.ghostFIFO, id)
+// ghostList is the scan-resistant clock's bounded FIFO of evicted page
+// ids, threaded through two arrays indexed by page id. A remembered id
+// links to its neighbours through next and prev; the last slot is the
+// sentinel that closes the ring (its next is the oldest id, its prev the
+// newest), and next[id] < 0 marks an id that is not remembered. Adding,
+// taking and dropping the oldest cost O(1) and never allocate.
+type ghostList struct {
+	next, prev []PageID
+	n, cap     int
 }
 
-// ghostTake reports (and consumes) a ghost entry for id.
-func (bp *BufferPool) ghostTake(id PageID) bool {
-	if _, ok := bp.ghost[id]; !ok {
+func newGhostList(pages int64, capacity int) ghostList {
+	g := ghostList{next: slices.Repeat([]PageID{InvalidPageID}, int(pages)+1), prev: make([]PageID, pages+1), cap: capacity}
+	s := PageID(pages)
+	g.next[s], g.prev[s] = s, s
+	return g
+}
+
+// add remembers id as the newest entry, forgetting the oldest ones while
+// the list is full. An id already remembered keeps its place.
+func (g *ghostList) add(id PageID) {
+	if g.next[id] >= 0 {
+		return
+	}
+	s := PageID(len(g.next) - 1)
+	for g.n >= g.cap {
+		g.unlink(g.next[s])
+	}
+	last := g.prev[s]
+	g.next[last], g.prev[id] = id, last
+	g.next[id], g.prev[s] = s, id
+	g.n++
+}
+
+// take reports (and forgets) whether id is remembered.
+func (g *ghostList) take(id PageID) bool {
+	if g.next[id] < 0 {
 		return false
 	}
-	delete(bp.ghost, id)
-	for i, g := range bp.ghostFIFO {
-		if g == id {
-			bp.ghostFIFO = append(bp.ghostFIFO[:i], bp.ghostFIFO[i+1:]...)
-			break
-		}
-	}
+	g.unlink(id)
 	return true
+}
+
+func (g *ghostList) unlink(id PageID) {
+	next, prev := g.next[id], g.prev[id]
+	g.next[prev], g.prev[next] = next, prev
+	g.next[id] = InvalidPageID
+	g.n--
 }
 
 // Stats returns a snapshot of pool counters.
@@ -255,10 +275,29 @@ func (bp *BufferPool) Stats() BufferStats { return bp.stats }
 // TotalDirty returns the number of dirty pages across regions.
 func (bp *BufferPool) TotalDirty() int {
 	n := 0
-	for _, m := range bp.dirty {
-		n += len(m)
+	for _, d := range bp.dirty {
+		n += len(d)
 	}
 	return n
+}
+
+// markDirty flags f dirty and puts it into its region's dirty set.
+func (bp *BufferPool) markDirty(f *Frame) {
+	r := bp.vol.RegionOf(f.ID)
+	f.dirty, f.dirtyAt = true, len(bp.dirty[r])
+	bp.dirty[r] = append(bp.dirty[r], f)
+}
+
+// markClean flags f clean and takes it out of its region's dirty set:
+// the set's last frame moves into f's slot.
+func (bp *BufferPool) markClean(f *Frame) {
+	f.dirty = false
+	r := bp.vol.RegionOf(f.ID)
+	d := bp.dirty[r]
+	last := d[len(d)-1]
+	d[f.dirtyAt], last.dirtyAt = last, f.dirtyAt
+	d[len(d)-1] = nil
+	bp.dirty[r] = d[:len(d)-1]
 }
 
 // Pin fetches a page into the pool and pins it. fresh skips the read for
@@ -283,9 +322,12 @@ func (bp *BufferPool) Pin(ctx *IOCtx, id PageID, fresh bool) (*Frame, error) {
 }
 
 func (bp *BufferPool) pin(ctx *IOCtx, id PageID, fresh bool) (*Frame, error) {
+	if id < 0 || int(id) >= len(bp.table) {
+		return nil, fmt.Errorf("storage: page %d out of range (%d pages)", id, len(bp.table))
+	}
 	wait := ctx.W
 	for {
-		if f, ok := bp.table[id]; ok {
+		if f := bp.table[id]; f != nil {
 			if f.loading {
 				if f.stealing {
 					// The page is mid-flight on a read-ahead at prefetch
@@ -293,12 +335,12 @@ func (bp *BufferPool) pin(ctx *IOCtx, id PageID, fresh bool) (*Frame, error) {
 					// read to that class, so steal the id: detach the
 					// mapping (the prefetcher discards its result) and
 					// load the page again at foreground priority.
-					delete(bp.table, id)
+					bp.table[id] = nil
 					continue
 				}
 				wait.Poll(10*sim.Microsecond, func() bool {
-					f, ok := bp.table[id]
-					return !ok || !f.loading || f.stealing
+					f := bp.table[id]
+					return f == nil || !f.loading || f.stealing
 				})
 				continue
 			}
@@ -313,7 +355,7 @@ func (bp *BufferPool) pin(ctx *IOCtx, id PageID, fresh bool) (*Frame, error) {
 				// miss would have granted without read-ahead.
 				f.prefet = false
 				bp.stats.PrefetchHits++
-				if bp.scanResist && bp.ghostTake(id) {
+				if bp.scanResist && bp.ghost.take(id) {
 					bp.stats.GhostHits++
 					bp.promote(f)
 				}
@@ -359,7 +401,7 @@ func (bp *BufferPool) pin(ctx *IOCtx, id PageID, fresh bool) (*Frame, error) {
 			if err != nil {
 				f.loading = false
 				if bp.table[id] == f {
-					delete(bp.table, id)
+					bp.table[id] = nil
 				}
 				f.ID = InvalidPageID
 				f.pin = 0
@@ -370,7 +412,7 @@ func (bp *BufferPool) pin(ctx *IOCtx, id PageID, fresh bool) (*Frame, error) {
 				copy(f.base, f.Data)
 				f.hasBase = true
 			}
-			if bp.scanResist && bp.ghostTake(id) {
+			if bp.scanResist && bp.ghost.take(id) {
 				// Evicted and missed again within one ghost window: the
 				// page is re-referenced, not scan traffic — protect it.
 				bp.stats.GhostHits++
@@ -400,7 +442,7 @@ func (bp *BufferPool) reserve(id PageID, stealing bool) *Frame {
 // unreserve drops r's mapping if it still holds one and frees r.
 func (bp *BufferPool) unreserve(r *Frame) {
 	if bp.table[r.ID] == r {
-		delete(bp.table, r.ID)
+		bp.table[r.ID] = nil
 	}
 	bp.spare = append(bp.spare, r)
 }
@@ -414,9 +456,8 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool, lsn uint64) {
 	f.pin--
 	if dirty {
 		if !f.dirty {
-			f.dirty = true
 			f.recLSN = lsn
-			bp.dirty[bp.vol.RegionOf(f.ID)][f.ID] = f
+			bp.markDirty(f)
 		}
 		if lsn > f.P.LSN() {
 			f.P.SetLSN(lsn)
@@ -493,13 +534,13 @@ func (bp *BufferPool) grabVictim(ctx *IOCtx) (*Frame, error) {
 				// Only drop the mapping if it still points at this frame
 				// (a reservation placeholder may have claimed the id).
 				if bp.table[f.ID] == f {
-					delete(bp.table, f.ID)
+					bp.table[f.ID] = nil
 				}
 				// Never ghost a prefetched page no query touched: the
 				// scan's own upcoming miss would ghost-promote it, moving
 				// single-touch scan traffic into the protected segment.
 				if bp.scanResist && !f.prefet {
-					bp.ghostAdd(f.ID)
+					bp.ghost.add(f.ID)
 				}
 				bp.stats.Evictions++
 			}
@@ -529,11 +570,11 @@ func (bp *BufferPool) writeFrame(ctx *IOCtx, f *Frame) error {
 			return err
 		}
 	}
-	f.dirty = false
-	delete(bp.dirty[bp.vol.RegionOf(f.ID)], f.ID)
+	bp.markClean(f)
 	if err := bp.writeFrameData(ctx, f); err != nil {
-		f.dirty = true
-		bp.dirty[bp.vol.RegionOf(f.ID)][f.ID] = f
+		if !f.dirty { // not re-dirtied during the write
+			bp.markDirty(f)
+		}
 		return err
 	}
 	return nil
@@ -612,18 +653,15 @@ func (bp *BufferPool) RequestPrefetch(id PageID) bool {
 	if id < 0 || int64(id) >= bp.vol.Pages() {
 		return false
 	}
-	if _, ok := bp.table[id]; ok {
-		return false
-	}
-	if _, ok := bp.prefetchSet[id]; ok {
+	if bp.table[id] != nil || bp.queued[id] {
 		return false
 	}
 	for len(bp.prefetchQ) >= bp.prefetchCap {
-		delete(bp.prefetchSet, bp.prefetchQ[0])
-		bp.prefetchQ = bp.prefetchQ[1:]
+		bp.queued[bp.prefetchQ[0]] = false
+		bp.prefetchQ = slices.Delete(bp.prefetchQ, 0, 1) // keeps the capacity, unlike [1:]
 		bp.stats.PrefetchDrops++
 	}
-	bp.prefetchSet[id] = struct{}{}
+	bp.queued[id] = true
 	bp.prefetchQ = append(bp.prefetchQ, id)
 	return true
 }
@@ -633,16 +671,12 @@ func (bp *BufferPool) RequestPrefetch(id PageID) bool {
 // prefetch priority would invert the scheduler's classes (the query
 // would wait on a read that programs and other reads overtake).
 func (bp *BufferPool) cancelPrefetch(id PageID) {
-	if _, ok := bp.prefetchSet[id]; !ok {
+	if !bp.queued[id] {
 		return
 	}
-	delete(bp.prefetchSet, id)
-	for i, q := range bp.prefetchQ {
-		if q == id {
-			bp.prefetchQ = append(bp.prefetchQ[:i], bp.prefetchQ[i+1:]...)
-			break
-		}
-	}
+	bp.queued[id] = false
+	i := slices.Index(bp.prefetchQ, id)
+	bp.prefetchQ = slices.Delete(bp.prefetchQ, i, i+1)
 }
 
 // PopPrefetch removes the NEWEST queued read-ahead request (prefetcher
@@ -657,7 +691,7 @@ func (bp *BufferPool) PopPrefetch() (PageID, bool) {
 	}
 	id := bp.prefetchQ[len(bp.prefetchQ)-1]
 	bp.prefetchQ = bp.prefetchQ[:len(bp.prefetchQ)-1]
-	delete(bp.prefetchSet, id)
+	bp.queued[id] = false
 	return id, true
 }
 
@@ -669,10 +703,7 @@ func (bp *BufferPool) PopPrefetch() (PageID, bool) {
 // touches it before the clock comes around, it is the first thing
 // evicted.
 func (bp *BufferPool) Prefetch(ctx, load *IOCtx, id PageID) error {
-	if id < 0 || int64(id) >= bp.vol.Pages() {
-		return nil
-	}
-	if _, ok := bp.table[id]; ok {
+	if id < 0 || int64(id) >= bp.vol.Pages() || bp.table[id] != nil {
 		return nil
 	}
 	// The reservation is stealable from the start: a foreground miss
@@ -706,7 +737,7 @@ func (bp *BufferPool) Prefetch(ctx, load *IOCtx, id PageID) error {
 		// low-priority read was in flight (the winner re-reads at
 		// foreground class): discard this frame's content.
 		if bp.table[id] == f {
-			delete(bp.table, id)
+			bp.table[id] = nil
 		}
 		f.ID = InvalidPageID
 		f.pin = 0
@@ -726,13 +757,12 @@ func (bp *BufferPool) Prefetch(ctx, load *IOCtx, id PageID) error {
 // call it in a loop. ok=false when the region has no writable page.
 func (bp *BufferPool) WriteBack(ctx *IOCtx, region int) (bool, error) {
 	var pick *Frame
-	var minID PageID
-	for id, f := range bp.dirty[region] {
+	for _, f := range bp.dirty[region] {
 		if f.pin > 0 || f.loading {
 			continue
 		}
-		if pick == nil || id < minID {
-			pick, minID = f, id
+		if pick == nil || f.ID < pick.ID {
+			pick = f
 		}
 	}
 	if pick == nil {
@@ -769,9 +799,11 @@ func (bp *BufferPool) MinRecLSN() uint64 {
 // the checkpoint's redo bound).
 func (bp *BufferPool) FlushSnapshot(ctx *IOCtx) error {
 	wait := ctx.W
-	var snapshot []*Frame
+	var snapshot []*Frame // each region's dirty frames in page order
 	for _, region := range bp.dirty {
-		snapshot = append(snapshot, sortedFrames(region)...)
+		n := len(snapshot)
+		snapshot = append(snapshot, region...)
+		slices.SortFunc(snapshot[n:], func(a, b *Frame) int { return cmp.Compare(a.ID, b.ID) })
 	}
 	for _, f := range snapshot {
 		for spin := 0; f.dirty && (f.pin > 0 || f.loading); spin++ {
@@ -791,15 +823,4 @@ func (bp *BufferPool) FlushSnapshot(ctx *IOCtx) error {
 		}
 	}
 	return nil
-}
-
-// sortedFrames returns the region's dirty frames in page order for
-// deterministic iteration.
-func sortedFrames(m map[PageID]*Frame) []*Frame {
-	fs := make([]*Frame, 0, len(m))
-	for _, f := range m {
-		fs = append(fs, f)
-	}
-	slices.SortFunc(fs, func(a, b *Frame) int { return cmp.Compare(a.ID, b.ID) })
-	return fs
 }

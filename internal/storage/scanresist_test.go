@@ -187,7 +187,7 @@ func TestGhostPromotion(t *testing.T) {
 	vol := NewMemVolume(512, 256)
 	bp := NewBufferPool(vol, nil, 8)
 	bp.EnableScanResist()
-	bp.ghostCap = 64 // ghost window wider than the stream
+	bp.ghost.cap = 64 // ghost window wider than the stream
 	ctx := NewIOCtx(nil)
 	pin := func(id PageID) {
 		f, err := bp.Pin(ctx, id, true)
@@ -201,7 +201,7 @@ func TestGhostPromotion(t *testing.T) {
 	for id := PageID(10); id < 40; id++ {
 		pin(id)
 	}
-	if _, ok := bp.table[1]; ok {
+	if bp.table[1] != nil {
 		t.Fatal("page 1 still resident; eviction stream too short")
 	}
 	st0 := bp.Stats()
@@ -245,9 +245,9 @@ func TestPrefetchLoadsProbationary(t *testing.T) {
 	if st.Prefetches != 1 {
 		t.Fatalf("prefetches = %d, want 1", st.Prefetches)
 	}
-	f, ok := bp.table[7]
-	if !ok || f.pin != 0 || !f.prefet {
-		t.Fatalf("prefetched frame state: ok=%v pin=%d prefet=%v", ok, f.pin, f.prefet)
+	f := bp.table[7]
+	if f == nil || f.pin != 0 || !f.prefet {
+		t.Fatalf("prefetched frame state: %+v", f)
 	}
 	// First query touch: a hit, attributed to the prefetch, no promotion.
 	f2, err := bp.Pin(ctx, 7, false)

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sync"
 
 	"noftl/internal/delta"
 	"noftl/internal/ioreq"
@@ -104,9 +103,8 @@ type DeltaVolume interface {
 
 // MemVolume is an in-memory volume, used for unit tests and for the
 // paper's trace-recording methodology ("traces were recorded on an
-// in-memory database").
+// in-memory database"). It is not safe for concurrent use.
 type MemVolume struct {
-	mu       sync.Mutex
 	pageSize int
 	pages    [][]byte
 }
@@ -127,8 +125,6 @@ func (v *MemVolume) ReadPage(ctx *IOCtx, id PageID, buf []byte) error {
 	if err := v.check(id, buf); err != nil {
 		return err
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if p := v.pages[id]; p != nil {
 		copy(buf, p)
 	} else {
@@ -144,8 +140,6 @@ func (v *MemVolume) WritePage(ctx *IOCtx, id PageID, data []byte, _ WriteHint) e
 	if err := v.check(id, data); err != nil {
 		return err
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if v.pages[id] == nil {
 		v.pages[id] = make([]byte, v.pageSize)
 	}
@@ -160,8 +154,6 @@ func (v *MemVolume) WriteDeltaPage(ctx *IOCtx, id PageID, payload []byte) error 
 	if id < 0 || int64(id) >= int64(len(v.pages)) {
 		return fmt.Errorf("storage: page %d out of range (%d pages)", id, len(v.pages))
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if v.pages[id] == nil {
 		v.pages[id] = make([]byte, v.pageSize)
 	}
@@ -170,8 +162,6 @@ func (v *MemVolume) WriteDeltaPage(ctx *IOCtx, id PageID, payload []byte) error 
 
 // Deallocate implements Volume.
 func (v *MemVolume) Deallocate(id PageID) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if id >= 0 && int64(id) < int64(len(v.pages)) {
 		v.pages[id] = nil
 	}

@@ -115,17 +115,16 @@ func (e *Engine) StartWriters(k *sim.Kernel, cfg WriterConfig) (stop func()) {
 // contention this strategy is supposed to exhibit).
 func (bp *BufferPool) WriteBackGlobal(ctx *IOCtx, idx, n int) (bool, error) {
 	var pick *Frame
-	var minID PageID = -1
 	for _, region := range bp.dirty {
-		for id, f := range region {
+		for _, f := range region {
 			if f.pin > 0 || f.loading {
 				continue
 			}
-			if int(id>>6)%n != idx {
+			if int(f.ID>>6)%n != idx {
 				continue
 			}
-			if minID == -1 || id < minID {
-				pick, minID = f, id
+			if pick == nil || f.ID < pick.ID {
+				pick = f
 			}
 		}
 	}

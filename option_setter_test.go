@@ -13,8 +13,9 @@ import (
 )
 
 // walkGoFiles parses every Go file under the module root (dot
-// directories and the analyzers' testdata aside) and hands it to fn.
-func walkGoFiles(t *testing.T, fn func(path string, f *ast.File)) {
+// directories and the analyzers' testdata aside) and hands it to fn with
+// the file set its positions resolve in.
+func walkGoFiles(t *testing.T, fn func(fset *token.FileSet, path string, f *ast.File)) {
 	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -35,7 +36,7 @@ func walkGoFiles(t *testing.T, fn func(path string, f *ast.File)) {
 		if err != nil {
 			return err
 		}
-		fn(path, f)
+		fn(fset, path, f)
 		return nil
 	})
 	if err != nil {
@@ -65,7 +66,7 @@ func TestEveryOptionHasASetter(t *testing.T) {
 		}
 		setIn[name][file] = true
 	}
-	walkGoFiles(t, func(path string, f *ast.File) {
+	walkGoFiles(t, func(_ *token.FileSet, path string, f *ast.File) {
 		internal := strings.HasPrefix(path, "internal"+string(filepath.Separator)) &&
 			!strings.HasSuffix(path, "_test.go")
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -123,7 +124,7 @@ func TestEveryOptionHasASetter(t *testing.T) {
 func TestEveryFacadeNameHasAUser(t *testing.T) {
 	sigs := map[string]ast.Node{} // exported name -> its signature (nil for values and aliases)
 	used := map[string]bool{}
-	walkGoFiles(t, func(path string, f *ast.File) {
+	walkGoFiles(t, func(_ *token.FileSet, path string, f *ast.File) {
 		if filepath.Dir(path) == "." && f.Name.Name == "noftl" {
 			if strings.HasSuffix(path, "_test.go") {
 				return
