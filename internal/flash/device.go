@@ -101,14 +101,14 @@ type Stats struct {
 // Device is the emulated native-flash device. It is not safe for
 // concurrent use: the simulation kernel runs one process at a time.
 type Device struct {
-	cfg        Config
-	arr        *nand.Array
-	timing     nand.Timing // the cell type's latencies
-	xferPage   sim.Time
-	dieBusy    []sim.Time
-	chBusy     []sim.Time
-	stats      Stats
-	resetHooks []func()
+	cfg      Config
+	arr      *nand.Array
+	timing   nand.Timing // the cell type's latencies
+	xferPage sim.Time
+	dieBusy  []sim.Time
+	chBusy   []sim.Time
+	stats    Stats
+	onReset  func()
 }
 
 // New builds a device from cfg. Invalid geometry panics (it is a
@@ -123,6 +123,7 @@ func New(cfg Config) *Device {
 		xferPage: sim.Time(int64(geo.PageSize+geo.OOBSize) * 1000 / int64(cfg.ChannelMBps)),
 		dieBusy:  make([]sim.Time, geo.Dies()),
 		chBusy:   make([]sim.Time, geo.Channels),
+		onReset:  func() {},
 	}
 	d.stats.DieBusy = make([]sim.Time, geo.Dies())
 	d.stats.ChannelBusy = make([]sim.Time, geo.Channels)
@@ -167,13 +168,13 @@ func (d *Device) DieBusy(die int) sim.Time {
 	return d.stats.DieBusy[die]
 }
 
-// OnReset registers fn to run after every ResetTime or ResetStats.
-// Attached command schedulers use it to clear their own queue-wait
-// accounting, so back-to-back bench phases spliced with resets cannot
-// inherit stale per-die busy projections or wait counters.
-func (d *Device) OnReset(fn func()) {
-	d.resetHooks = append(d.resetHooks, fn)
-}
+// OnReset sets the one hook that runs after every ResetTime or
+// ResetStats, replacing any earlier one. The attached command scheduler
+// uses it to clear its own queue-wait accounting, so back-to-back bench
+// phases spliced with resets cannot inherit stale per-die busy
+// projections or wait counters; a scheduler built after a restart
+// replaces the crashed one's, which the device then no longer holds.
+func (d *Device) OnReset(fn func()) { d.onReset = fn }
 
 // ResetTime rewinds the die and channel timelines to zero. Experiments
 // use it to splice phases that run on different timelines (e.g. a serial
@@ -185,9 +186,7 @@ func (d *Device) ResetTime() {
 	for i := range d.chBusy {
 		d.chBusy[i] = 0
 	}
-	for _, fn := range d.resetHooks {
-		fn()
-	}
+	d.onReset()
 }
 
 // ResetStats zeroes the operation counters (timelines are preserved).
@@ -196,9 +195,7 @@ func (d *Device) ResetStats() {
 		DieBusy:     make([]sim.Time, len(d.dieBusy)),
 		ChannelBusy: make([]sim.Time, len(d.chBusy)),
 	}
-	for _, fn := range d.resetHooks {
-		fn()
-	}
+	d.onReset()
 }
 
 // ReadPage executes READ PAGE: tR on the die, then the transfer on the

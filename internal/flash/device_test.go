@@ -352,14 +352,18 @@ func TestEraseChunkAccounting(t *testing.T) {
 	}
 }
 
-// TestOnResetHooksFire checks hooks run on both reset paths.
+// TestOnResetHooksFire checks the hook runs on both reset paths, and
+// that a second registration replaces the first: a scheduler rebuilt
+// after a restart takes the hook over from the crashed one.
 func TestOnResetHooksFire(t *testing.T) {
 	dev := New(smallConfig())
-	fired := 0
-	dev.OnReset(func() { fired++ })
+	first, second := 0, 0
+	dev.OnReset(func() { first++ })
+	dev.ResetTime()
+	dev.OnReset(func() { second++ })
 	dev.ResetTime()
 	dev.ResetStats()
-	if fired != 2 {
-		t.Fatalf("hooks fired %d times, want 2", fired)
+	if first != 1 || second != 2 {
+		t.Fatalf("first hook fired %d times, second %d; want 1 and 2", first, second)
 	}
 }

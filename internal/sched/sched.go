@@ -324,7 +324,7 @@ type Scheduler struct {
 // New builds a scheduler over dev on kernel k. It starts no process: each
 // die's dispatcher is a state machine that advances inside kernel events
 // (Kernel.After), on whichever goroutine holds the event loop. The
-// scheduler registers a device reset hook so ResetTime/ResetStats clear
+// scheduler takes the device's reset hook so ResetTime/ResetStats clear
 // its wait accounting along with the device's.
 func New(k *sim.Kernel, dev *flash.Device, cfg Config) *Scheduler {
 	s := &Scheduler{k: k, dev: dev, cfg: cfg, id: dev.Identify(), geo: dev.Geometry()}

@@ -24,7 +24,7 @@ func newDeltaMemEngine(t *testing.T, frames int) (*Engine, *IOCtx, *MemVolume, *
 }
 
 func TestFlushChoosesDeltaForSmallChange(t *testing.T) {
-	e, ctx, data, _ := newDeltaMemEngine(t, 16)
+	e, ctx, data, logv := newDeltaMemEngine(t, 16)
 	tbl, _ := e.CreateTable(ctx, "t")
 	tx := e.Begin()
 	rid, _ := e.Insert(ctx, tx, tbl, []byte("abcdefghijklmnopqrstuvwxyz"))
@@ -63,7 +63,7 @@ func TestFlushChoosesDeltaForSmallChange(t *testing.T) {
 
 	// The volume must hold the folded content: evict everything by
 	// reopening and fetch.
-	e2, err := Open(NewIOCtx(nil), data, e.logVol, EngineConfig{BufferFrames: 16, DeltaWrites: true})
+	e2, err := Open(NewIOCtx(nil), data, logv, EngineConfig{BufferFrames: 16, DeltaWrites: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,6 @@ type EngineConfig struct {
 // B+-trees and transactions over a data volume and a log volume.
 type Engine struct {
 	vol    Volume
-	logVol Volume
 	bp     *BufferPool
 	wal    *WAL
 	lt     *LockTable
@@ -86,7 +85,7 @@ func formatData(ctx *IOCtx, dataVol Volume) error {
 // Open mounts a database, running crash recovery if the log holds work
 // beyond the last checkpoint.
 func Open(ctx *IOCtx, dataVol, logVol Volume, cfg EngineConfig) (*Engine, error) {
-	e := &Engine{vol: dataVol, logVol: logVol, wal: NewWAL(logVol)}
+	e := &Engine{vol: dataVol, wal: NewWAL(logVol)}
 	return openEngine(ctx, e, cfg)
 }
 
@@ -301,6 +300,23 @@ func (e *Engine) recover(ctx *IOCtx) error {
 	if e.cat == nil {
 		if err := e.loadMeta(ctx); err != nil {
 			return err
+		}
+	}
+	// The catalog holds each heap's tail as of its last saveMeta; chain
+	// extensions since then live only in the redone link pages.
+	for _, id := range e.cat.sortedIDs() {
+		o := e.cat.byID[id]
+		for o.kind == ObjHeap {
+			f, err := e.bp.Pin(ctx, o.last, false)
+			if err != nil {
+				return err
+			}
+			next := nextInChain(f.P)
+			e.bp.Unpin(f, false, 0)
+			if next == InvalidPageID {
+				break
+			}
+			o.last = next
 		}
 	}
 	return e.Checkpoint(ctx)

@@ -117,7 +117,9 @@ func (e *Engine) loadMeta(ctx *IOCtx) error {
 	if err != nil || binary.LittleEndian.Uint64(hdr) != metaMagic {
 		return fmt.Errorf("%w: bad meta header", ErrPageCorrupt)
 	}
-	e.alloc.nextFree = PageID(binary.LittleEndian.Uint64(hdr[8:]))
+	// Recovery may have seen the redo stream format pages past the saved
+	// mark; it must not hand those out again.
+	e.alloc.nextFree = max(e.alloc.nextFree, PageID(binary.LittleEndian.Uint64(hdr[8:])))
 	e.cat = newCatalog()
 	for i := 1; i < p.NumSlots(); i++ {
 		rec, err := p.Record(i)

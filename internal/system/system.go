@@ -90,12 +90,11 @@ type System struct {
 
 	// blameCfg remembers the blame configuration for System.Blame.
 	blameCfg *blame.Config
+	// Reopen builds again from what the system was built from.
+	cfg    Config
+	optFns []Option
 
-	// Log backing chosen by the stack: exactly one of logVol (page
-	// volume; nil selects the default zero-latency memory volume) and
-	// flashLog (native append-only region) is non-nil after New.
-	logVol   storage.Volume
-	flashLog storage.AppendLog
+	logVol storage.Volume // the log's page volume (nil: the log is a flash region)
 }
 
 // options is what the Option functions tune: the optional subsystems
@@ -126,15 +125,7 @@ type options struct {
 // the benchmark all come through here. The log lives on a zero-latency
 // memory volume for every stack except the single-volume and
 // region-managed ones, so measured differences come from the data path.
-func New(cfg Config, optFns ...Option) (_ *System, err error) {
-	var opts options
-	for _, o := range optFns {
-		o(&opts)
-	}
-	stack := cfg.Stack
-	if stack == "" {
-		stack = StackNoFTLRegions
-	}
+func New(cfg Config, optFns ...Option) (*System, error) {
 	var devCfg flash.Config
 	if cfg.Device != nil {
 		devCfg = *cfg.Device
@@ -149,13 +140,39 @@ func New(cfg Config, optFns ...Option) (_ *System, err error) {
 		}
 		devCfg = flash.EmulatorConfig(dies, mb, nand.SLC)
 	}
+	devCfg.Nand.StoreData = true
+	return build(cfg, optFns, flash.New(devCfg), nil)
+}
+
+// Reopen restarts a crashed system: the kernel shuts down, the device
+// timelines restart at zero (counters keep counting), and the same config
+// and options build the stack again over the same device, rebuilding its
+// mappings from OOB and running ARIES instead of formatting, charged to
+// the new system's Ctx. Block-device stacks refuse, leaving s as it was.
+func (s *System) Reopen() (*System, error) {
+	if s.NoFTL == nil {
+		return nil, fmt.Errorf("system: %s cannot reopen: its mapping lives in the device's FTL", s.Stack)
+	}
+	s.K.Shutdown()
+	s.Dev.ResetTime()
+	return build(s.cfg, s.optFns, s.Dev, s)
+}
+
+// build assembles the stack of cfg over dev. With crashed nil it formats
+// a fresh one; otherwise it rebuilds crashed's stack from what dev holds.
+func build(cfg Config, optFns []Option, dev *flash.Device, crashed *System) (_ *System, err error) {
+	var opts options
+	for _, o := range optFns {
+		o(&opts)
+	}
+	stack := cfg.Stack
+	if stack == "" {
+		stack = StackNoFTLRegions
+	}
 	frames := cfg.Frames
 	if frames <= 0 {
 		frames = 256
 	}
-
-	devCfg.Nand.StoreData = true
-	dev := flash.New(devCfg)
 	k := sim.New()
 	// A failed build must not leak the procs already created on k (die
 	// schedulers, the sampler).
@@ -165,8 +182,9 @@ func New(cfg Config, optFns ...Option) (_ *System, err error) {
 		}
 	}()
 	s := &System{Stack: stack, Dev: dev, Ctx: storage.NewIOCtx(&sim.ClockWaiter{}), K: k,
-		BackgroundGC: opts.backgroundGC}
-	pageSize := devCfg.Geometry.PageSize
+		BackgroundGC: opts.backgroundGC, cfg: cfg, optFns: optFns}
+	geo := dev.Geometry()
+	pageSize := geo.PageSize
 
 	if opts.blame != nil {
 		// Blame needs the full command timeline and the spans to join it
@@ -203,10 +221,17 @@ func New(cfg Config, optFns ...Option) (_ *System, err error) {
 		s.Sched = sched.New(k, dev, *opts.sched)
 	}
 	devs := region.ClassDevs(s.Sched)
+	var flashLog storage.AppendLog // the region-managed stack's log
+	newVolume := func(vc noftl.Config) (*noftl.Volume, error) {
+		if crashed != nil {
+			return noftl.Rebuild(dev, vc, s.Ctx.Req())
+		}
+		return noftl.New(dev, vc)
+	}
 
 	switch stack {
 	case StackNoFTL, StackNoFTLDelta:
-		v, err := noftl.New(dev, noftl.Config{Devs: devs, BackgroundGC: opts.backgroundGC})
+		v, err := newVolume(noftl.Config{Devs: devs, BackgroundGC: opts.backgroundGC})
 		if err != nil {
 			return nil, err
 		}
@@ -224,7 +249,7 @@ func New(cfg Config, optFns ...Option) (_ *System, err error) {
 		// CMT sized to ~2% of the device's pages: the device-RAM-to-
 		// capacity ratio of SATA-era controllers, which is what makes
 		// DFTL's translation traffic visible (§3.1).
-		cmt := int(devCfg.Geometry.TotalPages() / 50)
+		cmt := int(geo.TotalPages() / 50)
 		f, err := noftl.NewDFTL(dev, ftl.DFTLConfig{CMTEntries: cmt})
 		if err != nil {
 			return nil, err
@@ -242,7 +267,7 @@ func New(cfg Config, optFns ...Option) (_ *System, err error) {
 		// Single-policy baseline with the WAL on flash: one volume, one
 		// mapping scheme, one write frontier for every stream (hints
 		// ignored); the log is just a window of the page space.
-		v, err := noftl.New(dev, noftl.Config{DisableHints: true, Devs: devs,
+		v, err := newVolume(noftl.Config{DisableHints: true, Devs: devs,
 			BackgroundGC: opts.backgroundGC})
 		if err != nil {
 			return nil, err
@@ -250,7 +275,7 @@ func New(cfg Config, optFns ...Option) (_ *System, err error) {
 		s.NoFTL = v
 		s.FTLStats = v.Stats
 		full := storage.NewNoFTLVolume(v)
-		logPages := logWindowPages(v.LogicalPages(), devCfg.Geometry.Dies())
+		logPages := logWindowPages(v.LogicalPages(), geo.Dies())
 		logVol, err := storage.NewSubVolume(full, 0, logPages)
 		if err != nil {
 			return nil, err
@@ -264,7 +289,7 @@ func New(cfg Config, optFns ...Option) (_ *System, err error) {
 	case StackNoFTLRegions:
 		// Region-managed placement: the engine declares WAL → log region
 		// and heaps/B+-trees → data region through the catalog.
-		lay := region.DefaultDBLayout(regionLogDies(devCfg.Geometry.Dies()))
+		lay := region.DefaultDBLayout(regionLogDies(geo.Dies()))
 		if cfg.Layout != nil {
 			// Deep-copy the caller's layout: the builder mutates region
 			// specs (scheduler, BackgroundGC) and must not write through
@@ -278,7 +303,12 @@ func New(cfg Config, optFns ...Option) (_ *System, err error) {
 				lay.Regions[i].BackgroundGC = opts.backgroundGC
 			}
 		}
-		m, err := region.New(dev, lay)
+		var m *region.Manager
+		if crashed != nil {
+			m, err = region.Rebuild(dev, lay, s.Ctx.Req())
+		} else {
+			m, err = region.New(dev, lay)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -290,7 +320,7 @@ func New(cfg Config, optFns ...Option) (_ *System, err error) {
 		s.NoFTL = dataRegion.Vol
 		s.FTLStats = m.Stats
 		s.Vol = storage.NewNoFTLVolume(dataRegion.Vol)
-		s.flashLog = storage.NewFlashLog(walRegion.Log)
+		flashLog = storage.NewFlashLog(walRegion.Log)
 	default:
 		return nil, fmt.Errorf("system: unknown stack %q", stack)
 	}
@@ -301,15 +331,23 @@ func New(cfg Config, optFns ...Option) (_ *System, err error) {
 		ScanResistant:  opts.scanResistant,
 		PrefetchWindow: opts.prefetch,
 	}
-	if s.flashLog != nil {
-		if err = storage.FormatFlashLog(s.Ctx, s.Vol, s.flashLog); err == nil {
-			s.Engine, err = storage.OpenFlashLog(s.Ctx, s.Vol, s.flashLog, engCfg)
+	if flashLog != nil {
+		if crashed == nil {
+			err = storage.FormatFlashLog(s.Ctx, s.Vol, flashLog)
+		}
+		if err == nil {
+			s.Engine, err = storage.OpenFlashLog(s.Ctx, s.Vol, flashLog, engCfg)
 		}
 	} else {
-		if s.logVol == nil {
+		if s.logVol == nil && crashed != nil {
+			s.logVol = crashed.logVol // a separate log device: it survives the crash
+		} else if s.logVol == nil {
 			s.logVol = storage.NewMemVolume(pageSize, 1<<14)
 		}
-		if err = storage.Format(s.Ctx, s.Vol, s.logVol); err == nil {
+		if crashed == nil {
+			err = storage.Format(s.Ctx, s.Vol, s.logVol)
+		}
+		if err == nil {
 			s.Engine, err = storage.Open(s.Ctx, s.Vol, s.logVol, engCfg)
 		}
 	}

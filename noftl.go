@@ -27,7 +27,6 @@ package noftl
 import (
 	"noftl/internal/bench"
 	"noftl/internal/flash"
-	"noftl/internal/ftl"
 	"noftl/internal/ioreq"
 	"noftl/internal/nand"
 	"noftl/internal/noftl"
@@ -130,19 +129,12 @@ func RebuildVolume(dev *Device, cfg VolumeConfig, rq Req) (*Volume, error) {
 // --- configurable flash regions ---
 
 type (
-	// RegionManager carves the die array into named regions, each with
-	// its own mapping granularity, GC policy and write frontier, plus
-	// the object-placement catalog.
-	RegionManager = region.Manager
 	// RegionLayout declares the regions and the placement catalog.
 	RegionLayout = region.Layout
 	// RegionSpec declares one region.
 	RegionSpec = region.Spec
 	// RegionClass identifies an object class for placement.
 	RegionClass = region.Class
-	// SeqLog is the block-granular sequential log mapper backing
-	// append-only regions (WAL hosting).
-	SeqLog = ftl.SeqLog
 )
 
 // Region mapping granularities and object classes.
@@ -155,12 +147,6 @@ const (
 	ClassIndex = region.ClassIndex
 	ClassDelta = region.ClassDelta
 )
-
-// RebuildRegionManager reconstructs every region's mapping from flash
-// after a restart. The scans' page reads are charged to rq.
-func RebuildRegionManager(dev *Device, layout RegionLayout, rq Req) (*RegionManager, error) {
-	return region.Rebuild(dev, layout, rq)
-}
 
 // --- storage engine ---
 
@@ -190,9 +176,6 @@ const (
 // clock, for callers with no timeline of their own).
 func NewIOCtx(w Waiter) *IOCtx { return storage.NewIOCtx(w) }
 
-// NewNoFTLEngineVolume adapts a NoFTL volume for the engine.
-func NewNoFTLEngineVolume(v *Volume) EngineVolume { return storage.NewNoFTLVolume(v) }
-
 // NewMemEngineVolume creates an in-memory volume (tests, trace capture).
 func NewMemEngineVolume(pageSize int, pages int64) EngineVolume {
 	return storage.NewMemVolume(pageSize, pages)
@@ -206,18 +189,6 @@ func Format(ctx *IOCtx, dataVol, logVol EngineVolume) error {
 // Open mounts a database, running crash recovery if needed.
 func Open(ctx *IOCtx, dataVol, logVol EngineVolume, cfg EngineConfig) (*Engine, error) {
 	return storage.Open(ctx, dataVol, logVol, cfg)
-}
-
-// AppendLog is the engine's view of a native append-only log region.
-type AppendLog = storage.AppendLog
-
-// NewFlashLog adapts a sequential log region for WAL hosting.
-func NewFlashLog(l *SeqLog) AppendLog { return storage.NewFlashLog(l) }
-
-// OpenFlashLog mounts a database whose WAL is hosted on a native
-// append-only log region (region-managed placement).
-func OpenFlashLog(ctx *IOCtx, dataVol EngineVolume, log AppendLog, cfg EngineConfig) (*Engine, error) {
-	return storage.OpenFlashLog(ctx, dataVol, log, cfg)
 }
 
 // --- workloads ---

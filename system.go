@@ -17,7 +17,7 @@ import (
 type (
 	// System is an engine mounted on one storage stack, with every layer
 	// reachable for inspection (Engine, Dev, NoFTL, Regions, Sched) and
-	// a Close/Snapshot lifecycle.
+	// a Close/Reopen/Snapshot lifecycle.
 	System = system.System
 	// SystemConfig declares the stack, device geometry and buffer size.
 	SystemConfig = system.Config
