@@ -8,8 +8,8 @@
 // The analyzers encode the repo's cross-layer invariants — the rules
 // each PR established and runtime tests only catch when they happen to
 // exercise the violating path. See the individual analyzer files
-// (determinism.go, ioreqclass.go, nilrecv.go, metricname.go,
-// pollloop.go) for the invariant each one enforces, and
+// (determinism.go, ioreqclass.go, nilrecv.go, metricname.go) for the
+// invariant each one enforces, and
 // DESIGN.md "Static invariants" for the PR that introduced each one.
 package analysis
 
@@ -40,7 +40,6 @@ func All() []*Analyzer {
 		IOReqClass,
 		NilRecv,
 		MetricName,
-		PollLoop,
 	}
 }
 

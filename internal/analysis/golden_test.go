@@ -79,7 +79,6 @@ func TestAnalyzerGoldens(t *testing.T) {
 		{"serve", []*Analyzer{IOReqClass}},
 		{"nilrecv", []*Analyzer{NilRecv}},
 		{"metricname", []*Analyzer{MetricName}},
-		{"pollloop", []*Analyzer{PollLoop}},
 		// The ignore fixture's violations are determinism ones; the
 		// malformed directives surface under the "ignore" pseudo-analyzer
 		// regardless of which analyzers run.

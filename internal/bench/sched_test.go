@@ -125,17 +125,18 @@ func TestSchedJSONRow(t *testing.T) {
 	}
 }
 
-// TestPollTicksStayInTheKernel is the stack-level guard on the kernel's
-// cost model: on the full write path (regions, priority scheduler,
-// background GC, eight TPC-B terminals) most events are "is it my turn
-// yet?" ticks of the latch, group-commit and lock waits, and those must
-// be answered inside the event loop without waking the waiter. The counts
-// repeat exactly per seed, so the bounds are hard: a process-level poll
-// reintroduced on the hot path pushes Resumes up and PollTicks down past
-// them. A resume costs at most one goroutine switch — none when the
-// process that parked is the next to run — so Switches may not pass
-// Resumes.
-func TestPollTicksStayInTheKernel(t *testing.T) {
+// TestKernelEventsOfTheSchedSmoke is the stack-level guard on the
+// kernel's cost model: on the full write path (regions, priority
+// scheduler, background GC, eight TPC-B terminals) every wait — latch,
+// group commit, lock, frame load, idle worker — is a hand-off from
+// whoever releases it, so the kernel fires an event only when something
+// happens. The counts repeat exactly per seed, so the guard is exact:
+// 469,981 events while those waits re-tested their conditions on 10–200 µs
+// ticks, and at most a quarter of that is the bar. A reintroduced
+// periodic wait moves the count. A resume costs at most one goroutine
+// switch — none when the process that parked is the next to run — so
+// Switches may not pass Resumes.
+func TestKernelEventsOfTheSchedSmoke(t *testing.T) {
 	cfg := tinySchedConfig(42)
 	cfg.Modes = []string{"bg-gc+prio"}
 	res, err := SchedAblation(cfg)
@@ -143,20 +144,13 @@ func TestPollTicksStayInTheKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := res.Rows[0].Result.Kernel
-	t.Logf("kernel: %+v (ticks %.1f%%, resumes %.1f%% of events; %.1f%% of resumes kept the goroutine)", st,
-		100*float64(st.PollTicks)/float64(st.Events), 100*float64(st.Resumes)/float64(st.Events),
-		100*(1-float64(st.Switches)/float64(st.Resumes)))
-	if st.Events == 0 {
-		t.Fatal("kernel fired no events")
-	}
-	// 9.6 % with the dies as state machines; a process per die made it 16.8 %.
-	if float64(st.Resumes) > 0.12*float64(st.Events) {
-		t.Errorf("%d process resumes for %d events: more than 12%% of events resume a process", st.Resumes, st.Events)
+	t.Logf("kernel: %+v (resumes %.1f%% of events; %.1f%% of resumes kept the goroutine)", st,
+		100*float64(st.Resumes)/float64(st.Events), 100*(1-float64(st.Switches)/float64(st.Resumes)))
+	const polled, want = 469_981, 88_446
+	if st.Events != want || 4*st.Events > polled {
+		t.Errorf("%d kernel events, want exactly %d (at most a quarter of the %d the polling waits fired)", st.Events, want, polled)
 	}
 	if st.Switches > st.Resumes {
 		t.Errorf("%d goroutine switches for %d resumes: a wake-up costs more than one hand-off again", st.Switches, st.Resumes)
-	}
-	if float64(st.PollTicks) < 0.5*float64(st.Events) {
-		t.Errorf("%d kernel-resident poll ticks for %d events: under 50%%, so some hot wait polls on its process again", st.PollTicks, st.Events)
 	}
 }

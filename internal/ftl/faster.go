@@ -67,7 +67,8 @@ type fasterDie struct {
 	lastDlpn    int64 // previous host write, for sequential detection
 	seq         uint64
 	numLbns     int
-	busy        bool // per-die command latch (see lock)
+	busy        bool          // per-die command latch (see lock)
+	waiters     sim.WaitQueue // its FIFO of waiting commands
 	stats       Stats
 }
 
@@ -75,15 +76,21 @@ type fasterDie struct {
 // are long multi-step sequences whose intermediate states must not be
 // observed; real hybrid-FTL firmware serializes per-bank command
 // handling the same way — and that serialization is part of why FTL
-// latency outliers hit concurrent requests so hard.
+// latency outliers hit concurrent requests so hard. unlock hands the
+// latch to the longest-waiting command.
 func (d *fasterDie) lock(w sim.Waiter) {
 	if d.busy {
-		w.Poll(20*sim.Microsecond, func() bool { return !d.busy })
+		d.waiters.Wait(w, 0) // granted: the latch came to us held
+		return
 	}
 	d.busy = true
 }
 
-func (d *fasterDie) unlock() { d.busy = false }
+func (d *fasterDie) unlock() {
+	if !d.waiters.Grant() {
+		d.busy = false
+	}
+}
 
 // NewFasterFTL builds a FASTer FTL over dev.
 func NewFasterFTL(dev *flash.Device, cfg FasterConfig) (*FasterFTL, error) {

@@ -117,8 +117,8 @@ func (r *Req) Now() sim.Time { return r.W.Now() }
 // WaitUntil implements sim.Waiter.
 func (r *Req) WaitUntil(ts sim.Time) { r.W.WaitUntil(ts) }
 
-// Poll implements sim.Waiter.
-func (r *Req) Poll(d sim.Time, ready func() bool) { r.W.Poll(d, ready) }
+// Proc implements sim.Waiter.
+func (r *Req) Proc() *sim.Proc { return r.W.Proc() }
 
 // Waiter returns the waiter lower layers should be handed. An
 // intent-free descriptor hands down W itself — the bare waiter, or the

@@ -2,10 +2,12 @@ package noftl
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
 	"noftl/internal/flash"
+	"noftl/internal/ftl"
 	"noftl/internal/ioreq"
 	"noftl/internal/nand"
 	"noftl/internal/sim"
@@ -124,5 +126,38 @@ func TestRelocateAcrossPlanesKeepsProgramOrder(t *testing.T) {
 		if int64(oob.LPN) != lpn || !bytes.Equal(buf, fillPage(256, lpn, 1)) {
 			t.Errorf("lpn %d -> ppn %d holds lpn %d's page", lpn, ppn, oob.LPN)
 		}
+	}
+}
+
+// TestFullFrontierLetsGoOfItsBlock: a full frontier whose refill finds
+// the plane's pool empty must not keep naming its old block. Once GC has
+// collected that block and recycled it into another frontier, the next
+// refill attempt would mark the recycled block full — Used, so a GC
+// victim while it is still being filled, and its erase would land under
+// the pages still to be programmed.
+func TestFullFrontierLetsGoOfItsBlock(t *testing.T) {
+	v, _ := newTestVolume(t, Config{DisableWearLevel: true})
+	d := v.dies[0]
+	ppb := d.sp.PagesPerBlock()
+	var blocks []int
+	for d.bt.FreeCount(0) > 0 {
+		b, _ := d.bt.AllocFree(0, kindHot)
+		blocks = append(blocks, b)
+	}
+	old := blocks[0]
+	fr := ftl.Frontier{Block: old, Next: ppb}
+	if _, err := d.allocPage(0, &fr, kindGC); !errors.Is(err, ftl.ErrGCStuck) || fr.Block != -1 {
+		t.Fatalf("refill from an empty pool: %v, frontier %+v; want ErrGCStuck and the frontier unset", err, fr)
+	}
+	// GC collects the old block and it comes back as another frontier.
+	d.bt.Release(old)
+	if b, _ := d.bt.AllocFree(0, kindHot); b != old {
+		t.Fatalf("the pool handed out %d, want the recycled %d", b, old)
+	}
+	if _, err := d.allocPage(0, &fr, kindGC); !errors.Is(err, ftl.ErrGCStuck) {
+		t.Fatalf("second refill: %v, want ErrGCStuck", err)
+	}
+	if st := d.bt.Info[old].State; st != ftl.BlockFrontier {
+		t.Errorf("the recycled block is in state %v, want still a frontier", st)
 	}
 }

@@ -169,6 +169,10 @@ type dieMgr struct {
 	// moved, when set, is told the global LPN of every page relocate has
 	// moved (see newVolume).
 	moved func(sim.Waiter, int64) error
+	// gcIdle holds the die's idle background GC worker: woken when a block
+	// leaves a free pool (NeedsGC can have turned true) and when a plane's
+	// collection ends (a GCStep that skipped it can succeed).
+	gcIdle sim.WaitQueue
 }
 
 // New builds a Volume over a native flash device (or, with cfg.Dies set,
@@ -385,6 +389,11 @@ func (v *Volume) NeedsGC(region int) bool {
 	return false
 }
 
+// GCWaiters is the queue where the region's idle background GC worker
+// parks (sched.StartMaintenance): the volume wakes it whenever NeedsGC
+// can have turned true or a collection in the region ends.
+func (v *Volume) GCWaiters(region int) *sim.WaitQueue { return &v.dies[region].gcIdle }
+
 // GCStep performs at most one victim collection in the region, returning
 // whether it did work. Background callers drive it while NeedsGC.
 func (v *Volume) GCStep(rq ioreq.Req, region int) (bool, error) {
@@ -436,6 +445,7 @@ func (v *Volume) WearLevelStep(rq ioreq.Req, region int) (bool, error) {
 		d.gcActive[plane] = true
 		did, err := d.wearMove(w, plane)
 		d.gcActive[plane] = false
+		d.gcIdle.Wake()
 		if err != nil {
 			if errors.Is(err, ftl.ErrGCStuck) {
 				continue
@@ -595,18 +605,23 @@ func (d *dieMgr) pickWritePlane(w sim.Waiter) (int, error) {
 }
 
 // allocPage takes the next page of the given frontier, refilling it from
-// the plane's free pool when full.
+// the plane's free pool when full. A full frontier lets go of its block
+// before the refill: if the pool is empty it stays unset, where naming
+// the old block would mark it full again on the next call — after GC may
+// have taken it as a victim, or recycled it into another frontier.
 func (d *dieMgr) allocPage(plane int, fr *ftl.Frontier, kind uint8) (nand.PPN, error) {
 	ppb := d.sp.PagesPerBlock()
 	if fr.Full(ppb) {
 		if fr.Block >= 0 {
 			d.bt.MarkFull(fr.Block)
+			*fr = ftl.NewFrontier()
 		}
 		b, ok := d.bt.AllocFree(plane, kind)
 		if !ok {
 			return 0, fmt.Errorf("%w: plane %d of die %d has no free blocks",
 				ftl.ErrGCStuck, plane, d.sp.Die)
 		}
+		d.gcIdle.Wake()
 		fr.Block, fr.Next = b, 0
 	}
 	ppn := d.sp.PPN(fr.Block, fr.Next)
@@ -638,7 +653,7 @@ func (d *dieMgr) ensureSpace(w sim.Waiter, plane int) error {
 			if d.bt.FreeCount(plane) > 0 {
 				return nil // enough to proceed; the active GC will refill
 			}
-			w.WaitUntil(w.Now() + 50*sim.Microsecond) //noftl:ignore pollloop spin budget: ErrGCStuck after maxSpins
+			w.WaitUntil(w.Now() + 50*sim.Microsecond)
 			continue
 		}
 		if err := d.gcOnce(w, plane); err != nil {
@@ -666,7 +681,10 @@ func (d *dieMgr) gcOnce(w sim.Waiter, plane int) error {
 		}
 	}
 	d.gcActive[plane] = true
-	defer func() { d.gcActive[plane] = false }()
+	defer func() {
+		d.gcActive[plane] = false
+		d.gcIdle.Wake()
+	}()
 
 	if err := d.collectBlock(w, victim, plane); err != nil {
 		return err

@@ -330,7 +330,7 @@ func New(k *sim.Kernel, dev *flash.Device, cfg Config) *Scheduler {
 	s := &Scheduler{k: k, dev: dev, cfg: cfg, id: dev.Identify(), geo: dev.Geometry()}
 	for die := 0; die < s.geo.Dies(); die++ {
 		ds := &dieSched{s: s, die: die}
-		ds.wakeFn = ds.wake
+		ds.wakeFn, ds.deadlineFn = ds.wake, ds.deadline
 		ds.await()
 		s.dies = append(s.dies, ds)
 	}
@@ -382,13 +382,17 @@ type dieSched struct {
 	reqs  []*request
 	state dieState
 	// waiting marks a wait that interrupt may cut short (idle, or an
-	// erase slice short of maxSuspends); gen numbers those waits, so the
-	// deadline of a slice that was interrupted finds itself stale.
+	// erase slice short of maxSuspends).
 	waiting   bool
 	preempted bool // the last such wait ended by interrupt, not by its deadline
-	gen       uint64
-	wakeFn    func()   // ds.wake, bound once
-	cur       *request // the command in service while dieServing
+	// sliceEnd is when the interruptible slice in service ends. Each
+	// resume adds tSUS and tRES to what is left of the erase, so a slice
+	// that was interrupted had an earlier end: its deadline, still to fire,
+	// finds itself stale.
+	sliceEnd   sim.Time
+	wakeFn     func()   // ds.wake, bound once
+	deadlineFn func()   // ds.deadline, bound once
+	cur        *request // the command in service while dieServing
 
 	// The suspendable erase in service, if any (Priority policy only).
 	inErase    *request // also the suspension hazard source
@@ -419,7 +423,6 @@ func (ds *dieSched) enqueue(r *request) {
 
 // await opens an interruptible wait.
 func (ds *dieSched) await() {
-	ds.gen++
 	ds.waiting, ds.preempted = true, false
 }
 
@@ -626,11 +629,7 @@ func (ds *dieSched) serve(r *request) {
 }
 
 // runSlice runs the erase for its remaining time, interruptibly unless it
-// has been suspended maxSuspends times already. The deadline draws two
-// events as the dispatcher process's alarm did — the timed one, then the
-// wake at that instant behind whatever else is due then — so every later
-// event keeps its place; the hop goes in the hand-off re-baseline
-// (ROADMAP).
+// has been suspended maxSuspends times already.
 func (ds *dieSched) runSlice() {
 	k := ds.s.k
 	ds.state = dieSlice
@@ -641,13 +640,18 @@ func (ds *dieSched) runSlice() {
 		return
 	}
 	ds.await()
-	gen := ds.gen
-	k.After(ds.remaining, func() {
-		if ds.gen == gen && ds.waiting {
-			ds.waiting = false
-			k.After(0, ds.wakeFn)
-		}
-	})
+	ds.sliceEnd = ds.sliceStart + ds.remaining
+	k.After(ds.remaining, ds.deadlineFn)
+}
+
+// deadline is an interruptible slice's end: unless an interrupt came
+// first or the slice is an earlier one, the erase chunk completes now, in
+// this event.
+func (ds *dieSched) deadline() {
+	if ds.waiting && ds.state == dieSlice && ds.s.k.Now() == ds.sliceEnd {
+		ds.waiting = false
+		ds.wake()
+	}
 }
 
 // finishErase completes the erase in service with err.

@@ -11,11 +11,14 @@ import (
 // collection: the NeedsGC/GCStep hooks a noftl.Volume exposes per region
 // (die). Background workers drive it so space reclamation never runs on
 // the commit path. The request descriptor carries the workers' declared
-// class (GC) so maintenance traffic is tagged at its origin.
+// class (GC) so maintenance traffic is tagged at its origin. An idle
+// worker parks on GCWaiters(region), which the volume wakes whenever
+// NeedsGC can have turned true or a GCStep that did nothing can succeed.
 type GCDriver interface {
 	Regions() int
 	NeedsGC(region int) bool
 	GCStep(rq ioreq.Req, region int) (bool, error)
+	GCWaiters(region int) *sim.WaitQueue
 }
 
 // WearLeveler extends GCDriver with the background wear-leveling sweep
@@ -32,12 +35,8 @@ type MaintConfig struct {
 	OnError func(error)
 }
 
-// gcPollInterval is the GC workers' idle poll period; sweepEvery is the
-// wear-leveling sweep's.
-const (
-	gcPollInterval = 200 * sim.Microsecond
-	sweepEvery     = 50 * sim.Millisecond
-)
+// sweepEvery is the wear-leveling sweep's period.
+const sweepEvery = 50 * sim.Millisecond
 
 // Maintenance is the handle over a running worker set.
 type Maintenance struct {
@@ -46,10 +45,17 @@ type Maintenance struct {
 	// WearMoves counts cold-block migrations done by the sweep.
 	WearMoves int64
 	stopped   bool
+	idle      []*sim.WaitQueue // where the GC workers park, per region
 }
 
-// Stop halts the workers; they drain at their next poll.
-func (m *Maintenance) Stop() { m.stopped = true }
+// Stop halts the workers: the idle ones at once, the busy ones after
+// their step, the sweep at its next period.
+func (m *Maintenance) Stop() {
+	m.stopped = true
+	for _, q := range m.idle {
+		q.Wake()
+	}
+}
 
 // StartMaintenance launches the DBMS's background flash-maintenance
 // processes on kernel k: one GC worker per region driving GCStep while
@@ -66,10 +72,10 @@ func StartMaintenance(k *sim.Kernel, gc GCDriver, cfg MaintConfig) *Maintenance 
 		}
 	}
 	for r := 0; r < gc.Regions(); r++ {
-		r := r
+		idle := gc.GCWaiters(r)
+		mt.idle = append(mt.idle, idle)
 		k.Go(fmt.Sprintf("gc-worker%d", r), func(p *sim.Proc) {
 			rq := ioreq.Req{W: sim.ProcWaiter{P: p}, Class: ioreq.ClassGC}
-			wanted := func() bool { return mt.stopped || gc.NeedsGC(r) }
 			for !mt.stopped {
 				if gc.NeedsGC(r) {
 					did, err := gc.GCStep(rq, r)
@@ -82,9 +88,7 @@ func StartMaintenance(k *sim.Kernel, gc GCDriver, cfg MaintConfig) *Maintenance 
 						continue
 					}
 				}
-				// Look again one period from now, then every period.
-				p.Sleep(gcPollInterval)
-				p.Poll(gcPollInterval, wanted)
+				idle.Wait(rq.W, 0)
 			}
 		})
 	}

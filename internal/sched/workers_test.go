@@ -14,11 +14,13 @@ type fakeDriver struct {
 	gcSteps []int
 	spread  []int
 	wlSteps []int
+	idle    []sim.WaitQueue
 }
 
-func (f *fakeDriver) Regions() int         { return f.regions }
-func (f *fakeDriver) NeedsGC(r int) bool   { return f.dirty[r] > 0 }
-func (f *fakeDriver) WearSpread(r int) int { return f.spread[r] }
+func (f *fakeDriver) Regions() int                   { return f.regions }
+func (f *fakeDriver) GCWaiters(r int) *sim.WaitQueue { return &f.idle[r] }
+func (f *fakeDriver) NeedsGC(r int) bool             { return f.dirty[r] > 0 }
+func (f *fakeDriver) WearSpread(r int) int           { return f.spread[r] }
 
 func (f *fakeDriver) GCStep(rq ioreq.Req, r int) (bool, error) {
 	if rq.Class != ioreq.ClassGC {
@@ -53,18 +55,37 @@ func TestMaintenanceDrivesGCAndWearSweep(t *testing.T) {
 		gcSteps: make([]int, 3),
 		spread:  []int{0, 80, 10},
 		wlSteps: make([]int, 3),
+		idle:    make([]sim.WaitQueue, 3),
 	}
 	mt := StartMaintenance(k, f, MaintConfig{})
 	k.RunFor(3 * sweepEvery)
+	// Region 1 gets work: the volume wakes its idle worker, which steps at
+	// once, one step per 100 µs.
+	f.dirty[1] = 2
+	f.idle[1].Wake()
+	k.RunFor(150 * sim.Microsecond)
+	if f.gcSteps[1] != 2 {
+		t.Fatalf("region 1: %d steps 150 µs after its wake, want 2", f.gcSteps[1])
+	}
+	// Stop releases the idle workers at once and region 1's after the
+	// step in flight (due at 150.2 ms); the sweep sleeps out its period
+	// (due at 151 ms).
 	mt.Stop()
+	k.RunFor(100 * sim.Microsecond)
+	if k.Alive() != 1 {
+		t.Errorf("%d processes alive right after Stop, want only the sweep", k.Alive())
+	}
 	k.RunFor(5 * sim.Millisecond)
+	if k.Alive() != 0 {
+		t.Errorf("%d processes alive 5 ms after Stop, want 0", k.Alive())
+	}
 	k.Shutdown()
 
-	if f.gcSteps[0] != 5 || f.gcSteps[1] != 0 || f.gcSteps[2] != 2 {
-		t.Fatalf("gcSteps = %v, want [5 0 2]", f.gcSteps)
+	if f.gcSteps[0] != 5 || f.gcSteps[1] != 2 || f.gcSteps[2] != 2 {
+		t.Fatalf("gcSteps = %v, want [5 2 2]", f.gcSteps)
 	}
-	if mt.GCSteps != 7 {
-		t.Fatalf("GCSteps = %d, want 7", mt.GCSteps)
+	if mt.GCSteps != 9 {
+		t.Fatalf("GCSteps = %d, want 9", mt.GCSteps)
 	}
 	// The sweep must clean the widest-spread region first, then the next.
 	if f.wlSteps[1] != 1 || f.wlSteps[2] != 1 || f.wlSteps[0] != 0 {
@@ -88,11 +109,12 @@ func TestMaintenanceReportsErrors(t *testing.T) {
 	}
 }
 
-type failingDriver struct{}
+type failingDriver struct{ idle sim.WaitQueue }
 
-func (failingDriver) Regions() int     { return 1 }
-func (failingDriver) NeedsGC(int) bool { return true }
-func (failingDriver) GCStep(ioreq.Req, int) (bool, error) {
+func (*failingDriver) Regions() int                   { return 1 }
+func (f *failingDriver) GCWaiters(int) *sim.WaitQueue { return &f.idle }
+func (*failingDriver) NeedsGC(int) bool               { return true }
+func (*failingDriver) GCStep(ioreq.Req, int) (bool, error) {
 	return false, errBoom
 }
 

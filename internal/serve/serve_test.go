@@ -211,6 +211,31 @@ func TestSessionStamping(t *testing.T) {
 	}
 }
 
+// TestAdmitAllocatesNothing: admit stamps the session's own descriptor
+// instead of a fresh one per request.
+func TestAdmitAllocatesNothing(t *testing.T) {
+	e, _ := serveTestEngine(t)
+	f, err := New(e, oneTenant())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.CreateStore(storage.NewIOCtx(&sim.ClockWaiter{}), "kv"); err != nil {
+		t.Fatal(err)
+	}
+	s, err := f.OpenSession("paying", "kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := storage.NewIOCtx(&sim.ClockWaiter{})
+	var sctx *storage.IOCtx
+	if n := testing.AllocsPerRun(100, func() { sctx, err = s.admit(in) }); n != 0 || err != nil {
+		t.Errorf("admit: %v allocs per request (err %v), want 0", n, err)
+	}
+	if sctx != &s.ctx {
+		t.Error("admit returned a descriptor other than the session's own")
+	}
+}
+
 // TestShedPath: a shed tenant with a drained bucket gets ErrShed, and
 // only after the client backoff advanced the simulated clock — the
 // property that keeps closed retry loops from livelocking the sim.

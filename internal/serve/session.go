@@ -63,13 +63,14 @@ func (s *Session) admit(ctx *storage.IOCtx) (*storage.IOCtx, error) {
 		} else if s.t.spec.Deadline > 0 {
 			deadline = now + s.t.spec.Deadline
 		}
-		return &storage.IOCtx{
+		s.ctx = storage.IOCtx{
 			W:        w,
 			Class:    d.class,
 			Tag:      s.t.spec.Tag,
 			Deadline: deadline,
 			Span:     ctx.Span,
-		}, nil
+		}
+		return &s.ctx, nil
 	}
 }
 

@@ -9,11 +9,11 @@ import (
 	"testing"
 )
 
-// zeroDelayStorm adds what leans hardest on lane 0 to a scenario on k:
+// zeroDelayStorm adds what leans hardest on the lane to a scenario on k:
 // bursts of chained After(0) callbacks, processes that only ever Yield,
 // and a queue whose producers hand bursts to several consumers — all at
-// instants the poll mix also uses, so lanes and heap hold events for the
-// same time and only seq orders them.
+// instants the mix also uses, so lane and heap hold events for the same
+// time and only seq orders them.
 func zeroDelayStorm(k *Kernel, seed int64, trace *[]string) {
 	log := func(format string, args ...any) {
 		*trace = append(*trace, fmt.Sprintf("%d ", k.Now())+fmt.Sprintf(format, args...))
@@ -65,25 +65,25 @@ func zeroDelayStorm(k *Kernel, seed int64, trace *[]string) {
 	})
 }
 
-// TestLaneOrderIsHeapOrder: the lanes are an access path, not a policy.
+// TestLaneOrderIsHeapOrder: the lane is an access path, not a policy.
 // The same scenario with every event forced through the heap must give
 // the same trace, draw the same sequence numbers and count the same
 // events.
 func TestLaneOrderIsHeapOrder(t *testing.T) {
-	run := func(seed int64, heapOnly bool) ([]string, uint64, Stats, int) {
+	run := func(seed int64, heapOnly bool) ([]string, uint64, Stats, bool) {
 		k := New()
 		defer k.Shutdown()
 		k.heapOnly = heapOnly
-		trace := pollMix(k, seed, (*Proc).Poll)
+		trace := mix(k, seed)
 		zeroDelayStorm(k, seed, trace)
 		k.Run()
-		return *trace, k.seq, k.Stats(), len(k.lanes)
+		return *trace, k.seq, k.Stats(), k.fifo.buf != nil
 	}
 	for _, seed := range []int64{1, 42, 2015} {
-		want, wantSeq, heapSt, heapLanes := run(seed, true)
-		got, gotSeq, laneSt, lanes := run(seed, false)
-		if heapLanes != 0 || lanes != 3 {
-			t.Fatalf("seed %d: %d lanes forced through the heap, %d otherwise; want 0 and 3 (delay 0, 10µs, 20µs)", seed, heapLanes, lanes)
+		want, wantSeq, heapSt, heapLane := run(seed, true)
+		got, gotSeq, laneSt, lane := run(seed, false)
+		if heapLane || !lane {
+			t.Fatalf("seed %d: lane used %v forced through the heap, %v otherwise; want false and true", seed, heapLane, lane)
 		}
 		if gotSeq != wantSeq {
 			t.Errorf("seed %d: final seq %d through lanes, %d through the heap", seed, gotSeq, wantSeq)
@@ -159,14 +159,15 @@ func TestSelfResumeSwitchesNothing(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			p.Sleep(3)
 		}
-		p.Poll(5, func() bool { return p.Now() >= 3100 })
+		var q WaitQueue
+		q.Wait(ProcWaiter{P: p}, 3100) // its own deadline resumes it
 		during = k.Stats()
 		during.Resumes -= before.Resumes
 		during.Switches -= before.Switches
 	})
 	k.Run()
 	if during.Resumes != 1001 || during.Switches != 0 {
-		t.Errorf("1000 sleeps and a Poll alone on the kernel: %d resumes, %d switches; want 1001 and 0", during.Resumes, during.Switches)
+		t.Errorf("1000 sleeps and a wait alone on the kernel: %d resumes, %d switches; want 1001 and 0", during.Resumes, during.Switches)
 	}
 	// All told: the driver started the process, its exit returned to the driver.
 	if st := k.Stats(); st.Switches != 2 {
@@ -209,45 +210,42 @@ func TestHandOffIsOneSwitch(t *testing.T) {
 }
 
 // TestRunUntilStopsAndContinues: RunUntil returns to the driver with
-// processes parked in the middle of a Poll and of a Sleep, and running
-// on from there — in one go or in slices — is indistinguishable from
-// never having stopped.
+// processes parked in the middle of a queue wait and of a Sleep, and
+// running on from there — in one go or in slices — is indistinguishable
+// from never having stopped.
 func TestRunUntilStopsAndContinues(t *testing.T) {
 	k := New()
 	defer k.Shutdown()
-	flag := false
-	var poller, sleeper *Proc
+	var q WaitQueue
+	var waiter, sleeper *Proc
 	var woke [2]Time
-	poller = k.Go("poller", func(p *Proc) {
-		p.Poll(20, func() bool { return flag })
+	waiter = k.Go("waiter", func(p *Proc) {
+		q.Wait(ProcWaiter{P: p}, 150)
 		woke[0] = p.Now()
 	})
 	sleeper = k.Go("sleeper", func(p *Proc) {
 		p.Sleep(100)
-		flag = true
+		q.Wake()
 		woke[1] = p.Now()
 	})
 	k.RunUntil(50)
-	if k.Now() != 50 || !poller.parked || poller.ready == nil || !sleeper.parked || k.Pending() != 2 {
-		t.Fatalf("at the limit: now %v, poller parked %v polling %v, sleeper parked %v, %d pending; want 50, both parked, 2 pending",
-			k.Now(), poller.parked, poller.ready != nil, sleeper.parked, k.Pending())
+	if k.Now() != 50 || !waiter.parked || waiter.q != &q || !sleeper.parked || k.Pending() != 2 {
+		t.Fatalf("at the limit: now %v, waiter parked %v queued %v, sleeper parked %v, %d pending; want 50, both parked, 2 pending",
+			k.Now(), waiter.parked, waiter.q == &q, sleeper.parked, k.Pending())
 	}
-	if st := k.Stats(); st.PollTicks != 2 {
-		t.Errorf("%d ticks by 50, want 2 (20, 40)", st.PollTicks)
-	}
-	k.RunUntil(60) // the tick at 60 is due exactly at the limit
-	if st := k.Stats(); st.PollTicks != 3 {
-		t.Errorf("%d ticks by 60, want 3", st.PollTicks)
+	k.RunUntil(100) // the sleeper is due exactly at the limit
+	if k.Pending() != 1 || woke != [2]Time{100, 100} || k.Alive() != 0 {
+		t.Errorf("woke at %v with %d alive and %d pending, want [100 100], 0 and the stale deadline", woke, k.Alive(), k.Pending())
 	}
 	k.RunUntil(200)
-	if woke != [2]Time{100, 100} || k.Alive() != 0 {
-		t.Errorf("woke at %v with %d alive, want [100 100] and 0", woke, k.Alive())
+	if st := k.Stats(); k.Pending() != 0 || st.Events != st.Resumes+1 {
+		t.Errorf("%+v with %d pending: the stale deadline should fire as one event that resumes nobody", st, k.Pending())
 	}
 
 	whole := func(seed int64, slice Time) ([]string, uint64, Stats) {
 		k := New()
 		defer k.Shutdown()
-		trace := pollMix(k, seed, (*Proc).Poll)
+		trace := mix(k, seed)
 		for slice > 0 && k.Now() < 60*Millisecond {
 			k.RunFor(slice)
 		}
@@ -266,19 +264,21 @@ func TestRunUntilStopsAndContinues(t *testing.T) {
 	}
 }
 
-// TestShutdownFromEveryParkedState: pollers sitting in lanes, a sleeper
-// on the heap, a process blocked for good, and one whose deferred
-// function blocks again while it unwinds — Shutdown ends them all, leaves
-// nothing pending, and can be called again.
+// TestShutdownFromEveryParkedState: waiters on a WaitQueue with their
+// deadlines on the heap or none, a sleeper, a process blocked for good,
+// and one whose deferred function blocks again while it unwinds —
+// Shutdown ends them all, leaves nothing pending, and can be called
+// again.
 func TestShutdownFromEveryParkedState(t *testing.T) {
 	k := New()
 	q := NewQueue[int](k)
+	var wq WaitQueue
 	var order []string
 	died := func(name string) func() { return func() { order = append(order, name) } }
-	for _, every := range []Time{10, 10, 25} {
-		k.Go("poller", func(p *Proc) {
-			defer died(fmt.Sprintf("poller%d", every))()
-			p.Poll(every, func() bool { return false })
+	for _, deadline := range []Time{500, 0, 1000} {
+		k.Go("waiter", func(p *Proc) {
+			defer died(fmt.Sprintf("waiter%d", deadline))()
+			wq.Wait(ProcWaiter{P: p}, deadline)
 		})
 	}
 	k.Go("sleeper", func(p *Proc) {
@@ -300,11 +300,11 @@ func TestShutdownFromEveryParkedState(t *testing.T) {
 		t.Error("a wake-up scheduled during Shutdown must not be delivered")
 	})
 	k.RunUntil(100)
-	if len(k.lanes) != 3 || k.Pending() != 5 {
-		t.Fatalf("%d lanes, %d pending before Shutdown; want 3 (0, 10, 25) and 5", len(k.lanes), k.Pending())
+	if k.Pending() != 4 {
+		t.Fatalf("%d pending before Shutdown; want 4 (two deadlines, two sleeps)", k.Pending())
 	}
 	k.Shutdown()
-	want := []string{"poller10", "poller10", "poller25", "sleeper", "stubborn", "blocked"}
+	want := []string{"waiter500", "waiter0", "waiter1000", "sleeper", "stubborn", "blocked"}
 	if !reflect.DeepEqual(order, want) {
 		t.Errorf("unwind order %v, want %v (lowest id first)", order, want)
 	}
@@ -316,11 +316,12 @@ func TestShutdownFromEveryParkedState(t *testing.T) {
 	if k.Stats() != st || len(order) != len(want) {
 		t.Errorf("a second Shutdown did something: stats %+v -> %+v, %d defers", st, k.Stats(), len(order))
 	}
-	// Still usable, lanes included.
+	// Still usable, the lane and the queue included.
 	ran := false
 	k.Go("after", func(p *Proc) {
-		p.Poll(10, func() bool { return p.Now() >= 150 })
-		ran = true
+		p.Yield()
+		wq.Wait(ProcWaiter{P: p}, 150)
+		ran = wq.Empty()
 	})
 	k.Run()
 	if !ran || k.Now() != 150 {
@@ -328,27 +329,32 @@ func TestShutdownFromEveryParkedState(t *testing.T) {
 	}
 }
 
-// TestCallbackPanicSparesTheHolder: an After callback or Poll predicate
-// runs on whichever process parked last. Its panic is not that process's:
+// TestCallbackPanicSparesTheHolder: an After callback runs on whichever
+// process parked last. Its panic is not that process's:
 // it must come out of Run on the driver, with the value it was raised
 // with, while the holder stays parked, keeps its stack and runs on if the
 // driver carries on.
 func TestCallbackPanicSparesTheHolder(t *testing.T) {
 	boom := errors.New("boom")
-	cases := map[string]func(k *Kernel){
-		"After callback": func(k *Kernel) { k.After(5, func() { panic(boom) }) },
-		"Poll predicate": func(k *Kernel) {
-			k.Go("poller", func(p *Proc) {
-				p.Poll(5, func() bool {
-					if p.Now() > 0 {
-						panic(boom)
-					}
-					return false
-				})
-			})
-		},
+	// Each case arms a panic at 5 and says how many switches finishing the
+	// holder then takes: driver -> holder -> driver, plus the same for a
+	// process the callback released before it panicked.
+	type armed struct {
+		arm      func(k *Kernel)
+		switches uint64
 	}
-	for name, arm := range cases {
+	cases := map[string]armed{
+		"After callback": {func(k *Kernel) { k.After(5, func() { panic(boom) }) }, 2},
+		"After callback that released a waiter": {func(k *Kernel) {
+			var q WaitQueue
+			k.Go("waiter", func(p *Proc) { q.Wait(ProcWaiter{P: p}, 0) })
+			k.After(5, func() {
+				q.Wake()
+				panic(boom)
+			})
+		}, 3},
+	}
+	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
 			k := New()
 			defer k.Shutdown()
@@ -362,7 +368,7 @@ func TestCallbackPanicSparesTheHolder(t *testing.T) {
 				p.Sleep(10) // parks first, so it is this goroutine that fires the event at 5
 				finished = true
 			})
-			arm(k)
+			c.arm(k)
 			func() {
 				defer func() {
 					if r := recover(); r != boom {
@@ -380,8 +386,8 @@ func TestCallbackPanicSparesTheHolder(t *testing.T) {
 			if !finished {
 				t.Error("holder did not run on after the driver recovered")
 			}
-			if got := k.Stats().Switches - before; got != 2 {
-				t.Errorf("%d switches to finish the holder, want 2: it was asleep, not running", got)
+			if got := k.Stats().Switches - before; got != c.switches {
+				t.Errorf("%d switches to finish the holder, want %d: it was asleep, not running", got, c.switches)
 			}
 		})
 	}
@@ -396,17 +402,9 @@ func TestBlockingCallbackPanics(t *testing.T) {
 		"After callback sleeps": func(k *Kernel, victim *Proc) {
 			k.After(5, func() { victim.Sleep(1) })
 		},
-		"Poll predicate waits on a queue": func(k *Kernel, victim *Proc) {
-			q := NewQueue[int](k)
-			k.Go("poller", func(p *Proc) {
-				p.Poll(5, func() bool {
-					if p.Now() == 0 {
-						return false // the first test runs on the process, which may block
-					}
-					_, ok := q.Get(p)
-					return ok
-				})
-			})
+		"After callback waits on a WaitQueue": func(k *Kernel, victim *Proc) {
+			var q WaitQueue
+			k.After(5, func() { q.Wait(ProcWaiter{P: victim}, 0) })
 		},
 	}
 	for name, arm := range cases {
@@ -493,7 +491,7 @@ func TestDriverSeatMovesBetweenGoroutines(t *testing.T) {
 		k := New()
 		var trace *[]string
 		on(func() {
-			trace = pollMix(k, 42, (*Proc).Poll)
+			trace = mix(k, 42)
 			zeroDelayStorm(k, 42, trace)
 			k.RunFor(7 * Millisecond)
 		})
@@ -513,7 +511,7 @@ func TestDriverSeatMovesBetweenGoroutines(t *testing.T) {
 		}()
 		<-done
 	})
-	if want.st.Switches == 0 || want.st.PollTicks == 0 {
+	if want.st.Switches == 0 {
 		t.Fatalf("counters %+v: the scenario hands off nothing", want.st)
 	}
 	if got.seq != want.seq || got.st != want.st || !reflect.DeepEqual(got.trace, want.trace) {

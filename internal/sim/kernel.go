@@ -6,10 +6,10 @@ import (
 )
 
 // event is one scheduled occurrence, stored by value in the kernel's
-// heap or in a lane. Exactly one of p and fn is set: p names a process to
-// resume (or, parked in Poll, to test on its behalf); fn is an After
-// callback. Events fire in (at, seq) order; seq is unique, so the order is
-// total and the simulation deterministic.
+// heap or in its zero-delay FIFO. Exactly one of p and fn is set: p names
+// a process to resume, fn is an After callback. Events fire in (at, seq)
+// order; seq is unique, so the order is total and the simulation
+// deterministic.
 type event struct {
 	at  Time
 	seq uint64
@@ -21,16 +21,14 @@ func (e *event) before(o *event) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
-// lane is a FIFO of the events that were scheduled one fixed delay after
-// the then-current time. The clock never runs backwards and seq only
-// grows, so a lane is in (at, seq) order as pushed: its events join at
-// the tail and fire from the head without ever being sifted. buf is a
-// ring whose length is a power of two.
+// lane is the FIFO of the events scheduled without delay. The clock never
+// runs backwards and seq only grows, so it is in (at, seq) order as
+// pushed: its events join at the tail and fire from the head without ever
+// being sifted. buf is a ring whose length is a power of two.
 type lane struct {
-	delay Time
-	buf   []event
-	head  int // index of the earliest event
-	n     int // events queued
+	buf  []event
+	head int // index of the earliest event
+	n    int // events queued
 }
 
 func (l *lane) push(e event) {
@@ -56,8 +54,7 @@ func (l *lane) pop() event {
 
 // Stats counts what the simulator did, as opposed to what it simulated.
 type Stats struct {
-	Events     uint64 // events fired
-	PollTicks  uint64 // Poll ticks found false and re-armed without resuming the process
+	Events     uint64 // events fired, stale deadlines included
 	Resumes    uint64 // transfers of control to a process
 	Switches   uint64 // hand-offs between seats: resumes of another process, returns to the driver
 	MaxPending int    // most events that have been pending at once
@@ -80,13 +77,13 @@ type Kernel struct {
 	now      Time
 	seq      uint64
 	limit    Time    // dispatch fires nothing due after it
-	events   []event // 4-ary min-heap on (at, seq): timed sleeps and After callbacks
-	lanes    []lane  // delay 0 and one per Poll period, found by linear search
-	pending  int     // events in the heap and the lanes together
-	heapOnly bool    // tests: bypass the lanes, to compare their order with the heap's
+	events   []event // 4-ary min-heap on (at, seq): timed sleeps, deadlines and After callbacks
+	fifo     lane    // the events scheduled without delay
+	pending  int     // events in the heap and the lane together
+	heapOnly bool    // tests: bypass the lane, to compare its order with the heap's
 	driver   *Proc   // the seat of whoever calls Run, RunUntil or Shutdown
 	handTo   *Proc   // whom the last process to yield to the driver handed the processor
-	firing   bool    // the event loop is on the stack: callbacks and predicates run now
+	firing   bool    // the event loop is on the stack: callbacks run now
 	procs    []*Proc // started and not yet terminated, in id order
 	stats    Stats
 	panicv   any
@@ -120,32 +117,24 @@ func (k *Kernel) Stats() Stats { return k.stats }
 func (k *Kernel) After(d Time, fn func()) { k.after(d, nil, fn) }
 
 // after schedules p's resumption (or fn) d from now under the next seq:
-// without delay in lane 0, otherwise on the heap.
+// without delay in the lane, otherwise on the heap.
 func (k *Kernel) after(d Time, p *Proc, fn func()) {
 	if d <= 0 {
-		k.enqueue(0, p, fn)
+		k.enqueue(p, fn)
 		return
 	}
 	k.push(k.draw(k.now+d, p, fn))
 }
 
-// enqueue schedules p's resumption (or fn) d from now in the lane of
-// delay d, which it creates on first use. Only delays that recur belong
-// here (zero, a Poll period): every lane costs next a comparison.
-func (k *Kernel) enqueue(d Time, p *Proc, fn func()) {
-	e := k.draw(k.now+d, p, fn)
+// enqueue schedules p's resumption (or fn) at the current instant, behind
+// every event already due then.
+func (k *Kernel) enqueue(p *Proc, fn func()) {
+	e := k.draw(k.now, p, fn)
 	if k.heapOnly {
 		k.push(e)
 		return
 	}
-	for i := range k.lanes {
-		if k.lanes[i].delay == d {
-			k.lanes[i].push(e)
-			return
-		}
-	}
-	k.lanes = append(k.lanes, lane{delay: d})
-	k.lanes[len(k.lanes)-1].push(e)
+	k.fifo.push(e)
 }
 
 // push adds e to the heap.
@@ -202,29 +191,27 @@ func (k *Kernel) pop() event {
 	return top
 }
 
-// next removes and returns the earliest pending event — the least of the
-// heap's top and the lanes' heads — unless none is due by the limit.
+// next removes and returns the earliest pending event — the lesser of
+// the heap's top and the lane's head — unless none is due by the limit.
 func (k *Kernel) next() (e event, ok bool) {
 	var first *event
-	from := -1 // the lane first heads, or -1 for the heap
 	if len(k.events) > 0 {
 		first = &k.events[0]
 	}
-	for i := range k.lanes {
-		if l := &k.lanes[i]; l.n > 0 {
-			if h := &l.buf[l.head]; first == nil || h.before(first) {
-				first, from = h, i
-			}
+	fromLane := false
+	if l := &k.fifo; l.n > 0 {
+		if h := &l.buf[l.head]; first == nil || h.before(first) {
+			first, fromLane = h, true
 		}
 	}
 	if first == nil || first.at > k.limit {
 		return e, false
 	}
 	k.pending--
-	if from < 0 {
-		return k.pop(), true
+	if fromLane {
+		return k.fifo.pop(), true
 	}
-	return k.lanes[from].pop(), true
+	return k.pop(), true
 }
 
 // Run executes events until the queue drains. Processes blocked on a
@@ -245,7 +232,7 @@ func (k *Kernel) RunUntil(t Time) {
 func (k *Kernel) RunFor(d Time) { k.RunUntil(k.now + d) }
 
 // run gives the processor away until nothing due by limit is left, then
-// re-raises what a process, callback or predicate panicked with.
+// re-raises what a process or callback panicked with.
 func (k *Kernel) run(limit Time) {
 	k.limit = limit
 	k.dispatch(k.driver)
@@ -291,10 +278,15 @@ func (k *Kernel) drive(p *Proc) {
 
 // fire runs events in (at, seq) order until one resumes a process, and
 // returns that process. It returns the driver when no event due by the
-// limit is left, or when a panic is pending: a callback or predicate
-// runs on whatever stack holds the loop, so its panic is trapped here —
-// it must not unwind that bystander's stack — and re-raised by run on
-// the driver, like a process's own.
+// limit is left, or when a panic is pending: a callback runs on whatever
+// stack holds the loop, so its panic is trapped here — it must not unwind
+// that bystander's stack — and re-raised by run on the driver, like a
+// process's own.
+//
+// An event drawn before its process last resumed is stale: the deadline
+// of a wait that a Wake or Grant ended first. It resumes nobody. A live
+// event for a process still on a WaitQueue is that wait's deadline: it
+// takes the process off the queue, expired.
 func (k *Kernel) fire() (to *Proc) {
 	k.firing = true
 	defer func() {
@@ -318,26 +310,23 @@ func (k *Kernel) fire() (to *Proc) {
 			continue
 		}
 		p := e.p
-		if p.ready != nil && !p.ready() {
-			// A Poll tick whose condition is still false: re-arm on the
-			// process's behalf, under the seq its own Sleep would have
-			// drawn, and leave it suspended.
-			k.stats.PollTicks++
-			k.enqueue(p.every, p, nil)
+		if p.terminated || e.seq <= p.since {
 			continue
 		}
-		if !p.terminated {
-			k.resuming(p)
-			return p
+		if p.q != nil {
+			p.q.remove(p)
+			p.expired = true
 		}
+		k.resuming(p)
+		return p
 	}
 	return k.driver
 }
 
-// resuming marks p as about to run: whatever it waited for, it is
-// neither parked nor polling now.
+// resuming marks p as about to run: whatever it waited for, it is not
+// parked now, and every event drawn so far is too old to resume it.
 func (k *Kernel) resuming(p *Proc) {
-	p.parked, p.ready = false, nil
+	p.parked, p.since = false, k.seq
 	k.stats.Resumes++
 }
 
@@ -360,5 +349,5 @@ func (k *Kernel) Shutdown() {
 		k.resuming(p)
 		k.drive(p)
 	}
-	k.events, k.lanes, k.pending = nil, nil, 0
+	k.events, k.fifo, k.pending = nil, lane{}, 0
 }

@@ -28,9 +28,12 @@ type Proc struct {
 	parked     bool
 	killed     bool
 	terminated bool
-	// Parked in Poll: what the kernel tests on its behalf, and how often.
-	ready func() bool
-	every Time
+	since      uint64 // the kernel's seq when it last resumed: events drawn until then are stale
+	// Waiting on a WaitQueue: the queue, its neighbours there, and whether
+	// the deadline took it off.
+	q            *WaitQueue
+	qprev, qnext *Proc
+	expired      bool
 }
 
 // Go starts a new process running fn. The process begins executing at the
@@ -62,7 +65,7 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 		}
 		fn(p)
 	})
-	k.enqueue(0, p, nil)
+	k.enqueue(p, nil)
 	return p
 }
 
@@ -87,37 +90,23 @@ func (p *Proc) SleepUntil(t Time) { p.Sleep(t - p.k.now) }
 // Yield lets every other event scheduled for the current instant run.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// Poll suspends the process until ready reports true, testing it now and
-// then once every d: for !ready() { p.Sleep(d) } at the same simulated
-// instants and in the same event order. Only the first test runs on the
-// process; later ones run inside the event loop, on whatever stack holds
-// it, where a false one re-arms the tick in the lane of period d and
-// wakes nobody — so ready must not block and must not change simulated
-// state.
-func (p *Proc) Poll(d Time, ready func() bool) {
-	if ready() {
-		return
-	}
-	p.ready, p.every = ready, max(d, 0)
-	p.k.enqueue(p.every, p, nil)
-	p.park()
-}
-
 // park gives up the processor without scheduling a wake-up and runs the
-// event loop until an event — one scheduled before the call, or by
-// Queue.Put, Resource.Release and the like since — resumes p, or
-// Shutdown kills it.
+// event loop until an event — one scheduled before the call, or by a
+// WaitQueue's Wake or Grant since — resumes p, or Shutdown kills it.
 func (p *Proc) park() {
-	if p.k.firing { // reached from a callback or predicate, which has no process to park
+	if p.k.firing { // reached from a callback, which has no process to park
 		panic("sim: blocking call from an event callback")
 	}
 	p.parked = true
 	p.k.dispatch(p)
 	if p.killed {
+		if p.q != nil {
+			p.q.remove(p) // Shutdown: no Grant may hand anything to a dead process
+		}
 		panic(errKilled)
 	}
 }
 
 // wakeLater schedules p to resume at the current instant (FIFO after
 // already-pending events).
-func (p *Proc) wakeLater() { p.k.enqueue(0, p, nil) }
+func (p *Proc) wakeLater() { p.k.enqueue(p, nil) }

@@ -4,19 +4,18 @@ import "slices"
 
 // Queue is an unbounded FIFO mailbox between simulated processes.
 // Put never blocks; Get parks the caller while the queue is empty.
-// Blocked consumers are served in arrival order. The FIFOs are short, so
+// Blocked consumers are served in arrival order. The FIFO is short, so
 // the head is popped with slices.Delete: unlike s = s[1:], it keeps the
 // backing array's capacity and clears the vacated slot.
 type Queue[T any] struct {
-	k       *Kernel
 	items   []T
-	waiters []*Proc
+	waiters WaitQueue
 	closed  bool
 }
 
-// NewQueue returns an empty queue bound to kernel k.
+// NewQueue returns an empty queue for the processes of kernel k.
 func NewQueue[T any](k *Kernel) *Queue[T] {
-	return &Queue[T]{k: k}
+	return &Queue[T]{}
 }
 
 // Put appends v and wakes the longest-waiting consumer, if any.
@@ -26,21 +25,15 @@ func (q *Queue[T]) Put(v T) {
 		panic("sim: Put on closed Queue")
 	}
 	q.items = append(q.items, v)
-	q.wakeOne()
+	q.waiters.Grant()
 }
 
 // Close marks the queue closed. Blocked and future Get calls return
 // ok=false once the queue drains. Items already queued are still
 // delivered.
 func (q *Queue[T]) Close() {
-	if q.closed {
-		return
-	}
 	q.closed = true
-	for _, p := range q.waiters {
-		p.wakeLater()
-	}
-	q.waiters = nil
+	q.waiters.Wake()
 }
 
 // Get removes and returns the head item, parking p while the queue is
@@ -50,15 +43,14 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 		if q.closed {
 			return v, false
 		}
-		q.waiters = append(q.waiters, p)
-		p.park()
+		q.waiters.Wait(ProcWaiter{P: p}, 0)
 	}
 	v = q.items[0]
 	q.items = slices.Delete(q.items, 0, 1)
 	// An item may have arrived for another parked consumer while this one
 	// was scheduled; keep the chain going if items remain.
 	if len(q.items) > 0 {
-		q.wakeOne()
+		q.waiters.Grant()
 	}
 	return v, true
 }
@@ -71,13 +63,4 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 	v = q.items[0]
 	q.items = slices.Delete(q.items, 0, 1)
 	return v, true
-}
-
-func (q *Queue[T]) wakeOne() {
-	if len(q.waiters) == 0 {
-		return
-	}
-	p := q.waiters[0]
-	q.waiters = slices.Delete(q.waiters, 0, 1)
-	p.wakeLater()
 }

@@ -1,29 +1,21 @@
 package sim
 
-import "slices"
-
 // Resource is a counted FCFS resource (a semaphore with strict arrival
 // ordering). Release hands the slot directly to the longest-waiting
 // process, so later arrivals cannot barge past parked ones.
 type Resource struct {
-	k        *Kernel
 	capacity int
 	inUse    int
-	waiters  []*resWaiter
+	waiters  WaitQueue
 }
 
-type resWaiter struct {
-	p       *Proc
-	granted bool
-}
-
-// NewResource returns a resource with the given concurrent capacity.
-// Capacity must be >= 1.
+// NewResource returns a resource of kernel k with the given concurrent
+// capacity. Capacity must be >= 1.
 func NewResource(k *Kernel, capacity int) *Resource {
 	if capacity < 1 {
 		panic("sim: resource capacity must be >= 1")
 	}
-	return &Resource{k: k, capacity: capacity}
+	return &Resource{capacity: capacity}
 }
 
 // InUse reports how many slots are currently held.
@@ -32,15 +24,11 @@ func (r *Resource) InUse() int { return r.inUse }
 // Acquire blocks p until a slot is available. Slots are granted in strict
 // arrival order.
 func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
+	if r.inUse < r.capacity && r.waiters.Empty() {
 		r.inUse++
 		return
 	}
-	w := &resWaiter{p: p}
-	r.waiters = append(r.waiters, w)
-	for !w.granted {
-		p.park()
-	}
+	r.waiters.Wait(ProcWaiter{P: p}, 0) // Release granted us its slot
 }
 
 // Release frees one slot. If processes are waiting the slot transfers to
@@ -49,14 +37,9 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: Release without matching Acquire")
 	}
-	if len(r.waiters) == 0 {
+	if !r.waiters.Grant() {
 		r.inUse--
-		return
 	}
-	w := r.waiters[0]
-	r.waiters = slices.Delete(r.waiters, 0, 1) // not [1:], see Queue
-	w.granted = true
-	w.p.wakeLater()
 }
 
 // Use acquires the resource, holds it for d of simulated time, and

@@ -5,35 +5,22 @@ package sim
 // Firing before anyone waits is remembered — later Waits return
 // immediately. The zero value is ready to use.
 type Signal struct {
-	fired bool
-	first *Proc   // the first waiter, held inline: a flash command has exactly one
-	rest  []*Proc // any further waiters
+	fired   bool
+	waiters WaitQueue
 }
 
 // Fire marks the signal done and wakes every waiter. Firing twice is a
 // no-op.
 func (s *Signal) Fire() {
-	if s.fired {
-		return
+	if !s.fired {
+		s.fired = true
+		s.waiters.Wake()
 	}
-	s.fired = true
-	if s.first != nil {
-		s.first.wakeLater()
-	}
-	for _, p := range s.rest {
-		p.wakeLater()
-	}
-	s.first, s.rest = nil, nil
 }
 
 // Wait parks p until the signal fires (immediately if it already has).
 func (s *Signal) Wait(p *Proc) {
-	for !s.fired {
-		if s.first == nil {
-			s.first = p
-		} else {
-			s.rest = append(s.rest, p)
-		}
-		p.park()
+	if !s.fired {
+		s.waiters.Wait(ProcWaiter{P: p}, 0)
 	}
 }

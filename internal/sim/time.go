@@ -8,16 +8,14 @@
 // coroutines resumed by the caller of Run, and the event loop runs on
 // whichever process just parked (or on that caller), so waking another
 // process is two coroutine switches, through the caller, and waking
-// oneself is none; events a
-// constant delay ahead (wake-ups, poll ticks) queue in per-delay FIFO
-// lanes, only timed sleeps in the heap. A wait that re-tests a condition
-// on a fixed period is Proc.Poll (Waiter.Poll): the re-tests run inside
-// the event loop, at the instants and in the event order of the sleep
-// loop it replaces, and wake the process only once the condition holds
-// (DESIGN.md "Simulation kernel"). This is the offline twin of the paper's
-// real-time flash emulator: the same device model can run either under
-// the kernel (virtual time, used by all experiments) or against the wall
-// clock (sim.RealWaiter, used by live demos).
+// oneself is none; events due at once (wake-ups, Yield) queue in a FIFO,
+// only timed sleeps and deadlines in the heap. A process that waits for
+// another — for a latch, a lock, a flush, work — parks on a WaitQueue,
+// and whoever releases what it waits for hands off to it at that instant
+// (DESIGN.md "Simulation kernel"). This is the offline twin of the
+// paper's real-time flash emulator: the same device model can run either
+// under the kernel (virtual time, used by all experiments) or against the
+// wall clock (sim.RealWaiter, used by live demos).
 package sim
 
 import "fmt"

@@ -20,10 +20,9 @@ type Waiter interface {
 	// WaitUntil blocks the caller until time t. t earlier than Now is a
 	// no-op.
 	WaitUntil(t Time)
-	// Poll blocks the caller until ready reports true, testing it now and
-	// then every d: for !ready() { WaitUntil(Now() + d) }. Proc.Poll runs
-	// the re-tests in kernel context: ready must not block or change state.
-	Poll(d Time, ready func() bool)
+	// Proc returns the process that experiences the wait, or nil for a
+	// processless clock: only a process can park on a WaitQueue.
+	Proc() *Proc
 }
 
 // ProcWaiter adapts a DES process to the Waiter interface.
@@ -35,8 +34,8 @@ func (w ProcWaiter) Now() Time { return w.P.Now() }
 // WaitUntil suspends the process until simulated time t.
 func (w ProcWaiter) WaitUntil(t Time) { w.P.SleepUntil(t) }
 
-// Poll suspends the process until ready holds (Proc.Poll).
-func (w ProcWaiter) Poll(d Time, ready func() bool) { w.P.Poll(d, ready) }
+// Proc returns the process.
+func (w ProcWaiter) Proc() *Proc { return w.P }
 
 // ClockWaiter is a serial virtual clock: each WaitUntil simply advances
 // the clock. It models a single synchronous client and costs nothing,
@@ -54,12 +53,8 @@ func (w *ClockWaiter) WaitUntil(t Time) {
 	}
 }
 
-// Poll advances the clock by d until ready holds.
-func (w *ClockWaiter) Poll(d Time, ready func() bool) {
-	for !ready() {
-		w.WaitUntil(w.T + d)
-	}
-}
+// Proc returns nil: the clock is no process.
+func (w *ClockWaiter) Proc() *Proc { return nil }
 
 // RealWaiter maps the simulated timeline onto the wall clock, optionally
 // scaled (Scale 2 runs twice as fast as real time; 0 means 1).
@@ -101,9 +96,5 @@ func (w *RealWaiter) WaitUntil(t Time) {
 	}
 }
 
-// Poll re-tests ready every d of scaled wall-clock time until it holds.
-func (w *RealWaiter) Poll(d Time, ready func() bool) {
-	for !ready() {
-		w.WaitUntil(w.Now() + d)
-	}
-}
+// Proc returns nil: the wall clock is no process.
+func (w *RealWaiter) Proc() *Proc { return nil }

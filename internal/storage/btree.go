@@ -29,28 +29,35 @@ var ErrNoKey = errors.New("storage: key not found")
 // latchIndex takes the index's tree latch. B-tree operations span
 // multiple I/O waits (descent pins, split page allocations), so under
 // the cooperative scheduler a structure modification must exclude every
-// other operation on the same tree. For user transactions the latch
-// times out like a lock (the caller aborts and retries), which also
+// other operation on the same tree. A held latch queues its waiters FIFO
+// and unlatchIndex hands it to the head one. For user transactions the
+// wait times out like a lock (the caller aborts and retries), which also
 // resolves latch/lock cycles. System operations (undo, recovery) wait
 // patiently instead: rollback must never fail half-way, and it is safe
 // for it to wait because no latch holder ever blocks on a lock (locks
 // are always acquired before latches).
 func (e *Engine) latchIndex(ctx *IOCtx, o *object, patient bool) error {
-	if o.latched {
-		wait := ctx.W
-		deadline := wait.Now() + e.lt.timeout
-		wait.Poll(20*sim.Microsecond, func() bool {
-			return !o.latched || (!patient && wait.Now() >= deadline)
-		})
-		if o.latched {
-			return fmt.Errorf("%w: index %s tree latch", ErrLockTimeout, o.name)
-		}
+	if !o.latched {
+		o.latched = true
+		return nil
 	}
-	o.latched = true
-	return nil
+	deadline := sim.Time(0)
+	if !patient {
+		deadline = ctx.W.Now() + e.lt.timeout
+	}
+	if !o.latchQ.Wait(ctx.W, deadline) {
+		return fmt.Errorf("%w: index %s tree latch", ErrLockTimeout, o.name)
+	}
+	return nil // granted: the latch came to us held
 }
 
-func (e *Engine) unlatchIndex(o *object) { o.latched = false }
+// unlatchIndex releases the tree latch, straight to its first waiter if
+// it has one.
+func (e *Engine) unlatchIndex(o *object) {
+	if !o.latchQ.Grant() {
+		o.latched = false
+	}
+}
 
 const (
 	btCountOff   = pageHeaderSize

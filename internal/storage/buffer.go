@@ -34,6 +34,10 @@ type Frame struct {
 	// against it, and a frame without one is written whole.
 	base    []byte
 	hasBase bool
+
+	// pinners wait for the loading page to land, or for the reservation
+	// to end.
+	pinners sim.WaitQueue
 }
 
 // BufferStats counts buffer-pool events.
@@ -128,6 +132,7 @@ type BufferPool struct {
 	prefetchQ   []PageID
 	queued      []bool // by page id: in prefetchQ
 	prefetchCap int
+	idle        sim.WaitQueue // prefetchers with nothing to load
 
 	// readLat, when set, records the latency of every volume read miss
 	// — the foreground read latency a query experiences when its page is
@@ -338,10 +343,7 @@ func (bp *BufferPool) pin(ctx *IOCtx, id PageID, fresh bool) (*Frame, error) {
 					bp.table[id] = nil
 					continue
 				}
-				wait.Poll(10*sim.Microsecond, func() bool {
-					f := bp.table[id]
-					return f == nil || !f.loading || f.stealing
-				})
+				f.pinners.Wait(wait, 0)
 				continue
 			}
 			f.pin++
@@ -400,6 +402,7 @@ func (bp *BufferPool) pin(ctx *IOCtx, id PageID, fresh bool) (*Frame, error) {
 			}
 			if err != nil {
 				f.loading = false
+				f.pinners.Wake()
 				if bp.table[id] == f {
 					bp.table[id] = nil
 				}
@@ -420,6 +423,7 @@ func (bp *BufferPool) pin(ctx *IOCtx, id PageID, fresh bool) (*Frame, error) {
 			}
 		}
 		f.loading = false
+		f.pinners.Wake()
 		return f, nil
 	}
 }
@@ -439,11 +443,13 @@ func (bp *BufferPool) reserve(id PageID, stealing bool) *Frame {
 	return r
 }
 
-// unreserve drops r's mapping if it still holds one and frees r.
+// unreserve drops r's mapping if it still holds one, sends the pins
+// waiting on it back to the page table, and frees r.
 func (bp *BufferPool) unreserve(r *Frame) {
 	if bp.table[r.ID] == r {
 		bp.table[r.ID] = nil
 	}
+	r.pinners.Wake()
 	bp.spare = append(bp.spare, r)
 }
 
@@ -547,7 +553,7 @@ func (bp *BufferPool) grabVictim(ctx *IOCtx) (*Frame, error) {
 			f.prefet = false
 			return f, nil
 		}
-		wait.WaitUntil(wait.Now() + 50*sim.Microsecond) //noftl:ignore pollloop each retry sweeps the clock hand (ref bits, demotions, write-backs) under a round budget
+		wait.WaitUntil(wait.Now() + 50*sim.Microsecond)
 	}
 }
 
@@ -663,6 +669,7 @@ func (bp *BufferPool) RequestPrefetch(id PageID) bool {
 	}
 	bp.queued[id] = true
 	bp.prefetchQ = append(bp.prefetchQ, id)
+	bp.idle.Grant() // each request wakes one idle prefetcher
 	return true
 }
 
@@ -810,7 +817,7 @@ func (bp *BufferPool) FlushSnapshot(ctx *IOCtx) error {
 			if spin > 64 {
 				break
 			}
-			wait.WaitUntil(wait.Now() + 20*sim.Microsecond) //noftl:ignore pollloop spin budget: a page still pinned after 64 tries is skipped
+			wait.WaitUntil(wait.Now() + 20*sim.Microsecond)
 		}
 		if !f.dirty || f.pin > 0 || f.loading {
 			continue

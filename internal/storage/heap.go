@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+
+	"noftl/internal/sim"
 )
 
 // Errors from catalog and heap operations.
@@ -33,7 +35,8 @@ type object struct {
 	first   PageID // heap: first page of chain; index: root page
 	last    PageID // heap: last page (insert target)
 	fsm     []PageID
-	latched bool // index tree latch (see Engine.latchIndex)
+	latched bool          // index tree latch (see Engine.latchIndex)
+	latchQ  sim.WaitQueue // its waiters
 }
 
 // catalog keeps table/index metadata. The durable copy lives as records

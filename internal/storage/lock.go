@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"noftl/internal/sim"
 )
@@ -21,8 +20,8 @@ type lockKey struct {
 }
 
 type lockEntry struct {
-	owner uint64
-	queue []uint64 // waiting tx ids, FIFO
+	owner   uint64        // 0 while release hands the lock to the head waiter
+	waiters sim.WaitQueue // FIFO
 }
 
 // LockTable provides exclusive record locks with FIFO queueing and
@@ -39,8 +38,8 @@ type LockTable struct {
 	timeout sim.Time
 }
 
-// NewLockTable creates a lock table whose waits time out after 50ms of
-// simulated time.
+// NewLockTable creates a lock table whose waits time out 50ms of
+// simulated time after they queue.
 func NewLockTable() *LockTable {
 	return &LockTable{locks: make(map[lockKey]*lockEntry), timeout: 50 * sim.Millisecond}
 }
@@ -63,22 +62,13 @@ func (lt *LockTable) acquire(ctx *IOCtx, tx uint64, key lockKey) (held bool, err
 	if e.owner == tx {
 		return true, nil
 	}
-	// Queued, the entry is ours to watch: release hands a lock with
+	// Queued, the entry stays ours to wait on: release hands a lock with
 	// waiters on and frees only one with none.
-	e.queue = append(e.queue, tx)
-	wait := ctx.W
-	deadline := wait.Now() + lt.timeout
-	// The first look comes one period after queueing, not at once.
-	const every = 100 * sim.Microsecond
-	wait.WaitUntil(wait.Now() + every)
-	wait.Poll(every, func() bool { return e.owner == tx || wait.Now() >= deadline })
-	if e.owner == tx {
-		// Hand-off granted the lock to us.
-		return false, nil
+	if !e.waiters.Wait(ctx.W, ctx.W.Now()+lt.timeout) {
+		return false, fmt.Errorf("%w: tx %d on %v", ErrLockTimeout, tx, key)
 	}
-	i := slices.Index(e.queue, tx)
-	e.queue = slices.Delete(e.queue, i, i+1)
-	return false, fmt.Errorf("%w: tx %d on %v", ErrLockTimeout, tx, key)
+	e.owner = tx // release handed the lock to us
+	return false, nil
 }
 
 // release frees tx's hold on key, handing the lock to the FIFO head.
@@ -87,9 +77,8 @@ func (lt *LockTable) release(tx uint64, key lockKey) {
 	if e == nil || e.owner != tx {
 		return
 	}
-	if len(e.queue) > 0 {
-		e.owner = e.queue[0]
-		e.queue = slices.Delete(e.queue, 0, 1) // in place: a reused entry keeps its queue's capacity
+	if e.waiters.Grant() {
+		e.owner = 0
 		return
 	}
 	delete(lt.locks, key)

@@ -87,9 +87,9 @@ func TestLockTable(t *testing.T) {
 		}},
 		{"FIFO hand-off to two queued waiters", func(t *testing.T, lt *LockTable) {
 			// tx1 holds 0–1000 µs; tx2 queues at 10, tx3 at 20. Each waiter
-			// sees the hand-off at its next 100 µs look.
+			// is handed the lock the instant the one before releases it.
 			got := lockScript(lt, key, []int{0, 10, 20}, []int{1000, 500, 0})
-			want := []string{"tx1 granted at 0", "tx2 granted at 1010", "tx3 granted at 1520"}
+			want := []string{"tx1 granted at 0", "tx2 granted at 1000", "tx3 granted at 1500"}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("got %q, want %q", got, want)
 			}
@@ -102,7 +102,7 @@ func TestLockTable(t *testing.T) {
 			// tx2 (queued at 10) gives up at 310; tx3 (queued at 250) is
 			// then first in line when tx1 releases at 400.
 			got := lockScript(lt, key, []int{0, 10, 250}, []int{400, 0, 0})
-			want := []string{"tx1 granted at 0", "tx2 timeout at 310", "tx3 granted at 450"}
+			want := []string{"tx1 granted at 0", "tx2 timeout at 310", "tx3 granted at 400"}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("got %q, want %q", got, want)
 			}
@@ -119,7 +119,7 @@ func TestLockTable(t *testing.T) {
 			if held, err := lt.acquire(serial, 9, other); held || err != nil {
 				t.Fatalf("held %v err %v", held, err)
 			}
-			if e := lt.locks[other]; e != freed || e.owner != 9 || len(e.queue) != 0 || len(lt.free) != 0 {
+			if e := lt.locks[other]; e != freed || e.owner != 9 || !e.waiters.Empty() || len(lt.free) != 0 {
 				t.Errorf("entry %+v (reused: %v), %d still free", e, e == freed, len(lt.free))
 			}
 			lt.release(9, other) // nobody is handed the lock
@@ -129,6 +129,40 @@ func TestLockTable(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { tc.run(t, NewLockTable()) })
+	}
+}
+
+// TestLockWaitTimesOutAtItsDeadline: a queued lock times out exactly the
+// lock timeout after it queued, on no grid — with the default 50 ms and
+// with a timeout that is no multiple of a microsecond — and not a
+// nanosecond earlier, while the holder keeps the lock.
+func TestLockWaitTimesOutAtItsDeadline(t *testing.T) {
+	key := ridKey(RID{Page: 7, Slot: 3})
+	for _, timeout := range []sim.Time{50 * sim.Millisecond, 333*sim.Microsecond + 7} {
+		lt := NewLockTable()
+		lt.timeout = timeout
+		k := sim.New()
+		const queued = 12_345 // ns
+		var ended sim.Time
+		var err error
+		k.Go("holder", func(p *sim.Proc) {
+			lt.acquire(NewIOCtx(sim.ProcWaiter{P: p}), 1, key)
+			p.Sleep(2 * timeout)
+			lt.release(1, key)
+		})
+		k.Go("waiter", func(p *sim.Proc) {
+			p.Sleep(queued)
+			_, err = lt.acquire(NewIOCtx(sim.ProcWaiter{P: p}), 2, key)
+			ended = p.Now()
+		})
+		k.Run()
+		k.Shutdown()
+		if !errors.Is(err, ErrLockTimeout) || ended != queued+timeout {
+			t.Errorf("timeout %v: the wait ended at %v with %v, want ErrLockTimeout at %v", timeout, ended, err, queued+timeout)
+		}
+		if len(lt.locks) != 0 || len(lt.free) != 1 || !lt.free[0].waiters.Empty() {
+			t.Errorf("timeout %v: after the release: %d locks, %d free entries", timeout, len(lt.locks), len(lt.free))
+		}
 	}
 }
 
@@ -216,5 +250,43 @@ func TestUncontendedLockAllocatesNothing(t *testing.T) {
 func TestTxFitsItsSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Tx{}); n > 512 {
 		t.Errorf("Tx is %d bytes, want at most 512", n)
+	}
+}
+
+// TestPatientLatchWaitOutlivesTheLockTimeout: a held index latch is
+// handed FIFO to its waiters the instant it is released. A user
+// transaction's wait ends with ErrLockTimeout exactly one lock timeout
+// after it queued; a patient one (undo, recovery) waits as long as the
+// holder holds, and gets the latch.
+func TestPatientLatchWaitOutlivesTheLockTimeout(t *testing.T) {
+	e := &Engine{lt: NewLockTable()}
+	o := &object{name: "idx"}
+	timeout := e.lt.timeout
+	k := sim.New()
+	var log []string
+	latch := func(name string, at sim.Time, patient bool, hold sim.Time) {
+		k.Go(name, func(p *sim.Proc) {
+			p.Sleep(at)
+			if err := e.latchIndex(NewIOCtx(sim.ProcWaiter{P: p}), o, patient); err != nil {
+				log = append(log, fmt.Sprintf("%s %v at %d", name, errors.Is(err, ErrLockTimeout), p.Now()))
+				return
+			}
+			log = append(log, fmt.Sprintf("%s latched at %d", name, p.Now()))
+			p.Sleep(hold)
+			e.unlatchIndex(o)
+		})
+	}
+	latch("holder", 0, false, 3*timeout)
+	latch("undo", 10, true, 1)
+	latch("user", 20, false, 1)
+	k.Run()
+	k.Shutdown()
+	want := []string{
+		"holder latched at 0",
+		fmt.Sprintf("user true at %d", 20+timeout),
+		fmt.Sprintf("undo latched at %d", 3*timeout),
+	}
+	if !reflect.DeepEqual(log, want) || o.latched || !o.latchQ.Empty() {
+		t.Errorf("got %q, latch held %v; want %q and the latch free", log, o.latched, want)
 	}
 }

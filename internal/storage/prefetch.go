@@ -16,16 +16,14 @@ type PrefetcherConfig struct {
 	OnError func(error)
 }
 
-// prefetchPollInterval is the prefetchers' idle poll period.
-const prefetchPollInterval = 100 * sim.Microsecond
-
 // StartPrefetchers launches background read-ahead processes on the
 // kernel. They drain the buffer pool's prefetch queue (filled by
 // Engine.Scan when it detects a sequential heap scan) and load each
 // requested page on a context declaring ioreq.ClassPrefetch.
 // Several processes keep several reads in flight, which is what
-// pipelines a sequential scan across the dies. The returned stop
-// function halts them at their next poll.
+// pipelines a sequential scan across the dies. An idle prefetcher parks
+// until a request arrives for it. The returned stop function halts the
+// idle ones at once and the busy ones after their load.
 func (e *Engine) StartPrefetchers(k *sim.Kernel, cfg PrefetcherConfig) (stop func()) {
 	if cfg.N <= 0 {
 		cfg.N = 4
@@ -37,12 +35,10 @@ func (e *Engine) StartPrefetchers(k *sim.Kernel, cfg PrefetcherConfig) (stop fun
 			// make room stays ordinary write-back on ctx.
 			ctx := NewIOCtx(sim.ProcWaiter{P: p})
 			load := ctx.WithClass(ioreq.ClassPrefetch)
-			wanted := func() bool { return stopped || len(e.bp.prefetchQ) > 0 }
 			for !stopped {
 				id, ok := e.bp.PopPrefetch()
 				if !ok {
-					p.Sleep(prefetchPollInterval)
-					p.Poll(prefetchPollInterval, wanted)
+					e.bp.idle.Wait(ctx.W, 0)
 					continue
 				}
 				if err := e.bp.Prefetch(ctx, load, id); err != nil {
@@ -54,5 +50,8 @@ func (e *Engine) StartPrefetchers(k *sim.Kernel, cfg PrefetcherConfig) (stop fun
 			}
 		})
 	}
-	return func() { stopped = true }
+	return func() {
+		stopped = true
+		e.bp.idle.Wake()
+	}
 }

@@ -83,7 +83,8 @@ type WAL struct {
 	durable uint64
 
 	flushing bool
-	lead     IOCtx // the leader's descriptor when its class is not the flush's
+	flushed  sim.WaitQueue // committers waiting for the flush in flight to end
+	lead     IOCtx         // the leader's descriptor when its class is not the flush's
 	// flushBuf is the one page every flush formats into. One is enough:
 	// flushing admits a single flusher at a time, and the volume or log
 	// copies the page before its write returns.
@@ -214,12 +215,11 @@ func (w *WAL) doFlush(ctx *IOCtx, upTo uint64, cl ioreq.Class) error {
 	if upTo > w.nextLSN {
 		upTo = w.nextLSN
 	}
-	wait := ctx.W
 	for w.durable < upTo {
 		if w.flushing {
-			// Another process is flushing; it will advance durable.
-			need := upTo // a copy, so upTo itself does not escape on every call
-			wait.Poll(20*sim.Microsecond, func() bool { return !w.flushing || w.durable >= need })
+			// Another process is flushing: group commit behind it, woken
+			// when it ends.
+			w.flushed.Wait(ctx.W, 0)
 			continue
 		}
 		w.flushing = true
@@ -240,6 +240,7 @@ func (w *WAL) doFlush(ctx *IOCtx, upTo uint64, cl ioreq.Class) error {
 			err = w.writePages(lead, target)
 		}
 		w.flushing = false
+		w.flushed.Wake()
 		if err != nil {
 			return err
 		}

@@ -185,3 +185,34 @@ func TestAppendDoesNotRetainPayload(t *testing.T) {
 		}
 	})
 }
+
+// TestGroupCommitWaiterResumesWhenTheFlushEnds: a committer that finds
+// its record already inside another process's flush resumes the instant
+// that flush ends — on no tick grid — and writes nothing itself.
+func TestGroupCommitWaiterResumesWhenTheFlushEnds(t *testing.T) {
+	const delay = 333*sim.Microsecond + 7
+	walModes(t, 512, 64, delay, func(t *testing.T, w *WAL, _ func() *WAL) {
+		k := sim.New()
+		var leader, follower sim.Time
+		k.Go("leader", func(p *sim.Proc) {
+			w.Append(&LogRecord{Type: RecCommit, Tx: 1})
+			w.Append(&LogRecord{Type: RecCommit, Tx: 2}) // the follower's commit record
+			if err := w.Flush(NewIOCtx(sim.ProcWaiter{P: p}), w.NextLSN()); err != nil {
+				t.Error(err)
+			}
+			leader = p.Now()
+		})
+		k.Go("follower", func(p *sim.Proc) {
+			p.Sleep(5)
+			if err := w.Flush(NewIOCtx(sim.ProcWaiter{P: p}), w.NextLSN()); err != nil {
+				t.Error(err)
+			}
+			follower = p.Now()
+		})
+		k.Run()
+		k.Shutdown()
+		if leader != delay || follower != leader || w.Flushes != 1 {
+			t.Errorf("flush ended at %v, the follower resumed at %v, %d flushes; want %v, the same instant, 1", leader, follower, w.Flushes, delay)
+		}
+	})
+}

@@ -107,7 +107,10 @@ func TestReopenEveryNoFTLStack(t *testing.T) {
 					t.Fatalf("after restart: %+v, %v; want %+v", got, err, want)
 				}
 
-				runTerminals(t, sys, wl, 200*sim.Millisecond)
+				// 50 ms: the cached population on a memory log commits
+				// ~400,000 TPS, and this run has no checkpointer to keep
+				// the 64 MB log from wrapping.
+				runTerminals(t, sys, wl, 50*sim.Millisecond)
 				sys = reopen(t, sys)
 				got, err := tpcbCheck(sys.Ctx, sys.Engine)
 				if err != nil {

@@ -460,7 +460,6 @@ func (s *System) startTelemetry(opts options) {
 
 	// The simulator observing itself, after every simulated column.
 	t.Reg.Counter("sim.events", func() int64 { return int64(s.K.Stats().Events) })
-	t.Reg.Counter("sim.poll_ticks", func() int64 { return int64(s.K.Stats().PollTicks) })
 	t.Reg.Counter("sim.resumes", func() int64 { return int64(s.K.Stats().Resumes) })
 	t.Reg.Counter("sim.switches", func() int64 { return int64(s.K.Stats().Switches) })
 	t.Reg.Gauge("sim.heap_max", func() float64 { return float64(s.K.Stats().MaxPending) })
