@@ -141,8 +141,18 @@ func TestFigure4SmokeShape(t *testing.T) {
 	if res.DieWise.Y[1] <= res.DieWise.Y[0] {
 		t.Errorf("die-wise TPS did not scale with dies: %v", res.DieWise.Y)
 	}
-	if !strings.Contains(res.Table(), "speedup") {
-		t.Error("table missing")
+	// The db-writers write back at every point, and the table prints
+	// each association's split.
+	for _, p := range res.Points {
+		if p.AsyncWrites <= 0 {
+			t.Errorf("%d dies, %v writers: no db-writer write-back: %+v", p.Dies, p.Association, p)
+		}
+	}
+	table := res.Table()
+	for _, col := range []string{"speedup", "global sync", "global async", "die-wise sync", "die-wise async"} {
+		if !strings.Contains(table, col) {
+			t.Errorf("table has no %q column:\n%s", col, table)
+		}
 	}
 }
 
@@ -164,6 +174,9 @@ func TestValidateSmoke(t *testing.T) {
 	}
 }
 
+// TestLatencySmokeShape also pins that Latency returns: NoFTL's run ends
+// only when its writer stops the maintenance workers, whose wear sweep
+// would otherwise keep the kernel busy forever.
 func TestLatencySmokeShape(t *testing.T) {
 	res, err := Latency(LatencyConfig{Ops: 4000, DriveMB: 24, Dies: 2, Seed: 4})
 	if err != nil {
@@ -171,8 +184,11 @@ func TestLatencySmokeShape(t *testing.T) {
 	}
 	fh := res.HistOf(system.StackFaster)
 	nh := res.HistOf(system.StackNoFTL)
-	if fh == nil || nh == nil {
-		t.Fatal("missing histograms")
+	if len(res.Rows) != 2 || fh == nil || nh == nil {
+		t.Fatalf("rows: %+v", res.Rows)
+	}
+	if nh.Percentile(99) >= fh.Percentile(99) {
+		t.Errorf("noftl p99 %v not below faster's %v", nh.Percentile(99), fh.Percentile(99))
 	}
 	// The paper's motivation: the FTL path shows state-dependent
 	// outliers far above its average; NoFTL's tail stays much tighter.

@@ -83,15 +83,20 @@ type Fig4Result struct {
 // (the paper reports up to 1.5x for TPC-C and 1.43x for TPC-B).
 func (r *Fig4Result) Speedup() float64 { return r.DieWise.MaxRatio(&r.Global) }
 
-// Table renders the figure as rows.
+// Table renders the figure as rows, with each association's write-back
+// split: evictions that wrote their victim synchronously on the
+// foreground path versus pages the db-writers wrote back.
 func (r *Fig4Result) Table() string {
-	t := stats.NewTable("dies", "global TPS", "die-wise TPS", "speedup")
+	t := stats.NewTable("dies", "global TPS", "die-wise TPS", "speedup",
+		"global sync", "global async", "die-wise sync", "die-wise async")
 	for i := range r.Global.X {
 		sp := 0.0
 		if r.Global.Y[i] > 0 {
 			sp = r.DieWise.Y[i] / r.Global.Y[i]
 		}
-		t.Row(int(r.Global.X[i]), r.Global.Y[i], r.DieWise.Y[i], sp)
+		g, d := r.Points[2*i], r.Points[2*i+1] // Figure4 appends each die count's pair in this order
+		t.Row(int(r.Global.X[i]), r.Global.Y[i], r.DieWise.Y[i], sp,
+			g.SyncWrites, g.AsyncWrites, d.SyncWrites, d.AsyncWrites)
 	}
 	return t.String()
 }

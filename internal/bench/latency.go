@@ -9,6 +9,7 @@ import (
 	"noftl/internal/ioreq"
 	"noftl/internal/nand"
 	"noftl/internal/noftl"
+	"noftl/internal/sched"
 	"noftl/internal/sim"
 	"noftl/internal/stats"
 	"noftl/internal/system"
@@ -95,9 +96,9 @@ func Latency(cfg LatencyConfig) (*LatencyResult, error) {
 	}
 	res.Rows = append(res.Rows, LatencyRow{Stack: system.StackFaster, Hist: *fh})
 
-	// NoFTL: a background DES process keeps regions clean.
+	// NoFTL: the maintenance workers keep regions clean.
 	ndev := flash.New(mlcConfig(cfg))
-	nv, err := noftl.New(ndev, noftl.Config{})
+	nv, err := noftl.New(ndev, noftl.Config{BackgroundGC: true})
 	if err != nil {
 		return nil, err
 	}
@@ -118,8 +119,9 @@ func mlcConfig(cfg LatencyConfig) flash.Config {
 }
 
 // latencyRun fills the device, then measures per-write latency under
-// the DES kernel. When vol is non-nil, background GC processes run per
-// region.
+// the DES kernel. When vol is non-nil, the maintenance workers
+// (sched.StartMaintenance) collect beside the writer, which stops them
+// after its last op so that the run ends.
 func latencyRun(cfg LatencyConfig, write func(sim.Waiter, int64, []byte) error,
 	pages int64, vol *noftl.Volume) (*stats.Histogram, error) {
 	k := sim.New()
@@ -131,27 +133,13 @@ func latencyRun(cfg LatencyConfig, write func(sim.Waiter, int64, []byte) error,
 	}
 	var h stats.Histogram
 	var fatal error
-	stopped := false
-
+	stop := func() {}
 	if vol != nil {
-		for r := 0; r < vol.Regions(); r++ {
-			region := r
-			k.Go("gc", func(p *sim.Proc) {
-				rq := ioreq.Req{W: sim.ProcWaiter{P: p}, Class: ioreq.ClassGC}
-				for !stopped {
-					did, err := vol.GCStep(rq, region)
-					if err != nil {
-						fatal = err
-						return
-					}
-					if !did {
-						p.Sleep(100 * sim.Microsecond)
-					}
-				}
-			})
-		}
+		mt := sched.StartMaintenance(k, vol, sched.MaintConfig{OnError: func(err error) { fatal = err }})
+		stop = mt.Stop
 	}
 	k.Go("writer", func(p *sim.Proc) {
+		defer stop()
 		w := sim.ProcWaiter{P: p}
 		// Fill phase: sequential load to the target utilisation.
 		for lpn := int64(0); lpn < span; lpn++ {
@@ -170,10 +158,8 @@ func latencyRun(cfg LatencyConfig, write func(sim.Waiter, int64, []byte) error,
 			}
 			h.Add(p.Now() - t0)
 		}
-		stopped = true
 	})
 	k.Run()
-	stopped = true
 	k.Shutdown()
 	if fatal != nil {
 		return nil, fatal

@@ -99,8 +99,8 @@ type clientGroup struct {
 type rowCounter interface{ RowsScanned() int64 }
 
 // background returns the starters every run begins with, in their
-// fixed order: flash maintenance workers (background-GC systems),
-// db-writers (driving GC themselves otherwise), read-ahead prefetchers
+// fixed order: flash maintenance workers (background-GC systems; the
+// only processes that collect), db-writers, read-ahead prefetchers
 // (engines with a prefetch window).
 func background(wc storage.WriterConfig) []starter {
 	return []starter{
@@ -115,9 +115,6 @@ func background(wc storage.WriterConfig) []starter {
 			}
 		},
 		func(r *running) {
-			if v := r.sys.NoFTL; v != nil && !r.sys.BackgroundGC {
-				wc.GC, wc.NeedsGC = v.GCStep, v.NeedsGC
-			}
 			r.stops = append(r.stops, r.sys.Engine.StartWriters(r.sys.K, wc))
 		},
 		func(r *running) {

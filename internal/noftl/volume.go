@@ -12,7 +12,9 @@
 //   - Regions group dies; the buffer manager's db-writers can be
 //     associated die-wise to remove chip contention (§3.2).
 //   - GCStep exposes incremental garbage collection for DBMS-scheduled
-//     background cleaning, keeping it off the critical write path.
+//     background cleaning (sched.StartMaintenance), keeping it off the
+//     critical write path. Without it the volume collects inline, at
+//     the low-water mark on the allocating path.
 //   - Wear leveling and bad-block management run host-side with the same
 //     machinery (§3, Figure 2).
 package noftl
@@ -378,7 +380,8 @@ func (v *Volume) Invalidate(lpn int64) error {
 }
 
 // NeedsGC reports whether a region is below the background cleaning
-// watermark; db-writers use it to schedule GCStep off the commit path.
+// watermark; the maintenance workers (sched.StartMaintenance) use it to
+// run GCStep off the commit path.
 func (v *Volume) NeedsGC(region int) bool {
 	d := v.dies[region]
 	for plane := 0; plane < d.sp.Planes(); plane++ {

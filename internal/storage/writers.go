@@ -29,20 +29,14 @@ func (a WriterAssociation) String() string {
 	return "global"
 }
 
-// WriterConfig configures the background writer pool.
+// WriterConfig configures the background writer pool. Writers only write
+// dirty pages back; flash garbage collection is the volume's (inline) or
+// the maintenance workers' (sched.StartMaintenance), never theirs.
 type WriterConfig struct {
 	// N is the number of db-writer processes.
 	N int
 	// Association selects the dirty-page partitioning.
 	Association WriterAssociation
-	// GC and NeedsGC, set together, let writers run background flash GC
-	// on their regions when the volume wants it — the NoFTL integration
-	// for volumes built without maintenance workers (wired to
-	// noftl.Volume.GCStep/NeedsGC by the caller). The descriptor the
-	// writers pass declares the GC class, so maintenance is tagged at
-	// its origin.
-	GC      func(rq ioreq.Req, region int) (bool, error)
-	NeedsGC func(region int) bool
 	// Class, when not ioreq.ClassDefault, is declared on every request
 	// the writers issue (per-request tagging); the default leaves routing
 	// to the volume's static per-class device views.
@@ -54,8 +48,10 @@ type WriterConfig struct {
 // writerPollInterval is the db-writers' idle poll period.
 const writerPollInterval = 200 * sim.Microsecond
 
-// StartWriters launches cfg.N db-writer processes on the kernel. The
-// returned stop function halts them (they drain at the next poll).
+// StartWriters launches cfg.N db-writer processes on the kernel. Each
+// writes back dirty pages of its share — its die, or its slice of the
+// address space — and does nothing else. The returned stop function
+// halts them (they drain at the next poll).
 func (e *Engine) StartWriters(k *sim.Kernel, cfg WriterConfig) (stop func()) {
 	// Above an eighth of the frames dirty the writers work continuously;
 	// below it they only trickle.
@@ -63,42 +59,18 @@ func (e *Engine) StartWriters(k *sim.Kernel, cfg WriterConfig) (stop func()) {
 	stopped := false
 	regions := e.vol.Regions()
 	for i := 0; i < cfg.N; i++ {
-		i := i
 		k.Go("db-writer", func(p *sim.Proc) {
 			w := sim.ProcWaiter{P: p}
 			ctx := &IOCtx{W: w, Class: cfg.Class, Tag: cfg.Tag}
-			gcReq := ioreq.Req{W: w, Class: ioreq.ClassGC, Tag: cfg.Tag}
 			for !stopped {
-				worked := false
-				switch cfg.Association {
-				case AssocDieWise:
-					region := i % regions
-					ok, err := e.bp.WriteBack(ctx, region)
-					if err == nil && ok {
-						worked = true
-					}
-					if cfg.GC != nil && cfg.NeedsGC(region) {
-						if did, err := cfg.GC(gcReq, region); err == nil && did {
-							worked = true
-						}
-					}
-				default:
-					ok, err := e.bp.WriteBackGlobal(ctx, i, cfg.N)
-					if err == nil && ok {
-						worked = true
-					}
-					if cfg.GC != nil {
-						for r := 0; r < regions; r++ {
-							if cfg.NeedsGC(r) {
-								if did, err := cfg.GC(gcReq, r); err == nil && did {
-									worked = true
-								}
-								break
-							}
-						}
-					}
+				var worked bool
+				var err error
+				if cfg.Association == AssocDieWise {
+					worked, err = e.bp.WriteBack(ctx, i%regions)
+				} else {
+					worked, err = e.bp.WriteBackGlobal(ctx, i, cfg.N)
 				}
-				if !worked || e.bp.TotalDirty() < watermark {
+				if err != nil || !worked || e.bp.TotalDirty() < watermark {
 					p.Sleep(writerPollInterval)
 				}
 			}

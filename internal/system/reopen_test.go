@@ -193,11 +193,7 @@ func runTerminals(t *testing.T, sys *System, wl workload.Workload, d sim.Time) {
 	}
 	sys.Dev.ResetTime()
 	sys.StartMaintenance(sched.MaintConfig{OnError: fail})
-	wc := storage.WriterConfig{N: 2}
-	if v := sys.NoFTL; !sys.BackgroundGC {
-		wc.GC, wc.NeedsGC = v.GCStep, v.NeedsGC
-	}
-	sys.Engine.StartWriters(sys.K, wc)
+	sys.Engine.StartWriters(sys.K, storage.WriterConfig{N: 2})
 	background := sys.K.Alive()
 	counting := true
 	terms := workload.StartTerminals(sys.K, sys.Engine, wl, workload.TerminalConfig{

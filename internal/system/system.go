@@ -83,11 +83,6 @@ type System struct {
 	// catalog, session record API and admission controller over Engine.
 	Serve *serve.Front
 
-	// BackgroundGC records that the NoFTL volume was built for
-	// worker-driven GC; runners then start maintenance workers instead
-	// of piggybacking GC on the db-writers.
-	BackgroundGC bool
-
 	// blameCfg remembers the blame configuration for System.Blame.
 	blameCfg *blame.Config
 	// Reopen builds again from what the system was built from.
@@ -95,12 +90,14 @@ type System struct {
 	optFns []Option
 
 	logVol storage.Volume // the log's page volume (nil: the log is a flash region)
+	// backgroundGC records that the NoFTL volume was built for
+	// worker-driven GC: StartMaintenance then starts the workers.
+	backgroundGC bool
 }
 
 // options is what the Option functions tune: the optional subsystems
 // of a System. The zero value is the classic build: no command
-// scheduler, GC at the volume's low-water mark (inline plus
-// db-writer-driven).
+// scheduler, GC inline at the volume's low-water mark.
 type options struct {
 	// sched attaches a native command scheduler to the device and routes
 	// the NoFTL volume's (and log region's) commands through per-class
@@ -182,7 +179,7 @@ func build(cfg Config, optFns []Option, dev *flash.Device, crashed *System) (_ *
 		}
 	}()
 	s := &System{Stack: stack, Dev: dev, Ctx: storage.NewIOCtx(&sim.ClockWaiter{}), K: k,
-		BackgroundGC: opts.backgroundGC, cfg: cfg, optFns: optFns}
+		backgroundGC: opts.backgroundGC, cfg: cfg, optFns: optFns}
 	geo := dev.Geometry()
 	pageSize := geo.PageSize
 
@@ -674,9 +671,10 @@ func (s *System) OpenSession(tenant, store string) (*serve.Session, error) {
 // StartMaintenance launches the background flash-maintenance workers
 // (GC per region plus the wear-leveling sweep) for a background-GC
 // system; it returns nil on stacks without a NoFTL volume or built
-// without BackgroundGC.
+// without WithBackgroundGC. These workers are the only processes that
+// collect: without them GC runs inline, on the allocating path.
 func (s *System) StartMaintenance(cfg sched.MaintConfig) *sched.Maintenance {
-	if s.NoFTL == nil || !s.BackgroundGC {
+	if s.NoFTL == nil || !s.backgroundGC {
 		return nil
 	}
 	return sched.StartMaintenance(s.K, s.NoFTL, cfg)

@@ -66,8 +66,8 @@ func TestNewAllStacksAllOptionSets(t *testing.T) {
 					t.Fatal("blame-built system has no report")
 				}
 				wantBG := set.name == "scheduler+bggc"
-				if sys.BackgroundGC != wantBG {
-					t.Fatalf("BackgroundGC = %v, want %v", sys.BackgroundGC, wantBG)
+				if sys.backgroundGC != wantBG {
+					t.Fatalf("backgroundGC = %v, want %v", sys.backgroundGC, wantBG)
 				}
 				if maint := sys.StartMaintenance(sched.MaintConfig{}); (maint != nil) != (wantBG && sys.NoFTL != nil) {
 					t.Fatalf("StartMaintenance = %v on %s/%s", maint, stack, set.name)
@@ -158,7 +158,7 @@ func TestCallerLayoutNotMutated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if !sys.BackgroundGC || sys.Sched == nil {
+	if !sys.backgroundGC || sys.Sched == nil {
 		t.Fatal("options not applied")
 	}
 	if !reflect.DeepEqual(lay.Regions, before.Regions) || lay.Scheduler != nil {

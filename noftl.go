@@ -162,8 +162,6 @@ type (
 	// waiter. Mandatory — a nil *IOCtx or a zero-value IOCtx{} panics at
 	// its first I/O; build one with NewIOCtx.
 	IOCtx = storage.IOCtx
-	// WriterAssociation selects how db-writers divide the dirty pages.
-	WriterAssociation = storage.WriterAssociation
 )
 
 // Writer association strategies (§3.2, Figure 4).
