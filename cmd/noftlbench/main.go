@@ -10,8 +10,7 @@
 //	noftlbench -exp validate  # Demo 1: emulator validation
 //	noftlbench -exp delta     # A5: in-place appends (delta writes) vs full pages
 //	noftlbench -exp regions   # A6: configurable regions (WAL on a native log region)
-//	noftlbench -exp sched     # A7: command scheduling (background GC, priority queues,
-//	                          #     and the per-request-tagging ablation column)
+//	noftlbench -exp sched     # A7: command scheduling (background GC, priority queues)
 //	noftlbench -exp htap      # A8: HTAP — OLTP terminals vs analytical scans, pool policies
 //	noftlbench -exp qos       # per-request QoS demo: two tagged tenants, split p99
 //	noftlbench -exp serve     # serving front: record sessions + SLO-driven
@@ -373,20 +372,17 @@ func (a *app) sched() error {
 	if err != nil {
 		return err
 	}
-	a.printf("Ablation A7 (tpcb): inline GC vs background GC vs priority scheduling vs per-request tags\n%s", res.Table())
+	a.printf("Ablation A7 (tpcb): inline GC vs background GC vs priority scheduling\n%s", res.Table())
 	a.printf("\nper-class queue waits:\n%s", res.WaitTable())
-	a.printf("bg-gc+prio vs inline-gc: %.2fx TPS, %.2fx p99 commit, %.2fx p99 read\n",
+	a.printf("bg-gc+prio vs inline-gc: %.2fx TPS, %.2fx p99 commit, %.2fx p99 read\n\n",
 		res.Ratio("bg-gc+prio", "inline-gc", noftl.TPS),
 		res.Ratio("bg-gc+prio", "inline-gc", noftl.CommitP99),
 		res.Ratio("bg-gc+prio", "inline-gc", noftl.ReadP99))
-	a.printf("per-request tags vs static routing: %.2fx p99 commit\n\n",
-		res.Ratio("bg-gc+prio+tagged", "bg-gc+prio", noftl.CommitP99))
 	res.AddTo(a.report)
 	if cfg.Health {
 		a.printf("device health:\n%s", res.HealthTable())
 	}
-	// Export the last mode's run: the fully scheduled,
-	// descriptor-dispatched regime.
+	// Export the last mode's run: the fully scheduled regime.
 	last := &res.Rows[len(res.Rows)-1]
 	return a.export(last.Name, &last.Observed)
 }
@@ -413,8 +409,7 @@ func (a *app) qos() error {
 		return err
 	}
 	a.printf("Per-request QoS: two TPC-B tenants, one declared low-priority\n%s", res.Table())
-	a.printf("p99 commit split low/high: %.2fx (%d class-overriding dispatches)\n\n",
-		res.P99Ratio(), res.Result.Sched.Retagged)
+	a.printf("p99 commit split low/high: %.2fx\n\n", res.P99Ratio())
 	if res.Blame != nil {
 		if cs, ok := res.Blame.DominantMissedCulprit(noftl.TagLowPriority); ok {
 			a.printf("low tenant's dominant latency culprit behind missed deadlines: %s (%.0f%% of blamed wait)\n",

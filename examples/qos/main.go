@@ -29,7 +29,7 @@ func main() {
 	fmt.Println("Per-request QoS: two TPC-B tenants, one declared low-priority")
 	fmt.Print(res.Table())
 	fmt.Printf("\np99 commit split low/high: %.2fx\n", res.P99Ratio())
-	fmt.Printf("class-overriding dispatches: %d (sched.Stats.Retagged)\n", res.Result.Sched.Retagged)
+	fmt.Printf("low tenant's prefetch-class dispatches: %d\n", res.LowDispatches())
 	fmt.Println("\nThe split exists because the request descriptor — class, tag,")
 	fmt.Println("deadline — survives every layer: terminal → engine → volume →")
 	fmt.Println("region → per-die queue. A legacy block interface drops it at the")

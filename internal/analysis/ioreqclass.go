@@ -11,7 +11,7 @@ import (
 //
 //   - An ioreq.Req composite literal outside package ioreq must set
 //     Class explicitly. A forgotten Class silently dispatches at the
-//     volume's fallback routing — exactly the "layered stack loses
+//     command's op-type class — exactly the "layered stack loses
 //     request semantics" failure the descriptor exists to prevent. A
 //     deliberately intent-free descriptor is spelled ioreq.Plain(w).
 //   - A zero-value storage.IOCtx{} handed to an API call has no waiter

@@ -10,7 +10,7 @@ import (
 
 func tinyHealthConfig(seed int64) SchedConfig {
 	cfg := tinySchedConfig(seed)
-	cfg.Modes = []string{"bg-gc+prio+tagged"}
+	cfg.Modes = []string{"bg-gc+prio"}
 	cfg.Health = true
 	return cfg
 }

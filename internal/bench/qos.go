@@ -4,8 +4,10 @@ import (
 	"fmt"
 
 	"noftl/internal/ioreq"
+	"noftl/internal/sched"
 	"noftl/internal/sim"
 	"noftl/internal/stats"
+	"noftl/internal/storage"
 	"noftl/internal/system"
 	"noftl/internal/workload"
 )
@@ -52,8 +54,7 @@ type QoSConfig struct {
 const qosHighDeadline = 4 * sim.Millisecond
 
 // QoSResult is the QoS demo outcome. Result.Sched is the scheduler
-// accounting of the run (Retagged counts the low group's descriptor
-// overrides reaching the die queues).
+// accounting of the run.
 type QoSResult struct {
 	Result RunResult
 	// High and Low are the two tenants' rows of Result.Groups.
@@ -83,6 +84,11 @@ func (r *QoSResult) P99Ratio() float64 {
 	}
 	return float64(r.Low.Commit.Percentile(99)) / float64(hp)
 }
+
+// LowDispatches counts the commands the die queues served at the
+// prefetch class: the run starts no prefetchers, so these are the low
+// tenant's declared commands reaching the scheduler.
+func (r *QoSResult) LowDispatches() int64 { return r.Result.Sched.Scheduled[sched.ClassPrefetch] }
 
 // Table renders the per-group comparison.
 func (r *QoSResult) Table() string {
@@ -145,7 +151,7 @@ func QoS(cfg QoSConfig) (*QoSResult, error) {
 			}
 			return wlLow.Load(sys.Ctx, sys.Engine)
 		},
-		start: append(background(taggedWriters(cfg.Writers)),
+		start: append(background(cfg.Writers, storage.AssocDieWise),
 			terminals("high", wlHigh, workload.TerminalConfig{
 				N: highN, Seed: cfg.Seed,
 				TagOf:         func(int) uint32 { return TagHighPriority },
@@ -160,7 +166,7 @@ func QoS(cfg QoSConfig) (*QoSResult, error) {
 				ClassOf:       func(int) ioreq.Class { return ioreq.ClassPrefetch },
 				DeadlineAfter: deadline(cfg.LowDeadline),
 			}),
-			stdCheckpointer(true)),
+			stdCheckpointer.start),
 		warm:    cfg.Warm,
 		measure: cfg.Measure,
 		fault:   cfg.fault,

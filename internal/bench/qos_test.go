@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"noftl/internal/sched"
 	"noftl/internal/sim"
 	"noftl/internal/workload"
 )
@@ -11,7 +12,8 @@ import (
 // one priority-scheduled stack, one declared low-priority through the
 // request descriptor — the per-tag p99 commit latencies must diverge
 // (low above high), and the descriptors must actually reach the die
-// queues (Retagged > 0).
+// queues: the run has no prefetchers, so every prefetch-class dispatch
+// is a low-tenant command that declared its class.
 func TestQoSTagSplit(t *testing.T) {
 	res, err := QoS(QoSConfig{
 		Params: Params{Dies: 4, DriveMB: 32, Workers: 12, Writers: 4, Frames: 128,
@@ -24,8 +26,8 @@ func TestQoSTagSplit(t *testing.T) {
 	if res.High.Committed == 0 || res.Low.Committed == 0 {
 		t.Fatalf("both groups must commit: high=%d low=%d", res.High.Committed, res.Low.Committed)
 	}
-	if res.Result.Sched.Retagged == 0 {
-		t.Fatal("low-priority descriptors never reached the die queues (Retagged = 0)")
+	if res.Result.Sched.Scheduled[sched.ClassPrefetch] == 0 {
+		t.Fatal("low-priority descriptors never reached the die queues (no prefetch-class dispatches)")
 	}
 	ratio := res.P99Ratio()
 	if ratio <= 1.25 {

@@ -111,8 +111,10 @@ type rowCounter interface{ RowsScanned() int64 }
 // background returns the starters every run begins with, in their
 // fixed order: flash maintenance workers (background-GC systems; the
 // only processes that collect), db-writers, read-ahead prefetchers
-// (engines with a prefetch window).
-func background(wc storage.WriterConfig) []starter {
+// (engines with a prefetch window). The db-writers declare their intent
+// at the origin: program class, their own stream tag.
+func background(writers int, assoc storage.WriterAssociation) []starter {
+	wc := storage.WriterConfig{N: writers, Association: assoc, Class: ioreq.ClassProgram, Tag: tagWriters}
 	return []starter{
 		func(r *running) {
 			cfg := sched.MaintConfig{OnError: r.fail}
@@ -140,14 +142,6 @@ func background(wc storage.WriterConfig) []starter {
 	}
 }
 
-// taggedWriters is the db-writer pool declaring its intent at the
-// origin: die-wise, program class, own stream tag — flush traffic stops
-// inheriting the WAL device view's priority.
-func taggedWriters(n int) storage.WriterConfig {
-	return storage.WriterConfig{N: n, Association: storage.AssocDieWise,
-		Class: ioreq.ClassProgram, Tag: tagWriters}
-}
-
 // checkpointer parameterises the periodic checkpoint process.
 type checkpointer struct {
 	tick sim.Time // poll period
@@ -156,24 +150,21 @@ type checkpointer struct {
 	// wrapping into the anchored checkpoint.
 	every   sim.Time
 	logFrac uint64
-	// tagged declares the checkpointer background work (program class,
-	// own stream tag): its page flushes AND its log writes yield to
-	// commit-path appends.
-	tagged bool
+	// class is the class the checkpointer declares beside its stream
+	// tag. ClassProgram marks it background work: its page flushes AND
+	// its log writes yield to commit-path appends. ClassDefault leaves
+	// its log writes in the WAL class (WAL.bgLogClass).
+	class ioreq.Class
 }
 
-// stdCheckpointer is the cadence of every TPS-style run.
-func stdCheckpointer(tagged bool) starter {
-	return checkpointer{tick: 100 * sim.Millisecond, every: 2 * sim.Second, logFrac: 2, tagged: tagged}.start
-}
+// stdCheckpointer is the cadence and class of every TPS-style run.
+var stdCheckpointer = checkpointer{tick: 100 * sim.Millisecond, every: 2 * sim.Second, logFrac: 2,
+	class: ioreq.ClassProgram}
 
 func (c checkpointer) start(r *running) {
 	e := r.sys.Engine
 	r.sys.K.Go("checkpointer", func(p *sim.Proc) {
-		ctx := storage.NewIOCtx(sim.ProcWaiter{P: p})
-		if c.tagged {
-			ctx = ctx.WithClass(ioreq.ClassProgram).WithTag(tagCheckpointer)
-		}
+		ctx := &storage.IOCtx{W: sim.ProcWaiter{P: p}, Class: c.class, Tag: tagCheckpointer}
 		wal := e.Log()
 		last := p.Now()
 		for !r.stopped {
@@ -427,13 +418,6 @@ type TPSConfig struct {
 	Warm        sim.Time // excluded from the TPS window
 	Measure     sim.Time
 	Seed        int64
-	// Tagged turns on per-request descriptors for the background
-	// machinery: db-writers declare the program class and the
-	// checkpointer declares itself background, so their WAL flushes stop
-	// outranking commit appends just because they share the log device
-	// view. False reproduces static ClassDevs routing exactly — the
-	// ablation baseline.
-	Tagged bool
 	// DeadlineAfter, when non-nil, stamps each of terminal i's
 	// transactions with a completion deadline that far ahead (scheduler
 	// promotion past it).
@@ -447,17 +431,13 @@ type TPSConfig struct {
 // background db-writers, a checkpointer, and — on a background-GC
 // system — dedicated flash-maintenance workers.
 func RunTPS(sys *system.System, wl workload.Workload, cfg TPSConfig) (*RunResult, error) {
-	wc := storage.WriterConfig{N: cfg.Writers, Association: cfg.Association}
-	if cfg.Tagged {
-		wc.Class, wc.Tag = ioreq.ClassProgram, tagWriters
-	}
 	return execute(sys, run{
 		name: fmt.Sprintf("%s on %s", wl.Name(), sys.Stack),
 		load: func(sys *system.System) error { return wl.Load(sys.Ctx, sys.Engine) },
-		start: append(background(wc),
+		start: append(background(cfg.Writers, cfg.Association),
 			terminals("oltp", wl, workload.TerminalConfig{
 				N: cfg.Workers, Seed: cfg.Seed, DeadlineAfter: cfg.DeadlineAfter}),
-			stdCheckpointer(cfg.Tagged)),
+			stdCheckpointer.start),
 		warm:       cfg.Warm,
 		measure:    cfg.Measure,
 		trackReads: true,

@@ -20,7 +20,7 @@ var loopDrivers = []struct {
 }{
 	{"tps", func(seed int64, brief bool, fault func(string) error) (rowAdder, error) {
 		cfg := tinySchedConfig(seed)
-		cfg.Modes = []string{"inline-gc", "bg-gc+prio+tagged"}
+		cfg.Modes = []string{"inline-gc", "bg-gc+prio"}
 		if brief {
 			cfg.Modes = cfg.Modes[1:] // the regime with maintenance workers
 		}

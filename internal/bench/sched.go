@@ -24,12 +24,10 @@ import (
 //   - bg-gc+prio: background maintenance plus the priority scheduler —
 //     foreground reads > WAL appends > data programs > GC, with erase
 //     suspension so a read never waits out a full tBERS.
-//   - bg-gc+prio+tagged: the priority scheduler dispatching on
-//     per-request descriptors (package ioreq) instead of static
-//     per-volume class routing: db-writers and the checkpointer declare
-//     themselves background at the origin, so the log traffic they
-//     induce stops outranking commit-path appends just because it
-//     shares the WAL device view.
+//
+// In every regime a command dispatches at the class its request declares
+// (package ioreq), else at its op type's class; the db-writers and the
+// checkpointer declare themselves background at the origin.
 //
 // The ablation reports TPS and the commit/read latency distributions
 // (p50/p95/p99), which is where scheduling shows up: means barely move,
@@ -44,44 +42,38 @@ type SchedConfig struct {
 	// Workload is "tpcb" (default; sized per geometry to ~68% of the
 	// data region at load) or "tpcc" (4 warehouses).
 	Workload string
-	Modes    []string // the regimes to run, by row name (default: all four)
+	Modes    []string // the regimes to run, by row name (default: all three)
 }
 
 // SchedAblation runs the regimes: one freshly built region-managed
 // system each, same seed, same workload. Its ratios: bg-gc+prio over
 // inline-gc TPS and p99 commit and read latency (< 1: the scheduled
-// stack has the shorter tail), and bg-gc+prio+tagged over bg-gc+prio p99
-// commit latency — what dispatching on per-request descriptors buys over
-// static per-volume class routing.
+// stack has the shorter tail).
 func SchedAblation(cfg SchedConfig) (*Rows, error) {
 	cfg.Params = cfg.Params.withDefaults("sched")
 	if cfg.Workload == "" {
 		cfg.Workload = "tpcb"
 	}
-	run := func(tagged bool) func(*system.System) (*RunResult, error) {
-		return func(sys *system.System) (*RunResult, error) {
-			wl := oltpWorkload(cfg.Workload, deriveTPCB(sys.NoFTL.LogicalPages(), 0.68),
-				workload.TPCCConfig{Warehouses: 4})
-			return RunTPS(sys, wl, TPSConfig{
-				Workers:     cfg.Workers,
-				Writers:     cfg.Writers,
-				Association: storage.AssocDieWise,
-				Warm:        cfg.Warm,
-				Measure:     cfg.Measure,
-				Seed:        cfg.Seed,
-				Tagged:      tagged,
-				fault:       cfg.fault,
-			})
-		}
+	run := func(sys *system.System) (*RunResult, error) {
+		wl := oltpWorkload(cfg.Workload, deriveTPCB(sys.NoFTL.LogicalPages(), 0.68),
+			workload.TPCCConfig{Warehouses: 4})
+		return RunTPS(sys, wl, TPSConfig{
+			Workers:     cfg.Workers,
+			Writers:     cfg.Writers,
+			Association: storage.AssocDieWise,
+			Warm:        cfg.Warm,
+			Measure:     cfg.Measure,
+			Seed:        cfg.Seed,
+			fault:       cfg.fault,
+		})
 	}
 	fcfs := system.WithScheduler(sched.Config{Policy: sched.FCFS})
 	prio := []system.Option{system.WithPriorityScheduler(), system.WithBackgroundGC()}
 	regions := system.StackNoFTLRegions
 	return cfg.runVariants("sched", cfg.Workload, only(cfg.Modes, []variant{
-		{"inline-gc", regions, []system.Option{fcfs}, run(false)},
-		{"bg-gc", regions, []system.Option{fcfs, system.WithBackgroundGC()}, run(false)},
-		{"bg-gc+prio", regions, prio, run(false)},
-		{"bg-gc+prio+tagged", regions, prio, run(true)},
+		{"inline-gc", regions, []system.Option{fcfs}, run},
+		{"bg-gc", regions, []system.Option{fcfs, system.WithBackgroundGC()}, run},
+		{"bg-gc+prio", regions, prio, run},
 	}))
 }
 

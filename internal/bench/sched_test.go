@@ -11,18 +11,17 @@ func tinySchedConfig(seed int64) SchedConfig {
 		Warm: 300 * sim.Millisecond, Measure: 1 * sim.Second, Seed: seed}}
 }
 
-// TestSchedAblationSmoke runs the four regimes at tiny geometry and
+// TestSchedAblationSmoke runs the three regimes at tiny geometry and
 // checks the result structure: work happened in every mode, latency
 // histograms are populated, background modes report GC-worker progress,
-// the priority mode actually scheduled and suspended, and the tagged
-// mode's per-request descriptors reached the die queues.
+// and the priority mode actually scheduled and suspended.
 func TestSchedAblationSmoke(t *testing.T) {
 	res, err := SchedAblation(tinySchedConfig(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(res.Rows))
+	if len(res.Rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(res.Rows))
 	}
 	for _, row := range res.Rows {
 		if row.Result.Committed == 0 {
@@ -38,20 +37,10 @@ func TestSchedAblationSmoke(t *testing.T) {
 			t.Fatalf("%s occupancy = %.2f, want GC-pressure regime", row.Name, row.Occupancy)
 		}
 	}
-	for _, mode := range []string{"bg-gc", "bg-gc+prio", "bg-gc+prio+tagged"} {
+	for _, mode := range []string{"bg-gc", "bg-gc+prio"} {
 		if res.Row(mode).Result.GCSteps == 0 {
 			t.Fatalf("%s background workers made no GC progress", mode)
 		}
-	}
-	// Per-request descriptors only flow in the tagged regime.
-	if res.Row("bg-gc+prio+tagged").Result.Sched.Retagged == 0 {
-		t.Fatal("tagged mode: no descriptor reached the die queues")
-	}
-	if res.Row("bg-gc+prio").Result.Sched.Retagged != 0 {
-		t.Fatal("static mode dispatched on request descriptors")
-	}
-	if res.Ratio("bg-gc+prio+tagged", "bg-gc+prio", CommitP99) <= 0 {
-		t.Fatal("tagged-vs-static ratio missing")
 	}
 	if res.Row("inline-gc").Result.GCSteps != 0 {
 		t.Fatal("inline mode ran background GC workers")
@@ -71,13 +60,13 @@ func TestSchedAblationSmoke(t *testing.T) {
 	}
 }
 
-// TestSchedAblationDeterministic repeats the priority and tagged
-// regimes with a fixed seed and expects identical throughput and
-// device counters — per-request descriptors must not introduce
-// scheduling nondeterminism.
+// TestSchedAblationDeterministic repeats the priority regime with a
+// fixed seed and expects identical throughput and device counters —
+// per-request descriptors must not introduce scheduling
+// nondeterminism.
 func TestSchedAblationDeterministic(t *testing.T) {
 	cfg := tinySchedConfig(7)
-	cfg.Modes = []string{"bg-gc+prio", "bg-gc+prio+tagged"}
+	cfg.Modes = []string{"bg-gc+prio"}
 	a, err := SchedAblation(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -132,10 +121,12 @@ func TestSchedJSONRow(t *testing.T) {
 // whoever releases it, so the kernel fires an event only when something
 // happens. The counts repeat exactly per seed, so the guard is exact:
 // 469,981 events while those waits re-tested their conditions on 10–200 µs
-// ticks, and at most a quarter of that is the bar. The pin is 103,619
-// since the db-writers park until a frame is due (88,446 before, when
-// they slept 200 µs between polls: fewer commits then, 24.2 events per
-// commit against 17.8). A reintroduced
+// ticks, and at most a quarter of that is the bar. The pin is 104,747
+// since the db-writers and the checkpointer declare their class in this
+// regime (the count the former per-request-tags regime had; 103,619
+// while they declared nothing), and the writers park until a frame is
+// due (88,446 before, when they slept 200 µs between polls: fewer
+// commits then, 24.2 events per commit against 17.8). A reintroduced
 // periodic wait moves the count. A resume costs at most one goroutine
 // switch — none when the process that parked is the next to run — so
 // Switches may not pass Resumes.
@@ -150,7 +141,7 @@ func TestKernelEventsOfTheSchedSmoke(t *testing.T) {
 	t.Logf("kernel: %+v (resumes %.1f%% of events; %.1f%% of resumes kept the goroutine; %.1f events per commit)", st,
 		100*float64(st.Resumes)/float64(st.Events), 100*(1-float64(st.Switches)/float64(st.Resumes)),
 		float64(st.Events)/float64(res.Rows[0].Result.Committed))
-	const polled, want = 469_981, 103_619
+	const polled, want = 469_981, 104_747
 	if st.Events != want || 4*st.Events > polled {
 		t.Errorf("%d kernel events, want exactly %d (at most a quarter of the %d the polling waits fired)", st.Events, want, polled)
 	}

@@ -18,7 +18,7 @@ import (
 // declares ClassGC at the engine layer must reach the die queue as a GC
 // command, be recorded as GC (with its stream tag) in the command log,
 // and show up in the scheduler's per-class queue-wait accounting — even
-// though the volume routed it through its foreground device views.
+// though its op types (program, read) would dispatch it elsewhere.
 func TestClassInheritanceEndToEnd(t *testing.T) {
 	for _, stack := range []system.Stack{system.StackNoFTL, system.StackNoFTLRegions} {
 		t.Run(string(stack), func(t *testing.T) {
@@ -53,9 +53,6 @@ func TestClassInheritanceEndToEnd(t *testing.T) {
 			if st.Scheduled[sched.ClassGC] < 2 {
 				t.Fatalf("declared-GC write+read must dispatch as GC: scheduled=%v", st.Scheduled)
 			}
-			if st.Retagged < 2 {
-				t.Fatalf("descriptor overrides not counted: retagged=%d", st.Retagged)
-			}
 			var gotProgram, gotRead bool
 			for _, ev := range log.Events {
 				if ev.Tag != tag {
@@ -88,5 +85,44 @@ func TestClassInheritanceEndToEnd(t *testing.T) {
 					len(log.Events), st.Scheduled)
 			}
 		})
+	}
+}
+
+// TestUndeclaredCheckpointAnchorsAtWALClass: a checkpoint whose context
+// declares nothing writes its log anchor at the WAL class, as its log
+// flush does — not at the program class its op type alone would give.
+func TestUndeclaredCheckpointAnchorsAtWALClass(t *testing.T) {
+	log := &trace.CmdLog{}
+	devCfg := flash.EmulatorConfig(2, 16, nand.SLC)
+	sys, err := system.New(system.Config{Stack: system.StackNoFTLRegions, Device: &devCfg, Frames: 64},
+		system.WithScheduler(sched.Config{Policy: sched.Priority, Trace: log.Record}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	logDies := map[int]bool{}
+	for _, die := range sys.Regions.Region("log").Dies {
+		logDies[die] = true
+	}
+	var runErr error
+	sys.K.Go("checkpointer", func(p *sim.Proc) {
+		runErr = sys.Engine.Checkpoint(storage.NewIOCtx(sim.ProcWaiter{P: p}))
+	})
+	sys.K.RunFor(sim.Second)
+	sys.K.Shutdown()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	// The anchor is the checkpoint's last program on the log region.
+	var anchor *sched.Event
+	for i, ev := range log.Events {
+		if logDies[ev.Die] && ev.Op == "program" {
+			anchor = &log.Events[i]
+		}
+	}
+	if anchor == nil {
+		t.Fatalf("no log-region program among %d commands", len(log.Events))
+	}
+	if anchor.Class != sched.ClassWAL {
+		t.Fatalf("undeclared checkpoint anchor dispatched at %v, want %v", anchor.Class, sched.ClassWAL)
 	}
 }

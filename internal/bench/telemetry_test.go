@@ -12,13 +12,13 @@ import (
 
 func tinyTelemetryConfig(seed int64) SchedConfig {
 	cfg := tinySchedConfig(seed)
-	cfg.Modes = []string{"bg-gc+prio+tagged"}
+	cfg.Modes = []string{"bg-gc+prio"}
 	cfg.Blame = &blame.Config{} // owns the command log the trace export draws from
 	cfg.Telemetry = &telemetry.Config{SlowestK: 8, RetainSpans: true}
 	return cfg
 }
 
-// TestTelemetryAcceptance drives the tagged regime with the full
+// TestTelemetryAcceptance drives the priority regime with the full
 // pipeline on and checks the PR's acceptance criteria: spans decompose
 // into per-layer stages summing exactly to end-to-end latency, the
 // exported trace covers every dispatched command, the series has dense
@@ -135,7 +135,7 @@ func TestTelemetryDeterministicExports(t *testing.T) {
 // perturb the simulation).
 func TestTelemetryOffNoSpans(t *testing.T) {
 	off := tinySchedConfig(13)
-	off.Modes = []string{"bg-gc+prio+tagged"}
+	off.Modes = []string{"bg-gc+prio"}
 	resOff, err := SchedAblation(off)
 	if err != nil {
 		t.Fatal(err)

@@ -56,12 +56,9 @@ type SeqLogConfig struct {
 	// Dies lists the device dies the log region owns. Empty means every
 	// die of the device.
 	Dies []int
-	// Dev optionally reroutes appends and reads through a command
-	// scheduler view (class WAL). Nil: the raw device.
+	// Dev optionally routes every command through a command scheduler's
+	// device (sched.Scheduler.Dev). Nil: the raw device.
 	Dev flash.Dev
-	// GCDev reroutes truncation erases and bad-block salvage copies
-	// (class GC). Nil: Dev.
-	GCDev flash.Dev
 }
 
 func (c SeqLogConfig) withDefaults(dev *flash.Device) SeqLogConfig {
@@ -82,8 +79,7 @@ type seqExt struct {
 // SeqLog is the sequential log region manager.
 type SeqLog struct {
 	dev   *flash.Device
-	io    flash.Dev // append/read path (class WAL when scheduled)
-	gcio  flash.Dev // truncation erases and salvage (class GC)
+	io    flash.Dev // every command (SeqLogConfig.Dev, else the raw device)
 	sps   []DieSpace
 	bts   []*BlockTable
 	exts  []seqExt
@@ -101,10 +97,6 @@ func NewSeqLog(dev *flash.Device, cfg SeqLogConfig) (*SeqLog, error) {
 	l.io = cfg.Dev
 	if l.io == nil {
 		l.io = dev
-	}
-	l.gcio = cfg.GCDev
-	if l.gcio == nil {
-		l.gcio = l.io
 	}
 	for _, die := range cfg.Dies {
 		if die < 0 || die >= dev.Geometry().Dies() {
@@ -272,13 +264,13 @@ retry:
 			src := l.sps[bad.die].PPN(bad.local, i)
 			dst := l.sps[repl.die].PPN(repl.local, i)
 			l.stats.GCReads++
-			if _, err := l.gcio.ReadPage(w, src, buf); err != nil && !errors.Is(err, nand.ErrPageErased) {
+			if _, err := l.io.ReadPage(w, src, buf); err != nil && !errors.Is(err, nand.ErrPageErased) {
 				return err
 			}
 			l.seq++
 			oob := nand.OOB{LPN: uint64(extStart + int64(i)), Seq: l.seq, Flags: OOBSeqLogFlag}
 			l.stats.GCWrites++
-			if err := l.gcio.ProgramPage(w, dst, buf, oob); err != nil {
+			if err := l.io.ProgramPage(w, dst, buf, oob); err != nil {
 				l.stats.GCWrites--
 				if errors.Is(err, nand.ErrBadBlock) {
 					// The replacement went bad too: drop it and retry.
@@ -324,7 +316,7 @@ func (l *SeqLog) Truncate(rq ioreq.Req, keepFrom int64) error {
 	for len(l.exts) > 1 && l.base+ppb <= keepFrom {
 		e := l.exts[0]
 		l.stats.Erases++
-		err := l.gcio.EraseBlock(w, l.sps[e.die].PBN(e.local))
+		err := l.io.EraseBlock(w, l.sps[e.die].PBN(e.local))
 		switch {
 		case err == nil:
 			l.bts[e.die].Release(e.local)

@@ -10,8 +10,8 @@
 //
 //   - Class declares the scheduler priority class the request should
 //     dispatch at. ClassDefault declares nothing: the command's op type
-//     decides (the per-class device view the volume issued it through,
-//     noftl.ClassDevs).
+//     decides (read → read, program → program, erase and copyback →
+//     GC; see sched.Scheduler.Dev).
 //   - Tag names the request's stream (a terminal group, the
 //     checkpointer, a GC worker), so per-stream latency attribution in
 //     the command log is exact even when two streams share a class.
@@ -36,8 +36,8 @@ type Class uint8
 
 // Request classes, highest priority first after the default.
 const (
-	// ClassDefault declares nothing: the command's op type decides (the
-	// per-class device view it is issued through, noftl.ClassDevs).
+	// ClassDefault declares nothing: the command's op type decides
+	// (sched.Scheduler.Dev).
 	ClassDefault Class = iota
 	// ClassRead is foreground page reads (query latency).
 	ClassRead

@@ -182,7 +182,7 @@ func (d *dieMgr) writeDelta(w sim.Waiter, dlpn, globalLPN int64, payload []byte)
 
 		buf := encodeDeltaRecord(globalLPN, seq, payload)
 		oob := nand.OOB{LPN: uint64(globalLPN), Seq: seq, Flags: oobDeltaFlag}
-		perr := d.devData.ProgramPartial(w, ref.ppn, off, buf, oob)
+		perr := d.io.ProgramPartial(w, ref.ppn, off, buf, oob)
 		if perr == nil {
 			return nil
 		}
@@ -304,13 +304,9 @@ func (d *dieMgr) statsRead(gcPath bool) {
 // readFolded reads the page's base image into buf and applies its delta
 // chain. Used by both the read path and folding.
 func (d *dieMgr) readFolded(w sim.Waiter, dlpn int64, base nand.PPN, snap []chainRef, buf []byte, gcPath bool) error {
-	dev := d.devFG
-	if gcPath {
-		dev = d.devGC
-	}
 	if base != nand.InvalidPPN {
 		d.statsRead(gcPath)
-		if _, err := dev.ReadPage(w, base, buf); err != nil && !errors.Is(err, nand.ErrPageErased) {
+		if _, err := d.io.ReadPage(w, base, buf); err != nil && !errors.Is(err, nand.ErrPageErased) {
 			return err
 		}
 	} else {
@@ -326,7 +322,7 @@ func (d *dieMgr) readFolded(w sim.Waiter, dlpn int64, base nand.PPN, snap []chai
 	for _, ref := range snap {
 		if ref.ppn != last {
 			d.statsRead(gcPath)
-			if _, err := dev.ReadPage(w, ref.ppn, scratch); err != nil && !errors.Is(err, nand.ErrPageErased) {
+			if _, err := d.io.ReadPage(w, ref.ppn, scratch); err != nil && !errors.Is(err, nand.ErrPageErased) {
 				return err
 			}
 			last = ref.ppn
@@ -424,12 +420,8 @@ func (d *dieMgr) foldChain(w sim.Waiter, dlpn int64, extra []byte, gcPath bool) 
 		} else {
 			d.stats.HostWrites++
 		}
-		foldDev := d.devData
-		if gcPath {
-			foldDev = d.devGC
-		}
 		for {
-			perr := foldDev.ProgramPage(w, dst, buf, oob)
+			perr := d.io.ProgramPage(w, dst, buf, oob)
 			if perr == nil {
 				return nil
 			}

@@ -447,10 +447,7 @@ func TestChainedReadDispatchesAtDeclaredClass(t *testing.T) {
 	var evs []sched.Event
 	s := sched.New(k, dev, sched.Config{Policy: sched.Priority,
 		Trace: func(ev sched.Event) { evs = append(evs, ev) }})
-	v, err := New(dev, Config{Devs: ClassDevs{
-		Read: s.Bind(sched.ClassRead), WAL: s.Bind(sched.ClassWAL),
-		Data: s.Bind(sched.ClassProgram), GC: s.Bind(sched.ClassGC),
-	}})
+	v, err := New(dev, Config{Dev: s.Dev()})
 	if err != nil {
 		t.Fatal(err)
 	}

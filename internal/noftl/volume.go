@@ -69,11 +69,11 @@ type Config struct {
 	// where several independently-managed volumes share one die array.
 	// Empty means every die.
 	Dies []int
-	// Devs routes commands through per-class device views (a command
-	// scheduler's Bind results; see package sched). Nil fields fall back
-	// to the raw device: the unscheduled volume behaves exactly as
-	// before.
-	Devs ClassDevs
+	// Dev routes every command through a command scheduler's device
+	// (sched.Scheduler.Dev), which dispatches it at the class its
+	// request declares, else at its op type's class. Nil: the raw
+	// device.
+	Dev flash.Dev
 	// BackgroundGC takes garbage collection off the write path: the
 	// write path reclaims space inline only when a plane is completely
 	// out of free blocks (the emergency floor); routine cleaning is left
@@ -81,32 +81,6 @@ type Config struct {
 	// Without background workers the volume still functions — every
 	// collection just becomes an emergency one.
 	BackgroundGC bool
-}
-
-// ClassDevs binds each command class the volume issues to a device
-// view, so an attached scheduler can prioritize foreground traffic over
-// maintenance. The zero value routes everything to the raw device.
-type ClassDevs struct {
-	Read flash.Dev // page reads
-	WAL  flash.Dev // HintLog appends (commit path)
-	Data flash.Dev // data page programs and delta appends
-	GC   flash.Dev // GC copies, folds, erases, wear moves
-}
-
-func (c ClassDevs) withDefault(dev flash.Dev) ClassDevs {
-	if c.Read == nil {
-		c.Read = dev
-	}
-	if c.WAL == nil {
-		c.WAL = dev
-	}
-	if c.Data == nil {
-		c.Data = dev
-	}
-	if c.GC == nil {
-		c.GC = dev
-	}
-	return c
 }
 
 func (c Config) withDefaults() Config {
@@ -145,10 +119,7 @@ type dieMgr struct {
 	sp            ftl.DieSpace
 	bt            *ftl.BlockTable
 	cfg           Config
-	devFG         flash.Dev // reads
-	devWAL        flash.Dev // log appends
-	devData       flash.Dev // data programs, delta appends
-	devGC         flash.Dev // maintenance traffic
+	io            flash.Dev // every command (Config.Dev, else the raw device)
 	idx           int       // position within the volume's stripe
 	stripe        int       // number of dies in the volume
 	l2p           []nand.PPN
@@ -236,15 +207,15 @@ func newVolume(dev *flash.Device, cfg Config, frontiers int, moved func(sim.Wait
 
 func newDieMgr(dev *flash.Device, die, idx, stripe int, cfg Config, frontiers int) (*dieMgr, error) {
 	sp := ftl.NewDieSpace(dev, die)
-	devs := cfg.Devs.withDefault(dev)
+	var io flash.Dev = dev
+	if cfg.Dev != nil {
+		io = cfg.Dev
+	}
 	d := &dieMgr{
 		sp:         sp,
 		bt:         ftl.NewBlockTable(sp),
 		cfg:        cfg,
-		devFG:      devs.Read,
-		devWAL:     devs.WAL,
-		devData:    devs.Data,
-		devGC:      devs.GC,
+		io:         io,
 		idx:        idx,
 		stripe:     stripe,
 		hot:        make([]ftl.Frontier, sp.Planes()),
@@ -488,7 +459,7 @@ func (d *dieMgr) read(w sim.Waiter, dlpn int64, buf []byte) error {
 		return d.readFolded(w, dlpn, ppn, chain, buf, false)
 	}
 	d.stats.HostReads++
-	_, err := d.devFG.ReadPage(w, ppn, buf)
+	_, err := d.io.ReadPage(w, ppn, buf)
 	return err
 }
 
@@ -554,11 +525,7 @@ func (d *dieMgr) write(w sim.Waiter, dlpn, globalLPN int64, data []byte, h Hint)
 		d.l2p[dlpn] = ppn
 		d.stats.HostWrites++
 
-		dev := d.devData
-		if h == HintLog {
-			dev = d.devWAL // commit-path appends outrank flush programs
-		}
-		perr := dev.ProgramPage(w, ppn, data, oob)
+		perr := d.io.ProgramPage(w, ppn, data, oob)
 		if perr == nil {
 			return nil
 		}
@@ -788,7 +755,7 @@ func (d *dieMgr) relocate(w sim.Waiter, srcLocal, srcPage int, dlpn int64, plane
 		if buf == nil && !d.roomInPlane(plane) {
 			d.stats.GCReads++
 			buf = make([]byte, d.sp.Geo().PageSize)
-			if _, err := d.devGC.ReadPage(w, src, buf); err != nil && !errors.Is(err, nand.ErrPageErased) {
+			if _, err := d.io.ReadPage(w, src, buf); err != nil && !errors.Is(err, nand.ErrPageErased) {
 				return err
 			}
 			if d.bt.Info[srcLocal].Owners[srcPage] != dlpn {
@@ -809,13 +776,13 @@ func (d *dieMgr) relocate(w sim.Waiter, srcLocal, srcPage int, dlpn int64, plane
 		var cerr error
 		if dstPlane == plane {
 			d.stats.GCCopybacks++
-			cerr = d.devGC.Copyback(w, src, dst, oob)
+			cerr = d.io.Copyback(w, src, dst, oob)
 			if cerr != nil {
 				d.stats.GCCopybacks--
 			}
 		} else {
 			d.stats.GCWrites++
-			cerr = d.devGC.ProgramPage(w, dst, buf, oob)
+			cerr = d.io.ProgramPage(w, dst, buf, oob)
 			if cerr != nil {
 				d.stats.GCWrites--
 			}
@@ -848,7 +815,7 @@ func (d *dieMgr) globalLPN(dlpn int64) int64 {
 
 func (d *dieMgr) eraseAndRelease(w sim.Waiter, local int) error {
 	d.stats.Erases++
-	err := d.devGC.EraseBlock(w, d.sp.PBN(local))
+	err := d.io.EraseBlock(w, d.sp.PBN(local))
 	switch {
 	case err == nil:
 		d.bt.Release(local)
@@ -900,7 +867,7 @@ func (d *dieMgr) retireAndSalvage(w sim.Waiter, local int) error {
 			}
 		}
 		d.stats.GCReads++
-		if _, err := d.devGC.ReadPage(w, src, buf); err != nil && !errors.Is(err, nand.ErrPageErased) {
+		if _, err := d.io.ReadPage(w, src, buf); err != nil && !errors.Is(err, nand.ErrPageErased) {
 			return err
 		}
 		dst, _, err := d.allocRelocTarget(plane)
@@ -924,7 +891,7 @@ func (d *dieMgr) retireAndSalvage(w sim.Waiter, local int) error {
 			oob.LPN = uint64(d.globalLPN(dlpn))
 		}
 		d.stats.GCWrites++
-		if err := d.devGC.ProgramPage(w, dst, buf, oob); err != nil {
+		if err := d.io.ProgramPage(w, dst, buf, oob); err != nil {
 			if errors.Is(err, nand.ErrBadBlock) {
 				d.stats.GCWrites--
 				d.bt.Invalidate(dl, dp)

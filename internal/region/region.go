@@ -183,29 +183,16 @@ func Rebuild(dev *flash.Device, layout Layout, rq ioreq.Req) (*Manager, error) {
 	return build(dev, layout, &rq)
 }
 
-// ClassDevs builds the per-class device views a volume or log region
-// issues its commands through on a scheduled device — the op-type
-// default class of every command whose request declares none. A nil
-// scheduler gives the zero value: everything on the raw device.
-func ClassDevs(s *sched.Scheduler) noftl.ClassDevs {
-	if s == nil {
-		return noftl.ClassDevs{}
-	}
-	return noftl.ClassDevs{
-		Read: s.Bind(sched.ClassRead),
-		WAL:  s.Bind(sched.ClassWAL),
-		Data: s.Bind(sched.ClassProgram),
-		GC:   s.Bind(sched.ClassGC),
-	}
-}
-
 func build(dev *flash.Device, layout Layout, rebuild *ioreq.Req) (*Manager, error) {
 	assign, err := assignDies(dev, layout)
 	if err != nil {
 		return nil, err
 	}
 	m := &Manager{dev: dev, layout: layout, byName: map[string]*Region{}}
-	devs := ClassDevs(layout.Scheduler)
+	var io flash.Dev // nil: the raw device
+	if layout.Scheduler != nil {
+		io = layout.Scheduler.Dev()
+	}
 	for i, spec := range layout.Regions {
 		r := &Region{Name: spec.Name, Spec: spec, Dies: assign[i], mapping: spec.Mapping}
 		switch spec.Mapping {
@@ -214,7 +201,7 @@ func build(dev *flash.Device, layout Layout, rebuild *ioreq.Req) (*Manager, erro
 				OverProvision: spec.OverProvision,
 				Policy:        spec.Policy,
 				Dies:          assign[i],
-				Devs:          devs,
+				Dev:           io,
 				BackgroundGC:  spec.BackgroundGC,
 			}
 			if rebuild != nil {
@@ -223,11 +210,7 @@ func build(dev *flash.Device, layout Layout, rebuild *ioreq.Req) (*Manager, erro
 				r.Vol, err = noftl.New(dev, cfg)
 			}
 		case SeqMapped:
-			cfg := ftl.SeqLogConfig{
-				Dies:  assign[i],
-				Dev:   devs.WAL,
-				GCDev: devs.GC,
-			}
+			cfg := ftl.SeqLogConfig{Dies: assign[i], Dev: io}
 			if rebuild != nil {
 				r.Log, err = ftl.RebuildSeqLog(dev, cfg, *rebuild)
 			} else {

@@ -84,7 +84,8 @@ func TestRegionSchedulerWiring(t *testing.T) {
 		t.Fatalf("serial write was queued: %v", st.Scheduled)
 	}
 
-	// DES writes: volume programs and WAL appends must be classed.
+	// DES writes: volume programs dispatch at their op type's class, the
+	// log append at the WAL class it declares (as every WAL write does).
 	k.Go("client", func(p *sim.Proc) {
 		w := sim.ProcWaiter{P: p}
 		if err := data.Vol.Write(ioreq.Plain(w), 1, buf); err != nil {
@@ -93,7 +94,7 @@ func TestRegionSchedulerWiring(t *testing.T) {
 		if err := data.Vol.Read(ioreq.Plain(w), 1, buf); err != nil {
 			t.Error(err)
 		}
-		if _, err := wal.Log.Append(ioreq.Plain(w), buf); err != nil {
+		if _, err := wal.Log.Append(ioreq.Req{W: w, Class: ioreq.ClassWAL}, buf); err != nil {
 			t.Error(err)
 		}
 	})

@@ -56,8 +56,8 @@ const (
 
 // FromRequest maps a request descriptor's declared class (ioreq.Class)
 // onto a scheduler class. It reports false for ClassDefault (or an
-// out-of-range value): the caller falls back to its static per-view
-// class — the pre-descriptor routing.
+// out-of-range value): the command then dispatches at its op type's
+// class.
 func FromRequest(c ioreq.Class) (Class, bool) {
 	if c == ioreq.ClassDefault || c > ioreq.ClassGC {
 		return 0, false
@@ -125,10 +125,8 @@ const (
 )
 
 // Stats is scheduler-level accounting. The per-class rows count the
-// class each command actually dispatched at: a request-declared class
-// (ioreq) when the descriptor carried one, the issuing view's static
-// class otherwise — so attribution is exact even when e.g. GC traffic
-// was issued through a foreground device view.
+// class each command actually dispatched at: the class its request
+// declared (ioreq), else its op type's class.
 type Stats struct {
 	Scheduled     [NumClasses]int64    // commands dispatched per class
 	QueueWait     [NumClasses]sim.Time // accumulated queue wait per class
@@ -136,9 +134,6 @@ type Stats struct {
 	Bypassed      int64                // serial commands that skipped the queues
 	EraseSuspends int64
 	Promotions    int64 // aged GC commands served ahead of their class
-	// Retagged counts commands whose dispatch class came from the
-	// request descriptor rather than the issuing view.
-	Retagged int64
 	// DeadlinePromotions counts commands served ahead of their class
 	// because their request deadline had passed.
 	DeadlinePromotions int64

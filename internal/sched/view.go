@@ -7,22 +7,36 @@ import (
 	"noftl/internal/sim"
 )
 
-// view is a flash.Dev that issues every command through the scheduler at
-// a fixed priority class. Host-side managers hold one view per command
-// class (noftl.ClassDevs) and stay oblivious to the scheduling.
+// view is a flash.Dev that issues every command through the scheduler.
+// Host-side managers hold one (Scheduler.Dev) and stay oblivious to the
+// scheduling.
 //
-// The view's class is the op-type default: a request descriptor handed
-// down as the waiter (*ioreq.Req) that declares a class overrides it, so
-// the die queue dispatches on the class the request declared at its
-// origin — the engine, a workload terminal, a prefetcher, a background
-// worker — rather than on whichever device view the volume happened to
-// route the command through.
+// A command dispatches at the class its request declares — a descriptor
+// handed down as the waiter (*ioreq.Req), set at the request's origin:
+// the engine, a workload terminal, a prefetcher, a background worker.
+// An undeclared command dispatches at its op type's class (opClass), or
+// at the view's pinned class for a Bind view.
 type view struct {
 	s *Scheduler
-	c Class
+	c Class // pinned fallback class; opType: the op type's class
 }
 
-// Bind returns a flash.Dev issuing commands at class c.
+// opType marks a view without a pinned class.
+const opType = NumClasses
+
+// opClass is the class an undeclared command of each op type dispatches
+// at: reads are foreground, programs data writes, erases and copybacks
+// maintenance.
+var opClass = [...]Class{opRead: ClassRead, opProgram: ClassProgram, opPartial: ClassProgram,
+	opErase: ClassGC, opCopyback: ClassGC}
+
+// Dev returns the scheduler's device: every command dispatches at the
+// class its request declares, else at its op type's class.
+func (s *Scheduler) Dev() flash.Dev { return view{s: s, c: opType} }
+
+// Bind returns a flash.Dev whose undeclared commands dispatch at class c
+// instead of their op type's class. The stack uses Dev; Bind pins a class
+// for probes and tests that drive the queues directly.
 func (s *Scheduler) Bind(c Class) flash.Dev { return view{s: s, c: c} }
 
 // Identify forwards the native IDENTIFY command.
@@ -38,8 +52,8 @@ func (v view) Array() *nand.Array { return v.s.dev.Array() }
 // completes it and returns the command's results. Serial callers (no DES
 // process on this kernel) bypass the queues, and so does an address
 // outside the geometry, which the device rejects. A request descriptor
-// riding on the waiter overrides the view's class and attaches its stream
-// tag and deadline to the queued command.
+// riding on the waiter declares the command's class (see view) and
+// attaches its stream tag and deadline to the queued command.
 //
 // The queued descriptor comes from the scheduler's free list and goes
 // back once the results are read: the dispatcher is done with it when it
@@ -71,10 +85,9 @@ func (v view) submit(w sim.Waiter, cmd request) (nand.OOB, error) {
 	*r = cmd
 	r.class = v.c
 	if c, declared := FromRequest(rq.Class); declared {
-		if c != v.c {
-			s.stats.Retagged++
-		}
 		r.class = c
+	} else if v.c == opType {
+		r.class = opClass[cmd.op]
 	}
 	r.tag, r.deadline = rq.Tag, rq.Deadline
 	r.arrival = pw.P.Now()

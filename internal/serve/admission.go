@@ -42,6 +42,9 @@ func (s TenantState) String() string {
 type tenant struct {
 	spec TenantSpec
 	bkt  bucket
+	// shedErr is the error a shed request surfaces, built once per
+	// tenant so the shed path allocates nothing.
+	shedErr error
 
 	state    TenantState
 	breaches int // consecutive breached burn windows

@@ -184,7 +184,8 @@ func New(e *storage.Engine, cfg Config) (*Front, error) {
 		if spec.Rate > 0 && spec.Burst <= 0 {
 			spec.Burst = 8
 		}
-		t := &tenant{spec: spec, bkt: newBucket(spec.Rate, spec.Burst)}
+		t := &tenant{spec: spec, bkt: newBucket(spec.Rate, spec.Burst),
+			shedErr: fmt.Errorf("%w (tenant %s)", ErrShed, spec.Name)}
 		tags[spec.Tag] = spec.Name
 		f.tenants = append(f.tenants, t)
 		f.byName[spec.Name] = t

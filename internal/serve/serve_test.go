@@ -276,6 +276,44 @@ func TestShedPath(t *testing.T) {
 	}
 }
 
+// stoppedClock is a processless waiter whose time never moves: a
+// drained bucket stays drained, so every request it brings is shed.
+type stoppedClock struct{}
+
+func (stoppedClock) Now() sim.Time      { return 0 }
+func (stoppedClock) WaitUntil(sim.Time) {}
+func (stoppedClock) Proc() *sim.Proc    { return nil }
+
+// TestShedErrorBuiltOnce: the error a shed request surfaces is built
+// once per tenant with the front — it still wraps ErrShed and names the
+// tenant, and the shed path allocates nothing.
+func TestShedErrorBuiltOnce(t *testing.T) {
+	e, ctx := serveTestEngine(t)
+	cfg := oneTenant()
+	cfg.Control = ControlFull
+	cfg.Tenants[0].Rate = 1000
+	cfg.Tenants[0].Burst = 1
+	f, s := testFront(t, e, ctx, cfg)
+	f.byName["paying"].state = Shed
+	sctx := storage.NewIOCtx(stoppedClock{})
+	if _, err := s.admit(sctx); err != nil {
+		t.Fatalf("the burst token must admit: %v", err)
+	}
+	var err error
+	if n := testing.AllocsPerRun(100, func() { _, err = s.admit(sctx) }); n != 0 {
+		t.Fatalf("a shed request allocated %v times, want 0", n)
+	}
+	if !errors.Is(err, ErrShed) {
+		t.Fatalf("shed request = %v, want ErrShed", err)
+	}
+	if want := "serve: request shed by admission control (tenant paying)"; err.Error() != want {
+		t.Fatalf("shed error text = %q, want %q", err, want)
+	}
+	if st, _ := f.TenantStats("paying"); st.Shed != 101 {
+		t.Fatalf("shed count = %d, want 101 (every request after the burst token)", st.Shed)
+	}
+}
+
 // TestPacing: a rate-limited healthy tenant is slowed to its token
 // rate, never erroring — the clock does the limiting.
 func TestPacing(t *testing.T) {

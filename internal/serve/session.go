@@ -48,7 +48,7 @@ func (s *Session) admit(ctx *storage.IOCtx) (*storage.IOCtx, error) {
 		d := s.f.admit(s.t, w.Now())
 		if d.shed {
 			w.WaitUntil(d.retry)
-			return nil, fmt.Errorf("%w (tenant %s)", ErrShed, s.t.spec.Name)
+			return nil, s.t.shedErr
 		}
 		if d.wait > 0 {
 			w.WaitUntil(d.wait)

@@ -7,7 +7,6 @@ import (
 	"noftl/internal/ioreq"
 	"noftl/internal/nand"
 	"noftl/internal/noftl"
-	"noftl/internal/region"
 	"noftl/internal/sched"
 	"noftl/internal/sim"
 )
@@ -97,7 +96,7 @@ func TestSubmitSeesContextAsMutated(t *testing.T) {
 	defer k.Shutdown()
 	var evs []sched.Event
 	s := sched.New(k, dev, sched.Config{Policy: sched.Priority, Trace: func(ev sched.Event) { evs = append(evs, ev) }})
-	nv, err := noftl.New(dev, noftl.Config{Devs: region.ClassDevs(s)})
+	nv, err := noftl.New(dev, noftl.Config{Dev: s.Dev()})
 	if err != nil {
 		t.Fatal(err)
 	}

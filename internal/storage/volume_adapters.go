@@ -11,7 +11,7 @@ import (
 )
 
 // spanVolume brackets one volume/log call in the span's volume stage.
-// Scheduler-queue time nests inside it (the view enters its own stage),
+// Scheduler-queue time nests inside it (the scheduler enters its own stage),
 // so the volume stage ends up holding only mapping and device work done
 // outside the die queues.
 func spanVolume(ctx *IOCtx, fn func() error) error {

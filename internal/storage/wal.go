@@ -173,16 +173,22 @@ func (w *WAL) Flush(ctx *IOCtx, upTo uint64) error {
 	return w.flush(ctx, upTo, ioreq.ClassWAL)
 }
 
-// flushBg is Flush for background callers: a context that already
-// declares a class — a db-writer or the checkpointer flushing the log
-// ahead of a page write — keeps it, so background-induced log traffic
-// does not outrank commit appends just because it shares the log
-// device view. An undeclared context still gets the WAL class.
+// flushBg is Flush for background callers: its pages dispatch at the
+// caller's background log class (bgLogClass).
 //
 // It is unexported so that no other package can flush the shared log
 // below the WAL class. Its only callers are the buffer pool's write-back
 // (BufferPool.writeFrame, WAL-before-data) and the checkpointer
 // (Engine.Checkpoint); TestFlushBgCallSites pins that list.
+func (w *WAL) flushBg(ctx *IOCtx, upTo uint64) error {
+	return w.flush(ctx, upTo, bgLogClass(ctx.Class))
+}
+
+// bgLogClass is the class of a log write a background caller induces —
+// a flushBg flush or a checkpoint anchor. A caller that declares a class
+// — a db-writer or the checkpointer — keeps it, so background-induced
+// log traffic does not outrank commit appends; an undeclared caller gets
+// the WAL class.
 //
 // Log writes never run at maintenance priority, though: any flush can
 // end up covering other streams' records (the flushing flag serializes
@@ -191,12 +197,11 @@ func (w *WAL) Flush(ctx *IOCtx, upTo uint64) error {
 // WAL ahead of the victim write) are clamped up to ClassProgram. That
 // bounds the shared-log inversion window at one background-class
 // flush instead of one maintenance-class flush.
-func (w *WAL) flushBg(ctx *IOCtx, upTo uint64) error {
-	cl := min(ctx.Class, ioreq.ClassProgram)
-	if cl == ioreq.ClassDefault {
-		cl = ioreq.ClassWAL
+func bgLogClass(declared ioreq.Class) ioreq.Class {
+	if declared == ioreq.ClassDefault {
+		return ioreq.ClassWAL
 	}
-	return w.flush(ctx, upTo, cl)
+	return min(declared, ioreq.ClassProgram)
 }
 
 // flush makes the log durable to upTo, writing any pages in class cl.
@@ -331,8 +336,14 @@ func (w *WAL) WriteAnchor(ctx *IOCtx, checkpointLSN uint64) error {
 // is the recovery horizon — min(redo start bound, oldest active
 // transaction's first LSN). Page-volume mode ignores keepLSN (the wrap
 // guard keeps a full capacity of history past the anchor).
+//
+// The anchor page dispatches at the caller's background log class
+// (bgLogClass).
 func (w *WAL) WriteAnchorKeep(ctx *IOCtx, checkpointLSN, keepLSN uint64) error {
 	defer w.anchored.Wake()
+	if cl := bgLogClass(ctx.Class); cl != ctx.Class {
+		ctx = ctx.WithClass(cl) // one derived context per checkpoint
+	}
 	if keepLSN > checkpointLSN {
 		keepLSN = checkpointLSN
 	}

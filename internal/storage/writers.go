@@ -40,8 +40,8 @@ type WriterConfig struct {
 	// Association selects the dirty-page partitioning.
 	Association WriterAssociation
 	// Class, when not ioreq.ClassDefault, is declared on every request
-	// the writers issue (per-request tagging); the default leaves routing
-	// to the volume's static per-class device views.
+	// the writers issue; the default leaves each command at its op
+	// type's class and the writers' log flushes at the WAL class.
 	Class ioreq.Class
 	// Tag is the stream tag the writers attach to their requests.
 	Tag uint32

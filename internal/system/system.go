@@ -100,8 +100,8 @@ type System struct {
 // scheduler, GC inline at the volume's low-water mark.
 type options struct {
 	// sched attaches a native command scheduler to the device and routes
-	// the NoFTL volume's (and log region's) commands through per-class
-	// views. Block-device stacks ignore it — an on-device FTL behind the
+	// the NoFTL volume's (and log region's) commands through its device
+	// (Scheduler.Dev). Block-device stacks ignore it — an on-device FTL behind the
 	// legacy interface is exactly the thing the host cannot schedule.
 	sched         *sched.Config
 	backgroundGC  bool
@@ -217,7 +217,10 @@ func build(cfg Config, optFns []Option, dev *flash.Device, crashed *System) (_ *
 	if opts.sched != nil {
 		s.Sched = sched.New(k, dev, *opts.sched)
 	}
-	devs := region.ClassDevs(s.Sched)
+	var io flash.Dev // nil: the raw device
+	if s.Sched != nil {
+		io = s.Sched.Dev()
+	}
 	var flashLog storage.AppendLog // the region-managed stack's log
 	newVolume := func(vc noftl.Config) (*noftl.Volume, error) {
 		if crashed != nil {
@@ -228,7 +231,7 @@ func build(cfg Config, optFns []Option, dev *flash.Device, crashed *System) (_ *
 
 	switch stack {
 	case StackNoFTL, StackNoFTLDelta:
-		v, err := newVolume(noftl.Config{Devs: devs, BackgroundGC: opts.backgroundGC})
+		v, err := newVolume(noftl.Config{Dev: io, BackgroundGC: opts.backgroundGC})
 		if err != nil {
 			return nil, err
 		}
@@ -264,7 +267,7 @@ func build(cfg Config, optFns []Option, dev *flash.Device, crashed *System) (_ *
 		// Single-policy baseline with the WAL on flash: one volume, one
 		// mapping scheme, one write frontier for every stream (hints
 		// ignored); the log is just a window of the page space.
-		v, err := newVolume(noftl.Config{DisableHints: true, Devs: devs,
+		v, err := newVolume(noftl.Config{DisableHints: true, Dev: io,
 			BackgroundGC: opts.backgroundGC})
 		if err != nil {
 			return nil, err

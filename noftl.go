@@ -47,8 +47,7 @@ import (
 type Req = ioreq.Req
 
 // Request classes a tenant can declare (TenantSpec.Class). The zero
-// class declares nothing — the command's op type decides (the per-class
-// device view the volume issues it through).
+// class declares nothing — the command's op type decides.
 const (
 	ReqRead    = ioreq.ClassRead
 	ReqProgram = ioreq.ClassProgram
@@ -261,8 +260,7 @@ type (
 	// WAL on a native append-only log region.
 	RegionsConfig = bench.RegionsConfig
 	// SchedConfig parameterizes the command-scheduling ablation (A7) —
-	// inline GC vs background GC vs priority scheduling vs per-request
-	// tagging.
+	// inline GC vs background GC vs priority scheduling.
 	SchedConfig = bench.SchedConfig
 	// HTAPConfig parameterizes the HTAP ablation (A8) — OLTP terminals
 	// vs analytical scans under buffer-pool and read-ahead policies.
@@ -326,8 +324,7 @@ func RegionsAblation(cfg RegionsConfig) (*ExperimentRows, error) {
 }
 
 // SchedAblation runs the command-scheduling ablation (A7): inline GC vs
-// background GC vs priority scheduling vs per-request tagging on the
-// region-managed stack.
+// background GC vs priority scheduling on the region-managed stack.
 func SchedAblation(cfg SchedConfig) (*ExperimentRows, error) { return bench.SchedAblation(cfg) }
 
 // HTAPAblation runs the HTAP ablation (A8): OLTP terminals vs
