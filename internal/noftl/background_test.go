@@ -188,3 +188,66 @@ func TestInlineWaterHonorsBackgroundGC(t *testing.T) {
 		t.Fatalf("inline water = %d, want lowWater %d", got, lowWater)
 	}
 }
+
+// TestWriteWaitsForTheCollectionOfItsPlane: a write that finds its only
+// plane dry and being collected by another operation parks until that
+// collection ends, and programs from that instant.
+func TestWriteWaitsForTheCollectionOfItsPlane(t *testing.T) {
+	newVol := func() *Volume {
+		dev := flash.New(flash.Config{
+			Geometry: nand.Geometry{
+				Channels: 1, ChipsPerChannel: 1, DiesPerChip: 1, PlanesPerDie: 1,
+				BlocksPerPlane: 16, PagesPerBlock: 8, PageSize: 256, OOBSize: 16,
+			},
+			Cell: nand.SLC,
+			Nand: nand.Options{StoreData: true},
+		})
+		v, err := New(dev, Config{BackgroundGC: true, DisableWearLevel: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	// An uncontended write's latency on an idle die.
+	cw := &sim.ClockWaiter{}
+	if err := newVol().Write(ioreq.Plain(cw), 0, fillPage(256, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	write := cw.T
+
+	// Take every free block: each is an empty victim whose collection is
+	// one erase.
+	v := newVol()
+	d := v.dies[0]
+	for d.bt.FreeCount(0) > 0 {
+		b, _ := d.bt.AllocFree(0, kindHot)
+		d.bt.MarkFull(b)
+	}
+	k := sim.New()
+	var collected, written sim.Time
+	k.Go("collector", func(p *sim.Proc) {
+		if did, err := v.GCStep(ioreq.Plain(sim.ProcWaiter{P: p}), 0); !did || err != nil {
+			t.Errorf("GCStep = %v, %v; want one collection", did, err)
+		}
+		collected = p.Now()
+	})
+	k.Go("writer", func(p *sim.Proc) {
+		p.Sleep(10 * sim.Microsecond)
+		if err := v.Write(ioreq.Plain(sim.ProcWaiter{P: p}), 0, fillPage(256, 0, 1)); err != nil {
+			t.Error(err)
+		}
+		written = p.Now()
+	})
+	k.Run()
+	if written-write != collected {
+		t.Fatalf("write done at %v (%v after the %v collection end), want %v after it", written, written-collected, collected, write)
+	}
+	// A processless write cannot park. Finding the dry plane marked
+	// collecting (a kernel stopped mid-collection), it falls back on the
+	// frontier's room at once.
+	d.gcActive[0] = true
+	cw = &sim.ClockWaiter{T: written}
+	if err := v.Write(ioreq.Plain(cw), 1, fillPage(256, 1, 1)); err != nil || cw.T-written != write {
+		t.Fatalf("processless write: %v after %v, want done after %v", err, cw.T-written, write)
+	}
+}

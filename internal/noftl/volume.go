@@ -142,9 +142,9 @@ type dieMgr struct {
 	// moved, when set, is told the global LPN of every page relocate has
 	// moved (see newVolume).
 	moved func(sim.Waiter, int64) error
-	// gcIdle holds the die's idle background GC worker: woken when a block
-	// leaves a free pool (NeedsGC can have turned true) and when a plane's
-	// collection ends (a GCStep that skipped it can succeed).
+	// gcIdle holds the die's idle GC worker and the writes waiting out a
+	// plane's collection: woken when a block leaves a free pool (NeedsGC
+	// can have turned true) and when a plane's collection ends.
 	gcIdle sim.WaitQueue
 }
 
@@ -363,9 +363,9 @@ func (v *Volume) NeedsGC(region int) bool {
 	return false
 }
 
-// GCWaiters is the queue where the region's idle background GC worker
-// parks (sched.StartMaintenance): the volume wakes it whenever NeedsGC
-// can have turned true or a collection in the region ends.
+// GCWaiters is where the region's idle background GC worker parks
+// (sched.StartMaintenance), beside writes waiting out a collection: the
+// volume wakes it whenever NeedsGC can turn true or a collection ends.
 func (v *Volume) GCWaiters(region int) *sim.WaitQueue { return &v.dies[region].gcIdle }
 
 // GCStep performs at most one victim collection in the region, returning
@@ -611,19 +611,18 @@ func (d *dieMgr) inlineWater() int {
 }
 
 // ensureSpace runs GC until the plane has inlineWater free blocks. When
-// another in-flight operation is already collecting this plane, it backs
-// off and polls.
+// another operation is collecting this plane, it parks until that ends
+// (a processless caller meets that only after a kernel stopped mid-GC).
 func (d *dieMgr) ensureSpace(w sim.Waiter, plane int) error {
-	const maxSpins = 1 << 16
-	for spins := 0; d.bt.FreeCount(plane) < d.inlineWater(); spins++ {
-		if spins > maxSpins {
-			return fmt.Errorf("%w: plane %d of die %d", ftl.ErrGCStuck, plane, d.sp.Die)
-		}
+	for d.bt.FreeCount(plane) < d.inlineWater() {
 		if d.gcActive[plane] {
 			if d.bt.FreeCount(plane) > 0 {
 				return nil // enough to proceed; the active GC will refill
 			}
-			w.WaitUntil(w.Now() + 50*sim.Microsecond)
+			if w.Proc() == nil {
+				return fmt.Errorf("%w: plane %d of die %d is being collected", ftl.ErrGCStuck, plane, d.sp.Die)
+			}
+			d.gcIdle.Wait(w, 0)
 			continue
 		}
 		if err := d.gcOnce(w, plane); err != nil {

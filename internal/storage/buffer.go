@@ -114,7 +114,8 @@ type BufferPool struct {
 	shares  []sim.WaitQueue
 	byChunk bool
 
-	spare []*Frame // placeholders of finished reservations (reserve)
+	spare    []*Frame      // placeholders of finished reservations (reserve)
+	unpinned sim.WaitQueue // misses that found every frame pinned (release)
 
 	// Delta-write path (EnableDeltaWrites): flushes whose differential
 	// fits deltaMax bytes go out as in-place appends instead of full
@@ -391,7 +392,7 @@ func (bp *BufferPool) pin(ctx *IOCtx, id PageID, fresh bool) (*Frame, error) {
 					bp.table[id] = nil
 				}
 				f.ID = InvalidPageID
-				f.pin = 0
+				bp.release(f)
 				return nil, err
 			}
 			if f.base != nil {
@@ -443,7 +444,7 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool, lsn uint64) {
 	if f.pin <= 0 {
 		panic(fmt.Sprintf("storage: unpin of unpinned page %d", f.ID))
 	}
-	f.pin--
+	bp.release(f)
 	if dirty {
 		if !f.dirty {
 			f.recLSN = lsn
@@ -463,9 +464,18 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool, lsn uint64) {
 	}
 }
 
+// release drops one pin of f. Every pin drop goes through it: a frame
+// that loses its last pin wakes the misses waiting for a victim.
+func (bp *BufferPool) release(f *Frame) {
+	f.pin--
+	if f.pin == 0 {
+		bp.unpinned.Wake()
+	}
+}
+
 // grabVictim returns an empty, pinned frame, evicting a page if needed.
-// When every frame is pinned it waits and rescans (another process's
-// unpin is the only cure).
+// When every frame is pinned it parks until one loses its last pin, and
+// fails if none does within 3 sim-s.
 //
 // Under the scan-resistant clock, protected frames are never evicted
 // directly. While the protected segment is under its cap the hand skips
@@ -474,15 +484,11 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool, lsn uint64) {
 // segment is at its cap does the hand demote protected frames whose ref
 // bit has been cleared, making room for newly promoted pages.
 func (bp *BufferPool) grabVictim(ctx *IOCtx) (*Frame, error) {
-	wait := ctx.W
 	laps := 2
 	if bp.scanResist {
 		laps = 4
 	}
-	for round := 0; ; round++ {
-		if round > 1<<16 {
-			return nil, fmt.Errorf("storage: buffer pool wedged (all %d frames pinned)", len(bp.frames))
-		}
+	for {
 		for scanned := 0; scanned < laps*len(bp.frames); scanned++ {
 			f := bp.frames[bp.hand]
 			bp.hand = (bp.hand + 1) % len(bp.frames)
@@ -495,7 +501,7 @@ func (bp *BufferPool) grabVictim(ctx *IOCtx) (*Frame, error) {
 				bp.stats.SyncWrites++
 				bp.due(f) // its writer lags: wake it for the frames after this one
 				if err := bp.writeFrame(ctx, f); err != nil {
-					f.pin = 0
+					bp.release(f)
 					return nil, err
 				}
 			}
@@ -503,7 +509,7 @@ func (bp *BufferPool) grabVictim(ctx *IOCtx) (*Frame, error) {
 			// have pinned (or re-dirtied) the page meanwhile — it is no
 			// longer evictable.
 			if f.pin != 1 || f.dirty {
-				f.pin--
+				bp.release(f)
 				continue
 			}
 			if f.ID != InvalidPageID {
@@ -523,7 +529,9 @@ func (bp *BufferPool) grabVictim(ctx *IOCtx) (*Frame, error) {
 			f.prefet = false
 			return f, nil
 		}
-		wait.WaitUntil(wait.Now() + 50*sim.Microsecond)
+		if !bp.unpinned.Wait(ctx.W, ctx.W.Now()+3*sim.Second) {
+			return nil, fmt.Errorf("storage: buffer pool wedged (all %d frames pinned)", len(bp.frames))
+		}
 	}
 }
 
@@ -728,7 +736,7 @@ func (bp *BufferPool) Prefetch(ctx, load *IOCtx, id PageID) error {
 		// Stolen (or re-reserved) during the victim grab: the winner
 		// loads the page at foreground priority; release our claim.
 		f.ID = InvalidPageID
-		f.pin = 0
+		bp.release(f)
 		return nil
 	}
 	f.ID = id
@@ -748,7 +756,7 @@ func (bp *BufferPool) Prefetch(ctx, load *IOCtx, id PageID) error {
 			bp.table[id] = nil
 		}
 		f.ID = InvalidPageID
-		f.pin = 0
+		bp.release(f)
 		return err
 	}
 	if f.base != nil {
@@ -756,7 +764,7 @@ func (bp *BufferPool) Prefetch(ctx, load *IOCtx, id PageID) error {
 		f.hasBase = true
 	}
 	f.prefet = true
-	f.pin-- // release the victim claim: prefetched pages sit unpinned
+	bp.release(f) // the victim claim: prefetched pages sit unpinned
 	bp.stats.Prefetches++
 	return nil
 }
@@ -791,7 +799,7 @@ func (bp *BufferPool) clean(ctx *IOCtx, s int) (bool, error) {
 		f.pin++
 		bp.stats.AsyncWrites++
 		err := bp.writeFrame(ctx, f)
-		f.pin--
+		bp.release(f)
 		return err == nil, err
 	}
 	return false, nil
@@ -811,11 +819,10 @@ func (bp *BufferPool) MinRecLSN() uint64 {
 
 // FlushSnapshot writes back the pages dirty at call time, without
 // chasing pages dirtied afterwards — the fuzzy-checkpoint flush that
-// terminates under constant load. Pinned pages are waited for briefly
-// and skipped if they stay pinned (their recLSN keeps them covered by
-// the checkpoint's redo bound).
+// terminates under constant load. Pinned or loading pages are skipped:
+// their recLSN keeps them covered by the checkpoint's redo bound, which
+// Engine.Checkpoint reads after the flush.
 func (bp *BufferPool) FlushSnapshot(ctx *IOCtx) error {
-	wait := ctx.W
 	var snapshot []*Frame // the dirty frames by region, then page
 	for _, f := range bp.frames {
 		if f.dirty {
@@ -826,18 +833,12 @@ func (bp *BufferPool) FlushSnapshot(ctx *IOCtx) error {
 		return cmp.Or(cmp.Compare(bp.vol.RegionOf(a.ID), bp.vol.RegionOf(b.ID)), cmp.Compare(a.ID, b.ID))
 	})
 	for _, f := range snapshot {
-		for spin := 0; f.dirty && (f.pin > 0 || f.loading); spin++ {
-			if spin > 64 {
-				break
-			}
-			wait.WaitUntil(wait.Now() + 20*sim.Microsecond)
-		}
 		if !f.dirty || f.pin > 0 || f.loading {
 			continue
 		}
 		f.pin++
 		err := bp.writeFrame(ctx, f)
-		f.pin--
+		bp.release(f)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"noftl/internal/flash"
@@ -91,6 +93,98 @@ func TestBufferPoolWriteBackClearsDirty(t *testing.T) {
 	}
 	if st := bp.Stats(); st.AsyncWrites != 1 || st.SyncWrites != 0 {
 		t.Errorf("async/sync writes = %d/%d, want 1/0", st.AsyncWrites, st.SyncWrites)
+	}
+}
+
+// TestPinWaitsForAnUnpin: a miss that finds every frame pinned parks
+// until a frame loses its last pin and returns at that instant. A
+// processless caller, which nothing can release, fails after 3 sim-s.
+func TestPinWaitsForAnUnpin(t *testing.T) {
+	bp := NewBufferPool(NewMemVolume(512, 64), nil, 4)
+	ctx0 := NewIOCtx(nil)
+	var held []*Frame
+	for id := PageID(1); id <= 4; id++ {
+		f, err := bp.Pin(ctx0, id, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, f)
+	}
+	if _, err := bp.Pin(ctx0, 9, true); err == nil || !strings.Contains(err.Error(), "wedged") || ctx0.W.Now() != 3*sim.Second {
+		t.Fatalf("processless pin of a full pool: %v at %v, want wedged at 3s", err, ctx0.W.Now())
+	}
+
+	const release = 137 * sim.Microsecond // off any polling grid
+	k := sim.New()
+	k.Go("holder", func(p *sim.Proc) {
+		p.Sleep(release)
+		bp.Unpin(held[1], false, 0)
+	})
+	var got sim.Time
+	k.Go("miss", func(p *sim.Proc) {
+		p.Sleep(10 * sim.Microsecond)
+		f, err := bp.Pin(NewIOCtx(sim.ProcWaiter{P: p}), 9, true)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		got = p.Now()
+		bp.Unpin(f, false, 0)
+	})
+	k.Run()
+	if got != release {
+		t.Fatalf("miss resumed at %v, want the unpin's %v", got, release)
+	}
+}
+
+// failWriteVolume takes 100 µs to fail every page write.
+type failWriteVolume struct{ Volume }
+
+var errWriteFailed = errors.New("injected write error")
+
+func (v failWriteVolume) WritePage(ctx *IOCtx, id PageID, data []byte, h WriteHint) error {
+	ctx.W.WaitUntil(ctx.W.Now() + 100*sim.Microsecond)
+	return errWriteFailed
+}
+
+// TestFailedEvictionKeepsOtherPins: an eviction whose write-back fails
+// drops its own claim only. A hit that pinned the victim during the
+// write keeps its pin, and its unpin succeeds.
+func TestFailedEvictionKeepsOtherPins(t *testing.T) {
+	bp := NewBufferPool(failWriteVolume{NewMemVolume(512, 64)}, nil, 4)
+	ctx0 := NewIOCtx(nil)
+	for id := PageID(1); id <= 4; id++ { // the hand wraps to page 1's frame
+		f, err := bp.Pin(ctx0, id, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp.Unpin(f, id == 1, 1)
+	}
+	k := sim.New()
+	var missErr error
+	k.Go("miss", func(p *sim.Proc) { // evicts dirty page 1; the write fails at 100 µs
+		_, missErr = bp.Pin(NewIOCtx(sim.ProcWaiter{P: p}), 5, true)
+	})
+	k.Go("hit", func(p *sim.Proc) {
+		p.Sleep(10 * sim.Microsecond)
+		f, err := bp.Pin(NewIOCtx(sim.ProcWaiter{P: p}), 1, false)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		p.Sleep(500 * sim.Microsecond)
+		bp.Unpin(f, false, 0)
+	})
+	k.Run()
+	if !errors.Is(missErr, errWriteFailed) {
+		t.Fatalf("miss: %v, want the write error", missErr)
+	}
+	f := bp.table[1]
+	if f == nil {
+		t.Fatal("page 1 left the pool")
+	}
+	if f.pin != 0 || !f.dirty {
+		t.Fatalf("page 1 after the failed eviction: pin %d, dirty %v; want 0, true", f.pin, f.dirty)
 	}
 }
 

@@ -215,9 +215,9 @@ func TestEngineTPCBStyleConsistencyUnderConcurrency(t *testing.T) {
 }
 
 // TestRecoveryFuzzyCheckpointDirtyPages crashes right after a checkpoint
-// taken while a dirty page (with a pre-checkpoint record) had not been
-// flushed; redo must start at the checkpoint's redo bound, not at the
-// checkpoint itself.
+// taken while a dirty page (with a pre-checkpoint record) was pinned:
+// the flush skips it without waiting, the checkpoint's redo bound stays
+// at or below its recLSN, and redo starts there, not at the checkpoint.
 func TestRecoveryFuzzyCheckpointDirtyPages(t *testing.T) {
 	e, ctx, data, logv := newTestEngine(t, 16)
 	tbl, _ := e.CreateTable(ctx, "t")
@@ -232,8 +232,20 @@ func TestRecoveryFuzzyCheckpointDirtyPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t0 := ctx.W.Now()
+	if err := e.bp.FlushSnapshot(ctx); err != nil || ctx.W.Now() != t0 || !f.dirty {
+		t.Fatalf("flush over a pinned page: %v after %v, dirty %v; want it skipped at once", err, ctx.W.Now()-t0, f.dirty)
+	}
 	if err := e.Checkpoint(ctx); err != nil {
 		t.Fatal(err)
+	}
+	ckpt, _ := e.wal.ReadAnchor(ctx)
+	recs, _, err := e.wal.RecoverScan(ctx, ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if redo := uint64(recs[0].Key); recs[0].Type != RecCheckpoint || redo > f.recLSN {
+		t.Fatalf("checkpoint redo start %d, want at or below the pinned page's recLSN %d", redo, f.recLSN)
 	}
 	e.bp.Unpin(f, false, 0)
 	// Crash without ever writing the data page.
