@@ -48,39 +48,63 @@ func tpcbTrace(txs int, seed int64) (*trace.Trace, error) {
 	return tr, err
 }
 
+// measured fills p's counters from an FTL's stats and the run's clock.
+func measured(p AblationPoint, s ftl.Stats, elapsed sim.Time) AblationPoint {
+	p.Copybacks, p.GCWrites, p.Erases = s.GCCopybacks, s.GCWrites, s.Erases
+	p.WA, p.MapIO, p.Elapsed = s.WriteAmplification(), s.MapReads+s.MapWrites, elapsed
+	return p
+}
+
+// overwritePoint (A1, A4) fills a page-mapping FTL built with cfg, then
+// overwrites twice its capacity at random pages (80 % of them on the
+// first tenth of the space when skew is set) and records the point.
+func overwritePoint(cfg ftl.PageFTLConfig, seed int64, skew bool, p AblationPoint) (AblationPoint, error) {
+	f, err := noftl.NewPageFTL(flash.New(fig3Device(1<<15, 4096)), cfg)
+	if err != nil {
+		return p, err
+	}
+	w := &sim.ClockWaiter{}
+	rng := newRand(seed)
+	n := f.LogicalPages()
+	buf := make([]byte, 4096)
+	for lpn := int64(0); lpn < n; lpn++ {
+		if err := f.Write(w, lpn, buf); err != nil {
+			return p, err
+		}
+	}
+	for i := 0; i < int(n)*2; i++ {
+		lpn := rng.Int63n(n)
+		if skew && rng.Float64() < 0.8 {
+			lpn = rng.Int63n(n/10 + 1)
+		}
+		if err := f.Write(w, lpn, buf); err != nil {
+			return p, err
+		}
+	}
+	return measured(p, f.Stats(), w.Now()), nil
+}
+
+// replayPoint (A2, A3) replays tr on f, trims dropped, and records the
+// point.
+func replayPoint(tr *trace.Trace, f ftl.FTL, p AblationPoint) (AblationPoint, error) {
+	w := &sim.ClockWaiter{}
+	if err := trace.Replay(tr, f, trace.ReplayOptions{DropTrims: true, Waiter: w}); err != nil {
+		return p, err
+	}
+	return measured(p, f.Stats(), w.Now()), nil
+}
+
 // AblationGCPolicy (A1) compares victim-selection policies on the
 // page-mapping FTL under a skewed synthetic update load.
 func AblationGCPolicy(seed int64) (*AblationResult, error) {
 	res := &AblationResult{Name: "gc-policy"}
 	for _, pol := range []ftl.GCPolicy{ftl.GreedyPolicy, ftl.CostBenefitPolicy, ftl.WearAwarePolicy} {
-		dev := flash.New(fig3Device(1<<15, 4096))
-		f, err := noftl.NewPageFTL(dev, ftl.PageFTLConfig{Policy: pol, OverProvision: 0.12})
+		pt, err := overwritePoint(ftl.PageFTLConfig{Policy: pol, OverProvision: 0.12}, seed, true,
+			AblationPoint{Param: pol.String()})
 		if err != nil {
 			return nil, err
 		}
-		w := &sim.ClockWaiter{}
-		rng := newRand(seed)
-		n := f.LogicalPages()
-		buf := make([]byte, 4096)
-		for lpn := int64(0); lpn < n; lpn++ {
-			if err := f.Write(w, lpn, buf); err != nil {
-				return nil, err
-			}
-		}
-		for i := 0; i < int(n)*2; i++ {
-			lpn := rng.Int63n(n)
-			if rng.Float64() < 0.8 {
-				lpn = rng.Int63n(n/10 + 1) // 80/10 skew
-			}
-			if err := f.Write(w, lpn, buf); err != nil {
-				return nil, err
-			}
-		}
-		s := f.Stats()
-		res.Points = append(res.Points, AblationPoint{
-			Param: pol.String(), Copybacks: s.GCCopybacks, GCWrites: s.GCWrites,
-			Erases: s.Erases, WA: s.WriteAmplification(), Elapsed: w.Now(),
-		})
+		res.Points = append(res.Points, pt)
 	}
 	return res, nil
 }
@@ -101,16 +125,11 @@ func AblationDFTLCMT(seed int64) (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		w := &sim.ClockWaiter{}
-		if err := trace.Replay(tr, f, trace.ReplayOptions{DropTrims: true, Waiter: w}); err != nil {
+		pt, err := replayPoint(tr, f, AblationPoint{Param: "cmt", Value: float64(entries)})
+		if err != nil {
 			return nil, err
 		}
-		s := f.Stats()
-		res.Points = append(res.Points, AblationPoint{
-			Param: "cmt", Value: float64(entries),
-			Copybacks: s.GCCopybacks, GCWrites: s.GCWrites, Erases: s.Erases,
-			WA: s.WriteAmplification(), MapIO: s.MapReads + s.MapWrites, Elapsed: w.Now(),
-		})
+		res.Points = append(res.Points, pt)
 	}
 	return res, nil
 }
@@ -132,16 +151,11 @@ func AblationFasterLog(seed int64) (*AblationResult, error) {
 		if f.LogicalPages() <= span {
 			continue // log ate too much of the small sweep drive
 		}
-		w := &sim.ClockWaiter{}
-		if err := trace.Replay(tr, f, trace.ReplayOptions{DropTrims: true, Waiter: w}); err != nil {
+		pt, err := replayPoint(tr, f, AblationPoint{Param: "logFrac", Value: frac})
+		if err != nil {
 			return nil, err
 		}
-		s := f.Stats()
-		res.Points = append(res.Points, AblationPoint{
-			Param: "logFrac", Value: frac,
-			Copybacks: s.GCCopybacks, GCWrites: s.GCWrites, Erases: s.Erases,
-			WA: s.WriteAmplification(), Elapsed: w.Now(),
-		})
+		res.Points = append(res.Points, pt)
 	}
 	return res, nil
 }
@@ -151,31 +165,12 @@ func AblationFasterLog(seed int64) (*AblationResult, error) {
 func AblationOverProvision(seed int64) (*AblationResult, error) {
 	res := &AblationResult{Name: "over-provisioning"}
 	for _, op := range []float64{0.07, 0.12, 0.20, 0.28} {
-		dev := flash.New(fig3Device(1<<15, 4096))
-		f, err := noftl.NewPageFTL(dev, ftl.PageFTLConfig{OverProvision: op})
+		pt, err := overwritePoint(ftl.PageFTLConfig{OverProvision: op}, seed, false,
+			AblationPoint{Param: "op", Value: op})
 		if err != nil {
 			return nil, err
 		}
-		w := &sim.ClockWaiter{}
-		rng := newRand(seed)
-		n := f.LogicalPages()
-		buf := make([]byte, 4096)
-		for lpn := int64(0); lpn < n; lpn++ {
-			if err := f.Write(w, lpn, buf); err != nil {
-				return nil, err
-			}
-		}
-		for i := 0; i < int(n)*2; i++ {
-			if err := f.Write(w, rng.Int63n(n), buf); err != nil {
-				return nil, err
-			}
-		}
-		s := f.Stats()
-		res.Points = append(res.Points, AblationPoint{
-			Param: "op", Value: op,
-			Copybacks: s.GCCopybacks, GCWrites: s.GCWrites, Erases: s.Erases,
-			WA: s.WriteAmplification(), Elapsed: w.Now(),
-		})
+		res.Points = append(res.Points, pt)
 	}
 	return res, nil
 }

@@ -418,10 +418,6 @@ type TPSConfig struct {
 	Warm        sim.Time // excluded from the TPS window
 	Measure     sim.Time
 	Seed        int64
-	// DeadlineAfter, when non-nil, stamps each of terminal i's
-	// transactions with a completion deadline that far ahead (scheduler
-	// promotion past it).
-	DeadlineAfter func(id int) sim.Time
 
 	fault func(proc string) error // Params.fault
 }
@@ -435,8 +431,7 @@ func RunTPS(sys *system.System, wl workload.Workload, cfg TPSConfig) (*RunResult
 		name: fmt.Sprintf("%s on %s", wl.Name(), sys.Stack),
 		load: func(sys *system.System) error { return wl.Load(sys.Ctx, sys.Engine) },
 		start: append(background(cfg.Writers, cfg.Association),
-			terminals("oltp", wl, workload.TerminalConfig{
-				N: cfg.Workers, Seed: cfg.Seed, DeadlineAfter: cfg.DeadlineAfter}),
+			terminals("oltp", wl, workload.TerminalConfig{N: cfg.Workers, Seed: cfg.Seed}),
 			stdCheckpointer.start),
 		warm:       cfg.Warm,
 		measure:    cfg.Measure,

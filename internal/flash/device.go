@@ -30,19 +30,17 @@ type Config struct {
 	// ChannelMBps is the per-channel bus bandwidth. 0 defaults to 200 MB/s
 	// (ONFI 2.x class).
 	ChannelMBps int
-	// CmdOverhead is a fixed controller/command cycle cost added to every
-	// operation. 0 defaults to 2µs.
-	CmdOverhead sim.Time
 	// Nand configures data storage and failure injection.
 	Nand nand.Options
 }
 
+// cmdOverhead is the fixed controller/command cycle cost added to every
+// operation.
+const cmdOverhead = 2 * sim.Microsecond
+
 func (c Config) withDefaults() Config {
 	if c.ChannelMBps == 0 {
 		c.ChannelMBps = 200
-	}
-	if c.CmdOverhead == 0 {
-		c.CmdOverhead = 2 * sim.Microsecond
 	}
 	return c
 }
@@ -137,7 +135,7 @@ func (d *Device) Identify() Identity {
 		Cell:         d.cfg.Cell,
 		Timing:       d.timing,
 		TransferPage: d.xferPage,
-		CmdOverhead:  d.cfg.CmdOverhead,
+		CmdOverhead:  cmdOverhead,
 		Endurance:    d.arr.Endurance(),
 
 		PartialProgramsPerPage: d.arr.MaxPartialPrograms(),
@@ -209,7 +207,7 @@ func (d *Device) ReadPage(w sim.Waiter, p nand.PPN, buf []byte) (nand.OOB, error
 	arrival := w.Now()
 
 	start := max(arrival, d.dieBusy[die])
-	readEnd := start + d.cfg.CmdOverhead + d.timing.ReadPage
+	readEnd := start + cmdOverhead + d.timing.ReadPage
 	xferStart := max(readEnd, d.chBusy[ch])
 	end := xferStart + d.xferPage
 	d.dieBusy[die] = end // die holds the page register until transfer ends
@@ -235,7 +233,7 @@ func (d *Device) ProgramPage(w sim.Waiter, p nand.PPN, data []byte, oob nand.OOB
 	arrival := w.Now()
 
 	xferStart := max(arrival, d.chBusy[ch])
-	xferEnd := xferStart + d.cfg.CmdOverhead + d.xferPage
+	xferEnd := xferStart + cmdOverhead + d.xferPage
 	progStart := max(xferEnd, d.dieBusy[die])
 	end := progStart + d.timing.ProgramPage
 	d.chBusy[ch] = xferEnd
@@ -268,7 +266,7 @@ func (d *Device) ProgramPartial(w sim.Waiter, p nand.PPN, off int, data []byte, 
 		return max(1, sim.Time(int64(t)*int64(len(data))/int64(d.cfg.Geometry.PageSize)))
 	}
 	xferStart := max(arrival, d.chBusy[ch])
-	xferEnd := xferStart + d.cfg.CmdOverhead + frac(d.xferPage)
+	xferEnd := xferStart + cmdOverhead + frac(d.xferPage)
 	progStart := max(xferEnd, d.dieBusy[die])
 	end := progStart + frac(d.timing.ProgramPage)
 	d.chBusy[ch] = xferEnd
@@ -293,7 +291,7 @@ func (d *Device) EraseBlock(w sim.Waiter, b nand.PBN) error {
 	arrival := w.Now()
 
 	start := max(arrival, d.dieBusy[die])
-	end := start + d.cfg.CmdOverhead + d.timing.EraseBlock
+	end := start + cmdOverhead + d.timing.EraseBlock
 	d.dieBusy[die] = end
 	err := d.arr.EraseBlock(b)
 	d.stats.Erases++
@@ -344,7 +342,7 @@ func (d *Device) Copyback(w sim.Waiter, src, dst nand.PPN, oob nand.OOB) error {
 	arrival := w.Now()
 
 	start := max(arrival, d.dieBusy[die])
-	end := start + d.cfg.CmdOverhead + d.timing.ReadPage + d.timing.ProgramPage
+	end := start + cmdOverhead + d.timing.ReadPage + d.timing.ProgramPage
 	d.dieBusy[die] = end
 	err := d.arr.Copyback(src, dst, oob, false)
 	d.stats.Copybacks++

@@ -23,7 +23,6 @@ func smallConfig() Config {
 		},
 		Cell:        nand.SLC,
 		ChannelMBps: 100, // (1024+32)B at 100MB/s = 10.56µs per page transfer
-		CmdOverhead: sim.Microsecond,
 		Nand:        nand.Options{StoreData: true},
 	}
 }
@@ -57,8 +56,8 @@ func TestReadLatencyModel(t *testing.T) {
 	if _, err := d.ReadPage(w, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	// overhead 1µs + tR 25µs + transfer 10.56µs
-	want := sim.Microsecond + 25*sim.Microsecond + sim.Time(1056*1000/100)
+	// overhead 2µs + tR 25µs + transfer 10.56µs
+	want := 2*sim.Microsecond + 25*sim.Microsecond + sim.Time(1056*1000/100)
 	if got := w.Now() - start; got != want {
 		t.Errorf("read latency = %v, want %v", got, want)
 	}
@@ -71,7 +70,7 @@ func TestProgramLatencyModel(t *testing.T) {
 	if err := d.ProgramPage(w, 0, nil, nand.OOB{}); err != nil {
 		t.Fatal(err)
 	}
-	want := sim.Microsecond + sim.Time(1056*1000/100) + 200*sim.Microsecond
+	want := 2*sim.Microsecond + sim.Time(1056*1000/100) + 200*sim.Microsecond
 	if got := w.Now() - start; got != want {
 		t.Errorf("program latency = %v, want %v", got, want)
 	}
@@ -83,7 +82,7 @@ func TestEraseLatencyModel(t *testing.T) {
 	if err := d.EraseBlock(w, 0); err != nil {
 		t.Fatal(err)
 	}
-	want := sim.Microsecond + 1500*sim.Microsecond
+	want := 2*sim.Microsecond + 1500*sim.Microsecond
 	if got := w.Now(); got != want {
 		t.Errorf("erase latency = %v, want %v", got, want)
 	}
@@ -101,7 +100,7 @@ func TestCopybackLatencyNoBus(t *testing.T) {
 	if err := d.Copyback(w, 0, dst, nand.OOB{LPN: 3}); err != nil {
 		t.Fatal(err)
 	}
-	want := sim.Microsecond + 25*sim.Microsecond + 200*sim.Microsecond
+	want := 2*sim.Microsecond + 25*sim.Microsecond + 200*sim.Microsecond
 	if got := w.Now() - start; got != want {
 		t.Errorf("copyback latency = %v, want %v", got, want)
 	}

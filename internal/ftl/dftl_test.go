@@ -19,7 +19,7 @@ import (
 func newTestDFTL(t *testing.T, cmtEntries int) (*noftl.DFTL, *sim.ClockWaiter) {
 	t.Helper()
 	dev := testDevice(nand.Options{})
-	f, err := noftl.NewDFTL(dev, ftl.DFTLConfig{OverProvision: 0.2, CMTEntries: cmtEntries})
+	f, err := noftl.NewDFTL(dev, ftl.DFTLConfig{CMTEntries: cmtEntries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestDFTLMissesCauseMapReads(t *testing.T) {
 func TestDFTLLargeCMTBeatsSmallCMT(t *testing.T) {
 	run := func(entries int) int64 {
 		dev := testDevice(nand.Options{})
-		f, err := noftl.NewDFTL(dev, ftl.DFTLConfig{OverProvision: 0.2, CMTEntries: entries})
+		f, err := noftl.NewDFTL(dev, ftl.DFTLConfig{CMTEntries: entries})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestDFTLReadYourWritesProperty(t *testing.T) {
 	}
 	f := func(ops []op, seed int64) bool {
 		dev := testDevice(nand.Options{Seed: seed})
-		d, err := noftl.NewDFTL(dev, ftl.DFTLConfig{OverProvision: 0.2, CMTEntries: 32})
+		d, err := noftl.NewDFTL(dev, ftl.DFTLConfig{CMTEntries: 32})
 		if err != nil {
 			return false
 		}

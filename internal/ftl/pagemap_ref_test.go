@@ -85,7 +85,7 @@ func TestDFTLSlowerThanPageMapInTime(t *testing.T) {
 		return w.Now() - start
 	}
 	devA := testDevice(nand.Options{})
-	pm, err := noftl.NewPageFTL(devA, ftl.PageFTLConfig{OverProvision: 0.2})
+	pm, err := noftl.NewPageFTL(devA, ftl.PageFTLConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestDFTLSlowerThanPageMapInTime(t *testing.T) {
 	tPage := workload(pm, wA)
 
 	devB := testDevice(nand.Options{})
-	df, err := noftl.NewDFTL(devB, ftl.DFTLConfig{OverProvision: 0.2, CMTEntries: 32})
+	df, err := noftl.NewDFTL(devB, ftl.DFTLConfig{CMTEntries: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

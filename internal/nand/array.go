@@ -66,13 +66,6 @@ type Options struct {
 	// Endurance overrides the cell type's erase budget; 0 keeps the default.
 	// Blocks erased beyond the budget wear out and become bad.
 	Endurance int
-	// MaxPartialPrograms (NOP) is how many times a page may be programmed
-	// between erases via ProgramPartial. Real NAND allows a handful of
-	// partial programs per page (datasheet NOP, 4–8 on SLC, fewer on
-	// denser cells); hosts use them to append small records — the
-	// in-place-append pattern NoFTL's delta-write path relies on.
-	// 0 defaults to 4; 1 disables appends after the first program.
-	MaxPartialPrograms int
 	// Seed drives factory bad-block placement and failure injection.
 	Seed int64
 }
@@ -81,11 +74,10 @@ type Options struct {
 // physical rules real NAND imposes: erase-before-program, strictly
 // in-order page programming inside a block, and same-plane copyback.
 type Array struct {
-	geo        Geometry
-	opts       Options
-	endurance  int
-	maxPartial int
-	blocks     []blockState
+	geo       Geometry
+	opts      Options
+	endurance int
+	blocks    []blockState
 	// freePages holds the page buffers of erased blocks for the next
 	// program to reuse. Every buffer on it was a programmed page until its
 	// block was erased, so free plus programmed buffers never exceed the
@@ -121,10 +113,6 @@ func NewArray(geo Geometry, cell CellType, opts Options) *Array {
 	if a.endurance == 0 {
 		a.endurance = cell.Endurance()
 	}
-	a.maxPartial = opts.MaxPartialPrograms
-	if a.maxPartial == 0 {
-		a.maxPartial = 4
-	}
 	if opts.InitialBadFraction > 0 {
 		for i := range a.blocks {
 			if a.rng.Float64() < opts.InitialBadFraction {
@@ -142,8 +130,15 @@ func (a *Array) Geometry() Geometry { return a.geo }
 // Endurance returns the per-block erase budget in effect.
 func (a *Array) Endurance() int { return a.endurance }
 
+// maxPartialPrograms (NOP) is how many times a page may be programmed
+// between erases via ProgramPartial. Real NAND allows a handful of partial
+// programs per page (datasheet NOP, 4–8 on SLC, fewer on denser cells);
+// hosts use them to append small records — the in-place-append pattern
+// NoFTL's delta-write path relies on.
+const maxPartialPrograms = 4
+
 // MaxPartialPrograms returns the per-page partial-program budget (NOP).
-func (a *Array) MaxPartialPrograms() int { return a.maxPartial }
+func (a *Array) MaxPartialPrograms() int { return maxPartialPrograms }
 
 // StoresData reports whether the array keeps page contents (false for
 // counting-only replays).
@@ -278,7 +273,7 @@ func (a *Array) ProgramPartial(p PPN, off int, data []byte, oob OOB) error {
 	idx := a.geo.PageIndex(p)
 	a.ensure(bs)
 	if bs.programmed[idx] {
-		if int(bs.partials[idx]) >= a.maxPartial {
+		if int(bs.partials[idx]) >= maxPartialPrograms {
 			return fmt.Errorf("%w: ppn %d after %d programs", ErrPartialNOP, p, bs.partials[idx])
 		}
 		if off < bs.high[idx] {
@@ -478,19 +473,30 @@ type WearStats struct {
 	TotalBlock int
 }
 
-// Wear computes the wear distribution across usable blocks.
-func (a *Array) Wear() WearStats {
+// Wear computes the wear distribution across the usable blocks of the
+// given dies, or of the whole array when no die is given. With no usable
+// block every field is zero.
+func (a *Array) Wear(dies ...int) WearStats {
 	ws := WearStats{Min: int(^uint(0) >> 1)}
 	var sum int64
-	for i := range a.blocks {
-		bs := &a.blocks[i]
-		if bs.bad {
-			continue
+	add := func(blocks []blockState) {
+		for i := range blocks {
+			bs := &blocks[i]
+			if bs.bad {
+				continue
+			}
+			ws.TotalBlock++
+			ws.Min = min(ws.Min, bs.eraseCount)
+			ws.Max = max(ws.Max, bs.eraseCount)
+			sum += int64(bs.eraseCount)
 		}
-		ws.TotalBlock++
-		ws.Min = min(ws.Min, bs.eraseCount)
-		ws.Max = max(ws.Max, bs.eraseCount)
-		sum += int64(bs.eraseCount)
+	}
+	if len(dies) == 0 {
+		add(a.blocks)
+	}
+	per := a.geo.BlocksPerDie()
+	for _, die := range dies {
+		add(a.blocks[die*per : (die+1)*per])
 	}
 	if ws.TotalBlock == 0 {
 		ws.Min = 0

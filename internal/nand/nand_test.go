@@ -3,6 +3,7 @@ package nand
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -370,6 +371,64 @@ func TestWearStats(t *testing.T) {
 	wantMean := 5.0 / 128.0
 	if ws.Mean != wantMean {
 		t.Errorf("wear mean = %v, want %v", ws.Mean, wantMean)
+	}
+}
+
+// TestWearPerDieMatchesBlockScan checks Wear over each die and over the
+// whole array against a scan of DieWear, on an array with retired
+// blocks, uneven erase counts and one die whose blocks are all bad.
+func TestWearPerDieMatchesBlockScan(t *testing.T) {
+	a := newTestArray(t, Options{})
+	geo := a.Geometry()
+	per := geo.BlocksPerDie()
+	rng := rand.New(rand.NewSource(5))
+	for b := range geo.TotalBlocks() {
+		for range rng.Intn(6) {
+			if err := a.EraseBlock(PBN(b)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rng.Intn(5) == 0 {
+			a.MarkBad(PBN(b))
+		}
+	}
+	const deadDie = 3
+	for i := range per {
+		a.MarkBad(PBN(deadDie*per + i))
+	}
+	scan := func(dies ...int) WearStats {
+		var ws WearStats
+		var sum int64
+		for _, die := range dies {
+			for _, e := range a.DieWear(die) {
+				if e < 0 {
+					continue
+				}
+				if ws.TotalBlock == 0 || e < ws.Min {
+					ws.Min = e
+				}
+				ws.Max = max(ws.Max, e)
+				sum += int64(e)
+				ws.TotalBlock++
+			}
+		}
+		if ws.TotalBlock > 0 {
+			ws.Mean = float64(sum) / float64(ws.TotalBlock)
+		}
+		return ws
+	}
+	all := make([]int, geo.Dies())
+	for die := range all {
+		all[die] = die
+		if got, want := a.Wear(die), scan(die); got != want {
+			t.Errorf("Wear(%d) = %+v, want %+v", die, got, want)
+		}
+	}
+	if got := a.Wear(deadDie); got != (WearStats{}) {
+		t.Errorf("Wear of an all-bad die = %+v, want zeros", got)
+	}
+	if got, want := a.Wear(), scan(all...); got != want || got.TotalBlock == 0 {
+		t.Errorf("Wear() = %+v, want %+v", got, want)
 	}
 }
 

@@ -6,17 +6,17 @@ import (
 	"testing"
 )
 
-func partialTestArray(t *testing.T, nop int) *Array {
+func partialTestArray(t *testing.T) *Array {
 	t.Helper()
 	geo := Geometry{
 		Channels: 1, ChipsPerChannel: 1, DiesPerChip: 1, PlanesPerDie: 1,
 		BlocksPerPlane: 4, PagesPerBlock: 4, PageSize: 256, OOBSize: 16,
 	}
-	return NewArray(geo, SLC, Options{StoreData: true, MaxPartialPrograms: nop})
+	return NewArray(geo, SLC, Options{StoreData: true})
 }
 
 func TestProgramPartialAppendsAndMerges(t *testing.T) {
-	a := partialTestArray(t, 4)
+	a := partialTestArray(t)
 	p := PPN(0)
 	if err := a.ProgramPartial(p, 0, []byte{1, 2, 3}, OOB{LPN: 7, Seq: 1}); err != nil {
 		t.Fatal(err)
@@ -51,21 +51,23 @@ func TestProgramPartialAppendsAndMerges(t *testing.T) {
 }
 
 func TestProgramPartialNOPBudget(t *testing.T) {
-	a := partialTestArray(t, 2)
+	a := partialTestArray(t)
 	p := PPN(0)
-	if err := a.ProgramPartial(p, 0, []byte{1}, OOB{}); err != nil {
-		t.Fatal(err)
+	if a.MaxPartialPrograms() != 4 {
+		t.Fatalf("NOP = %d, want 4", a.MaxPartialPrograms())
 	}
-	if err := a.ProgramPartial(p, 1, []byte{2}, OOB{}); err != nil {
-		t.Fatal(err)
+	for i := range 4 {
+		if err := a.ProgramPartial(p, i, []byte{byte(i)}, OOB{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := a.ProgramPartial(p, 2, []byte{3}, OOB{}); !errors.Is(err, ErrPartialNOP) {
+	if err := a.ProgramPartial(p, 4, []byte{4}, OOB{}); !errors.Is(err, ErrPartialNOP) {
 		t.Fatalf("over-budget partial: %v", err)
 	}
 }
 
 func TestProgramPartialRejectsOverwrite(t *testing.T) {
-	a := partialTestArray(t, 8)
+	a := partialTestArray(t)
 	p := PPN(0)
 	if err := a.ProgramPartial(p, 0, []byte{1, 2, 3, 4}, OOB{}); err != nil {
 		t.Fatal(err)
@@ -76,7 +78,7 @@ func TestProgramPartialRejectsOverwrite(t *testing.T) {
 }
 
 func TestProgramPartialInOrderFirstProgram(t *testing.T) {
-	a := partialTestArray(t, 8)
+	a := partialTestArray(t)
 	// Page 1 before page 0 violates in-order programming.
 	if err := a.ProgramPartial(PPN(1), 0, []byte{1}, OOB{}); !errors.Is(err, ErrProgramOrder) {
 		t.Fatalf("out-of-order first partial: %v", err)
@@ -95,7 +97,7 @@ func TestProgramPartialInOrderFirstProgram(t *testing.T) {
 }
 
 func TestFullProgramClosesPage(t *testing.T) {
-	a := partialTestArray(t, 8)
+	a := partialTestArray(t)
 	if err := a.ProgramPage(PPN(0), make([]byte, 256), OOB{}); err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +107,11 @@ func TestFullProgramClosesPage(t *testing.T) {
 }
 
 func TestEraseResetsPartialState(t *testing.T) {
-	a := partialTestArray(t, 2)
+	a := partialTestArray(t)
 	p := PPN(0)
-	_ = a.ProgramPartial(p, 0, []byte{1}, OOB{})
-	_ = a.ProgramPartial(p, 1, []byte{2}, OOB{})
+	for i := range 4 {
+		_ = a.ProgramPartial(p, i, []byte{byte(i)}, OOB{})
+	}
 	if err := a.EraseBlock(PBN(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +124,7 @@ func TestEraseResetsPartialState(t *testing.T) {
 }
 
 func TestProgramBytesCounter(t *testing.T) {
-	a := partialTestArray(t, 4)
+	a := partialTestArray(t)
 	_ = a.ProgramPartial(PPN(0), 0, make([]byte, 10), OOB{})
 	_ = a.ProgramPage(PPN(1), make([]byte, 256), OOB{})
 	c := a.Counters()

@@ -39,7 +39,7 @@ type DFTL struct {
 // NewDFTL builds a DFTL over dev.
 func NewDFTL(dev *flash.Device, cfg ftl.DFTLConfig) (*DFTL, error) {
 	f := &DFTL{perTP: int64(dev.Geometry().PageSize / 8)}
-	v, err := newPageMappedVolume(dev, ftl.PageFTLConfig{OverProvision: cfg.OverProvision}, f.patch)
+	v, err := newPageMappedVolume(dev, ftl.PageFTLConfig{}, f.patch)
 	if err != nil {
 		return nil, err
 	}

@@ -55,14 +55,13 @@ func TestCMTCleanPage(t *testing.T) {
 // mapping cache and in nothing else": with the whole table cached no
 // translation page is ever read or written, and the same command stream
 // must then cost DFTL exactly what it costs the page-mapping FTL — every
-// counter and the clock.
+// counter and the clock. Both run at their default over-provisioning.
 func TestDFTLIsPageFTLWhenTheTableFits(t *testing.T) {
-	const op = 0.2
-	df, err := NewDFTL(pageFTLTestDevice(nand.Options{}), ftl.DFTLConfig{OverProvision: op, CMTEntries: 1 << 20})
+	df, err := NewDFTL(pageFTLTestDevice(nand.Options{}), ftl.DFTLConfig{CMTEntries: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, err := NewPageFTL(pageFTLTestDevice(nand.Options{}), ftl.PageFTLConfig{OverProvision: op})
+	pm, err := NewPageFTL(pageFTLTestDevice(nand.Options{}), ftl.PageFTLConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func TestDFTLIsPageFTLWhenTheTableFits(t *testing.T) {
 // what it added is evicted by the host command that triggered it, so
 // the CMT is back at its capacity when that command returns.
 func TestDFTLEvictsAfterGCNotInsideIt(t *testing.T) {
-	f, err := NewDFTL(pageFTLTestDevice(nand.Options{}), ftl.DFTLConfig{OverProvision: 0.2, CMTEntries: 16})
+	f, err := NewDFTL(pageFTLTestDevice(nand.Options{}), ftl.DFTLConfig{CMTEntries: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,12 @@
 // Package region implements configurable flash regions: the die array
 // is carved into named regions, each with its own die allocation, write
-// frontier, mapping granularity, GC policy and over-provisioning — plus
+// frontier, mapping granularity and over-provisioning — plus
 // an object-placement catalog that lets the storage engine declare where
 // each object class lives ("WAL → log region, heaps and B+-trees → data
 // region"). A Spec carries exactly those choices — name, dies, mapping,
-// over-provisioning, GC policy, background GC — and nothing else: every
-// other volume or log parameter runs at its package default.
+// over-provisioning, background GC — and nothing else: every other volume
+// or log parameter runs at its package default (greedy GC victims for a
+// page-mapped region).
 //
 // This is the step of the NoFTL research line that turns "the DBMS
 // manages flash" into "the DBMS manages each write stream on its own
@@ -91,9 +92,8 @@ type Spec struct {
 	// Mapping selects the translation granularity.
 	Mapping Mapping
 
-	// Page-mapped knobs (forwarded to noftl.Config).
+	// Page-mapped knob (forwarded to noftl.Config).
 	OverProvision float64
-	Policy        ftl.GCPolicy
 
 	// BackgroundGC configures a page-mapped region for worker-driven
 	// cleaning (noftl.Config.BackgroundGC): the write path keeps only the
@@ -199,7 +199,6 @@ func build(dev *flash.Device, layout Layout, rebuild *ioreq.Req) (*Manager, erro
 		case PageMapped:
 			cfg := noftl.Config{
 				OverProvision: spec.OverProvision,
-				Policy:        spec.Policy,
 				Dies:          assign[i],
 				Dev:           io,
 				BackgroundGC:  spec.BackgroundGC,
@@ -418,37 +417,9 @@ func (m *Manager) RegionStats() []RegionStats {
 			s.CapacityPages = r.Vol.LogicalPages()
 			s.FreeBlocks = r.Vol.FreeBlocks()
 		}
-		s.MinErase, s.MaxErase, s.AvgErase = m.eraseStats(r)
+		ws := m.dev.Array().Wear(r.Dies...)
+		s.MinErase, s.MaxErase, s.AvgErase = ws.Min, ws.Max, ws.Mean
 		out = append(out, s)
 	}
 	return out
-}
-
-// eraseStats scans a region's dies for per-block erase counts.
-func (m *Manager) eraseStats(r *Region) (minE, maxE int, avg float64) {
-	arr := m.dev.Array()
-	minE = int(^uint(0) >> 1)
-	total, n := 0, 0
-	for _, die := range r.Dies {
-		sp := ftl.NewDieSpace(m.dev, die)
-		for local := 0; local < sp.Blocks(); local++ {
-			pbn := sp.PBN(local)
-			if arr.IsBad(pbn) {
-				continue
-			}
-			e := arr.EraseCount(pbn)
-			if e < minE {
-				minE = e
-			}
-			if e > maxE {
-				maxE = e
-			}
-			total += e
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, 0, 0
-	}
-	return minE, maxE, float64(total) / float64(n)
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"noftl/internal/flash"
-	"noftl/internal/ftl"
 	"noftl/internal/nand"
 	"noftl/internal/sim"
 )
@@ -184,17 +183,16 @@ func TestRegionIsolationAndRebuild(t *testing.T) {
 	}
 }
 
-// TestPerRegionPolicyAndOverProvision pins the claim in the package
-// comment: each region runs its own GC policy and over-provisioning.
-// Two page-mapped regions share one device — greedy victims at 7% OP
-// beside cost-benefit victims at 20% OP — and take the random-overwrite
+// TestPerRegionOverProvision pins the claim in the package comment:
+// each region runs its own over-provisioning. Two page-mapped regions
+// share one device — 7% OP beside 20% OP — and take the random-overwrite
 // load of the ftl package's TestGCPolicies. The two volumes must export
 // different capacities and do different amounts of GC copy work, and
 // the numbers must follow the spec, not the dies: swapping the two
 // specs swaps them.
-func TestPerRegionPolicyAndOverProvision(t *testing.T) {
-	tight := Spec{Dies: 2, Mapping: PageMapped, Policy: ftl.GreedyPolicy, OverProvision: 0.07}
-	roomy := Spec{Dies: 2, Mapping: PageMapped, Policy: ftl.CostBenefitPolicy, OverProvision: 0.20}
+func TestPerRegionOverProvision(t *testing.T) {
+	tight := Spec{Dies: 2, Mapping: PageMapped, OverProvision: 0.07}
+	roomy := Spec{Dies: 2, Mapping: PageMapped, OverProvision: 0.20}
 	type outcome struct{ pagesPerDie, copybacks int64 }
 	run := func(first, second Spec) (a, b outcome) {
 		first.Name, second.Name = "first", "second"
@@ -239,11 +237,5 @@ func TestPerRegionPolicyAndOverProvision(t *testing.T) {
 	}
 	if sb, sa := run(roomy, tight); sa != a || sb != b {
 		t.Errorf("swapped specs: tight %+v roomy %+v, want %+v and %+v", sa, sb, a, b)
-	}
-	// The policy alone, at equal over-provisioning, changes the victims.
-	costBenefit := tight
-	costBenefit.Policy = ftl.CostBenefitPolicy
-	if g, c := run(tight, costBenefit); g.pagesPerDie != c.pagesPerDie || g.copybacks == c.copybacks {
-		t.Errorf("greedy %+v vs cost-benefit %+v at equal OP: GC policy is not per region", g, c)
 	}
 }

@@ -503,28 +503,8 @@ func (s *System) startHealth() {
 			if die < len(depths) {
 				d.QueueDepth = depths[die]
 			}
-			minE, maxE := -1, 0
-			var sum, n int64
-			for _, e := range d.Blocks {
-				if e < 0 {
-					continue
-				}
-				if minE < 0 || e < minE {
-					minE = e
-				}
-				if e > maxE {
-					maxE = e
-				}
-				sum += int64(e)
-				n++
-			}
-			if minE < 0 {
-				minE = 0
-			}
-			d.EraseMin, d.EraseMax = minE, maxE
-			if n > 0 {
-				d.EraseMean = float64(sum) / float64(n)
-			}
+			ws := arr.Wear(die)
+			d.EraseMin, d.EraseMax, d.EraseMean = ws.Min, ws.Max, ws.Mean
 			snap.Dies = append(snap.Dies, d)
 		}
 	})

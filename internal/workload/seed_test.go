@@ -47,37 +47,10 @@ func TestTPCHSeedThreading(t *testing.T) {
 	}
 }
 
-// TestTPCESeedThreading: same property for TPC-E's initial trade
-// history (row counts are seed-independent there; the row contents are
-// not).
-func TestTPCESeedThreading(t *testing.T) {
-	sumQty := func(seed int64) int64 {
-		e, ctx := newMemEngine(t)
-		wl := NewTPCE(TPCEConfig{Customers: 20, Seed: seed})
-		if err := wl.Load(ctx, e); err != nil {
-			t.Fatal(err)
-		}
-		tbl, err := e.OpenTable("tpce_trade")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sum int64
-		if err := e.Scan(ctx, tbl, func(_ storage.RID, rec []byte) bool {
-			sum += field(rec, 3) // qty
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return sum
-	}
-	a1, a2, b := sumQty(3), sumQty(3), sumQty(4)
-	if a1 != a2 {
-		t.Fatalf("same seed, different trade histories: %d vs %d", a1, a2)
-	}
-	if a1 == b {
-		t.Fatalf("different seeds produced identical trade histories (qty sum %d): seed not threaded", a1)
-	}
-	if NewTPCE(TPCEConfig{}).Config().Seed != 17 {
-		t.Fatal("unset TPCE seed did not default to 17")
+// TestTPCELoadSeed pins the seed of TPC-E's initial trade history, the
+// one Figure 3's TPC-E rows were recorded with.
+func TestTPCELoadSeed(t *testing.T) {
+	if tpceLoadSeed != 17 {
+		t.Fatalf("TPC-E load seed = %d, want 17", tpceLoadSeed)
 	}
 }

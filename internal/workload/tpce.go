@@ -15,10 +15,6 @@ type TPCEConfig struct {
 	Customers int
 	// Securities defaults to 100.
 	Securities int
-	// Seed drives the load-time population RNG (initial trade history),
-	// keeping the workload deterministic per configured seed instead of
-	// per compiled-in constant. 0 selects the historical default of 17.
-	Seed int64
 }
 
 func (c TPCEConfig) withDefaults() TPCEConfig {
@@ -27,9 +23,6 @@ func (c TPCEConfig) withDefaults() TPCEConfig {
 	}
 	if c.Securities <= 0 {
 		c.Securities = 100
-	}
-	if c.Seed == 0 {
-		c.Seed = 17
 	}
 	return c
 }
@@ -64,6 +57,9 @@ const (
 	// time (TPC-E ships with a large initial TRADE table).
 	tpceInitialTradesPerAccount = 10
 	tpceFiller                  = 80 // pads rows
+	// tpceLoadSeed drives the load-time population RNG (initial trade
+	// history).
+	tpceLoadSeed = 17
 )
 
 // Load implements Workload.
@@ -110,7 +106,7 @@ func (t *TPCE) Load(ctx *storage.IOCtx, e *storage.Engine) error {
 	}
 	// Initial trade history: completed trades spread over accounts.
 	nTrades := t.accounts() * tpceInitialTradesPerAccount
-	rng := rand.New(rand.NewSource(c.Seed))
+	rng := rand.New(rand.NewSource(tpceLoadSeed))
 	for start := int64(0); start < nTrades; start += 500 {
 		end := start + 500
 		if end > nTrades {

@@ -4,12 +4,15 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
+
+	"noftl/internal/analysis"
 )
 
 // walkGoFiles parses every Go file under the module root (dot
@@ -44,73 +47,131 @@ func walkGoFiles(t *testing.T, fn func(fset *token.FileSet, path string, f *ast.
 	}
 }
 
-// TestEveryOptionHasASetter is the ratchet behind "no option without a
-// setter": every exported field of a configuration struct under
+// The two reasons a configuration field may stay with no non-test setter.
+const (
+	scaleOnly = "workload or run scale: tests shrink it to stay fast"
+	faultOnly = "fault injection: only tests provoke the fault"
+)
+
+// unsetOptions are the configuration fields that may stay with no
+// non-test setter, each with its reason. The list can only shrink: a
+// listed field that is deleted, or that gains a non-test setter, fails
+// TestEveryOptionHasASetter.
+var unsetOptions = map[string]string{
+	"bench.Fig3Config.TPCB":                        scaleOnly,
+	"bench.Fig3Config.TPCC":                        scaleOnly,
+	"bench.Fig3Config.TPCE":                        scaleOnly,
+	"bench.Fig3Config.Transactions":                scaleOnly,
+	"bench.Fig4Config.TPCC":                        scaleOnly,
+	"bench.QoSConfig.TPCB":                         scaleOnly,
+	"bench.SweepConfig.TPCB":                       scaleOnly,
+	"bench.SweepConfig.TPCC":                       scaleOnly,
+	"bench.LatencyConfig.Dies":                     scaleOnly,
+	"bench.LatencyConfig.DriveMB":                  scaleOnly,
+	"bench.LatencyConfig.Ops":                      scaleOnly,
+	"bench.ValidateConfig.Ops":                     scaleOnly,
+	"workload.TPCCConfig.CustomersPerDistrict":     scaleOnly,
+	"workload.TPCCConfig.InitialOrdersPerDistrict": scaleOnly,
+	"workload.TPCCConfig.Items":                    scaleOnly,
+	"workload.TPCEConfig.Securities":               scaleOnly,
+	"bench.HTAPConfig.Modes":                       scaleOnly + " (one row)",
+	"bench.SchedConfig.Modes":                      scaleOnly + " (one row)",
+	"nand.Options.EraseFailProb":                   faultOnly,
+	"nand.Options.Endurance":                       faultOnly,
+}
+
+// TestEveryOptionHasASetter is the ratchet behind "every setting has a
+// caller": every exported field of a configuration struct under
 // internal/ must be set — a keyed literal element `Field:` or an
-// assignment `.Field =` — by some Go file other than the one declaring
-// it (tests, examples, commands and the benchmark module all count). A
-// field nothing sets is a constant that costs a field, a doc block and a
-// configuration nobody has run: make it one.
+// assignment `x.Field =` — by some non-test Go file other than the one
+// declaring it (experiments, commands, examples and the benchmark module
+// count; tests do not), unless unsetOptions lists it with its reason. A
+// field no caller sets is a factor no run varies: make it an unexported
+// constant beside its use.
 //
-// Matching is by field name only (no type checker), so a name that two
-// structs share and one of them sets hides the other's unset twin; the
-// test under-reports, which is an acceptable floor for a ratchet.
+// Each setter is resolved by the type checker to the field it names, so
+// two structs that share a field name are told apart. Fields are keyed by
+// their declaration's position, because the loader type-checks a package
+// once as an import and again with its tests.
 func TestEveryOptionHasASetter(t *testing.T) {
-	configName := regexp.MustCompile(`(Config|Options|Spec)$|^Params$|^Layout$`)
-	type field struct{ owner, name, file string }
-	var fields []field
-	setIn := map[string]map[string]bool{} // field name -> files setting it
-	note := func(name, file string) {
-		if setIn[name] == nil {
-			setIn[name] = map[string]bool{}
-		}
-		setIn[name][file] = true
+	l, err := analysis.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
 	}
-	walkGoFiles(t, func(_ *token.FileSet, path string, f *ast.File) {
-		internal := strings.HasPrefix(path, "internal"+string(filepath.Separator)) &&
-			!strings.HasSuffix(path, "_test.go")
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.TypeSpec:
-				st, ok := n.Type.(*ast.StructType)
-				if !ok || !internal || !n.Name.IsExported() || !configName.MatchString(n.Name.Name) {
-					break
-				}
-				for _, fl := range st.Fields.List {
-					for _, name := range fl.Names {
-						if name.IsExported() {
-							fields = append(fields, field{f.Name.Name + "." + n.Name.Name, name.Name, path})
-						}
-					}
-				}
-			case *ast.KeyValueExpr:
-				if key, ok := n.Key.(*ast.Ident); ok {
-					note(key.Name, path)
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						note(sel.Sel.Name, path)
+	pkgs, err := l.Load(l.ModuleDir, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	configName := regexp.MustCompile(`(Config|Options|Spec)$|^Params$|^Layout$`)
+	internal := filepath.Join(l.ModuleDir, "internal") + string(filepath.Separator)
+	fields := map[token.Position]string{} // declaration -> pkg.Type.Field
+	declared := map[string]bool{}         // pkg.Type.Field
+	set := map[token.Position]bool{}      // declaration -> set by another non-test file
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			file := l.Fset.Position(f.Pos()).Filename
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			note := func(id *ast.Ident) {
+				if v, ok := p.Info.Uses[id].(*types.Var); ok && v.IsField() {
+					if decl := l.Fset.Position(v.Pos()); decl.Filename != file {
+						set[decl] = true
 					}
 				}
 			}
-			return true
-		})
-	})
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					st, ok := n.Type.(*ast.StructType)
+					if !ok || !strings.HasPrefix(file, internal) || !n.Name.IsExported() || !configName.MatchString(n.Name.Name) {
+						break
+					}
+					for _, fl := range st.Fields.List {
+						for _, name := range fl.Names {
+							if name.IsExported() {
+								full := p.Pkg.Name() + "." + n.Name.Name + "." + name.Name
+								fields[l.Fset.Position(name.Pos())], declared[full] = full, true
+							}
+						}
+					}
+				case *ast.KeyValueExpr:
+					if key, ok := n.Key.(*ast.Ident); ok {
+						note(key)
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							note(sel.Sel)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for name := range unsetOptions {
+		if !declared[name] {
+			t.Errorf("%s is no longer a config field: drop it from unsetOptions", name)
+		}
+	}
 	var unset []string
-	for _, fl := range fields {
-		setters := setIn[fl.name]
-		if len(setters) == 0 || len(setters) == 1 && setters[fl.file] {
-			unset = append(unset, fl.owner+"."+fl.name)
+	for decl, name := range fields {
+		_, listed := unsetOptions[name]
+		switch {
+		case listed && set[decl]:
+			t.Errorf("%s has a non-test setter now: drop it from unsetOptions", name)
+		case !listed && !set[decl]:
+			unset = append(unset, name)
 		}
 	}
 	if len(unset) > 0 {
 		sort.Strings(unset)
-		t.Fatalf("%d of %d config fields are set by no file other than their declaring one "+
+		t.Fatalf("%d of %d config fields are set by no non-test file other than their declaring one "+
 			"(make each an unexported constant beside its use):\n  %s",
 			len(unset), len(fields), strings.Join(unset, "\n  "))
 	}
-	t.Logf("%d config fields, each set outside its declaring file", len(fields))
+	t.Logf("%d config fields, each set by a non-test caller or one of the %d in unsetOptions", len(fields), len(unsetOptions))
 }
 
 // TestEveryFacadeNameHasAUser is the same ratchet for the facade: every
