@@ -1,16 +1,19 @@
-// Package analysis is noftlvet's stdlib-only static-analysis framework:
+// Package analysis is the repo's stdlib-only static-analysis framework:
 // a source loader (go/parser + go/types, no golang.org/x/tools — the
 // module has zero external dependencies and must stay that way), a
 // small analyzer API, and a driver that runs every analyzer over a set
 // of packages, applies //noftl:ignore suppression comments, and emits
-// deterministic "file:line: analyzer: message" diagnostics.
+// deterministic "file:line: analyzer: message" diagnostics. The root
+// package's TestStaticInvariants runs the whole suite over the module,
+// so go test ./... enforces every rule.
 //
 // The analyzers encode the repo's cross-layer invariants — the rules
 // each PR established and runtime tests only catch when they happen to
 // exercise the violating path. See the individual analyzer files
-// (determinism.go, ioreqclass.go, nilrecv.go, metricname.go) for the
-// invariant each one enforces, and
-// DESIGN.md "Static invariants" for the PR that introduced each one.
+// (determinism.go, ioreqclass.go, nilrecv.go, metricname.go,
+// onethread.go, timedretry.go, setter.go, facade.go) for the invariant
+// each one enforces, and DESIGN.md "Static invariants" for the PR that
+// introduced each one.
 package analysis
 
 import (
@@ -27,8 +30,6 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //noftl:ignore comments.
 	Name string
-	// Doc is the one-line description printed by noftlvet -list.
-	Doc string
 	// Run inspects one package pass and reports findings on it.
 	Run func(*Pass)
 }
@@ -40,6 +41,10 @@ func All() []*Analyzer {
 		IOReqClass,
 		NilRecv,
 		MetricName,
+		OneThread,
+		TimedRetry,
+		Setter,
+		Facade,
 	}
 }
 
@@ -58,6 +63,10 @@ type Pass struct {
 	// Pkg and Info are the go/types results for Files.
 	Pkg  *types.Package
 	Info *types.Info
+	// Module is every unit of the same load, for the rules that judge a
+	// package by its users. Such a rule still reports only what this
+	// pass's files declare, so each finding is suppressed in its unit.
+	Module []*Package
 
 	diags *[]Diagnostic
 }
@@ -67,6 +76,11 @@ type Pass struct {
 // so a package's own tests live under its rules.
 func (p *Pass) BasePath() string {
 	return strings.TrimSuffix(p.Path, "_test")
+}
+
+// isTestFile reports whether f is a _test.go file.
+func (p *Pass) isTestFile(f *ast.File) bool {
+	return strings.HasSuffix(p.Fset.File(f.Pos()).Name(), "_test.go")
 }
 
 // Reportf records a diagnostic at pos.
@@ -137,7 +151,7 @@ type Diagnostic struct {
 }
 
 // String renders the diagnostic in the "file:line: analyzer: message"
-// format noftlvet prints.
+// format TestStaticInvariants reports.
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Analyzer, d.Message)
 }

@@ -23,19 +23,23 @@ import (
 //
 // Deliberate wall-clock uses (the sim package's RealWaiter bridge)
 // carry //noftl:ignore comments at the call sites.
-var Determinism = &Analyzer{
-	Name: "determinism",
-	Doc:  "flags wall-clock reads, unseeded global math/rand, and ordered output from map iteration",
-	Run:  runDeterminism,
-}
+var Determinism = &Analyzer{Name: "determinism", Run: runDeterminism}
 
 func runDeterminism(pass *Pass) {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if ok && fd.Body != nil {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 				determinismFunc(pass, fd)
+				continue
 			}
+			// Package-level initializers draw clocks and randomness too.
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					checkWallClock(pass, call)
+					checkGlobalRand(pass, call)
+				}
+				return true
+			})
 		}
 	}
 }

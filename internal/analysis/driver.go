@@ -1,13 +1,15 @@
 package analysis
 
+import "go/token"
+
 // The driver: load packages, run every analyzer over every unit, apply
 // suppression comments, and return deterministically ordered findings.
 
 // Run loads patterns (relative to base) with the loader and applies the
 // analyzer suite to every unit. Diagnostics come back sorted by file,
 // line, analyzer and message; suppressed findings are dropped, and
-// malformed //noftl:ignore comments are reported under the "ignore"
-// pseudo-analyzer.
+// malformed or stale //noftl:ignore comments are reported under the
+// "ignore" pseudo-analyzer.
 func Run(l *Loader, base string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	pkgs, err := l.Load(base, patterns...)
 	if err != nil {
@@ -15,37 +17,35 @@ func Run(l *Loader, base string, patterns []string, analyzers []*Analyzer) ([]Di
 	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		diags = append(diags, Check(l, pkg, analyzers)...)
+		diags = append(diags, checkUnit(l.Fset, pkg, pkgs, analyzers)...)
 	}
 	sortDiagnostics(diags)
 	return diags, nil
 }
 
-// Check runs the analyzers over one loaded unit, applying that unit's
-// suppression comments.
-func Check(l *Loader, pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	known := map[string]bool{}
-	for _, a := range All() {
-		known[a.Name] = true
-	}
-	ig, diags := scanIgnores(l.Fset, pkg.Files, known)
+// checkUnit runs the analyzers over one loaded unit of module and
+// applies that unit's suppression comments. A well-formed directive
+// naming one of the analyzers that ran, and silencing nothing, is
+// itself a finding.
+func checkUnit(fset *token.FileSet, pkg *Package, module []*Package, analyzers []*Analyzer) []Diagnostic {
+	ig, diags := scanIgnores(fset, pkg.Files)
 	var found []Diagnostic
 	for _, a := range analyzers {
-		pass := &Pass{
+		a.Run(&Pass{
 			Analyzer: a,
-			Fset:     l.Fset,
+			Fset:     fset,
 			Path:     pkg.Path,
 			Files:    pkg.Files,
 			Pkg:      pkg.Pkg,
 			Info:     pkg.Info,
+			Module:   module,
 			diags:    &found,
-		}
-		a.Run(pass)
+		})
 	}
 	for _, d := range found {
 		if !ig.suppresses(d) {
 			diags = append(diags, d)
 		}
 	}
-	return diags
+	return append(diags, ig.stale(analyzers)...)
 }

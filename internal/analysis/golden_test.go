@@ -1,10 +1,10 @@
 package analysis
 
-// Golden-diagnostic tests: each testdata/src/<fixture> package is
-// loaded with the real loader, run under one analyzer, and the
-// formatted findings (paths relative to the fixture directory) must
-// match the fixture's expect.txt byte for byte. Regenerate goldens
-// with
+// Golden-diagnostic tests: each testdata/src/<fixture> tree is loaded
+// with the real loader (tests and subpackages included), run under its
+// analyzers, and the formatted findings (paths relative to the fixture
+// directory) must match the fixture's expect.txt byte for byte.
+// Regenerate goldens with
 //
 //	NOFTLVET_UPDATE_GOLDEN=1 go test ./internal/analysis
 //
@@ -36,22 +36,22 @@ func sharedLoader(t *testing.T) *Loader {
 	return loaderVal
 }
 
-// runFixture loads testdata/src/<name> and returns the diagnostics of
-// the given analyzers plus the fixture's absolute directory.
+// runFixture loads testdata/src/<name>/... and returns the diagnostics
+// of the given analyzers plus the fixture's absolute directory.
 func runFixture(t *testing.T, name string, analyzers []*Analyzer) ([]Diagnostic, string) {
 	t.Helper()
 	dir, err := filepath.Abs(filepath.Join("testdata", "src", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := Run(sharedLoader(t), dir, []string{"."}, analyzers)
+	diags, err := Run(sharedLoader(t), dir, []string{"./..."}, analyzers)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
 	return diags, dir
 }
 
-// formatDiags renders diagnostics the way noftlvet prints them, with
+// formatDiags renders diagnostics as Diagnostic.String does, with
 // filenames relative to the fixture directory.
 func formatDiags(t *testing.T, dir string, diags []Diagnostic) string {
 	t.Helper()
@@ -79,10 +79,18 @@ func TestAnalyzerGoldens(t *testing.T) {
 		{"serve", []*Analyzer{IOReqClass}},
 		{"nilrecv", []*Analyzer{NilRecv}},
 		{"metricname", []*Analyzer{MetricName}},
-		// The ignore fixture's violations are determinism ones; the
-		// malformed directives surface under the "ignore" pseudo-analyzer
-		// regardless of which analyzers run.
-		{"ignore", []*Analyzer{Determinism}},
+		{"onethread", []*Analyzer{OneThread}},
+		{"timedretry", []*Analyzer{TimedRetry}},
+		// setter and facade judge a package by the rest of the load:
+		// their fixtures carry a caller subpackage and a test-only setter
+		// or user.
+		{"setter", []*Analyzer{Setter}},
+		{"facade", []*Analyzer{Facade}},
+		// The ignore fixture's violations are determinism ones; malformed
+		// directives surface under the "ignore" pseudo-analyzer whichever
+		// analyzers run, stale ones only for an analyzer that ran (nilrecv
+		// runs so that a directive naming it is judged).
+		{"ignore", []*Analyzer{Determinism, NilRecv}},
 	}
 	for _, c := range cases {
 		t.Run(c.fixture, func(t *testing.T) {

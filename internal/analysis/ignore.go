@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -18,29 +19,29 @@ import (
 // it. The reason is mandatory: an ignore that doesn't say why is itself
 // a diagnostic (analyzer name "ignore"), as is an ignore naming an
 // analyzer that doesn't exist — a typo there would silently suppress
-// nothing.
+// nothing — and an ignore that silences nothing its analyzer finds, so
+// an exception goes with the code it excused.
 
 const ignoreDirective = "noftl:ignore"
 
 // ignoreAnalyzer is the pseudo-analyzer name under which the driver
-// reports malformed suppression comments.
+// reports malformed and stale suppression comments.
 const ignoreAnalyzer = "ignore"
 
-// ignoreSet records well-formed suppressions by file, line and
-// analyzer name.
-type ignoreSet map[ignoreKey]bool
-
-type ignoreKey struct {
-	file     string
-	line     int
+// ignore is one well-formed suppression comment.
+type ignore struct {
+	pos      token.Position
 	analyzer string
+	used     bool // it silenced a finding
 }
 
-// scanIgnores collects the package's suppression comments. Malformed
-// directives are returned as diagnostics; known names the set of valid
-// analyzer names.
-func scanIgnores(fset *token.FileSet, files []*ast.File, known map[string]bool) (ignoreSet, []Diagnostic) {
-	ig := ignoreSet{}
+// ignoreSet is a unit's well-formed suppressions in source order.
+type ignoreSet []ignore
+
+// scanIgnores collects the unit's suppression comments. Malformed
+// directives are returned as diagnostics.
+func scanIgnores(fset *token.FileSet, files []*ast.File) (ignoreSet, []Diagnostic) {
+	var ig ignoreSet
 	var diags []Diagnostic
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -59,7 +60,7 @@ func scanIgnores(fset *token.FileSet, files []*ast.File, known map[string]bool) 
 					continue
 				}
 				name := fields[0]
-				if !known[name] {
+				if !slices.ContainsFunc(All(), func(a *Analyzer) bool { return a.Name == name }) {
 					bad("//" + ignoreDirective + " names unknown analyzer " + name)
 					continue
 				}
@@ -67,7 +68,7 @@ func scanIgnores(fset *token.FileSet, files []*ast.File, known map[string]bool) 
 					bad("//" + ignoreDirective + " " + name + " needs a reason")
 					continue
 				}
-				ig[ignoreKey{file: pos.Filename, line: pos.Line, analyzer: name}] = true
+				ig = append(ig, ignore{pos: pos, analyzer: name})
 			}
 		}
 	}
@@ -76,8 +77,28 @@ func scanIgnores(fset *token.FileSet, files []*ast.File, known map[string]bool) 
 
 // suppresses reports whether the set silences d: a matching directive
 // on the diagnostic's line (trailing comment) or the line above it
-// (standalone comment).
+// (standalone comment). The directive is then in use.
 func (ig ignoreSet) suppresses(d Diagnostic) bool {
-	return ig[ignoreKey{file: d.Pos.Filename, line: d.Pos.Line, analyzer: d.Analyzer}] ||
-		ig[ignoreKey{file: d.Pos.Filename, line: d.Pos.Line - 1, analyzer: d.Analyzer}]
+	for i := range ig {
+		g := &ig[i]
+		if g.analyzer == d.Analyzer && g.pos.Filename == d.Pos.Filename &&
+			(g.pos.Line == d.Pos.Line || g.pos.Line == d.Pos.Line-1) {
+			g.used = true
+			return true
+		}
+	}
+	return false
+}
+
+// stale reports each directive naming one of analyzers that silenced
+// nothing: the exception it recorded no longer exists.
+func (ig ignoreSet) stale(analyzers []*Analyzer) []Diagnostic {
+	var diags []Diagnostic
+	for _, g := range ig {
+		if !g.used && slices.ContainsFunc(analyzers, func(a *Analyzer) bool { return a.Name == g.analyzer }) {
+			diags = append(diags, Diagnostic{Pos: g.pos, Analyzer: ignoreAnalyzer,
+				Message: "//" + ignoreDirective + " " + g.analyzer + " silences nothing; delete it"})
+		}
+	}
+	return diags
 }

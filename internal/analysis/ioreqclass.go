@@ -26,11 +26,7 @@ import (
 //     per-tenant blame and the burn-rate guard all lose that request.
 //     Session.admit stamps the full descriptor; new serve code should
 //     derive contexts from it rather than building bare ones.
-var IOReqClass = &Analyzer{
-	Name: "ioreqclass",
-	Doc:  "flags ioreq.Req literals without an explicit Class, zero-value storage.IOCtx arguments, and tagless request literals in serve-layer packages",
-	Run:  runIOReqClass,
-}
+var IOReqClass = &Analyzer{Name: "ioreqclass", Run: runIOReqClass}
 
 const (
 	ioreqPath   = "noftl/internal/ioreq"

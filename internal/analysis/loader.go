@@ -31,9 +31,6 @@ type Loader struct {
 	// ModulePath and ModuleDir identify the enclosing module.
 	ModulePath string
 	ModuleDir  string
-	// IncludeTests adds _test.go files of target packages (default on
-	// in noftlvet; fixtures don't use them).
-	IncludeTests bool
 
 	ctx      build.Context
 	sizes    types.Sizes
@@ -74,14 +71,13 @@ func NewLoader(dir string) (*Loader, error) {
 	ctx.CgoEnabled = false
 	fset := token.NewFileSet()
 	l := &Loader{
-		Fset:         fset,
-		ModulePath:   modPath,
-		ModuleDir:    modDir,
-		IncludeTests: true,
-		ctx:          ctx,
-		sizes:        types.SizesFor("gc", runtime.GOARCH),
-		cache:        map[string]*types.Package{},
-		checking:     map[string]bool{},
+		Fset:       fset,
+		ModulePath: modPath,
+		ModuleDir:  modDir,
+		ctx:        ctx,
+		sizes:      types.SizesFor("gc", runtime.GOARCH),
+		cache:      map[string]*types.Package{},
+		checking:   map[string]bool{},
 	}
 	// The source importer resolves non-module imports (std) by parsing
 	// GOROOT source; it shares l.Fset so every position is printable.
@@ -200,9 +196,9 @@ func (l *Loader) importPath(dir string) (string, error) {
 	return l.ModulePath + "/" + filepath.ToSlash(rel), nil
 }
 
-// loadDir type-checks one directory's units: the package (in-package
-// test files included when IncludeTests) and, separately, its external
-// _test package if one exists.
+// loadDir type-checks one directory's units: the package with its
+// in-package test files and, separately, its external _test package if
+// one exists.
 func (l *Loader) loadDir(dir string) ([]*Package, error) {
 	bp, err := l.ctx.ImportDir(dir, 0)
 	if err != nil {
@@ -213,10 +209,7 @@ func (l *Loader) loadDir(dir string) ([]*Package, error) {
 		return nil, err
 	}
 	var out []*Package
-	files := append([]string(nil), bp.GoFiles...)
-	if l.IncludeTests {
-		files = append(files, bp.TestGoFiles...)
-	}
+	files := append(append([]string(nil), bp.GoFiles...), bp.TestGoFiles...)
 	if len(files) > 0 {
 		pkg, err := l.check(path, dir, files)
 		if err != nil {
@@ -230,7 +223,7 @@ func (l *Loader) loadDir(dir string) ([]*Package, error) {
 			l.cache[path] = pkg.Pkg
 		}
 	}
-	if l.IncludeTests && len(bp.XTestGoFiles) > 0 {
+	if len(bp.XTestGoFiles) > 0 {
 		pkg, err := l.check(path+"_test", dir, bp.XTestGoFiles)
 		if err != nil {
 			return nil, err

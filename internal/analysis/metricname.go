@@ -18,11 +18,7 @@ import (
 // "layer." prefix (the sanctioned per-class pattern:
 // "sched.wait."+class.String()+"_us" — the derived part enumerates a
 // fixed enum, so the set is stable for a fixed build).
-var MetricName = &Analyzer{
-	Name: "metricname",
-	Doc:  "flags Registry registrations with non-constant names or names not matching layer.metric",
-	Run:  runMetricName,
-}
+var MetricName = &Analyzer{Name: "metricname", Run: runMetricName}
 
 const telemetryPath = "noftl/internal/telemetry"
 

@@ -20,11 +20,7 @@ import (
 // pointer-receiver method must check the receiver against nil before
 // the first receiver field access. Calling another method on the
 // receiver is fine (that method guards itself, per the contract).
-var NilRecv = &Analyzer{
-	Name: "nilrecv",
-	Doc:  "flags exported pointer-receiver methods of nil-safe types that dereference the receiver before the nil guard",
-	Run:  runNilRecv,
-}
+var NilRecv = &Analyzer{Name: "nilrecv", Run: runNilRecv}
 
 func runNilRecv(pass *Pass) {
 	type method struct {

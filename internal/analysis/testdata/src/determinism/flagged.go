@@ -42,3 +42,6 @@ func CollectUnsorted(m map[string]int) []string {
 	}
 	return keys
 }
+
+// started reads the wall clock in a package-level initializer.
+var started = time.Now()

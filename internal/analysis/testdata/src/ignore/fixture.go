@@ -1,6 +1,8 @@
 // Fixture for the suppression mechanism: every function violates
 // determinism the same way, and what varies is the //noftl:ignore
-// directive. expect.txt shows which findings survive.
+// directive. expect.txt shows which findings survive, and which
+// directives are findings themselves. The fixture runs determinism and
+// nilrecv.
 package ignore
 
 import "time"
@@ -35,4 +37,32 @@ func Typo() time.Time {
 func Naked() time.Time {
 	//noftl:ignore
 	return time.Now()
+}
+
+// TwoAbove's directive is two lines above its finding: it reaches only
+// the line below it, so the finding stays and the directive is stale.
+func TwoAbove() time.Time {
+	//noftl:ignore determinism fixture: too far from its finding
+
+	return time.Now()
+}
+
+// Other's directive names another analyzer: the determinism finding
+// stays, and nilrecv, which ran, found nothing there to silence.
+func Other() time.Time {
+	//noftl:ignore nilrecv fixture: names the wrong analyzer
+	return time.Now()
+}
+
+// Stale's directive silences nothing: the exception it recorded is gone.
+func Stale() int {
+	//noftl:ignore determinism fixture: the wall-clock read was removed
+	return 0
+}
+
+// NotRun's directive names an analyzer that did not run, so the pass
+// cannot judge it.
+func NotRun() int {
+	//noftl:ignore metricname fixture: metricname does not run here
+	return 0
 }

@@ -23,9 +23,13 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // SF 30 (TPC-C), 350 (TPC-B) and 1000 customers (TPC-E); the defaults
 // shrink populations and transaction counts proportionally.
 type Fig3Config struct {
-	TPCC         workload.TPCCConfig
-	TPCB         workload.TPCBConfig
-	TPCE         workload.TPCEConfig
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
+	TPCC workload.TPCCConfig
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
+	TPCB workload.TPCBConfig
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
+	TPCE workload.TPCEConfig
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
 	Transactions int // per workload. Default 4000.
 	Seed         int64
 }

@@ -27,6 +27,7 @@ type Fig4Config struct {
 	Measure  sim.Time
 	Seed     int64
 
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
 	TPCC workload.TPCCConfig
 	TPCB workload.TPCBConfig
 }

@@ -39,6 +39,7 @@ const htapPrefetchWindow = 16
 // OLTP terminal count.
 type HTAPConfig struct {
 	Params
+	//noftl:ignore setter run scale: tests run one row to stay fast
 	Modes   []string // the policies to run, by row name (default: all three)
 	Readers int      // analytical reader processes, default 2
 

@@ -20,10 +20,13 @@ import (
 // of 0.450 ms with FTL-specific outliers reaching ~80 ms under heavy
 // load; NoFTL's background GC keeps the tail flat.
 type LatencyConfig struct {
-	Ops     int // default 20000
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
+	Ops int // default 20000
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
 	DriveMB int // default 64 (small: GC pressure arrives quickly)
-	Dies    int // default 4
-	Seed    int64
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
+	Dies int // default 4
+	Seed int64
 }
 
 // latencyFill is the utilised fraction before measurement.

@@ -45,6 +45,7 @@ type QoSConfig struct {
 
 	// TPCB sizes each tenant's tables; default: per geometry, each
 	// tenant ~68% of half the data region.
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
 	TPCB workload.TPCBConfig
 }
 

@@ -168,6 +168,7 @@ func (c checkpointer) start(r *running) {
 		wal := e.Log()
 		last := p.Now()
 		for !r.stopped {
+			//noftl:ignore timedretry the checkpointer's tick: a checkpoint every interval is its job
 			p.Sleep(c.tick)
 			if r.stopped {
 				return

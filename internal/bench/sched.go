@@ -42,7 +42,8 @@ type SchedConfig struct {
 	// Workload is "tpcb" (default; sized per geometry to ~68% of the
 	// data region at load) or "tpcc" (4 warehouses).
 	Workload string
-	Modes    []string // the regimes to run, by row name (default: all three)
+	//noftl:ignore setter run scale: tests run one row to stay fast
+	Modes []string // the regimes to run, by row name (default: all three)
 }
 
 // SchedAblation runs the regimes: one freshly built region-managed

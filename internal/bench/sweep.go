@@ -39,8 +39,10 @@ import (
 type SweepConfig struct {
 	Params
 	Workload string // "tpcc" or "tpcb"
-	TPCC     workload.TPCCConfig
-	TPCB     workload.TPCBConfig
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
+	TPCC workload.TPCCConfig
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
+	TPCB workload.TPCBConfig
 }
 
 // The sweeps' configs share one shape.

@@ -18,6 +18,7 @@ import (
 // the analytic NAND model and (2) reconfigurability across cell types
 // and die counts, including the OpenSSD-like fixture.
 type ValidateConfig struct {
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
 	Ops  int // per job; default 2000
 	Seed int64
 }

@@ -62,9 +62,11 @@ type Options struct {
 	ProgramFailProb float64
 	// EraseFailProb is the per-erase probability of a failure that retires
 	// the block.
+	//noftl:ignore setter fault injection: only tests provoke the fault
 	EraseFailProb float64
 	// Endurance overrides the cell type's erase budget; 0 keeps the default.
 	// Blocks erased beyond the budget wear out and become bad.
+	//noftl:ignore setter fault injection: only tests provoke the fault
 	Endurance int
 	// Seed drives factory bad-block placement and failure injection.
 	Seed int64

@@ -99,6 +99,7 @@ func StartMaintenance(k *sim.Kernel, gc GCDriver, cfg MaintConfig) *Maintenance 
 	k.Go("wear-sweep", func(p *sim.Proc) {
 		rq := ioreq.Req{W: sim.ProcWaiter{P: p}, Class: ioreq.ClassGC}
 		for !mt.stopped {
+			//noftl:ignore timedretry the wear-leveling sweep runs on a period by design
 			p.Sleep(sweepEvery)
 			if mt.stopped {
 				return

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	//noftl:ignore onethread RealWaiter is safe for concurrent use by goroutines outside the simulation
 	"sync"
 	"time"
 )
@@ -92,6 +93,7 @@ func (w *RealWaiter) WaitUntil(t Time) {
 		if now >= t {
 			return
 		}
+		//noftl:ignore timedretry RealWaiter paces the simulation against the wall clock; no process can wake it
 		time.Sleep(time.Duration(float64(t-now) / w.scale))
 	}
 }

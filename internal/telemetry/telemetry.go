@@ -154,6 +154,7 @@ func (t *Telemetry) RecordSpan(sp *ioreq.Span) {
 func (t *Telemetry) Start(k *sim.Kernel) {
 	k.Go("telemetry-sampler", func(p *sim.Proc) {
 		for {
+			//noftl:ignore timedretry the sampler's period is the sampling interval
 			p.Sleep(sampleEvery)
 			t.sample(p.Now())
 		}

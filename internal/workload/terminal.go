@@ -156,6 +156,7 @@ func StartTerminals(k *sim.Kernel, e *storage.Engine, wl Workload, cfg TerminalC
 					return
 				}
 				if cfg.Think > 0 {
+					//noftl:ignore timedretry think time between transactions, not a wait on another process
 					p.Sleep(cfg.Think)
 				}
 			}

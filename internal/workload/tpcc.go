@@ -19,11 +19,14 @@ type TPCCConfig struct {
 	// Warehouses is the scale factor (sf).
 	Warehouses int
 	// CustomersPerDistrict defaults to 120 (spec: 3000).
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
 	CustomersPerDistrict int
 	// Items defaults to 1000 (spec: 100,000); stock is per (warehouse,
 	// item).
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
 	Items int
 	// InitialOrdersPerDistrict defaults to 30 (spec: 3000).
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
 	InitialOrdersPerDistrict int
 }
 

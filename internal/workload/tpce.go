@@ -14,6 +14,7 @@ type TPCEConfig struct {
 	// Customers is the scale factor (the paper runs 1000 customers).
 	Customers int
 	// Securities defaults to 100.
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
 	Securities int
 }
 

@@ -5,8 +5,8 @@
 // The package re-exports the pieces of the internal implementation
 // that code outside this module's internal/ tree uses — every exported
 // name here is selected by an example, a command or the benchmarks in
-// bench_test.go, or appears in the signature of one that is
-// (TestEveryFacadeNameHasAUser):
+// bench_test.go, or appears in the signature of one that is (the
+// facade analyzer of internal/analysis checks it):
 //
 //   - the whole-stack builder (NewSystem, SystemConfig, the Stack
 //     names, WithPriorityScheduler, WithBackgroundGC, WithHealth),
