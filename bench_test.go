@@ -48,25 +48,21 @@ func BenchmarkFigure3_GCOverhead(b *testing.B) {
 func benchFigure4(b *testing.B, wl string) {
 	for i := 0; i < b.N; i++ {
 		res, err := noftl.Figure4(noftl.Fig4Config{
+			Params: noftl.ExperimentParams{DriveMB: 96, Workers: 12, Frames: 192,
+				Warm: 500 * sim.Millisecond, Measure: 3 * sim.Second, Seed: int64(i)},
 			Workload: wl,
-			Dies:     []int{1, 4, 8},
-			Workers:  12,
-			DriveMB:  96,
-			Frames:   192,
-			Warm:     500 * sim.Millisecond,
-			Measure:  3 * sim.Second,
+			Sweep:    []int{1, 4, 8},
 			TPCB:     workload.TPCBConfig{Branches: 16},
 			TPCC:     workload.TPCCConfig{Warehouses: 1},
-			Seed:     int64(i),
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(res.Speedup(), "max_diewise_speedup")
-			for j, dies := range []int{1, 4, 8} {
-				b.ReportMetric(res.DieWise.Y[j], "tps_diewise_"+itoa(dies))
-				b.ReportMetric(res.Global.Y[j], "tps_global_"+itoa(dies))
+			b.ReportMetric(res.DieWiseSpeedup(), "max_diewise_speedup")
+			for _, dies := range []string{"1", "4", "8"} {
+				b.ReportMetric(res.Row(dies+"/die-wise").Result.TPS, "tps_diewise_"+dies)
+				b.ReportMetric(res.Row(dies+"/global").Result.TPS, "tps_global_"+dies)
 			}
 		}
 	}
@@ -130,7 +126,8 @@ func BenchmarkEmulatorValidation(b *testing.B) {
 		}
 		if i == 0 {
 			b.ReportMetric(res.MaxErrorPct(), "max_model_error_pct")
-			b.ReportMetric(res.ScalingIOPS[8]/res.ScalingIOPS[1], "iops_scaling_8dies")
+			sc := res.Scaling // 1 die first, 8 last
+			b.ReportMetric(sc[len(sc)-1].IOPS/sc[0].IOPS, "iops_scaling_8dies")
 		}
 	}
 }
@@ -150,8 +147,8 @@ func BenchmarkLongevity_Erases(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			for _, l := range res.Longevity() {
-				b.ReportMetric(l.Factor, "lifetime_factor_"+l.Workload)
+			for _, row := range res.Rows {
+				b.ReportMetric(row.RelativeErase, "lifetime_factor_"+row.Workload)
 			}
 		}
 	}

@@ -275,22 +275,19 @@ func (a *app) fig3() error {
 	}
 	a.printf("Figure 3: GC overhead of FASTer vs NoFTL (off-line trace replay)\n%s", res.Table())
 	a.printf("\nLongevity (§5): NoFTL lifetime factor = relative erase reduction:\n")
-	for _, l := range res.Longevity() {
-		a.printf("  %-6s %.2fx\n", l.Workload, l.Factor)
+	for _, row := range res.Rows {
+		a.printf("  %-6s %.2fx\n", row.Workload, row.RelativeErase)
 	}
 	return nil
 }
 
 func (a *app) fig4(wl string) error {
-	p := a.params()
-	cfg := noftl.Fig4Config{Workload: wl, Dies: a.dies, Workers: p.Workers,
-		DriveMB: p.DriveMB, Frames: p.Frames, Measure: p.Measure, Seed: p.Seed}
-	res, err := noftl.Figure4(cfg)
+	res, err := noftl.Figure4(noftl.Fig4Config{Params: a.params(), Workload: wl, Sweep: a.dies})
 	if err != nil {
 		return err
 	}
 	a.printf("Figure 4 (%s): TPS vs dies, global vs die-wise db-writers\n%s", wl, res.Table())
-	a.printf("max die-wise speedup: %.2fx\n", res.Speedup())
+	a.printf("max die-wise speedup: %.2fx\n", res.DieWiseSpeedup())
 	return nil
 }
 
@@ -325,8 +322,8 @@ func (a *app) validate() error {
 	a.printf("Demo 1: emulator timing vs analytic model (queue depth 1)\n%s", res.Table())
 	a.printf("max model error: %.3f%%\n", res.MaxErrorPct())
 	a.printf("random-read IOPS scaling with dies:\n")
-	for _, d := range []int{1, 2, 4, 8} {
-		a.printf("  %2d dies: %.0f IOPS\n", d, res.ScalingIOPS[d])
+	for _, sc := range res.Scaling {
+		a.printf("  %2d dies: %.0f IOPS\n", sc.Dies, sc.IOPS)
 	}
 	return nil
 }

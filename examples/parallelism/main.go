@@ -19,14 +19,10 @@ import (
 
 func main() {
 	res, err := noftl.Figure4(noftl.Fig4Config{
+		Params: noftl.ExperimentParams{DriveMB: 96, Workers: 8, Frames: 256,
+			Warm: noftl.Second, Measure: 4 * noftl.Second, Seed: 11},
 		Workload: "tpcb",
-		Dies:     []int{1, 4, 8},
-		Workers:  8,
-		DriveMB:  96,
-		Frames:   256,
-		Warm:     noftl.Second,
-		Measure:  4 * noftl.Second,
-		Seed:     11,
+		Sweep:    []int{1, 4, 8},
 		TPCB:     noftl.TPCBConfig{Branches: 16},
 	})
 	if err != nil {

@@ -65,8 +65,10 @@ type Params struct {
 // lengths. The 64 MB drives put the derived TPC-B populations in the
 // GC-pressure regime where scheduling and placement policy matter; the
 // htap pool must be smaller than the scanned table or nothing collides;
-// headline and delta use the 192 MB drive every published run had.
+// fig4, headline and delta use the 192 MB drive every published run
+// had (fig4's dies and writers come from its sweep).
 var defaults = map[string]Params{
+	"fig4":     {DriveMB: 192, Workers: 16, Frames: 512, Warm: 2 * sim.Second, Measure: 8 * sim.Second},
 	"headline": {Dies: 8, DriveMB: 192, Workers: 16, Writers: 8, Frames: 384, Warm: 2 * sim.Second, Measure: 8 * sim.Second},
 	"delta":    {Dies: 8, DriveMB: 192, Workers: 16, Writers: 8, Frames: 384, Warm: 2 * sim.Second, Measure: 8 * sim.Second},
 	"regions":  {Dies: 8, DriveMB: 64, Workers: 16, Writers: 8, Frames: 384, Warm: 2 * sim.Second, Measure: 8 * sim.Second},

@@ -293,22 +293,3 @@ func (r *Fig3Result) Table() string {
 	}
 	return t.String()
 }
-
-// Longevity summarises the §5 lifetime claim from the erase counts: the
-// factor by which NoFTL extends device life.
-func (r *Fig3Result) Longevity() []struct {
-	Workload string
-	Factor   float64
-} {
-	out := make([]struct {
-		Workload string
-		Factor   float64
-	}, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		out = append(out, struct {
-			Workload string
-			Factor   float64
-		}{row.Workload, row.RelativeErase})
-	}
-	return out
-}

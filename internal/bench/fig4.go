@@ -2,10 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
-	"noftl/internal/flash"
-	"noftl/internal/nand"
-	"noftl/internal/sim"
 	"noftl/internal/stats"
 	"noftl/internal/storage"
 	"noftl/internal/system"
@@ -16,136 +14,89 @@ import (
 // throughput as a function of flash parallelism with db-writers bound
 // globally versus die-wise. The paper sweeps 1..32 dies with
 // #db-writers = #dies, 16 read processes, a 10 GB drive, TPC-C sf=50 /
-// TPC-B sf=500; the defaults shrink drive and populations.
+// TPC-B sf=500; the defaults shrink drive and populations. Zero Params
+// fields take the "fig4" row of the defaults table; each point sets
+// Dies and Writers to its entry of Sweep.
 type Fig4Config struct {
-	Workload string // "tpcc" or "tpcb"
-	Dies     []int  // default {1, 2, 4, 8, 16, 32}
-	Workers  int    // default 16 ("16 read processes")
-	DriveMB  int    // default 192
-	Frames   int    // buffer frames; default 512
-	Warm     sim.Time
-	Measure  sim.Time
-	Seed     int64
+	Params
+	Workload string // "tpcc" (default) or "tpcb"
+	Sweep    []int  // die counts; default {1, 2, 4, 8, 16, 32}
 
 	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
 	TPCC workload.TPCCConfig
 	TPCB workload.TPCBConfig
 }
 
-func (c Fig4Config) withDefaults() Fig4Config {
-	if c.Workload == "" {
-		c.Workload = "tpcc"
-	}
-	if len(c.Dies) == 0 {
-		c.Dies = []int{1, 2, 4, 8, 16, 32}
-	}
-	if c.Workers <= 0 {
-		c.Workers = 16
-	}
-	if c.DriveMB <= 0 {
-		c.DriveMB = 192
-	}
-	if c.Frames <= 0 {
-		c.Frames = 512
-	}
-	if c.Warm <= 0 {
-		c.Warm = 2 * sim.Second
-	}
-	if c.Measure <= 0 {
-		c.Measure = 8 * sim.Second
-	}
-	if c.TPCC.Warehouses == 0 {
-		c.TPCC = workload.TPCCConfig{Warehouses: 2}
-	}
-	if c.TPCB.Branches == 0 {
-		c.TPCB = workload.TPCBConfig{Branches: 24}
-	}
-	return c
-}
-
-// Fig4Point is one (dies, association) measurement.
-type Fig4Point struct {
-	Dies        int
-	Association storage.WriterAssociation
-	TPS         float64
-	SyncWrites  int64
-	AsyncWrites int64
-}
-
-// Fig4Result collects both curves of one sub-figure.
-type Fig4Result struct {
-	Workload string
-	Global   stats.Series
-	DieWise  stats.Series
-	Points   []Fig4Point
-}
-
-// Speedup returns the best die-wise/global TPS ratio across die counts
-// (the paper reports up to 1.5x for TPC-C and 1.43x for TPC-B).
-func (r *Fig4Result) Speedup() float64 { return r.DieWise.MaxRatio(&r.Global) }
-
-// Table renders the figure as rows, with each association's write-back
-// split: evictions that wrote their victim synchronously on the
-// foreground path versus pages the db-writers wrote back.
-func (r *Fig4Result) Table() string {
-	t := stats.NewTable("dies", "global TPS", "die-wise TPS", "speedup",
-		"global sync", "global async", "die-wise sync", "die-wise async")
-	for i := range r.Global.X {
-		sp := 0.0
-		if r.Global.Y[i] > 0 {
-			sp = r.DieWise.Y[i] / r.Global.Y[i]
-		}
-		g, d := r.Points[2*i], r.Points[2*i+1] // Figure4 appends each die count's pair in this order
-		t.Row(int(r.Global.X[i]), r.Global.Y[i], r.DieWise.Y[i], sp,
-			g.SyncWrites, g.AsyncWrites, d.SyncWrites, d.AsyncWrites)
-	}
-	return t.String()
-}
-
 // Figure4 reproduces Figure 4a (TPC-C) or 4b (TPC-B): NoFTL with
 // die-wise striping, sweeping the number of dies with #db-writers =
-// #dies, under global versus die-wise writer association.
-func Figure4(cfg Fig4Config) (*Fig4Result, error) {
-	cfg = cfg.withDefaults()
-	res := &Fig4Result{Workload: cfg.Workload}
-	res.Global.Label = "global"
-	res.DieWise.Label = "die-wise"
-	for _, dies := range cfg.Dies {
+// #dies, under global versus die-wise writer association. Each die
+// count contributes two rows, "<dies>/global" then "<dies>/die-wise",
+// measured with seed Seed+dies.
+func Figure4(cfg Fig4Config) (*Rows, error) {
+	cfg.Params = cfg.Params.withDefaults("fig4")
+	if cfg.Workload == "" {
+		cfg.Workload = "tpcc"
+	}
+	if len(cfg.Sweep) == 0 {
+		cfg.Sweep = []int{1, 2, 4, 8, 16, 32}
+	}
+	if cfg.TPCC.Warehouses == 0 {
+		cfg.TPCC = workload.TPCCConfig{Warehouses: 2}
+	}
+	if cfg.TPCB.Branches == 0 {
+		cfg.TPCB = workload.TPCBConfig{Branches: 24}
+	}
+	res := &Rows{Experiment: "fig4", Workload: cfg.Workload}
+	for _, dies := range cfg.Sweep {
+		p := cfg.Params
+		p.Dies, p.Writers, p.Seed = dies, dies, cfg.Seed+int64(dies)
+		var vs []variant
 		for _, assoc := range []storage.WriterAssociation{storage.AssocGlobal, storage.AssocDieWise} {
-			tps, bs, err := figure4Point(cfg, dies, assoc)
-			if err != nil {
-				return nil, fmt.Errorf("figure4 dies=%d assoc=%v: %w", dies, assoc, err)
-			}
-			res.Points = append(res.Points, Fig4Point{
-				Dies: dies, Association: assoc, TPS: tps,
-				SyncWrites: bs.SyncWrites, AsyncWrites: bs.AsyncWrites,
-			})
-			if assoc == storage.AssocGlobal {
-				res.Global.Add(float64(dies), tps)
-			} else {
-				res.DieWise.Add(float64(dies), tps)
-			}
+			vs = append(vs, variant{name: fmt.Sprintf("%d/%v", dies, assoc), stack: system.StackNoFTL,
+				run: func(sys *system.System) (*RunResult, error) {
+					return RunTPS(sys, oltpWorkload(cfg.Workload, cfg.TPCB, cfg.TPCC), TPSConfig{
+						Workers:     p.Workers,
+						Writers:     p.Writers,
+						Association: assoc,
+						Warm:        p.Warm,
+						Measure:     p.Measure,
+						Seed:        p.Seed,
+						fault:       p.fault,
+					})
+				}})
 		}
+		rows, err := p.runVariants("fig4", cfg.Workload, vs)
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, rows.Rows...)
 	}
 	return res, nil
 }
 
-func figure4Point(cfg Fig4Config, dies int, assoc storage.WriterAssociation) (float64, storage.BufferStats, error) {
-	devCfg := flash.EmulatorConfig(dies, cfg.DriveMB, nand.SLC)
-	sys, err := system.New(system.Config{Stack: system.StackNoFTL, Device: &devCfg, Frames: cfg.Frames})
-	if err != nil {
-		return 0, storage.BufferStats{}, err
+// fig4Table renders one row per die count, with each association's
+// write-back split: evictions that wrote their victim synchronously on
+// the foreground path versus pages the db-writers wrote back.
+func fig4Table(r *Rows) string {
+	t := stats.NewTable("dies", "global TPS", "die-wise TPS", "speedup",
+		"global sync", "global async", "die-wise sync", "die-wise async")
+	for i := 0; i+1 < len(r.Rows); i += 2 {
+		g, d := &r.Rows[i], &r.Rows[i+1] // Figure4 appends each die count's pair, global first
+		dies, _, _ := strings.Cut(g.Name, "/")
+		t.Row(dies, g.Result.TPS, d.Result.TPS, r.Ratio(d.Name, g.Name, TPS),
+			g.Result.Buffer.SyncWrites, g.Result.Buffer.AsyncWrites,
+			d.Result.Buffer.SyncWrites, d.Result.Buffer.AsyncWrites)
 	}
-	r, err := RunTPS(sys, oltpWorkload(cfg.Workload, cfg.TPCB, cfg.TPCC), TPSConfig{
-		Workers:     cfg.Workers,
-		Writers:     dies,
-		Association: assoc,
-		Warm:        cfg.Warm,
-		Measure:     cfg.Measure,
-		Seed:        cfg.Seed + int64(dies),
-	})
-	if err != nil {
-		return 0, storage.BufferStats{}, err
+	return t.String()
+}
+
+// DieWiseSpeedup is Figure 4's headline: the best die-wise over global
+// TPS ratio across the die counts (paper: up to 1.5x for TPC-C and 1.43x
+// for TPC-B). A pair whose global run committed nothing counts 0.
+func (r *Rows) DieWiseSpeedup() float64 {
+	best := 0.0
+	for i := 0; i+1 < len(r.Rows); i += 2 {
+		best = max(best, r.Ratio(r.Rows[i+1].Name, r.Rows[i].Name, TPS))
 	}
-	return r.TPS, r.Buffer, nil
+	return best
 }

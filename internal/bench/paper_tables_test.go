@@ -18,8 +18,8 @@ func TestPaperTablesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(&b, "validate\n%s", v.Table())
-	for _, dies := range []int{1, 2, 4, 8} {
-		fmt.Fprintf(&b, "%d dies: %.0f IOPS\n", dies, v.ScalingIOPS[dies])
+	for _, sc := range v.Scaling {
+		fmt.Fprintf(&b, "%d dies: %.0f IOPS\n", sc.Dies, sc.IOPS)
 	}
 	for _, f := range []func(int64) (*AblationResult, error){
 		AblationGCPolicy, AblationDFTLCMT, AblationFasterLog, AblationOverProvision,

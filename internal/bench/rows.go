@@ -8,14 +8,14 @@ import (
 	"noftl/internal/system"
 )
 
-// One experiment spec. Every multi-run experiment — the stack sweeps
-// (headline, delta, regions), the scheduling (A7) and HTAP (A8)
-// ablations and the serving-front ablation — is a list of variants,
-// each measured on a freshly built, otherwise identical system (the
-// uFLIP methodology: vary one factor over state-reset runs).
-// runVariants measures the list and returns one Row per variant in
-// declaration order; that order is the determinism contract, and the
-// merge order once variants run in parallel.
+// One experiment spec. Every multi-run experiment — Figure 4's die
+// sweep, the stack sweeps (headline, delta, regions), the scheduling
+// (A7) and HTAP (A8) ablations and the serving-front ablation — is a
+// list of variants, each measured on a freshly built, otherwise
+// identical system (the uFLIP methodology: vary one factor over
+// state-reset runs). runVariants measures the list and returns one Row
+// per variant in declaration order; that order is the determinism
+// contract, and the merge order once variants run in parallel.
 
 // variant is one entry of an experiment's list: its name, the stack and
 // builder options of its system, and the run itself.
@@ -133,6 +133,7 @@ var reports = map[string]struct {
 	table  func(*Rows) string
 	extras func(*Row, *JSONResult)
 }{
+	"fig4":     {fig4Table, nil},
 	"headline": {headlineTable, nil},
 	"delta":    {deltaTable, nil},
 	"regions":  {regionsTable, nil},

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,5 +65,24 @@ func TestRowsRatio(t *testing.T) {
 		if got := r.Ratio(c.num, c.den, TPS); got != c.want {
 			t.Errorf("Ratio(%s, %s) = %v, want %v", c.num, c.den, got, c.want)
 		}
+	}
+}
+
+// TestDieWiseSpeedup: the best die-wise over global TPS ratio across
+// Figure 4's pairs, with a pair whose global run is idle counting 0
+// (not Inf or NaN).
+func TestDieWiseSpeedup(t *testing.T) {
+	pair := func(dies string, global, dieWise float64) []Row {
+		return []Row{{Name: dies + "/global", Result: RunResult{TPS: global}},
+			{Name: dies + "/die-wise", Result: RunResult{TPS: dieWise}}}
+	}
+	r := &Rows{Experiment: "fig4", Rows: slices.Concat(pair("1", 100, 100), pair("4", 200, 290),
+		pair("8", 400, 520), pair("16", 0, 50))}
+	if got := r.DieWiseSpeedup(); got != 1.45 {
+		t.Errorf("DieWiseSpeedup = %v, want 1.45 (the 4-die pair)", got)
+	}
+	idle := &Rows{Experiment: "fig4", Rows: pair("1", 0, 50)}
+	if got := idle.DieWiseSpeedup(); got != 0 {
+		t.Errorf("idle global: DieWiseSpeedup = %v, want 0", got)
 	}
 }

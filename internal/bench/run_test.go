@@ -4,14 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"noftl/internal/sim"
+	"noftl/internal/workload"
 )
 
 type rowAdder interface{ AddTo(*JSONReport) }
 
-// loopDrivers runs each of the four drivers built on the run loop at
+// loopDrivers runs each of the five drivers built on the run loop at
 // tiny scale. brief shortens the phases to the minimum that still lets
 // every background process tick; fault is the injection seam.
 var loopDrivers = []struct {
@@ -40,6 +42,17 @@ var loopDrivers = []struct {
 		cfg.Seed, cfg.Blame = seed, nil
 		cfg.Params = briefly(cfg.Params, brief, fault)
 		return QoS(cfg)
+	}},
+	{"fig4", func(seed int64, brief bool, fault func(string) error) (rowAdder, error) {
+		cfg := Fig4Config{
+			Params: Params{DriveMB: 24, Workers: 8, Frames: 128,
+				Warm: 300 * sim.Millisecond, Measure: 1 * sim.Second, Seed: seed},
+			Workload: "tpcb",
+			Sweep:    []int{2},
+			TPCB:     workload.TPCBConfig{Branches: 4, AccountsPerBranch: 2000},
+		}
+		cfg.Params = briefly(cfg.Params, brief, fault)
+		return Figure4(cfg)
 	}},
 	{"serve", func(seed int64, brief bool, fault func(string) error) (rowAdder, error) {
 		cfg := tinyServeConfig(seed)
@@ -107,13 +120,18 @@ func TestRunLoopDeterministicRows(t *testing.T) {
 // TestRunLoopBackgroundFaultFailsRun: a background process dying must
 // fail the run in every driver instead of yielding a quietly different
 // number. (db-writers have no fatal path: storage.WriterConfig reports
-// no errors, a failed flush is retried at the next poll.)
+// no errors, a failed flush is retried at the next poll. Figure 4 runs
+// plain NoFTL, without background GC: its only fatal background process
+// is the checkpointer.)
 func TestRunLoopBackgroundFaultFailsRun(t *testing.T) {
 	boom := errors.New("injected fault")
 	for _, d := range loopDrivers {
 		procs := []string{"maintenance", "checkpointer"}
-		if d.name == "htap" {
+		switch d.name {
+		case "htap":
 			procs = append(procs, "prefetcher")
+		case "fig4":
+			procs = procs[1:]
 		}
 		for _, proc := range procs {
 			t.Run(d.name+"/"+proc, func(t *testing.T) {
@@ -130,6 +148,9 @@ func TestRunLoopBackgroundFaultFailsRun(t *testing.T) {
 				}
 				if !errors.Is(err, boom) {
 					t.Fatalf("%s with a dead %s returned err = %v, want the injected fault", d.name, proc, err)
+				}
+				if d.name == "fig4" && !strings.HasPrefix(err.Error(), "fig4 2/global: ") {
+					t.Fatalf("fig4 error %q does not name the point", err)
 				}
 			})
 		}

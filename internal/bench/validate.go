@@ -44,9 +44,15 @@ type ValidateRow struct {
 // ValidateResult is the emulator validation table.
 type ValidateResult struct {
 	Rows []ValidateRow
-	// ScalingIOPS maps die count -> random-read IOPS at queue depth =
-	// dies, demonstrating parallel scaling.
-	ScalingIOPS map[int]float64
+	// Scaling is random-read IOPS at queue depth = dies, one entry per
+	// die count in measurement order, demonstrating parallel scaling.
+	Scaling []DieIOPS
+}
+
+// DieIOPS is the random-read IOPS measured at one die count.
+type DieIOPS struct {
+	Dies int
+	IOPS float64
 }
 
 // MaxErrorPct is the largest deviation between measured and analytic
@@ -76,7 +82,7 @@ func (r *ValidateResult) Table() string {
 // scaling at higher queue depth.
 func Validate(cfg ValidateConfig) (*ValidateResult, error) {
 	cfg = cfg.withDefaults()
-	res := &ValidateResult{ScalingIOPS: map[int]float64{}}
+	res := &ValidateResult{}
 
 	for _, cell := range []nand.CellType{nand.SLC, nand.MLC, nand.TLC} {
 		for _, dies := range []int{1, 4} {
@@ -135,7 +141,7 @@ func Validate(cfg ValidateConfig) (*ValidateResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("validate scaling %d: %w", dies, err)
 		}
-		res.ScalingIOPS[dies] = iops
+		res.Scaling = append(res.Scaling, DieIOPS{dies, iops})
 	}
 	return res, nil
 }

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"noftl/internal/sim"
@@ -209,51 +208,4 @@ func (t *Table) String() string {
 		line(r)
 	}
 	return b.String()
-}
-
-// Series is a labelled sequence of (x, y) points — one figure curve.
-type Series struct {
-	Label string
-	X     []float64
-	Y     []float64
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Ratio returns elementwise s.Y / o.Y for shared X (aligned by index).
-func (s *Series) Ratio(o *Series) []float64 {
-	n := len(s.Y)
-	if len(o.Y) < n {
-		n = len(o.Y)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if o.Y[i] != 0 {
-			out[i] = s.Y[i] / o.Y[i]
-		}
-	}
-	return out
-}
-
-// MaxRatio returns the maximum of Ratio.
-func (s *Series) MaxRatio(o *Series) float64 {
-	m := 0.0
-	for _, r := range s.Ratio(o) {
-		if r > m {
-			m = r
-		}
-	}
-	return m
-}
-
-// Sorted returns a copy of xs sorted ascending (small helper for
-// deterministic output).
-func Sorted(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	sort.Float64s(out)
-	return out
 }

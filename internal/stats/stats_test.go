@@ -125,32 +125,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestSeriesRatio(t *testing.T) {
-	a := &Series{Label: "die-wise"}
-	b := &Series{Label: "global"}
-	for i, y := range []float64{100, 200, 400} {
-		a.Add(float64(i), y*1.5)
-		b.Add(float64(i), y)
-	}
-	r := a.Ratio(b)
-	for _, v := range r {
-		if v != 1.5 {
-			t.Errorf("ratio = %v", r)
-		}
-	}
-	if a.MaxRatio(b) != 1.5 {
-		t.Errorf("MaxRatio = %v", a.MaxRatio(b))
-	}
-}
-
-func TestSorted(t *testing.T) {
-	in := []float64{3, 1, 2}
-	out := Sorted(in)
-	if out[0] != 1 || out[2] != 3 || in[0] != 3 {
-		t.Error("Sorted wrong or mutated input")
-	}
-}
-
 func TestHistogramAddHist(t *testing.T) {
 	var a, b, merged Histogram
 	for _, d := range []sim.Time{10 * sim.Microsecond, 100 * sim.Microsecond} {

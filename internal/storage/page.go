@@ -33,7 +33,6 @@ const (
 	PageHeap
 	PageBTreeLeaf
 	PageBTreeInner
-	PageLog
 )
 
 // Slotted page layout:

@@ -48,9 +48,6 @@ func NewTPCE(cfg TPCEConfig) *TPCE { return &TPCE{cfg: cfg.withDefaults()} }
 // Name implements Workload.
 func (t *TPCE) Name() string { return "tpce" }
 
-// Config returns the effective configuration.
-func (t *TPCE) Config() TPCEConfig { return t.cfg }
-
 const (
 	tradeSpan               = int64(1 << 24)
 	tpceAccountsPerCustomer = 2

@@ -232,15 +232,15 @@ type (
 	Fig3Config = bench.Fig3Config
 	// Fig3Result holds the Figure-3 table.
 	Fig3Result = bench.Fig3Result
-	// Fig4Config / Fig4Result: Figures 4a/4b, db-writer association.
+	// Fig4Config parameterizes Figures 4a/4b, db-writer association:
+	// global vs die-wise writers over a sweep of die counts.
 	Fig4Config = bench.Fig4Config
-	// Fig4Result holds one Figure-4 sub-figure.
-	Fig4Result = bench.Fig4Result
-	// ExperimentRows is a multi-run experiment's outcome (Headline, the
-	// delta, regions, scheduling, HTAP and serving ablations): one row per
-	// variant — a stack, regime or policy on a freshly built system — in
-	// declaration order, looked up by name (Row), compared by Ratio,
-	// rendered by Table and reported by AddTo.
+	// ExperimentRows is a multi-run experiment's outcome (Figure4,
+	// Headline, the delta, regions, scheduling, HTAP and serving
+	// ablations): one row per variant — a stack, regime, policy or die
+	// count on a freshly built system — in declaration order, looked up
+	// by name (Row), compared by Ratio, rendered by Table and reported by
+	// AddTo.
 	ExperimentRows = bench.Rows
 	// HeadlineConfig parameterizes the end-to-end stack comparison.
 	HeadlineConfig = bench.HeadlineConfig
@@ -300,8 +300,10 @@ const TagLowPriority = bench.TagLowPriority
 // Figure3 regenerates the paper's Figure-3 table.
 func Figure3(cfg Fig3Config) (*Fig3Result, error) { return bench.Figure3(cfg) }
 
-// Figure4 regenerates Figure 4a (tpcc) or 4b (tpcb).
-func Figure4(cfg Fig4Config) (*Fig4Result, error) { return bench.Figure4(cfg) }
+// Figure4 regenerates Figure 4a (tpcc) or 4b (tpcb): rows
+// "<dies>/global" and "<dies>/die-wise" per die count, and
+// DieWiseSpeedup, the figure's best die-wise over global TPS ratio.
+func Figure4(cfg Fig4Config) (*ExperimentRows, error) { return bench.Figure4(cfg) }
 
 // Headline regenerates the end-to-end stack comparison.
 func Headline(cfg HeadlineConfig) (*ExperimentRows, error) { return bench.Headline(cfg) }
