@@ -46,15 +46,20 @@ func (r Run) End() int { return r.Off + r.Len }
 
 // Diff computes the exact modified runs between two equal-length page
 // images, coalescing runs separated by fewer than gap equal bytes (a
-// small gap is cheaper to retransmit than a fresh run header). base and
-// cur must be the same length; Diff panics otherwise (caller bug).
-func Diff(base, cur []byte, gap int) []Run {
+// small gap is cheaper to retransmit than a fresh run header). It stores
+// them in buf's memory when they fit. base and cur must be the same
+// length; Diff panics otherwise (caller bug).
+func Diff(buf []Run, base, cur []byte, gap int) []Run {
 	if len(base) != len(cur) {
 		panic(fmt.Sprintf("delta: diff of mismatched images (%d vs %d bytes)", len(base), len(cur)))
 	}
-	var runs []Run
+	runs := buf[:0]
 	i := 0
 	for i < len(cur) {
+		if i+8 <= len(cur) && binary.LittleEndian.Uint64(base[i:]) == binary.LittleEndian.Uint64(cur[i:]) {
+			i += 8
+			continue
+		}
 		if base[i] == cur[i] {
 			i++
 			continue

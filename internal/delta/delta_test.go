@@ -23,7 +23,7 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 				cur[off+i] = byte(rng.Int())
 			}
 		}
-		runs := Diff(base, cur, 16)
+		runs := Diff(nil, base, cur, 16)
 		enc := Encode(runs, cur)
 		got := append([]byte(nil), base...)
 		if err := Apply(got, enc); err != nil {
@@ -44,7 +44,7 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 
 func TestDiffIdentical(t *testing.T) {
 	b := make([]byte, 512)
-	if runs := Diff(b, append([]byte(nil), b...), 8); len(runs) != 0 {
+	if runs := Diff(nil, b, append([]byte(nil), b...), 8); len(runs) != 0 {
 		t.Fatalf("identical images diff to %v", runs)
 	}
 }
@@ -55,7 +55,7 @@ func TestDiffCoalescesGaps(t *testing.T) {
 	cur[10] = 1
 	cur[14] = 1 // 3 equal bytes between; gap 8 coalesces
 	cur[100] = 1
-	runs := Diff(base, cur, 8)
+	runs := Diff(nil, base, cur, 8)
 	if len(runs) != 2 {
 		t.Fatalf("runs = %v, want 2 coalesced runs", runs)
 	}
@@ -68,11 +68,11 @@ func TestFoldChainOrder(t *testing.T) {
 	base := make([]byte, 64)
 	v1 := append([]byte(nil), base...)
 	v1[5] = 0xAA
-	d1 := Encode(Diff(base, v1, 4), v1)
+	d1 := Encode(Diff(nil, base, v1, 4), v1)
 	v2 := append([]byte(nil), v1...)
 	v2[5] = 0xBB // overwrites the same byte: order matters
 	v2[40] = 0x11
-	d2 := Encode(Diff(v1, v2, 4), v2)
+	d2 := Encode(Diff(nil, v1, v2, 4), v2)
 
 	got := append([]byte(nil), base...)
 	for _, d := range [][]byte{d1, d2} {

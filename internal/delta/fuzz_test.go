@@ -2,6 +2,7 @@ package delta
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -47,7 +48,7 @@ func FuzzDeltaCodec(f *testing.F) {
 				cur[i] ^= m
 			}
 		}
-		runs := Diff(base, cur, int(gap))
+		runs := Diff(nil, base, cur, int(gap))
 		enc := Encode(runs, cur)
 		if EncodedSize(runs) != len(enc) {
 			t.Fatalf("EncodedSize = %d, encoding is %d bytes", EncodedSize(runs), len(enc))
@@ -58,6 +59,60 @@ func FuzzDeltaCodec(f *testing.F) {
 		}
 		if !bytes.Equal(got, cur) {
 			t.Fatalf("Apply(base, Encode(Diff(base, cur))) = %x, want %x", got, cur)
+		}
+	})
+}
+
+// diffBytes is Diff as it was before the word compare: the equal-byte
+// skip loop steps one byte at a time.
+func diffBytes(base, cur []byte, gap int) []Run {
+	var runs []Run
+	i := 0
+	for i < len(cur) {
+		if base[i] == cur[i] {
+			i++
+			continue
+		}
+		start := i
+		for i < len(cur) && base[i] != cur[i] {
+			i++
+		}
+		if n := len(runs); n > 0 && start-runs[n-1].End() < gap {
+			runs[n-1].Len = i - runs[n-1].Off
+		} else {
+			runs = append(runs, Run{Off: start, Len: i - start})
+		}
+	}
+	return runs
+}
+
+// FuzzDiffMatchesBytes: Diff, skipping equal bytes a word at a time,
+// finds exactly the runs of the byte loop at every gap, length and
+// alignment, whether it starts from no buffer or from a used one.
+func FuzzDiffMatchesBytes(f *testing.F) {
+	f.Add([]byte("\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f\x01\x00\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00"), uint8(4), uint8(0))
+	f.Add(bytes.Repeat([]byte{2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}, 40), uint8(16), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, gap, skip uint8) {
+		// As in FuzzDeltaCodec: the first half is the base, and every odd
+		// byte of the second half flips the base byte beside it. skip
+		// shifts both images off the word grid.
+		half := len(data) / 2
+		base := data[:half]
+		cur := append([]byte(nil), base...)
+		for i, m := range data[half : 2*half] {
+			if m&1 == 1 {
+				cur[i] ^= m
+			}
+		}
+		s := min(int(skip%8), half)
+		base, cur = base[s:], cur[s:]
+		want := diffBytes(base, cur, int(gap))
+		if got := Diff(nil, base, cur, int(gap)); !slices.Equal(got, want) {
+			t.Fatalf("Diff = %v, byte loop %v", got, want)
+		}
+		used := []Run{{Off: 1, Len: 2}, {Off: 9, Len: 1}}
+		if got := Diff(used, base, cur, int(gap)); !slices.Equal(got, want) {
+			t.Fatalf("Diff into a used buffer = %v, byte loop %v", got, want)
 		}
 	})
 }

@@ -35,7 +35,7 @@ func mutate(rng *rand.Rand, page []byte, n int) []byte {
 			page[off+j] = byte(rng.Int())
 		}
 	}
-	return delta.Encode(delta.Diff(before, page, 16), page)
+	return delta.Encode(delta.Diff(nil, before, page, 16), page)
 }
 
 func TestWriteDeltaFoldOnRead(t *testing.T) {

@@ -3,6 +3,7 @@ package storage
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"noftl/internal/delta"
@@ -26,6 +27,8 @@ type Frame struct {
 	stealing bool   // read-ahead in flight; a foreground miss may steal the id
 	recLSN   uint64 // LSN of first change since last clean
 	flushTo  uint64 // log must be durable to here before the page is written
+	slot     int    // index in BufferPool.frames
+	share    int    // writer share, recorded when the frame became dirty
 
 	// Delta-write state (allocated only when the pool's volume supports
 	// page-differential writes). base mirrors the page's content as the
@@ -108,11 +111,13 @@ type BufferPool struct {
 	hand   int
 	stats  BufferStats
 
-	// Db-writer shares (startWriters): writers of share i park on
-	// shares[i] until one of its frames is due. A page's share is its
-	// volume region, or with byChunk its 64-page chunk mod len(shares).
+	// Db-writer shares (layout): writers of share i park on shares[i]
+	// until one of its frames is due. A page's share is its volume
+	// region, or with byChunk its 64-page chunk mod len(shares).
+	// dirty[i] has the bit of every dirty frame of share i set, by slot.
 	shares  []sim.WaitQueue
 	byChunk bool
+	dirty   [][]uint64
 
 	spare    []*Frame      // placeholders of finished reservations (reserve)
 	unpinned sim.WaitQueue // misses that found every frame pinned (release)
@@ -122,6 +127,7 @@ type BufferPool struct {
 	// page programs.
 	deltaVol DeltaVolume
 	deltaMax int
+	runs     []delta.Run // the last flush's differential, reused by the next
 
 	// Scan-resistant clock (EnableScanResist): frames live in a
 	// probationary or a protected segment; evictions of probationary
@@ -170,11 +176,33 @@ func NewBufferPool(vol Volume, wal *WAL, n int) *BufferPool {
 	}
 	for i := range bp.frames {
 		data := make([]byte, vol.PageSize())
-		f := &Frame{ID: InvalidPageID, Data: data}
+		f := &Frame{ID: InvalidPageID, Data: data, slot: i}
 		f.P = Page{B: data}
 		bp.frames[i] = f
 	}
+	bp.layout(vol.Regions(), false)
 	return bp
+}
+
+// layout divides the pages into n writer shares: by volume region, or
+// with byChunk by 64-page chunk mod n. It is the only place a page's
+// share changes, so it files every dirty frame anew.
+func (bp *BufferPool) layout(n int, byChunk bool) {
+	bp.shares, bp.byChunk, bp.dirty = make([]sim.WaitQueue, n), byChunk, make([][]uint64, n)
+	for s := range bp.dirty {
+		bp.dirty[s] = make([]uint64, (len(bp.frames)+63)/64)
+	}
+	for _, f := range bp.frames {
+		if f.dirty {
+			bp.file(f)
+		}
+	}
+}
+
+// file records dirty frame f's share and sets its bit there.
+func (bp *BufferPool) file(f *Frame) {
+	f.share = bp.shareOf(f.ID)
+	bp.dirty[f.share][f.slot>>6] |= 1 << (f.slot & 63)
 }
 
 // EnableDeltaWrites switches flushes to the delta-append path when the
@@ -281,10 +309,11 @@ func (g *ghostList) unlink(id PageID) {
 // Stats returns a snapshot of pool counters.
 func (bp *BufferPool) Stats() BufferStats { return bp.stats }
 
-// markDirty flags f dirty; a frame the clock would evict as it stands
-// is due for its writers.
+// markDirty flags f dirty and files it in its share; a frame the clock
+// would evict as it stands is due for its writers.
 func (bp *BufferPool) markDirty(f *Frame) {
 	f.dirty = true
+	bp.file(f)
 	if evictable(f) {
 		bp.due(f)
 	}
@@ -586,6 +615,7 @@ func (bp *BufferPool) writeFrame(ctx *IOCtx, f *Frame) error {
 		}
 	}
 	f.dirty = false
+	bp.dirty[f.share][f.slot>>6] &^= 1 << (f.slot & 63)
 	if err := bp.writeFrameData(ctx, f); err != nil {
 		if !f.dirty { // not re-dirtied during the write
 			bp.markDirty(f)
@@ -602,15 +632,15 @@ func (bp *BufferPool) writeFrameData(ctx *IOCtx, f *Frame) error {
 	if bp.deltaVol != nil && f.hasBase {
 		// The differential is the diff against what the volume holds, so
 		// no mutator needs to report what it changed.
-		runs := delta.Diff(f.base, f.Data, deltaDiffGap)
-		if len(runs) == 0 {
+		bp.runs = delta.Diff(bp.runs, f.base, f.Data, deltaDiffGap)
+		if len(bp.runs) == 0 {
 			// The bytes match what the volume holds (e.g. an update that
 			// was undone in place): nothing to write.
 			bp.stats.CleanSkips++
 			return nil
 		}
-		if payload := delta.EncodedSize(runs); payload <= bp.deltaMax {
-			enc := delta.Encode(runs, f.Data)
+		if payload := delta.EncodedSize(bp.runs); payload <= bp.deltaMax {
+			enc := delta.Encode(bp.runs, f.Data)
 			if err := bp.deltaVol.WriteDeltaPage(ctx, f.ID, enc); err == nil {
 				bp.stats.DeltaWrites++
 				bp.stats.DeltaBytes += int64(len(enc))
@@ -777,13 +807,9 @@ func (bp *BufferPool) shareOf(id PageID) int {
 	return bp.vol.RegionOf(id)
 }
 
-// due hands a frame that became due for write-back to a parked writer
-// of its share.
-func (bp *BufferPool) due(f *Frame) {
-	if bp.shares != nil {
-		bp.shares[bp.shareOf(f.ID)].Grant()
-	}
-}
+// due hands a dirty frame that became due for write-back to a parked
+// writer of its share.
+func (bp *BufferPool) due(f *Frame) { bp.shares[f.share].Grant() }
 
 // clean writes back the frame of share s that the eviction clock would
 // take first: dirty and evictable, at most a quarter of the pool ahead
@@ -791,18 +817,39 @@ func (bp *BufferPool) due(f *Frame) {
 // until its share has a frame due.
 func (bp *BufferPool) clean(ctx *IOCtx, s int) (bool, error) {
 	n := len(bp.frames)
-	for i := range max(n/4, 1) {
-		f := bp.frames[(bp.hand+i)%n]
-		if !f.dirty || !evictable(f) || bp.shareOf(f.ID) != s {
-			continue
-		}
-		f.pin++
-		bp.stats.AsyncWrites++
-		err := bp.writeFrame(ctx, f)
-		bp.release(f)
-		return err == nil, err
+	end := bp.hand + max(n/4, 1)
+	f := bp.firstDue(bp.dirty[s], bp.hand, min(end, n))
+	if f == nil && end > n {
+		f = bp.firstDue(bp.dirty[s], 0, end-n)
 	}
-	return false, nil
+	if f == nil {
+		return false, nil
+	}
+	f.pin++
+	bp.stats.AsyncWrites++
+	err := bp.writeFrame(ctx, f)
+	bp.release(f)
+	return err == nil, err
+}
+
+// firstDue returns the first evictable frame of the dirty set among
+// slots [lo, hi), or nil.
+func (bp *BufferPool) firstDue(set []uint64, lo, hi int) *Frame {
+	w := lo >> 6
+	for word := set[w] >> (lo & 63) << (lo & 63); ; word = set[w] {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			if i >= hi {
+				return nil
+			}
+			if f := bp.frames[i]; evictable(f) {
+				return f
+			}
+		}
+		if w++; w<<6 >= hi {
+			return nil
+		}
+	}
 }
 
 // MinRecLSN returns the oldest first-change LSN among dirty pages (the

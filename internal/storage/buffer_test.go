@@ -196,7 +196,7 @@ func TestBufferPoolWriteBackGlobalPartitioning(t *testing.T) {
 	vol := NewMemVolume(512, 256)
 	bp := NewBufferPool(vol, nil, 16)
 	ctx := NewIOCtx(nil)
-	bp.shares, bp.byChunk = make([]sim.WaitQueue, 2), true
+	bp.layout(2, true)
 	// Chunk 0 (share 0) and chunk 1 (share 1) alternate in frames 0..15;
 	// the look-ahead from the wrapped hand covers frames 0..3.
 	for i := range PageID(8) {

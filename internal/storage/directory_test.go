@@ -5,17 +5,16 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"noftl/internal/sim"
 )
 
 // refPool is the buffer pool's directory as it was kept before the
 // page-indexed arrays — a map for the page table, one map per region for
 // the dirty pages, a map plus a slice FIFO for the ghost list and a map
 // plus a slice for the read-ahead queue — together with the
-// scan-resistant clock that drives it. Frames are indices into the real
-// pool's frames. Only the synchronous path is modelled: one caller on a
-// memory volume, so no load is ever in flight and nothing is stolen.
+// scan-resistant clock that drives it and the writers' share of a page.
+// Frames are indices into the real pool's frames. Only the synchronous
+// path is modelled: one caller on a memory volume, so no load is ever in
+// flight and nothing is stolen.
 type refPool struct {
 	frames    []refFrame
 	table     map[PageID]int
@@ -25,6 +24,7 @@ type refPool struct {
 	queue     []PageID
 	queued    map[PageID]bool
 	hand      int
+	byChunk   bool // writer shares are 64-page chunks mod 3, not regions
 	protCount int
 	protCap   int
 	stats     BufferStats
@@ -174,14 +174,22 @@ func (r *refPool) unpin(i int, dirty bool, lsn uint64) {
 	}
 }
 
-// clean writes the first dirty page that mine accepts and the clock
-// would evict as it stands (unpinned, unreferenced, probationary), at
-// most a quarter of the pool ahead of the hand, as clean does, and
-// reports whether there was one.
-func (r *refPool) clean(mine func(PageID) bool) bool {
+// share is the writer share of page id: its region, or its chunk.
+func (r *refPool) share(id PageID) int {
+	if r.byChunk {
+		return int(id>>6) % 3
+	}
+	return int(id % 3)
+}
+
+// clean writes the first dirty page of share s that the clock would
+// evict as it stands (unpinned, unreferenced, probationary), at most a
+// quarter of the pool ahead of the hand, as clean does, and reports
+// whether there was one.
+func (r *refPool) clean(s int) bool {
 	for n := range len(r.frames) / 4 {
 		i := (r.hand + n) % len(r.frames)
-		if f := &r.frames[i]; f.dirty && f.pin == 0 && !f.ref && !f.prot && mine(f.id) {
+		if f := &r.frames[i]; f.dirty && f.pin == 0 && !f.ref && !f.prot && r.share(f.id) == s {
 			r.stats.AsyncWrites++
 			r.write(i)
 			return true
@@ -255,13 +263,19 @@ func (r *refPool) prefetch(id PageID) {
 	r.stats.Prefetches++
 }
 
-// check compares every frame, the page table, the ghost
+// check compares every frame, the dirty sets, the page table, the ghost
 // list, the read-ahead queue, the counters and MinRecLSN with bp.
 func (r *refPool) check(t *testing.T, step int, bp *BufferPool, index map[*Frame]int) {
 	t.Helper()
 	for i, f := range bp.frames {
 		if got := (refFrame{f.ID, f.pin, f.dirty, f.ref, f.prot, f.prefet, f.recLSN}); got != r.frames[i] {
 			t.Fatalf("step %d: frame %d is %+v, reference %+v", step, i, got, r.frames[i])
+		}
+		for sh, set := range bp.dirty {
+			want := r.frames[i].dirty && r.share(r.frames[i].id) == sh
+			if got := set[i>>6]>>(i&63)&1 == 1; got != want {
+				t.Fatalf("step %d: frame %d (page %d) in share %d's dirty set: %v, reference %v", step, i, f.ID, sh, got, want)
+			}
 		}
 	}
 	for id, f := range bp.table {
@@ -317,7 +331,7 @@ func TestDirectoryMatchesMapReference(t *testing.T) {
 	for _, seed := range []int64{1, 42, 2015} {
 		bp := NewBufferPool(regionedMem{NewMemVolume(512, pages)}, nil, frames)
 		bp.EnableScanResist()
-		bp.shares = make([]sim.WaitQueue, 3)
+		bp.layout(3, false)
 		ref := newRefPool(frames)
 		index := map[*Frame]int{}
 		for i, f := range bp.frames {
@@ -355,14 +369,15 @@ func TestDirectoryMatchesMapReference(t *testing.T) {
 			case op == 6:
 				// Both associations run the one cleaner; only the share
 				// of a page differs (its region, or its 64-page chunk).
-				s := rng.Intn(3)
-				bp.byChunk = rng.Intn(2) == 0
-				mine := func(id PageID) bool { return int(id%3) == s }
-				if bp.byChunk {
-					mine = func(id PageID) bool { return int(id>>6)%3 == s }
+				// Now and then the layout flips between cleans, with
+				// frames dirty and clean under the old one.
+				if rng.Intn(8) == 0 {
+					ref.byChunk = !ref.byChunk
+					bp.layout(3, ref.byChunk)
 				}
+				s := rng.Intn(3)
 				got, err := bp.clean(ctx, s)
-				if want := ref.clean(mine); err != nil || got != want {
+				if want := ref.clean(s); err != nil || got != want {
 					t.Fatalf("seed %d step %d: clean wrote %v (%v), reference %v", seed, step, got, err, want)
 				}
 			case op == 7:
@@ -411,7 +426,7 @@ func TestDirectoryAllocatesNothing(t *testing.T) {
 	bp.EnableScanResist()
 	n := 0
 	next := func() PageID { n++; return PageID(n % pages) }
-	bp.shares = make([]sim.WaitQueue, 3)
+	bp.layout(3, false)
 	ctx := NewIOCtx(nil)
 	f, g := bp.frames[0], bp.frames[1]
 	f.ID, g.ID = 4, 7 // both region 1, both within the cleaner's look-ahead

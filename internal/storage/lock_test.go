@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -54,8 +55,8 @@ func TestLockTable(t *testing.T) {
 				t.Fatalf("second acquire: held %v err %v", held, err)
 			}
 			lt.release(1, key) // one hold, however often it was acquired
-			if len(lt.locks) != 0 {
-				t.Errorf("lock survives its release: %v", lt.locks)
+			if lt.locks.n != 0 {
+				t.Errorf("lock survives its release: %d locks", lt.locks.n)
 			}
 		}},
 		{"a held key enters tx.locks once", func(t *testing.T, lt *LockTable) {
@@ -73,15 +74,15 @@ func TestLockTable(t *testing.T) {
 				t.Errorf("tx.locks = %v", tx.locks)
 			}
 			lt.releaseAll(tx.id, tx.locks)
-			if len(lt.locks) != 0 {
-				t.Errorf("locks left after releaseAll: %v", lt.locks)
+			if lt.locks.n != 0 {
+				t.Errorf("locks left after releaseAll: %d locks", lt.locks.n)
 			}
 		}},
 		{"release by a non-owner is ignored", func(t *testing.T, lt *LockTable) {
 			lt.acquire(serial, 1, key)
 			lt.release(2, key)
 			lt.release(2, other)
-			if e := lt.locks[key]; e == nil || e.owner != 1 {
+			if e := lt.locks.get(key); e == nil || e.owner != 1 {
 				t.Errorf("owner lost its lock: %+v", e)
 			}
 		}},
@@ -93,8 +94,8 @@ func TestLockTable(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("got %q, want %q", got, want)
 			}
-			if len(lt.locks) != 0 {
-				t.Errorf("locks left: %v", lt.locks)
+			if lt.locks.n != 0 {
+				t.Errorf("locks left: %d locks", lt.locks.n)
 			}
 		}},
 		{"a timeout unqueues and the next waiter still gets the lock", func(t *testing.T, lt *LockTable) {
@@ -106,8 +107,8 @@ func TestLockTable(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("got %q, want %q", got, want)
 			}
-			if len(lt.locks) != 0 {
-				t.Errorf("locks left: %v", lt.locks)
+			if lt.locks.n != 0 {
+				t.Errorf("locks left: %d locks", lt.locks.n)
 			}
 		}},
 		{"a freed entry reused by another key starts with an empty queue", func(t *testing.T, lt *LockTable) {
@@ -119,12 +120,12 @@ func TestLockTable(t *testing.T) {
 			if held, err := lt.acquire(serial, 9, other); held || err != nil {
 				t.Fatalf("held %v err %v", held, err)
 			}
-			if e := lt.locks[other]; e != freed || e.owner != 9 || !e.waiters.Empty() || len(lt.free) != 0 {
+			if e := lt.locks.get(other); e != freed || e.owner != 9 || !e.waiters.Empty() || len(lt.free) != 0 {
 				t.Errorf("entry %+v (reused: %v), %d still free", e, e == freed, len(lt.free))
 			}
 			lt.release(9, other) // nobody is handed the lock
-			if len(lt.locks) != 0 {
-				t.Errorf("locks left: %v", lt.locks)
+			if lt.locks.n != 0 {
+				t.Errorf("locks left: %d locks", lt.locks.n)
 			}
 		}},
 	} {
@@ -160,8 +161,8 @@ func TestLockWaitTimesOutAtItsDeadline(t *testing.T) {
 		if !errors.Is(err, ErrLockTimeout) || ended != queued+timeout {
 			t.Errorf("timeout %v: the wait ended at %v with %v, want ErrLockTimeout at %v", timeout, ended, err, queued+timeout)
 		}
-		if len(lt.locks) != 0 || len(lt.free) != 1 || !lt.free[0].waiters.Empty() {
-			t.Errorf("timeout %v: after the release: %d locks, %d free entries", timeout, len(lt.locks), len(lt.free))
+		if lt.locks.n != 0 || len(lt.free) != 1 || !lt.free[0].waiters.Empty() {
+			t.Errorf("timeout %v: after the release: %d locks, %d free entries", timeout, lt.locks.n, len(lt.free))
 		}
 	}
 }
@@ -185,7 +186,7 @@ func TestInstantLockKeepsAHeldKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	owner := func(k lockKey) uint64 {
-		if le := e.lt.locks[k]; le != nil {
+		if le := e.lt.locks.get(k); le != nil {
 			return le.owner
 		}
 		return 0
@@ -198,8 +199,8 @@ func TestInstantLockKeepsAHeldKey(t *testing.T) {
 	if _, _, err := e.IdxLookup(ctx, reader, idx, 5); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.lt.locks) != 0 || len(reader.locks) != 0 {
-		t.Fatalf("instant locks outlived their call: table %v, tx %v", e.lt.locks, reader.locks)
+	if e.lt.locks.n != 0 || len(reader.locks) != 0 {
+		t.Fatalf("instant locks outlived their call: table %d locks, tx %v", e.lt.locks.n, reader.locks)
 	}
 
 	writer := e.Begin()
@@ -222,8 +223,8 @@ func TestInstantLockKeepsAHeldKey(t *testing.T) {
 	if err := e.Commit(ctx, writer); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.lt.locks) != 0 {
-		t.Errorf("locks left after commit: %v", e.lt.locks)
+	if e.lt.locks.n != 0 {
+		t.Errorf("locks left after commit: %d locks", e.lt.locks.n)
 	}
 }
 
@@ -241,6 +242,115 @@ func TestUncontendedLockAllocatesNothing(t *testing.T) {
 		lt.release(1, k)
 	}); n != 0 {
 		t.Errorf("acquire+release allocates %v objects", n)
+	}
+
+	// A load transaction's 1,000 keys grow the array once; from then on
+	// the array and the free list hold them all.
+	keys := make([]lockKey, 1000)
+	for i := range keys {
+		keys[i] = ridKey(RID{Page: PageID(i), Slot: 2})
+	}
+	load := func() {
+		for _, k := range keys {
+			if held, err := lt.acquire(ctx, 2, k); held || err != nil {
+				t.Fatalf("held %v err %v", held, err)
+			}
+		}
+		lt.releaseAll(2, keys)
+	}
+	load()
+	if n := testing.AllocsPerRun(100, load); n != 0 || lt.locks.n != 0 || len(lt.locks.slots) != 2048 {
+		t.Errorf("a 1,000-key transaction allocates %v objects, leaves %d locks in %d slots; want 0, 0, 2048",
+			n, lt.locks.n, len(lt.locks.slots))
+	}
+}
+
+// TestLockMapMatchesGoMap runs a seeded mix of put, get and del on the
+// open-addressed lock map against a Go map. The first part holds the
+// array at 64 slots and draws its keys from clusters forced onto four
+// home slots, two of them the array's last, so deletes shift entries
+// back across the wrap; after every step each entry must be found and
+// no entry may sit behind an empty slot on its probe path. The second
+// part grows the array with spread keys.
+func TestLockMapMatchesGoMap(t *testing.T) {
+	m := NewLockTable().locks
+	size := len(m.slots)
+	var pool []lockKey
+	for _, home := range []int{size - 2, size - 1, 0, size / 3} {
+		for id, found := uint64(0), 0; found < 8; id++ {
+			if k := (lockKey{obj: 1<<62 | 3, id: id}); m.home(k) == home {
+				pool, found = append(pool, k), found+1
+			}
+		}
+	}
+	ref := map[lockKey]*lockEntry{}
+	check := func(step int, keys []lockKey) {
+		t.Helper()
+		if m.n != len(ref) {
+			t.Fatalf("step %d: %d entries, reference %d", step, m.n, len(ref))
+		}
+		for _, k := range keys {
+			if got := m.get(k); got != ref[k] {
+				t.Fatalf("step %d: get(%v) = %p, reference %p", step, k, got, ref[k])
+			}
+		}
+	}
+	wrapped := 0 // steps that found an entry past the array's end
+	probes := func(step int) {
+		t.Helper()
+		mask := len(m.slots) - 1
+		for j, s := range m.slots {
+			if s.e == nil {
+				continue
+			}
+			if ref[s.key] != s.e {
+				t.Fatalf("step %d: slot %d holds %v → %p, reference %p", step, j, s.key, s.e, ref[s.key])
+			}
+			h := m.home(s.key)
+			for i := h; i != j; i = (i + 1) & mask {
+				if m.slots[i].e == nil {
+					t.Fatalf("step %d: %v homed at %d sits at %d behind empty slot %d", step, s.key, h, j, i)
+				}
+			}
+			if j < h {
+				wrapped++
+			}
+		}
+	}
+	op := func(rng *rand.Rand, k lockKey, room bool) {
+		switch e := ref[k]; {
+		case e == nil && room:
+			e = new(lockEntry)
+			m.put(k, e)
+			ref[k] = e
+		case e != nil && rng.Intn(2) == 0:
+			m.del(k)
+			delete(ref, k)
+		}
+	}
+	rng := rand.New(rand.NewSource(44))
+	for step := range 20000 {
+		op(rng, pool[rng.Intn(len(pool))], 2*(len(ref)+1) <= size)
+		check(step, pool)
+		probes(step)
+	}
+	if len(m.slots) != size || wrapped == 0 {
+		t.Fatalf("clustered part: %d slots (want %d), %d wrapped entries seen (want some)", len(m.slots), size, wrapped)
+	}
+
+	var spread []lockKey
+	for step := range 30000 {
+		k := lockKey{obj: uint64(rng.Intn(4))<<32 | uint64(rng.Intn(8)), id: uint64(rng.Intn(512))}
+		spread = append(spread, k)
+		op(rng, k, rng.Intn(3) > 0)
+		check(step, []lockKey{k})
+		if step%1000 == 0 {
+			check(step, spread)
+			probes(step)
+		}
+	}
+	if len(m.slots) < 8*size {
+		t.Errorf("spread part left %d slots; the mix should have grown the array", len(m.slots))
 	}
 }
 

@@ -61,8 +61,8 @@ func (bp *BufferPool) startWriters(k *sim.Kernel, cfg WriterConfig) (stop func()
 	if cfg.Association == AssocDieWise {
 		n = bp.vol.Regions()
 	}
-	shares := make([]sim.WaitQueue, n)
-	bp.shares, bp.byChunk = shares, cfg.Association != AssocDieWise
+	bp.layout(n, cfg.Association != AssocDieWise)
+	shares := bp.shares
 	stopped := false
 	for i := 0; i < cfg.N; i++ {
 		s := i % n
@@ -78,7 +78,7 @@ func (bp *BufferPool) startWriters(k *sim.Kernel, cfg WriterConfig) (stop func()
 	}
 	return func() {
 		stopped = true
-		bp.shares = nil
+		bp.layout(bp.vol.Regions(), false)
 		for i := range shares {
 			shares[i].Wake()
 		}
