@@ -12,7 +12,7 @@ import (
 //
 //   - wall-clock reads (time.Now / time.Since) leaking into simulation
 //     or exporter code — the simulated clock (sim.Time) is the only
-//     legal time source outside the explicitly real-time bridges;
+//     legal time source;
 //   - the process-global math/rand source, which is unseeded (Go 1.20+
 //     seeds it randomly) — every random stream must come from
 //     rand.New(rand.NewSource(seed));
@@ -21,8 +21,8 @@ import (
 //     collecting into a slice that is never sorted) — map order is
 //     randomized per run.
 //
-// Deliberate wall-clock uses (the sim package's RealWaiter bridge)
-// carry //noftl:ignore comments at the call sites.
+// Deliberate wall-clock uses (the benchmark harness's host-cost
+// measurement) carry //noftl:ignore comments at the call sites.
 var Determinism = &Analyzer{Name: "determinism", Run: runDeterminism}
 
 func runDeterminism(pass *Pass) {

@@ -9,7 +9,7 @@ import (
 
 // Suppression comments.
 //
-// A finding that is deliberate — the wall-clock bridge in sim, a test
+// A finding that is deliberate — the benchmark's host-cost clock, a test
 // that exists to prove a zero-value context panics — is silenced in
 // place with
 //

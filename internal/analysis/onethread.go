@@ -10,8 +10,7 @@ import (
 // its processes as coroutines, one at a time, and nothing in the module
 // starts a goroutine of its own. It flags a go statement, and a sync or
 // sync/atomic import, in every non-test file outside the benchmark
-// harness. The kernel's wall-clock bridge (sim.RealWaiter's sync.Once)
-// carries a //noftl:ignore.
+// harness, the kernel's own package included.
 var OneThread = &Analyzer{Name: "onethread", Run: runOneThread}
 
 // harnessPath is the separately-moduled benchmark: it drives the library

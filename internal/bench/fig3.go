@@ -59,8 +59,6 @@ type Fig3Row struct {
 	FasterErases     int64
 	NoFTLErases      int64
 	RelativeErase    float64
-	FasterWear       nand.WearStats
-	NoFTLWear        nand.WearStats
 	TraceWrites      int64
 	TraceReads       int64
 }
@@ -233,7 +231,6 @@ func figure3One(wl workload.Workload, cfg Fig3Config) (*Fig3Row, error) {
 	after := fdev.Stats()
 	row.FasterCopybacks = after.Copybacks - base.Copybacks + fasterBusCopies(ff.Stats())
 	row.FasterErases = after.Erases - base.Erases
-	row.FasterWear = fdev.Array().Wear()
 
 	// NoFTL: same trace. The DBMS's dead-page knowledge would reach GC
 	// here, but no recorded workload frees a page, so this row measures
@@ -257,7 +254,6 @@ func figure3One(wl workload.Workload, cfg Fig3Config) (*Fig3Row, error) {
 	nafter := ndev.Stats()
 	row.NoFTLCopybacks = nafter.Copybacks - nbase.Copybacks
 	row.NoFTLErases = nafter.Erases - nbase.Erases
-	row.NoFTLWear = ndev.Array().Wear()
 
 	row.RelativeCopyback = ratioOrInf(row.FasterCopybacks, row.NoFTLCopybacks)
 	row.RelativeErase = ratioOrInf(row.FasterErases, row.NoFTLErases)

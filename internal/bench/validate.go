@@ -15,8 +15,8 @@ import (
 
 // ValidateConfig parameterizes Demo Scenario 1: stressing the emulator
 // with FIO-style synthetic jobs to show (1) its timing accuracy against
-// the analytic NAND model and (2) reconfigurability across cell types
-// and die counts, including the OpenSSD-like fixture.
+// the analytic NAND model and (2) reconfigurability across the SLC, MLC
+// and TLC cell types and one to eight dies.
 type ValidateConfig struct {
 	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
 	Ops  int // per job; default 2000
@@ -96,15 +96,13 @@ func Validate(cfg ValidateConfig) (*ValidateResult, error) {
 			for _, pat := range []workload.Pattern{workload.SeqRead, workload.RandWrite} {
 				w := &sim.ClockWaiter{}
 				// Pre-fill so reads hit programmed pages.
-				pre, err := workload.RunSynthetic(w, f, workload.SynthConfig{
+				if _, err := workload.RunSynthetic(w, f, workload.SynthConfig{
 					Pattern: workload.SeqWrite, Ops: cfg.Ops,
 					PageSize: devCfg.Geometry.PageSize, Seed: cfg.Seed,
 					Span: int64(cfg.Ops),
-				})
-				if err != nil {
+				}); err != nil {
 					return nil, err
 				}
-				_ = pre
 				r, err := workload.RunSynthetic(w, f, workload.SynthConfig{
 					Pattern: pat, Ops: cfg.Ops,
 					PageSize: devCfg.Geometry.PageSize, Seed: cfg.Seed + 1,

@@ -10,10 +10,9 @@
 // copyback never crosses the bus, which is exactly why the paper reports
 // copybacks separately from host I/O.
 //
-// The same device runs in three modes depending on the sim.Waiter the
-// caller passes: deterministic virtual time (sim.ProcWaiter), serial
-// counting-only replay (sim.ClockWaiter) or wall-clock real time
-// (sim.RealWaiter).
+// The same device runs in two modes depending on the sim.Waiter the
+// caller passes: deterministic virtual time (sim.ProcWaiter) or serial
+// counting-only replay (sim.ClockWaiter).
 package flash
 
 import (

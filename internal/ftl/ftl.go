@@ -17,7 +17,7 @@
 // All FTL state transitions commit synchronously when an operation is
 // submitted to the device; the sim.Waiter only experiences time. This
 // makes the structures safe for interleaving at wait points under the
-// DES kernel. (For wall-clock use, serialize calls externally.)
+// DES kernel.
 package ftl
 
 import (

@@ -467,11 +467,3 @@ func TestProcWaiter(t *testing.T) {
 		t.Errorf("end = %v, want 30µs", end)
 	}
 }
-
-func TestRealWaiterScale(t *testing.T) {
-	w := NewRealWaiter(1000) // 1000x faster than real time
-	w.WaitUntil(10 * Millisecond)
-	if got := w.Now(); got < 10*Millisecond {
-		t.Errorf("Now() = %v, want >= 10ms simulated", got)
-	}
-}

@@ -13,9 +13,8 @@
 // another — for a latch, a lock, a flush, work — parks on a WaitQueue,
 // and whoever releases what it waits for hands off to it at that instant
 // (DESIGN.md "Simulation kernel"). This is the offline twin of the
-// paper's real-time flash emulator: the same device model can run either
-// under the kernel (virtual time, used by all experiments) or against the
-// wall clock (sim.RealWaiter, used by live demos).
+// paper's real-time flash emulator: every experiment runs the device
+// model in virtual time, and nothing in the package reads the wall clock.
 package sim
 
 import "fmt"

@@ -1,11 +1,5 @@
 package sim
 
-import (
-	//noftl:ignore onethread RealWaiter is safe for concurrent use by goroutines outside the simulation
-	"sync"
-	"time"
-)
-
 // Waiter is how a simulated device makes a caller experience latency,
 // independent of execution mode. Device code computes an operation's
 // completion time from its resource timelines and calls WaitUntil; the
@@ -13,8 +7,6 @@ import (
 //
 //   - ProcWaiter: suspend a DES process (virtual time, deterministic).
 //   - ClockWaiter: advance a private serial clock (counting-only replays).
-//   - RealWaiter: sleep on the wall clock (live demos, the paper's
-//     real-time emulator mode).
 type Waiter interface {
 	// Now returns the caller's current time on the simulated timeline.
 	Now() Time
@@ -56,47 +48,3 @@ func (w *ClockWaiter) WaitUntil(t Time) {
 
 // Proc returns nil: the clock is no process.
 func (w *ClockWaiter) Proc() *Proc { return nil }
-
-// RealWaiter maps the simulated timeline onto the wall clock, optionally
-// scaled (Scale 2 runs twice as fast as real time; 0 means 1).
-// It is safe for concurrent use by multiple goroutines.
-type RealWaiter struct {
-	start time.Time
-	scale float64
-	once  sync.Once
-}
-
-// NewRealWaiter returns a wall-clock Waiter. scale > 1 compresses time
-// (the simulation runs faster than real time); scale <= 0 means 1.
-func NewRealWaiter(scale float64) *RealWaiter {
-	if scale <= 0 {
-		scale = 1
-	}
-	return &RealWaiter{scale: scale}
-}
-
-//noftl:ignore determinism RealWaiter is the sanctioned wall-clock bridge: it exists to pace a sim against real time
-func (w *RealWaiter) init() { w.once.Do(func() { w.start = time.Now() }) }
-
-// Now returns the elapsed wall-clock time since first use, scaled.
-func (w *RealWaiter) Now() Time {
-	w.init()
-	//noftl:ignore determinism RealWaiter maps the simulated timeline onto the wall clock by design
-	return Time(float64(time.Since(w.start)) * w.scale)
-}
-
-// WaitUntil sleeps until the scaled wall clock reaches t.
-func (w *RealWaiter) WaitUntil(t Time) {
-	w.init()
-	for {
-		now := w.Now()
-		if now >= t {
-			return
-		}
-		//noftl:ignore timedretry RealWaiter paces the simulation against the wall clock; no process can wake it
-		time.Sleep(time.Duration(float64(t-now) / w.scale))
-	}
-}
-
-// Proc returns nil: the wall clock is no process.
-func (w *RealWaiter) Proc() *Proc { return nil }

@@ -19,7 +19,7 @@ type WaitQueue struct{ head, tail *Proc }
 // release comes first the event goes stale and resumes nobody, however
 // the process waits by the time it fires.
 //
-// A processless waiter (ClockWaiter, RealWaiter) is its clock's only
+// A processless waiter (ClockWaiter) is its clock's only
 // user, so nothing can ever release it: it advances to the deadline and
 // reports expiry, and without a deadline it panics.
 func (q *WaitQueue) Wait(w Waiter, deadline Time) bool {

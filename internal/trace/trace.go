@@ -5,10 +5,7 @@
 package trace
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 
 	"noftl/internal/ftl"
 	"noftl/internal/ioreq"
@@ -62,66 +59,6 @@ func (t *Trace) Span() int64 {
 		maxLPN = max(maxLPN, op.LPN)
 	}
 	return maxLPN + 1
-}
-
-const traceMagic = 0x4e6f46544c545243 // "NoFTLTRC"
-
-// Encode writes the trace in the binary format.
-func (t *Trace) Encode(w io.Writer) error {
-	hdr := make([]byte, 24)
-	binary.LittleEndian.PutUint64(hdr, traceMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(t.PageSize))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(t.Ops)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	buf := make([]byte, 9)
-	for _, op := range t.Ops {
-		buf[0] = byte(op.Kind)
-		binary.LittleEndian.PutUint64(buf[1:], uint64(op.LPN))
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// maxPageSize bounds the page size Decode accepts: the header sizes
-// Replay's page buffer, so a corrupt one must not reach it.
-const maxPageSize = 1 << 20
-
-// Decode reads a trace written by Encode. The input is untrusted (a
-// file handed to cmd/tracereplay): a page size outside (0, 1 MiB], an
-// unknown op kind or a negative LPN is an error naming the record.
-func Decode(r io.Reader) (*Trace, error) {
-	hdr := make([]byte, 24)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("trace: header: %w", err)
-	}
-	if binary.LittleEndian.Uint64(hdr) != traceMagic {
-		return nil, errors.New("trace: bad magic")
-	}
-	pageSize := binary.LittleEndian.Uint64(hdr[8:])
-	if pageSize == 0 || pageSize > maxPageSize {
-		return nil, fmt.Errorf("trace: header: page size %d outside (0, %d]", pageSize, maxPageSize)
-	}
-	t := &Trace{PageSize: int(pageSize)}
-	n := binary.LittleEndian.Uint64(hdr[16:])
-	buf := make([]byte, 9)
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("trace: record %d of %d: %w", i, n, err)
-		}
-		op := Op{Kind: OpKind(buf[0]), LPN: int64(binary.LittleEndian.Uint64(buf[1:]))}
-		if op.Kind < OpRead || op.Kind > OpTrim {
-			return nil, fmt.Errorf("trace: record %d: unknown op kind %d", i, op.Kind)
-		}
-		if op.LPN < 0 {
-			return nil, fmt.Errorf("trace: record %d: negative LPN %d", i, op.LPN)
-		}
-		t.Ops = append(t.Ops, op)
-	}
-	return t, nil
 }
 
 // Recorder is a storage.Volume wrapper that records every page operation
@@ -196,36 +133,6 @@ func (t NoFTLTarget) Write(w sim.Waiter, lpn int64, data []byte) error {
 func (t NoFTLTarget) Trim(w sim.Waiter, lpn int64) error { return t.V.Invalidate(lpn) }
 
 var _ Target = (ftl.FTL)(nil)
-
-// VolumeTarget adapts an engine-facing storage.Volume (e.g. a facade
-// System's data volume) as a replay target. Every op runs under Ctx, so
-// its request descriptor — class, tag, deadline, waiter — travels the
-// stack exactly like live engine traffic: replayed commands queue at
-// the scheduler and show up in command logs and blame reports. The
-// per-op waiter argument is ignored in favor of Ctx's.
-type VolumeTarget struct {
-	V   storage.Volume
-	Ctx *storage.IOCtx
-}
-
-// LogicalPages implements Target.
-func (t VolumeTarget) LogicalPages() int64 { return t.V.Pages() }
-
-// Read implements Target.
-func (t VolumeTarget) Read(_ sim.Waiter, lpn int64, buf []byte) error {
-	return t.V.ReadPage(t.Ctx, storage.PageID(lpn), buf)
-}
-
-// Write implements Target.
-func (t VolumeTarget) Write(_ sim.Waiter, lpn int64, data []byte) error {
-	return t.V.WritePage(t.Ctx, storage.PageID(lpn), data, storage.HintNone)
-}
-
-// Trim implements Target.
-func (t VolumeTarget) Trim(_ sim.Waiter, lpn int64) error {
-	t.V.Deallocate(storage.PageID(lpn))
-	return nil
-}
 
 // ReplayOptions controls a replay.
 type ReplayOptions struct {

@@ -2,9 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"noftl/internal/flash"
@@ -13,80 +11,6 @@ import (
 	"noftl/internal/noftl"
 	"noftl/internal/storage"
 )
-
-func TestTraceEncodeDecodeRoundTrip(t *testing.T) {
-	tr := &Trace{PageSize: 4096}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		tr.Ops = append(tr.Ops, Op{Kind: OpKind(rng.Intn(3) + 1), LPN: rng.Int63n(1 << 30)})
-	}
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.PageSize != tr.PageSize || len(got.Ops) != len(tr.Ops) {
-		t.Fatalf("decoded %d ops, page %d", len(got.Ops), got.PageSize)
-	}
-	for i := range tr.Ops {
-		if got.Ops[i] != tr.Ops[i] {
-			t.Fatalf("op %d mismatch", i)
-		}
-	}
-}
-
-func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode(bytes.NewReader(make([]byte, 24))); err == nil {
-		t.Error("garbage accepted")
-	}
-}
-
-// TestDecodeRejectsCorruptHeader feeds Decode the corruptions a trace
-// file from outside can carry; each must come back as an error (naming
-// the offending record), never as a trace Replay would choke on.
-func TestDecodeRejectsCorruptHeader(t *testing.T) {
-	encode := func(magic, pageSize uint64, ops ...Op) []byte {
-		tr := &Trace{Ops: ops}
-		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		b := buf.Bytes()
-		binary.LittleEndian.PutUint64(b, magic)
-		binary.LittleEndian.PutUint64(b[8:], pageSize)
-		return b
-	}
-	good := []Op{{Kind: OpWrite, LPN: 1}, {Kind: OpRead, LPN: 2}}
-	if _, err := Decode(bytes.NewReader(encode(traceMagic, 4096, good...))); err != nil {
-		t.Fatalf("well-formed trace rejected: %v", err)
-	}
-	full := encode(traceMagic, 4096, good...)
-	for _, c := range []struct {
-		name string
-		in   []byte
-		want string // substring of the error
-	}{
-		{"bad magic", encode(traceMagic+1, 4096, good...), "bad magic"},
-		{"zero page size", encode(traceMagic, 0, good...), "page size 0"},
-		{"absurd page size", encode(traceMagic, 1<<63, good...), "page size 9223372036854775808"},
-		{"page size over 1 MiB", encode(traceMagic, 1<<20+1, good...), "page size 1048577"},
-		{"bad op kind", encode(traceMagic, 4096, good[0], Op{Kind: 9, LPN: 3}), "record 1: unknown op kind 9"},
-		{"zero op kind", encode(traceMagic, 4096, Op{LPN: 3}), "record 0: unknown op kind 0"},
-		{"negative LPN", encode(traceMagic, 4096, good[0], good[1], Op{Kind: OpTrim, LPN: -5}), "record 2: negative LPN -5"},
-		{"truncated body", full[:len(full)-4], "record 1 of 2"},
-		{"truncated header", full[:10], "header"},
-	} {
-		tr, err := Decode(bytes.NewReader(c.in))
-		if err == nil {
-			t.Errorf("%s: accepted (%d ops, page size %d)", c.name, len(tr.Ops), tr.PageSize)
-		} else if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
-		}
-	}
-}
 
 func TestRecorderCapturesEngineIO(t *testing.T) {
 	inner := storage.NewMemVolume(512, 4096)

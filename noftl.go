@@ -14,8 +14,8 @@
 //     DeviceConfig, EmulatorConfig),
 //   - host-integrated flash management — the paper's contribution
 //     (NewVolume, VolumeConfig, RebuildVolume),
-//   - the Shore-MT-class storage engine (Format, Open, EngineConfig),
-//   - the TPC-B/-C/-E/-H workload generators,
+//   - the TPC-B and TPC-C workload generators (NewTPCB, NewTPCC) and
+//     the TPC-H-like scan scale (TPCHConfig),
 //   - the experiment drivers that regenerate every table and figure of
 //     the paper (Figure3, Figure4, Headline, Latency, Validate) plus
 //     the in-place-appends ablation (DeltaAblation).
@@ -59,8 +59,6 @@ func NewReq(w Waiter) Req { return ioreq.Plain(w) }
 // --- NAND + flash device emulator ---
 
 type (
-	// Geometry describes a flash device's physical architecture.
-	Geometry = nand.Geometry
 	// CellType selects SLC/MLC/TLC timing and endurance.
 	CellType = nand.CellType
 	// DeviceConfig configures the emulated device.
@@ -84,17 +82,11 @@ func EmulatorConfig(dies, capacityMB int, cell CellType) DeviceConfig {
 // --- simulation ---
 
 type (
-	// Proc is a simulated process.
-	Proc = sim.Proc
-	// Waiter is how callers experience simulated latency: WaitUntil for
-	// a completion time, Poll to re-test a condition on a fixed period
-	// (kernel-resident under a ProcWaiter).
+	// Waiter is how callers experience simulated latency: WaitUntil
+	// blocks until an operation's completion time.
 	Waiter = sim.Waiter
 	// ClockWaiter is a serial virtual clock (single synchronous client).
 	ClockWaiter = sim.ClockWaiter
-	// ProcWaiter adapts a DES process to the Waiter interface
-	// (ProcWaiter{P: p} inside a System.K.Go body).
-	ProcWaiter = sim.ProcWaiter
 	// SimTime is simulated time in nanoseconds.
 	SimTime = sim.Time
 )
@@ -149,44 +141,11 @@ const (
 
 // --- storage engine ---
 
-type (
-	// Engine is the Shore-MT-class storage engine.
-	Engine = storage.Engine
-	// EngineConfig tunes buffer pool and locking.
-	EngineConfig = storage.EngineConfig
-	// EngineVolume is the engine's view of a storage device.
-	EngineVolume = storage.Volume
-	// IOCtx is Req under its engine-level name: engine calls take it by
-	// pointer, one per process, and hand that pointer down as the
-	// waiter. Mandatory — a nil *IOCtx or a zero-value IOCtx{} panics at
-	// its first I/O; build one with NewIOCtx.
-	IOCtx = storage.IOCtx
-)
-
 // Writer association strategies (§3.2, Figure 4).
 const (
 	AssocGlobal  = storage.AssocGlobal
 	AssocDieWise = storage.AssocDieWise
 )
-
-// NewIOCtx wraps a Waiter for engine calls (nil: a private serial
-// clock, for callers with no timeline of their own).
-func NewIOCtx(w Waiter) *IOCtx { return storage.NewIOCtx(w) }
-
-// NewMemEngineVolume creates an in-memory volume (tests, trace capture).
-func NewMemEngineVolume(pageSize int, pages int64) EngineVolume {
-	return storage.NewMemVolume(pageSize, pages)
-}
-
-// Format initializes a fresh database on data and log volumes.
-func Format(ctx *IOCtx, dataVol, logVol EngineVolume) error {
-	return storage.Format(ctx, dataVol, logVol)
-}
-
-// Open mounts a database, running crash recovery if needed.
-func Open(ctx *IOCtx, dataVol, logVol EngineVolume, cfg EngineConfig) (*Engine, error) {
-	return storage.Open(ctx, dataVol, logVol, cfg)
-}
 
 // --- workloads ---
 
@@ -197,8 +156,6 @@ type (
 	TPCBConfig = workload.TPCBConfig
 	// TPCCConfig scales TPC-C.
 	TPCCConfig = workload.TPCCConfig
-	// TPCEConfig scales the TPC-E-like workload.
-	TPCEConfig = workload.TPCEConfig
 	// TPCHConfig scales the TPC-H-like workload.
 	TPCHConfig = workload.TPCHConfig
 )
@@ -208,12 +165,6 @@ func NewTPCB(cfg TPCBConfig) Workload { return workload.NewTPCB(cfg) }
 
 // NewTPCC creates the TPC-C workload.
 func NewTPCC(cfg TPCCConfig) Workload { return workload.NewTPCC(cfg) }
-
-// NewTPCE creates the TPC-E-like workload.
-func NewTPCE(cfg TPCEConfig) Workload { return workload.NewTPCE(cfg) }
-
-// NewTPCH creates the TPC-H-like workload.
-func NewTPCH(cfg TPCHConfig) Workload { return workload.NewTPCH(cfg) }
 
 // --- experiments (the paper's tables and figures) ---
 

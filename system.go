@@ -35,10 +35,6 @@ const (
 	StackNoFTL = system.StackNoFTL
 	// StackFaster is the FASTer hybrid FTL behind a block interface.
 	StackFaster = system.StackFaster
-	// StackDFTL is the demand-based FTL behind a block interface.
-	StackDFTL = system.StackDFTL
-	// StackPagemap is the pure page-mapped FTL behind a block interface.
-	StackPagemap = system.StackPagemap
 	// StackNoFTLRegions is region-managed placement: WAL on a native
 	// append-only log region, data on a page-mapped region.
 	StackNoFTLRegions = system.StackNoFTLRegions
