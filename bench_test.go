@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"noftl"
 	"noftl/internal/bench"
 	"noftl/internal/flash"
 	"noftl/internal/ftl"
@@ -17,6 +16,7 @@ import (
 	inoftl "noftl/internal/noftl"
 	"noftl/internal/sim"
 	"noftl/internal/storage"
+	"noftl/internal/system"
 	"noftl/internal/workload"
 )
 
@@ -24,7 +24,7 @@ import (
 
 func BenchmarkFigure3_GCOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := noftl.Figure3(noftl.Fig3Config{
+		res, err := bench.Figure3(bench.Fig3Config{
 			TPCC:         workload.TPCCConfig{Warehouses: 1, CustomersPerDistrict: 60, Items: 200, InitialOrdersPerDistrict: 20},
 			TPCB:         workload.TPCBConfig{Branches: 8, AccountsPerBranch: 2000},
 			TPCE:         workload.TPCEConfig{Customers: 200, Securities: 200},
@@ -47,8 +47,8 @@ func BenchmarkFigure3_GCOverhead(b *testing.B) {
 
 func benchFigure4(b *testing.B, wl string) {
 	for i := 0; i < b.N; i++ {
-		res, err := noftl.Figure4(noftl.Fig4Config{
-			Params: noftl.ExperimentParams{DriveMB: 96, Workers: 12, Frames: 192,
+		res, err := bench.Figure4(bench.Fig4Config{
+			Params: bench.Params{DriveMB: 96, Workers: 12, Frames: 192,
 				Warm: 500 * sim.Millisecond, Measure: 3 * sim.Second, Seed: int64(i)},
 			Workload: wl,
 			Sweep:    []int{1, 4, 8},
@@ -76,9 +76,9 @@ func BenchmarkFigure4b_TPCB_Writers(b *testing.B) { benchFigure4(b, "tpcb") }
 
 func BenchmarkHeadline_TPS_Stacks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := noftl.Headline(noftl.HeadlineConfig{
+		res, err := bench.Headline(bench.HeadlineConfig{
 			Workload: "tpcc",
-			Params: noftl.ExperimentParams{Dies: 4, DriveMB: 96, Workers: 12, Writers: 4, Frames: 256,
+			Params: bench.Params{Dies: 4, DriveMB: 96, Workers: 12, Writers: 4, Frames: 256,
 				Warm: 500 * sim.Millisecond, Measure: 3 * sim.Second, Seed: int64(i)},
 			TPCC: workload.TPCCConfig{Warehouses: 1},
 		})
@@ -86,8 +86,8 @@ func BenchmarkHeadline_TPS_Stacks(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(res.Ratio("noftl", "faster", noftl.TPS), "noftl_vs_faster")
-			b.ReportMetric(res.Ratio("pagemap", "dftl", noftl.TPS), "pagemap_vs_dftl")
+			b.ReportMetric(res.Ratio("noftl", "faster", bench.TPS), "noftl_vs_faster")
+			b.ReportMetric(res.Ratio("pagemap", "dftl", bench.TPS), "pagemap_vs_dftl")
 			for _, row := range res.Rows {
 				b.ReportMetric(row.Result.TPS, "tps_"+row.Name)
 			}
@@ -99,15 +99,15 @@ func BenchmarkHeadline_TPS_Stacks(b *testing.B) {
 
 func BenchmarkLatency_RandomWrite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := noftl.Latency(noftl.LatencyConfig{
+		res, err := bench.Latency(bench.LatencyConfig{
 			Ops: 8000, DriveMB: 32, Dies: 2, Seed: int64(i),
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			f := res.HistOf(noftl.StackFaster)
-			n := res.HistOf(noftl.StackNoFTL)
+			f := res.HistOf(system.StackFaster)
+			n := res.HistOf(system.StackNoFTL)
 			b.ReportMetric(f.Mean().Seconds()*1e3, "faster_mean_ms")
 			b.ReportMetric(f.Max().Seconds()*1e3, "faster_max_ms")
 			b.ReportMetric(n.Mean().Seconds()*1e3, "noftl_mean_ms")
@@ -120,7 +120,7 @@ func BenchmarkLatency_RandomWrite(b *testing.B) {
 
 func BenchmarkEmulatorValidation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := noftl.Validate(noftl.ValidateConfig{Ops: 800, Seed: int64(i)})
+		res, err := bench.Validate(bench.ValidateConfig{Ops: 800, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func BenchmarkEmulatorValidation(b *testing.B) {
 
 func BenchmarkLongevity_Erases(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := noftl.Figure3(noftl.Fig3Config{
+		res, err := bench.Figure3(bench.Fig3Config{
 			TPCB:         workload.TPCBConfig{Branches: 8, AccountsPerBranch: 2000},
 			TPCC:         workload.TPCCConfig{Warehouses: 1, CustomersPerDistrict: 60, Items: 200, InitialOrdersPerDistrict: 20},
 			TPCE:         workload.TPCEConfig{Customers: 200, Securities: 200},

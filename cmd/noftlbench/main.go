@@ -31,6 +31,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -41,7 +42,12 @@ import (
 	"strconv"
 	"strings"
 
-	"noftl"
+	"noftl/internal/bench"
+	"noftl/internal/sched"
+	"noftl/internal/serve"
+	"noftl/internal/sim"
+	"noftl/internal/telemetry"
+	"noftl/internal/telemetry/blame"
 )
 
 func main() {
@@ -55,7 +61,7 @@ func main() {
 // machine-readable report the experiments append to.
 type app struct {
 	out    io.Writer
-	report *noftl.JSONReport
+	report *bench.JSONReport
 
 	exp, jsonOut, diesArg  string
 	cpuProfile, memProfile string
@@ -174,7 +180,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	a.report = &noftl.JSONReport{Seed: a.seed}
+	a.report = &bench.JSONReport{Seed: a.seed}
 	for _, e := range experiments {
 		if a.exp != "all" && a.exp != e.name {
 			continue
@@ -201,12 +207,12 @@ func (a *app) printf(format string, args ...any) { fmt.Fprintf(a.out, format, ar
 // params is the shared flag set as an experiment parameter block. A
 // -dies list belongs to the fig4 sweep; a single value scales every
 // experiment.
-func (a *app) params() noftl.ExperimentParams {
-	p := noftl.ExperimentParams{
+func (a *app) params() bench.Params {
+	p := bench.Params{
 		DriveMB: a.driveMB,
 		Workers: a.workers,
 		Frames:  a.frames,
-		Measure: noftl.SimTime(a.measureS) * noftl.Second,
+		Measure: sim.Time(a.measureS) * sim.Second,
 		Seed:    a.seed,
 	}
 	if len(a.dies) == 1 {
@@ -219,21 +225,21 @@ func (a *app) params() noftl.ExperimentParams {
 // telemetry pipeline with span retention, the command timeline the
 // Perfetto export draws from, and — where the experiment has request
 // classes to blame — the root-cause engine.
-func (a *app) observed(blame bool) noftl.ExperimentParams {
+func (a *app) observed(withBlame bool) bench.Params {
 	p := a.params()
 	if a.obsDir == "" {
 		return p
 	}
-	p.Telemetry = &noftl.TelemetryConfig{SlowestK: a.slowest, RetainSpans: true}
-	if blame {
-		p.Blame = &noftl.BlameConfig{SlowestK: a.slowest}
+	p.Telemetry = &telemetry.Config{SlowestK: a.slowest, RetainSpans: true}
+	if withBlame {
+		p.Blame = &blame.Config{SlowestK: a.slowest}
 	}
 	return p
 }
 
 // export prints one run's observability summaries and, under -obs-dir,
 // writes whatever artifacts the run produced under their fixed names.
-func (a *app) export(name string, o *noftl.ObservedRun) error {
+func (a *app) export(name string, o *bench.Observed) error {
 	if o.Tel != nil {
 		a.printf("flight recorder (%s): slowest transactions by layer\n%s", name, o.Tel.SlowestTable())
 	}
@@ -255,7 +261,12 @@ func (a *app) export(name string, o *noftl.ObservedRun) error {
 		}
 	}
 	if tel := o.Tel; tel != nil {
-		write("trace.json", func(w io.Writer) error { return noftl.WriteTraceEvents(w, o.CmdLog, tel.Spans()) })
+		// -exp serve runs telemetry without blame, so without a command log.
+		var events []sched.Event
+		if o.CmdLog != nil {
+			events = o.CmdLog.Events
+		}
+		write("trace.json", func(w io.Writer) error { return telemetry.WriteTrace(w, events, tel.Spans()) })
 		write("metrics.json", tel.WriteMetrics)
 	}
 	if rep := o.Blame; rep != nil {
@@ -263,13 +274,17 @@ func (a *app) export(name string, o *noftl.ObservedRun) error {
 		write("blame.folded", rep.WriteFolded)
 	}
 	if h := o.Health; h != nil {
-		write("health.json", func(w io.Writer) error { return noftl.WriteHealthSnapshot(w, h) })
+		write("health.json", func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", " ")
+			return enc.Encode(h)
+		})
 	}
 	return err
 }
 
 func (a *app) fig3() error {
-	res, err := noftl.Figure3(noftl.Fig3Config{Seed: a.seed})
+	res, err := bench.Figure3(bench.Fig3Config{Seed: a.seed})
 	if err != nil {
 		return err
 	}
@@ -282,7 +297,7 @@ func (a *app) fig3() error {
 }
 
 func (a *app) fig4(wl string) error {
-	res, err := noftl.Figure4(noftl.Fig4Config{Params: a.params(), Workload: wl, Sweep: a.dies})
+	res, err := bench.Figure4(bench.Fig4Config{Params: a.params(), Workload: wl, Sweep: a.dies})
 	if err != nil {
 		return err
 	}
@@ -293,20 +308,20 @@ func (a *app) fig4(wl string) error {
 
 func (a *app) headline() error {
 	for _, wl := range []string{"tpcc", "tpcb"} {
-		res, err := noftl.Headline(noftl.HeadlineConfig{Params: a.params(), Workload: wl})
+		res, err := bench.Headline(bench.HeadlineConfig{Params: a.params(), Workload: wl})
 		if err != nil {
 			return err
 		}
 		a.printf("Headline (%s): end-to-end TPS by storage stack\n%s", wl, res.Table())
 		res.AddTo(a.report)
 		a.printf("NoFTL vs FASTer: %.2fx   pagemap vs DFTL: %.2fx\n\n",
-			res.Ratio("noftl", "faster", noftl.TPS), res.Ratio("pagemap", "dftl", noftl.TPS))
+			res.Ratio("noftl", "faster", bench.TPS), res.Ratio("pagemap", "dftl", bench.TPS))
 	}
 	return nil
 }
 
 func (a *app) latency() error {
-	res, err := noftl.Latency(noftl.LatencyConfig{Seed: a.seed})
+	res, err := bench.Latency(bench.LatencyConfig{Seed: a.seed})
 	if err != nil {
 		return err
 	}
@@ -315,7 +330,7 @@ func (a *app) latency() error {
 }
 
 func (a *app) validate() error {
-	res, err := noftl.Validate(noftl.ValidateConfig{Seed: a.seed})
+	res, err := bench.Validate(bench.ValidateConfig{Seed: a.seed})
 	if err != nil {
 		return err
 	}
@@ -330,13 +345,13 @@ func (a *app) validate() error {
 
 func (a *app) delta() error {
 	for _, wl := range []string{"tpcb", "tpcc"} {
-		res, err := noftl.DeltaAblation(noftl.DeltaConfig{Params: a.params(), Workload: wl})
+		res, err := bench.DeltaAblation(bench.DeltaConfig{Params: a.params(), Workload: wl})
 		if err != nil {
 			return err
 		}
 		a.printf("Ablation A5 (%s): in-place appends (delta writes) vs full-page NoFTL vs FTL\n%s", wl, res.Table())
 		a.printf("delta-NoFTL programs %.0f%% of full-page NoFTL's flash bytes per tx\n\n",
-			100*res.Ratio("noftl-delta", "noftl", noftl.BytesPerTx))
+			100*res.Ratio("noftl-delta", "noftl", (*bench.RunResult).BytesPerTx))
 		res.AddTo(a.report)
 	}
 	return nil
@@ -344,7 +359,7 @@ func (a *app) delta() error {
 
 func (a *app) regions() error {
 	for _, wl := range []string{"tpcb", "tpcc"} {
-		res, err := noftl.RegionsAblation(noftl.RegionsConfig{Params: a.params(), Workload: wl})
+		res, err := bench.RegionsAblation(bench.RegionsConfig{Params: a.params(), Workload: wl})
 		if err != nil {
 			return err
 		}
@@ -354,27 +369,27 @@ func (a *app) regions() error {
 		}
 		regions, single := res.Row("noftl-regions").Result.FTL, res.Row("noftl-single").Result.FTL
 		a.printf("regions vs single-policy: %.2fx erases, WA %+.3f, %.2fx TPS\n\n",
-			res.Ratio("noftl-regions", "noftl-single", noftl.ErasesPerKTx),
+			res.Ratio("noftl-regions", "noftl-single", (*bench.RunResult).ErasesPerKTx),
 			regions.WriteAmplification()-single.WriteAmplification(),
-			res.Ratio("noftl-regions", "noftl-single", noftl.TPS))
+			res.Ratio("noftl-regions", "noftl-single", bench.TPS))
 		res.AddTo(a.report)
 	}
 	return nil
 }
 
 func (a *app) sched() error {
-	cfg := noftl.SchedConfig{Params: a.observed(true), Workload: "tpcb"}
+	cfg := bench.SchedConfig{Params: a.observed(true), Workload: "tpcb"}
 	cfg.Health = a.obsDir != ""
-	res, err := noftl.SchedAblation(cfg)
+	res, err := bench.SchedAblation(cfg)
 	if err != nil {
 		return err
 	}
 	a.printf("Ablation A7 (tpcb): inline GC vs background GC vs priority scheduling\n%s", res.Table())
 	a.printf("\nper-class queue waits:\n%s", res.WaitTable())
 	a.printf("bg-gc+prio vs inline-gc: %.2fx TPS, %.2fx p99 commit, %.2fx p99 read\n\n",
-		res.Ratio("bg-gc+prio", "inline-gc", noftl.TPS),
-		res.Ratio("bg-gc+prio", "inline-gc", noftl.CommitP99),
-		res.Ratio("bg-gc+prio", "inline-gc", noftl.ReadP99))
+		res.Ratio("bg-gc+prio", "inline-gc", bench.TPS),
+		res.Ratio("bg-gc+prio", "inline-gc", bench.CommitP99),
+		res.Ratio("bg-gc+prio", "inline-gc", bench.ReadP99))
 	res.AddTo(a.report)
 	if cfg.Health {
 		a.printf("device health:\n%s", res.HealthTable())
@@ -385,32 +400,36 @@ func (a *app) sched() error {
 }
 
 func (a *app) htap() error {
-	res, err := noftl.HTAPAblation(noftl.HTAPConfig{Params: a.observed(true)})
+	res, err := bench.HTAPAblation(bench.HTAPConfig{Params: a.observed(true)})
 	if err != nil {
 		return err
 	}
 	a.printf("Ablation A8 (tpcb+tpch): naive shared pool vs scan-resistant vs scan-resistant + prefetch\n%s", res.Table())
 	a.printf("scan-resist+prefetch vs naive: %.2fx OLTP TPS, %.2fx p99 commit, %.2fx scan rows/s\n\n",
-		res.Ratio("scan-resist+prefetch", "naive", noftl.TPS),
-		res.Ratio("scan-resist+prefetch", "naive", noftl.CommitP99),
-		res.Ratio("scan-resist+prefetch", "naive", noftl.ScanRowsPerS))
+		res.Ratio("scan-resist+prefetch", "naive", bench.TPS),
+		res.Ratio("scan-resist+prefetch", "naive", bench.CommitP99),
+		res.Ratio("scan-resist+prefetch", "naive", bench.ScanRowsPerS))
 	res.AddTo(a.report)
 	last := &res.Rows[len(res.Rows)-1]
 	return a.export(last.Name, &last.Observed)
 }
 
 func (a *app) qos() error {
-	res, err := noftl.QoS(noftl.QoSConfig{Params: a.observed(true),
-		LowDeadline: noftl.SimTime(a.qosLowDLms) * noftl.Millisecond})
+	res, err := bench.QoS(bench.QoSConfig{Params: a.observed(true),
+		LowDeadline: sim.Time(a.qosLowDLms) * sim.Millisecond})
 	if err != nil {
 		return err
 	}
 	a.printf("Per-request QoS: two TPC-B tenants, one declared low-priority\n%s", res.Table())
 	a.printf("p99 commit split low/high: %.2fx\n\n", res.P99Ratio())
 	if res.Blame != nil {
-		if cs, ok := res.Blame.DominantMissedCulprit(noftl.TagLowPriority); ok {
+		if cs, ok := res.Blame.DominantMissedCulprit(bench.TagLowPriority); ok {
 			a.printf("low tenant's dominant latency culprit behind missed deadlines: %s (%.0f%% of blamed wait)\n",
 				cs.Class, 100*cs.Share)
+			a.printf("low tenant's missed-deadline wait by culprit class:\n")
+			for _, cs := range res.Blame.MissedShares(bench.TagLowPriority) {
+				a.printf("  %-8s %5.1f%%\n", cs.Class, 100*cs.Share)
+			}
 		}
 	}
 	res.AddTo(a.report)
@@ -420,20 +439,20 @@ func (a *app) qos() error {
 func (a *app) serve() error {
 	p := a.observed(false)
 	p.Workers = a.serveClients
-	res, err := noftl.ServeAblation(noftl.ServeAblationConfig{Params: p, Rows: int64(a.serveRows)})
+	res, err := bench.Serve(bench.ServeConfig{Params: p, Rows: int64(a.serveRows)})
 	if err != nil {
 		return err
 	}
 	a.printf("Serving front: record sessions under admission control\n")
 	a.printf("(uncontended reference, then no-control vs rate-limit vs rate-limit+shed)\n%s", res.Table())
 	protection := func(regime string) float64 {
-		return res.Ratio(regime, "uncontended", noftl.PayingCommitP99)
+		return res.Ratio(regime, "uncontended", bench.PayingCommitP99)
 	}
 	a.printf("paying p99 vs uncontended: no-control %.2fx, rate-limit %.2fx, rate-limit+shed %.2fx\n",
-		protection(noftl.ControlNone.String()),
-		protection(noftl.ControlRateLimit.String()),
-		protection(noftl.ControlFull.String()))
-	full := res.Row(noftl.ControlFull.String())
+		protection(serve.ControlNone.String()),
+		protection(serve.ControlRateLimit.String()),
+		protection(serve.ControlFull.String()))
+	full := res.Row(serve.ControlFull.String())
 	st := full.Front.Stats()
 	a.printf("full regime: %d admitted, %d deprioritized, %d shed\n\n", st.Admitted, st.Deprioritized, st.Shed)
 	res.AddTo(a.report)
@@ -446,9 +465,9 @@ func (a *app) serve() error {
 }
 
 func (a *app) ablations() error {
-	for _, f := range []func(int64) (*noftl.AblationResult, error){
-		noftl.AblationGCPolicy, noftl.AblationDFTLCMT,
-		noftl.AblationFasterLog, noftl.AblationOverProvision,
+	for _, f := range []func(int64) (*bench.AblationResult, error){
+		bench.AblationGCPolicy, bench.AblationDFTLCMT,
+		bench.AblationFasterLog, bench.AblationOverProvision,
 	} {
 		res, err := f(a.seed)
 		if err != nil {

@@ -40,45 +40,65 @@ func TestValidateSmoke(t *testing.T) {
 	}
 }
 
-// TestQoSObsDirWritesDocumentedFiles runs the qos demo at tiny scale
-// with -obs-dir and -json: exactly the file set README documents for
-// qos appears, nothing else, and the report has the two tenant rows.
+// TestQoSObsDirWritesDocumentedFiles runs the qos demo and the serve
+// ablation at tiny scale with -obs-dir and -json: exactly the file set
+// README documents for each appears, nothing else, the report has the
+// experiment's rows, and the printed summaries are there. serve runs
+// telemetry without blame, so it exports a trace with no command log.
 func TestQoSObsDirWritesDocumentedFiles(t *testing.T) {
-	dir := t.TempDir()
-	obs := filepath.Join(dir, "obs")
-	jsonPath := filepath.Join(dir, "qos.json")
-	var out, errOut bytes.Buffer
-	args := []string{"-exp", "qos", "-dies", "4", "-drive-mb", "32", "-workers", "8",
-		"-frames", "128", "-measure-s", "1", "-qos-low-deadline-ms", "3",
-		"-obs-dir", obs, "-json", jsonPath}
-	if code := run(args, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
-	}
-	entries, err := os.ReadDir(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, e := range entries {
-		info, err := e.Info()
-		if err != nil || info.Size() == 0 {
-			t.Errorf("artifact %s is empty (%v)", e.Name(), err)
-		}
-		got = append(got, e.Name())
-	}
-	want := []string{"blame.folded", "blame.json", "metrics.json", "trace.json"}
-	if strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Fatalf("obs-dir holds %v, want exactly %v", got, want)
-	}
-	report, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(report), `"experiment": "qos"`); n != 2 {
-		t.Fatalf("report has %d qos rows, want 2:\n%s", n, report)
-	}
-	if !strings.Contains(out.String(), "dominant latency culprit") {
-		t.Errorf("blame verdict missing from output:\n%s", out.String())
+	for _, tc := range []struct {
+		exp   string
+		args  []string
+		files []string
+		rows  int
+		print []string
+	}{
+		{"qos", []string{"-dies", "4", "-drive-mb", "32", "-workers", "8",
+			"-frames", "128", "-qos-low-deadline-ms", "3"},
+			[]string{"blame.folded", "blame.json", "metrics.json", "trace.json"}, 2,
+			[]string{"dominant latency culprit", "missed-deadline wait by culprit class:\n  "}},
+		{"serve", []string{"-serve-clients", "40", "-serve-rows", "1024"},
+			[]string{"metrics.json", "trace.json"}, 4,
+			[]string{"flight recorder (rate-limit+shed)"}},
+	} {
+		t.Run(tc.exp, func(t *testing.T) {
+			dir := t.TempDir()
+			obs := filepath.Join(dir, "obs")
+			jsonPath := filepath.Join(dir, tc.exp+".json")
+			var out, errOut bytes.Buffer
+			args := append([]string{"-exp", tc.exp, "-measure-s", "1",
+				"-obs-dir", obs, "-json", jsonPath}, tc.args...)
+			if code := run(args, &out, &errOut); code != 0 {
+				t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+			}
+			entries, err := os.ReadDir(obs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, e := range entries {
+				info, err := e.Info()
+				if err != nil || info.Size() == 0 {
+					t.Errorf("artifact %s is empty (%v)", e.Name(), err)
+				}
+				got = append(got, e.Name())
+			}
+			if strings.Join(got, " ") != strings.Join(tc.files, " ") {
+				t.Fatalf("obs-dir holds %v, want exactly %v", got, tc.files)
+			}
+			report, err := os.ReadFile(jsonPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := strings.Count(string(report), `"experiment": "`+tc.exp+`"`); n != tc.rows {
+				t.Fatalf("report has %d %s rows, want %d:\n%s", n, tc.exp, tc.rows, report)
+			}
+			for _, want := range tc.print {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("output lacks %q:\n%s", want, out.String())
+				}
+			}
+		})
 	}
 }
 

@@ -1,17 +1,12 @@
-// The serving front end to end: multi-tenant record sessions with
+// The serving front's session API: multi-tenant record sessions with
 // SLO-driven admission control on native flash.
 //
-// Part 1 drives the session API by hand: one System, a tenant catalog
-// (a latency-sensitive "paying" tenant and a rate-contracted "batch"
-// tenant), a record store, and a few sessions doing gets, puts,
-// transactions and scans — every I/O stamped with its tenant's
-// scheduler class, stream tag and deadline.
-//
-// Part 2 runs the admission ablation at reduced scale: the same
-// two-tenant load under no-control, rate-limit and rate-limit+shed
-// regimes. Watch the batch tenant get paced, deprioritized and shed
-// while the paying tenant's p99 stays near its uncontended baseline.
-// Scale it up with `go run ./cmd/noftlbench -exp serve`.
+// One System, a tenant catalog (a latency-sensitive "paying" tenant and
+// a rate-contracted "batch" tenant), a record store, and a session doing
+// gets, puts, a transaction and a scan — every I/O stamped with its
+// tenant's scheduler class, stream tag and deadline. The admission
+// ablation (the same two-tenant load under no-control, rate-limit and
+// rate-limit+shed regimes) is `go run ./cmd/noftlbench -exp serve`.
 package main
 
 import (
@@ -23,7 +18,6 @@ import (
 )
 
 func main() {
-	// --- Part 1: the session API ---
 	sys, err := noftl.NewSystem(noftl.SystemConfig{
 		Stack:      noftl.StackNoFTLRegions,
 		Dies:       4,
@@ -97,36 +91,9 @@ func main() {
 	// retries; errors.Is makes it easy to classify.
 	fmt.Printf("ErrShed is retryable: %v\n", errors.Is(fmt.Errorf("wrap: %w", noftl.ErrShed), noftl.ErrShed))
 	st := sys.Serve.Stats()
-	fmt.Printf("front: %d admitted, %d deprioritized, %d shed\n\n", st.Admitted, st.Deprioritized, st.Shed)
+	fmt.Printf("front: %d admitted, %d deprioritized, %d shed\n", st.Admitted, st.Deprioritized, st.Shed)
 	s.Close()
 	if err := sys.Close(); err != nil {
 		log.Fatal(err)
 	}
-
-	// --- Part 2: the admission ablation, reduced scale ---
-	res, err := noftl.ServeAblation(noftl.ServeAblationConfig{
-		Params: noftl.ExperimentParams{
-			Workers: 200, // sessions, split 1:3 paying:batch
-			Warm:    500 * noftl.Millisecond, Measure: 2 * noftl.Second, Seed: 42,
-		},
-		Rows:   4096,
-		Settle: 700 * noftl.Millisecond,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("Admission ablation: no-control vs rate-limit vs rate-limit+shed")
-	fmt.Print(res.Table())
-	// Rows are named after their controls; the reference is "uncontended".
-	protection := func(regime string) float64 {
-		return res.Ratio(regime, "uncontended", noftl.PayingCommitP99)
-	}
-	fmt.Printf("\npaying p99 vs uncontended: no-control %.2fx, rate-limit %.2fx, rate-limit+shed %.2fx\n",
-		protection(noftl.ControlNone.String()),
-		protection(noftl.ControlRateLimit.String()),
-		protection(noftl.ControlFull.String()))
-	fmt.Println("\nThe burn-rate guard watches each tenant's deadline-miss rate")
-	fmt.Println("against its SLO budget: breachers are deprioritized to the")
-	fmt.Println("degraded class, then shed — and the compliant tenant's tail")
-	fmt.Println("stays near its uncontended baseline.")
 }

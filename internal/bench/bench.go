@@ -38,6 +38,7 @@ type Params struct {
 	Workers int
 	Writers int // background db-writers
 	Frames  int // buffer-pool frames
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
 	Warm    sim.Time
 	Measure sim.Time
 	Seed    int64

@@ -24,6 +24,7 @@ type Fig4Config struct {
 
 	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
 	TPCC workload.TPCCConfig
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
 	TPCB workload.TPCBConfig
 }
 

@@ -35,13 +35,15 @@ import (
 // htapPrefetchWindow is the prefetch mode's read-ahead depth in pages.
 const htapPrefetchWindow = 16
 
+// htapReaders is the number of analytical reader processes.
+const htapReaders = 2
+
 // HTAPConfig parameterizes the HTAP ablation. Params.Workers is the
 // OLTP terminal count.
 type HTAPConfig struct {
 	Params
 	//noftl:ignore setter run scale: tests run one row to stay fast
-	Modes   []string // the policies to run, by row name (default: all three)
-	Readers int      // analytical reader processes, default 2
+	Modes []string // the policies to run, by row name (default: all three)
 
 	// TPCB is sized per geometry unless set explicitly: ~30% of the data
 	// region, so that with the TPC-H tables and the history table's
@@ -49,11 +51,13 @@ type HTAPConfig struct {
 	// ablation is about buffer-pool and read-scheduling policy, and a
 	// drive saturated by GC would measure free-block reclamation
 	// instead.
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
 	TPCB workload.TPCBConfig
 	// TPCH defaults to scale factor 2 (lineitem spans several hundred
 	// pages against the shared pool) and the experiment seed, so -seed
 	// varies the whole run, not just the query streams. A caller-set
 	// Seed survives.
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
 	TPCH workload.TPCHConfig
 }
 
@@ -111,7 +115,6 @@ func htapExtras(row *Row, jr *JSONResult) {
 // prefetch held the OLTP stream), p99 commit latency and scan rows/s.
 func HTAPAblation(cfg HTAPConfig) (*Rows, error) {
 	cfg.Params = cfg.Params.withDefaults("htap")
-	cfg.Readers = orDefault(cfg.Readers, 2)
 	if cfg.TPCH.ScaleFactor == 0 {
 		cfg.TPCH.ScaleFactor = 2
 	}
@@ -141,7 +144,7 @@ func HTAPAblation(cfg HTAPConfig) (*Rows, error) {
 			},
 			start: append(background(cfg.Writers, storage.AssocDieWise),
 				terminals("oltp", oltp, workload.TerminalConfig{N: cfg.Workers, Seed: cfg.Seed}),
-				readers("scan", scan, cfg.Readers, cfg.Seed),
+				readers("scan", scan, htapReaders, cfg.Seed),
 				ckpt.start),
 			warm:       cfg.Warm,
 			measure:    cfg.Measure,

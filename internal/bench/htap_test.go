@@ -11,9 +11,8 @@ func tinyHTAPConfig(seed int64) HTAPConfig {
 	return HTAPConfig{
 		Params: Params{Dies: 4, DriveMB: 24, Workers: 6, Writers: 4, Frames: 128,
 			Warm: 300 * sim.Millisecond, Measure: 1 * sim.Second, Seed: seed},
-		Readers: 2,
-		TPCB:    workload.TPCBConfig{Branches: 4, AccountsPerBranch: 2000},
-		TPCH:    workload.TPCHConfig{ScaleFactor: 1},
+		TPCB: workload.TPCBConfig{Branches: 4, AccountsPerBranch: 2000},
+		TPCH: workload.TPCHConfig{ScaleFactor: 1},
 	}
 }
 

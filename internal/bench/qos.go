@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"noftl/internal/ioreq"
-	"noftl/internal/sched"
 	"noftl/internal/sim"
 	"noftl/internal/stats"
 	"noftl/internal/storage"
@@ -85,11 +84,6 @@ func (r *QoSResult) P99Ratio() float64 {
 	}
 	return float64(r.Low.Commit.Percentile(99)) / float64(hp)
 }
-
-// LowDispatches counts the commands the die queues served at the
-// prefetch class: the run starts no prefetchers, so these are the low
-// tenant's declared commands reaching the scheduler.
-func (r *QoSResult) LowDispatches() int64 { return r.Result.Sched.Scheduled[sched.ClassPrefetch] }
 
 // Table renders the per-group comparison.
 func (r *QoSResult) Table() string {

@@ -57,6 +57,7 @@ type ServeConfig struct {
 	// Settle runs between warm-up and measure with spans (and so the
 	// burn guard) live but before counters reset, so the guard's
 	// escalation transient stays out of the measured window. Default 1s.
+	//noftl:ignore setter workload or run scale: tests shrink it to stay fast
 	Settle sim.Time
 }
 

@@ -161,29 +161,30 @@ func scalingRun(dies int, cfg ValidateConfig) (float64, error) {
 	dev.ResetTime()
 
 	k := sim.New()
-	done := 0
 	var end sim.Time
-	perWorker := cfg.Ops
+	var readErr error
 	for i := 0; i < dies; i++ {
-		seed := cfg.Seed + int64(i)
+		job := workload.SynthConfig{
+			Pattern: workload.RandRead, Ops: cfg.Ops,
+			PageSize: devCfg.Geometry.PageSize, Seed: cfg.Seed + int64(i),
+			Span: 4096,
+		}
 		k.Go("reader", func(p *sim.Proc) {
-			rng := newRand(seed)
-			pw := sim.ProcWaiter{P: p}
-			buf := make([]byte, devCfg.Geometry.PageSize)
-			for j := 0; j < perWorker; j++ {
-				if err := f.Read(pw, rng.Int63n(4096), buf); err != nil {
-					return
+			if _, err := workload.RunSynthetic(sim.ProcWaiter{P: p}, f, job); err != nil {
+				if readErr == nil {
+					readErr = err
 				}
-				done++
+				return
 			}
-			if p.Now() > end {
-				end = p.Now()
-			}
+			end = max(end, p.Now())
 		})
 	}
 	k.Run()
+	if readErr != nil {
+		return 0, readErr
+	}
 	if end <= 0 {
 		return 0, fmt.Errorf("no simulated time elapsed")
 	}
-	return float64(done) / end.Seconds(), nil
+	return float64(dies*cfg.Ops) / end.Seconds(), nil
 }

@@ -184,9 +184,9 @@ type jsonReport struct {
 	Slowest        []jsonSpan   `json:"slowest"`
 }
 
-// WriteJSON writes the machine-readable report (noftlbench -blame-out):
-// per-victim-tag culprit shares, the full matrix, and the slowest spans
-// with their top culprits. Output is byte-deterministic.
+// WriteJSON writes the machine-readable report (blame.json under
+// noftlbench -obs-dir): per-victim-tag culprit shares, the full matrix,
+// and the slowest spans with their top culprits. Output is byte-deterministic.
 func (r *Report) WriteJSON(w io.Writer) error {
 	out := jsonReport{
 		TotalWaitNs:    int64(r.TotalWait),

@@ -12,7 +12,6 @@ package noftl
 // compliant tenant's tail latency stays near its uncontended baseline.
 
 import (
-	"noftl/internal/bench"
 	"noftl/internal/serve"
 )
 
@@ -29,38 +28,12 @@ type (
 	SessionTx = serve.Txn
 )
 
-// Admission-control regimes.
-const (
-	// ControlNone admits every request at its declared class.
-	ControlNone = serve.ControlNone
-	// ControlRateLimit paces each tenant to its contracted rate with a
-	// token bucket, but never reclassifies or sheds.
-	ControlRateLimit = serve.ControlRateLimit
-	// ControlFull adds the burn-rate SLO guard: tenants burning their
-	// deadline-miss budget are deprioritized to the degraded class and,
-	// if they keep burning, shed.
-	ControlFull = serve.ControlFull
-)
+// ControlFull is the admission-control regime (ServeConfig.Control)
+// that paces each tenant to its contracted rate and adds the burn-rate
+// SLO guard: tenants burning their deadline-miss budget are
+// deprioritized to the degraded class and, if they keep burning, shed.
+const ControlFull = serve.ControlFull
 
 // ErrShed marks a request rejected by admission control; the client
 // should back off and retry.
 var ErrShed = serve.ErrShed
-
-// --- the serving-front admission ablation ---
-
-// ServeAblationConfig parameterizes the serving-front ablation:
-// thousands of closed-loop sessions from a compliant "paying" tenant and
-// an aggressive "batch" tenant, run under no-control, rate-limit and
-// rate-limit+shed admission regimes plus an uncontended reference.
-type ServeAblationConfig = bench.ServeConfig
-
-// ServeAblation runs the serving-front admission ablation: the same
-// two-tenant load under no-control, rate-limit and rate-limit+shed
-// regimes, asking whether admission control keeps the compliant
-// tenant's commit tail near its uncontended baseline while the
-// budget-breaching tenant is visibly deprioritized and shed. Its rows
-// are the uncontended reference first, then one per regime, named after
-// its control; each row's Front carries the admission accounting.
-func ServeAblation(cfg ServeAblationConfig) (*ExperimentRows, error) {
-	return bench.Serve(cfg)
-}

@@ -11,7 +11,6 @@ import (
 	"noftl/internal/bench"
 	"noftl/internal/sim"
 	"noftl/internal/system"
-	"noftl/internal/trace"
 )
 
 type (
@@ -56,12 +55,13 @@ func WithPriorityScheduler() SystemOption { return system.WithPriorityScheduler(
 // collection; start the workers with System.StartMaintenance.
 func WithBackgroundGC() SystemOption { return system.WithBackgroundGC() }
 
-// CmdLog collects the scheduler's per-command events (class, tag, die,
-// queue wait, service window) for offline latency analysis and trace
-// export (ObservedRun.CmdLog, WriteTraceEvents).
-type CmdLog = trace.CmdLog
+// WithHealth attaches the device-health monitor (System.Health):
+// per-die wear heatmaps and erase histograms, wear percentiles,
+// per-region GC efficiency and write-amplification decomposition, with
+// timelines from the telemetry sampler. Implies default telemetry.
+func WithHealth() SystemOption { return system.WithHealth() }
 
-// Simulated-time units (SimTime is nanoseconds).
+// Simulated-time units (simulated time counts nanoseconds).
 const (
 	Millisecond = sim.Millisecond
 	Second      = sim.Second
