@@ -56,42 +56,27 @@ func measured(p AblationPoint, s ftl.Stats, elapsed sim.Time) AblationPoint {
 }
 
 // overwritePoint (A1, A4) fills a page-mapping FTL built with cfg, then
-// overwrites twice its capacity at random pages (80 % of them on the
-// first tenth of the space when skew is set) and records the point.
-func overwritePoint(cfg ftl.PageFTLConfig, seed int64, skew bool, p AblationPoint) (AblationPoint, error) {
+// overwrites twice its capacity with pat (RandWrite, or HotWrite for 80 %
+// of them on the first tenth of the space) and records the point.
+func overwritePoint(cfg ftl.PageFTLConfig, seed int64, pat trace.Pattern, p AblationPoint) (AblationPoint, error) {
 	f, err := noftl.NewPageFTL(flash.New(fig3Device(1<<15, 4096)), cfg)
 	if err != nil {
 		return p, err
 	}
-	w := &sim.ClockWaiter{}
-	rng := newRand(seed)
 	n := f.LogicalPages()
-	buf := make([]byte, 4096)
-	for lpn := int64(0); lpn < n; lpn++ {
-		if err := f.Write(w, lpn, buf); err != nil {
-			return p, err
-		}
-	}
-	for i := 0; i < int(n)*2; i++ {
-		lpn := rng.Int63n(n)
-		if skew && rng.Float64() < 0.8 {
-			lpn = rng.Int63n(n/10 + 1)
-		}
-		if err := f.Write(w, lpn, buf); err != nil {
-			return p, err
-		}
-	}
-	return measured(p, f.Stats(), w.Now()), nil
+	tr := trace.Synthetic(trace.SeqWrite, int(n), n, 4096, seed)
+	tr.Ops = append(tr.Ops, trace.Synthetic(pat, int(n)*2, n, 4096, seed).Ops...)
+	return replayPoint(tr, f, p)
 }
 
-// replayPoint (A2, A3) replays tr on f, trims dropped, and records the
+// replayPoint (A1-A4) replays tr on f, trims dropped, and records the
 // point.
 func replayPoint(tr *trace.Trace, f ftl.FTL, p AblationPoint) (AblationPoint, error) {
-	w := &sim.ClockWaiter{}
-	if err := trace.Replay(tr, f, trace.ReplayOptions{DropTrims: true, Waiter: w}); err != nil {
+	res, err := trace.Replay(tr, f, trace.ReplayOptions{DropTrims: true})
+	if err != nil {
 		return p, err
 	}
-	return measured(p, f.Stats(), w.Now()), nil
+	return measured(p, f.Stats(), res.Elapsed), nil
 }
 
 // AblationGCPolicy (A1) compares victim-selection policies on the
@@ -99,7 +84,7 @@ func replayPoint(tr *trace.Trace, f ftl.FTL, p AblationPoint) (AblationPoint, er
 func AblationGCPolicy(seed int64) (*AblationResult, error) {
 	res := &AblationResult{Name: "gc-policy"}
 	for _, pol := range []ftl.GCPolicy{ftl.GreedyPolicy, ftl.CostBenefitPolicy, ftl.WearAwarePolicy} {
-		pt, err := overwritePoint(ftl.PageFTLConfig{Policy: pol, OverProvision: 0.12}, seed, true,
+		pt, err := overwritePoint(ftl.PageFTLConfig{Policy: pol, OverProvision: 0.12}, seed, trace.HotWrite,
 			AblationPoint{Param: pol.String()})
 		if err != nil {
 			return nil, err
@@ -165,7 +150,7 @@ func AblationFasterLog(seed int64) (*AblationResult, error) {
 func AblationOverProvision(seed int64) (*AblationResult, error) {
 	res := &AblationResult{Name: "over-provisioning"}
 	for _, op := range []float64{0.07, 0.12, 0.20, 0.28} {
-		pt, err := overwritePoint(ftl.PageFTLConfig{OverProvision: op}, seed, false,
+		pt, err := overwritePoint(ftl.PageFTLConfig{OverProvision: op}, seed, trace.RandWrite,
 			AblationPoint{Param: "op", Value: op})
 		if err != nil {
 			return nil, err

@@ -201,63 +201,73 @@ func figure3One(wl workload.Workload, cfg Fig3Config) (*Fig3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Size the replay drive from the trace's page span (~72% utilisation,
-	// a loaded OLTP drive).
+	load := &trace.Trace{PageSize: tr.PageSize, Ops: tr.Ops[:loadEnd]}
+	txs := &trace.Trace{PageSize: tr.PageSize, Ops: tr.Ops[loadEnd:]}
 	span := tr.Span()
-	devPages := span * 10 / 7
-
-	loadTrace := &trace.Trace{PageSize: tr.PageSize, Ops: tr.Ops[:loadEnd]}
-	txTrace := &trace.Trace{PageSize: tr.PageSize, Ops: tr.Ops[loadEnd:]}
 	row := &Fig3Row{Workload: wl.Name()}
-	row.TraceReads, row.TraceWrites, _ = txTrace.Counts()
+	row.TraceReads, row.TraceWrites, _ = txs.Counts()
 
 	// FASTer behind the block interface: trims would never arrive. No
 	// recorded workload frees a page, so the trace holds none anyway.
-	fdev := flash.New(fig3Device(devPages, tr.PageSize))
-	ff, err := ftl.NewFasterFTL(fdev, ftl.FasterConfig{SecondChance: true})
+	var ff *ftl.FasterFTL
+	row.FasterCopybacks, row.FasterErases, err = figure3Replay(load, txs, span, true,
+		func(dev *flash.Device) (trace.Target, int64, error) {
+			var err error
+			if ff, err = ftl.NewFasterFTL(dev, ftl.FasterConfig{SecondChance: true}); err != nil {
+				return nil, 0, err
+			}
+			return ff, ff.LogicalPages(), nil
+		})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("faster: %w", err)
 	}
-	if ff.LogicalPages() < span {
-		return nil, fmt.Errorf("faster drive too small: %d < %d pages", ff.LogicalPages(), span)
-	}
-	if err := trace.Replay(loadTrace, ff, trace.ReplayOptions{DropTrims: true}); err != nil {
-		return nil, err
-	}
-	base := fdev.Stats()
-	if err := trace.Replay(txTrace, ff, trace.ReplayOptions{DropTrims: true}); err != nil {
-		return nil, err
-	}
-	after := fdev.Stats()
-	row.FasterCopybacks = after.Copybacks - base.Copybacks + fasterBusCopies(ff.Stats())
-	row.FasterErases = after.Erases - base.Erases
+	row.FasterCopybacks += fasterBusCopies(ff.Stats())
 
 	// NoFTL: same trace. The DBMS's dead-page knowledge would reach GC
 	// here, but no recorded workload frees a page, so this row measures
 	// the die manager against FASTer's merges and nothing else.
-	ndev := flash.New(fig3Device(devPages, tr.PageSize))
-	nv, err := noftl.New(ndev, noftl.Config{})
+	row.NoFTLCopybacks, row.NoFTLErases, err = figure3Replay(load, txs, span, false,
+		func(dev *flash.Device) (trace.Target, int64, error) {
+			nv, err := noftl.New(dev, noftl.Config{})
+			if err != nil {
+				return nil, 0, err
+			}
+			return trace.NoFTLTarget{V: nv}, nv.LogicalPages(), nil
+		})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("noftl: %w", err)
 	}
-	nt := trace.NoFTLTarget{V: nv}
-	if nt.LogicalPages() < span {
-		return nil, fmt.Errorf("noftl drive too small: %d < %d pages", nt.LogicalPages(), span)
-	}
-	if err := trace.Replay(loadTrace, nt, trace.ReplayOptions{}); err != nil {
-		return nil, err
-	}
-	nbase := ndev.Stats()
-	if err := trace.Replay(txTrace, nt, trace.ReplayOptions{}); err != nil {
-		return nil, err
-	}
-	nafter := ndev.Stats()
-	row.NoFTLCopybacks = nafter.Copybacks - nbase.Copybacks
-	row.NoFTLErases = nafter.Erases - nbase.Erases
 
 	row.RelativeCopyback = ratioOrInf(row.FasterCopybacks, row.NoFTLCopybacks)
 	row.RelativeErase = ratioOrInf(row.FasterErases, row.NoFTLErases)
 	return row, nil
+}
+
+// figure3Replay builds one side of Figure 3 with open on a drive sized
+// from the trace's page span (~72% utilisation, a loaded OLTP drive),
+// replays load and then txs on it, and returns the device's COPYBACK and
+// ERASE commands during txs. open returns the target and the pages it
+// exports.
+func figure3Replay(load, txs *trace.Trace, span int64, dropTrims bool,
+	open func(*flash.Device) (trace.Target, int64, error)) (copybacks, erases int64, err error) {
+	dev := flash.New(fig3Device(span*10/7, load.PageSize))
+	t, pages, err := open(dev)
+	if err != nil {
+		return 0, 0, err
+	}
+	if pages < span {
+		return 0, 0, fmt.Errorf("drive too small: %d < %d pages", pages, span)
+	}
+	opts := trace.ReplayOptions{DropTrims: dropTrims}
+	if _, err := trace.Replay(load, t, opts); err != nil {
+		return 0, 0, err
+	}
+	base := dev.Stats()
+	if _, err := trace.Replay(txs, t, opts); err != nil {
+		return 0, 0, err
+	}
+	after := dev.Stats()
+	return after.Copybacks - base.Copybacks, after.Erases - base.Erases, nil
 }
 
 // fasterBusCopies counts relocations FASTer had to do over the bus

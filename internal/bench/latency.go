@@ -6,13 +6,13 @@ import (
 	"noftl/internal/blockdev"
 	"noftl/internal/flash"
 	"noftl/internal/ftl"
-	"noftl/internal/ioreq"
 	"noftl/internal/nand"
 	"noftl/internal/noftl"
 	"noftl/internal/sched"
 	"noftl/internal/sim"
 	"noftl/internal/stats"
 	"noftl/internal/system"
+	"noftl/internal/trace"
 )
 
 // LatencyConfig parameterizes the §3 motivation experiment: 4 KB random
@@ -91,9 +91,7 @@ func Latency(cfg LatencyConfig) (*LatencyResult, error) {
 		return nil, err
 	}
 	bd := blockdev.New(ff, blockdev.Config{})
-	fh, err := latencyRun(cfg, func(w sim.Waiter, lpn int64, buf []byte) error {
-		return bd.Write(w, lpn, buf)
-	}, ff.LogicalPages(), nil)
+	fh, err := latencyRun(cfg, bd, bd.Pages(), nil)
 	if err != nil {
 		return nil, fmt.Errorf("latency faster: %w", err)
 	}
@@ -105,9 +103,7 @@ func Latency(cfg LatencyConfig) (*LatencyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	nh, err := latencyRun(cfg, func(w sim.Waiter, lpn int64, buf []byte) error {
-		return nv.Write(ioreq.Plain(w), lpn, buf)
-	}, nv.LogicalPages(), nv)
+	nh, err := latencyRun(cfg, trace.NoFTLTarget{V: nv}, nv.LogicalPages(), nv)
 	if err != nil {
 		return nil, fmt.Errorf("latency noftl: %w", err)
 	}
@@ -121,51 +117,47 @@ func mlcConfig(cfg LatencyConfig) flash.Config {
 	return c
 }
 
-// latencyRun fills the device, then measures per-write latency under
-// the DES kernel. When vol is non-nil, the maintenance workers
-// (sched.StartMaintenance) collect beside the writer, which stops them
-// after its last op so that the run ends.
-func latencyRun(cfg LatencyConfig, write func(sim.Waiter, int64, []byte) error,
-	pages int64, vol *noftl.Volume) (*stats.Histogram, error) {
+// latencyRun fills the first latencyFill of the target's pages
+// sequentially, then replays cfg.Ops random 4 KB overwrites of them under
+// the DES kernel and returns their latencies. When vol is non-nil, the
+// maintenance workers (sched.StartMaintenance) collect beside the
+// writer, which stops them after its last op so that the run ends. The
+// first error, the writer's or a worker's, wins.
+func latencyRun(cfg LatencyConfig, t trace.Target, pages int64, vol *noftl.Volume) (*stats.Histogram, error) {
 	k := sim.New()
-	rng := newRand(cfg.Seed)
-	buf := make([]byte, 4096)
-	span := int64(float64(pages) * latencyFill)
-	if span < 1 {
-		span = 1
-	}
-	var h stats.Histogram
+	span := max(int64(float64(pages)*latencyFill), 1)
+	fill := trace.Synthetic(trace.SeqWrite, int(span), span, 4096, cfg.Seed)
+	measure := trace.Synthetic(trace.RandWrite, cfg.Ops, span, 4096, cfg.Seed)
+	var res *trace.Result
 	var fatal error
+	fail := func(err error) {
+		if fatal == nil {
+			fatal = err
+		}
+	}
 	stop := func() {}
 	if vol != nil {
-		mt := sched.StartMaintenance(k, vol, sched.MaintConfig{OnError: func(err error) { fatal = err }})
+		mt := sched.StartMaintenance(k, vol, sched.MaintConfig{OnError: fail})
 		stop = mt.Stop
 	}
 	k.Go("writer", func(p *sim.Proc) {
 		defer stop()
-		w := sim.ProcWaiter{P: p}
-		// Fill phase: sequential load to the target utilisation.
-		for lpn := int64(0); lpn < span; lpn++ {
-			if err := write(w, lpn, buf); err != nil {
-				fatal = err
-				return
-			}
+		opts := trace.ReplayOptions{Waiter: sim.ProcWaiter{P: p}}
+		if _, err := trace.Replay(fill, t, opts); err != nil {
+			fail(err)
+			return
 		}
-		// Measure phase: random 4 KB overwrites.
-		for i := 0; i < cfg.Ops; i++ {
-			lpn := rng.Int63n(span)
-			t0 := p.Now()
-			if err := write(w, lpn, buf); err != nil {
-				fatal = err
-				return
-			}
-			h.Add(p.Now() - t0)
+		r, err := trace.Replay(measure, t, opts)
+		if err != nil {
+			fail(err)
+			return
 		}
+		res = r
 	})
 	k.Run()
 	k.Shutdown()
 	if fatal != nil {
 		return nil, fatal
 	}
-	return &h, nil
+	return &res.WriteLat, nil
 }

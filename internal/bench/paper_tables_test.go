@@ -6,10 +6,12 @@ import (
 	"testing"
 )
 
-// TestPaperTablesGolden pins the tables that only ever reach stdout and
-// that build the page-mapping FTL directly (validate and the A1-A4
-// sweeps), so a change to the shared die manager cannot move them
-// unnoticed (refresh with go test -update).
+// TestPaperTablesGolden pins the serial page-level experiments, whose
+// tables only ever reach stdout: validate, the A1-A4 sweeps, the §3
+// latency study and Figure 3. Validate and the sweeps build the
+// page-mapping FTL directly, so a change to the shared die manager
+// cannot move them unnoticed; all four replay through trace.Replay
+// (refresh with go test -update).
 func TestPaperTablesGolden(t *testing.T) {
 	const seed = 42
 	var b strings.Builder
@@ -30,5 +32,15 @@ func TestPaperTablesGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "\nablation: %s\n%s", res.Name, res.Table())
 	}
+	lat, err := Latency(LatencyConfig{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&b, "\nlatency\n%s", lat.Table())
+	fig3, err := Figure3(Fig3Config{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&b, "\nfig3\n%s", fig3.Table())
 	checkGolden(t, "paper_tables.txt", []byte(b.String()))
 }

@@ -10,7 +10,7 @@ import (
 	"noftl/internal/noftl"
 	"noftl/internal/sim"
 	"noftl/internal/stats"
-	"noftl/internal/workload"
+	"noftl/internal/trace"
 )
 
 // ValidateConfig parameterizes Demo Scenario 1: stressing the emulator
@@ -34,11 +34,10 @@ func (c ValidateConfig) withDefaults() ValidateConfig {
 type ValidateRow struct {
 	Cell     nand.CellType
 	Dies     int
-	Pattern  workload.Pattern
+	Pattern  trace.Pattern
 	Measured sim.Time // mean per-op latency at queue depth 1
 	Model    sim.Time // analytic expectation
 	ErrorPct float64
-	IOPS     float64
 }
 
 // ValidateResult is the emulator validation table.
@@ -93,26 +92,20 @@ func Validate(cfg ValidateConfig) (*ValidateResult, error) {
 				return nil, err
 			}
 			id := dev.Identify()
-			for _, pat := range []workload.Pattern{workload.SeqRead, workload.RandWrite} {
-				w := &sim.ClockWaiter{}
+			pageSize, span := devCfg.Geometry.PageSize, int64(cfg.Ops)
+			for _, pat := range []trace.Pattern{trace.SeqRead, trace.RandWrite} {
+				opts := trace.ReplayOptions{Waiter: &sim.ClockWaiter{}}
 				// Pre-fill so reads hit programmed pages.
-				if _, err := workload.RunSynthetic(w, f, workload.SynthConfig{
-					Pattern: workload.SeqWrite, Ops: cfg.Ops,
-					PageSize: devCfg.Geometry.PageSize, Seed: cfg.Seed,
-					Span: int64(cfg.Ops),
-				}); err != nil {
+				fill := trace.Synthetic(trace.SeqWrite, cfg.Ops, span, pageSize, cfg.Seed)
+				if _, err := trace.Replay(fill, f, opts); err != nil {
 					return nil, err
 				}
-				r, err := workload.RunSynthetic(w, f, workload.SynthConfig{
-					Pattern: pat, Ops: cfg.Ops,
-					PageSize: devCfg.Geometry.PageSize, Seed: cfg.Seed + 1,
-					Span: int64(cfg.Ops),
-				})
+				r, err := trace.Replay(trace.Synthetic(pat, cfg.Ops, span, pageSize, cfg.Seed+1), f, opts)
 				if err != nil {
 					return nil, err
 				}
 				var measured, model sim.Time
-				if pat == workload.SeqRead {
+				if pat == trace.SeqRead {
 					measured = r.ReadLat.Mean()
 					model = 2*sim.Microsecond + id.Timing.ReadPage + id.TransferPage
 				} else {
@@ -126,7 +119,6 @@ func Validate(cfg ValidateConfig) (*ValidateResult, error) {
 				res.Rows = append(res.Rows, ValidateRow{
 					Cell: cell, Dies: dies, Pattern: pat,
 					Measured: measured, Model: model, ErrorPct: errPct,
-					IOPS: r.IOPS(),
 				})
 			}
 		}
@@ -144,18 +136,19 @@ func Validate(cfg ValidateConfig) (*ValidateResult, error) {
 	return res, nil
 }
 
+// scalingRun fills the first scalingSpan pages, then starts one random
+// reader per die and returns their combined IOPS.
 func scalingRun(dies int, cfg ValidateConfig) (float64, error) {
+	const scalingSpan = 4096
 	devCfg := flash.EmulatorConfig(dies, 32, nand.SLC)
+	pageSize := devCfg.Geometry.PageSize
 	dev := flash.New(devCfg)
 	f, err := noftl.NewPageFTL(dev, ftl.PageFTLConfig{})
 	if err != nil {
 		return 0, err
 	}
-	w := &sim.ClockWaiter{}
-	if _, err := workload.RunSynthetic(w, f, workload.SynthConfig{
-		Pattern: workload.SeqWrite, Ops: 4096,
-		PageSize: devCfg.Geometry.PageSize, Seed: cfg.Seed,
-	}); err != nil {
+	fill := trace.Synthetic(trace.SeqWrite, scalingSpan, scalingSpan, pageSize, cfg.Seed)
+	if _, err := trace.Replay(fill, f, trace.ReplayOptions{}); err != nil {
 		return 0, err
 	}
 	dev.ResetTime()
@@ -164,13 +157,9 @@ func scalingRun(dies int, cfg ValidateConfig) (float64, error) {
 	var end sim.Time
 	var readErr error
 	for i := 0; i < dies; i++ {
-		job := workload.SynthConfig{
-			Pattern: workload.RandRead, Ops: cfg.Ops,
-			PageSize: devCfg.Geometry.PageSize, Seed: cfg.Seed + int64(i),
-			Span: 4096,
-		}
+		reads := trace.Synthetic(trace.RandRead, cfg.Ops, scalingSpan, pageSize, cfg.Seed+int64(i))
 		k.Go("reader", func(p *sim.Proc) {
-			if _, err := workload.RunSynthetic(sim.ProcWaiter{P: p}, f, job); err != nil {
+			if _, err := trace.Replay(reads, f, trace.ReplayOptions{Waiter: sim.ProcWaiter{P: p}}); err != nil {
 				if readErr == nil {
 					readErr = err
 				}

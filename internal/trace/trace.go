@@ -11,6 +11,7 @@ import (
 	"noftl/internal/ioreq"
 	"noftl/internal/noftl"
 	"noftl/internal/sim"
+	"noftl/internal/stats"
 	"noftl/internal/storage"
 )
 
@@ -103,21 +104,21 @@ func (r *Recorder) Regions() int { return r.Inner.Regions() }
 // RegionOf implements storage.Volume.
 func (r *Recorder) RegionOf(id storage.PageID) int { return r.Inner.RegionOf(id) }
 
-// Target is anything a trace can be replayed against. ftl.FTL satisfies
-// it directly; NoFTLTarget adapts noftl.Volume.
+// Target is anything a trace can be replayed against: ftl.FTL and
+// blockdev.Device satisfy it directly; NoFTLTarget adapts noftl.Volume.
+// Trims reach only a target that also has Trim (trimmer).
 type Target interface {
-	LogicalPages() int64
 	Read(w sim.Waiter, lpn int64, buf []byte) error
 	Write(w sim.Waiter, lpn int64, data []byte) error
+}
+
+type trimmer interface {
 	Trim(w sim.Waiter, lpn int64) error
 }
 
 // NoFTLTarget adapts a noftl.Volume as a replay target (Trim becomes the
 // free-space manager's Invalidate).
 type NoFTLTarget struct{ V *noftl.Volume }
-
-// LogicalPages implements Target.
-func (t NoFTLTarget) LogicalPages() int64 { return t.V.LogicalPages() }
 
 // Read implements Target.
 func (t NoFTLTarget) Read(w sim.Waiter, lpn int64, buf []byte) error {
@@ -129,10 +130,10 @@ func (t NoFTLTarget) Write(w sim.Waiter, lpn int64, data []byte) error {
 	return t.V.Write(ioreq.Plain(w), lpn, data)
 }
 
-// Trim implements Target.
+// Trim hands a trace's trim to the volume's Invalidate.
 func (t NoFTLTarget) Trim(w sim.Waiter, lpn int64) error { return t.V.Invalidate(lpn) }
 
-var _ Target = (ftl.FTL)(nil)
+var _ trimmer = (ftl.FTL)(nil)
 
 // ReplayOptions controls a replay.
 type ReplayOptions struct {
@@ -143,36 +144,50 @@ type ReplayOptions struct {
 	Waiter sim.Waiter
 }
 
-// Replay feeds the trace to the target. LPNs beyond the target's
-// capacity wrap (traces may come from a larger volume).
-func Replay(t *Trace, target Target, opts ReplayOptions) error {
+// Result is a replay's timing on its waiter's timeline.
+type Result struct {
+	Elapsed  sim.Time
+	ReadLat  stats.Histogram
+	WriteLat stats.Histogram
+}
+
+// Replay feeds the trace to the target and times every read and write.
+// It does not wrap LPNs: one beyond the target's capacity fails the
+// replay at that op (the target's own range check).
+func Replay(t *Trace, target Target, opts ReplayOptions) (*Result, error) {
 	w := opts.Waiter
 	if w == nil {
 		w = &sim.ClockWaiter{}
 	}
-	n := target.LogicalPages()
-	if n <= 0 {
-		return fmt.Errorf("trace: target has no capacity")
-	}
 	buf := make([]byte, t.PageSize)
+	res := &Result{}
+	start := w.Now()
 	for i, op := range t.Ops {
-		lpn := op.LPN % n
+		t0 := w.Now()
 		var err error
 		switch op.Kind {
 		case OpRead:
-			err = target.Read(w, lpn, buf)
+			err = target.Read(w, op.LPN, buf)
+			res.ReadLat.Add(w.Now() - t0)
 		case OpWrite:
-			err = target.Write(w, lpn, buf)
+			err = target.Write(w, op.LPN, buf)
+			res.WriteLat.Add(w.Now() - t0)
 		case OpTrim:
-			if !opts.DropTrims {
-				err = target.Trim(w, lpn)
+			if opts.DropTrims {
+				break
+			}
+			if tt, ok := target.(trimmer); ok {
+				err = tt.Trim(w, op.LPN)
+			} else {
+				err = fmt.Errorf("target cannot trim")
 			}
 		default:
-			err = fmt.Errorf("trace: bad op kind %d", op.Kind)
+			err = fmt.Errorf("bad op kind")
 		}
 		if err != nil {
-			return fmt.Errorf("trace: op %d (%d on %d): %w", i, op.Kind, lpn, err)
+			return nil, fmt.Errorf("trace: op %d (%d on %d): %w", i, op.Kind, op.LPN, err)
 		}
 	}
-	return nil
+	res.Elapsed = w.Now() - start
+	return res, nil
 }

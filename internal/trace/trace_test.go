@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"noftl/internal/blockdev"
 	"noftl/internal/flash"
 	"noftl/internal/ftl"
 	"noftl/internal/nand"
@@ -50,20 +51,22 @@ func TestRecorderCapturesEngineIO(t *testing.T) {
 	}
 }
 
+// replayDevice is a small two-die SLC drive with 512-byte pages.
+func replayDevice() *flash.Device {
+	return flash.New(flash.Config{
+		Geometry: nand.Geometry{Channels: 2, ChipsPerChannel: 1, DiesPerChip: 1,
+			PlanesPerDie: 1, BlocksPerPlane: 64, PagesPerBlock: 16, PageSize: 512, OOBSize: 16},
+		Cell: nand.SLC,
+	})
+}
+
 func replayTargets(t *testing.T) (ftl.FTL, NoFTLTarget) {
 	t.Helper()
-	mkdev := func() *flash.Device {
-		return flash.New(flash.Config{
-			Geometry: nand.Geometry{Channels: 2, ChipsPerChannel: 1, DiesPerChip: 1,
-				PlanesPerDie: 1, BlocksPerPlane: 64, PagesPerBlock: 16, PageSize: 512, OOBSize: 16},
-			Cell: nand.SLC,
-		})
-	}
-	f, err := ftl.NewFasterFTL(mkdev(), ftl.FasterConfig{SecondChance: true})
+	f, err := ftl.NewFasterFTL(replayDevice(), ftl.FasterConfig{SecondChance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := noftl.New(mkdev(), noftl.Config{})
+	v, err := noftl.New(replayDevice(), noftl.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +87,10 @@ func TestReplayAgainstBothStacks(t *testing.T) {
 			tr.Ops = append(tr.Ops, Op{Kind: OpRead, LPN: rng.Int63n(span)})
 		}
 	}
-	if err := Replay(tr, f, ReplayOptions{DropTrims: true}); err != nil {
+	if _, err := Replay(tr, f, ReplayOptions{DropTrims: true}); err != nil {
 		t.Fatalf("faster replay: %v", err)
 	}
-	if err := Replay(tr, nv, ReplayOptions{}); err != nil {
+	if _, err := Replay(tr, nv, ReplayOptions{}); err != nil {
 		t.Fatalf("noftl replay: %v", err)
 	}
 	fs := f.Stats()
@@ -103,22 +106,30 @@ func TestReplayAgainstBothStacks(t *testing.T) {
 }
 
 func TestReplayDropTrims(t *testing.T) {
-	_, nv := replayTargets(t)
+	f, nv := replayTargets(t)
 	tr := &Trace{PageSize: 512}
 	for lpn := int64(0); lpn < 100; lpn++ {
 		tr.Ops = append(tr.Ops,
 			Op{Kind: OpWrite, LPN: lpn}, Op{Kind: OpTrim, LPN: lpn})
 	}
-	if err := Replay(tr, nv, ReplayOptions{DropTrims: true}); err != nil {
+	if _, err := Replay(tr, nv, ReplayOptions{DropTrims: true}); err != nil {
 		t.Fatal(err)
 	}
 	if nv.V.Stats().Trims != 0 {
 		t.Error("DropTrims leaked trims")
 	}
-	if err := Replay(tr, nv, ReplayOptions{}); err != nil {
+	if _, err := Replay(tr, nv, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if nv.V.Stats().Trims != 100 {
 		t.Errorf("trims = %d, want 100", nv.V.Stats().Trims)
+	}
+	// The block interface has no Trim: its trims must be dropped.
+	bd := blockdev.New(f, blockdev.Config{})
+	if _, err := Replay(tr, bd, ReplayOptions{}); err == nil {
+		t.Error("trim replayed on the block interface")
+	}
+	if _, err := Replay(tr, bd, ReplayOptions{DropTrims: true}); err != nil {
+		t.Errorf("dropped trims: %v", err)
 	}
 }

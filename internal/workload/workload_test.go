@@ -4,11 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"noftl/internal/flash"
-	"noftl/internal/ftl"
-	"noftl/internal/nand"
-	"noftl/internal/noftl"
-	"noftl/internal/sim"
 	"noftl/internal/storage"
 )
 
@@ -185,37 +180,5 @@ func TestWorkloadDeterminism(t *testing.T) {
 	s2, c2 := run()
 	if s1 != s2 || c1 != c2 {
 		t.Errorf("same seed diverged: sums %d/%d commits %d/%d", s1, s2, c1, c2)
-	}
-}
-
-func TestSyntheticPatterns(t *testing.T) {
-	dev := flash.New(flash.Config{
-		Geometry: nand.Geometry{Channels: 2, ChipsPerChannel: 1, DiesPerChip: 1,
-			PlanesPerDie: 1, BlocksPerPlane: 64, PagesPerBlock: 16, PageSize: 512, OOBSize: 16},
-		Cell: nand.SLC,
-	})
-	f, err := noftl.NewPageFTL(dev, ftl.PageFTLConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pat := range []Pattern{SeqWrite, SeqRead, RandWrite, RandRead, RandMixed70} {
-		w := &sim.ClockWaiter{}
-		res, err := RunSynthetic(w, f, SynthConfig{Pattern: pat, Ops: 300, PageSize: 512, Seed: 1})
-		if err != nil {
-			t.Fatalf("%v: %v", pat, err)
-		}
-		if res.IOPS() <= 0 {
-			t.Errorf("%v: IOPS = %v", pat, res.IOPS())
-		}
-		if pat.String() == "unknown" {
-			t.Errorf("pattern %d has no name", pat)
-		}
-	}
-	// Reads must be faster than writes on SLC.
-	w := &sim.ClockWaiter{}
-	wres, _ := RunSynthetic(w, f, SynthConfig{Pattern: RandWrite, Ops: 200, PageSize: 512, Seed: 2})
-	rres, _ := RunSynthetic(w, f, SynthConfig{Pattern: RandRead, Ops: 200, PageSize: 512, Seed: 3})
-	if rres.ReadLat.Mean() >= wres.WriteLat.Mean() {
-		t.Errorf("read mean %v >= write mean %v", rres.ReadLat.Mean(), wres.WriteLat.Mean())
 	}
 }
