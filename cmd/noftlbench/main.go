@@ -43,7 +43,6 @@ import (
 	"strings"
 
 	"noftl/internal/bench"
-	"noftl/internal/sched"
 	"noftl/internal/serve"
 	"noftl/internal/sim"
 	"noftl/internal/telemetry"
@@ -262,11 +261,7 @@ func (a *app) export(name string, o *bench.Observed) error {
 	}
 	if tel := o.Tel; tel != nil {
 		// -exp serve runs telemetry without blame, so without a command log.
-		var events []sched.Event
-		if o.CmdLog != nil {
-			events = o.CmdLog.Events
-		}
-		write("trace.json", func(w io.Writer) error { return telemetry.WriteTrace(w, events, tel.Spans()) })
+		write("trace.json", func(w io.Writer) error { return telemetry.WriteTrace(w, o.CmdLog, tel.Spans()) })
 		write("metrics.json", tel.WriteMetrics)
 	}
 	if rep := o.Blame; rep != nil {
@@ -378,9 +373,7 @@ func (a *app) regions() error {
 }
 
 func (a *app) sched() error {
-	cfg := bench.SchedConfig{Params: a.observed(true), Workload: "tpcb"}
-	cfg.Health = a.obsDir != ""
-	res, err := bench.SchedAblation(cfg)
+	res, err := bench.SchedAblation(bench.SchedConfig{Params: a.observed(true), Workload: "tpcb"})
 	if err != nil {
 		return err
 	}
@@ -391,7 +384,7 @@ func (a *app) sched() error {
 		res.Ratio("bg-gc+prio", "inline-gc", bench.CommitP99),
 		res.Ratio("bg-gc+prio", "inline-gc", bench.ReadP99))
 	res.AddTo(a.report)
-	if cfg.Health {
+	if a.obsDir != "" {
 		a.printf("device health:\n%s", res.HealthTable())
 	}
 	// Export the last mode's run: the fully scheduled regime.

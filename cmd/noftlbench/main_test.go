@@ -40,10 +40,11 @@ func TestValidateSmoke(t *testing.T) {
 	}
 }
 
-// TestQoSObsDirWritesDocumentedFiles runs the qos demo and the serve
-// ablation at tiny scale with -obs-dir and -json: exactly the file set
-// README documents for each appears, nothing else, the report has the
-// experiment's rows, and the printed summaries are there. serve runs
+// TestQoSObsDirWritesDocumentedFiles runs the sched ablation, the qos
+// demo and the serve ablation at tiny scale with -obs-dir and -json:
+// exactly the file set README documents for each appears, nothing else,
+// the report has the experiment's rows, and the printed summaries are
+// there. Every observed run writes its device health; serve runs
 // telemetry without blame, so it exports a trace with no command log.
 func TestQoSObsDirWritesDocumentedFiles(t *testing.T) {
 	for _, tc := range []struct {
@@ -53,12 +54,15 @@ func TestQoSObsDirWritesDocumentedFiles(t *testing.T) {
 		rows  int
 		print []string
 	}{
+		{"sched", []string{"-dies", "4", "-drive-mb", "24", "-workers", "8", "-frames", "128"},
+			[]string{"blame.folded", "blame.json", "health.json", "metrics.json", "trace.json"}, 3,
+			[]string{"device health:\n", "blame matrix (bg-gc+prio)"}},
 		{"qos", []string{"-dies", "4", "-drive-mb", "32", "-workers", "8",
 			"-frames", "128", "-qos-low-deadline-ms", "3"},
-			[]string{"blame.folded", "blame.json", "metrics.json", "trace.json"}, 2,
+			[]string{"blame.folded", "blame.json", "health.json", "metrics.json", "trace.json"}, 2,
 			[]string{"dominant latency culprit", "missed-deadline wait by culprit class:\n  "}},
 		{"serve", []string{"-serve-clients", "40", "-serve-rows", "1024"},
-			[]string{"metrics.json", "trace.json"}, 4,
+			[]string{"health.json", "metrics.json", "trace.json"}, 4,
 			[]string{"flight recorder (rate-limit+shed)"}},
 	} {
 		t.Run(tc.exp, func(t *testing.T) {

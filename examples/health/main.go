@@ -1,7 +1,8 @@
 // Device health observability on native flash: a region-managed,
-// priority-scheduled NoFTL stack runs TPC-B with the health monitor
-// attached — per-die wear heatmaps and erase histograms, and per-region
-// GC efficiency with the byte decomposition behind write amplification.
+// priority-scheduled NoFTL stack runs TPC-B, then the host reads the
+// device's health straight off the system — per-die wear heatmaps and
+// erase histograms, and per-region GC efficiency with the byte
+// decomposition behind write amplification.
 package main
 
 import (
@@ -16,8 +17,7 @@ func main() {
 		Stack: noftl.StackNoFTLRegions, Dies: 4, CapacityMB: 24, Frames: 128,
 	},
 		noftl.WithPriorityScheduler(),
-		noftl.WithBackgroundGC(),
-		noftl.WithHealth())
+		noftl.WithBackgroundGC())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	snap := sys.Health.Snapshot(sys.K.Now())
+	snap := sys.Health()
 	fmt.Printf("%.0f TPS on %d dies; device health at t=%s:\n\n",
 		res.TPS, snap.Device.Dies, snap.TNs)
 

@@ -72,7 +72,7 @@ func overwritePoint(cfg ftl.PageFTLConfig, seed int64, pat trace.Pattern, p Abla
 // replayPoint (A1-A4) replays tr on f, trims dropped, and records the
 // point.
 func replayPoint(tr *trace.Trace, f ftl.FTL, p AblationPoint) (AblationPoint, error) {
-	res, err := trace.Replay(tr, f, trace.ReplayOptions{DropTrims: true})
+	res, err := trace.Replay(tr, f, &sim.ClockWaiter{}, trace.ReplayOptions{DropTrims: true})
 	if err != nil {
 		return p, err
 	}

@@ -18,12 +18,12 @@ import (
 
 	"noftl/internal/flash"
 	"noftl/internal/nand"
+	"noftl/internal/sched"
 	"noftl/internal/sim"
 	"noftl/internal/system"
 	"noftl/internal/telemetry"
 	"noftl/internal/telemetry/blame"
 	"noftl/internal/telemetry/health"
-	"noftl/internal/trace"
 	"noftl/internal/workload"
 )
 
@@ -43,17 +43,16 @@ type Params struct {
 	Measure sim.Time
 	Seed    int64
 
-	// Telemetry attaches the cross-layer telemetry pipeline to each
-	// run's system: request spans on every counted transaction, the
-	// metrics sampler and the flight recorder (Observed.Tel).
+	// Telemetry asks for observability: it attaches the cross-layer
+	// telemetry pipeline to each run's system (request spans on every
+	// counted transaction, the metrics sampler and the flight recorder:
+	// Observed.Tel), and each row carries the end-of-run device-health
+	// snapshot (Observed.Health).
 	Telemetry *telemetry.Config
 	// Blame attaches the latency root-cause engine (implies telemetry
 	// with span retention and a system-owned command log);
 	// Observed.Blame carries the analyzed report.
 	Blame *blame.Config
-	// Health attaches the device-health monitor (implies telemetry);
-	// Observed.Health carries the end-of-run snapshot.
-	Health bool
 
 	// fault is the tests' injection seam: the run loop asks it once per
 	// background process kind ("maintenance", "prefetcher",
@@ -108,9 +107,6 @@ func (p Params) build(stack system.Stack, opts ...system.Option) (*system.System
 	if p.Telemetry != nil {
 		opts = append(opts, system.WithTelemetry(*p.Telemetry))
 	}
-	if p.Health {
-		opts = append(opts, system.WithHealth())
-	}
 	if p.Blame != nil {
 		opts = append(opts, system.WithBlame(*p.Blame))
 	}
@@ -122,17 +118,17 @@ func (p Params) build(stack system.Stack, opts ...system.Option) (*system.System
 // field is nil unless the experiment's Params asked for it.
 type Observed struct {
 	Tel    *telemetry.Telemetry
-	CmdLog *trace.CmdLog
+	CmdLog []sched.Event
 	Blame  *blame.Report
 	// Health is the end-of-run device-health snapshot.
 	Health *health.Snapshot
 }
 
 // observe collects a finished run's observability outputs.
-func observe(sys *system.System) Observed {
+func (p Params) observe(sys *system.System) Observed {
 	o := Observed{Tel: sys.Tel, CmdLog: sys.CmdLog, Blame: sys.Blame()}
-	if sys.Health != nil {
-		o.Health = sys.Health.Snapshot(sys.K.Now())
+	if p.Telemetry != nil {
+		o.Health = sys.Health()
 	}
 	return o
 }

@@ -9,6 +9,7 @@ import (
 	"noftl/internal/ftl"
 	"noftl/internal/nand"
 	"noftl/internal/noftl"
+	"noftl/internal/sim"
 	"noftl/internal/stats"
 	"noftl/internal/storage"
 	"noftl/internal/trace"
@@ -258,12 +259,12 @@ func figure3Replay(load, txs *trace.Trace, span int64, dropTrims bool,
 	if pages < span {
 		return 0, 0, fmt.Errorf("drive too small: %d < %d pages", pages, span)
 	}
-	opts := trace.ReplayOptions{DropTrims: dropTrims}
-	if _, err := trace.Replay(load, t, opts); err != nil {
+	w, opts := &sim.ClockWaiter{}, trace.ReplayOptions{DropTrims: dropTrims}
+	if _, err := trace.Replay(load, t, w, opts); err != nil {
 		return 0, 0, err
 	}
 	base := dev.Stats()
-	if _, err := trace.Replay(txs, t, opts); err != nil {
+	if _, err := trace.Replay(txs, t, w, opts); err != nil {
 		return 0, 0, err
 	}
 	after := dev.Stats()

@@ -5,17 +5,18 @@ import (
 	"encoding/json"
 	"testing"
 
+	"noftl/internal/telemetry"
 	"noftl/internal/telemetry/health"
 )
 
 func tinyHealthConfig(seed int64) SchedConfig {
 	cfg := tinySchedConfig(seed)
 	cfg.Modes = []string{"bg-gc+prio"}
-	cfg.Health = true
+	cfg.Telemetry = &telemetry.Config{} // health carries timelines only from a sampler
 	return cfg
 }
 
-// TestHealthSnapshotStructure drives one health-enabled regime and
+// TestHealthSnapshotStructure drives one observed regime and
 // checks the snapshot's shape: a full heatmap row per die, histograms
 // covering exactly the non-bad blocks, consistent device-wide wear
 // percentiles, both regions with GC accounting, and the timelines
@@ -115,7 +116,7 @@ func TestHealthSnapshotStructure(t *testing.T) {
 	}
 }
 
-// TestHealthSnapshotDeterministic runs the health-enabled regime twice
+// TestHealthSnapshotDeterministic runs the observed regime twice
 // with one seed and expects byte-identical snapshot JSON — the
 // acceptance bar for every health export (the CLI's health.json uses
 // the same encoder).

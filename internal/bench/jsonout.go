@@ -42,9 +42,9 @@ type JSONResult struct {
 	// served ahead of their class because the deadline had passed.
 	DeadlineMisses     int64 `json:"deadline_misses,omitempty"`
 	DeadlinePromotions int64 `json:"deadline_promotions,omitempty"`
-	// Device-health accounting (health-enabled sched runs): end-of-run
-	// erase-count spread over non-bad blocks and the data region's
-	// valid-page copy ratio.
+	// Device-health accounting (observed runs, Params.Telemetry set):
+	// end-of-run erase-count spread over non-bad blocks and the data
+	// region's valid-page copy ratio.
 	WearSpread     int     `json:"wear_spread,omitempty"`
 	ValidCopyRatio float64 `json:"valid_copy_ratio,omitempty"`
 	// Analytical stream + pool accounting (htap experiment).

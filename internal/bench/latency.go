@@ -16,7 +16,7 @@ import (
 )
 
 // LatencyConfig parameterizes the §3 motivation experiment: 4 KB random
-// write latency at high device utilisation. The paper cites an average
+// write latency at high device utilisation, on an SLC drive. The paper cites an average
 // of 0.450 ms with FTL-specific outliers reaching ~80 ms under heavy
 // load; NoFTL's background GC keeps the tail flat.
 type LatencyConfig struct {
@@ -77,15 +77,15 @@ func (r *LatencyResult) Table() string {
 	return t.String()
 }
 
-// Latency runs the random-write latency study on the FASTer block
-// device (inline GC and merges stall the host) and the NoFTL volume
-// (background GC off the write path).
+// Latency runs the random-write latency study on two SLC drives: the
+// FASTer block device (inline GC and merges stall the host) and the
+// NoFTL volume (background GC off the write path).
 func Latency(cfg LatencyConfig) (*LatencyResult, error) {
 	cfg = cfg.withDefaults()
 	res := &LatencyResult{}
 
 	// FASTer behind the legacy block interface: merges run inline.
-	fdev := flash.New(mlcConfig(cfg))
+	fdev := flash.New(slcConfig(cfg))
 	ff, err := ftl.NewFasterFTL(fdev, ftl.FasterConfig{SecondChance: true})
 	if err != nil {
 		return nil, err
@@ -98,7 +98,7 @@ func Latency(cfg LatencyConfig) (*LatencyResult, error) {
 	res.Rows = append(res.Rows, LatencyRow{Stack: system.StackFaster, Hist: *fh})
 
 	// NoFTL: the maintenance workers keep regions clean.
-	ndev := flash.New(mlcConfig(cfg))
+	ndev := flash.New(slcConfig(cfg))
 	nv, err := noftl.New(ndev, noftl.Config{BackgroundGC: true})
 	if err != nil {
 		return nil, err
@@ -111,7 +111,8 @@ func Latency(cfg LatencyConfig) (*LatencyResult, error) {
 	return res, nil
 }
 
-func mlcConfig(cfg LatencyConfig) flash.Config {
+// slcConfig is the study's SLC drive, holding no page data.
+func slcConfig(cfg LatencyConfig) flash.Config {
 	c := flash.EmulatorConfig(cfg.Dies, cfg.DriveMB, nand.SLC)
 	c.Nand.StoreData = false
 	return c
@@ -142,12 +143,12 @@ func latencyRun(cfg LatencyConfig, t trace.Target, pages int64, vol *noftl.Volum
 	}
 	k.Go("writer", func(p *sim.Proc) {
 		defer stop()
-		opts := trace.ReplayOptions{Waiter: sim.ProcWaiter{P: p}}
-		if _, err := trace.Replay(fill, t, opts); err != nil {
+		w := sim.ProcWaiter{P: p}
+		if _, err := trace.Replay(fill, t, w, trace.ReplayOptions{}); err != nil {
 			fail(err)
 			return
 		}
-		r, err := trace.Replay(measure, t, opts)
+		r, err := trace.Replay(measure, t, w, trace.ReplayOptions{})
 		if err != nil {
 			fail(err)
 			return

@@ -171,6 +171,6 @@ func QoS(cfg QoSConfig) (*QoSResult, error) {
 	}
 	out := &QoSResult{Result: *r}
 	out.High, out.Low = out.Result.Group("high"), out.Result.Group("low")
-	out.Observed = observe(sys)
+	out.Observed = cfg.observe(sys)
 	return out, nil
 }

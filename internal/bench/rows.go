@@ -77,7 +77,7 @@ func (p Params) runVariant(v variant) (*Row, error) {
 		return nil, err
 	}
 	return &Row{Name: v.name, Stack: v.stack, Result: *r, Occupancy: occupancy(sys), Front: sys.Serve,
-		Observed: observe(sys)}, nil
+		Observed: p.observe(sys)}, nil
 }
 
 // only keeps the variants named in names (all of them when names is

@@ -68,7 +68,7 @@ func SchedAblation(cfg SchedConfig) (*Rows, error) {
 			fault:       cfg.fault,
 		})
 	}
-	fcfs := system.WithScheduler(sched.Config{Policy: sched.FCFS})
+	fcfs := system.WithScheduler(sched.FCFS)
 	prio := []system.Option{system.WithPriorityScheduler(), system.WithBackgroundGC()}
 	regions := system.StackNoFTLRegions
 	return cfg.runVariants("sched", cfg.Workload, only(cfg.Modes, []variant{
@@ -125,7 +125,7 @@ func (r *Rows) WaitTable() string {
 	return t.String()
 }
 
-// HealthTable renders the health-enabled rows' device summary: wear
+// HealthTable renders the observed rows' device summary: wear
 // distribution and data-region GC efficiency.
 func (r *Rows) HealthTable() string {
 	t := stats.NewTable("mode", "wear spread", "wear p99", "bad", "occ",

@@ -49,7 +49,8 @@ const (
 // ServeConfig parameterizes the serving-front ablation. Params.Workers
 // is the total session count, split 1:3 between the paying and batch
 // tenants; the telemetry pipeline is always attached (the burn guard
-// needs it) and Params.Telemetry only overrides its config.
+// needs it), and Params.Telemetry overrides its config and asks for the
+// rows' observability like any experiment's.
 type ServeConfig struct {
 	Params
 	// Rows is the per-store record count. Default 16384.
@@ -83,9 +84,6 @@ func (c ServeConfig) withDefaults() ServeConfig {
 	c.Params = c.Params.withDefaults("serve")
 	c.Rows = orDefault(c.Rows, 16384)
 	c.Settle = orDefault(c.Settle, 1*sim.Second)
-	if c.Telemetry == nil {
-		c.Telemetry = &telemetry.Config{}
-	}
 	return c
 }
 
@@ -185,10 +183,13 @@ func Serve(cfg ServeConfig) (*Rows, error) {
 
 // variants lists the uncontended reference (the paying tenant alone, no
 // control) and the three admission regimes, named after their controls.
+// Every variant carries telemetry, which the burn guard needs; a
+// Params.Telemetry config replaces its default.
 func (cfg ServeConfig) variants() []variant {
 	v := func(name string, control serve.Control, withBatch bool) variant {
 		return variant{name, system.StackNoFTLRegions,
-			[]system.Option{system.WithPriorityScheduler(), system.WithBackgroundGC()},
+			[]system.Option{system.WithPriorityScheduler(), system.WithBackgroundGC(),
+				system.WithTelemetry(telemetry.Config{})},
 			func(sys *system.System) (*RunResult, error) { return cfg.runRegime(sys, control, withBatch, name) }}
 	}
 	vs := []variant{v("uncontended", serve.ControlNone, false)}

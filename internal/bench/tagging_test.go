@@ -10,7 +10,7 @@ import (
 	"noftl/internal/sim"
 	"noftl/internal/storage"
 	"noftl/internal/system"
-	"noftl/internal/trace"
+	"noftl/internal/telemetry/blame"
 )
 
 // TestClassInheritanceEndToEnd checks the tentpole invariant on both
@@ -22,10 +22,9 @@ import (
 func TestClassInheritanceEndToEnd(t *testing.T) {
 	for _, stack := range []system.Stack{system.StackNoFTL, system.StackNoFTLRegions} {
 		t.Run(string(stack), func(t *testing.T) {
-			log := &trace.CmdLog{}
 			devCfg := flash.EmulatorConfig(2, 16, nand.SLC)
 			sys, err := system.New(system.Config{Stack: stack, Device: &devCfg, Frames: 64},
-				system.WithScheduler(sched.Config{Policy: sched.Priority, Trace: log.Record}))
+				system.WithPriorityScheduler(), system.WithBlame(blame.Config{}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +53,7 @@ func TestClassInheritanceEndToEnd(t *testing.T) {
 				t.Fatalf("declared-GC write+read must dispatch as GC: scheduled=%v", st.Scheduled)
 			}
 			var gotProgram, gotRead bool
-			for _, ev := range log.Events {
+			for _, ev := range sys.CmdLog {
 				if ev.Tag != tag {
 					t.Fatalf("command lost its stream tag: %+v", ev)
 				}
@@ -70,7 +69,7 @@ func TestClassInheritanceEndToEnd(t *testing.T) {
 			}
 			if !gotProgram || !gotRead {
 				t.Fatalf("command log incomplete: program=%v read=%v (%d events)",
-					gotProgram, gotRead, len(log.Events))
+					gotProgram, gotRead, len(sys.CmdLog))
 			}
 			// Queue-wait attribution: only the GC class row may be
 			// populated, and it accounts for every logged command.
@@ -80,9 +79,9 @@ func TestClassInheritanceEndToEnd(t *testing.T) {
 						c, st.Scheduled[c])
 				}
 			}
-			if int64(len(log.Events)) != st.Scheduled[sched.ClassGC] {
+			if int64(len(sys.CmdLog)) != st.Scheduled[sched.ClassGC] {
 				t.Fatalf("per-class accounting mismatch: %d logged commands, sched=%v",
-					len(log.Events), st.Scheduled)
+					len(sys.CmdLog), st.Scheduled)
 			}
 		})
 	}
@@ -92,10 +91,9 @@ func TestClassInheritanceEndToEnd(t *testing.T) {
 // declares nothing writes its log anchor at the WAL class, as its log
 // flush does — not at the program class its op type alone would give.
 func TestUndeclaredCheckpointAnchorsAtWALClass(t *testing.T) {
-	log := &trace.CmdLog{}
 	devCfg := flash.EmulatorConfig(2, 16, nand.SLC)
 	sys, err := system.New(system.Config{Stack: system.StackNoFTLRegions, Device: &devCfg, Frames: 64},
-		system.WithScheduler(sched.Config{Policy: sched.Priority, Trace: log.Record}))
+		system.WithPriorityScheduler(), system.WithBlame(blame.Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +112,13 @@ func TestUndeclaredCheckpointAnchorsAtWALClass(t *testing.T) {
 	}
 	// The anchor is the checkpoint's last program on the log region.
 	var anchor *sched.Event
-	for i, ev := range log.Events {
+	for i, ev := range sys.CmdLog {
 		if logDies[ev.Die] && ev.Op == "program" {
-			anchor = &log.Events[i]
+			anchor = &sys.CmdLog[i]
 		}
 	}
 	if anchor == nil {
-		t.Fatalf("no log-region program among %d commands", len(log.Events))
+		t.Fatalf("no log-region program among %d commands", len(sys.CmdLog))
 	}
 	if anchor.Class != sched.ClassWAL {
 		t.Fatalf("undeclared checkpoint anchor dispatched at %v, want %v", anchor.Class, sched.ClassWAL)

@@ -57,7 +57,7 @@ func TestTelemetryAcceptance(t *testing.T) {
 
 	// The command log records every dispatched command, so the exported
 	// trace's command slices cover 100% >= 99% of them.
-	if got, want := int64(len(row.CmdLog.Events)), row.Result.Sched.TotalScheduled(); got != want {
+	if got, want := int64(len(row.CmdLog)), row.Result.Sched.TotalScheduled(); got != want {
 		t.Fatalf("trace covers %d commands, scheduler dispatched %d", got, want)
 	}
 
@@ -108,7 +108,7 @@ func TestTelemetryDeterministicExports(t *testing.T) {
 		}
 		row := &res.Rows[0]
 		var tb, mb bytes.Buffer
-		if err := telemetry.WriteTrace(&tb, row.CmdLog.Events, row.Tel.Spans()); err != nil {
+		if err := telemetry.WriteTrace(&tb, row.CmdLog, row.Tel.Spans()); err != nil {
 			t.Fatal(err)
 		}
 		if err := row.Tel.WriteMetrics(&mb); err != nil {

@@ -93,14 +93,14 @@ func Validate(cfg ValidateConfig) (*ValidateResult, error) {
 			}
 			id := dev.Identify()
 			pageSize, span := devCfg.Geometry.PageSize, int64(cfg.Ops)
+			w := &sim.ClockWaiter{}
 			for _, pat := range []trace.Pattern{trace.SeqRead, trace.RandWrite} {
-				opts := trace.ReplayOptions{Waiter: &sim.ClockWaiter{}}
 				// Pre-fill so reads hit programmed pages.
 				fill := trace.Synthetic(trace.SeqWrite, cfg.Ops, span, pageSize, cfg.Seed)
-				if _, err := trace.Replay(fill, f, opts); err != nil {
+				if _, err := trace.Replay(fill, f, w, trace.ReplayOptions{}); err != nil {
 					return nil, err
 				}
-				r, err := trace.Replay(trace.Synthetic(pat, cfg.Ops, span, pageSize, cfg.Seed+1), f, opts)
+				r, err := trace.Replay(trace.Synthetic(pat, cfg.Ops, span, pageSize, cfg.Seed+1), f, w, trace.ReplayOptions{})
 				if err != nil {
 					return nil, err
 				}
@@ -148,7 +148,7 @@ func scalingRun(dies int, cfg ValidateConfig) (float64, error) {
 		return 0, err
 	}
 	fill := trace.Synthetic(trace.SeqWrite, scalingSpan, scalingSpan, pageSize, cfg.Seed)
-	if _, err := trace.Replay(fill, f, trace.ReplayOptions{}); err != nil {
+	if _, err := trace.Replay(fill, f, &sim.ClockWaiter{}, trace.ReplayOptions{}); err != nil {
 		return 0, err
 	}
 	dev.ResetTime()
@@ -159,7 +159,7 @@ func scalingRun(dies int, cfg ValidateConfig) (float64, error) {
 	for i := 0; i < dies; i++ {
 		reads := trace.Synthetic(trace.RandRead, cfg.Ops, scalingSpan, pageSize, cfg.Seed+int64(i))
 		k.Go("reader", func(p *sim.Proc) {
-			if _, err := trace.Replay(reads, f, trace.ReplayOptions{Waiter: sim.ProcWaiter{P: p}}); err != nil {
+			if _, err := trace.Replay(reads, f, sim.ProcWaiter{P: p}, trace.ReplayOptions{}); err != nil {
 				if readErr == nil {
 					readErr = err
 				}

@@ -24,7 +24,7 @@
 //
 // Queue waits and erase suspensions are accounted per class here, and
 // only here (Stats); the optional Trace hook emits one Event per command
-// for offline analysis (trace.CmdLog).
+// for offline analysis (the system's command log, System.CmdLog).
 //
 // Serial callers (sim.ClockWaiter phases: loads, trace replays, rebuild
 // scans) bypass the queues entirely — there is nothing to schedule when

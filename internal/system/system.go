@@ -25,7 +25,6 @@ import (
 	"noftl/internal/telemetry"
 	"noftl/internal/telemetry/blame"
 	"noftl/internal/telemetry/health"
-	"noftl/internal/trace"
 )
 
 // Stack names a storage architecture under comparison.
@@ -71,14 +70,10 @@ type System struct {
 	// asked for it): a metrics registry over every layer's counters, a
 	// sim-time sampler, and a flight recorder for the slowest spans.
 	Tel *telemetry.Telemetry
-	// Health is the device-health monitor (nil unless an option asked
-	// for it): per-die wear heatmaps and per-region GC efficiency.
-	Health *health.Monitor
 	// CmdLog is the system-owned per-die command timeline feeding blame
-	// analysis (nil unless WithBlame attached it). A trace hook passed in
-	// WithScheduler's config still fires: the builder chains it behind the
-	// log's recorder.
-	CmdLog *trace.CmdLog
+	// analysis: one event per dispatched command (empty unless WithBlame
+	// attached it).
+	CmdLog []sched.Event
 	// Serve is the serving front (nil until StartServe): the tenant
 	// catalog, session record API and admission controller over Engine.
 	Serve *serve.Front
@@ -103,13 +98,11 @@ type options struct {
 	// the NoFTL volume's (and log region's) commands through its device
 	// (Scheduler.Dev). Block-device stacks ignore it — an on-device FTL behind the
 	// legacy interface is exactly the thing the host cannot schedule.
-	sched         *sched.Config
+	sched         *sched.Policy
 	backgroundGC  bool
 	scanResistant bool
 	prefetch      int
 	telemetry     *telemetry.Config
-	// health implies a default telemetry config when none is set.
-	health bool
 	// blame implies a scheduler (default priority) and telemetry with
 	// span retention.
 	blame *blame.Config
@@ -185,27 +178,15 @@ func build(cfg Config, optFns []Option, dev *flash.Device, crashed *System) (_ *
 
 	if opts.blame != nil {
 		// Blame needs the full command timeline and the spans to join it
-		// against: own a CmdLog on the trace hook (chaining any caller
-		// hook behind it) and force span retention. The scheduler and
-		// telemetry configs are copied before mutation so option values
-		// stay caller-owned.
-		sc := sched.Config{Policy: sched.Priority}
-		if opts.sched != nil {
-			sc = *opts.sched
+		// against: a scheduler (priority unless one was asked for) whose
+		// trace hook feeds CmdLog, and span retention. The telemetry
+		// config is copied before mutation so option values stay
+		// caller-owned.
+		if opts.sched == nil {
+			p := sched.Priority
+			opts.sched = &p
 		}
-		log := &trace.CmdLog{}
-		if prev := sc.Trace; prev != nil {
-			sc.Trace = func(ev sched.Event) {
-				log.Record(ev)
-				prev(ev)
-			}
-		} else {
-			sc.Trace = log.Record
-		}
-		opts.sched = &sc
-		s.CmdLog = log
 		s.blameCfg = opts.blame
-
 		tc := telemetry.Config{}
 		if opts.telemetry != nil {
 			tc = *opts.telemetry
@@ -215,7 +196,11 @@ func build(cfg Config, optFns []Option, dev *flash.Device, crashed *System) (_ *
 	}
 
 	if opts.sched != nil {
-		s.Sched = sched.New(k, dev, *opts.sched)
+		sc := sched.Config{Policy: *opts.sched}
+		if opts.blame != nil {
+			sc.Trace = func(ev sched.Event) { s.CmdLog = append(s.CmdLog, ev) }
+		}
+		s.Sched = sched.New(k, dev, sc)
 	}
 	var io flash.Dev // nil: the raw device
 	if s.Sched != nil {
@@ -361,15 +346,11 @@ func build(cfg Config, optFns []Option, dev *flash.Device, crashed *System) (_ *
 // startTelemetry builds the metrics registry over the assembled layers
 // and starts the sim-time sampler. Registration order fixes the series'
 // column order, so it must stay deterministic: fixed layers first, then
-// optional ones gated on what the stack attached. Health implies
-// telemetry (the snapshot timelines are sampled series columns).
+// optional ones gated on what the stack attached.
 func (s *System) startTelemetry(opts options) {
 	tc := opts.telemetry
 	if tc == nil {
-		if !opts.health {
-			return
-		}
-		tc = &telemetry.Config{}
+		return
 	}
 	t := telemetry.New(*tc)
 	s.Tel = t
@@ -464,82 +445,7 @@ func (s *System) startTelemetry(opts options) {
 	t.Reg.Counter("sim.switches", func() int64 { return int64(s.K.Stats().Switches) })
 	t.Reg.Gauge("sim.heap_max", func() float64 { return float64(s.K.Stats().MaxPending) })
 
-	if opts.health {
-		s.startHealth()
-	}
-
 	t.Start(s.K)
-}
-
-// startHealth builds the health monitor over the telemetry pipeline,
-// with layer probes filling the snapshot (device wear/load, per-region
-// GC).
-func (s *System) startHealth() {
-	m := health.New(s.Tel)
-	s.Health = m
-
-	dev, sc := s.Dev, s.Sched
-	geo := dev.Geometry()
-	arr := dev.Array()
-	m.AddProbe(func(snap *health.Snapshot) {
-		snap.Device = health.DeviceInfo{
-			Dies:          geo.Dies(),
-			PlanesPerDie:  geo.PlanesPerDie,
-			BlocksPerDie:  geo.BlocksPerDie(),
-			PagesPerBlock: geo.PagesPerBlock,
-			PageSize:      geo.PageSize,
-		}
-		var depths []int
-		if sc != nil {
-			depths = sc.QueueDepths()
-		}
-		for die := 0; die < geo.Dies(); die++ {
-			d := health.DieHealth{
-				Die:       die,
-				Blocks:    arr.DieWear(die),
-				BadBlocks: arr.DieBadBlocks(die),
-				BusyNs:    dev.DieBusy(die),
-			}
-			if die < len(depths) {
-				d.QueueDepth = depths[die]
-			}
-			ws := arr.Wear(die)
-			d.EraseMin, d.EraseMax, d.EraseMean = ws.Min, ws.Max, ws.Mean
-			snap.Dies = append(snap.Dies, d)
-		}
-	})
-	if rm := s.Regions; rm != nil {
-		ppb := geo.PagesPerBlock
-		pageSize := geo.PageSize
-		m.AddProbe(func(snap *health.Snapshot) {
-			for _, rs := range rm.RegionStats() {
-				f := rs.FTL
-				snap.Regions = append(snap.Regions, health.RegionHealth{
-					Name:          rs.Name,
-					Mapping:       rs.Mapping.String(),
-					Dies:          rs.Dies,
-					LivePages:     rs.LivePages,
-					CapacityPages: rs.CapacityPages,
-					Occupancy:     rs.Occupancy(),
-					FreeBlocks:    rs.FreeBlocks,
-					EraseMin:      rs.MinErase,
-					EraseMax:      rs.MaxErase,
-					EraseAvg:      rs.AvgErase,
-					GC: health.GCHealth{
-						Erases:         f.Erases,
-						CopyPages:      f.GCPages(),
-						ValidCopyRatio: f.ValidCopyRatio(ppb),
-						WA:             f.WriteAmplification(),
-						HostBytes:      f.HostWrites * int64(pageSize),
-						DeltaBytes:     f.DeltaBytes,
-						GCBytes:        f.GCPages() * int64(pageSize),
-						WearBytes:      f.WearMoves * int64(pageSize),
-						FoldBytes:      f.Folds * int64(pageSize),
-					},
-				})
-			}
-		})
-	}
 }
 
 // regionLogDies sizes the log region: one die, or two on wide arrays.
@@ -581,10 +487,80 @@ func (s *System) Close() error {
 // the system was built with WithBlame. Call it after the run (it
 // analyzes whatever the log and recorder hold at that point).
 func (s *System) Blame() *blame.Report {
-	if s.CmdLog == nil || s.blameCfg == nil || s.Tel == nil {
+	if s.blameCfg == nil {
 		return nil
 	}
-	return blame.Analyze(s.CmdLog.Events, s.Tel.Spans(), *s.blameCfg)
+	return blame.Analyze(s.CmdLog, s.Tel.Spans(), *s.blameCfg)
+}
+
+// Health builds a device-health snapshot of the system as it stands,
+// read straight off its layers: per-die wear heatmaps and load from the
+// device, its NAND array and the scheduler, per-region occupancy and GC
+// efficiency from the region manager (region stacks only), and the
+// sampled timelines when telemetry is attached (none otherwise).
+func (s *System) Health() *health.Snapshot {
+	geo := s.Dev.Geometry()
+	arr := s.Dev.Array()
+	snap := &health.Snapshot{TNs: s.K.Now(), Device: health.DeviceInfo{
+		Dies:          geo.Dies(),
+		PlanesPerDie:  geo.PlanesPerDie,
+		BlocksPerDie:  geo.BlocksPerDie(),
+		PagesPerBlock: geo.PagesPerBlock,
+		PageSize:      geo.PageSize,
+	}}
+	var depths []int
+	if s.Sched != nil {
+		depths = s.Sched.QueueDepths()
+	}
+	for die := 0; die < geo.Dies(); die++ {
+		d := health.DieHealth{
+			Die:       die,
+			Blocks:    arr.DieWear(die),
+			BadBlocks: arr.DieBadBlocks(die),
+			BusyNs:    s.Dev.DieBusy(die),
+		}
+		if die < len(depths) {
+			d.QueueDepth = depths[die]
+		}
+		ws := arr.Wear(die)
+		d.EraseMin, d.EraseMax, d.EraseMean = ws.Min, ws.Max, ws.Mean
+		snap.Dies = append(snap.Dies, d)
+	}
+	if s.Regions != nil {
+		page := int64(geo.PageSize)
+		for _, rs := range s.Regions.RegionStats() {
+			f := rs.FTL
+			snap.Regions = append(snap.Regions, health.RegionHealth{
+				Name:          rs.Name,
+				Mapping:       rs.Mapping.String(),
+				Dies:          rs.Dies,
+				LivePages:     rs.LivePages,
+				CapacityPages: rs.CapacityPages,
+				Occupancy:     rs.Occupancy(),
+				FreeBlocks:    rs.FreeBlocks,
+				EraseMin:      rs.MinErase,
+				EraseMax:      rs.MaxErase,
+				EraseAvg:      rs.AvgErase,
+				GC: health.GCHealth{
+					Erases:         f.Erases,
+					CopyPages:      f.GCPages(),
+					ValidCopyRatio: f.ValidCopyRatio(geo.PagesPerBlock),
+					WA:             f.WriteAmplification(),
+					HostBytes:      f.HostWrites * page,
+					DeltaBytes:     f.DeltaBytes,
+					GCBytes:        f.GCPages() * page,
+					WearBytes:      f.WearMoves * page,
+					FoldBytes:      f.Folds * page,
+				},
+			})
+		}
+	}
+	var series *telemetry.Series
+	if s.Tel != nil {
+		series = s.Tel.Series()
+	}
+	snap.Finalize(series)
+	return snap
 }
 
 // Snapshot captures every layer's counters at one instant: the device,
@@ -691,16 +667,16 @@ type Config struct {
 type Option func(*options)
 
 // WithScheduler attaches a native command scheduler with the given
-// configuration.
-func WithScheduler(cfg sched.Config) Option {
-	return func(o *options) { o.sched = &cfg }
+// queue discipline.
+func WithScheduler(p sched.Policy) Option {
+	return func(o *options) { o.sched = &p }
 }
 
 // WithPriorityScheduler attaches the priority command scheduler
 // (foreground reads > WAL appends > data programs > prefetch > GC, with
 // erase suspension).
 func WithPriorityScheduler() Option {
-	return WithScheduler(sched.Config{Policy: sched.Priority})
+	return WithScheduler(sched.Priority)
 }
 
 // WithBackgroundGC builds the NoFTL volumes for worker-driven garbage
@@ -732,21 +708,12 @@ func WithTelemetry(cfg telemetry.Config) Option {
 	return func(o *options) { o.telemetry = &cfg }
 }
 
-// WithHealth attaches the device-health monitor: per-die wear
-// heatmaps and erase histograms, per-region GC efficiency and the
-// sampled timelines. Implies default telemetry when no WithTelemetry
-// option is given.
-func WithHealth() Option {
-	return func(o *options) { o.health = true }
-}
-
-// WithBlame attaches the latency root-cause engine: the builder owns a
-// command log on the scheduler's trace hook and forces telemetry span
+// WithBlame attaches the latency root-cause engine: the builder records
+// every dispatched command into System.CmdLog and forces telemetry span
 // retention, so System.Blame() can join the per-die command timeline
 // with the retained request spans after a run. Implies a priority
-// scheduler when no scheduler option is given; a trace hook in the
-// scheduler option's config chains behind the log's recorder, in either
-// option order.
+// scheduler when no WithScheduler option is given, in either option
+// order.
 func WithBlame(cfg blame.Config) Option {
 	return func(o *options) { o.blame = &cfg }
 }

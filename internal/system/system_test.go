@@ -30,15 +30,15 @@ func smallConfig(stack Stack) Config {
 // for are there, and Close leaves no process behind.
 func TestNewAllStacksAllOptionSets(t *testing.T) {
 	optionSets := []struct {
-		name                 string
-		opts                 []Option
-		sched, tel, blameLog bool
+		name              string
+		opts              []Option
+		sched, tel, blame bool
 	}{
 		{name: "none"},
 		{name: "scheduler", opts: []Option{WithPriorityScheduler()}, sched: true},
 		{name: "scheduler+bggc", opts: []Option{WithPriorityScheduler(), WithBackgroundGC()}, sched: true},
 		{name: "telemetry", opts: []Option{WithTelemetry(telemetry.Config{})}, tel: true},
-		{name: "blame", opts: []Option{WithBlame(blame.Config{})}, sched: true, tel: true, blameLog: true},
+		{name: "blame", opts: []Option{WithBlame(blame.Config{})}, sched: true, tel: true, blame: true},
 	}
 	base := runtime.NumGoroutine()
 	for _, stack := range allStacks {
@@ -58,12 +58,9 @@ func TestNewAllStacksAllOptionSets(t *testing.T) {
 				if (stack == StackNoFTLRegions) != (len(snap.Regions) == 2) {
 					t.Fatalf("region rows = %d on %s", len(snap.Regions), stack)
 				}
-				if (sys.Sched != nil) != set.sched || (sys.Tel != nil) != set.tel || (sys.CmdLog != nil) != set.blameLog {
-					t.Fatalf("attachments: sched=%v tel=%v cmdlog=%v, want %v/%v/%v",
-						sys.Sched != nil, sys.Tel != nil, sys.CmdLog != nil, set.sched, set.tel, set.blameLog)
-				}
-				if set.blameLog && sys.Blame() == nil {
-					t.Fatal("blame-built system has no report")
+				if (sys.Sched != nil) != set.sched || (sys.Tel != nil) != set.tel || (sys.Blame() != nil) != set.blame {
+					t.Fatalf("attachments: sched=%v tel=%v blame=%v, want %v/%v/%v",
+						sys.Sched != nil, sys.Tel != nil, sys.Blame() != nil, set.sched, set.tel, set.blame)
 				}
 				wantBG := set.name == "scheduler+bggc"
 				if sys.backgroundGC != wantBG {
@@ -94,24 +91,14 @@ func TestNewAllStacksAllOptionSets(t *testing.T) {
 
 // TestOptionOrderIndependent: WithScheduler and WithBlame compose to
 // the same system whatever order they are given in — the explicit policy
-// survives, the scheduler config's trace hook fires, and the
-// system-owned command log records the same events.
+// survives and the system-owned command log records the same events.
 func TestOptionOrderIndependent(t *testing.T) {
 	type outcome struct {
-		policy         sched.Policy
-		hooked, logged int
+		policy sched.Policy
+		log    []sched.Event
 	}
-	build := func(order []int) outcome {
-		hooked := 0
-		opts := []Option{
-			WithScheduler(sched.Config{Policy: sched.FCFS, Trace: func(sched.Event) { hooked++ }}),
-			WithBlame(blame.Config{}),
-		}
-		var picked []Option
-		for _, i := range order {
-			picked = append(picked, opts[i])
-		}
-		sys, err := New(smallConfig(StackNoFTLRegions), picked...)
+	build := func(opts ...Option) outcome {
+		sys, err := New(smallConfig(StackNoFTLRegions), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,18 +114,52 @@ func TestOptionOrderIndependent(t *testing.T) {
 		if runErr != nil {
 			t.Fatal(runErr)
 		}
-		out := outcome{policy: sys.Sched.Policy(), hooked: hooked, logged: len(sys.CmdLog.Events)}
+		out := outcome{policy: sys.Sched.Policy(), log: sys.CmdLog}
 		if err := sys.Close(); err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
-	want := build([]int{0, 1})
-	if want.policy != sched.FCFS || want.hooked == 0 || want.hooked != want.logged {
-		t.Fatalf("scheduler+blame: %+v", want)
+	want := build(WithScheduler(sched.FCFS), WithBlame(blame.Config{}))
+	if want.policy != sched.FCFS || len(want.log) == 0 {
+		t.Fatalf("scheduler+blame: policy %v, %d logged commands", want.policy, len(want.log))
 	}
-	if got := build([]int{1, 0}); got != want {
-		t.Fatalf("option order 1,0 built %+v, order 0,1 built %+v", got, want)
+	got := build(WithBlame(blame.Config{}), WithScheduler(sched.FCFS))
+	if got.policy != want.policy || !reflect.DeepEqual(got.log, want.log) {
+		t.Fatalf("blame before scheduler: policy %v, %d logged commands; scheduler first: %v, %d",
+			got.policy, len(got.log), want.policy, len(want.log))
+	}
+}
+
+// TestHealthWithoutOptions: a system built with no options still reads
+// its device health — one row per die, region rows only where a region
+// manager carves the array — and, with no sampler, no timelines.
+func TestHealthWithoutOptions(t *testing.T) {
+	for _, stack := range allStacks {
+		t.Run(string(stack), func(t *testing.T) {
+			sys, err := New(smallConfig(stack))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			h := sys.Health()
+			dies := sys.Dev.Geometry().Dies()
+			if h.Device.Dies != dies || len(h.Dies) != dies {
+				t.Fatalf("device says %d dies, snapshot has %d rows, want %d", h.Device.Dies, len(h.Dies), dies)
+			}
+			for i, d := range h.Dies {
+				if d.Die != i || len(d.Blocks) != h.Device.BlocksPerDie {
+					t.Fatalf("die row %d: die %d with %d blocks, want %d", i, d.Die, len(d.Blocks), h.Device.BlocksPerDie)
+				}
+			}
+			if (stack == StackNoFTLRegions) != (len(h.Regions) > 0) {
+				t.Fatalf("%d region rows on %s", len(h.Regions), stack)
+			}
+			if h.Wear.TotalBlocks == 0 || h.Timelines != nil {
+				t.Fatalf("wear over %d blocks, %d timelines; want wear and no timelines",
+					h.Wear.TotalBlocks, len(h.Timelines))
+			}
+		})
 	}
 }
 

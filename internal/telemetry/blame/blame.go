@@ -1,7 +1,8 @@
-// Package blame is the latency root-cause engine: it joins the
-// per-die command timeline (trace.CmdLog events) with per-transaction
-// request spans (ioreq.Span) and attributes every command's queue wait
-// to the specific commands that occupied its die ahead of it.
+// Package blame is the latency root-cause engine: it joins the per-die
+// command timeline (the sched.Events of System.CmdLog) with
+// per-transaction request spans (ioreq.Span) and attributes every
+// command's queue wait to the specific commands that occupied its die
+// ahead of it.
 //
 // The reconstruction leans on two scheduler invariants:
 //

@@ -1,15 +1,13 @@
-// Package health is the device-health observability layer on top of
-// the telemetry registry: structured health snapshots (per-die wear
-// heatmaps and erase histograms, wear-spread percentiles, per-region
-// GC efficiency and write-amplification decomposition, occupancy and
-// free-block timelines).
+// Package health is the device-health schema: structured snapshots
+// (per-die wear heatmaps and erase histograms, wear-spread percentiles,
+// per-region GC efficiency and write-amplification decomposition,
+// occupancy and free-block timelines), the wear math derived from the
+// heatmaps, and the choice of timeline columns.
 //
-// The layering mirrors the telemetry package: health knows nothing of
-// nand/flash/ftl/region/sched — package system registers probes
-// (cheap closures over each layer's existing counters) that fill the
-// snapshot, and the timelines are columns of the sampled series.
-// Everything is driven by the simulated clock, so a fixed-seed run
-// produces byte-identical snapshot JSON.
+// Health knows nothing of nand/flash/ftl/region/sched: System.Health
+// (package system) fills a snapshot from each layer's counters and
+// calls Finalize. Everything is driven by the simulated clock, so a
+// fixed-seed run produces byte-identical snapshot JSON.
 package health
 
 import (
@@ -25,48 +23,6 @@ var timelines = []string{
 	"noftl.free_blocks", "noftl.live_pages",
 	"commit.tps", "commit.p99_us", "commit.deadline_misses",
 	"health.wear_spread", "health.occupancy",
-}
-
-// Probe fills a part of a health snapshot. Package system registers
-// one per layer (device wear, region GC, scheduler depth); probes run
-// on the sim thread in registration order.
-type Probe func(*Snapshot)
-
-// Monitor owns the health snapshots of one system. Build it with New
-// over the system's telemetry pipeline, whose sampled series feeds the
-// snapshot timelines.
-type Monitor struct {
-	tel    *telemetry.Telemetry
-	probes []Probe
-}
-
-// New builds a Monitor over a telemetry pipeline. Register probes
-// before taking the first snapshot.
-func New(tel *telemetry.Telemetry) *Monitor {
-	return &Monitor{tel: tel}
-}
-
-// AddProbe registers a snapshot filler (run in registration order).
-func (m *Monitor) AddProbe(p Probe) { m.probes = append(m.probes, p) }
-
-// Snapshot builds a full health snapshot at now: probes fill the
-// per-layer sections, then device-wide wear percentiles, histograms
-// and the series timelines are derived.
-func (m *Monitor) Snapshot(now sim.Time) *Snapshot {
-	s := &Snapshot{TNs: now}
-	for _, p := range m.probes {
-		p(s)
-	}
-	s.finalize()
-	series := m.tel.Series()
-	for _, n := range timelines {
-		col := series.Column(n)
-		if col == nil {
-			continue
-		}
-		s.Timelines = append(s.Timelines, Timeline{Name: n, Values: col})
-	}
-	return s
 }
 
 // Snapshot is the health snapshot schema (see DESIGN.md "Device
@@ -181,11 +137,26 @@ type Timeline struct {
 	Values []float64 `json:"values"`
 }
 
-// finalize derives the device-wide wear section and the per-die
-// histograms from the per-die heatmap rows the probes filled. The
-// histograms share power-of-two buckets derived from the observed
-// maximum (deterministic for a fixed run).
-func (s *Snapshot) finalize() {
+// Finalize completes a snapshot whose device, die and region rows are
+// filled: it derives the wear section and the per-die histograms, then
+// copies the timeline columns out of series (nil: no timelines).
+func (s *Snapshot) Finalize(series *telemetry.Series) {
+	s.deriveWear()
+	if series == nil {
+		return
+	}
+	for _, n := range timelines {
+		if col := series.Column(n); col != nil {
+			s.Timelines = append(s.Timelines, Timeline{Name: n, Values: col})
+		}
+	}
+}
+
+// deriveWear derives the device-wide wear section and the per-die
+// histograms from the per-die heatmap rows. The histograms share
+// power-of-two buckets derived from the observed maximum (deterministic
+// for a fixed run).
+func (s *Snapshot) deriveWear() {
 	var all []int
 	for i := range s.Dies {
 		d := &s.Dies[i]

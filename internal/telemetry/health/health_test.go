@@ -7,7 +7,7 @@ func TestSnapshotWearMath(t *testing.T) {
 		{Die: 0, Blocks: []int{1, 2, 3, 4}, BadBlocks: 0},
 		{Die: 1, Blocks: []int{5, -1, 7, 8}, BadBlocks: 1},
 	}}
-	s.finalize()
+	s.Finalize(nil)
 	if s.Wear.Min != 1 || s.Wear.Max != 8 || s.Wear.Spread != 7 {
 		t.Errorf("wear min/max/spread = %d/%d/%d", s.Wear.Min, s.Wear.Max, s.Wear.Spread)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"noftl/internal/blockdev"
+	"noftl/internal/flash"
 	"noftl/internal/ftl"
 	"noftl/internal/noftl"
 	"noftl/internal/sim"
@@ -17,9 +18,10 @@ func TestSyntheticPatterns(t *testing.T) {
 		t.Fatal(err)
 	}
 	span := f.LogicalPages()
+	w := &sim.ClockWaiter{}
 	for _, pat := range []Pattern{SeqWrite, SeqRead, RandWrite, RandRead, RandMixed70, HotWrite} {
 		tr := Synthetic(pat, 300, span, 512, 1)
-		res, err := Replay(tr, f, ReplayOptions{Waiter: &sim.ClockWaiter{}})
+		res, err := Replay(tr, f, w, ReplayOptions{})
 		if err != nil {
 			t.Fatalf("%v: %v", pat, err)
 		}
@@ -35,12 +37,11 @@ func TestSyntheticPatterns(t *testing.T) {
 		}
 	}
 	// Reads must be faster than writes on SLC.
-	opts := ReplayOptions{Waiter: &sim.ClockWaiter{}}
-	wres, err := Replay(Synthetic(RandWrite, 200, span, 512, 2), f, opts)
+	wres, err := Replay(Synthetic(RandWrite, 200, span, 512, 2), f, w, ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rres, err := Replay(Synthetic(RandRead, 200, span, 512, 3), f, opts)
+	rres, err := Replay(Synthetic(RandRead, 200, span, 512, 3), f, w, ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +88,51 @@ func TestReplayFailsBeyondCapacity(t *testing.T) {
 		{"noftl", nv, nv.V.LogicalPages()},
 	} {
 		tr := &Trace{PageSize: 512, Ops: []Op{{OpWrite, 0}, {OpWrite, c.pages}}}
-		_, err := Replay(tr, c.t, ReplayOptions{})
+		_, err := Replay(tr, c.t, &sim.ClockWaiter{}, ReplayOptions{})
 		if !errors.Is(err, ftl.ErrOutOfRange) || !strings.Contains(err.Error(), "op 1 ") {
 			t.Errorf("%s: replaying page %d = %v, want op 1 out of range", c.name, c.pages, err)
 		}
+	}
+}
+
+// TestReplaysShareOneClock: a replay that follows another on the same
+// device, on the same clock, finds the dies where the first left them,
+// so its reads cost what they cost on an idle device. A fresh clock at
+// 0 would queue them behind the first replay's whole program backlog.
+func TestReplaysShareOneClock(t *testing.T) {
+	const span = 400
+	fill := Synthetic(SeqWrite, span, span, 512, 1)
+	reads := Synthetic(RandRead, 300, span, 512, 2)
+	open := func() (*flash.Device, ftl.FTL) {
+		dev := replayDevice()
+		f, err := noftl.NewPageFTL(dev, ftl.PageFTLConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dev, f
+	}
+
+	_, f := open()
+	w := &sim.ClockWaiter{}
+	if _, err := Replay(fill, f, w, ReplayOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	shared, err := Replay(reads, f, w, ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	idleDev, idle := open()
+	if _, err := Replay(fill, idle, &sim.ClockWaiter{}, ReplayOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	idleDev.ResetTime()
+	fresh, err := Replay(reads, idle, &sim.ClockWaiter{}, ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared.ReadLat.Mean() != fresh.ReadLat.Mean() || shared.ReadLat.Max() != fresh.ReadLat.Max() {
+		t.Fatalf("reads after a replay on its clock: mean %v max %v; on an idle device: mean %v max %v",
+			shared.ReadLat.Mean(), shared.ReadLat.Max(), fresh.ReadLat.Mean(), fresh.ReadLat.Max())
 	}
 }

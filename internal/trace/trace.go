@@ -140,8 +140,6 @@ type ReplayOptions struct {
 	// DropTrims replays without deallocation hints, modelling a stack
 	// that cannot convey them (the legacy block interface).
 	DropTrims bool
-	// Waiter experiences the replay's latency; nil uses a serial clock.
-	Waiter sim.Waiter
 }
 
 // Result is a replay's timing on its waiter's timeline.
@@ -151,14 +149,13 @@ type Result struct {
 	WriteLat stats.Histogram
 }
 
-// Replay feeds the trace to the target and times every read and write.
-// It does not wrap LPNs: one beyond the target's capacity fails the
-// replay at that op (the target's own range check).
-func Replay(t *Trace, target Target, opts ReplayOptions) (*Result, error) {
-	w := opts.Waiter
-	if w == nil {
-		w = &sim.ClockWaiter{}
-	}
+// Replay feeds the trace to the target and times every read and write on
+// w, which experiences the replay's latency. Replays that follow one
+// another on one device share one waiter, so each starts where the
+// previous one left the dies. It does not wrap LPNs: one beyond the
+// target's capacity fails the replay at that op (the target's own range
+// check).
+func Replay(t *Trace, target Target, w sim.Waiter, opts ReplayOptions) (*Result, error) {
 	buf := make([]byte, t.PageSize)
 	res := &Result{}
 	start := w.Now()

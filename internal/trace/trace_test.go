@@ -10,6 +10,7 @@ import (
 	"noftl/internal/ftl"
 	"noftl/internal/nand"
 	"noftl/internal/noftl"
+	"noftl/internal/sim"
 	"noftl/internal/storage"
 )
 
@@ -87,10 +88,10 @@ func TestReplayAgainstBothStacks(t *testing.T) {
 			tr.Ops = append(tr.Ops, Op{Kind: OpRead, LPN: rng.Int63n(span)})
 		}
 	}
-	if _, err := Replay(tr, f, ReplayOptions{DropTrims: true}); err != nil {
+	if _, err := Replay(tr, f, &sim.ClockWaiter{}, ReplayOptions{DropTrims: true}); err != nil {
 		t.Fatalf("faster replay: %v", err)
 	}
-	if _, err := Replay(tr, nv, ReplayOptions{}); err != nil {
+	if _, err := Replay(tr, nv, &sim.ClockWaiter{}, ReplayOptions{}); err != nil {
 		t.Fatalf("noftl replay: %v", err)
 	}
 	fs := f.Stats()
@@ -112,13 +113,13 @@ func TestReplayDropTrims(t *testing.T) {
 		tr.Ops = append(tr.Ops,
 			Op{Kind: OpWrite, LPN: lpn}, Op{Kind: OpTrim, LPN: lpn})
 	}
-	if _, err := Replay(tr, nv, ReplayOptions{DropTrims: true}); err != nil {
+	if _, err := Replay(tr, nv, &sim.ClockWaiter{}, ReplayOptions{DropTrims: true}); err != nil {
 		t.Fatal(err)
 	}
 	if nv.V.Stats().Trims != 0 {
 		t.Error("DropTrims leaked trims")
 	}
-	if _, err := Replay(tr, nv, ReplayOptions{}); err != nil {
+	if _, err := Replay(tr, nv, &sim.ClockWaiter{}, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if nv.V.Stats().Trims != 100 {
@@ -126,10 +127,10 @@ func TestReplayDropTrims(t *testing.T) {
 	}
 	// The block interface has no Trim: its trims must be dropped.
 	bd := blockdev.New(f, blockdev.Config{})
-	if _, err := Replay(tr, bd, ReplayOptions{}); err == nil {
+	if _, err := Replay(tr, bd, &sim.ClockWaiter{}, ReplayOptions{}); err == nil {
 		t.Error("trim replayed on the block interface")
 	}
-	if _, err := Replay(tr, bd, ReplayOptions{DropTrims: true}); err != nil {
+	if _, err := Replay(tr, bd, &sim.ClockWaiter{}, ReplayOptions{DropTrims: true}); err != nil {
 		t.Errorf("dropped trims: %v", err)
 	}
 }

@@ -9,7 +9,7 @@
 // internal/analysis checks it):
 //
 //   - the whole-stack builder (NewSystem, SystemConfig, the Stack
-//     names, WithPriorityScheduler, WithBackgroundGC, WithHealth),
+//     names, WithPriorityScheduler, WithBackgroundGC),
 //   - the flash device emulator and its NAND model (NewDevice,
 //     DeviceConfig, EmulatorConfig),
 //   - host-integrated flash management — the paper's contribution

@@ -15,13 +15,14 @@ import (
 
 type (
 	// System is an engine mounted on one storage stack, with every layer
-	// reachable for inspection (Engine, Dev, NoFTL, Regions, Sched) and
-	// a Close/Reopen/Snapshot lifecycle.
+	// reachable for inspection (Engine, Dev, NoFTL, Regions, Sched), a
+	// Close/Reopen/Snapshot lifecycle and a device-health snapshot
+	// (Health).
 	System = system.System
 	// SystemConfig declares the stack, device geometry and buffer size.
 	SystemConfig = system.Config
 	// SystemOption tunes the optional subsystems (scheduler, background
-	// GC, device health).
+	// GC).
 	SystemOption = system.Option
 	// Stack names a storage architecture (NoFTL variants vs legacy FTL
 	// stacks).
@@ -54,12 +55,6 @@ func WithPriorityScheduler() SystemOption { return system.WithPriorityScheduler(
 // WithBackgroundGC builds the flash volumes for worker-driven garbage
 // collection; start the workers with System.StartMaintenance.
 func WithBackgroundGC() SystemOption { return system.WithBackgroundGC() }
-
-// WithHealth attaches the device-health monitor (System.Health):
-// per-die wear heatmaps and erase histograms, wear percentiles,
-// per-region GC efficiency and write-amplification decomposition, with
-// timelines from the telemetry sampler. Implies default telemetry.
-func WithHealth() SystemOption { return system.WithHealth() }
 
 // Simulated-time units (simulated time counts nanoseconds).
 const (
