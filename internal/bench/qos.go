@@ -100,12 +100,14 @@ func (r *QoSResult) Table() string {
 
 // AddTo appends the demo's per-tenant rows to a machine-readable
 // report: one row per group with its throughput, commit tails and
-// deadline accounting; the blame shares are the tenant's own.
+// deadline accounting, plus the shared device's health columns; the
+// blame shares are the tenant's own.
 func (r *QoSResult) AddTo(rep *JSONReport) {
 	for _, g := range []*GroupResult{r.High, r.Low} {
 		jr := JSONResult{Experiment: "qos", Workload: "tpcb-2tenant",
 			Stack: string(system.StackNoFTLRegions), Mode: g.Name,
 			DeadlinePromotions: r.Result.Sched.DeadlinePromotions}
+		jr.setObserved(&r.Observed)
 		if r.Blame != nil {
 			jr.BlameShares = r.Blame.ShareMap(g.Tag)
 		}

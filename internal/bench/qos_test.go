@@ -5,6 +5,7 @@ import (
 
 	"noftl/internal/sched"
 	"noftl/internal/sim"
+	"noftl/internal/telemetry"
 	"noftl/internal/workload"
 )
 
@@ -35,4 +36,31 @@ func TestQoSTagSplit(t *testing.T) {
 			ratio, res.Table())
 	}
 	t.Logf("p99 split low/high = %.2fx\n%s", ratio, res.Table())
+}
+
+// Under observability both tenants' JSON rows carry the shared device's
+// health columns, as every other experiment's rows do.
+func TestQoSRowsCarryHealth(t *testing.T) {
+	res, err := QoS(QoSConfig{
+		Params: Params{Dies: 4, DriveMB: 24, Workers: 8, Writers: 4, Frames: 128,
+			Warm: 300 * sim.Millisecond, Measure: sim.Second, Seed: 42,
+			Telemetry: &telemetry.Config{}},
+		TPCB: workload.TPCBConfig{Branches: 48, AccountsPerBranch: 400},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Health == nil || res.Health.Wear.Spread == 0 {
+		t.Fatal("the run took no health snapshot or wore its blocks evenly")
+	}
+	var rep JSONReport
+	res.AddTo(&rep)
+	if len(rep.Results) != 2 {
+		t.Fatalf("rows = %d, want 2", len(rep.Results))
+	}
+	for _, row := range rep.Results {
+		if row.WearSpread == 0 {
+			t.Errorf("%s row: wear_spread = 0 with a health snapshot of spread %d", row.Mode, res.Health.Wear.Spread)
+		}
+	}
 }

@@ -76,6 +76,10 @@ type Dev interface {
 	// once.
 	ProgramPartial(w sim.Waiter, p nand.PPN, off int, data []byte, oob nand.OOB) error
 	EraseBlock(w sim.Waiter, b nand.PBN) error
+	// Copyback moves page src to the erased page dst of the same plane
+	// with oob as the target's OOB. The data stays inside the die: no
+	// channel transfer, and no host copy either, because the array lets
+	// the target share the source's page image.
 	Copyback(w sim.Waiter, src, dst nand.PPN, oob nand.OOB) error
 }
 
@@ -343,32 +347,13 @@ func (d *Device) Copyback(w sim.Waiter, src, dst nand.PPN, oob nand.OOB) error {
 	start := max(arrival, d.dieBusy[die])
 	end := start + cmdOverhead + d.timing.ReadPage + d.timing.ProgramPage
 	d.dieBusy[die] = end
-	err := d.arr.Copyback(src, dst, oob, false)
+	err := d.arr.Copyback(src, dst, oob)
 	d.stats.Copybacks++
 	d.stats.CopybackTime += end - start
 	d.stats.DieBusy[die] += end - start
 
 	w.WaitUntil(end)
 	return err
-}
-
-// ReadPages reads a series of pages (not necessarily adjacent), the
-// native-interface convenience the paper describes; each page is charged
-// individually but pipelines across dies and channels.
-func (d *Device) ReadPages(w sim.Waiter, ppns []nand.PPN, bufs [][]byte) ([]nand.OOB, error) {
-	oobs := make([]nand.OOB, len(ppns))
-	for i, p := range ppns {
-		var buf []byte
-		if bufs != nil {
-			buf = bufs[i]
-		}
-		oob, err := d.ReadPage(w, p, buf)
-		if err != nil {
-			return oobs, err
-		}
-		oobs[i] = oob
-	}
-	return oobs, nil
 }
 
 var _ Dev = (*Device)(nil)

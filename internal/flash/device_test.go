@@ -254,23 +254,6 @@ func TestBadAddressRejectedWithoutTiming(t *testing.T) {
 	}
 }
 
-func TestReadPages(t *testing.T) {
-	d := New(smallConfig())
-	w := &sim.ClockWaiter{}
-	for i := 0; i < 4; i++ {
-		if err := d.ProgramPage(w, nand.PPN(i), nil, nand.OOB{LPN: uint64(i * 10)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	oobs, err := d.ReadPages(w, []nand.PPN{0, 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oobs[0].LPN != 0 || oobs[1].LPN != 20 {
-		t.Errorf("oobs = %v", oobs)
-	}
-}
-
 func TestOpenSSDConfig(t *testing.T) {
 	cfg := OpenSSDConfig()
 	if err := cfg.Geometry.Validate(); err != nil {

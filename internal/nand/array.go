@@ -1,6 +1,7 @@
 package nand
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -80,13 +81,17 @@ type Array struct {
 	opts      Options
 	endurance int
 	blocks    []blockState
-	// freePages holds the page buffers of erased blocks for the next
-	// program to reuse. Every buffer on it was a programmed page until its
-	// block was erased, so free plus programmed buffers never exceed the
-	// peak number of simultaneously programmed pages (at most the drive's
-	// capacity) and the list needs no bound of its own.
+	// freePages holds the page images of erased blocks for the next
+	// program to reuse. Every image on it was held by a programmed page
+	// until its last holder's block was erased, so free plus held images
+	// never exceed the peak number of simultaneously programmed pages (at
+	// most the drive's capacity) and the list needs no bound of its own.
 	freePages [][]byte
-	rng       *rand.Rand
+	// shared links the pages holding one image, a copyback's source and
+	// its targets, into a ring: shared[p] is the next holder after p plus
+	// one, 0 when p holds its image alone (nil when no data is stored).
+	shared []PPN
+	rng    *rand.Rand
 
 	totalReads    int64
 	totalPrograms int64
@@ -114,6 +119,9 @@ func NewArray(geo Geometry, cell CellType, opts Options) *Array {
 	}
 	if a.endurance == 0 {
 		a.endurance = cell.Endurance()
+	}
+	if opts.StoreData {
+		a.shared = make([]PPN, geo.TotalPages())
 	}
 	if opts.InitialBadFraction > 0 {
 		for i := range a.blocks {
@@ -157,6 +165,23 @@ func (a *Array) pageBuf() []byte {
 		return d
 	}
 	return make([]byte, a.geo.PageSize)
+}
+
+// release drops page p's hold on its image d: the last holder puts d on
+// the free list, any other leaves the ring of d's holders.
+func (a *Array) release(p PPN, d []byte) {
+	if a.shared[p] == 0 {
+		a.freePages = append(a.freePages, d)
+		return
+	}
+	q := p // p's predecessor on the ring
+	for a.shared[q] != p+1 {
+		q = a.shared[q] - 1
+	}
+	a.shared[q], a.shared[p] = a.shared[p], 0
+	if a.shared[q] == q+1 { // q is left holding d alone
+		a.shared[q] = 0
+	}
 }
 
 // ensure allocates the lazy per-page slices of a block.
@@ -301,10 +326,17 @@ func (a *Array) ProgramPartial(p PPN, off int, data []byte, oob OOB) error {
 	bs.partials[idx]++
 	bs.high[idx] = off + len(data)
 	if a.opts.StoreData {
-		if bs.data[idx] == nil {
+		switch d := bs.data[idx]; {
+		case d == nil:
 			// Unprogrammed bytes of the page read as 0.
 			bs.data[idx] = a.pageBuf()
 			clear(bs.data[idx])
+		case a.shared[p] != 0:
+			// A copyback shared this image: the append must not show
+			// through the other holders.
+			bs.data[idx] = a.pageBuf()
+			copy(bs.data[idx], d)
+			a.release(p, d)
 		}
 		copy(bs.data[idx][off:], data)
 	}
@@ -336,7 +368,7 @@ func (a *Array) EraseBlock(b PBN) error {
 			bs.partials[i] = 0
 			bs.high[i] = 0
 			if bs.data != nil && bs.data[i] != nil {
-				a.freePages = append(a.freePages, bs.data[i])
+				a.release(a.geo.FirstPage(b)+PPN(i), bs.data[i])
 				bs.data[i] = nil
 			}
 		}
@@ -351,9 +383,11 @@ func (a *Array) EraseBlock(b PBN) error {
 
 // Copyback moves a programmed page to an erased page in the same plane
 // without the data crossing the channel bus. oob replaces the source's
-// OOB (controllers may modify the register before program) unless keep
-// is set. The target must respect the in-order programming rule.
-func (a *Array) Copyback(src, dst PPN, oob OOB, keep bool) error {
+// OOB (controllers may modify the register before program). The target
+// must respect the in-order programming rule. A page's bytes cannot
+// change until its block is erased, so the target shares the source's
+// image instead of copying it.
+func (a *Array) Copyback(src, dst PPN, oob OOB) error {
 	if !a.geo.ValidPPN(src) || !a.geo.ValidPPN(dst) {
 		return fmt.Errorf("%w: src %d dst %d", ErrBadAddress, src, dst)
 	}
@@ -369,23 +403,21 @@ func (a *Array) Copyback(src, dst PPN, oob OOB, keep bool) error {
 	if sb.programmed == nil || !sb.programmed[sidx] {
 		return ErrPageErased
 	}
-	if keep {
-		oob = sb.oob[sidx]
-	}
-	var data []byte
-	if a.opts.StoreData && sb.data[sidx] != nil {
-		data = sb.data[sidx]
-	}
 	// Account the internal read+program as a single copyback, not as a
 	// host read and program (and no channel bytes: the data never leaves
 	// the die).
 	reads, progs, pbytes := a.totalReads, a.totalPrograms, a.programBytes
-	err := a.ProgramPage(dst, data, oob)
+	err := a.ProgramPage(dst, nil, oob)
 	a.totalReads, a.totalPrograms, a.programBytes = reads, progs, pbytes
 	if err != nil {
 		return err
 	}
 	a.totalCopybacks++
+	if sb.data != nil && sb.data[sidx] != nil {
+		a.block(a.geo.BlockOf(dst)).data[a.geo.PageIndex(dst)] = sb.data[sidx]
+		// dst joins the ring after src; a lone src counts as its own next.
+		a.shared[src], a.shared[dst] = dst+1, cmp.Or(a.shared[src], src+1)
+	}
 	return nil
 }
 
@@ -405,26 +437,6 @@ func (a *Array) PageState(p PPN) (PageState, error) {
 // NextProgramPage returns the index of the next programmable page in the
 // block (PagesPerBlock when the block is full).
 func (a *Array) NextProgramPage(b PBN) int { return a.block(b).nextPage }
-
-// PartialsUsed returns how many programs the page has received since its
-// last erase (0 for an erased page).
-func (a *Array) PartialsUsed(p PPN) int {
-	bs := a.block(a.geo.BlockOf(p))
-	if bs.partials == nil {
-		return 0
-	}
-	return int(bs.partials[a.geo.PageIndex(p)])
-}
-
-// HighWater returns the exclusive end offset of the page's programmed
-// bytes (PageSize after a full program).
-func (a *Array) HighWater(p PPN) int {
-	bs := a.block(a.geo.BlockOf(p))
-	if bs.high == nil {
-		return 0
-	}
-	return bs.high[a.geo.PageIndex(p)]
-}
 
 // EraseCount returns the block's wear counter.
 func (a *Array) EraseCount(b PBN) int { return a.block(b).eraseCount }

@@ -198,7 +198,7 @@ func TestCopybackSamePlane(t *testing.T) {
 	if g.PlaneOfBlock(1) != g.PlaneOfBlock(0) || g.DieOfBlock(1) != g.DieOfBlock(0) {
 		t.Fatal("test setup: block 1 not in same plane as block 0")
 	}
-	if err := a.Copyback(0, dst, OOB{}, true); err != nil {
+	if err := a.Copyback(0, dst, OOB{LPN: 9}); err != nil {
 		t.Fatalf("Copyback: %v", err)
 	}
 	buf := make([]byte, g.PageSize)
@@ -226,7 +226,7 @@ func TestCopybackCrossPlaneRejected(t *testing.T) {
 	}
 	// First page of plane 1 on die 0.
 	dst := g.PPNOf(0, 1, 0, 0)
-	if err := a.Copyback(0, dst, OOB{}, true); !errors.Is(err, ErrCrossPlane) {
+	if err := a.Copyback(0, dst, OOB{}); !errors.Is(err, ErrCrossPlane) {
 		t.Errorf("err = %v, want ErrCrossPlane", err)
 	}
 }
@@ -237,7 +237,7 @@ func TestCopybackUpdatesOOB(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := a.Geometry()
-	if err := a.Copyback(0, g.FirstPage(1), OOB{LPN: 1, Seq: 99}, false); err != nil {
+	if err := a.Copyback(0, g.FirstPage(1), OOB{LPN: 1, Seq: 99}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := a.ReadPage(g.FirstPage(1), nil)
@@ -321,7 +321,7 @@ func TestBadAddressErrors(t *testing.T) {
 	if err := a.EraseBlock(PBN(a.Geometry().TotalBlocks())); !errors.Is(err, ErrBadAddress) {
 		t.Errorf("EraseBlock: %v, want ErrBadAddress", err)
 	}
-	if err := a.Copyback(huge, 0, OOB{}, true); !errors.Is(err, ErrBadAddress) {
+	if err := a.Copyback(huge, 0, OOB{}); !errors.Is(err, ErrBadAddress) {
 		t.Errorf("Copyback: %v, want ErrBadAddress", err)
 	}
 }

@@ -42,10 +42,10 @@ func TestProgramPartialAppendsAndMerges(t *testing.T) {
 	if !bytes.Equal(buf, want) {
 		t.Fatalf("merged page = %v...", buf[:12])
 	}
-	if got := a.PartialsUsed(p); got != 3 {
+	if got := a.blocks[0].partials[0]; got != 3 {
 		t.Fatalf("partials = %d, want 3", got)
 	}
-	if got := a.HighWater(p); got != 11 {
+	if got := a.blocks[0].high[0]; got != 11 {
 		t.Fatalf("high water = %d, want 11", got)
 	}
 }
@@ -115,7 +115,7 @@ func TestEraseResetsPartialState(t *testing.T) {
 	if err := a.EraseBlock(PBN(0)); err != nil {
 		t.Fatal(err)
 	}
-	if a.PartialsUsed(p) != 0 || a.HighWater(p) != 0 {
+	if a.blocks[0].partials[0] != 0 || a.blocks[0].high[0] != 0 {
 		t.Fatal("erase did not reset partial state")
 	}
 	if err := a.ProgramPartial(p, 0, []byte{3}, OOB{}); err != nil {
