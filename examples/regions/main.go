@@ -1,9 +1,9 @@
 // Configurable flash regions: declare regions with per-region
-// management policies, place database objects through the catalog (WAL
-// on a native append-only log region, data on a page-mapped region),
-// run a mixed workload and read the per-region statistics. The stack —
-// device, regions, engine with the WAL mounted natively on the log
-// region — comes from one noftl.NewSystem call with a custom layout;
+// management policies (the WAL lands on the native append-only log
+// region because it is sequential-mapped, data on the page-mapped
+// region), run a mixed workload and read the per-region statistics. The
+// stack — device, regions, engine with the WAL mounted natively on the
+// log region — comes from one noftl.NewSystem call with a custom layout;
 // after a crash, sys.Reopen rebuilds every region's mapping from flash
 // and replays the WAL.
 package main
@@ -19,33 +19,25 @@ import (
 func main() {
 	// Carve the die array: one die becomes the sequential log region
 	// (block-granular mapping, truncation instead of GC), the rest the
-	// page-mapped data region. The placement catalog routes the WAL to
-	// the log region and heaps/B+-trees to the data region.
-	layout := noftl.RegionLayout{
-		Regions: []noftl.RegionSpec{
-			{Name: "log", Dies: 1, Mapping: noftl.SeqMapped},
-			{Name: "data", Mapping: noftl.PageMapped, OverProvision: 0.1},
-		},
-		Placement: map[noftl.RegionClass]string{
-			noftl.ClassWAL:   "log",
-			noftl.ClassHeap:  "data",
-			noftl.ClassIndex: "data",
-			noftl.ClassDelta: "data",
-		},
-	}
+	// page-mapped data region. The engine mounts the sequential region
+	// as its WAL and the page-mapped one for heaps and B+-trees: each
+	// stream lands on the mapping that fits it.
 	sys, err := noftl.NewSystem(noftl.SystemConfig{
 		Stack:      noftl.StackNoFTLRegions,
 		Dies:       8,
 		CapacityMB: 64,
 		Frames:     256,
-		Layout:     &layout,
+		Regions: []noftl.RegionSpec{
+			{Name: "log", Dies: 1, Mapping: noftl.SeqMapped},
+			{Name: "data", Mapping: noftl.PageMapped, OverProvision: 0.1},
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	mgr, ctx, e := sys.Regions, sys.Ctx, sys.Engine
 	for _, r := range mgr.Regions() {
-		fmt.Printf("region %-5s %s-mapped, dies %v\n", r.Name, r.Mapping(), r.Dies)
+		fmt.Printf("region %-5s %s-mapped, dies %v\n", r.Name, r.Spec.Mapping, r.Dies)
 	}
 
 	// A mixed workload: TPC-B load plus a few thousand transactions with

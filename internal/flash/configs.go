@@ -2,30 +2,6 @@ package flash
 
 import "noftl/internal/nand"
 
-// OpenSSDConfig approximates the OpenSSD (Jasmine-class) research board
-// the paper ports NoFTL to: a modest number of channels and banks with
-// MLC NAND. The exact board layout is proprietary-ish; this fixture keeps
-// the architectural ratios (few channels, several banks per channel,
-// two-plane dies, 4 KiB pages, 128-page blocks) so experiments
-// "configured as OpenSSD" exercise the same contention structure.
-func OpenSSDConfig() Config {
-	return Config{
-		Geometry: nand.Geometry{
-			Channels:        2,
-			ChipsPerChannel: 4,
-			DiesPerChip:     1,
-			PlanesPerDie:    2,
-			BlocksPerPlane:  512,
-			PagesPerBlock:   128,
-			PageSize:        4096,
-			OOBSize:         128,
-		},
-		Cell:        nand.MLC,
-		ChannelMBps: 160, // SATA2-era bus per channel
-		Nand:        nand.Options{StoreData: true},
-	}
-}
-
 // EmulatorConfig returns a parameterizable emulator geometry with the
 // requested number of dies (spread over min(dies, 8) channels), sized so
 // that the device holds roughly capacityMB of user data. This mirrors the

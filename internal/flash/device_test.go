@@ -254,20 +254,6 @@ func TestBadAddressRejectedWithoutTiming(t *testing.T) {
 	}
 }
 
-func TestOpenSSDConfig(t *testing.T) {
-	cfg := OpenSSDConfig()
-	if err := cfg.Geometry.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	d := New(cfg)
-	if d.Geometry().Dies() != 8 {
-		t.Errorf("OpenSSD dies = %d, want 8", d.Geometry().Dies())
-	}
-	if got := cfg.Geometry.TotalBytes(); got != 8*2*512*128*4096 {
-		t.Errorf("capacity = %d bytes", got)
-	}
-}
-
 func TestEmulatorConfigSizing(t *testing.T) {
 	for _, dies := range []int{1, 2, 4, 8, 16, 32} {
 		cfg := EmulatorConfig(dies, 256, nand.SLC)

@@ -1,12 +1,13 @@
 // Package region implements configurable flash regions: the die array
 // is carved into named regions, each with its own die allocation, write
-// frontier, mapping granularity and over-provisioning — plus
-// an object-placement catalog that lets the storage engine declare where
-// each object class lives ("WAL → log region, heaps and B+-trees → data
-// region"). A Spec carries exactly those choices — name, dies, mapping,
-// over-provisioning, background GC — and nothing else: every other volume
-// or log parameter runs at its package default (greedy GC victims for a
-// page-mapped region).
+// frontier, mapping granularity and over-provisioning. A layout is its
+// list of Specs, and a Spec carries exactly those choices — name, dies,
+// mapping, over-provisioning — and nothing else: every other volume or
+// log parameter runs at its package default (greedy GC victims for a
+// page-mapped region). A database engine mounts a layout's one
+// sequential region as its WAL and its one page-mapped region for
+// heaps, B+-trees and deltas (Manager.Mount): each stream lands on the
+// mapping that fits it.
 //
 // This is the step of the NoFTL research line that turns "the DBMS
 // manages flash" into "the DBMS manages each write stream on its own
@@ -28,7 +29,6 @@ import (
 	"noftl/internal/ftl"
 	"noftl/internal/ioreq"
 	"noftl/internal/noftl"
-	"noftl/internal/sched"
 )
 
 // Mapping selects a region's translation granularity.
@@ -53,35 +53,6 @@ func (m Mapping) String() string {
 	return "page"
 }
 
-// Class identifies an object class for placement.
-type Class uint8
-
-// Object classes the placement catalog can route.
-const (
-	ClassDefault Class = iota
-	ClassWAL           // ARIES log stream
-	ClassHeap          // heap-file pages
-	ClassIndex         // B+-tree pages
-	ClassDelta         // page-differential (delta) appends
-	classCount
-)
-
-// String names the class.
-func (c Class) String() string {
-	switch c {
-	case ClassWAL:
-		return "wal"
-	case ClassHeap:
-		return "heap"
-	case ClassIndex:
-		return "index"
-	case ClassDelta:
-		return "delta"
-	default:
-		return "default"
-	}
-}
-
 // Spec declares one region.
 type Spec struct {
 	// Name identifies the region ("log", "data", "cold", ...).
@@ -94,61 +65,30 @@ type Spec struct {
 
 	// Page-mapped knob (forwarded to noftl.Config).
 	OverProvision float64
-
-	// BackgroundGC configures a page-mapped region for worker-driven
-	// cleaning (noftl.Config.BackgroundGC): the write path keeps only the
-	// emergency free-block floor and background GC workers do the rest.
-	BackgroundGC bool
-}
-
-// Layout is a full region configuration: the regions plus the
-// object-placement catalog routing classes to region names. Classes
-// absent from Placement fall back to ClassDefault's region, and when
-// that is absent too, to the first page-mapped region.
-type Layout struct {
-	Regions   []Spec
-	Placement map[Class]string
-	// Scheduler routes every region's flash commands through a native
-	// command scheduler with per-class priorities: reads and WAL appends
-	// ahead of data programs ahead of GC (nil: raw device order).
-	Scheduler *sched.Scheduler
 }
 
 // DefaultDBLayout is the canonical database layout: a sequential "log"
 // region holding the WAL and a page-mapped "data" region holding
 // everything else. logDies is the log region's die count (minimum 1).
-func DefaultDBLayout(logDies int) Layout {
+func DefaultDBLayout(logDies int) []Spec {
 	if logDies < 1 {
 		logDies = 1
 	}
-	return Layout{
-		Regions: []Spec{
-			{Name: "log", Dies: logDies, Mapping: SeqMapped},
-			{Name: "data", Mapping: PageMapped},
-		},
-		Placement: map[Class]string{
-			ClassWAL:     "log",
-			ClassHeap:    "data",
-			ClassIndex:   "data",
-			ClassDelta:   "data",
-			ClassDefault: "data",
-		},
+	return []Spec{
+		{Name: "log", Dies: logDies, Mapping: SeqMapped},
+		{Name: "data", Mapping: PageMapped},
 	}
 }
 
 // Region is one managed region: a die subset with its own management
 // policy. Exactly one of Vol (page-mapped) and Log (seq-mapped) is set.
 type Region struct {
-	Name    string
-	Spec    Spec
-	Dies    []int // device die numbers
-	Vol     *noftl.Volume
-	Log     *ftl.SeqLog
-	mapping Mapping
+	Name string
+	Spec Spec
+	Dies []int // device die numbers
+	Vol  *noftl.Volume
+	Log  *ftl.SeqLog
 }
-
-// Mapping returns the region's translation granularity.
-func (r *Region) Mapping() Mapping { return r.mapping }
 
 // Stats returns the region's flash-maintenance counters.
 func (r *Region) Stats() ftl.Stats {
@@ -158,20 +98,23 @@ func (r *Region) Stats() ftl.Stats {
 	return r.Vol.Stats()
 }
 
-// Manager carves one native flash device into regions and routes object
-// classes to them.
+// Manager carves one native flash device into regions.
 type Manager struct {
 	dev     *flash.Device
-	layout  Layout
 	regions []*Region
 	byName  map[string]*Region
 }
 
-// New builds the regions of a layout over a native flash device. Dies
-// are assigned to regions in declaration order; a region with Dies == 0
-// takes the remainder.
-func New(dev *flash.Device, layout Layout) (*Manager, error) {
-	return build(dev, layout, nil)
+// New builds a layout's regions over a native flash device. Dies are
+// assigned to regions in declaration order; a region with Dies == 0
+// takes the remainder. io carries every region's flash commands (nil:
+// the raw device), so a native command scheduler's Dev routes them
+// through its per-class queues. backgroundGC configures every
+// page-mapped region for worker-driven cleaning (noftl.Config.BackgroundGC):
+// the write path keeps only the emergency free-block floor and
+// background GC workers do the rest.
+func New(dev *flash.Device, specs []Spec, io flash.Dev, backgroundGC bool) (*Manager, error) {
+	return build(dev, specs, io, backgroundGC, nil)
 }
 
 // Rebuild reconstructs every region's mapping state from flash after a
@@ -179,29 +122,25 @@ func New(dev *flash.Device, layout Layout) (*Manager, error) {
 // sequential regions recover their extent list and frontier
 // (ftl.RebuildSeqLog). The scans are charged to the request descriptor
 // as real page reads.
-func Rebuild(dev *flash.Device, layout Layout, rq ioreq.Req) (*Manager, error) {
-	return build(dev, layout, &rq)
+func Rebuild(dev *flash.Device, specs []Spec, io flash.Dev, backgroundGC bool, rq ioreq.Req) (*Manager, error) {
+	return build(dev, specs, io, backgroundGC, &rq)
 }
 
-func build(dev *flash.Device, layout Layout, rebuild *ioreq.Req) (*Manager, error) {
-	assign, err := assignDies(dev, layout)
+func build(dev *flash.Device, specs []Spec, io flash.Dev, backgroundGC bool, rebuild *ioreq.Req) (*Manager, error) {
+	assign, err := assignDies(dev, specs)
 	if err != nil {
 		return nil, err
 	}
-	m := &Manager{dev: dev, layout: layout, byName: map[string]*Region{}}
-	var io flash.Dev // nil: the raw device
-	if layout.Scheduler != nil {
-		io = layout.Scheduler.Dev()
-	}
-	for i, spec := range layout.Regions {
-		r := &Region{Name: spec.Name, Spec: spec, Dies: assign[i], mapping: spec.Mapping}
+	m := &Manager{dev: dev, byName: map[string]*Region{}}
+	for i, spec := range specs {
+		r := &Region{Name: spec.Name, Spec: spec, Dies: assign[i]}
 		switch spec.Mapping {
 		case PageMapped:
 			cfg := noftl.Config{
 				OverProvision: spec.OverProvision,
 				Dies:          assign[i],
 				Dev:           io,
-				BackgroundGC:  spec.BackgroundGC,
+				BackgroundGC:  backgroundGC,
 			}
 			if rebuild != nil {
 				r.Vol, err = noftl.Rebuild(dev, cfg, *rebuild)
@@ -224,22 +163,19 @@ func build(dev *flash.Device, layout Layout, rebuild *ioreq.Req) (*Manager, erro
 		m.regions = append(m.regions, r)
 		m.byName[spec.Name] = r
 	}
-	if err := m.checkPlacement(); err != nil {
-		return nil, err
-	}
 	return m, nil
 }
 
 // assignDies partitions the device's dies among the layout's regions.
-func assignDies(dev *flash.Device, layout Layout) ([][]int, error) {
+func assignDies(dev *flash.Device, specs []Spec) ([][]int, error) {
 	total := dev.Geometry().Dies()
-	if len(layout.Regions) == 0 {
+	if len(specs) == 0 {
 		return nil, fmt.Errorf("region: layout declares no regions")
 	}
 	claimed := 0
 	remainder := -1
 	seen := map[string]bool{}
-	for i, spec := range layout.Regions {
+	for i, spec := range specs {
 		if spec.Name == "" {
 			return nil, fmt.Errorf("region: region %d has no name", i)
 		}
@@ -253,7 +189,7 @@ func assignDies(dev *flash.Device, layout Layout) ([][]int, error) {
 		if spec.Dies == 0 {
 			if remainder >= 0 {
 				return nil, fmt.Errorf("region: both %q and %q claim the remainder",
-					layout.Regions[remainder].Name, spec.Name)
+					specs[remainder].Name, spec.Name)
 			}
 			remainder = i
 			continue
@@ -263,14 +199,14 @@ func assignDies(dev *flash.Device, layout Layout) ([][]int, error) {
 	rest := total - claimed
 	if remainder >= 0 && rest < 1 {
 		return nil, fmt.Errorf("region: %d dies claimed of %d, none left for %q",
-			claimed, total, layout.Regions[remainder].Name)
+			claimed, total, specs[remainder].Name)
 	}
 	if remainder < 0 && rest != 0 {
 		return nil, fmt.Errorf("region: %d dies claimed of %d and no remainder region", claimed, total)
 	}
-	out := make([][]int, len(layout.Regions))
+	out := make([][]int, len(specs))
 	die := 0
-	for i, spec := range layout.Regions {
+	for i, spec := range specs {
 		n := spec.Dies
 		if i == remainder {
 			n = rest
@@ -282,25 +218,6 @@ func assignDies(dev *flash.Device, layout Layout) ([][]int, error) {
 	}
 	return out, nil
 }
-
-// checkPlacement validates the catalog: every routed class names an
-// existing region, and the WAL class (if routed) does not share a
-// page-mapped region with itself accidentally — any mapping is legal,
-// but the name must resolve.
-func (m *Manager) checkPlacement() error {
-	for c, name := range m.layout.Placement {
-		if c >= classCount {
-			return fmt.Errorf("region: placement routes unknown class %d", c)
-		}
-		if m.byName[name] == nil {
-			return fmt.Errorf("region: class %v routed to unknown region %q", c, name)
-		}
-	}
-	return nil
-}
-
-// Device returns the underlying native flash device.
-func (m *Manager) Device() *flash.Device { return m.dev }
 
 // Regions returns the managed regions in declaration order.
 func (m *Manager) Regions() []*Region { return append([]*Region(nil), m.regions...) }
@@ -324,41 +241,24 @@ func (m *Manager) Log(name string) *ftl.SeqLog {
 	return nil
 }
 
-// Place resolves an object class through the placement catalog: the
-// class's own entry, then ClassDefault's, then the first page-mapped
-// region.
-func (m *Manager) Place(c Class) *Region {
-	if name, ok := m.layout.Placement[c]; ok {
-		return m.byName[name]
-	}
-	if name, ok := m.layout.Placement[ClassDefault]; ok {
-		return m.byName[name]
-	}
-	for _, r := range m.regions {
-		if r.mapping == PageMapped {
-			return r
-		}
-	}
-	return nil
-}
-
-// Mount resolves the layout into the pair a database engine mounts: the
-// page-mapped data region (heaps, indexes and deltas must agree on it)
-// and the region hosting the WAL. The WAL region may be nil when the
-// catalog routes no ClassWAL (the engine then keeps its log elsewhere).
+// Mount resolves the layout into the pair a database engine mounts:
+// its one page-mapped region holds the data (heaps, B+-trees, deltas)
+// and its one sequential region the WAL — each stream on the mapping
+// that fits it. Any other set of regions is an error.
 func (m *Manager) Mount() (data *Region, wal *Region, err error) {
-	data = m.Place(ClassHeap)
-	if data == nil || data.Vol == nil {
-		return nil, nil, fmt.Errorf("region: no page-mapped region for heap pages")
-	}
-	for _, c := range []Class{ClassIndex, ClassDelta} {
-		if r := m.Place(c); r != nil && r != data {
-			return nil, nil, fmt.Errorf("region: class %v routed to %q but heaps live in %q "+
-				"(the engine mounts one data region)", c, r.Name, data.Name)
+	for _, r := range m.regions {
+		switch {
+		case r.Vol != nil && data == nil:
+			data = r
+		case r.Log != nil && wal == nil:
+			wal = r
+		default:
+			return nil, nil, fmt.Errorf("region: %q is a second %s-mapped region "+
+				"(the engine mounts one page-mapped and one sequential region)", r.Name, r.Spec.Mapping)
 		}
 	}
-	if name, ok := m.layout.Placement[ClassWAL]; ok {
-		wal = m.byName[name]
+	if data == nil || wal == nil {
+		return nil, nil, fmt.Errorf("region: the engine mounts one page-mapped and one sequential region")
 	}
 	return data, wal, nil
 }
@@ -407,7 +307,7 @@ func (s RegionStats) Occupancy() float64 {
 func (m *Manager) RegionStats() []RegionStats {
 	out := make([]RegionStats, 0, len(m.regions))
 	for _, r := range m.regions {
-		s := RegionStats{Name: r.Name, Mapping: r.mapping, Dies: len(r.Dies), FTL: r.Stats()}
+		s := RegionStats{Name: r.Name, Mapping: r.Spec.Mapping, Dies: len(r.Dies), FTL: r.Stats()}
 		if r.Log != nil {
 			s.LivePages = r.Log.LivePages()
 			s.CapacityPages = r.Log.CapacityPages()

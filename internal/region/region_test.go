@@ -27,7 +27,7 @@ func testDevice(t *testing.T, dies int, opts nand.Options) *flash.Device {
 
 func TestLayoutDiePartitioning(t *testing.T) {
 	dev := testDevice(t, 4, nand.Options{})
-	m, err := New(dev, DefaultDBLayout(1))
+	m, err := New(dev, DefaultDBLayout(1), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,67 +61,71 @@ func TestLayoutDiePartitioning(t *testing.T) {
 
 func TestLayoutValidation(t *testing.T) {
 	dev := testDevice(t, 4, nand.Options{})
-	cases := []Layout{
+	cases := [][]Spec{
 		{}, // no regions
-		{Regions: []Spec{{Name: "a", Dies: 5, Mapping: PageMapped}}},                                  // too many dies
-		{Regions: []Spec{{Name: "a", Dies: 2, Mapping: PageMapped}, {Name: "a", Mapping: SeqMapped}}}, // dup name
-		{Regions: []Spec{{Name: "a", Mapping: PageMapped}, {Name: "b", Mapping: SeqMapped}}},          // two remainders
-		{Regions: []Spec{{Name: "a", Dies: 2, Mapping: PageMapped}}},                                  // dies left over
-		{Regions: []Spec{{Name: "a", Dies: 4, Mapping: PageMapped}},
-			Placement: map[Class]string{ClassWAL: "nope"}}, // unknown region in catalog
+		{{Name: "a", Dies: 5, Mapping: PageMapped}},                                  // too many dies
+		{{Name: "a", Dies: 2, Mapping: PageMapped}, {Name: "a", Mapping: SeqMapped}}, // dup name
+		{{Name: "a", Mapping: PageMapped}, {Name: "b", Mapping: SeqMapped}},          // two remainders
+		{{Name: "a", Dies: 2, Mapping: PageMapped}},                                  // dies left over
 	}
-	for i, layout := range cases {
-		if _, err := New(dev, layout); err == nil {
+	for i, specs := range cases {
+		if _, err := New(dev, specs, nil, false); err == nil {
 			t.Errorf("case %d: invalid layout accepted", i)
 		}
 	}
 }
 
+// TestPlacementCatalog pins where the engine's data and WAL land: the
+// one page-mapped region holds the data and the one sequential region
+// the WAL, whatever their names or order.
 func TestPlacementCatalog(t *testing.T) {
-	dev := testDevice(t, 4, nand.Options{})
-	layout := Layout{
-		Regions: []Spec{
-			{Name: "log", Dies: 1, Mapping: SeqMapped},
-			{Name: "data", Mapping: PageMapped},
-		},
-		Placement: map[Class]string{ClassWAL: "log", ClassDefault: "data"},
-	}
-	m, err := New(dev, layout)
+	m, err := New(testDevice(t, 4, nand.Options{}), []Spec{
+		{Name: "heap", Mapping: PageMapped},
+		{Name: "wal", Dies: 1, Mapping: SeqMapped},
+	}, nil, false)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r := m.Place(ClassWAL); r == nil || r.Name != "log" {
-		t.Errorf("WAL placed in %v", r)
-	}
-	// Heap has no entry: falls back to ClassDefault's region.
-	if r := m.Place(ClassHeap); r == nil || r.Name != "data" {
-		t.Errorf("heap placed in %v", r)
 	}
 	data, wal, err := m.Mount()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data.Name != "data" || wal == nil || wal.Name != "log" {
-		t.Errorf("mount resolved data=%v wal=%v", data, wal)
+	if data.Name != "heap" || wal.Name != "wal" {
+		t.Errorf("mount resolved data=%q wal=%q", data.Name, wal.Name)
 	}
 }
 
-func TestMountRejectsSplitDataClasses(t *testing.T) {
-	dev := testDevice(t, 4, nand.Options{})
-	layout := Layout{
-		Regions: []Spec{
-			{Name: "a", Dies: 2, Mapping: PageMapped},
-			{Name: "b", Mapping: PageMapped},
-		},
-		Placement: map[Class]string{ClassHeap: "a", ClassIndex: "b"},
-	}
-	m, err := New(dev, layout)
+// mustNotMount builds specs (New accepts any valid layout) and checks
+// that Mount refuses them with an error.
+func mustNotMount(t *testing.T, name string, specs []Spec) {
+	t.Helper()
+	m, err := New(testDevice(t, 4, nand.Options{}), specs, nil, false)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", name, err)
 	}
 	if _, _, err := m.Mount(); err == nil {
-		t.Error("mount accepted heaps and indexes in different regions")
+		t.Errorf("%s: mount accepted", name)
 	}
+}
+
+// TestMountRejectsSplitDataClasses checks that the engine's data cannot
+// be split over two page-mapped regions.
+func TestMountRejectsSplitDataClasses(t *testing.T) {
+	mustNotMount(t, "two page-mapped regions", []Spec{
+		{Name: "a", Dies: 2, Mapping: PageMapped},
+		{Name: "b", Mapping: PageMapped},
+	})
+}
+
+// TestMount checks that Mount refuses the other layouts that lack
+// exactly one page-mapped and one sequential region.
+func TestMount(t *testing.T) {
+	mustNotMount(t, "one page-mapped region", []Spec{{Name: "data", Mapping: PageMapped}})
+	mustNotMount(t, "two sequential regions", []Spec{
+		{Name: "log", Dies: 1, Mapping: SeqMapped},
+		{Name: "log2", Dies: 1, Mapping: SeqMapped},
+		{Name: "data", Mapping: PageMapped},
+	})
 }
 
 // TestRegionIsolationAndRebuild writes distinct content through both
@@ -130,7 +134,7 @@ func TestMountRejectsSplitDataClasses(t *testing.T) {
 func TestRegionIsolationAndRebuild(t *testing.T) {
 	dev := testDevice(t, 4, nand.Options{})
 	layout := DefaultDBLayout(1)
-	m, err := New(dev, layout)
+	m, err := New(dev, layout, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +159,7 @@ func TestRegionIsolationAndRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2, err := Rebuild(dev, layout, ioreq.Plain(w))
+	m2, err := Rebuild(dev, layout, nil, false, ioreq.Plain(w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +211,7 @@ func TestPerRegionOverProvision(t *testing.T) {
 			Cell: nand.SLC,
 			Nand: nand.Options{StoreData: true},
 		})
-		m, err := New(dev, Layout{Regions: []Spec{first, second}})
+		m, err := New(dev, []Spec{first, second}, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func driveMixedLoad(t *testing.T, m *Manager, seed int64, rounds int) {
 	rng := rand.New(rand.NewSource(seed))
 	data := m.Volume("data")
 	log := m.Log("log")
-	ps := m.Device().Geometry().PageSize
+	ps := log.PageSize()
 	n := data.LogicalPages()
 	page := make([]byte, ps)
 	var logPos int64
@@ -70,7 +70,7 @@ func driveMixedLoad(t *testing.T, m *Manager, seed int64, rounds int) {
 // data-region GC, delta folds and log truncation.
 func TestRegionStatsSumToDeviceTotals(t *testing.T) {
 	dev := testDevice(t, 4, nand.Options{})
-	m, err := New(dev, DefaultDBLayout(1))
+	m, err := New(dev, DefaultDBLayout(1), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRegionStatsSumToDeviceTotals(t *testing.T) {
 // stay functional.
 func TestRegionStatsConsistentUnderBadBlocks(t *testing.T) {
 	dev := testDevice(t, 4, nand.Options{ProgramFailProb: 0.001, Seed: 3})
-	m, err := New(dev, DefaultDBLayout(1))
+	m, err := New(dev, DefaultDBLayout(1), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // up in that region's spread/average and leave the other untouched.
 func TestRegionEraseStats(t *testing.T) {
 	dev := flash.New(flash.EmulatorConfig(4, 16, nand.SLC))
-	m, err := New(dev, DefaultDBLayout(1))
+	m, err := New(dev, DefaultDBLayout(1), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,21 +52,14 @@ func TestRegionEraseStats(t *testing.T) {
 	}
 }
 
-// TestRegionSchedulerWiring checks that a layout with a scheduler routes
-// region traffic through it: commands issued by DES processes are
-// queued, serial loads bypass.
+// TestRegionSchedulerWiring checks that regions built on a scheduler's
+// Dev route their traffic through it: commands issued by DES processes
+// are queued, serial loads bypass.
 func TestRegionSchedulerWiring(t *testing.T) {
 	dev := flash.New(flash.EmulatorConfig(4, 16, nand.SLC))
 	k := sim.New()
 	s := sched.New(k, dev, sched.Config{Policy: sched.Priority})
-	lay := DefaultDBLayout(1)
-	lay.Scheduler = s
-	for i := range lay.Regions {
-		if lay.Regions[i].Mapping == PageMapped {
-			lay.Regions[i].BackgroundGC = true
-		}
-	}
-	m, err := New(dev, lay)
+	m, err := New(dev, DefaultDBLayout(1), s.Dev(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,13 +17,13 @@ import (
 
 // newRegionEngine builds a device, carves it with the default DB
 // layout, and formats/opens an engine with the WAL on the log region.
-func newRegionEngine(t *testing.T) (*Engine, *IOCtx, *flash.Device, region.Layout) {
+func newRegionEngine(t *testing.T) (*Engine, *IOCtx, *flash.Device, []region.Spec) {
 	t.Helper()
 	dc := flash.EmulatorConfig(4, 24, nand.SLC)
 	dc.Nand.StoreData = true
 	dev := flash.New(dc)
 	layout := region.DefaultDBLayout(1)
-	m, err := region.New(dev, layout)
+	m, err := region.New(dev, layout, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +48,10 @@ func newRegionEngine(t *testing.T) (*Engine, *IOCtx, *flash.Device, region.Layou
 // structure — buffer pool, WAL tail, the data region's page table AND
 // the log region's extent list — is dropped. Both mappings are rebuilt
 // from flash OOBs, then the engine reopens and replays the log.
-func crashAndReopenRegions(t *testing.T, dev *flash.Device, layout region.Layout) (*Engine, *IOCtx) {
+func crashAndReopenRegions(t *testing.T, dev *flash.Device, layout []region.Spec) (*Engine, *IOCtx) {
 	t.Helper()
 	ctx := NewIOCtx(nil)
-	m, err := region.Rebuild(dev, layout, ctx.Req())
+	m, err := region.Rebuild(dev, layout, nil, false, ctx.Req())
 	if err != nil {
 		t.Fatalf("region rebuild: %v", err)
 	}
@@ -271,10 +271,7 @@ func TestRegionsRecoveryMatchesLegacyPath(t *testing.T) {
 	dc.Nand.StoreData = true
 	legacyData, legacyLog, legacyE, legacyCtx := func() (Volume, Volume, *Engine, *IOCtx) {
 		dev := flash.New(dc)
-		m, err := region.New(dev, region.Layout{
-			Regions:   []region.Spec{{Name: "data", Mapping: region.PageMapped}},
-			Placement: map[region.Class]string{region.ClassDefault: "data"},
-		})
+		m, err := region.New(dev, []region.Spec{{Name: "data", Mapping: region.PageMapped}}, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}

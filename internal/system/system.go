@@ -272,27 +272,17 @@ func build(cfg Config, optFns []Option, dev *flash.Device, crashed *System) (_ *
 		s.Vol = dataVol
 		s.logVol = logVol
 	case StackNoFTLRegions:
-		// Region-managed placement: the engine declares WAL → log region
-		// and heaps/B+-trees → data region through the catalog.
-		lay := region.DefaultDBLayout(regionLogDies(geo.Dies()))
-		if cfg.Layout != nil {
-			// Deep-copy the caller's layout: the builder mutates region
-			// specs (scheduler, BackgroundGC) and must not write through
-			// the shared Regions slice into the caller's value.
-			lay = *cfg.Layout
-			lay.Regions = append([]region.Spec(nil), cfg.Layout.Regions...)
-		}
-		lay.Scheduler = s.Sched
-		for i := range lay.Regions {
-			if lay.Regions[i].Mapping == region.PageMapped {
-				lay.Regions[i].BackgroundGC = opts.backgroundGC
-			}
+		// Region-managed placement: the WAL on the sequential log region,
+		// heaps and B+-trees on the page-mapped data region.
+		specs := cfg.Regions
+		if specs == nil {
+			specs = region.DefaultDBLayout(regionLogDies(geo.Dies()))
 		}
 		var m *region.Manager
 		if crashed != nil {
-			m, err = region.Rebuild(dev, lay, s.Ctx.Req())
+			m, err = region.Rebuild(dev, specs, io, opts.backgroundGC, s.Ctx.Req())
 		} else {
-			m, err = region.New(dev, lay)
+			m, err = region.New(dev, specs, io, opts.backgroundGC)
 		}
 		if err != nil {
 			return nil, err
@@ -656,11 +646,12 @@ type Config struct {
 	Device *flash.Config
 	// Frames is the engine's buffer-pool size in pages. Default 256.
 	Frames int
-	// Layout overrides the region-managed stack's default layout (one
-	// sequential log region plus one page-mapped data region) with a
-	// custom one. Only meaningful for StackNoFTLRegions; the catalog
-	// must route heaps, indexes and deltas to one page-mapped region.
-	Layout *region.Layout
+	// Regions overrides the region-managed stack's default layout (one
+	// sequential log region plus one page-mapped data region; nil:
+	// region.DefaultDBLayout). Only meaningful for StackNoFTLRegions. The
+	// engine mounts the one page-mapped region for its data and the one
+	// sequential region for its WAL; New fails on any other set.
+	Regions []region.Spec
 }
 
 // Option tunes the optional subsystems New attaches.

@@ -163,27 +163,29 @@ func TestHealthWithoutOptions(t *testing.T) {
 	}
 }
 
-// TestCallerLayoutNotMutated: the builder writes the scheduler and the
-// background-GC flag into its own copy of a custom layout, never through
-// the caller's Regions slice.
-func TestCallerLayoutNotMutated(t *testing.T) {
-	lay := region.DefaultDBLayout(1)
-	before := region.Layout{
-		Regions:   append([]region.Spec(nil), lay.Regions...),
-		Placement: lay.Placement,
-	}
-	cfg := smallConfig(StackNoFTLRegions)
-	cfg.Layout = &lay
-	sys, err := New(cfg, WithPriorityScheduler(), WithBackgroundGC())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	if !sys.backgroundGC || sys.Sched == nil {
-		t.Fatal("options not applied")
-	}
-	if !reflect.DeepEqual(lay.Regions, before.Regions) || lay.Scheduler != nil {
-		t.Fatalf("caller's layout mutated:\n got %+v\nwant %+v", lay, before)
+// TestRegionStackRefusesUnmountableLayouts: the engine mounts one
+// page-mapped region for its data and one sequential region for its
+// WAL, so New on any other set of regions returns an error rather than
+// a stack it cannot mount.
+func TestRegionStackRefusesUnmountableLayouts(t *testing.T) {
+	for name, specs := range map[string][]region.Spec{
+		"one page-mapped region": {{Name: "data", Mapping: region.PageMapped}},
+		"two page-mapped regions": {
+			{Name: "log", Dies: 1, Mapping: region.PageMapped},
+			{Name: "data", Mapping: region.PageMapped},
+		},
+		"two sequential regions": {
+			{Name: "log", Dies: 1, Mapping: region.SeqMapped},
+			{Name: "log2", Dies: 1, Mapping: region.SeqMapped},
+			{Name: "data", Mapping: region.PageMapped},
+		},
+	} {
+		dev := flash.EmulatorConfig(4, 24, nand.SLC)
+		sys, err := New(Config{Stack: StackNoFTLRegions, Device: &dev, Frames: 64, Regions: specs})
+		if err == nil {
+			sys.Close()
+			t.Errorf("%s: New built a stack the engine cannot mount", name)
+		}
 	}
 }
 

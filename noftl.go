@@ -14,7 +14,7 @@
 //     DeviceConfig, EmulatorConfig),
 //   - host-integrated flash management — the paper's contribution
 //     (NewVolume, VolumeConfig, RebuildVolume) and its regions
-//     (RegionLayout, RegionSpec),
+//     (RegionSpec, PageMapped, SeqMapped),
 //   - the TPC-B and TPC-C workload generators (NewTPCB, NewTPCC),
 //   - the serving front's record sessions (ServeConfig, TenantSpec),
 //   - one measured run of a workload on a system (RunTPS).
@@ -116,24 +116,14 @@ func RebuildVolume(dev *Device, cfg VolumeConfig, rq Req) (*Volume, error) {
 
 // --- configurable flash regions ---
 
-type (
-	// RegionLayout declares the regions and the placement catalog.
-	RegionLayout = region.Layout
-	// RegionSpec declares one region.
-	RegionSpec = region.Spec
-	// RegionClass identifies an object class for placement.
-	RegionClass = region.Class
-)
+// RegionSpec declares one region; a layout (SystemConfig.Regions) is a
+// list of them.
+type RegionSpec = region.Spec
 
-// Region mapping granularities and object classes.
+// Region mapping granularities.
 const (
 	PageMapped = region.PageMapped
 	SeqMapped  = region.SeqMapped
-
-	ClassWAL   = region.ClassWAL
-	ClassHeap  = region.ClassHeap
-	ClassIndex = region.ClassIndex
-	ClassDelta = region.ClassDelta
 )
 
 // --- storage engine ---
