@@ -9,7 +9,7 @@ import (
 
 // Setter is the ratchet behind "every setting has a caller": every
 // exported field of an exported configuration struct (named *Config,
-// *Options, *Spec, Params or Layout) must be set — a keyed literal
+// *Options, *Spec or Params) must be set — a keyed literal
 // element `Field:` or an assignment `x.Field =` — by some non-test file
 // of the module other than the one declaring it. Experiments, commands,
 // examples and the benchmark count; tests do not. A field no caller sets
@@ -24,7 +24,7 @@ import (
 // package once as an import and again with its tests.
 var Setter = &Analyzer{Name: "setter", Run: runSetter}
 
-var configName = regexp.MustCompile(`(Config|Options|Spec)$|^Params$|^Layout$`)
+var configName = regexp.MustCompile(`(Config|Options|Spec)$|^Params$`)
 
 func runSetter(pass *Pass) {
 	var set map[token.Position]bool

@@ -200,8 +200,7 @@ func TestValidateSmoke(t *testing.T) {
 }
 
 // TestLatencySmokeShape also pins that Latency returns: NoFTL's run ends
-// only when its writer stops the maintenance workers, whose wear sweep
-// would otherwise keep the kernel busy forever.
+// when its writer is done, since the idle maintenance workers park.
 func TestLatencySmokeShape(t *testing.T) {
 	res, err := Latency(LatencyConfig{Ops: 4000, DriveMB: 24, Dies: 2, Seed: 4})
 	if err != nil {

@@ -122,8 +122,8 @@ func slcConfig(cfg LatencyConfig) flash.Config {
 // sequentially, then replays cfg.Ops random 4 KB overwrites of them under
 // the DES kernel and returns their latencies. When vol is non-nil, the
 // maintenance workers (sched.StartMaintenance) collect beside the
-// writer, which stops them after its last op so that the run ends. The
-// first error, the writer's or a worker's, wins.
+// writer; once it is done they park and add no events, so the run ends.
+// The first error, the writer's or a worker's, wins.
 func latencyRun(cfg LatencyConfig, t trace.Target, pages int64, vol *noftl.Volume) (*stats.Histogram, error) {
 	k := sim.New()
 	span := max(int64(float64(pages)*latencyFill), 1)
@@ -136,13 +136,10 @@ func latencyRun(cfg LatencyConfig, t trace.Target, pages int64, vol *noftl.Volum
 			fatal = err
 		}
 	}
-	stop := func() {}
 	if vol != nil {
-		mt := sched.StartMaintenance(k, vol, sched.MaintConfig{OnError: fail})
-		stop = mt.Stop
+		sched.StartMaintenance(k, vol, sched.MaintConfig{OnError: fail})
 	}
 	k.Go("writer", func(p *sim.Proc) {
-		defer stop()
 		w := sim.ProcWaiter{P: p}
 		if _, err := trace.Replay(fill, t, w, trace.ReplayOptions{}); err != nil {
 			fail(err)

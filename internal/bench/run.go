@@ -262,9 +262,9 @@ type RunResult struct {
 	// alone (Snapshot.Buffer covers the whole run).
 	Window storage.BufferStats
 
-	// Background maintenance progress (zero without BackgroundGC).
-	GCSteps   int64
-	WearMoves int64
+	// GCSteps is the background GC workers' progress (zero without
+	// BackgroundGC).
+	GCSteps int64
 
 	// Kernel is what the run cost the simulator itself.
 	Kernel sim.Stats
@@ -406,7 +406,7 @@ func execute(sys *system.System, spec run) (*RunResult, error) {
 	res.Snapshot = sys.Snapshot()
 	res.Kernel = k.Stats()
 	if r.maint != nil {
-		res.GCSteps, res.WearMoves = r.maint.GCSteps, r.maint.WearMoves
+		res.GCSteps = r.maint.GCSteps
 	}
 	return res, nil
 }

@@ -19,8 +19,8 @@ import (
 //     (commit/flush) path; commands dispatch FCFS per die — the closest
 //     native-flash analog of firmware-FTL behavior.
 //   - bg-gc: dedicated background GC workers (sim.Procs driving
-//     NeedsGC/GCStep) plus the wear-leveling sweep take maintenance off
-//     the commit path; dispatch stays FCFS.
+//     NeedsGC/GCStep, whose collections also level wear) take
+//     maintenance off the commit path; dispatch stays FCFS.
 //   - bg-gc+prio: background maintenance plus the priority scheduler —
 //     foreground reads > WAL appends > data programs > GC, with erase
 //     suspension so a read never waits out a full tBERS.

@@ -444,16 +444,6 @@ func (a *Array) EraseCount(b PBN) int { return a.block(b).eraseCount }
 // IsBad reports whether the block is retired (factory or grown bad).
 func (a *Array) IsBad(b PBN) bool { return a.block(b).bad }
 
-// MarkBad retires a block explicitly (used by bad-block managers after
-// external error detection).
-func (a *Array) MarkBad(b PBN) {
-	bs := a.block(b)
-	if !bs.bad {
-		bs.bad = true
-		a.grownBad++
-	}
-}
-
 // Counters is a snapshot of the array's lifetime operation counts.
 type Counters struct {
 	Reads           int64

@@ -300,15 +300,6 @@ func TestProgramFailureInjection(t *testing.T) {
 	}
 }
 
-func TestMarkBadIdempotent(t *testing.T) {
-	a := newTestArray(t, Options{})
-	a.MarkBad(3)
-	a.MarkBad(3)
-	if got := a.Counters().GrownBad; got != 1 {
-		t.Errorf("GrownBad = %d, want 1", got)
-	}
-}
-
 func TestBadAddressErrors(t *testing.T) {
 	a := newTestArray(t, Options{})
 	huge := PPN(a.Geometry().TotalPages())
@@ -389,12 +380,12 @@ func TestWearPerDieMatchesBlockScan(t *testing.T) {
 			}
 		}
 		if rng.Intn(5) == 0 {
-			a.MarkBad(PBN(b))
+			a.block(PBN(b)).bad = true
 		}
 	}
 	const deadDie = 3
 	for i := range per {
-		a.MarkBad(PBN(deadDie*per + i))
+		a.block(PBN(deadDie*per + i)).bad = true
 	}
 	scan := func(dies ...int) WearStats {
 		var ws WearStats

@@ -12,11 +12,8 @@ import (
 	"noftl/internal/sim"
 )
 
-// The background maintenance workers program against these contracts.
-var (
-	_ sched.GCDriver    = (*Volume)(nil)
-	_ sched.WearLeveler = (*Volume)(nil)
-)
+// The background maintenance workers program against this contract.
+var _ sched.GCDriver = (*Volume)(nil)
 
 func backgroundTestVolume(t *testing.T) (*flash.Device, *Volume) {
 	t.Helper()
@@ -43,8 +40,8 @@ func backgroundTestVolume(t *testing.T) (*flash.Device, *Volume) {
 
 // runBackgroundStress fills the volume, then overwrites from concurrent
 // writer processes while background workers keep the regions clean. It
-// returns the final volume stats plus the maintenance counters.
-func runBackgroundStress(t *testing.T, seed int64) (ftl.Stats, int64, int64) {
+// returns the final volume stats plus the workers' GC steps.
+func runBackgroundStress(t *testing.T, seed int64) (ftl.Stats, int64) {
 	t.Helper()
 	dev, v := backgroundTestVolume(t)
 	buf := make([]byte, 1024)
@@ -134,7 +131,7 @@ func runBackgroundStress(t *testing.T, seed int64) (ftl.Stats, int64, int64) {
 			}
 		}
 	}
-	return v.Stats(), mt.GCSteps, mt.WearMoves
+	return v.Stats(), mt.GCSteps
 }
 
 type errFloor struct{ region, plane int }
@@ -148,7 +145,7 @@ func (e errFloor) Error() string {
 // must make progress while writes commit, the free-block floor must
 // hold, and the volume's accounting must stay consistent.
 func TestBackgroundGCInvariants(t *testing.T) {
-	st, gcSteps, _ := runBackgroundStress(t, 42)
+	st, gcSteps := runBackgroundStress(t, 42)
 	if gcSteps == 0 {
 		t.Fatal("background worker made no GC progress")
 	}
@@ -163,11 +160,10 @@ func TestBackgroundGCInvariants(t *testing.T) {
 // TestBackgroundGCDeterminism repeats the stress with a fixed seed and
 // expects identical flash-maintenance counters.
 func TestBackgroundGCDeterminism(t *testing.T) {
-	s1, gc1, wl1 := runBackgroundStress(t, 7)
-	s2, gc2, wl2 := runBackgroundStress(t, 7)
-	if !reflect.DeepEqual(s1, s2) || gc1 != gc2 || wl1 != wl2 {
-		t.Fatalf("nondeterministic background GC:\n%+v gc=%d wl=%d\n%+v gc=%d wl=%d",
-			s1, gc1, wl1, s2, gc2, wl2)
+	s1, gc1 := runBackgroundStress(t, 7)
+	s2, gc2 := runBackgroundStress(t, 7)
+	if !reflect.DeepEqual(s1, s2) || gc1 != gc2 {
+		t.Fatalf("nondeterministic background GC:\n%+v gc=%d\n%+v gc=%d", s1, gc1, s2, gc2)
 	}
 }
 

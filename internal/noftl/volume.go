@@ -387,52 +387,6 @@ func (v *Volume) GCStep(rq ioreq.Req, region int) (bool, error) {
 	return false, nil
 }
 
-// WearSpread returns a region's erase-count spread (the widest max-min
-// over its planes' non-bad blocks) — the signal the background
-// wear-leveling sweep uses to pick the region to clean next.
-func (v *Volume) WearSpread(region int) int {
-	d := v.dies[region]
-	spread := 0
-	for plane := 0; plane < d.sp.Planes(); plane++ {
-		minWear, maxWear, _ := d.wearScan(plane)
-		if maxWear >= 0 && maxWear-minWear > spread {
-			spread = maxWear - minWear
-		}
-	}
-	return spread
-}
-
-// WearLevelStep migrates at most one cold block in the region if a
-// plane's erase-count spread exceeds WearDelta, reporting whether it
-// moved one. Background sweeps (sched.StartMaintenance) drive it; it
-// skips planes with GC in flight.
-func (v *Volume) WearLevelStep(rq ioreq.Req, region int) (bool, error) {
-	w := rq.Waiter()
-	d := v.dies[region]
-	if d.cfg.DisableWearLevel {
-		return false, nil
-	}
-	for plane := 0; plane < d.sp.Planes(); plane++ {
-		if d.gcActive[plane] {
-			continue
-		}
-		d.gcActive[plane] = true
-		did, err := d.wearMove(w, plane)
-		d.gcActive[plane] = false
-		d.gcIdle.Wake()
-		if err != nil {
-			if errors.Is(err, ftl.ErrGCStuck) {
-				continue
-			}
-			return false, err
-		}
-		if did {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
 func (v *Volume) check(lpn int64) error {
 	if lpn < 0 || lpn >= v.st.Total() {
 		return fmt.Errorf("%w: lpn %d of %d", ftl.ErrOutOfRange, lpn, v.st.Total())
@@ -919,7 +873,7 @@ func (d *dieMgr) maybeWearLevel(w sim.Waiter, plane int) {
 		return
 	}
 	d.erasesSinceWL = 0
-	d.wearMove(w, plane) // opportunistic; a failed move is retried by later GC
+	d.wearMove(w, plane)
 }
 
 // wearScan returns the erase-count extremes of a plane's non-bad blocks
@@ -949,19 +903,18 @@ func (d *dieMgr) wearScan(plane int) (minWear, maxWear, coldest int) {
 }
 
 // wearMove migrates the plane's coldest block if the erase-count spread
-// exceeds WearDelta, reporting whether it moved one.
-func (d *dieMgr) wearMove(w sim.Waiter, plane int) (bool, error) {
+// exceeds WearDelta. The move is opportunistic: one that fails is
+// retried by a later collection.
+func (d *dieMgr) wearMove(w sim.Waiter, plane int) {
 	w = ioreq.WithClass(w, ioreq.ClassGC)
 	minWear, maxWear, coldest := d.wearScan(plane)
 	if coldest < 0 || maxWear-minWear <= d.cfg.WearDelta {
-		return false, nil
+		return
 	}
 	moves := d.bt.Info[coldest].Valid
-	if err := d.collectBlock(w, coldest, plane); err != nil {
-		return false, err
+	if d.collectBlock(w, coldest, plane) == nil {
+		d.stats.WearMoves += int64(moves)
 	}
-	d.stats.WearMoves += int64(moves)
-	return true, nil
 }
 
 // checkAccounting audits internal invariants: every mapped logical page

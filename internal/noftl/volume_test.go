@@ -11,6 +11,7 @@ import (
 	"noftl/internal/flash"
 	"noftl/internal/ftl"
 	"noftl/internal/nand"
+	"noftl/internal/sched"
 	"noftl/internal/sim"
 )
 
@@ -303,32 +304,70 @@ func TestVolumeSurvivesBadBlocks(t *testing.T) {
 	}
 }
 
+// TestVolumeWearLeveling overwrites a hot eighth of the volume ten times
+// over: static wear leveling must move cold blocks and bound the spread
+// whether the write path collects inline or the background GC workers
+// do.
 func TestVolumeWearLeveling(t *testing.T) {
-	dev := testDevice(nand.Options{})
-	v, err := New(dev, Config{WearDelta: 4, Policy: ftl.WearAwarePolicy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &sim.ClockWaiter{}
-	n := v.LogicalPages()
-	for lpn := int64(0); lpn < n; lpn++ {
-		if err := v.Write(ioreq.Plain(w), lpn, fillPage(256, lpn, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < int(n)*10; i++ {
-		lpn := rng.Int63n(n / 8)
-		if err := v.Write(ioreq.Plain(w), lpn, fillPage(256, lpn, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if v.Stats().WearMoves == 0 {
-		t.Error("wear leveling never triggered")
-	}
-	ws := dev.Array().Wear()
-	if ws.Max-ws.Min > 40 {
-		t.Errorf("wear spread %d..%d too wide", ws.Min, ws.Max)
+	for _, tc := range []struct {
+		name       string
+		background bool
+	}{
+		{"inline-gc", false},
+		{"gc-workers", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := testDevice(nand.Options{})
+			v, err := New(dev, Config{WearDelta: 4, Policy: ftl.WearAwarePolicy, BackgroundGC: tc.background})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cw := &sim.ClockWaiter{}
+			n := v.LogicalPages()
+			for lpn := int64(0); lpn < n; lpn++ {
+				if err := v.Write(ioreq.Plain(cw), lpn, fillPage(256, lpn, 0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			overwrite := func(w sim.Waiter) error {
+				rng := rand.New(rand.NewSource(4))
+				for i := 0; i < int(n)*10; i++ {
+					lpn := rng.Int63n(n / 8)
+					if err := v.Write(ioreq.Plain(w), lpn, fillPage(256, lpn, i)); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			if !tc.background {
+				err = overwrite(cw)
+			} else {
+				dev.ResetTime()
+				k := sim.New()
+				mt := sched.StartMaintenance(k, v, sched.MaintConfig{OnError: func(e error) { err = e }})
+				k.Go("writer", func(p *sim.Proc) {
+					defer mt.Stop()
+					if werr := overwrite(sim.ProcWaiter{P: p}); werr != nil {
+						err = werr
+					}
+				})
+				k.Run()
+				k.Shutdown()
+				if mt.GCSteps == 0 {
+					t.Error("the GC workers never collected")
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Stats().WearMoves == 0 {
+				t.Error("wear leveling never triggered")
+			}
+			ws := dev.Array().Wear()
+			if ws.Max-ws.Min > 40 {
+				t.Errorf("wear spread %d..%d too wide", ws.Min, ws.Max)
+			}
+		})
 	}
 }
 

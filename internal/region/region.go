@@ -281,16 +281,12 @@ type RegionStats struct {
 	LivePages     int64 // pages currently holding data
 	CapacityPages int64 // pages the region can hold
 	FreeBlocks    int64 // erased blocks ready for new programs
-	// Erase-count statistics over the region's non-bad blocks — the
-	// reporting view of the wear imbalance the background sweep acts on
-	// (the sweep itself reads noftl.Volume.WearSpread per volume region).
+	// Erase-count statistics over the region's non-bad blocks: the
+	// reporting view of the region's wear imbalance.
 	MinErase int
 	MaxErase int
 	AvgErase float64
 }
-
-// EraseSpread is MaxErase-MinErase, the region's wear imbalance.
-func (s RegionStats) EraseSpread() int { return s.MaxErase - s.MinErase }
 
 // Occupancy is the live fraction of the region's capacity (frontier
 // occupancy for sequential regions, mapped-page fraction for page

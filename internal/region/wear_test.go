@@ -38,9 +38,6 @@ func TestRegionEraseStats(t *testing.T) {
 			if rs.MaxErase != 1 || rs.MinErase != 0 {
 				t.Fatalf("log erase stats = min %d max %d, want 0/1", rs.MinErase, rs.MaxErase)
 			}
-			if rs.EraseSpread() != 1 {
-				t.Fatalf("log spread = %d, want 1", rs.EraseSpread())
-			}
 			if rs.AvgErase <= 0 {
 				t.Fatalf("log avg erase = %f, want > 0", rs.AvgErase)
 			}

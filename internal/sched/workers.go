@@ -21,35 +21,22 @@ type GCDriver interface {
 	GCWaiters(region int) *sim.WaitQueue
 }
 
-// WearLeveler extends GCDriver with the background wear-leveling sweep
-// contract: per-region erase-count spread and a cold-block migration
-// step. noftl.Volume implements it.
-type WearLeveler interface {
-	WearSpread(region int) int
-	WearLevelStep(rq ioreq.Req, region int) (bool, error)
-}
-
 // MaintConfig tunes StartMaintenance.
 type MaintConfig struct {
 	// OnError receives the first fatal maintenance error (nil: ignored).
 	OnError func(error)
 }
 
-// sweepEvery is the wear-leveling sweep's period.
-const sweepEvery = 50 * sim.Millisecond
-
 // Maintenance is the handle over a running worker set.
 type Maintenance struct {
 	// GCSteps counts successful background GC victim collections.
 	GCSteps int64
-	// WearMoves counts cold-block migrations done by the sweep.
-	WearMoves int64
-	stopped   bool
-	idle      []*sim.WaitQueue // where the GC workers park, per region
+	stopped bool
+	idle    []*sim.WaitQueue // where the GC workers park, per region
 }
 
 // Stop halts the workers: the idle ones at once, the busy ones after
-// their step, the sweep at its next period.
+// the step in flight.
 func (m *Maintenance) Stop() {
 	m.stopped = true
 	for _, q := range m.idle {
@@ -59,11 +46,10 @@ func (m *Maintenance) Stop() {
 
 // StartMaintenance launches the DBMS's background flash-maintenance
 // processes on kernel k: one GC worker per region driving GCStep while
-// NeedsGC, plus — when gc also implements WearLeveler — a wear-leveling
-// sweep that each period migrates cold blocks in the region with the
-// widest erase-count spread. This is the paper's argument made
-// concrete: maintenance runs when the DBMS schedules it, not when
-// firmware decides mid-commit.
+// NeedsGC. Wear leveling rides on those collections (the volume moves a
+// cold block every few erases of a die), so the workers are all of it.
+// This is the paper's argument made concrete: maintenance runs when the
+// DBMS schedules it, not when firmware decides mid-commit.
 func StartMaintenance(k *sim.Kernel, gc GCDriver, cfg MaintConfig) *Maintenance {
 	mt := &Maintenance{}
 	fail := func(err error) {
@@ -92,38 +78,5 @@ func StartMaintenance(k *sim.Kernel, gc GCDriver, cfg MaintConfig) *Maintenance 
 			}
 		})
 	}
-	wl, ok := gc.(WearLeveler)
-	if !ok {
-		return mt
-	}
-	k.Go("wear-sweep", func(p *sim.Proc) {
-		rq := ioreq.Req{W: sim.ProcWaiter{P: p}, Class: ioreq.ClassGC}
-		for !mt.stopped {
-			//noftl:ignore timedretry the wear-leveling sweep runs on a period by design
-			p.Sleep(sweepEvery)
-			if mt.stopped {
-				return
-			}
-			// Sweep the region with the widest erase-count spread first;
-			// ties break toward the lowest region for determinism.
-			best, spread := -1, 0
-			for r := 0; r < gc.Regions(); r++ {
-				if s := wl.WearSpread(r); s > spread {
-					best, spread = r, s
-				}
-			}
-			if best < 0 {
-				continue
-			}
-			did, err := wl.WearLevelStep(rq, best)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if did {
-				mt.WearMoves++
-			}
-		}
-	})
 	return mt
 }

@@ -206,7 +206,9 @@ func TestResourceUse(t *testing.T) {
 	var done []Time
 	for i := 0; i < 3; i++ {
 		k.Go("u", func(p *Proc) {
-			r.Use(p, 7)
+			r.Acquire(p)
+			p.Sleep(7)
+			r.Release()
 			done = append(done, p.Now())
 		})
 	}
@@ -290,19 +292,6 @@ func TestQueueMultipleConsumersDrainBacklog(t *testing.T) {
 	k.Run()
 	if len(got) != 10 {
 		t.Errorf("consumed %d items, want 10: %v", len(got), got)
-	}
-}
-
-func TestQueueTryGet(t *testing.T) {
-	k := New()
-	q := NewQueue[string](k)
-	if _, ok := q.TryGet(); ok {
-		t.Error("TryGet on empty queue returned ok")
-	}
-	q.Put("x")
-	v, ok := q.TryGet()
-	if !ok || v != "x" {
-		t.Errorf("TryGet = %q,%v want x,true", v, ok)
 	}
 }
 
@@ -404,7 +393,9 @@ func TestDeterminism(t *testing.T) {
 			hold := Time(rng.Intn(200) + 1)
 			k.Go("w", func(p *Proc) {
 				p.Sleep(delay)
-				r.Use(p, hold)
+				r.Acquire(p)
+				p.Sleep(hold)
+				r.Release()
 				completions = append(completions, p.Now())
 			})
 		}

@@ -54,13 +54,3 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 	}
 	return v, true
 }
-
-// TryGet removes and returns the head item without blocking.
-func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if len(q.items) == 0 {
-		return v, false
-	}
-	v = q.items[0]
-	q.items = slices.Delete(q.items, 0, 1)
-	return v, true
-}

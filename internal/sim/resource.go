@@ -41,11 +41,3 @@ func (r *Resource) Release() {
 		r.inUse--
 	}
 }
-
-// Use acquires the resource, holds it for d of simulated time, and
-// releases it. It models a FCFS server with deterministic service time.
-func (r *Resource) Use(p *Proc, d Time) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release()
-}

@@ -407,7 +407,9 @@ func TestFIFOsKeepTheirBackingArray(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		k2.Go("user", func(p *Proc) {
 			for {
-				r.Use(p, 1)
+				r.Acquire(p)
+				p.Sleep(1)
+				r.Release()
 			}
 		})
 	}
@@ -420,13 +422,17 @@ func TestFIFOsKeepTheirBackingArray(t *testing.T) {
 // TestQueuePopReleasesItem: a delivered item must not stay reachable
 // through the queue's backing array.
 func TestQueuePopReleasesItem(t *testing.T) {
-	q := NewQueue[*int](New())
+	k := New()
+	q := NewQueue[*int](k)
 	a, b := new(int), new(int)
 	q.Put(a)
 	q.Put(b)
-	if v, _ := q.TryGet(); v != a {
-		t.Fatalf("TryGet = %p, want the first item %p", v, a)
-	}
+	k.Go("consumer", func(p *Proc) {
+		if v, _ := q.Get(p); v != a {
+			t.Errorf("Get = %p, want the first item %p", v, a)
+		}
+	})
+	k.Run()
 	if all := q.items[:2]; all[0] != b || all[1] != nil {
 		t.Errorf("backing array after one pop = %v, want [%p <nil>]", all, b)
 	}

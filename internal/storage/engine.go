@@ -37,8 +37,10 @@ type Engine struct {
 	cat    *catalog
 	alloc  *allocator
 	nextTx uint64
-	active map[uint64]*Tx
-	// spareTx holds finished transaction handles for Begin to reuse.
+	// txs holds every transaction handle the engine has made: the active
+	// ones are those not done. spareTx holds the finished ones for Begin
+	// to reuse.
+	txs     []*Tx
 	spareTx []*Tx
 
 	// prefetchWindow is the Scan read-ahead depth (EngineConfig).
@@ -104,7 +106,6 @@ func openEngine(ctx *IOCtx, e *Engine, cfg EngineConfig) (*Engine, error) {
 	}
 	e.lt = NewLockTable()
 	e.alloc = &allocator{limit: e.vol.Pages()}
-	e.active = map[uint64]*Tx{}
 	e.bp = NewBufferPool(e.vol, e.wal, cfg.BufferFrames)
 	if cfg.DeltaWrites {
 		e.bp.EnableDeltaWrites()
@@ -145,9 +146,11 @@ func (e *Engine) Checkpoint(ctx *IOCtx) error {
 	if err := e.bp.FlushSnapshot(ctx); err != nil {
 		return err
 	}
-	act := make(map[uint64]uint64, len(e.active))
-	for id, tx := range e.active {
-		act[id] = tx.firstLSN
+	act := make(map[uint64]uint64, len(e.txs)-len(e.spareTx))
+	for _, tx := range e.txs {
+		if !tx.done {
+			act[tx.id] = tx.firstLSN
+		}
 	}
 	redoStart := e.bp.MinRecLSN() // still-dirty pages need redo from here
 	if next := e.wal.NextLSN(); redoStart > next {

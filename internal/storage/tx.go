@@ -80,11 +80,11 @@ func (e *Engine) Begin() *Tx {
 	} else {
 		tx = new(Tx)
 		tx.locks, tx.undo = tx.lockBuf[:0], tx.undoBuf[:0]
+		e.txs = append(e.txs, tx)
 	}
 	tx.id, tx.done = e.nextTx, false
 	tx.locks, tx.undo, tx.deletes, tx.arena = tx.locks[:0], tx.undo[:0], tx.deletes[:0], tx.arena[:0]
 	tx.firstLSN = e.wal.Append(&LogRecord{Type: RecBegin, Tx: tx.id})
-	e.active[tx.id] = tx
 	return tx
 }
 
@@ -92,7 +92,6 @@ func (e *Engine) Begin() *Tx {
 func (e *Engine) finish(tx *Tx) {
 	tx.done = true
 	e.lt.releaseAll(tx.id, tx.locks)
-	delete(e.active, tx.id)
 	e.spareTx = append(e.spareTx, tx)
 }
 

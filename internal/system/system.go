@@ -618,8 +618,8 @@ func (s *System) OpenSession(tenant, store string) (*serve.Session, error) {
 }
 
 // StartMaintenance launches the background flash-maintenance workers
-// (GC per region plus the wear-leveling sweep) for a background-GC
-// system; it returns nil on stacks without a NoFTL volume or built
+// (one GC worker per region; wear leveling rides on their collections)
+// for a background-GC system; it returns nil on stacks without a NoFTL volume or built
 // without WithBackgroundGC. These workers are the only processes that
 // collect: without them GC runs inline, on the allocating path.
 func (s *System) StartMaintenance(cfg sched.MaintConfig) *sched.Maintenance {

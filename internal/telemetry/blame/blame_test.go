@@ -123,7 +123,7 @@ func TestAnalyzeDeterministic(t *testing.T) {
 		t.Fatalf("matrix differs across runs")
 	}
 	for _, render := range []func(*Report, *bytes.Buffer){
-		func(r *Report, w *bytes.Buffer) { w.WriteString(r.MatrixTable()) },
+		func(r *Report, w *bytes.Buffer) { w.WriteString(r.matrixTable(r.Cells)) },
 		func(r *Report, w *bytes.Buffer) { _ = r.WriteFolded(w) },
 		func(r *Report, w *bytes.Buffer) { _ = r.WriteJSON(w) },
 		func(r *Report, w *bytes.Buffer) { w.WriteString(r.SlowestTable(4)) },

@@ -19,9 +19,6 @@ func (r *Report) culpritLabel(c Culprit) string {
 	return fmt.Sprintf("%s:%s@die%d:%s", c.Class, r.tagName(c.Tag), c.Die, c.Kind)
 }
 
-// MatrixTable renders the full interference matrix.
-func (r *Report) MatrixTable() string { return r.matrixTable(r.Cells) }
-
 // TopTable renders the n largest matrix cells by blamed wait.
 func (r *Report) TopTable(n int) string {
 	cells := make([]Cell, len(r.Cells))
