@@ -14,7 +14,7 @@ func serveTestEngine(t *testing.T) (*storage.Engine, *storage.IOCtx) {
 	t.Helper()
 	ctx := storage.NewIOCtx(&sim.ClockWaiter{})
 	data := storage.NewMemVolume(4096, 1<<13)
-	log := storage.NewMemVolume(4096, 1<<12)
+	log := storage.NewMemVolume(4096, 1<<14) // a page per flush, no checkpointer
 	if err := storage.Format(ctx, data, log); err != nil {
 		t.Fatal(err)
 	}

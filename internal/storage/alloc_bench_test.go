@@ -146,7 +146,7 @@ func TestWALCodecZeroAlloc(t *testing.T) {
 		t.Errorf("decodeRecordInto: %v allocs/op, want 0", n)
 	}
 
-	w := NewWAL(NewMemVolume(4096, 1<<12))
+	w := NewWAL(ringOn(NewMemVolume(4096, 1<<12)))
 	w.tail = make([]byte, 0, 1<<16)
 	if n := testing.AllocsPerRun(100, func() {
 		w.Append(r)
@@ -160,7 +160,7 @@ func TestWALCodecZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkWALAppendAlloc(b *testing.B) {
-	w := NewWAL(NewMemVolume(4096, 1<<12))
+	w := NewWAL(ringOn(NewMemVolume(4096, 1<<12)))
 	rec := benchRecord()
 	r := &LogRecord{Type: RecHeapUpdate, Tx: 42, Page: 1337, Slot: 5,
 		Before: rec, After: rec}

@@ -318,7 +318,7 @@ func TestWritersDrainDirtyPages(t *testing.T) {
 	for _, assoc := range []WriterAssociation{AssocGlobal, AssocDieWise} {
 		k := sim.New()
 		data := NewMemVolume(512, 1024)
-		logv := NewMemVolume(512, 1024)
+		logv := NewMemVolume(512, 4096) // one log page per flush, no checkpoints
 		ctx := NewIOCtx(nil)
 		if err := Format(ctx, data, logv); err != nil {
 			t.Fatal(err)

@@ -53,22 +53,22 @@ type Engine struct {
 	Recovered bool
 }
 
-// Format initializes a fresh database on the data and log volumes.
+// Format initializes a fresh database on the data volume and an empty
+// log volume, hosting the log on a VolumeLog ring.
 func Format(ctx *IOCtx, dataVol, logVol Volume) error {
-	if err := formatData(ctx, dataVol); err != nil {
-		return err
-	}
-	w := NewWAL(logVol)
-	return w.WriteAnchor(ctx, 0)
+	return FormatLog(ctx, dataVol, NewVolumeLog(logVol))
 }
 
-// FormatFlashLog initializes a fresh database whose WAL lives on a
-// native append-only log region instead of a page volume.
-func FormatFlashLog(ctx *IOCtx, dataVol Volume, log AppendLog) error {
+// FormatLog initializes a fresh database on the data volume and an
+// empty append-only log.
+func FormatLog(ctx *IOCtx, dataVol Volume, log AppendLog) error {
 	if err := formatData(ctx, dataVol); err != nil {
 		return err
 	}
-	w := NewWALOnLog(log)
+	w := NewWAL(log)
+	if _, err := w.ReadAnchor(ctx); err != nil { // a ring learns its window
+		return err
+	}
 	return w.WriteAnchor(ctx, 0)
 }
 
@@ -84,23 +84,16 @@ func formatData(ctx *IOCtx, dataVol Volume) error {
 	return dataVol.WritePage(ctx, metaPageID, buf, HintHotData)
 }
 
-// Open mounts a database, running crash recovery if the log holds work
-// beyond the last checkpoint.
+// Open mounts a database whose log Format hosted on logVol, running
+// crash recovery if the log holds work beyond the last checkpoint.
 func Open(ctx *IOCtx, dataVol, logVol Volume, cfg EngineConfig) (*Engine, error) {
-	e := &Engine{vol: dataVol, wal: NewWAL(logVol)}
-	return openEngine(ctx, e, cfg)
+	return OpenLog(ctx, dataVol, NewVolumeLog(logVol), cfg)
 }
 
-// OpenFlashLog mounts a database whose WAL is hosted on a native
-// append-only log region — the one-flash-volume configuration where the
-// region manager places both the data pages and the ARIES log on the
-// same die array under per-region policies.
-func OpenFlashLog(ctx *IOCtx, dataVol Volume, log AppendLog, cfg EngineConfig) (*Engine, error) {
-	e := &Engine{vol: dataVol, wal: NewWALOnLog(log)}
-	return openEngine(ctx, e, cfg)
-}
-
-func openEngine(ctx *IOCtx, e *Engine, cfg EngineConfig) (*Engine, error) {
+// OpenLog mounts a database whose WAL lives on log, running crash
+// recovery if the log holds work beyond the last checkpoint.
+func OpenLog(ctx *IOCtx, dataVol Volume, log AppendLog, cfg EngineConfig) (*Engine, error) {
+	e := &Engine{vol: dataVol, wal: NewWAL(log)}
 	if cfg.BufferFrames <= 0 {
 		cfg.BufferFrames = 256
 	}

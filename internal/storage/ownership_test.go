@@ -453,7 +453,7 @@ func (v *classLog) WritePage(ctx *IOCtx, id PageID, data []byte, h WriteHint) er
 // flush class.
 func TestWALFlushAllocatesNothing(t *testing.T) {
 	vol := &classLog{Volume: touchedMemVolume(4096), classes: make([]ioreq.Class, 0, 1024)}
-	w := NewWAL(vol)
+	w := NewWAL(ringOn(vol))
 	rec := &LogRecord{Type: RecCommit, Tx: 1}
 	for _, tc := range []struct {
 		name  string

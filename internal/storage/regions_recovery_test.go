@@ -34,10 +34,10 @@ func newRegionEngine(t *testing.T) (*Engine, *IOCtx, *flash.Device, []region.Spe
 	data := NewNoFTLVolume(dataRegion.Vol)
 	log := NewFlashLog(walRegion.Log)
 	ctx := NewIOCtx(nil)
-	if err := FormatFlashLog(ctx, data, log); err != nil {
+	if err := FormatLog(ctx, data, log); err != nil {
 		t.Fatal(err)
 	}
-	e, err := OpenFlashLog(ctx, data, log, EngineConfig{BufferFrames: 16})
+	e, err := OpenLog(ctx, data, log, EngineConfig{BufferFrames: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func crashAndReopenRegions(t *testing.T, dev *flash.Device, layout []region.Spec
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := OpenFlashLog(ctx, NewNoFTLVolume(dataRegion.Vol), NewFlashLog(walRegion.Log),
+	e, err := OpenLog(ctx, NewNoFTLVolume(dataRegion.Vol), NewFlashLog(walRegion.Log),
 		EngineConfig{BufferFrames: 16})
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)

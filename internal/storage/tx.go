@@ -97,11 +97,22 @@ func (e *Engine) finish(tx *Tx) {
 
 // Commit applies deferred deletes, makes the transaction durable (group
 // commit) and releases its locks. While the log is three quarters full
-// it first waits for the next checkpoint (WAL back-pressure); the
-// checkpointer itself never commits, so it never waits here.
+// a process first waits for the next checkpoint (WAL back-pressure); the
+// checkpointer itself never commits, so it never waits here; a
+// processless caller checkpoints itself instead.
 func (e *Engine) Commit(ctx *IOCtx, tx *Tx) error {
 	if tx.done {
 		return ErrTxDone
+	}
+	if ctx.W.Proc() == nil && e.wal.tight() && e.wal.SinceAnchor()*4 >= e.wal.Capacity() {
+		// A serial caller cannot wait for a checkpointer, and every
+		// flush takes a page of its own: it anchors the log itself. Not
+		// again before a quarter of the log is written, though: while an
+		// open transaction pins the recovery horizon, a checkpoint frees
+		// nothing and would only spend pages.
+		if err := e.Checkpoint(ctx); err != nil {
+			return err
+		}
 	}
 	e.wal.awaitRoom(ctx.W)
 	for _, d := range tx.deletes {

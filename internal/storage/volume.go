@@ -160,10 +160,12 @@ func (v *MemVolume) WriteDeltaPage(ctx *IOCtx, id PageID, payload []byte) error 
 	return delta.Apply(v.pages[id], payload)
 }
 
-// Deallocate implements Volume.
+// Deallocate implements Volume. The page reads as zeros again but keeps
+// its memory, so a rewritten page — a log ring's next lap — allocates
+// nothing.
 func (v *MemVolume) Deallocate(id PageID) {
 	if id >= 0 && int64(id) < int64(len(v.pages)) {
-		v.pages[id] = nil
+		clear(v.pages[id])
 	}
 }
 

@@ -147,9 +147,19 @@ func (f *FlashLog) Append(ctx *IOCtx, data []byte) (int64, error) {
 	return pos, err
 }
 
-// ReadAt implements AppendLog.
-func (f *FlashLog) ReadAt(ctx *IOCtx, pos int64, buf []byte) error {
-	return spanVolume(ctx, func() error { return f.L.ReadAt(ctx.Req(), pos, buf) })
+// Scan implements AppendLog: the window in position order.
+func (f *FlashLog) Scan(ctx *IOCtx, fn func(int64, []byte) error) error {
+	head, next := f.Bounds()
+	buf := make([]byte, f.PageSize())
+	for pos := head; pos < next; pos++ {
+		if err := spanVolume(ctx, func() error { return f.L.ReadAt(ctx.Req(), pos, buf) }); err != nil {
+			return err
+		}
+		if err := fn(pos, buf); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Truncate implements AppendLog.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,14 +12,15 @@ import (
 	"noftl/internal/sim"
 )
 
-// Write-ahead log. Records form a byte stream segmented into log pages
-// on a dedicated log volume (volume page 0 is the anchor; stream page i
-// lives at volume page 1 + i mod (pages-1), so the log wraps after
-// checkpoints reclaim it).
+// Write-ahead log. Records form a byte stream; LSNs are stream byte
+// offsets. The stream lives on an append-only log (AppendLog,
+// wal_flash.go) in one format: each flush appends the pending bytes as
+// fresh self-describing pages, a checkpoint appends an anchor page and
+// truncates the log below the recovery horizon, and restart finds the
+// newest anchor by scanning the retained window. No page is rewritten.
 //
-// Log page layout: u64 streamPageIndex | u32 used | payload.
-// Record layout:   u32 len | u8 type | u64 lsn | u64 txid | body.
-// Records may span pages. LSNs are stream byte offsets.
+// Record layout: u32 len | u8 type | u64 lsn | u64 txid | body.
+// Records may span pages.
 //
 // Transaction id 0 is the system transaction: its records are redo-only
 // (never undone) — used for structural changes (page formats, B-tree
@@ -69,14 +71,35 @@ type RID struct {
 // String renders "page.slot".
 func (r RID) String() string { return fmt.Sprintf("%d.%d", r.Page, r.Slot) }
 
-const logPageHeader = 12
+// Log page layout: u32 magic | u32 flags | u64 startLSN | u32 used |
+// payload. A stream page carries used payload bytes of the stream from
+// startLSN on. An anchor page (flag logAnchor) carries the checkpoint
+// LSN in startLSN and, as its payload, the u64 log position the
+// checkpoint truncated the log to.
+const (
+	logHeader = 20
+	logMagic  = 0x574C4F47 // "WLOG"
+	logAnchor = 1 << 0
+)
+
+// logPageRef locates one flushed stream page (for truncation).
+type logPageRef struct {
+	pos int64
+	lsn uint64 // startLSN of the page
+}
+
+// scanPage is one stream page cached by the recovery scan.
+type scanPage struct {
+	pos  int64
+	lsn  uint64
+	data []byte // payload (used bytes only)
+}
 
 // WAL is the write-ahead log manager.
 type WAL struct {
-	vol     Volume
+	log     AppendLog
 	payload int
-	// tail holds unflushed stream bytes starting at tailLSN (always
-	// aligned to a payload boundary so partial pages can be rebuilt).
+	// tail holds unflushed stream bytes starting at tailLSN.
 	tail    []byte
 	tailLSN uint64
 	nextLSN uint64
@@ -86,26 +109,20 @@ type WAL struct {
 	flushed  sim.WaitQueue // committers waiting for the flush in flight to end
 	lead     IOCtx         // the leader's descriptor when its class is not the flush's
 	// flushBuf is the one page every flush formats into. One is enough:
-	// flushing admits a single flusher at a time, and the volume or log
-	// copies the page before its write returns.
+	// flushing admits a single flusher at a time, and the log copies the
+	// page before its append returns.
 	flushBuf []byte
-	// anchor is the LSN the last checkpoint anchored; the stream page
-	// holding it must never be overwritten by the wrap.
-	anchor uint64
+	// anchor is the LSN the last checkpoint anchored and anchorPos the
+	// log position of its anchor page.
+	anchor    uint64
+	anchorPos int64
 	// anchored holds committers back while the log is three quarters
 	// full (awaitRoom); the next anchor releases them.
 	anchored sim.WaitQueue
-
-	// Recovery scan scratch (RecoverScan fills, Adopt consumes).
-	recStream []byte
-	recStart  uint64
-
-	// Append-only mode (wal_flash.go): the WAL lives on a native flash
-	// log region instead of a rewritable page volume. vol is nil.
-	alog      AppendLog
-	anchorPos int64          // position of the newest anchor page
-	pageIdx   []flashPageRef // flushed live stream pages
-	scanPages []flashScanPage
+	// pageIdx lists the flushed live stream pages; scanPages caches the
+	// stream pages ReadAnchor found, for RecoverScan.
+	pageIdx   []logPageRef
+	scanPages []scanPage
 
 	// Stats.
 	Appends     int64
@@ -114,33 +131,30 @@ type WAL struct {
 	BytesLogged int64
 }
 
-// NewWAL creates a WAL on an empty log volume.
-func NewWAL(vol Volume) *WAL {
-	return &WAL{vol: vol, payload: vol.PageSize() - logPageHeader, flushBuf: make([]byte, vol.PageSize())}
+// NewWAL creates a WAL on log.
+func NewWAL(log AppendLog) *WAL {
+	return &WAL{log: log, payload: log.PageSize() - logHeader, flushBuf: make([]byte, log.PageSize())}
 }
 
 // NextLSN returns the LSN the next record will get.
 func (w *WAL) NextLSN() uint64 { return w.nextLSN }
 
-// Capacity returns the log volume's stream capacity in bytes; once
-// NextLSN outruns the last checkpoint anchor by this much, flushing
-// fails with ErrLogFull.
+// Capacity returns the log's capacity in payload bytes; SinceAnchor
+// reaching it means the log is full.
 func (w *WAL) Capacity() uint64 {
-	if w.alog != nil {
-		return w.flashCapacity()
-	}
-	return uint64(w.vol.Pages()-1) * uint64(w.payload)
+	return uint64(w.log.Pages()) * uint64(w.payload)
 }
 
-// SinceAnchor returns the stream bytes appended since the last
-// checkpoint anchor — checkpoint schedulers compare it to Capacity. In
-// append-only mode it measures consumed pages (partial flush pages
-// count whole), so the ratio against Capacity stays honest.
+// SinceAnchor returns the log consumed since the last checkpoint anchor
+// — checkpoint schedulers compare it to Capacity. It counts pages
+// (partial flush pages count whole), so the ratio against Capacity
+// stays honest.
 func (w *WAL) SinceAnchor() uint64 {
-	if w.alog != nil {
-		return w.flashSinceAnchor()
+	_, next := w.log.Bounds()
+	if next <= w.anchorPos {
+		return 0
 	}
-	return w.nextLSN - w.anchor
+	return uint64(next-w.anchorPos) * uint64(w.payload)
 }
 
 // Append encodes r, assigns it the next LSN and buffers it. The record
@@ -241,12 +255,7 @@ func (w *WAL) doFlush(ctx *IOCtx, upTo uint64, cl ioreq.Class) error {
 			w.lead.Class = cl
 			lead = &w.lead
 		}
-		var err error
-		if w.alog != nil {
-			err = w.writeFlashPages(lead, target)
-		} else {
-			err = w.writePages(lead, target)
-		}
+		err := w.writePages(lead, target)
 		w.flushing = false
 		w.flushed.Wake()
 		if err != nil {
@@ -256,46 +265,46 @@ func (w *WAL) doFlush(ctx *IOCtx, upTo uint64, cl ioreq.Class) error {
 	return nil
 }
 
-// writePages writes the stream pages covering [durable, target).
+// writePages persists the stream bytes [durable, target) as fresh
+// self-describing pages.
 func (w *WAL) writePages(ctx *IOCtx, target uint64) error {
 	if target <= w.durable {
 		return nil
 	}
-	firstPage := w.durable / uint64(w.payload)
-	lastPage := (target - 1) / uint64(w.payload)
-	// The wrap must not reach the stream page the anchor still needs:
-	// recovery reads from the anchored checkpoint forward.
-	capacityPages := uint64(w.vol.Pages() - 1)
-	if lastPage >= w.anchor/uint64(w.payload)+capacityPages {
-		return fmt.Errorf("%w: lsn %d would overwrite checkpoint at %d", ErrLogFull, target, w.anchor)
-	}
 	buf := w.flushBuf
-	for pg := firstPage; pg <= lastPage; pg++ {
-		start := pg * uint64(w.payload)
+	for start := w.durable; start < target; {
+		if head, next := w.log.Bounds(); next-head >= w.log.Pages()-1 {
+			// The last free page is the next anchor's: without it the
+			// log could never be reclaimed.
+			return fmt.Errorf("%w: lsn %d would take the next anchor's page", ErrLogFull, start)
+		}
+		n := uint64(w.payload)
+		if start+n > target {
+			n = target - start
+		}
 		if start < w.tailLSN {
 			return fmt.Errorf("storage: wal tail lost lsn %d (tail starts %d)", start, w.tailLSN)
 		}
 		off := start - w.tailLSN
-		n := uint64(w.payload)
-		if start+n > w.nextLSN {
-			n = w.nextLSN - start
-		}
 		clear(buf)
-		binary.LittleEndian.PutUint64(buf[0:], pg)
-		binary.LittleEndian.PutUint32(buf[8:], uint32(n))
-		copy(buf[logPageHeader:], w.tail[off:off+n])
-		// Log pages are a sequential short-lived stream, not hot data:
-		// volumes with placement support keep them on their own frontier.
-		if err := w.vol.WritePage(ctx, w.volPage(pg), buf, HintLog); err != nil {
+		binary.LittleEndian.PutUint32(buf[0:], logMagic)
+		binary.LittleEndian.PutUint32(buf[4:], 0)
+		binary.LittleEndian.PutUint64(buf[8:], start)
+		binary.LittleEndian.PutUint32(buf[16:], uint32(n))
+		copy(buf[logHeader:], w.tail[off:off+n])
+		pos, err := w.log.Append(ctx, buf)
+		if err != nil {
 			return err
 		}
+		w.pageIdx = append(w.pageIdx, logPageRef{pos: pos, lsn: start})
 		w.PagesOut++
+		start += n
 	}
 	w.Flushes++
 	w.durable = target
-	// Drop tail bytes before the page containing durable.
-	keepFrom := (w.durable / uint64(w.payload)) * uint64(w.payload)
-	w.dropTailBelow(keepFrom)
+	// Pages are never rewritten, so no tail bytes need to be retained
+	// below durable.
+	w.dropTailBelow(w.durable)
 	return nil
 }
 
@@ -311,31 +320,19 @@ func (w *WAL) dropTailBelow(lsn uint64) {
 	}
 }
 
-// volPage maps a stream page index to a log-volume page (page 0 is the
-// anchor).
-func (w *WAL) volPage(streamPage uint64) PageID {
-	n := w.vol.Pages() - 1
-	return PageID(1 + int64(streamPage)%n)
-}
-
-// Anchor persistence: {magic, checkpointLSN}.
-const walMagic = 0x4e6f46544c57414c // "NoFTLWAL"
-
-// WriteAnchor records the checkpoint LSN: on the fixed anchor page
-// (page-volume mode) or as an appended anchor page followed by log
-// truncation (append-only mode). Truncation keeps everything from the
-// checkpoint LSN on; when recovery may need earlier records (fuzzy
-// checkpoints with dirty pages or active transactions), use
-// WriteAnchorKeep.
+// WriteAnchor records the checkpoint LSN as an appended anchor page and
+// truncates the log below the page holding it. When recovery may need
+// earlier records (fuzzy checkpoints with dirty pages or active
+// transactions), use WriteAnchorKeep.
 func (w *WAL) WriteAnchor(ctx *IOCtx, checkpointLSN uint64) error {
 	return w.WriteAnchorKeep(ctx, checkpointLSN, checkpointLSN)
 }
 
-// WriteAnchorKeep records the checkpoint anchor and bounds append-mode
-// truncation: every record with LSN >= keepLSN stays readable. keepLSN
-// is the recovery horizon — min(redo start bound, oldest active
-// transaction's first LSN). Page-volume mode ignores keepLSN (the wrap
-// guard keeps a full capacity of history past the anchor).
+// WriteAnchorKeep appends the checkpoint anchor and truncates the log
+// below the recovery horizon — the log's whole garbage collection.
+// Every record with LSN >= keepLSN stays readable; keepLSN is the oldest
+// LSN recovery can still ask for: min(redo start bound, oldest active
+// transaction's first LSN).
 //
 // The anchor page dispatches at the caller's background log class
 // (bgLogClass).
@@ -344,82 +341,145 @@ func (w *WAL) WriteAnchorKeep(ctx *IOCtx, checkpointLSN, keepLSN uint64) error {
 	if cl := bgLogClass(ctx.Class); cl != ctx.Class {
 		ctx = ctx.WithClass(cl) // one derived context per checkpoint
 	}
-	if keepLSN > checkpointLSN {
-		keepLSN = checkpointLSN
+	keepLSN = min(keepLSN, checkpointLSN)
+	// Recovery reads from the page containing keepLSN: the last flushed
+	// page whose startLSN <= keepLSN. Everything before it is dead; with
+	// no such page, only the anchor itself stays.
+	_, next := w.log.Bounds()
+	keep := next
+	for i := len(w.pageIdx) - 1; i >= 0; i-- {
+		if w.pageIdx[i].lsn <= keepLSN {
+			keep = w.pageIdx[i].pos
+			break
+		}
 	}
-	if w.alog != nil {
-		return w.writeFlashAnchor(ctx, checkpointLSN, keepLSN)
+	buf := make([]byte, w.log.PageSize())
+	binary.LittleEndian.PutUint32(buf[0:], logMagic)
+	binary.LittleEndian.PutUint32(buf[4:], logAnchor)
+	binary.LittleEndian.PutUint64(buf[8:], checkpointLSN)
+	binary.LittleEndian.PutUint64(buf[logHeader:], uint64(keep))
+	pos, err := w.log.Append(ctx, buf)
+	if err != nil {
+		return err
 	}
 	w.anchor = checkpointLSN
-	buf := make([]byte, w.vol.PageSize())
-	binary.LittleEndian.PutUint64(buf[0:], walMagic)
-	binary.LittleEndian.PutUint64(buf[8:], checkpointLSN)
-	binary.LittleEndian.PutUint64(buf[16:], w.nextLSN)
-	return w.vol.WritePage(ctx, 0, buf, HintLog)
+	w.anchorPos = pos
+	if keep == next {
+		keep = pos
+	}
+	w.pageIdx = slices.DeleteFunc(w.pageIdx, func(ref logPageRef) bool { return ref.pos < keep })
+	return w.log.Truncate(ctx, keep)
 }
 
-// awaitRoom is the log's back-pressure on committers: while three
-// quarters of its capacity are held, a process waits for the next
-// anchor, so the log cannot wrap into live records. A page volume holds
-// what lies past the anchor; a flash region holds every page back to the
-// recovery horizon, which precedes the anchor by what the checkpoint's
-// own flush let the log grow. A processless waiter just goes on.
+// tight reports whether three quarters of the log's pages are held. The
+// log holds every page back to the recovery horizon, which precedes the
+// anchor by what the checkpoint's own flush let the log grow.
+func (w *WAL) tight() bool {
+	head, next := w.log.Bounds()
+	return uint64(next-head)*4 >= uint64(w.log.Pages())*3
+}
+
+// awaitRoom is the log's back-pressure on committers: while the log is
+// tight, a process waits for the next anchor, so the log cannot fill
+// with live records. A processless waiter just goes on.
 func (w *WAL) awaitRoom(wait sim.Waiter) {
-	for wait.Proc() != nil {
-		held := w.SinceAnchor()
-		if w.alog != nil {
-			head, next := w.alog.Bounds()
-			held = uint64(next-head) * uint64(w.payload)
-		}
-		if held*4 < w.Capacity()*3 {
-			return
-		}
+	for wait.Proc() != nil && w.tight() {
 		w.anchored.Wait(wait, 0)
 	}
 }
 
-// ReadAnchor returns the last checkpoint LSN (0 on a fresh log).
+// ReadAnchor returns the last checkpoint LSN (0 on a fresh log). It
+// scans the log once: it finds the newest anchor, re-applies its
+// truncation — a restart may bring back pages truncated before it — and
+// keeps the live stream pages, in position order, for RecoverScan and
+// for later truncation. Pages a scan passes from below the window are
+// older than its newest anchor, so they never win.
 func (w *WAL) ReadAnchor(ctx *IOCtx) (uint64, error) {
-	if w.alog != nil {
-		return w.readFlashAnchor(ctx)
-	}
-	buf := make([]byte, w.vol.PageSize())
-	if err := w.vol.ReadPage(ctx, 0, buf); err != nil {
+	w.anchor, w.anchorPos, w.scanPages = 0, -1, nil
+	keep := int64(0)
+	err := w.log.Scan(ctx, func(pos int64, buf []byte) error {
+		if binary.LittleEndian.Uint32(buf[0:]) != logMagic {
+			return nil // unformatted page (fresh region)
+		}
+		startLSN := binary.LittleEndian.Uint64(buf[8:])
+		if binary.LittleEndian.Uint32(buf[4:])&logAnchor != 0 {
+			if startLSN > w.anchor || startLSN == w.anchor && pos > w.anchorPos {
+				w.anchor, w.anchorPos = startLSN, pos
+				keep = int64(binary.LittleEndian.Uint64(buf[logHeader:]))
+			}
+		} else if used := binary.LittleEndian.Uint32(buf[16:]); used > 0 && int(used) <= w.payload {
+			w.scanPages = append(w.scanPages, scanPage{
+				pos: pos, lsn: startLSN,
+				data: append([]byte(nil), buf[logHeader:logHeader+used]...),
+			})
+		}
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
-	if binary.LittleEndian.Uint64(buf[0:]) != walMagic {
-		return 0, nil
+	head, _ := w.log.Bounds()
+	w.anchorPos = max(w.anchorPos, head)
+	if keep > head {
+		if err := w.log.Truncate(ctx, keep); err != nil {
+			return 0, err
+		}
 	}
-	w.anchor = binary.LittleEndian.Uint64(buf[8:])
+	keep = max(keep, head)
+	w.scanPages = slices.DeleteFunc(w.scanPages, func(p scanPage) bool { return p.pos < keep })
+	slices.SortFunc(w.scanPages, func(a, b scanPage) int { return cmp.Compare(a.pos, b.pos) })
+	w.pageIdx = w.pageIdx[:0]
+	for _, p := range w.scanPages {
+		w.pageIdx = append(w.pageIdx, logPageRef{pos: p.pos, lsn: p.lsn})
+	}
 	return w.anchor, nil
 }
 
 // RecoverScan reads records from lsn, returning them together with the
-// stream end (the LSN right after the last good record). The scanned
-// bytes are retained so Adopt can resume appending seamlessly.
+// stream end (the LSN right after the last good record), from the
+// stream pages ReadAnchor cached.
 func (w *WAL) RecoverScan(ctx *IOCtx, lsn uint64) ([]*LogRecord, uint64, error) {
-	if w.alog != nil {
-		return w.flashRecoverScan(ctx, lsn)
-	}
-	var stream []byte
-	streamStart := (lsn / uint64(w.payload)) * uint64(w.payload)
-	buf := make([]byte, w.vol.PageSize())
-	for pg := streamStart / uint64(w.payload); ; pg++ {
-		if err := w.vol.ReadPage(ctx, w.volPage(pg), buf); err != nil {
+	if w.scanPages == nil {
+		if _, err := w.ReadAnchor(ctx); err != nil {
 			return nil, 0, err
 		}
-		gotIdx := binary.LittleEndian.Uint64(buf[0:])
-		used := binary.LittleEndian.Uint32(buf[8:])
-		if gotIdx != pg || used == 0 || int(used) > w.payload {
-			break
-		}
-		stream = append(stream, buf[logPageHeader:logPageHeader+used]...)
-		if int(used) < w.payload {
-			break // last, partially filled page
+	}
+	// Reassemble the stream in position (append) order. A flush that
+	// failed mid-loop leaves orphan pages whose LSNs a later retry
+	// re-appended, so a page may re-cover bytes an earlier page already
+	// supplied: the later (newer) copy wins — it is spliced in at its
+	// own offset and the stream re-extends from there.
+	var stream []byte
+	var streamStart uint64
+	found := false
+scan:
+	for _, p := range w.scanPages {
+		covers := lsn >= p.lsn && lsn < p.lsn+uint64(len(p.data))
+		switch {
+		case !found:
+			if covers {
+				found = true
+				streamStart = p.lsn
+				stream = append(stream, p.data...)
+			}
+		case p.lsn < streamStart:
+			// A retry restarted below our scan start; re-anchor on the
+			// newer copy when it covers the requested LSN.
+			if covers {
+				streamStart = p.lsn
+				stream = append(stream[:0], p.data...)
+			}
+		case p.lsn <= streamStart+uint64(len(stream)):
+			// Overlapping or contiguous: splice the newer bytes in.
+			stream = append(stream[:p.lsn-streamStart], p.data...)
+		default:
+			break scan // stream gap: nothing durable follows
 		}
 	}
-	w.recStream = stream
-	w.recStart = streamStart
+	if !found {
+		// lsn is at (or past) the stream end: nothing to replay.
+		return nil, lsn, nil
+	}
 	recs, end := decodeStream(stream, streamStart, lsn)
 	return recs, end, nil
 }
@@ -442,25 +502,12 @@ func decodeStream(stream []byte, streamStart, lsn uint64) ([]*LogRecord, uint64)
 }
 
 // Adopt resumes the log at end (the value RecoverScan returned): new
-// records append right after the recovered stream.
+// records append right after the recovered stream. Pages are
+// self-describing, so no partial-page bytes need reconstructing.
 func (w *WAL) Adopt(end uint64) {
-	if w.alog != nil {
-		// Append-only pages are self-describing; no partial-page bytes
-		// need reconstructing.
-		w.nextLSN, w.durable, w.tailLSN = end, end, end
-		w.tail = nil
-		w.scanPages = nil
-		return
-	}
-	boundary := (end / uint64(w.payload)) * uint64(w.payload)
-	w.nextLSN = end
-	w.durable = end
-	w.tailLSN = boundary
+	w.nextLSN, w.durable, w.tailLSN = end, end, end
 	w.tail = nil
-	if boundary >= w.recStart && end >= boundary && end-w.recStart <= uint64(len(w.recStream)) {
-		w.tail = append([]byte(nil), w.recStream[boundary-w.recStart:end-w.recStart]...)
-	}
-	w.recStream = nil
+	w.scanPages = nil
 }
 
 // --- record encoding ---

@@ -9,46 +9,20 @@ import (
 	"noftl/internal/sim"
 )
 
-// memLog is an in-memory AppendLog over preallocated pages that wraps
-// silently: enough for tests that look at the WAL's own behaviour and
-// read back less than one lap.
-type memLog struct {
-	pages [][]byte
-	next  int64
-	delay sim.Time
-}
-
-func newMemLog(pageSize, pages int) *memLog {
-	m := &memLog{pages: make([][]byte, pages)}
-	for i := range m.pages {
-		m.pages[i] = make([]byte, pageSize)
+// ringOn opens a VolumeLog ring on vol.
+func ringOn(vol Volume) *VolumeLog {
+	r := NewVolumeLog(vol)
+	if err := r.Scan(NewIOCtx(nil), func(int64, []byte) error { return nil }); err != nil {
+		panic(err) // a memory volume never fails a read
 	}
-	return m
+	return r
 }
 
-func (m *memLog) slot(pos int64) []byte { return m.pages[pos%int64(len(m.pages))] }
-
-func (m *memLog) PageSize() int { return len(m.pages[0]) }
-func (m *memLog) Pages() int64  { return int64(len(m.pages)) }
-func (m *memLog) Append(ctx *IOCtx, data []byte) (int64, error) {
-	pos := m.next
-	m.next++
-	copy(m.slot(pos), data)
-	ctx.W.WaitUntil(ctx.W.Now() + m.delay)
-	return pos, nil
-}
-func (m *memLog) ReadAt(_ *IOCtx, pos int64, buf []byte) error {
-	copy(buf, m.slot(pos))
-	return nil
-}
-func (m *memLog) Truncate(*IOCtx, int64) error { return nil }
-func (m *memLog) Bounds() (int64, int64)       { return max(0, m.next-int64(len(m.pages))), m.next }
-
-// walModes runs fn once per WAL mode. reopen returns a fresh WAL over the
-// same medium, the way a restart would; delay is what one page write
-// costs a simulated process.
+// walModes runs fn on a WAL over a ring on a memory volume. reopen
+// returns a fresh WAL over the same volume, the way a restart would;
+// delay is what one page write costs a simulated process.
 func walModes(t *testing.T, pageSize, pages int, delay sim.Time, fn func(t *testing.T, w *WAL, reopen func() *WAL)) {
-	t.Run("page-volume", func(t *testing.T) {
+	t.Run("append-only", func(t *testing.T) {
 		mem := NewMemVolume(pageSize, int64(pages))
 		zero := make([]byte, pageSize)
 		for id := 0; id < pages; id++ { // MemVolume allocates a page on its first write
@@ -57,14 +31,9 @@ func walModes(t *testing.T, pageSize, pages int, delay sim.Time, fn func(t *test
 			}
 		}
 		vol := &DelayVolume{Volume: mem, WriteDelay: delay}
-		fn(t, NewWAL(vol), func() *WAL { return NewWAL(vol) })
-	})
-	t.Run("append-only", func(t *testing.T) {
-		log := newMemLog(pageSize, pages)
-		log.delay = delay
-		w := NewWALOnLog(log)
-		w.pageIdx = make([]flashPageRef, 0, 4*pages) // grows by one entry per flushed page
-		fn(t, w, func() *WAL { return NewWALOnLog(log) })
+		w := NewWAL(ringOn(vol))
+		w.pageIdx = make([]logPageRef, 0, 4*pages) // grows by one entry per flushed page
+		fn(t, w, func() *WAL { return NewWAL(ringOn(vol)) })
 	})
 }
 

@@ -16,8 +16,7 @@ import (
 )
 
 func newTestWAL() (*WAL, *IOCtx) {
-	vol := NewMemVolume(512, 256)
-	return NewWAL(vol), NewIOCtx(nil)
+	return NewWAL(ringOn(NewMemVolume(512, 256))), NewIOCtx(nil)
 }
 
 // ScanFrom reads the durable stream starting at lsn and decodes records
@@ -138,14 +137,15 @@ func TestWALAnchor(t *testing.T) {
 }
 
 func TestWALAdoptResumesAppend(t *testing.T) {
-	w, ctx := newTestWAL()
+	vol := NewMemVolume(512, 256)
+	w, ctx := NewWAL(ringOn(vol)), NewIOCtx(nil)
 	w.Append(&LogRecord{Type: RecBegin, Tx: 1})
 	w.Append(&LogRecord{Type: RecCommit, Tx: 1})
 	if err := w.Flush(ctx, w.NextLSN()); err != nil {
 		t.Fatal(err)
 	}
 	// Second WAL instance (restart) adopts the stream and appends more.
-	w2 := NewWAL(w.vol)
+	w2 := NewWAL(ringOn(vol))
 	recs, end, err := w2.RecoverScan(ctx, 0)
 	if err != nil || len(recs) != 2 {
 		t.Fatalf("recover scan: %d recs, %v", len(recs), err)
@@ -195,8 +195,9 @@ func TestWALWrapAroundWithCheckpoints(t *testing.T) {
 	}
 	tbl, _ := e.CreateTable(ctx, "t")
 	idx, _ := e.CreateIndex(ctx, "pk")
-	// Log payload ≈ 500B/page × 31 pages ≈ 15KB; each tx logs ~100B, so
-	// 600 txs wrap the log several times.
+	// Every flush takes a page of its own and each commit flushes, so
+	// 600 txs wrap the 32-page ring many times; between the explicit
+	// checkpoints the serial committer anchors the log itself.
 	for i := 0; i < 600; i++ {
 		tx := e.Begin()
 		rid, err := e.Insert(ctx, tx, tbl, []byte{byte(i), byte(i >> 8), 3, 4, 5, 6, 7, 8})
@@ -236,8 +237,8 @@ func TestWALWrapAroundWithCheckpoints(t *testing.T) {
 }
 
 func TestWALRefusesToOverwriteCheckpoint(t *testing.T) {
-	logv := NewMemVolume(512, 9) // 8 stream pages of 500B payload
-	w := NewWAL(logv)
+	logv := NewMemVolume(512, 9) // 9 ring pages of 484B payload
+	w := NewWAL(ringOn(logv))
 	ctx := NewIOCtx(nil)
 	if err := w.WriteAnchor(ctx, 0); err != nil {
 		t.Fatal(err)
@@ -309,9 +310,10 @@ func TestFlushBgCallSites(t *testing.T) {
 	}
 }
 
-// TestCommitWaitsForTheAnchor: once three quarters of the log lie past
-// the last anchor, a committer parks instead of wrapping into live
-// records, and the checkpoint's anchor releases it at that instant.
+// TestCommitWaitsForTheAnchor: once three quarters of the log are held
+// (every page back to the recovery horizon), a committer parks instead
+// of filling the log with live records, and the checkpoint's anchor
+// releases it at that instant.
 func TestCommitWaitsForTheAnchor(t *testing.T) {
 	data, logv := NewMemVolume(512, 256), NewMemVolume(512, 16)
 	ctx := NewIOCtx(nil)
@@ -337,7 +339,7 @@ func TestCommitWaitsForTheAnchor(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if wal.SinceAnchor()*4 >= wal.Capacity()*3 {
+			if head, next := wal.log.Bounds(); (next-head)*4 >= wal.log.Pages()*3 {
 				parkedAt = p.Now()
 			}
 			if err := e.Commit(c, tx); err != nil {
@@ -358,5 +360,77 @@ func TestCommitWaitsForTheAnchor(t *testing.T) {
 	k.Run()
 	if parkedAt == 0 || parkedAt >= anchorAt || resumedAt != anchorAt {
 		t.Fatalf("commit began at %v and returned at %v; want it held from before %v to exactly then", parkedAt, resumedAt, anchorAt)
+	}
+}
+
+// TestSerialCommitterAnchorsTheLog: a committer without a process cannot
+// park for a checkpointer. Once the log is tight it checkpoints itself,
+// so a serial run that commits far more flushes than the log has pages
+// never fills it.
+func TestSerialCommitterAnchorsTheLog(t *testing.T) {
+	data, logv := NewMemVolume(512, 256), NewMemVolume(512, 64)
+	ctx := NewIOCtx(nil)
+	if err := Format(ctx, data, logv); err != nil {
+		t.Fatal(err)
+	}
+	e, err := Open(ctx, data, logv, EngineConfig{BufferFrames: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := e.CreateTable(ctx, "t")
+	for i := 0; i < 400; i++ {
+		tx := e.Begin()
+		if _, err := e.Insert(ctx, tx, tbl, make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Commit(ctx, tx); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+	}
+	if out := e.Log().PagesOut; out <= 64 {
+		t.Fatalf("%d log pages written; the run never lapped the 64-page log", out)
+	}
+}
+
+// TestSerialCommitterSparesAPinnedLog: while an open transaction pins
+// the recovery horizon a checkpoint frees nothing, so a serial committer
+// on a tight log anchors it at most once per quarter of the log written,
+// not at every commit.
+func TestSerialCommitterSparesAPinnedLog(t *testing.T) {
+	const logPages = 256
+	data, logv := NewMemVolume(512, 256), NewMemVolume(512, logPages)
+	ctx := NewIOCtx(nil)
+	if err := Format(ctx, data, logv); err != nil {
+		t.Fatal(err)
+	}
+	e, err := Open(ctx, data, logv, EngineConfig{BufferFrames: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := e.CreateTable(ctx, "t")
+	pin := e.Begin()
+	if _, err := e.Insert(ctx, pin, tbl, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	anchors, last := 0, e.wal.anchorPos
+	for i := 0; ; i++ {
+		tx := e.Begin()
+		if _, err := e.Insert(ctx, tx, tbl, make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+		err := e.Commit(ctx, tx)
+		if e.wal.anchorPos != last {
+			anchors, last = anchors+1, e.wal.anchorPos
+		}
+		if errors.Is(err, ErrLogFull) {
+			break
+		}
+		if err != nil || i > 4*logPages {
+			t.Fatalf("commit %d: %v; want the pinned log to fill", i, err)
+		}
+	}
+	// Tight at three quarters, a quarter left: one anchor, two at most.
+	if anchors > 2 {
+		t.Fatalf("%d anchors on a pinned %d-page log; want at most 2", anchors, logPages)
 	}
 }

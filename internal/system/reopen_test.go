@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -107,9 +108,6 @@ func TestReopenEveryNoFTLStack(t *testing.T) {
 					t.Fatalf("after restart: %+v, %v; want %+v", got, err, want)
 				}
 
-				// 50 ms: the cached population on a memory log commits
-				// ~400,000 TPS, and this run has no checkpointer to keep
-				// the 64 MB log from wrapping.
 				runTerminals(t, sys, wl, 50*sim.Millisecond)
 				sys = reopen(t, sys)
 				got, err := tpcbCheck(sys.Ctx, sys.Engine)
@@ -194,6 +192,23 @@ func runTerminals(t *testing.T, sys *System, wl workload.Workload, d sim.Time) {
 	sys.Dev.ResetTime()
 	sys.StartMaintenance(sched.MaintConfig{OnError: fail})
 	sys.Engine.StartWriters(sys.K, storage.WriterConfig{N: 2})
+	// A checkpointer, since the cached population commits a log page per
+	// commit flush and fills a memory log several times over within the
+	// run: each millisecond it anchors the log once half of it has been
+	// written since the last anchor.
+	e := sys.Engine
+	sys.K.Go("checkpointer", func(p *sim.Proc) {
+		ctx := storage.NewIOCtx(sim.ProcWaiter{P: p})
+		for {
+			p.Sleep(sim.Millisecond)
+			if wal := e.Log(); wal.SinceAnchor()*2 > wal.Capacity() {
+				if err := e.Checkpoint(ctx); err != nil {
+					fail(err)
+					return
+				}
+			}
+		}
+	})
 	background := sys.K.Alive()
 	counting := true
 	terms := workload.StartTerminals(sys.K, sys.Engine, wl, workload.TerminalConfig{
@@ -226,5 +241,49 @@ func TestReopenRefusesBlockDeviceStacks(t *testing.T) {
 		if err := sys.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestSingleVolumeLogDropsTruncatedPages: on the single-volume stack the
+// WAL's ring deallocates what a checkpoint truncates, so the log-window
+// pages below the truncation point are dead on the NoFTL volume — the GC
+// drops them without copying — and only the live window stays mapped.
+func TestSingleVolumeLogDropsTruncatedPages(t *testing.T) {
+	sys, err := New(smallConfig(StackNoFTLSingle))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := workload.NewTPCB(workload.TPCBConfig{Branches: 2, AccountsPerBranch: 200})
+	if err := wl.Load(sys.Ctx, sys.Engine); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 300; i++ {
+		if err := wl.RunOne(sys.Ctx, sys.Engine, rng); err != nil {
+			t.Fatalf("tx %d: %v", i, err)
+		}
+	}
+	if err := sys.Engine.Checkpoint(sys.Ctx); err != nil {
+		t.Fatal(err)
+	}
+	v := sys.NoFTL
+	window := logWindowPages(v.LogicalPages(), sys.Dev.Geometry().Dies())
+	buf := make([]byte, sys.Dev.Geometry().PageSize)
+	var mapped int64
+	for lpn := int64(0); lpn < window; lpn++ {
+		if err := v.Read(sys.Ctx.Req(), lpn, buf); err != nil {
+			t.Fatal(err)
+		}
+		if slices.ContainsFunc(buf, func(b byte) bool { return b != 0 }) {
+			mapped++
+		}
+	}
+	// A checkpoint on a quiet system keeps the page holding its record
+	// and the anchor page.
+	if out := sys.Engine.Log().PagesOut; out < 300 || mapped != 2 {
+		t.Fatalf("%d of the %d log pages written are still mapped after the checkpoint, want 2", mapped, out)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

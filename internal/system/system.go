@@ -84,7 +84,7 @@ type System struct {
 	cfg    Config
 	optFns []Option
 
-	logVol storage.Volume // the log's page volume (nil: the log is a flash region)
+	memLog storage.Volume // the memory log of the stacks without a log on flash
 	// backgroundGC records that the NoFTL volume was built for
 	// worker-driven GC: StartMaintenance then starts the workers.
 	backgroundGC bool
@@ -112,9 +112,13 @@ type options struct {
 // flash management (host- or device-side), volume adapter, optional
 // scheduler and observability, formatted engine. It is the one builder
 // entry: the public noftl.NewSystem facade, the experiment drivers and
-// the benchmark all come through here. The log lives on a zero-latency
-// memory volume for every stack except the single-volume and
-// region-managed ones, so measured differences come from the data path.
+// the benchmark all come through here. Every stack logs through one
+// append-only WAL format; only its medium differs. The single-volume
+// stack keeps it on a ring over a window of its NoFTL volume, the
+// region-managed stack on its sequential log region, and every other
+// stack on a ring over a zero-latency memory volume, which takes the
+// log's latency out of their measured differences but not its
+// capacity: committers park when three quarters of it are held.
 func New(cfg Config, optFns ...Option) (*System, error) {
 	var devCfg flash.Config
 	if cfg.Device != nil {
@@ -206,7 +210,7 @@ func build(cfg Config, optFns []Option, dev *flash.Device, crashed *System) (_ *
 	if s.Sched != nil {
 		io = s.Sched.Dev()
 	}
-	var flashLog storage.AppendLog // the region-managed stack's log
+	var log storage.AppendLog
 	newVolume := func(vc noftl.Config) (*noftl.Volume, error) {
 		if crashed != nil {
 			return noftl.Rebuild(dev, vc, s.Ctx.Req())
@@ -251,7 +255,7 @@ func build(cfg Config, optFns []Option, dev *flash.Device, crashed *System) (_ *
 	case StackNoFTLSingle:
 		// Single-policy baseline with the WAL on flash: one volume, one
 		// mapping scheme, one write frontier for every stream (hints
-		// ignored); the log is just a window of the page space.
+		// ignored); the log is a ring over a window of the page space.
 		v, err := newVolume(noftl.Config{DisableHints: true, Dev: io,
 			BackgroundGC: opts.backgroundGC})
 		if err != nil {
@@ -265,12 +269,11 @@ func build(cfg Config, optFns []Option, dev *flash.Device, crashed *System) (_ *
 		if err != nil {
 			return nil, err
 		}
-		dataVol, err := storage.NewSubVolume(full, logPages, v.LogicalPages()-logPages)
+		log = storage.NewVolumeLog(logVol)
+		s.Vol, err = storage.NewSubVolume(full, logPages, v.LogicalPages()-logPages)
 		if err != nil {
 			return nil, err
 		}
-		s.Vol = dataVol
-		s.logVol = logVol
 	case StackNoFTLRegions:
 		// Region-managed placement: the WAL on the sequential log region,
 		// heaps and B+-trees on the page-mapped data region.
@@ -295,7 +298,7 @@ func build(cfg Config, optFns []Option, dev *flash.Device, crashed *System) (_ *
 		s.NoFTL = dataRegion.Vol
 		s.FTLStats = m.Stats
 		s.Vol = storage.NewNoFTLVolume(dataRegion.Vol)
-		flashLog = storage.NewFlashLog(walRegion.Log)
+		log = storage.NewFlashLog(walRegion.Log)
 	default:
 		return nil, fmt.Errorf("system: unknown stack %q", stack)
 	}
@@ -306,25 +309,20 @@ func build(cfg Config, optFns []Option, dev *flash.Device, crashed *System) (_ *
 		ScanResistant:  opts.scanResistant,
 		PrefetchWindow: opts.prefetch,
 	}
-	if flashLog != nil {
-		if crashed == nil {
-			err = storage.FormatFlashLog(s.Ctx, s.Vol, flashLog)
+	if log == nil {
+		// A separate memory log device: it survives the crash.
+		if crashed != nil {
+			s.memLog = crashed.memLog
+		} else {
+			s.memLog = storage.NewMemVolume(pageSize, 1<<14)
 		}
-		if err == nil {
-			s.Engine, err = storage.OpenFlashLog(s.Ctx, s.Vol, flashLog, engCfg)
-		}
-	} else {
-		if s.logVol == nil && crashed != nil {
-			s.logVol = crashed.logVol // a separate log device: it survives the crash
-		} else if s.logVol == nil {
-			s.logVol = storage.NewMemVolume(pageSize, 1<<14)
-		}
-		if crashed == nil {
-			err = storage.Format(s.Ctx, s.Vol, s.logVol)
-		}
-		if err == nil {
-			s.Engine, err = storage.Open(s.Ctx, s.Vol, s.logVol, engCfg)
-		}
+		log = storage.NewVolumeLog(s.memLog)
+	}
+	if crashed == nil {
+		err = storage.FormatLog(s.Ctx, s.Vol, log)
+	}
+	if err == nil {
+		s.Engine, err = storage.OpenLog(s.Ctx, s.Vol, log, engCfg)
 	}
 	if err != nil {
 		return nil, err
@@ -449,7 +447,8 @@ func regionLogDies(dies int) int {
 	return 1
 }
 
-// logWindowPages sizes the single-volume stack's WAL window to the
+// logWindowPages sizes the single-volume stack's WAL ring — a window of
+// its NoFTL volume whose truncated pages the ring deallocates — to the
 // same die share the region-managed stack gives its log region, with a
 // small floor so checkpoints fit.
 func logWindowPages(total int64, dies int) int64 {
