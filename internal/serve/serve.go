@@ -218,39 +218,14 @@ func (f *Front) Store(name string) (*Store, bool) {
 	return st, ok
 }
 
-// Preload bulk-inserts keys 0..n-1 with copies of val into a store,
-// committing in batches (the serial load phase every benchmark shares).
+// Preload bulk-inserts keys 0..n-1 with copies of val into a store
+// through the engine's batched loader (Engine.LoadRows).
 func (f *Front) Preload(ctx *storage.IOCtx, store string, n int64, val []byte) error {
 	st, ok := f.stores[store]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownStore, store)
 	}
-	const batch = 500
-	for start := int64(0); start < n; start += batch {
-		end := start + batch
-		if end > n {
-			end = n
-		}
-		tx := f.e.Begin()
-		for i := start; i < end; i++ {
-			rid, err := f.e.Insert(ctx, tx, st.Table, val)
-			if err != nil {
-				return err
-			}
-			if err := f.e.IdxInsert(ctx, tx, st.Index, i, rid); err != nil {
-				return err
-			}
-		}
-		if err := f.e.Commit(ctx, tx); err != nil {
-			return err
-		}
-		if wal := f.e.Log(); wal.SinceAnchor()*2 > wal.Capacity() {
-			if err := f.e.Checkpoint(ctx); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return f.e.LoadRows(ctx, st.Table, st.Index, n, func(i int64) (int64, []byte) { return i, val })
 }
 
 // OpenSession opens a tenant's session on a store. Every request the

@@ -165,6 +165,35 @@ func TestPreload(t *testing.T) {
 	}
 }
 
+// TestFailedPreloadLeavesNoTransaction: a value that cannot fit a page
+// fails the preload, and the batch in hand is rolled back rather than
+// left open, so a clean Close needs no recovery at the next open.
+func TestFailedPreloadLeavesNoTransaction(t *testing.T) {
+	ctx := storage.NewIOCtx(&sim.ClockWaiter{})
+	data, log := storage.NewMemVolume(4096, 1<<10), storage.NewMemVolume(4096, 1<<10)
+	if err := storage.Format(ctx, data, log); err != nil {
+		t.Fatal(err)
+	}
+	e, err := storage.Open(ctx, data, log, storage.EngineConfig{BufferFrames: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := testFront(t, e, ctx, oneTenant())
+	if err := f.Preload(ctx, "kv", 10, make([]byte, 8192)); !errors.Is(err, storage.ErrRecordSize) {
+		t.Fatalf("preload = %v, want ErrRecordSize", err)
+	}
+	if err := e.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := storage.Open(ctx, data, log, storage.EngineConfig{BufferFrames: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e2.Recovered {
+		t.Fatal("reopen after a failed preload and a clean close ran recovery: the preload left its transaction open")
+	}
+}
+
 // TestSessionStamping: the context a session issues carries the
 // tenant's tag, the controller's class and a deadline derived from the
 // tenant budget — or the caller's own deadline when already set.

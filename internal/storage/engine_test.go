@@ -413,3 +413,29 @@ func TestBTreeDeepSplits(t *testing.T) {
 		t.Fatalf("range found %d of %d", count, n)
 	}
 }
+
+// TestLoadRowsAbortsAFailedBatch: a generator row that cannot fit a page
+// fails the load, rolls back the batch in hand and leaves no transaction
+// open; the batches committed before it stay.
+func TestLoadRowsAbortsAFailedBatch(t *testing.T) {
+	e, ctx, _, _ := newTestEngine(t, 16)
+	tbl, _ := e.CreateTable(ctx, "t")
+	idx, _ := e.CreateIndex(ctx, "t.pk")
+	err := e.LoadRows(ctx, tbl, idx, 600, func(i int64) (int64, []byte) {
+		if i == 550 {
+			return i, make([]byte, 512)
+		}
+		return i, []byte("row")
+	})
+	if !errors.Is(err, ErrRecordSize) {
+		t.Fatalf("load = %v, want ErrRecordSize", err)
+	}
+	if open := len(e.txs) - len(e.spareTx); open != 0 {
+		t.Fatalf("%d transactions left open after the failed load", open)
+	}
+	for key, want := range map[int64]bool{499: true, 500: false, 549: false} {
+		if _, found, err := e.IdxLookup(ctx, nil, idx, key); err != nil || found != want {
+			t.Errorf("key %d: found=%v, %v; want found=%v", key, found, err, want)
+		}
+	}
+}

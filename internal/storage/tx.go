@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 )
 
@@ -98,21 +99,16 @@ func (e *Engine) finish(tx *Tx) {
 // Commit applies deferred deletes, makes the transaction durable (group
 // commit) and releases its locks. While the log is three quarters full
 // a process first waits for the next checkpoint (WAL back-pressure); the
-// checkpointer itself never commits, so it never waits here; a
-// processless caller checkpoints itself instead.
+// checkpointer itself never commits, so it never waits here. A
+// processless caller cannot wait for a checkpointer, so it reclaims the
+// log itself: once half the log is written since the last anchor, it
+// checkpoints after its commit (an error then is the checkpoint's; the
+// transaction stays committed). Counting from the anchor, not from the
+// recovery horizon, spares a log that an open transaction pins: there a
+// checkpoint frees nothing, and it comes at most once per half written.
 func (e *Engine) Commit(ctx *IOCtx, tx *Tx) error {
 	if tx.done {
 		return ErrTxDone
-	}
-	if ctx.W.Proc() == nil && e.wal.tight() && e.wal.SinceAnchor()*4 >= e.wal.Capacity() {
-		// A serial caller cannot wait for a checkpointer, and every
-		// flush takes a page of its own: it anchors the log itself. Not
-		// again before a quarter of the log is written, though: while an
-		// open transaction pins the recovery horizon, a checkpoint frees
-		// nothing and would only spend pages.
-		if err := e.Checkpoint(ctx); err != nil {
-			return err
-		}
 	}
 	e.wal.awaitRoom(ctx.W)
 	for _, d := range tx.deletes {
@@ -126,6 +122,38 @@ func (e *Engine) Commit(ctx *IOCtx, tx *Tx) error {
 	}
 	e.finish(tx)
 	e.Commits++
+	if ctx.W.Proc() == nil && e.wal.SinceAnchor()*2 > e.wal.Capacity() {
+		return e.Checkpoint(ctx)
+	}
+	return nil
+}
+
+// LoadRows inserts n rows produced by gen into tbl and indexes each
+// under its key in idx: the serial bulk load every benchmark shares. It
+// commits every 500 rows to bound undo memory, and an error aborts the
+// batch in hand.
+func (e *Engine) LoadRows(ctx *IOCtx, tbl, idx uint32, n int64, gen func(i int64) (key int64, row []byte)) error {
+	const batch = 500
+	for start := int64(0); start < n; start += batch {
+		tx := e.Begin()
+		var err error
+		for i := start; i < min(start+batch, n) && err == nil; i++ {
+			key, row := gen(i)
+			var rid RID
+			if rid, err = e.Insert(ctx, tx, tbl, row); err == nil {
+				err = e.IdxInsert(ctx, tx, idx, key, rid)
+			}
+		}
+		if err != nil {
+			if aerr := e.Abort(ctx, tx); aerr != nil {
+				return fmt.Errorf("storage: abort failed (%v) after: %w", aerr, err)
+			}
+			return err
+		}
+		if err := e.Commit(ctx, tx); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -364,9 +364,10 @@ func TestCommitWaitsForTheAnchor(t *testing.T) {
 }
 
 // TestSerialCommitterAnchorsTheLog: a committer without a process cannot
-// park for a checkpointer. Once the log is tight it checkpoints itself,
-// so a serial run that commits far more flushes than the log has pages
-// never fills it.
+// park for a checkpointer. It checkpoints itself once half the log is
+// written since the last anchor, so after every commit the log holds at
+// most half its capacity plus that commit's own pages, and a serial run
+// that commits far more flushes than the log has pages never fills it.
 func TestSerialCommitterAnchorsTheLog(t *testing.T) {
 	data, logv := NewMemVolume(512, 256), NewMemVolume(512, 64)
 	ctx := NewIOCtx(nil)
@@ -378,24 +379,31 @@ func TestSerialCommitterAnchorsTheLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ := e.CreateTable(ctx, "t")
+	wal := e.Log()
 	for i := 0; i < 400; i++ {
 		tx := e.Begin()
 		if _, err := e.Insert(ctx, tx, tbl, make([]byte, 64)); err != nil {
 			t.Fatal(err)
 		}
+		out := wal.PagesOut
 		if err := e.Commit(ctx, tx); err != nil {
 			t.Fatalf("commit %d: %v", i, err)
 		}
+		own := uint64(wal.PagesOut-out) * uint64(wal.payload)
+		if since := wal.SinceAnchor(); since > wal.Capacity()/2+own {
+			t.Fatalf("commit %d: %d log bytes since the anchor; want at most half of %d plus the commit's own %d",
+				i, since, wal.Capacity(), own)
+		}
 	}
-	if out := e.Log().PagesOut; out <= 64 {
+	if out := wal.PagesOut; out <= 64 {
 		t.Fatalf("%d log pages written; the run never lapped the 64-page log", out)
 	}
 }
 
 // TestSerialCommitterSparesAPinnedLog: while an open transaction pins
 // the recovery horizon a checkpoint frees nothing, so a serial committer
-// on a tight log anchors it at most once per quarter of the log written,
-// not at every commit.
+// anchors the log at most once per half of the log written, not at every
+// commit.
 func TestSerialCommitterSparesAPinnedLog(t *testing.T) {
 	const logPages = 256
 	data, logv := NewMemVolume(512, 256), NewMemVolume(512, logPages)
@@ -429,7 +437,8 @@ func TestSerialCommitterSparesAPinnedLog(t *testing.T) {
 			t.Fatalf("commit %d: %v; want the pinned log to fill", i, err)
 		}
 	}
-	// Tight at three quarters, a quarter left: one anchor, two at most.
+	// One anchor once half the pinned log is written, before the other
+	// half fills it: two at most.
 	if anchors > 2 {
 		t.Fatalf("%d anchors on a pinned %d-page log; want at most 2", anchors, logPages)
 	}

@@ -88,15 +88,15 @@ func (t *TPCB) Load(ctx *storage.IOCtx, e *storage.Engine) error {
 		return err
 	}
 	c := t.cfg
-	if err := loadRows(ctx, e, t.branches, t.branchPK, int64(c.Branches),
+	if err := e.LoadRows(ctx, t.branches, t.branchPK, int64(c.Branches),
 		func(i int64) (int64, []byte) { return i, rec(tpcbFiller, i, 0) }); err != nil {
 		return fmt.Errorf("tpcb: load branches: %w", err)
 	}
-	if err := loadRows(ctx, e, t.tellers, t.tellerPK, int64(c.Branches*tpcbTellersPerBranch),
+	if err := e.LoadRows(ctx, t.tellers, t.tellerPK, int64(c.Branches*tpcbTellersPerBranch),
 		func(i int64) (int64, []byte) { return i, rec(tpcbFiller, i, 0) }); err != nil {
 		return fmt.Errorf("tpcb: load tellers: %w", err)
 	}
-	if err := loadRows(ctx, e, t.accounts, t.accountPK, int64(c.Branches*c.AccountsPerBranch),
+	if err := e.LoadRows(ctx, t.accounts, t.accountPK, int64(c.Branches*c.AccountsPerBranch),
 		func(i int64) (int64, []byte) { return i, rec(tpcbFiller, i, 0) }); err != nil {
 		return fmt.Errorf("tpcb: load accounts: %w", err)
 	}

@@ -121,29 +121,29 @@ func (t *TPCC) Load(ctx *storage.IOCtx, e *storage.Engine) error {
 	const fill = 80 // pads rows toward spec widths
 	nWH := int64(c.Warehouses)
 
-	if err := loadRows(ctx, e, t.warehouse, t.whPK, nWH,
+	if err := e.LoadRows(ctx, t.warehouse, t.whPK, nWH,
 		func(i int64) (int64, []byte) { return i, rec(fill, i, 0) }); err != nil {
 		return fmt.Errorf("tpcc: warehouses: %w", err)
 	}
 	// District row: {wd, nextOid, ytd}.
-	if err := loadRows(ctx, e, t.district, t.distPK, nWH*districtsPerWH,
+	if err := e.LoadRows(ctx, t.district, t.distPK, nWH*districtsPerWH,
 		func(i int64) (int64, []byte) {
 			return i, rec(fill, i, int64(c.InitialOrdersPerDistrict), 0)
 		}); err != nil {
 		return fmt.Errorf("tpcc: districts: %w", err)
 	}
 	// Customer row: {ck, balance, ytd, payments, deliveries}.
-	if err := loadRows(ctx, e, t.customer, t.custPK, nWH*districtsPerWH*int64(c.CustomersPerDistrict),
+	if err := e.LoadRows(ctx, t.customer, t.custPK, nWH*districtsPerWH*int64(c.CustomersPerDistrict),
 		func(i int64) (int64, []byte) { return i, rec(fill, i, -1000, 0, 0, 0) }); err != nil {
 		return fmt.Errorf("tpcc: customers: %w", err)
 	}
 	// Item row: {iid, price}.
-	if err := loadRows(ctx, e, t.item, t.itemPK, int64(c.Items),
+	if err := e.LoadRows(ctx, t.item, t.itemPK, int64(c.Items),
 		func(i int64) (int64, []byte) { return i, rec(fill/2, i, 100+i%900) }); err != nil {
 		return fmt.Errorf("tpcc: items: %w", err)
 	}
 	// Stock row: {skey, quantity, ytd, orders}.
-	if err := loadRows(ctx, e, t.stock, t.stockPK, nWH*int64(c.Items),
+	if err := e.LoadRows(ctx, t.stock, t.stockPK, nWH*int64(c.Items),
 		func(i int64) (int64, []byte) { return i, rec(fill/2, i, 50+i%50, 0, 0) }); err != nil {
 		return fmt.Errorf("tpcc: stock: %w", err)
 	}
@@ -164,9 +164,6 @@ func (t *TPCC) Load(ctx *storage.IOCtx, e *storage.Engine) error {
 		})
 		if err != nil {
 			return fmt.Errorf("tpcc: orders for wd %d: %w", wd, err)
-		}
-		if err := maybeCheckpointForLog(ctx, e); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -88,17 +88,17 @@ func (t *TPCE) Load(ctx *storage.IOCtx, e *storage.Engine) error {
 		return err
 	}
 	c := t.cfg
-	if err := loadRows(ctx, e, t.customer, t.custPK, int64(c.Customers),
+	if err := e.LoadRows(ctx, t.customer, t.custPK, int64(c.Customers),
 		func(i int64) (int64, []byte) { return i, rec(tpceFiller, i, 0) }); err != nil {
 		return fmt.Errorf("tpce: customers: %w", err)
 	}
 	// Account row: {aid, balance, holdings}.
-	if err := loadRows(ctx, e, t.account, t.acctPK, int64(c.Customers*tpceAccountsPerCustomer),
+	if err := e.LoadRows(ctx, t.account, t.acctPK, int64(c.Customers*tpceAccountsPerCustomer),
 		func(i int64) (int64, []byte) { return i, rec(tpceFiller, i, 1_000_000, 0) }); err != nil {
 		return fmt.Errorf("tpce: accounts: %w", err)
 	}
 	// Security row: {sid, price, volume}.
-	if err := loadRows(ctx, e, t.security, t.secPK, int64(c.Securities),
+	if err := e.LoadRows(ctx, t.security, t.secPK, int64(c.Securities),
 		func(i int64) (int64, []byte) { return i, rec(tpceFiller, i, 100+i%400, 0) }); err != nil {
 		return fmt.Errorf("tpce: securities: %w", err)
 	}
@@ -130,9 +130,6 @@ func (t *TPCE) Load(ctx *storage.IOCtx, e *storage.Engine) error {
 		})
 		if err != nil {
 			return fmt.Errorf("tpce: trades: %w", err)
-		}
-		if err := maybeCheckpointForLog(ctx, e); err != nil {
-			return err
 		}
 	}
 	t.nextTrade = nTrades

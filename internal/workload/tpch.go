@@ -87,7 +87,7 @@ func (t *TPCH) Load(ctx *storage.IOCtx, e *storage.Engine) error {
 	t.nOrders = int64(t.cfg.ScaleFactor) * 1500
 	rng := rand.New(rand.NewSource(t.cfg.Seed))
 	// Order row: {oid, custkey, totalprice, orderdate}.
-	if err := loadRows(ctx, e, t.orders, t.orderPK, t.nOrders,
+	if err := e.LoadRows(ctx, t.orders, t.orderPK, t.nOrders,
 		func(i int64) (int64, []byte) {
 			return i, rec(tpchFiller, i, i%997, 1000+i%9000, i%2557)
 		}); err != nil {
@@ -120,9 +120,6 @@ func (t *TPCH) Load(ctx *storage.IOCtx, e *storage.Engine) error {
 		})
 		if err != nil {
 			return fmt.Errorf("tpch: lineitem: %w", err)
-		}
-		if err := maybeCheckpointForLog(ctx, e); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -59,50 +59,6 @@ func withTx(ctx *storage.IOCtx, e *storage.Engine, body func(tx *storage.Tx) err
 	return e.Commit(ctx, tx)
 }
 
-// loadRows inserts n rows produced by gen and indexes them by key,
-// committing in batches to bound undo memory.
-func loadRows(ctx *storage.IOCtx, e *storage.Engine, tbl, idx uint32, n int64,
-	gen func(i int64) (key int64, row []byte)) error {
-	const batch = 500
-	for start := int64(0); start < n; start += batch {
-		end := start + batch
-		if end > n {
-			end = n
-		}
-		err := withTx(ctx, e, func(tx *storage.Tx) error {
-			for i := start; i < end; i++ {
-				key, row := gen(i)
-				rid, err := e.Insert(ctx, tx, tbl, row)
-				if err != nil {
-					return err
-				}
-				if err := e.IdxInsert(ctx, tx, idx, key, rid); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if err := maybeCheckpointForLog(ctx, e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// maybeCheckpointForLog reclaims the WAL when it is halfway to
-// capacity. Bulk loads outrun any external checkpointer; when the WAL
-// is hosted on a finite flash log (window or region) it must be
-// reclaimed mid-load or the load wraps into its own records.
-func maybeCheckpointForLog(ctx *storage.IOCtx, e *storage.Engine) error {
-	if wal := e.Log(); wal.SinceAnchor()*2 > wal.Capacity() {
-		return e.Checkpoint(ctx)
-	}
-	return nil
-}
-
 // fetchByKey looks a row up through an index and returns (rid, row)
 // at read-committed (the lock is not retained).
 func fetchByKey(ctx *storage.IOCtx, e *storage.Engine, tx *storage.Tx, idx uint32, key int64) (storage.RID, []byte, error) {
