@@ -11,8 +11,8 @@ import (
 // outside the benchmark harness (whose loops pace runs, not library
 // waits) it flags a Sleep(…) or a WaitUntil(x.Now() + …) inside a for or
 // range body; a func literal starts afresh. A process whose period is
-// the point (the checkpointer's tick, the sampler, think time) carries a
-// //noftl:ignore at its Sleep.
+// the point (the sampler, think time) carries a //noftl:ignore at its
+// Sleep.
 var TimedRetry = &Analyzer{Name: "timedretry", Run: runTimedRetry}
 
 func runTimedRetry(pass *Pass) {

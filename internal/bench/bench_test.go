@@ -76,11 +76,10 @@ func TestRunTPSProducesThroughput(t *testing.T) {
 // TestRunTPSFillsA48MBDevice pins a sizing defect: history rows grow
 // without bound, so a long enough run of the cached TPC-B population
 // fills a 48 MB device's data volume. Its memory log takes a page per
-// commit flush, so commits park at three quarters of the log between
-// the checkpointer's ticks and the run needs several simulated seconds
-// to fill the device. When history stops growing without bound (or the
-// device grows), this fails; move the throughput test back to 48 MB
-// then.
+// commit flush, and the engine's checkpointer, woken by the log, keeps
+// the commits from parking: the device fills within one simulated
+// second. When history stops growing without bound (or the device
+// grows), this fails; move the throughput test back to 48 MB then.
 func TestRunTPSFillsA48MBDevice(t *testing.T) {
 	if _, err := smallTPCBRun(t, 48, 8*sim.Second); !errors.Is(err, storage.ErrVolumeFull) {
 		t.Fatalf("run on 48 MB = %v, want %v", err, storage.ErrVolumeFull)

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"noftl/internal/ioreq"
 	"noftl/internal/stats"
 	"noftl/internal/storage"
 	"noftl/internal/system"
@@ -121,13 +120,6 @@ func HTAPAblation(cfg HTAPConfig) (*Rows, error) {
 	if cfg.TPCH.Seed == 0 {
 		cfg.TPCH.Seed = cfg.Seed
 	}
-	// The checkpointer declares its stream tag but no class, so its log
-	// writes keep the WAL class. Declared ClassProgram, the commits
-	// queued behind them cut the prefetch regime's OLTP throughput to
-	// 0.945x the naive pool's at TestHTAPAblationSmoke's scale (0.958x
-	// undeclared; the test's floor is 0.95x).
-	ckpt := stdCheckpointer
-	ckpt.class = ioreq.ClassDefault
 	mixed := func(sys *system.System) (*RunResult, error) {
 		tpcb := cfg.TPCB
 		if tpcb.Branches == 0 {
@@ -144,8 +136,7 @@ func HTAPAblation(cfg HTAPConfig) (*Rows, error) {
 			},
 			start: append(background(cfg.Writers, storage.AssocDieWise),
 				terminals("oltp", oltp, workload.TerminalConfig{N: cfg.Workers, Seed: cfg.Seed}),
-				readers("scan", scan, htapReaders, cfg.Seed),
-				ckpt.start),
+				readers("scan", scan, htapReaders, cfg.Seed)),
 			warm:       cfg.Warm,
 			measure:    cfg.Measure,
 			trackReads: true,

@@ -162,8 +162,7 @@ func QoS(cfg QoSConfig) (*QoSResult, error) {
 				TagOf:         func(int) uint32 { return TagLowPriority },
 				ClassOf:       func(int) ioreq.Class { return ioreq.ClassPrefetch },
 				DeadlineAfter: deadline(cfg.LowDeadline),
-			}),
-			stdCheckpointer.start),
+			})),
 		warm:    cfg.Warm,
 		measure: cfg.Measure,
 		fault:   cfg.fault,

@@ -63,7 +63,6 @@ type running struct {
 	sys      *system.System
 	fault    func(proc string) error // run.fault
 	counting bool                    // gates client accounting: on after warm-up
-	stopped  bool                    // observed by the checkpointer
 	fatal    error
 	stops    []func()
 	maint    *sched.Maintenance
@@ -111,8 +110,9 @@ type rowCounter interface{ RowsScanned() int64 }
 // background returns the starters every run begins with, in their
 // fixed order: flash maintenance workers (background-GC systems; the
 // only processes that collect), db-writers, read-ahead prefetchers
-// (engines with a prefetch window). The db-writers declare their intent
-// at the origin: program class, their own stream tag.
+// (engines with a prefetch window) and the engine's checkpointer. The
+// db-writers and the checkpointer declare their intent at the origin:
+// program class, their own stream tags.
 func background(writers int, assoc storage.WriterAssociation) []starter {
 	wc := storage.WriterConfig{N: writers, Association: assoc, Class: ioreq.ClassProgram, Tag: tagWriters}
 	return []starter{
@@ -139,54 +139,13 @@ func background(writers int, assoc storage.WriterAssociation) []starter {
 				cfg.OnError(err)
 			}
 		},
-	}
-}
-
-// checkpointer parameterises the periodic checkpoint process.
-type checkpointer struct {
-	tick sim.Time // poll period
-	// every checkpoints on schedule (0: on log pressure only); logFrac
-	// checkpoints earlier, once the log is 1/logFrac of the way to
-	// wrapping into the anchored checkpoint.
-	every   sim.Time
-	logFrac uint64
-	// class is the class the checkpointer declares beside its stream
-	// tag. ClassProgram marks it background work: its page flushes AND
-	// its log writes yield to commit-path appends. ClassDefault leaves
-	// its log writes in the WAL class (WAL.bgLogClass).
-	class ioreq.Class
-}
-
-// stdCheckpointer is the cadence and class of every TPS-style run.
-var stdCheckpointer = checkpointer{tick: 100 * sim.Millisecond, every: 2 * sim.Second, logFrac: 2,
-	class: ioreq.ClassProgram}
-
-func (c checkpointer) start(r *running) {
-	e := r.sys.Engine
-	r.sys.K.Go("checkpointer", func(p *sim.Proc) {
-		ctx := &storage.IOCtx{W: sim.ProcWaiter{P: p}, Class: c.class, Tag: tagCheckpointer}
-		wal := e.Log()
-		last := p.Now()
-		for !r.stopped {
-			//noftl:ignore timedretry the checkpointer's tick: a checkpoint every interval is its job
-			p.Sleep(c.tick)
-			if r.stopped {
-				return
-			}
-			err := r.injected("checkpointer")
-			if err == nil {
-				if (c.every == 0 || p.Now()-last < c.every) && wal.SinceAnchor()*c.logFrac < wal.Capacity() {
-					continue
-				}
-				err = e.Checkpoint(ctx)
-			}
-			if err != nil {
+		func(r *running) {
+			r.stops = append(r.stops, r.sys.Engine.StartCheckpointer(r.sys.K, tagCheckpointer, r.fail))
+			if err := r.injected("checkpointer"); err != nil {
 				r.fail(err)
-				return
 			}
-			last = p.Now()
-		}
-	})
+		},
+	}
 }
 
 // terminals starts a group of closed-loop transactional clients. The
@@ -366,7 +325,6 @@ func execute(sys *system.System, spec run) (*RunResult, error) {
 			g.rowsIn = g.rows.RowsScanned() - g.rowBase
 		}
 	}
-	r.stopped = true
 	for _, stop := range r.stops {
 		stop()
 	}
@@ -432,8 +390,7 @@ func RunTPS(sys *system.System, wl workload.Workload, cfg TPSConfig) (*RunResult
 		name: fmt.Sprintf("%s on %s", wl.Name(), sys.Stack),
 		load: func(sys *system.System) error { return wl.Load(sys.Ctx, sys.Engine) },
 		start: append(background(cfg.Writers, cfg.Association),
-			terminals("oltp", wl, workload.TerminalConfig{N: cfg.Workers, Seed: cfg.Seed}),
-			stdCheckpointer.start),
+			terminals("oltp", wl, workload.TerminalConfig{N: cfg.Workers, Seed: cfg.Seed})),
 		warm:       cfg.Warm,
 		measure:    cfg.Measure,
 		trackReads: true,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"noftl/internal/ioreq"
 	"noftl/internal/serve"
 	"noftl/internal/sim"
 	"noftl/internal/stats"
@@ -241,11 +240,7 @@ func (cfg ServeConfig) runRegime(sys *system.System, control serve.Control, with
 	if !withBatch {
 		clients = tenants[:1]
 	}
-	// The serve load is write-heavy enough to wrap the log region between
-	// the standard checkpointer's 100ms ticks, so this one ticks tighter
-	// and truncates at quarter capacity.
-	start := append(background(cfg.Writers, storage.AssocDieWise),
-		checkpointer{tick: 20 * sim.Millisecond, logFrac: 4, class: ioreq.ClassProgram}.start)
+	start := background(cfg.Writers, storage.AssocDieWise)
 	for _, t := range clients {
 		// Deferred to start time: the sessions exist once load ran.
 		start = append(start, func(r *running) {

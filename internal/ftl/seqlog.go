@@ -192,11 +192,14 @@ func (l *SeqLog) ppnAt(pos int64) nand.PPN {
 }
 
 // Append programs data as the next stream page and returns its position.
-// The only failure modes are device errors and ErrLogSpace: appends
-// never trigger garbage collection. The request descriptor's declared
-// class (if any) overrides the region's WAL-class routing at an attached
-// scheduler.
+// The only failure modes are device errors, ErrLogSpace and ErrLogRange:
+// appends never trigger garbage collection. The request descriptor's
+// declared class (if any) overrides the region's WAL-class routing at an
+// attached scheduler.
 func (l *SeqLog) Append(rq ioreq.Req, data []byte) (int64, error) {
+	if l.next == math.MaxInt64 { // a hostile rebuilt OOB: one more append would wrap
+		return 0, fmt.Errorf("%w: the stream ends at %d", ErrLogRange, l.next)
+	}
 	w := rq.Waiter()
 	for attempt := 0; ; attempt++ {
 		if attempt > len(l.sps)*l.sps[0].Blocks() {

@@ -145,24 +145,28 @@ func (e *Engine) Checkpoint(ctx *IOCtx) error {
 			act[tx.id] = tx.firstLSN
 		}
 	}
-	redoStart := e.bp.MinRecLSN() // still-dirty pages need redo from here
-	if next := e.wal.NextLSN(); redoStart > next {
-		redoStart = next
-	}
+	// The log may only be reclaimed below the recovery horizon: redo
+	// needs records from the still-dirty pages' bound, undo from the
+	// oldest active transaction's first record.
+	redoStart := min(e.bp.MinRecLSN(), e.wal.NextLSN()) // still-dirty pages need redo from here
+	keep := min(redoStart, e.oldestActive())
 	lsn := e.wal.Append(&LogRecord{Type: RecCheckpoint, Active: act, Key: int64(redoStart)})
 	if err := e.wal.flushBg(ctx, e.wal.NextLSN()); err != nil {
 		return err
 	}
-	// The log may only be reclaimed below the recovery horizon: redo
-	// needs records from the still-dirty pages' bound, undo from the
-	// oldest active transaction's first record.
-	keep := redoStart
-	for _, first := range act {
-		if first < keep {
-			keep = first
+	return e.wal.WriteAnchorKeep(ctx, lsn, keep)
+}
+
+// oldestActive returns the first LSN of the oldest open transaction, or
+// the next LSN while none is open: undo may read the log from there.
+func (e *Engine) oldestActive() uint64 {
+	oldest := e.wal.NextLSN()
+	for _, tx := range e.txs {
+		if !tx.done {
+			oldest = min(oldest, tx.firstLSN)
 		}
 	}
-	return e.wal.WriteAnchorKeep(ctx, lsn, keep)
+	return oldest
 }
 
 // Close checkpoints and shuts down.

@@ -90,27 +90,26 @@ func (e *Engine) Begin() *Tx {
 }
 
 // finish releases a transaction's locks and frees its handle for Begin.
+// Committers may wait on a log it pinned: a checkpoint may free it now.
 func (e *Engine) finish(tx *Tx) {
 	tx.done = true
 	e.lt.releaseAll(tx.id, tx.locks)
 	e.spareTx = append(e.spareTx, tx)
+	if !e.wal.anchored.Empty() && !e.wal.pins(e.oldestActive()) {
+		e.wal.ckpt.Grant()
+	}
 }
 
 // Commit applies deferred deletes, makes the transaction durable (group
-// commit) and releases its locks. While the log is three quarters full
-// a process first waits for the next checkpoint (WAL back-pressure); the
-// checkpointer itself never commits, so it never waits here. A
-// processless caller cannot wait for a checkpointer, so it reclaims the
-// log itself: once half the log is written since the last anchor, it
-// checkpoints after its commit (an error then is the checkpoint's; the
-// transaction stays committed). Counting from the anchor, not from the
-// recovery horizon, spares a log that an open transaction pins: there a
-// checkpoint frees nothing, and it comes at most once per half written.
+// commit) and releases its locks, a process first waiting for log room
+// (awaitRoom). Once the log is due (logDue) a process grants the
+// engine's checkpointer; a processless caller checkpoints itself (an
+// error then is the checkpoint's; the transaction stays committed).
 func (e *Engine) Commit(ctx *IOCtx, tx *Tx) error {
 	if tx.done {
 		return ErrTxDone
 	}
-	e.wal.awaitRoom(ctx.W)
+	e.awaitRoom(ctx)
 	for _, d := range tx.deletes {
 		if err := e.applyDelete(ctx, tx, d); err != nil {
 			return err
@@ -122,10 +121,34 @@ func (e *Engine) Commit(ctx *IOCtx, tx *Tx) error {
 	}
 	e.finish(tx)
 	e.Commits++
-	if ctx.W.Proc() == nil && e.wal.SinceAnchor()*2 > e.wal.Capacity() {
-		return e.Checkpoint(ctx)
+	if e.logDue() {
+		if ctx.W.Proc() == nil {
+			return e.Checkpoint(ctx)
+		}
+		e.wal.ckpt.Grant()
 	}
 	return nil
+}
+
+// logDue is the engine's one checkpoint rule: half the log written since
+// the last anchor. Counting from the anchor, not the recovery horizon,
+// checkpoints a log an open transaction pins once per half written.
+func (e *Engine) logDue() bool {
+	return e.wal.SinceAnchor()*2 > e.wal.Capacity()
+}
+
+// awaitRoom is the log's back-pressure on committers: while three
+// quarters of its pages are held (WAL.tight), a process waits for the
+// next anchor. Before parking it grants the checkpointer, unless an open
+// transaction pins the log's head, so that a checkpoint frees nothing.
+// The checkpointer never commits; a processless caller never waits.
+func (e *Engine) awaitRoom(ctx *IOCtx) {
+	for ctx.W.Proc() != nil && e.wal.tight() {
+		if !e.wal.pins(e.oldestActive()) {
+			e.wal.ckpt.Grant()
+		}
+		e.wal.anchored.Wait(ctx.W, 0)
+	}
 }
 
 // LoadRows inserts n rows produced by gen into tbl and indexes each

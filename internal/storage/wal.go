@@ -117,8 +117,9 @@ type WAL struct {
 	anchor    uint64
 	anchorPos int64
 	// anchored holds committers back while the log is three quarters
-	// full (awaitRoom); the next anchor releases them.
+	// full (Engine.awaitRoom); the next anchor releases them.
 	anchored sim.WaitQueue
+	ckpt     sim.WaitQueue // the idle checkpointer (Engine.StartCheckpointer)
 	// pageIdx lists the flushed live stream pages; scanPages caches the
 	// stream pages ReadAnchor found, for RecoverScan.
 	pageIdx   []logPageRef
@@ -379,13 +380,11 @@ func (w *WAL) tight() bool {
 	return uint64(next-head)*4 >= uint64(w.log.Pages())*3
 }
 
-// awaitRoom is the log's back-pressure on committers: while the log is
-// tight, a process waits for the next anchor, so the log cannot fill
-// with live records. A processless waiter just goes on.
-func (w *WAL) awaitRoom(wait sim.Waiter) {
-	for wait.Proc() != nil && w.tight() {
-		w.anchored.Wait(wait, 0)
-	}
+// pins reports whether a record at lsn holds the log's head: a
+// checkpoint keeps the page holding the oldest record recovery needs,
+// so while that is the head page it truncates nothing.
+func (w *WAL) pins(lsn uint64) bool {
+	return len(w.pageIdx) < 2 || w.pageIdx[1].lsn > lsn
 }
 
 // ReadAnchor returns the last checkpoint LSN (0 on a fresh log). It

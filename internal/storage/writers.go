@@ -84,3 +84,29 @@ func (bp *BufferPool) startWriters(k *sim.Kernel, cfg WriterConfig) (stop func()
 		}
 	}
 }
+
+// StartCheckpointer starts the engine's checkpointer: one process that
+// parks until the log wakes it (logDue, awaitRoom) and then checkpoints
+// at the program class under tag. A checkpoint error goes to onError and
+// ends the process. The returned stop function ends it once any
+// checkpoint in hand is done.
+func (e *Engine) StartCheckpointer(k *sim.Kernel, tag uint32, onError func(error)) (stop func()) {
+	stopped := false
+	k.Go("checkpointer", func(p *sim.Proc) {
+		ctx := &IOCtx{W: sim.ProcWaiter{P: p}, Class: ioreq.ClassProgram, Tag: tag}
+		for !stopped {
+			e.wal.ckpt.Wait(ctx.W, 0)
+			if stopped {
+				return
+			}
+			if err := e.Checkpoint(ctx); err != nil {
+				onError(err)
+				return
+			}
+		}
+	})
+	return func() {
+		stopped = true
+		e.wal.ckpt.Grant()
+	}
+}

@@ -194,21 +194,8 @@ func runTerminals(t *testing.T, sys *System, wl workload.Workload, d sim.Time) {
 	sys.Engine.StartWriters(sys.K, storage.WriterConfig{N: 2})
 	// A checkpointer, since the cached population commits a log page per
 	// commit flush and fills a memory log several times over within the
-	// run: each millisecond it anchors the log once half of it has been
-	// written since the last anchor.
-	e := sys.Engine
-	sys.K.Go("checkpointer", func(p *sim.Proc) {
-		ctx := storage.NewIOCtx(sim.ProcWaiter{P: p})
-		for {
-			p.Sleep(sim.Millisecond)
-			if wal := e.Log(); wal.SinceAnchor()*2 > wal.Capacity() {
-				if err := e.Checkpoint(ctx); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}
-	})
+	// run.
+	sys.Engine.StartCheckpointer(sys.K, 0, fail)
 	background := sys.K.Alive()
 	counting := true
 	terms := workload.StartTerminals(sys.K, sys.Engine, wl, workload.TerminalConfig{

@@ -34,9 +34,9 @@ func TestTerminalsRunConcurrently(t *testing.T) {
 	k := sim.New()
 	counting := false
 	var fatal error
-	// Think time bounds the transaction rate: the memory volumes are
-	// zero-latency, so a pure closed loop would outrun any checkpoint
-	// cadence in simulated time.
+	// Think time lets simulated time pass: the memory volumes are
+	// zero-latency, so a pure closed loop would commit without end at
+	// one instant.
 	ts := StartTerminals(k, e, wl, TerminalConfig{
 		N:        4,
 		Seed:     42,
@@ -44,27 +44,14 @@ func TestTerminalsRunConcurrently(t *testing.T) {
 		Counting: &counting,
 		OnFatal:  func(err error) { fatal = err },
 	})
-	stopped := false
-	k.Go("checkpointer", func(p *sim.Proc) {
-		cctx := storage.NewIOCtx(sim.ProcWaiter{P: p})
-		for !stopped {
-			p.Sleep(5 * sim.Millisecond)
-			if stopped {
-				return
-			}
-			if err := e.Checkpoint(cctx); err != nil && fatal == nil {
-				fatal = err
-				return
-			}
-		}
-	})
+	stopCkpt := e.StartCheckpointer(k, 0, func(err error) { fatal = err })
 	k.RunFor(50 * sim.Millisecond) // warm-up: not counted
 	warm := ts.Committed()
 	counting = true
 	k.RunFor(200 * sim.Millisecond)
 	counting = false
 	ts.Stop()
-	stopped = true
+	stopCkpt()
 	k.RunFor(5 * sim.Millisecond)
 	k.Shutdown()
 
