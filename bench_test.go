@@ -16,7 +16,6 @@ import (
 	inoftl "noftl/internal/noftl"
 	"noftl/internal/sim"
 	"noftl/internal/storage"
-	"noftl/internal/system"
 	"noftl/internal/workload"
 )
 
@@ -106,8 +105,7 @@ func BenchmarkLatency_RandomWrite(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			f := res.HistOf(system.StackFaster)
-			n := res.HistOf(system.StackNoFTL)
+			f, n := &res.Rows[0].Hist, &res.Rows[1].Hist // faster, then noftl
 			b.ReportMetric(f.Mean().Seconds()*1e3, "faster_mean_ms")
 			b.ReportMetric(f.Max().Seconds()*1e3, "faster_max_ms")
 			b.ReportMetric(n.Mean().Seconds()*1e3, "noftl_mean_ms")
@@ -223,9 +221,8 @@ func BenchmarkDevice_ProgramPage(b *testing.B) {
 		die := i % geo.Dies()
 		block := (i / geo.Dies()) % geo.BlocksPerDie() / geo.PlanesPerDie
 		page := i % geo.PagesPerBlock
-		ppn := geo.PPNOf(die, 0, block%geo.BlocksPerPlane, page)
-		st, _ := dev.Array().PageState(ppn)
-		if st == nand.PageProgrammed || dev.Array().NextProgramPage(geo.BlockOf(ppn)) != geo.PageIndex(ppn) {
+		ppn := geo.FirstPage(geo.PBNOf(die, 0, block%geo.BlocksPerPlane)) + nand.PPN(page)
+		if dev.Array().NextProgramPage(geo.BlockOf(ppn)) != geo.PageIndex(ppn) {
 			b.StopTimer()
 			_ = dev.EraseBlock(w, geo.BlockOf(ppn))
 			b.StartTimer()

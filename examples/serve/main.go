@@ -87,6 +87,13 @@ func main() {
 	}
 	fmt.Printf("scan [10,20] -> %d records\n", n)
 
+	// A delete is one admission-controlled write transaction too.
+	if err := s.Delete(ctx, 42); err != nil {
+		log.Fatal(err)
+	}
+	_, err = s.Get(ctx, 42)
+	fmt.Printf("after delete -> %v\n", err)
+
 	// A shed request surfaces as ErrShed — the client backs off and
 	// retries; errors.Is makes it easy to classify.
 	fmt.Printf("ErrShed is retryable: %v\n", errors.Is(fmt.Errorf("wrap: %w", noftl.ErrShed), noftl.ErrShed))

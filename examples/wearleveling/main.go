@@ -14,7 +14,7 @@ import (
 func main() {
 	// A small device with failure injection: some blocks die young.
 	cfg := noftl.EmulatorConfig(2, 32, noftl.SLC)
-	cfg.Nand.ProgramFailProb = 0.00001 // a few grown bad blocks over the run
+	cfg.Nand.ProgramFailProb = 0.0001 // a few grown bad blocks over the run
 	cfg.Nand.InitialBadFraction = 0.01
 	cfg.Nand.Seed = 99
 	dev := noftl.NewDevice(cfg)
@@ -52,15 +52,22 @@ func main() {
 		st.WearMoves, st.GCCopybacks, st.Erases)
 	fmt.Printf("  bad blocks: %d factory, %d grown (data salvaged and remapped)\n",
 		counters.FactoryBad, counters.GrownBad)
+	if counters.GrownBad == 0 {
+		log.Fatal("no block grew bad: salvage went unexercised")
+	}
 
 	// The host keeps the mapping — after a restart it is rebuilt by
-	// scanning the out-of-band metadata on flash.
+	// scanning the out-of-band metadata on flash, with the capacity the
+	// volume was formatted with: the grown bad blocks cost spare only.
 	vol2, err := noftl.RebuildVolume(dev, noftl.VolumeConfig{}, noftl.NewReq(&noftl.ClockWaiter{}))
 	if err != nil {
 		log.Fatal(err)
 	}
+	if vol2.LogicalPages() != n {
+		log.Fatalf("rebuilt volume exports %d pages, formatted %d", vol2.LogicalPages(), n)
+	}
 	buf := make([]byte, cfg.Geometry.PageSize)
-	if err := vol2.Read(noftl.NewReq(&noftl.ClockWaiter{}), 0, buf); err != nil {
+	if err := vol2.Read(noftl.NewReq(&noftl.ClockWaiter{}), n-1, buf); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  mapping rebuilt from OOB after restart: %d pages addressable\n",

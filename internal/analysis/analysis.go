@@ -13,7 +13,8 @@
 // (determinism.go, ioreqclass.go, nilrecv.go, metricname.go,
 // onethread.go, timedretry.go, setter.go, facade.go) for the invariant
 // each one enforces, and DESIGN.md "Static invariants" for the PR that
-// introduced each one.
+// introduced each one. Setter and Facade judge a declaration by its users
+// across the load (Pass.Module); facade's use index is built once a load.
 package analysis
 
 import (
@@ -68,6 +69,7 @@ type Pass struct {
 	// pass's files declare, so each finding is suppressed in its unit.
 	Module []*Package
 
+	uses  *useIndex // the load's, built once for facade
 	diags *[]Diagnostic
 }
 

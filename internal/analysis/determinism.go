@@ -155,8 +155,10 @@ func orderedSink(pass *Pass, call *ast.CallExpr) string {
 }
 
 // unsortedAppend reports (non-empty description) an `x = append(x,…)`
-// in the loop body where x is declared outside the range statement and
-// no sort call on x appears anywhere in the enclosing declaration.
+// in the loop body where x is declared outside the range statement, or
+// an `x.f = append(x.f,…)` wherever x is declared (a loop-local pointer
+// may point into outer state), and no sort call on x (on field f) appears
+// anywhere in the enclosing declaration.
 func unsortedAppend(pass *Pass, fd *ast.FuncDecl, rng *ast.RangeStmt, call *ast.CallExpr) string {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok || id.Name != "append" || len(call.Args) == 0 {
@@ -165,27 +167,31 @@ func unsortedAppend(pass *Pass, fd *ast.FuncDecl, rng *ast.RangeStmt, call *ast.
 	if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); !isBuiltin {
 		return ""
 	}
-	target, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	obj := pass.Info.Uses[target]
-	if obj == nil || obj.Parent() == nil {
-		return ""
-	}
-	// Only variables declared outside the loop escape it; an append to
-	// a loop-local accumulates nothing across iterations.
-	if rng.Pos() <= obj.Pos() && obj.Pos() <= rng.End() {
+	var obj types.Object
+	switch target := ast.Unparen(call.Args[0]).(type) {
+	case *ast.Ident:
+		// Only variables declared outside the loop escape it; an append
+		// to a loop-local accumulates nothing across iterations.
+		obj = pass.Info.Uses[target]
+		if obj == nil || obj.Parent() == nil || rng.Pos() <= obj.Pos() && obj.Pos() <= rng.End() {
+			return ""
+		}
+	case *ast.SelectorExpr:
+		obj = pass.Info.Uses[target.Sel]
+		if v, ok := obj.(*types.Var); !ok || !v.IsField() {
+			return ""
+		}
+	default:
 		return ""
 	}
 	if sortedInFunc(pass, fd, obj) {
 		return ""
 	}
-	return "collects into " + obj.Name() + " without a later sort"
+	return "collects into " + types.ExprString(call.Args[0]) + " without a later sort"
 }
 
 // sortedInFunc reports whether the declaration contains a sort./slices.
-// sort call mentioning obj.
+// sort call mentioning obj: a variable, or a field of whatever operand.
 func sortedInFunc(pass *Pass, fd *ast.FuncDecl, obj types.Object) bool {
 	found := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {

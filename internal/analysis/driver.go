@@ -10,14 +10,17 @@ import "go/token"
 // line, analyzer and message; suppressed findings are dropped, and
 // malformed or stale //noftl:ignore comments are reported under the
 // "ignore" pseudo-analyzer.
+//
+//noftl:ignore facade the suite's entry point: the root package's TestStaticInvariants is its user
 func Run(l *Loader, base string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	pkgs, err := l.Load(base, patterns...)
 	if err != nil {
 		return nil, err
 	}
+	uses := buildUseIndex(l.Fset, pkgs)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		diags = append(diags, checkUnit(l.Fset, pkg, pkgs, analyzers)...)
+		diags = append(diags, checkUnit(l.Fset, pkg, pkgs, uses, analyzers)...)
 	}
 	sortDiagnostics(diags)
 	return diags, nil
@@ -27,7 +30,7 @@ func Run(l *Loader, base string, patterns []string, analyzers []*Analyzer) ([]Di
 // applies that unit's suppression comments. A well-formed directive
 // naming one of the analyzers that ran, and silencing nothing, is
 // itself a finding.
-func checkUnit(fset *token.FileSet, pkg *Package, module []*Package, analyzers []*Analyzer) []Diagnostic {
+func checkUnit(fset *token.FileSet, pkg *Package, module []*Package, uses *useIndex, analyzers []*Analyzer) []Diagnostic {
 	ig, diags := scanIgnores(fset, pkg.Files)
 	var found []Diagnostic
 	for _, a := range analyzers {
@@ -39,6 +42,7 @@ func checkUnit(fset *token.FileSet, pkg *Package, module []*Package, analyzers [
 			Pkg:      pkg.Pkg,
 			Info:     pkg.Info,
 			Module:   module,
+			uses:     uses,
 			diags:    &found,
 		})
 	}

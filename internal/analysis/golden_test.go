@@ -83,7 +83,8 @@ func TestAnalyzerGoldens(t *testing.T) {
 		{"timedretry", []*Analyzer{TimedRetry}},
 		// setter and facade judge a package by the rest of the load:
 		// their fixtures carry a caller subpackage and a test-only setter
-		// or user.
+		// or user (facade's internal/impl: test-only methods, and ones
+		// called only through an interface).
 		{"setter", []*Analyzer{Setter}},
 		{"facade", []*Analyzer{Facade}},
 		// The ignore fixture's violations are determinism ones; malformed

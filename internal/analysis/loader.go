@@ -55,6 +55,8 @@ type Package struct {
 
 // NewLoader builds a loader for the module containing dir (found by
 // walking up to the nearest go.mod).
+//
+//noftl:ignore facade the suite's entry point: the root package's TestStaticInvariants is its user
 func NewLoader(dir string) (*Loader, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {

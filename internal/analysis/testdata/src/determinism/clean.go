@@ -37,3 +37,27 @@ func Sum(m map[string]int) int {
 	}
 	return total
 }
+
+// Report's fields are filled from maps and sorted afterwards.
+type Report struct {
+	Cells []int
+	Spans map[int]*SpanShares
+}
+
+// SpanShares is one span's sorted shares.
+type SpanShares struct{ Shares []int }
+
+// Fill collects into fields and sorts each field afterwards, at the
+// report level and per entry.
+func (r *Report) Fill(cells map[string]int, shares map[int]map[int]int) {
+	for _, c := range cells {
+		r.Cells = append(r.Cells, c)
+	}
+	sort.Ints(r.Cells)
+	for id, sb := range r.Spans {
+		for _, w := range shares[id] {
+			sb.Shares = append(sb.Shares, w)
+		}
+		sort.Ints(sb.Shares)
+	}
+}

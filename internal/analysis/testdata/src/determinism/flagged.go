@@ -45,3 +45,14 @@ func CollectUnsorted(m map[string]int) []string {
 
 // started reads the wall clock in a package-level initializer.
 var started = time.Now()
+
+type deltaPage struct{ residents []int64 }
+
+// AttachUnsorted appends to a field of a loop-local pointer into outer
+// state, in map order: the pages keep their residents in that order.
+func AttachUnsorted(pages map[int]*deltaPage, owner map[int64]int) {
+	for lpn, p := range owner {
+		pi := pages[p]
+		pi.residents = append(pi.residents, lpn)
+	}
+}

@@ -209,11 +209,10 @@ func TestLatencySmokeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fh := res.HistOf(system.StackFaster)
-	nh := res.HistOf(system.StackNoFTL)
-	if len(res.Rows) != 2 || fh == nil || nh == nil {
+	if len(res.Rows) != 2 || res.Rows[0].Stack != system.StackFaster || res.Rows[1].Stack != system.StackNoFTL {
 		t.Fatalf("rows: %+v", res.Rows)
 	}
+	fh, nh := &res.Rows[0].Hist, &res.Rows[1].Hist
 	if nh.Percentile(99) >= fh.Percentile(99) {
 		t.Errorf("noftl p99 %v not below faster's %v", nh.Percentile(99), fh.Percentile(99))
 	}

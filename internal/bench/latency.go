@@ -56,16 +56,6 @@ type LatencyResult struct {
 	Rows []LatencyRow
 }
 
-// HistOf returns a stack's histogram.
-func (r *LatencyResult) HistOf(s system.Stack) *stats.Histogram {
-	for i := range r.Rows {
-		if r.Rows[i].Stack == s {
-			return &r.Rows[i].Hist
-		}
-	}
-	return nil
-}
-
 // Table renders mean and tail latencies.
 func (r *LatencyResult) Table() string {
 	t := stats.NewTable("stack", "mean", "p99", "p99.9", "max")

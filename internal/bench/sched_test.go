@@ -27,7 +27,7 @@ func TestSchedAblationSmoke(t *testing.T) {
 		if row.Result.Committed == 0 {
 			t.Fatalf("%s committed nothing", row.Name)
 		}
-		if row.Result.CommitHist.Count() == 0 || row.Result.ReadHist.Count() == 0 {
+		if row.Result.CommitHist.Empty() || row.Result.ReadHist.Empty() {
 			t.Fatalf("%s has empty latency histograms", row.Name)
 		}
 		if row.Result.Sched.TotalScheduled() == 0 {

@@ -97,8 +97,12 @@ func TestUndeclaredCheckpointAnchorsAtWALClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, wal, err := sys.Regions.Mount()
+	if err != nil {
+		t.Fatal(err)
+	}
 	logDies := map[int]bool{}
-	for _, die := range sys.Regions.Region("log").Dies {
+	for _, die := range wal.Dies {
 		logDies[die] = true
 	}
 	var runErr error

@@ -11,8 +11,6 @@
 package blockdev
 
 import (
-	"fmt"
-
 	"noftl/internal/ftl"
 	"noftl/internal/sim"
 )
@@ -49,13 +47,6 @@ func New(f ftl.FTL, cfg Config) *Device {
 
 // Pages returns the number of addressable logical pages.
 func (d *Device) Pages() int64 { return d.ftl.LogicalPages() }
-
-// Name identifies the wrapped FTL, e.g. "blockdev(faster)".
-func (d *Device) Name() string { return fmt.Sprintf("blockdev(%s)", d.ftl.Name()) }
-
-// FTLStats exposes the wrapped FTL's counters (a real black-box SSD would
-// not; experiments need them).
-func (d *Device) FTLStats() ftl.Stats { return d.ftl.Stats() }
 
 // Read reads logical page lba.
 func (d *Device) Read(w sim.Waiter, lba int64, buf []byte) error {

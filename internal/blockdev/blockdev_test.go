@@ -42,9 +42,6 @@ func TestBlockdevRoundTrip(t *testing.T) {
 	if buf[0] != 0xEE {
 		t.Error("round trip corrupted data")
 	}
-	if d.Name() != "blockdev(pagemap)" {
-		t.Errorf("Name = %q", d.Name())
-	}
 	if d.Pages() == 0 {
 		t.Error("Pages = 0")
 	}
@@ -67,23 +64,32 @@ func TestBlockdevAddsProtocolOverhead(t *testing.T) {
 func TestBlockdevQueueDepthLimitsConcurrency(t *testing.T) {
 	k := sim.New()
 	d := newTestDevice(t, k)
+	var done []sim.Time // writer completions, each releasing its slot
 	for i := 0; i < queueDepth+8; i++ {
 		lba := int64(i)
 		k.Go("io", func(p *sim.Proc) {
 			if err := d.Write(sim.ProcWaiter{P: p}, lba, make([]byte, 512)); err != nil {
 				t.Errorf("write: %v", err)
 			}
+			done = append(done, p.Now())
 		})
 	}
 	// Every writer starts at once; inside the first command overhead the
-	// queue holds exactly its depth and the rest wait for a slot.
+	// queue holds exactly its depth and the rest wait for a slot, so a
+	// probe asking then is granted the ninth slot released.
 	k.RunFor(cmdOverhead / 2)
-	if got := d.queue.InUse(); got != queueDepth {
-		t.Errorf("in flight %d, want the queue depth %d", got, queueDepth)
-	}
+	granted := sim.Time(-1)
+	k.Go("probe", func(p *sim.Proc) {
+		d.queue.Acquire(p)
+		granted = p.Now()
+		d.queue.Release()
+	})
 	k.Run()
-	if d.queue.InUse() != 0 {
-		t.Errorf("queue not drained: %d", d.queue.InUse())
+	if len(done) != queueDepth+8 {
+		t.Fatalf("%d of %d writers finished", len(done), queueDepth+8)
+	}
+	if granted != done[8] {
+		t.Errorf("probe granted at %v, want the ninth completion at %v", granted, done[8])
 	}
 }
 
@@ -95,7 +101,7 @@ func TestBlockdevFTLStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := d.FTLStats().HostWrites; got != 10 {
+	if got := d.ftl.Stats().HostWrites; got != 10 {
 		t.Errorf("HostWrites = %d, want 10", got)
 	}
 }

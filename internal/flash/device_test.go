@@ -120,7 +120,7 @@ func TestDieParallelism(t *testing.T) {
 	var makespan sim.Time
 	done := 0
 	for die := 0; die < geo.Dies(); die++ {
-		p := geo.PPNOf(die, 0, 0, 0)
+		p := geo.FirstPage(geo.PBNOf(die, 0, 0))
 		k.Go("writer", func(pr *sim.Proc) {
 			w := sim.ProcWaiter{P: pr}
 			if err := d.ProgramPage(w, p, nil, nand.OOB{}); err != nil {
@@ -182,10 +182,10 @@ func TestChannelContention(t *testing.T) {
 	w := &sim.ClockWaiter{}
 	geo := cfg.Geometry
 	// Serial waiter: issue two programs to different dies back to back.
-	if err := d.ProgramPage(w, geo.PPNOf(0, 0, 0, 0), nil, nand.OOB{}); err != nil {
+	if err := d.ProgramPage(w, geo.FirstPage(geo.PBNOf(0, 0, 0)), nil, nand.OOB{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ProgramPage(w, geo.PPNOf(1, 0, 0, 0), nil, nand.OOB{}); err != nil {
+	if err := d.ProgramPage(w, geo.FirstPage(geo.PBNOf(1, 0, 0)), nil, nand.OOB{}); err != nil {
 		t.Fatal(err)
 	}
 	st := d.Stats()

@@ -76,9 +76,6 @@ func TestDFTLMissesCauseMapReads(t *testing.T) {
 	if st.MapReads == 0 {
 		t.Error("expected CMT misses to read translation pages")
 	}
-	if hr := f.CMTHitRate(); hr >= 0.95 {
-		t.Errorf("hit rate %.2f implausibly high for tiny CMT", hr)
-	}
 }
 
 func TestDFTLLargeCMTBeatsSmallCMT(t *testing.T) {

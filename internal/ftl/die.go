@@ -91,11 +91,12 @@ type BlockInfo struct {
 
 // BlockTable tracks every block of one die plus per-plane free pools.
 type BlockTable struct {
-	sp       DieSpace
-	Info     []BlockInfo
-	free     [][]int // per plane FIFO of free local block ids
-	allocSeq uint64
-	usable   int
+	sp        DieSpace
+	Info      []BlockInfo
+	free      [][]int // per plane FIFO of free local block ids
+	allocSeq  uint64
+	usable    int
+	formatted int
 }
 
 // NewBlockTable scans the die and builds the table, excluding bad blocks.
@@ -112,6 +113,9 @@ func NewBlockTable(sp DieSpace) *BlockTable {
 		for i := range info.Owners {
 			info.Owners[i] = NoOwner
 		}
+		if !arr.IsFactoryBad(sp.PBN(b)) {
+			t.formatted++
+		}
 		if arr.IsBad(sp.PBN(b)) {
 			info.State = BlockBad
 			continue
@@ -125,6 +129,10 @@ func NewBlockTable(sp DieSpace) *BlockTable {
 
 // Usable returns the number of non-bad blocks.
 func (t *BlockTable) Usable() int { return t.usable }
+
+// Formatted returns the number of blocks that were not bad from the
+// factory: the die's size whatever has grown bad since.
+func (t *BlockTable) Formatted() int { return t.formatted }
 
 // FreeCount returns the number of free blocks in a plane.
 func (t *BlockTable) FreeCount(plane int) int { return len(t.free[plane]) }

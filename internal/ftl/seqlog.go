@@ -112,9 +112,6 @@ func NewSeqLog(dev *flash.Device, cfg SeqLogConfig) (*SeqLog, error) {
 	return l, nil
 }
 
-// Name identifies the scheme.
-func (l *SeqLog) Name() string { return "seqlog" }
-
 // Stats returns cumulative counters. Erases here are pure truncation;
 // GCReads/GCWrites count only bad-block salvage copies — the scheme
 // never relocates pages to reclaim space.

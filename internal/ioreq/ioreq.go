@@ -49,8 +49,6 @@ const (
 	ClassPrefetch
 	// ClassGC is garbage collection, folds, erases and wear moves.
 	ClassGC
-	// NumClasses bounds the class space (ClassDefault included).
-	NumClasses
 )
 
 // String names the class.

@@ -236,16 +236,3 @@ func (s *Span) Latency() sim.Time {
 func (s *Span) Missed() bool {
 	return s != nil && s.Deadline > 0 && s.End > s.Deadline
 }
-
-// StageSum adds up the per-stage durations (equals Latency once the
-// span is finished — the flight recorder's invariant).
-func (s *Span) StageSum() sim.Time {
-	if s == nil {
-		return 0
-	}
-	var sum sim.Time
-	for _, d := range s.Durations {
-		sum += d
-	}
-	return sum
-}

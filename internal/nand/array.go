@@ -29,19 +29,11 @@ type OOB struct {
 	Flags uint32 // owner-defined bits (e.g. translation-page marker)
 }
 
-// PageState is the physical condition of a page.
-type PageState uint8
-
-// Page states.
-const (
-	PageErased     PageState = iota // never programmed since last erase
-	PageProgrammed                  // holds data
-)
-
 type blockState struct {
 	eraseCount int
 	nextPage   int // in-order programming cursor
 	bad        bool
+	factory    bool   // bad from the factory (bad is set too)
 	programmed []bool // len PagesPerBlock, lazily allocated
 	oob        []OOB  // lazily allocated
 	data       [][]byte
@@ -126,16 +118,13 @@ func NewArray(geo Geometry, cell CellType, opts Options) *Array {
 	if opts.InitialBadFraction > 0 {
 		for i := range a.blocks {
 			if a.rng.Float64() < opts.InitialBadFraction {
-				a.blocks[i].bad = true
+				a.blocks[i].bad, a.blocks[i].factory = true, true
 				a.factoryBad++
 			}
 		}
 	}
 	return a
 }
-
-// Geometry returns the array's geometry.
-func (a *Array) Geometry() Geometry { return a.geo }
 
 // Endurance returns the per-block erase budget in effect.
 func (a *Array) Endurance() int { return a.endurance }
@@ -421,19 +410,6 @@ func (a *Array) Copyback(src, dst PPN, oob OOB) error {
 	return nil
 }
 
-// PageState reports whether a page is erased or programmed.
-func (a *Array) PageState(p PPN) (PageState, error) {
-	if !a.geo.ValidPPN(p) {
-		return PageErased, fmt.Errorf("%w: ppn %d", ErrBadAddress, p)
-	}
-	bs := a.block(a.geo.BlockOf(p))
-	idx := a.geo.PageIndex(p)
-	if bs.programmed == nil || !bs.programmed[idx] {
-		return PageErased, nil
-	}
-	return PageProgrammed, nil
-}
-
 // NextProgramPage returns the index of the next programmable page in the
 // block (PagesPerBlock when the block is full).
 func (a *Array) NextProgramPage(b PBN) int { return a.block(b).nextPage }
@@ -443,6 +419,9 @@ func (a *Array) EraseCount(b PBN) int { return a.block(b).eraseCount }
 
 // IsBad reports whether the block is retired (factory or grown bad).
 func (a *Array) IsBad(b PBN) bool { return a.block(b).bad }
+
+// IsFactoryBad reports whether the block was bad from the factory.
+func (a *Array) IsFactoryBad(b PBN) bool { return a.block(b).factory }
 
 // Counters is a snapshot of the array's lifetime operation counts.
 type Counters struct {

@@ -86,12 +86,6 @@ func (g Geometry) TotalBytes() int64 { return g.TotalPages() * int64(g.PageSize)
 // buses, which is how SSDs interleave for bus parallelism.
 func (g Geometry) ChannelOfDie(die int) int { return die % g.Channels }
 
-// PPNOf composes a physical page number from its coordinates.
-func (g Geometry) PPNOf(die, plane, block, page int) PPN {
-	return PPN(((int64(die)*int64(g.PlanesPerDie)+int64(plane))*int64(g.BlocksPerPlane)+
-		int64(block))*int64(g.PagesPerBlock) + int64(page))
-}
-
 // PBNOf composes a physical block number from its coordinates.
 func (g Geometry) PBNOf(die, plane, block int) PBN {
 	return PBN((int64(die)*int64(g.PlanesPerDie)+int64(plane))*int64(g.BlocksPerPlane) +

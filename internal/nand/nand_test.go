@@ -80,8 +80,8 @@ func TestAddressRoundTripProperty(t *testing.T) {
 		pl := int(plane) % g.PlanesPerDie
 		b := int(block) % g.BlocksPerPlane
 		pg := int(page) % g.PagesPerBlock
-		ppn := g.PPNOf(d, pl, b, pg)
 		pbn := g.PBNOf(d, pl, b)
+		ppn := g.FirstPage(pbn) + PPN(pg)
 		return g.ValidPPN(ppn) &&
 			g.BlockOf(ppn) == pbn &&
 			g.PageIndex(ppn) == pg &&
@@ -165,7 +165,7 @@ func TestProgramOrderEnforced(t *testing.T) {
 
 func TestEraseResetsBlock(t *testing.T) {
 	a := newTestArray(t, Options{StoreData: true})
-	g := a.Geometry()
+	g := a.geo
 	for p := 0; p < g.PagesPerBlock; p++ {
 		if err := a.ProgramPage(PPN(p), nil, OOB{LPN: uint64(p)}); err != nil {
 			t.Fatal(err)
@@ -177,8 +177,8 @@ func TestEraseResetsBlock(t *testing.T) {
 	if got := a.EraseCount(0); got != 1 {
 		t.Errorf("EraseCount = %d, want 1", got)
 	}
-	if st, _ := a.PageState(0); st != PageErased {
-		t.Errorf("page state = %v, want erased", st)
+	if _, err := a.ReadPage(0, nil); !errors.Is(err, ErrPageErased) {
+		t.Errorf("read after erase: %v, want ErrPageErased", err)
 	}
 	// Programming restarts from page 0.
 	if err := a.ProgramPage(0, nil, OOB{}); err != nil {
@@ -188,7 +188,7 @@ func TestEraseResetsBlock(t *testing.T) {
 
 func TestCopybackSamePlane(t *testing.T) {
 	a := newTestArray(t, Options{StoreData: true})
-	g := a.Geometry()
+	g := a.geo
 	data := bytes.Repeat([]byte{0x5C}, g.PageSize)
 	if err := a.ProgramPage(0, data, OOB{LPN: 9}); err != nil {
 		t.Fatal(err)
@@ -220,12 +220,12 @@ func TestCopybackSamePlane(t *testing.T) {
 
 func TestCopybackCrossPlaneRejected(t *testing.T) {
 	a := newTestArray(t, Options{})
-	g := a.Geometry()
+	g := a.geo
 	if err := a.ProgramPage(0, nil, OOB{}); err != nil {
 		t.Fatal(err)
 	}
 	// First page of plane 1 on die 0.
-	dst := g.PPNOf(0, 1, 0, 0)
+	dst := g.FirstPage(g.PBNOf(0, 1, 0))
 	if err := a.Copyback(0, dst, OOB{}); !errors.Is(err, ErrCrossPlane) {
 		t.Errorf("err = %v, want ErrCrossPlane", err)
 	}
@@ -236,7 +236,7 @@ func TestCopybackUpdatesOOB(t *testing.T) {
 	if err := a.ProgramPage(0, nil, OOB{LPN: 1, Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
-	g := a.Geometry()
+	g := a.geo
 	if err := a.Copyback(0, g.FirstPage(1), OOB{LPN: 1, Seq: 99}); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestWearOutRetiresBlock(t *testing.T) {
 		t.Error("worn-out block not marked bad")
 	}
 	// Bad blocks refuse programs and erases but stay readable for salvage.
-	if perr := a.ProgramPage(a.Geometry().FirstPage(7), nil, OOB{}); !errors.Is(perr, ErrBadBlock) {
+	if perr := a.ProgramPage(a.geo.FirstPage(7), nil, OOB{}); !errors.Is(perr, ErrBadBlock) {
 		t.Errorf("program to bad block: %v, want ErrBadBlock", perr)
 	}
 	if eerr := a.EraseBlock(7); !errors.Is(eerr, ErrBadBlock) {
@@ -279,7 +279,7 @@ func TestFactoryBadBlocks(t *testing.T) {
 		t.Error("expected some factory bad blocks at 20%")
 	}
 	bad := 0
-	for b := 0; b < a.Geometry().TotalBlocks(); b++ {
+	for b := 0; b < a.geo.TotalBlocks(); b++ {
 		if a.IsBad(PBN(b)) {
 			bad++
 		}
@@ -302,14 +302,14 @@ func TestProgramFailureInjection(t *testing.T) {
 
 func TestBadAddressErrors(t *testing.T) {
 	a := newTestArray(t, Options{})
-	huge := PPN(a.Geometry().TotalPages())
+	huge := PPN(a.geo.TotalPages())
 	if _, err := a.ReadPage(huge, nil); !errors.Is(err, ErrBadAddress) {
 		t.Errorf("ReadPage: %v, want ErrBadAddress", err)
 	}
 	if err := a.ProgramPage(huge, nil, OOB{}); !errors.Is(err, ErrBadAddress) {
 		t.Errorf("ProgramPage: %v, want ErrBadAddress", err)
 	}
-	if err := a.EraseBlock(PBN(a.Geometry().TotalBlocks())); !errors.Is(err, ErrBadAddress) {
+	if err := a.EraseBlock(PBN(a.geo.TotalBlocks())); !errors.Is(err, ErrBadAddress) {
 		t.Errorf("EraseBlock: %v, want ErrBadAddress", err)
 	}
 	if err := a.Copyback(huge, 0, OOB{}); !errors.Is(err, ErrBadAddress) {
@@ -370,7 +370,7 @@ func TestWearStats(t *testing.T) {
 // blocks, uneven erase counts and one die whose blocks are all bad.
 func TestWearPerDieMatchesBlockScan(t *testing.T) {
 	a := newTestArray(t, Options{})
-	geo := a.Geometry()
+	geo := a.geo
 	per := geo.BlocksPerDie()
 	rng := rand.New(rand.NewSource(5))
 	for b := range geo.TotalBlocks() {
@@ -448,7 +448,7 @@ func TestCellTypeTimingAndEndurance(t *testing.T) {
 func TestCountersConsistencyProperty(t *testing.T) {
 	f := func(ops []uint8, seed int64) bool {
 		a := NewArray(testGeo(), SLC, Options{Seed: seed})
-		g := a.Geometry()
+		g := a.geo
 		var programs, erases int64
 		for _, op := range ops {
 			b := PBN(int(op) % g.TotalBlocks())

@@ -119,15 +119,6 @@ func (v *Volume) WriteDelta(rq ioreq.Req, lpn int64, payload []byte) error {
 	return v.dies[v.st.DieOf(lpn)].writeDelta(rq.Waiter(), v.st.DieLPN(lpn), lpn, payload)
 }
 
-// ChainLen reports the page's current delta-chain length (0 when the
-// page has a plain full image).
-func (v *Volume) ChainLen(lpn int64) int {
-	if v.check(lpn) != nil {
-		return 0
-	}
-	return len(v.dies[v.st.DieOf(lpn)].chains[v.st.DieLPN(lpn)])
-}
-
 func (d *dieMgr) writeDelta(w sim.Waiter, dlpn, globalLPN int64, payload []byte) error {
 	ps := d.sp.Geo().PageSize
 	rec := deltaHeaderSize + len(payload)

@@ -54,7 +54,7 @@ func TestWriteDeltaFoldOnRead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := v.ChainLen(3); got != 3 {
+	if got := chainLen(v, 3); got != 3 {
 		t.Fatalf("chain length = %d, want 3", got)
 	}
 	buf := make([]byte, ps)
@@ -94,7 +94,7 @@ func TestWriteDeltaForcedFoldAtMaxChain(t *testing.T) {
 	if s.Folds == 0 {
 		t.Fatal("no forced fold happened")
 	}
-	if got := v.ChainLen(0); got > maxDeltaChain {
+	if got := chainLen(v, 0); got > maxDeltaChain {
 		t.Fatalf("chain length %d exceeds maxDeltaChain", got)
 	}
 	buf := make([]byte, ps)
@@ -144,7 +144,7 @@ func TestFullWriteSupersedesChain(t *testing.T) {
 	if err := v.Write(ioreq.Plain(w), 1, fresh); err != nil {
 		t.Fatal(err)
 	}
-	if got := v.ChainLen(1); got != 0 {
+	if got := chainLen(v, 1); got != 0 {
 		t.Fatalf("chain survived a full write: %d", got)
 	}
 	buf := make([]byte, ps)
@@ -174,7 +174,7 @@ func TestInvalidateDropsChain(t *testing.T) {
 	if err := v.Invalidate(2); err != nil {
 		t.Fatal(err)
 	}
-	if got := v.ChainLen(2); got != 0 {
+	if got := chainLen(v, 2); got != 0 {
 		t.Fatalf("chain survived invalidate: %d", got)
 	}
 	buf := make([]byte, ps)
@@ -340,7 +340,7 @@ func TestRebuildRestoresDeltaChains(t *testing.T) {
 	}
 	chained := 0
 	for lpn := int64(0); lpn < n; lpn++ {
-		if v.ChainLen(lpn) > 0 {
+		if chainLen(v, lpn) > 0 {
 			chained++
 		}
 	}
@@ -363,7 +363,7 @@ func TestRebuildRestoresDeltaChains(t *testing.T) {
 			t.Fatalf("read %d: %v", lpn, err)
 		}
 		if !bytes.Equal(buf, shadow[lpn]) {
-			t.Fatalf("page %d wrong after rebuild (chain len %d)", lpn, v2.ChainLen(lpn))
+			t.Fatalf("page %d wrong after rebuild (chain len %d)", lpn, chainLen(v2, lpn))
 		}
 	}
 	// And the rebuilt volume keeps working on the delta path.
@@ -503,4 +503,9 @@ func TestChainedReadDispatchesAtDeclaredClass(t *testing.T) {
 			t.Fatalf("command %d: %+v, want a %v-class read", i, ev, wantClass)
 		}
 	}
+}
+
+// chainLen is lpn's current delta-chain length (0: a plain full image).
+func chainLen(v *Volume, lpn int64) int {
+	return len(v.dies[v.st.DieOf(lpn)].chains[v.st.DieLPN(lpn)])
 }

@@ -77,15 +77,6 @@ func (f *DFTL) Stats() ftl.Stats {
 	return s
 }
 
-// CMTHitRate returns the fraction of mapping lookups served from RAM.
-func (f *DFTL) CMTHitRate() float64 {
-	total := f.cmt.hits + f.cmt.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(f.cmt.hits) / float64(total)
-}
-
 // Read implements ftl.FTL.
 func (f *DFTL) Read(w sim.Waiter, lpn int64, buf []byte) error {
 	if err := f.translate(w, lpn); err != nil {
@@ -136,7 +127,6 @@ func (f *DFTL) fetch(w sim.Waiter, lpn int64) error {
 	if f.cmt.touch(lpn) {
 		return nil
 	}
-	f.cmt.misses++
 	if err := f.readTP(w, lpn/f.perTP); err != nil {
 		return err
 	}
@@ -205,10 +195,9 @@ func (v *Volume) mapped(lpn int64) bool {
 // cmtCache is an LRU of mapping entries with a capacity its owner
 // enforces (over).
 type cmtCache struct {
-	cap          int
-	m            map[int64]*list.Element // of *cmtEntry
-	order        *list.List              // front = most recently used
-	hits, misses int64
+	cap   int
+	m     map[int64]*list.Element // of *cmtEntry
+	order *list.List              // front = most recently used
 }
 
 type cmtEntry struct {
@@ -228,7 +217,6 @@ func (c *cmtCache) touch(lpn int64) bool {
 	if !ok {
 		return false
 	}
-	c.hits++
 	c.order.MoveToFront(e)
 	return true
 }

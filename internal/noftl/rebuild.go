@@ -3,6 +3,8 @@ package noftl
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"noftl/internal/flash"
@@ -132,8 +134,10 @@ func Rebuild(dev *flash.Device, cfg Config, rq ioreq.Req) (*Volume, error) {
 		d.bt.SetOwner(local, page, v.st.DieLPN(lpn))
 	}
 	// Reattach delta chains: records newer than the base image, oldest
-	// first.
-	for lpn, recs := range deltas {
+	// first; in LPN order, so a delta page lists its residents (the order
+	// its GC folds them) alike on every rebuild.
+	for _, lpn := range slices.Sorted(maps.Keys(deltas)) {
+		recs := deltas[lpn]
 		baseSeq := latest[lpn].seq // zero when the page has no full image
 		sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
 		d := v.dies[v.st.DieOf(lpn)]

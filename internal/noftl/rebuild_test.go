@@ -1,10 +1,14 @@
 package noftl
 
 import (
+	"bytes"
 	"encoding/binary"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"noftl/internal/delta"
+	"noftl/internal/flash"
 	"noftl/internal/ftl"
 	"noftl/internal/ioreq"
 	"noftl/internal/nand"
@@ -104,7 +108,7 @@ func TestRebuildSkipsCrossDieLPN(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkRebuilt(t, v2)
-			if n := v2.ChainLen(0); n != 0 {
+			if n := chainLen(v2, 0); n != 0 {
 				t.Fatalf("lpn 0 rebuilt with a %d-record chain from die 1", n)
 			}
 			buf := make([]byte, 256)
@@ -117,5 +121,117 @@ func TestRebuildSkipsCrossDieLPN(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRebuildIsDeterministic rebuilds one device holding shared delta
+// pages again and again: every rebuild must give the same chains and the
+// same residents in the same order, since a delta page's GC folds its
+// residents in that order.
+func TestRebuildIsDeterministic(t *testing.T) {
+	v, dev, w := deltaTestVolume(t, Config{})
+	rng := rand.New(rand.NewSource(3))
+	page := make([]byte, dev.Geometry().PageSize)
+	const n = 32
+	for lpn := int64(0); lpn < n; lpn++ {
+		if err := v.Write(ioreq.Plain(w), lpn, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for lpn := int64(0); lpn < n; lpn++ { // small records: many LPNs share a delta page
+		if err := v.WriteDelta(ioreq.Plain(w), lpn, mutate(rng, page, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type dieState struct {
+		chains     map[int64][]chainRef
+		deltaPages map[nand.PPN]deltaPageInfo
+	}
+	state := func(v *Volume) []dieState {
+		var out []dieState
+		for _, d := range v.dies {
+			s := dieState{chains: d.chains, deltaPages: map[nand.PPN]deltaPageInfo{}}
+			for ppn, pi := range d.deltaPages {
+				s.deltaPages[ppn] = *pi
+			}
+			out = append(out, s)
+		}
+		return out
+	}
+	var want []dieState
+	for i := 0; i < 20; i++ {
+		v2, err := Rebuild(dev, Config{}, ioreq.Plain(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := state(v2)
+		if i == 0 {
+			want = got
+			shared := false
+			for _, s := range got {
+				for _, pi := range s.deltaPages {
+					shared = shared || len(pi.residents) > 1
+				}
+			}
+			if !shared {
+				t.Fatal("no delta page holds two residents: the order is unexercised")
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("rebuild %d differs from the first:\n%+v\nwant\n%+v", i, got, want)
+		}
+	}
+}
+
+// TestRebuildKeepsFormattedCapacity grows bad blocks under a volume that
+// holds every LPN, then restarts it: the rebuilt volume must export the
+// capacity it was formatted with, and every LPN must read back its bytes.
+func TestRebuildKeepsFormattedCapacity(t *testing.T) {
+	dc := flash.EmulatorConfig(2, 32, nand.SLC)
+	dc.Nand.StoreData = true
+	dc.Nand.ProgramFailProb = 0.002
+	dc.Nand.Seed = 99
+	dev := flash.New(dc)
+	v, err := New(dev, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := ioreq.Plain(&sim.ClockWaiter{})
+	rng := rand.New(rand.NewSource(5))
+	n := v.LogicalPages()
+	shadow := make([][]byte, n)
+	for lpn := range shadow {
+		shadow[lpn] = make([]byte, dc.Geometry.PageSize)
+		rng.Read(shadow[lpn])
+		if err := v.Write(w, int64(lpn), shadow[lpn]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; dev.Array().Counters().GrownBad < 2; i++ {
+		if i == 20*int(n) {
+			t.Fatalf("%d overwrites grew %d bad blocks", i, dev.Array().Counters().GrownBad)
+		}
+		lpn := rng.Int63n(n)
+		rng.Read(shadow[lpn])
+		if err := v.Write(w, lpn, shadow[lpn]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v2, err := Rebuild(dev, Config{}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v2.LogicalPages() != n {
+		t.Fatalf("rebuilt capacity %d pages, formatted %d", v2.LogicalPages(), n)
+	}
+	buf := make([]byte, dc.Geometry.PageSize)
+	for lpn := range shadow {
+		if err := v2.Read(w, int64(lpn), buf); err != nil {
+			t.Fatalf("read %d: %v", lpn, err)
+		}
+		if !bytes.Equal(buf, shadow[lpn]) {
+			t.Fatalf("lpn %d lost its bytes across the restart", lpn)
+		}
 	}
 }

@@ -245,10 +245,11 @@ func newDieMgr(dev *flash.Device, die, idx, stripe int, cfg Config, frontiers in
 }
 
 // logicalPages computes the die's exported capacity: usable pages minus
-// over-provisioning, capped so GC always has headroom.
+// over-provisioning, capped so GC always has headroom. Blocks grown bad
+// since the factory come out of the spare, so a rebuild keeps the capacity.
 func (d *dieMgr) logicalPages() int64 {
 	ppb := int64(d.sp.PagesPerBlock())
-	usable := int64(d.bt.Usable())
+	usable := int64(d.bt.Formatted())
 	// Reserve room for the open per-plane frontiers plus the low-water
 	// free pool.
 	reserve := int64(d.sp.Planes()) * int64(d.frontiers+lowWater)

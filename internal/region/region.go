@@ -222,17 +222,6 @@ func assignDies(dev *flash.Device, specs []Spec) ([][]int, error) {
 // Regions returns the managed regions in declaration order.
 func (m *Manager) Regions() []*Region { return append([]*Region(nil), m.regions...) }
 
-// Region returns a region by name, or nil.
-func (m *Manager) Region(name string) *Region { return m.byName[name] }
-
-// Volume returns the named page-mapped region's volume, or nil.
-func (m *Manager) Volume(name string) *noftl.Volume {
-	if r := m.byName[name]; r != nil {
-		return r.Vol
-	}
-	return nil
-}
-
 // Log returns the named sequential region's log, or nil.
 func (m *Manager) Log(name string) *ftl.SeqLog {
 	if r := m.byName[name]; r != nil {

@@ -31,8 +31,8 @@ func TestLayoutDiePartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := m.Region("log")
-	data := m.Region("data")
+	log := m.byName["log"]
+	data := m.byName["data"]
 	if log == nil || data == nil {
 		t.Fatal("default layout regions missing")
 	}
@@ -139,7 +139,7 @@ func TestRegionIsolationAndRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &sim.ClockWaiter{}
-	data := m.Volume("data")
+	data := m.byName["data"].Vol
 	log := m.Log("log")
 
 	page := make([]byte, 1024)
@@ -163,7 +163,7 @@ func TestRegionIsolationAndRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data2, log2 := m2.Volume("data"), m2.Log("log")
+	data2, log2 := m2.byName["data"].Vol, m2.Log("log")
 	buf := make([]byte, 1024)
 	for lpn := int64(0); lpn < 50; lpn++ {
 		if err := data2.Read(ioreq.Plain(w), lpn, buf); err != nil {
@@ -216,7 +216,7 @@ func TestPerRegionOverProvision(t *testing.T) {
 			t.Fatal(err)
 		}
 		drive := func(name string) outcome {
-			v := m.Volume(name)
+			v := m.byName[name].Vol
 			w := &sim.ClockWaiter{}
 			n := v.LogicalPages()
 			rng := rand.New(rand.NewSource(2))

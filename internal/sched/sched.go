@@ -333,9 +333,6 @@ func New(k *sim.Kernel, dev *flash.Device, cfg Config) *Scheduler {
 	return s
 }
 
-// Policy returns the configured queue discipline.
-func (s *Scheduler) Policy() Policy { return s.cfg.Policy }
-
 // Stats returns a snapshot of scheduler accounting.
 func (s *Scheduler) Stats() Stats { return s.stats }
 

@@ -244,9 +244,6 @@ func (f *Front) OpenSession(tenant, store string) (*Session, error) {
 	return &Session{f: f, t: t, st: st}, nil
 }
 
-// ActiveSessions returns the number of currently open sessions.
-func (f *Front) ActiveSessions() int64 { return f.sessions }
-
 // Stats is the front's admission accounting at one instant.
 type Stats struct {
 	// ActiveSessions is the number of open sessions.

@@ -377,20 +377,20 @@ func TestPacing(t *testing.T) {
 func TestSessionLifecycle(t *testing.T) {
 	e, ctx := serveTestEngine(t)
 	f, s := testFront(t, e, ctx, oneTenant())
-	if f.ActiveSessions() != 1 {
-		t.Fatalf("sessions = %d", f.ActiveSessions())
+	if f.sessions != 1 {
+		t.Fatalf("sessions = %d", f.sessions)
 	}
 	s2, err := f.OpenSession("paying", "kv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.ActiveSessions() != 2 {
-		t.Fatalf("sessions = %d", f.ActiveSessions())
+	if f.sessions != 2 {
+		t.Fatalf("sessions = %d", f.sessions)
 	}
 	s2.Close()
 	s2.Close() // idempotent
-	if f.ActiveSessions() != 1 {
-		t.Fatalf("after close: %d", f.ActiveSessions())
+	if f.sessions != 1 {
+		t.Fatalf("after close: %d", f.sessions)
 	}
 	if _, err := f.OpenSession("nobody", "kv"); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("unknown tenant: %v", err)
@@ -470,8 +470,8 @@ func TestManySessionsE2E(t *testing.T) {
 			}
 		})
 	}
-	if f.ActiveSessions() != clients {
-		t.Fatalf("sessions = %d, want %d", f.ActiveSessions(), clients)
+	if f.sessions != clients {
+		t.Fatalf("sessions = %d, want %d", f.sessions, clients)
 	}
 	k.RunFor(2 * sim.Second)
 	k.Shutdown()
@@ -485,8 +485,8 @@ func TestManySessionsE2E(t *testing.T) {
 		}
 		total += n
 	}
-	if f.ActiveSessions() != 0 {
-		t.Fatalf("sessions left open: %d", f.ActiveSessions())
+	if f.sessions != 0 {
+		t.Fatalf("sessions left open: %d", f.sessions)
 	}
 	st := f.Stats()
 	if st.Admitted < int64(total) {

@@ -10,7 +10,7 @@ import (
 )
 
 // zeroDelayStorm adds what leans hardest on the lane to a scenario on k:
-// bursts of chained After(0) callbacks, processes that only ever Yield,
+// bursts of chained After(0) callbacks, processes that only ever Sleep(0),
 // and a queue whose producers hand bursts to several consumers — all at
 // instants the mix also uses, so lane and heap hold events for the same
 // time and only seq orders them.
@@ -31,7 +31,7 @@ func zeroDelayStorm(k *Kernel, seed int64, trace *[]string) {
 					}
 				})
 			}
-			p.Sleep(Time(rng.Intn(4)) * 5 * Microsecond) // 0: a Yield between bursts
+			p.Sleep(Time(rng.Intn(4)) * 5 * Microsecond) // 0: a Sleep(0) between bursts
 		}
 	})
 	for i := 0; i < 3; i++ {
@@ -40,14 +40,14 @@ func zeroDelayStorm(k *Kernel, seed int64, trace *[]string) {
 				if r%16 == 15 {
 					p.Sleep(5 * Microsecond)
 				}
-				p.Yield()
+				p.Sleep(0)
 				log("yield %d.%d", i, r)
 			}
 		})
 		k.Go("consumer", func(p *Proc) {
 			for {
-				v, ok := q.Get(p)
-				if !ok {
+				v, _ := q.Get(p)
+				if v < 0 {
 					return
 				}
 				log("consumer %d got %d", i, v)
@@ -61,7 +61,9 @@ func zeroDelayStorm(k *Kernel, seed int64, trace *[]string) {
 			}
 			p.Sleep(10 * Microsecond)
 		}
-		q.Close()
+		for i := 0; i < 3; i++ {
+			q.Put(-1) // one end mark per consumer
+		}
 	})
 }
 
@@ -229,17 +231,17 @@ func TestRunUntilStopsAndContinues(t *testing.T) {
 		woke[1] = p.Now()
 	})
 	k.RunUntil(50)
-	if k.Now() != 50 || !waiter.parked || waiter.q != &q || !sleeper.parked || k.Pending() != 2 {
+	if k.Now() != 50 || !waiter.parked || waiter.q != &q || !sleeper.parked || k.pending != 2 {
 		t.Fatalf("at the limit: now %v, waiter parked %v queued %v, sleeper parked %v, %d pending; want 50, both parked, 2 pending",
-			k.Now(), waiter.parked, waiter.q == &q, sleeper.parked, k.Pending())
+			k.Now(), waiter.parked, waiter.q == &q, sleeper.parked, k.pending)
 	}
 	k.RunUntil(100) // the sleeper is due exactly at the limit
-	if k.Pending() != 1 || woke != [2]Time{100, 100} || k.Alive() != 0 {
-		t.Errorf("woke at %v with %d alive and %d pending, want [100 100], 0 and the stale deadline", woke, k.Alive(), k.Pending())
+	if k.pending != 1 || woke != [2]Time{100, 100} || k.Alive() != 0 {
+		t.Errorf("woke at %v with %d alive and %d pending, want [100 100], 0 and the stale deadline", woke, k.Alive(), k.pending)
 	}
 	k.RunUntil(200)
-	if st := k.Stats(); k.Pending() != 0 || st.Events != st.Resumes+1 {
-		t.Errorf("%+v with %d pending: the stale deadline should fire as one event that resumes nobody", st, k.Pending())
+	if st := k.Stats(); k.pending != 0 || st.Events != st.Resumes+1 {
+		t.Errorf("%+v with %d pending: the stale deadline should fire as one event that resumes nobody", st, k.pending)
 	}
 
 	whole := func(seed int64, slice Time) ([]string, uint64, Stats) {
@@ -300,16 +302,16 @@ func TestShutdownFromEveryParkedState(t *testing.T) {
 		t.Error("a wake-up scheduled during Shutdown must not be delivered")
 	})
 	k.RunUntil(100)
-	if k.Pending() != 4 {
-		t.Fatalf("%d pending before Shutdown; want 4 (two deadlines, two sleeps)", k.Pending())
+	if k.pending != 4 {
+		t.Fatalf("%d pending before Shutdown; want 4 (two deadlines, two sleeps)", k.pending)
 	}
 	k.Shutdown()
 	want := []string{"waiter500", "waiter0", "waiter1000", "sleeper", "stubborn", "blocked"}
 	if !reflect.DeepEqual(order, want) {
 		t.Errorf("unwind order %v, want %v (lowest id first)", order, want)
 	}
-	if k.Alive() != 0 || k.Pending() != 0 {
-		t.Errorf("Alive() = %d, Pending() = %d after Shutdown, want 0 0", k.Alive(), k.Pending())
+	if k.Alive() != 0 || k.pending != 0 {
+		t.Errorf("Alive() = %d, pending = %d after Shutdown, want 0 0", k.Alive(), k.pending)
 	}
 	st := k.Stats()
 	k.Shutdown()
@@ -319,7 +321,7 @@ func TestShutdownFromEveryParkedState(t *testing.T) {
 	// Still usable, the lane and the queue included.
 	ran := false
 	k.Go("after", func(p *Proc) {
-		p.Yield()
+		p.Sleep(0)
 		wq.Wait(ProcWaiter{P: p}, 150)
 		ran = wq.Empty()
 	})
@@ -497,8 +499,8 @@ func TestDriverSeatMovesBetweenGoroutines(t *testing.T) {
 		})
 		on(func() { k.RunFor(20 * Millisecond) })
 		on(k.Shutdown)
-		if k.Alive() != 0 || k.Pending() != 0 {
-			t.Errorf("Alive() = %d, Pending() = %d after Shutdown, want 0 0", k.Alive(), k.Pending())
+		if k.Alive() != 0 || k.pending != 0 {
+			t.Errorf("Alive() = %d, pending = %d after Shutdown, want 0 0", k.Alive(), k.pending)
 		}
 		return result{*trace, k.seq, k.Stats()}
 	}

@@ -104,9 +104,6 @@ func (k *Kernel) Now() Time { return k.now }
 // terminated.
 func (k *Kernel) Alive() int { return len(k.procs) }
 
-// Pending reports the number of scheduled, not yet fired events.
-func (k *Kernel) Pending() int { return k.pending }
-
 // Stats returns the kernel's counters since New.
 func (k *Kernel) Stats() Stats { return k.stats }
 

@@ -75,8 +75,8 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 	if k.Now() != 50 {
 		t.Fatalf("Now() = %v, want 50", k.Now())
 	}
-	if k.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", k.Pending())
+	if k.pending != 1 {
+		t.Fatalf("pending = %d, want 1", k.pending)
 	}
 	k.RunFor(50)
 	if hits != 2 || k.Now() != 100 {
@@ -127,7 +127,7 @@ func TestProcAtomicityBetweenBlockingCalls(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				v := counter
 				counter = v + 1
-				p.Yield()
+				p.Sleep(0)
 			}
 		})
 	}
@@ -184,8 +184,8 @@ func TestResourceCapacity(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		k.Go("w", func(p *Proc) {
 			r.Acquire(p)
-			if r.InUse() > maxInUse {
-				maxInUse = r.InUse()
+			if r.inUse > maxInUse {
+				maxInUse = r.inUse
 			}
 			p.Sleep(10)
 			r.Release()
@@ -244,8 +244,8 @@ func TestQueueProducerConsumer(t *testing.T) {
 	var got []int
 	k.Go("consumer", func(p *Proc) {
 		for {
-			v, ok := q.Get(p)
-			if !ok {
+			v, _ := q.Get(p)
+			if v < 0 {
 				return
 			}
 			got = append(got, v)
@@ -256,14 +256,14 @@ func TestQueueProducerConsumer(t *testing.T) {
 			p.Sleep(10)
 			q.Put(i)
 		}
-		q.Close()
+		q.Put(-1) // the end mark
 	})
 	k.Run()
 	if !reflect.DeepEqual(got, []int{1, 2, 3, 4, 5}) {
 		t.Errorf("got %v, want 1..5", got)
 	}
 	if k.Alive() != 0 {
-		t.Errorf("Alive() = %d after close, want 0", k.Alive())
+		t.Errorf("Alive() = %d after the end mark, want 0", k.Alive())
 	}
 }
 
@@ -277,8 +277,8 @@ func TestQueueMultipleConsumersDrainBacklog(t *testing.T) {
 	for c := 0; c < 3; c++ {
 		k.Go("c", func(p *Proc) {
 			for {
-				v, ok := q.Get(p)
-				if !ok {
+				v, _ := q.Get(p)
+				if v < 0 {
 					return
 				}
 				got = append(got, v)
@@ -287,24 +287,14 @@ func TestQueueMultipleConsumersDrainBacklog(t *testing.T) {
 	}
 	k.Go("closer", func(p *Proc) {
 		p.Sleep(100)
-		q.Close()
+		for c := 0; c < 3; c++ {
+			q.Put(-1) // one end mark per consumer
+		}
 	})
 	k.Run()
 	if len(got) != 10 {
 		t.Errorf("consumed %d items, want 10: %v", len(got), got)
 	}
-}
-
-func TestQueuePutAfterClosePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	k := New()
-	q := NewQueue[int](k)
-	q.Close()
-	q.Put(1)
 }
 
 func TestShutdownUnwindsParkedProcesses(t *testing.T) {

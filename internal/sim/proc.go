@@ -83,12 +83,9 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
-// SleepUntil suspends the process until simulated time t (a Yield if t is
+// SleepUntil suspends the process until simulated time t (a Sleep(0) if t is
 // not in the future).
 func (p *Proc) SleepUntil(t Time) { p.Sleep(t - p.k.now) }
-
-// Yield lets every other event scheduled for the current instant run.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // park gives up the processor without scheduling a wake-up and runs the
 // event loop until an event — one scheduled before the call, or by a

@@ -10,7 +10,6 @@ import "slices"
 type Queue[T any] struct {
 	items   []T
 	waiters WaitQueue
-	closed  bool
 }
 
 // NewQueue returns an empty queue for the processes of kernel k.
@@ -19,30 +18,15 @@ func NewQueue[T any](k *Kernel) *Queue[T] {
 }
 
 // Put appends v and wakes the longest-waiting consumer, if any.
-// Put on a closed queue panics.
 func (q *Queue[T]) Put(v T) {
-	if q.closed {
-		panic("sim: Put on closed Queue")
-	}
 	q.items = append(q.items, v)
 	q.waiters.Grant()
 }
 
-// Close marks the queue closed. Blocked and future Get calls return
-// ok=false once the queue drains. Items already queued are still
-// delivered.
-func (q *Queue[T]) Close() {
-	q.closed = true
-	q.waiters.Wake()
-}
-
 // Get removes and returns the head item, parking p while the queue is
-// empty. It returns ok=false if the queue is closed and drained.
+// empty. ok is always true; the two-result form is the benchmark's.
 func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 	for len(q.items) == 0 {
-		if q.closed {
-			return v, false
-		}
 		q.waiters.Wait(ProcWaiter{P: p}, 0)
 	}
 	v = q.items[0]

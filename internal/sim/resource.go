@@ -18,9 +18,6 @@ func NewResource(k *Kernel, capacity int) *Resource {
 	return &Resource{capacity: capacity}
 }
 
-// InUse reports how many slots are currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
 // Acquire blocks p until a slot is available. Slots are granted in strict
 // arrival order.
 func (r *Resource) Acquire(p *Proc) {

@@ -8,7 +8,7 @@
 // coroutines resumed by the caller of Run, and the event loop runs on
 // whichever process just parked (or on that caller), so waking another
 // process is two coroutine switches, through the caller, and waking
-// oneself is none; events due at once (wake-ups, Yield) queue in a FIFO,
+// oneself is none; events due at once (wake-ups, Sleep(0)) queue in a FIFO,
 // only timed sleeps and deadlines in the heap. A process that waits for
 // another — for a latch, a lock, a flush, work — parks on a WaitQueue,
 // and whoever releases what it waits for hands off to it at that instant

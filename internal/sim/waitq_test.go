@@ -39,7 +39,9 @@ func mix(k *Kernel, seed int64) *[]string {
 	// The backstop that lets every waiter and consumer finish.
 	k.After(end, func() {
 		done = true
-		q.Close()
+		for i := 0; i < procs; i++ {
+			q.Put(-1) // an end mark for every consumer still parked
+		}
 		for f := range flagQ {
 			flagQ[f].Wake()
 		}
@@ -57,7 +59,7 @@ func mix(k *Kernel, seed int64) *[]string {
 					p.Sleep(d)
 				case 2:
 					set(f)
-					p.Yield()
+					p.Sleep(0)
 				case 3, 4:
 					if i%4 == 1 { // never waits, so the flags keep moving
 						set(f)
@@ -82,7 +84,7 @@ func mix(k *Kernel, seed int64) *[]string {
 					})
 				case 6:
 					if i%3 == 0 {
-						if v, ok := q.Get(p); ok {
+						if v, _ := q.Get(p); v >= 0 {
 							trace = append(trace, fmt.Sprintf("%d got %d", p.Now(), v))
 						}
 					} else {
@@ -191,8 +193,8 @@ func TestWaitDeadlineFiresAtItsInstant(t *testing.T) {
 			t.Error("released with nobody releasing")
 		}
 		expiredAt = p.Now()
-		seq, pending := k.seq, k.Pending()
-		if other.Wait(ProcWaiter{P: p}, p.Now()) || k.seq != seq || k.Pending() != pending {
+		seq, pending := k.seq, k.pending
+		if other.Wait(ProcWaiter{P: p}, p.Now()) || k.seq != seq || k.pending != pending {
 			t.Error("a deadline at now did not expire at once, or scheduled an event")
 		}
 	})
@@ -242,8 +244,8 @@ func TestStaleDeadlineNeverResumes(t *testing.T) {
 	if !reflect.DeepEqual(log, want) {
 		t.Errorf("log %v, want %v", log, want)
 	}
-	if k.Pending() != 0 || !q.Empty() {
-		t.Errorf("%d events pending, queue empty %v after Run", k.Pending(), q.Empty())
+	if k.pending != 0 || !q.Empty() {
+		t.Errorf("%d events pending, queue empty %v after Run", k.pending, q.Empty())
 	}
 }
 
@@ -277,15 +279,15 @@ func TestShutdownUnwindsQueuedWaiters(t *testing.T) {
 		})
 	}
 	k.RunUntil(35)
-	if q.Empty() || k.Pending() != 1 {
-		t.Fatalf("before Shutdown: queue empty %v, %d pending; want 3 waiters and their one deadline", q.Empty(), k.Pending())
+	if q.Empty() || k.pending != 1 {
+		t.Fatalf("before Shutdown: queue empty %v, %d pending; want 3 waiters and their one deadline", q.Empty(), k.pending)
 	}
 	k.Shutdown()
 	if cleaned != 3 || !q.Empty() || q.Grant() {
 		t.Errorf("after Shutdown: %d of 3 defers ran, queue empty %v", cleaned, q.Empty())
 	}
-	if k.Alive() != 0 || k.Pending() != 0 {
-		t.Errorf("Alive() = %d, Pending() = %d after Shutdown, want 0 0", k.Alive(), k.Pending())
+	if k.Alive() != 0 || k.pending != 0 {
+		t.Errorf("Alive() = %d, pending = %d after Shutdown, want 0 0", k.Alive(), k.pending)
 	}
 }
 

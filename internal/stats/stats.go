@@ -78,9 +78,6 @@ func (h *Histogram) AddHist(o *Histogram) {
 	}
 }
 
-// Count returns the number of samples.
-func (h *Histogram) Count() int64 { return h.count }
-
 // Mean returns the average latency.
 func (h *Histogram) Mean() sim.Time {
 	if h.count == 0 {
@@ -91,18 +88,9 @@ func (h *Histogram) Mean() sim.Time {
 
 // Empty reports whether the histogram holds no samples. Consumers that
 // serialize summary statistics should check it: an empty histogram
-// reports 0 for Min/Max/Mean/Percentile, and "no reads measured" must
+// reports 0 for Max/Mean/Percentile, and "no reads measured" must
 // not be confused with "0µs reads".
 func (h *Histogram) Empty() bool { return h.count == 0 }
-
-// Min returns the smallest sample, or 0 when the histogram is empty
-// (check Empty/Count to tell "no samples" from a genuine 0 minimum).
-func (h *Histogram) Min() sim.Time {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
 
 // Max returns the largest sample, or 0 when the histogram is empty.
 func (h *Histogram) Max() sim.Time { return h.max }

@@ -10,17 +10,17 @@ import (
 
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Percentile(50) != 0 {
+	if h.count != 0 || h.Mean() != 0 || h.Percentile(50) != 0 {
 		t.Error("empty histogram not zero")
 	}
 	for i := 1; i <= 100; i++ {
 		h.Add(sim.Time(i) * sim.Microsecond)
 	}
-	if h.Count() != 100 {
-		t.Errorf("count = %d", h.Count())
+	if h.count != 100 {
+		t.Errorf("count = %d", h.count)
 	}
-	if h.Min() != sim.Microsecond || h.Max() != 100*sim.Microsecond {
-		t.Errorf("min/max = %v/%v", h.Min(), h.Max())
+	if h.Percentile(0) != sim.Microsecond || h.Max() != 100*sim.Microsecond {
+		t.Errorf("min/max = %v/%v", h.Percentile(0), h.Max())
 	}
 	if got := h.Mean(); got != 50*sim.Microsecond+500*sim.Nanosecond {
 		t.Errorf("mean = %v", got)
@@ -80,15 +80,15 @@ func TestTableRowWiderThanHeader(t *testing.T) {
 
 // Empty histograms and out-of-range percentiles must behave explicitly:
 // every summary statistic of an empty histogram is 0 (callers check
-// Empty/Count to distinguish "no samples" from "0µs samples"), and p is
+// Empty to distinguish "no samples" from "0µs samples"), and p is
 // clamped to [min sample, max sample].
 func TestHistogramEmptyAndInvalidP(t *testing.T) {
 	var h Histogram
 	if !h.Empty() {
 		t.Error("zero-value histogram not Empty")
 	}
-	if h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 {
-		t.Errorf("empty summary not 0: min=%v max=%v mean=%v", h.Min(), h.Max(), h.Mean())
+	if h.Percentile(0) != 0 || h.Max() != 0 || h.Mean() != 0 {
+		t.Errorf("empty summary not 0: min=%v max=%v mean=%v", h.Percentile(0), h.Max(), h.Mean())
 	}
 	for _, p := range []float64{-10, 0, 50, 100, 1000} {
 		if got := h.Percentile(p); got != 0 {
@@ -135,11 +135,11 @@ func TestHistogramAddHist(t *testing.T) {
 	}
 	merged.AddHist(&a)
 	merged.AddHist(&b)
-	if merged.Count() != 4 {
-		t.Fatalf("count = %d, want 4", merged.Count())
+	if merged.count != 4 {
+		t.Fatalf("count = %d, want 4", merged.count)
 	}
-	if merged.Min() != 10*sim.Microsecond || merged.Max() != 2*sim.Millisecond {
-		t.Fatalf("min/max = %v/%v", merged.Min(), merged.Max())
+	if merged.Percentile(0) != 10*sim.Microsecond || merged.Max() != 2*sim.Millisecond {
+		t.Fatalf("min/max = %v/%v", merged.Percentile(0), merged.Max())
 	}
 	want := (10 + 100 + 50 + 2000) * sim.Microsecond / 4
 	if merged.Mean() != want {
@@ -147,7 +147,7 @@ func TestHistogramAddHist(t *testing.T) {
 	}
 	var empty Histogram
 	merged.AddHist(&empty) // no-op
-	if merged.Count() != 4 {
+	if merged.count != 4 {
 		t.Fatal("merging an empty histogram changed the count")
 	}
 }

@@ -206,6 +206,8 @@ func (e *Engine) OpenTable(name string) (uint32, error) {
 // DropTable removes a table and deallocates its pages — on a NoFTL
 // volume the pages stop being GC copy work immediately; on a legacy
 // block volume the FTL keeps dragging them along (the paper's point).
+//
+//noftl:ignore facade ROADMAP item 11: the freeing workload calls it; today only tests free pages
 func (e *Engine) DropTable(ctx *IOCtx, name string) error {
 	o, ok := e.cat.byName[name]
 	if !ok || o.kind != ObjHeap {

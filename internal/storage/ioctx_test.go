@@ -71,7 +71,7 @@ func TestTaggedReadAllocatesNothing(t *testing.T) {
 	buf := make([]byte, vol.PageSize())
 	const pages = 8
 	for id := PageID(0); id < pages; id++ {
-		if err := vol.WritePage(ctx, id, buf, HintNone); err != nil {
+		if err := vol.WritePage(ctx, id, buf, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +104,7 @@ func TestSubmitSeesContextAsMutated(t *testing.T) {
 	buf := make([]byte, vol.PageSize())
 	k.Go("terminal", func(p *sim.Proc) {
 		ctx := NewIOCtx(sim.ProcWaiter{P: p}).WithTag(5)
-		if err := vol.WritePage(ctx, 1, buf, HintNone); err != nil {
+		if err := vol.WritePage(ctx, 1, buf, 0); err != nil {
 			t.Error(err)
 		}
 		ctx.Tag, ctx.Span = 6, ioreq.NewSpan(77, 0, 6)
@@ -149,5 +149,5 @@ func TestMissingContextPanics(t *testing.T) {
 	vol := NewNoFTLVolume(nv)
 	buf := make([]byte, vol.PageSize())
 	//noftl:ignore ioreqclass this test exists to prove a zero-value context crashes at its first I/O
-	mustPanic(t, "WritePage(zero-value ctx)", func() { _ = vol.WritePage(&IOCtx{}, 0, buf, HintNone) })
+	mustPanic(t, "WritePage(zero-value ctx)", func() { _ = vol.WritePage(&IOCtx{}, 0, buf, 0) })
 }

@@ -21,7 +21,7 @@ func touchedMemVolume(pages int64) *MemVolume {
 	v := NewMemVolume(512, pages)
 	zero := make([]byte, 512)
 	for id := PageID(0); int64(id) < pages; id++ {
-		_ = v.WritePage(nil, id, zero, HintNone)
+		_ = v.WritePage(nil, id, zero, 0)
 	}
 	return v
 }

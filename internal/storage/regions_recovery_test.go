@@ -275,7 +275,7 @@ func TestRegionsRecoveryMatchesLegacyPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data := NewNoFTLVolume(m.Volume("data"))
+		data := NewNoFTLVolume(m.Regions()[0].Vol)
 		logv := NewMemVolume(dc.Geometry.PageSize, 1<<12)
 		ctx := NewIOCtx(nil)
 		if err := Format(ctx, data, logv); err != nil {

@@ -60,7 +60,6 @@ type WriteHint = noftl.Hint
 // log-stream pages — each maps to its own write frontier on volumes
 // that honor placement.
 const (
-	HintNone     = noftl.HintDefault
 	HintHotData  = noftl.HintHot
 	HintColdData = noftl.HintCold
 	HintLog      = noftl.HintLog

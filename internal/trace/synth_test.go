@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"noftl/internal/ftl"
 	"noftl/internal/noftl"
 	"noftl/internal/sim"
+	"noftl/internal/stats"
 )
 
 func TestSyntheticPatterns(t *testing.T) {
@@ -29,8 +31,11 @@ func TestSyntheticPatterns(t *testing.T) {
 			t.Errorf("%v: elapsed = %v", pat, res.Elapsed)
 		}
 		reads, writes, _ := tr.Counts()
-		if got := res.ReadLat.Count() + res.WriteLat.Count(); got != reads+writes {
-			t.Errorf("%v: timed %d ops, trace has %d reads + %d writes", pat, got, reads, writes)
+		var timed stats.Histogram
+		timed.AddHist(&res.ReadLat)
+		timed.AddHist(&res.WriteLat)
+		if !strings.HasPrefix(timed.String(), fmt.Sprintf("n=%d ", reads+writes)) { // String leads with the count
+			t.Errorf("%v: timed %s, trace has %d reads + %d writes", pat, timed.String(), reads, writes)
 		}
 		if pat.String() == "unknown" {
 			t.Errorf("pattern %d has no name", pat)

@@ -42,7 +42,7 @@ func TestTPCHSeedThreading(t *testing.T) {
 	}
 	// The zero seed keeps the historical default (7), not Go's default
 	// source: it must still be deterministic.
-	if NewTPCH(TPCHConfig{}).Config().Seed != 7 {
+	if NewTPCH(TPCHConfig{}).cfg.Seed != 7 {
 		t.Fatal("unset TPCH seed did not default to 7")
 	}
 }

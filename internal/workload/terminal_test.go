@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"noftl/internal/sim"
@@ -65,9 +67,9 @@ func TestTerminalsRunConcurrently(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no transactions committed")
 	}
-	h := ts.CommitHist()
-	if h.Count() != n {
-		t.Fatalf("histogram count %d != committed %d", h.Count(), n)
+	// String leads with the sample count.
+	if h := ts.CommitHist(); !strings.HasPrefix(h.String(), fmt.Sprintf("n=%d ", n)) {
+		t.Fatalf("histogram %s != committed %d", h.String(), n)
 	}
 	perTerm := int64(0)
 	for _, term := range ts.All {

@@ -59,9 +59,6 @@ func NewTPCH(cfg TPCHConfig) *TPCH { return &TPCH{cfg: cfg.withDefaults()} }
 // Name implements Workload.
 func (t *TPCH) Name() string { return "tpch" }
 
-// Config returns the effective configuration.
-func (t *TPCH) Config() TPCHConfig { return t.cfg }
-
 // Load implements Workload.
 func (t *TPCH) Load(ctx *storage.IOCtx, e *storage.Engine) error {
 	var err error

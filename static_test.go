@@ -63,3 +63,6 @@ func TestNoTimedRetry(t *testing.T)            { reportFindings(t, "timedretry",
 func TestEveryOptionHasASetter(t *testing.T)   { reportFindings(t, "setter", "") }
 func TestPublicAPIDocumented(t *testing.T)     { reportFindings(t, "facade", "has no doc comment") }
 func TestEveryFacadeNameHasAUser(t *testing.T) { reportFindings(t, "facade", "has no user") }
+func TestEveryInternalNameHasANonTestUser(t *testing.T) {
+	reportFindings(t, "facade", "has no non-test user")
+}
